@@ -9,6 +9,7 @@ package codegen
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"commute/internal/analysis/effects"
 	"commute/internal/cond"
@@ -86,7 +87,18 @@ type MethodPlan struct {
 	// observed object-field access against them.
 	SpecReads  *effects.Set
 	SpecWrites *effects.Set
+
+	// conc memoizes Plan.GeneratesConcurrency for this method: 0 not yet
+	// computed, else concNo or concYes. A plan is immutable once built
+	// and the walk is deterministic, so concurrent first callers (runs
+	// sharing a cached System) store the same answer.
+	conc atomic.Int32
 }
+
+const (
+	concNo  = 1
+	concYes = 2
+)
 
 // LoopPlan is the decision for one for loop in a parallel method.
 type LoopPlan struct {
@@ -514,9 +526,26 @@ func (p *Plan) findLoops(a *core.Analysis, inPar map[*types.Method]*core.MethodR
 
 // GeneratesConcurrency reports whether invoking the parallel version of
 // m can spawn tasks or start parallel loops — i.e. whether a serial
-// caller must open a parallel region for it.
+// caller must open a parallel region for it. The answer is computed on
+// the first query and memoized in the method's plan entry: the
+// interpreter runtime and the tracer ask on every serial call of a
+// parallel method.
 func (p *Plan) GeneratesConcurrency(m *types.Method) bool {
-	return p.generatesConcurrency(m, make(map[*types.Method]bool))
+	mp := p.Methods[m]
+	if mp == nil {
+		return false
+	}
+	if c := mp.conc.Load(); c != 0 {
+		return c == concYes
+	}
+	// Only this top-level answer is stored: inside the walk a callee cut
+	// off by seen reports a provisional false.
+	c := int32(concNo)
+	if p.generatesConcurrency(m, make(map[*types.Method]bool)) {
+		c = concYes
+	}
+	mp.conc.Store(c)
+	return c == concYes
 }
 
 func (p *Plan) generatesConcurrency(m *types.Method, seen map[*types.Method]bool) bool {

@@ -986,19 +986,6 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 		} else if implicitRecv {
 			recv = fr.this
 		}
-		if ctx.Invoke != nil {
-			// The dispatcher may capture the argument slice into a
-			// spawned task closure, so it gets a fresh slice.
-			args := make([]Value, n)
-			for i, af := range argFns {
-				v, err := af(fr)
-				if err != nil {
-					return Value{}, err
-				}
-				args[i] = v
-			}
-			return ctx.Invoke(site, recv, args)
-		}
 		var args []Value
 		if n > 0 {
 			args = ctx.getArgs(n)
@@ -1011,7 +998,14 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 				args[i] = v
 			}
 		}
-		v, err := fr.ctx.IP.Call(ctx, callee, recv, args)
+		var v Value
+		var err error
+		if ctx.Invoke != nil {
+			// The slice is the hook's only until it returns (Ctx.Invoke).
+			v, err = ctx.Invoke(site, recv, args)
+		} else {
+			v, err = ctx.IP.Call(ctx, callee, recv, args)
+		}
 		if args != nil {
 			ctx.putArgs(args)
 		}

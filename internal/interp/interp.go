@@ -104,7 +104,10 @@ type Ctx struct {
 	// Charge accounts abstract cost units (nil: accumulate into Cost).
 	Charge func(units int64)
 	// Invoke dispatches a non-builtin call after receiver and argument
-	// evaluation (nil: execute inline serially).
+	// evaluation (nil: execute inline serially). args belongs to the
+	// caller and is recycled as soon as the hook returns: a hook that
+	// hands the arguments to something outliving the call (a spawned
+	// task) copies them first.
 	Invoke func(site *types.CallSite, recv *Object, args []Value) (Value, error)
 	// ForLoop may take over a for loop given its evaluated header
 	// (nil or returning handled=false: execute serially). The body
@@ -144,10 +147,9 @@ type Ctx struct {
 
 	steps int64
 
-	// argScratch recycles call-argument slices, LIFO. It is used only
-	// when Invoke is nil: dispatcher hooks may capture argument slices
-	// into spawned task closures, so those slices cannot be recycled. A
-	// Ctx is goroutine-local, so no locking is needed.
+	// argScratch recycles the compiled engine's call-argument slices,
+	// LIFO, for hooked and unhooked calls alike (see Invoke). A Ctx is
+	// goroutine-local, so no locking is needed.
 	argScratch [][]Value
 }
 
@@ -163,6 +165,14 @@ const DefaultMaxDepth = 4096
 
 // NewCtx returns a serial execution context.
 func (ip *Interp) NewCtx() *Ctx { return &Ctx{IP: ip} }
+
+// Recycle readies a context for another activation at the given depth,
+// as NewCtx would have left it: the step and cost counters restart (so
+// Interrupt polling and MaxSteps behave as on a fresh context) while
+// the hooks and the argument scratch are kept.
+func (c *Ctx) Recycle(depth int) {
+	c.Depth, c.Cost, c.steps = depth, 0, 0
+}
 
 // step enforces the statement budget and polls the interrupt hook.
 func (c *Ctx) step() error {

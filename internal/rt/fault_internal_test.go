@@ -78,7 +78,7 @@ func TestParallelLoopRejectsNonPositiveStep(t *testing.T) {
 	rt := &Runtime{Workers: 2}
 	fs := &ast.ForStmt{Init: &ast.DeclStmt{Name: "i"}}
 	for _, step := range []int64{0, -1} {
-		err := rt.parallelLoop(nil, &interp.Ctx{}, fs, nil, 0, 10, step)
+		err := rt.parallelLoop(nil, false, 0, fs, nil, 0, 10, step)
 		if err == nil {
 			t.Fatalf("step=%d accepted", step)
 		}

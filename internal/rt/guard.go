@@ -65,21 +65,20 @@ func (rt *Runtime) compileGuard(mp *codegen.MethodPlan) (func() bool, error) {
 	})
 }
 
-// guardHolds evaluates mp's guard, compiling it on first use (the
-// compiled closure is cached per plan entry for the runtime's
-// lifetime). A guard that fails to compile — impossible for plans the
-// planner built, but conceivable for a hand-assembled plan — reports
-// false: the serial path is always correct.
-func (rt *Runtime) guardHolds(mp *codegen.MethodPlan) bool {
-	if g, ok := rt.guards.Load(mp); ok {
-		return g.(func() bool)()
+// guardHolds evaluates the root's guard, compiling it on first use (the
+// compiled closure stays in the run's dispatch table). A guard that
+// fails to compile — impossible for plans the planner built, but
+// conceivable for a hand-assembled plan — reports false: the serial
+// path is always correct.
+func (rt *Runtime) guardHolds(e *methodEntry) bool {
+	if e.guard == nil {
+		g, err := rt.compileGuard(e.mp)
+		if err != nil {
+			g = func() bool { return false }
+		}
+		e.guard = g
 	}
-	g, err := rt.compileGuard(mp)
-	if err != nil {
-		g = func() bool { return false }
-	}
-	actual, _ := rt.guards.LoadOrStore(mp, g)
-	return actual.(func() bool)()
+	return e.guard()
 }
 
 // dispatchConditional applies the guard at region entry. Guard-true
@@ -87,14 +86,14 @@ func (rt *Runtime) guardHolds(mp *codegen.MethodPlan) bool {
 // take the serial path, except that a speculation-eligible extent may
 // still run speculatively when the policy forces it (SpecForce) — the
 // journals then provide the safety the guard could not prove.
-func (rt *Runtime) dispatchConditional(ctx *interp.Ctx, mp *codegen.MethodPlan, site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
-	if rt.guardHolds(mp) {
+func (rt *Runtime) dispatchConditional(ctx *interp.Ctx, e *methodEntry, m *types.Method, recv *interp.Object, args []interp.Value) (interp.Value, error) {
+	if rt.guardHolds(e) {
 		atomic.AddInt64(&rt.Stats.GuardParallel, 1)
-		return interp.Value{}, rt.runRegion(site, recv, args)
+		return interp.Value{}, rt.runRegion(m, recv, args)
 	}
 	atomic.AddInt64(&rt.Stats.GuardSerial, 1)
-	if rt.Speculate == SpecForce && mp.SpecEligible {
-		return interp.Value{}, rt.runSpeculativeRegion(site, recv, args)
+	if rt.Speculate == SpecForce && e.mp.SpecEligible {
+		return interp.Value{}, rt.runSpeculativeRegion(e.mp, recv, args)
 	}
-	return rt.IP.Call(ctx, site.Callee, recv, args)
+	return rt.IP.Call(ctx, m, recv, args)
 }

@@ -5,9 +5,9 @@
 // worker pools. It executes a checked program under a codegen.Plan.
 //
 // The runtime is hardened against mid-region failure: panics in
-// spawned tasks, GSS loop workers, and region roots are isolated into
+// spawned tasks, loop claimants, and region roots are isolated into
 // TaskError values; a caller context's cancellation or deadline drains
-// the pools promptly; and a failed region can optionally degrade to
+// the pool promptly; and a failed region can optionally degrade to
 // the original serial version (SerialFallback). A FaultPlan injects
 // deterministic faults at the concurrency boundaries to test all of
 // this.
@@ -24,6 +24,7 @@ import (
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
+	"commute/rtkit"
 )
 
 // Stats counts run-time events (the raw material for Tables 5, 6 and
@@ -36,8 +37,8 @@ type Stats struct {
 	LazyInlines   int64 // spawns absorbed inline by lazy task creation
 	LockAcquires  int64 // object-section lock acquisitions
 	Regions       int64 // serial→parallel region transitions
-	Steals        int64 // tasks taken from another worker's deque
-	LocalPops     int64 // tasks popped from the spawning worker's own deque
+	Steals        int64 // tasks and loop helpers taken from another worker's deque
+	LocalPops     int64 // tasks and loop helpers popped from the spawning worker's own deque
 
 	TaskPanics      int64 // panics captured and isolated as TaskError
 	SerialFallbacks int64 // regions re-executed serially after a fault
@@ -110,7 +111,13 @@ type Runtime struct {
 	runCtx context.Context
 	cancel context.CancelCauseFunc
 	steps  atomic.Int64
-	guards sync.Map // *codegen.MethodPlan → func() bool (compiled region guards)
+
+	// Per-run state (DESIGN.md §8, region life cycle).
+	methods []methodEntry // dispatch table, by types.Method.ID
+	pool    *rtkit.Pool   // started at the first region (regionPool)
+	lanes   []*lane       // activation free lists, by worker ID + 1
+	helpers atomic.Int64  // loop helpers offered to the pool, not yet finished
+	spec    specRegion    // journals, pooled across regions
 
 	errMu  sync.Mutex
 	err    error
@@ -181,15 +188,16 @@ func (rt *Runtime) interrupt() error {
 	return nil
 }
 
-// guardedCtx returns an execution context wired to the runtime's
-// interrupt hook and depth guard, seeded at the given activation
-// depth.
-func (rt *Runtime) guardedCtx(depth int) *interp.Ctx {
-	ctx := rt.IP.NewCtx()
-	ctx.Interrupt = rt.interrupt
-	ctx.MaxDepth = rt.MaxDepth
-	ctx.Depth = depth
-	return ctx
+// methodEntry is one row of the run's dispatch table.
+type methodEntry struct {
+	mp *codegen.MethodPlan // nil: the plan has no entry for the method
+	// root is set when a call from serial code opens a parallel region:
+	// the method is parallel and its parallel version generates
+	// concurrency (memoized per plan by Plan.GeneratesConcurrency).
+	root bool
+	// guard is a Conditional root's compiled guard, built at its first
+	// region entry (guardHolds).
+	guard func() bool
 }
 
 // Run executes main with no caller context (no deadline).
@@ -199,14 +207,28 @@ func (rt *Runtime) Run() error { return rt.RunContext(context.Background()) }
 // calls to parallel methods open parallel regions. Cancellation or
 // deadline expiry on parent aborts the run promptly — it is observed
 // at task-start and chunk-claim boundaries and, via the interpreter's
-// interrupt hook, inside long-running statement loops.
+// interrupt hook, inside long-running statement loops. The worker pool
+// the regions share is shut down before RunContext returns, whichever
+// way the run ends.
 func (rt *Runtime) RunContext(parent context.Context) error {
 	if rt.IP.Prog.Main == nil {
 		return &interp.RuntimeError{Msg: "program has no main function"}
 	}
 	rt.parent = parent
 	rt.runCtx, rt.cancel = context.WithCancelCause(parent)
-	defer func() { rt.cancel(nil) }()
+	defer func() {
+		// Every region drained the pool before returning, on failure
+		// paths too, so Wait finds nothing pending and returns at once.
+		if rt.pool != nil {
+			rt.pool.Wait()
+			rt.pool = nil
+		}
+		rt.cancel(nil)
+	}()
+	rt.methods = make([]methodEntry, len(rt.IP.Prog.Methods))
+	for m, mp := range rt.Plan.Methods {
+		rt.methods[m.ID] = methodEntry{mp: mp, root: mp.Parallel && rt.Plan.GeneratesConcurrency(m)}
+	}
 	_, err := rt.IP.Call(rt.serialCtx(), rt.IP.Prog.Main, nil, nil)
 	rt.setErr(err)
 	return rt.firstErr()
@@ -215,25 +237,24 @@ func (rt *Runtime) RunContext(parent context.Context) error {
 // serialCtx executes serial code, opening a parallel region when a
 // parallel method that actually generates concurrency is invoked.
 func (rt *Runtime) serialCtx() *interp.Ctx {
-	ctx := rt.guardedCtx(0)
+	ctx := rt.IP.NewCtx()
+	ctx.Interrupt = rt.interrupt
+	ctx.MaxDepth = rt.MaxDepth
 	ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
-		mp := rt.Plan.Methods[site.Callee]
-		if mp != nil && mp.Parallel && rt.Plan.GeneratesConcurrency(site.Callee) {
-			if mp.Conditional {
-				// Guarded extent: the guard decides parallel vs serial
-				// at region entry, taking precedence over speculation.
-				return rt.dispatchConditional(ctx, mp, site, recv, args)
-			}
-			if mp.Speculative {
-				if rt.speculationAllowed(mp) {
-					return interp.Value{}, rt.runSpeculativeRegion(site, recv, args)
-				}
-				// Policy declined: the extent is unproven, so run the
-				// original serial version inline.
-				return rt.IP.Call(ctx, site.Callee, recv, args)
-			}
-			return interp.Value{}, rt.runRegion(site, recv, args)
+		e := &rt.methods[site.Callee.ID]
+		switch {
+		case !e.root:
+		case e.mp.Conditional:
+			// Guarded extent: the guard decides parallel vs serial
+			// at region entry, taking precedence over speculation.
+			return rt.dispatchConditional(ctx, e, site.Callee, recv, args)
+		case !e.mp.Speculative:
+			return interp.Value{}, rt.runRegion(site.Callee, recv, args)
+		case rt.speculationAllowed(e.mp):
+			return interp.Value{}, rt.runSpeculativeRegion(e.mp, recv, args)
 		}
+		// Not a region root, or an unproven extent the policy declined:
+		// the original serial version, inline.
 		return rt.IP.Call(ctx, site.Callee, recv, args)
 	}
 	return ctx
@@ -241,29 +262,39 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 
 // runRegion executes one serial→parallel region transition: the serial
 // version of a parallel method invokes the parallel version and blocks
-// until the region completes. All region error handling lives here —
-// the root activation runs under panic isolation, the pool is always
-// drained, and a failed region may degrade to the original serial
-// version.
-func (rt *Runtime) runRegion(site *types.CallSite, recv *interp.Object, args []interp.Value) error {
+// until the region completes. A failed region may degrade to the
+// original serial version.
+func (rt *Runtime) runRegion(m *types.Method, recv *interp.Object, args []interp.Value) error {
 	atomic.AddInt64(&rt.Stats.Regions, 1)
-	pool := newPool(rt)
-	err := rt.protect("region", site.Callee.FullName(), func() error {
-		return rt.callVersion(pool.External(), site.Callee, recv, args, versionParallel, 0)
-	})
-	pool.Wait()
-	rt.setErr(err)
-	ferr := rt.firstErr()
-	if ferr == nil {
-		return nil
-	}
-	if !rt.SerialFallback || !rt.fallbackEligible(ferr) {
+	ferr := rt.runRoot(nil, m, recv, args)
+	if ferr == nil || !rt.SerialFallback || !rt.fallbackEligible(ferr) {
 		return ferr
 	}
 	// Graceful degradation: the parallel schedule failed but the
 	// computation itself did not — re-execute the region with the
 	// original serial version so the caller still gets an answer.
 	atomic.AddInt64(&rt.Stats.SerialFallbacks, 1)
+	return rt.rerunSerial(m, recv, args)
+}
+
+// runRoot is the part every region shares: the root activation runs the
+// parallel version on the caller's goroutine under panic isolation
+// (journaling into lg in a speculative region), and the pool is always
+// drained. When it returns — with the region's first error, if any — no
+// task or loop helper of the region is queued or running.
+func (rt *Runtime) runRoot(lg *specLog, m *types.Method, recv *interp.Object, args []interp.Value) error {
+	pool := rt.regionPool()
+	func() {
+		defer rt.isolate("region", m)
+		rt.callVersion(pool.External(), lg, m, recv, args, versionParallel, 0)
+	}()
+	pool.Drain()
+	return rt.firstErr()
+}
+
+// rerunSerial re-executes a failed region's root with the original
+// serial version, on the quiescent pool runRoot left behind.
+func (rt *Runtime) rerunSerial(m *types.Method, recv *interp.Object, args []interp.Value) error {
 	rt.clearErr()
 	if rt.runCtx.Err() != nil {
 		// The fault cancelled the run below a still-live caller
@@ -271,9 +302,7 @@ func (rt *Runtime) runRegion(site *types.CallSite, recv *interp.Object, args []i
 		// serial re-run is not stillborn.
 		rt.runCtx, rt.cancel = context.WithCancelCause(rt.parent)
 	}
-	serr := rt.callVersion(nil, site.Callee, recv, args, versionSerial, 0)
-	rt.setErr(serr)
-	return serr
+	return rt.callVersion(nil, nil, m, recv, args, versionSerial, 0)
 }
 
 // fallbackEligible decides whether a failed region may degrade to
@@ -293,18 +322,6 @@ func (rt *Runtime) fallbackEligible(err error) bool {
 	return errors.Is(err, ErrInjectedCancel)
 }
 
-// protect runs f under panic isolation: a panic becomes a TaskError
-// instead of unwinding past the runtime.
-func (rt *Runtime) protect(origin, method string, f func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			atomic.AddInt64(&rt.Stats.TaskPanics, 1)
-			err = newTaskError(origin, method, r)
-		}
-	}()
-	return f()
-}
-
 // version selects which generated variant of a method executes.
 type version int
 
@@ -314,206 +331,165 @@ const (
 	versionMutex
 )
 
+// activation is the runtime's record of one method activation (or one
+// loop claimant) inside a region: the interpreter context the body runs
+// under and what its two dispatcher hooks need. Records are recycled
+// through their goroutine's lane, strictly LIFO as activations nest, so
+// a steady-state activation allocates nothing; the hooks are bound to
+// the record once, when it is first made.
+type activation struct {
+	interp.Ctx
+	rt   *Runtime
+	lane *lane
+	next *activation // lane free list
+
+	w        *worker             // the executing goroutine's scheduler handle
+	log      *specLog            // the task's journal in a speculative region, else nil
+	mp       *codegen.MethodPlan // the parallel method executing; nil in a loop claimant
+	ver      version
+	recv     *interp.Object
+	lockHeld bool // recv's lock is held by this activation
+
+	invokeFn  func(*types.CallSite, *interp.Object, []interp.Value) (interp.Value, error)
+	forLoopFn func(*ast.ForStmt, *interp.Frame, int64, int64, int64) (bool, error)
+}
+
+// activate takes a record from w's lane, readied as a plain serial
+// context seeded at the given activation depth: interrupt hook and depth
+// guard wired, no dispatcher hooks, lg (if any) monitoring every access.
+func (rt *Runtime) activate(w *worker, lg *specLog, depth int) *activation {
+	ln := rt.lanes[0]
+	if w != nil {
+		ln = rt.lanes[w.ID()+1]
+	}
+	a := ln.free
+	if a == nil {
+		a = &activation{rt: rt, lane: ln}
+		a.IP, a.Interrupt, a.MaxDepth = rt.IP, rt.interrupt, rt.MaxDepth
+		a.invokeFn, a.forLoopFn = a.invoke, a.forLoop
+	} else {
+		ln.free = a.next
+	}
+	a.Recycle(depth)
+	a.w, a.log = w, lg
+	if lg != nil {
+		a.Mon = lg
+	}
+	return a
+}
+
+// done ends the activation: the receiver lock, if still held, is
+// released — also when the activation panics, so panic isolation never
+// strands a held lock (which would deadlock the region) — and the record
+// goes back to its lane.
+func (a *activation) done() {
+	a.unlock()
+	a.Invoke, a.ForLoop, a.Mon = nil, nil, nil
+	a.log, a.mp, a.recv = nil, nil, nil
+	a.next, a.lane.free = a.lane.free, a
+}
+
+func (a *activation) unlock() {
+	if a.lockHeld {
+		a.lockHeld = false
+		a.recv.Mutex.Unlock()
+	}
+}
+
 // callVersion executes one method activation under the chosen version,
 // handling lock acquisition/release per the plan. w is the scheduler
-// handle of the executing goroutine (a pool worker, or the pool's
-// external handle for the region root and GSS loop goroutines): spawns
-// from a pool worker push onto its own deque. depth seeds the
-// activation-depth guard: inline continuations (lazy spawns, mutex
-// versions) keep counting on the current goroutine stack, while
-// spawned tasks restart at zero on a fresh stack.
-func (rt *Runtime) callVersion(w *worker, m *types.Method, recv *interp.Object, args []interp.Value, ver version, depth int) error {
+// handle of the executing goroutine (a pool worker, the pool's external
+// handle for the region root, or nil for a serial re-run): spawns from a
+// pool worker push onto its own deque. A non-nil lg makes the activation
+// speculative: no locks — isolation comes from the journals — and every
+// access is monitored; spawned children journal into fresh logs, inline
+// continuations share lg. depth seeds the activation-depth guard: inline
+// continuations (lazy spawns, mutex versions) keep counting on the
+// current goroutine stack, while spawned tasks restart at zero on a
+// fresh stack.
+func (rt *Runtime) callVersion(w *worker, lg *specLog, m *types.Method, recv *interp.Object, args []interp.Value, ver version, depth int) error {
 	if rt.failed.Load() {
 		return nil
 	}
-	mp := rt.Plan.Methods[m]
-	if mp == nil || !mp.Parallel || ver == versionSerial {
-		// Plain serial execution (original version).
-		_, err := rt.IP.Call(rt.guardedCtx(depth), m, recv, args)
-		rt.setErr(err)
-		return err
-	}
-
-	locked := mp.NeedsLock && recv != nil
-	if locked {
-		atomic.AddInt64(&rt.Stats.LockAcquires, 1)
-		rt.injectLock()
-		recv.Mutex.Lock()
-	}
-	// Without hoisting the lock covers only the object section: it is
-	// released at the first spawned invocation. The deferred release
-	// also runs when the activation panics, so panic isolation never
-	// strands a held lock (which would deadlock the region).
-	lockHeld := locked
-	releaseBeforeSpawn := locked && !mp.HoldsLockThrough
-	defer func() {
-		if lockHeld {
-			lockHeld = false
-			recv.Mutex.Unlock()
+	a := rt.activate(w, lg, depth)
+	defer a.done()
+	if mp := rt.methods[m.ID].mp; mp != nil && mp.Parallel && ver != versionSerial {
+		a.mp, a.ver, a.recv = mp, ver, recv
+		a.Invoke = a.invokeFn
+		if ver != versionMutex {
+			a.ForLoop = a.forLoopFn
 		}
-	}()
-
-	ctx := rt.guardedCtx(depth)
-	ctx.Invoke = func(site *types.CallSite, r2 *interp.Object, a2 []interp.Value) (interp.Value, error) {
-		switch mp.Site[site.ID] {
-		case codegen.ActionInline:
-			// Auxiliary operation: execute serially inline.
-			return rt.IP.Call(ctx, site.Callee, r2, a2)
-		case codegen.ActionHoisted:
-			// Nested-object operation under the hoisted lock: run the
-			// original serial version inline.
-			_, err := rt.IP.Call(ctx, site.Callee, r2, a2)
-			return interp.Value{}, err
-		case codegen.ActionSpawn:
-			if releaseBeforeSpawn && lockHeld {
-				lockHeld = false
-				recv.Mutex.Unlock()
-			}
-			if ver == versionMutex {
-				// Mutex versions execute invoked operations serially.
-				return interp.Value{}, rt.callVersion(w, site.Callee, r2, a2, versionMutex, ctx.Depth)
-			}
-			callee := site.Callee
-			if rt.LazySpawnThreshold > 0 && w.Pool().Pending() >= rt.LazySpawnThreshold {
-				// Lazy task creation: enough parallelism is already
-				// exposed; absorb the child into this task.
-				atomic.AddInt64(&rt.Stats.LazyInlines, 1)
-				return interp.Value{}, rt.callVersion(w, callee, r2, a2, versionParallel, ctx.Depth)
-			}
-			atomic.AddInt64(&rt.Stats.Tasks, 1)
-			w.Pool().Spawn(w, callee.FullName(), func(cw *worker) {
-				rt.setErr(rt.callVersion(cw, callee, r2, a2, versionParallel, 0))
-			})
-			return interp.Value{}, nil
-		default:
-			return rt.IP.Call(ctx, site.Callee, r2, a2)
+		if lg == nil && mp.NeedsLock && recv != nil {
+			atomic.AddInt64(&rt.Stats.LockAcquires, 1)
+			rt.injectLock()
+			recv.Mutex.Lock()
+			a.lockHeld = true
 		}
 	}
-	ctx.ForLoop = func(fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) (bool, error) {
-		lp := rt.Plan.Loops[fs]
-		if lp == nil || !lp.Parallel || ver == versionMutex {
-			return false, nil
-		}
-		if releaseBeforeSpawn && lockHeld {
-			lockHeld = false
-			recv.Mutex.Unlock()
-		}
-		return true, rt.parallelLoop(w, ctx, fs, fr, from, to, step)
-	}
-
-	_, err := rt.IP.Call(ctx, m, recv, args)
+	_, err := rt.IP.Call(&a.Ctx, m, recv, args)
 	rt.setErr(err)
 	return err
 }
 
-// parallelLoop runs a counted loop with guided self-scheduling across
-// the worker pool; iterations execute mutex versions (§5.2). Each GSS
-// worker runs under panic isolation and observes cancellation and
-// region failure at chunk-claim boundaries.
-func (rt *Runtime) parallelLoop(w *worker, parent *interp.Ctx, fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) error {
-	atomic.AddInt64(&rt.Stats.ParallelLoops, 1)
-	if interp.LoopVar(fs) == "" {
-		return &interp.RuntimeError{Msg: "parallel loop without a loop variable"}
-	}
-	if step <= 0 {
-		// A non-positive step would divide by zero in the chunk-size
-		// computation below (or claim chunks forever).
-		return &interp.RuntimeError{Msg: fmt.Sprintf("parallel loop at %s with non-positive step %d", fs.Pos(), step)}
-	}
-	total := (to - from + step - 1) / step
-	if total <= 0 {
-		return nil
-	}
-	label := fmt.Sprintf("%s (loop at %s)", fr.Method().FullName(), fs.Pos())
-	var next atomic.Int64
-	next.Store(from)
-	var wg sync.WaitGroup
-	workers := rt.Workers
-	if int64(workers) > total {
-		workers = int(total)
-	}
-	depth := parent.Depth
-	// GSS workers are fresh goroutines, not pool workers: they schedule
-	// through the pool's external handle (mutex versions never spawn,
-	// but the handle keeps deque ownership single-threaded even if that
-	// changes).
-	var ext *worker
-	if w != nil {
-		ext = w.Pool().External()
-	}
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					atomic.AddInt64(&rt.Stats.TaskPanics, 1)
-					rt.setErr(newTaskError("loop", label, r))
-				}
-			}()
-			ctx := rt.mutexIterCtx(ext, depth)
-			// One iteration frame per GSS worker: the parent frame's
-			// slot array is copied once here, not once per chunk (and
-			// not a full map rebuild per chunk as before) — iterations
-			// only write their own locals, exactly like the serial
-			// loop reusing one frame.
-			sub := rt.IP.NewIterFrame(ctx, fr)
-			defer rt.IP.ReleaseFrame(sub)
-			for {
-				if rt.failed.Load() {
-					return
-				}
-				if err := rt.interrupt(); err != nil {
-					rt.setErr(err)
-					return
-				}
-				// Guided self-scheduling: claim ⌈remaining/P⌉ iterations.
-				start := next.Load()
-				if start >= to {
-					return
-				}
-				remaining := (to - start + step - 1) / step
-				chunk := remaining / int64(rt.Workers)
-				if chunk < 1 {
-					chunk = 1
-				}
-				end := start + chunk*step
-				if !next.CompareAndSwap(start, end) {
-					continue
-				}
-				if end > to {
-					end = to
-				}
-				atomic.AddInt64(&rt.Stats.Chunks, 1)
-				rt.injectChunk()
-				for i := start; i < end; i += step {
-					atomic.AddInt64(&rt.Stats.Iterations, 1)
-					if err := rt.IP.RunLoopIteration(sub, fs, i); err != nil {
-						rt.setErr(err)
-						return
-					}
-				}
+// invoke is the activation's call dispatcher.
+func (a *activation) invoke(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
+	rt := a.rt
+	if a.mp == nil {
+		// A parallel-loop iteration: direct invocations run mutex
+		// versions, serialized within the claimant.
+		if mp := rt.methods[site.Caller.ID].mp; mp == nil || mp.Site[site.ID] != codegen.ActionInline {
+			if cp := rt.methods[site.Callee.ID].mp; cp != nil && cp.Parallel {
+				return interp.Value{}, rt.callVersion(a.w, a.log, site.Callee, recv, args, versionMutex, a.Depth)
 			}
-		}()
+		}
+		return rt.IP.Call(&a.Ctx, site.Callee, recv, args)
 	}
-	wg.Wait()
-	return rt.firstErr()
+	switch a.mp.Site[site.ID] {
+	case codegen.ActionHoisted:
+		// Nested-object operation under the hoisted lock: run the
+		// original serial version inline.
+		_, err := rt.IP.Call(&a.Ctx, site.Callee, recv, args)
+		return interp.Value{}, err
+	case codegen.ActionSpawn:
+		a.releaseBeforeSpawn()
+		if a.ver == versionMutex {
+			// Mutex versions execute invoked operations serially.
+			return interp.Value{}, rt.callVersion(a.w, a.log, site.Callee, recv, args, versionMutex, a.Depth)
+		}
+		if rt.LazySpawnThreshold > 0 && rt.pool.Pending()-int(rt.helpers.Load()) >= rt.LazySpawnThreshold {
+			// Lazy task creation: enough parallelism is already
+			// exposed (tasks pending, loop helpers aside); absorb the
+			// child into this task.
+			atomic.AddInt64(&rt.Stats.LazyInlines, 1)
+			return interp.Value{}, rt.callVersion(a.w, a.log, site.Callee, recv, args, versionParallel, a.Depth)
+		}
+		var lg *specLog
+		if a.log != nil {
+			lg = rt.spec.newLog()
+		}
+		rt.spawn(a.w, lg, site.Callee, recv, args)
+		return interp.Value{}, nil
+	}
+	// Auxiliary operation (or a site of an inlined callee): execute
+	// serially inline.
+	return rt.IP.Call(&a.Ctx, site.Callee, recv, args)
 }
 
-// mutexIterCtx executes a parallel-loop iteration: direct invocations
-// run mutex versions.
-func (rt *Runtime) mutexIterCtx(w *worker, depth int) *interp.Ctx {
-	ctx := rt.guardedCtx(depth)
-	ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
-		mp := rt.Plan.Methods[site.Caller]
-		if mp != nil && mp.Site[site.ID] == codegen.ActionInline {
-			return rt.IP.Call(ctx, site.Callee, recv, args)
-		}
-		cp := rt.Plan.Methods[site.Callee]
-		if cp != nil && cp.Parallel {
-			return interp.Value{}, rt.callVersion(w, site.Callee, recv, args, versionMutex, ctx.Depth)
-		}
-		return rt.IP.Call(ctx, site.Callee, recv, args)
+// releaseBeforeSpawn ends the object section: without hoisting the lock
+// covers only that, and is released at the first spawned invocation or
+// parallel loop.
+func (a *activation) releaseBeforeSpawn() {
+	if !a.mp.HoldsLockThrough {
+		a.unlock()
 	}
-	return ctx
+}
+
+// forLoop is the activation's loop dispatcher (parallel versions only).
+func (a *activation) forLoop(fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) (bool, error) {
+	lp := a.rt.Plan.Loops[fs]
+	if lp == nil || !lp.Parallel {
+		return false, nil
+	}
+	a.releaseBeforeSpawn()
+	return true, a.rt.parallelLoop(a.w, a.log != nil, a.Depth, fs, fr, from, to, step)
 }

@@ -1,20 +1,25 @@
 package rt
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 
+	"commute/internal/frontend/ast"
+	"commute/internal/frontend/types"
+	"commute/internal/interp"
 	"commute/rtkit"
 )
 
 // The scheduler itself — bounded Chase-Lev deques, injector overflow,
 // parking — lives in the public rtkit package so the native Go backend
 // can reuse it from generated (non-internal) code. This file keeps the
-// runtime-specific policy: mapping SchedMode, counting scheduler
-// events into Stats, and wrapping every task body with the panic
-// isolation / fault injection / cancellation checks the interpreter
-// contract requires.
+// runtime-specific policy: one pool per Runtime, the spawned-task and
+// loop-claimant bodies with the panic isolation / fault injection /
+// cancellation checks the interpreter contract requires, and the
+// records both recycle.
 
-// SchedMode selects the task scheduler backing a parallel region.
+// SchedMode selects the task scheduler backing a run's parallel regions.
 type SchedMode int
 
 const (
@@ -22,8 +27,8 @@ const (
 	// deque: spawns push LIFO onto the spawning worker's deque, the
 	// owner pops LIFO (depth-first, cache-warm), and idle workers steal
 	// FIFO from victims' tails (breadth-first, large subtrees). Spawns
-	// from outside the pool — the region root and GSS loop goroutines —
-	// and deque overflow land in a shared injector queue.
+	// from outside the pool — the region root — and deque overflow land
+	// in a shared injector queue.
 	SchedStealing SchedMode = iota
 	// SchedCentral is the original single mutex+cond task queue, kept
 	// for A/B benchmarking and as a differential-testing oracle.
@@ -34,30 +39,81 @@ const (
 // callVersion so spawns from a pool worker hit its private deque.
 type worker = rtkit.Worker
 
-// newPool starts a region-scoped scheduler wired to this runtime.
-func newPool(rt *Runtime) *rtkit.Pool {
-	mode := rtkit.Stealing
-	if rt.Sched == SchedCentral {
-		mode = rtkit.Central
+// lane is one goroutine's LIFO free list of activation records. Each
+// scheduler handle belongs to one goroutine — a pool worker's to that
+// worker, the external handle (and nil) to RunContext's — so the lane
+// its ID selects needs no lock.
+type lane struct{ free *activation }
+
+// regionPool returns the run's scheduler, starting it (and the lanes) at
+// the first parallel region. Regions open only on RunContext's own
+// goroutine, one at a time, and each ends with Drain, so between regions
+// the pool is idle: no task queued, none running, the workers parked.
+func (rt *Runtime) regionPool() *rtkit.Pool {
+	if rt.pool == nil {
+		mode := rtkit.Stealing
+		if rt.Sched == SchedCentral {
+			mode = rtkit.Central
+		}
+		rt.lanes = make([]*lane, rt.Workers+1)
+		for i := range rt.lanes {
+			rt.lanes[i] = new(lane)
+		}
+		rt.pool = rtkit.NewPool(rt.Workers, mode, rtkit.Hooks{
+			OnLocalPop: func() { atomic.AddInt64(&rt.Stats.LocalPops, 1) },
+			OnSteal:    func() { atomic.AddInt64(&rt.Stats.Steals, 1) },
+		})
 	}
-	return rtkit.NewPool(rt.Workers, mode, rtkit.Hooks{
-		Run:        rt.runTask,
-		OnLocalPop: func() { atomic.AddInt64(&rt.Stats.LocalPops, 1) },
-		OnSteal:    func() { atomic.AddInt64(&rt.Stats.Steals, 1) },
-	})
+	return rt.pool
 }
 
-// runTask executes one spawned task under panic isolation. Once the
-// region has failed or the run is cancelled, remaining queued tasks
-// are drained without executing (first error wins; their effects would
-// be discarded anyway), which also lets Pool.Wait return promptly.
-func (rt *Runtime) runTask(w *worker, label string, body func(*worker)) {
-	defer func() {
-		if r := recover(); r != nil {
-			atomic.AddInt64(&rt.Stats.TaskPanics, 1)
-			rt.setErr(newTaskError("task", label, r))
-		}
-	}()
+// isolate is deferred around everything that runs user code inside a
+// region: a panic becomes a TaskError on the first-error path instead of
+// unwinding past the runtime, and the diagnostic is only built here.
+func (rt *Runtime) isolate(origin string, m *types.Method) {
+	if r := recover(); r != nil {
+		atomic.AddInt64(&rt.Stats.TaskPanics, 1)
+		rt.setErr(newTaskError(origin, m.FullName(), r))
+	}
+}
+
+// spawnRec is one spawned operation in flight: the callee and its own
+// copy of the arguments (the caller's slice is recycled when the Invoke
+// hook returns). Records cross goroutines — taken by the spawner, put
+// back by whichever worker ran the task — hence a sync.Pool.
+type spawnRec struct {
+	rt     *Runtime
+	callee *types.Method
+	recv   *interp.Object
+	args   []interp.Value
+	lg     *specLog
+	runFn  func(*worker) // run, bound once
+}
+
+var spawnRecs sync.Pool // of *spawnRec
+
+// spawn creates a task executing callee's parallel version, journaling
+// into lg in a speculative region.
+func (rt *Runtime) spawn(w *worker, lg *specLog, callee *types.Method, recv *interp.Object, args []interp.Value) {
+	atomic.AddInt64(&rt.Stats.Tasks, 1)
+	s, _ := spawnRecs.Get().(*spawnRec)
+	if s == nil {
+		s = new(spawnRec)
+		s.runFn = s.run
+	}
+	s.rt, s.callee, s.recv, s.lg = rt, callee, recv, lg
+	s.args = append(s.args[:0], args...)
+	rt.pool.Spawn(w, "", s.runFn)
+}
+
+// run executes one spawned task under panic isolation. Once the region
+// has failed or the run is cancelled, remaining queued tasks are drained
+// without executing (first error wins; their effects would be discarded
+// anyway), which also lets the region's Drain return promptly.
+func (s *spawnRec) run(cw *worker) {
+	rt := s.rt
+	defer s.recycle()
+	defer rt.isolate("task", s.callee)
 	if rt.failed.Load() {
 		return
 	}
@@ -72,5 +128,182 @@ func (rt *Runtime) runTask(w *worker, label string, body func(*worker)) {
 		rt.setErr(err)
 		return
 	}
-	body(w)
+	rt.callVersion(cw, s.lg, s.callee, s.recv, s.args, versionParallel, 0)
+}
+
+func (s *spawnRec) recycle() {
+	clear(s.args)
+	s.rt, s.callee, s.recv, s.lg = nil, nil, nil, nil
+	spawnRecs.Put(s)
+}
+
+// loopRun is one execution of a parallel loop: the shared claim cursor
+// and the join state. The goroutine that reached the loop is a claimant
+// itself; up to Workers-1 helpers are offered to the pool as tasks that
+// join if a worker picks them up before the caller closes the loop. A
+// helper that comes too late only drops its reference, so the record is
+// recycled when the last of caller and helpers lets go.
+type loopRun struct {
+	rt       *Runtime
+	fs       *ast.ForStmt
+	fr       *interp.Frame
+	to, step int64
+	depth    int
+	spec     bool
+	next     atomic.Int64 // first unclaimed iteration
+
+	mu     sync.Mutex
+	idle   sync.Cond // the caller waits here for active == 0
+	closed bool      // the caller is joining: no more helpers
+	active int       // helpers inside claim
+	refs   int       // caller + helpers not yet finished
+
+	helpFn func(*worker) // help, bound once
+}
+
+var loopRuns sync.Pool // of *loopRun
+
+// parallelLoop runs a counted loop with guided self-scheduling;
+// iterations execute mutex versions (§5.2), journaled per claimant when
+// the region is speculative. A claimant executes its iterations in
+// increasing order (chunk claims are monotonic), so within a claimant
+// the serial order holds and only cross-claimant interference needs
+// locks or detection. With one worker this is the serial loop plus those
+// locks: progress never depends on a helper starting, and the join waits
+// only for helpers that did.
+func (rt *Runtime) parallelLoop(w *worker, spec bool, depth int, fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) error {
+	atomic.AddInt64(&rt.Stats.ParallelLoops, 1)
+	if interp.LoopVar(fs) == "" {
+		return &interp.RuntimeError{Msg: "parallel loop without a loop variable"}
+	}
+	if step <= 0 {
+		// A non-positive step would divide by zero in the chunk-size
+		// computation below (or claim chunks forever).
+		return &interp.RuntimeError{Msg: fmt.Sprintf("parallel loop at %s with non-positive step %d", fs.Pos(), step)}
+	}
+	total := (to - from + step - 1) / step
+	if total <= 0 {
+		return nil
+	}
+	helpers := rt.Workers - 1
+	if int64(helpers) >= total {
+		helpers = int(total) - 1
+	}
+	lp, _ := loopRuns.Get().(*loopRun)
+	if lp == nil {
+		lp = new(loopRun)
+		lp.idle.L = &lp.mu
+		lp.helpFn = lp.help
+	}
+	lp.rt, lp.fs, lp.fr, lp.to, lp.step, lp.depth, lp.spec = rt, fs, fr, to, step, depth, spec
+	lp.next.Store(from)
+	lp.closed, lp.active, lp.refs = false, 0, 1+helpers
+	// Helpers are not tasks of the program: no Stats.Tasks, no spawn
+	// fault ordinal, and lazy task creation discounts them.
+	rt.helpers.Add(int64(helpers))
+	for i := 0; i < helpers; i++ {
+		rt.pool.Spawn(w, "", lp.helpFn)
+	}
+	lp.claim(w)
+	lp.mu.Lock()
+	lp.closed = true
+	for lp.active > 0 {
+		lp.idle.Wait()
+	}
+	lp.unref()
+	return rt.firstErr()
+}
+
+// help is a helper's task body.
+func (lp *loopRun) help(w *worker) {
+	lp.mu.Lock()
+	if !lp.closed && lp.next.Load() < lp.to {
+		lp.active++
+		lp.mu.Unlock()
+		lp.claim(w)
+		lp.mu.Lock()
+		if lp.active--; lp.active == 0 {
+			lp.idle.Signal()
+		}
+	}
+	lp.rt.helpers.Add(-1)
+	lp.unref()
+}
+
+// unref drops one reference and unlocks; the last one recycles the record.
+func (lp *loopRun) unref() {
+	lp.refs--
+	last := lp.refs == 0
+	lp.mu.Unlock()
+	if last {
+		lp.rt, lp.fs, lp.fr = nil, nil, nil
+		loopRuns.Put(lp)
+	}
+}
+
+// claim executes chunks until the iteration space is exhausted, under
+// panic isolation, observing cancellation and region failure at
+// chunk-claim boundaries.
+func (lp *loopRun) claim(w *worker) {
+	rt, fs, to, step := lp.rt, lp.fs, lp.to, lp.step
+	defer lp.isolate()
+	var lg *specLog
+	if lp.spec {
+		lg = rt.spec.newLog()
+	}
+	a := rt.activate(w, lg, lp.depth)
+	defer a.done()
+	// Direct invocations in an iteration run mutex versions (mp == nil
+	// selects that dispatch in invoke); nested loops stay serial.
+	a.Ctx.Invoke = a.invokeFn
+	// One iteration frame per claimant: the parent frame's slot array
+	// is copied once here, not once per chunk — iterations only write
+	// their own locals, exactly like the serial loop reusing one frame.
+	sub := rt.IP.NewIterFrame(&a.Ctx, lp.fr)
+	defer rt.IP.ReleaseFrame(sub)
+	for {
+		if rt.failed.Load() {
+			return
+		}
+		if err := rt.interrupt(); err != nil {
+			rt.setErr(err)
+			return
+		}
+		// Guided self-scheduling: claim ⌈remaining/P⌉ iterations.
+		start := lp.next.Load()
+		if start >= to {
+			return
+		}
+		remaining := (to - start + step - 1) / step
+		chunk := remaining / int64(rt.Workers)
+		if chunk < 1 {
+			chunk = 1
+		}
+		end := start + chunk*step
+		if !lp.next.CompareAndSwap(start, end) {
+			continue
+		}
+		if end > to {
+			end = to
+		}
+		atomic.AddInt64(&rt.Stats.Chunks, 1)
+		rt.injectChunk()
+		for i := start; i < end; i += step {
+			atomic.AddInt64(&rt.Stats.Iterations, 1)
+			if err := rt.IP.RunLoopIteration(sub, fs, i); err != nil {
+				rt.setErr(err)
+				return
+			}
+		}
+	}
+}
+
+// isolate is claim's panic isolation; the loop's label is built here,
+// where it is read.
+func (lp *loopRun) isolate() {
+	if r := recover(); r != nil {
+		atomic.AddInt64(&lp.rt.Stats.TaskPanics, 1)
+		label := fmt.Sprintf("%s (loop at %s)", lp.fr.Method().FullName(), lp.fs.Pos())
+		lp.rt.setErr(newTaskError("loop", label, r))
+	}
 }

@@ -2,13 +2,11 @@ package rt
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"commute/internal/analysis/effects"
 	"commute/internal/codegen"
-	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 )
@@ -89,56 +87,67 @@ type loc struct {
 // goroutine-local while its task runs; the validator reads all logs
 // single-threaded after the join barrier.
 //
-// Buffered writes are heap-allocated cells updated in place, with the
-// most recent write and read locations cached: the dominant speculative
-// access pattern is a method updating one field over and over, and the
-// cache turns that from two map operations per access into plain
-// pointer work, so the journal no longer swamps what the fast engines
+// The journal is two insertion-ordered location lists — wlocs with the
+// buffered values beside it, rlocs — and two maps over them that only
+// answer membership, so validation and commit walk slices, never maps.
+// The most recent write and read locations are cached: the dominant
+// speculative access pattern is a method updating one field over and
+// over, and the cache turns that from two map operations per access
+// into an index, so the journal no longer swamps what the fast engines
 // gained. The zero loc matches no real location, so the empty caches
 // never produce a false hit.
 type specLog struct {
 	id     int
 	reads  map[loc]struct{}
-	writes map[loc]*interp.Value
+	rlocs  []loc
+	writes map[loc]int // location → its index in wlocs and vals
+	wlocs  []loc
+	vals   []interp.Value
 
 	lastW  loc
-	lastWp *interp.Value
+	lastWi int
 	lastR  loc
 }
 
 func (lg *specLog) store(l loc, v interp.Value) {
-	if l == lg.lastW {
-		*lg.lastWp = v
-		return
+	if l != lg.lastW {
+		i, ok := lg.writes[l]
+		if !ok {
+			i = len(lg.wlocs)
+			lg.wlocs = append(lg.wlocs, l)
+			lg.vals = append(lg.vals, v)
+			lg.writes[l] = i
+		}
+		lg.lastW, lg.lastWi = l, i
 	}
-	if p, ok := lg.writes[l]; ok {
-		*p = v
-		lg.lastW, lg.lastWp = l, p
-		return
-	}
-	p := new(interp.Value)
-	*p = v
-	lg.writes[l] = p
-	lg.lastW, lg.lastWp = l, p
+	lg.vals[lg.lastWi] = v
 }
 
-func (lg *specLog) logRead(l loc) {
-	if l != lg.lastR {
-		lg.reads[l] = struct{}{}
-		lg.lastR = l
+// buffered returns the task's own pending write to l; when there is
+// none the access is a read of the pre-region heap, and is logged.
+func (lg *specLog) buffered(l loc) (interp.Value, bool) {
+	if l != lg.lastW {
+		i, ok := lg.writes[l]
+		if !ok {
+			if l != lg.lastR {
+				lg.lastR = l
+				n := len(lg.reads)
+				lg.reads[l] = struct{}{}
+				if len(lg.reads) > n {
+					lg.rlocs = append(lg.rlocs, l)
+				}
+			}
+			return interp.Value{}, false
+		}
+		lg.lastW, lg.lastWi = l, i
 	}
+	return lg.vals[lg.lastWi], true
 }
 
 func (lg *specLog) LoadField(o *interp.Object, slot int) interp.Value {
-	l := loc{obj: o, idx: slot}
-	if l == lg.lastW {
-		return *lg.lastWp
+	if v, ok := lg.buffered(loc{obj: o, idx: slot}); ok {
+		return v
 	}
-	if p, ok := lg.writes[l]; ok {
-		lg.lastW, lg.lastWp = l, p
-		return *p
-	}
-	lg.logRead(l)
 	return o.Slots[slot]
 }
 
@@ -147,15 +156,9 @@ func (lg *specLog) StoreField(o *interp.Object, slot int, v interp.Value) {
 }
 
 func (lg *specLog) LoadElem(a *interp.Array, idx int) interp.Value {
-	l := loc{arr: a, idx: idx}
-	if l == lg.lastW {
-		return *lg.lastWp
+	if v, ok := lg.buffered(loc{arr: a, idx: idx}); ok {
+		return v
 	}
-	if p, ok := lg.writes[l]; ok {
-		lg.lastW, lg.lastWp = l, p
-		return *p
-	}
-	lg.logRead(l)
 	return a.Elems[idx]
 }
 
@@ -163,27 +166,95 @@ func (lg *specLog) StoreElem(a *interp.Array, idx int, v interp.Value) {
 	lg.store(loc{arr: a, idx: idx}, v)
 }
 
-// specRegion is the state of one speculative region: the per-task
-// journals and the plan entry carrying the declared effects.
-type specRegion struct {
-	rt *Runtime
-	mp *codegen.MethodPlan
+// journalKeep is the largest map a journal keeps for the next region:
+// clearing a map costs its capacity, not its length, so one huge region
+// must not tax every small one after it.
+const journalKeep = 1 << 10
 
-	mu   sync.Mutex
-	logs []*specLog
+// emptied returns m ready for reuse — cleared, or replaced when it has
+// grown past journalKeep.
+func emptied[V any](m map[loc]V) map[loc]V {
+	if len(m) > journalKeep {
+		return make(map[loc]V)
+	}
+	clear(m)
+	return m
 }
 
-// newLog allocates a journal for one speculative task.
+// specRegion is the speculation state of a Runtime: the journals of the
+// region in flight (one at a time) and, between regions, the emptied
+// journals and validation scratch the next one reuses.
+type specRegion struct {
+	ip *interp.Interp
+	mp *codegen.MethodPlan // the region's root: carries the declared effects
+
+	mu   sync.Mutex
+	logs []*specLog // this region's journals; a log's id is its index
+	free []*specLog
+
+	writer map[loc]int // conforms: location → id of the log writing it
+	// declared caches whether a field access conforms to a root's
+	// declared effects: the answer depends only on the root, the object's
+	// class and the slot, and costs a layout scan and a descriptor-set
+	// walk.
+	declared map[fieldKey]access
+}
+
+type fieldKey struct {
+	root *codegen.MethodPlan
+	cl   *types.Class
+	slot int
+}
+
+// access says which accesses of a field the root's declared effects cover.
+type access uint8
+
+const (
+	mayRead access = 1 << iota
+	mayWrite
+)
+
+// begin opens a region rooted at mp and hands out its root journal.
+func (sr *specRegion) begin(ip *interp.Interp, mp *codegen.MethodPlan) *specLog {
+	if sr.declared == nil {
+		sr.writer = make(map[loc]int)
+		sr.declared = make(map[fieldKey]access)
+	}
+	sr.ip, sr.mp = ip, mp
+	return sr.newLog()
+}
+
+// newLog hands out a journal for one speculative task or loop claimant.
 func (sr *specRegion) newLog() *specLog {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	lg := &specLog{
-		id:     len(sr.logs),
-		reads:  make(map[loc]struct{}),
-		writes: make(map[loc]*interp.Value),
+	var lg *specLog
+	if n := len(sr.free); n > 0 {
+		lg, sr.free = sr.free[n-1], sr.free[:n-1]
+	} else {
+		lg = &specLog{reads: make(map[loc]struct{}), writes: make(map[loc]int)}
 	}
+	lg.id = len(sr.logs)
 	sr.logs = append(sr.logs, lg)
 	return lg
+}
+
+// discard drops the region's journals, buffered writes included, and the
+// validation scratch, and keeps their storage. Runs single-threaded
+// after the join barrier.
+func (sr *specRegion) discard() {
+	for _, lg := range sr.logs {
+		lg.reads, lg.writes = emptied(lg.reads), emptied(lg.writes)
+		clear(lg.rlocs)
+		clear(lg.wlocs)
+		clear(lg.vals)
+		lg.rlocs, lg.wlocs, lg.vals = lg.rlocs[:0], lg.wlocs[:0], lg.vals[:0]
+		lg.lastW, lg.lastR = loc{}, loc{}
+	}
+	sr.free = append(sr.free, sr.logs...)
+	clear(sr.logs)
+	sr.logs = sr.logs[:0]
+	sr.writer = emptied(sr.writer)
 }
 
 // runSpeculativeRegion executes a statically-rejected extent
@@ -194,26 +265,14 @@ func (sr *specRegion) newLog() *specLog {
 // The rerun is exact because no buffered write has reached the heap.
 // Only the caller's own cancellation or deadline is not retried: the
 // caller gave up, so the region returns its error immediately.
-func (rt *Runtime) runSpeculativeRegion(site *types.CallSite, recv *interp.Object, args []interp.Value) error {
+func (rt *Runtime) runSpeculativeRegion(mp *codegen.MethodPlan, recv *interp.Object, args []interp.Value) error {
 	atomic.AddInt64(&rt.Stats.Regions, 1)
 	atomic.AddInt64(&rt.Stats.SpeculativeRegions, 1)
-	sr := &specRegion{rt: rt, mp: rt.Plan.Methods[site.Callee]}
-	pool := newPool(rt)
-	root := sr.newLog()
-	err := rt.protect("region", site.Callee.FullName(), func() error {
-		return rt.specCall(pool.External(), sr, root, site.Callee, recv, args, versionParallel, 0)
-	})
-	pool.Wait()
-	rt.setErr(err)
-	ferr := rt.firstErr()
+	sr := &rt.spec
+	defer sr.discard()
+	ferr := rt.runRoot(sr.begin(rt.IP, mp), mp.Method, recv, args)
 	if ferr == nil {
-		violation := ""
-		verr := rt.protect("validate", site.Callee.FullName(), func() error {
-			rt.injectValidate()
-			violation = sr.validate()
-			return nil
-		})
-		if verr == nil && violation == "" {
+		if rt.validate() {
 			// Single-threaded commit after the barrier: validation
 			// proved the write sets disjoint, so application order
 			// across logs cannot matter.
@@ -221,7 +280,6 @@ func (rt *Runtime) runSpeculativeRegion(site *types.CallSite, recv *interp.Objec
 			atomic.AddInt64(&rt.Stats.SpeculationCommits, 1)
 			return nil
 		}
-		rt.setErr(verr)
 		ferr = rt.firstErr()
 	}
 	if rt.parent != nil && rt.parent.Err() != nil {
@@ -232,175 +290,20 @@ func (rt *Runtime) runSpeculativeRegion(site *types.CallSite, recv *interp.Objec
 		return ferr
 	}
 	atomic.AddInt64(&rt.Stats.SpeculationAborts, 1)
-	rt.clearErr()
-	if rt.runCtx.Err() != nil {
-		// An injected cancellation below a still-live caller: re-arm
-		// the run context so the serial rerun is not stillborn.
-		rt.runCtx, rt.cancel = context.WithCancelCause(rt.parent)
-	}
-	serr := rt.callVersion(nil, site.Callee, recv, args, versionSerial, 0)
-	rt.setErr(serr)
-	return serr
+	return rt.rerunSerial(mp.Method, recv, args)
 }
 
-// specCall is the speculative mirror of callVersion: the same site
-// dispatch (auxiliary inline, hoisted inline, extent spawned), but no
-// locks — isolation comes from the journals — and every execution
-// context carries the task's monitor. Spawned children journal into
-// fresh logs; inline continuations (auxiliary, hoisted, lazy spawns,
-// mutex-version recursion) share the current task's log.
-func (rt *Runtime) specCall(w *worker, sr *specRegion, lg *specLog, m *types.Method, recv *interp.Object, args []interp.Value, ver version, depth int) error {
-	if rt.failed.Load() {
-		return nil
-	}
-	mp := rt.Plan.Methods[m]
-	ctx := rt.guardedCtx(depth)
-	ctx.Mon = lg
-	if mp == nil || !mp.Parallel {
-		_, err := rt.IP.Call(ctx, m, recv, args)
-		rt.setErr(err)
-		return err
-	}
-	ctx.Invoke = func(site *types.CallSite, r2 *interp.Object, a2 []interp.Value) (interp.Value, error) {
-		switch mp.Site[site.ID] {
-		case codegen.ActionInline:
-			return rt.IP.Call(ctx, site.Callee, r2, a2)
-		case codegen.ActionHoisted:
-			_, err := rt.IP.Call(ctx, site.Callee, r2, a2)
-			return interp.Value{}, err
-		case codegen.ActionSpawn:
-			if ver == versionMutex {
-				return interp.Value{}, rt.specCall(w, sr, lg, site.Callee, r2, a2, versionMutex, ctx.Depth)
-			}
-			callee := site.Callee
-			if rt.LazySpawnThreshold > 0 && w.Pool().Pending() >= rt.LazySpawnThreshold {
-				atomic.AddInt64(&rt.Stats.LazyInlines, 1)
-				return interp.Value{}, rt.specCall(w, sr, lg, callee, r2, a2, versionParallel, ctx.Depth)
-			}
-			atomic.AddInt64(&rt.Stats.Tasks, 1)
-			clg := sr.newLog()
-			w.Pool().Spawn(w, callee.FullName(), func(cw *worker) {
-				rt.setErr(rt.specCall(cw, sr, clg, callee, r2, a2, versionParallel, 0))
-			})
-			return interp.Value{}, nil
-		default:
-			return rt.IP.Call(ctx, site.Callee, r2, a2)
-		}
-	}
-	ctx.ForLoop = func(fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) (bool, error) {
-		lp := rt.Plan.Loops[fs]
-		if lp == nil || !lp.Parallel || ver == versionMutex {
-			return false, nil
-		}
-		return true, rt.specLoop(sr, ctx, fs, fr, from, to, step)
-	}
-	_, err := rt.IP.Call(ctx, m, recv, args)
-	rt.setErr(err)
-	return err
+// validate runs the journal checks at the region's validate/commit
+// boundary under panic isolation (a panic there — injected or real —
+// aborts the region before any buffered write reaches the heap).
+func (rt *Runtime) validate() (ok bool) {
+	defer rt.isolate("validate", rt.spec.mp.Method)
+	rt.injectValidate()
+	return rt.spec.conforms()
 }
 
-// specLoop is the speculative mirror of parallelLoop: the same guided
-// self-scheduling, with one journal per GSS worker. A worker executes
-// its iterations in increasing order (chunk claims are monotonic), so
-// intra-worker sequencing matches the serial order and only cross-
-// worker interference needs detection.
-func (rt *Runtime) specLoop(sr *specRegion, parent *interp.Ctx, fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) error {
-	atomic.AddInt64(&rt.Stats.ParallelLoops, 1)
-	if interp.LoopVar(fs) == "" {
-		return &interp.RuntimeError{Msg: "parallel loop without a loop variable"}
-	}
-	if step <= 0 {
-		return &interp.RuntimeError{Msg: fmt.Sprintf("parallel loop at %s with non-positive step %d", fs.Pos(), step)}
-	}
-	total := (to - from + step - 1) / step
-	if total <= 0 {
-		return nil
-	}
-	label := fmt.Sprintf("%s (loop at %s)", fr.Method().FullName(), fs.Pos())
-	var next atomic.Int64
-	next.Store(from)
-	var wg sync.WaitGroup
-	workers := rt.Workers
-	if int64(workers) > total {
-		workers = int(total)
-	}
-	depth := parent.Depth
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					atomic.AddInt64(&rt.Stats.TaskPanics, 1)
-					rt.setErr(newTaskError("loop", label, r))
-				}
-			}()
-			lg := sr.newLog()
-			ctx := rt.specIterCtx(sr, lg, depth)
-			sub := rt.IP.NewIterFrame(ctx, fr)
-			defer rt.IP.ReleaseFrame(sub)
-			for {
-				if rt.failed.Load() {
-					return
-				}
-				if err := rt.interrupt(); err != nil {
-					rt.setErr(err)
-					return
-				}
-				start := next.Load()
-				if start >= to {
-					return
-				}
-				remaining := (to - start + step - 1) / step
-				chunk := remaining / int64(rt.Workers)
-				if chunk < 1 {
-					chunk = 1
-				}
-				end := start + chunk*step
-				if !next.CompareAndSwap(start, end) {
-					continue
-				}
-				if end > to {
-					end = to
-				}
-				atomic.AddInt64(&rt.Stats.Chunks, 1)
-				rt.injectChunk()
-				for i := start; i < end; i += step {
-					atomic.AddInt64(&rt.Stats.Iterations, 1)
-					if err := rt.IP.RunLoopIteration(sub, fs, i); err != nil {
-						rt.setErr(err)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return rt.firstErr()
-}
-
-// specIterCtx is the speculative mirror of mutexIterCtx: direct
-// invocations in an iteration run serialized within the GSS worker's
-// task, journaling into the worker's log.
-func (rt *Runtime) specIterCtx(sr *specRegion, lg *specLog, depth int) *interp.Ctx {
-	ctx := rt.guardedCtx(depth)
-	ctx.Mon = lg
-	ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
-		mp := rt.Plan.Methods[site.Caller]
-		if mp != nil && mp.Site[site.ID] == codegen.ActionInline {
-			return rt.IP.Call(ctx, site.Callee, recv, args)
-		}
-		cp := rt.Plan.Methods[site.Callee]
-		if cp != nil && cp.Parallel {
-			return interp.Value{}, rt.specCall(nil, sr, lg, site.Callee, recv, args, versionMutex, ctx.Depth)
-		}
-		return rt.IP.Call(ctx, site.Callee, recv, args)
-	}
-	return ctx
-}
-
-// validate checks the journals at the join barrier. It returns a
-// non-empty violation description when speculation must abort:
+// conforms checks the journals at the join barrier. Speculation must
+// abort when it finds
 //
 //   - a location written by one task and written or read by another
 //     (the racing tasks' operations did not commute at run time), or
@@ -411,76 +314,81 @@ func (rt *Runtime) specIterCtx(sr *specRegion, lg *specLog, depth int) *interp.C
 // Array elements are covered by the conflict checks only: an element
 // access always reaches the array through a monitored field load, so
 // the enclosing object's descriptor conformance already vouches for it.
-func (sr *specRegion) validate() string {
-	writer := make(map[loc]int)
+func (sr *specRegion) conforms() bool {
+	// Conflicts take two journals with something in them; a region whose
+	// work stayed on one task (one claimant, say) has none to look for.
+	busy := 0
 	for _, lg := range sr.logs {
-		for l := range lg.writes {
-			if w, ok := writer[l]; ok && w != lg.id {
-				return fmt.Sprintf("write-write conflict on %s between tasks %d and %d",
-					sr.locName(l), w, lg.id)
+		if len(lg.wlocs)+len(lg.rlocs) > 0 {
+			busy++
+		}
+	}
+	if busy > 1 {
+		writer := sr.writer
+		for _, lg := range sr.logs {
+			for _, l := range lg.wlocs {
+				if w, ok := writer[l]; ok && w != lg.id {
+					return false // write-write conflict
+				}
+				writer[l] = lg.id
 			}
-			writer[l] = lg.id
+		}
+		for _, lg := range sr.logs {
+			for _, l := range lg.rlocs {
+				if w, ok := writer[l]; ok && w != lg.id {
+					return false // read-write conflict
+				}
+			}
 		}
 	}
 	for _, lg := range sr.logs {
-		for l := range lg.reads {
-			if w, ok := writer[l]; ok && w != lg.id {
-				return fmt.Sprintf("read-write conflict on %s between tasks %d and %d",
-					sr.locName(l), lg.id, w)
+		for _, l := range lg.wlocs {
+			if l.obj != nil && sr.declaredAccess(l)&mayWrite == 0 {
+				return false // undeclared write
+			}
+		}
+		for _, l := range lg.rlocs {
+			if l.obj != nil && sr.declaredAccess(l) == 0 {
+				return false // undeclared read
 			}
 		}
 	}
-	for _, lg := range sr.logs {
-		for l := range lg.writes {
-			if d, ok := sr.fieldDesc(l); ok && !sr.mp.SpecWrites.OverlapsDesc(d) {
-				return fmt.Sprintf("undeclared write to %s by task %d", sr.locName(l), lg.id)
-			}
-		}
-		for l := range lg.reads {
-			if d, ok := sr.fieldDesc(l); ok &&
-				!sr.mp.SpecReads.OverlapsDesc(d) && !sr.mp.SpecWrites.OverlapsDesc(d) {
-				return fmt.Sprintf("undeclared read of %s by task %d", sr.locName(l), lg.id)
-			}
-		}
-	}
-	return ""
+	return true
 }
 
-// fieldDesc maps an observed object-field location back to the effect
-// descriptor the analysis reasons about. Array elements report no
-// descriptor (see validate).
-func (sr *specRegion) fieldDesc(l loc) (effects.Desc, bool) {
-	if l.obj == nil {
-		return effects.Desc{}, false
-	}
-	decl, field, ok := sr.rt.IP.SlotField(l.obj.Class, l.idx)
+// declaredAccess maps an observed object-field location back to the
+// effect descriptor the analysis reasons about and tests it against the
+// root's declared reads and writes (a declared write covers a read). A
+// slot with no field behind it has no descriptor to violate.
+func (sr *specRegion) declaredAccess(l loc) access {
+	k := fieldKey{sr.mp, l.obj.Class, l.idx}
+	acc, ok := sr.declared[k]
 	if !ok {
-		return effects.Desc{}, false
-	}
-	return effects.FieldDesc(decl, nil, field), true
-}
-
-// locName renders a location for violation messages.
-func (sr *specRegion) locName(l loc) string {
-	if l.obj != nil {
-		if _, field, ok := sr.rt.IP.SlotField(l.obj.Class, l.idx); ok {
-			return fmt.Sprintf("%s#%d.%s", l.obj.Class.Name, l.obj.ID, field)
+		acc = mayRead | mayWrite
+		if decl, field, ok := sr.ip.SlotField(k.cl, k.slot); ok {
+			d := effects.FieldDesc(decl, nil, field)
+			if !sr.mp.SpecWrites.OverlapsDesc(d) {
+				acc &^= mayWrite
+				if !sr.mp.SpecReads.OverlapsDesc(d) {
+					acc = 0
+				}
+			}
 		}
-		return fmt.Sprintf("%s#%d.slot%d", l.obj.Class.Name, l.obj.ID, l.idx)
+		sr.declared[k] = acc
 	}
-	return fmt.Sprintf("array[%d]", l.idx)
+	return acc
 }
 
 // commit applies every journal's buffered writes to the heap. Runs
-// single-threaded after Pool.Wait; validation proved the logs' write
-// sets disjoint, so application order is irrelevant.
+// single-threaded after the region's Drain; validation proved the logs'
+// write sets disjoint, so application order is irrelevant.
 func (sr *specRegion) commit() {
 	for _, lg := range sr.logs {
-		for l, v := range lg.writes {
+		for i, l := range lg.wlocs {
 			if l.obj != nil {
-				l.obj.Slots[l.idx] = *v
+				l.obj.Slots[l.idx] = lg.vals[i]
 			} else {
-				l.arr.Elems[l.idx] = *v
+				l.arr.Elems[l.idx] = lg.vals[i]
 			}
 		}
 	}

@@ -1,6 +1,7 @@
-// Package rtkit is the region-scoped work-stealing task scheduler
-// shared by the interpreter runtime (internal/rt) and the native code
-// the Go backend emits (internal/codegen's emitgo). It is the same
+// Package rtkit is the work-stealing task scheduler shared by the
+// interpreter runtime (internal/rt) and the native code the Go backend
+// emits (internal/codegen's emitgo). Both keep one pool for a whole
+// run and Drain it at every parallel region's join. It is the same
 // bounded Chase-Lev deque + injector design that previously lived in
 // internal/rt/sched.go, extracted behind a small public surface so
 // generated programs — which cannot import internal packages — run
@@ -141,7 +142,13 @@ type Worker struct {
 // Pool returns the pool this worker belongs to.
 func (w *Worker) Pool() *Pool { return w.p }
 
-// Pool is a region-scoped scheduler. In stealing mode the mutex guards
+// ID is the worker's index in its pool, 0 ≤ ID < workers, or -1 for the
+// external handle. Embedders key per-goroutine state on it.
+func (w *Worker) ID() int { return w.id }
+
+// Pool is a task scheduler that outlives the parallel regions run on
+// it: Drain joins one region, Wait ends the pool. In stealing mode the
+// mutex guards
 // only the injector queue and parking; the task fast path (local push,
 // pop, steal) is lock-free. In central mode every task flows through
 // the injector, reproducing the original single-queue behavior.
@@ -160,8 +167,9 @@ type Pool struct {
 	done     bool
 }
 
-// NewPool starts workers goroutines and returns the running pool. Call
-// Wait exactly once to drain it and shut the workers down.
+// NewPool starts workers goroutines and returns the running pool. Drain
+// it at the end of each parallel region; call Wait exactly once, when no
+// more regions will run, to shut the workers down.
 func NewPool(workers int, mode Mode, h Hooks) *Pool {
 	p := &Pool{mode: mode, hooks: h}
 	p.cond = sync.NewCond(&p.mu)
@@ -330,7 +338,9 @@ func (p *Pool) workerLoop(w *Worker) {
 }
 
 // Wait blocks until all spawned tasks (including transitively spawned
-// ones) complete, then shuts the pool down.
+// ones) complete, then shuts the pool down: the parked workers are told
+// to exit (they do so asynchronously) and nothing may be spawned
+// afterwards. Call it once per pool, not once per region.
 func (p *Pool) Wait() {
 	p.mu.Lock()
 	for p.pending.Load() > 0 {
@@ -341,12 +351,14 @@ func (p *Pool) Wait() {
 	p.cond.Broadcast()
 }
 
-// Drain blocks until all spawned tasks (including transitively spawned
-// ones) complete, but keeps the workers parked for more work. A caller
-// running many parallel regions drains between regions and pays the
-// worker-goroutine startup cost once per pool instead of once per
-// region; call Wait once at the end (or let process exit reap the
-// workers — they hold no resources beyond their stacks while parked).
+// Drain is a region's join: it blocks until all spawned tasks
+// (including transitively spawned ones) complete, and keeps the workers
+// parked for the next region. When it returns no task is queued or
+// running, so the caller owns the heap again until its next Spawn. A
+// caller running many parallel regions pays the worker-goroutine
+// startup cost once per pool instead of once per region; call Wait once
+// at the end (or let process exit reap the workers — they hold no
+// resources beyond their stacks while parked).
 func (p *Pool) Drain() {
 	p.mu.Lock()
 	for p.pending.Load() > 0 {
