@@ -11,17 +11,18 @@ package codegen
 //	      parallel region (R_ wrapper) at call sites whose callee is
 //	      parallel and generates concurrency, exactly like
 //	      rt.serialCtx.
-//	R_m   region wrapper: runs P_m on the shared rtkit pool's external
-//	      worker and drains the pool at the region barrier. The pool is
-//	      built lazily once per process (sharedPool_ helper) and reused
-//	      across regions, so worker goroutines start once per run, not
-//	      once per region. Falls back to S_m when the program runs with
-//	      -mode serial.
+//	R_m   region wrapper: runs P_m on the calling goroutine with the
+//	      external handle of the run-wide pool (nativert.Pool: started
+//	      at the first region of the process, one for every region
+//	      after) and drains the pool at the region barrier. Falls back
+//	      to S_m when the program runs with -mode serial.
 //	P_m   parallel version: acquires the receiver lock when the plan
 //	      says so, spawns ActionSpawn sites onto the pool, runs
 //	      ActionHoisted/ActionInline sites inline, and compiles
-//	      planned-parallel counted loops to guided self-scheduling
-//	      (nativert.GSS).
+//	      planned-parallel counted loops to guided self-scheduling on
+//	      the pool (nativert.GSSOn, handed the body's own scheduler
+//	      handle w: the goroutine that reaches the loop claims chunks
+//	      itself and its helpers are pool tasks).
 //	X_m   mutex version: same lock discipline, but ActionSpawn sites
 //	      execute inline as X_ calls and every loop is serial — the
 //	      interpreter disables the parallel-loop hook under
@@ -41,7 +42,8 @@ package codegen
 // the context versions: SJ_ (parallel root, spawns tasks with fresh
 // journals), SJS_ (serial body, every access journaled), SJX_ (mutex
 // analogue), SJI_ (iteration context), SJQ_ (parallel-inline with
-// speculative GSS loops). They take no locks — isolation comes from
+// speculative GSS loops — nativert.SpecGSS, the same claim loop with a
+// journal per claimant). They take no locks — isolation comes from
 // the journals — and their R_ wrapper validates at the join barrier,
 // commits single-threaded, or discards and reruns S_ serially.
 //
@@ -134,11 +136,10 @@ type goEmitter struct {
 	parLoopMemo map[*types.Method]int8
 	iterMemo    map[*types.Method]int8
 
-	useMath       bool
-	useRtkit      bool
-	useStrconv    bool
-	useSharedPool bool
-	useAtomic     bool
+	useMath    bool
+	useRtkit   bool
+	useStrconv bool
+	useAtomic  bool
 
 	errs []string
 }

@@ -74,7 +74,7 @@ func (c *fnCtx) iterCall(callee *types.Method) callPlan {
 func (c *fnCtx) specPInline(callee *types.Method) callPlan {
 	if c.e.subtreeHasParallelLoop(callee) {
 		c.e.demand(callee, varJQ)
-		return callPlan{kind: ckValue, callee: callee, name: "SJQ_" + callee.Name, pre: []string{"sr_", "sj_"}}
+		return callPlan{kind: ckValue, callee: callee, name: "SJQ_" + callee.Name, pre: []string{"w", "sr_", "sj_"}}
 	}
 	c.e.demand(callee, varJS)
 	return callPlan{kind: ckValue, callee: callee, name: "SJS_" + callee.Name, pre: []string{"sj_"}}

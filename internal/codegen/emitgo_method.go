@@ -186,10 +186,10 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
 	// the failed fast path) and the current task's journal. SJS_ is the
 	// fully serial journaled body: it needs only the journal.
 	switch v {
-	case varJP:
+	case varJP, varJQ:
 		params = append(params, "w *rtkit.Worker", "sr_ *nativert.SpecRegion", "sj_ *nativert.SpecJournal")
 		e.useRtkit = true
-	case varJQ, varJX, varJI:
+	case varJX, varJI:
 		params = append(params, "sr_ *nativert.SpecRegion", "sj_ *nativert.SpecJournal")
 	case varJS:
 		params = append(params, "sj_ *nativert.SpecJournal")
@@ -207,11 +207,10 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
 }
 
 // emitRegionWrapper renders R_m: the serial-to-parallel boundary
-// (rt.runRegion). The parallel version runs on the shared pool's
-// external worker; Drain blocks until every transitively spawned task
-// completes, then leaves the workers parked for the next region — one
-// pool per run instead of one per region, so region-heavy programs
-// stop paying goroutine startup on every boundary. Any return value is
+// (rt.runRoot). The parallel version runs on the calling goroutine with
+// the run-wide pool's external handle (nativert.Pool); Drain blocks
+// until every transitively spawned task and loop helper completes, then
+// leaves the workers parked for the next region. Any return value is
 // discarded, exactly as the interpreter's serial context discards
 // region results. Under -mode serial it degrades to S_m.
 //
@@ -226,7 +225,6 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
 	}
 	e.demand(m, varS)
 	e.demand(m, varP)
-	e.ensureSharedPool()
 	var b strings.Builder
 	b.WriteString(e.fnSignature(m, varR))
 	b.WriteString(" {\n")
@@ -262,31 +260,16 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
 		fmt.Fprintf(&b, "\t\t%s\n\t\treturn\n\t}\n", serial)
 		b.WriteString("\tatomic.AddInt64(&guardParallel_, 1)\n")
 	}
-	b.WriteString("\tpool_ := sharedPool_()\n")
+	b.WriteString("\t" + runPoolStmt + "\n")
 	fmt.Fprintf(&b, "\t%sP_%s(%s)\n", recv, m.Name, strings.Join(pargs, ", "))
 	b.WriteString("\tpool_.Drain()\n}\n")
 	return b.String()
 }
 
-// ensureSharedPool registers the lazily-built run-wide pool helper.
-func (e *goEmitter) ensureSharedPool() {
-	e.useRtkit = true
-	e.useSharedPool = true
-	e.helpers["sharedPool_"] = "var (\n" +
-		"\tpoolMu_     sync.Mutex\n" +
-		"\tpoolShared_ *rtkit.Pool\n" +
-		")\n\n" +
-		"// sharedPool_ lazily builds the run-wide scheduler pool. Region\n" +
-		"// wrappers drain it at their barrier instead of shutting it down, so\n" +
-		"// the worker goroutines start once per process, not once per region.\n" +
-		"func sharedPool_() *rtkit.Pool {\n" +
-		"\tpoolMu_.Lock()\n" +
-		"\tdefer poolMu_.Unlock()\n" +
-		"\tif poolShared_ == nil {\n" +
-		"\t\tpoolShared_ = rtkit.NewPool(cfgWorkers, cfgSched, rtkit.Hooks{})\n" +
-		"\t}\n" +
-		"\treturn poolShared_\n}\n"
-}
+// runPoolStmt binds the run-wide pool in a region wrapper: nativert
+// starts it at the first region of the process and hands the same pool
+// to every later one.
+const runPoolStmt = "pool_ := nativert.Pool(cfgWorkers, cfgSched)"
 
 // emitSpecRegionWrapper renders R_m for a speculative extent: the
 // serial-to-speculative boundary (rt.serialCtx's mp.Speculative branch
@@ -330,7 +313,6 @@ func (e *goEmitter) emitSpecRegionBody(b *strings.Builder, ind string, m *types.
 	e.demand(m, varS)
 	e.demand(m, varJP)
 	e.useAtomic = true
-	e.ensureSharedPool()
 	rd, wr := e.specSets(m)
 	w := func(format string, a ...any) {
 		b.WriteString(ind)
@@ -338,7 +320,7 @@ func (e *goEmitter) emitSpecRegionBody(b *strings.Builder, ind string, m *types.
 		b.WriteByte('\n')
 	}
 	w("atomic.AddInt64(&specRegions_, 1)")
-	w("pool_ := sharedPool_()")
+	w(runPoolStmt)
 	w("sr_ := nativert.NewSpecRegion(%s, %s)", rd, wr)
 	w("sj_ := sr_.NewJournal()")
 	w("func() {")
@@ -668,8 +650,10 @@ func goPureExpr(x ast.Expr) bool {
 // gssLoop compiles a planned-parallel counted loop to guided
 // self-scheduling. Mirrors rt.parallelLoop + rt's loop hook:
 //   - the extent lock is released first when the plan says so,
-//   - each loop goroutine gets one private copy of the frame variables
-//     the body touches (the interpreter's per-worker iteration frame),
+//   - the enclosing body's scheduler handle w goes in, so the loop's
+//     helpers are offered on the deque of the worker running it,
+//   - each claimant gets one private copy of the frame variables the
+//     body touches (the interpreter's per-claimant iteration frame),
 //   - the body runs in iteration-context mode (mI dispatch),
 //   - afterwards the loop variable holds the bound and the post
 //     statement never runs.
@@ -705,14 +689,14 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, info countedInfo) {
 	c.indent++
 	c.line("var gssTo_ int64 = %s", c.expr(info.bound))
 	if c.spec {
-		// rt.specLoop: one fresh journal per loop goroutine, created
-		// inside the goroutine; the factory parameter shadows the
-		// enclosing task's sj_ so the iteration body journals into the
-		// goroutine's own log.
-		c.line("nativert.SpecGSS(sr_, %q, %q, cfgWorkers, v_%s, gssTo_, %d, func(sj_ *nativert.SpecJournal) func(int64) {",
+		// rt's speculative loops: one fresh journal per claimant, taken
+		// by the claimant; the factory parameter shadows the enclosing
+		// task's sj_ so the iteration body journals into the claimant's
+		// own log.
+		c.line("nativert.SpecGSS(w, sr_, %q, %q, cfgWorkers, v_%s, gssTo_, %d, func(sj_ *nativert.SpecJournal) func(int64) {",
 			c.m.FullName(), fs.Pos().String(), info.name, info.step)
 	} else {
-		c.line("nativert.GSS(%q, %q, cfgWorkers, v_%s, gssTo_, %d, func() func(int64) {",
+		c.line("nativert.GSSOn(w, %q, %q, cfgWorkers, v_%s, gssTo_, %d, func() func(int64) {",
 			c.m.FullName(), fs.Pos().String(), info.name, info.step)
 	}
 	c.indent++
@@ -746,7 +730,7 @@ func subEmit(sub, parent *fnCtx, body ast.Stmt) {
 
 // bodyVars returns the frame variable names referenced in the loop
 // body, in frame-slot order (deterministic emission order for the
-// per-goroutine copies).
+// per-claimant copies).
 func (c *fnCtx) bodyVars(body ast.Stmt) []string {
 	used := map[string]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -1,6 +1,7 @@
 package nativegen_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"slices"
@@ -151,6 +152,86 @@ func TestNativeRaceClean(t *testing.T) {
 	for _, sched := range []string{"stealing", "central"} {
 		if _, err := nativegen.Run(bin, "-mode", "parallel", "-workers", "4", "-sched", sched); err != nil {
 			t.Errorf("race run (%s): %v", sched, err)
+		}
+	}
+}
+
+// repeatRegion wraps a shipped speculation demonstrator's region in an
+// outer repeat loop: body is the shipped source, global its driver
+// object, region the method main repeats and report the one that prints
+// the result.
+func repeatRegion(body, global, region, report string, rounds int) string {
+	main := fmt.Sprintf("void main() {\n  int r;\n  %[1]s.init();\n  for (r = 0; r < %[2]d; r += 1) {\n    %[1]s.%[3]s();\n  }\n  %[1]s.%[4]s();\n}\n",
+		global, rounds, region, report)
+	return body[:strings.Index(body, "void main()")] + main
+}
+
+// TestNativeRaceManyRegions race-runs programs that enter hundreds of
+// regions on the run-wide pool — what Barnes-Hut's handful never does:
+// the pool, the loop records, the regions and their journals are all
+// reused from one region to the next, by different workers. Every
+// region is a guarded parallel one (condhash mode 0), a speculative
+// commit (spec-disjoint) or a speculative abort (spec-conflict); output
+// and final state must equal the serial interpreter's and the outcome
+// counters must equal the number of rounds.
+func TestNativeRaceManyRegions(t *testing.T) {
+	if !nativegen.HaveGo() {
+		t.Skip("go toolchain not available")
+	}
+	const condRounds, specRounds = 512, 256
+	for _, tc := range []struct {
+		name   string
+		code   string
+		plan   func(*commute.System) *codegen.Plan
+		flags  []string
+		counts map[string]int64
+	}{
+		{"condhash0", src.CondHashBase + src.CondHashMain(0, condRounds),
+			func(sys *commute.System) *codegen.Plan {
+				return codegen.BuildWithOptions(sys.Analysis, codegen.Options{ConditionalGuards: true})
+			},
+			[]string{"-guardstats"},
+			map[string]int64{"guard_parallel": condRounds, "guard_serial": 0}},
+		{"spec-disjoint", repeatRegion(src.SpecDisjoint, "T", "fill", "report", specRounds),
+			func(sys *commute.System) *codegen.Plan { return sys.SpecPlan },
+			[]string{"-speculate", "force", "-specstats"},
+			map[string]int64{"spec_regions": specRounds, "spec_commits": specRounds, "spec_aborts": 0}},
+		{"spec-conflict", repeatRegion(src.SpecConflict, "D", "run", "show", specRounds),
+			func(sys *commute.System) *codegen.Plan { return sys.SpecPlan },
+			[]string{"-speculate", "force", "-specstats"},
+			map[string]int64{"spec_regions": specRounds, "spec_commits": 0, "spec_aborts": specRounds}},
+	} {
+		sys, err := commute.Load(tc.name+".mc", tc.code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := nativegen.GeneratePlan(tc.plan(sys), tc.name, dir); err != nil {
+			t.Fatal(err)
+		}
+		bin, err := nativegen.BuildRace(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := interpDump(t, sys, interp.EngineWalk)
+		for _, workers := range []string{"1", "4"} {
+			for _, sched := range []string{"stealing", "central"} {
+				args := append([]string{"-mode", "parallel", "-workers", workers, "-sched", sched, "-dump"}, tc.flags...)
+				got, errOut, err := nativegen.RunErr(bin, args...)
+				if err != nil {
+					t.Errorf("%s %v: %v", tc.name, args, err)
+					continue
+				}
+				if got != want {
+					t.Errorf("%s %v: native output and state diverge from the interpreter:\n%s", tc.name, args, firstDiff(want, got))
+				}
+				st := nativegen.CounterStats(errOut)
+				for k, v := range tc.counts {
+					if st[k] != v {
+						t.Errorf("%s %v: %s = %d, want %d", tc.name, args, k, st[k], v)
+					}
+				}
+			}
 		}
 	}
 }

@@ -116,7 +116,6 @@ type Runtime struct {
 	methods []methodEntry // dispatch table, by types.Method.ID
 	pool    *rtkit.Pool   // started at the first region (regionPool)
 	lanes   []*lane       // activation free lists, by worker ID + 1
-	helpers atomic.Int64  // loop helpers offered to the pool, not yet finished
 	spec    specRegion    // journals, pooled across regions
 
 	errMu  sync.Mutex
@@ -456,7 +455,7 @@ func (a *activation) invoke(site *types.CallSite, recv *interp.Object, args []in
 			// Mutex versions execute invoked operations serially.
 			return interp.Value{}, rt.callVersion(a.w, a.log, site.Callee, recv, args, versionMutex, a.Depth)
 		}
-		if rt.LazySpawnThreshold > 0 && rt.pool.Pending()-int(rt.helpers.Load()) >= rt.LazySpawnThreshold {
+		if rt.LazySpawnThreshold > 0 && rt.pool.Pending() >= rt.LazySpawnThreshold {
 			// Lazy task creation: enough parallelism is already
 			// exposed (tasks pending, loop helpers aside); absorb the
 			// child into this task.

@@ -137,28 +137,17 @@ func (s *spawnRec) recycle() {
 	spawnRecs.Put(s)
 }
 
-// loopRun is one execution of a parallel loop: the shared claim cursor
-// and the join state. The goroutine that reached the loop is a claimant
-// itself; up to Workers-1 helpers are offered to the pool as tasks that
-// join if a worker picks them up before the caller closes the loop. A
-// helper that comes too late only drops its reference, so the record is
-// recycled when the last of caller and helpers lets go.
+// loopRun is the interpreter's half of one parallel loop execution (the
+// cursor, the helpers and the join are rtkit.Loop's): what a claimant
+// needs to run iterations. Records are recycled when the last of caller
+// and helpers lets go.
 type loopRun struct {
-	rt       *Runtime
-	fs       *ast.ForStmt
-	fr       *interp.Frame
-	to, step int64
-	depth    int
-	spec     bool
-	next     atomic.Int64 // first unclaimed iteration
-
-	mu     sync.Mutex
-	idle   sync.Cond // the caller waits here for active == 0
-	closed bool      // the caller is joining: no more helpers
-	active int       // helpers inside claim
-	refs   int       // caller + helpers not yet finished
-
-	helpFn func(*worker) // help, bound once
+	rtkit.Loop
+	rt    *Runtime
+	fs    *ast.ForStmt
+	fr    *interp.Frame
+	depth int
+	spec  bool
 }
 
 var loopRuns sync.Pool // of *loopRun
@@ -169,8 +158,8 @@ var loopRuns sync.Pool // of *loopRun
 // increasing order (chunk claims are monotonic), so within a claimant
 // the serial order holds and only cross-claimant interference needs
 // locks or detection. With one worker this is the serial loop plus those
-// locks: progress never depends on a helper starting, and the join waits
-// only for helpers that did.
+// locks: the goroutine that reached the loop is a claimant itself, and
+// the join waits only for helpers that started (rtkit.Pool.RunLoop).
 func (rt *Runtime) parallelLoop(w *worker, spec bool, depth int, fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) error {
 	atomic.AddInt64(&rt.Stats.ParallelLoops, 1)
 	if interp.LoopVar(fs) == "" {
@@ -178,74 +167,34 @@ func (rt *Runtime) parallelLoop(w *worker, spec bool, depth int, fs *ast.ForStmt
 	}
 	if step <= 0 {
 		// A non-positive step would divide by zero in the chunk-size
-		// computation below (or claim chunks forever).
+		// computation (or claim chunks forever).
 		return &interp.RuntimeError{Msg: fmt.Sprintf("parallel loop at %s with non-positive step %d", fs.Pos(), step)}
 	}
-	total := (to - from + step - 1) / step
-	if total <= 0 {
+	if from >= to {
 		return nil
-	}
-	helpers := rt.Workers - 1
-	if int64(helpers) >= total {
-		helpers = int(total) - 1
 	}
 	lp, _ := loopRuns.Get().(*loopRun)
 	if lp == nil {
 		lp = new(loopRun)
-		lp.idle.L = &lp.mu
-		lp.helpFn = lp.help
 	}
-	lp.rt, lp.fs, lp.fr, lp.to, lp.step, lp.depth, lp.spec = rt, fs, fr, to, step, depth, spec
-	lp.next.Store(from)
-	lp.closed, lp.active, lp.refs = false, 0, 1+helpers
+	lp.rt, lp.fs, lp.fr, lp.depth, lp.spec = rt, fs, fr, depth, spec
 	// Helpers are not tasks of the program: no Stats.Tasks, no spawn
-	// fault ordinal, and lazy task creation discounts them.
-	rt.helpers.Add(int64(helpers))
-	for i := 0; i < helpers; i++ {
-		rt.pool.Spawn(w, "", lp.helpFn)
-	}
-	lp.claim(w)
-	lp.mu.Lock()
-	lp.closed = true
-	for lp.active > 0 {
-		lp.idle.Wait()
-	}
-	lp.unref()
+	// fault ordinal, and Pending() leaves them out of lazy task creation.
+	rt.pool.RunLoop(w, &lp.Loop, lp, rt.Workers, from, to, step)
 	return rt.firstErr()
 }
 
-// help is a helper's task body.
-func (lp *loopRun) help(w *worker) {
-	lp.mu.Lock()
-	if !lp.closed && lp.next.Load() < lp.to {
-		lp.active++
-		lp.mu.Unlock()
-		lp.claim(w)
-		lp.mu.Lock()
-		if lp.active--; lp.active == 0 {
-			lp.idle.Signal()
-		}
-	}
-	lp.rt.helpers.Add(-1)
-	lp.unref()
+// Release recycles the record (rtkit.LoopBody).
+func (lp *loopRun) Release() {
+	lp.rt, lp.fs, lp.fr = nil, nil, nil
+	loopRuns.Put(lp)
 }
 
-// unref drops one reference and unlocks; the last one recycles the record.
-func (lp *loopRun) unref() {
-	lp.refs--
-	last := lp.refs == 0
-	lp.mu.Unlock()
-	if last {
-		lp.rt, lp.fs, lp.fr = nil, nil, nil
-		loopRuns.Put(lp)
-	}
-}
-
-// claim executes chunks until the iteration space is exhausted, under
+// Claim executes chunks until the iteration space is exhausted, under
 // panic isolation, observing cancellation and region failure at
-// chunk-claim boundaries.
-func (lp *loopRun) claim(w *worker) {
-	rt, fs, to, step := lp.rt, lp.fs, lp.to, lp.step
+// chunk-claim boundaries (rtkit.LoopBody).
+func (lp *loopRun) Claim(w *worker) {
+	rt, fs, step := lp.rt, lp.fs, lp.Step()
 	defer lp.isolate()
 	var lg *specLog
 	if lp.spec {
@@ -269,22 +218,9 @@ func (lp *loopRun) claim(w *worker) {
 			rt.setErr(err)
 			return
 		}
-		// Guided self-scheduling: claim ⌈remaining/P⌉ iterations.
-		start := lp.next.Load()
-		if start >= to {
+		start, end, ok := lp.Next()
+		if !ok {
 			return
-		}
-		remaining := (to - start + step - 1) / step
-		chunk := remaining / int64(rt.Workers)
-		if chunk < 1 {
-			chunk = 1
-		}
-		end := start + chunk*step
-		if !lp.next.CompareAndSwap(start, end) {
-			continue
-		}
-		if end > to {
-			end = to
 		}
 		atomic.AddInt64(&rt.Stats.Chunks, 1)
 		rt.injectChunk()
@@ -298,7 +234,7 @@ func (lp *loopRun) claim(w *worker) {
 	}
 }
 
-// isolate is claim's panic isolation; the loop's label is built here,
+// isolate is Claim's panic isolation; the loop's label is built here,
 // where it is read.
 func (lp *loopRun) isolate() {
 	if r := recover(); r != nil {

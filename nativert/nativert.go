@@ -2,9 +2,10 @@
 // native Go backend emits (internal/codegen's emitgo). Generated
 // packages are ordinary Go modules and cannot import commute's
 // internal packages, so the handful of runtime pieces they need beyond
-// the rtkit scheduler live here: the guided-self-scheduling loop
-// driver, interpreter-compatible print formatting, and the state
-// dumper the differential harness diffs against interpreter heaps.
+// the rtkit scheduler live here: the run-wide pool, the
+// guided-self-scheduling loop body, the speculation journals (spec.go),
+// interpreter-compatible print formatting, and the state dumper the
+// differential harness diffs against interpreter heaps.
 package nativert
 
 import (
@@ -15,7 +16,8 @@ import (
 	"os"
 	"strconv"
 	"sync"
-	"sync/atomic"
+
+	"commute/rtkit"
 )
 
 // Error is a structured runtime failure raised by generated code or by
@@ -49,70 +51,108 @@ func Errf(op, method, site, format string, args ...any) {
 	panic(&Error{Op: op, Method: method, Site: site, Msg: fmt.Sprintf(format, args...)})
 }
 
-// GSS runs the counted loop for (i = from; i < to; i += step) across
-// fresh goroutines with guided self-scheduling: each claimant takes
-// remaining/workers iterations (minimum one chunk of one) via an
-// atomic compare-and-swap on the shared cursor, exactly the chunking
-// the interpreter runtime uses (internal/rt.parallelLoop), so native
-// and interpreted runs make the same chunk claims.
+// runPool is the run-wide scheduler: every parallel region of the
+// process enters, and every parallel loop runs, on this one pool.
+var (
+	runPoolOnce sync.Once
+	runPool     *rtkit.Pool
+)
+
+// Pool returns the run-wide pool, starting it with workers and mode at
+// the first call; later calls return that pool whatever they pass.
+// Region wrappers Drain it at their join and never shut it down, so the
+// worker goroutines start once per process and park between regions.
+func Pool(workers int, mode rtkit.Mode) *rtkit.Pool {
+	runPoolOnce.Do(func() { runPool = rtkit.NewPool(max(workers, 1), mode, rtkit.Hooks{}) })
+	return runPool
+}
+
+// gssRun is one execution of a native parallel loop: rtkit.Loop's cursor
+// and join plus what a claimant needs — the factory of the proven loop
+// or, for a speculative one, the region and the journaled factory.
+type gssRun struct {
+	rtkit.Loop
+	mk     func() func(int64)
+	sr     *SpecRegion
+	specMk func(*SpecJournal) func(int64)
+}
+
+var gssRuns sync.Pool // of *gssRun
+
+// GSS runs a parallel loop from a goroutine that holds no scheduler
+// handle (see GSSOn): helpers are offered through the run-wide pool's
+// external handle.
+func GSS(method, site string, workers int, from, to, step int64, mk func() func(int64)) {
+	GSSOn(Pool(workers, rtkit.Stealing).External(), method, site, workers, from, to, step, mk)
+}
+
+// GSSOn runs the counted loop for (i = from; i < to; i += step) on w's
+// pool with guided self-scheduling: each claimant takes
+// remaining/workers iterations (minimum one chunk of one) via an atomic
+// compare-and-swap on the shared cursor, exactly the chunking the
+// interpreter runtime uses (both call rtkit.Loop.Next), so native and
+// interpreted runs make the same chunk claims. The calling goroutine is
+// a claimant itself and up to workers-1 helpers join as pool tasks
+// (rtkit.Pool.RunLoop); no goroutine is created.
 //
 // method and site identify the loop for failure reports (the emitter
-// passes the enclosing dialect method and the loop's source position).
-// mk is called once per loop goroutine and returns the iteration body;
-// the emitter uses that factory to give every goroutine its own copy
-// of the enclosing method's frame variables, mirroring the
-// interpreter's per-worker iteration frames (NewIterFrame). step must
-// be positive: the planner only parallelizes loops it proved counted
-// with a positive literal step.
-func GSS(method, site string, workers int, from, to, step int64, mk func() func(int64)) {
-	if workers < 1 {
-		workers = 1
-	}
+// passes the enclosing dialect method and the loop's source position),
+// w is the scheduler handle the enclosing P_/Q_ body holds. mk is
+// called once per claimant and returns the iteration body; the emitter
+// uses that factory to give every claimant its own copy of the
+// enclosing method's frame variables, mirroring the interpreter's
+// per-claimant iteration frames (NewIterFrame). step must be positive:
+// the planner only parallelizes loops it proved counted with a positive
+// literal step.
+func GSSOn(w *rtkit.Worker, method, site string, workers int, from, to, step int64, mk func() func(int64)) {
+	runLoop(w, nil, method, site, workers, from, to, step, mk, nil)
+}
+
+func runLoop(w *rtkit.Worker, sr *SpecRegion, method, site string, workers int, from, to, step int64,
+	mk func() func(int64), specMk func(*SpecJournal) func(int64)) {
 	if step <= 0 {
 		Errf("gss", method, site, "non-positive step %d", step)
 	}
-	total := (to - from + step - 1) / step
-	if total <= 0 {
+	if from >= to {
 		return
 	}
-	var next atomic.Int64
-	next.Store(from)
-	n := workers
-	if int64(n) < total {
-		// keep n
+	g, _ := gssRuns.Get().(*gssRun)
+	if g == nil {
+		g = new(gssRun)
+	}
+	g.mk, g.sr, g.specMk = mk, sr, specMk
+	w.Pool().RunLoop(w, &g.Loop, g, workers, from, to, step)
+}
+
+// Claim is one claimant's share of the loop (rtkit.LoopBody).
+// Speculation adds the claimant's own journal, the failed-region fast
+// path at every chunk claim, and panic capture, so a faulting iteration
+// aborts the region instead of crashing the process.
+func (g *gssRun) Claim(*rtkit.Worker) {
+	sr := g.sr
+	var body func(int64)
+	if sr != nil {
+		defer sr.CapturePanic()
+		body = g.specMk(sr.NewJournal())
 	} else {
-		n = int(total)
+		body = g.mk()
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < n; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body := mk()
-			for {
-				start := next.Load()
-				if start >= to {
-					return
-				}
-				remaining := (to - start + step - 1) / step
-				chunk := remaining / int64(workers)
-				if chunk < 1 {
-					chunk = 1
-				}
-				end := start + chunk*step
-				if !next.CompareAndSwap(start, end) {
-					continue
-				}
-				if end > to {
-					end = to
-				}
-				for i := start; i < end; i += step {
-					body(i)
-				}
-			}
-		}()
+	step := g.Step()
+	for sr == nil || !sr.Failed() {
+		start, end, ok := g.Next()
+		if !ok {
+			return
+		}
+		for i := start; i < end; i += step {
+			body(i)
+		}
 	}
-	wg.Wait()
+}
+
+// Release recycles the record (rtkit.LoopBody).
+func (g *gssRun) Release() {
+	g.mk, g.sr, g.specMk = nil, nil, nil
+	gssRuns.Put(g)
 }
 
 // Stdout buffering: generated programs print through here so output is

@@ -14,14 +14,16 @@ package nativert
 import (
 	"sync"
 	"sync/atomic"
+
+	"commute/rtkit"
 )
 
 // specCell is one buffered write: a typed cell holding the pending
 // value, updated in place when the task writes the same location again.
-// The type-erased view gives the validator the declared-effect key ("",
-// for array elements, which the enclosing object's descriptor vouches
-// for) and Commit the heap application — no per-store closure, no
-// per-store boxing.
+// The type-erased view gives the validator the location and its
+// declared-effect key ("" for array elements, which the enclosing
+// object's descriptor vouches for) and Commit the heap application — no
+// per-store closure, no per-store boxing.
 type specCell[T any] struct {
 	p    *T
 	v    T
@@ -29,30 +31,55 @@ type specCell[T any] struct {
 }
 
 func (c *specCell[T]) apply()          { *c.p = c.v }
+func (c *specCell[T]) loc() any        { return c.p }
 func (c *specCell[T]) descKey() string { return c.desc }
 
 type specCellI interface {
 	apply()
+	loc() any
 	descKey() string
+}
+
+// specRead is one logged read: the location and its declared-effect key.
+type specRead struct {
+	loc  any
+	desc string
 }
 
 // SpecJournal is one speculative task's effect journal. It is
 // goroutine-local while the task runs; the validator reads all
 // journals single-threaded after the join barrier.
 //
-// The most recent write and read locations are cached: the dominant
-// speculative access pattern is a method updating one field over and
-// over, and the caches turn that from a map operation per access into
-// an interface compare plus typed pointer work — the difference between
-// walker-speed and hardware-speed speculative regions.
+// Writes and reads are kept in insertion order (wcells, rlog); the two
+// maps over them only answer "seen before?", so validation and commit
+// walk slices, never maps. The most recent write and read locations are
+// cached: the dominant speculative access pattern is a method updating
+// one field over and over, and the caches turn that from a map operation
+// per access into an interface compare plus typed pointer work — the
+// difference between walker-speed and hardware-speed speculative
+// regions.
 type SpecJournal struct {
 	id     int
-	reads  map[any]string
+	reads  map[any]struct{}
+	rlog   []specRead
 	writes map[any]specCellI
+	wcells []specCellI
 
 	lastW     any
 	lastWCell specCellI
 	lastR     any
+}
+
+// logRead records a read of the pre-region heap at k, once.
+func (j *SpecJournal) logRead(k any, desc string) {
+	if k == j.lastR {
+		return
+	}
+	j.lastR = k
+	if _, ok := j.reads[k]; !ok {
+		j.reads[k] = struct{}{}
+		j.rlog = append(j.rlog, specRead{k, desc})
+	}
 }
 
 // SpecLoad reads *p through the journal: a buffered write wins,
@@ -67,12 +94,7 @@ func SpecLoad[T any](j *SpecJournal, p *T, desc string) T {
 		j.lastW, j.lastWCell = k, c
 		return c.(*specCell[T]).v
 	}
-	if k != j.lastR {
-		if _, ok := j.reads[k]; !ok {
-			j.reads[k] = desc
-		}
-		j.lastR = k
-	}
+	j.logRead(k, desc)
 	return *p
 }
 
@@ -91,6 +113,7 @@ func SpecStore[T any](j *SpecJournal, p *T, v T, desc string) {
 	}
 	c := &specCell[T]{p: p, v: v, desc: desc}
 	j.writes[k] = c
+	j.wcells = append(j.wcells, c)
 	j.lastW, j.lastWCell = k, c
 }
 
@@ -106,13 +129,15 @@ func SpecTouch[T any](j *SpecJournal, p *T, desc string) *T {
 		return p
 	}
 	if _, ok := j.writes[k]; !ok {
-		if _, ok := j.reads[k]; !ok {
-			j.reads[k] = desc
-		}
-		j.lastR = k
+		j.logRead(k, desc)
 	}
 	return p
 }
+
+// journalKeep is the largest journal (and validator map) kept for the
+// next region: clearing a map costs its capacity, not its length, so one
+// huge region must not tax every small one after it.
+const journalKeep = 1 << 10
 
 // SpecRegion is the state of one native speculative region: the
 // per-task journals, the extent's declared transitive effects (as
@@ -121,9 +146,14 @@ func SpecTouch[T any](j *SpecJournal, p *T, desc string) *T {
 // pools run tasks bare, so every speculative task body defers
 // CapturePanic and the region turns any panic into an abort followed
 // by the exact serial rerun.
+//
+// Regions are recycled: Commit is a region's last use, and hands the
+// region, its emptied journals and the validator's scratch map to the
+// next NewSpecRegion.
 type SpecRegion struct {
 	mu       sync.Mutex
-	journals []*SpecJournal
+	journals []*SpecJournal // this region's; a journal's id is its index
+	free     []*SpecJournal // emptied, for NewJournal
 	failed   atomic.Bool
 
 	// readOK/writeOK hold the field keys the extent's declared
@@ -134,29 +164,41 @@ type SpecRegion struct {
 	// dynamic descriptor check.
 	readOK  map[string]bool
 	writeOK map[string]bool
+
+	writer map[any]int // validate: location → id of the journal writing it
 }
 
-// NewSpecRegion builds a region with the extent's declared-effect key
-// sets.
+var specRegions sync.Pool // of *SpecRegion
+
+// NewSpecRegion opens a region with the extent's declared-effect key
+// sets. The region is the caller's until its Commit returns.
 func NewSpecRegion(readOK, writeOK map[string]bool) *SpecRegion {
-	return &SpecRegion{readOK: readOK, writeOK: writeOK}
+	sr, _ := specRegions.Get().(*SpecRegion)
+	if sr == nil {
+		sr = &SpecRegion{writer: make(map[any]int)}
+	}
+	sr.readOK, sr.writeOK = readOK, writeOK
+	return sr
 }
 
-// NewJournal allocates a journal for one speculative task.
+// NewJournal hands out a journal for one speculative task or loop
+// claimant.
 func (sr *SpecRegion) NewJournal() *SpecJournal {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	j := &SpecJournal{
-		id:     len(sr.journals),
-		reads:  make(map[any]string),
-		writes: make(map[any]specCellI),
+	var j *SpecJournal
+	if n := len(sr.free); n > 0 {
+		j, sr.free = sr.free[n-1], sr.free[:n-1]
+	} else {
+		j = &SpecJournal{reads: make(map[any]struct{}), writes: make(map[any]specCellI)}
 	}
+	j.id = len(sr.journals)
 	sr.journals = append(sr.journals, j)
 	return j
 }
 
 // CapturePanic is deferred around every speculative task body (the
-// region root, spawned tasks, and SpecGSS goroutines): a panic —
+// region root, spawned tasks, and SpecGSS claimants): a panic —
 // structured runtime error or otherwise — marks the region failed and
 // is swallowed, because the serial rerun reproduces any deterministic
 // error on the caller's goroutine where the generated driver can
@@ -177,52 +219,92 @@ func (sr *SpecRegion) Failed() bool { return sr.failed.Load() }
 // false — with the heap untouched — when the region must abort: a task
 // failed, two tasks' operations did not commute at run time
 // (write-write or read-vs-writer overlap), or a field access fell
-// outside the extent's declared transitive effects.
+// outside the extent's declared transitive effects. Either way the
+// region is over: Commit recycles it, and the caller must not use it or
+// its journals again.
 func (sr *SpecRegion) Commit() bool {
-	if sr.failed.Load() {
-		return false
-	}
-	if !sr.validate() {
-		return false
-	}
-	for _, j := range sr.journals {
-		for _, c := range j.writes {
-			c.apply()
+	ok := !sr.failed.Load() && sr.validate()
+	if ok {
+		for _, j := range sr.journals {
+			for _, c := range j.wcells {
+				c.apply()
+			}
 		}
 	}
-	return true
+	sr.recycle()
+	return ok
 }
 
-// validate mirrors internal/rt's specRegion.validate check for check:
+// recycle empties the region for the next NewSpecRegion: journals are
+// cleared and kept (one that outgrew journalKeep is dropped), the
+// location caches and the failed latch reset. Runs single-threaded after
+// the join barrier.
+func (sr *SpecRegion) recycle() {
+	for _, j := range sr.journals {
+		if len(j.rlog) > journalKeep || len(j.wcells) > journalKeep {
+			continue
+		}
+		clear(j.reads)
+		clear(j.writes)
+		clear(j.rlog)
+		clear(j.wcells)
+		j.rlog, j.wcells = j.rlog[:0], j.wcells[:0]
+		j.lastW, j.lastWCell, j.lastR = nil, nil, nil
+		sr.free = append(sr.free, j)
+	}
+	clear(sr.journals)
+	sr.journals = sr.journals[:0]
+	if len(sr.writer) > journalKeep {
+		sr.writer = make(map[any]int)
+	} else {
+		clear(sr.writer)
+	}
+	sr.failed.Store(false)
+	sr.readOK, sr.writeOK = nil, nil
+	specRegions.Put(sr)
+}
+
+// validate mirrors internal/rt's specRegion.conforms check for check:
 // write-write conflicts across journals, then read-vs-writer
 // conflicts, then declared-effect conformance of object-field accesses
 // (element locations carry desc "" and are covered by the conflict
 // checks alone).
 func (sr *SpecRegion) validate() bool {
-	writer := make(map[any]int)
+	// Conflicts take two journals with something in them; a region whose
+	// work stayed on one task (one claimant, say) has none to look for.
+	busy := 0
 	for _, j := range sr.journals {
-		for l := range j.writes {
-			if w, ok := writer[l]; ok && w != j.id {
-				return false
+		if len(j.rlog)+len(j.wcells) > 0 {
+			busy++
+		}
+	}
+	if busy > 1 {
+		writer := sr.writer
+		for _, j := range sr.journals {
+			for _, c := range j.wcells {
+				l := c.loc()
+				if w, ok := writer[l]; ok && w != j.id {
+					return false
+				}
+				writer[l] = j.id
 			}
-			writer[l] = j.id
+		}
+		for _, j := range sr.journals {
+			for _, r := range j.rlog {
+				if w, ok := writer[r.loc]; ok && w != j.id {
+					return false
+				}
+			}
 		}
 	}
 	for _, j := range sr.journals {
-		for l := range j.reads {
-			if w, ok := writer[l]; ok && w != j.id {
-				return false
-			}
-		}
-	}
-	for _, j := range sr.journals {
-		for _, c := range j.writes {
+		for _, c := range j.wcells {
 			if d := c.descKey(); d != "" && !sr.writeOK[d] {
 				return false
 			}
 		}
-		for _, desc := range j.reads {
-			if desc != "" && !sr.readOK[desc] && !sr.writeOK[desc] {
+		for _, r := range j.rlog {
+			if r.desc != "" && !sr.readOK[r.desc] && !sr.writeOK[r.desc] {
 				return false
 			}
 		}
@@ -230,65 +312,13 @@ func (sr *SpecRegion) validate() bool {
 	return true
 }
 
-// SpecGSS runs a planned-parallel counted loop speculatively: the same
-// guided self-scheduling chunk math as GSS, with one fresh journal per
-// loop goroutine (created inside the goroutine, like the interpreter's
-// specLoop), a failed-region fast path at every chunk claim, and panic
-// capture so a faulting iteration aborts the region instead of
-// crashing the process. A goroutine executes its iterations in
-// increasing order, so intra-worker sequencing matches the serial
-// order and only cross-worker interference needs detection.
-func SpecGSS(sr *SpecRegion, method, site string, workers int, from, to, step int64, mk func(*SpecJournal) func(int64)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if step <= 0 {
-		Errf("gss", method, site, "non-positive step %d", step)
-	}
-	total := (to - from + step - 1) / step
-	if total <= 0 {
-		return
-	}
-	var next atomic.Int64
-	next.Store(from)
-	n := workers
-	if int64(n) < total {
-		// keep n
-	} else {
-		n = int(total)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < n; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer sr.CapturePanic()
-			body := mk(sr.NewJournal())
-			for {
-				if sr.Failed() {
-					return
-				}
-				start := next.Load()
-				if start >= to {
-					return
-				}
-				remaining := (to - start + step - 1) / step
-				chunk := remaining / int64(workers)
-				if chunk < 1 {
-					chunk = 1
-				}
-				end := start + chunk*step
-				if !next.CompareAndSwap(start, end) {
-					continue
-				}
-				if end > to {
-					end = to
-				}
-				for i := start; i < end; i += step {
-					body(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+// SpecGSS runs a planned-parallel counted loop speculatively on w's
+// pool: GSSOn's claim loop with one fresh journal per claimant (taken by
+// the claimant itself, like the interpreter's speculative loops), a
+// failed-region fast path at every chunk claim, and panic capture. A
+// claimant executes its iterations in increasing order, so
+// intra-claimant sequencing matches the serial order and only
+// cross-claimant interference needs detection.
+func SpecGSS(w *rtkit.Worker, sr *SpecRegion, method, site string, workers int, from, to, step int64, mk func(*SpecJournal) func(int64)) {
+	runLoop(w, sr, method, site, workers, from, to, step, nil, mk)
 }

@@ -1,11 +1,14 @@
 // Package rtkit is the work-stealing task scheduler shared by the
 // interpreter runtime (internal/rt) and the native code the Go backend
 // emits (internal/codegen's emitgo). Both keep one pool for a whole
-// run and Drain it at every parallel region's join. It is the same
-// bounded Chase-Lev deque + injector design that previously lived in
-// internal/rt/sched.go, extracted behind a small public surface so
-// generated programs — which cannot import internal packages — run
-// their parallel extents on the exact scheduler the interpreter uses.
+// run, Drain it at every parallel region's join, and run their parallel
+// loops on it through RunLoop (loop.go): the goroutine that reaches a
+// loop claims chunks itself and offers helpers as pool tasks, so no
+// goroutine is created per loop. It is the same bounded Chase-Lev deque
+// + injector design that previously lived in internal/rt/sched.go,
+// behind a small public surface so generated programs — which cannot
+// import internal packages — run their parallel extents on the exact
+// scheduler the interpreter uses.
 //
 // Policy stays with the caller: rtkit moves tasks, and the optional
 // Hooks let the embedder wrap task execution (panic isolation, fault
@@ -26,8 +29,8 @@ const (
 	// deque: spawns push LIFO onto the spawning worker's deque, the
 	// owner pops LIFO (depth-first, cache-warm), and idle workers steal
 	// FIFO from victims' tails (breadth-first, large subtrees). Spawns
-	// from outside the pool — the region root and GSS loop goroutines —
-	// and deque overflow land in a shared injector queue.
+	// from outside the pool — the region root, and the helpers of a loop
+	// it reaches — and deque overflow land in a shared injector queue.
 	Stealing Mode = iota
 	// Central is the original single mutex+cond task queue, kept for
 	// A/B benchmarking and as a differential-testing oracle.
@@ -128,10 +131,10 @@ func (d *deque) steal() *task {
 	return t
 }
 
-// Worker is one scheduler participant. Pool workers own a deque;
-// external handles (the region root, GSS loop goroutines) have dq ==
-// nil and spawn through the injector, so single-owner deque discipline
-// is never violated from a foreign goroutine.
+// Worker is one scheduler participant. Pool workers own a deque; the
+// external handle (the region root's) has dq == nil and spawns through
+// the injector, so single-owner deque discipline is never violated from
+// a foreign goroutine.
 type Worker struct {
 	p   *Pool
 	id  int // -1: external handle
@@ -158,7 +161,8 @@ type Pool struct {
 	workers  []*Worker
 	external *Worker
 
-	pending  atomic.Int64 // queued + running tasks
+	pending  atomic.Int64 // queued + running tasks, loop helpers included
+	helpers  atomic.Int64 // loop helpers offered (RunLoop), not yet finished
 	sleepers atomic.Int64 // workers inside park()
 
 	mu       sync.Mutex
@@ -190,11 +194,12 @@ func NewPool(workers int, mode Mode, h Hooks) *Pool {
 }
 
 // External returns the handle for spawning from outside the pool (the
-// region root and GSS loop goroutines).
+// region root).
 func (p *Pool) External() *Worker { return p.external }
 
-// Pending reports queued+running tasks (lazy task creation).
-func (p *Pool) Pending() int { return int(p.pending.Load()) }
+// Pending reports the program's queued+running tasks, loop helpers
+// aside (lazy task creation).
+func (p *Pool) Pending() int { return int(p.pending.Load() - p.helpers.Load()) }
 
 // Spawn enqueues a task from worker w (use External() from outside the
 // pool). The pending increment happens before the task is visible to

@@ -5,7 +5,8 @@
 # for byte (Water's parallel accumulation order varies, so its
 # parallel run only has to finish cleanly). The speculative leg emits
 # the journaled packages for the speculation corpus and byte-diffs both
-# the commit and the abort-and-rerun paths.
+# the commit and the abort-and-rerun paths. The many-region leg enters
+# 2000 guarded parallel regions on the one run-wide pool.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,6 +62,35 @@ for APP in specdisjoint specconflict; do
   fi
   echo "$APP: speculative native == interpreter (serial + force + auto), counters OK"
 done
+
+# Many regions: condhash mode 0 with 2000 rounds — every round a guarded
+# parallel region (a GSS loop and two spawns) entered on the run-wide
+# pool the first region started. Output and final state must match the
+# serial interpreter under both schedulers, and every guard must have
+# taken the parallel path.
+ROUNDS=2000
+{
+  awk '/^const CondHashBase = `/{f=1;next} /^`/{f=0} f' internal/apps/src/cond.go
+  printf 'void main() {\n  int r;\n  H.setup(0);\n  for (r = 0; r < %d; r += 1) {\n    H.ingest(r);\n  }\n  H.report();\n}\n' "$ROUNDS"
+} > "$OUT/condhash.mc"
+DIR="$OUT/condhash"
+go run ./cmd/commutec -emit go -conditional -o "$DIR" "$OUT/condhash.mc"
+(cd "$DIR" && go vet . && go build -o app .)
+go run ./cmd/commuterun -mode serial -dump "$OUT/condhash.mc" > "$OUT/condhash.interp"
+for SCHED in stealing central; do
+  "$DIR/app" -mode parallel -workers 4 -sched "$SCHED" -guardstats -dump > "$OUT/condhash.native" 2> "$OUT/condhash.stats"
+  if ! diff -q "$OUT/condhash.interp" "$OUT/condhash.native" >/dev/null; then
+    echo "FAIL: condhash x$ROUNDS ($SCHED) native state diverges from the interpreter:" >&2
+    diff "$OUT/condhash.interp" "$OUT/condhash.native" | head >&2
+    exit 1
+  fi
+  if ! grep -qx "guard_parallel $ROUNDS" "$OUT/condhash.stats"; then
+    echo "FAIL: condhash x$ROUNDS ($SCHED): expected 'guard_parallel $ROUNDS' in counters:" >&2
+    cat "$OUT/condhash.stats" >&2
+    exit 1
+  fi
+done
+echo "condhash x$ROUNDS: native == interpreter over $ROUNDS regions on one pool (both schedulers), counters OK"
 
 # Water: serial must be bit-identical; parallel must run cleanly.
 DIR="$OUT/water"
