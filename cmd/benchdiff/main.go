@@ -4,13 +4,12 @@
 // (single-threaded interpreter tight loops), "analysis-" (cold-path
 // analysis: AnalyzeAll, deep simplification, pair testing), "serve-"
 // (the daemon's cache-hit serving path under load), and "spec-" (the
-// speculation workloads on the monitored engines and the journaled
+// speculation workloads on the monitored compiled engine and the journaled
 // native backend, commit-heavy and abort-heavy). The application and parallel-runtime
 // results are printed for context but carry too much scheduler and
 // machine noise to fail CI on. -gate narrows or widens the gated set
 // with a regexp over benchmark names, so a CI step can hold one suite
-// to a tighter threshold (e.g. compiled-engine micros at 5% while the
-// speculation monitor touches the walker).
+// to a tighter threshold (e.g. compiled-engine micros at 5%).
 //
 // Usage:
 //

@@ -20,7 +20,6 @@ import (
 
 	"commute"
 	"commute/internal/apps/src"
-	"commute/internal/codegen"
 	"commute/internal/cond"
 	"commute/internal/nativegen"
 	"commute/internal/transform"
@@ -30,8 +29,6 @@ func main() {
 	app := flag.String("app", "", "analyze a built-in application (barneshut, water, graph, condhash, specdisjoint, specconflict) instead of a file")
 	verbose := flag.Bool("v", false, "print per-pair commutativity details")
 	emit := flag.String("emit", "", "emit instead of the report: source (the Figure 2 style transformed source) | go (native Go package, requires -o)")
-	conditional := flag.Bool("conditional", false, "plan conditionally-eligible extents as guarded parallel regions (-emit go compiles the synthesized guard into the region wrapper)")
-	speculate := flag.Bool("speculate", false, "plan statically-rejected extents as speculative regions (-emit go lowers them to journaled method versions behind the generated driver's -speculate flag)")
 	outDir := flag.String("o", "", "output directory for -emit go")
 	doTransform := flag.Bool("transform", false, "apply the §7.2 loop replacement (while loops → tail-recursive methods) before analysis")
 	annotations := flag.String("annotations", "", "also write the annotation file (JSON) to this path (the paper's analysis→codegen interface)")
@@ -111,26 +108,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-emit go requires -o DIR")
 			os.Exit(2)
 		}
-		genErr := error(nil)
-		switch {
-		case *conditional:
-			// A dedicated plan with guards lowered into the region
-			// wrappers; the generated binary's -conditional flag picks
-			// between guarded-parallel and forced-serial at runtime.
-			// ConditionalGuards plans already speculate on rejected
-			// extents, so -speculate adds nothing here.
-			plan := codegen.BuildWithOptions(sys.Analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: *speculate})
-			genErr = nativegen.GeneratePlan(plan, name, *outDir)
-		case *speculate:
-			// The speculative plan: rejected extents become journaled
-			// regions the generated binary enables with -speculate
-			// auto|force (off by default — the serial versions run).
-			genErr = nativegen.GeneratePlan(sys.SpecPlan, name, *outDir)
-		default:
-			genErr = nativegen.Generate(sys, name, *outDir)
-		}
-		if genErr != nil {
-			fmt.Fprintln(os.Stderr, genErr)
+		// The emitted package carries every tier; its driver's
+		// -conditional and -speculate flags pick among them at run time.
+		if err := nativegen.Generate(sys, name, *outDir); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote native Go package for %s to %s (build with: cd %s && go build)\n", name, *outDir, *outDir)

@@ -24,7 +24,6 @@ import (
 
 	"commute"
 	"commute/internal/apps/src"
-	"commute/internal/interp"
 	"commute/internal/nativegen"
 	"commute/internal/rt"
 	"commute/internal/server/api"
@@ -38,8 +37,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort execution after this wall-clock deadline (0: none)")
 	fallback := flag.Bool("fallback", false, "re-run a failed parallel region with the serial version")
 	maxSteps := flag.Int64("maxsteps", 0, "abort after this many interpreter statements (0: unlimited)")
-	sched := flag.String("sched", "stealing", "task scheduler for -mode parallel: stealing | central")
-	engine := flag.String("engine", "compiled", "execution engine: compiled | walk")
 	speculate := flag.String("speculate", "off", "speculative parallelization of rejected extents: off | auto | force")
 	specThreshold := flag.Float64("speculate-threshold", 0, "minimum analysis confidence for -speculate auto (0: the 0.5 default)")
 	conditional := flag.String("conditional", "off", "guarded execution of conditionally-eligible extents: on | off (the synthesized guard decides parallel vs serial at region entry)")
@@ -49,11 +46,6 @@ func main() {
 	analysisWorkers := flag.Int("analysis-workers", 0, "goroutines for load-time commutativity analysis (0: GOMAXPROCS, 1: serial)")
 	flag.Parse()
 
-	eng, ok := interp.ParseEngine(*engine)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
 	spec, ok := rt.ParseSpecMode(*speculate)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown speculate mode %q\n", *speculate)
@@ -69,10 +61,9 @@ func main() {
 		os.Exit(2)
 	}
 	if spec != rt.SpecOff && *mode != "parallel" {
-		// Both interpreter engines monitor at full speed now, but the
-		// serial runner and the trace-driven simulator have no effect
-		// monitor at all — fail loudly rather than silently ignore the
-		// requested speculation.
+		// The serial runner and the trace-driven simulator have no effect
+		// monitor — fail loudly rather than silently ignore the requested
+		// speculation.
 		fmt.Fprintf(os.Stderr, "-speculate %s requires -mode parallel (the %s mode cannot monitor effects)\n", *speculate, *mode)
 		os.Exit(2)
 	}
@@ -140,7 +131,7 @@ func main() {
 	switch *mode {
 	case "serial":
 		start := time.Now()
-		ip, err := sys.RunSerialEngineContext(ctx, eng, os.Stdout)
+		ip, err := sys.RunSerialContext(ctx, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -151,11 +142,7 @@ func main() {
 			return
 		}
 		if *statsJSON {
-			emitStats(api.RunStats{
-				Mode:   "serial",
-				Engine: eng.String(),
-				WallMS: float64(wall) / float64(time.Millisecond),
-			})
+			emitStats(api.NewRunStats("serial", 0, wall, nil))
 			return
 		}
 		fmt.Printf("serial execution: %v\n", wall)
@@ -166,19 +153,9 @@ func main() {
 			Workers:            *workers,
 			SerialFallback:     *fallback,
 			MaxSteps:           *maxSteps,
-			Engine:             eng,
 			Speculate:          spec,
 			SpeculateThreshold: *specThreshold,
 			Conditional:        condOn,
-		}
-		switch *sched {
-		case "stealing":
-			opts.Sched = rt.SchedStealing
-		case "central":
-			opts.Sched = rt.SchedCentral
-		default:
-			fmt.Fprintf(os.Stderr, "unknown scheduler %q\n", *sched)
-			os.Exit(2)
 		}
 		ip, stats, err := sys.RunParallelOpts(ctx, opts, os.Stdout)
 		if err != nil {
@@ -191,34 +168,10 @@ func main() {
 			return
 		}
 		if *statsJSON {
-			emitStats(api.RunStats{
-				Mode:            "parallel",
-				Engine:          eng.String(),
-				Sched:           *sched,
-				Workers:         *workers,
-				WallMS:          float64(wall) / float64(time.Millisecond),
-				Regions:         stats.Regions,
-				ParallelLoops:   stats.ParallelLoops,
-				Chunks:          stats.Chunks,
-				Iterations:      stats.Iterations,
-				Tasks:           stats.Tasks,
-				LazyInlines:     stats.LazyInlines,
-				LockAcquires:    stats.LockAcquires,
-				Steals:          stats.Steals,
-				LocalPops:       stats.LocalPops,
-				TaskPanics:      stats.TaskPanics,
-				SerialFallbacks: stats.SerialFallbacks,
-
-				SpeculativeRegions: stats.SpeculativeRegions,
-				SpeculationCommits: stats.SpeculationCommits,
-				SpeculationAborts:  stats.SpeculationAborts,
-
-				GuardParallel: stats.GuardParallel,
-				GuardSerial:   stats.GuardSerial,
-			})
+			emitStats(api.NewRunStats("parallel", *workers, wall, stats))
 			return
 		}
-		fmt.Printf("parallel execution (%d workers, %s scheduler): %v\n", *workers, *sched, wall)
+		fmt.Printf("parallel execution (%d workers): %v\n", *workers, wall)
 		fmt.Printf("regions=%d loops=%d chunks=%d iterations=%d tasks=%d locks=%d steals=%d localpops=%d\n",
 			stats.Regions, stats.ParallelLoops, stats.Chunks,
 			stats.Iterations, stats.Tasks, stats.LockAcquires,
@@ -237,7 +190,7 @@ func main() {
 		}
 
 	case "simulate":
-		tr, err := sys.TraceEngine(eng)
+		tr, err := sys.Trace()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"commute/internal/codegen"
@@ -51,20 +52,17 @@ type System struct {
 	Analysis *core.Analysis
 	Plan     *codegen.Plan
 
-	// SpecPlan is the speculative code generation plan: like Plan, but
-	// extents the analysis rejected only at the symbolic pair stage are
-	// additionally planned parallel with write-buffered speculative
-	// execution (codegen.Options.SpeculateRejected). RunParallelOpts
-	// executes against it when RunOptions.Speculate enables speculation.
-	SpecPlan *codegen.Plan
-
-	// CondPlan is the conditional code generation plan: like SpecPlan,
-	// but extents whose pair failures all synthesized guardable residual
-	// predicates are planned parallel behind a runtime guard
-	// (codegen.Options.ConditionalGuards) — the guard evaluates the
-	// predicate at region entry and dispatches to the parallel body or
-	// the serial path. RunParallelOpts executes against it when
-	// RunOptions.Conditional is set.
+	// CondPlan is the plan every parallel execution runs — the
+	// interpreter runtime and the emitted Go package alike. It extends
+	// Plan, leaving every proven method and loop as Plan has it: extents
+	// whose pair failures all synthesized guardable residual predicates
+	// carry a runtime guard (codegen.Options.ConditionalGuards), and the
+	// other extents rejected only at the symbolic pair stage carry
+	// write-buffered speculative versions
+	// (codegen.Options.SpeculateRejected). Which tier an unproven extent
+	// runs under is decided at each region entry from
+	// RunOptions.Conditional and RunOptions.Speculate; with both off it
+	// runs its serial version, as under Plan.
 	CondPlan *codegen.Plan
 }
 
@@ -85,12 +83,21 @@ func load(name, source string, workers int) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type check: %w", err)
 	}
+	return newSystem(file, prog, workers), nil
+}
+
+// newSystem analyzes a checked program and builds its two plans. file is
+// nil for a program parsed from several files (LoadFiles).
+func newSystem(file *ast.File, prog *types.Program, workers int) *System {
 	analysis := core.New(prog)
 	analysis.Workers = workers
-	plan := codegen.Build(analysis)
-	spec := codegen.BuildWithOptions(analysis, codegen.Options{SpeculateRejected: true})
-	cnd := codegen.BuildWithOptions(analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: true})
-	return &System{File: file, Prog: prog, Analysis: analysis, Plan: plan, SpecPlan: spec, CondPlan: cnd}, nil
+	return &System{
+		File:     file,
+		Prog:     prog,
+		Analysis: analysis,
+		Plan:     codegen.Build(analysis),
+		CondPlan: codegen.BuildWithOptions(analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: true}),
+	}
 }
 
 // LoadTransformed applies the §7.2 loop-replacement transformation —
@@ -178,11 +185,18 @@ func (s *System) Warm() { interp.Warm(s.Prog) }
 func (s *System) Release() { interp.Release(s.Prog) }
 
 // LoadFiles parses several source files into one program (class and
-// global declarations are visible across files).
+// global declarations are visible across files). Files are taken in
+// name order, so declaration order, method IDs and everything emitted
+// from the plans are the same on every load.
 func LoadFiles(sources map[string]string) (*System, error) {
+	names := make([]string, 0, len(sources))
+	for name := range sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var files []*ast.File
-	for name, src := range sources {
-		f, err := parser.Parse(name, src)
+	for _, name := range names {
+		f, err := parser.Parse(name, sources[name])
 		if err != nil {
 			return nil, fmt.Errorf("parse %s: %w", name, err)
 		}
@@ -192,11 +206,7 @@ func LoadFiles(sources map[string]string) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type check: %w", err)
 	}
-	analysis := core.New(prog)
-	plan := codegen.Build(analysis)
-	spec := codegen.BuildWithOptions(analysis, codegen.Options{SpeculateRejected: true})
-	cnd := codegen.BuildWithOptions(analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: true})
-	return &System{Prog: prog, Analysis: analysis, Plan: plan, SpecPlan: spec, CondPlan: cnd}, nil
+	return newSystem(nil, prog, 0), nil
 }
 
 // Report returns the commutativity analysis report for a method named
@@ -230,14 +240,11 @@ func (s *System) RunSerial(out io.Writer) (*interp.Interp, error) {
 }
 
 // RunSerialEngine executes the program serially on the chosen
-// execution engine (interp.EngineCompiled or interp.EngineWalk).
+// execution engine: interp.EngineCompiled, which every other entry point
+// runs, or interp.EngineWalk, the tree walker the differential tests
+// compare against.
 func (s *System) RunSerialEngine(eng interp.Engine, out io.Writer) (*interp.Interp, error) {
 	return s.runSerial(context.Background(), eng, out)
-}
-
-// RunSerialEngineContext combines RunSerialEngine and RunSerialContext.
-func (s *System) RunSerialEngineContext(ctx context.Context, eng interp.Engine, out io.Writer) (*interp.Interp, error) {
-	return s.runSerial(ctx, eng, out)
 }
 
 // RunSerialContext executes the program serially under ctx: a deadline
@@ -288,35 +295,27 @@ type RunOptions struct {
 	// LazySpawnThreshold enables lazy task creation (see
 	// rt.Runtime.LazySpawnThreshold).
 	LazySpawnThreshold int
-	// Sched selects the task scheduler: work-stealing deques
-	// (rt.SchedStealing, the default) or the original central queue
-	// (rt.SchedCentral).
-	Sched rt.SchedMode
-	// Engine selects the execution engine: closure-compiled bodies
-	// (interp.EngineCompiled, the default) or the tree-walking
-	// evaluator (interp.EngineWalk).
-	Engine interp.Engine
 	// Faults injects deterministic faults at the runtime's concurrency
 	// boundaries (testing the failure paths).
 	Faults *rt.FaultPlan
 	// Speculate enables speculative parallelization of extents the
-	// analysis rejected at the symbolic pair stage: the run executes
-	// against System.SpecPlan, buffering such extents' writes in
-	// per-task journals that are validated and committed at the join
-	// barrier, or discarded and re-run serially on a violation
-	// (rt.SpecOff, the default; rt.SpecAuto; rt.SpecForce).
+	// analysis rejected at the symbolic pair stage: such extents' writes
+	// are buffered in per-task journals that are validated and committed
+	// at the join barrier, or discarded and re-run serially on a
+	// violation (rt.SpecOff, the default; rt.SpecAuto; rt.SpecForce).
 	Speculate rt.SpecMode
 	// SpeculateThreshold is the minimum analysis confidence an extent
 	// needs to be speculated under rt.SpecAuto
 	// (0: rt.DefaultSpecThreshold).
 	SpeculateThreshold float64
 	// Conditional enables guarded parallelization of extents whose pair
-	// failures all synthesized guardable residual predicates: the run
-	// executes against System.CondPlan, evaluating each such extent's
-	// guard at region entry — true runs the parallel region, false takes
-	// the serial path (rt.Stats.GuardParallel / GuardSerial count the
-	// outcomes). The guard takes precedence over speculation; a
-	// guard-false extent may still speculate under rt.SpecForce.
+	// failures all synthesized guardable residual predicates: each such
+	// extent's guard is evaluated at region entry — true runs the
+	// parallel region, false takes the serial path
+	// (rt.Stats.GuardParallel / GuardSerial count the outcomes). The
+	// guard takes precedence over speculation; a guard-false extent may
+	// still speculate under rt.SpecForce. When off, such an extent is
+	// treated like any other unproven one (see rt.Runtime.Conditional).
 	Conditional bool
 }
 
@@ -334,25 +333,15 @@ func (s *System) RunParallelOpts(ctx context.Context, opts RunOptions, out io.Wr
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
-	ip := interp.NewEngine(s.Prog, out, opts.Engine)
-	plan := s.Plan
-	if opts.Speculate != rt.SpecOff && s.SpecPlan != nil {
-		plan = s.SpecPlan
-	}
-	if opts.Conditional && s.CondPlan != nil {
-		// CondPlan is built with SpeculateRejected as well, so enabling
-		// the guard never loses speculative coverage of extents whose
-		// residuals were not guardable.
-		plan = s.CondPlan
-	}
-	r := rt.New(ip, plan, opts.Workers)
+	ip := interp.New(s.Prog, out)
+	r := rt.New(ip, s.CondPlan, opts.Workers)
+	r.Conditional = opts.Conditional
 	r.Speculate = opts.Speculate
 	r.SpecThreshold = opts.SpeculateThreshold
 	r.SerialFallback = opts.SerialFallback
 	r.MaxSteps = opts.MaxSteps
 	r.MaxDepth = opts.MaxDepth
 	r.LazySpawnThreshold = opts.LazySpawnThreshold
-	r.Sched = opts.Sched
 	r.Faults = opts.Faults
 	err := r.RunContext(ctx)
 	return ip, &r.Stats, err
@@ -361,17 +350,7 @@ func (s *System) RunParallelOpts(ctx context.Context, opts RunOptions, out io.Wr
 // Trace executes the program once, recording the parallel task/lock
 // event structure for simulation.
 func (s *System) Trace() (*tracer.Trace, error) {
-	return s.TraceEngine(interp.EngineCompiled)
-}
-
-// TraceEngine records the trace using the chosen execution engine.
-// Both engines charge identical cost totals between dispatcher-hook
-// boundaries, so the resulting traces — and any DASH simulation of
-// them — are identical; the engine parameter exists so tests can
-// verify exactly that.
-func (s *System) TraceEngine(eng interp.Engine) (*tracer.Trace, error) {
-	ip := interp.NewEngine(s.Prog, nil, eng)
-	return tracer.Collect(ip, s.Plan)
+	return tracer.Collect(interp.New(s.Prog, nil), s.Plan)
 }
 
 // Simulate runs a trace on the simulated multiprocessor.

@@ -7,6 +7,7 @@ import (
 
 	"commute"
 	"commute/internal/apps/src"
+	"commute/internal/codegen"
 )
 
 func TestLoadErrors(t *testing.T) {
@@ -22,19 +23,24 @@ void a::m() { y = 1; }
 }
 
 func TestLoadFiles(t *testing.T) {
-	sys, err := commute.LoadFiles(map[string]string{
+	sources := map[string]string{
 		"classes.mc": `
 class acc { public: int n; void add(int k); };
 void acc::add(int k) { n = n + k; }
 acc A;
 `,
 		"main.mc": `
+class tally { public: int hits; void hit(); };
+void tally::hit() { hits = hits + 1; }
+tally T;
 void main() {
   A.add(1);
   A.add(2);
+  T.hit();
 }
 `,
-	})
+	}
+	sys, err := commute.LoadFiles(sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +54,28 @@ void main() {
 	}
 	if n != 3 {
 		t.Errorf("A.n = %d, want 3", n)
+	}
+
+	// Files are parsed in name order, whatever order the map yields them
+	// in: every load emits the same Go package, byte for byte.
+	emit := func(sys *commute.System) map[string][]byte {
+		files, err := sys.CondPlan.EmitGoPackage(codegen.EmitGoOptions{AppName: "loadfiles"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	want := emit(sys)
+	for i := 0; i < 20; i++ {
+		again, err := commute.LoadFiles(sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range emit(again) {
+			if !bytes.Equal(data, want[name]) {
+				t.Fatalf("load %d: emitted %s differs from the first load's", i+2, name)
+			}
+		}
 	}
 }
 

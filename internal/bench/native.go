@@ -51,8 +51,7 @@ func nativePerf(rep *PerfReport) error {
 			args   []string
 		}{
 			{"serial", []string{"-mode", "serial"}},
-			{"parallel-stealing", []string{"-mode", "parallel", "-workers", strconv.Itoa(perfWorkers), "-sched", "stealing"}},
-			{"parallel-central", []string{"-mode", "parallel", "-workers", strconv.Itoa(perfWorkers), "-sched", "central"}},
+			{"parallel-stealing", []string{"-mode", "parallel", "-workers", strconv.Itoa(perfWorkers)}},
 		} {
 			args := append(append([]string{}, c.args...), "-bench", strconv.Itoa(nativeBenchReps))
 			out, err := nativegen.Run(bin, args...)
@@ -94,7 +93,7 @@ func nativeSpecPerf(rep *PerfReport, tmp string) error {
 			return fmt.Errorf("native %s: %w", a.name, err)
 		}
 		dir := filepath.Join(tmp, a.name)
-		if err := nativegen.GeneratePlan(sys.SpecPlan, a.name, dir); err != nil {
+		if err := nativegen.Generate(sys, a.name, dir); err != nil {
 			return fmt.Errorf("native %s: %w", a.name, err)
 		}
 		bin, err := nativegen.Build(dir)

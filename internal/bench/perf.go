@@ -212,9 +212,9 @@ func RunPerf(rev string) (*PerfReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("condhash-serial: %w", err)
 	}
-	// Speculation: the commit-heavy disjoint workload under both
-	// monitored engines and with speculation off (the rejected extent
-	// runs serially inside the parallel schedule), plus the abort-heavy
+	// Speculation: the commit-heavy disjoint workload forced and with
+	// speculation off (the rejected extent runs serially inside the
+	// parallel schedule), plus the abort-heavy
 	// conflict demonstrator exercising rollback and serial rerun.
 	specDisjoint, err := commute.Load("spec-disjoint.mc", specDisjointBenchSrc)
 	if err != nil {
@@ -234,13 +234,12 @@ func RunPerf(rev string) (*PerfReport, error) {
 		{"micro-arith", microArithSrc},
 	}
 	type cse struct {
-		name  string
-		sys   *commute.System
-		sched rt.SchedMode
-		ser   bool
-		eng   interp.Engine
-		cond  bool
-		spec  rt.SpecMode
+		name string
+		sys  *commute.System
+		ser  bool
+		eng  interp.Engine // serial cases only: parallel runs are always compiled
+		cond bool
+		spec rt.SpecMode
 	}
 	var cases []cse
 	for _, m := range micros {
@@ -249,8 +248,8 @@ func RunPerf(rev string) (*PerfReport, error) {
 			return nil, fmt.Errorf("%s: %w", m.name, err)
 		}
 		cases = append(cases,
-			cse{m.name + "-compiled", sys, 0, true, interp.EngineCompiled, false, rt.SpecOff},
-			cse{m.name + "-walk", sys, 0, true, interp.EngineWalk, false, rt.SpecOff},
+			cse{m.name + "-compiled", sys, true, interp.EngineCompiled, false, rt.SpecOff},
+			cse{m.name + "-walk", sys, true, interp.EngineWalk, false, rt.SpecOff},
 		)
 	}
 
@@ -264,19 +263,16 @@ func RunPerf(rev string) (*PerfReport, error) {
 	}
 
 	cases = append(cases,
-		cse{"barneshut-serial", bh, 0, true, interp.EngineCompiled, false, rt.SpecOff},
-		cse{"barneshut-parallel-stealing", bh, rt.SchedStealing, false, interp.EngineCompiled, false, rt.SpecOff},
-		cse{"barneshut-parallel-central", bh, rt.SchedCentral, false, interp.EngineCompiled, false, rt.SpecOff},
-		cse{"water-serial", water, 0, true, interp.EngineCompiled, false, rt.SpecOff},
-		cse{"water-parallel-stealing", water, rt.SchedStealing, false, interp.EngineCompiled, false, rt.SpecOff},
-		cse{"water-parallel-central", water, rt.SchedCentral, false, interp.EngineCompiled, false, rt.SpecOff},
-		cse{"condhash-serial", condTrue, 0, true, interp.EngineCompiled, false, rt.SpecOff},
-		cse{"condhash-guard-parallel", condTrue, rt.SchedStealing, false, interp.EngineCompiled, true, rt.SpecOff},
-		cse{"condhash-guard-serial", condFalse, rt.SchedStealing, false, interp.EngineCompiled, true, rt.SpecOff},
-		cse{"spec-disjoint-off-compiled", specDisjoint, rt.SchedStealing, false, interp.EngineCompiled, false, rt.SpecOff},
-		cse{"spec-disjoint-force-compiled", specDisjoint, rt.SchedStealing, false, interp.EngineCompiled, false, rt.SpecForce},
-		cse{"spec-disjoint-force-walk", specDisjoint, rt.SchedStealing, false, interp.EngineWalk, false, rt.SpecForce},
-		cse{"spec-conflict-force-compiled", specConflict, rt.SchedStealing, false, interp.EngineCompiled, false, rt.SpecForce},
+		cse{"barneshut-serial", bh, true, interp.EngineCompiled, false, rt.SpecOff},
+		cse{"barneshut-parallel-stealing", bh, false, interp.EngineCompiled, false, rt.SpecOff},
+		cse{"water-serial", water, true, interp.EngineCompiled, false, rt.SpecOff},
+		cse{"water-parallel-stealing", water, false, interp.EngineCompiled, false, rt.SpecOff},
+		cse{"condhash-serial", condTrue, true, interp.EngineCompiled, false, rt.SpecOff},
+		cse{"condhash-guard-parallel", condTrue, false, interp.EngineCompiled, true, rt.SpecOff},
+		cse{"condhash-guard-serial", condFalse, false, interp.EngineCompiled, true, rt.SpecOff},
+		cse{"spec-disjoint-off-compiled", specDisjoint, false, interp.EngineCompiled, false, rt.SpecOff},
+		cse{"spec-disjoint-force-compiled", specDisjoint, false, interp.EngineCompiled, false, rt.SpecForce},
+		cse{"spec-conflict-force-compiled", specConflict, false, interp.EngineCompiled, false, rt.SpecForce},
 	)
 	for _, c := range cases {
 		c := c
@@ -292,7 +288,7 @@ func RunPerf(rev string) (*PerfReport, error) {
 					}
 					continue
 				}
-				opts := commute.RunOptions{Workers: perfWorkers, Sched: c.sched, Engine: c.eng, Conditional: c.cond, Speculate: c.spec}
+				opts := commute.RunOptions{Workers: perfWorkers, Conditional: c.cond, Speculate: c.spec}
 				_, st, err := c.sys.RunParallelOpts(nil, opts, io.Discard)
 				if err != nil {
 					runErr = err

@@ -214,13 +214,17 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
 // discarded, exactly as the interpreter's serial context discards
 // region results. Under -mode serial it degrades to S_m.
 //
-// A conditional extent (plan guard synthesized from the pair-test
-// residuals) additionally evaluates its guard here, exactly where the
-// interpreter runtime does: guard true opens the parallel region,
-// guard false (or -conditional=false) takes the serial version, with
-// the outcome counted in guardParallel_/guardSerial_.
+// The wrapper of an unproven extent decides its tier here, by the rule
+// of rt.serialCtx. A conditional extent (plan guard synthesized from
+// the pair-test residuals) under -conditional evaluates its guard:
+// true opens the parallel region, false takes the serial version —
+// counted in guardParallel_/guardSerial_ — unless -speculate force
+// still speculates it. With -conditional off it is left to the
+// speculation policy like any other unproven extent, and no guard
+// counter moves. The speculative body is emitted once, behind spec_.
 func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
-	if mp := e.plan.Methods[m]; mp != nil && mp.Speculative {
+	mp := e.plan.Methods[m]
+	if mp != nil && mp.Speculative {
 		return e.emitSpecRegionWrapper(m, mp)
 	}
 	e.demand(m, varS)
@@ -239,37 +243,41 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
 		pargs = append(pargs, "v_"+p.Name)
 	}
 	serial := fmt.Sprintf("%sS_%s(%s)", recv, m.Name, strings.Join(args, ", "))
-	fmt.Fprintf(&b, "\tif !cfgParallel {\n\t\t%s\n\t\treturn\n\t}\n", serial)
-	if mp := e.plan.Methods[m]; mp != nil && mp.Conditional && mp.Guard != nil {
-		guard, err := e.guardExpr(mp)
-		if err != nil {
-			e.errorf("%s: %v", m.FullName(), err)
-			guard = "false"
-		}
-		e.useAtomic = true
-		fmt.Fprintf(&b, "\tif !cfgConditional || !(%s) {\n", guard)
-		b.WriteString("\t\tatomic.AddInt64(&guardSerial_, 1)\n")
-		if mp.SpecEligible {
-			// rt.dispatchConditional: a guard-false region may still
-			// speculate when the policy forces it — the journals then
-			// provide the safety the guard could not prove.
-			b.WriteString("\t\tif cfgSpec == 2 {\n")
-			e.emitSpecRegionBody(&b, "\t\t\t", m, recv, serial)
-			b.WriteString("\t\t}\n")
-		}
-		fmt.Fprintf(&b, "\t\t%s\n\t\treturn\n\t}\n", serial)
-		b.WriteString("\tatomic.AddInt64(&guardParallel_, 1)\n")
+	region := fmt.Sprintf("%s\n%sP_%s(%s)\npool_.Drain()\n", runPoolStmt, recv, m.Name, strings.Join(pargs, ", "))
+	fmt.Fprintf(&b, "if !cfgParallel {\n%s\nreturn\n}\n", serial)
+	if mp == nil || !mp.Conditional || mp.Guard == nil {
+		b.WriteString(region + "}\n")
+		return b.String()
 	}
-	b.WriteString("\t" + runPoolStmt + "\n")
-	fmt.Fprintf(&b, "\t%sP_%s(%s)\n", recv, m.Name, strings.Join(pargs, ", "))
-	b.WriteString("\tpool_.Drain()\n}\n")
+	guard, err := e.guardExpr(mp)
+	if err != nil {
+		e.errorf("%s: %v", m.FullName(), err)
+		guard = "false"
+	}
+	e.useAtomic = true
+	if mp.SpecEligible {
+		fmt.Fprintf(&b, "spec_ := specAllowed_(%s)\n", formatFloatLit(mp.Confidence))
+	}
+	fmt.Fprintf(&b, "if cfgConditional {\nif %s {\n", guard)
+	b.WriteString("atomic.AddInt64(&guardParallel_, 1)\n" + region + "return\n}\n")
+	b.WriteString("atomic.AddInt64(&guardSerial_, 1)\n")
+	if mp.SpecEligible {
+		b.WriteString("spec_ = cfgSpec == 2\n")
+	}
+	b.WriteString("}\n")
+	if mp.SpecEligible {
+		b.WriteString("if spec_ {\n")
+		e.emitSpecRegionBody(&b, "", m, recv, serial)
+		b.WriteString("}\n")
+	}
+	fmt.Fprintf(&b, "%s\n}\n", serial)
 	return b.String()
 }
 
 // runPoolStmt binds the run-wide pool in a region wrapper: nativert
 // starts it at the first region of the process and hands the same pool
 // to every later one.
-const runPoolStmt = "pool_ := nativert.Pool(cfgWorkers, cfgSched)"
+const runPoolStmt = "pool_ := nativert.Pool(cfgWorkers)"
 
 // emitSpecRegionWrapper renders R_m for a speculative extent: the
 // serial-to-speculative boundary (rt.serialCtx's mp.Speculative branch

@@ -116,8 +116,9 @@ func TestEmitGoLowersSpeculativePlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := codegen.BuildWithOptions(sys.Analysis, codegen.Options{SpeculateRejected: true})
 	hasSpec := false
-	for _, mp := range sys.SpecPlan.Methods {
+	for _, mp := range plan.Methods {
 		if mp.Speculative {
 			hasSpec = true
 		}
@@ -125,7 +126,7 @@ func TestEmitGoLowersSpeculativePlans(t *testing.T) {
 	if !hasSpec {
 		t.Skip("no speculative methods in plan")
 	}
-	files, err := sys.SpecPlan.EmitGoPackage(codegen.EmitGoOptions{AppName: "spec"})
+	files, err := plan.EmitGoPackage(codegen.EmitGoOptions{AppName: "spec"})
 	if err != nil {
 		t.Fatalf("EmitGoPackage refused a speculative plan: %v", err)
 	}

@@ -10,7 +10,7 @@ import (
 	"commute/internal/frontend/types"
 )
 
-func buildSpecPlan(t *testing.T, source string) (*types.Program, *codegen.Plan) {
+func buildSpeculativePlan(t *testing.T, source string) (*types.Program, *codegen.Plan) {
 	t.Helper()
 	f, err := parser.Parse("app.mc", source)
 	if err != nil {
@@ -27,7 +27,7 @@ func buildSpecPlan(t *testing.T, source string) (*types.Program, *codegen.Plan) 
 // speculative parallel version with its loop planned parallel, while
 // the default plan leaves it serial.
 func TestSpeculativePlanDisjoint(t *testing.T) {
-	prog, plan := buildSpecPlan(t, src.SpecDisjoint)
+	prog, plan := buildSpeculativePlan(t, src.SpecDisjoint)
 	fill := prog.MethodByFullName("table::fill")
 
 	base := codegen.Build(core.New(prog))
@@ -70,7 +70,7 @@ func TestSpeculativePlanDisjoint(t *testing.T) {
 // TestSpeculativePlanConflict: run's two mark invocations become spawn
 // sites so the violating program really races its tasks' logs.
 func TestSpeculativePlanConflict(t *testing.T) {
-	prog, plan := buildSpecPlan(t, src.SpecConflict)
+	prog, plan := buildSpeculativePlan(t, src.SpecConflict)
 	run := prog.MethodByFullName("driver::run")
 	mp := plan.Methods[run]
 	if !mp.Parallel || !mp.Speculative {

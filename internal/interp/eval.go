@@ -42,6 +42,7 @@ const (
 	errCallOnNull     = "method call on NULL at %s"
 	errCallNonObj     = "method call on non-object at %s"
 	errFieldStoreObj  = "field store on non-object at %s"
+	errWalkerMon      = "the tree-walking engine cannot run under an effect monitor"
 	errIndexStoreArr  = "index store on non-array at %s"
 	errIndexStoreRng  = "index %v out of range at %s"
 	errUnknownBuiltin = "unknown builtin %s"
@@ -79,9 +80,6 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 			if fr.this == nil {
 				return Value{}, rtErrf(errFieldNoRecv, x.Name)
 			}
-			if fr.ctx.Mon != nil {
-				return fr.ctx.Mon.LoadField(fr.this, int(x.Slot)), nil
-			}
 			return fr.this.Slots[x.Slot], nil
 		}
 		return Value{}, rtErrf("unresolved identifier %s at %s", x.Name, x.Pos())
@@ -97,9 +95,6 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 			}
 			return Value{}, rtErrf(errFieldNonObj, x.Pos())
 		}
-		if fr.ctx.Mon != nil {
-			return fr.ctx.Mon.LoadField(base.ref.(*Object), int(x.Slot)), nil
-		}
 		return base.ref.(*Object).Slots[x.Slot], nil
 
 	case *ast.IndexExpr:
@@ -110,9 +105,6 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 		idxV, err := ip.eval(fr, x.Index)
 		if err != nil {
 			return Value{}, err
-		}
-		if fr.ctx.Mon != nil {
-			return indexLoadMon(fr.ctx.Mon, arrV, idxV, x)
 		}
 		return indexLoad(arrV, idxV, x)
 
@@ -409,10 +401,6 @@ func (ip *Interp) store(fr *Frame, lhs ast.Expr, v Value) error {
 			if fr.this == nil {
 				return rtErrf(errFieldNoRecvWr, x.Name)
 			}
-			if fr.ctx.Mon != nil {
-				fr.ctx.Mon.StoreField(fr.this, int(x.Slot), coerceKind(x.Coerce, v))
-				return nil
-			}
 			fr.this.Slots[x.Slot] = coerceKind(x.Coerce, v)
 			return nil
 		}
@@ -425,10 +413,6 @@ func (ip *Interp) store(fr *Frame, lhs ast.Expr, v Value) error {
 		if base.kind != KObject {
 			return rtErrf(errFieldStoreObj, x.Pos())
 		}
-		if fr.ctx.Mon != nil {
-			fr.ctx.Mon.StoreField(base.ref.(*Object), int(x.Slot), coerceKind(x.Coerce, v))
-			return nil
-		}
 		base.ref.(*Object).Slots[x.Slot] = coerceKind(x.Coerce, v)
 		return nil
 	case *ast.IndexExpr:
@@ -439,9 +423,6 @@ func (ip *Interp) store(fr *Frame, lhs ast.Expr, v Value) error {
 		idxV, err := ip.eval(fr, x.Index)
 		if err != nil {
 			return err
-		}
-		if fr.ctx.Mon != nil {
-			return indexStoreMon(fr.ctx.Mon, arrV, idxV, v, x)
 		}
 		return indexStore(arrV, idxV, v, x)
 	}

@@ -3,7 +3,6 @@ package interp
 import (
 	"io"
 	"math"
-	"os"
 	"sync"
 
 	"commute/internal/frontend/ast"
@@ -19,29 +18,12 @@ const (
 	// each method is lowered once per program to a tree of thunks, so
 	// steady-state execution performs no AST type-switches.
 	EngineCompiled Engine = iota
-	// EngineWalk executes the tree-walking evaluator. It is the
-	// semantic baseline for differential testing and an escape hatch
-	// (-engine walk) if a compiled-mode bug is suspected.
+	// EngineWalk executes the tree-walking evaluator: the semantic
+	// baseline of the differential tests. It runs serially only — it
+	// takes no effect monitor (Ctx.Mon), and the parallel runtime
+	// refuses it.
 	EngineWalk
 )
-
-// ParseEngine maps a command-line engine name to an Engine.
-func ParseEngine(s string) (Engine, bool) {
-	switch s {
-	case "compiled", "":
-		return EngineCompiled, true
-	case "walk":
-		return EngineWalk, true
-	}
-	return EngineCompiled, false
-}
-
-func (e Engine) String() string {
-	if e == EngineWalk {
-		return "walk"
-	}
-	return "compiled"
-}
 
 // Interp holds the immutable program and the global object store.
 type Interp struct {
@@ -53,21 +35,12 @@ type Interp struct {
 	Out     io.Writer
 }
 
-// defaultEngine is EngineCompiled unless the COMMUTE_ENGINE
-// environment variable overrides it — `COMMUTE_ENGINE=walk go test
-// ./...` runs every suite that uses New against the tree walker.
-var defaultEngine = func() Engine {
-	e, _ := ParseEngine(os.Getenv("COMMUTE_ENGINE"))
-	return e
-}()
-
 // New allocates an interpreter with default-initialized globals,
-// executing with the default engine (compiled, unless COMMUTE_ENGINE
-// says otherwise). The program's slot resolution and compiled bodies
-// are computed once per program and shared by every interpreter
-// instance.
+// executing closure-compiled bodies. The program's slot resolution and
+// compiled bodies are computed once per program and shared by every
+// interpreter instance.
 func New(prog *types.Program, out io.Writer) *Interp {
-	return NewEngine(prog, out, defaultEngine)
+	return NewEngine(prog, out, EngineCompiled)
 }
 
 // NewEngine allocates an interpreter using the given execution engine.
@@ -116,11 +89,11 @@ type Ctx struct {
 
 	// Mon, when non-nil, observes every object-field and array-element
 	// access and may redirect loads to buffered state (speculative
-	// execution). Both engines honor it: the walker branches to the
-	// monitored kernels per access, while the compiled engine switches
-	// to a second set of closure-compiled bodies whose load/store
-	// kernels call the monitor unconditionally — the unmonitored
-	// compiled hot path carries no monitor checks at all.
+	// execution). The compiled engine switches to a second set of
+	// closure-compiled bodies whose load/store kernels call the monitor
+	// unconditionally — the unmonitored compiled hot path carries no
+	// monitor checks at all. The tree walker has no monitored kernels
+	// and refuses to run under one.
 	Mon Mon
 
 	// Interrupt, when non-nil, is polled every InterruptStride
@@ -309,6 +282,10 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (V
 
 	var out Value
 	if ip.engine == EngineWalk {
+		if ctx.Mon != nil {
+			freeFrame(fr)
+			return Value{}, rtErrf(errWalkerMon)
+		}
 		ret, err := ip.execStmt(fr, m.Def.Body)
 		if err != nil {
 			freeFrame(fr)
@@ -609,6 +586,9 @@ func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) error {
 			}
 			return nil
 		}
+	}
+	if sub.ctx.Mon != nil {
+		return rtErrf(errWalkerMon)
 	}
 	ret, err := ip.execStmt(sub, st.Body)
 	if err != nil {

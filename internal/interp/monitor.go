@@ -5,21 +5,20 @@ import (
 	"commute/internal/frontend/types"
 )
 
-// Mon observes — and may redirect — every shared-state access the
-// tree-walking engine performs: object field loads and stores, and
-// array element loads and stores. The speculative runtime installs one
-// Mon per task to buffer writes and log reads; a load consults the
-// monitor so a task reads its own buffered writes instead of the live
-// heap.
+// Mon observes — and may redirect — every shared-state access a
+// compiled body performs: object field loads and stores, and array
+// element loads and stores. The speculative runtime installs one Mon
+// per task to buffer writes and log reads; a load consults the monitor
+// so a task reads its own buffered writes instead of the live heap.
 //
-// Both engines monitor at full speed. The walker branches to the
-// monitored kernels at each access; the compiled engine keeps two sets
-// of closure-compiled bodies — the unmonitored hot path, byte-identical
-// to what an unmonitored program always ran, and a monitored set (built
-// lazily on first use) whose field/element kernels call the monitor
-// unconditionally. Call and RunLoopIteration select the monitored set
-// whenever Ctx.Mon is non-nil, so speculation no longer downgrades the
-// compiled engine to the walker. Locals, parameters, and constants are
+// The compiled engine keeps two sets of closure-compiled bodies — the
+// unmonitored hot path, byte-identical to what an unmonitored program
+// always ran, and a monitored set (built lazily on first use) whose
+// field/element kernels call the monitor unconditionally. Call and
+// RunLoopIteration select the monitored set whenever Ctx.Mon is
+// non-nil. The tree walker, the serial reference, has no monitored
+// kernels: it fails a call made under a monitor (errWalkerMon) rather
+// than run it unobserved. Locals, parameters, and constants are
 // frame-private and are never reported.
 type Mon interface {
 	// LoadField returns the value of o's field slot, consulting any

@@ -13,7 +13,6 @@ import (
 	"commute"
 	"commute/internal/apps"
 	"commute/internal/apps/src"
-	"commute/internal/codegen"
 	"commute/internal/interp"
 	"commute/internal/nativegen"
 )
@@ -98,9 +97,8 @@ func TestNativeBarnesHutMatchesInterpreter(t *testing.T) {
 	// parallel runs are bit-identical too (and the goldens pin it).
 	for _, args := range [][]string{
 		{"-mode", "serial", "-dump"},
-		{"-mode", "parallel", "-workers", "4", "-sched", "stealing", "-dump"},
-		{"-mode", "parallel", "-workers", "4", "-sched", "central", "-dump"},
-		{"-mode", "parallel", "-workers", "1", "-sched", "stealing", "-dump"},
+		{"-mode", "parallel", "-workers", "4", "-dump"},
+		{"-mode", "parallel", "-workers", "1", "-dump"},
 	} {
 		got, err := nativegen.Run(bin, args...)
 		if err != nil {
@@ -125,19 +123,17 @@ func TestNativeWaterMatchesInterpreter(t *testing.T) {
 	// Water's parallel phases accumulate into shared force banks and
 	// energy sums under locks; the arrival order varies, so floats are
 	// compared with a relative tolerance instead of bit equality.
-	for _, sched := range []string{"stealing", "central"} {
-		got, err := nativegen.Run(bin, "-mode", "parallel", "-workers", "4", "-sched", sched, "-dump")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg := compareTolerant(want, got, 1e-9); msg != "" {
-			t.Errorf("parallel/%s: %s", sched, msg)
-		}
+	got, err = nativegen.Run(bin, "-mode", "parallel", "-workers", "4", "-dump")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := compareTolerant(want, got, 1e-9); msg != "" {
+		t.Errorf("parallel: %s", msg)
 	}
 }
 
 // TestNativeRaceClean runs the race-instrumented parallel Barnes-Hut;
-// any unsynchronized access in the generated code or the schedulers
+// any unsynchronized access in the generated code or the scheduler
 // aborts the binary with a non-zero exit.
 func TestNativeRaceClean(t *testing.T) {
 	sys, _ := getApp(t, "barneshut")
@@ -149,10 +145,8 @@ func TestNativeRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []string{"stealing", "central"} {
-		if _, err := nativegen.Run(bin, "-mode", "parallel", "-workers", "4", "-sched", sched); err != nil {
-			t.Errorf("race run (%s): %v", sched, err)
-		}
+	if _, err := nativegen.Run(bin, "-mode", "parallel", "-workers", "4"); err != nil {
+		t.Errorf("race run: %v", err)
 	}
 }
 
@@ -182,22 +176,16 @@ func TestNativeRaceManyRegions(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		code   string
-		plan   func(*commute.System) *codegen.Plan
 		flags  []string
 		counts map[string]int64
 	}{
 		{"condhash0", src.CondHashBase + src.CondHashMain(0, condRounds),
-			func(sys *commute.System) *codegen.Plan {
-				return codegen.BuildWithOptions(sys.Analysis, codegen.Options{ConditionalGuards: true})
-			},
-			[]string{"-guardstats"},
+			[]string{"-conditional", "-guardstats"},
 			map[string]int64{"guard_parallel": condRounds, "guard_serial": 0}},
 		{"spec-disjoint", repeatRegion(src.SpecDisjoint, "T", "fill", "report", specRounds),
-			func(sys *commute.System) *codegen.Plan { return sys.SpecPlan },
 			[]string{"-speculate", "force", "-specstats"},
 			map[string]int64{"spec_regions": specRounds, "spec_commits": specRounds, "spec_aborts": 0}},
 		{"spec-conflict", repeatRegion(src.SpecConflict, "D", "run", "show", specRounds),
-			func(sys *commute.System) *codegen.Plan { return sys.SpecPlan },
 			[]string{"-speculate", "force", "-specstats"},
 			map[string]int64{"spec_regions": specRounds, "spec_commits": 0, "spec_aborts": specRounds}},
 	} {
@@ -206,7 +194,7 @@ func TestNativeRaceManyRegions(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		if err := nativegen.GeneratePlan(tc.plan(sys), tc.name, dir); err != nil {
+		if err := nativegen.Generate(sys, tc.name, dir); err != nil {
 			t.Fatal(err)
 		}
 		bin, err := nativegen.BuildRace(dir)
@@ -215,21 +203,19 @@ func TestNativeRaceManyRegions(t *testing.T) {
 		}
 		want := interpDump(t, sys, interp.EngineWalk)
 		for _, workers := range []string{"1", "4"} {
-			for _, sched := range []string{"stealing", "central"} {
-				args := append([]string{"-mode", "parallel", "-workers", workers, "-sched", sched, "-dump"}, tc.flags...)
-				got, errOut, err := nativegen.RunErr(bin, args...)
-				if err != nil {
-					t.Errorf("%s %v: %v", tc.name, args, err)
-					continue
-				}
-				if got != want {
-					t.Errorf("%s %v: native output and state diverge from the interpreter:\n%s", tc.name, args, firstDiff(want, got))
-				}
-				st := nativegen.CounterStats(errOut)
-				for k, v := range tc.counts {
-					if st[k] != v {
-						t.Errorf("%s %v: %s = %d, want %d", tc.name, args, k, st[k], v)
-					}
+			args := append([]string{"-mode", "parallel", "-workers", workers, "-dump"}, tc.flags...)
+			got, errOut, err := nativegen.RunErr(bin, args...)
+			if err != nil {
+				t.Errorf("%s %v: %v", tc.name, args, err)
+				continue
+			}
+			if got != want {
+				t.Errorf("%s %v: native output and state diverge from the interpreter:\n%s", tc.name, args, firstDiff(want, got))
+			}
+			st := nativegen.CounterStats(errOut)
+			for k, v := range tc.counts {
+				if st[k] != v {
+					t.Errorf("%s %v: %s = %d, want %d", tc.name, args, k, st[k], v)
 				}
 			}
 		}
@@ -319,7 +305,7 @@ func relErr(a, b float64) float64 {
 // specconflict must speculate, detect the write-write conflict at the
 // join barrier, abort, and rerun serially — and every leg's program
 // output + state dump must be byte-identical to the serial
-// interpreter's, across schedulers, worker counts, and policies.
+// interpreter's, across worker counts and policies.
 func TestNativeSpeculationMatchesInterpreter(t *testing.T) {
 	if !nativegen.HaveGo() {
 		t.Skip("go toolchain not available")
@@ -338,7 +324,7 @@ func TestNativeSpeculationMatchesInterpreter(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		if err := nativegen.GeneratePlan(sys.SpecPlan, tc.name, dir); err != nil {
+		if err := nativegen.Generate(sys, tc.name, dir); err != nil {
 			t.Fatal(err)
 		}
 		bin, err := nativegen.Build(dir)
@@ -355,8 +341,7 @@ func TestNativeSpeculationMatchesInterpreter(t *testing.T) {
 			t.Errorf("%s serial: native state diverges:\n%s", tc.name, firstDiff(want, got))
 		}
 		for _, args := range [][]string{
-			{"-mode", "parallel", "-workers", "4", "-sched", "stealing", "-speculate", "force", "-specstats", "-dump"},
-			{"-mode", "parallel", "-workers", "4", "-sched", "central", "-speculate", "force", "-specstats", "-dump"},
+			{"-mode", "parallel", "-workers", "4", "-speculate", "force", "-specstats", "-dump"},
 			{"-mode", "parallel", "-workers", "1", "-speculate", "force", "-specstats", "-dump"},
 			{"-mode", "parallel", "-workers", "4", "-speculate", "auto", "-dump"},
 			{"-mode", "parallel", "-workers", "4", "-speculate", "off", "-dump"},
@@ -382,12 +367,13 @@ func TestNativeSpeculationMatchesInterpreter(t *testing.T) {
 }
 
 // TestNativeCondHashMatchesInterpreter exercises the conditional-
-// commutativity path in the native backend: the condhash plan is built
-// with synthesized guards, so the generated R_ wrapper evaluates
-// H.mode at region entry. Mode 0 (guard true) must run the parallel
-// region bit-identically to the interpreter; mode 3 (guard false) must
-// take the serial path and still match; -conditional=false must force
-// the serial path even when the guard would hold.
+// commutativity path in the native backend: condhash's plan carries
+// synthesized guards, so under -conditional the generated R_ wrapper
+// evaluates H.mode at region entry. Mode 0 (guard true) must run the
+// parallel region bit-identically to the interpreter; mode 3 (guard
+// false) must take the serial path and still match; without
+// -conditional the extent runs its serial version even when the guard
+// would hold.
 func TestNativeCondHashMatchesInterpreter(t *testing.T) {
 	if !nativegen.HaveGo() {
 		t.Skip("go toolchain not available")
@@ -397,13 +383,12 @@ func TestNativeCondHashMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := codegen.BuildWithOptions(sys.Analysis, codegen.Options{ConditionalGuards: true})
-		mp := plan.Methods[sys.Prog.MethodByFullName("table::ingest")]
+		mp := sys.CondPlan.Methods[sys.Prog.MethodByFullName("table::ingest")]
 		if mp == nil || !mp.Conditional {
 			t.Fatal("table::ingest is not planned conditional")
 		}
 		dir := t.TempDir()
-		if err := nativegen.GeneratePlan(plan, "condhash", dir); err != nil {
+		if err := nativegen.Generate(sys, "condhash", dir); err != nil {
 			t.Fatal(err)
 		}
 		bin, err := nativegen.Build(dir)
@@ -416,9 +401,8 @@ func TestNativeCondHashMatchesInterpreter(t *testing.T) {
 		}
 		for _, args := range [][]string{
 			{"-mode", "serial", "-dump"},
-			{"-mode", "parallel", "-workers", "4", "-sched", "stealing", "-dump"},
-			{"-mode", "parallel", "-workers", "4", "-sched", "central", "-dump"},
-			{"-mode", "parallel", "-workers", "4", "-conditional=false", "-dump"},
+			{"-mode", "parallel", "-workers", "4", "-conditional", "-dump"},
+			{"-mode", "parallel", "-workers", "4", "-dump"},
 		} {
 			got, err := nativegen.Run(bin, args...)
 			if err != nil {

@@ -38,14 +38,14 @@ func CommuteRoot() string {
 	return filepath.Dir(filepath.Dir(filepath.Dir(file)))
 }
 
-// Generate emits sys.Plan as a buildable Go module in dir.
+// Generate emits sys.CondPlan, the plan every parallel execution runs,
+// as a buildable Go module in dir.
 func Generate(sys *commute.System, app, dir string) error {
-	return GeneratePlan(sys.Plan, app, dir)
+	return GeneratePlan(sys.CondPlan, app, dir)
 }
 
-// GeneratePlan emits an explicit plan — e.g. one built with
-// codegen.Options.ConditionalGuards, whose region wrappers carry the
-// synthesized runtime guards — as a buildable Go module in dir.
+// GeneratePlan emits an explicit plan — e.g. one an ablation built with
+// its own codegen.Options — as a buildable Go module in dir.
 func GeneratePlan(plan *codegen.Plan, app, dir string) error {
 	files, err := plan.EmitGoPackage(codegenOpts(app))
 	if err != nil {

@@ -1,0 +1,95 @@
+package nativegen_test
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"commute"
+	"commute/internal/apps/src"
+	"commute/internal/interp"
+	"commute/internal/nativegen"
+	"commute/internal/rt"
+)
+
+// TestPolicyParity: the interpreter runtime and the emitted binary run
+// one plan and apply one rule at region entry, so under every
+// -conditional × -speculate combination they take the same tier at every
+// region: the five policy counters agree, and both final states equal
+// the serial tree walker's. Counters are compared at one worker, where
+// the number of loop claimants — and with it whether a conflicting
+// speculative region commits or aborts — does not depend on timing; at
+// four workers only the state is compared.
+func TestPolicyParity(t *testing.T) {
+	if !nativegen.HaveGo() {
+		t.Skip("go toolchain not available")
+	}
+	for _, tc := range []struct{ name, code string }{
+		{"condhash0", src.CondHashBase + src.CondHashMain(0, 6)},
+		{"condhash3", src.CondHashBase + src.CondHashMain(3, 6)},
+		{"specdisjoint", src.SpecDisjoint},
+		{"specconflict", src.SpecConflict},
+	} {
+		sys, err := commute.Load(tc.name+".mc", tc.code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := nativegen.Generate(sys, tc.name, dir); err != nil {
+			t.Fatal(err)
+		}
+		bin, err := nativegen.Build(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := interpDump(t, sys, interp.EngineWalk)
+		for _, conditional := range []bool{false, true} {
+			for _, spec := range []rt.SpecMode{rt.SpecOff, rt.SpecAuto, rt.SpecForce} {
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("%s conditional=%t speculate=%s workers=%d", tc.name, conditional, spec, workers)
+
+					var buf strings.Builder
+					ip, st, err := sys.RunParallelOpts(context.Background(), commute.RunOptions{
+						Workers: workers, Conditional: conditional, Speculate: spec,
+					}, &buf)
+					if err != nil {
+						t.Fatalf("%s: interpreter: %v", label, err)
+					}
+					nativegen.DumpInterp(&buf, sys.Prog, ip)
+					if got := buf.String(); got != want {
+						t.Errorf("%s: interpreter state diverges from the serial walker:\n%s", label, firstDiff(want, got))
+					}
+
+					got, errOut, err := nativegen.RunErr(bin, "-mode", "parallel", "-workers", fmt.Sprint(workers),
+						fmt.Sprintf("-conditional=%t", conditional), "-speculate", spec.String(),
+						"-guardstats", "-specstats", "-dump")
+					if err != nil {
+						t.Fatalf("%s: native: %v", label, err)
+					}
+					if got != want {
+						t.Errorf("%s: native state diverges from the serial walker:\n%s", label, firstDiff(want, got))
+					}
+					if workers != 1 {
+						continue
+					}
+					nat := nativegen.CounterStats(errOut)
+					for _, c := range []struct {
+						name   string
+						interp int64
+					}{
+						{"spec_regions", st.SpeculativeRegions},
+						{"spec_commits", st.SpeculationCommits},
+						{"spec_aborts", st.SpeculationAborts},
+						{"guard_parallel", st.GuardParallel},
+						{"guard_serial", st.GuardSerial},
+					} {
+						if nat[c.name] != c.interp {
+							t.Errorf("%s: %s = %d on the interpreter, %d natively", label, c.name, c.interp, nat[c.name])
+						}
+					}
+				}
+			}
+		}
+	}
+}

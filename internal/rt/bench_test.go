@@ -30,22 +30,18 @@ func BenchmarkParallelLoopChunk(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawnHeavy measures the task-heavy graph traversal under
-// the scheduling strategies: eager central queue, lazy task creation,
-// work-stealing deques, and lazy+stealing combined. On a single-core
-// host the absolute numbers mostly show scheduling overhead; the
-// eager-vs-lazy and central-vs-stealing deltas are the signal.
+// BenchmarkSpawnHeavy measures the task-heavy graph traversal with
+// eager and with lazy task creation. On a single-core host the absolute
+// numbers mostly show scheduling overhead; the eager-vs-lazy delta is
+// the signal.
 func BenchmarkSpawnHeavy(b *testing.B) {
 	prog, plan := build(b, src.Graph)
 	cases := []struct {
-		name  string
-		sched rt.SchedMode
-		lazy  int
+		name string
+		lazy int
 	}{
-		{"EagerCentral", rt.SchedCentral, 0},
-		{"LazyCentral", rt.SchedCentral, 8},
-		{"EagerStealing", rt.SchedStealing, 0},
-		{"LazyStealing", rt.SchedStealing, 8},
+		{"EagerStealing", 0},
+		{"LazyStealing", 8},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -53,7 +49,6 @@ func BenchmarkSpawnHeavy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ip := interp.New(prog, nil)
 				r := rt.New(ip, plan, 4)
-				r.Sched = c.sched
 				r.LazySpawnThreshold = c.lazy
 				if err := r.Run(); err != nil {
 					b.Fatal(err)

@@ -60,12 +60,23 @@ func condHashState(t *testing.T, prog *types.Program, ip *interp.Interp) []int64
 	return out
 }
 
-var condEngines = []interp.Engine{interp.EngineWalk, interp.EngineCompiled}
+// condReference runs the program serially on the tree walker — the
+// reference every parallel run below is compared against — and returns
+// its print output and final condhash state.
+func condReference(t *testing.T, prog *types.Program) (string, []int64) {
+	t.Helper()
+	var buf bytes.Buffer
+	ip := interp.NewEngine(prog, &buf, interp.EngineWalk)
+	if err := ip.Run(ip.NewCtx()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), condHashState(t, prog, ip)
+}
 
 // TestConditionalGuardTrueBitIdentical: in accumulate mode the
 // synthesized guard holds, every guarded region runs in parallel, and
-// output and state are bit-identical to the serial run across engines,
-// schedulers, and worker counts.
+// output and state are bit-identical to the serial walker's across
+// worker counts.
 func TestConditionalGuardTrueBitIdentical(t *testing.T) {
 	prog, plan := buildCond(t, src.CondHashBase+src.CondHashMain(0, 6))
 	ingest := prog.MethodByFullName("table::ingest")
@@ -74,39 +85,29 @@ func TestConditionalGuardTrueBitIdentical(t *testing.T) {
 		t.Fatalf("table::ingest not planned conditional: %+v", mp)
 	}
 
-	for _, eng := range condEngines {
-		want := serialOutput(t, prog, eng)
-		ipRef := interp.NewEngine(prog, nil, eng)
-		if err := ipRef.Run(ipRef.NewCtx()); err != nil {
-			t.Fatal(err)
+	want, wantState := condReference(t, prog)
+	for _, workers := range []int{1, 2, 4} {
+		var buf bytes.Buffer
+		ip := interp.New(prog, &buf)
+		rr := rt.New(ip, plan, workers)
+		rr.Conditional = true
+		if err := rr.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		wantState := condHashState(t, prog, ipRef)
-
-		for _, sched := range []rt.SchedMode{rt.SchedStealing, rt.SchedCentral} {
-			for _, workers := range []int{1, 2, 4} {
-				var buf bytes.Buffer
-				ip := interp.NewEngine(prog, &buf, eng)
-				rr := rt.New(ip, plan, workers)
-				rr.Sched = sched
-				if err := rr.Run(); err != nil {
-					t.Fatalf("eng=%v sched=%v workers=%d: %v", eng, sched, workers, err)
-				}
-				if got := buf.String(); got != want {
-					t.Errorf("eng=%v sched=%v workers=%d: output %q, want %q", eng, sched, workers, got, want)
-				}
-				if got := condHashState(t, prog, ip); !slices.Equal(got, wantState) {
-					t.Errorf("eng=%v sched=%v workers=%d: state %v, want %v", eng, sched, workers, got, wantState)
-				}
-				if rr.Stats.GuardParallel == 0 {
-					t.Errorf("eng=%v sched=%v workers=%d: true guard never took the parallel path", eng, sched, workers)
-				}
-				if rr.Stats.GuardSerial != 0 {
-					t.Errorf("eng=%v sched=%v workers=%d: true guard took %d serial paths", eng, sched, workers, rr.Stats.GuardSerial)
-				}
-				if rr.Stats.Regions == 0 {
-					t.Errorf("eng=%v sched=%v workers=%d: no parallel regions under a true guard", eng, sched, workers)
-				}
-			}
+		if got := buf.String(); got != want {
+			t.Errorf("workers=%d: output %q, want %q", workers, got, want)
+		}
+		if got := condHashState(t, prog, ip); !slices.Equal(got, wantState) {
+			t.Errorf("workers=%d: state %v, want %v", workers, got, wantState)
+		}
+		if rr.Stats.GuardParallel == 0 {
+			t.Errorf("workers=%d: true guard never took the parallel path", workers)
+		}
+		if rr.Stats.GuardSerial != 0 {
+			t.Errorf("workers=%d: true guard took %d serial paths", workers, rr.Stats.GuardSerial)
+		}
+		if rr.Stats.Regions == 0 {
+			t.Errorf("workers=%d: no parallel regions under a true guard", workers)
 		}
 	}
 }
@@ -119,40 +120,30 @@ func TestConditionalGuardFalseSerialPath(t *testing.T) {
 	const rounds = 6
 	prog, plan := buildCond(t, src.CondHashBase+src.CondHashMain(3, rounds))
 
-	for _, eng := range condEngines {
-		want := serialOutput(t, prog, eng)
-		ipRef := interp.NewEngine(prog, nil, eng)
-		if err := ipRef.Run(ipRef.NewCtx()); err != nil {
-			t.Fatal(err)
+	want, wantState := condReference(t, prog)
+	for _, workers := range []int{1, 2, 4} {
+		var buf bytes.Buffer
+		ip := interp.New(prog, &buf)
+		rr := rt.New(ip, plan, workers)
+		rr.Conditional = true
+		if err := rr.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		wantState := condHashState(t, prog, ipRef)
-
-		for _, sched := range []rt.SchedMode{rt.SchedStealing, rt.SchedCentral} {
-			for _, workers := range []int{1, 2, 4} {
-				var buf bytes.Buffer
-				ip := interp.NewEngine(prog, &buf, eng)
-				rr := rt.New(ip, plan, workers)
-				rr.Sched = sched
-				if err := rr.Run(); err != nil {
-					t.Fatalf("eng=%v sched=%v workers=%d: %v", eng, sched, workers, err)
-				}
-				if got := buf.String(); got != want {
-					t.Errorf("eng=%v sched=%v workers=%d: output %q, want %q", eng, sched, workers, got, want)
-				}
-				if got := condHashState(t, prog, ip); !slices.Equal(got, wantState) {
-					t.Errorf("eng=%v sched=%v workers=%d: state %v, want %v", eng, sched, workers, got, wantState)
-				}
-				if rr.Stats.GuardSerial != rounds {
-					t.Errorf("eng=%v sched=%v workers=%d: GuardSerial = %d, want %d (one per region entry)",
-						eng, sched, workers, rr.Stats.GuardSerial, rounds)
-				}
-				if rr.Stats.GuardParallel != 0 {
-					t.Errorf("eng=%v sched=%v workers=%d: false guard ran %d parallel regions", eng, sched, workers, rr.Stats.GuardParallel)
-				}
-				if rr.Stats.Regions != 0 || rr.Stats.SpeculativeRegions != 0 {
-					t.Errorf("eng=%v sched=%v workers=%d: serial path created regions (%+v)", eng, sched, workers, rr.Stats)
-				}
-			}
+		if got := buf.String(); got != want {
+			t.Errorf("workers=%d: output %q, want %q", workers, got, want)
+		}
+		if got := condHashState(t, prog, ip); !slices.Equal(got, wantState) {
+			t.Errorf("workers=%d: state %v, want %v", workers, got, wantState)
+		}
+		if rr.Stats.GuardSerial != rounds {
+			t.Errorf("workers=%d: GuardSerial = %d, want %d (one per region entry)",
+				workers, rr.Stats.GuardSerial, rounds)
+		}
+		if rr.Stats.GuardParallel != 0 {
+			t.Errorf("workers=%d: false guard ran %d parallel regions", workers, rr.Stats.GuardParallel)
+		}
+		if rr.Stats.Regions != 0 || rr.Stats.SpeculativeRegions != 0 {
+			t.Errorf("workers=%d: serial path created regions (%+v)", workers, rr.Stats)
 		}
 	}
 }
@@ -164,36 +155,68 @@ func TestConditionalGuardFalseSerialPath(t *testing.T) {
 func TestConditionalGuardFalseSpeculatesUnderForce(t *testing.T) {
 	prog, plan := buildCond(t, src.CondHashBase+src.CondHashMain(3, 6))
 
-	for _, eng := range condEngines {
-		ipRef := interp.NewEngine(prog, nil, eng)
-		if err := ipRef.Run(ipRef.NewCtx()); err != nil {
-			t.Fatal(err)
+	want, wantState := condReference(t, prog)
+	for _, workers := range []int{1, 4} {
+		var buf bytes.Buffer
+		ip := interp.New(prog, &buf)
+		rr := rt.New(ip, plan, workers)
+		rr.Conditional = true
+		rr.Speculate = rt.SpecForce
+		if err := rr.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		wantState := condHashState(t, prog, ipRef)
-		want := serialOutput(t, prog, eng)
+		if got := buf.String(); got != want {
+			t.Errorf("workers=%d: output %q, want %q", workers, got, want)
+		}
+		if got := condHashState(t, prog, ip); !slices.Equal(got, wantState) {
+			t.Errorf("workers=%d: state %v, want %v", workers, got, wantState)
+		}
+		if rr.Stats.GuardSerial == 0 {
+			t.Errorf("workers=%d: guard never evaluated false", workers)
+		}
+		if rr.Stats.SpeculativeRegions == 0 {
+			t.Errorf("workers=%d: false guard under SpecForce never speculated", workers)
+		}
+		if rr.Stats.SpeculationCommits+rr.Stats.SpeculationAborts != rr.Stats.SpeculativeRegions {
+			t.Errorf("workers=%d: speculation stats don't balance (%+v)", workers, rr.Stats)
+		}
+	}
+}
 
-		for _, workers := range []int{1, 4} {
+// TestConditionalOffLeavesGuardsAlone: with Runtime.Conditional off a
+// conditional extent is just an unproven one — the guard is never
+// evaluated and no guard counter moves, whichever way it would have
+// gone; the speculation policy alone decides between a speculative
+// region and the serial version.
+func TestConditionalOffLeavesGuardsAlone(t *testing.T) {
+	const rounds = 6
+	for _, mode := range []int{0, 3} {
+		prog, plan := buildCond(t, src.CondHashBase+src.CondHashMain(mode, rounds))
+		want, wantState := condReference(t, prog)
+		for _, spec := range []rt.SpecMode{rt.SpecOff, rt.SpecAuto, rt.SpecForce} {
 			var buf bytes.Buffer
-			ip := interp.NewEngine(prog, &buf, eng)
-			rr := rt.New(ip, plan, workers)
-			rr.Speculate = rt.SpecForce
+			ip := interp.New(prog, &buf)
+			rr := rt.New(ip, plan, 4)
+			rr.Speculate = spec
 			if err := rr.Run(); err != nil {
-				t.Fatalf("eng=%v workers=%d: %v", eng, workers, err)
+				t.Fatalf("mode=%d speculate=%v: %v", mode, spec, err)
 			}
 			if got := buf.String(); got != want {
-				t.Errorf("eng=%v workers=%d: output %q, want %q", eng, workers, got, want)
+				t.Errorf("mode=%d speculate=%v: output %q, want %q", mode, spec, got, want)
 			}
 			if got := condHashState(t, prog, ip); !slices.Equal(got, wantState) {
-				t.Errorf("eng=%v workers=%d: state %v, want %v", eng, workers, got, wantState)
+				t.Errorf("mode=%d speculate=%v: state %v, want %v", mode, spec, got, wantState)
 			}
-			if rr.Stats.GuardSerial == 0 {
-				t.Errorf("eng=%v workers=%d: guard never evaluated false", eng, workers)
+			st := rr.Stats
+			if st.GuardParallel != 0 || st.GuardSerial != 0 {
+				t.Errorf("mode=%d speculate=%v: guard counters moved with the policy off (%+v)", mode, spec, st)
 			}
-			if rr.Stats.SpeculativeRegions == 0 {
-				t.Errorf("eng=%v workers=%d: false guard under SpecForce never speculated", eng, workers)
+			wantSpec := int64(0)
+			if spec != rt.SpecOff {
+				wantSpec = rounds
 			}
-			if rr.Stats.SpeculationCommits+rr.Stats.SpeculationAborts != rr.Stats.SpeculativeRegions {
-				t.Errorf("eng=%v workers=%d: speculation stats don't balance (%+v)", eng, workers, rr.Stats)
+			if st.SpeculativeRegions != wantSpec || st.Regions != wantSpec {
+				t.Errorf("mode=%d speculate=%v: %d regions, %d speculative; want %d of each", mode, spec, st.Regions, st.SpeculativeRegions, wantSpec)
 			}
 		}
 	}
@@ -215,8 +238,8 @@ func genConditionalProgram(r *rand.Rand, counters, updates, mode int) string {
 }
 
 // TestRandomConditionalPrograms: random conditional programs agree
-// bit-exactly with their serial runs on both engines and several
-// worker counts, with the guard outcome matching the generated mode.
+// bit-exactly with their serial walker runs at several worker counts,
+// with the guard outcome matching the generated mode.
 func TestRandomConditionalPrograms(t *testing.T) {
 	r := rand.New(rand.NewSource(91011))
 	for trial := 0; trial < 6; trial++ {
@@ -237,25 +260,24 @@ func TestRandomConditionalPrograms(t *testing.T) {
 		}
 		want := counterState(t, prog, ipSerial, counters)
 
-		for _, eng := range condEngines {
-			for _, workers := range []int{1, 2, 4} {
-				ip := interp.NewEngine(prog, nil, eng)
-				rr := rt.New(ip, plan, workers)
-				if err := rr.Run(); err != nil {
-					t.Fatalf("trial %d eng=%v workers=%d: %v", trial, eng, workers, err)
+		for _, workers := range []int{1, 2, 4} {
+			ip := interp.New(prog, nil)
+			rr := rt.New(ip, plan, workers)
+			rr.Conditional = true
+			if err := rr.Run(); err != nil {
+				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
+			}
+			if got := counterState(t, prog, ip, counters); !slices.Equal(got, want) {
+				t.Fatalf("trial %d workers=%d mode=%d: state %v, want serial %v",
+					trial, workers, mode, got, want)
+			}
+			if mode == 0 {
+				if rr.Stats.GuardParallel == 0 || rr.Stats.GuardSerial != 0 {
+					t.Fatalf("trial %d workers=%d: mode 0 guard outcome wrong (%+v)", trial, workers, rr.Stats)
 				}
-				if got := counterState(t, prog, ip, counters); !slices.Equal(got, want) {
-					t.Fatalf("trial %d eng=%v workers=%d mode=%d: state %v, want serial %v",
-						trial, eng, workers, mode, got, want)
-				}
-				if mode == 0 {
-					if rr.Stats.GuardParallel == 0 || rr.Stats.GuardSerial != 0 {
-						t.Fatalf("trial %d eng=%v workers=%d: mode 0 guard outcome wrong (%+v)", trial, eng, workers, rr.Stats)
-					}
-				} else {
-					if rr.Stats.GuardSerial == 0 || rr.Stats.GuardParallel != 0 || rr.Stats.Regions != 0 {
-						t.Fatalf("trial %d eng=%v workers=%d: mode %d guard outcome wrong (%+v)", trial, eng, workers, mode, rr.Stats)
-					}
+			} else {
+				if rr.Stats.GuardSerial == 0 || rr.Stats.GuardParallel != 0 || rr.Stats.Regions != 0 {
+					t.Fatalf("trial %d workers=%d: mode %d guard outcome wrong (%+v)", trial, workers, mode, rr.Stats)
 				}
 			}
 		}

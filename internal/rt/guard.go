@@ -2,19 +2,17 @@ package rt
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"commute/internal/codegen"
 	"commute/internal/cond"
 	"commute/internal/frontend/types"
-	"commute/internal/interp"
 )
 
 // This file implements the runtime side of conditional commutativity:
 // a region whose plan entry carries a synthesized guard predicate
 // (codegen.MethodPlan.Conditional) evaluates the guard against the
-// live heap at region entry — true runs the parallel region exactly
-// like a proven extent, false takes the original serial path. The
+// live heap at region entry (serialCtx) — true runs the parallel region
+// exactly like a proven extent, false takes the original serial path. The
 // guard reads only extent-constant fields of global objects (the
 // cond.Guardable fragment), so evaluating it before the region opens
 // observes the same values every operation in the region would.
@@ -79,21 +77,4 @@ func (rt *Runtime) guardHolds(e *methodEntry) bool {
 		e.guard = g
 	}
 	return e.guard()
-}
-
-// dispatchConditional applies the guard at region entry. Guard-true
-// regions run the proven-style parallel lowering; guard-false regions
-// take the serial path, except that a speculation-eligible extent may
-// still run speculatively when the policy forces it (SpecForce) — the
-// journals then provide the safety the guard could not prove.
-func (rt *Runtime) dispatchConditional(ctx *interp.Ctx, e *methodEntry, m *types.Method, recv *interp.Object, args []interp.Value) (interp.Value, error) {
-	if rt.guardHolds(e) {
-		atomic.AddInt64(&rt.Stats.GuardParallel, 1)
-		return interp.Value{}, rt.runRegion(m, recv, args)
-	}
-	atomic.AddInt64(&rt.Stats.GuardSerial, 1)
-	if rt.Speculate == SpecForce && e.mp.SpecEligible {
-		return interp.Value{}, rt.runSpeculativeRegion(e.mp, recv, args)
-	}
-	return rt.IP.Call(ctx, m, recv, args)
 }

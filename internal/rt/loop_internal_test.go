@@ -81,55 +81,52 @@ func TestLoopJoinsWithoutStarvedHelpers(t *testing.T) {
 		{"fan", 1},   // loops inside a task on the one free worker
 	}
 	for _, tc := range cases {
-		for _, sched := range []SchedMode{SchedStealing, SchedCentral} {
-			f, err := parser.Parse("app.mc", fmt.Sprintf(twoLoopsApp, tc.entry))
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := types.Check(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := New(interp.New(prog, nil), codegen.Build(core.New(prog)), 2)
-			r.Sched = sched
+		f, err := parser.Parse("app.mc", fmt.Sprintf(twoLoopsApp, tc.entry))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := types.Check(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(interp.New(prog, nil), codegen.Build(core.New(prog)), 2)
 
-			// Occupy the workers before the run starts its first region.
-			pool := r.regionPool()
-			release := make(chan struct{})
-			var started atomic.Int64
-			for i := 0; i < tc.stuck; i++ {
-				pool.Spawn(pool.External(), "", func(*worker) {
-					started.Add(1)
-					<-release
-				})
-			}
-			deadline := time.Now().Add(10 * time.Second)
-			for started.Load() < int64(tc.stuck) && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
+		// Occupy the workers before the run starts its first region.
+		pool := r.regionPool()
+		release := make(chan struct{})
+		var started atomic.Int64
+		for i := 0; i < tc.stuck; i++ {
+			pool.Spawn(pool.External(), "", func(*worker) {
+				started.Add(1)
+				<-release
+			})
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for started.Load() < int64(tc.stuck) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 
-			done := make(chan error, 1)
-			go func() { done <- r.Run() }()
-			for atomic.LoadInt64(&r.Stats.ParallelLoops) < 2 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			loops := atomic.LoadInt64(&r.Stats.ParallelLoops)
-			close(release)
-			if err := <-done; err != nil {
-				t.Fatalf("%s sched=%v: %v", tc.entry, sched, err)
-			}
-			if loops < 2 {
-				t.Errorf("%s sched=%v: the first loop's join waited for helpers no worker could run", tc.entry, sched)
-			}
-			if got := atomic.LoadInt64(&r.Stats.Iterations); got != 16 {
-				t.Errorf("%s sched=%v: %d iterations, want 16", tc.entry, sched, got)
-			}
-			cs := r.IP.Globals["D"].Slots[r.IP.FieldSlot(prog.Classes["driver"], "driver", "c")].Array()
-			for i, cv := range cs.Elems {
-				got := cv.Object().Slots[r.IP.FieldSlot(prog.Classes["counter"], "counter", "total")].Int()
-				if want := int64(3 + i + 3); got != want {
-					t.Errorf("%s sched=%v: c[%d].total = %d, want %d", tc.entry, sched, i, got, want)
-				}
+		done := make(chan error, 1)
+		go func() { done <- r.Run() }()
+		for atomic.LoadInt64(&r.Stats.ParallelLoops) < 2 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		loops := atomic.LoadInt64(&r.Stats.ParallelLoops)
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", tc.entry, err)
+		}
+		if loops < 2 {
+			t.Errorf("%s: the first loop's join waited for helpers no worker could run", tc.entry)
+		}
+		if got := atomic.LoadInt64(&r.Stats.Iterations); got != 16 {
+			t.Errorf("%s: %d iterations, want 16", tc.entry, got)
+		}
+		cs := r.IP.Globals["D"].Slots[r.IP.FieldSlot(prog.Classes["driver"], "driver", "c")].Array()
+		for i, cv := range cs.Elems {
+			got := cv.Object().Slots[r.IP.FieldSlot(prog.Classes["counter"], "counter", "total")].Int()
+			if want := int64(3 + i + 3); got != want {
+				t.Errorf("%s: c[%d].total = %d, want %d", tc.entry, i, got, want)
 			}
 		}
 	}

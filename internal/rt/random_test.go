@@ -102,11 +102,6 @@ func TestRandomCommutingPrograms(t *testing.T) {
 			t.Fatalf("trial %d: update loop not parallelized", trial)
 		}
 
-		engines := []struct {
-			name string
-			eng  interp.Engine
-		}{{"walk", interp.EngineWalk}, {"compiled", interp.EngineCompiled}}
-
 		// Differential property across execution engines: the closure
 		// compiler must be observationally identical to the tree walker.
 		// The walk engine's serial state is the reference for everything.
@@ -124,39 +119,19 @@ func TestRandomCommutingPrograms(t *testing.T) {
 			t.Fatalf("trial %d: serial compiled state %v, want %v", trial, got, want)
 		}
 
-		// Differential property across schedulers and engines: the
-		// scheduler may only change the order of commuting updates, never
-		// the result; the engine may change nothing observable at all —
-		// including the deterministic scheduler counters (regions, loops,
-		// iterations, tasks, lock acquires).
-		for _, sched := range []struct {
-			name string
-			mode rt.SchedMode
-		}{{"central", rt.SchedCentral}, {"stealing", rt.SchedStealing}} {
-			for _, workers := range []int{1, 4} {
-				var refStats []int64
-				for _, e := range engines {
-					ip := interp.NewEngine(prog, nil, e.eng)
-					r := rt.New(ip, plan, workers)
-					r.Sched = sched.mode
-					if err := r.Run(); err != nil {
-						t.Fatalf("trial %d %s/%s parallel: %v", trial, sched.name, e.name, err)
-					}
-					got := counterState(t, prog, ip, counters)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("trial %d %s/%s workers %d: counter %d = %v, want %v (commuting updates must agree)",
-								trial, sched.name, e.name, workers, i, got[i], want[i])
-						}
-					}
-					st := []int64{r.Stats.Regions, r.Stats.ParallelLoops, r.Stats.Iterations,
-						r.Stats.Tasks, r.Stats.LockAcquires}
-					if refStats == nil {
-						refStats = st
-					} else if !slices.Equal(st, refStats) {
-						t.Fatalf("trial %d %s workers %d: compiled stats %v, walk stats %v (engines must schedule identical work)",
-							trial, sched.name, workers, st, refStats)
-					}
+		// The schedule may only change the order of commuting updates,
+		// never the result.
+		for _, workers := range []int{1, 4} {
+			ip := interp.New(prog, nil)
+			r := rt.New(ip, plan, workers)
+			if err := r.Run(); err != nil {
+				t.Fatalf("trial %d workers %d parallel: %v", trial, workers, err)
+			}
+			got := counterState(t, prog, ip, counters)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d workers %d: counter %d = %v, want %v (commuting updates must agree)",
+						trial, workers, i, got[i], want[i])
 				}
 			}
 		}
@@ -228,16 +203,11 @@ void main() {
 }
 
 // TestRandomSpeculativePrograms promotes the differential property to
-// speculative execution: serial, parallel, and speculative runs across
-// both engines and several worker counts must agree bit-exactly on the
-// program state — whether the speculation commits, or aborts and
-// re-runs serially.
+// speculative execution: the serial walker and speculative runs at
+// several worker counts must agree bit-exactly on the program state —
+// whether the speculation commits, or aborts and re-runs serially.
 func TestRandomSpeculativePrograms(t *testing.T) {
 	r := rand.New(rand.NewSource(5678))
-	engines := []struct {
-		name string
-		eng  interp.Engine
-	}{{"walk", interp.EngineWalk}, {"compiled", interp.EngineCompiled}}
 
 	// Rejected-but-often-disjoint update loops (GSS speculation).
 	for trial := 0; trial < 6; trial++ {
@@ -270,23 +240,21 @@ func TestRandomSpeculativePrograms(t *testing.T) {
 		}
 		want := fullState(ipSerial)
 
-		for _, e := range engines {
-			for _, workers := range []int{1, 4} {
-				ip := interp.NewEngine(prog, nil, e.eng)
-				rr := rt.New(ip, plan, workers)
-				rr.Speculate = rt.SpecForce
-				if err := rr.Run(); err != nil {
-					t.Fatalf("trial %d %s workers %d: %v", trial, e.name, workers, err)
-				}
-				if got := fullState(ip); !slices.Equal(got, want) {
-					t.Fatalf("trial %d %s workers %d: state %v, want serial %v", trial, e.name, workers, got, want)
-				}
-				if rr.Stats.SpeculativeRegions == 0 {
-					t.Fatalf("trial %d %s workers %d: nothing speculated", trial, e.name, workers)
-				}
-				if rr.Stats.SpeculationCommits+rr.Stats.SpeculationAborts != rr.Stats.SpeculativeRegions {
-					t.Fatalf("trial %d %s workers %d: stats %+v don't balance", trial, e.name, workers, rr.Stats)
-				}
+		for _, workers := range []int{1, 4} {
+			ip := interp.New(prog, nil)
+			rr := rt.New(ip, plan, workers)
+			rr.Speculate = rt.SpecForce
+			if err := rr.Run(); err != nil {
+				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
+			}
+			if got := fullState(ip); !slices.Equal(got, want) {
+				t.Fatalf("trial %d workers %d: state %v, want serial %v", trial, workers, got, want)
+			}
+			if rr.Stats.SpeculativeRegions == 0 {
+				t.Fatalf("trial %d workers %d: nothing speculated", trial, workers)
+			}
+			if rr.Stats.SpeculationCommits+rr.Stats.SpeculationAborts != rr.Stats.SpeculativeRegions {
+				t.Fatalf("trial %d workers %d: stats %+v don't balance", trial, workers, rr.Stats)
 			}
 		}
 	}
@@ -304,25 +272,23 @@ func TestRandomSpeculativePrograms(t *testing.T) {
 		}
 		want := markState(t, prog, ipSerial)
 
-		for _, e := range engines {
-			for _, workers := range []int{1, 4} {
-				ip := interp.NewEngine(prog, nil, e.eng)
-				rr := rt.New(ip, plan, workers)
-				rr.Speculate = rt.SpecForce
-				if err := rr.Run(); err != nil {
-					t.Fatalf("violator %d %s workers %d: %v", trial, e.name, workers, err)
-				}
-				if got := markState(t, prog, ip); got != want {
-					t.Fatalf("violator %d %s workers %d: state %v, want serial %v", trial, e.name, workers, got, want)
-				}
-				if rr.Stats.SpeculationAborts == 0 {
-					t.Fatalf("violator %d %s workers %d: guaranteed conflict did not abort (%+v)",
-						trial, e.name, workers, rr.Stats)
-				}
-				if rr.Stats.SpeculationCommits != 0 {
-					t.Fatalf("violator %d %s workers %d: conflicting region committed (%+v)",
-						trial, e.name, workers, rr.Stats)
-				}
+		for _, workers := range []int{1, 4} {
+			ip := interp.New(prog, nil)
+			rr := rt.New(ip, plan, workers)
+			rr.Speculate = rt.SpecForce
+			if err := rr.Run(); err != nil {
+				t.Fatalf("violator %d workers %d: %v", trial, workers, err)
+			}
+			if got := markState(t, prog, ip); got != want {
+				t.Fatalf("violator %d workers %d: state %v, want serial %v", trial, workers, got, want)
+			}
+			if rr.Stats.SpeculationAborts == 0 {
+				t.Fatalf("violator %d workers %d: guaranteed conflict did not abort (%+v)",
+					trial, workers, rr.Stats)
+			}
+			if rr.Stats.SpeculationCommits != 0 {
+				t.Fatalf("violator %d workers %d: conflicting region committed (%+v)",
+					trial, workers, rr.Stats)
 			}
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/internal/rt"
+	"commute/rtkit"
 )
 
 // fineProgram is a driver loop entering one tiny region per round: the
@@ -114,6 +115,7 @@ func finePrograms(t testing.TB, rounds int) []fineProgram {
 
 func (p fineProgram) runtime(workers int) *rt.Runtime {
 	r := rt.New(interp.New(p.prog, nil), p.plan, workers)
+	r.Conditional = true
 	r.Speculate = p.spec
 	return r
 }
@@ -143,32 +145,29 @@ func BenchmarkRegionEntry(b *testing.B) {
 }
 
 // TestRegionCounters pins the exact event counters of the tiny-region
-// programs: rounds × the per-round figures, whatever the worker count
-// and scheduler — pooling and recycling must not move them.
+// programs: rounds × the per-round figures, whatever the worker count —
+// pooling and recycling must not move them.
 func TestRegionCounters(t *testing.T) {
 	const rounds = 12
 	for _, p := range finePrograms(t, rounds) {
 		for _, workers := range []int{1, 2, 4} {
-			for _, sched := range []rt.SchedMode{rt.SchedStealing, rt.SchedCentral} {
-				r := p.runtime(workers)
-				r.Sched = sched
-				if err := r.Run(); err != nil {
-					t.Fatalf("%s workers=%d: %v", p.name, workers, err)
-				}
-				got, per := r.Stats, p.perRound
-				got.Chunks, got.Steals, got.LocalPops = 0, 0, 0 // scheduling's to decide
-				want := rt.Stats{
-					Regions: rounds * per.Regions, ParallelLoops: rounds * per.ParallelLoops,
-					Iterations: rounds * per.Iterations, Tasks: rounds * per.Tasks,
-					LockAcquires:  rounds * per.LockAcquires,
-					GuardParallel: rounds * per.GuardParallel, GuardSerial: rounds * per.GuardSerial,
-					SpeculativeRegions: rounds * per.SpeculativeRegions,
-					SpeculationCommits: rounds * per.SpeculationCommits,
-					SpeculationAborts:  rounds * per.SpeculationAborts,
-				}
-				if got != want {
-					t.Errorf("%s workers=%d sched=%v:\n got %+v\nwant %+v", p.name, workers, sched, got, want)
-				}
+			r := p.runtime(workers)
+			if err := r.Run(); err != nil {
+				t.Fatalf("%s workers=%d: %v", p.name, workers, err)
+			}
+			got, per := r.Stats, p.perRound
+			got.Chunks, got.Steals, got.LocalPops = 0, 0, 0 // scheduling's to decide
+			want := rt.Stats{
+				Regions: rounds * per.Regions, ParallelLoops: rounds * per.ParallelLoops,
+				Iterations: rounds * per.Iterations, Tasks: rounds * per.Tasks,
+				LockAcquires:  rounds * per.LockAcquires,
+				GuardParallel: rounds * per.GuardParallel, GuardSerial: rounds * per.GuardSerial,
+				SpeculativeRegions: rounds * per.SpeculativeRegions,
+				SpeculationCommits: rounds * per.SpeculationCommits,
+				SpeculationAborts:  rounds * per.SpeculationAborts,
+			}
+			if got != want {
+				t.Errorf("%s workers=%d:\n got %+v\nwant %+v", p.name, workers, got, want)
 			}
 		}
 	}
@@ -222,37 +221,35 @@ func settled(base int) (int, bool) {
 func TestNoGoroutinePerRegion(t *testing.T) {
 	const workers = 3
 	prog, plan := buildCond(t, src.CondHashBase+src.CondHashMain(0, 1000))
-	for _, sched := range []rt.SchedMode{rt.SchedStealing, rt.SchedCentral} {
-		base := runtime.NumGoroutine()
-		var stop atomic.Bool
-		peak := make(chan int)
-		go func() {
-			max := 0
-			for !stop.Load() {
-				if n := runtime.NumGoroutine(); n > max {
-					max = n
-				}
-				runtime.Gosched()
+	base := runtime.NumGoroutine()
+	var stop atomic.Bool
+	peak := make(chan int)
+	go func() {
+		max := 0
+		for !stop.Load() {
+			if n := runtime.NumGoroutine(); n > max {
+				max = n
 			}
-			peak <- max
-		}()
-		r := rt.New(interp.New(prog, nil), plan, workers)
-		r.Sched = sched
-		err := r.Run()
-		stop.Store(true)
-		max := <-peak
-		if err != nil {
-			t.Fatal(err)
+			runtime.Gosched()
 		}
-		if r.Stats.Regions != 1000 || r.Stats.ParallelLoops != 1000 || r.Stats.Tasks != 2000 {
-			t.Fatalf("ran %d regions, %d loops, %d tasks; want 1000, 1000, 2000", r.Stats.Regions, r.Stats.ParallelLoops, r.Stats.Tasks)
-		}
-		if limit := base + 1 + workers; max > limit {
-			t.Errorf("sched=%v: %d goroutines during the run, want ≤ %d (baseline %d + sampler + %d workers)", sched, max, limit, base, workers)
-		}
-		if n, ok := settled(base); !ok {
-			t.Errorf("sched=%v: %d goroutines after the run, baseline %d", sched, n, base)
-		}
+		peak <- max
+	}()
+	r := rt.New(interp.New(prog, nil), plan, workers)
+	r.Conditional = true
+	err := r.Run()
+	stop.Store(true)
+	max := <-peak
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats.Regions != 1000 || r.Stats.ParallelLoops != 1000 || r.Stats.Tasks != 2000 {
+		t.Fatalf("ran %d regions, %d loops, %d tasks; want 1000, 1000, 2000", r.Stats.Regions, r.Stats.ParallelLoops, r.Stats.Tasks)
+	}
+	if limit := base + 1 + workers; max > limit {
+		t.Errorf("%d goroutines during the run, want ≤ %d (baseline %d + sampler + %d workers)", max, limit, base, workers)
+	}
+	if n, ok := settled(base); !ok {
+		t.Errorf("%d goroutines after the run, baseline %d", n, base)
 	}
 }
 
@@ -339,25 +336,23 @@ func TestPoolLifetime(t *testing.T) {
 	}
 	for _, tc := range cases {
 		prog, plan := build(t, tc.source)
-		for _, sched := range []rt.SchedMode{rt.SchedStealing, rt.SchedCentral} {
-			t.Run(fmt.Sprintf("%s/sched=%d", tc.name, sched), func(t *testing.T) {
-				base := runtime.NumGoroutine()
-				r := rt.New(interp.New(prog, nil), plan, 4)
-				r.Sched = sched
-				ctx := context.Background()
-				if tc.setup != nil {
-					if c, cancel := tc.setup(r); c != nil {
-						ctx = c
-						defer cancel()
-					}
+		// The name carries the rtkit mode the runtime's pool runs in.
+		t.Run(fmt.Sprintf("%s/sched=%d", tc.name, rtkit.Stealing), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			r := rt.New(interp.New(prog, nil), plan, 4)
+			ctx := context.Background()
+			if tc.setup != nil {
+				if c, cancel := tc.setup(r); c != nil {
+					ctx = c
+					defer cancel()
 				}
-				err := r.RunContext(ctx)
-				tc.check(t, r, err)
-				if n, ok := settled(base); !ok {
-					t.Errorf("%d goroutines after RunContext returned, baseline %d", n, base)
-				}
-			})
-		}
+			}
+			err := r.RunContext(ctx)
+			tc.check(t, r, err)
+			if n, ok := settled(base); !ok {
+				t.Errorf("%d goroutines after RunContext returned, baseline %d", n, base)
+			}
+		})
 	}
 }
 
@@ -415,25 +410,23 @@ func TestSpawnedTasksKeepTheirArguments(t *testing.T) {
 	if mp := plan.Methods[prog.MethodByFullName("driver::scatter")]; !mp.Parallel || len(mp.Site) != 6 {
 		t.Fatalf("scatter plan = %+v, want a parallel method with six sites", mp)
 	}
-	for _, eng := range []interp.Engine{interp.EngineCompiled, interp.EngineWalk} {
-		for _, workers := range []int{1, 4} {
-			ip := interp.NewEngine(prog, nil, eng)
-			r := rt.New(ip, plan, workers)
-			// Skew task starts so children outlive the caller's next calls.
-			r.Faults = &rt.FaultPlan{Seed: 1, DelayOnSpawn: 20 * time.Microsecond, DelayRate: 0.05}
-			if err := r.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if r.Stats.Tasks != 6*200 {
-				t.Fatalf("Tasks = %d, want %d", r.Stats.Tasks, 6*200)
-			}
-			d := ip.Globals["D"]
-			for i, name := range []string{"a", "b", "c", "d", "e", "f"} {
-				box := d.Slots[ip.FieldSlot(prog.Classes["driver"], "driver", name)].Object()
-				got := box.Slots[ip.FieldSlot(prog.Classes["box"], "box", "val")].Int()
-				if want := int64(200*(i+1)*100000 + 199*200/2); got != want {
-					t.Errorf("engine=%v workers=%d: %s.val = %d, want %d (a task saw another's argument)", eng, workers, name, got, want)
-				}
+	for _, workers := range []int{1, 4} {
+		ip := interp.New(prog, nil)
+		r := rt.New(ip, plan, workers)
+		// Skew task starts so children outlive the caller's next calls.
+		r.Faults = &rt.FaultPlan{Seed: 1, DelayOnSpawn: 20 * time.Microsecond, DelayRate: 0.05}
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if r.Stats.Tasks != 6*200 {
+			t.Fatalf("Tasks = %d, want %d", r.Stats.Tasks, 6*200)
+		}
+		d := ip.Globals["D"]
+		for i, name := range []string{"a", "b", "c", "d", "e", "f"} {
+			box := d.Slots[ip.FieldSlot(prog.Classes["driver"], "driver", name)].Object()
+			got := box.Slots[ip.FieldSlot(prog.Classes["box"], "box", "val")].Int()
+			if want := int64(200*(i+1)*100000 + 199*200/2); got != want {
+				t.Errorf("workers=%d: %s.val = %d, want %d (a task saw another's argument)", workers, name, got, want)
 			}
 		}
 	}

@@ -57,11 +57,6 @@ type Runtime struct {
 	Plan    *codegen.Plan
 	Workers int
 
-	// Sched selects the task scheduler: per-worker stealing deques
-	// (default) or the original central queue (A/B comparisons and
-	// differential testing).
-	Sched SchedMode
-
 	// LazySpawnThreshold enables lazy task creation (Mohr, Kranz &
 	// Halstead — the technique §2 of the paper points to for increasing
 	// task granularity): when at least this many tasks are already
@@ -90,6 +85,14 @@ type Runtime struct {
 	// MaxDepth bounds method-activation depth on any single goroutine
 	// (0: interp.DefaultMaxDepth).
 	MaxDepth int
+
+	// Conditional turns on the guards of conditionally commutative
+	// extents (MethodPlan.Conditional; the plan must have been built with
+	// codegen.Options.ConditionalGuards for any to exist): the guard is
+	// evaluated at region entry and decides between the parallel region
+	// and the serial path. When off, such an extent is just an unproven
+	// one, left to the speculation policy below.
+	Conditional bool
 
 	// Speculate selects the policy for extents the analysis rejected
 	// but marked speculation-eligible (the plan must have been built
@@ -208,10 +211,14 @@ func (rt *Runtime) Run() error { return rt.RunContext(context.Background()) }
 // at task-start and chunk-claim boundaries and, via the interpreter's
 // interrupt hook, inside long-running statement loops. The worker pool
 // the regions share is shut down before RunContext returns, whichever
-// way the run ends.
+// way the run ends. Regions run the closure-compiled bodies only: the
+// tree walker is the serial reference and takes no effect monitor.
 func (rt *Runtime) RunContext(parent context.Context) error {
 	if rt.IP.Prog.Main == nil {
 		return &interp.RuntimeError{Msg: "program has no main function"}
+	}
+	if rt.IP.Engine() == interp.EngineWalk {
+		return errors.New("rt: the parallel runtime needs a compiled-engine interpreter; the tree walker runs serially only")
 	}
 	rt.parent = parent
 	rt.runCtx, rt.cancel = context.WithCancelCause(parent)
@@ -234,7 +241,9 @@ func (rt *Runtime) RunContext(parent context.Context) error {
 }
 
 // serialCtx executes serial code, opening a parallel region when a
-// parallel method that actually generates concurrency is invoked.
+// parallel method that actually generates concurrency is invoked. This
+// is the one place the tier of a region is decided; the emitted R_
+// wrappers (codegen's emitRegionWrapper) apply the same rule.
 func (rt *Runtime) serialCtx() *interp.Ctx {
 	ctx := rt.IP.NewCtx()
 	ctx.Interrupt = rt.interrupt
@@ -243,17 +252,26 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 		e := &rt.methods[site.Callee.ID]
 		switch {
 		case !e.root:
-		case e.mp.Conditional:
-			// Guarded extent: the guard decides parallel vs serial
-			// at region entry, taking precedence over speculation.
-			return rt.dispatchConditional(ctx, e, site.Callee, recv, args)
-		case !e.mp.Speculative:
+		case !e.mp.Conditional && !e.mp.Speculative:
 			return interp.Value{}, rt.runRegion(site.Callee, recv, args)
+		case e.mp.Conditional && rt.Conditional:
+			// Guarded extent: the guard decides parallel vs serial,
+			// taking precedence over speculation. A guard-false region
+			// may still speculate when the policy forces it — the
+			// journals then provide the safety the guard could not prove.
+			if rt.guardHolds(e) {
+				atomic.AddInt64(&rt.Stats.GuardParallel, 1)
+				return interp.Value{}, rt.runRegion(site.Callee, recv, args)
+			}
+			atomic.AddInt64(&rt.Stats.GuardSerial, 1)
+			if rt.Speculate == SpecForce && e.mp.SpecEligible {
+				return interp.Value{}, rt.runSpeculativeRegion(e.mp, recv, args)
+			}
 		case rt.speculationAllowed(e.mp):
 			return interp.Value{}, rt.runSpeculativeRegion(e.mp, recv, args)
 		}
-		// Not a region root, or an unproven extent the policy declined:
-		// the original serial version, inline.
+		// Not a region root, or an unproven extent no policy took: the
+		// original serial version, inline.
 		return rt.IP.Call(ctx, site.Callee, recv, args)
 	}
 	return ctx

@@ -19,22 +19,6 @@ import (
 // cancellation checks the interpreter contract requires, and the
 // records both recycle.
 
-// SchedMode selects the task scheduler backing a run's parallel regions.
-type SchedMode int
-
-const (
-	// SchedStealing (the default) gives every worker a bounded private
-	// deque: spawns push LIFO onto the spawning worker's deque, the
-	// owner pops LIFO (depth-first, cache-warm), and idle workers steal
-	// FIFO from victims' tails (breadth-first, large subtrees). Spawns
-	// from outside the pool — the region root — and deque overflow land
-	// in a shared injector queue.
-	SchedStealing SchedMode = iota
-	// SchedCentral is the original single mutex+cond task queue, kept
-	// for A/B benchmarking and as a differential-testing oracle.
-	SchedCentral
-)
-
 // worker aliases the scheduler participant; rt code passes it through
 // callVersion so spawns from a pool worker hit its private deque.
 type worker = rtkit.Worker
@@ -51,15 +35,11 @@ type lane struct{ free *activation }
 // the pool is idle: no task queued, none running, the workers parked.
 func (rt *Runtime) regionPool() *rtkit.Pool {
 	if rt.pool == nil {
-		mode := rtkit.Stealing
-		if rt.Sched == SchedCentral {
-			mode = rtkit.Central
-		}
 		rt.lanes = make([]*lane, rt.Workers+1)
 		for i := range rt.lanes {
 			rt.lanes[i] = new(lane)
 		}
-		rt.pool = rtkit.NewPool(rt.Workers, mode, rtkit.Hooks{
+		rt.pool = rtkit.NewPool(rt.Workers, rtkit.Stealing, rtkit.Hooks{
 			OnLocalPop: func() { atomic.AddInt64(&rt.Stats.LocalPops, 1) },
 			OnSteal:    func() { atomic.AddInt64(&rt.Stats.Steals, 1) },
 		})

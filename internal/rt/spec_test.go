@@ -69,50 +69,41 @@ func specConflictState(t *testing.T, prog *types.Program, ip *interp.Interp) [2]
 	}
 }
 
-var specEngines = []interp.Engine{interp.EngineWalk, interp.EngineCompiled}
-
 // TestSpeculativeDisjointCommits: the statically-rejected fill extent
 // runs speculatively, observes no runtime conflicts, and commits — and
-// the committed state and output are bit-identical to the serial run,
-// on both engines and schedulers across worker counts.
+// the committed state and output are bit-identical to the serial
+// walker's across worker counts.
 func TestSpeculativeDisjointCommits(t *testing.T) {
 	prog, plan := buildSpec(t, src.SpecDisjoint)
-	for _, eng := range specEngines {
-		want := serialOutput(t, prog, eng)
-		ipRef := interp.NewEngine(prog, nil, eng)
-		if err := ipRef.Run(ipRef.NewCtx()); err != nil {
-			t.Fatal(err)
-		}
-		wantState := specDisjointState(t, prog, ipRef)
+	var ref bytes.Buffer
+	ipRef := interp.NewEngine(prog, &ref, interp.EngineWalk)
+	if err := ipRef.Run(ipRef.NewCtx()); err != nil {
+		t.Fatal(err)
+	}
+	want, wantState := ref.String(), specDisjointState(t, prog, ipRef)
 
-		for _, sched := range []rt.SchedMode{rt.SchedStealing, rt.SchedCentral} {
-			for _, workers := range []int{1, 2, 4} {
-				var buf bytes.Buffer
-				ip := interp.NewEngine(prog, &buf, eng)
-				r := rt.New(ip, plan, workers)
-				r.Sched = sched
-				r.Speculate = rt.SpecForce
-				if err := r.Run(); err != nil {
-					t.Fatalf("eng=%v sched=%v workers=%d: %v", eng, sched, workers, err)
-				}
-				if got := buf.String(); got != want {
-					t.Errorf("eng=%v sched=%v workers=%d: output %q, want %q", eng, sched, workers, got, want)
-				}
-				got := specDisjointState(t, prog, ip)
-				for i := range wantState {
-					if got[i] != wantState[i] {
-						t.Errorf("eng=%v sched=%v workers=%d: state[%d] = %d, want %d",
-							eng, sched, workers, i, got[i], wantState[i])
-					}
-				}
-				if r.Stats.SpeculationCommits == 0 {
-					t.Errorf("eng=%v sched=%v workers=%d: no speculation commits", eng, sched, workers)
-				}
-				if r.Stats.SpeculationAborts != 0 {
-					t.Errorf("eng=%v sched=%v workers=%d: %d aborts on a conflict-free program",
-						eng, sched, workers, r.Stats.SpeculationAborts)
-				}
+	for _, workers := range []int{1, 2, 4} {
+		var buf bytes.Buffer
+		ip := interp.New(prog, &buf)
+		r := rt.New(ip, plan, workers)
+		r.Speculate = rt.SpecForce
+		if err := r.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := buf.String(); got != want {
+			t.Errorf("workers=%d: output %q, want %q", workers, got, want)
+		}
+		got := specDisjointState(t, prog, ip)
+		for i := range wantState {
+			if got[i] != wantState[i] {
+				t.Errorf("workers=%d: state[%d] = %d, want %d", workers, i, got[i], wantState[i])
 			}
+		}
+		if r.Stats.SpeculationCommits == 0 {
+			t.Errorf("workers=%d: no speculation commits", workers)
+		}
+		if r.Stats.SpeculationAborts != 0 {
+			t.Errorf("workers=%d: %d aborts on a conflict-free program", workers, r.Stats.SpeculationAborts)
 		}
 	}
 }
@@ -121,31 +112,26 @@ func TestSpeculativeDisjointCommits(t *testing.T) {
 // aborts, reruns serially, and ends bit-identical to serial.
 func TestSpeculativeConflictAborts(t *testing.T) {
 	prog, plan := buildSpec(t, src.SpecConflict)
-	for _, eng := range specEngines {
-		want := serialOutput(t, prog, eng)
-		for _, sched := range []rt.SchedMode{rt.SchedStealing, rt.SchedCentral} {
-			for _, workers := range []int{1, 2, 4} {
-				var buf bytes.Buffer
-				ip := interp.NewEngine(prog, &buf, eng)
-				r := rt.New(ip, plan, workers)
-				r.Sched = sched
-				r.Speculate = rt.SpecForce
-				if err := r.Run(); err != nil {
-					t.Fatalf("eng=%v sched=%v workers=%d: %v", eng, sched, workers, err)
-				}
-				if got := buf.String(); got != want {
-					t.Errorf("eng=%v sched=%v workers=%d: output %q, want %q", eng, sched, workers, got, want)
-				}
-				if got := specConflictState(t, prog, ip); got != [2]int64{2, 3} {
-					t.Errorf("eng=%v sched=%v workers=%d: state = %v, want [2 3]", eng, sched, workers, got)
-				}
-				if r.Stats.SpeculationAborts == 0 {
-					t.Errorf("eng=%v sched=%v workers=%d: violating program did not abort", eng, sched, workers)
-				}
-				if r.Stats.SpeculationCommits != 0 {
-					t.Errorf("eng=%v sched=%v workers=%d: violating region committed", eng, sched, workers)
-				}
-			}
+	want := serialOutput(t, prog, interp.EngineWalk)
+	for _, workers := range []int{1, 2, 4} {
+		var buf bytes.Buffer
+		ip := interp.New(prog, &buf)
+		r := rt.New(ip, plan, workers)
+		r.Speculate = rt.SpecForce
+		if err := r.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := buf.String(); got != want {
+			t.Errorf("workers=%d: output %q, want %q", workers, got, want)
+		}
+		if got := specConflictState(t, prog, ip); got != [2]int64{2, 3} {
+			t.Errorf("workers=%d: state = %v, want [2 3]", workers, got)
+		}
+		if r.Stats.SpeculationAborts == 0 {
+			t.Errorf("workers=%d: violating program did not abort", workers)
+		}
+		if r.Stats.SpeculationCommits != 0 {
+			t.Errorf("workers=%d: violating region committed", workers)
 		}
 	}
 }

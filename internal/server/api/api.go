@@ -5,7 +5,12 @@
 // pipeline that parses daemon responses parses CLI output unchanged.
 package api
 
-import "commute/internal/cond"
+import (
+	"time"
+
+	"commute/internal/cond"
+	"commute/internal/rt"
+)
 
 // Options selects load-time dialect options; they are part of the
 // cache key (commute.Fingerprint).
@@ -139,10 +144,6 @@ type RunRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// Workers is the parallel worker count (default 4).
 	Workers int `json:"workers,omitempty"`
-	// Engine is "compiled" (default) or "walk".
-	Engine string `json:"engine,omitempty"`
-	// Sched is "stealing" (default) or "central".
-	Sched string `json:"sched,omitempty"`
 	// TimeoutMS bounds the execution's wall-clock time; the server
 	// clamps it to its configured ceiling. 0 means the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -169,8 +170,6 @@ type RunRequest struct {
 // daemon's /v1/run responses and commuterun -stats-json.
 type RunStats struct {
 	Mode    string  `json:"mode"`
-	Engine  string  `json:"engine"`
-	Sched   string  `json:"sched,omitempty"`
 	Workers int     `json:"workers,omitempty"`
 	WallMS  float64 `json:"wall_ms"`
 
@@ -195,6 +194,32 @@ type RunStats struct {
 	// failed (serial path taken).
 	GuardParallel int64 `json:"guard_parallel,omitempty"`
 	GuardSerial   int64 `json:"guard_serial,omitempty"`
+}
+
+// NewRunStats renders one execution's summary in the wire schema; rs
+// is nil for a serial run.
+func NewRunStats(mode string, workers int, wall time.Duration, rs *rt.Stats) RunStats {
+	st := RunStats{Mode: mode, Workers: workers, WallMS: float64(wall) / float64(time.Millisecond)}
+	if rs == nil {
+		return st
+	}
+	st.Regions = rs.Regions
+	st.ParallelLoops = rs.ParallelLoops
+	st.Chunks = rs.Chunks
+	st.Iterations = rs.Iterations
+	st.Tasks = rs.Tasks
+	st.LazyInlines = rs.LazyInlines
+	st.LockAcquires = rs.LockAcquires
+	st.Steals = rs.Steals
+	st.LocalPops = rs.LocalPops
+	st.TaskPanics = rs.TaskPanics
+	st.SerialFallbacks = rs.SerialFallbacks
+	st.SpeculativeRegions = rs.SpeculativeRegions
+	st.SpeculationCommits = rs.SpeculationCommits
+	st.SpeculationAborts = rs.SpeculationAborts
+	st.GuardParallel = rs.GuardParallel
+	st.GuardSerial = rs.GuardSerial
+	return st
 }
 
 // RunResponse is the outcome of one execution.

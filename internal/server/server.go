@@ -44,7 +44,6 @@ import (
 	"commute/internal/apps/src"
 	"commute/internal/cond"
 	"commute/internal/core"
-	"commute/internal/interp"
 	"commute/internal/rt"
 	"commute/internal/server/api"
 	"commute/internal/server/cache"
@@ -615,19 +614,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if mode != "serial" && mode != "parallel" {
 		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (serial | parallel)", req.Mode))
 	}
-	eng, ok := interp.ParseEngine(req.Engine)
-	if !ok {
-		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown engine %q (compiled | walk)", req.Engine))
-	}
-	var sched rt.SchedMode
-	switch req.Sched {
-	case "", "stealing":
-		sched = rt.SchedStealing
-	case "central":
-		sched = rt.SchedCentral
-	default:
-		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown scheduler %q (stealing | central)", req.Sched))
-	}
 	workers := req.Workers
 	if workers <= 0 {
 		workers = 4
@@ -678,43 +664,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 
 	out := newCappedWriter(s.cfg.MaxOutputBytes)
 	start := time.Now()
-	stats := api.RunStats{Mode: mode, Engine: eng.String(), Workers: workers}
+	var rs *rt.Stats
 	var runErr error
 	if mode == "serial" {
-		_, runErr = sys.RunSerialEngineContext(ctx, eng, out)
+		_, runErr = sys.RunSerialContext(ctx, out)
 	} else {
-		stats.Sched = req.Sched
-		if stats.Sched == "" {
-			stats.Sched = "stealing"
-		}
-		var rs *rt.Stats
 		_, rs, runErr = sys.RunParallelOpts(ctx, commute.RunOptions{
 			Workers:            workers,
 			SerialFallback:     req.Fallback,
 			MaxSteps:           req.MaxSteps,
-			Sched:              sched,
-			Engine:             eng,
 			Speculate:          spec,
 			SpeculateThreshold: specThreshold,
 			Conditional:        req.Conditional,
 		}, out)
 		if rs != nil {
-			stats.Regions = rs.Regions
-			stats.ParallelLoops = rs.ParallelLoops
-			stats.Chunks = rs.Chunks
-			stats.Iterations = rs.Iterations
-			stats.Tasks = rs.Tasks
-			stats.LazyInlines = rs.LazyInlines
-			stats.LockAcquires = rs.LockAcquires
-			stats.Steals = rs.Steals
-			stats.LocalPops = rs.LocalPops
-			stats.TaskPanics = rs.TaskPanics
-			stats.SerialFallbacks = rs.SerialFallbacks
-			stats.SpeculativeRegions = rs.SpeculativeRegions
-			stats.SpeculationCommits = rs.SpeculationCommits
-			stats.SpeculationAborts = rs.SpeculationAborts
-			stats.GuardParallel = rs.GuardParallel
-			stats.GuardSerial = rs.GuardSerial
 			s.fallbacks.Add(rs.SerialFallbacks)
 			s.specCommits.Add(rs.SpeculationCommits)
 			s.specAborts.Add(rs.SpeculationAborts)
@@ -722,7 +685,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 			s.guardSer.Add(rs.GuardSerial)
 		}
 	}
-	stats.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
+	wall := time.Since(start)
 	if runErr != nil {
 		code := http.StatusUnprocessableEntity
 		if errors.Is(runErr, context.DeadlineExceeded) {
@@ -735,7 +698,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		Cache:           cacheWord(hit),
 		Output:          out.String(),
 		OutputTruncated: out.Truncated(),
-		Stats:           stats,
+		Stats:           api.NewRunStats(mode, workers, wall, rs),
 	})
 }
 

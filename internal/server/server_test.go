@@ -189,7 +189,7 @@ func TestRunSerialAndParallelAgree(t *testing.T) {
 	if err := json.Unmarshal(data, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Stats.Mode != "serial" || sr.Stats.Engine != "compiled" {
+	if sr.Stats.Mode != "serial" {
 		t.Fatalf("serial stats = %+v", sr.Stats)
 	}
 
@@ -307,7 +307,10 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/analyze", api.AnalyzeRequest{}, http.StatusUnprocessableEntity},
 		{"/v1/analyze", api.AnalyzeRequest{SourceRequest: api.SourceRequest{Source: "void main("}}, http.StatusUnprocessableEntity},
 		{"/v1/run", api.RunRequest{SourceRequest: api.SourceRequest{App: "graph"}, Mode: "warp"}, http.StatusBadRequest},
-		{"/v1/run", api.RunRequest{SourceRequest: api.SourceRequest{App: "graph"}, Engine: "jit"}, http.StatusBadRequest},
+		// The engine and scheduler are not request fields: a body still
+		// carrying one is an unknown field, not a silently ignored one.
+		{"/v1/run", map[string]any{"app": "graph", "engine": "walk"}, http.StatusBadRequest},
+		{"/v1/run", map[string]any{"app": "graph", "sched": "central"}, http.StatusBadRequest},
 		{"/v1/run", api.RunRequest{SourceRequest: api.SourceRequest{App: "graph"}, Mode: "serial", MaxSteps: 5}, http.StatusBadRequest},
 		{"/v1/simulate", api.SimulateRequest{SourceRequest: api.SourceRequest{App: "graph"}, Procs: []int{0}}, http.StatusBadRequest},
 	}
@@ -521,33 +524,6 @@ func TestRunSpeculation(t *testing.T) {
 	}
 	if rr.Stats.SerialFallbacks != 0 {
 		t.Fatalf("speculation abort counted as serial fallback: %+v", rr.Stats)
-	}
-
-	// Regression: an explicitly requested engine must be honored under
-	// speculation — both engines monitor at full speed now, and a
-	// silent downgrade (the old walker-forcing) would show up as a
-	// changed stats.Engine.
-	for _, engine := range []string{"compiled", "walk"} {
-		resp, data := post(t, ts, "/v1/run", api.RunRequest{
-			SourceRequest: api.SourceRequest{App: "specdisjoint"},
-			Mode:          "parallel",
-			Workers:       4,
-			Engine:        engine,
-			Speculate:     "force",
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("run engine=%s = %d: %s", engine, resp.StatusCode, data)
-		}
-		var er api.RunResponse
-		if err := json.Unmarshal(data, &er); err != nil {
-			t.Fatal(err)
-		}
-		if er.Stats.Engine != engine {
-			t.Fatalf("requested engine %q ran as %q (silent downgrade)", engine, er.Stats.Engine)
-		}
-		if er.Stats.SpeculationCommits == 0 {
-			t.Fatalf("engine=%s: speculation did not commit: %+v", engine, er.Stats)
-		}
 	}
 
 	// Speculation is rejected for serial mode, and bad modes 400.

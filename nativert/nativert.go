@@ -58,12 +58,12 @@ var (
 	runPool     *rtkit.Pool
 )
 
-// Pool returns the run-wide pool, starting it with workers and mode at
-// the first call; later calls return that pool whatever they pass.
-// Region wrappers Drain it at their join and never shut it down, so the
-// worker goroutines start once per process and park between regions.
-func Pool(workers int, mode rtkit.Mode) *rtkit.Pool {
-	runPoolOnce.Do(func() { runPool = rtkit.NewPool(max(workers, 1), mode, rtkit.Hooks{}) })
+// Pool returns the run-wide pool, starting it with workers at the first
+// call; later calls return that pool whatever they pass. Region wrappers
+// Drain it at their join and never shut it down, so the worker
+// goroutines start once per process and park between regions.
+func Pool(workers int) *rtkit.Pool {
+	runPoolOnce.Do(func() { runPool = rtkit.NewPool(max(workers, 1), rtkit.Stealing, rtkit.Hooks{}) })
 	return runPool
 }
 
@@ -83,7 +83,7 @@ var gssRuns sync.Pool // of *gssRun
 // handle (see GSSOn): helpers are offered through the run-wide pool's
 // external handle.
 func GSS(method, site string, workers int, from, to, step int64, mk func() func(int64)) {
-	GSSOn(Pool(workers, rtkit.Stealing).External(), method, site, workers, from, to, step, mk)
+	GSSOn(Pool(workers).External(), method, site, workers, from, to, step, mk)
 }
 
 // GSSOn runs the counted loop for (i = from; i < to; i += step) on w's

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"commute/rtkit"
 )
 
 // testWorkers sizes the run-wide pool for this package's tests: enough
@@ -17,7 +15,7 @@ import (
 const testWorkers = 4
 
 func TestMain(m *testing.M) {
-	Pool(testWorkers, rtkit.Stealing)
+	Pool(testWorkers)
 	os.Exit(m.Run())
 }
 
@@ -71,7 +69,7 @@ func TestGSSFactoryPerGoroutine(t *testing.T) {
 				mu.Unlock()
 				return func(int64) { *n++ }
 			}
-			w := Pool(testWorkers, rtkit.Stealing).External()
+			w := Pool(testWorkers).External()
 			if spec {
 				sr := NewSpecRegion(nil, nil)
 				SpecGSS(w, sr, "m", "site", workers, 0, total, 1, func(*SpecJournal) func(int64) { return mk() })
@@ -109,7 +107,7 @@ func TestNoGoroutinePerLoop(t *testing.T) {
 			peak.Store(n)
 		}
 	}
-	p := Pool(testWorkers, rtkit.Stealing)
+	p := Pool(testWorkers)
 	for i := 0; i < 1000; i++ {
 		GSS("m", "site", testWorkers, 0, 64, 1, func() func(int64) { return body })
 		sr := NewSpecRegion(nil, nil)
@@ -131,7 +129,7 @@ func TestSteadyStateLoopAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector")
 	}
-	p := Pool(testWorkers, rtkit.Stealing)
+	p := Pool(testWorkers)
 	var sink atomic.Int64
 	body := func(i int64) { sink.Add(i) }
 	mk := func() func(int64) { return body }

@@ -3,8 +3,9 @@
 # for condhash, the guarded parallel run must be byte-identical to
 # serial with the guard taking the parallel path, the guard-false
 # variant must take the serial path, the native backend must agree with
-# the interpreter under guards, and the daemon must surface the
-# structured condition tree.
+# the interpreter under guards — and on every policy counter under all
+# six -conditional x -speculate combinations — and the daemon must
+# surface the structured condition tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,7 +14,7 @@ trap 'rm -rf "$OUT"' EXIT
 
 # Analysis: commutec reports the rejected-but-guardable extents with
 # their synthesized guards.
-REPORT=$(go run ./cmd/commutec -app condhash -conditional)
+REPORT=$(go run ./cmd/commutec -app condhash)
 echo "$REPORT" | grep -q 'COND .*table::ingest'
 echo "$REPORT" | grep -q 'COND .*bucket::update'
 echo "$REPORT" | grep -q 'ec:table.mode@global:H'
@@ -57,12 +58,40 @@ echo "guard-false serial path ok"
 # Native backend: the generated Go program evaluates the same guards
 # and matches the interpreter's state dump byte for byte.
 DIR="$OUT/native"
-go run ./cmd/commutec -emit go -conditional -o "$DIR" -app condhash
+go run ./cmd/commutec -emit go -o "$DIR" -app condhash
 (cd "$DIR" && go vet . && go build -o app .)
 go run ./cmd/commuterun -mode serial -app condhash -dump > "$OUT/native.interp"
-"$DIR/app" -mode parallel -workers 4 -dump > "$OUT/native.out"
+"$DIR/app" -mode parallel -workers 4 -conditional -dump > "$OUT/native.out"
 diff "$OUT/native.interp" "$OUT/native.out"
 echo "native guarded run ok"
+
+# One plan, one rule: under each of the six policy combinations the
+# interpreter (commuterun -stats-json) and the native binary count the
+# same guard and speculation outcomes. One worker, so whether a
+# conflicting speculative region commits or aborts does not depend on
+# timing. Zero-valued counters are omitted from the stats line.
+go build -o "$OUT/commuterun" ./cmd/commuterun
+stat_of() { grep -Eo "\"$1\":[0-9]+" "$2" | cut -d: -f2 || true; }
+for COND in off on; do
+  for SPEC in off auto force; do
+    "$OUT/commuterun" -mode parallel -workers 1 -conditional "$COND" -speculate "$SPEC" \
+      -app condhash -stats-json | tail -n 1 > "$OUT/parity.interp"
+    NATCOND=false
+    if [ "$COND" = on ]; then NATCOND=true; fi
+    "$DIR/app" -mode parallel -workers 1 -conditional="$NATCOND" -speculate "$SPEC" \
+      -guardstats -specstats > /dev/null 2> "$OUT/parity.native"
+    for PAIR in guard_parallel:guard_parallel guard_serial:guard_serial \
+      speculative_regions:spec_regions speculation_commits:spec_commits speculation_aborts:spec_aborts; do
+      WANT=$(stat_of "${PAIR%%:*}" "$OUT/parity.interp")
+      GOT=$(awk -v k="${PAIR##*:}" '$1 == k { print $2 }' "$OUT/parity.native")
+      if [ "${WANT:-0}" != "${GOT:-0}" ]; then
+        echo "FAIL: -conditional $COND -speculate $SPEC: ${PAIR%%:*} = ${WANT:-0} on the interpreter, ${GOT:-0} natively" >&2
+        exit 1
+      fi
+    done
+  done
+done
+echo "interpreter and native policy counters agree under all six combinations"
 
 # Daemon: /v1/analyze surfaces the structured condition and guard.
 ADDR=127.0.0.1:18090

@@ -18,7 +18,7 @@ for APP in barneshut graph; do
   go run ./cmd/commutec -emit go -o "$DIR" -app "$APP"
   (cd "$DIR" && go vet . && go build -o app .)
   go run ./cmd/commuterun -mode serial -app "$APP" -dump > "$OUT/$APP.interp"
-  for ARGS in "-mode serial" "-mode parallel -workers 4 -sched stealing" "-mode parallel -workers 4 -sched central"; do
+  for ARGS in "-mode serial" "-mode parallel -workers 4"; do
     # shellcheck disable=SC2086
     "$DIR/app" $ARGS -dump > "$OUT/$APP.native"
     if ! diff -q "$OUT/$APP.interp" "$OUT/$APP.native" >/dev/null; then
@@ -27,17 +27,17 @@ for APP in barneshut graph; do
       exit 1
     fi
   done
-  echo "$APP: native == interpreter (serial + both parallel schedulers)"
+  echo "$APP: native == interpreter (serial + parallel)"
 done
 
-# Speculation: emit the journaled speculative packages and check that
-# both the commit path (specdisjoint: disjoint at run time, region
+# Speculation: the emitted packages carry the journaled speculative
+# versions; check that both the commit path (specdisjoint: disjoint at run time, region
 # commits) and the abort path (specconflict: guaranteed violation,
 # rollback + serial rerun) reproduce the serial interpreter state byte
 # for byte, and that the -specstats counters show the expected outcome.
 for APP in specdisjoint specconflict; do
   DIR="$OUT/$APP"
-  go run ./cmd/commutec -emit go -speculate -o "$DIR" -app "$APP"
+  go run ./cmd/commutec -emit go -o "$DIR" -app "$APP"
   (cd "$DIR" && go vet . && go build -o app .)
   go run ./cmd/commuterun -mode serial -app "$APP" -dump > "$OUT/$APP.interp"
   for ARGS in "-mode serial" "-mode parallel -workers 4 -speculate force" "-mode parallel -workers 4 -speculate auto"; do
@@ -66,31 +66,28 @@ done
 # Many regions: condhash mode 0 with 2000 rounds — every round a guarded
 # parallel region (a GSS loop and two spawns) entered on the run-wide
 # pool the first region started. Output and final state must match the
-# serial interpreter under both schedulers, and every guard must have
-# taken the parallel path.
+# serial interpreter, and every guard must have taken the parallel path.
 ROUNDS=2000
 {
   awk '/^const CondHashBase = `/{f=1;next} /^`/{f=0} f' internal/apps/src/cond.go
   printf 'void main() {\n  int r;\n  H.setup(0);\n  for (r = 0; r < %d; r += 1) {\n    H.ingest(r);\n  }\n  H.report();\n}\n' "$ROUNDS"
 } > "$OUT/condhash.mc"
 DIR="$OUT/condhash"
-go run ./cmd/commutec -emit go -conditional -o "$DIR" "$OUT/condhash.mc"
+go run ./cmd/commutec -emit go -o "$DIR" "$OUT/condhash.mc"
 (cd "$DIR" && go vet . && go build -o app .)
 go run ./cmd/commuterun -mode serial -dump "$OUT/condhash.mc" > "$OUT/condhash.interp"
-for SCHED in stealing central; do
-  "$DIR/app" -mode parallel -workers 4 -sched "$SCHED" -guardstats -dump > "$OUT/condhash.native" 2> "$OUT/condhash.stats"
-  if ! diff -q "$OUT/condhash.interp" "$OUT/condhash.native" >/dev/null; then
-    echo "FAIL: condhash x$ROUNDS ($SCHED) native state diverges from the interpreter:" >&2
-    diff "$OUT/condhash.interp" "$OUT/condhash.native" | head >&2
-    exit 1
-  fi
-  if ! grep -qx "guard_parallel $ROUNDS" "$OUT/condhash.stats"; then
-    echo "FAIL: condhash x$ROUNDS ($SCHED): expected 'guard_parallel $ROUNDS' in counters:" >&2
-    cat "$OUT/condhash.stats" >&2
-    exit 1
-  fi
-done
-echo "condhash x$ROUNDS: native == interpreter over $ROUNDS regions on one pool (both schedulers), counters OK"
+"$DIR/app" -mode parallel -workers 4 -conditional -guardstats -dump > "$OUT/condhash.native" 2> "$OUT/condhash.stats"
+if ! diff -q "$OUT/condhash.interp" "$OUT/condhash.native" >/dev/null; then
+  echo "FAIL: condhash x$ROUNDS native state diverges from the interpreter:" >&2
+  diff "$OUT/condhash.interp" "$OUT/condhash.native" | head >&2
+  exit 1
+fi
+if ! grep -qx "guard_parallel $ROUNDS" "$OUT/condhash.stats"; then
+  echo "FAIL: condhash x$ROUNDS: expected 'guard_parallel $ROUNDS' in counters:" >&2
+  cat "$OUT/condhash.stats" >&2
+  exit 1
+fi
+echo "condhash x$ROUNDS: native == interpreter over $ROUNDS regions on one pool, counters OK"
 
 # Water: serial must be bit-identical; parallel must run cleanly.
 DIR="$OUT/water"
@@ -99,7 +96,7 @@ go run ./cmd/commutec -emit go -o "$DIR" -app water
 go run ./cmd/commuterun -mode serial -app water -dump > "$OUT/water.interp"
 "$DIR/app" -mode serial -dump > "$OUT/water.native"
 diff "$OUT/water.interp" "$OUT/water.native"
-"$DIR/app" -mode parallel -workers 4 -sched stealing > /dev/null
+"$DIR/app" -mode parallel -workers 4 > /dev/null
 echo "water: serial native == interpreter; parallel ran clean"
 
 echo "native smoke OK"

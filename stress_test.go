@@ -7,7 +7,6 @@ import (
 
 	"commute"
 	"commute/internal/apps/src"
-	"commute/internal/interp"
 )
 
 // TestSharedSystemStress hammers one cached *System from 32 goroutines
@@ -60,7 +59,7 @@ func TestSharedSystemStress(t *testing.T) {
 						t.Errorf("parallel output diverged under concurrency")
 					}
 				case 2:
-					if _, err := sys.TraceEngine(interp.EngineCompiled); err != nil {
+					if _, err := sys.Trace(); err != nil {
 						errc <- err
 					}
 				case 3:
