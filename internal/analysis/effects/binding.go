@@ -20,20 +20,32 @@ type RecvBind struct {
 // Binding is the paper's b : P → S extended with the receiver context.
 type Binding struct {
 	Recv *RecvBind
-	// Ref maps formal reference-parameter names of the bound method to
+	// ref maps formal reference-parameter names of the bound method to
 	// the storage descriptors of their actuals.
-	Ref map[string]Desc
+	ref map[string]*entry
+	// in interns the descriptors substitution creates; nil for a
+	// binding made without an Analyzer (Identity).
+	in *interner
 }
 
 // Identity returns the identity binding for m: the receiver stays
 // receiver-relative-normalized and each formal reference parameter maps
 // to itself.
-func Identity(m *types.Method) Binding {
-	b := Binding{Ref: make(map[string]Desc)}
+func Identity(m *types.Method) Binding { return identity(m, nil) }
+
+func identity(m *types.Method, in *interner) Binding {
+	b := Binding{in: in}
 	for _, p := range m.ReferenceParams() {
-		b.Ref[p.Name] = Param(m, p.Name)
+		b.bindRef(p.Name, in.get(Param(m, p.Name)))
 	}
 	return b
+}
+
+func (b *Binding) bindRef(name string, actual *entry) {
+	if b.ref == nil {
+		b.ref = make(map[string]*entry)
+	}
+	b.ref[name] = actual
 }
 
 // Key returns a canonical identity for the binding, for worklist
@@ -48,8 +60,8 @@ func (b Binding) Key() string {
 			sb.WriteString(p)
 		}
 	}
-	names := make([]string, 0, len(b.Ref))
-	for n := range b.Ref {
+	names := make([]string, 0, len(b.ref))
+	for n := range b.ref {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -57,61 +69,54 @@ func (b Binding) Key() string {
 		sb.WriteByte('|')
 		sb.WriteString(n)
 		sb.WriteByte('=')
-		sb.WriteString(b.Ref[n].Key())
+		sb.WriteString(b.ref[n].key)
 	}
 	return sb.String()
 }
 
-// Subst substitutes a descriptor under the binding: receiver-relative
+// subst substitutes a descriptor under the binding: receiver-relative
 // field descriptors are re-rooted, and reference-parameter descriptors
 // are replaced by their actuals.
-func (b Binding) Subst(d Desc) Desc {
-	switch d.Space {
+func (b Binding) subst(e *entry) *entry {
+	switch e.Space {
 	case DescField:
-		if !d.ViaThis {
-			return d
+		if !e.ViaThis {
+			return e
 		}
 		if b.Recv == nil {
-			d.ViaThis = false
-			return d
+			return e.norm
 		}
-		path := make([]string, 0, len(b.Recv.Path)+len(d.Path))
-		path = append(path, b.Recv.Path...)
-		path = append(path, d.Path...)
-		return FieldDesc(b.Recv.Class, path, d.Field)
+		return b.in.get(FieldDesc(b.Recv.Class, joinPath(b.Recv.Path, e.Path), e.Field))
 	case DescParam:
-		if actual, ok := b.Ref[d.Name]; ok {
+		if actual, ok := b.ref[e.Name]; ok {
 			return actual
 		}
-		return d
 	}
-	return d
+	return e
+}
+
+func joinPath(a, b []string) []string {
+	path := make([]string, 0, len(a)+len(b))
+	return append(append(path, a...), b...)
 }
 
 // SubstSet substitutes every descriptor of s.
-func (b Binding) SubstSet(s *Set) *Set { return s.Map(b.Subst) }
+func (b Binding) SubstSet(s *Set) *Set { return s.mapped(b.subst) }
 
 // Bind computes the callee binding at a call site (the paper's
 // bind(c, b)): the receiver actual composed with the caller's receiver
 // binding, and each formal reference parameter mapped to the descriptor
 // of its actual under the caller binding.
 func (a *Analyzer) Bind(caller *types.Method, cc CallContext, b Binding) Binding {
-	out := Binding{Ref: make(map[string]Desc)}
+	out := Binding{in: &a.in}
 	switch cc.Recv.Kind {
 	case RecvThis:
 		out.Recv = b.Recv
 	case RecvFree:
 		out.Recv = nil
 	case RecvNested:
-		if cc.Recv.ViaThis {
-			if b.Recv == nil {
-				out.Recv = &RecvBind{Class: cc.Recv.Class, Path: cc.Recv.Path}
-			} else {
-				path := make([]string, 0, len(b.Recv.Path)+len(cc.Recv.Path))
-				path = append(path, b.Recv.Path...)
-				path = append(path, cc.Recv.Path...)
-				out.Recv = &RecvBind{Class: b.Recv.Class, Path: path}
-			}
+		if cc.Recv.ViaThis && b.Recv != nil {
+			out.Recv = &RecvBind{Class: b.Recv.Class, Path: joinPath(b.Recv.Path, cc.Recv.Path)}
 		} else {
 			out.Recv = &RecvBind{Class: cc.Recv.Class, Path: cc.Recv.Path}
 		}
@@ -119,16 +124,15 @@ func (a *Analyzer) Bind(caller *types.Method, cc CallContext, b Binding) Binding
 	for name, act := range cc.Refs {
 		switch act.Kind {
 		case ActLocal:
-			out.Ref[name] = Local(caller, act.Name)
+			out.bindRef(name, a.in.get(Local(caller, act.Name)))
 		case ActParam:
-			out.Ref[name] = b.Subst(Param(caller, act.Name))
+			out.bindRef(name, b.subst(a.in.get(Param(caller, act.Name))))
 		case ActField:
-			out.Ref[name] = b.Subst(act.Field)
+			out.bindRef(name, b.subst(a.in.get(act.Field)))
 		default:
 			// Unanalyzable actual: bind to the coarse primitive-type
 			// descriptor of the formal.
-			d := Param(cc.Site.Callee, name)
-			out.Ref[name] = d.Lift()
+			out.bindRef(name, a.in.get(Param(cc.Site.Callee, name)).lifted())
 		}
 	}
 	return out

@@ -26,18 +26,18 @@ func (a *Analyzer) depAnalysis(m *types.Method) map[int]*Set {
 		return deps
 	}
 	d := &depWalker{
-		a:     a,
-		m:     m,
-		deps:  deps,
-		taint: make(map[string]*Set),
+		resolver: resolver{a.Prog, m},
+		a:        a,
+		deps:     deps,
+		taint:    make(map[string]*Set),
 	}
 	d.stmt(m.Def.Body)
 	return deps
 }
 
 type depWalker struct {
+	resolver
 	a     *Analyzer
-	m     *types.Method
 	deps  map[int]*Set // call-site ID → dep set (the pass's result)
 	taint map[string]*Set
 	path  []*Set // control-condition taints, innermost last
@@ -60,6 +60,11 @@ func (d *depWalker) localTaint(name string) *Set {
 	return s
 }
 
+// single returns the set holding just desc.
+func (d *depWalker) single(desc Desc) *Set {
+	return &Set{e: []*entry{d.a.in.get(desc)}}
+}
+
 // loopFix walks a loop body repeatedly until the taint state stops
 // changing, capturing loop-carried dependences through locals.
 // Straight-line code outside loops is walked exactly once, in program
@@ -67,32 +72,23 @@ func (d *depWalker) localTaint(name string) *Set {
 // sets.
 func (d *depWalker) loopFix(walk func()) {
 	for i := 0; i < len(d.m.Locals)+2; i++ {
-		before := d.snapshot()
+		before := d.taintSize()
 		walk()
-		if d.snapshot() == before {
+		if d.taintSize() == before {
 			return
 		}
 	}
 }
 
-func (d *depWalker) snapshot() string {
-	out := ""
-	names := make([]string, 0, len(d.taint))
-	for n := range d.taint {
-		names = append(names, n)
+// taintSize measures the taint state. Taints only ever grow (every
+// update is a union), so the state is unchanged exactly when its size
+// is.
+func (d *depWalker) taintSize() int {
+	n := len(d.taint)
+	for _, s := range d.taint {
+		n += s.Len()
 	}
-	// Deterministic order.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	for _, n := range names {
-		out += n + "={" + d.taint[n].Key() + "};"
-	}
-	return out
+	return n
 }
 
 func (d *depWalker) stmt(s ast.Stmt) {
@@ -166,22 +162,21 @@ func (d *depWalker) exprTaint(e ast.Expr) *Set {
 		case ast.SymParam:
 			p := d.m.ParamByName(x.Name)
 			if p != nil && p.IsRef() {
-				return NewSet(Param(d.m, x.Name))
+				return d.single(Param(d.m, x.Name))
 			}
 			return NewSet() // value parameters carry no storage taint
 		case ast.SymField:
-			if _, isObj := d.a.Prog.TypeOf(x).(types.Object); isObj {
+			if _, isObj := d.prog.TypeOf(x).(types.Object); isObj {
 				return NewSet()
 			}
-			return NewSet(ThisField(d.a.Prog.Classes[x.FieldClass], nil, x.Name))
+			return d.single(ThisField(d.prog.Classes[x.FieldClass], nil, x.Name))
 		default:
 			return NewSet()
 		}
 	case *ast.FieldAccess:
 		out := d.exprTaint(x.X)
-		w := &localWalker{a: d.a, m: d.m, info: &MethodInfo{Reads: NewSet(), Writes: NewSet()}}
-		if desc, kind := w.accessDesc(x); kind == accField || kind == accRefParam {
-			out.Add(desc)
+		if desc, kind := d.accessDesc(x); kind == accField || kind == accRefParam {
+			out.add(d.a.in.get(desc))
 		}
 		return out
 	case *ast.IndexExpr:
@@ -238,7 +233,7 @@ func (d *depWalker) callTaint(x *ast.CallExpr) *Set {
 		}
 		return out
 	}
-	site := d.a.Prog.CallSites[x.Site]
+	site := d.prog.CallSites[x.Site]
 	dep := d.pathTaint()
 	if x.Recv != nil {
 		dep.AddAll(d.exprTaint(x.Recv))
@@ -268,7 +263,7 @@ func (d *depWalker) callTaint(x *ast.CallExpr) *Set {
 			}
 		}
 		if cc != nil {
-			b := d.a.Bind(d.m, *cc, Identity(d.m))
+			b := d.a.Bind(d.m, *cc, identity(d.m, &d.a.in))
 			calleeReads = b.SubstSet(te.Reads)
 		} else {
 			calleeReads = te.Reads.Clone()
@@ -276,11 +271,11 @@ func (d *depWalker) callTaint(x *ast.CallExpr) *Set {
 		// Reads of locals (reference actuals) resolve to those locals'
 		// taints.
 		resolved := NewSet()
-		for _, desc := range calleeReads.Slice() {
-			if desc.Space == DescLocal && desc.Method == d.m {
-				resolved.AddAll(d.localTaint(desc.Name))
+		for _, e := range calleeReads.e {
+			if e.Space == DescLocal && e.Method == d.m {
+				resolved.AddAll(d.localTaint(e.Name))
 			} else {
-				resolved.Add(desc)
+				resolved.add(e)
 			}
 		}
 		calleeReads = resolved

@@ -5,7 +5,6 @@
 package effects
 
 import (
-	"sort"
 	"strings"
 
 	"commute/internal/frontend/types"
@@ -225,13 +224,16 @@ func pathClass(cl *types.Class, path []string) (*types.Class, bool) {
 //	cl1.q1.q2.v ≼ cl2.q2.v        if class(cl1.q1) inherits from / = cl2
 //	s1 ≼ t                        if type(s1) = t (t a primitive type)
 func Leq(s1, s2 Desc) bool {
-	if s1.Space == DescType {
-		return s2.Space == DescType && s1.Basic == s2.Basic
-	}
 	if s2.Space == DescType {
 		b, ok := s1.PrimType()
 		return ok && b == s2.Basic
 	}
+	return leqStorage(&s1, &s2)
+}
+
+// leqStorage is ≼ against a descriptor that is not a primitive type:
+// the two must name the same kind of storage.
+func leqStorage(s1, s2 *Desc) bool {
 	if s1.Space != s2.Space {
 		return false
 	}
@@ -269,151 +271,3 @@ func Leq(s1, s2 Desc) bool {
 // Overlaps reports whether two descriptors may denote overlapping
 // memory: s1 ≼ s2 or s2 ≼ s1.
 func Overlaps(s1, s2 Desc) bool { return Leq(s1, s2) || Leq(s2, s1) }
-
-// ---------------------------------------------------------------------
-// Descriptor sets
-
-// Set is a set of storage descriptors keyed canonically.
-type Set struct {
-	m map[string]Desc
-}
-
-// NewSet returns a set containing the given descriptors.
-func NewSet(ds ...Desc) *Set {
-	s := &Set{m: make(map[string]Desc, len(ds))}
-	for _, d := range ds {
-		s.Add(d)
-	}
-	return s
-}
-
-// Add inserts d; it reports whether the set changed.
-func (s *Set) Add(d Desc) bool {
-	k := d.Key()
-	if _, ok := s.m[k]; ok {
-		return false
-	}
-	s.m[k] = d
-	return true
-}
-
-// AddAll inserts every descriptor of o; it reports whether the set changed.
-func (s *Set) AddAll(o *Set) bool {
-	changed := false
-	for _, d := range o.m {
-		if s.Add(d) {
-			changed = true
-		}
-	}
-	return changed
-}
-
-// Has reports exact membership (by canonical key).
-func (s *Set) Has(d Desc) bool {
-	_, ok := s.m[d.Key()]
-	return ok
-}
-
-// Len returns the number of descriptors.
-func (s *Set) Len() int { return len(s.m) }
-
-// Slice returns the descriptors sorted by canonical key.
-func (s *Set) Slice() []Desc {
-	out := make([]Desc, 0, len(s.m))
-	for _, d := range s.m {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
-}
-
-// Clone returns a copy of the set.
-func (s *Set) Clone() *Set {
-	c := NewSet()
-	c.AddAll(s)
-	return c
-}
-
-// Covers reports whether some element e of the set satisfies d ≼ e.
-func (s *Set) Covers(d Desc) bool {
-	if s.Has(d) {
-		return true
-	}
-	for _, e := range s.m {
-		if Leq(d, e) {
-			return true
-		}
-	}
-	return false
-}
-
-// CoversAll reports whether every element of o is covered by s.
-func (s *Set) CoversAll(o *Set) bool {
-	for _, d := range o.m {
-		if !s.Covers(d) {
-			return false
-		}
-	}
-	return true
-}
-
-// OverlapsSet reports whether any element of s overlaps any element of o.
-func (s *Set) OverlapsSet(o *Set) bool {
-	for _, a := range s.m {
-		for _, b := range o.m {
-			if Overlaps(a, b) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// OverlapsDesc reports whether any element of s overlaps d.
-func (s *Set) OverlapsDesc(d Desc) bool {
-	for _, a := range s.m {
-		if Overlaps(a, d) {
-			return true
-		}
-	}
-	return false
-}
-
-// Filter returns the descriptors satisfying keep.
-func (s *Set) Filter(keep func(Desc) bool) *Set {
-	out := NewSet()
-	for _, d := range s.m {
-		if keep(d) {
-			out.Add(d)
-		}
-	}
-	return out
-}
-
-// Map returns the set obtained by applying f to every element.
-func (s *Set) Map(f func(Desc) Desc) *Set {
-	out := NewSet()
-	for _, d := range s.m {
-		out.Add(f(d))
-	}
-	return out
-}
-
-// Key returns a canonical string for the whole set (sorted keys).
-func (s *Set) Key() string {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
-}
-
-func (s *Set) String() string {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return "{" + strings.Join(keys, ", ") + "}"
-}

@@ -94,7 +94,7 @@ func (a *Analyzer) localAnalysis(m *types.Method) *MethodInfo {
 	if m.Def == nil {
 		return info
 	}
-	w := &localWalker{a: a, m: m, info: info}
+	w := &localWalker{resolver: resolver{a.Prog, m}, in: &a.in, info: info}
 	w.stmt(m.Def.Body)
 	return info
 }
@@ -102,9 +102,16 @@ func (a *Analyzer) localAnalysis(m *types.Method) *MethodInfo {
 // localWalker walks one method body collecting direct accesses and call
 // contexts.
 type localWalker struct {
-	a    *Analyzer
-	m    *types.Method
+	resolver
+	in   *interner
 	info *MethodInfo
+}
+
+// resolver resolves the access expressions of one method to storage
+// descriptors.
+type resolver struct {
+	prog *types.Program
+	m    *types.Method
 }
 
 func (w *localWalker) stmt(s ast.Stmt) {
@@ -173,7 +180,7 @@ func (w *localWalker) lhsSubReads(e ast.Expr) {
 		w.lhsSubReads(x.X)
 	case *ast.FieldAccess:
 		// The base chain up to a pointer dereference is read.
-		if _, ok := w.a.Prog.TypeOf(x.X).(types.Pointer); ok {
+		if _, ok := w.prog.TypeOf(x.X).(types.Pointer); ok {
 			w.read(x.X)
 		} else {
 			w.lhsSubReads(x.X)
@@ -186,7 +193,7 @@ func (w *localWalker) write(e ast.Expr) {
 	d, kind := w.accessDesc(e)
 	switch kind {
 	case accField, accRefParam:
-		w.info.Writes.Add(d)
+		w.info.Writes.add(w.in.get(d))
 	case accLocal, accValue:
 		// Local writes are not memory effects.
 	default:
@@ -205,19 +212,19 @@ func (w *localWalker) read(e ast.Expr) {
 		if kind == accField || kind == accRefParam {
 			// Reading an object-typed identifier is not a memory read;
 			// accessDesc already filters that case to accValue.
-			w.info.Reads.Add(d)
+			w.info.Reads.add(w.in.get(d))
 		}
 	case *ast.FieldAccess:
 		d, kind := w.accessDesc(x)
 		if kind == accField || kind == accRefParam {
-			w.info.Reads.Add(d)
+			w.info.Reads.add(w.in.get(d))
 		}
 		// Walk the base: pointer dereferences read the pointer.
 		w.read(x.X)
 	case *ast.IndexExpr:
 		d, kind := w.accessDesc(x)
 		if kind == accField || kind == accRefParam {
-			w.info.Reads.Add(d)
+			w.info.Reads.add(w.in.get(d))
 		}
 		w.read(x.Index)
 		// The array base chain may itself read (e.g. c->subp[i] reads
@@ -259,7 +266,7 @@ func (w *localWalker) call(x *ast.CallExpr) {
 		}
 		return
 	}
-	site := w.a.Prog.CallSites[x.Site]
+	site := w.prog.CallSites[x.Site]
 	cc := CallContext{
 		Site: site,
 		Recv: w.recvActual(x.Recv),
@@ -295,10 +302,10 @@ func (w *localWalker) recvActual(recv ast.Expr) RecvActual {
 		switch x.Sym {
 		case ast.SymField:
 			// A nested object of the receiver, e.g. acc.vecAdd(...).
-			if _, ok := w.a.Prog.TypeOf(x).(types.Object); ok {
+			if _, ok := w.prog.TypeOf(x).(types.Object); ok {
 				return RecvActual{
 					Kind: RecvNested, ViaThis: true,
-					Class: w.a.Prog.Classes[x.FieldClass],
+					Class: w.prog.Classes[x.FieldClass],
 					Path:  []string{x.Name},
 				}
 			}
@@ -310,13 +317,13 @@ func (w *localWalker) recvActual(recv ast.Expr) RecvActual {
 		return RecvActual{Kind: RecvFree}
 	case *ast.FieldAccess:
 		// Object-valued chains: extend the nested path.
-		if _, ok := w.a.Prog.TypeOf(x).(types.Object); ok {
+		if _, ok := w.prog.TypeOf(x).(types.Object); ok {
 			base := w.recvActual(x.X)
 			switch base.Kind {
 			case RecvThis:
 				return RecvActual{
 					Kind: RecvNested, ViaThis: true,
-					Class: w.a.Prog.Classes[x.DeclClass],
+					Class: w.prog.Classes[x.DeclClass],
 					Path:  []string{x.Name},
 				}
 			case RecvNested:
@@ -329,7 +336,7 @@ func (w *localWalker) recvActual(recv ast.Expr) RecvActual {
 				// Nested object of a free object, e.g. n->pos.m(...).
 				return RecvActual{
 					Kind: RecvNested, ViaThis: false,
-					Class: w.a.Prog.Classes[x.DeclClass],
+					Class: w.prog.Classes[x.DeclClass],
 					Path:  []string{x.Name},
 				}
 			}
@@ -352,7 +359,7 @@ func (w *localWalker) refActual(arg ast.Expr) ActualRef {
 		case ast.SymField:
 			return ActualRef{
 				Kind:  ActField,
-				Field: ThisField(w.a.Prog.Classes[x.FieldClass], nil, x.Name),
+				Field: ThisField(w.prog.Classes[x.FieldClass], nil, x.Name),
 			}
 		}
 	case *ast.FieldAccess:
@@ -376,7 +383,7 @@ const (
 
 // accessDesc resolves an lvalue-shaped expression to a storage
 // descriptor.
-func (w *localWalker) accessDesc(e ast.Expr) (Desc, accessKind) {
+func (w resolver) accessDesc(e ast.Expr) (Desc, accessKind) {
 	switch x := e.(type) {
 	case *ast.Ident:
 		switch x.Sym {
@@ -389,21 +396,21 @@ func (w *localWalker) accessDesc(e ast.Expr) (Desc, accessKind) {
 			}
 			return Desc{}, accValue
 		case ast.SymField:
-			t := w.a.Prog.TypeOf(x)
+			t := w.prog.TypeOf(x)
 			if _, isObj := t.(types.Object); isObj {
 				return Desc{}, accValue // object identity, not storage
 			}
-			return ThisField(w.a.Prog.Classes[x.FieldClass], nil, x.Name), accField
+			return ThisField(w.prog.Classes[x.FieldClass], nil, x.Name), accField
 		case ast.SymGlobal, ast.SymConst:
 			return Desc{}, accValue
 		}
 		return Desc{}, accUnknown
 	case *ast.FieldAccess:
-		t := w.a.Prog.TypeOf(x)
+		t := w.prog.TypeOf(x)
 		if _, isObj := t.(types.Object); isObj {
 			return Desc{}, accValue
 		}
-		cl := w.a.Prog.Classes[x.DeclClass]
+		cl := w.prog.Classes[x.DeclClass]
 		if cl == nil {
 			return Desc{}, accUnknown
 		}
@@ -439,22 +446,19 @@ func (w *localWalker) accessDesc(e ast.Expr) (Desc, accessKind) {
 // Resolver exposes access-descriptor resolution to other phases (the
 // symbolic executor uses it to classify field reads).
 type Resolver struct {
-	w *localWalker
+	r resolver
 }
 
 // NewResolver returns a resolver for accesses inside method m.
 func NewResolver(prog *types.Program, m *types.Method) *Resolver {
-	a := &Analyzer{Prog: prog}
-	return &Resolver{w: &localWalker{a: a, m: m, info: &MethodInfo{
-		Reads: NewSet(), Writes: NewSet(),
-	}}}
+	return &Resolver{resolver{prog, m}}
 }
 
 // AccessDesc resolves an lvalue-shaped expression to a storage
 // descriptor; ok is false when the expression does not denote
 // instance-variable or reference-parameter storage.
 func (r *Resolver) AccessDesc(e ast.Expr) (Desc, bool) {
-	d, kind := r.w.accessDesc(e)
+	d, kind := r.r.accessDesc(e)
 	return d, kind == accField || kind == accRefParam
 }
 
@@ -469,14 +473,14 @@ const (
 
 // baseChain resolves the object-valued base chain of a field access,
 // returning the nested-object path (innermost last).
-func (w *localWalker) baseChain(e ast.Expr) (chainBase, []string, bool) {
+func (w resolver) baseChain(e ast.Expr) (chainBase, []string, bool) {
 	switch x := e.(type) {
 	case *ast.ThisExpr:
 		return chainThis, nil, true
 	case *ast.Ident:
 		switch x.Sym {
 		case ast.SymField:
-			if _, ok := w.a.Prog.TypeOf(x).(types.Object); ok {
+			if _, ok := w.prog.TypeOf(x).(types.Object); ok {
 				return chainThis, []string{x.Name}, true
 			}
 			// A pointer instance variable: the target object is free.
@@ -488,7 +492,7 @@ func (w *localWalker) baseChain(e ast.Expr) (chainBase, []string, bool) {
 		}
 		return chainBad, nil, false
 	case *ast.FieldAccess:
-		t := w.a.Prog.TypeOf(x)
+		t := w.prog.TypeOf(x)
 		if _, isObj := t.(types.Object); isObj {
 			base, path, ok := w.baseChain(x.X)
 			if !ok {
@@ -511,24 +515,24 @@ func (w *localWalker) baseChain(e ast.Expr) (chainBase, []string, bool) {
 
 // outerDeclClass returns the declaring class of the outermost path
 // element of a nested chain rooted at base.
-func (w *localWalker) outerDeclClass(base ast.Expr, path []string) *types.Class {
+func (w resolver) outerDeclClass(base ast.Expr, path []string) *types.Class {
 	// Walk down to the innermost FieldAccess/Ident naming path[0].
 	e := base
 	for {
 		switch x := e.(type) {
 		case *ast.FieldAccess:
 			if x.Name == path[0] && len(path) == 1 {
-				return w.a.Prog.Classes[x.DeclClass]
+				return w.prog.Classes[x.DeclClass]
 			}
 			if x.Name == path[len(path)-1] {
 				e = x.X
 				path = path[:len(path)-1]
 				continue
 			}
-			return w.a.Prog.Classes[x.DeclClass]
+			return w.prog.Classes[x.DeclClass]
 		case *ast.Ident:
 			if x.Sym == ast.SymField {
-				return w.a.Prog.Classes[x.FieldClass]
+				return w.prog.Classes[x.FieldClass]
 			}
 			return w.m.Class
 		default:

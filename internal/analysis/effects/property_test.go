@@ -2,6 +2,9 @@ package effects_test
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"commute/internal/analysis/effects"
@@ -171,6 +174,185 @@ func TestLiftIdempotent(t *testing.T) {
 		twice := once.Lift()
 		if once.Key() != twice.Key() {
 			t.Errorf("lift not idempotent at %s: %s vs %s", d.Key(), once.Key(), twice.Key())
+		}
+	}
+}
+
+// model is the reference the interned Set is checked against: the
+// descriptors by canonical key, every query answered from Leq.
+type model map[string]effects.Desc
+
+func (m model) slice() []effects.Desc {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]effects.Desc, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
+	}
+	return out
+}
+
+func (m model) key() string {
+	var keys []string
+	for _, d := range m.slice() {
+		keys = append(keys, d.Key())
+	}
+	return strings.Join(keys, ";")
+}
+
+func (m model) covers(d effects.Desc) bool {
+	for _, e := range m {
+		if effects.Leq(d, e) {
+			return true
+		}
+	}
+	return false
+}
+
+func (m model) coversAll(o model) bool {
+	for _, d := range o {
+		if !m.covers(d) {
+			return false
+		}
+	}
+	return true
+}
+
+func (m model) overlaps(o model) bool {
+	for _, a := range m {
+		for _, b := range o {
+			if effects.Overlaps(a, b) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestSetMatchesModel applies random operations to Sets and to the
+// reference side by side and compares every observation after each.
+func TestSetMatchesModel(t *testing.T) {
+	pool := genDescs(t)
+	r := rand.New(rand.NewSource(15))
+	wide := func(d effects.Desc) bool { p, _ := d.PrimType(); return p == types.Double }
+	// The identity binding re-roots receiver-relative fields at their
+	// declaring class and leaves everything else alone.
+	root := effects.Identity(pool[len(pool)-1].Method)
+	unthis := func(d effects.Desc) effects.Desc { d.ViaThis = false; return d }
+
+	const n = 4
+	for trial := 0; trial < 300; trial++ {
+		var sets [n]*effects.Set
+		var refs [n]model
+		for i := range sets {
+			sets[i], refs[i] = effects.NewSet(), model{}
+		}
+		for step := 0; step < 40; step++ {
+			i, j := r.Intn(n), r.Intn(n)
+			d := pool[r.Intn(len(pool))]
+			switch r.Intn(7) {
+			case 0, 1:
+				_, had := refs[i][d.Key()]
+				refs[i][d.Key()] = d
+				if sets[i].Add(d) == had {
+					t.Fatalf("Add(%s) reported changed=%v on %s", d.Key(), had, sets[i])
+				}
+			case 2:
+				before := len(refs[i])
+				for k, v := range refs[j] {
+					refs[i][k] = v
+				}
+				if sets[i].AddAll(sets[j]) != (len(refs[i]) > before) {
+					t.Fatalf("AddAll misreported the change: %s", sets[i])
+				}
+			case 3:
+				clone := model{}
+				for k, v := range refs[j] {
+					clone[k] = v
+				}
+				sets[i], refs[i] = sets[j].Clone(), clone
+			case 4:
+				sets[i] = sets[j].Filter(wide)
+				kept := model{}
+				for k, v := range refs[j] {
+					if wide(v) {
+						kept[k] = v
+					}
+				}
+				refs[i] = kept
+			case 5:
+				sets[i] = root.SubstSet(sets[j])
+				mapped := model{}
+				for _, v := range refs[j] {
+					mapped[unthis(v).Key()] = unthis(v)
+				}
+				refs[i] = mapped
+			case 6:
+				sets[i] = sets[j].Lift()
+				lifted := model{}
+				for _, v := range refs[j] {
+					lifted[v.Lift().Key()] = v.Lift()
+				}
+				refs[i] = lifted
+			}
+
+			s, m := sets[i], refs[i]
+			if s.Len() != len(m) || s.Key() != m.key() || !reflect.DeepEqual(s.Slice(), m.slice()) {
+				t.Fatalf("trial %d step %d: set %s, model {%s}", trial, step, s, m.key())
+			}
+			for _, p := range pool {
+				_, has := m[p.Key()]
+				if s.Has(p) != has || s.Covers(p) != m.covers(p) || s.OverlapsDesc(p) != m.overlaps(model{"": p}) {
+					t.Fatalf("trial %d step %d: %s disagrees with the model about %s", trial, step, s, p.Key())
+				}
+			}
+			if s.All(wide) != (len(s.Filter(wide).Slice()) == s.Len()) {
+				t.Fatalf("trial %d step %d: All and Filter disagree on %s", trial, step, s)
+			}
+			if s.CoversAll(sets[j]) != m.coversAll(refs[j]) || s.OverlapsSet(sets[j]) != m.overlaps(refs[j]) {
+				t.Fatalf("trial %d step %d: %s vs %s: CoversAll/OverlapsSet disagree with the model", trial, step, s, sets[j])
+			}
+		}
+	}
+}
+
+// TestAnalyzersAgree: a set says what it contains, not which Analyzer
+// interned it or in what order. Two Analyzers over one program, driven
+// in opposite method orders, publish deeply equal results, and their
+// sets combine as if they came from one.
+func TestAnalyzersAgree(t *testing.T) {
+	for _, source := range []string{src.BarnesHut, src.Water, src.Graph} {
+		f, err := parser.Parse("app.mc", source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := types.Check(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := effects.NewAnalyzer(prog), effects.NewAnalyzer(prog)
+		for i := len(prog.Methods) - 1; i >= 0; i-- {
+			b.TransitiveEffects(prog.Methods[i])
+		}
+		for _, m := range prog.Methods {
+			ta, tb := a.TransitiveEffects(m), b.TransitiveEffects(m)
+			if !reflect.DeepEqual(ta, tb) || !reflect.DeepEqual(a.Info(m), b.Info(m)) {
+				t.Fatalf("%s: the two analyzers disagree", m.FullName())
+			}
+			for _, site := range m.CallSites {
+				if !reflect.DeepEqual(a.Dep(site), b.Dep(site)) {
+					t.Fatalf("%s: dep sets of site %d differ", m.FullName(), site.ID)
+				}
+			}
+			mixed, own := ta.Reads.Clone(), ta.Reads.Clone()
+			mixed.AddAll(tb.Writes)
+			own.AddAll(ta.Writes)
+			if !reflect.DeepEqual(mixed, own) || !ta.Reads.CoversAll(tb.Reads) || !mixed.CoversAll(own) {
+				t.Fatalf("%s: sets from two analyzers do not combine like sets from one", m.FullName())
+			}
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 type Analyzer struct {
 	Prog *types.Program
 
+	in      interner
 	info    memoTable[*MethodInfo]
 	te      memoTable[*TE]
 	deps    memoTable[map[int]*Set] // call-site ID → dep set, per caller
@@ -61,10 +62,12 @@ func (a *Analyzer) transitiveEffects(m *types.Method) *TE {
 		m *types.Method
 		b Binding
 	}
-	visited := make(map[string]bool)
-	key := func(it item) string { return it.m.FullName() + "#" + it.b.Key() }
-	work := []item{{m: m, b: Identity(m)}}
-	visited[key(work[0])] = true
+	type visit struct {
+		m *types.Method
+		b string
+	}
+	work := []item{{m: m, b: identity(m, &a.in)}}
+	visited := map[visit]bool{{m, work[0].b.Key()}: true}
 
 	for len(work) > 0 {
 		it := work[len(work)-1]
@@ -74,7 +77,7 @@ func (a *Analyzer) transitiveEffects(m *types.Method) *TE {
 		wr.AddAll(it.b.SubstSet(mi.Writes))
 		for _, cc := range mi.Calls {
 			next := item{m: cc.Site.Callee, b: a.Bind(it.m, cc, it.b)}
-			k := key(next)
+			k := visit{next.m, next.b.Key()}
 			if !visited[k] {
 				visited[k] = true
 				work = append(work, next)

@@ -17,9 +17,8 @@ import (
 // overlap writes.
 func Constants(a *effects.Analyzer, m *types.Method) *effects.Set {
 	te := a.TransitiveEffects(m)
-	rd := te.Reads.Map(effects.Desc.Lift)
-	wr := te.Writes.Map(effects.Desc.Lift)
-	return rd.Filter(func(s effects.Desc) bool { return !wr.OverlapsDesc(s) })
+	wr := te.Writes.Lift()
+	return te.Reads.Lift().Filter(func(s effects.Desc) bool { return !wr.OverlapsDesc(s) })
 }
 
 // Result is the outcome of the extent computation for one method.
@@ -56,8 +55,12 @@ func Compute(a *effects.Analyzer, m *types.Method, ec *effects.Set) *Result {
 	visited := make(map[*types.Method]bool)
 	methodSet := map[*types.Method]bool{m: true}
 
-	identSubst := func(caller *types.Method, s *effects.Set) *effects.Set {
-		return effects.Identity(caller).SubstSet(s)
+	isLocal := func(d effects.Desc) bool { return d.Space == effects.DescLocal }
+	// constant: caller locals, and reference parameters, which hold
+	// extent constant values by the reference-parameter constraints;
+	// anything else must be covered by ec.
+	constant := func(d effects.Desc) bool {
+		return d.Space == effects.DescLocal || d.Space == effects.DescParam || ec.Covers(d)
 	}
 
 	var rec func(x *types.Method)
@@ -67,16 +70,14 @@ func Compute(a *effects.Analyzer, m *types.Method, ec *effects.Set) *Result {
 		}
 		visited[x] = true
 		mi := a.Info(x)
+		ident := effects.Identity(x)
 		for i := range mi.Calls {
 			cc := &mi.Calls[i]
 			callee := cc.Site.Callee
 			te := a.TransitiveEffects(callee)
-			b := a.Bind(x, *cc, effects.Identity(x))
-			rd := b.SubstSet(te.Reads)
-			wr := b.SubstSet(te.Writes)
-			dep := identSubst(x, a.Dep(cc.Site))
-
-			if writesOnlyLocals(wr) && readsOnlyECOrLocal(rd, ec) && depInEC(dep, ec) {
+			b := a.Bind(x, *cc, ident)
+			if b.SubstSet(te.Writes).All(isLocal) && b.SubstSet(te.Reads).All(constant) &&
+				ident.SubstSet(a.Dep(cc.Site)).All(constant) {
 				res.Aux = append(res.Aux, cc.Site)
 				continue
 			}
@@ -92,39 +93,4 @@ func Compute(a *effects.Analyzer, m *types.Method, ec *effects.Set) *Result {
 	}
 	sort.Slice(res.Methods, func(i, j int) bool { return res.Methods[i].ID < res.Methods[j].ID })
 	return res
-}
-
-func writesOnlyLocals(wr *effects.Set) bool {
-	for _, d := range wr.Slice() {
-		if d.Space != effects.DescLocal {
-			return false
-		}
-	}
-	return true
-}
-
-func readsOnlyECOrLocal(rd, ec *effects.Set) bool {
-	for _, d := range rd.Slice() {
-		switch d.Space {
-		case effects.DescLocal, effects.DescParam:
-			continue // caller locals; reference parameters hold extent constants
-		}
-		if !ec.Covers(d) {
-			return false
-		}
-	}
-	return true
-}
-
-func depInEC(dep, ec *effects.Set) bool {
-	for _, d := range dep.Slice() {
-		switch d.Space {
-		case effects.DescLocal, effects.DescParam:
-			continue
-		}
-		if !ec.Covers(d) {
-			return false
-		}
-	}
-	return true
 }

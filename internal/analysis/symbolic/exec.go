@@ -2,71 +2,10 @@ package symbolic
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 
-	"commute/internal/analysis/effects"
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
 )
-
-// Env supplies the context a symbolic execution runs in: the checked
-// program, the extent-constant set, and the auxiliary call-site
-// classification of the extent under test. An Env is safe for
-// concurrent use by multiple symbolic executions.
-type Env struct {
-	Prog *types.Program
-	EC   *effects.Set
-	// Aux reports whether a call site is auxiliary in the current
-	// extent.
-	Aux map[int]bool
-	// constArgs caches the footnote-4 optimization: if every call site
-	// of a method passes the same literal for a parameter, the literal
-	// is used in all symbolic executions. Computed lazily under mu.
-	mu        sync.Mutex
-	constArgs map[*types.Method][]Expr
-	// fp is the environment fingerprint (see Fingerprint).
-	fp string
-}
-
-// NewEnv builds an execution environment.
-func NewEnv(prog *types.Program, ec *effects.Set, aux map[int]bool) *Env {
-	env := &Env{Prog: prog, EC: ec, Aux: aux, constArgs: make(map[*types.Method][]Expr)}
-	env.fp = env.fingerprint()
-	return env
-}
-
-// Fingerprint identifies everything about the environment that can
-// influence a symbolic execution within one program: the extent
-// constant set and the auxiliary call-site classification. Two Envs
-// over the same program with equal fingerprints produce identical
-// execution results, which is what lets pair-test verdicts be cached
-// across methods whose extents share an environment.
-func (env *Env) Fingerprint() string { return env.fp }
-
-func (env *Env) fingerprint() string {
-	var sb strings.Builder
-	if env.EC != nil {
-		sb.WriteString(env.EC.Key())
-	}
-	sb.WriteByte('|')
-	sites := make([]int, 0, len(env.Aux))
-	for id, on := range env.Aux {
-		if on {
-			sites = append(sites, id)
-		}
-	}
-	sort.Ints(sites)
-	for i, id := range sites {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(id))
-	}
-	return sb.String()
-}
 
 // UnanalyzableError reports why a method could not be symbolically
 // executed.
@@ -105,14 +44,14 @@ func (r *Result) Canonical() *Result {
 // are keyed by (invocation tag, call site, occurrence) so both orders
 // agree on them.
 func ExecutePair(mA, mB *types.Method, tagA, tagB string, env *Env) (*Result, error) {
-	ex := &executor{
-		env:   env,
-		ivars: make(map[string]Expr),
+	// A's run from the initial state is the same whatever follows it:
+	// take it from the memo and execute only B on a copy of its state.
+	first := env.firstRun(mA, tagA)
+	if first.err != nil {
+		return nil, first.err
 	}
-	var invoked Multiset
-	if err := ex.runMethod(mA, tagA, &invoked); err != nil {
-		return nil, err
-	}
+	ex := &executor{env: env, ivars: cloneMap(first.ivars)}
+	invoked := append(Multiset(nil), first.invoked...)
 	if err := ex.runMethod(mB, tagB, &invoked); err != nil {
 		return nil, err
 	}
@@ -122,20 +61,17 @@ func ExecutePair(mA, mB *types.Method, tagA, tagB string, env *Env) (*Result, er
 // ExecuteOne symbolically executes a single invocation (used by
 // reports and the Table 1 demonstration).
 func ExecuteOne(m *types.Method, tag string, env *Env) (*Result, error) {
-	ex := &executor{env: env, ivars: make(map[string]Expr)}
-	var invoked Multiset
-	if err := ex.runMethod(m, tag, &invoked); err != nil {
-		return nil, err
+	first := env.firstRun(m, tag)
+	if first.err != nil {
+		return nil, first.err
 	}
-	return &Result{IVars: ex.ivars, Invoked: invoked}, nil
+	return &Result{IVars: cloneMap(first.ivars), Invoked: append(Multiset(nil), first.invoked...)}, nil
 }
 
 // Analyzable reports whether the method can be symbolically executed in
 // the environment, with the reason when it cannot.
 func Analyzable(m *types.Method, env *Env) error {
-	ex := &executor{env: env, ivars: make(map[string]Expr)}
-	var invoked Multiset
-	return ex.runMethod(m, "1", &invoked)
+	return env.firstRun(m, "1").err
 }
 
 // ---------------------------------------------------------------------
@@ -173,9 +109,10 @@ func (ex *executor) runMethod(m *types.Method, tag string, invoked *Multiset) er
 	ex.invoked = invoked
 	ex.retSeen = false
 
-	consts := ex.env.constArgsOf(m)
+	ex.env.cache.execs.Add(1)
+	consts := ex.env.cache.constArgsOf(m)
 	for i, p := range m.Params {
-		if consts[i] != nil {
+		if consts != nil && consts[i] != nil {
 			ex.params[p.Name] = consts[i]
 			continue
 		}
@@ -249,12 +186,7 @@ func (ex *executor) stmt(s ast.Stmt) error {
 		}
 		return nil
 	case *ast.DeclStmt:
-		t := ex.env.Prog.DeclType[st]
-		if _, isArr := t.(types.Array); isArr {
-			ex.locals[st.Name] = Var{Name: ex.tag + ":undef:" + st.Name}
-		} else {
-			ex.locals[st.Name] = Var{Name: ex.tag + ":undef:" + st.Name}
-		}
+		ex.locals[st.Name] = Var{Name: ex.tag + ":undef:" + st.Name}
 		if st.Init != nil {
 			v, err := ex.eval(st.Init)
 			if err != nil {

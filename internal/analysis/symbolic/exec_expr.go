@@ -9,44 +9,6 @@ import (
 	"commute/internal/frontend/types"
 )
 
-// constArgsOf implements the footnote-4 optimization: for each
-// parameter, if every call site in the program passes the same literal,
-// symbolic executions use the literal itself. Concurrent executions
-// share the cache under env.mu.
-func (env *Env) constArgsOf(m *types.Method) []Expr {
-	env.mu.Lock()
-	defer env.mu.Unlock()
-	if v, ok := env.constArgs[m]; ok {
-		return v
-	}
-	out := make([]Expr, len(m.Params))
-	seen := false
-	for _, cs := range env.Prog.CallSites {
-		if cs.Callee != m {
-			continue
-		}
-		for i, arg := range cs.Call.Args {
-			if i >= len(out) {
-				break
-			}
-			lit := literalExpr(arg)
-			if !seen {
-				out[i] = lit
-			} else if out[i] != nil && (lit == nil || lit.Key() != out[i].Key()) {
-				out[i] = nil
-			}
-		}
-		seen = true
-	}
-	if !seen {
-		for i := range out {
-			out[i] = nil
-		}
-	}
-	env.constArgs[m] = out
-	return out
-}
-
 func literalExpr(e ast.Expr) Expr {
 	switch x := e.(type) {
 	case *ast.IntLit:
@@ -199,12 +161,12 @@ func (ex *executor) evalFieldAccess(x *ast.FieldAccess) (Expr, error) {
 		// through nested operations).
 		norm := desc
 		norm.ViaThis = false
-		if !ex.env.EC.Covers(norm) {
+		if !ex.env.covers(norm) {
 			return nil, ex.failf("read of nested field %s that is not an extent constant", norm.Key())
 		}
 		return Extent{ID: "ec:" + norm.Key() + "@this"}, nil
 	}
-	if !ex.env.EC.Covers(desc) {
+	if !ex.env.covers(desc) {
 		return nil, ex.failf("read of %s which is not an extent constant", desc.Key())
 	}
 	base, err := ex.eval(x.X)
@@ -350,7 +312,7 @@ func (ex *executor) evalCall(x *ast.CallExpr) (Expr, error) {
 		return mkCall(x.Method, args), nil
 	}
 	site := ex.env.Prog.CallSites[x.Site]
-	if ex.env.Aux[x.Site] {
+	if ex.env.isAux(x.Site) {
 		return ex.evalAuxCall(x, site)
 	}
 	// Extent operation: record the invocation; its value may not be

@@ -348,7 +348,7 @@ func (ex *executor) tryInvocationForm(st *ast.ForStmt) (bool, error) {
 	if !okC || call.Builtin || call.Site < 0 {
 		return false, nil
 	}
-	if ex.env.Aux[call.Site] {
+	if ex.env.isAux(call.Site) {
 		return false, nil // auxiliary loops compute nothing visible
 	}
 	if call.Recv != nil && mentionsIdent(call.Recv, v) {

@@ -156,6 +156,10 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 	if opts.Module == "" {
 		opts.Module = "nativeapp"
 	}
+	if strings.ContainsAny(opts.AppName, "\n\r") {
+		// The name lands in the generated files' header comments.
+		return nil, fmt.Errorf("emitgo: app name %q contains a line break", opts.AppName)
+	}
 	if p.Prog.Main == nil {
 		return nil, fmt.Errorf("emitgo: program has no main function")
 	}
@@ -201,19 +205,19 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 	}
 
 	progSrc := e.assembleProg(entry)
-	mainSrc := e.assembleMain()
 	if len(e.errs) > 0 {
 		sort.Strings(e.errs)
 		return nil, fmt.Errorf("emitgo: %s", strings.Join(e.errs, "; "))
 	}
-	files := map[string][]byte{}
-	for name, src := range map[string]string{"prog.go": progSrc, "main.go": mainSrc} {
-		out, err := format.Source([]byte(src))
-		if err != nil {
-			return nil, fmt.Errorf("emitgo: generated %s does not parse: %v\n%s", name, err, numbered(src))
-		}
-		files[name] = out
+	prog, err := format.Source([]byte(progSrc))
+	if err != nil {
+		return nil, fmt.Errorf("emitgo: generated prog.go does not parse: %v\n%s", err, numbered(progSrc))
 	}
+	main, err := e.assembleMain()
+	if err != nil {
+		return nil, fmt.Errorf("emitgo: the main.go template does not parse: %v", err)
+	}
+	files := map[string][]byte{"prog.go": prog, "main.go": main}
 	if opts.CommutePath != "" {
 		files["go.mod"] = []byte(fmt.Sprintf(
 			"module %s\n\ngo 1.22\n\nrequire commute v0.0.0\n\nreplace commute => %s\n",

@@ -9,33 +9,24 @@ import (
 	"commute/internal/frontend/types"
 )
 
-// commute implements Figure 11: two methods commute if all invocations
-// are independent, or if symbolic execution of both orders produces the
+// pairKey names an ordered method pair in the pair-verdict memo.
+type pairKey struct{ m1, m2 *types.Method }
+
+// symbolicPair runs the symbolic-execution half of the Figure 11 test —
+// two methods commute if symbolic execution of both orders produces the
 // same instance-variable values and the same multiset of directly
-// invoked operations.
-func (a *Analysis) commute(m1, m2 *types.Method, env *symbolic.Env) PairResult {
-	if a.independent(m1, m2) {
-		return PairResult{M1: m1, M2: m2, Independent: true, Commutes: true}
-	}
-	return a.symbolicPair(m1, m2, env)
+// invoked operations — memoizing the verdict. Methods whose extents
+// overlap retest the same pairs; a verdict is reused under every
+// environment that answers the questions its executions asked the same
+// way (see symbolic.Memo), which is most of them: a body rarely looks
+// at more than a few extent constants and call sites.
+func symbolicPair(memo *memo, m1, m2 *types.Method, env *symbolic.Env) PairResult {
+	return memo.pairs.Get(pairKey{m1, m2}, env, func(rec *symbolic.Env) PairResult {
+		return commuteSymbolic(m1, m2, rec)
+	})
 }
 
-// symbolicPair runs the symbolic-execution half of the Figure 11 test,
-// memoizing the outcome in pairCache. Methods whose extents overlap
-// retest the same pairs; the cache key includes the environment
-// fingerprint (extent constants + auxiliary sites) because the outcome
-// depends on it.
-func (a *Analysis) symbolicPair(m1, m2 *types.Method, env *symbolic.Env) PairResult {
-	key := fmt.Sprintf("%d#%d#%s", m1.ID, m2.ID, env.Fingerprint())
-	if v, ok := a.pairCache.Load(key); ok {
-		return v.(PairResult)
-	}
-	pr := a.commuteSymbolic(m1, m2, env)
-	a.pairCache.Store(key, pr)
-	return pr
-}
-
-func (a *Analysis) commuteSymbolic(m1, m2 *types.Method, env *symbolic.Env) PairResult {
+func commuteSymbolic(m1, m2 *types.Method, env *symbolic.Env) PairResult {
 	pr := PairResult{M1: m1, M2: m2}
 	if err := symbolic.Analyzable(m1, env); err != nil {
 		pr.Reason = "unanalyzable: " + err.Error()
@@ -123,12 +114,6 @@ func (a *Analysis) commuteSymbolic(m1, m2 *types.Method, env *symbolic.Env) Pair
 // touch their own receivers therefore never overlap.
 func (a *Analysis) independent(m1, m2 *types.Method) bool {
 	i1, i2 := a.Eff.Info(m1), a.Eff.Info(m2)
-	acc2 := i2.Reads.Clone()
-	acc2.AddAll(i2.Writes)
-	if i1.Writes.OverlapsSet(acc2) {
-		return false
-	}
-	acc1 := i1.Reads.Clone()
-	acc1.AddAll(i1.Writes)
-	return !i2.Writes.OverlapsSet(acc1)
+	return !i1.Writes.OverlapsSet(i2.Reads) && !i1.Writes.OverlapsSet(i2.Writes) &&
+		!i2.Writes.OverlapsSet(i1.Reads)
 }

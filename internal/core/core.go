@@ -35,6 +35,12 @@ func isFalsePred(p cond.Pred) bool {
 // its own per-method once-published memos (see effects.Analyzer), so
 // distinct methods analyze concurrently without coordination. Results
 // are deterministic — identical regardless of Workers.
+//
+// What the analyses share while they run — the symbolic first-run
+// states and the pair verdicts (see memo) — serves no published report:
+// it is dropped when the last defined method's report is published,
+// after which IsParallel is a report lookup and the Analysis retains
+// the reports and the effects memos only.
 type Analysis struct {
 	Prog *types.Program
 	Eff  *effects.Analyzer
@@ -48,10 +54,8 @@ type Analysis struct {
 
 	mu      sync.Mutex
 	reports map[*types.Method]*reportCell
-
-	// pairCache memoizes symbolic pair-test outcomes across methods
-	// whose extents share pairs, keyed by (m1, m2, env fingerprint).
-	pairCache sync.Map // string → PairResult
+	memo    *memo // nil once every report is published
+	pending int   // defined methods whose report is not yet published
 
 	// Options.
 
@@ -70,13 +74,29 @@ type reportCell struct {
 	r    *MethodReport
 }
 
+// memo is what the method analyses of one program share: the symbolic
+// executor's per-program cache and the symbolic pair verdicts, each
+// entry reusable under every environment that answers its questions
+// alike (see symbolic.Memo).
+type memo struct {
+	sym   *symbolic.Cache
+	pairs symbolic.Memo[pairKey, PairResult]
+}
+
 // New returns an Analysis for prog.
 func New(prog *types.Program) *Analysis {
-	return &Analysis{
+	a := &Analysis{
 		Prog:    prog,
 		Eff:     effects.NewAnalyzer(prog),
 		reports: make(map[*types.Method]*reportCell),
+		memo:    &memo{sym: symbolic.NewCache(prog)},
 	}
+	for _, m := range prog.Methods {
+		if m.Def != nil {
+			a.pending++
+		}
+	}
+	return a
 }
 
 // workerCount resolves the Workers setting to a concrete parallelism
@@ -170,25 +190,32 @@ type MethodReport struct {
 // once and sharing it with every caller. Safe for concurrent use.
 func (a *Analysis) IsParallel(m *types.Method) *MethodReport {
 	a.mu.Lock()
-	if a.reports == nil {
-		a.reports = make(map[*types.Method]*reportCell)
-	}
 	c, ok := a.reports[m]
 	if !ok {
 		c = new(reportCell)
 		a.reports[m] = c
 	}
+	memo := a.memo
 	a.mu.Unlock()
-	c.once.Do(func() { c.r = a.analyze(m) })
+	c.once.Do(func() {
+		if m.Def == nil {
+			c.r = &MethodReport{Method: m, Reason: "method has no definition"}
+			return
+		}
+		// An unpublished defined method keeps pending above zero, so
+		// the memo read above is still there.
+		c.r = a.analyze(m, memo)
+		a.mu.Lock()
+		if a.pending--; a.pending == 0 {
+			a.memo = nil
+		}
+		a.mu.Unlock()
+	})
 	return c.r
 }
 
-func (a *Analysis) analyze(m *types.Method) *MethodReport {
+func (a *Analysis) analyze(m *types.Method, memo *memo) *MethodReport {
 	r := &MethodReport{Method: m}
-	if m.Def == nil {
-		r.Reason = "method has no definition"
-		return r
-	}
 
 	// ec = extentConstantVariables(m); ⟨ext, aux⟩ = extent(m, ec).
 	r.EC = extent.Constants(a.Eff, m)
@@ -199,8 +226,9 @@ func (a *Analysis) analyze(m *types.Method) *MethodReport {
 	ext := extent.Compute(a.Eff, m, ecForExtent)
 	if a.DisableAuxiliary {
 		// Reclassify every auxiliary site as an extent site (and pull
-		// the auxiliary callees into the extent).
-		ext = extentWithoutAux(a.Eff, m, ext)
+		// the auxiliary callees into the extent): with an empty
+		// extent-constant set no call site qualifies as auxiliary.
+		ext = extent.Compute(a.Eff, m, effects.NewSet())
 	}
 	r.Ext = ext
 	r.AuxiliaryCallSites = len(ext.Aux)
@@ -247,7 +275,7 @@ func (a *Analysis) analyze(m *types.Method) *MethodReport {
 	for _, c := range ext.Aux {
 		aux[c.ID] = true
 	}
-	env := symbolic.NewEnv(a.Prog, ecForExtent, aux)
+	env := memo.sym.Env(ecForExtent, aux)
 
 	n := len(ext.Methods)
 	pairs := make([]PairResult, 0, n*(n+1)/2)
@@ -277,7 +305,7 @@ func (a *Analysis) analyze(m *types.Method) *MethodReport {
 				defer wg.Done()
 				for jb := range ch {
 					// Workers write disjoint indices; no locking needed.
-					pairs[jb.p] = a.symbolicPair(jb.m1, jb.m2, env)
+					pairs[jb.p] = symbolicPair(memo, jb.m1, jb.m2, env)
 				}
 			}()
 		}
@@ -288,7 +316,7 @@ func (a *Analysis) analyze(m *types.Method) *MethodReport {
 		wg.Wait()
 	} else {
 		for _, jb := range survivors {
-			pairs[jb.p] = a.symbolicPair(jb.m1, jb.m2, env)
+			pairs[jb.p] = symbolicPair(memo, jb.m1, jb.m2, env)
 		}
 	}
 
@@ -370,12 +398,6 @@ func (a *Analysis) valueUsed(site *types.CallSite) bool {
 		return true
 	})
 	return !stmtPos[site.Call]
-}
-
-// extentWithoutAux re-runs the extent computation with an empty
-// extent-constant set so that no call site qualifies as auxiliary.
-func extentWithoutAux(a *effects.Analyzer, m *types.Method, _ *extent.Result) *extent.Result {
-	return extent.Compute(a, m, effects.NewSet())
 }
 
 // AnalyzeAll runs IsParallel over every defined method — fanning the

@@ -158,18 +158,33 @@ func TestAnalyzeCacheSpeedupBarnesHut(t *testing.T) {
 		t.Fatalf("cold analyze = %d: %s", resp.StatusCode, data)
 	}
 
-	t1 := time.Now()
-	resp, data = post(t, ts, "/v1/analyze", req)
-	warm := time.Since(t1)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm analyze = %d: %s", resp.StatusCode, data)
+	// One warm sample on a shared box is the hit plus whatever else ran
+	// meanwhile; noise only ever adds, so the fastest of several is the
+	// hit's cost.
+	const warmRequests = 20
+	var warm time.Duration
+	for i := 0; i < warmRequests; i++ {
+		t1 := time.Now()
+		resp, data = post(t, ts, "/v1/analyze", req)
+		d := time.Since(t1)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm analyze = %d: %s", resp.StatusCode, data)
+		}
+		var wr api.AnalyzeResponse
+		if err := json.Unmarshal(data, &wr); err != nil {
+			t.Fatal(err)
+		}
+		if wr.Cache != "hit" {
+			t.Fatalf("request %d cache = %q, want hit", i+2, wr.Cache)
+		}
+		if i == 0 || d < warm {
+			warm = d
+		}
 	}
-	var wr api.AnalyzeResponse
-	if err := json.Unmarshal(data, &wr); err != nil {
-		t.Fatal(err)
-	}
-	if wr.Cache != "hit" {
-		t.Fatalf("second request cache = %q, want hit", wr.Cache)
+	// What the bar means: every request after the first was served from
+	// the one load.
+	if st := statusz(t, ts); st.CacheMisses != 1 || st.CacheHits != warmRequests {
+		t.Fatalf("statusz cache counters = %d misses / %d hits, want 1 / %d", st.CacheMisses, st.CacheHits, warmRequests)
 	}
 	if warm*10 > cold {
 		t.Fatalf("cached analyze took %v vs cold %v — want >= 10x faster", warm, cold)
