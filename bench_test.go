@@ -16,6 +16,8 @@ import (
 	"commute/internal/apps"
 	"commute/internal/apps/src"
 	"commute/internal/bench"
+	"commute/internal/frontend/parser"
+	"commute/internal/frontend/types"
 )
 
 func benchRunner() *bench.Runner {
@@ -89,10 +91,15 @@ func BenchmarkAnalyzeWater(b *testing.B) {
 	}
 }
 
-// BenchmarkParseBarnesHut isolates the front end.
+// BenchmarkParseBarnesHut isolates the front end: parse and type check,
+// no analysis and no plans.
 func BenchmarkParseBarnesHut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := commute.Load("barneshut.mc", src.BarnesHut); err != nil {
+		file, err := parser.Parse("barneshut.mc", src.BarnesHut)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := types.Check(file); err != nil {
 			b.Fatal(err)
 		}
 	}

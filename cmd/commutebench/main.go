@@ -13,8 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -42,123 +40,12 @@ func main() {
 	procsFlag := flag.String("procs", "", "processor counts, e.g. 1,2,4,8,16,32")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	timeout := flag.Duration("timeout", 0, "abort the whole regeneration after this deadline (0: none)")
-	jsonOut := flag.Bool("json", false, "measure real-execution performance and write BENCH_<rev>.json")
-	rev := flag.String("rev", "dev", "revision label for the -json output file")
-	outDir := flag.String("outdir", ".", "directory for the -json output file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	serveLoad := flag.Bool("serve-load", false, "load-test an in-process commuted server and report throughput, p99, and cache hit rate")
-	loadRequests := flag.Int("load-requests", 200, "total requests for -serve-load / -fleet-load")
-	loadConcurrency := flag.Int("load-concurrency", 16, "concurrent clients for -serve-load / -fleet-load")
-	loadWorkers := flag.Int("load-workers", 0, "server worker-pool size for -serve-load (0: GOMAXPROCS)")
-	fleetLoad := flag.Bool("fleet-load", false, "load-test an in-process fingerprint-routed fleet against a single-replica baseline")
-	fleetReplicas := flag.Int("fleet-replicas", 3, "replica count for -fleet-load")
-	fleetPrograms := flag.Int("fleet-programs", 60, "distinct-fingerprint corpus size for -fleet-load")
-	fleetCacheBytes := flag.Int64("fleet-cache-bytes", 6<<20, "per-replica cache budget for -fleet-load")
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
-
-	// The load modes honor -json/-rev/-outdir by folding their serve-*
-	// entries into the same BENCH_<rev>.json the engine suites write,
-	// so benchdiff gates serving-path regressions alongside the rest.
-	mergeServe := func(results []bench.PerfResult) {
-		if !*jsonOut {
-			return
-		}
-		path, err := bench.MergeResults(*outDir, *rev, results)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("merged %d serve entries into %s\n", len(results), path)
-	}
-
-	if *serveLoad {
-		out, results, err := bench.RunServeLoad(bench.ServeLoadConfig{
-			Requests:    *loadRequests,
-			Concurrency: *loadConcurrency,
-			Workers:     *loadWorkers,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(out)
-		mergeServe(results)
-		return
-	}
-
-	if *fleetLoad {
-		cfg := bench.FleetLoadConfig{
-			Concurrency: *loadConcurrency,
-			Replicas:    *fleetReplicas,
-			Programs:    *fleetPrograms,
-			CacheBytes:  *fleetCacheBytes,
-		}
-		if *loadRequests != 200 { // flag default belongs to -serve-load
-			cfg.Requests = *loadRequests
-		}
-		out, results, err := bench.RunFleetLoad(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(out)
-		mergeServe(results)
-		return
-	}
 
 	if *list {
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-18s %s\n", e.ID, e.Title)
 		}
-		return
-	}
-
-	if *jsonOut {
-		rep, err := bench.RunPerf(*rev)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		path, err := rep.WriteJSON(*outDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for _, r := range rep.Results {
-			fmt.Printf("%-30s %12d ns/op %8d allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
-		}
-		fmt.Printf("wrote %s\n", path)
 		return
 	}
 

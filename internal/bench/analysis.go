@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"testing"
 
 	"commute"
 	"commute/internal/analysis/extent"
@@ -17,7 +16,7 @@ import (
 // produce one — a fresh core.Analysis per iteration over a shared
 // checked program, so every effects memo, pair-test cache, and report
 // is rebuilt from scratch. The serial/parallel split (Workers 1 vs
-// perfWorkers) tracks what the parallel analysis driver buys.
+// GOMAXPROCS) tracks what the parallel analysis driver buys.
 
 // AnalyzeCold runs a complete cold commutativity analysis of sys's
 // program with the given driver parallelism.
@@ -94,71 +93,6 @@ func (p *PairTestEnv) Run() error {
 	}
 	if !symbolic.EqualMultisets(c12.Invoked, c21.Invoked) {
 		return fmt.Errorf("pair test invoked multisets diverged")
-	}
-	return nil
-}
-
-// analysisPerf appends the analysis-phase results to a perf report.
-func analysisPerf(rep *PerfReport, bh, water *commute.System) error {
-	pt, err := NewPairTest()
-	if err != nil {
-		return fmt.Errorf("pairtest fixture: %w", err)
-	}
-	var runErr error
-	cases := []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
-		{"analysis-barneshut-serial", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				AnalyzeCold(bh, 1)
-			}
-		}},
-		{"analysis-barneshut-parallel", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				AnalyzeCold(bh, perfWorkers)
-			}
-		}},
-		{"analysis-water-serial", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				AnalyzeCold(water, 1)
-			}
-		}},
-		{"analysis-water-parallel", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				AnalyzeCold(water, perfWorkers)
-			}
-		}},
-		{"analysis-simplify-deep", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				symbolic.Simplify(DeepExpr(200))
-			}
-		}},
-		{"analysis-pairtest", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := pt.Run(); err != nil {
-					runErr = err
-					b.FailNow()
-				}
-			}
-		}},
-	}
-	for _, c := range cases {
-		c := c
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			c.fn(b)
-		})
-		if runErr != nil {
-			return fmt.Errorf("%s: %w", c.name, runErr)
-		}
-		rep.Results = append(rep.Results, PerfResult{
-			Name:        c.name,
-			NsPerOp:     res.NsPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			Iterations:  res.N,
-		})
 	}
 	return nil
 }

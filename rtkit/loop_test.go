@@ -46,41 +46,39 @@ func (c *countLoop) Release() {
 // workers, and the record is released exactly once.
 func TestRunLoopRunsEveryIndexOnce(t *testing.T) {
 	shapes := []struct{ from, to, step int64 }{{0, 100, 1}, {0, 1, 1}, {5, 50, 3}, {0, 7, 2}, {0, 1000, 1}}
-	for _, mode := range []Mode{Stealing, Central} {
-		p := NewPool(4, mode, Hooks{})
-		for _, workers := range []int{1, 2, 4, 9} {
-			for _, sh := range shapes {
-				for _, inTask := range []bool{false, true} {
-					c := &countLoop{ran: map[int64]int{}}
-					if inTask {
-						p.Spawn(p.External(), "", func(w *Worker) {
-							p.RunLoop(w, &c.Loop, c, workers, sh.from, sh.to, sh.step)
-						})
-					} else {
-						p.RunLoop(p.External(), &c.Loop, c, workers, sh.from, sh.to, sh.step)
+	p := NewPool(4, Stealing, Hooks{})
+	for _, workers := range []int{1, 2, 4, 9} {
+		for _, sh := range shapes {
+			for _, inTask := range []bool{false, true} {
+				c := &countLoop{ran: map[int64]int{}}
+				if inTask {
+					p.Spawn(p.External(), "", func(w *Worker) {
+						p.RunLoop(w, &c.Loop, c, workers, sh.from, sh.to, sh.step)
+					})
+				} else {
+					p.RunLoop(p.External(), &c.Loop, c, workers, sh.from, sh.to, sh.step)
+				}
+				p.Drain()
+				want := 0
+				for i := sh.from; i < sh.to; i += sh.step {
+					want++
+					if c.ran[i] != 1 {
+						t.Fatalf("workers=%d %+v inTask=%v: index %d ran %d times", workers, sh, inTask, i, c.ran[i])
 					}
-					p.Drain()
-					want := 0
-					for i := sh.from; i < sh.to; i += sh.step {
-						want++
-						if c.ran[i] != 1 {
-							t.Fatalf("mode=%v workers=%d %+v inTask=%v: index %d ran %d times", mode, workers, sh, inTask, i, c.ran[i])
-						}
-					}
-					if len(c.ran) != want {
-						t.Fatalf("mode=%v workers=%d %+v inTask=%v: %d distinct indices, want %d", mode, workers, sh, inTask, len(c.ran), want)
-					}
-					if c.claimants < 1 || c.claimants > workers || c.claimants > want {
-						t.Errorf("mode=%v workers=%d %+v inTask=%v: %d claimants", mode, workers, sh, inTask, c.claimants)
-					}
-					if c.released != 1 {
-						t.Errorf("mode=%v workers=%d %+v inTask=%v: released %d times, want 1", mode, workers, sh, inTask, c.released)
-					}
+				}
+				if len(c.ran) != want {
+					t.Fatalf("workers=%d %+v inTask=%v: %d distinct indices, want %d", workers, sh, inTask, len(c.ran), want)
+				}
+				if c.claimants < 1 || c.claimants > workers || c.claimants > want {
+					t.Errorf("workers=%d %+v inTask=%v: %d claimants", workers, sh, inTask, c.claimants)
+				}
+				if c.released != 1 {
+					t.Errorf("workers=%d %+v inTask=%v: released %d times, want 1", workers, sh, inTask, c.released)
 				}
 			}
 		}
-		p.Wait()
 	}
+	p.Wait()
 }
 
 // TestRunLoopJoinsWithoutStarvedHelpers: a loop's helpers are only
@@ -94,73 +92,71 @@ func TestRunLoopRunsEveryIndexOnce(t *testing.T) {
 // open each drops its reference, so every record is released once.
 func TestRunLoopJoinsWithoutStarvedHelpers(t *testing.T) {
 	const workers = 2
-	for _, mode := range []Mode{Stealing, Central} {
-		for _, inTask := range []bool{false, true} {
-			p := NewPool(workers, mode, Hooks{})
-			stuck := workers
-			if inTask {
-				stuck = workers - 1 // one worker stays free to run the task
+	for _, inTask := range []bool{false, true} {
+		p := NewPool(workers, Stealing, Hooks{})
+		stuck := workers
+		if inTask {
+			stuck = workers - 1 // one worker stays free to run the task
+		}
+		gate := make(chan struct{})
+		var started atomic.Int64
+		for i := 0; i < stuck; i++ {
+			p.Spawn(p.External(), "gate", func(*Worker) {
+				started.Add(1)
+				<-gate
+			})
+		}
+		for deadline := time.Now().Add(10 * time.Second); started.Load() < int64(stuck); {
+			if time.Now().After(deadline) {
+				t.Fatal("gate tasks did not start")
 			}
-			gate := make(chan struct{})
-			var started atomic.Int64
-			for i := 0; i < stuck; i++ {
-				p.Spawn(p.External(), "gate", func(*Worker) {
-					started.Add(1)
-					<-gate
-				})
-			}
-			for deadline := time.Now().Add(10 * time.Second); started.Load() < int64(stuck); {
-				if time.Now().After(deadline) {
-					t.Fatal("gate tasks did not start")
-				}
-				time.Sleep(time.Millisecond)
-			}
+			time.Sleep(time.Millisecond)
+		}
 
-			loops := []*countLoop{{ran: map[int64]int{}}, {ran: map[int64]int{}}}
-			pendingSeen := make(chan int, 1)
-			twoLoops := func(w *Worker) {
-				for _, c := range loops {
-					p.RunLoop(w, &c.Loop, c, workers, 0, 8, 1)
-				}
-				pendingSeen <- p.Pending()
+		loops := []*countLoop{{ran: map[int64]int{}}, {ran: map[int64]int{}}}
+		pendingSeen := make(chan int, 1)
+		twoLoops := func(w *Worker) {
+			for _, c := range loops {
+				p.RunLoop(w, &c.Loop, c, workers, 0, 8, 1)
 			}
-			joined := make(chan struct{})
-			go func() {
-				defer close(joined)
-				if inTask {
-					done := make(chan struct{})
-					p.Spawn(p.External(), "task", func(w *Worker) {
-						twoLoops(w)
-						close(done)
-					})
-					<-done
-				} else {
-					twoLoops(p.External())
-				}
-			}()
-			select {
-			case <-joined:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("mode=%v inTask=%v: the join waited for helpers no worker could run", mode, inTask)
+			pendingSeen <- p.Pending()
+		}
+		joined := make(chan struct{})
+		go func() {
+			defer close(joined)
+			if inTask {
+				done := make(chan struct{})
+				p.Spawn(p.External(), "task", func(w *Worker) {
+					twoLoops(w)
+					close(done)
+				})
+				<-done
+			} else {
+				twoLoops(p.External())
 			}
-			// Tasks of the program at that point: the gates, and the task
-			// running the loops when there is one.
-			if got, want := <-pendingSeen, workers; got != want {
-				t.Errorf("mode=%v inTask=%v: Pending() = %d with loop helpers queued, want %d", mode, inTask, got, want)
+		}()
+		select {
+		case <-joined:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("inTask=%v: the join waited for helpers no worker could run", inTask)
+		}
+		// Tasks of the program at that point: the gates, and the task
+		// running the loops when there is one.
+		if got, want := <-pendingSeen, workers; got != want {
+			t.Errorf("inTask=%v: Pending() = %d with loop helpers queued, want %d", inTask, got, want)
+		}
+		close(gate)
+		p.Wait()
+		for i, c := range loops {
+			if len(c.ran) != 8 || c.claimants != 1 {
+				t.Errorf("inTask=%v: loop %d ran %d indices on %d claimants, want 8 on 1", inTask, i, len(c.ran), c.claimants)
 			}
-			close(gate)
-			p.Wait()
-			for i, c := range loops {
-				if len(c.ran) != 8 || c.claimants != 1 {
-					t.Errorf("mode=%v inTask=%v: loop %d ran %d indices on %d claimants, want 8 on 1", mode, inTask, i, len(c.ran), c.claimants)
-				}
-				if c.released != 1 {
-					t.Errorf("mode=%v inTask=%v: loop %d released %d times, want 1", mode, inTask, i, c.released)
-				}
+			if c.released != 1 {
+				t.Errorf("inTask=%v: loop %d released %d times, want 1", inTask, i, c.released)
 			}
-			if got := p.Pending(); got != 0 {
-				t.Errorf("mode=%v inTask=%v: Pending() = %d after Wait", mode, inTask, got)
-			}
+		}
+		if got := p.Pending(); got != 0 {
+			t.Errorf("inTask=%v: Pending() = %d after Wait", inTask, got)
 		}
 	}
 }

@@ -6,34 +6,32 @@ import (
 )
 
 // TestPoolRunsAllTasks checks that every spawned task (including
-// transitively spawned ones) runs exactly once before Wait returns, in
-// both scheduler modes, with and without hooks.
+// transitively spawned ones) runs exactly once before Wait returns, with
+// and without hooks.
 func TestPoolRunsAllTasks(t *testing.T) {
-	for _, mode := range []Mode{Stealing, Central} {
-		for _, hooked := range []bool{false, true} {
-			var ran, wrapped atomic.Int64
-			h := Hooks{}
-			if hooked {
-				h.Run = func(w *Worker, label string, body func(*Worker)) {
-					wrapped.Add(1)
-					body(w)
-				}
+	for _, hooked := range []bool{false, true} {
+		var ran, wrapped atomic.Int64
+		h := Hooks{}
+		if hooked {
+			h.Run = func(w *Worker, label string, body func(*Worker)) {
+				wrapped.Add(1)
+				body(w)
 			}
-			p := NewPool(4, mode, h)
-			const fanout = 50
-			for i := 0; i < fanout; i++ {
-				p.Spawn(p.External(), "parent", func(w *Worker) {
-					ran.Add(1)
-					w.Pool().Spawn(w, "child", func(*Worker) { ran.Add(1) })
-				})
-			}
-			p.Wait()
-			if got := ran.Load(); got != 2*fanout {
-				t.Errorf("mode=%v hooked=%v: ran %d tasks, want %d", mode, hooked, got, 2*fanout)
-			}
-			if hooked && wrapped.Load() != 2*fanout {
-				t.Errorf("mode=%v: Run hook wrapped %d tasks, want %d", mode, wrapped.Load(), 2*fanout)
-			}
+		}
+		p := NewPool(4, Stealing, h)
+		const fanout = 50
+		for i := 0; i < fanout; i++ {
+			p.Spawn(p.External(), "parent", func(w *Worker) {
+				ran.Add(1)
+				w.Pool().Spawn(w, "child", func(*Worker) { ran.Add(1) })
+			})
+		}
+		p.Wait()
+		if got := ran.Load(); got != 2*fanout {
+			t.Errorf("hooked=%v: ran %d tasks, want %d", hooked, got, 2*fanout)
+		}
+		if hooked && wrapped.Load() != 2*fanout {
+			t.Errorf("Run hook wrapped %d tasks, want %d", wrapped.Load(), 2*fanout)
 		}
 	}
 }
