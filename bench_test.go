@@ -16,6 +16,7 @@ import (
 	"commute/internal/apps"
 	"commute/internal/apps/src"
 	"commute/internal/bench"
+	"commute/internal/codegen"
 	"commute/internal/frontend/parser"
 	"commute/internal/frontend/types"
 )
@@ -77,6 +78,23 @@ func BenchmarkAnalyzeBarnesHut(b *testing.B) {
 			b.Fatal(err)
 		}
 		sys.Reports()
+	}
+}
+
+// BenchmarkEmitGoBarnesHut isolates the native emitter: the full plan of
+// an already analyzed Barnes-Hut lowered to its Go package, the layer
+// e2ebench reports as codegen.emit_go_ms.
+func BenchmarkEmitGoBarnesHut(b *testing.B) {
+	sys, err := commute.Load("barneshut.mc", src.BarnesHut)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.CondPlan.EmitGoPackage(codegen.EmitGoOptions{AppName: "barneshut"}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

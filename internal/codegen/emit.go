@@ -103,11 +103,6 @@ func (e *emitter) classDecl(cd *ast.ClassDecl) string {
 }
 
 func protoParams(ps []*ast.Param) string {
-	parts := make([]string, len(ps))
-	for i := range ps {
-		parts[i] = strings.TrimSpace(printer.File(&ast.File{})) // placeholder
-	}
-	_ = parts
 	// Render via the printer's declarator logic by faking a prototype.
 	proto := &ast.MethodProto{Name: "x", RetType: &ast.TypeExpr{Kind: ast.TVoid}, Params: ps}
 	cd := &ast.ClassDecl{Name: "t", Protos: []*ast.MethodProto{proto}}

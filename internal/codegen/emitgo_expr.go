@@ -3,6 +3,13 @@ package codegen
 // Expression emission and call-site dispatch. Dispatch reproduces the
 // interpreter runtime's per-context Invoke hooks: which version a call
 // site runs, whether its value survives, and whether it spawns.
+//
+// Expressions are written the way gofmt prints them, so every renderer
+// takes the nesting depth d its text lands at (go/printer's binaryExpr:
+// 1 at statement level, one more inside a binary operand, a call with
+// several arguments or an index; parentheses take one level back off).
+// Depth decides one thing: below level 1 arithmetic operators lose
+// their blanks.
 
 import (
 	"strconv"
@@ -241,7 +248,7 @@ func (c *fnCtx) siteDispatch(x *ast.CallExpr) callPlan {
 // recvChain renders the receiver expression of a call to callee,
 // inserting the as_ accessor that narrows to the callee's declaring
 // class (also resolving interface receivers to concrete pointers).
-func (c *fnCtx) recvChain(x *ast.CallExpr, callee *types.Method) string {
+func (c *fnCtx) recvChain(x *ast.CallExpr, callee *types.Method, d int) string {
 	if callee.Class == nil {
 		return ""
 	}
@@ -252,7 +259,7 @@ func (c *fnCtx) recvChain(x *ast.CallExpr, callee *types.Method) string {
 		}
 		return "o.as_" + callee.Class.Name + "()"
 	}
-	code := c.expr(x.Recv)
+	code := c.expr(x.Recv, d)
 	cls := ptrClass(c.e.prog.TypeOf(x.Recv))
 	if cls == callee.Class && !c.e.exprIface(x.Recv) {
 		return code
@@ -260,28 +267,23 @@ func (c *fnCtx) recvChain(x *ast.CallExpr, callee *types.Method) string {
 	return code + ".as_" + callee.Class.Name + "()"
 }
 
-// callArgs renders the converted argument list (without worker/rel).
-func (c *fnCtx) callArgs(x *ast.CallExpr, callee *types.Method) []string {
-	var out []string
-	for i, a := range x.Args {
-		if i >= len(callee.Params) {
-			break
-		}
-		out = append(out, c.conv(c.expr(a), a, c.e.prog.TypeOf(a), callee.Params[i].Type))
-	}
-	return out
-}
-
-// renderCall assembles a lowered call expression.
-func (c *fnCtx) renderCall(x *ast.CallExpr, cp callPlan) string {
+// renderCall assembles a lowered call expression. A call with more than
+// one argument prints its receiver and its arguments one level deeper.
+func (c *fnCtx) renderCall(x *ast.CallExpr, cp callPlan, d int) string {
 	var args []string
 	if cp.worker {
 		args = append(args, "w", cp.rel)
 	}
 	args = append(args, cp.pre...)
-	args = append(args, c.callArgs(x, cp.callee)...)
+	n := min(len(x.Args), len(cp.callee.Params))
+	if len(args)+n > 1 {
+		d++
+	}
+	for i, a := range x.Args[:n] {
+		args = append(args, c.exprAs(a, cp.callee.Params[i].Type, d))
+	}
 	call := cp.name + "(" + strings.Join(args, ", ") + ")"
-	if recv := c.recvChain(x, cp.callee); recv != "" {
+	if recv := c.recvChain(x, cp.callee, d); recv != "" {
 		return recv + "." + call
 	}
 	return call
@@ -298,36 +300,36 @@ func (c *fnCtx) exprStmt(x ast.Expr) {
 			if v.Method == "print" {
 				c.printStmt(v)
 			} else {
-				c.line("_ = %s", c.builtinCall(v))
+				c.line("_ = %s", c.builtinCall(v, 1))
 			}
 			return
 		}
 		cp := c.siteDispatch(v)
 		if cp.kind == ckValue || cp.kind == ckHoisted {
 			// Value discarded either way in statement position.
-			c.line("%s", c.renderCall(v, cp))
+			c.line("%s", c.renderCall(v, cp, 1))
 			return
 		}
 		c.effectCall(v, cp)
 		return
 	}
-	c.line("_ = %s", c.expr(x))
+	c.line("_ = %s", c.expr(x, 1))
 }
 
 // effectCall lowers the value-discarding call kinds.
 func (c *fnCtx) effectCall(x *ast.CallExpr, cp callPlan) {
 	switch cp.kind {
 	case ckRegion, ckHoisted:
-		c.line("%s", c.renderCall(x, cp))
+		c.line("%s", c.renderCall(x, cp, 1))
 	case ckEffectX:
 		if cp.preRel {
 			c.releaseLock()
 		}
-		c.line("%s", c.renderCall(x, cp))
+		c.line("%s", c.renderCall(x, cp, 1))
 	case ckSpawn:
 		c.spawn(x, cp)
 	default:
-		c.line("%s", c.renderCall(x, cp))
+		c.line("%s", c.renderCall(x, cp, 1))
 	}
 }
 
@@ -343,7 +345,7 @@ func (c *fnCtx) spawn(x *ast.CallExpr, cp callPlan) {
 	recv := ""
 	if callee.Class != nil {
 		rv := c.tmpName()
-		chain := c.recvChain(x, callee)
+		chain := c.recvChain(x, callee, 1)
 		// Narrow interface receivers to the concrete declaring class.
 		c.line("var %s *T_%s = %s", rv, callee.Class.Name, chain)
 		recv = rv + "."
@@ -354,8 +356,7 @@ func (c *fnCtx) spawn(x *ast.CallExpr, cp callPlan) {
 		}
 		av := c.tmpName()
 		pt := callee.Params[i].Type
-		c.line("var %s %s = %s", av, c.e.goType(pt, true),
-			c.conv(c.expr(a), a, c.e.prog.TypeOf(a), pt))
+		c.line("var %s %s = %s", av, c.e.goType(pt, true), c.exprAs(a, pt, 1))
 		taskArgs = append(taskArgs, av)
 	}
 	if c.spec {
@@ -408,7 +409,7 @@ func (c *fnCtx) assign(a *ast.Assign) {
 			return
 		}
 	}
-	lhs := c.expr(a.LHS)
+	lhs := c.expr(a.LHS, 1)
 	if a.Op == token.ASSIGN {
 		if call, ok := a.RHS.(*ast.CallExpr); ok && !call.Builtin {
 			cp := c.siteDispatch(call)
@@ -431,36 +432,26 @@ func (c *fnCtx) assign(a *ast.Assign) {
 				return
 			}
 		}
-		c.line("%s = %s", lhs, c.conv(c.expr(a.RHS), a.RHS, c.e.prog.TypeOf(a.RHS), lt))
+		c.line("%s = %s", lhs, c.exprAs(a.RHS, lt, 1))
 		return
 	}
 	// Compound assignment: int op int stays int; any double promotes
 	// the arithmetic to double, then the store coerces back to the
 	// target type (truncating for int targets).
-	op := map[token.Kind]string{
-		token.PLUSEQ: "+", token.MINUSEQ: "-", token.STAREQ: "*", token.SLASHEQ: "/",
-	}[a.Op]
+	op := goOp[a.Op]
 	if op == "" {
 		c.errf("unsupported compound assignment %v", a.Op)
 		return
 	}
 	rt := c.e.prog.TypeOf(a.RHS)
-	rhs := c.expr(a.RHS)
-	lInt := isIntType(lt)
-	rInt := isIntType(rt)
-	if lInt && rInt {
-		c.line("%s %s= %s", lhs, op, rhs)
+	if isIntType(lt) && isIntType(rt) {
+		c.line("%s %s= %s", lhs, op, c.expr(a.RHS, 1))
 		return
 	}
-	l, r := lhs, rhs
-	if lInt {
-		l = "float64(" + l + ")"
-	}
-	if rInt {
-		r = "float64(" + r + ")"
-	}
-	res := "float64(" + l + " " + op + " " + r + ")"
-	if lInt {
+	// The target is read as an operand of the fenced operation, one
+	// level below the statement.
+	res := "float64(" + c.floatOperand(a.LHS, lt, 2) + " " + op + " " + c.floatOperand(a.RHS, rt, 2) + ")"
+	if isIntType(lt) {
 		res = "int64(" + res + ")"
 	}
 	c.line("%s = %s", lhs, res)
@@ -470,7 +461,8 @@ func (c *fnCtx) assign(a *ast.Assign) {
 // address expression and the declared-effect key — when the target is
 // shared state. Locals and parameters are frame-private and keep the
 // plain lowering (shared reads inside their RHS still journal through
-// expr).
+// expr). Wherever specAssign puts the address, its parentheses bring
+// the location back to depth 1.
 func (c *fnCtx) specLHS(x ast.Expr) (addr, desc string, shared bool) {
 	switch v := x.(type) {
 	case *ast.Ident:
@@ -483,15 +475,10 @@ func (c *fnCtx) specLHS(x ast.Expr) (addr, desc string, shared bool) {
 		}
 		return "&(" + sel + ")", v.FieldClass + "." + v.Name, true
 	case *ast.FieldAccess:
-		base := c.expr(v.X) // journals the chain's own loads
-		bcl := ptrClass(c.e.prog.TypeOf(v.X))
-		sel := base + ".as_" + v.DeclClass + "().F_" + v.Name
-		if bcl != nil && bcl.Name == v.DeclClass && !c.e.exprIface(v.X) {
-			sel = base + ".F_" + v.Name
-		}
-		return "&(" + sel + ")", v.DeclClass + "." + v.Name, true
+		// Rendering the base journals the chain's own loads.
+		return "&(" + c.fieldSel(v, 1) + ")", v.DeclClass + "." + v.Name, true
 	case *ast.IndexExpr:
-		return "&(" + c.expr(v.X) + "[" + c.expr(v.Index) + "])", "", true
+		return "&(" + c.expr(v.X, 1) + "[" + c.expr(v.Index, 2) + "])", "", true
 	}
 	return "", "", false
 }
@@ -510,21 +497,18 @@ func (c *fnCtx) specAssign(a *ast.Assign, addr, desc string, lt types.Type) {
 			}
 		}
 		rv := c.tmpName()
-		c.line("var %s %s = %s", rv, c.e.goType(lt, false),
-			c.conv(c.expr(a.RHS), a.RHS, c.e.prog.TypeOf(a.RHS), lt))
+		c.line("var %s %s = %s", rv, c.e.goType(lt, false), c.exprAs(a.RHS, lt, 1))
 		c.line("nativert.SpecStore(sj_, %s, %s, %q)", addr, rv, desc)
 		return
 	}
-	op := map[token.Kind]string{
-		token.PLUSEQ: "+", token.MINUSEQ: "-", token.STAREQ: "*", token.SLASHEQ: "/",
-	}[a.Op]
+	op := goOp[a.Op]
 	if op == "" {
 		c.errf("unsupported compound assignment %v", a.Op)
 		return
 	}
 	rt := c.e.prog.TypeOf(a.RHS)
 	rv := c.tmpName()
-	c.line("var %s %s = %s", rv, c.e.goType(rt, false), c.expr(a.RHS))
+	c.line("var %s %s = %s", rv, c.e.goType(rt, false), c.expr(a.RHS, 1))
 	pv := c.tmpName()
 	c.line("%s := %s", pv, addr)
 	ov := c.tmpName()
@@ -538,7 +522,7 @@ func (c *fnCtx) specAssign(a *ast.Assign, addr, desc string, lt types.Type) {
 	if rInt && !lInt {
 		r = "float64(" + r + ")"
 	}
-	res := l + " " + op + " " + r
+	res := l + op + r // an argument of SpecStore: depth 2
 	if !lInt || !rInt {
 		res = "float64(" + res + ")"
 		if lInt {
@@ -556,14 +540,14 @@ func (c *fnCtx) specRegionAssign(call *ast.CallExpr, cp callPlan, target string,
 	mp := c.e.plan.Methods[cp.callee]
 	c.e.demand(cp.callee, varS)
 	scp := callPlan{kind: ckValue, callee: cp.callee, name: "S_" + cp.callee.Name}
-	serial := c.conv(c.renderCall(call, scp), call, c.e.prog.TypeOf(call), lt)
+	serial := c.conv(c.renderCall(call, scp, 1), call, c.e.prog.TypeOf(call), lt)
 	if !mp.SpecEligible {
 		// speculationAllowed is constant false: a plain serial call.
 		c.line("%s = %s", target, serial)
 		return
 	}
 	c.line("if cfgParallel && specAllowed_(%s) {", formatFloatLit(mp.Confidence))
-	c.line("\t%s", c.renderCall(call, cp))
+	c.line("\t%s", c.renderCall(call, cp, 1))
 	c.line("\t%s = %s", target, c.e.zeroVal(lt))
 	c.line("} else {")
 	c.line("\t%s = %s", target, serial)
@@ -637,6 +621,17 @@ func (c *fnCtx) conv(code string, src ast.Expr, from, to types.Type) string {
 	return code
 }
 
+// exprAs renders x converted to the type its context expects. conv
+// slices an array operand, and a slice expression prints its operand at
+// depth 1 wherever it stands.
+func (c *fnCtx) exprAs(x ast.Expr, to types.Type, d int) string {
+	from := c.e.prog.TypeOf(x)
+	if _, ok := from.(types.Array); ok {
+		d = 1
+	}
+	return c.conv(c.expr(x, d), x, from, to)
+}
+
 // decay turns a Go fixed-array expression into a slice; parameters are
 // already slices.
 func (c *fnCtx) decay(code string, src ast.Expr) string {
@@ -649,7 +644,24 @@ func (c *fnCtx) decay(code string, src ast.Expr) string {
 // ---------------------------------------------------------------------
 // Expressions
 
-func (c *fnCtx) expr(x ast.Expr) string {
+// reduceDepth is what a pair of parentheses does to the depth of the
+// expression inside it.
+func reduceDepth(d int) int { return max(d-1, 1) }
+
+// clause renders the condition of an if or for statement: gofmt prints
+// it at depth 1 and without the parentheses expr puts around an
+// operator used as an operand.
+func (c *fnCtx) clause(x ast.Expr) string {
+	switch v := x.(type) {
+	case *ast.Unary:
+		return c.unary(v, 1)
+	case *ast.Binary:
+		return c.binary(v, 1, true)
+	}
+	return c.expr(x, 1)
+}
+
+func (c *fnCtx) expr(x ast.Expr, d int) string {
 	switch v := x.(type) {
 	case *ast.IntLit:
 		return strconv.FormatInt(v.Value, 10)
@@ -669,18 +681,18 @@ func (c *fnCtx) expr(x ast.Expr) string {
 	case *ast.Ident:
 		return c.ident(v)
 	case *ast.FieldAccess:
-		base := c.expr(v.X)
-		bcl := ptrClass(c.e.prog.TypeOf(v.X))
-		sel := base + ".as_" + v.DeclClass + "().F_" + v.Name
-		if bcl != nil && bcl.Name == v.DeclClass && !c.e.exprIface(v.X) {
-			sel = base + ".F_" + v.Name
-		}
 		if c.spec {
-			return c.specLoad("&("+sel+")", v.DeclClass+"."+v.Name, c.e.prog.TypeOf(x))
+			// The depth carries over: a SpecLoad's argument list adds a
+			// level and the parentheses of its address take it back. (An
+			// array, under a SpecTouch, only ever stands at depth 1:
+			// indexed here, or sliced by exprAs.)
+			return c.specLoad("&("+c.fieldSel(v, d)+")", v.DeclClass+"."+v.Name, c.e.prog.TypeOf(x))
 		}
-		return sel
+		return c.fieldSel(v, d)
 	case *ast.IndexExpr:
-		el := c.expr(v.X) + "[" + c.expr(v.Index) + "]"
+		// An indexed operand prints at depth 1, its index one level down
+		// — at the same depths inside a SpecLoad's address.
+		el := c.expr(v.X, 1) + "[" + c.expr(v.Index, d+1) + "]"
 		if c.spec {
 			// Element locations carry no descriptor: the access reached
 			// the array through a monitored field load, whose key
@@ -691,37 +703,54 @@ func (c *fnCtx) expr(x ast.Expr) string {
 	case *ast.NewExpr:
 		return "&T_" + v.ClassName + "{}"
 	case *ast.CastExpr:
-		return c.cast(v)
+		return c.cast(v, d)
 	case *ast.Unary:
-		switch v.Op {
-		case token.MINUS:
-			return "(-" + c.expr(v.X) + ")"
-		case token.NOT:
-			return "(!" + c.expr(v.X) + ")"
-		}
-		c.errf("unsupported unary operator %v", v.Op)
-		return "0"
+		return "(" + c.unary(v, reduceDepth(d)) + ")"
 	case *ast.Binary:
-		return c.binary(v)
+		return c.binary(v, d, false)
 	case *ast.CallExpr:
 		if v.Builtin {
 			if v.Method == "print" {
 				c.errf("print used as a value")
 				return "0"
 			}
-			return c.builtinCall(v)
+			return c.builtinCall(v, d)
 		}
 		cp := c.siteDispatch(v)
 		if cp.kind != ckValue {
 			c.errf("call with discarded result used as a value (site %d)", v.Site)
 			return c.e.zeroVal(c.e.prog.TypeOf(v))
 		}
-		return c.renderCall(v, cp)
+		return c.renderCall(v, cp, d)
 	case *ast.Assign:
 		c.errf("assignment used as a value")
 		return "0"
 	}
 	c.errf("unsupported expression %T", x)
+	return "0"
+}
+
+// fieldSel renders the selector of a field access, through the as_
+// accessor of the field's declaring class unless the base expression
+// already is a concrete pointer to that class.
+func (c *fnCtx) fieldSel(v *ast.FieldAccess, d int) string {
+	base := c.expr(v.X, d)
+	if bcl := ptrClass(c.e.prog.TypeOf(v.X)); bcl != nil && bcl.Name == v.DeclClass && !c.e.exprIface(v.X) {
+		return base + ".F_" + v.Name
+	}
+	return base + ".as_" + v.DeclClass + "().F_" + v.Name
+}
+
+// unary renders a prefix operator without the parentheses it carries
+// as an operand.
+func (c *fnCtx) unary(v *ast.Unary, d int) string {
+	switch v.Op {
+	case token.MINUS:
+		return "-" + c.expr(v.X, d)
+	case token.NOT:
+		return "!" + c.expr(v.X, d)
+	}
+	c.errf("unsupported unary operator %v", v.Op)
 	return "0"
 }
 
@@ -772,10 +801,10 @@ func formatFloatLit(v float64) string {
 	return s
 }
 
-func (c *fnCtx) cast(v *ast.CastExpr) string {
+func (c *fnCtx) cast(v *ast.CastExpr, d int) string {
 	tc := c.e.prog.Classes[v.ClassName]
 	sc := ptrClass(c.e.prog.TypeOf(v.X))
-	code := c.expr(v.X)
+	code := c.expr(v.X, d)
 	if tc == nil || sc == nil {
 		c.errf("cast with unresolved classes")
 		return code
@@ -796,109 +825,122 @@ func (c *fnCtx) cast(v *ast.CastExpr) string {
 	return code
 }
 
+// goOp spells the dialect's arithmetic, compound-assignment and ordering
+// operators in Go.
+var goOp = map[token.Kind]string{
+	token.PLUS: "+", token.MINUS: "-", token.STAR: "*", token.SLASH: "/", token.PERCENT: "%",
+	token.PLUSEQ: "+", token.MINUSEQ: "-", token.STAREQ: "*", token.SLASHEQ: "/",
+	token.LT: "<", token.GT: ">", token.LEQ: "<=", token.GEQ: ">=",
+}
+
+// arith joins two operands with an arithmetic operator as gofmt prints
+// one at depth d: blanks at depth 1 only. (Every operand the emitter
+// writes is a primary expression, so go/printer's other spacing rules —
+// mixed precedence, clashing unary operands — never apply.)
+func arith(l, op, r string, d int) string {
+	if d > 1 {
+		return l + op + r
+	}
+	return l + " " + op + " " + r
+}
+
+// paren wraps an operator expression for use as an operand; a control
+// clause takes it bare.
+func paren(code string, bare bool) string {
+	if bare {
+		return code
+	}
+	return "(" + code + ")"
+}
+
 // binary lowers a binary operator. Every float operation is wrapped in
 // an explicit float64 conversion: the Go spec permits fusing `a*b + c`
 // into an FMA unless the result is "explicitly rounded by a
 // conversion", and the interpreter's arithmetic rounds after every
-// operation — the conversions make native floats bit-identical.
-func (c *fnCtx) binary(v *ast.Binary) string {
+// operation — the conversions make native floats bit-identical. The
+// conversion keeps the depth; every other form is parenthesised (bare
+// only as a control clause, at depth 1), which takes a level off, and
+// operands print one level below their operator.
+func (c *fnCtx) binary(v *ast.Binary, d int, bare bool) string {
 	lt := c.e.prog.TypeOf(v.X)
 	rt := c.e.prog.TypeOf(v.Y)
+	in := reduceDepth(d)
 	switch v.Op {
 	case token.PLUS, token.MINUS, token.STAR, token.SLASH, token.PERCENT:
-		op := map[token.Kind]string{
-			token.PLUS: "+", token.MINUS: "-", token.STAR: "*",
-			token.SLASH: "/", token.PERCENT: "%",
-		}[v.Op]
 		if isIntType(lt) && isIntType(rt) {
-			return "(" + c.expr(v.X) + " " + op + " " + c.expr(v.Y) + ")"
+			return paren(arith(c.expr(v.X, in+1), goOp[v.Op], c.expr(v.Y, in+1), in), bare)
 		}
-		return "float64(" + c.floatOperand(v.X, lt) + " " + op + " " + c.floatOperand(v.Y, rt) + ")"
+		return "float64(" + arith(c.floatOperand(v.X, lt, d+1), goOp[v.Op], c.floatOperand(v.Y, rt, d+1), d) + ")"
 	case token.LT, token.GT, token.LEQ, token.GEQ:
-		op := map[token.Kind]string{
-			token.LT: "<", token.GT: ">", token.LEQ: "<=", token.GEQ: ">=",
-		}[v.Op]
 		if isIntType(lt) && isIntType(rt) {
-			return "(" + c.expr(v.X) + " " + op + " " + c.expr(v.Y) + ")"
+			return paren(c.expr(v.X, in+1)+" "+goOp[v.Op]+" "+c.expr(v.Y, in+1), bare)
 		}
-		return "(" + c.floatOperand(v.X, lt) + " " + op + " " + c.floatOperand(v.Y, rt) + ")"
+		return paren(c.floatOperand(v.X, lt, in+1)+" "+goOp[v.Op]+" "+c.floatOperand(v.Y, rt, in+1), bare)
 	case token.EQ, token.NEQ:
-		return c.equality(v)
+		return c.equality(v, d, bare)
 	case token.AND:
-		return "(" + c.expr(v.X) + " && " + c.expr(v.Y) + ")"
+		return paren(c.expr(v.X, in+1)+" && "+c.expr(v.Y, in+1), bare)
 	case token.OR:
-		return "(" + c.expr(v.X) + " || " + c.expr(v.Y) + ")"
+		return paren(c.expr(v.X, in+1)+" || "+c.expr(v.Y, in+1), bare)
 	}
 	c.errf("unsupported binary operator %v", v.Op)
 	return "0"
 }
 
-func (c *fnCtx) floatOperand(x ast.Expr, t types.Type) string {
-	code := c.expr(x)
+func (c *fnCtx) floatOperand(x ast.Expr, t types.Type, d int) string {
+	code := c.expr(x, d)
 	if isIntType(t) {
 		return "float64(" + code + ")"
 	}
 	return code
 }
 
-func (c *fnCtx) equality(v *ast.Binary) string {
+func (c *fnCtx) equality(v *ast.Binary, d int, bare bool) string {
 	lt := c.e.prog.TypeOf(v.X)
 	rt := c.e.prog.TypeOf(v.Y)
-	neg := v.Op == token.NEQ
-	wrap := func(cond string) string {
-		if neg {
-			return "(!" + cond + ")"
-		}
-		return cond
+	in := reduceDepth(d)
+	op := " == "
+	if v.Op == token.NEQ {
+		op = " != "
 	}
 	lNull := types.Equal(lt, types.Basic(types.Null))
 	rNull := types.Equal(rt, types.Basic(types.Null))
 	switch {
 	case lNull && rNull:
-		if neg {
+		if v.Op == token.NEQ {
 			return "false"
 		}
 		return "true"
 	case rNull:
-		if neg {
-			return "(" + c.expr(v.X) + " != nil)"
-		}
-		return "(" + c.expr(v.X) + " == nil)"
+		return paren(c.expr(v.X, in+1)+op+"nil", bare)
 	case lNull:
-		if neg {
-			return "(" + c.expr(v.Y) + " != nil)"
-		}
-		return "(" + c.expr(v.Y) + " == nil)"
+		return paren(c.expr(v.Y, in+1)+op+"nil", bare)
 	}
 	lc := ptrClass(lt)
 	rc := ptrClass(rt)
 	if lc != nil && rc != nil {
 		if !c.e.reprIface(lc) && !c.e.reprIface(rc) && !c.e.exprIface(v.X) && !c.e.exprIface(v.Y) {
-			op := "=="
-			if neg {
-				op = "!="
-			}
-			return "(" + c.expr(v.X) + " " + op + " " + c.expr(v.Y) + ")"
+			return paren(c.expr(v.X, in+1)+op+c.expr(v.Y, in+1), bare)
+		}
+		// The helper call is no operator expression: only its negation
+		// is parenthesised. Its two arguments print one level down.
+		if v.Op == token.NEQ {
+			d = in
 		}
 		root := chainRoot(lc)
-		eq := c.e.helperEq(root)
-		a := c.conv(c.expr(v.X), v.X, lt, types.Pointer{Class: root})
-		b := c.conv(c.expr(v.Y), v.Y, rt, types.Pointer{Class: root})
-		return wrap(eq + "(" + a + ", " + b + ")")
+		call := c.e.helperEq(root) + "(" +
+			c.conv(c.expr(v.X, d+1), v.X, lt, types.Pointer{Class: root}) + ", " +
+			c.conv(c.expr(v.Y, d+1), v.Y, rt, types.Pointer{Class: root}) + ")"
+		if v.Op == token.NEQ {
+			return paren("!"+call, bare)
+		}
+		return call
 	}
 	// Numeric or boolean equality.
 	if isIntType(lt) && isIntType(rt) || !types.IsNumeric(lt) {
-		op := "=="
-		if neg {
-			op = "!="
-		}
-		return "(" + c.expr(v.X) + " " + op + " " + c.expr(v.Y) + ")"
+		return paren(c.expr(v.X, in+1)+op+c.expr(v.Y, in+1), bare)
 	}
-	op := "=="
-	if neg {
-		op = "!="
-	}
-	return "(" + c.floatOperand(v.X, lt) + " " + op + " " + c.floatOperand(v.Y, rt) + ")"
+	return paren(c.floatOperand(v.X, lt, in+1)+op+c.floatOperand(v.Y, rt, in+1), bare)
 }
 
 // ---------------------------------------------------------------------
@@ -907,7 +949,7 @@ func (c *fnCtx) equality(v *ast.Binary) string {
 // builtinCall lowers a math builtin to its math-package equivalent
 // (the interpreter's callBuiltin mapping); arguments coerce to float64
 // like the interpreter's asFloat.
-func (c *fnCtx) builtinCall(v *ast.CallExpr) string {
+func (c *fnCtx) builtinCall(v *ast.CallExpr, d int) string {
 	name := map[string]string{
 		"sqrt": "math.Sqrt", "fabs": "math.Abs", "exp": "math.Exp",
 		"log": "math.Log", "floor": "math.Floor", "sin": "math.Sin",
@@ -918,9 +960,12 @@ func (c *fnCtx) builtinCall(v *ast.CallExpr) string {
 		return "0"
 	}
 	c.e.useMath = true
+	if len(v.Args) > 1 {
+		d++
+	}
 	var args []string
 	for _, a := range v.Args {
-		args = append(args, c.floatOperand(a, c.e.prog.TypeOf(a)))
+		args = append(args, c.floatOperand(a, c.e.prog.TypeOf(a), d))
 	}
 	return name + "(" + strings.Join(args, ", ") + ")"
 }
@@ -928,30 +973,34 @@ func (c *fnCtx) builtinCall(v *ast.CallExpr) string {
 // printStmt lowers print(...): arguments are pre-converted to the
 // concrete Go types nativert.Print formats like the interpreter.
 func (c *fnCtx) printStmt(v *ast.CallExpr) {
+	d := 1
+	if len(v.Args) > 1 {
+		d = 2
+	}
 	var args []string
 	for _, a := range v.Args {
-		args = append(args, c.printArg(a))
+		args = append(args, c.printArg(a, d))
 	}
 	c.line("nativert.Print(%s)", strings.Join(args, ", "))
 }
 
-func (c *fnCtx) printArg(a ast.Expr) string {
+func (c *fnCtx) printArg(a ast.Expr, d int) string {
 	t := c.e.prog.TypeOf(a)
 	switch tt := t.(type) {
 	case types.Basic:
 		switch tt {
 		case types.Int:
-			return "int64(" + c.expr(a) + ")"
+			return "int64(" + c.expr(a, d) + ")"
 		case types.Double:
-			return "float64(" + c.expr(a) + ")"
+			return "float64(" + c.expr(a, d) + ")"
 		case types.Null:
 			return "nil"
 		}
-		return c.expr(a)
+		return c.expr(a, d)
 	case types.Pointer:
-		return c.e.helperPN(tt.Class) + "(" + c.expr(a) + ")"
+		return c.e.helperPN(tt.Class) + "(" + c.expr(a, d) + ")"
 	case types.Object:
 		return strconv.Quote("<" + tt.Class.Name + ">")
 	}
-	return c.expr(a)
+	return c.expr(a, d)
 }

@@ -6,6 +6,8 @@ package codegen
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"commute/internal/analysis/effects"
@@ -101,17 +103,15 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) string {
 	frame := e.frames[m]
 	locals := frame[len(m.Params):]
 	if len(locals) > 0 {
-		c.line("var (")
-		c.indent++
-		for _, l := range locals {
-			c.line("v_%s %s", l.Name, e.goType(l.Type, false))
-		}
-		c.indent--
-		c.line(")")
 		var names []string
+		var rows [][]string
 		for _, l := range locals {
 			names = append(names, "v_"+l.Name)
+			rows = append(rows, []string{"v_" + l.Name, e.goType(l.Type, false)})
 		}
+		c.line("var (")
+		alignRows(&c.b, "\t\t", rows)
+		c.line(")")
 		c.line("%s = %s", strings.Repeat("_, ", len(locals)-1)+"_", strings.Join(names, ", "))
 	}
 
@@ -224,72 +224,10 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
 // counter moves. The speculative body is emitted once, behind spec_.
 func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
 	mp := e.plan.Methods[m]
-	if mp != nil && mp.Speculative {
-		return e.emitSpecRegionWrapper(m, mp)
-	}
 	e.demand(m, varS)
-	e.demand(m, varP)
-	var b strings.Builder
-	b.WriteString(e.fnSignature(m, varR))
-	b.WriteString(" {\n")
-	recv := ""
-	if m.Class != nil {
-		recv = "o."
-	}
-	var args, pargs []string
-	pargs = append(pargs, "pool_.External()")
-	for _, p := range m.Params {
-		args = append(args, "v_"+p.Name)
-		pargs = append(pargs, "v_"+p.Name)
-	}
-	serial := fmt.Sprintf("%sS_%s(%s)", recv, m.Name, strings.Join(args, ", "))
-	region := fmt.Sprintf("%s\n%sP_%s(%s)\npool_.Drain()\n", runPoolStmt, recv, m.Name, strings.Join(pargs, ", "))
-	fmt.Fprintf(&b, "if !cfgParallel {\n%s\nreturn\n}\n", serial)
-	if mp == nil || !mp.Conditional || mp.Guard == nil {
-		b.WriteString(region + "}\n")
-		return b.String()
-	}
-	guard, err := e.guardExpr(mp)
-	if err != nil {
-		e.errorf("%s: %v", m.FullName(), err)
-		guard = "false"
-	}
-	e.useAtomic = true
-	if mp.SpecEligible {
-		fmt.Fprintf(&b, "spec_ := specAllowed_(%s)\n", formatFloatLit(mp.Confidence))
-	}
-	fmt.Fprintf(&b, "if cfgConditional {\nif %s {\n", guard)
-	b.WriteString("atomic.AddInt64(&guardParallel_, 1)\n" + region + "return\n}\n")
-	b.WriteString("atomic.AddInt64(&guardSerial_, 1)\n")
-	if mp.SpecEligible {
-		b.WriteString("spec_ = cfgSpec == 2\n")
-	}
-	b.WriteString("}\n")
-	if mp.SpecEligible {
-		b.WriteString("if spec_ {\n")
-		e.emitSpecRegionBody(&b, "", m, recv, serial)
-		b.WriteString("}\n")
-	}
-	fmt.Fprintf(&b, "%s\n}\n", serial)
-	return b.String()
-}
-
-// runPoolStmt binds the run-wide pool in a region wrapper: nativert
-// starts it at the first region of the process and hands the same pool
-// to every later one.
-const runPoolStmt = "pool_ := nativert.Pool(cfgWorkers)"
-
-// emitSpecRegionWrapper renders R_m for a speculative extent: the
-// serial-to-speculative boundary (rt.serialCtx's mp.Speculative branch
-// plus rt.runSpeculativeRegion). The policy gate mirrors
-// rt.speculationAllowed with the eligibility and confidence baked in
-// as literals; a declined policy runs the original serial body inline,
-// exactly like the interpreter's serial fallback.
-func (e *goEmitter) emitSpecRegionWrapper(m *types.Method, mp *MethodPlan) string {
-	e.demand(m, varS)
-	var b strings.Builder
-	b.WriteString(e.fnSignature(m, varR))
-	b.WriteString(" {\n")
+	c := &fnCtx{e: e, m: m, mp: mp, indent: 1}
+	c.b.WriteString(e.fnSignature(m, varR))
+	c.b.WriteString(" {\n")
 	recv := ""
 	if m.Class != nil {
 		recv = "o."
@@ -299,54 +237,117 @@ func (e *goEmitter) emitSpecRegionWrapper(m *types.Method, mp *MethodPlan) strin
 		args = append(args, "v_"+p.Name)
 	}
 	serial := fmt.Sprintf("%sS_%s(%s)", recv, m.Name, strings.Join(args, ", "))
-	if !mp.SpecEligible {
-		// rt.speculationAllowed never admits an ineligible extent:
-		// every policy runs the serial body.
-		fmt.Fprintf(&b, "\t%s\n}\n", serial)
-		return b.String()
+	if mp != nil && mp.Speculative {
+		c.specRegionWrapper(recv, args, serial)
+	} else {
+		c.provenRegionWrapper(recv, args, serial)
 	}
-	fmt.Fprintf(&b, "\tif !cfgParallel || !specAllowed_(%s) {\n\t\t%s\n\t\treturn\n\t}\n",
-		formatFloatLit(mp.Confidence), serial)
-	e.emitSpecRegionBody(&b, "\t", m, recv, serial)
-	b.WriteString("}\n")
-	return b.String()
+	c.b.WriteString("}\n")
+	return c.b.String()
 }
 
-// emitSpecRegionBody renders the speculative region core
+// provenRegionWrapper renders the body of R_m for a proven or
+// conditional extent.
+func (c *fnCtx) provenRegionWrapper(recv string, args []string, serial string) {
+	e, m, mp := c.e, c.m, c.mp
+	e.demand(m, varP)
+	region := func() {
+		c.line(runPoolStmt)
+		c.line("%sP_%s(%s)", recv, m.Name, strings.Join(append([]string{"pool_.External()"}, args...), ", "))
+		c.line("pool_.Drain()")
+	}
+	c.line("if !cfgParallel {")
+	c.line("\t%s", serial)
+	c.line("\treturn")
+	c.line("}")
+	if mp == nil || !mp.Conditional || mp.Guard == nil {
+		region()
+		return
+	}
+	guard, err := e.guardExpr(mp)
+	if err != nil {
+		e.errorf("%s: %v", m.FullName(), err)
+		guard = "false"
+	}
+	e.useAtomic = true
+	if mp.SpecEligible {
+		c.line("spec_ := specAllowed_(%s)", formatFloatLit(mp.Confidence))
+	}
+	c.line("if cfgConditional {")
+	c.indent++
+	c.line("if %s {", guard)
+	c.indent++
+	c.line("atomic.AddInt64(&guardParallel_, 1)")
+	region()
+	c.line("return")
+	c.indent--
+	c.line("}")
+	c.line("atomic.AddInt64(&guardSerial_, 1)")
+	if mp.SpecEligible {
+		c.line("spec_ = cfgSpec == 2")
+	}
+	c.indent--
+	c.line("}")
+	if mp.SpecEligible {
+		c.line("if spec_ {")
+		c.indent++
+		c.specRegionBody(recv, args, serial)
+		c.indent--
+		c.line("}")
+	}
+	c.line("%s", serial)
+}
+
+// runPoolStmt binds the run-wide pool in a region wrapper: nativert
+// starts it at the first region of the process and hands the same pool
+// to every later one.
+const runPoolStmt = "pool_ := nativert.Pool(cfgWorkers)"
+
+// specRegionWrapper renders the body of R_m for a speculative extent:
+// the serial-to-speculative boundary (rt.serialCtx's mp.Speculative
+// branch plus rt.runSpeculativeRegion). The policy gate mirrors
+// rt.speculationAllowed with the eligibility and confidence baked in
+// as literals; a declined policy runs the original serial body inline,
+// exactly like the interpreter's serial fallback.
+func (c *fnCtx) specRegionWrapper(recv string, args []string, serial string) {
+	if !c.mp.SpecEligible {
+		// rt.speculationAllowed never admits an ineligible extent:
+		// every policy runs the serial body.
+		c.line("%s", serial)
+		return
+	}
+	c.line("if !cfgParallel || !specAllowed_(%s) {", formatFloatLit(c.mp.Confidence))
+	c.line("\t%s", serial)
+	c.line("\treturn")
+	c.line("}")
+	c.specRegionBody(recv, args, serial)
+}
+
+// specRegionBody renders the speculative region core
 // (rt.runSpeculativeRegion): run the journaled parallel root under
 // panic capture, drain the pool at the join barrier, validate and
 // commit single-threaded — or discard every buffer and re-run the
 // original serial version, whose heap the speculation never touched.
-func (e *goEmitter) emitSpecRegionBody(b *strings.Builder, ind string, m *types.Method, recv, serial string) {
-	e.demand(m, varS)
-	e.demand(m, varJP)
-	e.useAtomic = true
-	rd, wr := e.specSets(m)
-	w := func(format string, a ...any) {
-		b.WriteString(ind)
-		fmt.Fprintf(b, format, a...)
-		b.WriteByte('\n')
-	}
-	w("atomic.AddInt64(&specRegions_, 1)")
-	w(runPoolStmt)
-	w("sr_ := nativert.NewSpecRegion(%s, %s)", rd, wr)
-	w("sj_ := sr_.NewJournal()")
-	w("func() {")
-	w("\tdefer sr_.CapturePanic()")
-	pargs := []string{"pool_.External()", "sr_", "sj_"}
-	for _, p := range m.Params {
-		pargs = append(pargs, "v_"+p.Name)
-	}
-	w("\t%sSJ_%s(%s)", recv, m.Name, strings.Join(pargs, ", "))
-	w("}()")
-	w("pool_.Drain()")
-	w("if sr_.Commit() {")
-	w("\tatomic.AddInt64(&specCommits_, 1)")
-	w("\treturn")
-	w("}")
-	w("atomic.AddInt64(&specAborts_, 1)")
-	w("%s", serial)
-	w("return")
+func (c *fnCtx) specRegionBody(recv string, args []string, serial string) {
+	c.e.demand(c.m, varJP)
+	c.e.useAtomic = true
+	rd, wr := c.e.specSets(c.m)
+	c.line("atomic.AddInt64(&specRegions_, 1)")
+	c.line(runPoolStmt)
+	c.line("sr_ := nativert.NewSpecRegion(%s, %s)", rd, wr)
+	c.line("sj_ := sr_.NewJournal()")
+	c.line("func() {")
+	c.line("\tdefer sr_.CapturePanic()")
+	c.line("\t%sSJ_%s(%s)", recv, c.m.Name, strings.Join(append([]string{"pool_.External()", "sr_", "sj_"}, args...), ", "))
+	c.line("}()")
+	c.line("pool_.Drain()")
+	c.line("if sr_.Commit() {")
+	c.line("\tatomic.AddInt64(&specCommits_, 1)")
+	c.line("\treturn")
+	c.line("}")
+	c.line("atomic.AddInt64(&specAborts_, 1)")
+	c.line("%s", serial)
+	c.line("return")
 }
 
 // specSets resolves the speculative extent's declared transitive
@@ -383,7 +384,8 @@ func (e *goEmitter) specSets(m *types.Method) (rdName, wrName string) {
 	return rdName, wrName
 }
 
-// specSetSrc renders one declared-effect key set as a map literal.
+// specSetSrc renders one declared-effect key set as a map literal, its
+// values aligned the way gofmt aligns consecutive key-value lines.
 func specSetSrc(name string, m *types.Method, kind string, keys []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "// %s: fields the speculative extent rooted at %s may %s,\n", name, m.FullName(), kind)
@@ -391,9 +393,27 @@ func specSetSrc(name string, m *types.Method, kind string, keys []string) string
 	fmt.Fprintf(&b, "var %s = map[string]bool{", name)
 	if len(keys) > 0 {
 		b.WriteByte('\n')
+		// Unless a key and the one before it are both small, gofmt
+		// (exprList in go/printer/nodes.go) starts a new alignment
+		// section at a key whose size leaves the range 1/r..r times the
+		// geometric mean of the sizes before it in the section.
+		const smallSize, r = 40, 2.5
+		var rows [][]string
+		lnsum, prev := 0.0, 0
 		for _, k := range keys {
-			fmt.Fprintf(&b, "\t%q: true,\n", k)
+			key := strconv.Quote(k)
+			size := len(key)
+			if len(rows) > 0 && (prev > smallSize || size > smallSize) {
+				if ratio := float64(size) / math.Exp(lnsum/float64(len(rows))); r*ratio <= 1 || r <= ratio {
+					alignRows(&b, "\t", rows)
+					rows, lnsum = rows[:0], 0
+				}
+			}
+			rows = append(rows, []string{key + ":", "true,"})
+			lnsum += math.Log(float64(size))
+			prev = size
 		}
+		alignRows(&b, "\t", rows)
 	}
 	b.WriteString("}\n")
 	return b.String()
@@ -420,11 +440,11 @@ func (c *fnCtx) stmt(s ast.Stmt) {
 		if refersToVar(v.Init, v.Name) {
 			c.line("v_%s = %s", v.Name, c.e.zeroVal(t))
 		}
-		c.line("v_%s = %s", v.Name, c.conv(c.expr(v.Init), v.Init, c.e.prog.TypeOf(v.Init), t))
+		c.line("v_%s = %s", v.Name, c.exprAs(v.Init, t, 1))
 	case *ast.ExprStmt:
 		c.exprStmt(v.X)
 	case *ast.IfStmt:
-		c.line("if %s {", c.expr(v.Cond))
+		c.line("if %s {", c.clause(v.Cond))
 		c.indent++
 		c.stmt(v.Then)
 		c.indent--
@@ -436,7 +456,7 @@ func (c *fnCtx) stmt(s ast.Stmt) {
 		}
 		c.line("}")
 	case *ast.WhileStmt:
-		c.line("for %s {", c.expr(v.Cond))
+		c.line("for %s {", c.clause(v.Cond))
 		c.indent++
 		c.stmt(v.Body)
 		c.indent--
@@ -476,13 +496,13 @@ func (c *fnCtx) returnStmt(v *ast.ReturnStmt) {
 			// (the R_ wrapper's serial rerun after an abort included).
 			c.e.demand(cp.callee, varS)
 			scp := callPlan{kind: ckValue, callee: cp.callee, name: "S_" + cp.callee.Name}
-			serial := c.conv(c.renderCall(call, scp), call, c.e.prog.TypeOf(call), c.m.Ret)
+			serial := c.conv(c.renderCall(call, scp, 1), call, c.e.prog.TypeOf(call), c.m.Ret)
 			if !mp.SpecEligible {
 				c.line("return %s", serial)
 				return
 			}
 			c.line("if cfgParallel && specAllowed_(%s) {", formatFloatLit(mp.Confidence))
-			c.line("\t%s", c.renderCall(call, cp))
+			c.line("\t%s", c.renderCall(call, cp, 1))
 			c.line("\treturn %s", c.e.zeroVal(c.m.Ret))
 			c.line("}")
 			c.line("return %s", serial)
@@ -500,7 +520,7 @@ func (c *fnCtx) returnStmt(v *ast.ReturnStmt) {
 			return
 		}
 	}
-	c.line("return %s", c.conv(c.expr(v.X), v.X, c.e.prog.TypeOf(v.X), c.m.Ret))
+	c.line("return %s", c.exprAs(v.X, c.m.Ret, 1))
 }
 
 // refersToVar reports whether the expression reads local/param name.
@@ -556,7 +576,7 @@ func (c *fnCtx) forStmt(fs *ast.ForStmt) {
 	}
 	cond := "true"
 	if fs.Cond != nil {
-		cond = c.expr(fs.Cond)
+		cond = c.clause(fs.Cond)
 	}
 	c.line("for %s {", cond)
 	c.indent++
@@ -695,7 +715,7 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, info countedInfo) {
 	}
 	c.line("{")
 	c.indent++
-	c.line("var gssTo_ int64 = %s", c.expr(info.bound))
+	c.line("var gssTo_ int64 = %s", c.expr(info.bound, 1))
 	if c.spec {
 		// rt's speculative loops: one fresh journal per claimant, taken
 		// by the claimant; the factory parameter shadows the enclosing

@@ -2,6 +2,7 @@ package cond
 
 import (
 	"fmt"
+	"go/format"
 	"strings"
 	"testing"
 
@@ -242,42 +243,82 @@ func TestCompileEval(t *testing.T) {
 	}
 }
 
+// TestEmitGo: a guard is emitted as the condition of an if statement,
+// already in gofmt's form. Every case is checked both ways: against the
+// text gofmt gives the fully parenthesised spelling, and as a fixed
+// point of the formatter inside `if <guard> {`.
 func TestEmitGo(t *testing.T) {
-	c := modeEq(t)
 	leaf := func(r FieldRef) (GoLeaf, error) {
-		if r == (FieldRef{"H", "table", "mode"}) {
-			return GoLeaf{Expr: "G_H.F_mode", Kind: KInt}, nil
+		if r.Global != "H" || r.Class != "table" {
+			return GoLeaf{}, fmt.Errorf("unbound ref %v", r)
+		}
+		switch r.Field {
+		case "mode", "bias":
+			return GoLeaf{Expr: "G_H.F_" + r.Field, Kind: KInt}, nil
+		case "scale":
+			return GoLeaf{Expr: "G_H.F_scale", Kind: KFloat}, nil
+		case "on":
+			return GoLeaf{Expr: "G_H.F_on", Kind: KBool}, nil
 		}
 		return GoLeaf{}, fmt.Errorf("unbound ref %v", r)
 	}
-	code, err := EmitGo(MkAtom(c), leaf)
-	if err != nil {
-		t.Fatal(err)
+	field := func(name string) symbolic.Expr { return symbolic.Extent{ID: "ec:table." + name + "@global:H"} }
+	num := func(v float64, isInt bool) symbolic.Expr { return symbolic.Num{V: v, IsInt: isInt} }
+	bin := func(op symbolic.Op, l, r symbolic.Expr) symbolic.Expr { return &symbolic.Bin{Op: op, L: l, R: r} }
+	nary := func(op symbolic.Op, args ...symbolic.Expr) symbolic.Expr { return &symbolic.Nary{Op: op, Args: args} }
+	mode, bias, scale, on := field("mode"), field("bias"), field("scale"), field("on")
+	modeIs0 := bin(symbolic.OpEq, mode, num(0, true))
+	atom := func(e symbolic.Expr) Pred { return Atom{E: e} }
+
+	for _, tc := range []struct {
+		name string
+		p    Pred
+		want string
+	}{
+		{"true", True{}, "true"},
+		{"false", False{}, "false"},
+		{"nil", nil, "false"},
+		{"comparison", atom(modeIs0), "G_H.F_mode == 0"},
+		{"bool leaf", atom(on), "G_H.F_on"},
+		{"not", atom(&symbolic.Not{X: modeIs0}), "!(G_H.F_mode == 0)"},
+		{"or of atom and not", MkOr(atom(modeIs0), atom(symbolic.MkNot(modeIs0))),
+			"(G_H.F_mode == 0) || (!(G_H.F_mode == 0))"},
+		{"and of three", &And{Ps: []Pred{atom(modeIs0), atom(on), atom(bin(symbolic.OpLt, bias, num(8, true)))}},
+			"(G_H.F_mode == 0) && G_H.F_on && (G_H.F_bias < 8)"},
+		{"or of ands", &Or{Ps: []Pred{
+			&And{Ps: []Pred{atom(modeIs0), atom(on)}},
+			&And{Ps: []Pred{atom(&symbolic.Not{X: on}), atom(bin(symbolic.OpGe, bias, mode))}},
+		}}, "((G_H.F_mode == 0) && G_H.F_on) || ((!G_H.F_on) && (G_H.F_bias >= G_H.F_mode))"},
+		{"int arithmetic", atom(bin(symbolic.OpLt, nary(symbolic.OpAdd, nary(symbolic.OpMul, num(2, true), bias), mode), num(10, true))),
+			"((2 * G_H.F_bias) + G_H.F_mode) < 10"},
+		{"neg", atom(bin(symbolic.OpLe, &symbolic.Neg{X: nary(symbolic.OpAdd, mode, bias)}, &symbolic.Neg{X: scale})),
+			"float64((-(G_H.F_mode + G_H.F_bias))) <= (-G_H.F_scale)"},
+		{"mixed arithmetic promotes through float64 and fences FMA",
+			atom(bin(symbolic.OpGt, nary(symbolic.OpAdd, nary(symbolic.OpMul, mode, num(0.5, false)), scale, bias), num(1, true))),
+			"float64(float64(float64(float64(G_H.F_mode)*0.5)+G_H.F_scale)+float64(G_H.F_bias)) > float64(1)"},
+		{"float product of an int sum", atom(bin(symbolic.OpNe, nary(symbolic.OpMul, scale, nary(symbolic.OpAdd, mode, bias, num(-1, true))), scale)),
+			"float64(G_H.F_scale*float64(((G_H.F_mode+G_H.F_bias)+-1))) != G_H.F_scale"},
+		{"nary and/or inside an atom", atom(nary(symbolic.OpOr, nary(symbolic.OpAnd, on, modeIs0), bin(symbolic.OpEq, on, symbolic.Bool{V: false}))),
+			"(G_H.F_on && (G_H.F_mode == 0)) || (G_H.F_on == false)"},
+	} {
+		code, err := EmitGo(tc.p, leaf)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if code != tc.want {
+			t.Errorf("%s: EmitGo = %q, want %q", tc.name, code, tc.want)
+		}
+		src := "package p\n\nfunc f() {\n\tif " + code + " {\n\t}\n}\n"
+		if fmted, err := format.Source([]byte(src)); err != nil || string(fmted) != src {
+			t.Errorf("%s: `if %s {` is not a gofmt fixed point (err %v):\n%s", tc.name, code, err, fmted)
+		}
 	}
-	if code != "(G_H.F_mode == 0)" {
-		t.Errorf("EmitGo = %q, want (G_H.F_mode == 0)", code)
+	if _, err := EmitGo(atom(bin(symbolic.OpEq, field("other"), num(0, true))), leaf); err == nil {
+		t.Error("unbound ref should fail emission")
 	}
-	code, err = EmitGo(MkOr(MkAtom(c), MkAtom(symbolic.MkNot(c))), leaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != "((G_H.F_mode == 0) || (!(G_H.F_mode == 0)))" {
-		t.Errorf("EmitGo disjunction = %q", code)
-	}
-	// Mixed arithmetic promotes through float64 and fences FMA.
-	sum := symbolic.Intern(&symbolic.Nary{
-		Op: symbolic.OpMul,
-		Args: []symbolic.Expr{
-			symbolic.Extent{ID: "ec:table.mode@global:H"},
-			symbolic.Num{V: 0.5, IsInt: false},
-		},
-	})
-	code, _, err = emitExpr(sum, leaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != "float64(float64(G_H.F_mode) * 0.5)" {
-		t.Errorf("promoted product = %q", code)
+	if _, err := EmitGo(atom(mode), leaf); err == nil {
+		t.Error("int-valued atom should fail emission")
 	}
 }
 

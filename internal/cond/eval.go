@@ -302,44 +302,105 @@ type GoLeaf struct {
 	Kind Kind
 }
 
-// EmitGo renders p as a parenthesized Go boolean expression whose
+// EmitGo renders p as the condition of a Go if statement whose
 // evaluation matches the compiled closure bit for bit: mixed int/float
 // operands promote through float64 conversions, and every float
 // arithmetic step is wrapped in float64(...) to fence FMA contraction,
-// mirroring the native backend's expression emission.
+// mirroring the native backend's expression emission. The text is
+// laid out the way gofmt prints it after `if `, so the emitter can
+// write it as it stands.
 func EmitGo(p Pred, leaf func(FieldRef) (GoLeaf, error)) (string, error) {
-	switch x := p.(type) {
-	case nil, False:
-		return "false", nil
-	case True:
-		return "true", nil
-	case Atom:
-		code, kind, err := emitExpr(x.E, leaf)
-		if err != nil {
-			return "", err
-		}
-		if kind != KBool {
-			return "", fmt.Errorf("cond: atom %s is %s-valued, want bool", x.E.Key(), kind)
-		}
-		return code, nil
-	case *And:
-		return emitJoin(x.Ps, " && ", leaf)
-	case *Or:
-		return emitJoin(x.Ps, " || ", leaf)
+	g, err := emitPred(p, leaf)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("cond: unknown predicate %T", p)
+	return g.at(1), nil
 }
 
-func emitJoin(ps []Pred, sep string, leaf func(FieldRef) (GoLeaf, error)) (string, error) {
-	parts := make([]string, len(ps))
-	for i, q := range ps {
-		s, err := EmitGo(q, leaf)
-		if err != nil {
-			return "", err
-		}
-		parts[i] = s
+// goExpr is a Go expression not yet laid out. gofmt's blanks depend on
+// the nesting depth an expression is printed at (go/printer's
+// binaryExpr: 1 at statement level and for an if condition, one more
+// inside a binary operand, and parentheses take a level back off; below
+// level 1 arithmetic operators lose their blanks), while an
+// expression's kind, and with it the choice between parentheses and a
+// float64 fence, is only known once its operands are. So emission
+// returns the layout as a function of the depth.
+type goExpr struct {
+	// paren: an operator expression, parenthesised as an operand and
+	// bare as an if condition.
+	paren bool
+	// at renders the expression — without those parentheses — at a
+	// depth.
+	at func(depth int) string
+}
+
+func goText(s string) goExpr { return goExpr{at: func(int) string { return s }} }
+
+// operand renders g as an operand printed at depth d.
+func (g goExpr) operand(d int) string {
+	if g.paren {
+		return "(" + g.at(max(d-1, 1)) + ")"
 	}
-	return "(" + strings.Join(parts, sep) + ")", nil
+	return g.at(d)
+}
+
+// goBinary joins two operands, which print one level below their
+// operator. Arithmetic is blank-separated at depth 1 only.
+func goBinary(l goExpr, op string, r goExpr, arith bool) goExpr {
+	return goExpr{paren: true, at: func(d int) string {
+		if arith && d > 1 {
+			return l.operand(d+1) + op + r.operand(d+1)
+		}
+		return l.operand(d+1) + " " + op + " " + r.operand(d+1)
+	}}
+}
+
+// goUnary prefixes an operand, which keeps the operator's depth.
+func goUnary(op string, g goExpr) goExpr {
+	return goExpr{paren: true, at: func(d int) string { return op + g.operand(d) }}
+}
+
+func emitPred(p Pred, leaf func(FieldRef) (GoLeaf, error)) (goExpr, error) {
+	switch x := p.(type) {
+	case nil, False:
+		return goText("false"), nil
+	case True:
+		return goText("true"), nil
+	case Atom:
+		g, kind, err := emitExpr(x.E, leaf)
+		if err != nil {
+			return goExpr{}, err
+		}
+		if kind != KBool {
+			return goExpr{}, fmt.Errorf("cond: atom %s is %s-valued, want bool", x.E.Key(), kind)
+		}
+		return g, nil
+	case *And:
+		return emitJoin(x.Ps, "&&", leaf)
+	case *Or:
+		return emitJoin(x.Ps, "||", leaf)
+	}
+	return goExpr{}, fmt.Errorf("cond: unknown predicate %T", p)
+}
+
+func emitJoin(ps []Pred, op string, leaf func(FieldRef) (GoLeaf, error)) (goExpr, error) {
+	parts := make([]goExpr, len(ps))
+	for i, q := range ps {
+		g, err := emitPred(q, leaf)
+		if err != nil {
+			return goExpr{}, err
+		}
+		parts[i] = g
+	}
+	// A chain of one operator is one expression to gofmt: every
+	// operand prints one level below it.
+	return goExpr{paren: true, at: func(d int) string {
+		texts := make([]string, len(parts))
+		for i, g := range parts {
+			texts[i] = g.operand(d + 1)
+		}
+		return strings.Join(texts, " "+op+" ")
+	}}, nil
 }
 
 // emitNum renders a numeric literal; float renderings always carry a
@@ -355,125 +416,130 @@ func emitNum(x symbolic.Num) (string, Kind) {
 	return s, KFloat
 }
 
-func emitExpr(e symbolic.Expr, leaf func(FieldRef) (GoLeaf, error)) (string, Kind, error) {
+func emitExpr(e symbolic.Expr, leaf func(FieldRef) (GoLeaf, error)) (goExpr, Kind, error) {
 	switch x := e.(type) {
 	case symbolic.Num:
 		s, k := emitNum(x)
-		return s, k, nil
+		return goText(s), k, nil
 	case symbolic.Bool:
 		if x.V {
-			return "true", KBool, nil
+			return goText("true"), KBool, nil
 		}
-		return "false", KBool, nil
+		return goText("false"), KBool, nil
 	case symbolic.Extent:
 		ref, ok := ParseFieldRef(x.ID)
 		if !ok {
-			return "", 0, fmt.Errorf("cond: extent constant %s is not a guardable field reference", x.ID)
+			return goExpr{}, 0, fmt.Errorf("cond: extent constant %s is not a guardable field reference", x.ID)
 		}
 		l, err := leaf(ref)
 		if err != nil {
-			return "", 0, err
+			return goExpr{}, 0, err
 		}
-		return l.Expr, l.Kind, nil
+		return goText(l.Expr), l.Kind, nil
 	case *symbolic.Neg:
-		code, kind, err := emitExpr(x.X, leaf)
+		g, kind, err := emitExpr(x.X, leaf)
 		if err != nil {
-			return "", 0, err
+			return goExpr{}, 0, err
 		}
 		if kind == KBool {
-			return "", 0, fmt.Errorf("cond: negation of bool operand")
+			return goExpr{}, 0, fmt.Errorf("cond: negation of bool operand")
 		}
-		return "(-" + code + ")", kind, nil
+		return goUnary("-", g), kind, nil
 	case *symbolic.Not:
-		code, kind, err := emitExpr(x.X, leaf)
+		g, kind, err := emitExpr(x.X, leaf)
 		if err != nil {
-			return "", 0, err
+			return goExpr{}, 0, err
 		}
 		if kind != KBool {
-			return "", 0, fmt.Errorf("cond: ! of %s operand", kind)
+			return goExpr{}, 0, fmt.Errorf("cond: ! of %s operand", kind)
 		}
-		return "(!" + code + ")", KBool, nil
+		return goUnary("!", g), KBool, nil
 	case *symbolic.Bin:
-		lc, lk, err := emitExpr(x.L, leaf)
+		l, lk, err := emitExpr(x.L, leaf)
 		if err != nil {
-			return "", 0, err
+			return goExpr{}, 0, err
 		}
-		rc, rk, err := emitExpr(x.R, leaf)
+		r, rk, err := emitExpr(x.R, leaf)
 		if err != nil {
-			return "", 0, err
+			return goExpr{}, 0, err
 		}
-		return emitCompare(x.Op, lc, lk, rc, rk)
+		return emitCompare(x.Op, l, lk, r, rk)
 	case *symbolic.Nary:
 		if len(x.Args) == 0 {
-			return "", 0, fmt.Errorf("cond: empty %s application", x.Op)
+			return goExpr{}, 0, fmt.Errorf("cond: empty %s application", x.Op)
 		}
-		code, kind, err := emitExpr(x.Args[0], leaf)
+		g, kind, err := emitExpr(x.Args[0], leaf)
 		if err != nil {
-			return "", 0, err
+			return goExpr{}, 0, err
 		}
 		for _, a := range x.Args[1:] {
-			rc, rk, err2 := emitExpr(a, leaf)
+			r, rk, err2 := emitExpr(a, leaf)
 			if err2 != nil {
-				return "", 0, err2
+				return goExpr{}, 0, err2
 			}
-			code, kind, err = emitCombine(x.Op, code, kind, rc, rk)
+			g, kind, err = emitCombine(x.Op, g, kind, r, rk)
 			if err != nil {
-				return "", 0, err
+				return goExpr{}, 0, err
 			}
 		}
-		return code, kind, nil
+		return g, kind, nil
 	}
-	return "", 0, fmt.Errorf("cond: expression %s is outside the guardable fragment", e.Key())
+	return goExpr{}, 0, fmt.Errorf("cond: expression %s is outside the guardable fragment", e.Key())
 }
 
-// promote renders the operand pair at a common numeric kind.
-func promote(lc string, lk Kind, rc string, rk Kind) (string, string, Kind) {
+// promote renders the operand pair at a common numeric kind. A
+// conversion keeps its operand's depth.
+func promote(l goExpr, lk Kind, r goExpr, rk Kind) (goExpr, goExpr, Kind) {
 	if lk == rk {
-		return lc, rc, lk
+		return l, r, lk
+	}
+	toFloat := func(g goExpr) goExpr {
+		return goExpr{at: func(d int) string { return "float64(" + g.operand(d) + ")" }}
 	}
 	if lk == KInt {
-		lc = "float64(" + lc + ")"
+		l = toFloat(l)
 	}
 	if rk == KInt {
-		rc = "float64(" + rc + ")"
+		r = toFloat(r)
 	}
-	return lc, rc, KFloat
+	return l, r, KFloat
 }
 
-func emitCombine(op symbolic.Op, lc string, lk Kind, rc string, rk Kind) (string, Kind, error) {
+func emitCombine(op symbolic.Op, l goExpr, lk Kind, r goExpr, rk Kind) (goExpr, Kind, error) {
 	switch op {
 	case symbolic.OpAnd, symbolic.OpOr:
 		if lk != KBool || rk != KBool {
-			return "", 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
+			return goExpr{}, 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
 		}
-		return "(" + lc + " " + op.String() + " " + rc + ")", KBool, nil
+		return goBinary(l, op.String(), r, false), KBool, nil
 	case symbolic.OpAdd, symbolic.OpMul:
 		if lk == KBool || rk == KBool {
-			return "", 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
+			return goExpr{}, 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
 		}
-		lc, rc, k := promote(lc, lk, rc, rk)
-		code := "(" + lc + " " + op.String() + " " + rc + ")"
+		l, r, k := promote(l, lk, r, rk)
+		bin := goBinary(l, op.String(), r, true)
 		if k == KFloat {
-			code = "float64" + code
+			// The fence is a conversion, not parentheses: the depth stays.
+			return goExpr{at: func(d int) string { return "float64(" + bin.at(d) + ")" }}, k, nil
 		}
-		return code, k, nil
+		return bin, k, nil
 	}
-	return "", 0, fmt.Errorf("cond: operator %s is outside the guardable fragment", op)
+	return goExpr{}, 0, fmt.Errorf("cond: operator %s is outside the guardable fragment", op)
 }
 
-func emitCompare(op symbolic.Op, lc string, lk Kind, rc string, rk Kind) (string, Kind, error) {
+func emitCompare(op symbolic.Op, l goExpr, lk Kind, r goExpr, rk Kind) (goExpr, Kind, error) {
 	switch op {
 	case symbolic.OpEq, symbolic.OpNe:
 		if lk == KBool && rk == KBool {
-			return "(" + lc + " " + op.String() + " " + rc + ")", KBool, nil
+			return goBinary(l, op.String(), r, false), KBool, nil
 		}
 		fallthrough
 	case symbolic.OpLt, symbolic.OpLe, symbolic.OpGt, symbolic.OpGe:
 		if lk == KBool || rk == KBool {
-			return "", 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
+			return goExpr{}, 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
 		}
-		lc, rc, _ = promote(lc, lk, rc, rk)
-		return "(" + lc + " " + op.String() + " " + rc + ")", KBool, nil
+		l, r, _ = promote(l, lk, r, rk)
+		return goBinary(l, op.String(), r, false), KBool, nil
 	}
-	return "", 0, fmt.Errorf("cond: operator %s is outside the guardable fragment", op)
+	return goExpr{}, 0, fmt.Errorf("cond: operator %s is outside the guardable fragment", op)
 }

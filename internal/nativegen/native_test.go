@@ -1,9 +1,12 @@
 package nativegen_test
 
 import (
+	"bytes"
 	"fmt"
+	"go/format"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -29,6 +32,16 @@ type builtApp struct {
 var built = map[string]*builtApp{
 	"barneshut": {},
 	"water":     {},
+}
+
+// assertGofmt checks the prog.go a test wrote to dir: the emitter runs
+// no formatter, so the file must be gofmt's fixed point as written.
+func assertGofmt(t *testing.T, dir string) {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join(dir, "prog.go"))
+	if fmted, ferr := format.Source(src); err != nil || ferr != nil || !bytes.Equal(fmted, src) {
+		t.Errorf("%s/prog.go is not in gofmt's form (read: %v, format: %v)", dir, err, ferr)
+	}
 }
 
 func getApp(t *testing.T, name string) (*commute.System, string) {
@@ -62,6 +75,7 @@ func getApp(t *testing.T, name string) (*commute.System, string) {
 			ba.err = err
 			return
 		}
+		assertGofmt(t, dir)
 		ba.bin, ba.err = nativegen.Build(dir)
 		ba.sys = sys
 	})

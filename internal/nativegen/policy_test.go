@@ -39,6 +39,7 @@ func TestPolicyParity(t *testing.T) {
 		if err := nativegen.Generate(sys, tc.name, dir); err != nil {
 			t.Fatal(err)
 		}
+		assertGofmt(t, dir)
 		bin, err := nativegen.Build(dir)
 		if err != nil {
 			t.Fatal(err)

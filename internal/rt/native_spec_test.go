@@ -3,7 +3,10 @@ package rt_test
 import (
 	"bytes"
 	"fmt"
+	"go/format"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"commute/internal/frontend/types"
@@ -23,6 +26,16 @@ func interpSerialDump(t *testing.T, prog *types.Program) string {
 	}
 	nativegen.DumpInterp(&buf, prog, ip)
 	return buf.String()
+}
+
+// assertGofmt checks the prog.go a test wrote to dir: the emitter runs
+// no formatter, so the file must be gofmt's fixed point as written.
+func assertGofmt(t *testing.T, dir string) {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join(dir, "prog.go"))
+	if fmted, ferr := format.Source(src); err != nil || ferr != nil || !bytes.Equal(fmted, src) {
+		t.Errorf("%s/prog.go is not in gofmt's form (read: %v, format: %v)", dir, err, ferr)
+	}
 }
 
 // TestNativeRandomSpeculation promotes the random rejected-program and
@@ -51,6 +64,7 @@ func TestNativeRandomSpeculation(t *testing.T) {
 		if err := nativegen.GeneratePlan(plan, tc.name, dir); err != nil {
 			t.Fatalf("%s: generate: %v", tc.name, err)
 		}
+		assertGofmt(t, dir)
 		bin, err := nativegen.Build(dir)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Native-backend smoke: generate the Go package for Barnes-Hut and
-# Water, vet and build each, run them natively (serial and parallel),
-# and diff the final state dumps against the serial interpreter byte
-# for byte (Water's parallel accumulation order varies, so its
-# parallel run only has to finish cleanly). The speculative leg emits
+# Water, vet, gofmt-check and build each, run them natively (serial and
+# parallel), and diff the final state dumps against the serial
+# interpreter byte for byte (Water's parallel accumulation order varies,
+# so its parallel run only has to finish cleanly). The speculative leg emits
 # the journaled packages for the speculation corpus and byte-diffs both
 # the commit and the abort-and-rerun paths. The many-region leg enters
 # 2000 guarded parallel regions on the one run-wide pool.
@@ -13,10 +13,21 @@ cd "$(dirname "$0")/.."
 OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT
 
+# The emitter runs no formatter: the toolchain's own gofmt, out of
+# process, must have nothing to change in what commutec -emit go wrote.
+canonical() {
+  local files
+  files=$(gofmt -l .)
+  if [ -n "$files" ]; then
+    echo "FAIL: emitted files are not in gofmt's form: $files" >&2
+    return 1
+  fi
+}
+
 for APP in barneshut graph; do
   DIR="$OUT/$APP"
   go run ./cmd/commutec -emit go -o "$DIR" -app "$APP"
-  (cd "$DIR" && go vet . && go build -o app .)
+  (cd "$DIR" && go vet . && canonical && go build -o app .)
   go run ./cmd/commuterun -mode serial -app "$APP" -dump > "$OUT/$APP.interp"
   for ARGS in "-mode serial" "-mode parallel -workers 4"; do
     # shellcheck disable=SC2086
@@ -38,7 +49,7 @@ done
 for APP in specdisjoint specconflict; do
   DIR="$OUT/$APP"
   go run ./cmd/commutec -emit go -o "$DIR" -app "$APP"
-  (cd "$DIR" && go vet . && go build -o app .)
+  (cd "$DIR" && go vet . && canonical && go build -o app .)
   go run ./cmd/commuterun -mode serial -app "$APP" -dump > "$OUT/$APP.interp"
   for ARGS in "-mode serial" "-mode parallel -workers 4 -speculate force" "-mode parallel -workers 4 -speculate auto"; do
     # shellcheck disable=SC2086
@@ -74,7 +85,7 @@ ROUNDS=2000
 } > "$OUT/condhash.mc"
 DIR="$OUT/condhash"
 go run ./cmd/commutec -emit go -o "$DIR" "$OUT/condhash.mc"
-(cd "$DIR" && go vet . && go build -o app .)
+(cd "$DIR" && go vet . && canonical && go build -o app .)
 go run ./cmd/commuterun -mode serial -dump "$OUT/condhash.mc" > "$OUT/condhash.interp"
 "$DIR/app" -mode parallel -workers 4 -conditional -guardstats -dump > "$OUT/condhash.native" 2> "$OUT/condhash.stats"
 if ! diff -q "$OUT/condhash.interp" "$OUT/condhash.native" >/dev/null; then
@@ -92,7 +103,7 @@ echo "condhash x$ROUNDS: native == interpreter over $ROUNDS regions on one pool,
 # Water: serial must be bit-identical; parallel must run cleanly.
 DIR="$OUT/water"
 go run ./cmd/commutec -emit go -o "$DIR" -app water
-(cd "$DIR" && go vet . && go build -o app .)
+(cd "$DIR" && go vet . && canonical && go build -o app .)
 go run ./cmd/commuterun -mode serial -app water -dump > "$OUT/water.interp"
 "$DIR/app" -mode serial -dump > "$OUT/water.native"
 diff "$OUT/water.interp" "$OUT/water.native"
