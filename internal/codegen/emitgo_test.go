@@ -2,6 +2,7 @@ package codegen_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"go/format"
@@ -73,6 +74,61 @@ func TestEmitGoGolden(t *testing.T) {
 					g.app, name, path, files[name])
 			}
 		}
+	}
+}
+
+// TestEmitGoDigests pins prog.go of every shipped application (the ten
+// programs of e2ebench's compile corpus, at its sizes) and of rulesSrc,
+// under both plans, by SHA-256 — byte identity of the emitter across a
+// refactor, readable from the diff: testdata/emit_digests.txt changes
+// exactly when some emitted byte does. The goldens show what changed;
+// this says whether anything did, on three times the programs.
+func TestEmitGoDigests(t *testing.T) {
+	var got bytes.Buffer
+	for _, app := range []struct {
+		name string
+		load func() (*commute.System, error)
+	}{
+		{"barneshut-64x1", func() (*commute.System, error) { return apps.BarnesHut(64, 1) }},
+		{"barneshut-128x2", func() (*commute.System, error) { return apps.BarnesHut(128, 2) }},
+		{"water-27x1", func() (*commute.System, error) { return apps.Water(27, 1) }},
+		{"water-64x2", func() (*commute.System, error) { return apps.Water(64, 2) }},
+		{"graph-64", func() (*commute.System, error) { return apps.Graph(64) }},
+		{"graph-1024", func() (*commute.System, error) { return apps.Graph(1024) }},
+		{"condhash0-64", func() (*commute.System, error) { return apps.CondHash(0, 64) }},
+		{"condhash3-64", func() (*commute.System, error) { return apps.CondHash(3, 64) }},
+		{"specdisjoint", func() (*commute.System, error) { return commute.Load("specdisjoint.mc", src.SpecDisjoint) }},
+		{"specconflict", func() (*commute.System, error) { return commute.Load("specconflict.mc", src.SpecConflict) }},
+		{"rules", func() (*commute.System, error) { return commute.Load("rules.mc", rulesSrc) }},
+	} {
+		sys, err := app.load()
+		if err != nil {
+			t.Fatalf("%s: %v", app.name, err)
+		}
+		for _, pl := range []struct {
+			name string
+			plan *codegen.Plan
+		}{{"Plan", sys.Plan}, {"CondPlan", sys.CondPlan}} {
+			files, err := pl.plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", app.name, pl.name, err)
+			}
+			fmt.Fprintf(&got, "%x  %s/%s\n", sha256.Sum256(files["prog.go"]), app.name, pl.name)
+		}
+	}
+	path := filepath.Join("testdata", "emit_digests.txt")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("emitted prog.go digests differ from %s (run with -update to record):\n%s", path, got.Bytes())
 	}
 }
 
