@@ -28,7 +28,7 @@ package codegen
 //	      interpreter disables the parallel-loop hook under
 //	      versionMutex.
 //	IS_m  iteration-serial version: the body as parallel-loop
-//	      iterations run it (rt.mutexIterCtx): ActionInline sites stay
+//	      iterations run it (rt's loop claimants): ActionInline sites stay
 //	      in the iteration context, other sites whose callee is
 //	      parallel dispatch to the mutex version.
 //	Q_m   parallel-inline version: the body as an ActionInline callee
@@ -45,7 +45,9 @@ package codegen
 // speculative GSS loops — nativert.SpecGSS, the same claim loop with a
 // journal per claimant). They take no locks — isolation comes from
 // the journals — and their R_ wrapper validates at the join barrier,
-// commits single-threaded, or discards and reruns S_ serially.
+// commits single-threaded, or discards and reruns S_ serially. A twin is
+// a row of the version table below, not a second set of rules: one body
+// emitter and one call-site dispatch write both families.
 //
 // Versions are emitted on demand, starting from main, so the generated
 // package contains exactly the functions some execution mode can reach.
@@ -108,9 +110,58 @@ const (
 	varJQ                // speculative parallel-inline (journaled Q_)
 )
 
-var variantPrefix = [...]string{
-	varR: "R_", varS: "S_", varD: "D_", varP: "P_", varX: "X_", varI: "IS_", varQ: "Q_",
-	varJP: "SJ_", varJS: "SJS_", varJX: "SJX_", varJI: "SJI_", varJQ: "SJQ_",
+// versions is the version table, a row per version: its name prefix, the
+// execution context its body compiles under (varR's body is
+// synthesized), the journaled twin a speculative body calls in its place
+// (0: none), and what it takes ahead of the method's own parameters. A
+// call site names the proven version its context's rule selects;
+// fnCtx.call takes the twin inside a speculative body, and signatures,
+// calls, spawns and region wrappers all thread what the row lists.
+var versions = [...]struct {
+	prefix string
+	mode   emitMode
+	twin   variant
+	thread []string
+}{
+	varR:  {"R_", mS, 0, nil},
+	varS:  {"S_", mS, varJS, nil},
+	varD:  {"D_", mD, 0, nil},
+	varP:  {"P_", mP, varJP, []string{"w"}},
+	varX:  {"X_", mX, varJX, nil},
+	varI:  {"IS_", mI, varJI, nil},
+	varQ:  {"Q_", mQ, varJQ, []string{"w", "rel_"}},
+	varJP: {"SJ_", mP, 0, []string{"w", "sr_", "sj_"}},
+	varJS: {"SJS_", mS, 0, []string{"sj_"}},
+	varJX: {"SJX_", mX, 0, []string{"sr_", "sj_"}},
+	varJI: {"SJI_", mI, 0, []string{"sr_", "sj_"}},
+	varJQ: {"SJQ_", mQ, 0, []string{"w", "sr_", "sj_"}},
+}
+
+// threadType types the threaded parameters: the scheduler handle of the
+// executing goroutine, the enclosing extent's lock-release closure, the
+// speculative region (for fresh journals and the failed fast path) and
+// the current task's journal.
+var threadType = map[string]string{
+	"w": "*rtkit.Worker", "rel_": "func()", "sr_": "*nativert.SpecRegion", "sj_": "*nativert.SpecJournal",
+}
+
+// threadArgs lists what a call of version v passes ahead of the method's
+// own arguments, the site naming its worker handle, its release closure
+// and the callee's journal.
+func threadArgs(v variant, w, rel, sj string) []string {
+	var args []string
+	for _, a := range versions[v].thread {
+		switch a {
+		case "w":
+			a = w
+		case "rel_":
+			a = rel
+		case "sj_":
+			a = sj
+		}
+		args = append(args, a)
+	}
+	return args
 }
 
 // specVariant reports whether v is one of the journaled speculative
@@ -142,10 +193,8 @@ type goEmitter struct {
 	// by name.
 	helpers map[string]string
 
-	// tri-state memos: 0 unknown, 1 computing/false, 2 false, 3 true.
-	driverMemo  map[*types.Method]int8
-	parLoopMemo map[*types.Method]int8
-	iterMemo    map[*types.Method]int8
+	// The transitive properties, by types.Method.ID (closures).
+	driver, parLoop, iter []bool
 
 	useMath    bool
 	useRtkit   bool
@@ -180,19 +229,16 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 		}
 	}
 	e := &goEmitter{
-		plan:        p,
-		prog:        p.Prog,
-		opts:        opts,
-		hasSub:      make(map[*types.Class]bool),
-		layouts:     make(map[*types.Class][]interp.FieldInfo),
-		frames:      make(map[*types.Method][]interp.VarInfo),
-		muRoots:     make(map[*types.Class]bool),
-		demanded:    make(map[vkey]bool),
-		fnSrc:       make(map[vkey]string),
-		helpers:     make(map[string]string),
-		driverMemo:  make(map[*types.Method]int8),
-		parLoopMemo: make(map[*types.Method]int8),
-		iterMemo:    make(map[*types.Method]int8),
+		plan:     p,
+		prog:     p.Prog,
+		opts:     opts,
+		hasSub:   make(map[*types.Class]bool),
+		layouts:  make(map[*types.Class][]interp.FieldInfo),
+		frames:   make(map[*types.Method][]interp.VarInfo),
+		muRoots:  make(map[*types.Class]bool),
+		demanded: make(map[vkey]bool),
+		fnSrc:    make(map[vkey]string),
+		helpers:  make(map[string]string),
 	}
 	for _, cl := range e.prog.ClassList {
 		if cl.Base != nil {
@@ -203,6 +249,7 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 	for _, m := range e.prog.Methods {
 		e.frames[m] = interp.MethodFrame(e.prog, m)
 	}
+	e.closures()
 
 	// Demand-driven emission from the entry point.
 	entry := varS
@@ -270,118 +317,95 @@ func (e *goEmitter) demand(m *types.Method, v variant) {
 // ---------------------------------------------------------------------
 // Transitive properties
 
+// Each of the three is plain reachability — m has the property, or
+// calls, transitively, a method that has it — so closures computes each
+// once per emit as the closure of its holders over the reversed call
+// graph: no per-call memo, and no provisional answer for a call cycle to
+// freeze (on a mutually recursive pair a depth-first memo finalizes the
+// inner method while its ancestor still reads "computing, false").
+func (e *goEmitter) closures() {
+	callers := make([][]*types.Method, len(e.prog.Methods))
+	for _, m := range e.prog.Methods {
+		for _, cs := range m.CallSites {
+			callers[cs.Callee.ID] = append(callers[cs.Callee.ID], m)
+		}
+	}
+	closure := func(holds func(*types.Method) bool) []bool {
+		in := make([]bool, len(e.prog.Methods))
+		var work []*types.Method
+		add := func(m *types.Method) {
+			if !in[m.ID] {
+				in[m.ID] = true
+				work = append(work, m)
+			}
+		}
+		for _, m := range e.prog.Methods {
+			if holds(m) {
+				add(m)
+			}
+		}
+		for len(work) > 0 {
+			m := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, c := range callers[m.ID] {
+				add(c)
+			}
+		}
+		return in
+	}
+	// A call site that opens a parallel region (rt.serialCtx).
+	e.driver = closure(func(m *types.Method) bool {
+		for _, cs := range m.CallSites {
+			if e.parallel(cs.Callee) && e.plan.GeneratesConcurrency(cs.Callee) {
+				return true
+			}
+		}
+		return false
+	})
+	// A planned-parallel loop in the body.
+	loops := make([]bool, len(e.prog.Methods))
+	for _, lp := range e.plan.Loops {
+		if lp.Parallel {
+			loops[lp.Method.ID] = true
+		}
+	}
+	e.parLoop = closure(func(m *types.Method) bool { return loops[m.ID] })
+	// A call site the iteration context dispatches to a mutex version
+	// (rt's loop claimants do so at non-ActionInline sites whose callee is
+	// parallel).
+	e.iter = closure(func(m *types.Method) bool {
+		mp := e.plan.Methods[m]
+		for _, cs := range m.CallSites {
+			if (mp == nil || mp.Site[cs.ID] != ActionInline) && e.parallel(cs.Callee) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// parallel reports whether the plan gives m a parallel version.
+func (e *goEmitter) parallel(m *types.Method) bool {
+	mp := e.plan.Methods[m]
+	return mp != nil && mp.Parallel
+}
+
 // needDriver reports whether m (running in a serial context) can reach
 // a call site that opens a parallel region, so its serial-context
 // version must be the D_ driver rather than plain S_.
-func (e *goEmitter) needDriver(m *types.Method) bool {
-	switch e.driverMemo[m] {
-	case 1, 2:
-		return false
-	case 3:
-		return true
-	}
-	e.driverMemo[m] = 1
-	r := false
-	for _, cs := range m.CallSites {
-		cp := e.plan.Methods[cs.Callee]
-		if cp != nil && cp.Parallel && e.plan.GeneratesConcurrency(cs.Callee) {
-			r = true
-			break
-		}
-		if e.needDriver(cs.Callee) {
-			r = true
-			break
-		}
-	}
-	if r {
-		e.driverMemo[m] = 3
-	} else {
-		e.driverMemo[m] = 2
-	}
-	return r
-}
+func (e *goEmitter) needDriver(m *types.Method) bool { return e.driver[m.ID] }
 
 // subtreeHasParallelLoop reports whether m's body, or any body
 // transitively reachable through its call sites, contains a
 // planned-parallel loop. Inline callees with such loops need the Q_
 // version under a parallel context (the loop hook fires for any loop
 // executed under the context, not only the root's).
-func (e *goEmitter) subtreeHasParallelLoop(m *types.Method) bool {
-	switch e.parLoopMemo[m] {
-	case 1, 2:
-		return false
-	case 3:
-		return true
-	}
-	e.parLoopMemo[m] = 1
-	r := false
-	if m.Def != nil {
-		ast.Inspect(m.Def.Body, func(n ast.Node) bool {
-			if r {
-				return false
-			}
-			if fs, ok := n.(*ast.ForStmt); ok {
-				if lp := e.plan.Loops[fs]; lp != nil && lp.Parallel {
-					r = true
-					return false
-				}
-			}
-			return true
-		})
-	}
-	if !r {
-		for _, cs := range m.CallSites {
-			if e.subtreeHasParallelLoop(cs.Callee) {
-				r = true
-				break
-			}
-		}
-	}
-	if r {
-		e.parLoopMemo[m] = 3
-	} else {
-		e.parLoopMemo[m] = 2
-	}
-	return r
-}
+func (e *goEmitter) subtreeHasParallelLoop(m *types.Method) bool { return e.parLoop[m.ID] }
 
 // needsIter reports whether m's iteration-serial version differs from
 // its plain serial version: somewhere in the iteration context a call
-// site dispatches to a mutex version (rt.mutexIterCtx does so at
-// non-ActionInline sites whose callee is parallel).
-func (e *goEmitter) needsIter(m *types.Method) bool {
-	switch e.iterMemo[m] {
-	case 1, 2:
-		return false
-	case 3:
-		return true
-	}
-	e.iterMemo[m] = 1
-	mp := e.plan.Methods[m]
-	r := false
-	for _, cs := range m.CallSites {
-		act := ActionSerial
-		if mp != nil {
-			act = mp.Site[cs.ID]
-		}
-		if act != ActionInline {
-			if cp := e.plan.Methods[cs.Callee]; cp != nil && cp.Parallel {
-				r = true
-				break
-			}
-		}
-		if e.needsIter(cs.Callee) {
-			r = true
-			break
-		}
-	}
-	if r {
-		e.iterMemo[m] = 3
-	} else {
-		e.iterMemo[m] = 2
-	}
-	return r
-}
+// site dispatches to a mutex version.
+func (e *goEmitter) needsIter(m *types.Method) bool { return e.iter[m.ID] }
 
 // chainRoot returns the topmost base class of c's inheritance chain.
 func chainRoot(c *types.Class) *types.Class {

@@ -36,213 +36,118 @@ const (
 type callPlan struct {
 	kind   callKind
 	callee *types.Method
-	name   string   // function name with version prefix
-	worker bool     // pass the worker as the first argument (Q_, SJ_)
-	rel    string   // rel_ argument for Q_ callees ("nil" or "rel_")
-	preRel bool     // release the extent lock before the call (mX spawn sites)
-	pre    []string // region/journal arguments threaded to spec versions
+	v      variant // the version called
+	rel    string  // rel_ argument for Q_ callees ("nil" or "rel_")
+	preRel bool    // release the extent lock before the call (mX spawn sites)
+}
+
+// call plans a call of callee's version v — inside a speculative body,
+// of v's journaled twin: the task's journal goes down every call, so a
+// journaled subtree stays journaled — and demands it.
+func (c *fnCtx) call(kind callKind, callee *types.Method, v variant) callPlan {
+	if c.spec {
+		v = versions[v].twin
+	}
+	c.e.demand(callee, v)
+	return callPlan{kind: kind, callee: callee, v: v}
+}
+
+// parallelVersion is v when callee has a parallel plan. A speculative
+// extent can spawn, or run as a mutex version, a callee that has none
+// (its site map marks extent operations the analysis never planned):
+// that one runs its plain body — journaled, as call makes it.
+func (c *fnCtx) parallelVersion(callee *types.Method, v variant) variant {
+	if c.spec && !c.e.parallel(callee) {
+		return varS
+	}
+	return v
 }
 
 // pInline resolves the version an ActionInline/default site uses under
 // a parallel context: the plain serial body, or Q_ when the callee's
 // subtree contains a planned-parallel loop the context would still
-// parallelize.
+// parallelize (the interpreter's loop hook stays armed through inline
+// calls).
 func (c *fnCtx) pInline(callee *types.Method) callPlan {
-	if c.e.subtreeHasParallelLoop(callee) {
-		c.e.demand(callee, varQ)
-		rel := "nil"
-		if c.mode == mQ {
-			rel = "rel_"
-		} else if c.releaseBeforeSpawn {
-			rel = "rel_"
-		}
-		return callPlan{kind: ckValue, callee: callee, name: "Q_" + callee.Name, worker: true, rel: rel}
+	if !c.e.subtreeHasParallelLoop(callee) {
+		return c.call(ckValue, callee, varS)
 	}
-	c.e.demand(callee, varS)
-	return callPlan{kind: ckValue, callee: callee, name: "S_" + callee.Name}
-}
-
-// iterCall resolves the version an iteration-context call uses when it
-// stays in the iteration context.
-func (c *fnCtx) iterCall(callee *types.Method) callPlan {
-	if c.e.needsIter(callee) {
-		c.e.demand(callee, varI)
-		return callPlan{kind: ckValue, callee: callee, name: "IS_" + callee.Name}
+	cp := c.call(ckValue, callee, varQ)
+	cp.rel = "nil"
+	if c.mode == mQ || c.releaseBeforeSpawn {
+		cp.rel = "rel_"
 	}
-	c.e.demand(callee, varS)
-	return callPlan{kind: ckValue, callee: callee, name: "S_" + callee.Name}
-}
-
-// specPInline is pInline's journaled twin: inline callees under a
-// speculative parallel context share the task's journal, and their
-// planned-parallel loops still fan out (the interpreter's loop hook
-// stays armed through inline calls), so subtrees with such loops need
-// the SJQ_ version.
-func (c *fnCtx) specPInline(callee *types.Method) callPlan {
-	if c.e.subtreeHasParallelLoop(callee) {
-		c.e.demand(callee, varJQ)
-		return callPlan{kind: ckValue, callee: callee, name: "SJQ_" + callee.Name, pre: []string{"w", "sr_", "sj_"}}
-	}
-	c.e.demand(callee, varJS)
-	return callPlan{kind: ckValue, callee: callee, name: "SJS_" + callee.Name, pre: []string{"sj_"}}
-}
-
-// specIterCall is iterCall's journaled twin.
-func (c *fnCtx) specIterCall(callee *types.Method) callPlan {
-	if c.e.needsIter(callee) {
-		c.e.demand(callee, varJI)
-		return callPlan{kind: ckValue, callee: callee, name: "SJI_" + callee.Name, pre: []string{"sr_", "sj_"}}
-	}
-	c.e.demand(callee, varJS)
-	return callPlan{kind: ckValue, callee: callee, name: "SJS_" + callee.Name, pre: []string{"sj_"}}
+	return cp
 }
 
 // siteDispatch decides how a non-builtin call site lowers in the
-// current mode.
+// current mode: each rule names the proven version, and call takes its
+// journaled twin inside a speculative body.
 func (c *fnCtx) siteDispatch(x *ast.CallExpr) callPlan {
-	site := c.e.prog.CallSites[x.Site]
-	callee := site.Callee
+	callee := c.e.prog.CallSites[x.Site].Callee
+	// The site's action in the enclosing method's site map (a site the
+	// map lacks is an inline one).
+	var act SiteAction
+	if c.mp != nil {
+		act = c.mp.Site[x.Site]
+	}
 	switch c.mode {
 	case mS:
-		if c.spec {
-			// rt.specCall's plain-Call path: a serial journaled subtree
-			// stays serial and journaled all the way down.
-			c.e.demand(callee, varJS)
-			return callPlan{kind: ckValue, callee: callee, name: "SJS_" + callee.Name, pre: []string{"sj_"}}
-		}
-		c.e.demand(callee, varS)
-		return callPlan{kind: ckValue, callee: callee, name: "S_" + callee.Name}
+		return c.call(ckValue, callee, varS)
 	case mD:
 		// rt.serialCtx: parallel callees that generate concurrency get
 		// a region; everything else stays in the serial context.
-		if cp := c.e.plan.Methods[callee]; cp != nil && cp.Parallel && c.e.plan.GeneratesConcurrency(callee) {
-			c.e.demand(callee, varR)
-			return callPlan{kind: ckRegion, callee: callee, name: "R_" + callee.Name}
+		switch {
+		case c.e.parallel(callee) && c.e.plan.GeneratesConcurrency(callee):
+			return c.call(ckRegion, callee, varR)
+		case c.e.needDriver(callee):
+			return c.call(ckValue, callee, varD)
 		}
-		if c.e.needDriver(callee) {
-			c.e.demand(callee, varD)
-			return callPlan{kind: ckValue, callee: callee, name: "D_" + callee.Name}
-		}
-		c.e.demand(callee, varS)
-		return callPlan{kind: ckValue, callee: callee, name: "S_" + callee.Name}
+		return c.call(ckValue, callee, varS)
 	case mP:
-		// rt.callVersion versionParallel: the Invoke switch consults
-		// the root method's site map; sites missing from it (inside
-		// inline callees) default to inline under the same context.
-		var act SiteAction
-		if c.mp != nil {
-			act = c.mp.Site[x.Site]
-		}
-		if c.spec {
-			// rt.specCall versionParallel: spawn sites get a fresh
-			// journal; a spawned callee without its own parallel plan
-			// runs the plain journaled body (specCall's plain-Call
-			// path), not a fan-out version.
-			switch act {
-			case ActionSpawn:
-				if cp := c.e.plan.Methods[callee]; cp != nil && cp.Parallel {
-					c.e.demand(callee, varJP)
-					return callPlan{kind: ckSpawn, callee: callee, name: "SJ_" + callee.Name, worker: true}
-				}
-				c.e.demand(callee, varJS)
-				return callPlan{kind: ckSpawn, callee: callee, name: "SJS_" + callee.Name}
-			case ActionHoisted:
-				cp := c.specPInline(callee)
-				cp.kind = ckHoisted
-				return cp
-			default:
-				return c.specPInline(callee)
-			}
-		}
+		// rt's activation.invoke under versionParallel.
 		switch act {
 		case ActionSpawn:
-			c.e.demand(callee, varP)
-			return callPlan{kind: ckSpawn, callee: callee, name: "P_" + callee.Name}
+			return c.call(ckSpawn, callee, c.parallelVersion(callee, varP))
 		case ActionHoisted:
 			cp := c.pInline(callee)
 			cp.kind = ckHoisted
 			return cp
-		default:
-			return c.pInline(callee)
 		}
+		return c.pInline(callee)
 	case mQ:
-		if c.spec {
-			return c.specPInline(callee)
-		}
 		return c.pInline(callee)
 	case mX:
 		// versionMutex: spawn sites run the mutex version inline
-		// (releasing the lock first when not held through); everything
-		// else is serial inline — the loop hook is disabled, so plain
-		// S_ bodies are exact.
-		var act SiteAction
-		if c.mp != nil {
-			act = c.mp.Site[x.Site]
-		}
-		if c.spec {
-			// rt.specCall versionMutex: spawn sites with a parallel
-			// callee recurse inline sharing the journal; everything
-			// else runs the serial journaled body. No lock release —
-			// spec variants take no locks.
-			switch act {
-			case ActionSpawn:
-				if cp := c.e.plan.Methods[callee]; cp != nil && cp.Parallel {
-					c.e.demand(callee, varJX)
-					return callPlan{kind: ckEffectX, callee: callee, name: "SJX_" + callee.Name, pre: []string{"sr_", "sj_"}}
-				}
-				c.e.demand(callee, varJS)
-				return callPlan{kind: ckEffectX, callee: callee, name: "SJS_" + callee.Name, pre: []string{"sj_"}}
-			case ActionHoisted:
-				c.e.demand(callee, varJS)
-				return callPlan{kind: ckHoisted, callee: callee, name: "SJS_" + callee.Name, pre: []string{"sj_"}}
-			default:
-				c.e.demand(callee, varJS)
-				return callPlan{kind: ckValue, callee: callee, name: "SJS_" + callee.Name, pre: []string{"sj_"}}
-			}
-		}
+		// (releasing the lock first when not held through; a speculative
+		// body holds none); everything else is serial inline — the loop
+		// hook is disabled, so plain S_ bodies are exact.
 		switch act {
 		case ActionSpawn:
-			c.e.demand(callee, varX)
-			return callPlan{kind: ckEffectX, callee: callee, name: "X_" + callee.Name, preRel: c.releaseBeforeSpawn}
+			cp := c.call(ckEffectX, callee, c.parallelVersion(callee, varX))
+			cp.preRel = c.releaseBeforeSpawn
+			return cp
 		case ActionHoisted:
-			c.e.demand(callee, varS)
-			return callPlan{kind: ckHoisted, callee: callee, name: "S_" + callee.Name}
-		default:
-			c.e.demand(callee, varS)
-			return callPlan{kind: ckValue, callee: callee, name: "S_" + callee.Name}
+			return c.call(ckHoisted, callee, varS)
 		}
+		return c.call(ckValue, callee, varS)
 	case mI:
-		// rt.mutexIterCtx: per-site map of the site's own caller;
-		// ActionInline stays in the iteration context, other sites
-		// with a parallel callee run the mutex version.
-		act := ActionSerial
-		if mp := c.e.plan.Methods[c.m]; mp != nil {
-			act = mp.Site[x.Site]
-		}
-		if c.spec {
-			// rt.specIterCtx: inline sites stay in the journaled
-			// iteration context; parallel non-inline callees run the
-			// journal-sharing mutex version.
-			if act == ActionInline {
-				return c.specIterCall(callee)
+		// A loop claimant (activation.invoke with no method plan): the
+		// site map is the site's own caller's; ActionInline stays in the
+		// iteration context — IS_ where that differs from S_ — and other
+		// sites with a parallel callee run the mutex version.
+		if c.mp == nil || act != ActionInline {
+			if c.e.parallel(callee) {
+				return c.call(ckEffectX, callee, varX)
 			}
-			if cp := c.e.plan.Methods[callee]; cp != nil && cp.Parallel {
-				c.e.demand(callee, varJX)
-				return callPlan{kind: ckEffectX, callee: callee, name: "SJX_" + callee.Name, pre: []string{"sr_", "sj_"}}
-			}
-			return c.specIterCall(callee)
 		}
-		if act == ActionInline {
-			return c.iterCall(callee)
+		if c.e.needsIter(callee) {
+			return c.call(ckValue, callee, varI)
 		}
-		if cp := c.e.plan.Methods[callee]; cp != nil && cp.Parallel {
-			c.e.demand(callee, varX)
-			return callPlan{kind: ckEffectX, callee: callee, name: "X_" + callee.Name}
-		}
-		return c.iterCall(callee)
+		return c.call(ckValue, callee, varS)
 	}
 	c.errf("unknown emit mode")
-	return callPlan{kind: ckValue, callee: callee, name: "S_" + callee.Name}
+	return c.call(ckValue, callee, varS)
 }
 
 // recvChain renders the receiver expression of a call to callee,
@@ -270,11 +175,7 @@ func (c *fnCtx) recvChain(x *ast.CallExpr, callee *types.Method, d int) string {
 // renderCall assembles a lowered call expression. A call with more than
 // one argument prints its receiver and its arguments one level deeper.
 func (c *fnCtx) renderCall(x *ast.CallExpr, cp callPlan, d int) string {
-	var args []string
-	if cp.worker {
-		args = append(args, "w", cp.rel)
-	}
-	args = append(args, cp.pre...)
+	args := threadArgs(cp.v, "w", cp.rel, "sj_")
 	n := min(len(x.Args), len(cp.callee.Params))
 	if len(args)+n > 1 {
 		d++
@@ -282,7 +183,7 @@ func (c *fnCtx) renderCall(x *ast.CallExpr, cp callPlan, d int) string {
 	for i, a := range x.Args[:n] {
 		args = append(args, c.exprAs(a, cp.callee.Params[i].Type, d))
 	}
-	call := cp.name + "(" + strings.Join(args, ", ") + ")"
+	call := versions[cp.v].prefix + cp.callee.Name + "(" + strings.Join(args, ", ") + ")"
 	if recv := c.recvChain(x, cp.callee, d); recv != "" {
 		return recv + "." + call
 	}
@@ -359,35 +260,23 @@ func (c *fnCtx) spawn(x *ast.CallExpr, cp callPlan) {
 		c.line("var %s %s = %s", av, c.e.goType(pt, true), c.exprAs(a, pt, 1))
 		taskArgs = append(taskArgs, av)
 	}
+	// A speculative task gets a fresh journal, and captures panics so a
+	// faulting task aborts the region instead of killing the pool
+	// goroutine; it holds no lock, so there is nothing to release.
+	jv := ""
 	if c.spec {
-		// rt.specCall ActionSpawn: count the task, give it a fresh
-		// journal, and capture panics so a faulting task aborts the
-		// region instead of killing the pool goroutine. Spec variants
-		// hold no locks, so there is nothing to release.
-		c.e.useRtkit = true
-		jv := c.tmpName()
+		jv = c.tmpName()
 		c.line("%s := sr_.NewJournal()", jv)
-		c.line("w.Pool().Spawn(w, %q, func(cw_ *rtkit.Worker) {", callee.FullName())
-		c.line("\tdefer sr_.CapturePanic()")
-		if cp.worker {
-			args := append([]string{"cw_", "sr_", jv}, taskArgs...)
-			c.line("\t%s%s(%s)", recv, cp.name, strings.Join(args, ", "))
-		} else {
-			args := append([]string{jv}, taskArgs...)
-			c.line("\t%s%s(%s)", recv, cp.name, strings.Join(args, ", "))
-		}
-		c.line("})")
-		c.indent--
-		c.line("}")
-		return
-	}
-	if c.releaseBeforeSpawn {
+	} else if c.releaseBeforeSpawn {
 		c.releaseLock()
 	}
 	c.e.useRtkit = true
-	args := append([]string{"cw_"}, taskArgs...)
+	args := append(threadArgs(cp.v, "cw_", "", jv), taskArgs...)
 	c.line("w.Pool().Spawn(w, %q, func(cw_ *rtkit.Worker) {", callee.FullName())
-	c.line("\t%s%s(%s)", recv, cp.name, strings.Join(args, ", "))
+	if c.spec {
+		c.line("\tdefer sr_.CapturePanic()")
+	}
+	c.line("\t%s%s%s(%s)", recv, versions[cp.v].prefix, callee.Name, strings.Join(args, ", "))
 	c.line("})")
 	c.indent--
 	c.line("}")
@@ -539,7 +428,7 @@ func (c *fnCtx) specAssign(a *ast.Assign, addr, desc string, lt types.Type) {
 func (c *fnCtx) specRegionAssign(call *ast.CallExpr, cp callPlan, target string, lt types.Type) {
 	mp := c.e.plan.Methods[cp.callee]
 	c.e.demand(cp.callee, varS)
-	scp := callPlan{kind: ckValue, callee: cp.callee, name: "S_" + cp.callee.Name}
+	scp := callPlan{kind: ckValue, callee: cp.callee, v: varS}
 	serial := c.conv(c.renderCall(call, scp, 1), call, c.e.prog.TypeOf(call), lt)
 	if !mp.SpecEligible {
 		// speculationAllowed is constant false: a plain serial call.
@@ -833,6 +722,13 @@ var goOp = map[token.Kind]string{
 	token.LT: "<", token.GT: ">", token.LEQ: "<=", token.GEQ: ">=",
 }
 
+// goBuiltin names the math-package function behind each math builtin.
+var goBuiltin = map[string]string{
+	"sqrt": "math.Sqrt", "fabs": "math.Abs", "exp": "math.Exp",
+	"log": "math.Log", "floor": "math.Floor", "sin": "math.Sin",
+	"cos": "math.Cos", "pow": "math.Pow",
+}
+
 // arith joins two operands with an arithmetic operator as gofmt prints
 // one at depth d: blanks at depth 1 only. (Every operand the emitter
 // writes is a primary expression, so go/printer's other spacing rules —
@@ -950,11 +846,7 @@ func (c *fnCtx) equality(v *ast.Binary, d int, bare bool) string {
 // (the interpreter's callBuiltin mapping); arguments coerce to float64
 // like the interpreter's asFloat.
 func (c *fnCtx) builtinCall(v *ast.CallExpr, d int) string {
-	name := map[string]string{
-		"sqrt": "math.Sqrt", "fabs": "math.Abs", "exp": "math.Exp",
-		"log": "math.Log", "floor": "math.Floor", "sin": "math.Sin",
-		"cos": "math.Cos", "pow": "math.Pow",
-	}[v.Method]
+	name := goBuiltin[v.Method]
 	if name == "" {
 		c.errf("unsupported builtin %s", v.Method)
 		return "0"

@@ -17,8 +17,8 @@ import (
 )
 
 // emitMode is the execution context a function body compiles under;
-// it decides call-site dispatch and loop lowering. There is one mode
-// per body-carrying variant (varR has a synthesized body).
+// it decides call-site dispatch and loop lowering. The version table
+// (versions) says which mode each version's body compiles under.
 type emitMode int
 
 const (
@@ -29,22 +29,6 @@ const (
 	mI                 // parallel-loop iteration context
 	mQ                 // inline callee under a parallel context
 )
-
-func modeOf(v variant) emitMode {
-	switch v {
-	case varD:
-		return mD
-	case varP, varJP:
-		return mP
-	case varX, varJX:
-		return mX
-	case varI, varJI:
-		return mI
-	case varQ, varJQ:
-		return mQ
-	}
-	return mS
-}
 
 // fnCtx is the single-function emission state.
 type fnCtx struct {
@@ -85,13 +69,13 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) string {
 	if v == varR {
 		return e.emitRegionWrapper(m)
 	}
-	c := &fnCtx{e: e, m: m, mp: e.plan.Methods[m], mode: modeOf(v), spec: specVariant(v)}
+	c := &fnCtx{e: e, m: m, mp: e.plan.Methods[m], mode: versions[v].mode, spec: specVariant(v)}
 	c.b.WriteString(e.fnSignature(m, v))
 	c.b.WriteString(" {\n")
 	c.indent = 1
 
 	if v == varJP {
-		// rt.specCall's entry fast path: once some task failed, the
+		// rt.callVersion's entry fast path: once some task failed, the
 		// region aborts regardless, so stop journaling work.
 		c.line("if sr_.Failed() {")
 		c.line("\treturn")
@@ -117,7 +101,7 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) string {
 
 	// Lock prologue for parallel/mutex versions (rt.callVersion:
 	// locked = NeedsLock && recv != nil). Speculative versions never
-	// lock — rt.specCall relies on the journals for isolation.
+	// lock — the journals provide the isolation.
 	if (c.mode == mP || c.mode == mX) && !c.spec && c.mp != nil && c.mp.NeedsLock && m.Class != nil {
 		e.muRoots[chainRoot(m.Class)] = true
 		c.locked = true
@@ -171,35 +155,20 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
 	if m.Class != nil {
 		fmt.Fprintf(&b, "(o *T_%s) ", m.Class.Name)
 	}
-	b.WriteString(variantPrefix[v])
+	b.WriteString(versions[v].prefix)
 	b.WriteString(m.Name)
 	b.WriteByte('(')
 	var params []string
-	if v == varP || v == varQ {
-		params = append(params, "w *rtkit.Worker")
-		e.useRtkit = true
-	}
-	if v == varQ {
-		params = append(params, "rel_ func()")
-	}
-	// Speculative versions thread the region (for spawning journals and
-	// the failed fast path) and the current task's journal. SJS_ is the
-	// fully serial journaled body: it needs only the journal.
-	switch v {
-	case varJP, varJQ:
-		params = append(params, "w *rtkit.Worker", "sr_ *nativert.SpecRegion", "sj_ *nativert.SpecJournal")
-		e.useRtkit = true
-	case varJX, varJI:
-		params = append(params, "sr_ *nativert.SpecRegion", "sj_ *nativert.SpecJournal")
-	case varJS:
-		params = append(params, "sj_ *nativert.SpecJournal")
+	for _, a := range versions[v].thread {
+		params = append(params, a+" "+threadType[a])
+		e.useRtkit = e.useRtkit || a == "w"
 	}
 	for _, p := range m.Params {
 		params = append(params, "v_"+p.Name+" "+e.goType(p.Type, true))
 	}
 	b.WriteString(strings.Join(params, ", "))
 	b.WriteByte(')')
-	if v != varP && v != varX && v != varJP && v != varJX && v != varR && !isVoid(m.Ret) {
+	if mode := versions[v].mode; v != varR && mode != mP && mode != mX && !isVoid(m.Ret) {
 		b.WriteByte(' ')
 		b.WriteString(e.goType(m.Ret, false))
 	}
@@ -253,7 +222,7 @@ func (c *fnCtx) provenRegionWrapper(recv string, args []string, serial string) {
 	e.demand(m, varP)
 	region := func() {
 		c.line(runPoolStmt)
-		c.line("%sP_%s(%s)", recv, m.Name, strings.Join(append([]string{"pool_.External()"}, args...), ", "))
+		c.line("%sP_%s(%s)", recv, m.Name, strings.Join(append(threadArgs(varP, "pool_.External()", "", ""), args...), ", "))
 		c.line("pool_.Drain()")
 	}
 	c.line("if !cfgParallel {")
@@ -338,7 +307,7 @@ func (c *fnCtx) specRegionBody(recv string, args []string, serial string) {
 	c.line("sj_ := sr_.NewJournal()")
 	c.line("func() {")
 	c.line("\tdefer sr_.CapturePanic()")
-	c.line("\t%sSJ_%s(%s)", recv, c.m.Name, strings.Join(append([]string{"pool_.External()", "sr_", "sj_"}, args...), ", "))
+	c.line("\t%sSJ_%s(%s)", recv, c.m.Name, strings.Join(append(threadArgs(varJP, "pool_.External()", "", "sj_"), args...), ", "))
 	c.line("}()")
 	c.line("pool_.Drain()")
 	c.line("if sr_.Commit() {")
@@ -350,37 +319,43 @@ func (c *fnCtx) specRegionBody(recv string, args []string, serial string) {
 	c.line("return")
 }
 
-// specSets resolves the speculative extent's declared transitive
-// effect sets to "Class.field" key maps at generation time, using the
-// same effects.OverlapsDesc lattice test the interpreter's validator
-// applies per access at run time — enumerated over every declared
-// (class, field) pair, so runtime key membership is equivalent to the
-// dynamic descriptor check.
+// SpecKeys resolves the declared transitive effect sets of the
+// speculative extent rooted at mp to "Class.field" keys: every declared
+// (class, field) pair, in declaration order, whose descriptor the set
+// overlaps (the effects.OverlapsDesc lattice test). Both runtimes hand
+// the journal (nativert.NewSpecRegion) these keys — specSets writes them
+// out as the R_ wrapper's map literals, internal/rt builds the same maps
+// at the root's first region — so membership of the key an access
+// carries is the declared-effect conformance check.
+func (p *Plan) SpecKeys(mp *MethodPlan) (reads, writes []string) {
+	for _, cl := range p.Prog.ClassList {
+		for _, f := range cl.Fields {
+			d := effects.FieldDesc(cl, nil, f.Name)
+			key := cl.Name + "." + f.Name
+			if mp.SpecWrites != nil && mp.SpecWrites.OverlapsDesc(d) {
+				writes = append(writes, key)
+			}
+			if mp.SpecReads != nil && mp.SpecReads.OverlapsDesc(d) {
+				reads = append(reads, key)
+			}
+		}
+	}
+	return reads, writes
+}
+
+// specSets names the two key-set helpers of m's speculative extent,
+// rendering them on first use.
 func (e *goEmitter) specSets(m *types.Method) (rdName, wrName string) {
 	base := m.Name
 	if m.Class != nil {
 		base = m.Class.Name + "_" + m.Name
 	}
 	rdName, wrName = "specRd_"+base, "specWr_"+base
-	if _, ok := e.helpers[rdName]; ok {
-		return rdName, wrName
+	if _, ok := e.helpers[rdName]; !ok {
+		rdKeys, wrKeys := e.plan.SpecKeys(e.plan.Methods[m])
+		e.helpers[rdName] = specSetSrc(rdName, m, "read", rdKeys)
+		e.helpers[wrName] = specSetSrc(wrName, m, "write", wrKeys)
 	}
-	mp := e.plan.Methods[m]
-	var rdKeys, wrKeys []string
-	for _, cl := range e.prog.ClassList {
-		for _, f := range cl.Fields {
-			d := effects.FieldDesc(cl, nil, f.Name)
-			key := cl.Name + "." + f.Name
-			if mp.SpecWrites != nil && mp.SpecWrites.OverlapsDesc(d) {
-				wrKeys = append(wrKeys, key)
-			}
-			if mp.SpecReads != nil && mp.SpecReads.OverlapsDesc(d) {
-				rdKeys = append(rdKeys, key)
-			}
-		}
-	}
-	e.helpers[rdName] = specSetSrc(rdName, m, "read", rdKeys)
-	e.helpers[wrName] = specSetSrc(wrName, m, "write", wrKeys)
 	return rdName, wrName
 }
 
@@ -495,7 +470,7 @@ func (c *fnCtx) returnStmt(v *ast.ReturnStmt) {
 			// serial call's real return value; speculating discards it
 			// (the R_ wrapper's serial rerun after an abort included).
 			c.e.demand(cp.callee, varS)
-			scp := callPlan{kind: ckValue, callee: cp.callee, name: "S_" + cp.callee.Name}
+			scp := callPlan{kind: ckValue, callee: cp.callee, v: varS}
 			serial := c.conv(c.renderCall(call, scp, 1), call, c.e.prog.TypeOf(call), c.m.Ret)
 			if !mp.SpecEligible {
 				c.line("return %s", serial)

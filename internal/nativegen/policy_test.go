@@ -13,6 +13,43 @@ import (
 	"commute/internal/rt"
 )
 
+// pingPong drives SpecDisjoint's speculative extent from two mutually
+// recursive serial methods (they print, so they stay serial drivers):
+// every fill below them must still open its region natively, which takes
+// a D_ version of both halves of the cycle.
+const pingPong = `
+class drv {
+public:
+  int unused;
+  void ping(int n);
+  void pong(int n);
+};
+
+drv D;
+
+void drv::ping(int n) {
+  print(n);
+  if (n > 0) {
+    pong(n - 1);
+  }
+  T.fill();
+}
+
+void drv::pong(int n) {
+  print(n);
+  if (n > 0) {
+    ping(n - 1);
+  }
+}
+
+void main() {
+  T.init();
+  D.ping(3);
+  D.pong(3);
+  T.report();
+}
+`
+
 // TestPolicyParity: the interpreter runtime and the emitted binary run
 // one plan and apply one rule at region entry, so under every
 // -conditional × -speculate combination they take the same tier at every
@@ -30,6 +67,7 @@ func TestPolicyParity(t *testing.T) {
 		{"condhash3", src.CondHashBase + src.CondHashMain(3, 6)},
 		{"specdisjoint", src.SpecDisjoint},
 		{"specconflict", src.SpecConflict},
+		{"pingpong", src.SpecDisjoint[:strings.Index(src.SpecDisjoint, "void main()")] + pingPong},
 	} {
 		sys, err := commute.Load(tc.name+".mc", tc.code)
 		if err != nil {

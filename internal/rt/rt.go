@@ -24,6 +24,7 @@ import (
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
+	"commute/nativert"
 	"commute/rtkit"
 )
 
@@ -119,7 +120,11 @@ type Runtime struct {
 	methods []methodEntry // dispatch table, by types.Method.ID
 	pool    *rtkit.Pool   // started at the first region (regionPool)
 	lanes   []*lane       // activation free lists, by worker ID + 1
-	spec    specRegion    // journals, pooled across regions
+
+	// Speculation (spec.go): the region in flight, if it is speculative,
+	// and the "Class.field" key of every object slot, by class.
+	spec     *nativert.SpecRegion
+	slotKeys map[*types.Class][]string
 
 	errMu  sync.Mutex
 	err    error
@@ -200,6 +205,9 @@ type methodEntry struct {
 	// guard is a Conditional root's compiled guard, built at its first
 	// region entry (guardHolds).
 	guard func() bool
+	// readOK and writeOK are a speculative root's declared-effect key
+	// sets, built at its first speculative region (openSpec).
+	readOK, writeOK map[string]bool
 }
 
 // Run executes main with no caller context (no deadline).
@@ -265,10 +273,10 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 			}
 			atomic.AddInt64(&rt.Stats.GuardSerial, 1)
 			if rt.Speculate == SpecForce && e.mp.SpecEligible {
-				return interp.Value{}, rt.runSpeculativeRegion(e.mp, recv, args)
+				return interp.Value{}, rt.runSpeculativeRegion(e, recv, args)
 			}
 		case rt.speculationAllowed(e.mp):
-			return interp.Value{}, rt.runSpeculativeRegion(e.mp, recv, args)
+			return interp.Value{}, rt.runSpeculativeRegion(e, recv, args)
 		}
 		// Not a region root, or an unproven extent no policy took: the
 		// original serial version, inline.
@@ -296,14 +304,14 @@ func (rt *Runtime) runRegion(m *types.Method, recv *interp.Object, args []interp
 
 // runRoot is the part every region shares: the root activation runs the
 // parallel version on the caller's goroutine under panic isolation
-// (journaling into lg in a speculative region), and the pool is always
+// (journaling into j in a speculative region), and the pool is always
 // drained. When it returns — with the region's first error, if any — no
 // task or loop helper of the region is queued or running.
-func (rt *Runtime) runRoot(lg *specLog, m *types.Method, recv *interp.Object, args []interp.Value) error {
+func (rt *Runtime) runRoot(j *nativert.SpecJournal, m *types.Method, recv *interp.Object, args []interp.Value) error {
 	pool := rt.regionPool()
 	func() {
 		defer rt.isolate("region", m)
-		rt.callVersion(pool.External(), lg, m, recv, args, versionParallel, 0)
+		rt.callVersion(pool.External(), j, m, recv, args, versionParallel, 0)
 	}()
 	pool.Drain()
 	return rt.firstErr()
@@ -361,7 +369,7 @@ type activation struct {
 	next *activation // lane free list
 
 	w        *worker             // the executing goroutine's scheduler handle
-	log      *specLog            // the task's journal in a speculative region, else nil
+	log      specLog             // monitors into the task's journal in a speculative region
 	mp       *codegen.MethodPlan // the parallel method executing; nil in a loop claimant
 	ver      version
 	recv     *interp.Object
@@ -373,8 +381,8 @@ type activation struct {
 
 // activate takes a record from w's lane, readied as a plain serial
 // context seeded at the given activation depth: interrupt hook and depth
-// guard wired, no dispatcher hooks, lg (if any) monitoring every access.
-func (rt *Runtime) activate(w *worker, lg *specLog, depth int) *activation {
+// guard wired, no dispatcher hooks, every access journaled into j (if any).
+func (rt *Runtime) activate(w *worker, j *nativert.SpecJournal, depth int) *activation {
 	ln := rt.lanes[0]
 	if w != nil {
 		ln = rt.lanes[w.ID()+1]
@@ -388,9 +396,10 @@ func (rt *Runtime) activate(w *worker, lg *specLog, depth int) *activation {
 		ln.free = a.next
 	}
 	a.Recycle(depth)
-	a.w, a.log = w, lg
-	if lg != nil {
-		a.Mon = lg
+	a.w = w
+	if j != nil {
+		a.log.j, a.log.keys = j, rt.slotKeys
+		a.Mon = &a.log
 	}
 	return a
 }
@@ -402,7 +411,7 @@ func (rt *Runtime) activate(w *worker, lg *specLog, depth int) *activation {
 func (a *activation) done() {
 	a.unlock()
 	a.Invoke, a.ForLoop, a.Mon = nil, nil, nil
-	a.log, a.mp, a.recv = nil, nil, nil
+	a.log.j, a.mp, a.recv = nil, nil, nil
 	a.next, a.lane.free = a.lane.free, a
 }
 
@@ -417,18 +426,18 @@ func (a *activation) unlock() {
 // handling lock acquisition/release per the plan. w is the scheduler
 // handle of the executing goroutine (a pool worker, the pool's external
 // handle for the region root, or nil for a serial re-run): spawns from a
-// pool worker push onto its own deque. A non-nil lg makes the activation
+// pool worker push onto its own deque. A non-nil j makes the activation
 // speculative: no locks — isolation comes from the journals — and every
-// access is monitored; spawned children journal into fresh logs, inline
-// continuations share lg. depth seeds the activation-depth guard: inline
+// access is monitored; spawned children get fresh journals, inline
+// continuations share j. depth seeds the activation-depth guard: inline
 // continuations (lazy spawns, mutex versions) keep counting on the
 // current goroutine stack, while spawned tasks restart at zero on a
 // fresh stack.
-func (rt *Runtime) callVersion(w *worker, lg *specLog, m *types.Method, recv *interp.Object, args []interp.Value, ver version, depth int) error {
+func (rt *Runtime) callVersion(w *worker, j *nativert.SpecJournal, m *types.Method, recv *interp.Object, args []interp.Value, ver version, depth int) error {
 	if rt.failed.Load() {
 		return nil
 	}
-	a := rt.activate(w, lg, depth)
+	a := rt.activate(w, j, depth)
 	defer a.done()
 	if mp := rt.methods[m.ID].mp; mp != nil && mp.Parallel && ver != versionSerial {
 		a.mp, a.ver, a.recv = mp, ver, recv
@@ -436,7 +445,7 @@ func (rt *Runtime) callVersion(w *worker, lg *specLog, m *types.Method, recv *in
 		if ver != versionMutex {
 			a.ForLoop = a.forLoopFn
 		}
-		if lg == nil && mp.NeedsLock && recv != nil {
+		if j == nil && mp.NeedsLock && recv != nil {
 			atomic.AddInt64(&rt.Stats.LockAcquires, 1)
 			rt.injectLock()
 			recv.Mutex.Lock()
@@ -456,7 +465,7 @@ func (a *activation) invoke(site *types.CallSite, recv *interp.Object, args []in
 		// versions, serialized within the claimant.
 		if mp := rt.methods[site.Caller.ID].mp; mp == nil || mp.Site[site.ID] != codegen.ActionInline {
 			if cp := rt.methods[site.Callee.ID].mp; cp != nil && cp.Parallel {
-				return interp.Value{}, rt.callVersion(a.w, a.log, site.Callee, recv, args, versionMutex, a.Depth)
+				return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, versionMutex, a.Depth)
 			}
 		}
 		return rt.IP.Call(&a.Ctx, site.Callee, recv, args)
@@ -471,20 +480,20 @@ func (a *activation) invoke(site *types.CallSite, recv *interp.Object, args []in
 		a.releaseBeforeSpawn()
 		if a.ver == versionMutex {
 			// Mutex versions execute invoked operations serially.
-			return interp.Value{}, rt.callVersion(a.w, a.log, site.Callee, recv, args, versionMutex, a.Depth)
+			return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, versionMutex, a.Depth)
 		}
 		if rt.LazySpawnThreshold > 0 && rt.pool.Pending() >= rt.LazySpawnThreshold {
 			// Lazy task creation: enough parallelism is already
 			// exposed (tasks pending, loop helpers aside); absorb the
 			// child into this task.
 			atomic.AddInt64(&rt.Stats.LazyInlines, 1)
-			return interp.Value{}, rt.callVersion(a.w, a.log, site.Callee, recv, args, versionParallel, a.Depth)
+			return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, versionParallel, a.Depth)
 		}
-		var lg *specLog
-		if a.log != nil {
-			lg = rt.spec.newLog()
+		var j *nativert.SpecJournal
+		if a.log.j != nil {
+			j = rt.spec.NewJournal()
 		}
-		rt.spawn(a.w, lg, site.Callee, recv, args)
+		rt.spawn(a.w, j, site.Callee, recv, args)
 		return interp.Value{}, nil
 	}
 	// Auxiliary operation (or a site of an inlined callee): execute
@@ -508,5 +517,5 @@ func (a *activation) forLoop(fs *ast.ForStmt, fr *interp.Frame, from, to, step i
 		return false, nil
 	}
 	a.releaseBeforeSpawn()
-	return true, a.rt.parallelLoop(a.w, a.log != nil, a.Depth, fs, fr, from, to, step)
+	return true, a.rt.parallelLoop(a.w, a.log.j != nil, a.Depth, fs, fr, from, to, step)
 }

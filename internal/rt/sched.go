@@ -8,6 +8,7 @@ import (
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
+	"commute/nativert"
 	"commute/rtkit"
 )
 
@@ -66,22 +67,22 @@ type spawnRec struct {
 	callee *types.Method
 	recv   *interp.Object
 	args   []interp.Value
-	lg     *specLog
+	j      *nativert.SpecJournal
 	runFn  func(*worker) // run, bound once
 }
 
 var spawnRecs sync.Pool // of *spawnRec
 
 // spawn creates a task executing callee's parallel version, journaling
-// into lg in a speculative region.
-func (rt *Runtime) spawn(w *worker, lg *specLog, callee *types.Method, recv *interp.Object, args []interp.Value) {
+// into j in a speculative region.
+func (rt *Runtime) spawn(w *worker, j *nativert.SpecJournal, callee *types.Method, recv *interp.Object, args []interp.Value) {
 	atomic.AddInt64(&rt.Stats.Tasks, 1)
 	s, _ := spawnRecs.Get().(*spawnRec)
 	if s == nil {
 		s = new(spawnRec)
 		s.runFn = s.run
 	}
-	s.rt, s.callee, s.recv, s.lg = rt, callee, recv, lg
+	s.rt, s.callee, s.recv, s.j = rt, callee, recv, j
 	s.args = append(s.args[:0], args...)
 	rt.pool.Spawn(w, "", s.runFn)
 }
@@ -108,12 +109,12 @@ func (s *spawnRec) run(cw *worker) {
 		rt.setErr(err)
 		return
 	}
-	rt.callVersion(cw, s.lg, s.callee, s.recv, s.args, versionParallel, 0)
+	rt.callVersion(cw, s.j, s.callee, s.recv, s.args, versionParallel, 0)
 }
 
 func (s *spawnRec) recycle() {
 	clear(s.args)
-	s.rt, s.callee, s.recv, s.lg = nil, nil, nil, nil
+	s.rt, s.callee, s.recv, s.j = nil, nil, nil, nil
 	spawnRecs.Put(s)
 }
 
@@ -176,11 +177,11 @@ func (lp *loopRun) Release() {
 func (lp *loopRun) Claim(w *worker) {
 	rt, fs, step := lp.rt, lp.fs, lp.Step()
 	defer lp.isolate()
-	var lg *specLog
+	var j *nativert.SpecJournal
 	if lp.spec {
-		lg = rt.spec.newLog()
+		j = rt.spec.NewJournal()
 	}
-	a := rt.activate(w, lg, lp.depth)
+	a := rt.activate(w, j, lp.depth)
 	defer a.done()
 	// Direct invocations in an iteration run mutex versions (mp == nil
 	// selects that dispatch in invoke); nested loops stay serial.

@@ -3,6 +3,7 @@ package rt_test
 import (
 	"bytes"
 	"context"
+	"regexp"
 	"testing"
 	"time"
 
@@ -66,6 +67,146 @@ func specConflictState(t *testing.T, prog *types.Program, ip *interp.Interp) [2]
 	return [2]int64{
 		c.Slots[ip.FieldSlot(counterCl, "counter", "last")].Int(),
 		c.Slots[ip.FieldSlot(counterCl, "counter", "total")].Int(),
+	}
+}
+
+// shadowApp has what a slot-to-key table can get wrong: inherited slots,
+// and a subclass field shadowing a base one. put writes both x's.
+const shadowApp = `
+const int N = 8;
+
+class base {
+public:
+  int x;
+  int y;
+  void setx(int v);
+};
+
+class sub : public base {
+public:
+  int x;
+  int z;
+  void put(int v);
+};
+
+class holder {
+public:
+  sub *items[N];
+  void init();
+  void fill();
+  void report();
+};
+
+holder H;
+
+void base::setx(int v) {
+  x = v;
+}
+
+void sub::put(int v) {
+  x = v;
+  z = v + 1;
+  y = v + 2;
+  this->setx(v + 3);
+}
+
+void holder::init() {
+  int i;
+  for (i = 0; i < N; i += 1) {
+    items[i] = new sub;
+  }
+}
+
+void holder::fill() {
+  int i;
+  for (i = 0; i < N; i += 1) {
+    items[i]->put(i * 5);
+  }
+}
+
+void holder::report() {
+  int i;
+  for (i = 0; i < N; i += 1) {
+    print(items[i]->x, items[i]->z, items[i]->y);
+  }
+}
+
+void main() {
+  H.init();
+  H.fill();
+  H.report();
+}
+`
+
+// keyLiteral matches a declared-effect key where the emitter writes one:
+// the last argument of a SpecLoad/SpecStore/SpecTouch, or a key of a
+// specRd_/specWr_ set.
+var keyLiteral = regexp.MustCompile(`"(\w+\.\w+)"[):]`)
+
+// TestSlotKeysNameFieldsLikeTheEmitter: both front ends of the journal
+// hand it "Class.field" keys and one codegen enumeration declares them,
+// so the interpreter must name a slot exactly as the emitter names the
+// field behind it. For every class of every shipped program and of
+// shadowApp the key of the slot of (declaring class, field) is
+// "decl.field", and every key the emitted prog.go carries is in the
+// table; shadowApp, run speculatively on the interpreter, commits with
+// the serial output.
+func TestSlotKeysNameFieldsLikeTheEmitter(t *testing.T) {
+	for _, app := range []struct{ name, source string }{
+		{"barneshut", src.BarnesHut},
+		{"water", src.Water},
+		{"graph", src.Graph},
+		{"condhash", src.CondHashBase + src.CondHashMain(0, 4)},
+		{"specdisjoint", src.SpecDisjoint},
+		{"specconflict", src.SpecConflict},
+		{"shadow", shadowApp},
+	} {
+		prog, plan := buildCond(t, app.source)
+		keys := rt.SlotKeys(interp.New(prog, nil))
+		known := map[string]bool{}
+		for _, cl := range prog.ClassList {
+			if got, want := len(keys[cl]), interp.ClassSlotCount(prog, cl); got != want {
+				t.Errorf("%s: class %s has %d slot keys, %d slots", app.name, cl.Name, got, want)
+				continue
+			}
+			for _, f := range interp.ClassLayout(prog, cl) {
+				want := f.DeclClass + "." + f.Name
+				if got := keys[cl][f.Slot]; got != want {
+					t.Errorf("%s: slot %d of class %s is keyed %q, want %q", app.name, f.Slot, cl.Name, got, want)
+				}
+				known[want] = true
+			}
+		}
+		files, err := plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name})
+		if err != nil {
+			t.Fatalf("%s: %v", app.name, err)
+		}
+		emitted := map[string]bool{}
+		for _, m := range keyLiteral.FindAllSubmatch(files["prog.go"], -1) {
+			emitted[string(m[1])] = true
+			if !known[string(m[1])] {
+				t.Errorf("%s: prog.go carries the key %q, which names no slot of the interpreter", app.name, m[1])
+			}
+		}
+		if app.name != "shadow" {
+			continue
+		}
+		for _, k := range []string{"base.x", "sub.x", "base.y", "sub.z", "holder.items"} {
+			if !emitted[k] {
+				t.Errorf("shadow: prog.go carries no key %q (keyLiteral out of date?)", k)
+			}
+		}
+		want := serialOutput(t, prog, interp.EngineWalk)
+		var buf bytes.Buffer
+		r := rt.New(interp.New(prog, &buf), plan, 4)
+		r.Speculate = rt.SpecForce
+		if err := r.Run(); err != nil {
+			t.Fatalf("shadow: %v", err)
+		}
+		if r.Stats.SpeculationCommits != 1 || r.Stats.SpeculationAborts != 0 || buf.String() != want {
+			t.Errorf("shadow: %d commits, %d aborts, output %q; want 1, 0, %q",
+				r.Stats.SpeculationCommits, r.Stats.SpeculationAborts, buf.String(), want)
+		}
 	}
 }
 

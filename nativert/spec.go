@@ -1,15 +1,17 @@
 package nativert
 
-// Native write-buffered speculation: the generated SJ_ method versions
-// route every field and element access through a per-task SpecJournal,
-// mirroring internal/rt's specLog semantics loc for loc. A location is
-// identified by its typed Go pointer boxed in an interface — one cell,
-// one key — so a pointer to a whole array field (*[N]T) and a pointer
-// to its first element (*T) stay distinct journal locations, exactly
-// like the interpreter's field-slot vs array-element split. Reads of
-// locations the task already wrote return the buffered value
-// (read-your-own-writes); writes never touch the heap until the region
-// validates and commits single-threaded at the join barrier.
+// Write-buffered speculation: the one effect journal of both runtimes.
+// The generated SJ_ method versions route every field and element access
+// through a per-task SpecJournal directly; internal/rt's monitored
+// closures reach the same calls through its interp.Mon adapter, with
+// T = interp.Value. A location is identified by its typed Go pointer
+// boxed in an interface — one cell, one key — so a pointer to a whole
+// array field (*[N]T) and a pointer to its first element (*T) stay
+// distinct journal locations, as do an object's field slot and an
+// element of the array it refers to. Reads of locations the task already
+// wrote return the buffered value (read-your-own-writes); writes never
+// touch the heap until the region validates and commits single-threaded
+// at the join barrier.
 
 import (
 	"sync"
@@ -33,11 +35,13 @@ type specCell[T any] struct {
 func (c *specCell[T]) apply()          { *c.p = c.v }
 func (c *specCell[T]) loc() any        { return c.p }
 func (c *specCell[T]) descKey() string { return c.desc }
+func (c *specCell[T]) reset()          { *c = specCell[T]{} }
 
 type specCellI interface {
 	apply()
 	loc() any
 	descKey() string
+	reset() // drop the location and the value: a spare cell pins nothing
 }
 
 // specRead is one logged read: the location and its declared-effect key.
@@ -58,6 +62,13 @@ type specRead struct {
 // per access into an interface compare plus typed pointer work — the
 // difference between walker-speed and hardware-speed speculative
 // regions.
+//
+// A recycled journal keeps its emptied cells in wcells' spare capacity,
+// and the n-th new location of the next region takes the n-th of them
+// when it holds the same type: the regions of a run write the same
+// locations over and over, so a steady-state region allocates no cell
+// (internal/rt's TestSteadyStateRegionAllocs holds every kind of region
+// at zero).
 type SpecJournal struct {
 	id     int
 	reads  map[any]struct{}
@@ -111,7 +122,14 @@ func SpecStore[T any](j *SpecJournal, p *T, v T, desc string) {
 		j.lastW, j.lastWCell = k, c
 		return
 	}
-	c := &specCell[T]{p: p, v: v, desc: desc}
+	var c *specCell[T]
+	if n := len(j.wcells); n < cap(j.wcells) {
+		c, _ = j.wcells[:n+1][n].(*specCell[T])
+	}
+	if c == nil {
+		c = new(specCell[T])
+	}
+	c.p, c.v, c.desc = p, v, desc
 	j.writes[k] = c
 	j.wcells = append(j.wcells, c)
 	j.lastW, j.lastWCell = k, c
@@ -139,17 +157,17 @@ func SpecTouch[T any](j *SpecJournal, p *T, desc string) *T {
 // huge region must not tax every small one after it.
 const journalKeep = 1 << 10
 
-// SpecRegion is the state of one native speculative region: the
-// per-task journals, the extent's declared transitive effects (as
-// emit-time-resolved "Class.field" keys), and the first-failure latch
-// that replaces the interpreter runtime's panic isolation — rtkit
-// pools run tasks bare, so every speculative task body defers
-// CapturePanic and the region turns any panic into an abort followed
-// by the exact serial rerun.
+// SpecRegion is the state of one speculative region: the per-task
+// journals, the extent's declared transitive effects (as "Class.field"
+// keys), and the first-failure latch generated code uses where the
+// interpreter runtime has panic isolation — rtkit pools run tasks bare,
+// so every emitted speculative task body defers CapturePanic and the
+// region turns any panic into an abort followed by the exact serial
+// rerun.
 //
-// Regions are recycled: Commit is a region's last use, and hands the
-// region, its emptied journals and the validator's scratch map to the
-// next NewSpecRegion.
+// Regions are recycled: Commit or Discard is a region's last use, and
+// hands the region, its emptied journals and the validator's scratch map
+// to the next NewSpecRegion.
 type SpecRegion struct {
 	mu       sync.Mutex
 	journals []*SpecJournal // this region's; a journal's id is its index
@@ -157,11 +175,9 @@ type SpecRegion struct {
 	failed   atomic.Bool
 
 	// readOK/writeOK hold the field keys the extent's declared
-	// transitive effect sets overlap. The emitter precomputes them with
-	// the same effects.OverlapsDesc lattice test the interpreter's
-	// validator applies at run time, enumerated over every declared
-	// (class, field) pair — so membership here is equivalent to the
-	// dynamic descriptor check.
+	// transitive effect sets overlap (codegen.Plan.SpecKeys, which the
+	// emitter writes out as literals and internal/rt calls at a root's
+	// first region); nil admits nothing.
 	readOK  map[string]bool
 	writeOK map[string]bool
 
@@ -171,7 +187,7 @@ type SpecRegion struct {
 var specRegions sync.Pool // of *SpecRegion
 
 // NewSpecRegion opens a region with the extent's declared-effect key
-// sets. The region is the caller's until its Commit returns.
+// sets. The region is the caller's until its Commit or Discard returns.
 func NewSpecRegion(readOK, writeOK map[string]bool) *SpecRegion {
 	sr, _ := specRegions.Get().(*SpecRegion)
 	if sr == nil {
@@ -231,23 +247,29 @@ func (sr *SpecRegion) Commit() bool {
 			}
 		}
 	}
-	sr.recycle()
+	sr.Discard()
 	return ok
 }
 
-// recycle empties the region for the next NewSpecRegion: journals are
-// cleared and kept (one that outgrew journalKeep is dropped), the
-// location caches and the failed latch reset. Runs single-threaded after
-// the join barrier.
-func (sr *SpecRegion) recycle() {
+// Discard ends a region that never reaches Commit — the interpreter
+// runtime's regions end that way on a user error, a captured panic or
+// the caller's cancellation — dropping every buffered write with the
+// heap untouched, and empties the region for the next NewSpecRegion:
+// journals are cleared and kept (one that outgrew journalKeep is
+// dropped), their cells reset in place for reuse, the location caches
+// and the failed latch reset. Runs single-threaded after the join
+// barrier; the caller must not use the region or its journals again.
+func (sr *SpecRegion) Discard() {
 	for _, j := range sr.journals {
 		if len(j.rlog) > journalKeep || len(j.wcells) > journalKeep {
 			continue
 		}
+		for _, c := range j.wcells {
+			c.reset()
+		}
 		clear(j.reads)
 		clear(j.writes)
 		clear(j.rlog)
-		clear(j.wcells)
 		j.rlog, j.wcells = j.rlog[:0], j.wcells[:0]
 		j.lastW, j.lastWCell, j.lastR = nil, nil, nil
 		sr.free = append(sr.free, j)
@@ -264,11 +286,15 @@ func (sr *SpecRegion) recycle() {
 	specRegions.Put(sr)
 }
 
-// validate mirrors internal/rt's specRegion.conforms check for check:
-// write-write conflicts across journals, then read-vs-writer
-// conflicts, then declared-effect conformance of object-field accesses
-// (element locations carry desc "" and are covered by the conflict
-// checks alone).
+// validate checks the journals at the join barrier. Speculation must
+// abort on a location written by one task and written or read by another
+// (the racing tasks' operations did not commute at run time) and on an
+// object-field access outside the extent's declared transitive effects
+// (the journal observed something the analysis never reasoned about; a
+// declared write covers a read). Element locations carry desc "" and are
+// covered by the conflict checks alone: an element access always reaches
+// its array through a journaled field load, so the enclosing object's
+// descriptor conformance already vouches for it.
 func (sr *SpecRegion) validate() bool {
 	// Conflicts take two journals with something in them; a region whose
 	// work stayed on one task (one claimant, say) has none to look for.

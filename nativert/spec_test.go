@@ -1,6 +1,7 @@
 package nativert
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -155,11 +156,28 @@ func TestSpecAbortCauses(t *testing.T) {
 	}
 }
 
-// TestSpecRegionRecycledClean: Commit ends a region and hands it to the
-// next NewSpecRegion. After an abort the recycled region has no journal
-// in flight, a cleared failed latch and emptied journals — no buffered
-// write, logged read or cached location of the aborted run survives —
-// while a journal that outgrew journalKeep is dropped instead of kept.
+// spareCellsEmpty: a recycled journal keeps its cells for the next
+// region, past len(wcells), and none of them may pin a location or a
+// value.
+func spareCellsEmpty(t *testing.T, j *SpecJournal) {
+	t.Helper()
+	if len(j.wcells) != 0 {
+		t.Errorf("recycled journal still lists %d write cells", len(j.wcells))
+	}
+	for i, c := range j.wcells[:cap(j.wcells)] {
+		if c != nil && !reflect.ValueOf(c).Elem().IsZero() {
+			t.Errorf("spare cell %d of a recycled journal still holds %+v", i, reflect.ValueOf(c).Elem())
+		}
+	}
+}
+
+// TestSpecRegionRecycledClean: Commit or Discard ends a region and hands
+// it to the next NewSpecRegion. A discarded region leaves the heap as it
+// was; recycled, it has no journal in flight, a cleared failed latch and
+// emptied journals — no buffered write, logged read or cached location
+// of the aborted run survives, and the cells kept for reuse hold nothing
+// — while a journal that outgrew journalKeep is dropped instead of kept.
+// A kept cell is reused only by a location of its own type.
 func TestSpecRegionRecycledClean(t *testing.T) {
 	o := &obj{n: 1}
 	big := make([]int64, journalKeep+1)
@@ -175,11 +193,12 @@ func TestSpecRegionRecycledClean(t *testing.T) {
 		}
 		panic("abort")
 	}()
-	if sr.Commit() {
-		t.Fatal("a failed region committed")
+	sr.Discard()
+	if o.n != 1 || slices.Max(big) != 0 {
+		t.Fatalf("heap touched by a discarded region: n=%d, max(big)=%d", o.n, slices.Max(big))
 	}
 
-	// The recycled region itself (Commit put it on the free list; nothing
+	// The recycled region itself (Discard put it on the free list; nothing
 	// else runs here that could take it).
 	if sr.Failed() || len(sr.journals) != 0 || len(sr.writer) != 0 || sr.readOK != nil || sr.writeOK != nil {
 		t.Errorf("recycled region: failed=%v journals=%d writer=%d", sr.Failed(), len(sr.journals), len(sr.writer))
@@ -191,6 +210,7 @@ func TestSpecRegionRecycledClean(t *testing.T) {
 	if j := small; len(j.reads)+len(j.writes)+len(j.rlog)+len(j.wcells) != 0 || j.lastW != nil || j.lastWCell != nil || j.lastR != nil {
 		t.Errorf("recycled journal not empty: %+v", *j)
 	}
+	spareCellsEmpty(t, small)
 
 	// Taken again, an aborted region behaves like a new one. sync.Pool
 	// may hand out a fresh region instead (always possible, likely under
@@ -213,7 +233,7 @@ func TestSpecRegionRecycledClean(t *testing.T) {
 			if o.n != 1 || o.f != 3 {
 				t.Fatalf("after the recycled region's commit: n=%d f=%g, want 1 3", o.n, o.f)
 			}
-			return
+			break
 		}
 		func() {
 			defer next.CapturePanic()
@@ -221,5 +241,34 @@ func TestSpecRegionRecycledClean(t *testing.T) {
 		}()
 		next.Commit()
 		aborted[next] = true
+	}
+
+	// Region after region (the pool hands the same one back, short of a
+	// GC), a journal's first written location changes type — int64,
+	// float64, a whole struct — while its second keeps one: whichever cell
+	// each store finds or makes, Commit applies the value stored.
+	var whole obj
+	for round := 0; round < 9; round++ {
+		sr := NewSpecRegion(nil, objFields)
+		j := sr.NewJournal()
+		want := obj{n: o.n, f: o.f, next: &obj{n: int64(round)}}
+		switch round % 3 {
+		case 0:
+			want.n = int64(10 + round)
+			SpecStore(j, &o.n, want.n, "obj.n")
+		case 1:
+			want.f = float64(round) / 4
+			SpecStore(j, &o.f, want.f, "obj.f")
+		case 2:
+			SpecStore(j, &whole, obj{n: int64(round), b: true}, "")
+		}
+		SpecStore(j, &o.next, want.next, "obj.next")
+		if !sr.Commit() {
+			t.Fatalf("round %d: did not commit", round)
+		}
+		if *o != want || (round%3 == 2 && whole != obj{n: int64(round), b: true}) {
+			t.Fatalf("round %d: committed %+v and %+v, want %+v", round, *o, whole, want)
+		}
+		spareCellsEmpty(t, j)
 	}
 }
