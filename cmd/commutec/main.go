@@ -1,8 +1,9 @@
 // Commutec is the compiler driver: it parses and type checks a program
 // in the mini-C++ dialect, runs commutativity analysis, and reports
 // which methods are parallel, each parallel extent's statistics, the
-// detected parallel loops, and the lock policy — the analogue of the
-// paper's annotation file.
+// detected parallel loops, the region roots with their static work
+// bounds, and the lock policy — the analogue of the paper's annotation
+// file.
 //
 // Usage:
 //
@@ -17,11 +18,15 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 
 	"commute"
 	"commute/internal/apps/src"
+	"commute/internal/codegen"
 	"commute/internal/cond"
 	"commute/internal/nativegen"
+	"commute/internal/rt"
 	"commute/internal/transform"
 )
 
@@ -164,6 +169,37 @@ func main() {
 	fmt.Printf("%d found, %d suppressed, %d generated\n",
 		sys.Plan.LoopsFound, sys.Plan.LoopsSuppressed,
 		sys.Plan.LoopsFound-sys.Plan.LoopsSuppressed)
+
+	// Region roots of the plan every execution runs, with the static
+	// work bound the granularity cutoff reads and which runtime's entry
+	// rule it makes decline the region.
+	fmt.Printf("\n== region roots ==\n")
+	lines = lines[:0]
+	for m, mp := range sys.CondPlan.Methods {
+		if !sys.CondPlan.RegionRoot(m) {
+			continue
+		}
+		work := "unbounded"
+		if mp.Work != codegen.WorkUnbounded {
+			work = strconv.FormatInt(mp.Work, 10)
+		}
+		var by []string
+		if rt.Declines(sys.CondPlan, m) {
+			by = append(by, "interp")
+		}
+		if sys.CondPlan.EmitDeclines(m) {
+			by = append(by, "native")
+		}
+		line := fmt.Sprintf("root %-30s work %s", m.FullName(), work)
+		if len(by) > 0 {
+			line += "  declined: " + strings.Join(by, ", ")
+		}
+		lines = append(lines, line)
+	}
+	sort.Strings(lines)
+	for _, l := range lines {
+		fmt.Println(l)
+	}
 
 	fmt.Printf("\n== lock policy ==\n")
 	var locked []string

@@ -29,6 +29,21 @@ import (
 	"commute/internal/server/api"
 )
 
+// modeConflict names the flag that asks for what only -mode parallel
+// does: the serial runner and the trace-driven simulator have no effect
+// monitor and evaluate no guards, and failing loudly beats silently
+// ignoring the request.
+func modeConflict(mode string, spec rt.SpecMode, conditional bool) string {
+	switch {
+	case mode == "parallel":
+	case spec != rt.SpecOff:
+		return fmt.Sprintf("-speculate %s requires -mode parallel (the %s mode cannot monitor effects)", spec, mode)
+	case conditional:
+		return fmt.Sprintf("-conditional on requires -mode parallel (the %s mode evaluates no guards)", mode)
+	}
+	return ""
+}
+
 func main() {
 	mode := flag.String("mode", "serial", "serial | parallel | simulate")
 	workers := flag.Int("workers", 4, "worker count for -mode parallel")
@@ -60,11 +75,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown conditional mode %q (on | off)\n", *conditional)
 		os.Exit(2)
 	}
-	if spec != rt.SpecOff && *mode != "parallel" {
-		// The serial runner and the trace-driven simulator have no effect
-		// monitor — fail loudly rather than silently ignore the requested
-		// speculation.
-		fmt.Fprintf(os.Stderr, "-speculate %s requires -mode parallel (the %s mode cannot monitor effects)\n", *speculate, *mode)
+	if msg := modeConflict(*mode, spec, condOn); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(2)
 	}
 
@@ -187,6 +199,9 @@ func main() {
 		if stats.GuardParallel > 0 || stats.GuardSerial > 0 {
 			fmt.Printf("guarded regions parallel=%d serial=%d\n",
 				stats.GuardParallel, stats.GuardSerial)
+		}
+		if stats.RegionsDeclined > 0 {
+			fmt.Printf("regions declined (work under the entry cost)=%d\n", stats.RegionsDeclined)
 		}
 
 	case "simulate":

@@ -356,7 +356,7 @@ func (e *goEmitter) closures() {
 	// A call site that opens a parallel region (rt.serialCtx).
 	e.driver = closure(func(m *types.Method) bool {
 		for _, cs := range m.CallSites {
-			if e.parallel(cs.Callee) && e.plan.GeneratesConcurrency(cs.Callee) {
+			if e.plan.RegionRoot(cs.Callee) {
 				return true
 			}
 		}

@@ -96,9 +96,13 @@ func (c *fnCtx) siteDispatch(x *ast.CallExpr) callPlan {
 		return c.call(ckValue, callee, varS)
 	case mD:
 		// rt.serialCtx: parallel callees that generate concurrency get
-		// a region; everything else stays in the serial context.
+		// a region — unless it is declined, and the wrapper is the serial
+		// version, value and all; everything else stays in the serial
+		// context.
 		switch {
-		case c.e.parallel(callee) && c.e.plan.GeneratesConcurrency(callee):
+		case c.e.plan.EmitDeclines(callee):
+			return c.call(ckValue, callee, varR)
+		case c.e.plan.RegionRoot(callee):
 			return c.call(ckRegion, callee, varR)
 		case c.e.needDriver(callee):
 			return c.call(ckValue, callee, varD)

@@ -168,7 +168,7 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
 	}
 	b.WriteString(strings.Join(params, ", "))
 	b.WriteByte(')')
-	if mode := versions[v].mode; v != varR && mode != mP && mode != mX && !isVoid(m.Ret) {
+	if mode := versions[v].mode; (v != varR || e.plan.EmitDeclines(m)) && mode != mP && mode != mX && !isVoid(m.Ret) {
 		b.WriteByte(' ')
 		b.WriteString(e.goType(m.Ret, false))
 	}
@@ -191,6 +191,12 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
 // still speculates it. With -conditional off it is left to the
 // speculation policy like any other unproven extent, and no guard
 // counter moves. The speculative body is emitted once, behind spec_.
+//
+// Before any of that comes the granularity cutoff, as in rt.serialCtx: a
+// root whose static work bound is under regionEntryCost is not worth a
+// region under any tier or policy. Its wrapper counts the entry it
+// declined and is the serial version — result included — so none of the
+// extent's P_/X_/SJ_ versions is ever demanded.
 func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
 	mp := e.plan.Methods[m]
 	e.demand(m, varS)
@@ -206,13 +212,46 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
 		args = append(args, "v_"+p.Name)
 	}
 	serial := fmt.Sprintf("%sS_%s(%s)", recv, m.Name, strings.Join(args, ", "))
-	if mp != nil && mp.Speculative {
+	switch {
+	case e.plan.EmitDeclines(m):
+		// A plain increment: wrappers run in the serial context, on
+		// main's goroutine, and an atomic one would cost several times
+		// what the smallest declined regions do.
+		c.line("if cfgParallel {")
+		c.line("\tregionsDeclined_++")
+		c.line("}")
+		if !isVoid(m.Ret) {
+			serial = "return " + serial
+		}
+		c.line("%s", serial)
+	case mp != nil && mp.Speculative:
 		c.specRegionWrapper(recv, args, serial)
-	} else {
+	default:
 		c.provenRegionWrapper(recv, args, serial)
 	}
 	c.b.WriteString("}\n")
 	return c.b.String()
+}
+
+// regionEntryCost is what entering a parallel region costs emitted code,
+// in the DASH cost units of the plan's work estimate (MethodPlan.Work);
+// internal/rt has the interpreter's. A region root bounded below it is
+// emitted as its serial version: parallel execution cannot win.
+//
+// Derivation (EXPERIMENTS.md, "Granularity cutoff"): an emitted region
+// takes 1.3-1.6 µs to enter and leave beyond the work inside it (guarded
+// regions of condhash, one and two workers; speculative ones cost more),
+// and emitted code retires a cost unit in ≈ 0.03 ns — 140 times faster
+// than the compiled engine, which is why this constant is not rt's. So
+// an entry is ≈ 50 000 units, and since two workers at best halve the
+// work, a region pays only past 2 × that. The constant is the break-even
+// at two workers, rounded; nothing reads it but the entry rule.
+const regionEntryCost = 100000
+
+// EmitDeclines reports whether m is a region root the emitter's
+// granularity cutoff takes back: its R_ wrapper is its serial version.
+func (p *Plan) EmitDeclines(m *types.Method) bool {
+	return p.RegionRoot(m) && p.Methods[m].WorkUnder(regionEntryCost)
 }
 
 // provenRegionWrapper renders the body of R_m for a proven or

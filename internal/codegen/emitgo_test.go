@@ -8,6 +8,7 @@ import (
 	"go/format"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +26,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // example — under the proven plan, and under the full plan one program
 // per construct the proven plan never emits (condhash: guard wrapper
 // and spec_ block; specconflict: the journaled SJ_ family and its
-// effect-key sets; water: float fences at every nesting depth).
+// effect-key sets; water: float fences at every nesting depth). Those
+// are the region forms, so they are emitted with the work estimates
+// cleared; condhash as built is the declined form — a region root under
+// the emitter's regionEntryCost is its serial version behind a counter.
 func TestEmitGoGolden(t *testing.T) {
 	for _, g := range []struct {
 		app    string
@@ -33,13 +37,15 @@ func TestEmitGoGolden(t *testing.T) {
 		full   bool
 		golden map[string]string
 	}{
-		{"graph", func() (*commute.System, error) { return apps.Graph(8) }, false,
+		{"graph", func() (*commute.System, error) { return cleared(apps.Graph(8)) }, false,
 			map[string]string{"prog.go": "graph_prog.go.golden", "main.go": "graph_main.go.golden"}},
-		{"condhash", func() (*commute.System, error) { return apps.CondHash(0, 4) }, true,
+		{"condhash", func() (*commute.System, error) { return cleared(apps.CondHash(0, 4)) }, true,
 			map[string]string{"prog.go": "condhash_prog.go.golden"}},
-		{"specconflict", func() (*commute.System, error) { return commute.Load("specconflict.mc", src.SpecConflict) }, true,
+		{"condhash", func() (*commute.System, error) { return apps.CondHash(0, 4) }, true,
+			map[string]string{"prog.go": "condhash_declined_prog.go.golden"}},
+		{"specconflict", func() (*commute.System, error) { return cleared(commute.Load("specconflict.mc", src.SpecConflict)) }, true,
 			map[string]string{"prog.go": "specconflict_prog.go.golden"}},
-		{"water", func() (*commute.System, error) { return apps.Water(8, 1) }, true,
+		{"water", func() (*commute.System, error) { return cleared(apps.Water(8, 1)) }, true,
 			map[string]string{"prog.go": "water_prog.go.golden"}},
 	} {
 		sys, err := g.load()
@@ -77,14 +83,33 @@ func TestEmitGoGolden(t *testing.T) {
 	}
 }
 
+// cleared drops the static work estimates of both plans of a loaded
+// system, so that every region root is emitted as a region however
+// small the program.
+func cleared(sys *commute.System, err error) (*commute.System, error) {
+	if err != nil {
+		return nil, err
+	}
+	for _, plan := range []*codegen.Plan{sys.Plan, sys.CondPlan} {
+		for _, mp := range plan.Methods {
+			mp.Work = 0
+		}
+	}
+	return sys, nil
+}
+
 // TestEmitGoDigests pins prog.go of every shipped application (the ten
 // programs of e2ebench's compile corpus, at its sizes) and of rulesSrc,
 // under both plans, by SHA-256 — byte identity of the emitter across a
 // refactor, readable from the diff: testdata/emit_digests.txt changes
 // exactly when some emitted byte does. The goldens show what changed;
-// this says whether anything did, on three times the programs.
+// this says whether anything did, on three times the programs. The
+// digests are of the region forms (estimates cleared); as built, the
+// granularity cutoff changes exactly the packages that have a region
+// root under the emitter's entry cost.
 func TestEmitGoDigests(t *testing.T) {
 	var got bytes.Buffer
+	var declined []string
 	for _, app := range []struct {
 		name string
 		load func() (*commute.System, error)
@@ -105,16 +130,32 @@ func TestEmitGoDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.name, err)
 		}
-		for _, pl := range []struct {
+		digest := func(plan *codegen.Plan, label string) [sha256.Size]byte {
+			files, err := plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			return sha256.Sum256(files["prog.go"])
+		}
+		asBuilt := [...][sha256.Size]byte{digest(sys.Plan, app.name+"/Plan"), digest(sys.CondPlan, app.name+"/CondPlan")}
+		cleared(sys, nil)
+		for i, pl := range []struct {
 			name string
 			plan *codegen.Plan
 		}{{"Plan", sys.Plan}, {"CondPlan", sys.CondPlan}} {
-			files, err := pl.plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", app.name, pl.name, err)
+			label := app.name + "/" + pl.name
+			sum := digest(pl.plan, label)
+			fmt.Fprintf(&got, "%x  %s\n", sum, label)
+			if sum != asBuilt[i] {
+				declined = append(declined, label)
 			}
-			fmt.Fprintf(&got, "%x  %s/%s\n", sha256.Sum256(files["prog.go"]), app.name, pl.name)
 		}
+	}
+	// BH, Water and graph roots are all unbounded; the proven plan of
+	// condhash and the two spec programs has no region root at all.
+	if want := []string{"condhash0-64/CondPlan", "condhash3-64/CondPlan", "specdisjoint/CondPlan",
+		"specconflict/CondPlan", "rules/Plan", "rules/CondPlan"}; !slices.Equal(declined, want) {
+		t.Errorf("packages the granularity cutoff changes: %v, want %v", declined, want)
 	}
 	path := filepath.Join("testdata", "emit_digests.txt")
 	if *update {
@@ -350,7 +391,7 @@ void main() {
 // gofmt's own output for it, recorded from the formatter-backed
 // emitter.
 func TestEmitGoLayoutRules(t *testing.T) {
-	sys, err := commute.Load("rules.mc", rulesSrc)
+	sys, err := cleared(commute.Load("rules.mc", rulesSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,6 +534,7 @@ func TestEmitGoLowersSpeculativePlans(t *testing.T) {
 	plan := codegen.BuildWithOptions(sys.Analysis, codegen.Options{SpeculateRejected: true})
 	hasSpec := false
 	for _, mp := range plan.Methods {
+		mp.Work = 0 // 16 cells: emit the region all the same
 		if mp.Speculative {
 			hasSpec = true
 		}

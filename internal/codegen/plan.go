@@ -88,6 +88,15 @@ type MethodPlan struct {
 	SpecReads  *effects.Set
 	SpecWrites *effects.Set
 
+	// Work is the static upper bound on the DASH cost units one serial
+	// execution of the method charges, callees included (work.go):
+	// WorkUnbounded when no compile-time constant bounds it, zero when no
+	// estimate was made. A region root whose Work is under a runtime's
+	// region-entry cost is not worth a region there (WorkUnder), and that
+	// runtime runs its serial version instead. Final when the builder
+	// returns: concurrent runs share the plan.
+	Work int64
+
 	// conc memoizes Plan.GeneratesConcurrency for this method: 0 not yet
 	// computed, else concNo or concYes. A plan is immutable once built
 	// and the walk is deterministic, so concurrent first callers (runs
@@ -258,11 +267,12 @@ func BuildWithOptions(a *core.Analysis, opt Options) *Plan {
 		}
 	}
 
+	work := methodWork(a)
 	for _, m := range a.Prog.Methods {
 		if m.Def == nil {
 			continue
 		}
-		mp := &MethodPlan{Method: m, Site: make(map[int]SiteAction)}
+		mp := &MethodPlan{Method: m, Site: make(map[int]SiteAction), Work: work[m.ID]}
 		p.Methods[m] = mp
 		r, inPar := inParallelExtent[m]
 		aux := auxSites
@@ -522,6 +532,15 @@ func (p *Plan) findLoops(a *core.Analysis, inPar map[*types.Method]*core.MethodR
 			p.LoopsSuppressed++
 		}
 	}
+}
+
+// RegionRoot reports whether a call of m from serial code is a region
+// entry: m has a parallel version and running it generates concurrency.
+// Whether the region then opens is the entry rule's to say
+// (rt.serialCtx, emitRegionWrapper).
+func (p *Plan) RegionRoot(m *types.Method) bool {
+	mp := p.Methods[m]
+	return mp != nil && mp.Parallel && p.GeneratesConcurrency(m)
 }
 
 // GeneratesConcurrency reports whether invoking the parallel version of

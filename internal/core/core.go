@@ -57,6 +57,12 @@ type Analysis struct {
 	memo    *memo // nil once every report is published
 	pending int   // defined methods whose report is not yet published
 
+	// work is the code generator's static work estimate per method
+	// (codegen/work.go): a fact of the program alone, kept here because
+	// the Analysis is what the plans built on one Load have in common.
+	workOnce sync.Once
+	work     []int64
+
 	// Options.
 
 	// DisableAuxiliary turns off auxiliary-operation recognition
@@ -97,6 +103,15 @@ func New(prog *types.Program) *Analysis {
 		}
 	}
 	return a
+}
+
+// MethodWork returns what compute returned the first time it was called
+// on a — the per-method work estimate, by types.Method.ID, that every
+// plan built from this analysis carries — so the estimate is made once
+// however many plans are built. Safe for concurrent use.
+func (a *Analysis) MethodWork(compute func() []int64) []int64 {
+	a.workOnce.Do(func() { a.work = compute() })
+	return a.work
 }
 
 // workerCount resolves the Workers setting to a concrete parallelism

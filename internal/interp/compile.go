@@ -102,34 +102,34 @@ func (c *compiler) compileExpr(e ast.Expr) (exprFn, int64, bool) {
 	switch x := e.(type) {
 	case *ast.IntLit:
 		v := IntValue(x.Value)
-		return func(fr *Frame) (Value, error) { return v, nil }, costExpr, false
+		return func(fr *Frame) (Value, error) { return v, nil }, CostExpr, false
 	case *ast.FloatLit:
 		v := FloatValue(x.Value)
-		return func(fr *Frame) (Value, error) { return v, nil }, costExpr, false
+		return func(fr *Frame) (Value, error) { return v, nil }, CostExpr, false
 	case *ast.BoolLit:
 		v := BoolValue(x.Value)
-		return func(fr *Frame) (Value, error) { return v, nil }, costExpr, false
+		return func(fr *Frame) (Value, error) { return v, nil }, CostExpr, false
 	case *ast.NullLit:
-		return func(fr *Frame) (Value, error) { return Value{}, nil }, costExpr, false
+		return func(fr *Frame) (Value, error) { return Value{}, nil }, CostExpr, false
 	case *ast.StringLit:
 		v := StringValue(x.Value)
-		return func(fr *Frame) (Value, error) { return v, nil }, costExpr, false
+		return func(fr *Frame) (Value, error) { return v, nil }, CostExpr, false
 	case *ast.ThisExpr:
-		return func(fr *Frame) (Value, error) { return ObjectValue(fr.this), nil }, costExpr, false
+		return func(fr *Frame) (Value, error) { return ObjectValue(fr.this), nil }, CostExpr, false
 
 	case *ast.Ident:
 		switch x.Sym {
 		case ast.SymLocal, ast.SymParam:
 			slot := x.Slot
-			return func(fr *Frame) (Value, error) { return fr.vars[slot], nil }, costExpr, false
+			return func(fr *Frame) (Value, error) { return fr.vars[slot], nil }, CostExpr, false
 		case ast.SymConst:
 			v := c.res.consts[x.Slot]
-			return func(fr *Frame) (Value, error) { return v, nil }, costExpr, false
+			return func(fr *Frame) (Value, error) { return v, nil }, CostExpr, false
 		case ast.SymGlobal:
 			slot := x.Slot
 			return func(fr *Frame) (Value, error) {
 				return ObjectValue(fr.ctx.IP.globals[slot]), nil
-			}, costExpr, false
+			}, CostExpr, false
 		case ast.SymField:
 			slot := x.Slot
 			name := x.Name
@@ -139,14 +139,14 @@ func (c *compiler) compileExpr(e ast.Expr) (exprFn, int64, bool) {
 						return Value{}, rtErrf(errFieldNoRecv, name)
 					}
 					return fr.ctx.Mon.LoadField(fr.this, int(slot)), nil
-				}, costExpr, false
+				}, CostExpr, false
 			}
 			return func(fr *Frame) (Value, error) {
 				if fr.this == nil {
 					return Value{}, rtErrf(errFieldNoRecv, name)
 				}
 				return fr.this.Slots[slot], nil
-			}, costExpr, false
+			}, CostExpr, false
 		}
 		return c.errExpr("unresolved identifier %s at %s", x.Name, x.Pos())
 
@@ -185,7 +185,7 @@ func (c *compiler) compileExpr(e ast.Expr) (exprFn, int64, bool) {
 					return Value{}, err
 				}
 				return indexLoad(arrV, jv(fr), x)
-			}, costExpr + ac + jc2, false
+			}, CostExpr + ac + jc2, false
 		}
 		jf, jc, jd := c.compileExpr(x.Index)
 		if !ad && !jd {
@@ -199,11 +199,11 @@ func (c *compiler) compileExpr(e ast.Expr) (exprFn, int64, bool) {
 					return Value{}, err
 				}
 				return indexLoad(arrV, idxV, x)
-			}, costExpr + ac + jc, false
+			}, CostExpr + ac + jc, false
 		}
 		as, js := sealIf(af, ac, ad), sealIf(jf, jc, jd)
 		return func(fr *Frame) (Value, error) {
-			fr.ctx.charge(costExpr)
+			fr.ctx.charge(CostExpr)
 			arrV, err := as(fr)
 			if err != nil {
 				return Value{}, err
@@ -222,7 +222,7 @@ func (c *compiler) compileExpr(e ast.Expr) (exprFn, int64, bool) {
 		cl := c.res.classList[x.ClassIdx]
 		return func(fr *Frame) (Value, error) {
 			return ObjectValue(fr.ctx.IP.NewObject(cl)), nil
-		}, costExpr + costAlloc, false
+		}, CostExpr + CostAlloc, false
 
 	case *ast.CastExpr:
 		return c.unary1(x.X, func(v Value) (Value, error) {
@@ -253,33 +253,33 @@ func (c *compiler) leaf(e ast.Expr) (func(fr *Frame) Value, int64, bool) {
 	switch x := e.(type) {
 	case *ast.IntLit:
 		v := IntValue(x.Value)
-		return func(fr *Frame) Value { return v }, costExpr, true
+		return func(fr *Frame) Value { return v }, CostExpr, true
 	case *ast.FloatLit:
 		v := FloatValue(x.Value)
-		return func(fr *Frame) Value { return v }, costExpr, true
+		return func(fr *Frame) Value { return v }, CostExpr, true
 	case *ast.BoolLit:
 		v := BoolValue(x.Value)
-		return func(fr *Frame) Value { return v }, costExpr, true
+		return func(fr *Frame) Value { return v }, CostExpr, true
 	case *ast.NullLit:
-		return func(fr *Frame) Value { return Value{} }, costExpr, true
+		return func(fr *Frame) Value { return Value{} }, CostExpr, true
 	case *ast.StringLit:
 		v := StringValue(x.Value)
-		return func(fr *Frame) Value { return v }, costExpr, true
+		return func(fr *Frame) Value { return v }, CostExpr, true
 	case *ast.ThisExpr:
-		return func(fr *Frame) Value { return ObjectValue(fr.this) }, costExpr, true
+		return func(fr *Frame) Value { return ObjectValue(fr.this) }, CostExpr, true
 	case *ast.Ident:
 		switch x.Sym {
 		case ast.SymLocal, ast.SymParam:
 			slot := x.Slot
-			return func(fr *Frame) Value { return fr.vars[slot] }, costExpr, true
+			return func(fr *Frame) Value { return fr.vars[slot] }, CostExpr, true
 		case ast.SymConst:
 			v := c.res.consts[x.Slot]
-			return func(fr *Frame) Value { return v }, costExpr, true
+			return func(fr *Frame) Value { return v }, CostExpr, true
 		case ast.SymGlobal:
 			slot := x.Slot
 			return func(fr *Frame) Value {
 				return ObjectValue(fr.ctx.IP.globals[slot])
-			}, costExpr, true
+			}, CostExpr, true
 		}
 	}
 	return nil, 0, false
@@ -295,10 +295,10 @@ func (c *compiler) unary1(child ast.Expr, k func(Value) (Value, error)) (exprFn,
 				return Value{}, err
 			}
 			return k(v)
-		}, costExpr + xc, false
+		}, CostExpr + xc, false
 	}
 	return func(fr *Frame) (Value, error) {
-		fr.ctx.charge(costExpr)
+		fr.ctx.charge(CostExpr)
 		v, err := xf(fr)
 		if err != nil {
 			return Value{}, err
@@ -318,10 +318,10 @@ func (c *compiler) unary1fr(child ast.Expr, k func(fr *Frame, v Value) (Value, e
 				return Value{}, err
 			}
 			return k(fr, v)
-		}, costExpr + xc, false
+		}, CostExpr + xc, false
 	}
 	return func(fr *Frame) (Value, error) {
-		fr.ctx.charge(costExpr)
+		fr.ctx.charge(CostExpr)
 		v, err := xf(fr)
 		if err != nil {
 			return Value{}, err
@@ -341,7 +341,7 @@ func (c *compiler) compileIndexMon(x *ast.IndexExpr) (exprFn, int64, bool) {
 				return Value{}, err
 			}
 			return indexLoadMon(fr.ctx.Mon, arrV, jv(fr), x)
-		}, costExpr + ac + jc2, false
+		}, CostExpr + ac + jc2, false
 	}
 	jf, jc, jd := c.compileExpr(x.Index)
 	if !ad && !jd {
@@ -355,11 +355,11 @@ func (c *compiler) compileIndexMon(x *ast.IndexExpr) (exprFn, int64, bool) {
 				return Value{}, err
 			}
 			return indexLoadMon(fr.ctx.Mon, arrV, idxV, x)
-		}, costExpr + ac + jc, false
+		}, CostExpr + ac + jc, false
 	}
 	as, js := sealIf(af, ac, ad), sealIf(jf, jc, jd)
 	return func(fr *Frame) (Value, error) {
-		fr.ctx.charge(costExpr)
+		fr.ctx.charge(CostExpr)
 		arrV, err := as(fr)
 		if err != nil {
 			return Value{}, err
@@ -374,7 +374,7 @@ func (c *compiler) compileIndexMon(x *ast.IndexExpr) (exprFn, int64, bool) {
 
 func (c *compiler) errExpr(format string, args ...any) (exprFn, int64, bool) {
 	err := rtErrf(format, args...)
-	return func(fr *Frame) (Value, error) { return Value{}, err }, costExpr, false
+	return func(fr *Frame) (Value, error) { return Value{}, err }, CostExpr, false
 }
 
 // sealIf seals a closure when it is not already self-charging.
@@ -393,7 +393,7 @@ func (c *compiler) compileBinary(x *ast.Binary) (exprFn, int64, bool) {
 		ys := c.sealedExpr(x.Y)
 		isAnd := x.Op == token.AND
 		return func(fr *Frame) (Value, error) {
-			fr.ctx.charge(costExpr)
+			fr.ctx.charge(CostExpr)
 			l, err := xs(fr)
 			if err != nil {
 				return Value{}, err
@@ -427,7 +427,7 @@ func (c *compiler) compileBinary(x *ast.Binary) (exprFn, int64, bool) {
 		return func(fr *Frame) (Value, error) {
 			l := lv(fr)
 			return op(l, rv(fr))
-		}, costExpr + lc2 + rc2, false
+		}, CostExpr + lc2 + rc2, false
 	}
 	xf, xc, xd := c.compileExpr(x.X)
 	if rok && !xd {
@@ -437,7 +437,7 @@ func (c *compiler) compileBinary(x *ast.Binary) (exprFn, int64, bool) {
 				return Value{}, err
 			}
 			return op(l, rv(fr))
-		}, costExpr + xc + rc2, false
+		}, CostExpr + xc + rc2, false
 	}
 	yf, yc, yd := c.compileExpr(x.Y)
 	if lok && !yd {
@@ -448,7 +448,7 @@ func (c *compiler) compileBinary(x *ast.Binary) (exprFn, int64, bool) {
 				return Value{}, err
 			}
 			return op(l, r)
-		}, costExpr + lc2 + yc, false
+		}, CostExpr + lc2 + yc, false
 	}
 	if !xd && !yd {
 		return func(fr *Frame) (Value, error) {
@@ -461,11 +461,11 @@ func (c *compiler) compileBinary(x *ast.Binary) (exprFn, int64, bool) {
 				return Value{}, err
 			}
 			return op(l, r)
-		}, costExpr + xc + yc, false
+		}, CostExpr + xc + yc, false
 	}
 	xs, ys := sealIf(xf, xc, xd), sealIf(yf, yc, yd)
 	return func(fr *Frame) (Value, error) {
-		fr.ctx.charge(costExpr)
+		fr.ctx.charge(CostExpr)
 		l, err := xs(fr)
 		if err != nil {
 			return Value{}, err
@@ -622,7 +622,7 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 				}
 				fr.vars[slot] = v
 				return v, nil
-			}, costExpr + rc, false
+			}, CostExpr + rc, false
 		}
 		return func(fr *Frame) (Value, error) {
 			v, err := rf(fr)
@@ -631,7 +631,7 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 			}
 			fr.vars[slot] = coerceKind(co, v)
 			return v, nil
-		}, costExpr + rc, false
+		}, CostExpr + rc, false
 	}
 
 	// Same fusion for implicit this-field stores.
@@ -650,7 +650,7 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 				}
 				fr.ctx.Mon.StoreField(fr.this, int(slot), coerceKind(co, v))
 				return v, nil
-			}, costExpr + rc, false
+			}, CostExpr + rc, false
 		}
 		return func(fr *Frame) (Value, error) {
 			v, err := rf(fr)
@@ -662,7 +662,7 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 			}
 			fr.this.Slots[slot] = coerceKind(co, v)
 			return v, nil
-		}, costExpr + rc, false
+		}, CostExpr + rc, false
 	}
 	var lf exprFn
 	var lc int64
@@ -692,7 +692,7 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 				return Value{}, err
 			}
 			return rhs, nil
-		}, costExpr + rc + lc + sc, false
+		}, CostExpr + rc + lc + sc, false
 	}
 
 	rs := sealIf(rf, rc, rd)
@@ -702,7 +702,7 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 	}
 	ss := sealStore(sf, sc, sd)
 	return func(fr *Frame) (Value, error) {
-		fr.ctx.charge(costExpr)
+		fr.ctx.charge(CostExpr)
 		rhs, err := rs(fr)
 		if err != nil {
 			return Value{}, err
@@ -873,7 +873,7 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 	if x.Builtin {
 		// Math builtins with statically-charged arguments fold into the
 		// enclosing subtree: builtins never reach a dispatcher hook, so
-		// their whole cost (args + costBuiltin) is static.
+		// their whole cost (args + CostBuiltin) is static.
 		if mf, ok := builtin1(x.Method); ok && len(x.Args) == 1 {
 			af, ac, ad := c.compileExpr(x.Args[0])
 			if !ad {
@@ -884,15 +884,15 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 					}
 					f, _ := asFloat(v)
 					return FloatValue(mf(f)), nil
-				}, costExpr + ac + costBuiltin, false
+				}, CostExpr + ac + CostBuiltin, false
 			}
 			return func(fr *Frame) (Value, error) {
-				fr.ctx.charge(costExpr)
+				fr.ctx.charge(CostExpr)
 				v, err := af(fr)
 				if err != nil {
 					return Value{}, err
 				}
-				fr.ctx.charge(costBuiltin)
+				fr.ctx.charge(CostBuiltin)
 				f, _ := asFloat(v)
 				return FloatValue(mf(f)), nil
 			}, 0, true
@@ -913,11 +913,11 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 					f1, _ := asFloat(v1)
 					f2, _ := asFloat(v2)
 					return FloatValue(math.Pow(f1, f2)), nil
-				}, costExpr + ac + bc + costBuiltin, false
+				}, CostExpr + ac + bc + CostBuiltin, false
 			}
 			as, bs := sealIf(af, ac, ad), sealIf(bf, bc, bd)
 			return func(fr *Frame) (Value, error) {
-				fr.ctx.charge(costExpr)
+				fr.ctx.charge(CostExpr)
 				v1, err := as(fr)
 				if err != nil {
 					return Value{}, err
@@ -926,7 +926,7 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 				if err != nil {
 					return Value{}, err
 				}
-				fr.ctx.charge(costBuiltin)
+				fr.ctx.charge(CostBuiltin)
 				f1, _ := asFloat(v1)
 				f2, _ := asFloat(v2)
 				return FloatValue(math.Pow(f1, f2)), nil
@@ -941,7 +941,7 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 		}
 		name := x.Method
 		return func(fr *Frame) (Value, error) {
-			fr.ctx.charge(costExpr)
+			fr.ctx.charge(CostExpr)
 			args := make([]Value, len(argFns))
 			for i, af := range argFns {
 				v, err := af(fr)
@@ -950,7 +950,7 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 				}
 				args[i] = v
 			}
-			fr.ctx.charge(costBuiltin)
+			fr.ctx.charge(CostBuiltin)
 			return callBuiltin(fr.ctx.IP, name, x, args)
 		}, 0, true
 	}
@@ -969,7 +969,7 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 	n := len(argFns)
 	return func(fr *Frame) (Value, error) {
 		ctx := fr.ctx
-		ctx.charge(costExpr)
+		ctx.charge(CostExpr)
 		var recv *Object
 		if recvFn != nil {
 			rv, err := recvFn(fr)
@@ -1014,7 +1014,7 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 }
 
 // compileStmt lowers a statement to a self-contained closure. Each
-// statement charges costStmt plus the static cost of its call-free
+// statement charges CostStmt plus the static cost of its call-free
 // expression operands up front, then counts one step — preserving the
 // walker's MaxSteps and Interrupt behavior exactly.
 func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
@@ -1025,7 +1025,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 			subs[i] = c.compileStmt(sub, ms)
 		}
 		return func(fr *Frame) (flow, error) {
-			fr.ctx.charge(costStmt)
+			fr.ctx.charge(CostStmt)
 			if err := fr.ctx.step(); err != nil {
 				return flowNext, err
 			}
@@ -1063,7 +1063,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 		if st.Init == nil {
 			if constZero {
 				return func(fr *Frame) (flow, error) {
-					fr.ctx.charge(costStmt)
+					fr.ctx.charge(CostStmt)
 					if err := fr.ctx.step(); err != nil {
 						return flowNext, err
 					}
@@ -1072,7 +1072,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 				}
 			}
 			return func(fr *Frame) (flow, error) {
-				fr.ctx.charge(costStmt)
+				fr.ctx.charge(CostStmt)
 				if err := fr.ctx.step(); err != nil {
 					return flowNext, err
 				}
@@ -1082,7 +1082,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 		}
 		inf, ic, id := c.compileExpr(st.Init)
 		co := st.Coerce
-		entry := int64(costStmt)
+		entry := int64(CostStmt)
 		if !id {
 			entry += ic
 		}
@@ -1106,7 +1106,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 
 	case *ast.ExprStmt:
 		xf, xc, xd := c.compileExpr(st.X)
-		entry := int64(costStmt)
+		entry := int64(CostStmt)
 		if !xd {
 			entry += xc
 		}
@@ -1121,7 +1121,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 
 	case *ast.IfStmt:
 		cf, cc, cd := c.compileExpr(st.Cond)
-		entry := int64(costStmt)
+		entry := int64(CostStmt)
 		if !cd {
 			entry += cc
 		}
@@ -1159,7 +1159,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 		condS := c.sealedExpr(st.Cond)
 		bodyFn := c.compileStmt(st.Body, ms)
 		return func(fr *Frame) (flow, error) {
-			fr.ctx.charge(costStmt)
+			fr.ctx.charge(CostStmt)
 			if err := fr.ctx.step(); err != nil {
 				return flowNext, err
 			}
@@ -1185,7 +1185,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 	case *ast.ReturnStmt:
 		if st.X == nil {
 			return func(fr *Frame) (flow, error) {
-				fr.ctx.charge(costStmt)
+				fr.ctx.charge(CostStmt)
 				if err := fr.ctx.step(); err != nil {
 					return flowNext, err
 				}
@@ -1194,7 +1194,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 			}
 		}
 		xf, xc, xd := c.compileExpr(st.X)
-		entry := int64(costStmt)
+		entry := int64(CostStmt)
 		if !xd {
 			entry += xc
 		}
@@ -1244,7 +1244,7 @@ func (c *compiler) compileFor(st *ast.ForStmt, ms *methodSlots) stmtFn {
 	}
 	return func(fr *Frame) (flow, error) {
 		ctx := fr.ctx
-		ctx.charge(costStmt)
+		ctx.charge(CostStmt)
 		if err := ctx.step(); err != nil {
 			return flowNext, err
 		}

@@ -11,13 +11,15 @@ import (
 // to roughly one simple machine operation; the simulator converts units
 // to microseconds with a calibration constant. Both engines charge the
 // same totals between dispatcher-hook boundaries (see compile.go), so
-// DASH simulation results are independent of the engine.
+// DASH simulation results are independent of the engine. Exported for
+// codegen's static work estimate, which bounds what a serial execution
+// charges with these same five numbers.
 const (
-	costStmt    = 1
-	costExpr    = 1
-	costCall    = 8
-	costBuiltin = 12
-	costAlloc   = 40
+	CostStmt    = 1
+	CostExpr    = 1
+	CostCall    = 8
+	CostBuiltin = 12
+	CostAlloc   = 40
 )
 
 // Error format strings shared by the walking and compiled engines, so
@@ -53,7 +55,7 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 
 // eval evaluates an expression to a value (tree-walking engine).
 func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
-	fr.ctx.charge(costExpr)
+	fr.ctx.charge(CostExpr)
 	switch x := e.(type) {
 	case *ast.IntLit:
 		return IntValue(x.Value), nil
@@ -112,7 +114,7 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 		return ip.evalCall(fr, x)
 
 	case *ast.NewExpr:
-		fr.ctx.charge(costAlloc)
+		fr.ctx.charge(CostAlloc)
 		return ObjectValue(ip.NewObject(ip.res.classList[x.ClassIdx])), nil
 
 	case *ast.CastExpr:
@@ -458,7 +460,7 @@ func (ip *Interp) evalCall(fr *Frame, x *ast.CallExpr) (Value, error) {
 			}
 			args[i] = v
 		}
-		fr.ctx.charge(costBuiltin)
+		fr.ctx.charge(CostBuiltin)
 		return callBuiltin(ip, x.Method, x, args)
 	}
 	site := ip.Prog.CallSites[x.Site]

@@ -278,7 +278,7 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (V
 			fr.vars[i] = coerceKind(ms.paramCo[i], args[i])
 		}
 	}
-	ctx.charge(costCall)
+	ctx.charge(CostCall)
 
 	var out Value
 	if ip.engine == EngineWalk {
@@ -318,7 +318,7 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (V
 // execStmt executes a statement; a non-nil *returnValue unwinds a
 // return. (Tree-walking engine.)
 func (ip *Interp) execStmt(fr *Frame, s ast.Stmt) (*returnValue, error) {
-	fr.ctx.charge(costStmt)
+	fr.ctx.charge(CostStmt)
 	if err := fr.ctx.step(); err != nil {
 		return nil, err
 	}
@@ -617,7 +617,7 @@ func LoopVar(st *ast.ForStmt) string {
 }
 
 // callBuiltin dispatches a math or print builtin on evaluated
-// arguments. The caller has already charged costBuiltin.
+// arguments. The caller has already charged CostBuiltin.
 func callBuiltin(ip *Interp, name string, x *ast.CallExpr, args []Value) (Value, error) {
 	f := func(i int) float64 {
 		v, _ := asFloat(args[i])

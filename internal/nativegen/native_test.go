@@ -85,6 +85,28 @@ func getApp(t *testing.T, name string) (*commute.System, string) {
 	return ba.sys, ba.bin
 }
 
+// loadRegions loads a program and clears the static work estimates of
+// the plan every execution runs, so that its region roots open (and are
+// emitted as) regions however small it is: the tests that use it check
+// guards, journals, commits and aborts on the shipped demonstrators,
+// which the granularity cutoff would otherwise run serially.
+// TestPolicyParity runs each program both ways.
+func loadRegions(t *testing.T, name, code string) *commute.System {
+	t.Helper()
+	sys, err := commute.Load(name, code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clearWork(sys)
+	return sys
+}
+
+func clearWork(sys *commute.System) {
+	for _, mp := range sys.CondPlan.Methods {
+		mp.Work = 0
+	}
+}
+
 // interpDump runs the app serially under the given interpreter engine
 // and returns program output followed by the state dump — the same
 // byte stream the native binary produces with -dump.
@@ -203,10 +225,7 @@ func TestNativeRaceManyRegions(t *testing.T) {
 			[]string{"-speculate", "force", "-specstats"},
 			map[string]int64{"spec_regions": specRounds, "spec_commits": 0, "spec_aborts": specRounds}},
 	} {
-		sys, err := commute.Load(tc.name+".mc", tc.code)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := loadRegions(t, tc.name+".mc", tc.code)
 		dir := t.TempDir()
 		if err := nativegen.Generate(sys, tc.name, dir); err != nil {
 			t.Fatal(err)
@@ -333,10 +352,7 @@ func TestNativeSpeculationMatchesInterpreter(t *testing.T) {
 		{"specdisjoint", src.SpecDisjoint, 1, 0},
 		{"specconflict", src.SpecConflict, 0, 1},
 	} {
-		sys, err := commute.Load(tc.name+".mc", tc.code)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := loadRegions(t, tc.name+".mc", tc.code)
 		dir := t.TempDir()
 		if err := nativegen.Generate(sys, tc.name, dir); err != nil {
 			t.Fatal(err)
@@ -397,6 +413,7 @@ func TestNativeCondHashMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		clearWork(sys)
 		mp := sys.CondPlan.Methods[sys.Prog.MethodByFullName("table::ingest")]
 		if mp == nil || !mp.Conditional {
 			t.Fatal("table::ingest is not planned conditional")

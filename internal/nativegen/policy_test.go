@@ -50,28 +50,131 @@ void main() {
 }
 `
 
+// nestedRoots calls one region root from inside another: entered from
+// serial code each is a region entry of its own, but inside a declined
+// outer the inner is just part of the serial version — one decline, in
+// both runtimes.
+const nestedRoots = `
+class counter {
+public:
+  int total;
+  void add(int v);
+};
+
+class driver {
+public:
+  counter *c;
+  void init();
+  void outer();
+  void inner();
+};
+
+driver D;
+
+void counter::add(int v) {
+  total = total + v;
+}
+
+void driver::init() {
+  c = new counter;
+}
+
+void driver::inner() {
+  c->add(2);
+  c->add(3);
+}
+
+void driver::outer() {
+  c->add(1);
+  this->inner();
+}
+
+void main() {
+  D.init();
+  D.outer();
+  D.inner();
+  print(D.c->total);
+}
+`
+
+// valueRoot consumes the result of a region root.
+const valueRoot = `
+class counter {
+public:
+  int total;
+  void add(int v);
+};
+
+class driver {
+public:
+  counter *c;
+  int seen;
+  void init();
+  int step();
+};
+
+driver D;
+
+void counter::add(int v) {
+  total = total + v;
+}
+
+void driver::init() {
+  c = new counter;
+}
+
+int driver::step() {
+  c->add(1);
+  c->add(2);
+  return 7;
+}
+
+void main() {
+  int x;
+  D.init();
+  x = D.step();
+  D.seen = x;
+  print(x, D.c->total);
+}
+`
+
 // TestPolicyParity: the interpreter runtime and the emitted binary run
 // one plan and apply one rule at region entry, so under every
 // -conditional × -speculate combination they take the same tier at every
-// region: the five policy counters agree, and both final states equal
+// region: the six policy counters agree, and both final states equal
 // the serial tree walker's. Counters are compared at one worker, where
 // the number of loop claimants — and with it whether a conflicting
 // speculative region commits or aborts — does not depend on timing; at
-// four workers only the state is compared.
+// four workers only the state is compared. Every program runs twice: on
+// the plan as built, where both runtimes decline its tiny regions (and
+// the other five counters are 0 on both sides), and with the work
+// estimates cleared, where both open every one of them.
 func TestPolicyParity(t *testing.T) {
 	if !nativegen.HaveGo() {
 		t.Skip("go toolchain not available")
 	}
+	type row struct {
+		name, code string
+		cleared    bool
+	}
+	var rows []row
 	for _, tc := range []struct{ name, code string }{
 		{"condhash0", src.CondHashBase + src.CondHashMain(0, 6)},
 		{"condhash3", src.CondHashBase + src.CondHashMain(3, 6)},
 		{"specdisjoint", src.SpecDisjoint},
 		{"specconflict", src.SpecConflict},
 		{"pingpong", src.SpecDisjoint[:strings.Index(src.SpecDisjoint, "void main()")] + pingPong},
+		{"nested", nestedRoots},
 	} {
+		rows = append(rows, row{tc.name, tc.code, false}, row{tc.name + "-cleared", tc.code, true})
+	}
+	for _, tc := range rows {
 		sys, err := commute.Load(tc.name+".mc", tc.code)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.cleared {
+			clearWork(sys)
 		}
 		dir := t.TempDir()
 		if err := nativegen.Generate(sys, tc.name, dir); err != nil {
@@ -112,6 +215,9 @@ func TestPolicyParity(t *testing.T) {
 					if workers != 1 {
 						continue
 					}
+					if (st.RegionsDeclined == 0) != tc.cleared {
+						t.Errorf("%s: the interpreter declined %d regions", label, st.RegionsDeclined)
+					}
 					nat := nativegen.CounterStats(errOut)
 					for _, c := range []struct {
 						name   string
@@ -122,6 +228,7 @@ func TestPolicyParity(t *testing.T) {
 						{"spec_aborts", st.SpeculationAborts},
 						{"guard_parallel", st.GuardParallel},
 						{"guard_serial", st.GuardSerial},
+						{"regions_declined", st.RegionsDeclined},
 					} {
 						if nat[c.name] != c.interp {
 							t.Errorf("%s: %s = %d on the interpreter, %d natively", label, c.name, c.interp, nat[c.name])
@@ -130,5 +237,49 @@ func TestPolicyParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDeclinedRootKeepsItsResult: a region discards its root's result; a
+// declined region is the serial version and nothing else, result
+// included — in both runtimes, so the run equals the serial walker's
+// where an opened region's would not.
+func TestDeclinedRootKeepsItsResult(t *testing.T) {
+	if !nativegen.HaveGo() {
+		t.Skip("go toolchain not available")
+	}
+	sys, err := commute.Load("valueroot.mc", valueRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := nativegen.Generate(sys, "valueroot", dir); err != nil {
+		t.Fatal(err)
+	}
+	assertGofmt(t, dir)
+	bin, err := nativegen.Build(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := interpDump(t, sys, interp.EngineWalk)
+	if !strings.HasPrefix(want, "7 3\n") {
+		t.Fatalf("serial output %q", want)
+	}
+
+	var buf strings.Builder
+	ip, st, err := sys.RunParallelOpts(context.Background(), commute.RunOptions{Workers: 2}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nativegen.DumpInterp(&buf, sys.Prog, ip)
+	if got := buf.String(); got != want || st.RegionsDeclined != 1 || st.Regions != 0 {
+		t.Errorf("interpreter: %d declined, %d opened:\n%s", st.RegionsDeclined, st.Regions, firstDiff(want, got))
+	}
+	got, errOut, err := nativegen.RunErr(bin, "-mode", "parallel", "-workers", "2", "-guardstats", "-dump")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nat := nativegen.CounterStats(errOut); got != want || nat["regions_declined"] != 1 {
+		t.Errorf("native: %d declined:\n%s", nat["regions_declined"], firstDiff(want, got))
 	}
 }

@@ -16,8 +16,6 @@ import (
 
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
-	"commute/internal/core"
-	"commute/internal/frontend/parser"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/internal/rt"
@@ -27,18 +25,8 @@ import (
 // extension (plus speculation, matching commute.System.CondPlan).
 func buildCond(t testing.TB, source string) (*types.Program, *codegen.Plan) {
 	t.Helper()
-	f, err := parser.Parse("app.mc", source)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	prog, err := types.Check(f)
-	if err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	return prog, codegen.BuildWithOptions(core.New(prog), codegen.Options{
-		ConditionalGuards: true,
-		SpeculateRejected: true,
-	})
+	prog, plan := planAsBuilt(t, source, fullPlan)
+	return prog, clearWork(plan)
 }
 
 // condHashState reads every bucket's (count, touched) plus the table

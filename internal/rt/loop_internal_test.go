@@ -89,7 +89,11 @@ func TestLoopJoinsWithoutStarvedHelpers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := New(interp.New(prog, nil), codegen.Build(core.New(prog)), 2)
+		plan := codegen.Build(core.New(prog))
+		for _, mp := range plan.Methods {
+			mp.Work = 0 // a tiny program: open its regions all the same
+		}
+		r := New(interp.New(prog, nil), plan, 2)
 
 		// Occupy the workers before the run starts its first region.
 		pool := r.regionPool()

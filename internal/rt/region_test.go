@@ -85,18 +85,26 @@ void main() {
 
 // repeated rewrites a program whose main enters a region once so that it
 // enters it rounds times; each %d in call receives the round number.
-func repeated(body, init, call string, rounds int) string {
+// after, if given, follows the loop (a report that prints).
+func repeated(body, init, call string, rounds int, after ...string) string {
 	if i := strings.Index(body, "void main()"); i >= 0 {
 		body = body[:i]
 	}
 	return body + fmt.Sprintf(
-		"void main() {\n  int r;\n  %s\n  for (r = 0; r < %d; r += 1) {\n    %s\n  }\n}\n",
-		init, rounds, call)
+		"void main() {\n  int r;\n  %s\n  for (r = 0; r < %d; r += 1) {\n    %s\n  }\n  %s\n}\n",
+		init, rounds, call, strings.Join(after, "\n  "))
 }
 
 func finePrograms(t testing.TB, rounds int) []fineProgram {
+	return fineProgramsPlanned(t, rounds, buildCond)
+}
+
+// fineProgramsPlanned plans the programs with build: buildCond clears
+// the work estimates, so every round's region opens; on the plan as built
+// the granularity cutoff declines them all (perRound does not apply).
+func fineProgramsPlanned(t testing.TB, rounds int, build func(testing.TB, string) (*types.Program, *codegen.Plan)) []fineProgram {
 	mk := func(name, source string, spec rt.SpecMode, perRound rt.Stats) fineProgram {
-		prog, plan := buildCond(t, source)
+		prog, plan := build(t, source)
 		return fineProgram{name, prog, plan, spec, perRound}
 	}
 	return []fineProgram{
@@ -141,6 +149,55 @@ func BenchmarkRegionEntry(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkRegionDeclined is BenchmarkRegionEntry on the plans as built:
+// every one of the 512 regions per op is under regionEntryCost and runs
+// its serial version. Against BenchmarkRegionEntry's workers=0 leg the
+// difference is what declining costs; against its other legs, what it
+// saves.
+func BenchmarkRegionDeclined(b *testing.B) {
+	asBuilt := func(t testing.TB, source string) (*types.Program, *codegen.Plan) {
+		return planAsBuilt(t, source, fullPlan)
+	}
+	for _, p := range fineProgramsPlanned(b, 512, asBuilt) {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r := p.runtime(workers)
+					if err := r.Run(); err != nil {
+						b.Fatal(err)
+					}
+					if r.Stats.RegionsDeclined != 512 {
+						b.Fatalf("%d regions declined, want 512", r.Stats.RegionsDeclined)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkCostUnit reports what the compiled engine takes to retire one
+// DASH cost unit on the tiny-region programs run serially: with the cost
+// of a region entry (BenchmarkRegionEntry), the number regionEntryCost
+// is derived from.
+func BenchmarkCostUnit(b *testing.B) {
+	for _, p := range finePrograms(b, 512) {
+		b.Run(p.name, func(b *testing.B) {
+			var units int64
+			for i := 0; i < b.N; i++ {
+				ip := interp.New(p.prog, nil)
+				ctx := ip.NewCtx()
+				if err := ip.Run(ctx); err != nil {
+					b.Fatal(err)
+				}
+				units += ctx.Cost
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(units), "ns/unit")
+			b.ReportMetric(float64(units)/float64(b.N), "units/op")
+		})
 	}
 }
 

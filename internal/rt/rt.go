@@ -41,6 +41,11 @@ type Stats struct {
 	Steals        int64 // tasks and loop helpers taken from another worker's deque
 	LocalPops     int64 // tasks and loop helpers popped from the spawning worker's own deque
 
+	// RegionsDeclined counts calls of a region root from serial code that
+	// ran its serial version instead, because the root's static work
+	// bound is under the cost of entering a region (regionEntryCost).
+	RegionsDeclined int64
+
 	TaskPanics      int64 // panics captured and isolated as TaskError
 	SerialFallbacks int64 // regions re-executed serially after a fault
 
@@ -195,6 +200,29 @@ func (rt *Runtime) interrupt() error {
 	return nil
 }
 
+// regionEntryCost is what entering a parallel region costs this runtime,
+// in the DASH cost units of the plan's work estimate
+// (codegen.MethodPlan.Work); the emitter has its own for native code. A
+// region root whose whole serial execution is bounded below it is run
+// serially: parallel execution cannot win.
+//
+// Derivation (EXPERIMENTS.md, "Granularity cutoff"): a proven or guarded
+// region takes 2.7-3.3 µs to enter and leave beyond the work inside it
+// (run-fine and BenchmarkRegionEntry, two workers; speculative ones cost
+// more), and the compiled engine retires a cost unit in 4.1-4.3 ns
+// (BenchmarkCostUnit), so an entry is ≈ 650 units. Two workers at best
+// halve the work, saving W/2, which pays for the entry only when
+// W > 2 × 650. The constant is that break-even at two workers, at the
+// low end of the measurements; nothing reads it but the entry rule.
+const regionEntryCost = 1300
+
+// Declines reports whether m is a region root this runtime's granularity
+// cutoff takes back: a call of it from serial code runs its serial
+// version.
+func Declines(p *codegen.Plan, m *types.Method) bool {
+	return p.RegionRoot(m) && p.Methods[m].WorkUnder(regionEntryCost)
+}
+
 // methodEntry is one row of the run's dispatch table.
 type methodEntry struct {
 	mp *codegen.MethodPlan // nil: the plan has no entry for the method
@@ -202,6 +230,9 @@ type methodEntry struct {
 	// the method is parallel and its parallel version generates
 	// concurrency (memoized per plan by Plan.GeneratesConcurrency).
 	root bool
+	// declined is set on a root the granularity cutoff takes back: its
+	// static work bound is under regionEntryCost.
+	declined bool
 	// guard is a Conditional root's compiled guard, built at its first
 	// region entry (guardHolds).
 	guard func() bool
@@ -241,7 +272,7 @@ func (rt *Runtime) RunContext(parent context.Context) error {
 	}()
 	rt.methods = make([]methodEntry, len(rt.IP.Prog.Methods))
 	for m, mp := range rt.Plan.Methods {
-		rt.methods[m.ID] = methodEntry{mp: mp, root: mp.Parallel && rt.Plan.GeneratesConcurrency(m)}
+		rt.methods[m.ID] = methodEntry{mp: mp, root: rt.Plan.RegionRoot(m), declined: Declines(rt.Plan, m)}
 	}
 	_, err := rt.IP.Call(rt.serialCtx(), rt.IP.Prog.Main, nil, nil)
 	rt.setErr(err)
@@ -259,6 +290,17 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 	ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
 		e := &rt.methods[site.Callee.ID]
 		switch {
+		case e.declined:
+			// Not worth a region, whatever its tier and whatever the
+			// policies say (force overrides confidence, not
+			// profitability): the serial version and nothing else — the
+			// hook is off while it runs, as S_m calls only S_ versions.
+			atomic.AddInt64(&rt.Stats.RegionsDeclined, 1)
+			hook := ctx.Invoke
+			ctx.Invoke = nil
+			v, err := rt.IP.Call(ctx, site.Callee, recv, args)
+			ctx.Invoke = hook
+			return v, err
 		case !e.root:
 		case !e.mp.Conditional && !e.mp.Speculative:
 			return interp.Value{}, rt.runRegion(site.Callee, recv, args)

@@ -7,8 +7,6 @@ import (
 
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
-	"commute/internal/core"
-	"commute/internal/frontend/parser"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/internal/rt"
@@ -16,15 +14,20 @@ import (
 
 func build(t testing.TB, source string) (*types.Program, *codegen.Plan) {
 	t.Helper()
-	f, err := parser.Parse("app.mc", source)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
+	prog, plan := planAsBuilt(t, source, codegen.Options{})
+	return prog, clearWork(plan)
+}
+
+// clearWork drops a plan's static work estimates, so that every region
+// root opens its region however small the program: the tests built on
+// build, buildCond and buildSpec exercise the region machinery on tiny
+// programs, which the granularity cutoff would run serially
+// (decline_test.go tests the cutoff, on plans as built).
+func clearWork(p *codegen.Plan) *codegen.Plan {
+	for _, mp := range p.Methods {
+		mp.Work = 0
 	}
-	prog, err := types.Check(f)
-	if err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	return prog, codegen.Build(core.New(prog))
+	return p
 }
 
 // graphSums runs the graph program and returns each node's sum plus the

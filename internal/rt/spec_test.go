@@ -9,8 +9,6 @@ import (
 
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
-	"commute/internal/core"
-	"commute/internal/frontend/parser"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/internal/rt"
@@ -19,15 +17,8 @@ import (
 // buildSpec compiles a program with the speculative plan extension.
 func buildSpec(t testing.TB, source string) (*types.Program, *codegen.Plan) {
 	t.Helper()
-	f, err := parser.Parse("app.mc", source)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	prog, err := types.Check(f)
-	if err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	return prog, codegen.BuildWithOptions(core.New(prog), codegen.Options{SpeculateRejected: true})
+	prog, plan := planAsBuilt(t, source, codegen.Options{SpeculateRejected: true})
+	return prog, clearWork(plan)
 }
 
 // serialOutput runs the program on the plain serial interpreter and

@@ -194,6 +194,10 @@ type RunStats struct {
 	// failed (serial path taken).
 	GuardParallel int64 `json:"guard_parallel,omitempty"`
 	GuardSerial   int64 `json:"guard_serial,omitempty"`
+
+	// RegionsDeclined counts region-root calls run serially because the
+	// root's static work bound is under the cost of entering a region.
+	RegionsDeclined int64 `json:"regions_declined,omitempty"`
 }
 
 // NewRunStats renders one execution's summary in the wire schema; rs
@@ -219,6 +223,7 @@ func NewRunStats(mode string, workers int, wall time.Duration, rs *rt.Stats) Run
 	st.SpeculationAborts = rs.SpeculationAborts
 	st.GuardParallel = rs.GuardParallel
 	st.GuardSerial = rs.GuardSerial
+	st.RegionsDeclined = rs.RegionsDeclined
 	return st
 }
 
@@ -300,8 +305,9 @@ type StatusZ struct {
 	SpeculationCommits int64 `json:"speculation_commits"`
 	SpeculationAborts  int64 `json:"speculation_aborts"`
 
-	GuardParallel int64 `json:"guard_parallel,omitempty"`
-	GuardSerial   int64 `json:"guard_serial,omitempty"`
+	GuardParallel   int64 `json:"guard_parallel,omitempty"`
+	GuardSerial     int64 `json:"guard_serial,omitempty"`
+	RegionsDeclined int64 `json:"regions_declined,omitempty"`
 
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`

@@ -152,6 +152,7 @@ type Server struct {
 	specAborts  atomic.Int64
 	guardPar    atomic.Int64
 	guardSer    atomic.Int64
+	declined    atomic.Int64
 	draining    atomic.Bool
 
 	// Shared artifact tier (see artifact.go).
@@ -435,6 +436,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		SpeculationAborts:  s.specAborts.Load(),
 		GuardParallel:      s.guardPar.Load(),
 		GuardSerial:        s.guardSer.Load(),
+		RegionsDeclined:    s.declined.Load(),
 		CacheHits:          cs.Hits,
 		CacheMisses:        cs.Misses,
 		CacheEvictions:     cs.Evictions,
@@ -683,6 +685,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 			s.specAborts.Add(rs.SpeculationAborts)
 			s.guardPar.Add(rs.GuardParallel)
 			s.guardSer.Add(rs.GuardSerial)
+			s.declined.Add(rs.RegionsDeclined)
 		}
 	}
 	wall := time.Since(start)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"commute/internal/apps/src"
 	"commute/internal/server/api"
 )
 
@@ -27,6 +28,33 @@ void main() {
   }
 }
 `
+
+// wide is a shipped demonstrator with its size constant raised from its
+// shipped value to 4096: the same program with a region some hundred
+// times the work, which is past the granularity cutoff of both runtimes.
+// A test here cannot reach the plan to clear its estimates, so one that
+// needs a region to open sends a program worth one.
+func wide(t *testing.T, source, name string, shipped int) string {
+	t.Helper()
+	out := strings.Replace(source, fmt.Sprintf("const int %s = %d;", name, shipped), "const int "+name+" = 4096;", 1)
+	if out == source {
+		t.Fatalf("source does not declare const int %s = %d", name, shipped)
+	}
+	return out
+}
+
+// wideConflict is specconflict with 4096 conflicting mark(0) calls ahead
+// of the two it ships with: a region worth opening that still aborts and
+// still ends in last = 2, total = 3.
+func wideConflict(t *testing.T) string {
+	t.Helper()
+	const run = "void driver::run() {\n"
+	out := strings.Replace(src.SpecConflict, run, run+"  int i;\n  for (i = 0; i < 4096; i += 1) {\n    c->mark(0);\n  }\n", 1)
+	if out == src.SpecConflict {
+		t.Fatal("specconflict has no driver::run")
+	}
+	return out
+}
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -509,10 +537,13 @@ func TestRunSpeculation(t *testing.T) {
 		t.Fatal("fill must be speculation-eligible")
 	}
 
-	run := func(app string) api.RunResponse {
+	// The built-in apps' regions are under the granularity cutoff and run
+	// serially (TestRunDeclinesTinyRegions); what speculates here is each
+	// one widened past it.
+	run := func(app, source string) api.RunResponse {
 		t.Helper()
 		resp, data := post(t, ts, "/v1/run", api.RunRequest{
-			SourceRequest: api.SourceRequest{App: app},
+			SourceRequest: api.SourceRequest{Name: app + ".mc", Source: source},
 			Mode:          "parallel",
 			Workers:       4,
 			Speculate:     "force",
@@ -527,10 +558,10 @@ func TestRunSpeculation(t *testing.T) {
 		return rr
 	}
 
-	if rr := run("specdisjoint"); rr.Stats.SpeculationCommits == 0 || rr.Stats.SpeculationAborts != 0 {
+	if rr := run("specdisjoint", wide(t, src.SpecDisjoint, "N", 16)); rr.Stats.SpeculationCommits == 0 || rr.Stats.SpeculationAborts != 0 {
 		t.Fatalf("specdisjoint stats = %+v, want commits without aborts", rr.Stats)
 	}
-	rr := run("specconflict")
+	rr := run("specconflict", wideConflict(t))
 	if rr.Stats.SpeculationAborts == 0 || rr.Stats.SpeculationCommits != 0 {
 		t.Fatalf("specconflict stats = %+v, want aborts without commits", rr.Stats)
 	}
@@ -612,10 +643,17 @@ func TestRunConditional(t *testing.T) {
 		t.Fatal("no report for table::ingest")
 	}
 
+	// The built-in table's regions are under the granularity cutoff and
+	// run serially; what the guard decides here is the table widened
+	// past it, under the built-in apps' names.
+	wideApps := map[string]string{
+		"condhash":        wide(t, src.CondHashBase, "NBUCKET", 8) + src.CondHashMain(0, 6),
+		"condhash-serial": wide(t, src.CondHashBase, "NBUCKET", 8) + src.CondHashMain(3, 6),
+	}
 	run := func(app, mode string, conditional bool) (api.RunResponse, int) {
 		t.Helper()
 		resp, data := post(t, ts, "/v1/run", api.RunRequest{
-			SourceRequest: api.SourceRequest{App: app},
+			SourceRequest: api.SourceRequest{Name: app + ".mc", Source: wideApps[app]},
 			Mode:          mode,
 			Workers:       4,
 			Conditional:   conditional,
@@ -672,5 +710,45 @@ func TestRunConditional(t *testing.T) {
 	if st.GuardParallel == 0 || st.GuardSerial == 0 {
 		t.Fatalf("statusz guard counters = %d parallel / %d serial, want both nonzero",
 			st.GuardParallel, st.GuardSerial)
+	}
+}
+
+// TestRunDeclinesTinyRegions: the built-in demonstrators' regions are a
+// few hundred cost units, under what a region costs to enter, so a
+// parallel run of one opens none whatever the policies say — and says
+// so: regions_declined in the run's stats and on /statusz.
+func TestRunDeclinesTinyRegions(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	run := func(req api.RunRequest) api.RunResponse {
+		t.Helper()
+		resp, data := post(t, ts, "/v1/run", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %+v = %d: %s", req, resp.StatusCode, data)
+		}
+		var rr api.RunResponse
+		if err := json.Unmarshal(data, &rr); err != nil {
+			t.Fatal(err)
+		}
+		return rr
+	}
+	var declined int64
+	for _, tc := range []struct {
+		app  string
+		want int64 // region entries in one run of the app
+	}{{"condhash", 6}, {"condhash-serial", 6}, {"specdisjoint", 1}, {"specconflict", 1}} {
+		source := api.SourceRequest{App: tc.app}
+		serial := run(api.RunRequest{SourceRequest: source, Mode: "serial"})
+		rr := run(api.RunRequest{SourceRequest: source, Mode: "parallel", Workers: 4, Conditional: true, Speculate: "force"})
+		if rr.Output != serial.Output {
+			t.Errorf("%s: output %q, want serial %q", tc.app, rr.Output, serial.Output)
+		}
+		st := rr.Stats
+		if st.RegionsDeclined != tc.want || st.Regions+st.GuardParallel+st.GuardSerial+st.SpeculativeRegions+st.Tasks != 0 {
+			t.Errorf("%s: stats %+v, want %d regions declined and nothing else", tc.app, st, tc.want)
+		}
+		declined += tc.want
+	}
+	if st := statusz(t, ts); st.RegionsDeclined != declined {
+		t.Errorf("statusz regions_declined = %d, want %d", st.RegionsDeclined, declined)
 	}
 }

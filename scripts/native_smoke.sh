@@ -7,6 +7,13 @@
 # the journaled packages for the speculation corpus and byte-diffs both
 # the commit and the abort-and-rerun paths. The many-region leg enters
 # 2000 guarded parallel regions on the one run-wide pool.
+#
+# The shipped speculation and condhash demonstrators have regions of a
+# few hundred cost units, under what a region costs to enter: their
+# packages are serial versions behind the regions_declined counter. The
+# legs that need a commit, an abort or a guard run them widened — the
+# shipped text with its size constant at 4096, and for the conflict a
+# loop of 4096 more mark calls (scripts/wide_sources.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,16 +48,48 @@ for APP in barneshut graph; do
   echo "$APP: native == interpreter (serial + parallel)"
 done
 
-# Speculation: the emitted packages carry the journaled speculative
-# versions; check that both the commit path (specdisjoint: disjoint at run time, region
-# commits) and the abort path (specconflict: guaranteed violation,
-# rollback + serial rerun) reproduce the serial interpreter state byte
-# for byte, and that the -specstats counters show the expected outcome.
+. scripts/wide_sources.sh
+
+# The shipped speculation demonstrators: every policy reproduces the
+# serial interpreter state byte for byte, and under force the one region
+# entry is declined, not speculated.
 for APP in specdisjoint specconflict; do
   DIR="$OUT/$APP"
   go run ./cmd/commutec -emit go -o "$DIR" -app "$APP"
   (cd "$DIR" && go vet . && canonical && go build -o app .)
   go run ./cmd/commuterun -mode serial -app "$APP" -dump > "$OUT/$APP.interp"
+  for ARGS in "-mode serial" "-mode parallel -workers 4 -speculate force" "-mode parallel -workers 4 -speculate auto"; do
+    # shellcheck disable=SC2086
+    "$DIR/app" $ARGS -specstats -guardstats -dump > "$OUT/$APP.native" 2> "$OUT/$APP.stats"
+    if ! diff -q "$OUT/$APP.interp" "$OUT/$APP.native" >/dev/null; then
+      echo "FAIL: $APP ($ARGS) native state diverges from the interpreter:" >&2
+      diff "$OUT/$APP.interp" "$OUT/$APP.native" | head >&2
+      exit 1
+    fi
+  done
+  # The -speculate auto leg ran last.
+  if ! grep -qx "regions_declined 1" "$OUT/$APP.stats" || ! grep -qx "spec_regions 0" "$OUT/$APP.stats"; then
+    echo "FAIL: $APP: expected 'regions_declined 1' and 'spec_regions 0' in counters:" >&2
+    cat "$OUT/$APP.stats" >&2
+    exit 1
+  fi
+  echo "$APP: native == interpreter (serial + force + auto), region declined"
+done
+
+# Speculation: the emitted packages carry the journaled speculative
+# versions; check that both the commit path (specdisjoint: disjoint at run time, region
+# commits) and the abort path (specconflict: guaranteed violation,
+# rollback + serial rerun) reproduce the serial interpreter state byte
+# for byte, and that the -specstats counters show the expected outcome.
+wide_disjoint > "$OUT/specdisjoint-wide.mc"
+wide_conflict > "$OUT/specconflict-wide.mc"
+grep -q 'N = 4096' "$OUT/specdisjoint-wide.mc"
+grep -q 'mark(0)' "$OUT/specconflict-wide.mc"
+for APP in specdisjoint specconflict; do
+  DIR="$OUT/$APP-wide"
+  go run ./cmd/commutec -emit go -o "$DIR" "$OUT/$APP-wide.mc"
+  (cd "$DIR" && go vet . && canonical && go build -o app .)
+  go run ./cmd/commuterun -mode serial -dump "$OUT/$APP-wide.mc" > "$OUT/$APP.interp"
   for ARGS in "-mode serial" "-mode parallel -workers 4 -speculate force" "-mode parallel -workers 4 -speculate auto"; do
     # shellcheck disable=SC2086
     "$DIR/app" $ARGS -specstats -dump > "$OUT/$APP.native" 2> "$OUT/$APP.stats"
@@ -71,18 +110,17 @@ for APP in specdisjoint specconflict; do
     cat "$OUT/$APP.stats" >&2
     exit 1
   fi
-  echo "$APP: speculative native == interpreter (serial + force + auto), counters OK"
+  echo "$APP (wide): speculative native == interpreter (serial + force + auto), counters OK"
 done
 
-# Many regions: condhash mode 0 with 2000 rounds — every round a guarded
-# parallel region (a GSS loop and two spawns) entered on the run-wide
-# pool the first region started. Output and final state must match the
-# serial interpreter, and every guard must have taken the parallel path.
+# Many regions: the wide condhash in mode 0 with 2000 rounds — every
+# round a guarded parallel region (a GSS loop and two spawns) entered on
+# the run-wide pool the first region started. Output and final state must
+# match the serial interpreter, and every guard must have taken the
+# parallel path.
 ROUNDS=2000
-{
-  awk '/^const CondHashBase = `/{f=1;next} /^`/{f=0} f' internal/apps/src/cond.go
-  printf 'void main() {\n  int r;\n  H.setup(0);\n  for (r = 0; r < %d; r += 1) {\n    H.ingest(r);\n  }\n  H.report();\n}\n' "$ROUNDS"
-} > "$OUT/condhash.mc"
+wide_condhash 0 "$ROUNDS" > "$OUT/condhash.mc"
+grep -q 'NBUCKET = 4096' "$OUT/condhash.mc"
 DIR="$OUT/condhash"
 go run ./cmd/commutec -emit go -o "$DIR" "$OUT/condhash.mc"
 (cd "$DIR" && go vet . && canonical && go build -o app .)
@@ -93,8 +131,8 @@ if ! diff -q "$OUT/condhash.interp" "$OUT/condhash.native" >/dev/null; then
   diff "$OUT/condhash.interp" "$OUT/condhash.native" | head >&2
   exit 1
 fi
-if ! grep -qx "guard_parallel $ROUNDS" "$OUT/condhash.stats"; then
-  echo "FAIL: condhash x$ROUNDS: expected 'guard_parallel $ROUNDS' in counters:" >&2
+if ! grep -qx "guard_parallel $ROUNDS" "$OUT/condhash.stats" || ! grep -qx "regions_declined 0" "$OUT/condhash.stats"; then
+  echo "FAIL: condhash x$ROUNDS: expected 'guard_parallel $ROUNDS' and 'regions_declined 0' in counters:" >&2
   cat "$OUT/condhash.stats" >&2
   exit 1
 fi

@@ -61,15 +61,33 @@ echo "$ANALYZE" | grep -q '"speculation_eligible":true'
 echo "$ANALYZE" | grep -Eq '"confidence":0\.[0-9]+'
 echo "analyze confidence ok"
 
-# A runtime-disjoint rejected extent commits speculatively...
+# The built-in demonstrators' regions are a few hundred cost units,
+# under what a region costs to enter: even forced, the run declines
+# them and says so.
 RUN=$(curl -fs -X POST "http://$ADDR/v1/run" \
   -d '{"app":"specdisjoint","mode":"parallel","workers":4,"speculate":"force"}')
+echo "$RUN" | grep -q '"regions_declined":1'
+if echo "$RUN" | grep -q '"speculative_regions"'; then
+  echo "a region under the granularity cutoff was speculated" >&2
+  exit 1
+fi
+# What speculates is each demonstrator widened past the cutoff — the
+# shipped text with N at 4096, and for the conflict 4096 more mark calls
+# (scripts/wide_sources.sh) — sent as source.
+. scripts/wide_sources.sh
+DISJOINT=$(wide_disjoint | json_source)
+CONFLICT=$(wide_conflict | json_source)
+echo "$DISJOINT" | grep -q 'N = 4096'
+echo "$CONFLICT" | grep -q 'mark(0)'
+# A runtime-disjoint rejected extent commits speculatively...
+RUN=$(curl -fs -X POST "http://$ADDR/v1/run" \
+  -d '{"source":"'"$DISJOINT"'","mode":"parallel","workers":4,"speculate":"force"}')
 echo "$RUN" | grep -Eq '"speculation_commits":[1-9]'
 # ...and a genuinely conflicting one aborts, reruns serially, and still
 # produces the serial output (no serial_fallbacks: aborts are not
 # infrastructure fallbacks).
 RUN=$(curl -fs -X POST "http://$ADDR/v1/run" \
-  -d '{"app":"specconflict","mode":"parallel","workers":4,"speculate":"force"}')
+  -d '{"source":"'"$CONFLICT"'","mode":"parallel","workers":4,"speculate":"force"}')
 echo "$RUN" | grep -Eq '"speculation_aborts":[1-9]'
 echo "$RUN" | grep -q '"output":"2 3\\n"'
 if echo "$RUN" | grep -q '"serial_fallbacks"'; then
@@ -80,6 +98,7 @@ fi
 STATUS=$(curl -fs "http://$ADDR/statusz")
 echo "$STATUS" | grep -Eq '"speculation_commits":[1-9]'
 echo "$STATUS" | grep -Eq '"speculation_aborts":[1-9]'
+echo "$STATUS" | grep -Eq '"regions_declined":[1-9]'
 echo "speculation ok"
 
 # SIGTERM must drain and exit 0.
