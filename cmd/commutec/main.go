@@ -157,8 +157,12 @@ func main() {
 	var lines []string
 	for _, lp := range sys.Plan.Loops {
 		status := "parallel"
-		if !lp.Parallel {
+		switch {
+		case lp.Parallel:
+		case lp.Nested:
 			status = "suppressed (nested)"
+		default:
+			status = "serial (" + lp.Reason + ")"
 		}
 		lines = append(lines, fmt.Sprintf("loop in %-26s %s", lp.Name, status))
 	}
@@ -166,9 +170,13 @@ func main() {
 	for _, l := range lines {
 		fmt.Println(l)
 	}
-	fmt.Printf("%d found, %d suppressed, %d generated\n",
-		sys.Plan.LoopsFound, sys.Plan.LoopsSuppressed,
-		sys.Plan.LoopsFound-sys.Plan.LoopsSuppressed)
+	p := sys.Plan
+	refused := ""
+	if p.LoopsRefused > 0 {
+		refused = fmt.Sprintf(" %d refused,", p.LoopsRefused)
+	}
+	fmt.Printf("%d found, %d suppressed,%s %d generated\n",
+		p.LoopsFound, p.LoopsSuppressed, refused, p.LoopsFound-p.LoopsSuppressed-p.LoopsRefused)
 
 	// Region roots of the plan every execution runs, with the static
 	// work bound the granularity cutoff reads and which runtime's entry

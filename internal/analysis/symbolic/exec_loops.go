@@ -21,78 +21,12 @@ func (ex *executor) forStmt(st *ast.ForStmt) error {
 	return ex.unrollLoop(st)
 }
 
-// loopHeader matches `for (l = from; l < bound; l++/l += step)` and
-// returns the loop variable and the pieces. The loop variable must be a
-// local.
-func (ex *executor) loopHeader(st *ast.ForStmt) (v string, from, bound ast.Expr, step int64, ok bool) {
-	switch init := st.Init.(type) {
-	case *ast.DeclStmt:
-		v = init.Name
-		from = init.Init
-	case *ast.ExprStmt:
-		asn, isAsn := init.X.(*ast.Assign)
-		if !isAsn || asn.Op != token.ASSIGN {
-			return "", nil, nil, 0, false
-		}
-		id, isID := asn.LHS.(*ast.Ident)
-		if !isID || id.Sym != ast.SymLocal {
-			return "", nil, nil, 0, false
-		}
-		v = id.Name
-		from = asn.RHS
-	default:
-		return "", nil, nil, 0, false
-	}
-	if from == nil || st.Cond == nil || st.Post == nil {
-		return "", nil, nil, 0, false
-	}
-	cmp, isCmp := st.Cond.(*ast.Binary)
-	if !isCmp || cmp.Op != token.LT {
-		return "", nil, nil, 0, false
-	}
-	cid, isID := cmp.X.(*ast.Ident)
-	if !isID || cid.Name != v {
-		return "", nil, nil, 0, false
-	}
-	bound = cmp.Y
-	post, isPost := st.Post.(*ast.ExprStmt)
-	if !isPost {
-		return "", nil, nil, 0, false
-	}
-	pasn, isAsn := post.X.(*ast.Assign)
-	if !isAsn {
-		return "", nil, nil, 0, false
-	}
-	pid, isID := pasn.LHS.(*ast.Ident)
-	if !isID || pid.Name != v {
-		return "", nil, nil, 0, false
-	}
-	switch pasn.Op {
-	case token.PLUSEQ:
-		lit, isLit := pasn.RHS.(*ast.IntLit)
-		if !isLit {
-			return "", nil, nil, 0, false
-		}
-		step = lit.Value
-	case token.ASSIGN:
-		// l = l + step
-		add, isAdd := pasn.RHS.(*ast.Binary)
-		if !isAdd || add.Op != token.PLUS {
-			return "", nil, nil, 0, false
-		}
-		aid, isID := add.X.(*ast.Ident)
-		lit, isLit := add.Y.(*ast.IntLit)
-		if !isID || aid.Name != v || !isLit {
-			return "", nil, nil, 0, false
-		}
-		step = lit.Value
-	default:
-		return "", nil, nil, 0, false
-	}
-	if step <= 0 {
-		return "", nil, nil, 0, false
-	}
-	return v, from, bound, step, true
+// countedLocal is st's counted header (ast.MatchCountedLoop) when the
+// loop forms below can use it: the loop variable is a local and has an
+// initial value.
+func countedLocal(st *ast.ForStmt) (ast.CountedLoop, bool) {
+	h, ok := ast.MatchCountedLoop(st)
+	return h, ok && h.Var.Sym == ast.SymLocal && h.From != nil
 }
 
 // mentionsIdent reports whether the expression mentions the named
@@ -130,13 +64,14 @@ func singleStmt(s ast.Stmt) ast.Stmt {
 // with w an array holding an extent constant value, combined
 // elementwise).
 func (ex *executor) tryArrayForm(st *ast.ForStmt) (bool, error) {
-	v, from, _, step, ok := ex.loopHeader(st)
-	if !ok || step != 1 {
+	h, ok := countedLocal(st)
+	if !ok || h.Step != 1 {
 		return false, nil
 	}
-	if lit, isLit := from.(*ast.IntLit); !isLit || lit.Value != 0 {
+	if lit, isLit := h.From.(*ast.IntLit); !isLit || lit.Value != 0 {
 		return false, nil
 	}
+	v := h.Var.Name
 	body, ok := singleStmt(st.Body).(*ast.ExprStmt)
 	if !ok {
 		return false, nil
@@ -336,10 +271,11 @@ func (ex *executor) storeArray(name string, kind arrKind, v Expr) {
 // where the receiver and arguments are loop-invariant. The loop emits a
 // single loop-form MX expression.
 func (ex *executor) tryInvocationForm(st *ast.ForStmt) (bool, error) {
-	v, from, bound, step, ok := ex.loopHeader(st)
+	h, ok := countedLocal(st)
 	if !ok {
 		return false, nil
 	}
+	v := h.Var.Name
 	body, okB := singleStmt(st.Body).(*ast.ExprStmt)
 	if !okB {
 		return false, nil
@@ -359,11 +295,11 @@ func (ex *executor) tryInvocationForm(st *ast.ForStmt) (bool, error) {
 			return false, nil
 		}
 	}
-	fromE, err := ex.eval(from)
+	fromE, err := ex.eval(h.From)
 	if err != nil {
 		return false, err
 	}
-	boundE, err := ex.eval(bound)
+	boundE, err := ex.eval(h.Bound)
 	if err != nil {
 		return false, err
 	}
@@ -381,7 +317,7 @@ func (ex *executor) tryInvocationForm(st *ast.ForStmt) (bool, error) {
 			Var:  v,
 			From: Simplify(fromE),
 			To:   Simplify(boundE),
-			Step: Num{V: float64(step), IsInt: true},
+			Step: Num{V: float64(h.Step), IsInt: true},
 		},
 	})
 	return true, nil
@@ -389,12 +325,16 @@ func (ex *executor) tryInvocationForm(st *ast.ForStmt) (bool, error) {
 
 // unrollLoop executes a constant-bound loop by unrolling.
 func (ex *executor) unrollLoop(st *ast.ForStmt) error {
-	v, from, bound, step, ok := ex.loopHeader(st)
+	h, ok := countedLocal(st)
 	if !ok {
 		return ex.failf("loop not in a recognized form")
 	}
-	fromV, okF := ex.evalConstInt(from)
-	boundV, okB := ex.evalConstInt(bound)
+	v, step := h.Var.Name, h.Step
+	if ast.AssignedVars(st.Body)[v] {
+		return ex.failf("loop body assigns its variable %s", v)
+	}
+	fromV, okF := ex.evalConstInt(h.From)
+	boundV, okB := ex.evalConstInt(h.Bound)
 	if !okF || !okB {
 		return ex.failf("loop bounds are not compile-time constants")
 	}
@@ -405,16 +345,14 @@ func (ex *executor) unrollLoop(st *ast.ForStmt) error {
 	if iters > maxUnroll {
 		return ex.failf("loop too large to unroll (%d iterations)", iters)
 	}
-	// The loop variable may be a declared local or an existing one.
-	if _, isDecl := st.Init.(*ast.DeclStmt); isDecl {
-		ex.locals[v] = Num{V: float64(fromV), IsInt: true}
-	}
-	for i := fromV; i < boundV; i += step {
+	i := fromV
+	for ; i < boundV; i += step {
 		ex.locals[v] = Num{V: float64(i), IsInt: true}
 		if err := ex.stmt(st.Body); err != nil {
 			return err
 		}
 	}
-	ex.locals[v] = Num{V: float64(boundV), IsInt: true}
+	// What the serial loop leaves: fromV itself after no iteration.
+	ex.locals[v] = Num{V: float64(i), IsInt: true}
 	return nil
 }

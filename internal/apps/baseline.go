@@ -6,8 +6,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"commute"
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
@@ -193,18 +191,4 @@ func TraceWithReplication(sys *commute.System) (*tracer.Trace, error) {
 	plan := codegen.BuildWithOptions(sys.Analysis, codegen.Options{ReplicateAccumulators: true})
 	ip := interp.New(sys.Prog, nil)
 	return tracer.Collect(ip, plan)
-}
-
-// Describe returns a short human-readable description of a system's
-// analysis outcome (used by the examples).
-func Describe(sys *commute.System) string {
-	out := ""
-	for _, r := range sys.Reports() {
-		status := "serial"
-		if r.Parallel {
-			status = "PARALLEL"
-		}
-		out += fmt.Sprintf("%-28s %s\n", r.Method.FullName(), status)
-	}
-	return out
 }

@@ -1,0 +1,62 @@
+package src
+
+import (
+	"embed"
+	"fmt"
+	"strings"
+)
+
+// The parallel-loop legality fixtures, loops/*.mc: one skeleton, one
+// body for driver::run per fixture. cell::bump commutes with itself, so
+// driver::run is parallel whatever its body and its for loop is a
+// parallel-loop candidate; what differs is whether the iterations may
+// run out of order on private copies of the frame (codegen's
+// loopLegality). report prints a sum weighted by cell index, so a wrong
+// set of iterations, or the right ones on the wrong cells, shows in the
+// one printed number. The loops run to the field cnt, which bounds no
+// work estimate: every region opens on both runtimes.
+// scripts/wide_sources.sh assembles the same files.
+//
+//go:embed loops/*.mc
+var loopFiles embed.FS
+
+func loopFile(name string) string {
+	text, err := loopFiles.ReadFile("loops/" + name + ".mc")
+	if err != nil {
+		panic(err) // the files are compiled in
+	}
+	return string(text)
+}
+
+// LoopProgram is the skeleton over n cells with run as the statements of
+// driver::run (its locals are int i, k, n and cell *c).
+func LoopProgram(n int, run string) string {
+	s := strings.Replace(loopFile("skeleton"), "const int N = 64;", fmt.Sprintf("const int N = %d;", n), 1)
+	return strings.Replace(s, "  RUN\n", strings.Trim(run, "\n")+"\n", 1)
+}
+
+// LoopFixture is one legality fixture: its program, the loops of
+// driver::run the plan runs in parallel, and the reason it gives for
+// refusing the first one ("" when there is none to give).
+type LoopFixture struct {
+	Name, Source string
+	Parallel     int
+	Reason       string
+}
+
+// LoopFixtures lists the seven fixtures. carried runs over 4000 cells:
+// its helpers need the time to join.
+func LoopFixtures() []LoopFixture {
+	fx := func(name string, n, parallel int, reason string) LoopFixture {
+		return LoopFixture{name, LoopProgram(n, loopFile(name)), parallel, reason}
+	}
+	return []LoopFixture{
+		fx("skip", 64, 0, "body assigns loop variable i"),
+		fx("bound", 64, 0, "bound reads n, assigned in the body"),
+		fx("carried", 4000, 0, "k carried across iterations"),
+		fx("after", 64, 0, "c read after the loop"),
+		fx("final", 64, 2, ""),
+		fx("initop", 64, 0, "header is not a counted loop"),
+		fx("le", 64, 0, "header is not a counted loop"),
+	}
+}

@@ -7,7 +7,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"commute"
@@ -239,25 +238,6 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // secs converts simulated microseconds to seconds.
 func secs(us float64) string { return fmt.Sprintf("%.3f", us/1e6) }
-
-// sortedKeys returns map keys sorted (generic helper for stable output).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// simSeries simulates a trace at every configured processor count.
-func (r *Runner) simSeries(tr *tracer.Trace) map[int]*simdash.Result {
-	out := make(map[int]*simdash.Result, len(r.Cfg.Procs))
-	for _, p := range r.Cfg.Procs {
-		out[p] = simdash.Simulate(tr, simdash.DefaultParams(p))
-	}
-	return out
-}
 
 // serialMicros returns the pure serial execution time of a trace (no
 // parallel overheads at all).

@@ -94,7 +94,7 @@ func (r *Runner) Table2() (string, error) {
 	out += "\npaper: Velocity 5/3/5/1, Force 9/6/17/4, Position 8/3/5/1 (aux/size/indep/symbolic)\n"
 	plan := sys.Plan
 	out += fmt.Sprintf("parallel loops: %d found, %d nested suppressed, %d generated (paper: 5 found, 2 suppressed, 3 generated)\n",
-		plan.LoopsFound, plan.LoopsSuppressed, plan.LoopsFound-plan.LoopsSuppressed)
+		plan.LoopsFound, plan.LoopsSuppressed, plan.LoopsFound-plan.LoopsSuppressed-plan.LoopsRefused)
 	return out, nil
 }
 

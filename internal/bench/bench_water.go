@@ -30,7 +30,7 @@ func (r *Runner) Table8() (string, error) {
 	out += "\npaper: Virtual 9/3/5/1, Energy 1/5/14/1, Loading 5/2/2/1, Forces 3/4/9/1, Momenta 2/2/2/1\n"
 	plan := sys.Plan
 	out += fmt.Sprintf("parallel loops: %d found, %d nested suppressed, %d generated (paper: 7 found, 2 suppressed, 5 generated)\n",
-		plan.LoopsFound, plan.LoopsSuppressed, plan.LoopsFound-plan.LoopsSuppressed)
+		plan.LoopsFound, plan.LoopsSuppressed, plan.LoopsFound-plan.LoopsSuppressed-plan.LoopsRefused)
 	return out, nil
 }
 

@@ -107,7 +107,9 @@ func (p *Plan) AnnotationsJSON() ([]byte, error) {
 
 // ApplyAnnotations reconstructs an executable Plan from an annotation
 // file and the (re-parsed, re-checked) program — the paper's separate
-// code generation pass.
+// code generation pass. The file is outside input: what it says of a
+// loop is held against the program, and marking parallel a loop that is
+// not a legal candidate there is an error.
 func ApplyAnnotations(prog *types.Program, a *Annotations) (*Plan, error) {
 	p := &Plan{
 		Prog:            prog,
@@ -147,6 +149,7 @@ func ApplyAnnotations(prog *types.Program, a *Annotations) (*Plan, error) {
 	}
 
 	// Re-address loops by (method, line).
+	var loopErr error
 	loopAt := make(map[string]*LoopAnnotation, len(a.Loops))
 	for i := range a.Loops {
 		la := &a.Loops[i]
@@ -163,21 +166,34 @@ func ApplyAnnotations(prog *types.Program, a *Annotations) (*Plan, error) {
 				return true
 			}
 			key := fmt.Sprintf("%s:%d", method.FullName(), fs.Pos().Line)
-			if la, found := loopAt[key]; found {
-				p.Loops[fs] = &LoopPlan{
-					Method:   method,
-					Stmt:     fs,
-					Parallel: la.Parallel,
-					Nested:   la.Nested,
-					Name:     method.FullName(),
-				}
-				return false
+			la, found := loopAt[key]
+			if !found {
+				return true
 			}
-			return true
+			lp := p.candidateLoop(method, fs)
+			switch {
+			case lp == nil:
+				loopErr = fmt.Errorf("annotated loop at %s is not a parallel-loop candidate", key)
+			case la.Parallel && lp.Reason != "":
+				loopErr = fmt.Errorf("annotations mark the loop at %s parallel: %s", key, lp.Reason)
+			default:
+				lp.Parallel, lp.Nested = la.Parallel, la.Nested
+				if !lp.Parallel {
+					p.LoopsRefused++ // every serial loop; the suppressed ones come off below
+				}
+				p.Loops[fs] = lp
+			}
+			return false
 		})
+	}
+	if loopErr != nil {
+		return nil, loopErr
 	}
 	if len(p.Loops) != len(a.Loops) {
 		return nil, fmt.Errorf("resolved %d of %d annotated loops (source drift?)", len(p.Loops), len(a.Loops))
+	}
+	if p.LoopsRefused -= a.LoopsSuppressed; p.LoopsRefused < 0 {
+		return nil, fmt.Errorf("annotations count %d suppressed loops, more than the loops they leave serial", a.LoopsSuppressed)
 	}
 
 	for _, name := range a.LockedClasses {

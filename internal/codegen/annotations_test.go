@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"strings"
 	"testing"
 
 	"commute/internal/apps/src"
@@ -77,6 +78,64 @@ func TestAnnotationsRoundTrip(t *testing.T) {
 		}
 		if r.Stats.Regions == 0 {
 			t.Error("reconstructed plan opened no parallel regions")
+		}
+	}
+}
+
+// TestAnnotationsAreOutsideInput: what an annotation file says of a loop
+// is held against the program it is applied to — marking an illegal
+// loop parallel, or addressing a parallel decision at a loop that is not
+// counted, is an error, not a plan.
+func TestAnnotationsAreOutsideInput(t *testing.T) {
+	twoLoops := src.LoopProgram(64, `
+  for (i = 0; i < cnt; i += 1) {
+    cells[i]->bump(1);
+  }
+  for (i = 0; i <= cnt - 1; i += 1) {
+    cells[i]->bump(1);
+  }`)
+	for _, tc := range []struct {
+		name, source string
+		edit         func(a *codegen.Annotations)
+		want         string // "" for accepted
+	}{
+		{"unedited", twoLoops, func(*codegen.Annotations) {}, ""},
+		{"illegal loop marked parallel", src.LoopFixtures()[0].Source, // skip
+			func(a *codegen.Annotations) { a.Loops[0].Parallel = true },
+			"body assigns loop variable i"},
+		{"line moved to a loop that is not counted", twoLoops,
+			func(a *codegen.Annotations) {
+				a.Loops[0].Line = a.Loops[1].Line
+				a.Loops = a.Loops[:1]
+			},
+			"header is not a counted loop"},
+	} {
+		_, plan := buildPlan(t, tc.source)
+		data, err := plan.AnnotationsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ann, err := codegen.ParseAnnotations(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(ann)
+		prog2, _ := buildPlan(t, tc.source)
+		plan2, err := codegen.ApplyAnnotations(prog2, ann)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want == "":
+			if plan2.LoopsRefused != plan.LoopsRefused || plan2.LoopsRefused != 1 {
+				t.Errorf("%s: %d loops refused after the round trip, %d before, want 1", tc.name, plan2.LoopsRefused, plan.LoopsRefused)
+			}
+			for _, lp := range plan2.Loops {
+				if lp.Parallel != (lp.Reason == "") || lp.Parallel && lp.Header.Var == nil {
+					t.Errorf("%s: loop at %s: parallel %t, reason %q, header %+v", tc.name, lp.Stmt.Pos(), lp.Parallel, lp.Reason, lp.Header)
+				}
+			}
+		case err == nil || !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
 }

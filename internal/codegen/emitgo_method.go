@@ -12,7 +12,6 @@ import (
 
 	"commute/internal/analysis/effects"
 	"commute/internal/frontend/ast"
-	"commute/internal/frontend/token"
 	"commute/internal/frontend/types"
 )
 
@@ -572,17 +571,15 @@ func blockTerminates(s ast.Stmt) bool {
 // ---------------------------------------------------------------------
 // Loops
 
-// forStmt lowers a for loop. Planned-parallel counted loops compile to
+// forStmt lowers a for loop. The plan's parallel loops compile to
 // nativert.GSS in parallel-context modes; everything else is a serial
 // Go loop (init before, condition re-evaluated, post at the body end —
 // the interpreter's serial execution order).
 func (c *fnCtx) forStmt(fs *ast.ForStmt) {
 	if c.mode == mP || c.mode == mQ {
 		if lp := c.e.plan.Loops[fs]; lp != nil && lp.Parallel {
-			if info, ok := c.e.staticCounted(fs); ok {
-				c.gssLoop(fs, info)
-				return
-			}
+			c.gssLoop(fs, lp.Header)
+			return
 		}
 	}
 	if fs.Init != nil {
@@ -602,93 +599,6 @@ func (c *fnCtx) forStmt(fs *ast.ForStmt) {
 	c.line("}")
 }
 
-// countedInfo is the static half of the interpreter's counted-loop
-// match (interp.matchCountedLoop) plus the type facts that make the
-// runtime half (loop variable holds an int, bound evaluates to an int)
-// unconditional: both are declared int.
-type countedInfo struct {
-	name  string // loop variable (frame-unique name)
-	bound ast.Expr
-	step  int64
-}
-
-// staticCounted decides at generation time exactly what the
-// interpreter decides at run time for `for (v = ...; v < bound; v +=
-// step)`. Declared-int variables always hold KInt and int-typed pure
-// bounds always evaluate to KInt, so the static match is equivalent —
-// the generated program takes the GSS path precisely when the
-// interpreter's parallel dispatcher would.
-func (e *goEmitter) staticCounted(fs *ast.ForStmt) (countedInfo, bool) {
-	var info countedInfo
-	intType := func(t types.Type) bool {
-		b, ok := t.(types.Basic)
-		return ok && b == types.Int
-	}
-	switch init := fs.Init.(type) {
-	case *ast.DeclStmt:
-		if !intType(e.prog.DeclType[init]) {
-			return info, false
-		}
-		info.name = init.Name
-	case *ast.ExprStmt:
-		asn, ok := init.X.(*ast.Assign)
-		if !ok || asn.Op != token.ASSIGN {
-			return info, false
-		}
-		id, ok := asn.LHS.(*ast.Ident)
-		if !ok || (id.Sym != ast.SymLocal && id.Sym != ast.SymParam) || !intType(e.prog.TypeOf(id)) {
-			return info, false
-		}
-		info.name = id.Name
-	default:
-		return info, false
-	}
-	cmp, ok := fs.Cond.(*ast.Binary)
-	if !ok || cmp.Op != token.LT {
-		return info, false
-	}
-	cid, ok := cmp.X.(*ast.Ident)
-	if !ok || (cid.Sym != ast.SymLocal && cid.Sym != ast.SymParam) || cid.Name != info.name {
-		return info, false
-	}
-	if !goPureExpr(cmp.Y) || !intType(e.prog.TypeOf(cmp.Y)) {
-		return info, false
-	}
-	info.bound = cmp.Y
-	post, ok := fs.Post.(*ast.ExprStmt)
-	if !ok {
-		return info, false
-	}
-	pasn, ok := post.X.(*ast.Assign)
-	if !ok || pasn.Op != token.PLUSEQ {
-		return info, false
-	}
-	pid, ok := pasn.LHS.(*ast.Ident)
-	if !ok || (pid.Sym != ast.SymLocal && pid.Sym != ast.SymParam) || pid.Name != info.name {
-		return info, false
-	}
-	lit, ok := pasn.RHS.(*ast.IntLit)
-	if !ok || lit.Value <= 0 {
-		return info, false
-	}
-	info.step = lit.Value
-	return info, true
-}
-
-// goPureExpr mirrors interp.pureExpr: no calls, assignments, or
-// allocations.
-func goPureExpr(x ast.Expr) bool {
-	pure := true
-	ast.Inspect(x, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.CallExpr, *ast.Assign, *ast.NewExpr:
-			pure = false
-		}
-		return pure
-	})
-	return pure
-}
-
 // gssLoop compiles a planned-parallel counted loop to guided
 // self-scheduling. Mirrors rt.parallelLoop + rt's loop hook:
 //   - the extent lock is released first when the plan says so,
@@ -697,9 +607,15 @@ func goPureExpr(x ast.Expr) bool {
 //   - each claimant gets one private copy of the frame variables the
 //     body touches (the interpreter's per-claimant iteration frame),
 //   - the body runs in iteration-context mode (mI dispatch),
-//   - afterwards the loop variable holds the bound and the post
+//   - afterwards the loop variable holds what the serial loop leaves in
+//     it (rtkit.LoopExit, the interpreter's function); the post
 //     statement never runs.
-func (c *fnCtx) gssLoop(fs *ast.ForStmt, info countedInfo) {
+//
+// The header is the plan's: a declared-int variable always holds an int
+// and a pure int bound always evaluates to one, so the interpreter's
+// run-time half of the offer never fails for a loop the plan calls
+// parallel, and both runtimes run the same loops.
+func (c *fnCtx) gssLoop(fs *ast.ForStmt, h ast.CountedLoop) {
 	if fs.Init != nil {
 		c.stmt(fs.Init)
 	}
@@ -722,24 +638,24 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, info countedInfo) {
 	loopVarUsed := false
 	var copies []string
 	for _, name := range used {
-		if name == info.name {
+		if name == h.Var.Name {
 			loopVarUsed = true
 		}
 		copies = append(copies, "v_"+name)
 	}
 	c.line("{")
 	c.indent++
-	c.line("var gssTo_ int64 = %s", c.expr(info.bound, 1))
+	c.line("var gssTo_ int64 = %s", c.expr(h.Bound, 1))
 	if c.spec {
 		// rt's speculative loops: one fresh journal per claimant, taken
 		// by the claimant; the factory parameter shadows the enclosing
 		// task's sj_ so the iteration body journals into the claimant's
 		// own log.
 		c.line("nativert.SpecGSS(w, sr_, %q, %q, cfgWorkers, v_%s, gssTo_, %d, func(sj_ *nativert.SpecJournal) func(int64) {",
-			c.m.FullName(), fs.Pos().String(), info.name, info.step)
+			c.m.FullName(), fs.Pos().String(), h.Var.Name, h.Step)
 	} else {
 		c.line("nativert.GSSOn(w, %q, %q, cfgWorkers, v_%s, gssTo_, %d, func() func(int64) {",
-			c.m.FullName(), fs.Pos().String(), info.name, info.step)
+			c.m.FullName(), fs.Pos().String(), h.Var.Name, h.Step)
 	}
 	c.indent++
 	if len(copies) > 0 {
@@ -749,7 +665,7 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, info countedInfo) {
 	c.line("return func(gssI_ int64) {")
 	c.indent++
 	if loopVarUsed {
-		c.line("v_%s = gssI_", info.name)
+		c.line("v_%s = gssI_", h.Var.Name)
 	}
 	sub := &fnCtx{e: c.e, m: c.m, mp: c.mp, mode: mI, spec: c.spec, indent: c.indent, tmp: c.tmp}
 	subEmit(sub, c, fs.Body)
@@ -757,7 +673,7 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, info countedInfo) {
 	c.line("}")
 	c.indent--
 	c.line("})")
-	c.line("v_%s = gssTo_", info.name)
+	c.line("v_%[1]s = rtkit.LoopExit(v_%[1]s, gssTo_, %d)", h.Var.Name, h.Step)
 	c.indent--
 	c.line("}")
 }

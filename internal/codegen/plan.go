@@ -8,6 +8,7 @@
 package codegen
 
 import (
+	"maps"
 	"sort"
 	"sync/atomic"
 
@@ -15,6 +16,7 @@ import (
 	"commute/internal/cond"
 	"commute/internal/core"
 	"commute/internal/frontend/ast"
+	"commute/internal/frontend/token"
 	"commute/internal/frontend/types"
 )
 
@@ -109,15 +111,26 @@ const (
 	concYes = 2
 )
 
-// LoopPlan is the decision for one for loop in a parallel method.
+// LoopPlan is the decision for one candidate loop: a for loop in a
+// parallel method whose body is local bookkeeping and invocations of
+// parallel methods (§5.1). Whether a for statement runs as a parallel
+// loop is decided here and nowhere else: both runtimes, the tracer and
+// the printers read it. Final when the builder returns.
 type LoopPlan struct {
 	Method *types.Method
 	Stmt   *ast.ForStmt
 	// Parallel is true when the loop executes with guided
-	// self-scheduling; false when the §5.2 heuristic suppressed it
-	// (dynamically nested inside another parallel loop).
+	// self-scheduling: it is legal (Reason is empty) and the §5.2
+	// heuristic did not suppress it (Nested: dynamically nested inside
+	// another candidate loop).
 	Parallel bool
 	Nested   bool
+	// Header is the loop's counted header — variable, bound and step of
+	// the iteration space the runtimes hand out — zero when it has none.
+	// Reason says why a candidate may not run its iterations out of
+	// order (loopLegality); such a loop is serial under every option.
+	Header ast.CountedLoop
+	Reason string
 	// Name labels the loop for reports (enclosing method name).
 	Name string
 }
@@ -130,9 +143,12 @@ type Plan struct {
 	Loops   map[*ast.ForStmt]*LoopPlan
 
 	// LoopsFound and LoopsSuppressed reproduce the §6.2.2/§6.3.2
-	// statistics (loops detected vs. nested loops suppressed).
+	// statistics (candidate loops detected vs. nested loops suppressed);
+	// LoopsRefused counts the candidates left that are not legal, so
+	// found - suppressed - refused loops are Parallel.
 	LoopsFound      int
 	LoopsSuppressed int
+	LoopsRefused    int
 
 	// LockedClasses lists the classes whose declarations keep a
 	// mutual-exclusion lock after the §5.4.1 elimination.
@@ -146,7 +162,7 @@ type Options struct {
 	// operations are spawned/locked individually.
 	DisableHoisting bool
 	// DisableSuppression turns off the §5.2 suppression of nested
-	// concurrency: dynamically nested parallel loops stay parallel.
+	// concurrency: dynamically nested legal loops stay parallel.
 	DisableSuppression bool
 	// ReplicateAccumulators enables the §6.3.4 optimization: operations
 	// whose receiver writes are pure commutative accumulations execute
@@ -481,8 +497,7 @@ func (p *Plan) findLoops(a *core.Analysis, inPar map[*types.Method]*core.MethodR
 			if !ok {
 				return true
 			}
-			if p.loopBodyParallelizable(m, fs) {
-				lp := &LoopPlan{Method: m, Stmt: fs, Name: m.FullName()}
+			if lp := p.candidateLoop(m, fs); lp != nil {
 				candidates = append(candidates, lp)
 				p.Loops[fs] = lp
 				return false // do not doubly classify nested loops
@@ -527,9 +542,13 @@ func (p *Plan) findLoops(a *core.Analysis, inPar map[*types.Method]*core.MethodR
 		}
 	}
 	for _, lp := range candidates {
-		lp.Parallel = !lp.Nested || p.Opt.DisableSuppression
-		if lp.Nested && !p.Opt.DisableSuppression {
+		switch {
+		case lp.Nested && !p.Opt.DisableSuppression:
 			p.LoopsSuppressed++
+		case lp.Reason != "":
+			p.LoopsRefused++
+		default:
+			lp.Parallel = true
 		}
 	}
 }
@@ -654,6 +673,148 @@ func loopCallees(prog *types.Program, fs *ast.ForStmt) []*types.Method {
 		return true
 	})
 	return out
+}
+
+// candidateLoop returns the plan entry of a for loop of m that is a
+// parallel-loop candidate, its legality decided (Header or Reason); nil
+// when the body is not that of a candidate.
+func (p *Plan) candidateLoop(m *types.Method, fs *ast.ForStmt) *LoopPlan {
+	if !p.loopBodyParallelizable(m, fs) {
+		return nil
+	}
+	lp := &LoopPlan{Method: m, Stmt: fs, Name: m.FullName()}
+	lp.Header, lp.Reason = p.loopLegality(m, fs)
+	return lp
+}
+
+// loopLegality decides whether the iterations of a candidate loop may
+// run in any order, each claimant on its own copy of the frame, and
+// still leave what the serial loop leaves — the paper's "the loop body
+// contains only invocations" for bodies that also keep locals. It
+// returns the counted header, and the reason when the answer is no:
+//
+//   - the header is `v = a; v < b; v += s` (ast.MatchCountedLoop) with v
+//     an int and b a pure int expression that does not read v;
+//   - the body assigns neither v nor a local b reads, so the iteration
+//     space is what the header says;
+//   - every local the body assigns is assigned on every path before the
+//     body reads it (no iteration sees another's value) and is read
+//     nowhere else in the method (nobody sees the last iteration's). A
+//     read ahead of the loop counts: an enclosing loop puts it after. A
+//     plain store outside the body is harmless.
+//
+// loopBodyParallelizable has limited the body to blocks, declarations,
+// expression statements and ifs, and its assignments to locals.
+func (p *Plan) loopLegality(m *types.Method, fs *ast.ForStmt) (ast.CountedLoop, string) {
+	isInt := func(e ast.Expr) bool { return p.Prog.TypeOf(e) == types.Int }
+	h, ok := ast.MatchCountedLoop(fs)
+	if !ok || !isInt(h.Var) || !ast.Pure(h.Bound) || !isInt(h.Bound) ||
+		firstVar(h.Bound, func(name string) bool { return name == h.Var.Name }) != "" {
+		return ast.CountedLoop{}, "header is not a counted loop"
+	}
+	assigned := ast.AssignedVars(fs.Body)
+	if len(assigned) == 0 {
+		return h, "" // invocations only: nothing to carry, nothing to leave
+	}
+	if assigned[h.Var.Name] {
+		return h, "body assigns loop variable " + h.Var.Name
+	}
+	if name := firstVar(h.Bound, func(name string) bool { return assigned[name] }); name != "" {
+		return h, "bound reads " + name + ", assigned in the body"
+	}
+	if name := carried(fs.Body, assigned); name != "" {
+		return h, name + " carried across iterations"
+	}
+	// The rest of the method, in source order: a plain store is walked
+	// past its target, the loop body not at all.
+	reason, after := "", false
+	var outside func(n ast.Node) bool
+	outside = func(n ast.Node) bool {
+		if n == ast.Node(fs.Body) {
+			after = true
+			return false
+		}
+		switch x := n.(type) {
+		case *ast.Assign:
+			if _, plain := x.LHS.(*ast.Ident); plain && x.Op == token.ASSIGN {
+				ast.Inspect(x.RHS, outside)
+				return false
+			}
+		case *ast.Ident:
+			if reason == "" && assigned[x.Name] && (x.Sym == ast.SymLocal || x.Sym == ast.SymParam) {
+				reason = x.Name + " read before the loop"
+				if after {
+					reason = x.Name + " read after the loop"
+				}
+			}
+		}
+		return true
+	}
+	ast.Inspect(m.Def.Body, outside)
+	return h, reason
+}
+
+// firstVar returns the name of the first local or parameter n mentions
+// whose name satisfies is, "" when there is none.
+func firstVar(n ast.Node, is func(name string) bool) string {
+	name := ""
+	ast.Inspect(n, func(m ast.Node) bool {
+		id, ok := m.(*ast.Ident)
+		if ok && name == "" && (id.Sym == ast.SymLocal || id.Sym == ast.SymParam) && is(id.Name) {
+			name = id.Name
+		}
+		return name == ""
+	})
+	return name
+}
+
+// carried returns the first local of assigned that the loop body may
+// read before the same iteration has assigned it — a value carried from
+// one iteration to the next — or "". Only a declaration and a plain
+// assignment statement assign definitely; an if assigns what both of
+// its arms assign.
+func carried(body ast.Stmt, assigned map[string]bool) string {
+	name := ""
+	read := func(e ast.Expr, def map[string]bool) {
+		if name == "" {
+			name = firstVar(e, func(v string) bool { return assigned[v] && !def[v] })
+		}
+	}
+	var stmt func(s ast.Stmt, def map[string]bool)
+	stmt = func(s ast.Stmt, def map[string]bool) {
+		switch st := s.(type) {
+		case *ast.Block:
+			for _, sub := range st.Stmts {
+				stmt(sub, def)
+			}
+		case *ast.DeclStmt:
+			if st.Init != nil {
+				read(st.Init, def)
+			}
+			def[st.Name] = true
+		case *ast.ExprStmt:
+			if asn, ok := st.X.(*ast.Assign); ok && asn.Op == token.ASSIGN {
+				if id, ok := asn.LHS.(*ast.Ident); ok {
+					read(asn.RHS, def)
+					def[id.Name] = true
+					return
+				}
+			}
+			read(st.X, def)
+		case *ast.IfStmt:
+			read(st.Cond, def)
+			then, els := maps.Clone(def), maps.Clone(def)
+			stmt(st.Then, then)
+			if st.Else != nil {
+				stmt(st.Else, els)
+			}
+			for v := range then {
+				def[v] = def[v] || els[v]
+			}
+		}
+	}
+	stmt(body, make(map[string]bool))
+	return name
 }
 
 // loopBodyParallelizable reports whether a loop body consists only of

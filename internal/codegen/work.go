@@ -14,11 +14,11 @@ package codegen
 // the target) and differs from a real run only where it must guess:
 //   - an if costs its condition plus the dearer branch, and && and ||
 //     always evaluate both operands;
-//   - a for whose header is `v = a; v < b; v += s` with a, b int
-//     literals or named constants, s a positive literal and v not
-//     assigned in the body runs ceil((b-a)/s) times; every other for,
-//     every while, and every method on or reaching a call cycle is
-//     unbounded;
+//   - a for with the counted header `v = a; v < b; v += s`
+//     (ast.MatchCountedLoop), a and b int literals or named constants
+//     and v not assigned in the body runs ceil((b-a)/s) times; every
+//     other for, every while, and every method on or reaching a call
+//     cycle is unbounded;
 //   - a return is taken to fall through (the statements after it count).
 //
 // Arithmetic saturates at WorkUnbounded, so a product of constant trip
@@ -61,14 +61,6 @@ func methodWork(a *core.Analysis) []int64 {
 type workPass struct {
 	prog *types.Program
 	work []int64 // 0: not visited; workVisiting: on the walk's stack
-	// loops are the counted loops whose bodies the walk is inside: an
-	// assignment to one's variable there makes its trip count unknown.
-	loops []countedVar
-}
-
-type countedVar struct {
-	name     string
-	assigned bool
 }
 
 // workVisiting marks a method whose body is being walked; a call that
@@ -105,10 +97,7 @@ func (w *workPass) method(m *types.Method) int64 {
 		return WorkUnbounded
 	}
 	w.work[m.ID] = workVisiting
-	outer := w.loops
-	w.loops = nil // a callee's locals are not the caller's loop variables
 	c := satAdd(interp.CostCall, w.stmt(m.Def.Body))
-	w.loops = outer
 	w.work[m.ID] = c
 	return c
 }
@@ -154,94 +143,45 @@ func (w *workPass) stmt(s ast.Stmt) int64 {
 // forStmt bounds a for loop past its own statement unit: the init once,
 // condition, body and post per trip, and the condition that ends it.
 func (w *workPass) forStmt(st *ast.ForStmt) int64 {
-	var c int64
+	var c, cond, post int64
 	if st.Init != nil {
 		c = w.stmt(st.Init)
 	}
-	name, trips, counted := w.countedLoop(st)
-	var cond, post int64
 	if st.Cond != nil {
 		cond = w.expr(st.Cond)
 	}
-	w.loops = append(w.loops, countedVar{name: name})
 	body := w.stmt(st.Body)
-	assigned := w.loops[len(w.loops)-1].assigned
-	w.loops = w.loops[:len(w.loops)-1]
 	if st.Post != nil {
 		post = w.stmt(st.Post)
 	}
-	if !counted || assigned {
+	trips, ok := w.trips(st)
+	if !ok {
 		return WorkUnbounded
 	}
 	trip := satAdd(cond, satAdd(body, post))
 	return satAdd(c, satAdd(satMul(trip, trips), cond))
 }
 
-// countedLoop matches `v = a; v < b; v += s` — the shape of
-// interp.matchCountedLoop — with a and b int literals or named
-// constants, and returns v and the trip count.
-func (w *workPass) countedLoop(st *ast.ForStmt) (name string, trips int64, ok bool) {
-	var from ast.Expr
-	switch init := st.Init.(type) {
-	case *ast.DeclStmt:
-		name, from = init.Name, init.Init
-	case *ast.ExprStmt:
-		asn, isA := init.X.(*ast.Assign)
-		if !isA || asn.Op != token.ASSIGN {
-			return "", 0, false
-		}
-		if name, ok = frameVar(asn.LHS); !ok {
-			return "", 0, false
-		}
-		from = asn.RHS
-	default:
-		return "", 0, false
+// trips is the trip count of a counted loop from and to compile-time
+// constants whose body leaves the loop variable alone.
+func (w *workPass) trips(st *ast.ForStmt) (int64, bool) {
+	h, ok := ast.MatchCountedLoop(st)
+	if !ok || h.From == nil {
+		return 0, false
 	}
-	cmp, isC := st.Cond.(*ast.Binary)
-	if !isC || cmp.Op != token.LT {
-		return "", 0, false
-	}
-	if v, isV := frameVar(cmp.X); !isV || v != name {
-		return "", 0, false
-	}
-	post, isP := st.Post.(*ast.ExprStmt)
-	if !isP {
-		return "", 0, false
-	}
-	pasn, isA := post.X.(*ast.Assign)
-	if !isA || pasn.Op != token.PLUSEQ {
-		return "", 0, false
-	}
-	if v, isV := frameVar(pasn.LHS); !isV || v != name {
-		return "", 0, false
-	}
-	step, isL := pasn.RHS.(*ast.IntLit)
-	if !isL || step.Value <= 0 {
-		return "", 0, false
-	}
-	a, okA := w.constInt(from)
-	b, okB := w.constInt(cmp.Y)
-	if !okA || !okB {
-		return "", 0, false
+	a, okA := w.constInt(h.From)
+	b, okB := w.constInt(h.Bound)
+	if !okA || !okB || ast.AssignedVars(st.Body)[h.Var.Name] {
+		return 0, false
 	}
 	if b <= a {
-		return name, 0, true
+		return 0, true
 	}
 	span := b - a
 	if span < 0 { // b - a overflowed
-		return "", 0, false
+		return 0, false
 	}
-	return name, (span-1)/step.Value + 1, true
-}
-
-// frameVar names the local or parameter e is, if it is one. Names are
-// unique within a frame (the dialect has no shadowing).
-func frameVar(e ast.Expr) (string, bool) {
-	id, ok := e.(*ast.Ident)
-	if !ok || (id.Sym != ast.SymLocal && id.Sym != ast.SymParam) {
-		return "", false
-	}
-	return id.Name, true
+	return (span-1)/h.Step + 1, true
 }
 
 // constInt evaluates an int literal or a named int constant.
@@ -279,14 +219,6 @@ func (w *workPass) expr(e ast.Expr) int64 {
 		}
 		// The store evaluates the target's subexpressions only.
 		switch lhs := x.LHS.(type) {
-		case *ast.Ident:
-			if name, ok := frameVar(lhs); ok {
-				for i := range w.loops {
-					if w.loops[i].name == name {
-						w.loops[i].assigned = true
-					}
-				}
-			}
 		case *ast.FieldAccess:
 			c = satAdd(c, w.expr(lhs.X))
 		case *ast.IndexExpr:

@@ -183,9 +183,6 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// IsValid reports whether the position has been set.
-func (p Pos) IsValid() bool { return p.Line > 0 }
-
 // Token is a single lexical token with its source position.
 type Token struct {
 	Kind Kind

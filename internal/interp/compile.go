@@ -25,6 +25,7 @@ import (
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/token"
 	"commute/internal/frontend/types"
+	"commute/rtkit"
 )
 
 // exprFn evaluates an expression against a frame.
@@ -60,9 +61,17 @@ type compiler struct {
 	// branches on the hot path. Cost sealing is identical in both
 	// passes, so traces stay bit-for-bit comparable.
 	mon bool
-	// loops receives compiled loop bodies for RunLoopIteration
+	// loops receives the offered counted loops for RunLoopIteration
 	// (res.loopBodies or res.loopBodiesMon, per pass).
-	loops map[*ast.ForStmt]stmtFn
+	loops map[*ast.ForStmt]loopBody
+}
+
+// loopBody is what RunLoopIteration needs of a counted loop the engines
+// offer to Ctx.ForLoop: the frame slot of the loop variable and the
+// compiled body.
+type loopBody struct {
+	slot int32
+	body stmtFn
 }
 
 func (c *compiler) compileMethod(m *types.Method) *compiledMethod {
@@ -1216,12 +1225,12 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 	return func(fr *Frame) (flow, error) { return flowNext, err }
 }
 
-// compileFor lowers a for loop. Canonical counted loops are matched at
-// compile time; the residual runtime checks (an int loop variable and
-// an error-free int bound) mirror the walker's countedLoop before the
-// loop is offered to the ForLoop dispatcher. The compiled body is also
-// registered in res.loopBodies so RunLoopIteration executes parallel
-// iterations through the compiled form.
+// compileFor lowers a for loop. The counted header is matched here,
+// once (the walker's countedLoop is the same test); the run-time half —
+// an int loop variable and an error-free int bound — is checked before
+// the loop is offered to the ForLoop dispatcher. An offered loop is also
+// registered in c.loops, slot and compiled body, so RunLoopIteration
+// executes parallel iterations without matching again.
 func (c *compiler) compileFor(st *ast.ForStmt, ms *methodSlots) stmtFn {
 	var initFn stmtFn
 	if st.Init != nil {
@@ -1232,16 +1241,19 @@ func (c *compiler) compileFor(st *ast.ForStmt, ms *methodSlots) stmtFn {
 		condS = c.sealedExpr(st.Cond)
 	}
 	bodyFn := c.compileStmt(st.Body, ms)
-	c.loops[st] = bodyFn
 	var postFn stmtFn
 	if st.Post != nil {
 		postFn = c.compileStmt(st.Post, ms)
 	}
-	shape, matched := matchCountedLoop(st)
+	h, matched := ast.MatchCountedLoop(st)
+	matched = matched && ast.Pure(h.Bound)
 	var boundS exprFn
+	var slot int32
 	if matched {
-		boundS = c.sealedExpr(shape.bound)
+		slot, boundS = h.Var.Slot, c.sealedExpr(h.Bound)
+		c.loops[st] = loopBody{slot: slot, body: bodyFn}
 	}
+	step := h.Step
 	return func(fr *Frame) (flow, error) {
 		ctx := fr.ctx
 		ctx.charge(CostStmt)
@@ -1254,19 +1266,19 @@ func (c *compiler) compileFor(st *ast.ForStmt, ms *methodSlots) stmtFn {
 				return fl, err
 			}
 		}
-		if ctx.ForLoop != nil && matched && fr.vars[shape.slot].kind == KInt {
-			from := int64(fr.vars[shape.slot].num)
+		if ctx.ForLoop != nil && matched && fr.vars[slot].kind == KInt {
+			from := fr.vars[slot].Int()
 			bv, err := boundS(fr)
 			// A failing or non-int bound declines the offer; the serial
 			// loop below re-evaluates the condition and surfaces any
 			// error itself, matching the walker.
 			if err == nil && bv.kind == KInt {
-				handled, err := ctx.ForLoop(st, fr, from, bv.Int(), shape.step)
+				handled, err := ctx.ForLoop(st, fr, from, bv.Int(), step)
 				if err != nil {
 					return flowNext, err
 				}
 				if handled {
-					fr.vars[shape.slot] = bv
+					fr.vars[slot] = IntValue(rtkit.LoopExit(from, bv.Int(), step))
 					return flowNext, nil
 				}
 			}

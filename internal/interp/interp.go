@@ -6,8 +6,8 @@ import (
 	"sync"
 
 	"commute/internal/frontend/ast"
-	"commute/internal/frontend/token"
 	"commute/internal/frontend/types"
+	"commute/rtkit"
 )
 
 // Engine selects the execution strategy for method bodies.
@@ -399,16 +399,15 @@ func (ip *Interp) execStmt(fr *Frame, s ast.Stmt) (*returnValue, error) {
 	return nil, rtErrf("unsupported statement at %s", s.Pos())
 }
 
-// execFor runs a for loop, offering canonical counted loops to the
-// context's ForLoop dispatcher (parallel loop execution).
+// execFor runs a for loop, offering counted loops to the context's
+// ForLoop dispatcher (parallel loop execution). After a handled loop the
+// variable holds what the serial loop leaves in it (rtkit.LoopExit).
 func (ip *Interp) execFor(fr *Frame, st *ast.ForStmt) (*returnValue, error) {
 	if st.Init != nil {
 		if ret, err := ip.execStmt(fr, st.Init); ret != nil || err != nil {
 			return ret, err
 		}
 	}
-	// Offer counted loops `v = from; v < to; v += step` to the parallel
-	// dispatcher.
 	if fr.ctx.ForLoop != nil {
 		if slot, to, step, ok := ip.countedLoop(fr, st); ok {
 			from := fr.vars[slot].Int()
@@ -417,7 +416,7 @@ func (ip *Interp) execFor(fr *Frame, st *ast.ForStmt) (*returnValue, error) {
 				return nil, err
 			}
 			if handled {
-				fr.vars[slot] = IntValue(to)
+				fr.vars[slot] = IntValue(rtkit.LoopExit(from, to, step))
 				return nil, nil
 			}
 		}
@@ -448,104 +447,22 @@ func (ip *Interp) execFor(fr *Frame, st *ast.ForStmt) (*returnValue, error) {
 	}
 }
 
-// countedLoop matches `for (v = ...; v < bound; v += step)` with an
-// int loop variable and evaluates the bound and step. It returns the
-// loop variable's frame slot. The structural half of the match is
-// shared with the compiler (matchCountedLoop); the walker adds the
-// runtime parts: the loop variable currently holds an int, and the
-// bound evaluates without error to an int.
+// countedLoop is the walker's offer test: st has the counted header
+// (ast.MatchCountedLoop) with a pure bound — it is evaluated here, and
+// again per iteration by the serial loop when the dispatcher declines —
+// and, at run time, the loop variable holds an int and the bound
+// evaluates without error to an int. It returns the variable's frame
+// slot. The compiled engine applies the same test (compileFor).
 func (ip *Interp) countedLoop(fr *Frame, st *ast.ForStmt) (slot int, to, step int64, ok bool) {
-	m, ok := matchCountedLoop(st)
-	if !ok {
+	h, ok := ast.MatchCountedLoop(st)
+	if !ok || !ast.Pure(h.Bound) || fr.vars[h.Var.Slot].kind != KInt {
 		return 0, 0, 0, false
 	}
-	if fr.vars[m.slot].kind != KInt {
-		return 0, 0, 0, false
-	}
-	bv, err := ip.eval(fr, m.bound)
+	bv, err := ip.eval(fr, h.Bound)
 	if err != nil || bv.kind != KInt {
 		return 0, 0, 0, false
 	}
-	return m.slot, bv.Int(), m.step, true
-}
-
-// countedLoopShape is the compile-time-checkable half of the counted
-// loop pattern.
-type countedLoopShape struct {
-	slot  int
-	bound ast.Expr
-	step  int64
-}
-
-// matchCountedLoop performs the structural counted-loop match:
-// `for (v = ...; v < bound; v += step)` with a pure bound and a
-// positive integer literal step.
-func matchCountedLoop(st *ast.ForStmt) (countedLoopShape, bool) {
-	var m countedLoopShape
-	switch init := st.Init.(type) {
-	case *ast.DeclStmt:
-		m.slot = int(init.Slot)
-	case *ast.ExprStmt:
-		asn, isA := init.X.(*ast.Assign)
-		if !isA {
-			return m, false
-		}
-		id, isID := asn.LHS.(*ast.Ident)
-		if !isID || (id.Sym != ast.SymLocal && id.Sym != ast.SymParam) {
-			return m, false
-		}
-		m.slot = int(id.Slot)
-	default:
-		return m, false
-	}
-	cmp, isC := st.Cond.(*ast.Binary)
-	if !isC || cmp.Op != token.LT {
-		return m, false
-	}
-	cid, isID := cmp.X.(*ast.Ident)
-	if !isID || (cid.Sym != ast.SymLocal && cid.Sym != ast.SymParam) || int(cid.Slot) != m.slot {
-		return m, false
-	}
-	// The bound is evaluated once to offer the loop to the parallel
-	// dispatcher; if the dispatcher declines, the serial loop
-	// re-evaluates the condition per iteration — so the bound must be
-	// side-effect free.
-	if !pureExpr(cmp.Y) {
-		return m, false
-	}
-	m.bound = cmp.Y
-	post, isP := st.Post.(*ast.ExprStmt)
-	if !isP {
-		return m, false
-	}
-	pasn, isA := post.X.(*ast.Assign)
-	if !isA || pasn.Op != token.PLUSEQ {
-		return m, false
-	}
-	pid, isID := pasn.LHS.(*ast.Ident)
-	if !isID || (pid.Sym != ast.SymLocal && pid.Sym != ast.SymParam) || int(pid.Slot) != m.slot {
-		return m, false
-	}
-	lit, isL := pasn.RHS.(*ast.IntLit)
-	if !isL || lit.Value <= 0 {
-		return m, false
-	}
-	m.step = lit.Value
-	return m, true
-}
-
-// pureExpr reports whether evaluating the expression is free of side
-// effects (no calls, assignments, or allocations).
-func pureExpr(e ast.Expr) bool {
-	pure := true
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.CallExpr, *ast.Assign, *ast.NewExpr:
-			pure = false
-		}
-		return pure
-	})
-	return pure
+	return int(h.Var.Slot), bv.Int(), h.Step, true
 }
 
 // NewIterFrame returns a frame for executing parallel-loop iterations
@@ -562,58 +479,40 @@ func (ip *Interp) NewIterFrame(ctx *Ctx, fr *Frame) *Frame {
 	return sub
 }
 
-// RunLoopIteration executes one iteration of the counted loop body in
-// an iteration frame obtained from NewIterFrame, with the loop
-// variable bound to i.
+// RunLoopIteration executes one iteration of the body of a counted loop
+// the engine offered, in an iteration frame obtained from NewIterFrame,
+// with the loop variable bound to i.
 func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) error {
-	slot := loopVarSlot(st)
-	if slot < 0 {
-		return rtErrf("parallel loop at %s without a resolvable loop variable", st.Pos())
-	}
-	sub.vars[slot] = IntValue(i)
-	if ip.engine != EngineWalk {
-		bodies := ip.res.loopBodies
-		if sub.ctx.Mon != nil {
-			_, bodies = ip.res.monTables()
-		}
-		if body, ok := bodies[st]; ok {
-			fl, err := body(sub)
-			if err != nil {
-				return err
-			}
-			if fl == flowReturn {
-				return rtErrf("return inside a parallel loop")
-			}
-			return nil
-		}
-	}
-	if sub.ctx.Mon != nil {
+	if ip.engine == EngineWalk && sub.ctx.Mon != nil {
 		return rtErrf(errWalkerMon)
 	}
-	ret, err := ip.execStmt(sub, st.Body)
-	if err != nil {
-		return err
+	loops := ip.res.loopBodies
+	if sub.ctx.Mon != nil {
+		_, loops = ip.res.monTables()
 	}
-	if ret != nil {
+	lb, ok := loops[st]
+	if !ok {
+		return rtErrf("parallel loop at %s is not a counted loop", st.Pos())
+	}
+	sub.vars[lb.slot] = IntValue(i)
+	returned := false
+	if ip.engine == EngineWalk {
+		ret, err := ip.execStmt(sub, st.Body)
+		if err != nil {
+			return err
+		}
+		returned = ret != nil
+	} else {
+		fl, err := lb.body(sub)
+		if err != nil {
+			return err
+		}
+		returned = fl == flowReturn
+	}
+	if returned {
 		return rtErrf("return inside a parallel loop")
 	}
 	return nil
-}
-
-// LoopVar extracts the loop variable name of a counted loop (used by
-// parallel loop dispatchers).
-func LoopVar(st *ast.ForStmt) string {
-	switch init := st.Init.(type) {
-	case *ast.DeclStmt:
-		return init.Name
-	case *ast.ExprStmt:
-		if asn, ok := init.X.(*ast.Assign); ok {
-			if id, ok2 := asn.LHS.(*ast.Ident); ok2 {
-				return id.Name
-			}
-		}
-	}
-	return ""
 }
 
 // callBuiltin dispatches a math or print builtin on evaluated

@@ -39,7 +39,7 @@ type resolution struct {
 	// Closure-compiled bodies (see compile.go), built once with the
 	// resolution and shared by every interpreter for the program.
 	compiled   []*compiledMethod // indexed by types.Method.ID
-	loopBodies map[*ast.ForStmt]stmtFn
+	loopBodies map[*ast.ForStmt]loopBody
 
 	// Monitored compiled bodies: the same closure-compile pass run with
 	// the monitored load/store kernels (compiler.mon), so speculative
@@ -49,16 +49,16 @@ type resolution struct {
 	prog          *types.Program
 	monOnce       sync.Once
 	compiledMon   []*compiledMethod // indexed by types.Method.ID
-	loopBodiesMon map[*ast.ForStmt]stmtFn
+	loopBodiesMon map[*ast.ForStmt]loopBody
 }
 
 // monTables builds (once, racing builders deduped) and returns the
 // monitored compiled bodies and loop-body table. The pass reads only
 // the immutable AST annotations buildResolution wrote, so it is safe to
 // run concurrently with unmonitored execution.
-func (r *resolution) monTables() ([]*compiledMethod, map[*ast.ForStmt]stmtFn) {
+func (r *resolution) monTables() ([]*compiledMethod, map[*ast.ForStmt]loopBody) {
 	r.monOnce.Do(func() {
-		loops := make(map[*ast.ForStmt]stmtFn)
+		loops := make(map[*ast.ForStmt]loopBody)
 		c := &compiler{prog: r.prog, res: r, mon: true, loops: loops}
 		compiled := make([]*compiledMethod, len(r.prog.Methods))
 		for _, m := range r.prog.Methods {
@@ -168,7 +168,7 @@ func buildResolution(prog *types.Program) *resolution {
 	// Lower every resolved body to closures. The compiled forms read
 	// only the annotations written above, so this runs after the whole
 	// program is resolved.
-	r.loopBodies = make(map[*ast.ForStmt]stmtFn)
+	r.loopBodies = make(map[*ast.ForStmt]loopBody)
 	c := &compiler{prog: prog, res: r, loops: r.loopBodies}
 	r.compiled = make([]*compiledMethod, len(prog.Methods))
 	for _, m := range prog.Methods {
@@ -261,20 +261,4 @@ func coerceKind(c ast.Coercion, v Value) Value {
 		}
 	}
 	return v
-}
-
-// loopVarSlot reads the loop variable's frame slot off a counted loop's
-// init statement (annotated by the resolution pass).
-func loopVarSlot(st *ast.ForStmt) int {
-	switch init := st.Init.(type) {
-	case *ast.DeclStmt:
-		return int(init.Slot)
-	case *ast.ExprStmt:
-		if asn, ok := init.X.(*ast.Assign); ok {
-			if id, ok2 := asn.LHS.(*ast.Ident); ok2 {
-				return int(id.Slot)
-			}
-		}
-	}
-	return -1
 }

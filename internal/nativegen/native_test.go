@@ -85,6 +85,17 @@ func getApp(t *testing.T, name string) (*commute.System, string) {
 	return ba.sys, ba.bin
 }
 
+// emitsGSS reports whether the prog.go a test wrote to dir lowers any
+// loop to guided self-scheduling.
+func emitsGSS(t *testing.T, dir string) bool {
+	t.Helper()
+	text, err := os.ReadFile(filepath.Join(dir, "prog.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Contains(text, []byte("nativert.GSSOn(")) || bytes.Contains(text, []byte("nativert.SpecGSS("))
+}
+
 // loadRegions loads a program and clears the static work estimates of
 // the plan every execution runs, so that its region roots open (and are
 // emitted as) regions however small it is: the tests that use it check
@@ -441,6 +452,51 @@ func TestNativeCondHashMatchesInterpreter(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("mode=%d %v: native state diverges from interpreter:\n%s", mode, args, firstDiff(want, got))
+			}
+		}
+	}
+}
+
+// TestNativeLoopFixtures: the legality fixtures (src.LoopFixtures)
+// through the emitted binary at 2 and 4 workers print and dump what the
+// serial walker does, and the emitted text lowers to GSS exactly the
+// loops the plan runs in parallel. carried repeats, since its wrong
+// answers depended on when helpers joined.
+func TestNativeLoopFixtures(t *testing.T) {
+	if !nativegen.HaveGo() {
+		t.Skip("go toolchain not available")
+	}
+	for _, fx := range src.LoopFixtures() {
+		sys, err := commute.Load(fx.Name+".mc", fx.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := nativegen.Generate(sys, fx.Name, dir); err != nil {
+			t.Fatal(err)
+		}
+		assertGofmt(t, dir)
+		if gss := emitsGSS(t, dir); gss != (fx.Parallel > 0) {
+			t.Errorf("%s: GSS call in prog.go: %t, the plan has %d parallel loops", fx.Name, gss, fx.Parallel)
+		}
+		bin, err := nativegen.Build(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := interpDump(t, sys, interp.EngineWalk)
+		repeats := 1
+		if fx.Name == "carried" {
+			repeats = 20
+		}
+		for _, workers := range []string{"2", "4"} {
+			for rep := 0; rep < repeats; rep++ {
+				got, err := nativegen.Run(bin, "-mode", "parallel", "-workers", workers, "-dump")
+				if err != nil {
+					t.Fatalf("%s workers=%s: %v", fx.Name, workers, err)
+				}
+				if got != want {
+					t.Fatalf("%s workers=%s: native state diverges from the serial walker:\n%s", fx.Name, workers, firstDiff(want, got))
+				}
 			}
 		}
 	}

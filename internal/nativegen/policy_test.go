@@ -142,7 +142,10 @@ void main() {
 // one plan and apply one rule at region entry, so under every
 // -conditional × -speculate combination they take the same tier at every
 // region: the six policy counters agree, and both final states equal
-// the serial tree walker's. Counters are compared at one worker, where
+// the serial tree walker's; and they read one loop plan, so the
+// interpreter runs parallel loops only where the emitted text has a GSS
+// call (rows initop, le and final: exactly where). Counters are compared
+// at one worker, where
 // the number of loop claimants — and with it whether a conflicting
 // speculative region commits or aborts — does not depend on timing; at
 // four workers only the state is compared. Every program runs twice: on
@@ -168,6 +171,15 @@ func TestPolicyParity(t *testing.T) {
 	} {
 		rows = append(rows, row{tc.name, tc.code, false}, row{tc.name + "-cleared", tc.code, true})
 	}
+	// Three legality fixtures, once each: a loop to a field bounds no
+	// estimate, so their one region opens cleared or not.
+	loopRows := map[string]bool{}
+	for _, fx := range src.LoopFixtures() {
+		if fx.Name == "initop" || fx.Name == "le" || fx.Name == "final" {
+			rows = append(rows, row{fx.Name, fx.Source, true})
+			loopRows[fx.Name] = true
+		}
+	}
 	for _, tc := range rows {
 		sys, err := commute.Load(tc.name+".mc", tc.code)
 		if err != nil {
@@ -181,6 +193,7 @@ func TestPolicyParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertGofmt(t, dir)
+		gss := emitsGSS(t, dir)
 		bin, err := nativegen.Build(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -217,6 +230,9 @@ func TestPolicyParity(t *testing.T) {
 					}
 					if (st.RegionsDeclined == 0) != tc.cleared {
 						t.Errorf("%s: the interpreter declined %d regions", label, st.RegionsDeclined)
+					}
+					if ran := st.ParallelLoops > 0; ran && !gss || loopRows[tc.name] && ran != gss {
+						t.Errorf("%s: the interpreter ran %d parallel loops, GSS call in prog.go: %t", label, st.ParallelLoops, gss)
 					}
 					nat := nativegen.CounterStats(errOut)
 					for _, c := range []struct {

@@ -12,11 +12,38 @@ import (
 	"commute/internal/rt"
 )
 
+// loopBodyShape is one body the generators give the update loop of
+// driver::runAll, whose locals are int u (the loop variable), k, n and t.
+// The invocations commute under every shape; legal says whether the
+// iterations may also run out of order on private copies of the frame,
+// i.e. whether the plan runs the loop in parallel or leaves it serial.
+type loopBodyShape struct {
+	name, pre, bound, body string
+	legal                  bool
+}
+
+var loopBodyShapes = []loopBodyShape{
+	{"plain", "", "NU", "this->apply(u);", true},
+	{"private temp", "", "NU", "t = u; this->apply(t);", true},
+	{"carried counter", "k = 0;", "NU", "this->apply(k); k = k + 1;", false},
+	{"loop-variable write", "", "NU", "this->apply(u); u = u + 1;", false},
+	{"bound write", "n = NU;", "n", "this->apply(u); n = n - 1;", false},
+}
+
 // genCommutingProgram generates a random program whose parallel work
 // consists only of commuting additive/multiplicative updates on a pool
-// of counter objects, driven by a parallel loop. Serial and parallel
-// executions must agree exactly (integer state).
+// of counter objects, driven by a loop of a random shape and step.
+// Serial and parallel executions must agree exactly (integer state).
 func genCommutingProgram(r *rand.Rand, counters, updates int) string {
+	return genLoopProgram(r, counters, updates, loopBodyShapes[r.Intn(len(loopBodyShapes))], 1+r.Intn(3))
+}
+
+// genLoopProgram is genCommutingProgram with the loop chosen: its shape,
+// and its step. After the loop the loop variable is added to a tally
+// object of its own, so the value a handled loop leaves there — a step
+// of 2 or 3 oversteps the bound — shows in the state (counterState reads
+// it last) without touching anything the updates touch.
+func genLoopProgram(r *rand.Rand, counters, updates int, shape loopBodyShape, step int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `
 const int NC = %d;
@@ -34,9 +61,20 @@ void counter::bump(int k) {
   prods = prods * 2 + 0 * k;
 }
 
+class tally {
+public:
+  int seen;
+  void note(int v);
+};
+
+void tally::note(int v) {
+  seen = seen + v;
+}
+
 class driver {
 public:
   counter *cs[NC];
+  tally *tl;
   int targets[NU];
   int amounts[NU];
   void setup();
@@ -48,6 +86,7 @@ driver D;
 
 void driver::setup() {
   int i;
+  tl = new tally;
   for (i = 0; i < NC; i++) {
     cs[i] = new counter;
     cs[i]->adds = 0;
@@ -58,7 +97,7 @@ void driver::setup() {
 		fmt.Fprintf(&sb, "  targets[%d] = %d;\n  amounts[%d] = %d;\n",
 			u, r.Intn(counters), u, 1+r.Intn(9))
 	}
-	sb.WriteString(`}
+	fmt.Fprintf(&sb, `}
 
 void driver::apply(int u) {
   counter *c;
@@ -68,38 +107,50 @@ void driver::apply(int u) {
 
 void driver::runAll() {
   int u;
-  for (u = 0; u < NU; u++)
-    this->apply(u);
+  int k;
+  int n;
+  int t;
+  %s
+  for (u = 0; u < %s; u += %d) {
+    %s
+  }
+  tl->note(u);
 }
 
 void main() {
   D.setup();
   D.runAll();
 }
-`)
+`, shape.pre, shape.bound, step, shape.body)
 	return sb.String()
 }
 
-// TestRandomCommutingPrograms: the analysis marks the generated update
-// loops parallel, and parallel execution reproduces the serial integer
-// state exactly at several worker counts.
+// TestRandomCommutingPrograms: the analysis marks driver::runAll
+// parallel, the plan runs the generated update loop in parallel exactly
+// when its shape is legal, and parallel execution reproduces the serial
+// integer state exactly at several worker counts.
 func TestRandomCommutingPrograms(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 30; trial++ {
 		counters := 2 + r.Intn(6)
 		updates := 8 + r.Intn(40)
-		source := genCommutingProgram(r, counters, updates)
+		// Every shape at steps 1, 2 and 3, twice.
+		shape, step := loopBodyShapes[trial%len(loopBodyShapes)], 1+trial/len(loopBodyShapes)%3
+		source := genLoopProgram(r, counters, updates, shape, step)
 
 		prog, plan := build(t, source)
 		runAll := prog.MethodByFullName("driver::runAll")
+		if !plan.RegionRoot(runAll) {
+			t.Fatalf("trial %d (%s): driver::runAll is no region root", trial, shape.name)
+		}
 		var parallelLoop bool
 		for _, lp := range plan.Loops {
 			if lp.Method == runAll && lp.Parallel {
 				parallelLoop = true
 			}
 		}
-		if !parallelLoop {
-			t.Fatalf("trial %d: update loop not parallelized", trial)
+		if parallelLoop != shape.legal {
+			t.Fatalf("trial %d (%s): update loop parallel = %t, want %t", trial, shape.name, parallelLoop, shape.legal)
 		}
 
 		// Differential property across execution engines: the closure
@@ -125,14 +176,17 @@ func TestRandomCommutingPrograms(t *testing.T) {
 			ip := interp.New(prog, nil)
 			r := rt.New(ip, plan, workers)
 			if err := r.Run(); err != nil {
-				t.Fatalf("trial %d workers %d parallel: %v", trial, workers, err)
+				t.Fatalf("trial %d (%s) workers %d parallel: %v", trial, shape.name, workers, err)
 			}
 			got := counterState(t, prog, ip, counters)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("trial %d workers %d: counter %d = %v, want %v (commuting updates must agree)",
-						trial, workers, i, got[i], want[i])
+					t.Fatalf("trial %d (%s, step %d) workers %d: counter %d = %v, want %v (commuting updates must agree)",
+						trial, shape.name, step, workers, i, got[i], want[i])
 				}
+			}
+			if (r.Stats.ParallelLoops > 0) != shape.legal {
+				t.Fatalf("trial %d (%s) workers %d: %d parallel loops run", trial, shape.name, workers, r.Stats.ParallelLoops)
 			}
 		}
 	}
@@ -307,7 +361,7 @@ func markState(t *testing.T, prog *types.Program, ip *interp.Interp) [2]int64 {
 	}
 }
 
-// counterState reads (adds, prods) for every counter.
+// counterState reads (adds, prods) for every counter, then the tally.
 func counterState(t *testing.T, prog *types.Program, ip *interp.Interp, counters int) []int64 {
 	t.Helper()
 	d := ip.Globals["D"]
@@ -322,5 +376,6 @@ func counterState(t *testing.T, prog *types.Program, ip *interp.Interp, counters
 			c.Slots[ip.FieldSlot(counterCl, "counter", "prods")].Int(),
 		)
 	}
-	return out
+	tl := d.Slots[ip.FieldSlot(driverCl, "driver", "tl")].Object()
+	return append(out, tl.Slots[ip.FieldSlot(prog.Classes["tally"], "tally", "seen")].Int())
 }

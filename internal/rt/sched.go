@@ -143,9 +143,6 @@ var loopRuns sync.Pool // of *loopRun
 // the join waits only for helpers that started (rtkit.Pool.RunLoop).
 func (rt *Runtime) parallelLoop(w *worker, spec bool, depth int, fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) error {
 	atomic.AddInt64(&rt.Stats.ParallelLoops, 1)
-	if interp.LoopVar(fs) == "" {
-		return &interp.RuntimeError{Msg: "parallel loop without a loop variable"}
-	}
 	if step <= 0 {
 		// A non-positive step would divide by zero in the chunk-size
 		// computation (or claim chunks forever).

@@ -131,10 +131,16 @@ type AnalyzeResponse struct {
 
 	Methods         []MethodReport `json:"methods"`
 	ParallelMethods []string       `json:"parallel_methods"`
-	LoopsFound      int            `json:"loops_found"`
-	LoopsSuppressed int            `json:"loops_suppressed"`
-	ParallelSource  string         `json:"parallel_source,omitempty"`
-	ElapsedMS       float64        `json:"elapsed_ms"`
+	// LoopsFound counts the candidate loops (§5.1): a body of local
+	// bookkeeping and parallel invocations. LoopsSuppressed of them are
+	// nested in another (§5.2) and LoopsRefused more may not run their
+	// iterations out of order; found - suppressed - refused run as
+	// parallel loops.
+	LoopsFound      int     `json:"loops_found"`
+	LoopsSuppressed int     `json:"loops_suppressed"`
+	LoopsRefused    int     `json:"loops_refused,omitempty"`
+	ParallelSource  string  `json:"parallel_source,omitempty"`
+	ElapsedMS       float64 `json:"elapsed_ms"`
 }
 
 // RunRequest asks for one execution of a program.

@@ -34,6 +34,9 @@ type ArtifactBundle struct {
 	ParallelMethods []string       `json:"parallel_methods"`
 	LoopsFound      int            `json:"loops_found"`
 	LoopsSuppressed int            `json:"loops_suppressed"`
+	// LoopsRefused is absent from a bundle published before the field
+	// existed, and from any bundle with nothing to report: it decodes to 0.
+	LoopsRefused int `json:"loops_refused,omitempty"`
 	// ParallelSource is the generated parallel source (Figure 2 style);
 	// empty when the producing replica could not emit it.
 	ParallelSource string `json:"parallel_source,omitempty"`

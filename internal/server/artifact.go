@@ -33,6 +33,7 @@ func bundleFromSystem(key, name string, sys *commute.System) *api.ArtifactBundle
 		ParallelMethods: sys.ParallelMethods(),
 		LoopsFound:      sys.Plan.LoopsFound,
 		LoopsSuppressed: sys.Plan.LoopsSuppressed,
+		LoopsRefused:    sys.Plan.LoopsRefused,
 	}
 	for _, mr := range sys.Reports() {
 		b.Methods = append(b.Methods, apiMethodReport(mr))
@@ -175,6 +176,7 @@ func analyzeFromBundle(b *api.ArtifactBundle, key, cacheWord string, emit bool, 
 		ParallelMethods: b.ParallelMethods,
 		LoopsFound:      b.LoopsFound,
 		LoopsSuppressed: b.LoopsSuppressed,
+		LoopsRefused:    b.LoopsRefused,
 	}
 	if emit {
 		resp.ParallelSource = b.ParallelSource

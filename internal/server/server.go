@@ -553,6 +553,7 @@ func analyzeFromSystem(sys *commute.System, key, cacheWord string, emit bool, st
 		ParallelMethods: sys.ParallelMethods(),
 		LoopsFound:      sys.Plan.LoopsFound,
 		LoopsSuppressed: sys.Plan.LoopsSuppressed,
+		LoopsRefused:    sys.Plan.LoopsRefused,
 	}
 	for _, mr := range sys.Reports() {
 		resp.Methods = append(resp.Methods, apiMethodReport(mr))

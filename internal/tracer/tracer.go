@@ -133,8 +133,7 @@ func (c *collector) serialCtx() *interp.Ctx {
 	ctx := c.ip.NewCtx()
 	ctx.Charge = func(units int64) { c.serialUnits += units }
 	ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
-		mp := c.plan.Methods[site.Callee]
-		if mp != nil && mp.Parallel && c.plan.GeneratesConcurrency(site.Callee) {
+		if c.plan.RegionRoot(site.Callee) {
 			c.flushSerial(site.Caller.FullName())
 			root := &Task{}
 			c.replicated = make(map[int64]bool)
@@ -281,19 +280,19 @@ func (c *collector) runVersion(task *Task, m *types.Method, recv *interp.Object,
 			ts.endCrit(lockObj)
 		}
 		ts.flushCompute()
+		// One claimant runs every iteration, in order, on one private
+		// copy of the frame — a schedule rt.parallelLoop can produce.
 		var iters []*Task
+		its := &taskState{}
+		sub := c.ip.NewIterFrame(c.iterCtx(its), fr)
+		defer c.ip.ReleaseFrame(sub)
 		for i := from; i < to; i += step {
-			iter := &Task{}
-			its := &taskState{task: iter}
-			ictx := c.iterCtx(its)
-			sub := c.ip.NewIterFrame(ictx, fr)
-			err := c.ip.RunLoopIteration(sub, fs, i)
-			c.ip.ReleaseFrame(sub)
-			if err != nil {
+			its.task = &Task{}
+			if err := c.ip.RunLoopIteration(sub, fs, i); err != nil {
 				return true, err
 			}
 			its.flushCompute()
-			iters = append(iters, iter)
+			iters = append(iters, its.task)
 		}
 		task.Events = append(task.Events, Event{Kind: EvLoop, Iters: iters})
 		return true, nil

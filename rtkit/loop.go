@@ -97,6 +97,17 @@ func (l *Loop) Next() (start, end int64, ok bool) {
 // Step is the loop's stride.
 func (l *Loop) Step() int64 { return l.step }
 
+// LoopExit is what the variable of for (v = from; v < to; v += step),
+// step > 0, holds once the loop is over: the first from + k*step not
+// below to, which is from itself when no iteration runs. Whoever runs
+// such a loop in place of the serial statement stores it in v.
+func LoopExit(from, to, step int64) int64 {
+	if to <= from {
+		return from
+	}
+	return from + (to-from+step-1)/step*step
+}
+
 // help is a helper's task body.
 func (l *Loop) help(w *Worker) {
 	l.mu.Lock()

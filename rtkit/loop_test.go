@@ -160,3 +160,19 @@ func TestRunLoopJoinsWithoutStarvedHelpers(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopExit: LoopExit is what the serial loop of the same header
+// leaves in its variable — past the bound when the step oversteps it,
+// the start when no iteration runs.
+func TestLoopExit(t *testing.T) {
+	for _, sh := range []struct{ from, to, step int64 }{
+		{0, 100, 1}, {0, 5, 2}, {5, 50, 3}, {0, 6, 3}, {20, 10, 1}, {7, 7, 4}, {-5, 6, 4}, {-9, -2, 5},
+	} {
+		i := sh.from
+		for ; i < sh.to; i += sh.step {
+		}
+		if got := LoopExit(sh.from, sh.to, sh.step); got != i {
+			t.Errorf("LoopExit(%d, %d, %d) = %d, the loop leaves %d", sh.from, sh.to, sh.step, got, i)
+		}
+	}
+}

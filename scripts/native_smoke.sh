@@ -138,6 +138,37 @@ if ! grep -qx "guard_parallel $ROUNDS" "$OUT/condhash.stats" || ! grep -qx "regi
 fi
 echo "condhash x$ROUNDS: native == interpreter over $ROUNDS regions on one pool, counters OK"
 
+# Parallel-loop legality: a loop that carries a counter across its
+# iterations stays serial on both runtimes, and after a parallel loop the
+# loop variable holds what the serial loop leaves (a step past the bound,
+# the start after no iteration). Output and final state of the serial
+# interpreter, the parallel interpreter and the emitted binary agree.
+loop_fixture carried 4000 > "$OUT/carried.mc"
+loop_fixture final 64 > "$OUT/final.mc"
+grep -q 'N = 4000' "$OUT/carried.mc"
+grep -q 'k = k + 1' "$OUT/carried.mc"
+grep -q 'i < five; i += 2' "$OUT/final.mc"
+for APP in carried final; do
+  DIR="$OUT/$APP"
+  go run ./cmd/commutec -emit go -o "$DIR" "$OUT/$APP.mc"
+  (cd "$DIR" && go vet . && canonical && go build -o app .)
+  go run ./cmd/commuterun -mode serial -dump "$OUT/$APP.mc" > "$OUT/$APP.interp"
+  go run ./cmd/commuterun -mode parallel -workers 4 -dump "$OUT/$APP.mc" > "$OUT/$APP.par"
+  "$DIR/app" -mode parallel -workers 4 -dump > "$OUT/$APP.native"
+  for GOT in par native; do
+    if ! diff -q "$OUT/$APP.interp" "$OUT/$APP.$GOT" >/dev/null; then
+      echo "FAIL: $APP: $GOT run diverges from the serial interpreter:" >&2
+      diff "$OUT/$APP.interp" "$OUT/$APP.$GOT" | head >&2
+      exit 1
+    fi
+  done
+  echo "$APP: serial interpreter == parallel interpreter == native"
+done
+if grep -q 'nativert.GSSOn' "$OUT/carried/prog.go" || ! grep -q 'nativert.GSSOn' "$OUT/final/prog.go"; then
+  echo "FAIL: expected no GSS loop in carried/prog.go and one in final/prog.go" >&2
+  exit 1
+fi
+
 # Water: serial must be bit-identical; parallel must run cleanly.
 DIR="$OUT/water"
 go run ./cmd/commutec -emit go -o "$DIR" -app water

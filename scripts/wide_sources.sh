@@ -25,6 +25,14 @@ wide_conflict() {
     sed 's/^void driver::run() {$/&\n  int i;\n  for (i = 0; i < 4096; i += 1) {\n    c->mark(0);\n  }/'
 }
 
+# loop_fixture NAME N: the parallel-loop legality fixture NAME over N
+# cells — internal/apps/src/loops/skeleton.mc with NAME.mc as the
+# statements of driver::run (what src.LoopProgram assembles in Go).
+loop_fixture() {
+  sed -e "s/^const int N = 64;\$/const int N = $2;/" \
+    -e "/^  RUN\$/{r internal/apps/src/loops/$1.mc" -e 'd}' internal/apps/src/loops/skeleton.mc
+}
+
 # json_source: stdin as the inside of a JSON string. The sources above
 # have no character JSON escapes but the line ends.
 json_source() { awk '{printf "%s\\n", $0}'; }
