@@ -8,7 +8,7 @@
 // Usage:
 //
 //	commutec [-v] file.mc
-//	commutec [-v] -app barneshut|water|graph
+//	commutec [-v] -app barneshut|water|graph|...
 //	commutec -emit source file.mc          # Figure 2 style source-to-source output
 //	commutec -emit go -o DIR file.mc       # native Go package (build with go build)
 package main
@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "", "analyze a built-in application (barneshut, water, graph, condhash, specdisjoint, specconflict) instead of a file")
+	app := flag.String("app", "", "analyze a built-in application ("+src.AppNames()+") instead of a file")
 	verbose := flag.Bool("v", false, "print per-pair commutativity details")
 	emit := flag.String("emit", "", "emit instead of the report: source (the Figure 2 style transformed source) | go (native Go package, requires -o)")
 	outDir := flag.String("o", "", "output directory for -emit go")
@@ -43,21 +43,9 @@ func main() {
 	switch {
 	case *app != "":
 		name = *app
-		switch *app {
-		case "barneshut":
-			source = src.BarnesHut
-		case "water":
-			source = src.Water
-		case "graph":
-			source = src.Graph
-		case "condhash":
-			source = src.CondHashBase + src.CondHashMain(0, 6)
-		case "specdisjoint":
-			source = src.SpecDisjoint
-		case "specconflict":
-			source = src.SpecConflict
-		default:
-			fmt.Fprintf(os.Stderr, "unknown app %q (have barneshut, water, graph, condhash, specdisjoint, specconflict)\n", *app)
+		var ok bool
+		if _, source, ok = src.App(*app); !ok {
+			fmt.Fprintf(os.Stderr, "unknown app %q (have %s)\n", *app, src.AppNames())
 			os.Exit(2)
 		}
 	case flag.NArg() == 1:
@@ -185,6 +173,10 @@ func main() {
 	lines = lines[:0]
 	for m, mp := range sys.CondPlan.Methods {
 		if !sys.CondPlan.RegionRoot(m) {
+			if mp.Parallel && sys.CondPlan.GeneratesConcurrency(m) {
+				// Only its result keeps it from being one.
+				lines = append(lines, fmt.Sprintf("not a root  %s  returns %s: calls from serial code run the serial version", m.FullName(), m.Ret))
+			}
 			continue
 		}
 		work := "unbounded"

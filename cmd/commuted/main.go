@@ -33,6 +33,7 @@ import (
 
 	"commute/internal/server"
 	"commute/internal/server/cache"
+	"commute/nativert"
 )
 
 func main() {
@@ -46,7 +47,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 	analysisWorkers := flag.Int("analysis-workers", 0, "goroutines for cold-load commutativity analysis (0: GOMAXPROCS, 1: serial)")
 	speculate := flag.String("speculate", "off", "default speculation policy for /v1/run: off | auto | force")
-	specThreshold := flag.Float64("speculate-threshold", 0, "default minimum analysis confidence for auto speculation (0: the 0.5 default)")
+	specThreshold := flag.Float64("speculate-threshold", 0, fmt.Sprintf("default minimum analysis confidence for auto speculation (0: the %v default)", nativert.DefaultSpecThreshold))
 	blobDir := flag.String("blob-dir", "", "shared artifact directory (fleet tier); empty disables")
 	peers := flag.String("peers", "", "comma-separated peer base URLs to pull artifacts from")
 	batchLinger := flag.Duration("batch-linger", 2*time.Millisecond, "window for coalescing identical /v1/analyze requests (0 or negative: off)")

@@ -48,12 +48,12 @@ func main() {
 	mode := flag.String("mode", "serial", "serial | parallel | simulate")
 	workers := flag.Int("workers", 4, "worker count for -mode parallel")
 	procs := flag.String("procs", "1,2,4,8,16,32", "processor counts for -mode simulate")
-	app := flag.String("app", "", "run a built-in application (barneshut, water, graph, specdisjoint, specconflict, condhash)")
+	app := flag.String("app", "", "run a built-in application ("+src.AppNames()+")")
 	timeout := flag.Duration("timeout", 0, "abort execution after this wall-clock deadline (0: none)")
 	fallback := flag.Bool("fallback", false, "re-run a failed parallel region with the serial version")
 	maxSteps := flag.Int64("maxsteps", 0, "abort after this many interpreter statements (0: unlimited)")
 	speculate := flag.String("speculate", "off", "speculative parallelization of rejected extents: off | auto | force")
-	specThreshold := flag.Float64("speculate-threshold", 0, "minimum analysis confidence for -speculate auto (0: the 0.5 default)")
+	specThreshold := flag.Float64("speculate-threshold", 0, fmt.Sprintf("minimum analysis confidence for -speculate auto (0: the %v default)", rt.DefaultSpecThreshold))
 	conditional := flag.String("conditional", "off", "guarded execution of conditionally-eligible extents: on | off (the synthesized guard decides parallel vs serial at region entry)")
 	condhashMode := flag.Int("condhash-mode", 0, "table mode for -app condhash (0: accumulate, guard true; else overwrite, guard false)")
 	statsJSON := flag.Bool("stats-json", false, "emit run stats as one JSON line (the daemon's /v1/run stats schema) instead of the human summary")
@@ -84,22 +84,13 @@ func main() {
 	switch {
 	case *app != "":
 		name = *app
-		switch *app {
-		case "barneshut":
-			source = src.BarnesHut
-		case "water":
-			source = src.Water
-		case "graph":
-			source = src.Graph
-		case "specdisjoint":
-			source = src.SpecDisjoint
-		case "specconflict":
-			source = src.SpecConflict
-		case "condhash":
-			source = src.CondHashBase + src.CondHashMain(*condhashMode, 6)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown app %q\n", *app)
+		var ok bool
+		if _, source, ok = src.App(*app); !ok {
+			fmt.Fprintf(os.Stderr, "unknown app %q (have %s)\n", *app, src.AppNames())
 			os.Exit(2)
+		}
+		if *app == "condhash" && *condhashMode != 0 {
+			source = src.CondHashBase + src.CondHashMain(*condhashMode, 6)
 		}
 	case flag.NArg() == 1:
 		name = flag.Arg(0)

@@ -17,21 +17,40 @@ import (
 // work estimate: every region opens on both runtimes.
 // scripts/wide_sources.sh assembles the same files.
 //
-//go:embed loops/*.mc
-var loopFiles embed.FS
+// The region-entry fixtures, entry/*.mc, are whole programs: in each a
+// method that would be a region root — proven, guarded, speculative —
+// returns a value its serial caller prints, at a size above both
+// runtimes' entry cost.
+//
+//go:embed loops/*.mc entry/*.mc
+var fixtureFiles embed.FS
 
-func loopFile(name string) string {
-	text, err := loopFiles.ReadFile("loops/" + name + ".mc")
+func fixtureFile(path string) string {
+	text, err := fixtureFiles.ReadFile(path + ".mc")
 	if err != nil {
 		panic(err) // the files are compiled in
 	}
 	return string(text)
 }
 
+// EntryFixture is one region-entry fixture: its program and the method
+// whose result main uses.
+type EntryFixture struct{ Name, Source, Root string }
+
+// EntryFixtures lists the three fixtures.
+func EntryFixtures() []EntryFixture {
+	fx := func(name, root string) EntryFixture { return EntryFixture{name, fixtureFile("entry/" + name), root} }
+	return []EntryFixture{
+		fx("value-proven", "table::ingest"),
+		fx("value-guarded", "table::ingest"),
+		fx("value-spec", "table::fill"),
+	}
+}
+
 // LoopProgram is the skeleton over n cells with run as the statements of
 // driver::run (its locals are int i, k, n and cell *c).
 func LoopProgram(n int, run string) string {
-	s := strings.Replace(loopFile("skeleton"), "const int N = 64;", fmt.Sprintf("const int N = %d;", n), 1)
+	s := strings.Replace(fixtureFile("loops/skeleton"), "const int N = 64;", fmt.Sprintf("const int N = %d;", n), 1)
 	return strings.Replace(s, "  RUN\n", strings.Trim(run, "\n")+"\n", 1)
 }
 
@@ -48,7 +67,7 @@ type LoopFixture struct {
 // its helpers need the time to join.
 func LoopFixtures() []LoopFixture {
 	fx := func(name string, n, parallel int, reason string) LoopFixture {
-		return LoopFixture{name, LoopProgram(n, loopFile(name)), parallel, reason}
+		return LoopFixture{name, LoopProgram(n, fixtureFile("loops/"+name)), parallel, reason}
 	}
 	return []LoopFixture{
 		fx("skip", 64, 0, "body assigns loop variable i"),

@@ -36,7 +36,7 @@ func TestEmitRegionEntryCostBoundary(t *testing.T) {
 		t.Fatalf("the bare root: parallel=%t work=%d", bare.Parallel, bare.Work)
 	}
 	const (
-		declined = "func (o *T_driver) R_step() {\n\tif cfgParallel {\n\t\tregionsDeclined_++\n\t}\n\to.S_step()\n}\n"
+		declined = "func (o *T_driver) R_step() {\n\tif rt_.Parallel {\n\t\trt_.RegionsDeclined++\n\t}\n\to.S_step()\n}\n"
 		parallel = "func (o *T_driver) P_step(w *rtkit.Worker) {"
 	)
 	for _, tc := range []struct {

@@ -7,15 +7,17 @@ package codegen
 // refinements the interpreter's executor threads at run time:
 //
 //	S_m   serial version: every callee serial, every loop serial.
-//	D_m   driver version: runs in a serial context but opens a
-//	      parallel region (R_ wrapper) at call sites whose callee is
-//	      parallel and generates concurrency, exactly like
-//	      rt.serialCtx.
-//	R_m   region wrapper: runs P_m on the calling goroutine with the
-//	      external handle of the run-wide pool (nativert.Pool: started
-//	      at the first region of the process, one for every region
-//	      after) and drains the pool at the region barrier. Falls back
-//	      to S_m when the program runs with -mode serial.
+//	D_m   driver version: runs in a serial context and calls the R_
+//	      wrapper at call sites whose callee is a region root
+//	      (Plan.RegionRoot: parallel, generates concurrency, returns
+//	      no value).
+//	R_m   region wrapper: a switch on the tier nativert's entry rule
+//	      (Driver.Enter) gives this entry — P_m on the calling
+//	      goroutine with the external handle of the run-wide pool
+//	      (nativert.Pool: started at the first region of the process,
+//	      one for every region after), drained at the region barrier;
+//	      the journaled SJ_m under Driver.RunSpeculative; or S_m, as
+//	      under -mode serial.
 //	P_m   parallel version: acquires the receiver lock when the plan
 //	      says so, spawns ActionSpawn sites onto the pool, runs
 //	      ActionHoisted/ActionInline sites inline, and compiles
@@ -38,14 +40,13 @@ package codegen
 //	      threads through.
 //
 // Speculative extents (statically rejected, optimistically run under
-// effect journals — rt.runSpeculativeRegion) add journaled twins of
-// the context versions: SJ_ (parallel root, spawns tasks with fresh
+// effect journals) add journaled twins of the context versions: SJ_ (parallel root, spawns tasks with fresh
 // journals), SJS_ (serial body, every access journaled), SJX_ (mutex
 // analogue), SJI_ (iteration context), SJQ_ (parallel-inline with
 // speculative GSS loops — nativert.SpecGSS, the same claim loop with a
 // journal per claimant). They take no locks — isolation comes from
-// the journals — and their R_ wrapper validates at the join barrier,
-// commits single-threaded, or discards and reruns S_ serially. A twin is
+// the journals — and nativert validates at the join barrier, commits
+// single-threaded, or discards, and the R_ wrapper reruns S_. A twin is
 // a row of the version table below, not a second set of rules: one body
 // emitter and one call-site dispatch write both families.
 //
@@ -199,7 +200,6 @@ type goEmitter struct {
 	useMath    bool
 	useRtkit   bool
 	useStrconv bool
-	useAtomic  bool
 
 	errs []string
 }
@@ -215,6 +215,9 @@ func (e *goEmitter) errorf(format string, args ...any) {
 func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 	if opts.Module == "" {
 		opts.Module = "nativeapp"
+	}
+	if opts.AppName == "" {
+		opts.AppName = "program"
 	}
 	if strings.ContainsAny(opts.AppName, "\n\r") {
 		// The name lands in the generated files' header comments.
@@ -353,7 +356,7 @@ func (e *goEmitter) closures() {
 		}
 		return in
 	}
-	// A call site that opens a parallel region (rt.serialCtx).
+	// A call site that enters a region.
 	e.driver = closure(func(m *types.Method) bool {
 		for _, cs := range m.CallSites {
 			if e.plan.RegionRoot(cs.Callee) {

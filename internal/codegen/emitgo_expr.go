@@ -25,7 +25,7 @@ type callKind int
 
 const (
 	ckValue   callKind = iota // plain call, value preserved
-	ckRegion                  // serial context opens a parallel region; value discarded
+	ckRegion                  // serial context enters a region; the root returns no value
 	ckSpawn                   // parallel version spawned as a task; value discarded
 	ckHoisted                 // inline under the hoisted lock; value discarded
 	ckEffectX                 // mutex version runs inline; value discarded
@@ -95,13 +95,10 @@ func (c *fnCtx) siteDispatch(x *ast.CallExpr) callPlan {
 	case mS:
 		return c.call(ckValue, callee, varS)
 	case mD:
-		// rt.serialCtx: parallel callees that generate concurrency get
-		// a region — unless it is declined, and the wrapper is the serial
-		// version, value and all; everything else stays in the serial
-		// context.
+		// A call of a region root goes through its R_ wrapper, which
+		// decides what the entry runs as; everything else — a method
+		// that returns a value included — stays in the serial context.
 		switch {
-		case c.e.plan.EmitDeclines(callee):
-			return c.call(ckValue, callee, varR)
 		case c.e.plan.RegionRoot(callee):
 			return c.call(ckRegion, callee, varR)
 		case c.e.needDriver(callee):
@@ -306,20 +303,10 @@ func (c *fnCtx) assign(a *ast.Assign) {
 	if a.Op == token.ASSIGN {
 		if call, ok := a.RHS.(*ast.CallExpr); ok && !call.Builtin {
 			cp := c.siteDispatch(call)
-			if mp := c.e.plan.Methods[cp.callee]; cp.kind == ckRegion && mp != nil && mp.Speculative {
-				// Whether this region call's value survives is decided
-				// at run time: the interpreter keeps the serial call's
-				// real result when the policy declines to speculate and
-				// stores the discarded-region zero when it speculates
-				// (committed or aborted — the rerun's value is dropped
-				// too).
-				c.specRegionAssign(call, cp, lhs, lt)
-				return
-			}
 			if cp.kind != ckValue {
 				// The discarded-value call kinds store a zero value
-				// (the interpreter stores the region/spawn result
-				// Value{}, which reads back as the type's zero).
+				// (the interpreter stores the spawned call's Value{},
+				// which reads back as the type's zero).
 				c.effectCall(call, cp)
 				c.line("%s = %s", lhs, c.e.zeroVal(lt))
 				return
@@ -423,28 +410,6 @@ func (c *fnCtx) specAssign(a *ast.Assign, addr, desc string, lt types.Type) {
 		}
 	}
 	c.line("nativert.SpecStore(sj_, %s, %s, %q)", pv, res, desc)
-}
-
-// specRegionAssign lowers `target = call()` where the callee opens a
-// speculative region from a serial context: the same run-time policy
-// split the R_ wrapper applies, but the declined branch keeps the
-// serial call's value.
-func (c *fnCtx) specRegionAssign(call *ast.CallExpr, cp callPlan, target string, lt types.Type) {
-	mp := c.e.plan.Methods[cp.callee]
-	c.e.demand(cp.callee, varS)
-	scp := callPlan{kind: ckValue, callee: cp.callee, v: varS}
-	serial := c.conv(c.renderCall(call, scp, 1), call, c.e.prog.TypeOf(call), lt)
-	if !mp.SpecEligible {
-		// speculationAllowed is constant false: a plain serial call.
-		c.line("%s = %s", target, serial)
-		return
-	}
-	c.line("if cfgParallel && specAllowed_(%s) {", formatFloatLit(mp.Confidence))
-	c.line("\t%s", c.renderCall(call, cp, 1))
-	c.line("\t%s = %s", target, c.e.zeroVal(lt))
-	c.line("} else {")
-	c.line("\t%s = %s", target, serial)
-	c.line("}")
 }
 
 func isIntType(t types.Type) bool {

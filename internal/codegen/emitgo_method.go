@@ -13,6 +13,7 @@ import (
 	"commute/internal/analysis/effects"
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
+	"commute/nativert"
 )
 
 // emitMode is the execution context a function body compiles under;
@@ -167,67 +168,106 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
 	}
 	b.WriteString(strings.Join(params, ", "))
 	b.WriteByte(')')
-	if mode := versions[v].mode; (v != varR || e.plan.EmitDeclines(m)) && mode != mP && mode != mX && !isVoid(m.Ret) {
+	if mode := versions[v].mode; mode != mP && mode != mX && !isVoid(m.Ret) {
 		b.WriteByte(' ')
 		b.WriteString(e.goType(m.Ret, false))
 	}
 	return b.String()
 }
 
-// emitRegionWrapper renders R_m: the serial-to-parallel boundary
-// (rt.runRoot). The parallel version runs on the calling goroutine with
-// the run-wide pool's external handle (nativert.Pool); Drain blocks
-// until every transitively spawned task and loop helper completes, then
-// leaves the workers parked for the next region. Any return value is
-// discarded, exactly as the interpreter's serial context discards
-// region results. Under -mode serial it degrades to S_m.
+// emitRegionWrapper renders R_m, the serial-to-parallel boundary: a
+// switch on the tier nativert's entry rule gives this entry under the
+// run's policy (rt_, the program's nativert.Driver), as internal/rt's
+// serialCtx is. The root's static facts and its guard go in; only the
+// tiers those facts can reach get a case, so only the versions they run
+// are demanded. A root returns no value (Plan.RegionRoot), nor does R_m.
 //
-// The wrapper of an unproven extent decides its tier here, by the rule
-// of rt.serialCtx. A conditional extent (plan guard synthesized from
-// the pair-test residuals) under -conditional evaluates its guard:
-// true opens the parallel region, false takes the serial version —
-// counted in guardParallel_/guardSerial_ — unless -speculate force
-// still speculates it. With -conditional off it is left to the
-// speculation policy like any other unproven extent, and no guard
-// counter moves. The speculative body is emitted once, behind spec_.
+//   - Parallel: P_m runs on the calling goroutine with the external
+//     handle of the run-wide pool (nativert.Pool); Drain blocks until
+//     every transitively spawned task and loop helper completes, then
+//     leaves the workers parked for the next region.
+//   - Speculative: the journaled SJ_m, inside Driver.RunSpeculative; when
+//     that reports an abort nothing has reached the heap and S_m reruns.
+//   - otherwise S_m (-mode serial included).
 //
-// Before any of that comes the granularity cutoff, as in rt.serialCtx: a
-// root whose static work bound is under regionEntryCost is not worth a
-// region under any tier or policy. Its wrapper counts the entry it
-// declined and is the serial version — result included — so none of the
-// extent's P_/X_/SJ_ versions is ever demanded.
+// Before any of that comes the granularity cutoff: a root whose static
+// work bound is under regionEntryCost is not worth a region under any
+// tier or policy. Its wrapper counts the entry it declined and is the
+// serial version, so no other version of the extent is ever demanded.
 func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
-	mp := e.plan.Methods[m]
 	e.demand(m, varS)
-	c := &fnCtx{e: e, m: m, mp: mp, indent: 1}
+	c := &fnCtx{e: e, m: m, mp: e.plan.Methods[m], indent: 1}
 	c.b.WriteString(e.fnSignature(m, varR))
 	c.b.WriteString(" {\n")
-	recv := ""
-	if m.Class != nil {
-		recv = "o."
-	}
 	var args []string
 	for _, p := range m.Params {
 		args = append(args, "v_"+p.Name)
 	}
-	serial := fmt.Sprintf("%sS_%s(%s)", recv, m.Name, strings.Join(args, ", "))
-	switch {
-	case e.plan.EmitDeclines(m):
+	// call renders a call of m's version v, ahead of whose own arguments
+	// go the pool's external handle and the region's journal.
+	call := func(v variant, w string) string {
+		recv := ""
+		if m.Class != nil {
+			recv = "o."
+		}
+		return recv + versions[v].prefix + m.Name + "(" + strings.Join(append(threadArgs(v, w, "", "sj_"), args...), ", ") + ")"
+	}
+	root, declined := c.mp.EntryFacts(), e.plan.EmitDeclines(m)
+	if declined {
 		// A plain increment: wrappers run in the serial context, on
 		// main's goroutine, and an atomic one would cost several times
 		// what the smallest declined regions do.
-		c.line("if cfgParallel {")
-		c.line("\tregionsDeclined_++")
+		c.line("if rt_.Parallel {")
+		c.line("\trt_.RegionsDeclined++")
 		c.line("}")
-		if !isVoid(m.Ret) {
-			serial = "return " + serial
-		}
-		c.line("%s", serial)
-	case mp != nil && mp.Speculative:
-		c.specRegionWrapper(recv, args, serial)
-	default:
-		c.provenRegionWrapper(recv, args, serial)
 	}
+	if declined || root == (nativert.Root{}) {
+		// Declined, or a rejected extent that may not speculate: serial
+		// under every policy.
+		c.line("%s", call(varS, ""))
+		c.b.WriteString("}\n")
+		return c.b.String()
+	}
+	var facts []string
+	guard := "nil"
+	if root.Proven {
+		facts = append(facts, "Proven: true")
+	}
+	if root.Conditional {
+		facts = append(facts, "Conditional: true")
+		g, err := e.guardExpr(c.mp)
+		if err != nil {
+			e.errorf("%s: %v", m.FullName(), err)
+			g = "false"
+		}
+		// A function literal on three lines stays on three lines.
+		guard = "func() bool {\n\t\treturn " + g + "\n\t}"
+	}
+	if root.SpecEligible {
+		facts = append(facts, "SpecEligible: true", "Confidence: "+formatFloatLit(root.Confidence))
+	}
+	c.line("switch rt_.Enter(&rt_.Stats, nativert.Root{%s}, %s) {", strings.Join(facts, ", "), guard)
+	if root.Proven || root.Conditional {
+		e.demand(m, varP)
+		c.line("case nativert.Parallel:")
+		c.line("\tpool_ := nativert.Pool(rt_.Workers)")
+		c.line("\t%s", call(varP, "pool_.External()"))
+		c.line("\tpool_.Drain()")
+	}
+	if root.SpecEligible {
+		e.demand(m, varJP)
+		e.useRtkit = true
+		rd, wr := e.specSets(m)
+		c.line("case nativert.Speculative:")
+		c.line("\tif !rt_.RunSpeculative(%s, %s, func(w *rtkit.Worker, sr_ *nativert.SpecRegion, sj_ *nativert.SpecJournal) {", rd, wr)
+		c.line("\t\t%s", call(varJP, "w"))
+		c.line("\t}) {")
+		c.line("\t\t%s", call(varS, ""))
+		c.line("\t}")
+	}
+	c.line("default:")
+	c.line("\t%s", call(varS, ""))
+	c.line("}")
 	c.b.WriteString("}\n")
 	return c.b.String()
 }
@@ -251,110 +291,6 @@ const regionEntryCost = 100000
 // granularity cutoff takes back: its R_ wrapper is its serial version.
 func (p *Plan) EmitDeclines(m *types.Method) bool {
 	return p.RegionRoot(m) && p.Methods[m].WorkUnder(regionEntryCost)
-}
-
-// provenRegionWrapper renders the body of R_m for a proven or
-// conditional extent.
-func (c *fnCtx) provenRegionWrapper(recv string, args []string, serial string) {
-	e, m, mp := c.e, c.m, c.mp
-	e.demand(m, varP)
-	region := func() {
-		c.line(runPoolStmt)
-		c.line("%sP_%s(%s)", recv, m.Name, strings.Join(append(threadArgs(varP, "pool_.External()", "", ""), args...), ", "))
-		c.line("pool_.Drain()")
-	}
-	c.line("if !cfgParallel {")
-	c.line("\t%s", serial)
-	c.line("\treturn")
-	c.line("}")
-	if mp == nil || !mp.Conditional || mp.Guard == nil {
-		region()
-		return
-	}
-	guard, err := e.guardExpr(mp)
-	if err != nil {
-		e.errorf("%s: %v", m.FullName(), err)
-		guard = "false"
-	}
-	e.useAtomic = true
-	if mp.SpecEligible {
-		c.line("spec_ := specAllowed_(%s)", formatFloatLit(mp.Confidence))
-	}
-	c.line("if cfgConditional {")
-	c.indent++
-	c.line("if %s {", guard)
-	c.indent++
-	c.line("atomic.AddInt64(&guardParallel_, 1)")
-	region()
-	c.line("return")
-	c.indent--
-	c.line("}")
-	c.line("atomic.AddInt64(&guardSerial_, 1)")
-	if mp.SpecEligible {
-		c.line("spec_ = cfgSpec == 2")
-	}
-	c.indent--
-	c.line("}")
-	if mp.SpecEligible {
-		c.line("if spec_ {")
-		c.indent++
-		c.specRegionBody(recv, args, serial)
-		c.indent--
-		c.line("}")
-	}
-	c.line("%s", serial)
-}
-
-// runPoolStmt binds the run-wide pool in a region wrapper: nativert
-// starts it at the first region of the process and hands the same pool
-// to every later one.
-const runPoolStmt = "pool_ := nativert.Pool(cfgWorkers)"
-
-// specRegionWrapper renders the body of R_m for a speculative extent:
-// the serial-to-speculative boundary (rt.serialCtx's mp.Speculative
-// branch plus rt.runSpeculativeRegion). The policy gate mirrors
-// rt.speculationAllowed with the eligibility and confidence baked in
-// as literals; a declined policy runs the original serial body inline,
-// exactly like the interpreter's serial fallback.
-func (c *fnCtx) specRegionWrapper(recv string, args []string, serial string) {
-	if !c.mp.SpecEligible {
-		// rt.speculationAllowed never admits an ineligible extent:
-		// every policy runs the serial body.
-		c.line("%s", serial)
-		return
-	}
-	c.line("if !cfgParallel || !specAllowed_(%s) {", formatFloatLit(c.mp.Confidence))
-	c.line("\t%s", serial)
-	c.line("\treturn")
-	c.line("}")
-	c.specRegionBody(recv, args, serial)
-}
-
-// specRegionBody renders the speculative region core
-// (rt.runSpeculativeRegion): run the journaled parallel root under
-// panic capture, drain the pool at the join barrier, validate and
-// commit single-threaded — or discard every buffer and re-run the
-// original serial version, whose heap the speculation never touched.
-func (c *fnCtx) specRegionBody(recv string, args []string, serial string) {
-	c.e.demand(c.m, varJP)
-	c.e.useAtomic = true
-	rd, wr := c.e.specSets(c.m)
-	c.line("atomic.AddInt64(&specRegions_, 1)")
-	c.line(runPoolStmt)
-	c.line("sr_ := nativert.NewSpecRegion(%s, %s)", rd, wr)
-	c.line("sj_ := sr_.NewJournal()")
-	c.line("func() {")
-	c.line("\tdefer sr_.CapturePanic()")
-	c.line("\t%sSJ_%s(%s)", recv, c.m.Name, strings.Join(append(threadArgs(varJP, "pool_.External()", "", "sj_"), args...), ", "))
-	c.line("}()")
-	c.line("pool_.Drain()")
-	c.line("if sr_.Commit() {")
-	c.line("\tatomic.AddInt64(&specCommits_, 1)")
-	c.line("\treturn")
-	c.line("}")
-	c.line("atomic.AddInt64(&specAborts_, 1)")
-	c.line("%s", serial)
-	c.line("return")
 }
 
 // SpecKeys resolves the declared transitive effect sets of the
@@ -502,27 +438,8 @@ func (c *fnCtx) returnStmt(v *ast.ReturnStmt) {
 	}
 	if call, ok := v.X.(*ast.CallExpr); ok && !call.Builtin {
 		cp := c.siteDispatch(call)
-		if mp := c.e.plan.Methods[cp.callee]; cp.kind == ckRegion && mp != nil &&
-			mp.Speculative && !isVoid(c.m.Ret) {
-			// Run-time policy split: declining to speculate keeps the
-			// serial call's real return value; speculating discards it
-			// (the R_ wrapper's serial rerun after an abort included).
-			c.e.demand(cp.callee, varS)
-			scp := callPlan{kind: ckValue, callee: cp.callee, v: varS}
-			serial := c.conv(c.renderCall(call, scp, 1), call, c.e.prog.TypeOf(call), c.m.Ret)
-			if !mp.SpecEligible {
-				c.line("return %s", serial)
-				return
-			}
-			c.line("if cfgParallel && specAllowed_(%s) {", formatFloatLit(mp.Confidence))
-			c.line("\t%s", c.renderCall(call, cp, 1))
-			c.line("\treturn %s", c.e.zeroVal(c.m.Ret))
-			c.line("}")
-			c.line("return %s", serial)
-			return
-		}
 		if cp.kind != ckValue {
-			// The called version's result is discarded (region/spawn/
+			// The called version's result is discarded (spawn/
 			// hoisted); run it, return a zero value.
 			c.effectCall(call, cp)
 			if isVoid(c.m.Ret) {
@@ -651,10 +568,10 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, h ast.CountedLoop) {
 		// by the claimant; the factory parameter shadows the enclosing
 		// task's sj_ so the iteration body journals into the claimant's
 		// own log.
-		c.line("nativert.SpecGSS(w, sr_, %q, %q, cfgWorkers, v_%s, gssTo_, %d, func(sj_ *nativert.SpecJournal) func(int64) {",
+		c.line("nativert.SpecGSS(w, sr_, %q, %q, rt_.Workers, v_%s, gssTo_, %d, func(sj_ *nativert.SpecJournal) func(int64) {",
 			c.m.FullName(), fs.Pos().String(), h.Var.Name, h.Step)
 	} else {
-		c.line("nativert.GSSOn(w, %q, %q, cfgWorkers, v_%s, gssTo_, %d, func() func(int64) {",
+		c.line("nativert.GSSOn(w, %q, %q, rt_.Workers, v_%s, gssTo_, %d, func() func(int64) {",
 			c.m.FullName(), fs.Pos().String(), h.Var.Name, h.Step)
 	}
 	c.indent++

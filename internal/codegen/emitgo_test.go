@@ -468,12 +468,17 @@ func (o *T_base) cls_() string { return "base" }
 		{"journaled operands: a SpecStore argument is at depth 2", `
 	nativert.SpecStore(sj_, t3_, float64(t4_+t2_), "particle_with_a_rather_long_class_name.p")
 `},
-		{"speculation wrapper body indented", `
-	if !cfgParallel || !specAllowed_(0.6666666666666666) {
+		{"region wrapper: the journaled root is a function literal on three lines", `
+	switch rt_.Enter(&rt_.Stats, nativert.Root{SpecEligible: true, Confidence: 0.6666666666666666}, nil) {
+	case nativert.Speculative:
+		if !rt_.RunSpeculative(specRd_world_run, specWr_world_run, func(w *rtkit.Worker, sr_ *nativert.SpecRegion, sj_ *nativert.SpecJournal) {
+			o.SJ_run(w, sr_, sj_, v_dt)
+		}) {
+			o.S_run(v_dt)
+		}
+	default:
 		o.S_run(v_dt)
-		return
 	}
-	atomic.AddInt64(&specRegions_, 1)
 `},
 		{"effect keys: alignment sections at the 40-byte / 2.5x rule", `
 var specRd_world_run = map[string]bool{
@@ -547,16 +552,21 @@ func TestEmitGoLowersSpeculativePlans(t *testing.T) {
 		t.Fatalf("EmitGoPackage refused a speculative plan: %v", err)
 	}
 	prog := string(files["prog.go"])
-	for _, want := range []string{"SJ_", "nativert.SpecStore", "nativert.NewSpecRegion", "sr_.Commit()"} {
+	for _, want := range []string{"SJ_", "nativert.SpecStore", "case nativert.Speculative:", "rt_.RunSpeculative(specRd_table_fill, specWr_table_fill, "} {
 		if !strings.Contains(prog, want) {
 			t.Errorf("prog.go missing %q", want)
 		}
 	}
+	// The policy, its flags and the counters are nativert's: main.go
+	// declares the driver the wrappers read and hands it the program.
 	main := string(files["main.go"])
-	for _, want := range []string{`flag.String("speculate"`, "specAllowed_", "spec_commits"} {
+	for _, want := range []string{"var rt_ nativert.Driver", "rt_.Main(initGlobals, run_, dumpState)"} {
 		if !strings.Contains(main, want) {
 			t.Errorf("main.go missing %q", want)
 		}
+	}
+	if strings.Contains(main, "flag.") {
+		t.Errorf("main.go defines flags:\n%s", main)
 	}
 	assertCanonical(t, "spec", files)
 }

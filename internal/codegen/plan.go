@@ -18,6 +18,7 @@ import (
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/token"
 	"commute/internal/frontend/types"
+	"commute/nativert"
 )
 
 // SiteAction tells the executor what to do at a call site when running
@@ -554,12 +555,26 @@ func (p *Plan) findLoops(a *core.Analysis, inPar map[*types.Method]*core.MethodR
 }
 
 // RegionRoot reports whether a call of m from serial code is a region
-// entry: m has a parallel version and running it generates concurrency.
-// Whether the region then opens is the entry rule's to say
-// (rt.serialCtx, emitRegionWrapper).
+// entry: m has a parallel version, running it generates concurrency, and
+// m returns no value. §4's operations return none, and the root of a
+// region is one of them: a method whose caller may use its value is
+// called from serial code as the serial code it is, result and all, on
+// both runtimes and in the tracer. Whether an entry then opens its region
+// is the entry rule's to say (nativert.Policy.Enter, after each runtime's
+// granularity cutoff).
 func (p *Plan) RegionRoot(m *types.Method) bool {
 	mp := p.Methods[m]
-	return mp != nil && mp.Parallel && p.GeneratesConcurrency(m)
+	return mp != nil && mp.Parallel && isVoid(m.Ret) && p.GeneratesConcurrency(m)
+}
+
+// EntryFacts is what the entry rule reads of a region root's plan.
+func (mp *MethodPlan) EntryFacts() nativert.Root {
+	return nativert.Root{
+		Proven:       !mp.Conditional && !mp.Speculative,
+		Conditional:  mp.Conditional,
+		SpecEligible: mp.SpecEligible,
+		Confidence:   mp.Confidence,
+	}
 }
 
 // GeneratesConcurrency reports whether invoking the parallel version of

@@ -97,7 +97,8 @@ void main() {
 }
 `
 
-// valueRoot consumes the result of a region root.
+// valueRoot consumes the result of a method that spawns: only its
+// result keeps step from being a region root.
 const valueRoot = `
 class counter {
 public:
@@ -180,6 +181,11 @@ func TestPolicyParity(t *testing.T) {
 			loopRows[fx.Name] = true
 		}
 	}
+	// The region-entry fixtures: a method that returns a value is no
+	// root, so no counter moves on either side, cleared or not.
+	for _, fx := range src.EntryFixtures() {
+		rows = append(rows, row{fx.Name, fx.Source, true})
+	}
 	for _, tc := range rows {
 		sys, err := commute.Load(tc.name+".mc", tc.code)
 		if err != nil {
@@ -256,46 +262,59 @@ func TestPolicyParity(t *testing.T) {
 	}
 }
 
-// TestDeclinedRootKeepsItsResult: a region discards its root's result; a
-// declined region is the serial version and nothing else, result
-// included — in both runtimes, so the run equals the serial walker's
-// where an opened region's would not.
-func TestDeclinedRootKeepsItsResult(t *testing.T) {
+// TestValueRootKeepsItsResult: a method that returns a value is not a
+// region root, however parallel its body — small (valueRoot, which the
+// cutoff would decline) or large (src.EntryFixtures: a proven, a guarded
+// and a speculative extent above both entry costs). The emitter accepts
+// the program, and under every policy, at 2 and 4 workers, a call of it
+// from serial code is the serial version, result included: output and
+// state are the serial walker's, and no entry is counted, declined or
+// otherwise. (Entered as a region the root's value was dropped: 0. The
+// interpreter's half is internal/rt's TestValueRootsMatchSerial, and the
+// fixtures' TestPolicyParity rows compare the two.)
+func TestValueRootKeepsItsResult(t *testing.T) {
 	if !nativegen.HaveGo() {
 		t.Skip("go toolchain not available")
 	}
-	sys, err := commute.Load("valueroot.mc", valueRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := nativegen.Generate(sys, "valueroot", dir); err != nil {
-		t.Fatal(err)
-	}
-	assertGofmt(t, dir)
-	bin, err := nativegen.Build(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := interpDump(t, sys, interp.EngineWalk)
-	if !strings.HasPrefix(want, "7 3\n") {
-		t.Fatalf("serial output %q", want)
-	}
-
-	var buf strings.Builder
-	ip, st, err := sys.RunParallelOpts(context.Background(), commute.RunOptions{Workers: 2}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nativegen.DumpInterp(&buf, sys.Prog, ip)
-	if got := buf.String(); got != want || st.RegionsDeclined != 1 || st.Regions != 0 {
-		t.Errorf("interpreter: %d declined, %d opened:\n%s", st.RegionsDeclined, st.Regions, firstDiff(want, got))
-	}
-	got, errOut, err := nativegen.RunErr(bin, "-mode", "parallel", "-workers", "2", "-guardstats", "-dump")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nat := nativegen.CounterStats(errOut); got != want || nat["regions_declined"] != 1 {
-		t.Errorf("native: %d declined:\n%s", nat["regions_declined"], firstDiff(want, got))
+	progs := []src.EntryFixture{{Name: "valueroot", Source: valueRoot, Root: "driver::step"}}
+	for _, fx := range append(progs, src.EntryFixtures()...) {
+		sys, err := commute.Load(fx.Name+".mc", fx.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root := sys.Prog.MethodByFullName(fx.Root); sys.CondPlan.RegionRoot(root) || !sys.CondPlan.Methods[root].Parallel {
+			t.Fatalf("%s: %s is a region root, or has no parallel version", fx.Name, fx.Root)
+		}
+		dir := t.TempDir()
+		if err := nativegen.Generate(sys, fx.Name, dir); err != nil {
+			t.Fatal(err)
+		}
+		assertGofmt(t, dir)
+		bin, err := nativegen.Build(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := interpDump(t, sys, interp.EngineWalk)
+		for _, workers := range []int{2, 4} {
+			for _, conditional := range []bool{false, true} {
+				for _, spec := range []rt.SpecMode{rt.SpecOff, rt.SpecAuto, rt.SpecForce} {
+					label := fmt.Sprintf("%s workers=%d conditional=%t speculate=%s", fx.Name, workers, conditional, spec)
+					got, errOut, err := nativegen.RunErr(bin, "-mode", "parallel", "-workers", fmt.Sprint(workers),
+						fmt.Sprintf("-conditional=%t", conditional), "-speculate", spec.String(),
+						"-guardstats", "-specstats", "-dump")
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got != want {
+						t.Errorf("%s:\n%s", label, firstDiff(want, got))
+					}
+					for name, n := range nativegen.CounterStats(errOut) {
+						if n != 0 {
+							t.Errorf("%s: %s = %d", label, name, n)
+						}
+					}
+				}
+			}
+		}
 	}
 }

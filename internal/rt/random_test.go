@@ -32,10 +32,11 @@ var loopBodyShapes = []loopBodyShape{
 
 // genCommutingProgram generates a random program whose parallel work
 // consists only of commuting additive/multiplicative updates on a pool
-// of counter objects, driven by a loop of a random shape and step.
+// of counter objects, driven by a loop of a random shape and step, in
+// one draw of two followed by a second pass whose result main uses.
 // Serial and parallel executions must agree exactly (integer state).
 func genCommutingProgram(r *rand.Rand, counters, updates int) string {
-	return genLoopProgram(r, counters, updates, loopBodyShapes[r.Intn(len(loopBodyShapes))], 1+r.Intn(3))
+	return genLoopProgram(r, counters, updates, loopBodyShapes[r.Intn(len(loopBodyShapes))], 1+r.Intn(3), r.Intn(2) == 0)
 }
 
 // genLoopProgram is genCommutingProgram with the loop chosen: its shape,
@@ -43,7 +44,27 @@ func genCommutingProgram(r *rand.Rand, counters, updates int) string {
 // object of its own, so the value a handled loop leaves there — a step
 // of 2 or 3 oversteps the bound — shows in the state (counterState reads
 // it last) without touching anything the updates touch.
-func genLoopProgram(r *rand.Rand, counters, updates int, shape loopBodyShape, step int) string {
+//
+// valued adds driver::again, which applies every update once more and
+// returns a number main notes in the tally and prints: runAll's extent
+// with a root that returns a value, so not a region root — entered as
+// one (the callers clear the work estimates: every region opens) the
+// value was dropped.
+func genLoopProgram(r *rand.Rand, counters, updates int, shape loopBodyShape, step int, valued bool) string {
+	var again, againDecl, useAgain string
+	if valued {
+		againDecl = "\n  int again();"
+		again = `
+int driver::again() {
+  int u;
+  for (u = 0; u < NU; u += 1) {
+    this->apply(u);
+  }
+  return NU + 7;
+}
+`
+		useAgain = "\n  x = D.again();\n  D.tl->note(x);\n  print(x);"
+	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `
 const int NC = %d;
@@ -79,7 +100,7 @@ public:
   int amounts[NU];
   void setup();
   void apply(int u);
-  void runAll();
+  void runAll();%s
 };
 
 driver D;
@@ -92,7 +113,7 @@ void driver::setup() {
     cs[i]->adds = 0;
     cs[i]->prods = 1;
   }
-`, counters, updates)
+`, counters, updates, againDecl)
 	for u := 0; u < updates; u++ {
 		fmt.Fprintf(&sb, "  targets[%d] = %d;\n  amounts[%d] = %d;\n",
 			u, r.Intn(counters), u, 1+r.Intn(9))
@@ -116,12 +137,13 @@ void driver::runAll() {
   }
   tl->note(u);
 }
-
+%s
 void main() {
+  int x;
   D.setup();
-  D.runAll();
+  D.runAll();%s
 }
-`, shape.pre, shape.bound, step, shape.body)
+`, shape.pre, shape.bound, step, shape.body, again, useAgain)
 	return sb.String()
 }
 
@@ -134,14 +156,18 @@ func TestRandomCommutingPrograms(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		counters := 2 + r.Intn(6)
 		updates := 8 + r.Intn(40)
-		// Every shape at steps 1, 2 and 3, twice.
+		// Every shape at steps 1, 2 and 3, twice: the second time with a
+		// value-returning pass after it.
 		shape, step := loopBodyShapes[trial%len(loopBodyShapes)], 1+trial/len(loopBodyShapes)%3
-		source := genLoopProgram(r, counters, updates, shape, step)
+		source := genLoopProgram(r, counters, updates, shape, step, trial >= 15)
 
 		prog, plan := build(t, source)
 		runAll := prog.MethodByFullName("driver::runAll")
 		if !plan.RegionRoot(runAll) {
 			t.Fatalf("trial %d (%s): driver::runAll is no region root", trial, shape.name)
+		}
+		if again := prog.MethodByFullName("driver::again"); again != nil && (plan.RegionRoot(again) || !plan.GeneratesConcurrency(again)) {
+			t.Fatalf("trial %d (%s): driver::again is a region root, or no reason to be one but its result", trial, shape.name)
 		}
 		var parallelLoop bool
 		for _, lp := range plan.Loops {

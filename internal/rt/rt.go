@@ -28,34 +28,9 @@ import (
 	"commute/rtkit"
 )
 
-// Stats counts run-time events (the raw material for Tables 5, 6 and
-// 11) plus the hardening layer's failure-handling events.
-type Stats struct {
-	ParallelLoops int64 // parallel loop executions
-	Chunks        int64 // GSS chunks claimed
-	Iterations    int64 // parallel loop iterations
-	Tasks         int64 // spawned tasks
-	LazyInlines   int64 // spawns absorbed inline by lazy task creation
-	LockAcquires  int64 // object-section lock acquisitions
-	Regions       int64 // serial→parallel region transitions
-	Steals        int64 // tasks and loop helpers taken from another worker's deque
-	LocalPops     int64 // tasks and loop helpers popped from the spawning worker's own deque
-
-	// RegionsDeclined counts calls of a region root from serial code that
-	// ran its serial version instead, because the root's static work
-	// bound is under the cost of entering a region (regionEntryCost).
-	RegionsDeclined int64
-
-	TaskPanics      int64 // panics captured and isolated as TaskError
-	SerialFallbacks int64 // regions re-executed serially after a fault
-
-	SpeculativeRegions int64 // regions entered speculatively
-	SpeculationCommits int64 // speculative regions validated and committed
-	SpeculationAborts  int64 // speculative regions rolled back and rerun serially
-
-	GuardParallel int64 // conditional regions whose guard held (ran parallel)
-	GuardSerial   int64 // conditional regions whose guard failed (ran serial)
-}
+// Stats counts run-time events; the type is nativert's, which counts the
+// region entries of both runtimes in it (nativert.Policy.Enter).
+type Stats = nativert.Stats
 
 // Runtime executes a program in parallel according to a plan.
 type Runtime struct {
@@ -92,22 +67,12 @@ type Runtime struct {
 	// (0: interp.DefaultMaxDepth).
 	MaxDepth int
 
-	// Conditional turns on the guards of conditionally commutative
-	// extents (MethodPlan.Conditional; the plan must have been built with
-	// codegen.Options.ConditionalGuards for any to exist): the guard is
-	// evaluated at region entry and decides between the parallel region
-	// and the serial path. When off, such an extent is just an unproven
-	// one, left to the speculation policy below.
-	Conditional bool
-
-	// Speculate selects the policy for extents the analysis rejected
-	// but marked speculation-eligible (the plan must have been built
-	// with codegen.Options.SpeculateRejected for any to exist):
-	// SpecOff never speculates, SpecAuto speculates when the extent's
-	// confidence score reaches SpecThreshold, SpecForce always does.
-	Speculate SpecMode
-	// SpecThreshold is the SpecAuto confidence cutoff
-	// (0: DefaultSpecThreshold).
+	// Conditional, Speculate and SpecThreshold are the run's entry policy
+	// (nativert.Policy, where each is described; a plan carries guards
+	// and speculative versions only when built with
+	// codegen.Options.ConditionalGuards / SpeculateRejected).
+	Conditional   bool
+	Speculate     SpecMode
 	SpecThreshold float64
 
 	// Faults, when non-nil, injects deterministic panics, delays, and
@@ -226,10 +191,10 @@ func Declines(p *codegen.Plan, m *types.Method) bool {
 // methodEntry is one row of the run's dispatch table.
 type methodEntry struct {
 	mp *codegen.MethodPlan // nil: the plan has no entry for the method
-	// root is set when a call from serial code opens a parallel region:
-	// the method is parallel and its parallel version generates
-	// concurrency (memoized per plan by Plan.GeneratesConcurrency).
-	root bool
+	// root is set when a call from serial code is a region entry
+	// (Plan.RegionRoot); facts is what the entry rule reads of its plan.
+	root  bool
+	facts nativert.Root
 	// declined is set on a root the granularity cutoff takes back: its
 	// static work bound is under regionEntryCost.
 	declined bool
@@ -272,21 +237,21 @@ func (rt *Runtime) RunContext(parent context.Context) error {
 	}()
 	rt.methods = make([]methodEntry, len(rt.IP.Prog.Methods))
 	for m, mp := range rt.Plan.Methods {
-		rt.methods[m.ID] = methodEntry{mp: mp, root: rt.Plan.RegionRoot(m), declined: Declines(rt.Plan, m)}
+		rt.methods[m.ID] = methodEntry{mp: mp, root: rt.Plan.RegionRoot(m), facts: mp.EntryFacts(), declined: Declines(rt.Plan, m)}
 	}
 	_, err := rt.IP.Call(rt.serialCtx(), rt.IP.Prog.Main, nil, nil)
 	rt.setErr(err)
 	return rt.firstErr()
 }
 
-// serialCtx executes serial code, opening a parallel region when a
-// parallel method that actually generates concurrency is invoked. This
-// is the one place the tier of a region is decided; the emitted R_
-// wrappers (codegen's emitRegionWrapper) apply the same rule.
+// serialCtx executes serial code. A call of a region root the cutoff
+// does not decline is a region entry: nativert's Enter says which tier it
+// takes under the run's policy, as it does for the emitted R_ wrappers.
 func (rt *Runtime) serialCtx() *interp.Ctx {
 	ctx := rt.IP.NewCtx()
 	ctx.Interrupt = rt.interrupt
 	ctx.MaxDepth = rt.MaxDepth
+	policy := nativert.Policy{Parallel: true, Conditional: rt.Conditional, Speculate: rt.Speculate, SpecThreshold: rt.SpecThreshold}
 	ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
 		e := &rt.methods[site.Callee.ID]
 		switch {
@@ -295,30 +260,20 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 			// policies say (force overrides confidence, not
 			// profitability): the serial version and nothing else — the
 			// hook is off while it runs, as S_m calls only S_ versions.
-			atomic.AddInt64(&rt.Stats.RegionsDeclined, 1)
+			rt.Stats.RegionsDeclined++
 			hook := ctx.Invoke
 			ctx.Invoke = nil
 			v, err := rt.IP.Call(ctx, site.Callee, recv, args)
 			ctx.Invoke = hook
 			return v, err
-		case !e.root:
-		case !e.mp.Conditional && !e.mp.Speculative:
-			return interp.Value{}, rt.runRegion(site.Callee, recv, args)
-		case e.mp.Conditional && rt.Conditional:
-			// Guarded extent: the guard decides parallel vs serial,
-			// taking precedence over speculation. A guard-false region
-			// may still speculate when the policy forces it — the
-			// journals then provide the safety the guard could not prove.
-			if rt.guardHolds(e) {
-				atomic.AddInt64(&rt.Stats.GuardParallel, 1)
+		case e.root:
+			// A root returns no value (Plan.RegionRoot).
+			switch policy.Enter(&rt.Stats, e.facts, func() bool { return rt.guardHolds(e) }) {
+			case nativert.Parallel:
 				return interp.Value{}, rt.runRegion(site.Callee, recv, args)
-			}
-			atomic.AddInt64(&rt.Stats.GuardSerial, 1)
-			if rt.Speculate == SpecForce && e.mp.SpecEligible {
+			case nativert.Speculative:
 				return interp.Value{}, rt.runSpeculativeRegion(e, recv, args)
 			}
-		case rt.speculationAllowed(e.mp):
-			return interp.Value{}, rt.runSpeculativeRegion(e, recv, args)
 		}
 		// Not a region root, or an unproven extent no policy took: the
 		// original serial version, inline.
@@ -332,7 +287,6 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 // until the region completes. A failed region may degrade to the
 // original serial version.
 func (rt *Runtime) runRegion(m *types.Method, recv *interp.Object, args []interp.Value) error {
-	atomic.AddInt64(&rt.Stats.Regions, 1)
 	ferr := rt.runRoot(nil, m, recv, args)
 	if ferr == nil || !rt.SerialFallback || !rt.fallbackEligible(ferr) {
 		return ferr

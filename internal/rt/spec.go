@@ -2,73 +2,26 @@ package rt
 
 import (
 	"context"
-	"sync/atomic"
 
-	"commute/internal/codegen"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/nativert"
 )
 
-// SpecMode is the speculation policy for statically-rejected extents.
-type SpecMode int
+// The speculation policy is nativert's, with the rest of the entry rule
+// (nativert/entry.go); these are its names as the rest of the tree
+// spells them.
+type SpecMode = nativert.SpecMode
 
-// Speculation policies.
 const (
-	// SpecOff never speculates: rejected extents run their original
-	// serial versions.
-	SpecOff SpecMode = iota
-	// SpecAuto speculates on extents whose confidence score (fraction
-	// of method pairs the analysis proved) reaches the threshold.
-	SpecAuto
-	// SpecForce speculates on every eligible rejected extent.
-	SpecForce
+	SpecOff              = nativert.SpecOff
+	SpecAuto             = nativert.SpecAuto
+	SpecForce            = nativert.SpecForce
+	DefaultSpecThreshold = nativert.DefaultSpecThreshold
 )
 
-// DefaultSpecThreshold is the SpecAuto confidence cutoff when none is
-// configured: at least half the extent's pairs must have been proven.
-const DefaultSpecThreshold = 0.5
-
 // ParseSpecMode maps a command-line speculation mode name to a SpecMode.
-func ParseSpecMode(s string) (SpecMode, bool) {
-	switch s {
-	case "off", "":
-		return SpecOff, true
-	case "auto":
-		return SpecAuto, true
-	case "force":
-		return SpecForce, true
-	}
-	return SpecOff, false
-}
-
-func (m SpecMode) String() string {
-	switch m {
-	case SpecAuto:
-		return "auto"
-	case SpecForce:
-		return "force"
-	}
-	return "off"
-}
-
-// speculationAllowed applies the policy at region entry.
-func (rt *Runtime) speculationAllowed(mp *codegen.MethodPlan) bool {
-	if !mp.SpecEligible {
-		return false
-	}
-	switch rt.Speculate {
-	case SpecForce:
-		return true
-	case SpecAuto:
-		th := rt.SpecThreshold
-		if th <= 0 {
-			th = DefaultSpecThreshold
-		}
-		return mp.Confidence >= th
-	}
-	return false
-}
+func ParseSpecMode(s string) (SpecMode, bool) { return nativert.ParseSpecMode(s) }
 
 // specLog is an activation's effect monitor in a speculative region: a
 // thin interp.Mon adapter from the interpreter's Value cells onto its
@@ -160,8 +113,6 @@ func (rt *Runtime) openSpec(e *methodEntry) *nativert.SpecRegion {
 // Only the caller's own cancellation or deadline is not retried: the
 // caller gave up, so the region returns its error immediately.
 func (rt *Runtime) runSpeculativeRegion(e *methodEntry, recv *interp.Object, args []interp.Value) error {
-	atomic.AddInt64(&rt.Stats.Regions, 1)
-	atomic.AddInt64(&rt.Stats.SpeculativeRegions, 1)
 	m := e.mp.Method
 	sr := rt.openSpec(e)
 	ferr := rt.runRoot(sr.NewJournal(), m, recv, args)
@@ -169,7 +120,7 @@ func (rt *Runtime) runSpeculativeRegion(e *methodEntry, recv *interp.Object, arg
 	if ferr != nil {
 		sr.Discard()
 	} else if rt.validate(sr, m) {
-		atomic.AddInt64(&rt.Stats.SpeculationCommits, 1)
+		rt.Stats.SpeculationCommits++
 		return nil
 	} else {
 		ferr = rt.firstErr()
@@ -181,7 +132,7 @@ func (rt *Runtime) runSpeculativeRegion(e *methodEntry, recv *interp.Object, arg
 		}
 		return ferr
 	}
-	atomic.AddInt64(&rt.Stats.SpeculationAborts, 1)
+	rt.Stats.SpeculationAborts++
 	return rt.rerunSerial(m, recv, args)
 }
 

@@ -277,33 +277,6 @@ func (s *Server) guard(name string, h func(w http.ResponseWriter, r *http.Reques
 // ---------------------------------------------------------------------
 // Program loading through the artifact cache
 
-// appSource maps a built-in application name to its source. The
-// "quickstart" alias serves the §2 running example (the graph
-// traversal), matching examples/quickstart.
-func appSource(app string) (name, source string, ok bool) {
-	switch app {
-	case "barneshut":
-		return "barneshut.mc", src.BarnesHut, true
-	case "water":
-		return "water.mc", src.Water, true
-	case "graph", "quickstart":
-		return "graph.mc", src.Graph, true
-	case "specdisjoint":
-		return "specdisjoint.mc", src.SpecDisjoint, true
-	case "specconflict":
-		return "specconflict.mc", src.SpecConflict, true
-	case "condhash":
-		// Guard-true mode: the table accumulates, the synthesized guard
-		// (mode == 0) holds, and guarded regions run in parallel.
-		return "condhash.mc", src.CondHashBase + src.CondHashMain(0, 6), true
-	case "condhash-serial":
-		// Guard-false mode: the table overwrites, the guard fails at
-		// region entry, and every guarded region takes the serial path.
-		return "condhash-serial.mc", src.CondHashBase + src.CondHashMain(3, 6), true
-	}
-	return "", "", false
-}
-
 // systemSize estimates the retained bytes of a loaded system (AST,
 // types, analysis reports, codegen plan, slot resolution, compiled
 // closures) for the cache's byte accounting. The structures are all
@@ -338,8 +311,8 @@ func resolveSourceRequest(req api.SourceRequest, analysisWorkers int) (name, sou
 	name, source = req.Name, req.Source
 	if req.App != "" {
 		var ok bool
-		if name, source, ok = appSource(req.App); !ok {
-			return "", "", opts, fmt.Errorf("unknown app %q (have barneshut, water, graph, quickstart, specdisjoint, specconflict, condhash, condhash-serial)", req.App)
+		if name, source, ok = src.App(req.App); !ok {
+			return "", "", opts, fmt.Errorf("unknown app %q (have %s)", req.App, src.AppNames())
 		}
 	}
 	if source == "" {

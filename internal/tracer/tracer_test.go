@@ -1,6 +1,7 @@
 package tracer_test
 
 import (
+	"bytes"
 	"testing"
 
 	"commute/internal/apps/src"
@@ -9,6 +10,7 @@ import (
 	"commute/internal/frontend/parser"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
+	"commute/internal/nativegen"
 	"commute/internal/tracer"
 )
 
@@ -123,5 +125,34 @@ func TestTracerDeterministic(t *testing.T) {
 	p2, s2, u2 := sig()
 	if p1 != p2 || s1 != s2 || u1 != u2 {
 		t.Errorf("nondeterministic trace: (%d,%d,%d) vs (%d,%d,%d)", p1, s1, u1, p2, s2, u2)
+	}
+}
+
+// TestValueRootTraced: value-proven's ingest returns a value main adds
+// up, so the tracer, like both runtimes, runs it as the serial code it is
+// (codegen.Plan.RegionRoot). Collect succeeds — entered as a region the
+// value was lost and main failed on arithmetic over it — no phase is
+// parallel, and output and heap are the serial run's.
+func TestValueRootTraced(t *testing.T) {
+	fx := src.EntryFixtures()[0]
+	prog, plan := setup(t, fx.Source)
+	var want, got bytes.Buffer
+	ipSerial := interp.New(prog, &want)
+	if err := ipSerial.Run(ipSerial.NewCtx()); err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	nativegen.DumpInterp(&want, prog, ipSerial)
+
+	ipTrace := interp.New(prog, &got)
+	tr, err := tracer.Collect(ipTrace, plan)
+	if err != nil {
+		t.Fatalf("%s: collect: %v", fx.Name, err)
+	}
+	nativegen.DumpInterp(&got, prog, ipTrace)
+	if got.String() != want.String() {
+		t.Errorf("%s: traced output and state differ from the serial run's:\n got %.200q\nwant %.200q", fx.Name, got.String(), want.String())
+	}
+	if tr.ParallelUnits() != 0 || tr.SerialUnits() == 0 {
+		t.Errorf("%s: %d parallel and %d serial units, want a serial trace", fx.Name, tr.ParallelUnits(), tr.SerialUnits())
 	}
 }

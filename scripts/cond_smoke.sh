@@ -30,7 +30,9 @@ echo "$REPORT" | grep -q 'COND .*table::ingest'
 echo "$REPORT" | grep -q 'COND .*bucket::update'
 echo "$REPORT" | grep -q 'ec:table.mode@global:H'
 echo "$REPORT" | grep -Eq 'root table::ingest +work [0-9]+ +declined: interp, native'
-go run ./cmd/commutec "$OUT/wide0.mc" | grep -Eq 'root table::ingest +work [0-9]+$'
+# (Captured first: grep -q leaves at the match, and commutec has more to write.)
+WIDE=$(go run ./cmd/commutec "$OUT/wide0.mc")
+echo "$WIDE" | grep -Eq 'root table::ingest +work [0-9]+$'
 echo "analysis guards ok"
 
 # -conditional asks for what only the parallel runtime does.

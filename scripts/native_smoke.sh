@@ -6,7 +6,8 @@
 # so its parallel run only has to finish cleanly). The speculative leg emits
 # the journaled packages for the speculation corpus and byte-diffs both
 # the commit and the abort-and-rerun paths. The many-region leg enters
-# 2000 guarded parallel regions on the one run-wide pool.
+# 2000 guarded parallel regions on the one run-wide pool. The region-entry
+# leg runs the three value-returning roots on every path.
 #
 # The shipped speculation and condhash demonstrators have regions of a
 # few hundred cost units, under what a region costs to enter: their
@@ -166,6 +167,45 @@ for APP in carried final; do
 done
 if grep -q 'nativert.GSSOn' "$OUT/carried/prog.go" || ! grep -q 'nativert.GSSOn' "$OUT/final/prog.go"; then
   echo "FAIL: expected no GSS loop in carried/prog.go and one in final/prog.go" >&2
+  exit 1
+fi
+
+# Region entry: a method that returns a value is never entered as a
+# region. The three fixtures — a proven, a guarded and a speculative
+# extent whose root's result main prints, each above both entry costs —
+# print and dump the serial interpreter's answer on the parallel
+# interpreter, the emitted binary and the simulator's tracer, under every
+# policy that could have taken the root.
+for APP in value-proven value-guarded value-spec; do
+  SRC="internal/apps/src/entry/$APP.mc"
+  DIR="$OUT/$APP"
+  REPORT=$(go run ./cmd/commutec "$SRC")
+  echo "$REPORT" | grep -q '^not a root  table::.* returns int: calls from serial code run the serial version$'
+  go run ./cmd/commutec -emit go -o "$DIR" "$SRC"
+  (cd "$DIR" && go vet . && canonical && go build -o app .)
+  go run ./cmd/commuterun -mode serial -dump "$SRC" > "$OUT/$APP.interp"
+  go run ./cmd/commuterun -mode simulate -procs 2 "$SRC" > /dev/null
+  for POLICY in "" "-conditional" "-speculate force" "-conditional -speculate force"; do
+    # commuterun spells the guard flag -conditional on.
+    # shellcheck disable=SC2086
+    go run ./cmd/commuterun -mode parallel -workers 2 ${POLICY/-conditional/-conditional on} -dump "$SRC" > "$OUT/$APP.par"
+    # shellcheck disable=SC2086
+    "$DIR/app" -mode parallel -workers 2 $POLICY -dump > "$OUT/$APP.native"
+    for GOT in par native; do
+      if ! diff -q "$OUT/$APP.interp" "$OUT/$APP.$GOT" >/dev/null; then
+        echo "FAIL: $APP ($POLICY): $GOT run diverges from the serial interpreter:" >&2
+        diff "$OUT/$APP.interp" "$OUT/$APP.$GOT" | head >&2
+        exit 1
+      fi
+    done
+  done
+  echo "$APP: serial interpreter == parallel interpreter == native, every policy"
+done
+
+# The driver is nativert's: an emitted main.go defines no flag.
+if grep -q 'flag\.' "$OUT"/*/main.go; then
+  echo "FAIL: an emitted main.go defines flags:" >&2
+  grep -l 'flag\.' "$OUT"/*/main.go >&2
   exit 1
 fi
 
