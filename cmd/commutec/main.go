@@ -213,4 +213,16 @@ func main() {
 	for _, cl := range locked {
 		fmt.Printf("class %s keeps its mutual exclusion lock\n", cl)
 	}
+	// Operations on nested objects only that still may not hold their
+	// lock through, and why.
+	lines = lines[:0]
+	for m, mp := range sys.Plan.Methods {
+		if mp.NoHoist != "" {
+			lines = append(lines, fmt.Sprintf("no hoisting  %s  %s", m.FullName(), mp.NoHoist))
+		}
+	}
+	sort.Strings(lines)
+	for _, l := range lines {
+		fmt.Println(l)
+	}
 }

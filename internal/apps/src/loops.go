@@ -3,6 +3,7 @@ package src
 import (
 	"embed"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -22,7 +23,13 @@ import (
 // returns a value its serial caller prints, at a size above both
 // runtimes' entry cost.
 //
-//go:embed loops/*.mc entry/*.mc
+// The in-region dispatch fixtures, dispatch/*.mc, are whole programs too:
+// a tree walk whose operation reaches, through an auxiliary call or a
+// nested object, code that a region must run as plain serial code — a
+// helper that loops over operations, an operation on a shared object —
+// or, in nested-spawn, must not.
+//
+//go:embed loops/*.mc entry/*.mc dispatch/*.mc
 var fixtureFiles embed.FS
 
 func fixtureFile(path string) string {
@@ -45,6 +52,31 @@ func EntryFixtures() []EntryFixture {
 		fx("value-guarded", "table::ingest"),
 		fx("value-spec", "table::fill"),
 	}
+}
+
+// DispatchFixture is one in-region dispatch fixture: its program and the
+// one line the serial program prints.
+type DispatchFixture struct{ Name, Source, Output string }
+
+// DispatchFixtures lists the three fixtures.
+func DispatchFixtures() []DispatchFixture {
+	fx := func(name, output string) DispatchFixture {
+		return DispatchFixture{name, fixtureFile("dispatch/" + name), output}
+	}
+	return []DispatchFixture{
+		fx("aux-loop", "196605\n"),
+		fx("hoist-escape", "49149\n"),
+		fx("nested-spawn", "393210\n"),
+	}
+}
+
+// AtDepth is the fixture's program over a tree of depth d: for the tests
+// that check what timing does not decide, which need no large one.
+func (fx DispatchFixture) AtDepth(d int) string {
+	const call = "root->grow("
+	i := strings.Index(fx.Source, call) + len(call)
+	j := i + strings.Index(fx.Source[i:], ")")
+	return fx.Source[:i] + strconv.Itoa(d) + fx.Source[j:]
 }
 
 // LoopProgram is the skeleton over n cells with run as the statements of

@@ -108,8 +108,10 @@ func (p *Plan) AnnotationsJSON() ([]byte, error) {
 // ApplyAnnotations reconstructs an executable Plan from an annotation
 // file and the (re-parsed, re-checked) program — the paper's separate
 // code generation pass. The file is outside input: what it says of a
-// loop is held against the program, and marking parallel a loop that is
-// not a legal candidate there is an error.
+// loop or a hoisted lock is held against the program, and marking
+// parallel a loop that is not a legal candidate there, or holding a lock
+// through an invocation that leaves the receiver (hoistEscape), is an
+// error.
 func ApplyAnnotations(prog *types.Program, a *Annotations) (*Plan, error) {
 	p := &Plan{
 		Prog:            prog,
@@ -146,6 +148,15 @@ func ApplyAnnotations(prog *types.Program, a *Annotations) (*Plan, error) {
 			mp.Site[cs.ID] = act
 		}
 		p.Methods[m] = mp
+	}
+
+	for _, m := range prog.Methods {
+		if mp := p.Methods[m]; mp != nil && mp.HoldsLockThrough {
+			if site := p.hoistEscape(m); site != nil {
+				return nil, fmt.Errorf("annotations hold the lock of %s through: %s at %s",
+					m.FullName(), escapeReason(site), site.Call.Pos())
+			}
+		}
 	}
 
 	// Re-address loops by (method, line).

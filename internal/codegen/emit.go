@@ -197,13 +197,14 @@ func (t *bodyEmitter) releaseIfNeeded() {
 	}
 }
 
-// containsExtentCall reports whether the subtree holds a non-auxiliary
-// call site of this method.
+// containsExtentCall reports whether the subtree holds a call site of
+// this method that does not run the serial version.
 func (t *bodyEmitter) containsExtentCall(n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(x ast.Node) bool {
 		if c, ok := x.(*ast.CallExpr); ok && !c.Builtin && c.Site >= 0 {
-			if t.mp.Site[c.Site] != ActionInline {
+			site := t.e.plan.Prog.CallSites[c.Site]
+			if t.mp.Call(t.version(), site, t.e.plan.Methods[site.Callee]).Run != VersionSerial {
 				found = true
 			}
 		}
@@ -322,33 +323,45 @@ func (t *bodyEmitter) stmtsOf(s ast.Stmt) {
 	t.stmt(s)
 }
 
-func (t *bodyEmitter) exprStmt(x *ast.ExprStmt) {
+// version is the version of the method the body renders.
+func (t *bodyEmitter) version() Version {
+	if t.mutex {
+		return VersionMutex
+	}
+	return VersionParallel
+}
+
+func (t *bodyEmitter) exprStmt(x *ast.ExprStmt) { t.callStmt(x, t.version()) }
+
+// callStmt renders an expression statement of a body running as version
+// in: a call site does what the plan's call rule says (MethodPlan.Call).
+func (t *bodyEmitter) callStmt(x *ast.ExprStmt, in Version) {
 	call, ok := x.X.(*ast.CallExpr)
 	if !ok || call.Builtin || call.Site < 0 {
 		t.raw(x)
 		return
 	}
 	site := t.e.plan.Prog.CallSites[call.Site]
-	switch t.mp.Site[call.Site] {
-	case ActionInline, ActionHoisted, ActionSerial:
-		t.raw(x)
-	case ActionSpawn:
+	sc := t.mp.Call(in, site, t.e.plan.Methods[site.Callee])
+	if sc.Release {
 		t.releaseIfNeeded()
-		if t.mutex {
-			t.line("%s;", t.renamedCall(call, site, "__mutex"))
-			return
-		}
-		t.line("spawn(%s);", t.renamedCall(call, site, "__parallel"))
+	}
+	switch {
+	case sc.Spawn:
+		t.line("spawn(%s);", t.renamedCall(call, versionSuffix[sc.Run]))
+	case sc.Run != VersionSerial:
+		t.line("%s;", t.renamedCall(call, versionSuffix[sc.Run]))
+	default:
+		t.raw(x)
 	}
 }
 
+// versionSuffix names the generated versions in the listing.
+var versionSuffix = [...]string{VersionSerial: "", VersionParallel: "__parallel", VersionMutex: "__mutex"}
+
 // renamedCall prints the call with the callee renamed to a generated
-// version (only when the callee is a parallel method).
-func (t *bodyEmitter) renamedCall(call *ast.CallExpr, site *types.CallSite, suffix string) string {
-	cp := t.e.plan.Methods[site.Callee]
-	if cp == nil || !cp.Parallel {
-		return printer.Expr(call)
-	}
+// version.
+func (t *bodyEmitter) renamedCall(call *ast.CallExpr, suffix string) string {
 	out := printer.Expr(call)
 	// Rename the method at its invocation point: the method name is
 	// followed by "(" in the rendered call.
@@ -403,18 +416,12 @@ func (t *bodyEmitter) serialLoopOverMutex(x *ast.ForStmt) {
 	t.line("}")
 }
 
-// mutexStmt renders a parallel-loop body statement with extent
-// invocations renamed to mutex versions.
+// mutexStmt renders a loop body statement: its call sites run as a
+// parallel loop's iterations run them.
 func (t *bodyEmitter) mutexStmt(s ast.Stmt) {
 	if es, ok := s.(*ast.ExprStmt); ok {
-		if call, ok2 := es.X.(*ast.CallExpr); ok2 && !call.Builtin && call.Site >= 0 {
-			site := t.e.plan.Prog.CallSites[call.Site]
-			if cp := t.e.plan.Methods[site.Callee]; cp != nil && cp.Parallel &&
-				t.mp.Site[call.Site] != ActionInline {
-				t.line("%s;", t.renamedCall(call, site, "__mutex"))
-				return
-			}
-		}
+		t.callStmt(es, VersionIteration)
+		return
 	}
 	t.raw(s)
 }

@@ -1,10 +1,11 @@
 package codegen
 
-// Native Go backend: lower a Plan into a compilable Go package whose
-// execution mirrors the interpreter runtime (internal/rt) decision for
-// decision. Every dialect method becomes up to six Go functions — the
-// "customized versions" of §5.3 of the paper plus the context
-// refinements the interpreter's executor threads at run time:
+// Native Go backend: lower a Plan into a compilable Go package. Every
+// dialect method becomes up to five Go functions — the "customized
+// versions" of §5.3 of the paper plus the two the serial context of a
+// parallel run needs. What a call site inside P_ or X_ does — which
+// version it runs, spawned or not, after releasing the receiver lock or
+// not — is the plan's call rule (MethodPlan.Call), read by siteDispatch:
 //
 //	S_m   serial version: every callee serial, every loop serial.
 //	D_m   driver version: runs in a serial context and calls the R_
@@ -19,33 +20,22 @@ package codegen
 //	      the journaled SJ_m under Driver.RunSpeculative; or S_m, as
 //	      under -mode serial.
 //	P_m   parallel version: acquires the receiver lock when the plan
-//	      says so, spawns ActionSpawn sites onto the pool, runs
-//	      ActionHoisted/ActionInline sites inline, and compiles
-//	      planned-parallel counted loops to guided self-scheduling on
-//	      the pool (nativert.GSSOn, handed the body's own scheduler
-//	      handle w: the goroutine that reaches the loop claims chunks
-//	      itself and its helpers are pool tasks).
-//	X_m   mutex version: same lock discipline, but ActionSpawn sites
-//	      execute inline as X_ calls and every loop is serial — the
-//	      interpreter disables the parallel-loop hook under
-//	      versionMutex.
-//	IS_m  iteration-serial version: the body as parallel-loop
-//	      iterations run it (rt's loop claimants): ActionInline sites stay
-//	      in the iteration context, other sites whose callee is
-//	      parallel dispatch to the mutex version.
-//	Q_m   parallel-inline version: the body as an ActionInline callee
-//	      runs under a parallel context — sites inline (the root's
-//	      site map does not cover them), planned-parallel loops still
-//	      become GSS, and the enclosing extent's lock-release closure
-//	      threads through.
+//	      says so, spawns onto the pool where the call rule spawns, and
+//	      compiles planned-parallel counted loops to guided
+//	      self-scheduling on the pool (nativert.GSSOn, handed the body's
+//	      own scheduler handle w: the goroutine that reaches the loop
+//	      claims chunks itself and its helpers are pool tasks). The loop
+//	      body is emitted in place, its call sites under the rule's
+//	      iteration context.
+//	X_m   mutex version: same lock discipline, invoked operations run
+//	      inline as X_ calls and every loop is serial.
 //
 // Speculative extents (statically rejected, optimistically run under
-// effect journals) add journaled twins of the context versions: SJ_ (parallel root, spawns tasks with fresh
-// journals), SJS_ (serial body, every access journaled), SJX_ (mutex
-// analogue), SJI_ (iteration context), SJQ_ (parallel-inline with
-// speculative GSS loops — nativert.SpecGSS, the same claim loop with a
-// journal per claimant). They take no locks — isolation comes from
-// the journals — and nativert validates at the join barrier, commits
+// effect journals) add journaled twins: SJ_ (parallel root, spawns tasks
+// with fresh journals, loops under nativert.SpecGSS — the same claim loop
+// with a journal per claimant), SJS_ (serial body, every access
+// journaled), SJX_ (mutex analogue). They take no locks — isolation comes
+// from the journals — and nativert validates at the join barrier, commits
 // single-threaded, or discards, and the R_ wrapper reruns S_. A twin is
 // a row of the version table below, not a second set of rules: one body
 // emitter and one call-site dispatch write both families.
@@ -102,13 +92,9 @@ const (
 	varD                 // driver (serial context)
 	varP                 // parallel
 	varX                 // mutex
-	varI                 // iteration-serial
-	varQ                 // parallel-inline
 	varJP                // speculative parallel (journaled P_)
 	varJS                // speculative serial (journaled S_)
 	varJX                // speculative mutex (journaled X_)
-	varJI                // speculative iteration-serial (journaled IS_)
-	varJQ                // speculative parallel-inline (journaled Q_)
 )
 
 // versions is the version table, a row per version: its name prefix, the
@@ -129,34 +115,27 @@ var versions = [...]struct {
 	varD:  {"D_", mD, 0, nil},
 	varP:  {"P_", mP, varJP, []string{"w"}},
 	varX:  {"X_", mX, varJX, nil},
-	varI:  {"IS_", mI, varJI, nil},
-	varQ:  {"Q_", mQ, varJQ, []string{"w", "rel_"}},
 	varJP: {"SJ_", mP, 0, []string{"w", "sr_", "sj_"}},
 	varJS: {"SJS_", mS, 0, []string{"sj_"}},
 	varJX: {"SJX_", mX, 0, []string{"sr_", "sj_"}},
-	varJI: {"SJI_", mI, 0, []string{"sr_", "sj_"}},
-	varJQ: {"SJQ_", mQ, 0, []string{"w", "sr_", "sj_"}},
 }
 
 // threadType types the threaded parameters: the scheduler handle of the
-// executing goroutine, the enclosing extent's lock-release closure, the
-// speculative region (for fresh journals and the failed fast path) and
-// the current task's journal.
+// executing goroutine, the speculative region (for fresh journals and the
+// failed fast path) and the current task's journal.
 var threadType = map[string]string{
-	"w": "*rtkit.Worker", "rel_": "func()", "sr_": "*nativert.SpecRegion", "sj_": "*nativert.SpecJournal",
+	"w": "*rtkit.Worker", "sr_": "*nativert.SpecRegion", "sj_": "*nativert.SpecJournal",
 }
 
 // threadArgs lists what a call of version v passes ahead of the method's
-// own arguments, the site naming its worker handle, its release closure
-// and the callee's journal.
-func threadArgs(v variant, w, rel, sj string) []string {
+// own arguments, the site naming its worker handle and the callee's
+// journal.
+func threadArgs(v variant, w, sj string) []string {
 	var args []string
 	for _, a := range versions[v].thread {
 		switch a {
 		case "w":
 			a = w
-		case "rel_":
-			a = rel
 		case "sj_":
 			a = sj
 		}
@@ -194,8 +173,9 @@ type goEmitter struct {
 	// by name.
 	helpers map[string]string
 
-	// The transitive properties, by types.Method.ID (closures).
-	driver, parLoop, iter []bool
+	// driver: the method reaches a call site that enters a region, by
+	// types.Method.ID (reachesRegion).
+	driver []bool
 
 	useMath    bool
 	useRtkit   bool
@@ -252,7 +232,7 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 	for _, m := range e.prog.Methods {
 		e.frames[m] = interp.MethodFrame(e.prog, m)
 	}
-	e.closures()
+	e.driver = e.reachesRegion()
 
 	// Demand-driven emission from the entry point.
 	entry := varS
@@ -317,98 +297,43 @@ func (e *goEmitter) demand(m *types.Method, v variant) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Transitive properties
-
-// Each of the three is plain reachability — m has the property, or
-// calls, transitively, a method that has it — so closures computes each
-// once per emit as the closure of its holders over the reversed call
-// graph: no per-call memo, and no provisional answer for a call cycle to
-// freeze (on a mutually recursive pair a depth-first memo finalizes the
-// inner method while its ancestor still reads "computing, false").
-func (e *goEmitter) closures() {
+// reachesRegion computes needDriver for every method: m has a call site
+// that enters a region, or calls, transitively, a method that has one.
+// That is plain reachability, so it is computed once per emit as the
+// closure of the holders over the reversed call graph: no per-call memo,
+// and no provisional answer for a call cycle to freeze (on a mutually
+// recursive pair a depth-first memo finalizes the inner method while its
+// ancestor still reads "computing, false").
+func (e *goEmitter) reachesRegion() []bool {
 	callers := make([][]*types.Method, len(e.prog.Methods))
+	in := make([]bool, len(e.prog.Methods))
+	var work []*types.Method
 	for _, m := range e.prog.Methods {
 		for _, cs := range m.CallSites {
 			callers[cs.Callee.ID] = append(callers[cs.Callee.ID], m)
-		}
-	}
-	closure := func(holds func(*types.Method) bool) []bool {
-		in := make([]bool, len(e.prog.Methods))
-		var work []*types.Method
-		add := func(m *types.Method) {
-			if !in[m.ID] {
+			if !in[m.ID] && e.plan.RegionRoot(cs.Callee) {
 				in[m.ID] = true
 				work = append(work, m)
 			}
 		}
-		for _, m := range e.prog.Methods {
-			if holds(m) {
-				add(m)
-			}
-		}
-		for len(work) > 0 {
-			m := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, c := range callers[m.ID] {
-				add(c)
-			}
-		}
-		return in
 	}
-	// A call site that enters a region.
-	e.driver = closure(func(m *types.Method) bool {
-		for _, cs := range m.CallSites {
-			if e.plan.RegionRoot(cs.Callee) {
-				return true
+	for len(work) > 0 {
+		m := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, c := range callers[m.ID] {
+			if !in[c.ID] {
+				in[c.ID] = true
+				work = append(work, c)
 			}
-		}
-		return false
-	})
-	// A planned-parallel loop in the body.
-	loops := make([]bool, len(e.prog.Methods))
-	for _, lp := range e.plan.Loops {
-		if lp.Parallel {
-			loops[lp.Method.ID] = true
 		}
 	}
-	e.parLoop = closure(func(m *types.Method) bool { return loops[m.ID] })
-	// A call site the iteration context dispatches to a mutex version
-	// (rt's loop claimants do so at non-ActionInline sites whose callee is
-	// parallel).
-	e.iter = closure(func(m *types.Method) bool {
-		mp := e.plan.Methods[m]
-		for _, cs := range m.CallSites {
-			if (mp == nil || mp.Site[cs.ID] != ActionInline) && e.parallel(cs.Callee) {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// parallel reports whether the plan gives m a parallel version.
-func (e *goEmitter) parallel(m *types.Method) bool {
-	mp := e.plan.Methods[m]
-	return mp != nil && mp.Parallel
+	return in
 }
 
 // needDriver reports whether m (running in a serial context) can reach
 // a call site that opens a parallel region, so its serial-context
 // version must be the D_ driver rather than plain S_.
 func (e *goEmitter) needDriver(m *types.Method) bool { return e.driver[m.ID] }
-
-// subtreeHasParallelLoop reports whether m's body, or any body
-// transitively reachable through its call sites, contains a
-// planned-parallel loop. Inline callees with such loops need the Q_
-// version under a parallel context (the loop hook fires for any loop
-// executed under the context, not only the root's).
-func (e *goEmitter) subtreeHasParallelLoop(m *types.Method) bool { return e.parLoop[m.ID] }
-
-// needsIter reports whether m's iteration-serial version differs from
-// its plain serial version: somewhere in the iteration context a call
-// site dispatches to a mutex version.
-func (e *goEmitter) needsIter(m *types.Method) bool { return e.iter[m.ID] }
 
 // chainRoot returns the topmost base class of c's inheritance chain.
 func chainRoot(c *types.Class) *types.Class {

@@ -1,8 +1,9 @@
 package codegen
 
-// Expression emission and call-site dispatch. Dispatch reproduces the
-// interpreter runtime's per-context Invoke hooks: which version a call
-// site runs, whether its value survives, and whether it spawns.
+// Expression emission and call-site dispatch: which version a call site
+// runs, whether its value survives, and whether it spawns. Inside a
+// region the plan's call rule says (MethodPlan.Call); in the serial
+// context of a parallel run, Plan.RegionRoot.
 //
 // Expressions are written the way gofmt prints them, so every renderer
 // takes the nesting depth d its text lands at (go/printer's binaryExpr:
@@ -26,19 +27,17 @@ type callKind int
 const (
 	ckValue   callKind = iota // plain call, value preserved
 	ckRegion                  // serial context enters a region; the root returns no value
-	ckSpawn                   // parallel version spawned as a task; value discarded
-	ckHoisted                 // inline under the hoisted lock; value discarded
+	ckSpawn                   // spawned as a task; value discarded
 	ckEffectX                 // mutex version runs inline; value discarded
 )
 
 // callPlan is the lowering decision for one call site in the current
 // mode.
 type callPlan struct {
-	kind   callKind
-	callee *types.Method
-	v      variant // the version called
-	rel    string  // rel_ argument for Q_ callees ("nil" or "rel_")
-	preRel bool    // release the extent lock before the call (mX spawn sites)
+	kind    callKind
+	callee  *types.Method
+	v       variant // the version called
+	release bool    // release the receiver lock, if still held, before the call
 }
 
 // call plans a call of callee's version v — inside a speculative body,
@@ -52,49 +51,13 @@ func (c *fnCtx) call(kind callKind, callee *types.Method, v variant) callPlan {
 	return callPlan{kind: kind, callee: callee, v: v}
 }
 
-// parallelVersion is v when callee has a parallel plan. A speculative
-// extent can spawn, or run as a mutex version, a callee that has none
-// (its site map marks extent operations the analysis never planned):
-// that one runs its plain body — journaled, as call makes it.
-func (c *fnCtx) parallelVersion(callee *types.Method, v variant) variant {
-	if c.spec && !c.e.parallel(callee) {
-		return varS
-	}
-	return v
-}
-
-// pInline resolves the version an ActionInline/default site uses under
-// a parallel context: the plain serial body, or Q_ when the callee's
-// subtree contains a planned-parallel loop the context would still
-// parallelize (the interpreter's loop hook stays armed through inline
-// calls).
-func (c *fnCtx) pInline(callee *types.Method) callPlan {
-	if !c.e.subtreeHasParallelLoop(callee) {
-		return c.call(ckValue, callee, varS)
-	}
-	cp := c.call(ckValue, callee, varQ)
-	cp.rel = "nil"
-	if c.mode == mQ || c.releaseBeforeSpawn {
-		cp.rel = "rel_"
-	}
-	return cp
-}
-
 // siteDispatch decides how a non-builtin call site lowers in the
 // current mode: each rule names the proven version, and call takes its
 // journaled twin inside a speculative body.
 func (c *fnCtx) siteDispatch(x *ast.CallExpr) callPlan {
-	callee := c.e.prog.CallSites[x.Site].Callee
-	// The site's action in the enclosing method's site map (a site the
-	// map lacks is an inline one).
-	var act SiteAction
-	if c.mp != nil {
-		act = c.mp.Site[x.Site]
-	}
-	switch c.mode {
-	case mS:
-		return c.call(ckValue, callee, varS)
-	case mD:
+	site := c.e.prog.CallSites[x.Site]
+	callee := site.Callee
+	if c.mode == mD {
 		// A call of a region root goes through its R_ wrapper, which
 		// decides what the entry runs as; everything else — a method
 		// that returns a value included — stays in the serial context.
@@ -105,50 +68,19 @@ func (c *fnCtx) siteDispatch(x *ast.CallExpr) callPlan {
 			return c.call(ckValue, callee, varD)
 		}
 		return c.call(ckValue, callee, varS)
-	case mP:
-		// rt's activation.invoke under versionParallel.
-		switch act {
-		case ActionSpawn:
-			return c.call(ckSpawn, callee, c.parallelVersion(callee, varP))
-		case ActionHoisted:
-			cp := c.pInline(callee)
-			cp.kind = ckHoisted
-			return cp
-		}
-		return c.pInline(callee)
-	case mQ:
-		return c.pInline(callee)
-	case mX:
-		// versionMutex: spawn sites run the mutex version inline
-		// (releasing the lock first when not held through; a speculative
-		// body holds none); everything else is serial inline — the loop
-		// hook is disabled, so plain S_ bodies are exact.
-		switch act {
-		case ActionSpawn:
-			cp := c.call(ckEffectX, callee, c.parallelVersion(callee, varX))
-			cp.preRel = c.releaseBeforeSpawn
-			return cp
-		case ActionHoisted:
-			return c.call(ckHoisted, callee, varS)
-		}
-		return c.call(ckValue, callee, varS)
-	case mI:
-		// A loop claimant (activation.invoke with no method plan): the
-		// site map is the site's own caller's; ActionInline stays in the
-		// iteration context — IS_ where that differs from S_ — and other
-		// sites with a parallel callee run the mutex version.
-		if c.mp == nil || act != ActionInline {
-			if c.e.parallel(callee) {
-				return c.call(ckEffectX, callee, varX)
-			}
-		}
-		if c.e.needsIter(callee) {
-			return c.call(ckValue, callee, varI)
-		}
-		return c.call(ckValue, callee, varS)
 	}
-	c.errf("unknown emit mode")
-	return c.call(ckValue, callee, varS)
+	sc := c.mp.Call(modeVersion[c.mode], site, c.e.plan.Methods[callee])
+	kind := ckValue
+	switch {
+	case sc.Spawn:
+		kind = ckSpawn
+	case sc.Run == VersionMutex:
+		kind = ckEffectX
+	}
+	cp := c.call(kind, callee, runVariant[sc.Run])
+	// A speculative body holds no lock.
+	cp.release = sc.Release && c.locked
+	return cp
 }
 
 // recvChain renders the receiver expression of a call to callee,
@@ -166,17 +98,31 @@ func (c *fnCtx) recvChain(x *ast.CallExpr, callee *types.Method, d int) string {
 		return "o.as_" + callee.Class.Name + "()"
 	}
 	code := c.expr(x.Recv, d)
-	cls := ptrClass(c.e.prog.TypeOf(x.Recv))
-	if cls == callee.Class && !c.e.exprIface(x.Recv) {
+	if c.recvPlain(x, callee) {
 		return code
 	}
 	return code + ".as_" + callee.Class.Name + "()"
 }
 
+// byValue reports whether x renders as a struct value: a nested object.
+// (A global is an object too, and renders as the pointer to it.)
+func (c *fnCtx) byValue(x ast.Expr) bool {
+	_, object := c.e.prog.TypeOf(x).(types.Object)
+	id, _ := x.(*ast.Ident)
+	return object && (id == nil || id.Sym != ast.SymGlobal)
+}
+
+// recvPlain reports whether the explicit receiver of x already is a
+// concrete value of, or pointer to, callee's declaring class: recvChain
+// needs no accessor.
+func (c *fnCtx) recvPlain(x *ast.CallExpr, callee *types.Method) bool {
+	return ptrClass(c.e.prog.TypeOf(x.Recv)) == callee.Class && !c.e.exprIface(x.Recv)
+}
+
 // renderCall assembles a lowered call expression. A call with more than
 // one argument prints its receiver and its arguments one level deeper.
 func (c *fnCtx) renderCall(x *ast.CallExpr, cp callPlan, d int) string {
-	args := threadArgs(cp.v, "w", cp.rel, "sj_")
+	args := threadArgs(cp.v, "w", "sj_")
 	n := min(len(x.Args), len(cp.callee.Params))
 	if len(args)+n > 1 {
 		d++
@@ -206,39 +152,28 @@ func (c *fnCtx) exprStmt(x ast.Expr) {
 			}
 			return
 		}
-		cp := c.siteDispatch(v)
-		if cp.kind == ckValue || cp.kind == ckHoisted {
-			// Value discarded either way in statement position.
-			c.line("%s", c.renderCall(v, cp, 1))
-			return
-		}
-		c.effectCall(v, cp)
+		c.effectCall(v, c.siteDispatch(v))
 		return
 	}
 	c.line("_ = %s", c.expr(x, 1))
 }
 
-// effectCall lowers the value-discarding call kinds.
+// effectCall lowers a call whose value is not used.
 func (c *fnCtx) effectCall(x *ast.CallExpr, cp callPlan) {
-	switch cp.kind {
-	case ckRegion, ckHoisted:
-		c.line("%s", c.renderCall(x, cp, 1))
-	case ckEffectX:
-		if cp.preRel {
-			c.releaseLock()
-		}
-		c.line("%s", c.renderCall(x, cp, 1))
-	case ckSpawn:
+	if cp.kind == ckSpawn {
 		c.spawn(x, cp)
-	default:
-		c.line("%s", c.renderCall(x, cp, 1))
+		return
 	}
+	if cp.release {
+		c.releaseLock()
+	}
+	c.line("%s", c.renderCall(x, cp, 1))
 }
 
-// spawn lowers an ActionSpawn site: evaluate receiver and arguments
-// now (the interpreter evaluates them in the caller before enqueuing
-// the task), release the extent lock when the plan says so, and push a
-// task running the callee's parallel version.
+// spawn lowers a spawned call: evaluate receiver and arguments now (the
+// interpreter evaluates them in the caller before enqueuing the task),
+// release the receiver lock when the rule says so, and push a task
+// running the version it named.
 func (c *fnCtx) spawn(x *ast.CallExpr, cp callPlan) {
 	callee := cp.callee
 	c.line("{")
@@ -248,6 +183,9 @@ func (c *fnCtx) spawn(x *ast.CallExpr, cp callPlan) {
 	if callee.Class != nil {
 		rv := c.tmpName()
 		chain := c.recvChain(x, callee, 1)
+		if c.byValue(x.Recv) && c.recvPlain(x, callee) {
+			chain = "&" + chain // the task takes the nested object's address
+		}
 		// Narrow interface receivers to the concrete declaring class.
 		c.line("var %s *T_%s = %s", rv, callee.Class.Name, chain)
 		recv = rv + "."
@@ -263,16 +201,17 @@ func (c *fnCtx) spawn(x *ast.CallExpr, cp callPlan) {
 	}
 	// A speculative task gets a fresh journal, and captures panics so a
 	// faulting task aborts the region instead of killing the pool
-	// goroutine; it holds no lock, so there is nothing to release.
+	// goroutine.
 	jv := ""
 	if c.spec {
 		jv = c.tmpName()
 		c.line("%s := sr_.NewJournal()", jv)
-	} else if c.releaseBeforeSpawn {
+	}
+	if cp.release {
 		c.releaseLock()
 	}
 	c.e.useRtkit = true
-	args := append(threadArgs(cp.v, "cw_", "", jv), taskArgs...)
+	args := append(threadArgs(cp.v, "cw_", jv), taskArgs...)
 	c.line("w.Pool().Spawn(w, %q, func(cw_ *rtkit.Worker) {", callee.FullName())
 	if c.spec {
 		c.line("\tdefer sr_.CapturePanic()")
@@ -635,14 +574,15 @@ func (c *fnCtx) ident(v *ast.Ident) string {
 }
 
 // specLoad routes a shared-state load through the task's journal.
-// Aggregate-typed locations (embedded arrays) must stay addressable so
-// the caller can index through them — SpecTouch logs the read and
-// returns the pointer, and the element accesses journal their own
-// locations. Everything else returns the journal's view of the value:
-// a buffered write if the task made one, the frozen heap value
-// otherwise.
+// Aggregate-typed locations (embedded arrays and nested objects) must
+// stay addressable so the caller can index, select or invoke through
+// them — SpecTouch logs the read and returns the pointer, and the inner
+// accesses journal their own locations. Everything else returns the
+// journal's view of the value: a buffered write if the task made one,
+// the frozen heap value otherwise.
 func (c *fnCtx) specLoad(addr, desc string, t types.Type) string {
-	if _, ok := t.(types.Array); ok {
+	switch t.(type) {
+	case types.Array, types.Object:
 		return "(*nativert.SpecTouch(sj_, " + addr + ", " + strconv.Quote(desc) + "))"
 	}
 	return "nativert.SpecLoad(sj_, " + addr + ", " + strconv.Quote(desc) + ")"

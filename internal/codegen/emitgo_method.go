@@ -24,10 +24,16 @@ type emitMode int
 const (
 	mS emitMode = iota // serial engine
 	mD                 // serial context of the parallel engine
-	mP                 // parallel version root
-	mX                 // mutex version root
+	mP                 // parallel version
+	mX                 // mutex version
 	mI                 // parallel-loop iteration context
-	mQ                 // inline callee under a parallel context
+)
+
+// modeVersion names each in-region mode for the plan's call rule, and
+// runVariant the proven version that runs what the rule answers.
+var (
+	modeVersion = [...]Version{mS: VersionSerial, mP: VersionParallel, mX: VersionMutex, mI: VersionIteration}
+	runVariant  = [...]variant{VersionSerial: varS, VersionParallel: varP, VersionMutex: varX}
 )
 
 // fnCtx is the single-function emission state.
@@ -44,10 +50,7 @@ type fnCtx struct {
 	spec bool
 
 	// locked: the P_/X_ prologue acquired the receiver lock.
-	// releaseBeforeSpawn mirrors rt.callVersion: locked and not
-	// holding through, so spawn sites and parallel loops release it.
-	locked             bool
-	releaseBeforeSpawn bool
+	locked bool
 
 	b      strings.Builder
 	indent int
@@ -105,7 +108,6 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) string {
 	if (c.mode == mP || c.mode == mX) && !c.spec && c.mp != nil && c.mp.NeedsLock && m.Class != nil {
 		e.muRoots[chainRoot(m.Class)] = true
 		c.locked = true
-		c.releaseBeforeSpawn = !c.mp.HoldsLockThrough
 		c.line("o.mu_.Lock()")
 		c.line("lockHeld_ := true")
 		c.line("defer func() {")
@@ -113,18 +115,6 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) string {
 		c.line("\t\to.mu_.Unlock()")
 		c.line("\t}")
 		c.line("}()")
-		if c.mode == mP {
-			// rel_ is passed to Q_ callees so planned-parallel loops
-			// inside inline callees release the extent lock exactly
-			// where the interpreter's loop hook would.
-			c.line("rel_ := func() {")
-			c.line("\tif lockHeld_ {")
-			c.line("\t\tlockHeld_ = false")
-			c.line("\t\to.mu_.Unlock()")
-			c.line("\t}")
-			c.line("}")
-			c.line("_ = rel_")
-		}
 	}
 
 	for _, s := range m.Def.Body.Stmts {
@@ -210,7 +200,7 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
 		if m.Class != nil {
 			recv = "o."
 		}
-		return recv + versions[v].prefix + m.Name + "(" + strings.Join(append(threadArgs(v, w, "", "sj_"), args...), ", ") + ")"
+		return recv + versions[v].prefix + m.Name + "(" + strings.Join(append(threadArgs(v, w, "sj_"), args...), ", ") + ")"
 	}
 	root, declined := c.mp.EntryFacts(), e.plan.EmitDeclines(m)
 	if declined {
@@ -489,11 +479,11 @@ func blockTerminates(s ast.Stmt) bool {
 // Loops
 
 // forStmt lowers a for loop. The plan's parallel loops compile to
-// nativert.GSS in parallel-context modes; everything else is a serial
-// Go loop (init before, condition re-evaluated, post at the body end —
-// the interpreter's serial execution order).
+// nativert.GSS in a parallel version; everything else is a serial Go
+// loop (init before, condition re-evaluated, post at the body end — the
+// interpreter's serial execution order).
 func (c *fnCtx) forStmt(fs *ast.ForStmt) {
-	if c.mode == mP || c.mode == mQ {
+	if c.mode == mP {
 		if lp := c.e.plan.Loops[fs]; lp != nil && lp.Parallel {
 			c.gssLoop(fs, lp.Header)
 			return
@@ -517,13 +507,13 @@ func (c *fnCtx) forStmt(fs *ast.ForStmt) {
 }
 
 // gssLoop compiles a planned-parallel counted loop to guided
-// self-scheduling. Mirrors rt.parallelLoop + rt's loop hook:
-//   - the extent lock is released first when the plan says so,
+// self-scheduling, as rt.parallelLoop and rt's loop hook run it:
+//   - the receiver lock is released first unless held through,
 //   - the enclosing body's scheduler handle w goes in, so the loop's
 //     helpers are offered on the deque of the worker running it,
 //   - each claimant gets one private copy of the frame variables the
 //     body touches (the interpreter's per-claimant iteration frame),
-//   - the body runs in iteration-context mode (mI dispatch),
+//   - the body's call sites lower under the iteration context (mI),
 //   - afterwards the loop variable holds what the serial loop leaves in
 //     it (rtkit.LoopExit, the interpreter's function); the post
 //     statement never runs.
@@ -536,19 +526,8 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, h ast.CountedLoop) {
 	if fs.Init != nil {
 		c.stmt(fs.Init)
 	}
-	if !c.spec {
-		// Speculative versions hold no locks, so there is nothing to
-		// release before the loop fans out.
-		switch c.mode {
-		case mP:
-			if c.releaseBeforeSpawn {
-				c.releaseLock()
-			}
-		case mQ:
-			c.line("if rel_ != nil {")
-			c.line("\trel_()")
-			c.line("}")
-		}
+	if c.locked && !c.mp.HoldsLockThrough {
+		c.releaseLock()
 	}
 	// Frame variables referenced by the body, in frame-slot order.
 	used := c.bodyVars(fs.Body)
@@ -623,8 +602,8 @@ func (c *fnCtx) bodyVars(body ast.Stmt) []string {
 	return out
 }
 
-// releaseLock emits the guarded extent-lock release (rt.callVersion's
-// releaseBeforeSpawn path).
+// releaseLock emits the guarded receiver-lock release that ends the
+// object section.
 func (c *fnCtx) releaseLock() {
 	c.line("if lockHeld_ {")
 	c.line("\tlockHeld_ = false")

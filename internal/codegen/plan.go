@@ -33,6 +33,73 @@ const (
 	ActionSerial                    // site inside a serial method: plain call
 )
 
+// Version names the generated versions of an operation (§5.3) and, as
+// VersionIteration, the context a parallel-loop claimant runs the loop
+// body in.
+type Version int
+
+// The versions.
+const (
+	VersionSerial Version = iota
+	VersionParallel
+	VersionMutex
+	VersionIteration
+)
+
+// SiteCall is what a call site does inside a region: the version of the
+// callee it runs, whether that runs as a spawned task rather than on the
+// caller's stack, and whether the caller lets go of its receiver lock —
+// if it holds it — first. A spawned or mutex version returns nothing to
+// the caller; a serial version returns its value.
+type SiteCall struct {
+	Run     Version
+	Spawn   bool
+	Release bool
+}
+
+// Call is the in-region call rule (§5.3, §5.4.2): what the site, one of
+// mp's method, does when the body runs as version in; callee is the
+// callee's plan (nil: it has none). The interpreter runtime, the tracer,
+// the Go emitter and the source printer switch on the answer and decide
+// nothing themselves.
+//
+//	site \ in   parallel             mutex            iteration
+//	inline      serial               serial           serial
+//	hoisted     serial               serial           mutex
+//	spawn       parallel, spawned,   mutex,           mutex
+//	            release              release
+//
+// An inline or hoisted site runs the serial version — a body whose own
+// call sites are all serial and whose loops are all serial, whatever
+// region it was reached from: an auxiliary operation executes serially,
+// and a hoisted one runs under the lock its caller holds through. The
+// exception is a loop claimant: it is not the goroutine holding that
+// lock, so an extent operation it invokes locks for itself. Release is
+// set unless the operation holds its lock through. A callee with no
+// parallel plan — a speculative extent's site map can name one — runs
+// its serial version wherever the table says parallel or mutex, spawned
+// where the table spawns. Everything called from a serial version is a
+// serial version.
+func (mp *MethodPlan) Call(in Version, site *types.CallSite, callee *MethodPlan) SiteCall {
+	act := ActionSerial
+	if in != VersionSerial {
+		act = mp.Site[site.ID]
+	}
+	extent := act == ActionSpawn || act == ActionHoisted && in == VersionIteration
+	if !extent {
+		return SiteCall{Run: VersionSerial}
+	}
+	sc := SiteCall{Run: VersionMutex}
+	if in == VersionParallel {
+		sc = SiteCall{Run: VersionParallel, Spawn: true}
+	}
+	if callee == nil || !callee.Parallel {
+		sc.Run = VersionSerial
+	}
+	sc.Release = in != VersionIteration && !mp.HoldsLockThrough
+	return sc
+}
+
 // MethodPlan is the per-method code generation decision.
 type MethodPlan struct {
 	Method *types.Method
@@ -48,6 +115,10 @@ type MethodPlan struct {
 	// operation holds the receiver lock across both sections and runs
 	// invoked nested-object operations inline.
 	HoldsLockThrough bool
+	// NoHoist says why an operation whose extent invocations are all on
+	// nested objects of its receiver does not hold its lock through
+	// (hoistEscape); such an operation is planned like a mixed one.
+	NoHoist string
 	// Replicable is true when every receiver write in the operation is
 	// a pure commutative accumulation (the written storage is never
 	// read except as the source of its own update). Such operations can
@@ -337,41 +408,58 @@ func BuildWithOptions(a *core.Analysis, opt Options) *Plan {
 		}
 		mp.NeedsLock = writesIvars
 
-		// Call-site actions.
-		mi := a.Eff.Info(m)
-		nestedOnly := true
-		hasExtentCalls := false
-		for i := range mi.Calls {
-			cc := &mi.Calls[i]
+		// Call-site actions: auxiliary sites run inline, invocations on
+		// nested objects of the receiver are hoisting's to decide, the
+		// rest spawn.
+		for i := range info.Calls {
+			cc := &info.Calls[i]
 			id := cc.Site.ID
-			if aux[id] || r.Ext.IsAux(cc.Site) {
+			switch {
+			case aux[id] || r.Ext.IsAux(cc.Site):
 				mp.Site[id] = ActionInline
-				continue
-			}
-			hasExtentCalls = true
-			if cc.Recv.Kind == effects.RecvNested && cc.Recv.ViaThis {
+			case cc.Recv.Kind == effects.RecvNested && cc.Recv.ViaThis:
 				mp.Site[id] = ActionHoisted
-			} else {
+			default:
 				mp.Site[id] = ActionSpawn
-				nestedOnly = false
 			}
 		}
+	}
 
-		// §5.4.2 lock hoisting: when every extent invocation targets a
-		// nested object of the receiver, the operation's customized
-		// version holds the receiver lock across both sections and runs
-		// the nested operations inline (acquiring the lock even when
-		// its own object section would not need one, so the nested
-		// objects need no locks of their own).
-		if hasExtentCalls && nestedOnly && m.Class != nil && !opt.DisableHoisting {
-			mp.HoldsLockThrough = true
-			mp.NeedsLock = true
+	p.hoistLocks()
+	p.findLoops(a, inParallelExtent)
+	p.computeLockedClasses()
+	return p
+}
+
+// hoistLocks applies §5.4.2 lock hoisting to the methods planned with
+// locks: when every extent invocation targets a nested object of the
+// receiver, the operation's customized version holds the receiver lock
+// across both sections and runs the nested operations inline (acquiring
+// the lock even when its own object section would not need one, so the
+// nested objects need no locks of their own) — where running them inline
+// is sound (hoistEscape). Everywhere else nested-object invocations need
+// their own atomicity, and are spawned like other extent calls.
+func (p *Plan) hoistLocks() {
+	locking := func(mp *MethodPlan) bool { return mp.Parallel && !mp.Speculative }
+	for m, mp := range p.Methods {
+		if !locking(mp) || p.Opt.DisableHoisting || m.Class == nil || !nestedOnly(mp) {
+			continue
+		}
+		if site := p.hoistEscape(m); site != nil {
+			mp.NoHoist = escapeReason(site)
+			continue
+		}
+		mp.HoldsLockThrough = true
+		mp.NeedsLock = true
+	}
+	// The site maps change only now: every decision above read them as
+	// first written.
+	for m, mp := range p.Methods {
+		if !locking(mp) {
+			continue
 		}
 		mp.Replicable = mp.NeedsLock && pureAccumulator(m)
 		if !mp.HoldsLockThrough {
-			// Without hoisting, nested-object invocations still need
-			// their own atomicity: spawn them like other extent calls
-			// unless the caller holds its lock through.
 			for id, act := range mp.Site {
 				if act == ActionHoisted {
 					mp.Site[id] = ActionSpawn
@@ -379,10 +467,57 @@ func BuildWithOptions(a *core.Analysis, opt Options) *Plan {
 			}
 		}
 	}
+}
 
-	p.findLoops(a, inParallelExtent)
-	p.computeLockedClasses()
-	return p
+// nestedOnly reports whether mp's method invokes extent operations, and
+// only on nested objects of its receiver.
+func nestedOnly(mp *MethodPlan) bool {
+	nested := false
+	for _, act := range mp.Site {
+		if act == ActionSpawn {
+			return false
+		}
+		nested = nested || act == ActionHoisted
+	}
+	return nested
+}
+
+// hoistEscape is the legality half of §5.4.2: holding m's lock through
+// runs the operations at m's hoisted sites as plain serial code, and what
+// they invoke in turn, so it is sound only if every operation reached that
+// way, m included, invokes nothing but operations on nested objects of its
+// own receiver and auxiliaries — all of it stays under the one lock. It
+// returns the first call site that leaves, nil when none does. The rule
+// reads the site maps alone, a nested-object invocation being the one
+// marked ActionHoisted, so an annotation file is held to it as well.
+func (p *Plan) hoistEscape(m *types.Method) *types.CallSite {
+	seen := make(map[*types.Method]bool)
+	var walk func(m *types.Method) *types.CallSite
+	walk = func(m *types.Method) *types.CallSite {
+		mp := p.Methods[m]
+		if seen[m] || mp == nil {
+			return nil
+		}
+		seen[m] = true
+		for _, cs := range m.CallSites {
+			switch mp.Site[cs.ID] {
+			case ActionInline:
+			case ActionHoisted:
+				if site := walk(cs.Callee); site != nil {
+					return site
+				}
+			default:
+				return cs
+			}
+		}
+		return nil
+	}
+	return walk(m)
+}
+
+// escapeReason words a hoistEscape site for reports.
+func escapeReason(site *types.CallSite) string {
+	return site.Caller.FullName() + " invokes " + site.Callee.FullName() + " outside the receiver"
 }
 
 // planSpeculative fills the plan for a method executing only inside
@@ -445,9 +580,9 @@ func (p *Plan) computeLockedClasses() {
 		if !lp.Parallel {
 			continue
 		}
-		for _, callee := range loopCallees(p.Prog, lp.Stmt) {
-			if cp := p.Methods[callee]; cp != nil && cp.Parallel {
-				seeds[callee] = true
+		for _, cs := range loopSites(p.Prog, lp.Stmt) {
+			if cp := p.Methods[cs.Callee]; cp != nil && cp.Parallel {
+				seeds[cs.Callee] = true
 			}
 		}
 	}
@@ -516,22 +651,22 @@ func (p *Plan) findLoops(a *core.Analysis, inPar map[*types.Method]*core.MethodR
 	p.LoopsFound = len(candidates)
 
 	// A loop is nested when its enclosing method is reachable from the
-	// extent of another candidate loop's body invocations.
+	// extent of another candidate loop's body invocations: through the
+	// sites the call rule does not answer with the serial version, whose
+	// loops are serial whoever calls it.
 	reach := func(from *LoopPlan) map[*types.Method]bool {
 		out := make(map[*types.Method]bool)
-		var visit func(m *types.Method)
-		visit = func(m *types.Method) {
-			if out[m] {
-				return
-			}
-			out[m] = true
-			for _, cs := range m.CallSites {
-				visit(cs.Callee)
+		var visit func(in Version, mp *MethodPlan, sites []*types.CallSite)
+		visit = func(in Version, mp *MethodPlan, sites []*types.CallSite) {
+			for _, cs := range sites {
+				cp := p.Methods[cs.Callee]
+				if mp.Call(in, cs, cp).Run != VersionSerial && !out[cs.Callee] {
+					out[cs.Callee] = true
+					visit(VersionMutex, cp, cs.Callee.CallSites)
+				}
 			}
 		}
-		for _, cs := range loopCallees(p.Prog, from.Stmt) {
-			visit(cs)
-		}
+		visit(VersionIteration, p.Methods[from.Method], loopSites(p.Prog, from.Stmt))
 		return out
 	}
 	for _, lp := range candidates {
@@ -678,12 +813,12 @@ func guardResolves(prog *types.Program, g cond.Pred) bool {
 	return true
 }
 
-// loopCallees returns the methods invoked directly in a loop body.
-func loopCallees(prog *types.Program, fs *ast.ForStmt) []*types.Method {
-	var out []*types.Method
+// loopSites returns the call sites directly in a loop body.
+func loopSites(prog *types.Program, fs *ast.ForStmt) []*types.CallSite {
+	var out []*types.CallSite
 	ast.Inspect(fs.Body, func(n ast.Node) bool {
 		if c, ok := n.(*ast.CallExpr); ok && !c.Builtin && c.Site >= 0 {
-			out = append(out, prog.CallSites[c.Site].Callee)
+			out = append(out, prog.CallSites[c.Site])
 		}
 		return true
 	})

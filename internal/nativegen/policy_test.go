@@ -186,6 +186,14 @@ func TestPolicyParity(t *testing.T) {
 	for _, fx := range src.EntryFixtures() {
 		rows = append(rows, row{fx.Name, fx.Source, true})
 	}
+	// The in-region dispatch fixtures, their trees cut to depth 9: both
+	// sides run call sites by the plan's one rule, so they open the one
+	// region, run no loop in it and agree on the state. (The emitted
+	// nested-spawn did not compile.) TestNativeDispatchFixtures runs them
+	// at size.
+	for _, fx := range src.DispatchFixtures() {
+		rows = append(rows, row{fx.Name, fx.AtDepth(9), true})
+	}
 	for _, tc := range rows {
 		sys, err := commute.Load(tc.name+".mc", tc.code)
 		if err != nil {
@@ -315,6 +323,65 @@ func TestValueRootKeepsItsResult(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestNativeDispatchFixtures: the in-region dispatch fixtures
+// (src.DispatchFixtures) through the emitted binary. Every package
+// builds; at 2 and 4 workers, under every policy, output and state are the
+// serial walker's; and one run of each under the race detector is clean. (As emitted before, aux-loop's P_add
+// handed Q_probe a closure that unlocked add's receiver ahead of probe's
+// loop, and wrote total unlocked — wrong in two runs of five;
+// hoist-escape's acc::add ran as S_add under another object's lock, right
+// by luck and a DATA RACE on the first race run; nested-spawn's spawn of
+// in.poke assigned a struct to a pointer. The interpreter's half is
+// internal/rt's TestDispatchFixturesMatchSerial.)
+func TestNativeDispatchFixtures(t *testing.T) {
+	if !nativegen.HaveGo() {
+		t.Skip("go toolchain not available")
+	}
+	for _, fx := range src.DispatchFixtures() {
+		sys, err := commute.Load(fx.Name+".mc", fx.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := nativegen.Generate(sys, fx.Name, dir); err != nil {
+			t.Fatal(err)
+		}
+		assertGofmt(t, dir)
+		bin, err := nativegen.Build(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := interpDump(t, sys, interp.EngineWalk)
+		if !strings.HasPrefix(want, fx.Output) {
+			t.Fatalf("%s: the serial walker prints %.12q, the fixture says %q", fx.Name, want, fx.Output)
+		}
+		for _, workers := range []int{2, 4} {
+			for _, conditional := range []bool{false, true} {
+				for _, spec := range []rt.SpecMode{rt.SpecOff, rt.SpecAuto, rt.SpecForce} {
+					got, err := nativegen.Run(bin, "-mode", "parallel", "-workers", fmt.Sprint(workers),
+						fmt.Sprintf("-conditional=%t", conditional), "-speculate", spec.String(), "-dump")
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", fx.Name, workers, err)
+					}
+					if got != want {
+						t.Errorf("%s workers=%d conditional=%t speculate=%s: native state diverges from the serial walker:\n%s",
+							fx.Name, workers, conditional, spec, firstDiff(want, got))
+					}
+				}
+			}
+		}
+		raceBin, err := nativegen.BuildRace(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := nativegen.Run(raceBin, "-mode", "parallel", "-workers", "4", "-dump"); err != nil {
+			t.Errorf("%s: race run: %v", fx.Name, err)
+		} else if got != want {
+			t.Errorf("%s: race run diverges from the serial walker:\n%s", fx.Name, firstDiff(want, got))
 		}
 	}
 }

@@ -30,13 +30,33 @@ var loopBodyShapes = []loopBodyShape{
 	{"bound write", "n = NU;", "n", "this->apply(u); n = n - 1;", false},
 }
 
+// updateShape is how driver::apply gets an update to its counter.
+type updateShape int
+
+const (
+	// apply invokes counter::bump on the counter.
+	updateDirect updateShape = iota
+	// bump first asks driver::scan for a number: an auxiliary call of a
+	// read-only helper whose body is a planned-parallel loop of probe::peek
+	// operations. An auxiliary operation executes serially: bump keeps its
+	// lock from the call to its writes.
+	updateHelper
+	// apply invokes relay::send, whose one invocation is on its nested
+	// port — and port::push goes on to the counter, which many relays
+	// share: send may not hold its lock through (§5.4.2), push is spawned
+	// and bump locks.
+	updateNested
+	updateShapes
+)
+
 // genCommutingProgram generates a random program whose parallel work
 // consists only of commuting additive/multiplicative updates on a pool
-// of counter objects, driven by a loop of a random shape and step, in
-// one draw of two followed by a second pass whose result main uses.
-// Serial and parallel executions must agree exactly (integer state).
+// of counter objects, reached in a random one of three ways and driven
+// by a loop of a random shape and step, in one draw of two followed by a
+// second pass whose result main uses. Serial and parallel executions
+// must agree exactly (integer state).
 func genCommutingProgram(r *rand.Rand, counters, updates int) string {
-	return genLoopProgram(r, counters, updates, loopBodyShapes[r.Intn(len(loopBodyShapes))], 1+r.Intn(3), r.Intn(2) == 0)
+	return genLoopProgram(r, counters, updates, loopBodyShapes[r.Intn(len(loopBodyShapes))], 1+r.Intn(3), r.Intn(2) == 0, updateShape(r.Intn(int(updateShapes))))
 }
 
 // genLoopProgram is genCommutingProgram with the loop chosen: its shape,
@@ -50,7 +70,72 @@ func genCommutingProgram(r *rand.Rand, counters, updates int) string {
 // with a root that returns a value, so not a region root — entered as
 // one (the callers clear the work estimates: every region opens) the
 // value was dropped.
-func genLoopProgram(r *rand.Rand, counters, updates int, shape loopBodyShape, step int, valued bool) string {
+//
+// update says how an update reaches its counter. The work estimates of
+// the two indirect shapes are unbounded (scan loops to a field, and the
+// callers clear them anyway), so their regions open on both runtimes.
+func genLoopProgram(r *rand.Rand, counters, updates int, shape loopBodyShape, step int, valued bool, update updateShape) string {
+	// The pieces an update shape adds: classes ahead of the driver's,
+	// driver members, statements of setup's counter loop and after its
+	// tables, the body of apply, and what bump does around its writes.
+	var classes, members, perCounter, perUpdate, bumpAsk, bumpUse string
+	applyBody := "counter *c;\n  c = cs[targets[u]];\n  c->bump(amounts[u]);"
+	switch update {
+	case updateHelper:
+		classes = `
+class probe {
+public:
+  int w;
+  void peek();
+};
+
+void probe::peek() {
+  int t;
+  t = w + 1;
+}
+`
+		members = "\n  probe *ps[NC];\n  int np;\n  int scan();"
+		perCounter = "\n    ps[i] = new probe;"
+		perUpdate = "  np = NC;\n"
+		bumpAsk, bumpUse = "  int f;\n  f = D.scan();\n", " + f"
+	case updateNested:
+		classes = `
+class port {
+public:
+  counter *to;
+  void aim(counter *c);
+  void push(int k);
+};
+
+void port::aim(counter *c) {
+  to = c;
+}
+
+void port::push(int k) {
+  to->bump(k);
+}
+
+class relay {
+public:
+  port out;
+  int sent;
+  void aim(counter *c);
+  void send(int k);
+};
+
+void relay::aim(counter *c) {
+  out.aim(c);
+}
+
+void relay::send(int k) {
+  sent = sent + 1;
+  out.push(k);
+}
+`
+		members = "\n  relay *rs[NU];"
+		perUpdate = "  for (i = 0; i < NU; i++) {\n    rs[i] = new relay;\n    rs[i]->aim(cs[targets[i]]);\n  }\n"
+		applyBody = "relay *q;\n  q = rs[u];\n  q->send(amounts[u]);"
+	}
 	var again, againDecl, useAgain string
 	if valued {
 		againDecl = "\n  int again();"
@@ -78,10 +163,10 @@ public:
 };
 
 void counter::bump(int k) {
-  adds = adds + k;
-  prods = prods * 2 + 0 * k;
+%s  adds = adds + k;
+  prods = prods * 2 + 0 * k%s;
 }
-
+%s
 class tally {
 public:
   int seen;
@@ -100,7 +185,7 @@ public:
   int amounts[NU];
   void setup();
   void apply(int u);
-  void runAll();%s
+  void runAll();%s%s
 };
 
 driver D;
@@ -111,19 +196,29 @@ void driver::setup() {
   for (i = 0; i < NC; i++) {
     cs[i] = new counter;
     cs[i]->adds = 0;
-    cs[i]->prods = 1;
+    cs[i]->prods = 1;%s
   }
-`, counters, updates, againDecl)
+`, counters, updates, bumpAsk, bumpUse, classes, againDecl, members, perCounter)
 	for u := 0; u < updates; u++ {
 		fmt.Fprintf(&sb, "  targets[%d] = %d;\n  amounts[%d] = %d;\n",
 			u, r.Intn(counters), u, 1+r.Intn(9))
 	}
+	sb.WriteString(perUpdate)
+	if update == updateHelper {
+		sb.WriteString(`}
+
+int driver::scan() {
+  int i;
+  for (i = 0; i < np; i += 1) {
+    ps[i]->peek();
+  }
+  return 0;
+`)
+	}
 	fmt.Fprintf(&sb, `}
 
 void driver::apply(int u) {
-  counter *c;
-  c = cs[targets[u]];
-  c->bump(amounts[u]);
+  %s
 }
 
 void driver::runAll() {
@@ -143,7 +238,7 @@ void main() {
   D.setup();
   D.runAll();%s
 }
-`, shape.pre, shape.bound, step, shape.body, again, useAgain)
+`, applyBody, shape.pre, shape.bound, step, shape.body, again, useAgain)
 	return sb.String()
 }
 
@@ -157,9 +252,11 @@ func TestRandomCommutingPrograms(t *testing.T) {
 		counters := 2 + r.Intn(6)
 		updates := 8 + r.Intn(40)
 		// Every shape at steps 1, 2 and 3, twice: the second time with a
-		// value-returning pass after it.
+		// value-returning pass after it. Every loop shape meets every
+		// update shape, once each time.
 		shape, step := loopBodyShapes[trial%len(loopBodyShapes)], 1+trial/len(loopBodyShapes)%3
-		source := genLoopProgram(r, counters, updates, shape, step, trial >= 15)
+		update := updateShape(trial % int(updateShapes))
+		source := genLoopProgram(r, counters, updates, shape, step, trial >= 15, update)
 
 		prog, plan := build(t, source)
 		runAll := prog.MethodByFullName("driver::runAll")
@@ -177,6 +274,9 @@ func TestRandomCommutingPrograms(t *testing.T) {
 		}
 		if parallelLoop != shape.legal {
 			t.Fatalf("trial %d (%s): update loop parallel = %t, want %t", trial, shape.name, parallelLoop, shape.legal)
+		}
+		if send := prog.MethodByFullName("relay::send"); send != nil && (plan.Methods[send].HoldsLockThrough || plan.Methods[send].NoHoist == "") {
+			t.Fatalf("trial %d: relay::send holds its lock through port::push, which leaves for a shared counter", trial)
 		}
 
 		// Differential property across execution engines: the closure
@@ -211,6 +311,8 @@ func TestRandomCommutingPrograms(t *testing.T) {
 						trial, shape.name, step, workers, i, got[i], want[i])
 				}
 			}
+			// The update loop and no other: the loop inside the helper
+			// shape's auxiliary scan runs as the serial code it is.
 			if (r.Stats.ParallelLoops > 0) != shape.legal {
 				t.Fatalf("trial %d (%s) workers %d: %d parallel loops run", trial, shape.name, workers, r.Stats.ParallelLoops)
 			}

@@ -307,7 +307,7 @@ func (rt *Runtime) runRoot(j *nativert.SpecJournal, m *types.Method, recv *inter
 	pool := rt.regionPool()
 	func() {
 		defer rt.isolate("region", m)
-		rt.callVersion(pool.External(), j, m, recv, args, versionParallel, 0)
+		rt.callVersion(pool.External(), j, m, recv, args, codegen.VersionParallel, 0)
 	}()
 	pool.Drain()
 	return rt.firstErr()
@@ -323,7 +323,7 @@ func (rt *Runtime) rerunSerial(m *types.Method, recv *interp.Object, args []inte
 		// serial re-run is not stillborn.
 		rt.runCtx, rt.cancel = context.WithCancelCause(rt.parent)
 	}
-	return rt.callVersion(nil, nil, m, recv, args, versionSerial, 0)
+	return rt.callVersion(nil, nil, m, recv, args, codegen.VersionSerial, 0)
 }
 
 // fallbackEligible decides whether a failed region may degrade to
@@ -343,15 +343,6 @@ func (rt *Runtime) fallbackEligible(err error) bool {
 	return errors.Is(err, ErrInjectedCancel)
 }
 
-// version selects which generated variant of a method executes.
-type version int
-
-const (
-	versionSerial version = iota
-	versionParallel
-	versionMutex
-)
-
 // activation is the runtime's record of one method activation (or one
 // loop claimant) inside a region: the interpreter context the body runs
 // under and what its two dispatcher hooks need. Records are recycled
@@ -366,8 +357,8 @@ type activation struct {
 
 	w        *worker             // the executing goroutine's scheduler handle
 	log      specLog             // monitors into the task's journal in a speculative region
-	mp       *codegen.MethodPlan // the parallel method executing; nil in a loop claimant
-	ver      version
+	mp       *codegen.MethodPlan // the method whose body runs; a loop claimant carries the loop's
+	ver      codegen.Version
 	recv     *interp.Object
 	lockHeld bool // recv's lock is held by this activation
 
@@ -418,7 +409,8 @@ func (a *activation) unlock() {
 	}
 }
 
-// callVersion executes one method activation under the chosen version,
+// callVersion executes one method activation as the version the call
+// rule chose (a serial version is the plain body: no hooks, no lock),
 // handling lock acquisition/release per the plan. w is the scheduler
 // handle of the executing goroutine (a pool worker, the pool's external
 // handle for the region root, or nil for a serial re-run): spawns from a
@@ -429,16 +421,17 @@ func (a *activation) unlock() {
 // continuations (lazy spawns, mutex versions) keep counting on the
 // current goroutine stack, while spawned tasks restart at zero on a
 // fresh stack.
-func (rt *Runtime) callVersion(w *worker, j *nativert.SpecJournal, m *types.Method, recv *interp.Object, args []interp.Value, ver version, depth int) error {
+func (rt *Runtime) callVersion(w *worker, j *nativert.SpecJournal, m *types.Method, recv *interp.Object, args []interp.Value, ver codegen.Version, depth int) error {
 	if rt.failed.Load() {
 		return nil
 	}
 	a := rt.activate(w, j, depth)
 	defer a.done()
-	if mp := rt.methods[m.ID].mp; mp != nil && mp.Parallel && ver != versionSerial {
+	if ver != codegen.VersionSerial {
+		mp := rt.methods[m.ID].mp
 		a.mp, a.ver, a.recv = mp, ver, recv
 		a.Invoke = a.invokeFn
-		if ver != versionMutex {
+		if ver != codegen.VersionMutex {
 			a.ForLoop = a.forLoopFn
 		}
 		if j == nil && mp.NeedsLock && recv != nil {
@@ -453,65 +446,53 @@ func (rt *Runtime) callVersion(w *worker, j *nativert.SpecJournal, m *types.Meth
 	return err
 }
 
-// invoke is the activation's call dispatcher.
+// invoke is the activation's call dispatcher: the plan's call rule
+// (codegen.MethodPlan.Call) says what the site does, this does it.
 func (a *activation) invoke(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
 	rt := a.rt
-	if a.mp == nil {
-		// A parallel-loop iteration: direct invocations run mutex
-		// versions, serialized within the claimant.
-		if mp := rt.methods[site.Caller.ID].mp; mp == nil || mp.Site[site.ID] != codegen.ActionInline {
-			if cp := rt.methods[site.Callee.ID].mp; cp != nil && cp.Parallel {
-				return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, versionMutex, a.Depth)
-			}
-		}
-		return rt.IP.Call(&a.Ctx, site.Callee, recv, args)
+	sc := a.mp.Call(a.ver, site, rt.methods[site.Callee.ID].mp)
+	if sc.Release {
+		a.unlock()
 	}
-	switch a.mp.Site[site.ID] {
-	case codegen.ActionHoisted:
-		// Nested-object operation under the hoisted lock: run the
-		// original serial version inline.
-		_, err := rt.IP.Call(&a.Ctx, site.Callee, recv, args)
-		return interp.Value{}, err
-	case codegen.ActionSpawn:
-		a.releaseBeforeSpawn()
-		if a.ver == versionMutex {
-			// Mutex versions execute invoked operations serially.
-			return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, versionMutex, a.Depth)
-		}
+	switch {
+	case sc.Spawn:
 		if rt.LazySpawnThreshold > 0 && rt.pool.Pending() >= rt.LazySpawnThreshold {
 			// Lazy task creation: enough parallelism is already
 			// exposed (tasks pending, loop helpers aside); absorb the
 			// child into this task.
 			atomic.AddInt64(&rt.Stats.LazyInlines, 1)
-			return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, versionParallel, a.Depth)
+			return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, sc.Run, a.Depth)
 		}
 		var j *nativert.SpecJournal
 		if a.log.j != nil {
 			j = rt.spec.NewJournal()
 		}
-		rt.spawn(a.w, j, site.Callee, recv, args)
+		rt.spawn(a.w, j, site.Callee, recv, args, sc.Run)
 		return interp.Value{}, nil
+	case sc.Run != codegen.VersionSerial:
+		return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, sc.Run, a.Depth)
 	}
-	// Auxiliary operation (or a site of an inlined callee): execute
-	// serially inline.
-	return rt.IP.Call(&a.Ctx, site.Callee, recv, args)
-}
-
-// releaseBeforeSpawn ends the object section: without hoisting the lock
-// covers only that, and is released at the first spawned invocation or
-// parallel loop.
-func (a *activation) releaseBeforeSpawn() {
-	if !a.mp.HoldsLockThrough {
-		a.unlock()
-	}
+	// The serial version, on this activation: both hooks are off while it
+	// runs, so every call below it is a serial version and every loop a
+	// serial loop. What lives on the context stays — the journal, the
+	// interrupt poll, the depth count.
+	invoke, forLoop := a.Invoke, a.ForLoop
+	a.Invoke, a.ForLoop = nil, nil
+	v, err := rt.IP.Call(&a.Ctx, site.Callee, recv, args)
+	a.Invoke, a.ForLoop = invoke, forLoop
+	return v, err
 }
 
 // forLoop is the activation's loop dispatcher (parallel versions only).
+// Without hoisting the lock covers only the object section, which ends at
+// the first spawned invocation (invoke) or parallel loop.
 func (a *activation) forLoop(fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) (bool, error) {
 	lp := a.rt.Plan.Loops[fs]
 	if lp == nil || !lp.Parallel {
 		return false, nil
 	}
-	a.releaseBeforeSpawn()
+	if !a.mp.HoldsLockThrough {
+		a.unlock()
+	}
 	return true, a.rt.parallelLoop(a.w, a.log.j != nil, a.Depth, fs, fr, from, to, step)
 }

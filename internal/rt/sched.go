@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"commute/internal/codegen"
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
@@ -68,21 +69,22 @@ type spawnRec struct {
 	recv   *interp.Object
 	args   []interp.Value
 	j      *nativert.SpecJournal
+	ver    codegen.Version
 	runFn  func(*worker) // run, bound once
 }
 
 var spawnRecs sync.Pool // of *spawnRec
 
-// spawn creates a task executing callee's parallel version, journaling
-// into j in a speculative region.
-func (rt *Runtime) spawn(w *worker, j *nativert.SpecJournal, callee *types.Method, recv *interp.Object, args []interp.Value) {
+// spawn creates a task executing callee as version ver, journaling into j
+// in a speculative region.
+func (rt *Runtime) spawn(w *worker, j *nativert.SpecJournal, callee *types.Method, recv *interp.Object, args []interp.Value, ver codegen.Version) {
 	atomic.AddInt64(&rt.Stats.Tasks, 1)
 	s, _ := spawnRecs.Get().(*spawnRec)
 	if s == nil {
 		s = new(spawnRec)
 		s.runFn = s.run
 	}
-	s.rt, s.callee, s.recv, s.j = rt, callee, recv, j
+	s.rt, s.callee, s.recv, s.j, s.ver = rt, callee, recv, j, ver
 	s.args = append(s.args[:0], args...)
 	rt.pool.Spawn(w, "", s.runFn)
 }
@@ -109,7 +111,7 @@ func (s *spawnRec) run(cw *worker) {
 		rt.setErr(err)
 		return
 	}
-	rt.callVersion(cw, s.j, s.callee, s.recv, s.args, versionParallel, 0)
+	rt.callVersion(cw, s.j, s.callee, s.recv, s.args, s.ver, 0)
 }
 
 func (s *spawnRec) recycle() {
@@ -180,9 +182,10 @@ func (lp *loopRun) Claim(w *worker) {
 	}
 	a := rt.activate(w, j, lp.depth)
 	defer a.done()
-	// Direct invocations in an iteration run mutex versions (mp == nil
-	// selects that dispatch in invoke); nested loops stay serial.
-	a.Ctx.Invoke = a.invokeFn
+	// The loop body is its method's, run in the iteration context: the
+	// call rule answers for its sites; nested loops stay serial.
+	a.mp, a.ver = rt.methods[lp.fr.Method().ID].mp, codegen.VersionIteration
+	a.Invoke = a.invokeFn
 	// One iteration frame per claimant: the parent frame's slot array
 	// is copied once here, not once per chunk — iterations only write
 	// their own locals, exactly like the serial loop reusing one frame.

@@ -137,7 +137,7 @@ func (c *collector) serialCtx() *interp.Ctx {
 			c.flushSerial(site.Caller.FullName())
 			root := &Task{}
 			c.replicated = make(map[int64]bool)
-			err := c.runVersion(root, site.Callee, recv, args, parVersion)
+			err := c.runVersion(root, site.Callee, recv, args, codegen.VersionParallel)
 			if err != nil {
 				return interp.Value{}, err
 			}
@@ -153,14 +153,6 @@ func (c *collector) serialCtx() *interp.Ctx {
 	return ctx
 }
 
-// execVersion distinguishes the generated variants.
-type execVersion int
-
-const (
-	parVersion execVersion = iota
-	mutexVersion
-)
-
 // taskState tracks the event stream of one task while the interpreter
 // runs inside it.
 type taskState struct {
@@ -168,6 +160,7 @@ type taskState struct {
 	compute int64 // pending compute units
 	critObj int64 // active critical-section object (0 = none)
 	crit    int64 // pending crit units
+	serial  bool  // a serial version is running: every loop is serial
 }
 
 func (ts *taskState) charge(units int64) {
@@ -202,16 +195,17 @@ func (ts *taskState) endCrit(obj int64) {
 	ts.crit = 0
 }
 
-// runVersion executes one method activation inside a task, mirroring
-// rt.callVersion's lock and dispatch policy while recording events.
-func (c *collector) runVersion(task *Task, m *types.Method, recv *interp.Object, args []interp.Value, ver execVersion) error {
+// runVersion executes one method activation inside a task as the version
+// the plan's call rule chose (codegen.MethodPlan.Call), recording its lock
+// and its dispatches as events.
+func (c *collector) runVersion(task *Task, m *types.Method, recv *interp.Object, args []interp.Value, ver codegen.Version) error {
 	mp := c.plan.Methods[m]
 	ts := &taskState{task: task}
+	ctx := c.ip.NewCtx()
+	ctx.Charge = ts.charge
 
-	if mp == nil || !mp.Parallel {
+	if ver == codegen.VersionSerial {
 		// Plain serial execution inside the task.
-		ctx := c.ip.NewCtx()
-		ctx.Charge = ts.charge
 		_, err := c.ip.Call(ctx, m, recv, args)
 		ts.flushCompute()
 		return err
@@ -232,51 +226,17 @@ func (c *collector) runVersion(task *Task, m *types.Method, recv *interp.Object,
 		lockObj = recv.ID
 		ts.beginCrit(lockObj)
 	}
-	releaseBeforeSpawn := locked && !mp.HoldsLockThrough
 
-	ctx := c.ip.NewCtx()
-	ctx.Charge = ts.charge
-	ctx.Invoke = func(site *types.CallSite, r2 *interp.Object, a2 []interp.Value) (interp.Value, error) {
-		switch mp.Site[site.ID] {
-		case codegen.ActionInline, codegen.ActionHoisted:
-			// Auxiliary / hoisted nested operations: inline; their
-			// units accrue to the current (possibly critical) segment.
-			return c.ip.Call(ctx, site.Callee, r2, a2)
-		case codegen.ActionSpawn:
-			if releaseBeforeSpawn {
-				ts.endCrit(lockObj)
-			}
-			if ver == mutexVersion {
-				// Serial invocation of the mutex version: its lock
-				// appears as a crit in this same task.
-				ts.flushCompute()
-				sub := &Task{}
-				if err := c.runVersion(sub, site.Callee, r2, a2, mutexVersion); err != nil {
-					return interp.Value{}, err
-				}
-				task.Events = append(task.Events, sub.Events...)
-				return interp.Value{}, nil
-			}
-			ts.flushCompute()
-			child := &Task{}
-			if err := c.runVersion(child, site.Callee, r2, a2, parVersion); err != nil {
-				return interp.Value{}, err
-			}
-			task.Events = append(task.Events, Event{Kind: EvSpawn, Child: child})
-			return interp.Value{}, nil
-		default:
-			return c.ip.Call(ctx, site.Callee, r2, a2)
-		}
-	}
+	ctx.Invoke = c.invoker(ctx, ts, mp, ver, lockObj)
 	ctx.ForLoop = func(fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) (bool, error) {
 		lp := c.plan.Loops[fs]
-		if lp == nil || !lp.Parallel {
+		if lp == nil || !lp.Parallel || ts.serial {
 			return false, nil
 		}
-		if ver == mutexVersion && !c.plan.Opt.DisableSuppression {
+		if ver == codegen.VersionMutex && !c.plan.Opt.DisableSuppression {
 			return false, nil
 		}
-		if releaseBeforeSpawn {
+		if locked && !mp.HoldsLockThrough {
 			ts.endCrit(lockObj)
 		}
 		ts.flushCompute()
@@ -284,7 +244,10 @@ func (c *collector) runVersion(task *Task, m *types.Method, recv *interp.Object,
 		// copy of the frame — a schedule rt.parallelLoop can produce.
 		var iters []*Task
 		its := &taskState{}
-		sub := c.ip.NewIterFrame(c.iterCtx(its), fr)
+		ictx := c.ip.NewCtx()
+		ictx.Charge = its.charge
+		ictx.Invoke = c.invoker(ictx, its, mp, codegen.VersionIteration, 0)
+		sub := c.ip.NewIterFrame(ictx, fr)
 		defer c.ip.ReleaseFrame(sub)
 		for i := from; i < to; i += step {
 			its.task = &Task{}
@@ -306,26 +269,40 @@ func (c *collector) runVersion(task *Task, m *types.Method, recv *interp.Object,
 	return err
 }
 
-// iterCtx executes one parallel-loop iteration (mutex semantics).
-func (c *collector) iterCtx(ts *taskState) *interp.Ctx {
-	ctx := c.ip.NewCtx()
-	ctx.Charge = ts.charge
-	ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
-		mp := c.plan.Methods[site.Caller]
-		if mp != nil && mp.Site[site.ID] == codegen.ActionInline {
-			return c.ip.Call(ctx, site.Callee, recv, args)
+// invoker is the call dispatcher of a body of mp's method running as
+// version in on ctx, its events going to ts; lockObj is the receiver
+// whose critical section is open (0: none).
+func (c *collector) invoker(ctx *interp.Ctx, ts *taskState, mp *codegen.MethodPlan, in codegen.Version, lockObj int64) func(*types.CallSite, *interp.Object, []interp.Value) (interp.Value, error) {
+	return func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
+		sc := mp.Call(in, site, c.plan.Methods[site.Callee])
+		if sc.Release && lockObj != 0 {
+			ts.endCrit(lockObj)
 		}
-		cp := c.plan.Methods[site.Callee]
-		if cp != nil && cp.Parallel {
-			ts.flushCompute()
-			sub := &Task{}
-			if err := c.runVersion(sub, site.Callee, recv, args, mutexVersion); err != nil {
-				return interp.Value{}, err
-			}
+		if sc.Run == codegen.VersionSerial && !sc.Spawn {
+			// The serial version, inline: its units accrue to the current
+			// (possibly critical) segment. The call hook is off while it
+			// runs; the loop hook stays on and declines, because an offer
+			// costs units — the engines charge the bound they evaluate
+			// for it — and the simulated times of the paper's tables
+			// count one for every counted loop below a region.
+			invoke := ctx.Invoke
+			ctx.Invoke, ts.serial = nil, true
+			v, err := c.ip.Call(ctx, site.Callee, recv, args)
+			ctx.Invoke, ts.serial = invoke, false
+			return v, err
+		}
+		ts.flushCompute()
+		sub := &Task{}
+		if err := c.runVersion(sub, site.Callee, recv, args, sc.Run); err != nil {
+			return interp.Value{}, err
+		}
+		if sc.Spawn {
+			ts.task.Events = append(ts.task.Events, Event{Kind: EvSpawn, Child: sub})
+		} else {
+			// A mutex version on this task's stack: its lock appears as a
+			// crit in this same task.
 			ts.task.Events = append(ts.task.Events, sub.Events...)
-			return interp.Value{}, nil
 		}
-		return c.ip.Call(ctx, site.Callee, recv, args)
+		return interp.Value{}, nil
 	}
-	return ctx
 }

@@ -156,3 +156,62 @@ func TestValueRootTraced(t *testing.T) {
 		t.Errorf("%s: %d parallel and %d serial units, want a serial trace", fx.Name, tr.ParallelUnits(), tr.SerialUnits())
 	}
 }
+
+// TestDispatchFixturesTraced: the tracer runs call sites by the plan's
+// call rule, like both runtimes. On every in-region dispatch fixture
+// Collect leaves the serial run's output and heap. In aux-loop's trace
+// each counter::add task is one critical section holding all of its
+// units: the auxiliary driver::probe ran as the serial version inside it.
+// (Run with the caller's hooks armed, probe's loop became an EvLoop that
+// ended the section early and left the write to total outside it.) The
+// tracer is one goroutine and timing decides nothing: the trees are cut
+// to depth 6.
+func TestDispatchFixturesTraced(t *testing.T) {
+	for _, fx := range src.DispatchFixtures() {
+		prog, plan := setup(t, fx.AtDepth(6))
+		var want, got bytes.Buffer
+		ipSerial := interp.New(prog, &want)
+		if err := ipSerial.Run(ipSerial.NewCtx()); err != nil {
+			t.Fatalf("%s: serial: %v", fx.Name, err)
+		}
+		nativegen.DumpInterp(&want, prog, ipSerial)
+
+		ipTrace := interp.New(prog, &got)
+		tr, err := tracer.Collect(ipTrace, plan)
+		if err != nil {
+			t.Fatalf("%s: collect: %v", fx.Name, err)
+		}
+		nativegen.DumpInterp(&got, prog, ipTrace)
+		if got.String() != want.String() {
+			t.Errorf("%s: traced output and state differ from the serial run's:\n got %.40q\nwant %.40q", fx.Name, got.String(), want.String())
+		}
+		if fx.Name != "aux-loop" {
+			continue
+		}
+		adds := 0
+		var walk func(task *tracer.Task)
+		walk = func(task *tracer.Task) {
+			for _, ev := range task.Events {
+				switch ev.Kind {
+				case tracer.EvCrit:
+					adds++
+					if len(task.Events) != 1 {
+						t.Fatalf("a counter::add task has %d events, want its one critical section", len(task.Events))
+					}
+				case tracer.EvSpawn:
+					walk(ev.Child)
+				case tracer.EvLoop:
+					t.Fatal("a parallel loop in the trace: driver::probe is auxiliary")
+				}
+			}
+		}
+		for _, ph := range tr.Phases {
+			if ph.Root != nil {
+				walk(ph.Root)
+			}
+		}
+		if adds != 127 {
+			t.Errorf("%d counter::add tasks in the trace, want 127", adds)
+		}
+	}
+}

@@ -97,7 +97,7 @@ func GSS(method, site string, workers int, from, to, step int64, mk func() func(
 //
 // method and site identify the loop for failure reports (the emitter
 // passes the enclosing dialect method and the loop's source position),
-// w is the scheduler handle the enclosing P_/Q_ body holds. mk is
+// w is the scheduler handle the enclosing P_ body holds. mk is
 // called once per claimant and returns the iteration body; the emitter
 // uses that factory to give every claimant its own copy of the
 // enclosing method's frame variables, mirroring the interpreter's

@@ -7,7 +7,8 @@
 # the journaled packages for the speculation corpus and byte-diffs both
 # the commit and the abort-and-rerun paths. The many-region leg enters
 # 2000 guarded parallel regions on the one run-wide pool. The region-entry
-# leg runs the three value-returning roots on every path.
+# leg runs the three value-returning roots on every path, the dispatch leg
+# the three in-region call fixtures.
 #
 # The shipped speculation and condhash demonstrators have regions of a
 # few hundred cost units, under what a region costs to enter: their
@@ -201,6 +202,42 @@ for APP in value-proven value-guarded value-spec; do
   done
   echo "$APP: serial interpreter == parallel interpreter == native, every policy"
 done
+
+# In-region dispatch: an auxiliary call runs the serial version (aux-loop:
+# the helper's loop of operations stays serial and the caller keeps its
+# lock), an operation on nested objects holds its lock through only when
+# nothing it reaches leaves the receiver (hoist-escape: refused, with the
+# reason), and a spawn site on a nested object takes its address
+# (nested-spawn). Each prints its one number on the serial interpreter,
+# the parallel interpreter and the emitted binary, five runs apiece.
+go build -o "$OUT/commuterun" ./cmd/commuterun
+for APP in aux-loop hoist-escape nested-spawn; do
+  SRC="internal/apps/src/dispatch/$APP.mc"
+  DIR="$OUT/$APP"
+  go run ./cmd/commutec -emit go -o "$DIR" "$SRC"
+  (cd "$DIR" && go vet . && canonical && go build -o app .)
+  "$OUT/commuterun" -mode serial -dump "$SRC" > "$OUT/$APP.interp"
+  for RUN in 1 2 3 4 5; do
+    "$OUT/commuterun" -mode parallel -workers 4 -dump "$SRC" > "$OUT/$APP.par"
+    "$DIR/app" -mode parallel -workers 4 -dump > "$OUT/$APP.native"
+    for GOT in par native; do
+      if ! diff -q "$OUT/$APP.interp" "$OUT/$APP.$GOT" >/dev/null; then
+        echo "FAIL: $APP (run $RUN): $GOT run diverges from the serial interpreter:" >&2
+        diff "$OUT/$APP.interp" "$OUT/$APP.$GOT" | head >&2
+        exit 1
+      fi
+    done
+  done
+  echo "$APP: serial interpreter == parallel interpreter == native, 5 runs"
+done
+REPORT=$(go run ./cmd/commutec internal/apps/src/dispatch/hoist-escape.mc)
+echo "$REPORT" | grep -qx 'no hoisting  outer::go  inner::poke invokes acc::add outside the receiver'
+
+# No emitted version threads a lock-release closure.
+if grep -l 'rel_' "$OUT"/*/prog.go; then
+  echo "FAIL: an emitted prog.go mentions rel_" >&2
+  exit 1
+fi
 
 # The driver is nativert's: an emitted main.go defines no flag.
 if grep -q 'flag\.' "$OUT"/*/main.go; then
