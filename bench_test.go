@@ -98,6 +98,28 @@ func BenchmarkEmitGoBarnesHut(b *testing.B) {
 	}
 }
 
+// benchCompile measures a whole cold compile (compileCold): what
+// e2ebench's compile operation runs per program, with the bytes and
+// allocations TestCompileAllocBudget bounds.
+func benchCompile(b *testing.B, name, source string, opts commute.LoadOptions) {
+	b.ReportAllocs()
+	b.SetBytes(int64(len(source)))
+	for i := 0; i < b.N; i++ {
+		if err := compileCold(name, source, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCompileBarnesHut(b *testing.B) {
+	benchCompile(b, "barneshut", src.BarnesHut, commute.LoadOptions{})
+}
+
+// BenchmarkCompileWhile is a program the §7.2 transform rewrites first.
+func BenchmarkCompileWhile(b *testing.B) {
+	benchCompile(b, "twoclass", whileTwoClass, commute.LoadOptions{Transform: true})
+}
+
 // BenchmarkAnalyzeWater is the Water analogue (paper: 6.65s, §6.3.3).
 func BenchmarkAnalyzeWater(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -75,15 +75,24 @@ func Load(name, source string) (*System, error) {
 }
 
 func load(name, source string, workers int) (*System, error) {
+	file, prog, err := check(name, source)
+	if err != nil {
+		return nil, err
+	}
+	return newSystem(file, prog, workers), nil
+}
+
+// check is the frontend alone: parse and type check, no analysis.
+func check(name, source string) (*ast.File, *types.Program, error) {
 	file, err := parser.Parse(name, source)
 	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
+		return nil, nil, fmt.Errorf("parse: %w", err)
 	}
 	prog, err := types.Check(file)
 	if err != nil {
-		return nil, fmt.Errorf("type check: %w", err)
+		return nil, nil, fmt.Errorf("type check: %w", err)
 	}
-	return newSystem(file, prog, workers), nil
+	return file, prog, nil
 }
 
 // newSystem analyzes a checked program and builds its two plans. file is
@@ -110,13 +119,14 @@ func LoadTransformed(name, source string) (*System, string, []transform.Rewrite,
 }
 
 func loadTransformed(name, source string, workers int) (*System, string, []transform.Rewrite, error) {
-	pre, err := load(name, source, workers)
+	// The rewrite reads the checked program; only the text kept is analyzed.
+	file, prog, err := check(name, source)
 	if err != nil {
 		return nil, "", nil, err
 	}
-	out, rewrites := transform.WhileToRecursion(pre.Prog, pre.File)
+	out, rewrites := transform.WhileToRecursion(prog, file)
 	if len(rewrites) == 0 {
-		return pre, source, nil, nil
+		return newSystem(file, prog, workers), source, nil, nil
 	}
 	sys, err := load(name, out, workers)
 	if err != nil {

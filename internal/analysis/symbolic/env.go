@@ -222,6 +222,11 @@ type Cache struct {
 	constOnce sync.Once
 	constArgs map[*types.Method][]Expr
 
+	// What every body execution starts from (initialOf).
+	initMu sync.Mutex
+	params map[firstKey][]Expr
+	ivars  map[*types.Class][]ivar
+
 	first Memo[firstKey, *firstRun]
 	execs atomic.Int64
 }
@@ -264,6 +269,51 @@ func (env *Env) firstRun(m *types.Method, tag string) *firstRun {
 		fr.ivars = ex.ivars
 		return fr
 	})
+}
+
+// ivar is an instance variable's state key and pre-execution value.
+type ivar struct {
+	key  string
+	init Expr
+}
+
+// initialOf returns what invocation tag of m starts from, made once per
+// (method, tag) and per class: each parameter's binding — its footnote-4
+// constant, else the variable tag:name — and the instance variables of
+// m's class and its bases with their initial values iv:class.field
+// (nested objects are accessed via operations and have none).
+func (c *Cache) initialOf(m *types.Method, tag string) ([]Expr, []ivar) {
+	c.initMu.Lock()
+	defer c.initMu.Unlock()
+	if c.params == nil {
+		c.params, c.ivars = make(map[firstKey][]Expr), make(map[*types.Class][]ivar)
+	}
+	ps, ok := c.params[firstKey{m, tag}]
+	if !ok {
+		consts := c.constArgsOf(m)
+		ps = make([]Expr, len(m.Params))
+		for i, p := range m.Params {
+			if consts != nil && consts[i] != nil {
+				ps[i] = consts[i]
+			} else {
+				ps[i] = Var{Name: tag + ":" + p.Name}
+			}
+		}
+		c.params[firstKey{m, tag}] = ps
+	}
+	ivs, ok := c.ivars[m.Class]
+	if !ok {
+		for cl := m.Class; cl != nil; cl = cl.Base {
+			for _, f := range cl.Fields {
+				if _, isObj := f.Type.(types.Object); !isObj {
+					key := f.QualName()
+					ivs = append(ivs, ivar{key, Var{Name: "iv:" + key}})
+				}
+			}
+		}
+		c.ivars[m.Class] = ivs
+	}
+	return ps, ivs
 }
 
 // constArgsOf implements the footnote-4 optimization: for each

@@ -110,28 +110,16 @@ func (ex *executor) runMethod(m *types.Method, tag string, invoked *Multiset) er
 	ex.retSeen = false
 
 	ex.env.cache.execs.Add(1)
-	consts := ex.env.cache.constArgsOf(m)
-	for i, p := range m.Params {
-		if consts != nil && consts[i] != nil {
-			ex.params[p.Name] = consts[i]
-			continue
-		}
-		ex.params[p.Name] = Var{Name: tag + ":" + p.Name}
+	params, ivars := ex.env.cache.initialOf(m, tag)
+	for i, v := range params {
+		ex.params[m.Params[i].Name] = v
 	}
 	// Instance variables start at their pre-execution values; the state
 	// is shared between the two invocations, so only initialize unseen
 	// fields.
-	if m.Class != nil {
-		for cl := m.Class; cl != nil; cl = cl.Base {
-			for _, f := range cl.Fields {
-				key := f.QualName()
-				if _, ok := ex.ivars[key]; !ok {
-					if _, isObj := f.Type.(types.Object); isObj {
-						continue // nested objects are accessed via operations
-					}
-					ex.ivars[key] = Var{Name: "iv:" + key}
-				}
-			}
+	for _, iv := range ivars {
+		if _, ok := ex.ivars[iv.key]; !ok {
+			ex.ivars[iv.key] = iv.init
 		}
 	}
 	return ex.stmt(m.Def.Body)
@@ -146,11 +134,18 @@ func (ex *executor) curGuard() Expr {
 	return Simplify(mkNary(OpAnd, args))
 }
 
-// snapshot/restore of the mutable value state (ivars + locals + params).
+// stateSnap is the mutable value state (ivars + locals + params).
 type stateSnap struct {
 	ivars, locals, params map[string]Expr
 }
 
+// state returns the executor's current maps themselves: a snapshot only
+// for a caller that installs other maps before anything executes.
+func (ex *executor) state() stateSnap {
+	return stateSnap{ivars: ex.ivars, locals: ex.locals, params: ex.params}
+}
+
+// snap copies the state, for a caller that keeps executing on it.
 func (ex *executor) snap() stateSnap {
 	return stateSnap{
 		ivars:  cloneMap(ex.ivars),
@@ -159,10 +154,9 @@ func (ex *executor) snap() stateSnap {
 	}
 }
 
+// restore installs s, which the executor owns from here on.
 func (ex *executor) restore(s stateSnap) {
-	ex.ivars = cloneMap(s.ivars)
-	ex.locals = cloneMap(s.locals)
-	ex.params = cloneMap(s.params)
+	ex.ivars, ex.locals, ex.params = s.ivars, s.locals, s.params
 }
 
 func cloneMap(m map[string]Expr) map[string]Expr {
@@ -242,7 +236,7 @@ func (ex *executor) ifStmt(st *ast.IfStmt) error {
 	if err := ex.stmt(st.Then); err != nil {
 		return err
 	}
-	thenState := ex.snap()
+	thenState := ex.state() // restore(pre) below takes these maps out of use
 	thenRet := ex.retSeen
 	ex.guard = ex.guard[:len(ex.guard)-1]
 	if thenRet {
@@ -260,10 +254,11 @@ func (ex *executor) ifStmt(st *ast.IfStmt) error {
 			return ex.failf("conditional return")
 		}
 	}
-	elseState := ex.snap()
+	elseState := ex.state()
 	ex.guard = ex.guard[:len(ex.guard)-1]
 
-	// Merge: differing bindings become conditional expressions.
+	// Merge into fresh maps: differing bindings become conditional
+	// expressions.
 	ex.ivars = mergeState(c, thenState.ivars, elseState.ivars)
 	ex.locals = mergeState(c, thenState.locals, elseState.locals)
 	ex.params = mergeState(c, thenState.params, elseState.params)

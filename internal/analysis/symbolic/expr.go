@@ -231,19 +231,37 @@ func (Null) Key() string     { return "NULL" }
 func (e Extent) Key() string { return "⟨" + e.ID + "⟩" }
 func (e Var) Key() string    { return e.Name }
 
-func naryKey(op Op, args []Expr) string {
-	parts := make([]string, len(args))
-	for i, a := range args {
-		parts[i] = a.Key()
+// naryKey renders prefix, then the node's key, in one allocation (the
+// hash-consing of an n-ary node renders one per construction).
+func naryKey(prefix string, op Op, args []Expr) string {
+	var few [8]string
+	parts := few[:0]
+	sep := " " + op.String() + " "
+	n := len(prefix) + 2 + max(len(args)-1, 0)*len(sep)
+	for _, a := range args {
+		k := a.Key()
+		parts = append(parts, k)
+		n += len(k)
 	}
-	return "(" + strings.Join(parts, " "+op.String()+" ") + ")"
+	var sb strings.Builder
+	sb.Grow(n)
+	sb.WriteString(prefix)
+	sb.WriteByte('(')
+	for i, k := range parts {
+		if i > 0 {
+			sb.WriteString(sep)
+		}
+		sb.WriteString(k)
+	}
+	sb.WriteByte(')')
+	return sb.String()
 }
 
 func (e *Nary) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return naryKey(e.Op, e.Args)
+	return naryKey("", e.Op, e.Args)
 }
 
 func binKey(op Op, l, r Expr) string {

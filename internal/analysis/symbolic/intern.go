@@ -66,11 +66,10 @@ const (
 	kAccumAt  = "a\x00"
 )
 
-// intern returns the canonical node for kind+key, installing build()'s
-// result on first sight. The slices referenced by the built node must
-// never be mutated afterwards.
-func intern(t *internTable, kind, key string, build func() Expr) Expr {
-	ik := kind + key
+// intern returns the canonical node for ik, a kind prefix followed by
+// the node's key, installing build()'s result on first sight. The slices
+// referenced by the built node must never be mutated afterwards.
+func intern(t *internTable, ik string, build func() Expr) Expr {
 	if v, ok := t.nodes.Load(ik); ok {
 		return v.(Expr)
 	}
@@ -85,68 +84,69 @@ func intern(t *internTable, kind, key string, build func() Expr) Expr {
 
 func mkNary(op Op, args []Expr) Expr {
 	t := tab()
-	k := naryKey(op, args)
-	return intern(t, kNary, k, func() Expr { return &Nary{Op: op, Args: args, key: k} })
+	ik := naryKey(kNary, op, args)
+	k := ik[len(kNary):]
+	return intern(t, ik, func() Expr { return &Nary{Op: op, Args: args, key: k} })
 }
 
 func mkBin(op Op, l, r Expr) Expr {
 	t := tab()
 	k := binKey(op, l, r)
-	return intern(t, kBin, k, func() Expr { return &Bin{Op: op, L: l, R: r, key: k} })
+	return intern(t, kBin+k, func() Expr { return &Bin{Op: op, L: l, R: r, key: k} })
 }
 
 func mkNeg(x Expr) Expr {
 	t := tab()
 	k := negKey(x)
-	return intern(t, kNeg, k, func() Expr { return &Neg{X: x, key: k} })
+	return intern(t, kNeg+k, func() Expr { return &Neg{X: x, key: k} })
 }
 
 func mkNot(x Expr) Expr {
 	t := tab()
 	k := notKey(x)
-	return intern(t, kNot, k, func() Expr { return &Not{X: x, key: k} })
+	return intern(t, kNot+k, func() Expr { return &Not{X: x, key: k} })
 }
 
 func mkCall(fn string, args []Expr) Expr {
 	t := tab()
 	k := callKey(fn, args)
-	return intern(t, kCall, k, func() Expr { return &Call{Fn: fn, Args: args, key: k} })
+	return intern(t, kCall+k, func() Expr { return &Call{Fn: fn, Args: args, key: k} })
 }
 
 func mkCond(c, then, els Expr) Expr {
 	t := tab()
 	k := condKey(c, then, els)
-	return intern(t, kCond, k, func() Expr { return &Cond{C: c, T: then, F: els, key: k} })
+	return intern(t, kCond+k, func() Expr { return &Cond{C: c, T: then, F: els, key: k} })
 }
 
 func mkArrUpd(arr Expr, op Op, operand Expr) Expr {
 	t := tab()
 	k := arrUpdKey(arr, op, operand)
-	return intern(t, kArrUpd, k, func() Expr { return &ArrUpd{Arr: arr, Op: op, Operand: operand, key: k} })
+	return intern(t, kArrUpd+k, func() Expr { return &ArrUpd{Arr: arr, Op: op, Operand: operand, key: k} })
 }
 
 func mkArrFill(elem Expr) Expr {
 	t := tab()
 	k := arrFillKey(elem)
-	return intern(t, kArrFill, k, func() Expr { return &ArrFill{Elem: elem, key: k} })
+	return intern(t, kArrFill+k, func() Expr { return &ArrFill{Elem: elem, key: k} })
 }
 
 func mkArrStore(arr, idx, val Expr) Expr {
 	t := tab()
 	k := arrStoreKey(arr, idx, val)
-	return intern(t, kArrStore, k, func() Expr { return &ArrStore{Arr: arr, Idx: idx, Val: val, key: k} })
+	return intern(t, kArrStore+k, func() Expr { return &ArrStore{Arr: arr, Idx: idx, Val: val, key: k} })
 }
 
 func mkArrSel(arr, idx Expr) Expr {
 	t := tab()
 	k := arrSelKey(arr, idx)
-	return intern(t, kArrSel, k, func() Expr { return &ArrSel{Arr: arr, Idx: idx, key: k} })
+	return intern(t, kArrSel+k, func() Expr { return &ArrSel{Arr: arr, Idx: idx, key: k} })
 }
 
 func mkAccumAt(arr Expr, op Op, idx, delta Expr) Expr {
 	t := tab()
 	k := accumAtKey(arr, op, idx, delta)
-	return intern(t, kAccumAt, k, func() Expr { return &AccumAt{Arr: arr, Op: op, Idx: idx, Delta: delta, key: k} })
+	return intern(t, kAccumAt+k, func() Expr { return &AccumAt{Arr: arr, Op: op, Idx: idx, Delta: delta, key: k} })
 }
 
 // Intern canonicalizes an expression tree bottom-up, returning the

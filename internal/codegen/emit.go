@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"fmt"
 	"strings"
 
 	"commute/internal/frontend/ast"
@@ -29,38 +28,40 @@ import (
 // (internal/rt, internal/tracer) interpret directly.
 func (p *Plan) EmitParallelSource(file *ast.File) string {
 	e := &emitter{plan: p}
-	var sb strings.Builder
-	sb.WriteString("// Automatically parallelized by commutativity analysis.\n")
-	sb.WriteString("// Generated constructs: lock.acquire()/lock.release(), spawn(op),\n")
-	sb.WriteString("// wait(), and parallel_for (guided self-scheduling).\n\n")
+	// A parallel method is printed three times, everything else once.
+	e.sb.Grow(3*file.Size + 256)
+	e.sb.WriteString("// Automatically parallelized by commutativity analysis.\n")
+	e.sb.WriteString("// Generated constructs: lock.acquire()/lock.release(), spawn(op),\n")
+	e.sb.WriteString("// wait(), and parallel_for (guided self-scheduling).\n\n")
 	for _, d := range file.Decls {
 		switch x := d.(type) {
 		case *ast.ClassDecl:
-			sb.WriteString(e.classDecl(x))
-			sb.WriteString("\n")
+			e.classDecl(x)
 		case *ast.MethodDef:
-			sb.WriteString(e.methodDef(x))
-			sb.WriteString("\n")
+			e.methodDef(x)
 		default:
-			sb.WriteString(printer.File(&ast.File{Decls: []ast.Decl{d}}))
-			sb.WriteString("\n")
+			printer.WriteDecl(&e.sb, d)
 		}
+		e.sb.WriteString("\n")
 	}
-	return sb.String()
+	return e.sb.String()
 }
 
+// emitter writes the whole listing into one builder.
 type emitter struct {
 	plan *Plan
+	sb   strings.Builder
+}
+
+func (e *emitter) w(parts ...string) {
+	for _, s := range parts {
+		e.sb.WriteString(s)
+	}
 }
 
 func (e *emitter) methodByName(className, name string) *types.Method {
 	if className == "" {
-		for _, m := range e.plan.Prog.Methods {
-			if m.Class == nil && m.Name == name {
-				return m
-			}
-		}
-		return nil
+		return e.plan.Prog.Funcs[name]
 	}
 	cl := e.plan.Prog.Classes[className]
 	if cl == nil {
@@ -71,91 +72,79 @@ func (e *emitter) methodByName(className, name string) *types.Method {
 
 // classDecl renders a class, adding the lock field when the lock
 // elimination pass kept it, and prototypes for the generated versions.
-func (e *emitter) classDecl(cd *ast.ClassDecl) string {
-	var sb strings.Builder
+func (e *emitter) classDecl(cd *ast.ClassDecl) {
 	if cd.Base != "" {
-		fmt.Fprintf(&sb, "class %s : public %s {\npublic:\n", cd.Name, cd.Base)
+		e.w("class ", cd.Name, " : public ", cd.Base, " {\npublic:\n")
 	} else {
-		fmt.Fprintf(&sb, "class %s {\npublic:\n", cd.Name)
+		e.w("class ", cd.Name, " {\npublic:\n")
 	}
 	cl := e.plan.Prog.Classes[cd.Name]
 	if cl != nil && e.plan.LockedClasses[cl] {
-		sb.WriteString("  lock mutex;  // inserted: object sections execute atomically\n")
+		e.w("  lock mutex;  // inserted: object sections execute atomically\n")
 	}
-	base := printer.File(&ast.File{Decls: []ast.Decl{cd}})
-	// Reuse the plain printer for members, stripping the class frame.
-	lines := strings.Split(base, "\n")
-	for _, l := range lines[2 : len(lines)-2] {
-		sb.WriteString(l)
-		sb.WriteString("\n")
-	}
+	printer.WriteMembers(&e.sb, cd)
 	// Prototypes for generated versions.
 	for _, proto := range cd.Protos {
 		if m := e.methodByName(cd.Name, proto.Name); m != nil {
 			if mp := e.plan.Methods[m]; mp != nil && mp.Parallel {
-				fmt.Fprintf(&sb, "  void %s__parallel(%s);\n", proto.Name, protoParams(proto.Params))
-				fmt.Fprintf(&sb, "  void %s__mutex(%s);\n", proto.Name, protoParams(proto.Params))
+				for _, suffix := range [...]string{"__parallel", "__mutex"} {
+					e.w("  void ", proto.Name, suffix, "(")
+					printer.WriteParams(&e.sb, proto.Params)
+					e.w(");\n")
+				}
 			}
 		}
 	}
-	sb.WriteString("};\n")
-	return sb.String()
-}
-
-func protoParams(ps []*ast.Param) string {
-	// Render via the printer's declarator logic by faking a prototype.
-	proto := &ast.MethodProto{Name: "x", RetType: &ast.TypeExpr{Kind: ast.TVoid}, Params: ps}
-	cd := &ast.ClassDecl{Name: "t", Protos: []*ast.MethodProto{proto}}
-	out := printer.File(&ast.File{Decls: []ast.Decl{cd}})
-	start := strings.Index(out, "x(")
-	end := strings.LastIndex(out, ");")
-	if start < 0 || end < 0 || end < start {
-		return ""
-	}
-	return out[start+2 : end]
+	e.w("};\n")
 }
 
 // methodDef renders the generated versions of one method.
-func (e *emitter) methodDef(md *ast.MethodDef) string {
+func (e *emitter) methodDef(md *ast.MethodDef) {
 	m := e.methodByName(md.ClassName, md.Name)
 	mp := e.plan.Methods[m]
 	if m == nil || mp == nil || !mp.Parallel {
-		return printer.File(&ast.File{Decls: []ast.Decl{md}})
+		printer.WriteDecl(&e.sb, md)
+		return
 	}
 
-	var sb strings.Builder
-	sig := func(suffix string) string {
+	// open writes a version's signature and opening brace.
+	open := func(suffix string) {
+		e.w("void ")
 		if md.ClassName != "" {
-			return fmt.Sprintf("void %s::%s%s(%s)", md.ClassName, md.Name, suffix, protoParams(md.Params))
+			e.w(md.ClassName, "::")
 		}
-		return fmt.Sprintf("void %s%s(%s)", md.Name, suffix, protoParams(md.Params))
+		e.w(md.Name, suffix, "(")
+		printer.WriteParams(&e.sb, md.Params)
+		e.w(") {\n")
 	}
 
 	// Serial version: invoke the parallel version, then wait.
-	fmt.Fprintf(&sb, "%s {\n", sig(""))
-	args := make([]string, len(md.Params))
+	open("")
+	e.w("  this->", md.Name, "__parallel(")
 	for i, prm := range md.Params {
-		args[i] = prm.Name
+		if i > 0 {
+			e.w(", ")
+		}
+		e.w(prm.Name)
 	}
-	fmt.Fprintf(&sb, "  this->%s__parallel(%s);\n  wait();\n}\n\n", md.Name, strings.Join(args, ", "))
+	e.w(");\n  wait();\n}\n\n")
 
 	// Parallel version.
-	fmt.Fprintf(&sb, "%s {\n", sig("__parallel"))
-	sb.WriteString(e.body(m, mp, md.Body, false))
-	sb.WriteString("}\n\n")
+	open("__parallel")
+	e.body(m, mp, md.Body, false)
+	e.w("}\n\n")
 
 	// Mutex version.
-	fmt.Fprintf(&sb, "%s {\n", sig("__mutex"))
-	sb.WriteString(e.body(m, mp, md.Body, true))
-	sb.WriteString("}\n")
-	return sb.String()
+	open("__mutex")
+	e.body(m, mp, md.Body, true)
+	e.w("}\n")
 }
 
 // body renders a transformed method body with lock placement: the
 // receiver lock (when required) covers the object section and is
 // released on every control path before the first extent invocation
 // (or at method end under hoisting).
-func (e *emitter) body(m *types.Method, mp *MethodPlan, b *ast.Block, mutex bool) string {
+func (e *emitter) body(m *types.Method, mp *MethodPlan, b *ast.Block, mutex bool) {
 	t := &bodyEmitter{e: e, m: m, mp: mp, mutex: mutex, indent: 1}
 	if mp.NeedsLock {
 		t.line("mutex.acquire();")
@@ -165,7 +154,6 @@ func (e *emitter) body(m *types.Method, mp *MethodPlan, b *ast.Block, mutex bool
 	if t.lockHeld {
 		t.line("mutex.release();")
 	}
-	return t.sb.String()
 }
 
 type bodyEmitter struct {
@@ -175,18 +163,20 @@ type bodyEmitter struct {
 	mutex    bool
 	indent   int
 	lockHeld bool
-	sb       strings.Builder
 }
 
-func (t *bodyEmitter) line(format string, a ...any) {
-	t.sb.WriteString(strings.Repeat("  ", t.indent))
-	fmt.Fprintf(&t.sb, format, a...)
-	t.sb.WriteString("\n")
+// pad indents, then writes the parts.
+func (t *bodyEmitter) pad(parts ...string) {
+	for i := 0; i < t.indent; i++ {
+		t.e.w("  ")
+	}
+	t.e.w(parts...)
 }
 
-func (t *bodyEmitter) raw(s ast.Stmt) {
-	t.sb.WriteString(printer.Stmt(s, t.indent))
-}
+// line writes one indented line.
+func (t *bodyEmitter) line(s string) { t.pad(s, "\n") }
+
+func (t *bodyEmitter) raw(s ast.Stmt) { printer.WriteStmt(&t.e.sb, s, t.indent) }
 
 // releaseIfNeeded drops the lock before entering the invocation
 // section, unless hoisting holds it through.
@@ -285,7 +275,9 @@ func (t *bodyEmitter) ifStmt(x *ast.IfStmt) {
 	}
 
 	heldAtEntry := t.lockHeld
-	t.line("if (%s) {", printer.Expr(x.Cond))
+	t.pad("if (")
+	printer.WriteExpr(&t.e.sb, x.Cond)
+	t.e.w(") {\n")
 	t.indent++
 	t.lockHeld = heldAtEntry
 	t.stmtsOf(x.Then)
@@ -346,11 +338,16 @@ func (t *bodyEmitter) callStmt(x *ast.ExprStmt, in Version) {
 	if sc.Release {
 		t.releaseIfNeeded()
 	}
+	// The call with the callee renamed to the generated version.
 	switch {
 	case sc.Spawn:
-		t.line("spawn(%s);", t.renamedCall(call, versionSuffix[sc.Run]))
+		t.pad("spawn(")
+		printer.WriteCall(&t.e.sb, call, versionSuffix[sc.Run])
+		t.e.w(");\n")
 	case sc.Run != VersionSerial:
-		t.line("%s;", t.renamedCall(call, versionSuffix[sc.Run]))
+		t.pad()
+		printer.WriteCall(&t.e.sb, call, versionSuffix[sc.Run])
+		t.e.w(";\n")
 	default:
 		t.raw(x)
 	}
@@ -359,51 +356,28 @@ func (t *bodyEmitter) callStmt(x *ast.ExprStmt, in Version) {
 // versionSuffix names the generated versions in the listing.
 var versionSuffix = [...]string{VersionSerial: "", VersionParallel: "__parallel", VersionMutex: "__mutex"}
 
-// renamedCall prints the call with the callee renamed to a generated
-// version.
-func (t *bodyEmitter) renamedCall(call *ast.CallExpr, suffix string) string {
-	out := printer.Expr(call)
-	// Rename the method at its invocation point: the method name is
-	// followed by "(" in the rendered call.
-	idx := strings.LastIndex(out, call.Method+"(")
-	if idx < 0 {
-		return out
-	}
-	return out[:idx] + call.Method + suffix + out[idx+len(call.Method):]
-}
-
 func (t *bodyEmitter) forStmt(x *ast.ForStmt) {
 	lp := t.e.plan.Loops[x]
 	if lp == nil || !lp.Parallel || t.mutex {
 		if t.containsExtentCall(x) {
 			t.releaseIfNeeded()
 			// Serial loop over mutex versions inside the mutex variant.
-			t.serialLoopOverMutex(x)
+			t.loopOverMutex(x, "for (", ") {\n")
 			return
 		}
 		t.raw(x)
 		return
 	}
 	t.releaseIfNeeded()
-	header := loopHeader(x)
-	t.line("parallel_for (%s) {  // guided self-scheduling; iterations run mutex versions", header)
-	t.indent++
-	body := x.Body
-	if b, ok := body.(*ast.Block); ok {
-		for _, s := range b.Stmts {
-			t.mutexStmt(s)
-		}
-	} else {
-		t.mutexStmt(body)
-	}
-	t.indent--
-	t.line("}")
+	t.loopOverMutex(x, "parallel_for (", ") {  // guided self-scheduling; iterations run mutex versions\n")
 }
 
-// serialLoopOverMutex renders a loop whose invocations call mutex
-// versions serially.
-func (t *bodyEmitter) serialLoopOverMutex(x *ast.ForStmt) {
-	t.line("for (%s) {", loopHeader(x))
+// loopOverMutex renders a loop under the given header frame whose
+// invocations call mutex versions serially, as iterations run them.
+func (t *bodyEmitter) loopOverMutex(x *ast.ForStmt, open, close string) {
+	t.pad(open)
+	printer.WriteForHeader(&t.e.sb, x)
+	t.e.w(close)
 	t.indent++
 	if b, ok := x.Body.(*ast.Block); ok {
 		for _, s := range b.Stmts {
@@ -424,19 +398,4 @@ func (t *bodyEmitter) mutexStmt(s ast.Stmt) {
 		return
 	}
 	t.raw(s)
-}
-
-// loopHeader reconstructs "init; cond; post" text.
-func loopHeader(x *ast.ForStmt) string {
-	init, cond, post := "", "", ""
-	if x.Init != nil {
-		init = strings.TrimSuffix(strings.TrimSpace(printer.Stmt(x.Init, 0)), ";")
-	}
-	if x.Cond != nil {
-		cond = printer.Expr(x.Cond)
-	}
-	if x.Post != nil {
-		post = strings.TrimSuffix(strings.TrimSpace(printer.Stmt(x.Post, 0)), ";")
-	}
-	return init + "; " + cond + "; " + post
 }

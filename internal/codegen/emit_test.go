@@ -112,3 +112,37 @@ func TestEmitReparses(t *testing.T) {
 		t.Errorf("expected generated method versions, found %d", defs)
 	}
 }
+
+// TestEmitRenamesTheCallItself: the generated version's suffix goes on
+// the spawned call's own method name, not on the like-named auxiliary
+// call among its arguments (the last "add(" of the rendered text).
+func TestEmitRenamesTheCallItself(t *testing.T) {
+	out := emit(t, `
+class scale {
+public:
+  int f;
+  int add(int k);
+};
+class counter {
+public:
+  int n;
+  void add(int k);
+};
+class driver {
+public:
+  counter *c;
+  scale *s;
+  int dummy;
+  void run();
+};
+int scale::add(int k) { return k + f; }
+void counter::add(int k) { n = n + k; }
+void driver::run() {
+  c->add(s->add(1));
+  c->add(2);
+}
+`)
+	if want := "spawn(c->add__parallel(s->add(1)));"; !strings.Contains(out, want) {
+		t.Errorf("emitted source missing %q\n----\n%s", want, out)
+	}
+}

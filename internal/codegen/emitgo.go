@@ -59,6 +59,7 @@ package codegen
 // over what commutec -emit go wrote.
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -167,7 +168,11 @@ type goEmitter struct {
 
 	demanded map[vkey]bool
 	queue    []vkey
-	fnSrc    map[vkey]string
+
+	// fns holds every emitted version, in demand order, fnAt where each
+	// starts and ends; assembleProg copies them out in declaration order.
+	fns  bytes.Buffer
+	fnAt map[vkey][2]int
 
 	// helpers maps helper function name to its source; emitted sorted
 	// by name.
@@ -220,7 +225,7 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 		frames:   make(map[*types.Method][]interp.VarInfo),
 		muRoots:  make(map[*types.Class]bool),
 		demanded: make(map[vkey]bool),
-		fnSrc:    make(map[vkey]string),
+		fnAt:     make(map[vkey][2]int),
 		helpers:  make(map[string]string),
 	}
 	for _, cl := range e.prog.ClassList {
@@ -240,9 +245,13 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 		entry = varD
 	}
 	e.demand(e.prog.Main, entry)
+	// The emitted versions run to 1.2-1.5 times the source they lower.
+	e.fns.Grow(e.prog.SourceBytes + e.prog.SourceBytes/2)
 	for i := 0; i < len(e.queue); i++ {
 		k := e.queue[i]
-		e.fnSrc[k] = e.emitFn(k.m, k.v)
+		start := e.fns.Len()
+		e.emitFn(k.m, k.v)
+		e.fnAt[k] = [2]int{start, e.fns.Len()}
 	}
 
 	progSrc := e.assembleProg(entry)
@@ -250,7 +259,7 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 		sort.Strings(e.errs)
 		return nil, fmt.Errorf("emitgo: %s", strings.Join(e.errs, "; "))
 	}
-	files := map[string][]byte{"prog.go": []byte(progSrc), "main.go": e.assembleMain()}
+	files := map[string][]byte{"prog.go": progSrc, "main.go": e.assembleMain()}
 	if opts.CommutePath != "" {
 		files["go.mod"] = []byte(fmt.Sprintf(
 			"module %s\n\ngo 1.22\n\nrequire commute v0.0.0\n\nreplace commute => %s\n",

@@ -5,6 +5,7 @@ package codegen
 // planned-parallel counted loops.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -52,14 +53,20 @@ type fnCtx struct {
 	// locked: the P_/X_ prologue acquired the receiver lock.
 	locked bool
 
-	b      strings.Builder
+	b      *bytes.Buffer // the emitter's fns
 	indent int
 	tmp    int
 }
 
 func (c *fnCtx) line(format string, args ...any) {
-	c.b.WriteString(strings.Repeat("\t", c.indent))
-	fmt.Fprintf(&c.b, format, args...)
+	for i := 0; i < c.indent; i++ {
+		c.b.WriteByte('\t')
+	}
+	if len(args) == 0 {
+		c.b.WriteString(format)
+	} else {
+		fmt.Fprintf(c.b, format, args...)
+	}
 	c.b.WriteByte('\n')
 }
 
@@ -67,13 +74,14 @@ func (c *fnCtx) errf(format string, args ...any) {
 	c.e.errorf("%s: %s", c.m.FullName(), fmt.Sprintf(format, args...))
 }
 
-// emitFn renders one method version as Go source.
-func (e *goEmitter) emitFn(m *types.Method, v variant) string {
+// emitFn appends one method version to e.fns as Go source.
+func (e *goEmitter) emitFn(m *types.Method, v variant) {
 	if v == varR {
-		return e.emitRegionWrapper(m)
+		e.emitRegionWrapper(m)
+		return
 	}
-	c := &fnCtx{e: e, m: m, mp: e.plan.Methods[m], mode: versions[v].mode, spec: specVariant(v)}
-	c.b.WriteString(e.fnSignature(m, v))
+	c := &fnCtx{e: e, b: &e.fns, m: m, mp: e.plan.Methods[m], mode: versions[v].mode, spec: specVariant(v)}
+	e.fnSignature(m, v)
 	c.b.WriteString(" {\n")
 	c.indent = 1
 
@@ -97,7 +105,7 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) string {
 			rows = append(rows, []string{"v_" + l.Name, e.goType(l.Type, false)})
 		}
 		c.line("var (")
-		alignRows(&c.b, "\t\t", rows)
+		alignRows(c.b, "\t\t", rows)
 		c.line(")")
 		c.line("%s = %s", strings.Repeat("_, ", len(locals)-1)+"_", strings.Join(names, ", "))
 	}
@@ -126,7 +134,6 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) string {
 		c.line("return %s", e.zeroVal(m.Ret))
 	}
 	c.b.WriteString("}\n")
-	return c.b.String()
 }
 
 // valueMode reports whether the current version returns the method's
@@ -138,12 +145,12 @@ func isVoid(t types.Type) bool {
 	return t == nil || (ok && b == types.Void)
 }
 
-// fnSignature renders the func header for one version.
-func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
-	var b strings.Builder
+// fnSignature appends the func header for one version.
+func (e *goEmitter) fnSignature(m *types.Method, v variant) {
+	b := &e.fns
 	b.WriteString("func ")
 	if m.Class != nil {
-		fmt.Fprintf(&b, "(o *T_%s) ", m.Class.Name)
+		fmt.Fprintf(b, "(o *T_%s) ", m.Class.Name)
 	}
 	b.WriteString(versions[v].prefix)
 	b.WriteString(m.Name)
@@ -162,7 +169,6 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
 		b.WriteByte(' ')
 		b.WriteString(e.goType(m.Ret, false))
 	}
-	return b.String()
 }
 
 // emitRegionWrapper renders R_m, the serial-to-parallel boundary: a
@@ -184,10 +190,10 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) string {
 // work bound is under regionEntryCost is not worth a region under any
 // tier or policy. Its wrapper counts the entry it declined and is the
 // serial version, so no other version of the extent is ever demanded.
-func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
+func (e *goEmitter) emitRegionWrapper(m *types.Method) {
 	e.demand(m, varS)
-	c := &fnCtx{e: e, m: m, mp: e.plan.Methods[m], indent: 1}
-	c.b.WriteString(e.fnSignature(m, varR))
+	c := &fnCtx{e: e, b: &e.fns, m: m, mp: e.plan.Methods[m], indent: 1}
+	e.fnSignature(m, varR)
 	c.b.WriteString(" {\n")
 	var args []string
 	for _, p := range m.Params {
@@ -216,7 +222,7 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
 		// under every policy.
 		c.line("%s", call(varS, ""))
 		c.b.WriteString("}\n")
-		return c.b.String()
+		return
 	}
 	var facts []string
 	guard := "nil"
@@ -259,7 +265,6 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) string {
 	c.line("\t%s", call(varS, ""))
 	c.line("}")
 	c.b.WriteString("}\n")
-	return c.b.String()
 }
 
 // regionEntryCost is what entering a parallel region costs emitted code,
@@ -326,7 +331,7 @@ func (e *goEmitter) specSets(m *types.Method) (rdName, wrName string) {
 // specSetSrc renders one declared-effect key set as a map literal, its
 // values aligned the way gofmt aligns consecutive key-value lines.
 func specSetSrc(name string, m *types.Method, kind string, keys []string) string {
-	var b strings.Builder
+	var b bytes.Buffer
 	fmt.Fprintf(&b, "// %s: fields the speculative extent rooted at %s may %s,\n", name, m.FullName(), kind)
 	b.WriteString("// resolved against its declared transitive effects at generation time.\n")
 	fmt.Fprintf(&b, "var %s = map[string]bool{", name)
@@ -563,8 +568,10 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, h ast.CountedLoop) {
 	if loopVarUsed {
 		c.line("v_%s = gssI_", h.Var.Name)
 	}
-	sub := &fnCtx{e: c.e, m: c.m, mp: c.mp, mode: mI, spec: c.spec, indent: c.indent, tmp: c.tmp}
-	subEmit(sub, c, fs.Body)
+	// The body's call sites lower under the iteration context.
+	sub := &fnCtx{e: c.e, b: c.b, m: c.m, mp: c.mp, mode: mI, spec: c.spec, indent: c.indent, tmp: c.tmp}
+	sub.stmt(fs.Body)
+	c.tmp = sub.tmp
 	c.indent--
 	c.line("}")
 	c.indent--
@@ -572,14 +579,6 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, h ast.CountedLoop) {
 	c.line("v_%[1]s = rtkit.LoopExit(v_%[1]s, gssTo_, %d)", h.Var.Name, h.Step)
 	c.indent--
 	c.line("}")
-}
-
-// subEmit runs the iteration-mode emitter over the loop body and folds
-// its output and temp counter back into the parent context.
-func subEmit(sub, parent *fnCtx, body ast.Stmt) {
-	sub.stmt(body)
-	parent.b.WriteString(sub.b.String())
-	parent.tmp = sub.tmp
 }
 
 // bodyVars returns the frame variable names referenced in the loop

@@ -15,7 +15,6 @@ import (
 	"commute/internal/analysis/extent"
 	"commute/internal/analysis/symbolic"
 	"commute/internal/cond"
-	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
 )
 
@@ -257,7 +256,7 @@ func (a *Analysis) analyze(m *types.Method, memo *memo) *MethodReport {
 	// so their return values cannot be consumed (§4's model: operations
 	// return no values; only auxiliary operations may).
 	for _, site := range ext.Ext {
-		if a.valueUsed(site) {
+		if site.ValueUsed {
 			r.Reason = fmt.Sprintf("the return value of extent operation %s is used at %s",
 				site.Callee.FullName(), site.Call.Pos())
 			return r
@@ -394,25 +393,6 @@ func (a *Analysis) analyze(m *types.Method, memo *memo) *MethodReport {
 		}
 	}
 	return r
-}
-
-// valueUsed reports whether the call at the site appears anywhere other
-// than statement position, i.e. its return value is consumed.
-func (a *Analysis) valueUsed(site *types.CallSite) bool {
-	m := site.Caller
-	if m == nil || m.Def == nil {
-		return false
-	}
-	stmtPos := make(map[*ast.CallExpr]bool)
-	ast.Inspect(m.Def.Body, func(n ast.Node) bool {
-		if es, ok := n.(*ast.ExprStmt); ok {
-			if c, ok2 := es.X.(*ast.CallExpr); ok2 {
-				stmtPos[c] = true
-			}
-		}
-		return true
-	})
-	return !stmtPos[site.Call]
 }
 
 // AnalyzeAll runs IsParallel over every defined method — fanning the

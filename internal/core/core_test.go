@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"commute/internal/apps/src"
@@ -254,5 +255,34 @@ void driver::run() { c->add(1); c->add(2); }
 	r := a.IsParallel(a.Prog.MethodByFullName("driver::run"))
 	if r.Parallel {
 		t.Fatal("I/O in the extent must prevent parallelization")
+	}
+}
+
+// TestExtentReturnValueUsed: extent operations run asynchronously, so a
+// caller that consumes the value of one is not parallel, and says where.
+func TestExtentReturnValueUsed(t *testing.T) {
+	_, a := analyze(t, `
+class counter {
+public:
+  int n;
+  int add(int k);
+};
+class driver {
+public:
+  counter *c;
+  int last;
+  void drop();
+  void keep();
+};
+int counter::add(int k) { n = n + k; return k; }
+void driver::drop() { c->add(1); c->add(2); }
+void driver::keep() { c->add(1); last = c->add(2); }
+`)
+	if r := a.IsParallel(a.Prog.MethodByFullName("driver::drop")); !r.Parallel {
+		t.Errorf("drop discards every result and should be parallel; reason: %s", r.Reason)
+	}
+	r := a.IsParallel(a.Prog.MethodByFullName("driver::keep"))
+	if r.Parallel || !strings.Contains(r.Reason, "the return value of extent operation counter::add is used") {
+		t.Errorf("keep: parallel=%t reason=%q", r.Parallel, r.Reason)
 	}
 }

@@ -52,6 +52,7 @@ func (t *TypeExpr) Pos() token.Pos { return t.TokPos }
 type File struct {
 	Name  string
 	Decls []Decl
+	Size  int // bytes of source text (0 if not from the parser): emitters size output from it
 }
 
 func (f *File) Pos() token.Pos {

@@ -170,3 +170,24 @@ func TestScopeVsColon(t *testing.T) {
 		}
 	}
 }
+
+// TestNextAfterEOF: the parser's lookahead reads up to three tokens past
+// the end of the input, so Next keeps answering EOF, at the same
+// position, without an error.
+func TestNextAfterEOF(t *testing.T) {
+	for _, src := range []string{"", "x", "x  \n", "x /* open", "Foo *"} {
+		l := New(src)
+		var first token.Token
+		for first = l.Next(); first.Kind != token.EOF; first = l.Next() {
+		}
+		errs := len(l.Errors())
+		for i := 0; i < 4; i++ {
+			if tok := l.Next(); tok != first {
+				t.Errorf("%q: Next %d after EOF = %v at %v, want EOF at %v", src, i+1, tok.Kind, tok.Pos, first.Pos)
+			}
+		}
+		if len(l.Errors()) != errs {
+			t.Errorf("%q: reading past EOF added errors: %v", src, l.Errors()[errs:])
+		}
+	}
+}

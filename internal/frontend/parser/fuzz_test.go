@@ -35,7 +35,7 @@ func FuzzParse(f *testing.F) {
 		"# preprocessor only",
 		"class µ { public: int 日本; };",
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, lookaheadAtEOF...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

@@ -16,8 +16,12 @@ import (
 // Parser parses one source file.
 type Parser struct {
 	lex    *lexer.Lexer
-	buf    []token.Token // lookahead buffer
 	errors []error
+
+	// ring holds the n lookahead tokens, the next one at ring[head]. The
+	// deepest lookahead is peekAt(3), the `)` of a cast `(Class *)`.
+	ring    [4]token.Token
+	head, n int
 
 	// classNames tracks class declarations seen so far, used to
 	// disambiguate local variable declarations from expressions.
@@ -28,7 +32,7 @@ type Parser struct {
 // It returns an error summarizing the first few syntax errors, if any.
 func Parse(name, src string) (*ast.File, error) {
 	p := &Parser{lex: lexer.New(src), classNames: make(map[string]bool)}
-	file := &ast.File{Name: name}
+	file := &ast.File{Name: name, Size: len(src)}
 	for p.peek().Kind != token.EOF {
 		before := p.peek()
 		d := p.parseDecl()
@@ -60,15 +64,17 @@ func Parse(name, src string) (*ast.File, error) {
 func (p *Parser) peek() token.Token { return p.peekAt(0) }
 
 func (p *Parser) peekAt(n int) token.Token {
-	for len(p.buf) <= n {
-		p.buf = append(p.buf, p.lex.Next())
+	for p.n <= n {
+		p.ring[(p.head+p.n)%len(p.ring)] = p.lex.Next()
+		p.n++
 	}
-	return p.buf[n]
+	return p.ring[(p.head+n)%len(p.ring)]
 }
 
 func (p *Parser) next() token.Token {
 	t := p.peek()
-	p.buf = p.buf[1:]
+	p.head = (p.head + 1) % len(p.ring)
+	p.n--
 	return t
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"commute/internal/apps/src"
 	"commute/internal/frontend/ast"
+	"commute/internal/frontend/lexer"
 	"commute/internal/frontend/token"
 )
 
@@ -301,5 +302,71 @@ void body::f(node *n) {
 	pos, ok := fa.X.(*ast.FieldAccess)
 	if !ok || pos.Name != "pos" || !pos.Arrow {
 		t.Fatalf("pos access: %+v", fa.X)
+	}
+}
+
+// TestLookaheadAtEndOfInput: `Class * ident` is told from a product by
+// looking two tokens ahead, and a C-style cast three, so a class name
+// near the end of a body or of the file makes the parser read past EOF.
+// It must report the truncation and stop.
+func TestLookaheadAtEndOfInput(t *testing.T) {
+	for _, in := range lookaheadAtEOF {
+		file, err := Parse("eof.mc", in)
+		if file == nil {
+			t.Fatalf("%q: nil file", in)
+		}
+		if err == nil {
+			t.Errorf("%q: expected a syntax error", in)
+		}
+	}
+	// The same tokens followed by what they need parse.
+	f := mustParse(t, lookaheadClass+"void m() { Foo * x; x = (Foo *) x; }")
+	body := f.Decls[1].(*ast.MethodDef).Body.Stmts
+	if d, ok := body[0].(*ast.DeclStmt); !ok || d.Name != "x" || !d.Type.Ptr {
+		t.Errorf("Foo * x; parsed as %#v", body[0])
+	}
+	if _, ok := body[1].(*ast.ExprStmt).X.(*ast.Assign).RHS.(*ast.CastExpr); !ok {
+		t.Errorf("(Foo *) x parsed as %#v", body[1])
+	}
+}
+
+const lookaheadClass = "class Foo { public: int v; };\n"
+
+// lookaheadAtEOF ends each input inside the lookahead window.
+var lookaheadAtEOF = []string{
+	lookaheadClass + "void m() { Foo *",
+	lookaheadClass + "void m() { Foo * x",
+	lookaheadClass + "void m() { Foo * }",
+	lookaheadClass + "void m() { Foo * x }",
+	lookaheadClass + "void m() { x = (Foo *",
+	lookaheadClass + "void m() { x = (Foo",
+	lookaheadClass + "Foo *",
+	lookaheadClass + "Foo * x",
+	lookaheadClass + "Foo",
+}
+
+// TestLookaheadAllocatesNothing: the lookahead window is a fixed ring on
+// the Parser, so walking a token stream through peekAt and next costs no
+// allocation per token (it regrew a slice, once).
+func TestLookaheadAllocatesNothing(t *testing.T) {
+	const runs = 5
+	ps := make([]*Parser, runs+1)
+	for i := range ps {
+		ps[i] = &Parser{lex: lexer.New(src.BarnesHut)}
+	}
+	i, tokens := 0, 0
+	avg := testing.AllocsPerRun(runs, func() {
+		p := ps[i]
+		i++
+		for p.peekAt(3); p.peek().Kind != token.EOF; p.peekAt(3) {
+			p.next()
+			tokens++
+		}
+	})
+	if avg != 0 {
+		t.Errorf("%.1f allocations per pass over %d tokens, want 0", avg, tokens/(runs+1))
+	}
+	if tokens < 1000 {
+		t.Fatalf("walked %d tokens: the stream was not consumed", tokens)
 	}
 }

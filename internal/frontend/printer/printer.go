@@ -2,64 +2,94 @@
 // code generator uses it to emit the transformed parallel program (the
 // paper's source-to-source output, §6.1), and the tests use it for
 // parse→print→parse round trips.
+//
+// Everything is written into one strings.Builder, the caller's where it
+// has one (the Write* entry points), so a nested construct costs no
+// intermediate string.
 package printer
 
 import (
-	"fmt"
+	"bytes"
 	"strconv"
 	"strings"
 
 	"commute/internal/frontend/ast"
-	"commute/internal/frontend/token"
 )
 
 // File renders a complete source file.
 func File(f *ast.File) string {
-	p := &printer{}
+	var sb strings.Builder
+	sb.Grow(f.Size)
+	p := &printer{sb: &sb}
 	for i, d := range f.Decls {
 		if i > 0 {
 			p.nl()
 		}
 		p.decl(d)
 	}
-	return p.sb.String()
-}
-
-// Method renders a single method definition.
-func Method(md *ast.MethodDef) string {
-	p := &printer{}
-	p.methodDef(md)
-	return p.sb.String()
-}
-
-// Stmt renders a statement at the given indent level.
-func Stmt(s ast.Stmt, indent int) string {
-	p := &printer{indent: indent}
-	p.stmt(s)
-	return p.sb.String()
+	return sb.String()
 }
 
 // Expr renders an expression.
 func Expr(e ast.Expr) string {
-	p := &printer{}
-	p.expr(e, 0)
-	return p.sb.String()
+	var sb strings.Builder
+	WriteExpr(&sb, e)
+	return sb.String()
+}
+
+// WriteDecl appends a top-level declaration as File renders it.
+func WriteDecl(sb *strings.Builder, d ast.Decl) { (&printer{sb: sb}).decl(d) }
+
+// WriteMembers appends the members of a class (fields, prototypes and
+// inline methods) as File renders them between the class frame's lines.
+func WriteMembers(sb *strings.Builder, cd *ast.ClassDecl) {
+	(&printer{sb: sb, indent: 1}).members(cd)
+}
+
+// WriteParams appends a parameter list, without its parentheses.
+func WriteParams(sb *strings.Builder, ps []*ast.Param) { (&printer{sb: sb}).params(ps) }
+
+// WriteStmt appends a statement at the given indent level.
+func WriteStmt(sb *strings.Builder, s ast.Stmt, indent int) {
+	(&printer{sb: sb, indent: indent}).stmt(s)
+}
+
+// WriteForHeader appends the "init; cond; post" of a for statement.
+func WriteForHeader(sb *strings.Builder, x *ast.ForStmt) { (&printer{sb: sb}).forHeader(x) }
+
+// WriteExpr appends an expression.
+func WriteExpr(sb *strings.Builder, e ast.Expr) { (&printer{sb: sb}).expr(e, 0) }
+
+// WriteCall appends a call whose method name carries suffix.
+func WriteCall(sb *strings.Builder, x *ast.CallExpr, suffix string) {
+	(&printer{sb: sb}).call(x, suffix)
 }
 
 type printer struct {
-	sb     strings.Builder
+	sb     *strings.Builder
 	indent int
 }
 
-func (p *printer) w(s string)                { p.sb.WriteString(s) }
-func (p *printer) f(format string, a ...any) { fmt.Fprintf(&p.sb, format, a...) }
-func (p *printer) nl()                       { p.sb.WriteByte('\n') }
-func (p *printer) line(format string, a ...any) {
-	p.pad()
-	p.f(format, a...)
+func (p *printer) w(parts ...string) {
+	for _, s := range parts {
+		p.sb.WriteString(s)
+	}
+}
+func (p *printer) nl() { p.sb.WriteByte('\n') }
+
+// pad indents, then writes the parts.
+func (p *printer) pad(parts ...string) {
+	for i := 0; i < p.indent; i++ {
+		p.w("  ")
+	}
+	p.w(parts...)
+}
+
+// line writes the parts as one indented line.
+func (p *printer) line(parts ...string) {
+	p.pad(parts...)
 	p.nl()
 }
-func (p *printer) pad() { p.w(strings.Repeat("  ", p.indent)) }
 
 // ---------------------------------------------------------------------
 // Declarations
@@ -67,9 +97,15 @@ func (p *printer) pad() { p.w(strings.Repeat("  ", p.indent)) }
 func (p *printer) decl(d ast.Decl) {
 	switch x := d.(type) {
 	case *ast.ConstDecl:
-		p.line("const %s %s = %s;", typeBase(x.Type), x.Name, Expr(x.Value))
+		p.pad("const ")
+		p.typeBase(x.Type)
+		p.w(" ", x.Name, " = ")
+		p.expr(x.Value, 0)
+		p.w(";\n")
 	case *ast.GlobalVar:
-		p.line("%s %s;", typeBase(x.Type), x.Name)
+		p.pad()
+		p.typeBase(x.Type)
+		p.w(" ", x.Name, ";\n")
 	case *ast.ClassDecl:
 		p.classDecl(x)
 	case *ast.MethodDef:
@@ -79,98 +115,113 @@ func (p *printer) decl(d ast.Decl) {
 
 func (p *printer) classDecl(cd *ast.ClassDecl) {
 	if cd.Base != "" {
-		p.line("class %s : public %s {", cd.Name, cd.Base)
+		p.line("class ", cd.Name, " : public ", cd.Base, " {")
 	} else {
-		p.line("class %s {", cd.Name)
+		p.line("class ", cd.Name, " {")
 	}
 	p.line("public:")
 	p.indent++
-	for _, fd := range cd.Fields {
-		p.line("%s;", declarator(fd.Type, fd.Name))
-	}
-	for _, proto := range cd.Protos {
-		p.line("%s %s(%s);", typeBase(proto.RetType), proto.Name, params(proto.Params))
-	}
-	for _, md := range cd.Inline {
-		p.pad()
-		p.f("%s %s(%s) ", typeBase(md.RetType), md.Name, params(md.Params))
-		p.block(md.Body)
-		p.nl()
-	}
+	p.members(cd)
 	p.indent--
 	p.line("};")
 }
 
+func (p *printer) members(cd *ast.ClassDecl) {
+	for _, fd := range cd.Fields {
+		p.pad()
+		p.declarator(fd.Type, fd.Name)
+		p.w(";\n")
+	}
+	for _, proto := range cd.Protos {
+		p.pad()
+		p.signature(proto.RetType, "", proto.Name, proto.Params)
+		p.w(";\n")
+	}
+	for _, md := range cd.Inline {
+		p.pad()
+		p.signature(md.RetType, "", md.Name, md.Params)
+		p.w(" ")
+		p.block(md.Body)
+		p.nl()
+	}
+}
+
 func (p *printer) methodDef(md *ast.MethodDef) {
 	p.pad()
-	if md.ClassName != "" {
-		p.f("%s %s::%s(%s) ", typeBase(md.RetType), md.ClassName, md.Name, params(md.Params))
-	} else {
-		p.f("%s %s(%s) ", typeBase(md.RetType), md.Name, params(md.Params))
-	}
+	p.signature(md.RetType, md.ClassName, md.Name, md.Params)
+	p.w(" ")
 	p.block(md.Body)
 	p.nl()
 }
 
-func params(ps []*ast.Param) string {
-	parts := make([]string, len(ps))
-	for i, prm := range ps {
-		parts[i] = declarator(prm.Type, prm.Name)
+// signature writes "ret class::name(params)", or "ret name(params)"
+// when className is empty.
+func (p *printer) signature(ret *ast.TypeExpr, className, name string, ps []*ast.Param) {
+	p.typeBase(ret)
+	p.w(" ")
+	if className != "" {
+		p.w(className, "::")
 	}
-	return strings.Join(parts, ", ")
+	p.w(name, "(")
+	p.params(ps)
+	p.w(")")
 }
 
-// typeBase renders the non-declarator part of a type.
-func typeBase(te *ast.TypeExpr) string {
-	var base string
+func (p *printer) params(ps []*ast.Param) {
+	for i, prm := range ps {
+		if i > 0 {
+			p.w(", ")
+		}
+		p.declarator(prm.Type, prm.Name)
+	}
+}
+
+// typeBase writes the non-declarator part of a type.
+func (p *printer) typeBase(te *ast.TypeExpr) {
 	switch te.Kind {
 	case ast.TInt:
-		base = "int"
+		p.w("int")
 	case ast.TDouble:
-		base = "double"
+		p.w("double")
 	case ast.TBool:
-		base = "boolean"
+		p.w("boolean")
 	case ast.TVoid:
-		base = "void"
+		p.w("void")
 	case ast.TClass:
-		base = te.ClassName
+		p.w(te.ClassName)
 	}
 	if te.Ptr {
-		base += " *"
+		p.w(" *")
 	}
-	return base
 }
 
-// declarator renders "type name[dims]".
-func declarator(te *ast.TypeExpr, name string) string {
-	out := typeBase(te)
-	if !strings.HasSuffix(out, "*") {
-		out += " "
+// declarator writes "type name[dims]".
+func (p *printer) declarator(te *ast.TypeExpr, name string) {
+	p.typeBase(te)
+	if !te.Ptr {
+		p.w(" ")
 	}
-	out += name
+	p.w(name)
 	for _, dim := range te.ArrayDims {
-		if dim == nil {
-			out += "[]"
-		} else {
-			out += "[" + Expr(dim) + "]"
+		p.w("[")
+		if dim != nil {
+			p.expr(dim, 0)
 		}
+		p.w("]")
 	}
-	return out
 }
 
 // ---------------------------------------------------------------------
 // Statements
 
 func (p *printer) block(b *ast.Block) {
-	p.w("{")
-	p.nl()
+	p.w("{\n")
 	p.indent++
 	for _, s := range b.Stmts {
 		p.stmt(s)
 	}
 	p.indent--
-	p.pad()
-	p.w("}")
+	p.pad("}")
 }
 
 func (p *printer) stmt(s ast.Stmt) {
@@ -179,17 +230,14 @@ func (p *printer) stmt(s ast.Stmt) {
 		p.pad()
 		p.block(x)
 		p.nl()
-	case *ast.DeclStmt:
-		if x.Init != nil {
-			p.line("%s = %s;", declarator(x.Type, x.Name), Expr(x.Init))
-		} else {
-			p.line("%s;", declarator(x.Type, x.Name))
-		}
-	case *ast.ExprStmt:
-		p.line("%s;", Expr(x.X))
-	case *ast.IfStmt:
+	case *ast.DeclStmt, *ast.ExprStmt:
 		p.pad()
-		p.f("if (%s) ", Expr(x.Cond))
+		p.simple(x)
+		p.w(";\n")
+	case *ast.IfStmt:
+		p.pad("if (")
+		p.expr(x.Cond, 0)
+		p.w(") ")
 		p.inlineStmt(x.Then)
 		if x.Else != nil {
 			p.w(" else ")
@@ -197,37 +245,59 @@ func (p *printer) stmt(s ast.Stmt) {
 		}
 		p.nl()
 	case *ast.ForStmt:
-		p.pad()
-		init, post := "", ""
-		if x.Init != nil {
-			init = strings.TrimSuffix(strings.TrimSpace(Stmt(x.Init, 0)), ";")
-		}
-		cond := ""
-		if x.Cond != nil {
-			cond = Expr(x.Cond)
-		}
-		if x.Post != nil {
-			post = strings.TrimSuffix(strings.TrimSpace(Stmt(x.Post, 0)), ";")
-		}
-		p.f("for (%s; %s; %s) ", init, cond, post)
+		p.pad("for (")
+		p.forHeader(x)
+		p.w(") ")
 		p.inlineStmt(x.Body)
 		p.nl()
 	case *ast.WhileStmt:
-		p.pad()
-		p.f("while (%s) ", Expr(x.Cond))
+		p.pad("while (")
+		p.expr(x.Cond, 0)
+		p.w(") ")
 		p.inlineStmt(x.Body)
 		p.nl()
 	case *ast.ReturnStmt:
+		p.pad("return")
 		if x.X != nil {
-			p.line("return %s;", Expr(x.X))
-		} else {
-			p.line("return;")
+			p.w(" ")
+			p.expr(x.X, 0)
 		}
+		p.w(";\n")
+	}
+}
+
+// simple writes a declaration or expression statement without its
+// indentation and semicolon: a statement line, or a for header's part.
+func (p *printer) simple(s ast.Stmt) {
+	switch x := s.(type) {
+	case *ast.DeclStmt:
+		p.declarator(x.Type, x.Name)
+		if x.Init != nil {
+			p.w(" = ")
+			p.expr(x.Init, 0)
+		}
+	case *ast.ExprStmt:
+		p.expr(x.X, 0)
+	}
+}
+
+func (p *printer) forHeader(x *ast.ForStmt) {
+	if x.Init != nil {
+		p.simple(x.Init)
+	}
+	p.w("; ")
+	if x.Cond != nil {
+		p.expr(x.Cond, 0)
+	}
+	p.w("; ")
+	if x.Post != nil {
+		p.simple(x.Post)
 	}
 }
 
 // inlineStmt renders a statement as the body of if/for/while without a
-// trailing newline.
+// trailing newline. A single-statement body goes on its own line, which
+// it ends; the caller adds another.
 func (p *printer) inlineStmt(s ast.Stmt) {
 	if b, ok := s.(*ast.Block); ok {
 		p.block(b)
@@ -237,20 +307,6 @@ func (p *printer) inlineStmt(s ast.Stmt) {
 	p.indent++
 	p.stmt(s)
 	p.indent--
-	p.pad()
-	// Single-statement bodies end here; the caller adds the newline.
-	p.trimTrailingPad()
-}
-
-// trimTrailingPad removes indentation emitted after a single-statement
-// body (cosmetic).
-func (p *printer) trimTrailingPad() {
-	s := p.sb.String()
-	trimmed := strings.TrimRight(s, " ")
-	if len(trimmed) != len(s) {
-		p.sb.Reset()
-		p.sb.WriteString(trimmed)
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -260,13 +316,15 @@ func (p *printer) trimTrailingPad() {
 func (p *printer) expr(e ast.Expr, minPrec int) {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		p.w(strconv.FormatInt(x.Value, 10))
+		var buf [20]byte
+		p.sb.Write(strconv.AppendInt(buf[:0], x.Value, 10))
 	case *ast.FloatLit:
-		s := strconv.FormatFloat(x.Value, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		var buf [32]byte
+		s := strconv.AppendFloat(buf[:0], x.Value, 'g', -1, 64)
+		p.sb.Write(s)
+		if !bytes.ContainsAny(s, ".eE") {
+			p.w(".0")
 		}
-		p.w(s)
 	case *ast.BoolLit:
 		if x.Value {
 			p.w("TRUE")
@@ -283,44 +341,23 @@ func (p *printer) expr(e ast.Expr, minPrec int) {
 		p.w(x.Name)
 	case *ast.FieldAccess:
 		p.postfixBase(x.X)
-		if x.Arrow {
-			p.w("->")
-		} else {
-			p.w(".")
-		}
-		p.w(x.Name)
+		p.w(selector(x.Arrow), x.Name)
 	case *ast.IndexExpr:
 		p.postfixBase(x.X)
 		p.w("[")
 		p.expr(x.Index, 0)
 		p.w("]")
 	case *ast.CallExpr:
-		if x.Recv != nil {
-			p.postfixBase(x.Recv)
-			if x.Arrow {
-				p.w("->")
-			} else {
-				p.w(".")
-			}
-		}
-		p.w(x.Method)
-		p.w("(")
-		for i, a := range x.Args {
-			if i > 0 {
-				p.w(", ")
-			}
-			p.expr(a, 0)
-		}
-		p.w(")")
+		p.call(x, "")
 	case *ast.NewExpr:
-		p.w("new " + x.ClassName)
+		p.w("new ", x.ClassName)
 	case *ast.CastExpr:
 		if x.Dynamic {
-			p.f("dynamic_cast<%s*>(", x.ClassName)
+			p.w("dynamic_cast<", x.ClassName, "*>(")
 			p.expr(x.X, 0)
 			p.w(")")
 		} else {
-			p.f("(%s*)", x.ClassName)
+			p.w("(", x.ClassName, "*)")
 			p.expr(x.X, 8)
 		}
 	case *ast.Unary:
@@ -332,7 +369,7 @@ func (p *printer) expr(e ast.Expr, minPrec int) {
 			p.w("(")
 		}
 		p.expr(x.X, prec)
-		p.f(" %s ", x.Op)
+		p.w(" ", x.Op.String(), " ")
 		p.expr(x.Y, prec+1)
 		if prec < minPrec {
 			p.w(")")
@@ -342,11 +379,7 @@ func (p *printer) expr(e ast.Expr, minPrec int) {
 			p.w("(")
 		}
 		p.expr(x.LHS, 1)
-		if x.Op == token.ASSIGN {
-			p.w(" = ")
-		} else {
-			p.f(" %s ", x.Op)
-		}
+		p.w(" ", x.Op.String(), " ")
 		p.expr(x.RHS, 0)
 		if minPrec > 0 {
 			p.w(")")
@@ -365,4 +398,27 @@ func (p *printer) postfixBase(e ast.Expr) {
 	default:
 		p.expr(e, 8)
 	}
+}
+
+// call writes a call with suffix appended to the method's name.
+func (p *printer) call(x *ast.CallExpr, suffix string) {
+	if x.Recv != nil {
+		p.postfixBase(x.Recv)
+		p.w(selector(x.Arrow))
+	}
+	p.w(x.Method, suffix, "(")
+	for i, a := range x.Args {
+		if i > 0 {
+			p.w(", ")
+		}
+		p.expr(a, 0)
+	}
+	p.w(")")
+}
+
+func selector(arrow bool) string {
+	if arrow {
+		return "->"
+	}
+	return "."
 }

@@ -22,13 +22,26 @@ type checker struct {
 // program. Class, constant, and global declarations are visible to all
 // files regardless of order within a file set.
 func Check(files ...*ast.File) (*Program, error) {
+	// ExprType gets one entry per expression: size it once.
+	exprs, size := 0, 0
+	for _, f := range files {
+		size += f.Size
+		ast.Inspect(f, func(n ast.Node) bool {
+			if _, ok := n.(ast.Expr); ok {
+				exprs++
+			}
+			return true
+		})
+	}
 	c := &checker{prog: &Program{
 		Classes:  make(map[string]*Class),
 		Funcs:    make(map[string]*Method),
 		Globals:  make(map[string]*Global),
 		Consts:   make(map[string]ConstVal),
-		ExprType: make(map[ast.Expr]Type),
+		ExprType: make(map[ast.Expr]Type, exprs),
 		DeclType: make(map[*ast.DeclStmt]Type),
+
+		SourceBytes: size,
 	}}
 
 	// Pass 1: class names.

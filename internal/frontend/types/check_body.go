@@ -90,6 +90,9 @@ func (c *checker) checkStmt(s ast.Stmt) {
 		}
 	case *ast.ExprStmt:
 		c.checkExpr(st.X)
+		if call, ok := st.X.(*ast.CallExpr); ok && call.Site >= 0 {
+			c.prog.CallSites[call.Site].ValueUsed = false // the statement drops it
+		}
 	case *ast.IfStmt:
 		ct := c.checkExpr(st.Cond)
 		if b, ok := ct.(Basic); !ok || b != Bool {
@@ -441,6 +444,8 @@ func (c *checker) checkCall(x *ast.CallExpr) Type {
 		Call:   x,
 		Caller: c.method,
 		Callee: callee,
+
+		ValueUsed: true, // until checkStmt finds the call is a statement
 	}
 	x.Site = site.ID
 	c.prog.CallSites = append(c.prog.CallSites, site)

@@ -330,3 +330,46 @@ void helper() { }
 void sim::run() { helper(); }
 `, "methods may not call free functions")
 }
+
+// TestCallSiteValueUsed: a call that is a statement of its own — a for
+// header's post statement included — drops its value; anywhere else the
+// value is consumed. core reads this instead of re-walking the caller.
+func TestCallSiteValueUsed(t *testing.T) {
+	p := check(t, `
+class a {
+public:
+  int n;
+  int get(int k);
+  void m();
+};
+int a::get(int k) { n = n + k; return n; }
+void a::m() {
+  int i;
+  this->get(1);
+  n = this->get(2);
+  this->get(this->get(3));
+  for (i = 0; i < this->get(4); this->get(5)) {
+    if (this->get(6) > 0) this->get(7);
+  }
+}
+`)
+	// Sites by the literal they pass: the argument nests before its call.
+	want := map[int64]bool{1: false, 2: true, 3: true, 4: true, 5: false, 6: true, 7: false}
+	outer := 0
+	for _, cs := range p.Classes["a"].MethodByName("m").CallSites {
+		lit, ok := cs.Call.Args[0].(*ast.IntLit)
+		if !ok {
+			outer++
+			if cs.ValueUsed {
+				t.Errorf("get(get(3)) as a statement: ValueUsed = true")
+			}
+			continue
+		}
+		if cs.ValueUsed != want[lit.Value] {
+			t.Errorf("get(%d): ValueUsed = %t, want %t", lit.Value, cs.ValueUsed, want[lit.Value])
+		}
+	}
+	if outer != 1 {
+		t.Fatalf("found %d calls with a call argument, want 1", outer)
+	}
+}

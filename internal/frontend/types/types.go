@@ -259,6 +259,9 @@ type CallSite struct {
 	Call   *ast.CallExpr
 	Caller *Method
 	Callee *Method
+	// ValueUsed: the call appears anywhere other than statement
+	// position, i.e. its return value is consumed.
+	ValueUsed bool
 }
 
 // Global is a global variable (class-typed per the dialect).
@@ -318,6 +321,8 @@ type Program struct {
 	Consts    map[string]ConstVal
 	CallSites []*CallSite
 	Main      *Method // free function "main", if present
+
+	SourceBytes int // Σ ast.File.Size of the checked files
 
 	// ExprType records the checked type of every expression.
 	ExprType map[ast.Expr]Type
