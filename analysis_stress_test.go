@@ -11,33 +11,37 @@ import (
 
 	"commute"
 	"commute/internal/apps/src"
+	"commute/internal/core"
 	"commute/internal/server"
 )
 
 // TestAnalysisConcurrencyStress hammers the analysis pipeline the way a
-// busy daemon does: 16 goroutines share one Analysis per application
-// (graph, Barnes-Hut, Water), mixing AnalyzeAll with per-method Report
-// lookups, while a live commuted server concurrently cold-loads and
-// serves /v1/analyze for the same programs. Run under -race, it
-// verifies the report cells, effects memos, pair cache, and the global
-// expression intern table publish safely under contention, and that
-// every goroutine observes the same published reports.
+// busy daemon does: 16 goroutines share one fresh Analysis per
+// application (graph, Barnes-Hut, Water) that fans AnalyzeAll out across
+// four workers, mixing AnalyzeAll with per-method IsParallel lookups,
+// while a live commuted server concurrently cold-loads and serves
+// /v1/analyze for the same programs. Run under -race, it verifies the
+// report cells, effects memos, pair cache, and the global expression
+// intern table publish safely under contention, and that every goroutine
+// observes the same published reports.
 func TestAnalysisConcurrencyStress(t *testing.T) {
 	apps := map[string]string{
 		"graph.mc":     src.Graph,
 		"barneshut.mc": src.BarnesHut,
 		"water.mc":     src.Water,
 	}
-	systems := make(map[string]*commute.System, len(apps))
+	analyses := make(map[string]*core.Analysis, len(apps))
 	for name, source := range apps {
-		sys, err := commute.LoadOpts(name, source, commute.LoadOptions{AnalysisWorkers: 4})
+		sys, err := commute.Load(name, source)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		systems[name] = sys
+		a := core.New(sys.Prog)
+		a.Workers = 4
+		analyses[name] = a
 	}
 
-	srv := server.New(server.Config{Workers: 4, AnalysisWorkers: 4, CacheBytes: 1 << 20})
+	srv := server.New(server.Config{Workers: 4, CacheBytes: 1 << 20})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -51,27 +55,26 @@ func TestAnalysisConcurrencyStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
-				for name, sys := range systems {
+				for name, a := range analyses {
 					// Shared-Analysis reads: the full fan-out and a few
 					// single-method lookups racing against it.
-					reports := sys.Reports()
+					reports := a.AnalyzeAll()
 					if len(reports) == 0 {
 						errc <- fmt.Errorf("goroutine %d: %s produced no reports", g, name)
 						return
 					}
 					for _, rep := range reports {
-						if again := sys.Report(rep.Method.FullName()); again != rep {
-							errc <- fmt.Errorf("goroutine %d: %s %s: Report returned a different *MethodReport than AnalyzeAll",
+						if again := a.IsParallel(rep.Method); again != rep {
+							errc <- fmt.Errorf("goroutine %d: %s %s: IsParallel returned a different *MethodReport than AnalyzeAll",
 								g, name, rep.Method.FullName())
 							return
 						}
 					}
 				}
 				// Every fourth goroutine also drives the daemon, so server
-				// cold loads (their own Analysis instances, AnalysisWorkers=4)
-				// run concurrently with the in-process reads above. The tiny
-				// cache budget forces evictions and therefore repeated cold
-				// loads.
+				// cold loads (their own Analysis instances) run concurrently
+				// with the in-process reads above. The tiny cache budget
+				// forces evictions and therefore repeated cold loads.
 				if g%4 == 0 {
 					app := []string{"quickstart", "barneshut", "water"}[round%3]
 					body, _ := json.Marshal(map[string]string{"app": app})

@@ -33,7 +33,6 @@ import (
 
 	"commute/internal/server"
 	"commute/internal/server/cache"
-	"commute/nativert"
 )
 
 func main() {
@@ -45,9 +44,6 @@ func main() {
 	defaultTimeout := flag.Duration("default-timeout", 10*time.Second, "execution deadline when a request doesn't set one")
 	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "ceiling on requested execution deadlines")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
-	analysisWorkers := flag.Int("analysis-workers", 0, "goroutines for cold-load commutativity analysis (0: GOMAXPROCS, 1: serial)")
-	speculate := flag.String("speculate", "off", "default speculation policy for /v1/run: off | auto | force")
-	specThreshold := flag.Float64("speculate-threshold", 0, fmt.Sprintf("default minimum analysis confidence for auto speculation (0: the %v default)", nativert.DefaultSpecThreshold))
 	blobDir := flag.String("blob-dir", "", "shared artifact directory (fleet tier); empty disables")
 	peers := flag.String("peers", "", "comma-separated peer base URLs to pull artifacts from")
 	batchLinger := flag.Duration("batch-linger", 2*time.Millisecond, "window for coalescing identical /v1/analyze requests (0 or negative: off)")
@@ -81,19 +77,14 @@ func main() {
 		linger = -1 // Config treats 0 as "default"; the flag's explicit 0 means off.
 	}
 	srv := server.New(server.Config{
-		Workers:         *workers,
-		Queue:           q,
-		CacheBytes:      *cacheBytes,
-		MaxOutputBytes:  *maxOutput,
-		DefaultTimeout:  *defaultTimeout,
-		MaxTimeout:      *maxTimeout,
-		AnalysisWorkers: *analysisWorkers,
-
-		Speculate:          *speculate,
-		SpeculateThreshold: *specThreshold,
-
-		Blobs:       blobs,
-		BatchLinger: linger,
+		Workers:        *workers,
+		Queue:          q,
+		CacheBytes:     *cacheBytes,
+		MaxOutputBytes: *maxOutput,
+		DefaultTimeout: *defaultTimeout,
+		MaxTimeout:     *maxTimeout,
+		Blobs:          blobs,
+		BatchLinger:    linger,
 	})
 
 	hs := &http.Server{

@@ -7,7 +7,7 @@
 //
 //	commuterun -mode serial   file.mc
 //	commuterun -mode parallel -workers 8 file.mc
-//	commuterun -mode parallel -timeout 10s -fallback file.mc
+//	commuterun -mode parallel -timeout 10s -maxsteps 50000000 file.mc
 //	commuterun -mode parallel -conditional on -app condhash
 //	commuterun -mode simulate -procs 1,2,4,8,16,32 -app water
 package main
@@ -29,17 +29,22 @@ import (
 	"commute/internal/server/api"
 )
 
-// modeConflict names the flag that asks for what only -mode parallel
-// does: the serial runner and the trace-driven simulator have no effect
-// monitor and evaluate no guards, and failing loudly beats silently
-// ignoring the request.
-func modeConflict(mode string, spec rt.SpecMode, conditional bool) string {
+// modeConflict names the flag that asks for what the chosen mode does
+// not do: the serial runner and the trace-driven simulator have no effect
+// monitor, evaluate no guards and keep no step budget, and the simulator's
+// trace run takes no deadline. Failing loudly beats silently ignoring the
+// request.
+func modeConflict(mode string, spec rt.SpecMode, conditional bool, maxSteps int64, timeout time.Duration) string {
 	switch {
 	case mode == "parallel":
 	case spec != rt.SpecOff:
 		return fmt.Sprintf("-speculate %s requires -mode parallel (the %s mode cannot monitor effects)", spec, mode)
 	case conditional:
 		return fmt.Sprintf("-conditional on requires -mode parallel (the %s mode evaluates no guards)", mode)
+	case maxSteps > 0:
+		return fmt.Sprintf("-maxsteps requires -mode parallel (the %s mode keeps no step budget)", mode)
+	case timeout > 0 && mode == "simulate":
+		return "-timeout does not apply to -mode simulate (the trace run takes no deadline)"
 	}
 	return ""
 }
@@ -50,15 +55,12 @@ func main() {
 	procs := flag.String("procs", "1,2,4,8,16,32", "processor counts for -mode simulate")
 	app := flag.String("app", "", "run a built-in application ("+src.AppNames()+")")
 	timeout := flag.Duration("timeout", 0, "abort execution after this wall-clock deadline (0: none)")
-	fallback := flag.Bool("fallback", false, "re-run a failed parallel region with the serial version")
 	maxSteps := flag.Int64("maxsteps", 0, "abort after this many interpreter statements (0: unlimited)")
-	speculate := flag.String("speculate", "off", "speculative parallelization of rejected extents: off | auto | force")
-	specThreshold := flag.Float64("speculate-threshold", 0, fmt.Sprintf("minimum analysis confidence for -speculate auto (0: the %v default)", rt.DefaultSpecThreshold))
+	speculate := flag.String("speculate", "off", fmt.Sprintf("speculative parallelization of rejected extents: off | auto (analysis confidence at least %v) | force", rt.DefaultSpecThreshold))
 	conditional := flag.String("conditional", "off", "guarded execution of conditionally-eligible extents: on | off (the synthesized guard decides parallel vs serial at region entry)")
 	condhashMode := flag.Int("condhash-mode", 0, "table mode for -app condhash (0: accumulate, guard true; else overwrite, guard false)")
 	statsJSON := flag.Bool("stats-json", false, "emit run stats as one JSON line (the daemon's /v1/run stats schema) instead of the human summary")
 	dump := flag.Bool("dump", false, "dump the final global state to stdout after the run, suppressing the human summary (the native backend's -dump format)")
-	analysisWorkers := flag.Int("analysis-workers", 0, "goroutines for load-time commutativity analysis (0: GOMAXPROCS, 1: serial)")
 	flag.Parse()
 
 	spec, ok := rt.ParseSpecMode(*speculate)
@@ -75,7 +77,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown conditional mode %q (on | off)\n", *conditional)
 		os.Exit(2)
 	}
-	if msg := modeConflict(*mode, spec, condOn); msg != "" {
+	if msg := modeConflict(*mode, spec, condOn, *maxSteps, *timeout); msg != "" {
 		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(2)
 	}
@@ -105,7 +107,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	sys, err := commute.LoadOpts(name, source, commute.LoadOptions{AnalysisWorkers: *analysisWorkers})
+	sys, err := commute.Load(name, source)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -153,12 +155,10 @@ func main() {
 	case "parallel":
 		start := time.Now()
 		opts := commute.RunOptions{
-			Workers:            *workers,
-			SerialFallback:     *fallback,
-			MaxSteps:           *maxSteps,
-			Speculate:          spec,
-			SpeculateThreshold: *specThreshold,
-			Conditional:        condOn,
+			Workers:     *workers,
+			MaxSteps:    *maxSteps,
+			Speculate:   spec,
+			Conditional: condOn,
 		}
 		ip, stats, err := sys.RunParallelOpts(ctx, opts, os.Stdout)
 		if err != nil {
@@ -179,9 +179,8 @@ func main() {
 			stats.Regions, stats.ParallelLoops, stats.Chunks,
 			stats.Iterations, stats.Tasks, stats.LockAcquires,
 			stats.Steals, stats.LocalPops)
-		if stats.TaskPanics > 0 || stats.SerialFallbacks > 0 {
-			fmt.Printf("panics isolated=%d serial fallbacks=%d\n",
-				stats.TaskPanics, stats.SerialFallbacks)
+		if stats.TaskPanics > 0 {
+			fmt.Printf("panics isolated=%d\n", stats.TaskPanics)
 		}
 		if stats.SpeculativeRegions > 0 {
 			fmt.Printf("speculative regions=%d commits=%d aborts=%d\n",

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"commute/internal/codegen"
 	"commute/internal/core"
@@ -68,18 +67,13 @@ type System struct {
 
 // Load parses, type checks, analyzes, and plans a program written in
 // the mini-C++ dialect. The analysis phase fans out across GOMAXPROCS
-// goroutines; use LoadOpts with AnalysisWorkers to tune or serialize
-// it.
+// goroutines.
 func Load(name, source string) (*System, error) {
-	return load(name, source, 0)
-}
-
-func load(name, source string, workers int) (*System, error) {
 	file, prog, err := check(name, source)
 	if err != nil {
 		return nil, err
 	}
-	return newSystem(file, prog, workers), nil
+	return newSystem(file, prog), nil
 }
 
 // check is the frontend alone: parse and type check, no analysis.
@@ -97,9 +91,8 @@ func check(name, source string) (*ast.File, *types.Program, error) {
 
 // newSystem analyzes a checked program and builds its two plans. file is
 // nil for a program parsed from several files (LoadFiles).
-func newSystem(file *ast.File, prog *types.Program, workers int) *System {
+func newSystem(file *ast.File, prog *types.Program) *System {
 	analysis := core.New(prog)
-	analysis.Workers = workers
 	return &System{
 		File:     file,
 		Prog:     prog,
@@ -115,10 +108,6 @@ func newSystem(file *ast.File, prog *types.Program, workers int) *System {
 // analyze (e.g. pointer-chasing accumulation loops). It returns the
 // loaded system, the transformed source, and the rewrites performed.
 func LoadTransformed(name, source string) (*System, string, []transform.Rewrite, error) {
-	return loadTransformed(name, source, 0)
-}
-
-func loadTransformed(name, source string, workers int) (*System, string, []transform.Rewrite, error) {
 	// The rewrite reads the checked program; only the text kept is analyzed.
 	file, prog, err := check(name, source)
 	if err != nil {
@@ -126,9 +115,9 @@ func loadTransformed(name, source string, workers int) (*System, string, []trans
 	}
 	out, rewrites := transform.WhileToRecursion(prog, file)
 	if len(rewrites) == 0 {
-		return newSystem(file, prog, workers), source, nil, nil
+		return newSystem(file, prog), source, nil, nil
 	}
-	sys, err := load(name, out, workers)
+	sys, err := Load(name, out)
 	if err != nil {
 		return nil, out, rewrites, fmt.Errorf("transformed source failed to reload: %w", err)
 	}
@@ -143,15 +132,6 @@ type LoadOptions struct {
 	// → tail-recursive auxiliary methods) before analysis, as
 	// LoadTransformed does.
 	Transform bool
-
-	// AnalysisWorkers bounds the goroutines the commutativity analysis
-	// fans out across at load time (core.Analysis.Workers). Zero means
-	// GOMAXPROCS; 1 forces the serial driver. It only changes how fast
-	// the analysis runs, never its result — reports are deterministic
-	// and identical at every worker count — so it is deliberately NOT
-	// part of Fingerprint: a cached System loaded at one worker count is
-	// interchangeable with any other.
-	AnalysisWorkers int
 }
 
 // Fingerprint returns the content address of a (source, options) pair:
@@ -173,10 +153,10 @@ func Fingerprint(name, source string, opts LoadOptions) string {
 // by Fingerprint(name, source, opts).
 func LoadOpts(name, source string, opts LoadOptions) (*System, error) {
 	if opts.Transform {
-		sys, _, _, err := loadTransformed(name, source, opts.AnalysisWorkers)
+		sys, _, _, err := LoadTransformed(name, source)
 		return sys, err
 	}
-	return load(name, source, opts.AnalysisWorkers)
+	return Load(name, source)
 }
 
 // Warm forces the per-program lazy caches — slot resolution and the
@@ -216,7 +196,7 @@ func LoadFiles(sources map[string]string) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type check: %w", err)
 	}
-	return newSystem(nil, prog, 0), nil
+	return newSystem(nil, prog), nil
 }
 
 // Report returns the commutativity analysis report for a method named
@@ -284,40 +264,21 @@ func (s *System) RunParallel(workers int, out io.Writer) (*interp.Interp, *rt.St
 	return s.RunParallelOpts(context.Background(), RunOptions{Workers: workers}, out)
 }
 
-// RunOptions configures hardened parallel execution.
+// RunOptions configures hardened parallel execution. The deadline of a
+// run is its context's.
 type RunOptions struct {
 	// Workers is the goroutine worker count (min 1).
 	Workers int
-	// Timeout, when positive, bounds the run's wall-clock time; on
-	// expiry the runtime drains its pools and returns
-	// context.DeadlineExceeded.
-	Timeout time.Duration
-	// SerialFallback re-executes a parallel region with the original
-	// serial version when the region fails with an infrastructure
-	// fault (see rt.Runtime.SerialFallback for the exactness caveat).
-	SerialFallback bool
 	// MaxSteps bounds interpreter statements across the run
 	// (0: unlimited) — a deterministic guard against runaway programs.
 	MaxSteps int64
-	// MaxDepth bounds method-activation depth
-	// (0: interp.DefaultMaxDepth).
-	MaxDepth int
-	// LazySpawnThreshold enables lazy task creation (see
-	// rt.Runtime.LazySpawnThreshold).
-	LazySpawnThreshold int
-	// Faults injects deterministic faults at the runtime's concurrency
-	// boundaries (testing the failure paths).
-	Faults *rt.FaultPlan
 	// Speculate enables speculative parallelization of extents the
 	// analysis rejected at the symbolic pair stage: such extents' writes
 	// are buffered in per-task journals that are validated and committed
 	// at the join barrier, or discarded and re-run serially on a
-	// violation (rt.SpecOff, the default; rt.SpecAuto; rt.SpecForce).
+	// violation (rt.SpecOff, the default; rt.SpecAuto, which speculates
+	// at confidence rt.DefaultSpecThreshold or above; rt.SpecForce).
 	Speculate rt.SpecMode
-	// SpeculateThreshold is the minimum analysis confidence an extent
-	// needs to be speculated under rt.SpecAuto
-	// (0: rt.DefaultSpecThreshold).
-	SpeculateThreshold float64
 	// Conditional enables guarded parallelization of extents whose pair
 	// failures all synthesized guardable residual predicates: each such
 	// extent's guard is evaluated at region entry — true runs the
@@ -331,28 +292,18 @@ type RunOptions struct {
 
 // RunParallelOpts executes the program on the hardened parallel
 // runtime: panics inside the parallel region surface as *rt.TaskError,
-// ctx cancellation and the Timeout/MaxSteps guards abort runaway
-// programs, and SerialFallback degrades failed regions to serial
-// re-execution.
+// and ctx cancellation or deadline and the MaxSteps budget abort runaway
+// programs. A failed region fails the run; the only re-execution is a
+// speculative region's exact serial rerun after an abort.
 func (s *System) RunParallelOpts(ctx context.Context, opts RunOptions, out io.Writer) (*interp.Interp, *rt.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
 	}
 	ip := interp.New(s.Prog, out)
 	r := rt.New(ip, s.CondPlan, opts.Workers)
 	r.Conditional = opts.Conditional
 	r.Speculate = opts.Speculate
-	r.SpecThreshold = opts.SpeculateThreshold
-	r.SerialFallback = opts.SerialFallback
 	r.MaxSteps = opts.MaxSteps
-	r.MaxDepth = opts.MaxDepth
-	r.LazySpawnThreshold = opts.LazySpawnThreshold
-	r.Faults = opts.Faults
 	err := r.RunContext(ctx)
 	return ip, &r.Stats, err
 }

@@ -30,30 +30,17 @@ func BenchmarkParallelLoopChunk(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawnHeavy measures the task-heavy graph traversal with
-// eager and with lazy task creation. On a single-core host the absolute
-// numbers mostly show scheduling overhead; the eager-vs-lazy delta is
-// the signal.
+// BenchmarkSpawnHeavy measures the task-heavy graph traversal, a task
+// per visit. On a single-core host the numbers mostly show scheduling
+// overhead.
 func BenchmarkSpawnHeavy(b *testing.B) {
 	prog, plan := build(b, src.Graph)
-	cases := []struct {
-		name string
-		lazy int
-	}{
-		{"EagerStealing", 0},
-		{"LazyStealing", 8},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ip := interp.New(prog, nil)
-				r := rt.New(ip, plan, 4)
-				r.LazySpawnThreshold = c.lazy
-				if err := r.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ip := interp.New(prog, nil)
+		r := rt.New(ip, plan, 4)
+		if err := r.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -239,7 +239,7 @@ func TestCrashCorpusParallelRuntime(t *testing.T) {
 // speculation. A user-program fault inside a speculative region must
 // abort the region (nothing committed) and re-run serially, where the
 // same fault recurs as the authoritative error — never a process
-// crash, never a hang, never a serial fallback. The validate-boundary
+// crash, never a hang. The validate-boundary
 // injection additionally panics the first region after its tasks
 // finish but before commit, exercising the abort→serial-rerun path
 // even for corpus entries whose speculative tasks would succeed.
@@ -273,32 +273,7 @@ func TestCrashCorpusSpeculative(t *testing.T) {
 				if r.Stats.SpeculationCommits != 0 {
 					t.Errorf("%s/%s: %d commits from a failing program", tc.name, shape.kind, r.Stats.SpeculationCommits)
 				}
-				if r.Stats.SerialFallbacks != 0 {
-					t.Errorf("%s/%s: SerialFallbacks = %d, want 0 (abort is not a fallback)", tc.name, shape.kind, r.Stats.SerialFallbacks)
-				}
 			}
-		}
-	}
-}
-
-// TestCrashCorpusWithFallback: serial fallback must not mask a user-
-// program error — the corpus still errors with fallback enabled, and
-// no fallback is recorded for semantic failures.
-func TestCrashCorpusWithFallback(t *testing.T) {
-	for _, tc := range crashCorpus {
-		prog, plan := build(t, spawnShape(tc.spawn))
-		ip := interp.New(prog, nil)
-		r := rt.New(ip, plan, 4)
-		r.SerialFallback = true
-		r.MaxSteps = corpusMaxSteps
-		ctx, cancel := context.WithTimeout(context.Background(), corpusDeadline)
-		err := r.RunContext(ctx)
-		cancel()
-		if err == nil {
-			t.Errorf("%s: fallback run returned no error", tc.name)
-		}
-		if r.Stats.SerialFallbacks != 0 {
-			t.Errorf("%s: SerialFallbacks = %d, want 0 (user error is not retryable)", tc.name, r.Stats.SerialFallbacks)
 		}
 	}
 }

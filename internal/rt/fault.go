@@ -28,8 +28,8 @@ var ErrInjectedCancel = errors.New("injected cancellation")
 // FaultPlan deterministically injects faults at the runtime's three
 // concurrency boundaries — task start (spawn), GSS chunk claim, and
 // object-lock acquisition — to prove panic isolation, cancellation,
-// and serial fallback under test. Triggers are 1-based event counts
-// (deterministic regardless of scheduling: the Nth event fires the
+// and speculation's exact rerun under test. Triggers are 1-based event
+// counts (deterministic regardless of scheduling: the Nth event fires the
 // fault, whichever goroutine gets there); probabilistic triggers draw
 // from a rand.Rand seeded with Seed, so a plan replays identically
 // for a fixed seed and event interleaving.
@@ -121,8 +121,8 @@ func (fp *FaultPlan) atValidate() int64 {
 }
 
 // injectSpawn fires the plan's task-start faults. Called inside the
-// pool worker's recover scope (and the lazy-inline path), so an
-// injected panic surfaces as a TaskError, exactly like a real one.
+// pool worker's recover scope, so an injected panic surfaces as a
+// TaskError, exactly like a real one.
 func (rt *Runtime) injectSpawn() {
 	if rt.Faults == nil {
 		return

@@ -3,8 +3,8 @@ package rt_test
 // Fault-injection suite for the hardened runtime: injected panics at
 // the spawn / chunk / lock boundaries surface as structured TaskError
 // values (the process survives), deadlines and cancellation drain the
-// pools promptly, and serial fallback re-produces the serial result
-// after a mid-region fault. Run under -race.
+// pools promptly, and a faulted region fails the run instead of being
+// re-run. Run under -race.
 
 import (
 	"context"
@@ -260,80 +260,57 @@ func TestRunStepBudget(t *testing.T) {
 	}
 }
 
-// TestSerialFallbackRecoversInjectedPanic: with fallback enabled, an
-// injected mid-region panic still yields the serially-computed result,
-// and Stats records the degradation.
-func TestSerialFallbackRecoversInjectedPanic(t *testing.T) {
+// graphRunFailsLoudly runs the graph traversal under faults at each
+// worker count and requires the run to fail with an error matching
+// isWant, after one region entry, with the traversal left unfinished: a
+// proven region that faults is not re-run, because effects its tasks
+// already applied could land twice.
+func graphRunFailsLoudly(t *testing.T, faults func() *rt.FaultPlan, isWant func(error) bool) {
+	t.Helper()
 	prog, plan := build(t, src.Graph)
-
 	ipSerial := interp.New(prog, nil)
 	if err := ipSerial.Run(ipSerial.NewCtx()); err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
-	wantSums, wantMarked := graphSums(t, prog, ipSerial)
+	_, wantMarked := graphSums(t, prog, ipSerial)
 
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		ip := interp.New(prog, nil)
 		r := rt.New(ip, plan, workers)
-		r.SerialFallback = true
-		r.Faults = &rt.FaultPlan{PanicOnSpawn: 1}
-		if err := r.Run(); err != nil {
-			t.Fatalf("workers=%d: fallback run failed: %v", workers, err)
+		r.Faults = faults()
+		err := r.Run()
+		if !isWant(err) {
+			t.Errorf("workers=%d: err = %T %v", workers, err, err)
 		}
-		if r.Stats.SerialFallbacks != 1 {
-			t.Errorf("workers=%d: SerialFallbacks = %d, want 1", workers, r.Stats.SerialFallbacks)
+		if r.Stats.Regions != 1 {
+			t.Errorf("workers=%d: Regions = %d, want 1", workers, r.Stats.Regions)
 		}
-		if r.Stats.TaskPanics == 0 {
-			t.Errorf("workers=%d: TaskPanics = 0, want ≥ 1", workers)
-		}
-		gotSums, gotMarked := graphSums(t, prog, ip)
-		if gotMarked != wantMarked {
-			t.Errorf("workers=%d: marked %d, want %d", workers, gotMarked, wantMarked)
-		}
-		for i := range wantSums {
-			if gotSums[i] != wantSums[i] {
-				t.Errorf("workers=%d: node %d sum = %d, want %d", workers, i, gotSums[i], wantSums[i])
-			}
+		if _, marked := graphSums(t, prog, ip); marked >= wantMarked {
+			t.Errorf("workers=%d: %d of %d nodes marked after the fault: the region was re-run", workers, marked, wantMarked)
 		}
 	}
 }
 
-// TestSerialFallbackRecoversInjectedCancel: an injected cancellation
-// below a still-live caller re-arms the run context and degrades to
-// serial execution.
-func TestSerialFallbackRecoversInjectedCancel(t *testing.T) {
-	prog, plan := build(t, src.Graph)
-
-	ipSerial := interp.New(prog, nil)
-	if err := ipSerial.Run(ipSerial.NewCtx()); err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	wantSums, wantMarked := graphSums(t, prog, ipSerial)
-
-	ip := interp.New(prog, nil)
-	r := rt.New(ip, plan, 4)
-	r.SerialFallback = true
-	r.Faults = &rt.FaultPlan{CancelOnSpawn: 1}
-	if err := r.Run(); err != nil {
-		t.Fatalf("fallback run failed: %v", err)
-	}
-	if r.Stats.SerialFallbacks != 1 {
-		t.Errorf("SerialFallbacks = %d, want 1", r.Stats.SerialFallbacks)
-	}
-	gotSums, gotMarked := graphSums(t, prog, ip)
-	if gotMarked != wantMarked {
-		t.Errorf("marked %d, want %d", gotMarked, wantMarked)
-	}
-	for i := range wantSums {
-		if gotSums[i] != wantSums[i] {
-			t.Errorf("node %d sum = %d, want %d", i, gotSums[i], wantSums[i])
-		}
-	}
+// TestInjectedPanicInProvenRegionFailsLoudly: a panic injected at the
+// first task start fails the run with a *rt.TaskError, with no rerun.
+func TestInjectedPanicInProvenRegionFailsLoudly(t *testing.T) {
+	graphRunFailsLoudly(t, func() *rt.FaultPlan { return &rt.FaultPlan{PanicOnSpawn: 1} }, func(err error) bool {
+		var te *rt.TaskError
+		return errors.As(err, &te)
+	})
 }
 
-// TestNoFallbackForUserErrors: a user-program semantic error must not
-// trigger serial re-execution — the serial version would fail
-// identically.
+// TestInjectedCancelInProvenRegionFailsLoudly: a cancellation injected
+// below a still-live caller fails the run with ErrInjectedCancel, with no
+// rerun.
+func TestInjectedCancelInProvenRegionFailsLoudly(t *testing.T) {
+	graphRunFailsLoudly(t, func() *rt.FaultPlan { return &rt.FaultPlan{CancelOnSpawn: 1} }, func(err error) bool {
+		return errors.Is(err, rt.ErrInjectedCancel)
+	})
+}
+
+// TestNoFallbackForUserErrors: a user-program semantic error inside a
+// region fails the run with its RuntimeError, after one region entry.
 func TestNoFallbackForUserErrors(t *testing.T) {
 	const divApp = `
 class cell {
@@ -372,7 +349,6 @@ void main() {
 }
 `
 	r := newRuntime(t, divApp, 4)
-	r.SerialFallback = true
 	err := r.Run()
 	if err == nil {
 		t.Fatal("division by zero produced no error")
@@ -381,25 +357,29 @@ void main() {
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %T %v, want *interp.RuntimeError", err, err)
 	}
-	if r.Stats.SerialFallbacks != 0 {
-		t.Errorf("SerialFallbacks = %d, want 0 for a user error", r.Stats.SerialFallbacks)
+	if r.Stats.Regions != 1 {
+		t.Errorf("Regions = %d, want 1", r.Stats.Regions)
 	}
 }
 
-// TestNoFallbackWhenCallerTimedOut: a deadline the caller set is not a
-// retryable fault — the runtime must not burn more time re-running
-// serially after the caller walked away.
+// TestNoFallbackWhenCallerTimedOut: the caller's deadline ends the run
+// with context.DeadlineExceeded — the runtime burns no more time
+// re-running anything after the caller walked away.
 func TestNoFallbackWhenCallerTimedOut(t *testing.T) {
+	const deadline = 200 * time.Millisecond
 	r := newRuntime(t, infiniteSpawnApp, 2)
-	r.SerialFallback = true
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
+	start := time.Now()
 	err := r.RunContext(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if r.Stats.SerialFallbacks != 0 {
-		t.Errorf("SerialFallbacks = %d, want 0 after caller timeout", r.Stats.SerialFallbacks)
+	if elapsed := time.Since(start); elapsed > 2*deadline {
+		t.Errorf("run took %v, want ≤ %v", elapsed, 2*deadline)
+	}
+	if r.Stats.Regions != 1 {
+		t.Errorf("Regions = %d, want 1", r.Stats.Regions)
 	}
 }
 

@@ -353,17 +353,6 @@ func TestPoolLifetime(t *testing.T) {
 					t.Errorf("err = %v, want ErrInjectedCancel", err)
 				}
 			}},
-		{name: "injected cancellation, serial fallback", source: src.Graph,
-			setup: func(r *rt.Runtime) (context.Context, context.CancelFunc) {
-				r.Faults = &rt.FaultPlan{CancelOnSpawn: 2}
-				r.SerialFallback = true
-				return nil, nil
-			},
-			check: func(t *testing.T, r *rt.Runtime, err error) {
-				if err != nil || r.Stats.SerialFallbacks != 1 {
-					t.Errorf("err = %v, SerialFallbacks = %d; want a clean fallback", err, r.Stats.SerialFallbacks)
-				}
-			}},
 		{name: "caller cancel mid-region", source: infiniteSpawnApp,
 			setup: func(r *rt.Runtime) (context.Context, context.CancelFunc) {
 				ctx, cancel := context.WithCancel(context.Background())

@@ -6,11 +6,13 @@
 //
 // The runtime is hardened against mid-region failure: panics in
 // spawned tasks, loop claimants, and region roots are isolated into
-// TaskError values; a caller context's cancellation or deadline drains
-// the pool promptly; and a failed region can optionally degrade to
-// the original serial version (SerialFallback). A FaultPlan injects
-// deterministic faults at the concurrency boundaries to test all of
-// this.
+// TaskError values, and a caller context's cancellation or deadline
+// drains the pool promptly. A failed region fails the run: it is never
+// re-run, because effects its tasks already applied cannot be undone.
+// The one re-execution is a speculative region's serial rerun after an
+// abort, which is exact because no buffered write reached the heap. A
+// FaultPlan injects deterministic faults at the concurrency boundaries
+// to test all of this.
 package rt
 
 import (
@@ -38,42 +40,18 @@ type Runtime struct {
 	Plan    *codegen.Plan
 	Workers int
 
-	// LazySpawnThreshold enables lazy task creation (Mohr, Kranz &
-	// Halstead — the technique §2 of the paper points to for increasing
-	// task granularity): when at least this many tasks are already
-	// pending, a spawn executes inline on the spawning worker instead
-	// of creating a new task. Zero disables laziness (every spawn
-	// creates a task).
-	LazySpawnThreshold int
-
-	// SerialFallback re-executes a parallel region with the original
-	// serial version when the region fails with an infrastructure
-	// fault (a captured panic, or a cancellation raised below a
-	// still-live caller) rather than a user-program error. The region
-	// is re-run from its entry point: effects already applied by
-	// completed tasks are not rolled back, so the fallback is exact
-	// when the fault preceded any task effects (the case the fault
-	// harness exercises) or when the region's operations are
-	// idempotent. Recorded in Stats.SerialFallbacks.
-	SerialFallback bool
-
 	// MaxSteps bounds interpreter statements across the whole run
 	// (0: unlimited), measured at interp.InterruptStride granularity —
 	// a deterministic guard against runaway programs that complements
 	// wall-clock deadlines.
 	MaxSteps int64
 
-	// MaxDepth bounds method-activation depth on any single goroutine
-	// (0: interp.DefaultMaxDepth).
-	MaxDepth int
-
-	// Conditional, Speculate and SpecThreshold are the run's entry policy
+	// Conditional and Speculate are the run's entry policy
 	// (nativert.Policy, where each is described; a plan carries guards
 	// and speculative versions only when built with
 	// codegen.Options.ConditionalGuards / SpeculateRejected).
-	Conditional   bool
-	Speculate     SpecMode
-	SpecThreshold float64
+	Conditional bool
+	Speculate   SpecMode
 
 	// Faults, when non-nil, injects deterministic panics, delays, and
 	// cancellations at the runtime's concurrency boundaries (tests).
@@ -128,7 +106,8 @@ func (rt *Runtime) firstErr() error {
 	return rt.err
 }
 
-// clearErr resets the error path before a serial fallback re-run.
+// clearErr resets the error path before a speculative region's serial
+// rerun.
 func (rt *Runtime) clearErr() {
 	rt.errMu.Lock()
 	rt.err = nil
@@ -250,8 +229,7 @@ func (rt *Runtime) RunContext(parent context.Context) error {
 func (rt *Runtime) serialCtx() *interp.Ctx {
 	ctx := rt.IP.NewCtx()
 	ctx.Interrupt = rt.interrupt
-	ctx.MaxDepth = rt.MaxDepth
-	policy := nativert.Policy{Parallel: true, Conditional: rt.Conditional, Speculate: rt.Speculate, SpecThreshold: rt.SpecThreshold}
+	policy := nativert.Policy{Parallel: true, Conditional: rt.Conditional, Speculate: rt.Speculate}
 	ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
 		e := &rt.methods[site.Callee.ID]
 		switch {
@@ -270,7 +248,7 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 			// A root returns no value (Plan.RegionRoot).
 			switch policy.Enter(&rt.Stats, e.facts, func() bool { return rt.guardHolds(e) }) {
 			case nativert.Parallel:
-				return interp.Value{}, rt.runRegion(site.Callee, recv, args)
+				return interp.Value{}, rt.runRoot(nil, site.Callee, recv, args)
 			case nativert.Speculative:
 				return interp.Value{}, rt.runSpeculativeRegion(e, recv, args)
 			}
@@ -282,27 +260,13 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 	return ctx
 }
 
-// runRegion executes one serial→parallel region transition: the serial
-// version of a parallel method invokes the parallel version and blocks
-// until the region completes. A failed region may degrade to the
-// original serial version.
-func (rt *Runtime) runRegion(m *types.Method, recv *interp.Object, args []interp.Value) error {
-	ferr := rt.runRoot(nil, m, recv, args)
-	if ferr == nil || !rt.SerialFallback || !rt.fallbackEligible(ferr) {
-		return ferr
-	}
-	// Graceful degradation: the parallel schedule failed but the
-	// computation itself did not — re-execute the region with the
-	// original serial version so the caller still gets an answer.
-	atomic.AddInt64(&rt.Stats.SerialFallbacks, 1)
-	return rt.rerunSerial(m, recv, args)
-}
-
-// runRoot is the part every region shares: the root activation runs the
-// parallel version on the caller's goroutine under panic isolation
-// (journaling into j in a speculative region), and the pool is always
-// drained. When it returns — with the region's first error, if any — no
-// task or loop helper of the region is queued or running.
+// runRoot executes one serial→parallel region transition (§5.3: the
+// serial version invokes the parallel version and blocks until the region
+// completes): the root activation runs the parallel version on the
+// caller's goroutine under panic isolation (journaling into j in a
+// speculative region), and the pool is always drained. When it returns —
+// with the region's first error, if any — no task or loop helper of the
+// region is queued or running.
 func (rt *Runtime) runRoot(j *nativert.SpecJournal, m *types.Method, recv *interp.Object, args []interp.Value) error {
 	pool := rt.regionPool()
 	func() {
@@ -311,36 +275,6 @@ func (rt *Runtime) runRoot(j *nativert.SpecJournal, m *types.Method, recv *inter
 	}()
 	pool.Drain()
 	return rt.firstErr()
-}
-
-// rerunSerial re-executes a failed region's root with the original
-// serial version, on the quiescent pool runRoot left behind.
-func (rt *Runtime) rerunSerial(m *types.Method, recv *interp.Object, args []interp.Value) error {
-	rt.clearErr()
-	if rt.runCtx.Err() != nil {
-		// The fault cancelled the run below a still-live caller
-		// (injected cancellation): re-arm the run context so the
-		// serial re-run is not stillborn.
-		rt.runCtx, rt.cancel = context.WithCancelCause(rt.parent)
-	}
-	return rt.callVersion(nil, nil, m, recv, args, codegen.VersionSerial, 0)
-}
-
-// fallbackEligible decides whether a failed region may degrade to
-// serial re-execution: infrastructure faults (captured panics, or a
-// cancellation raised from inside the run while the caller's own
-// context is still live) are retryable; user-program semantic errors
-// are not — the serial version would fail identically — and neither is
-// a failure the caller caused by cancelling or timing out.
-func (rt *Runtime) fallbackEligible(err error) bool {
-	if rt.parent != nil && rt.parent.Err() != nil {
-		return false
-	}
-	var te *TaskError
-	if errors.As(err, &te) {
-		return true
-	}
-	return errors.Is(err, ErrInjectedCancel)
 }
 
 // activation is the runtime's record of one method activation (or one
@@ -377,7 +311,7 @@ func (rt *Runtime) activate(w *worker, j *nativert.SpecJournal, depth int) *acti
 	a := ln.free
 	if a == nil {
 		a = &activation{rt: rt, lane: ln}
-		a.IP, a.Interrupt, a.MaxDepth = rt.IP, rt.interrupt, rt.MaxDepth
+		a.IP, a.Interrupt = rt.IP, rt.interrupt
 		a.invokeFn, a.forLoopFn = a.invoke, a.forLoop
 	} else {
 		ln.free = a.next
@@ -413,12 +347,13 @@ func (a *activation) unlock() {
 // rule chose (a serial version is the plain body: no hooks, no lock),
 // handling lock acquisition/release per the plan. w is the scheduler
 // handle of the executing goroutine (a pool worker, the pool's external
-// handle for the region root, or nil for a serial re-run): spawns from a
+// handle for the region root, or nil for a speculative region's serial
+// rerun): spawns from a
 // pool worker push onto its own deque. A non-nil j makes the activation
 // speculative: no locks — isolation comes from the journals — and every
 // access is monitored; spawned children get fresh journals, inline
 // continuations share j. depth seeds the activation-depth guard: inline
-// continuations (lazy spawns, mutex versions) keep counting on the
+// continuations (mutex versions) keep counting on the
 // current goroutine stack, while spawned tasks restart at zero on a
 // fresh stack.
 func (rt *Runtime) callVersion(w *worker, j *nativert.SpecJournal, m *types.Method, recv *interp.Object, args []interp.Value, ver codegen.Version, depth int) error {
@@ -456,13 +391,6 @@ func (a *activation) invoke(site *types.CallSite, recv *interp.Object, args []in
 	}
 	switch {
 	case sc.Spawn:
-		if rt.LazySpawnThreshold > 0 && rt.pool.Pending() >= rt.LazySpawnThreshold {
-			// Lazy task creation: enough parallelism is already
-			// exposed (tasks pending, loop helpers aside); absorb the
-			// child into this task.
-			atomic.AddInt64(&rt.Stats.LazyInlines, 1)
-			return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, sc.Run, a.Depth)
-		}
 		var j *nativert.SpecJournal
 		if a.log.j != nil {
 			j = rt.spec.NewJournal()

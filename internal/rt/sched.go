@@ -159,7 +159,7 @@ func (rt *Runtime) parallelLoop(w *worker, spec bool, depth int, fs *ast.ForStmt
 	}
 	lp.rt, lp.fs, lp.fr, lp.depth, lp.spec = rt, fs, fr, depth, spec
 	// Helpers are not tasks of the program: no Stats.Tasks, no spawn
-	// fault ordinal, and Pending() leaves them out of lazy task creation.
+	// fault ordinal.
 	rt.pool.RunLoop(w, &lp.Loop, lp, rt.Workers, from, to, step)
 	return rt.firstErr()
 }

@@ -3,6 +3,7 @@ package rt
 import (
 	"context"
 
+	"commute/internal/codegen"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/nativert"
@@ -134,6 +135,19 @@ func (rt *Runtime) runSpeculativeRegion(e *methodEntry, recv *interp.Object, arg
 	}
 	rt.Stats.SpeculationAborts++
 	return rt.rerunSerial(m, recv, args)
+}
+
+// rerunSerial re-executes an aborted speculative region's root with the
+// original serial version, on the quiescent pool runRoot left behind.
+func (rt *Runtime) rerunSerial(m *types.Method, recv *interp.Object, args []interp.Value) error {
+	rt.clearErr()
+	if rt.runCtx.Err() != nil {
+		// The fault cancelled the run below a still-live caller
+		// (injected cancellation): re-arm the run context so the
+		// serial rerun is not stillborn.
+		rt.runCtx, rt.cancel = context.WithCancelCause(rt.parent)
+	}
+	return rt.callVersion(nil, nil, m, recv, args, codegen.VersionSerial, 0)
 }
 
 // validate is the region's validate/commit boundary: the journal checks

@@ -148,23 +148,19 @@ type RunRequest struct {
 	SourceRequest
 	// Mode is "serial" or "parallel" (default "parallel").
 	Mode string `json:"mode,omitempty"`
-	// Workers is the parallel worker count (default 4).
+	// Workers is the parallel worker count (default 4, at most 256).
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS bounds the execution's wall-clock time; the server
 	// clamps it to its configured ceiling. 0 means the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxSteps bounds interpreter statements (0: unlimited).
 	MaxSteps int64 `json:"max_steps,omitempty"`
-	// Fallback enables serial re-execution of failed parallel regions.
-	Fallback bool `json:"fallback,omitempty"`
 	// Speculate is "off" (default), "auto", or "force": speculative
 	// parallelization of extents rejected at the symbolic pair stage,
 	// with write-buffered execution, validation at the join barrier,
-	// and serial re-execution on a violation.
+	// and serial re-execution on a violation. "auto" speculates an
+	// extent whose analysis confidence is at least 0.5.
 	Speculate string `json:"speculate,omitempty"`
-	// SpeculateThreshold is the minimum analysis confidence to
-	// speculate an extent under "auto" (0: the runtime default, 0.5).
-	SpeculateThreshold float64 `json:"speculate_threshold,omitempty"`
 	// Conditional enables guarded execution of conditionally-eligible
 	// extents: the synthesized guard is evaluated at region entry —
 	// parallel when it holds, the serial path otherwise. Requires
@@ -179,17 +175,15 @@ type RunStats struct {
 	Workers int     `json:"workers,omitempty"`
 	WallMS  float64 `json:"wall_ms"`
 
-	Regions         int64 `json:"regions,omitempty"`
-	ParallelLoops   int64 `json:"parallel_loops,omitempty"`
-	Chunks          int64 `json:"chunks,omitempty"`
-	Iterations      int64 `json:"iterations,omitempty"`
-	Tasks           int64 `json:"tasks,omitempty"`
-	LazyInlines     int64 `json:"lazy_inlines,omitempty"`
-	LockAcquires    int64 `json:"lock_acquires,omitempty"`
-	Steals          int64 `json:"steals,omitempty"`
-	LocalPops       int64 `json:"local_pops,omitempty"`
-	TaskPanics      int64 `json:"task_panics,omitempty"`
-	SerialFallbacks int64 `json:"serial_fallbacks,omitempty"`
+	Regions       int64 `json:"regions,omitempty"`
+	ParallelLoops int64 `json:"parallel_loops,omitempty"`
+	Chunks        int64 `json:"chunks,omitempty"`
+	Iterations    int64 `json:"iterations,omitempty"`
+	Tasks         int64 `json:"tasks,omitempty"`
+	LockAcquires  int64 `json:"lock_acquires,omitempty"`
+	Steals        int64 `json:"steals,omitempty"`
+	LocalPops     int64 `json:"local_pops,omitempty"`
+	TaskPanics    int64 `json:"task_panics,omitempty"`
 
 	SpeculativeRegions int64 `json:"speculative_regions,omitempty"`
 	SpeculationCommits int64 `json:"speculation_commits,omitempty"`
@@ -218,12 +212,10 @@ func NewRunStats(mode string, workers int, wall time.Duration, rs *rt.Stats) Run
 	st.Chunks = rs.Chunks
 	st.Iterations = rs.Iterations
 	st.Tasks = rs.Tasks
-	st.LazyInlines = rs.LazyInlines
 	st.LockAcquires = rs.LockAcquires
 	st.Steals = rs.Steals
 	st.LocalPops = rs.LocalPops
 	st.TaskPanics = rs.TaskPanics
-	st.SerialFallbacks = rs.SerialFallbacks
 	st.SpeculativeRegions = rs.SpeculativeRegions
 	st.SpeculationCommits = rs.SpeculationCommits
 	st.SpeculationAborts = rs.SpeculationAborts
@@ -306,7 +298,6 @@ type StatusZ struct {
 	QueueDepth int64 `json:"queue_depth"`
 	Rejected   int64 `json:"rejected"` // 429 load sheds
 	Panics     int64 `json:"panics"`   // isolated request panics
-	Fallbacks  int64 `json:"fallbacks"`
 
 	SpeculationCommits int64 `json:"speculation_commits"`
 	SpeculationAborts  int64 `json:"speculation_aborts"`

@@ -11,15 +11,14 @@
 //     queue; past both, requests shed with 429 + Retry-After instead
 //     of growing memory without bound.
 //   - Per-request deadlines threaded into RunSerialContext /
-//     RunParallelOpts (PR 1 semantics: a caller timeout never triggers
-//     serial fallback).
+//     RunParallelOpts: a timed-out run returns 504 and is never re-run.
 //   - Per-request output caps: a runaway program's print output is
 //     truncated at a byte budget, never buffered unboundedly.
 //   - Panic isolation per request: a panic becomes one 500, not a dead
 //     daemon.
 //   - Observability: /healthz for liveness and /statusz for the
 //     counter set (requests, cache hits/misses/evictions, in-flight,
-//     queue depth, load sheds, fallbacks, p50/p99 per endpoint).
+//     queue depth, load sheds, p50/p99 per endpoint).
 //
 // Graceful drain is the embedder's job: cmd/commuted calls SetDraining
 // and then http.Server.Shutdown on SIGTERM, which stops new
@@ -72,18 +71,6 @@ type Config struct {
 	MaxSourceBytes int64
 	// RetryAfter is the client backoff hint sent with 429s (default 1s).
 	RetryAfter time.Duration
-	// AnalysisWorkers bounds the goroutines a cold load's commutativity
-	// analysis fans out across (0: GOMAXPROCS, 1: serial driver). Purely
-	// a latency knob — analysis results are identical at every worker
-	// count — so it is not part of the cache key.
-	AnalysisWorkers int
-	// Speculate is the default speculation policy for /v1/run requests
-	// that don't set the field themselves: "off" (default), "auto", or
-	// "force" (see rt.SpecMode).
-	Speculate string
-	// SpeculateThreshold is the default minimum analysis confidence for
-	// "auto" speculation (0: rt.DefaultSpecThreshold).
-	SpeculateThreshold float64
 	// Blobs is the shared artifact tier (fleet deployments: a directory
 	// shared by replicas, a peer-fetch store, or both tiered). After a
 	// cold load the replica publishes the program's serialized analysis
@@ -147,7 +134,6 @@ type Server struct {
 	requests    atomic.Int64
 	rejected    atomic.Int64
 	panics      atomic.Int64
-	fallbacks   atomic.Int64
 	specCommits atomic.Int64
 	specAborts  atomic.Int64
 	guardPar    atomic.Int64
@@ -288,11 +274,9 @@ func systemSize(source string) int64 {
 
 // FingerprintRequest computes the routing/cache key for a request the
 // same way every replica does. The fleet router calls it so a program
-// always lands on the shard that owns its fingerprint; AnalysisWorkers
-// never enters the key, so router and replicas agree regardless of
-// their worker configuration.
+// always lands on the shard that owns its fingerprint.
 func FingerprintRequest(req api.SourceRequest) (string, error) {
-	name, source, opts, err := resolveSourceRequest(req, 0)
+	name, source, opts, err := resolveSource(req)
 	if err != nil {
 		return "", err
 	}
@@ -303,11 +287,7 @@ func FingerprintRequest(req api.SourceRequest) (string, error) {
 // triple without loading anything. Fingerprinting the triple is what
 // the batcher and the fleet router key on, so it must be cheap and
 // deterministic.
-func (s *Server) resolveSource(req api.SourceRequest) (string, string, commute.LoadOptions, error) {
-	return resolveSourceRequest(req, s.cfg.AnalysisWorkers)
-}
-
-func resolveSourceRequest(req api.SourceRequest, analysisWorkers int) (name, source string, opts commute.LoadOptions, err error) {
+func resolveSource(req api.SourceRequest) (name, source string, opts commute.LoadOptions, err error) {
 	name, source = req.Name, req.Source
 	if req.App != "" {
 		var ok bool
@@ -321,11 +301,7 @@ func resolveSourceRequest(req api.SourceRequest, analysisWorkers int) (name, sou
 	if name == "" {
 		name = "request.mc"
 	}
-	opts = commute.LoadOptions{
-		Transform:       req.Options.Transform,
-		AnalysisWorkers: analysisWorkers,
-	}
-	return name, source, opts, nil
+	return name, source, commute.LoadOptions{Transform: req.Options.Transform}, nil
 }
 
 // loadSystemKeyed resolves a fingerprinted program through the cache.
@@ -358,12 +334,10 @@ func (s *Server) loadSystemKeyed(name, source string, opts commute.LoadOptions, 
 // loadSystem is the resolve→fingerprint→load composition used by the
 // endpoints that need the live system (/v1/run, /v1/simulate).
 func (s *Server) loadSystem(req api.SourceRequest) (h *cache.Handle, key string, hit bool, err error) {
-	name, source, opts, rerr := s.resolveSource(req)
+	name, source, opts, rerr := resolveSource(req)
 	if rerr != nil {
 		return nil, "", false, rerr
 	}
-	// Fingerprint ignores AnalysisWorkers: it changes only load
-	// latency, never the loaded System.
 	key = commute.Fingerprint(name, source, opts)
 	h, hit, err = s.loadSystemKeyed(name, source, opts, key)
 	return h, key, hit, err
@@ -403,7 +377,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth: s.queued.Load(),
 		Rejected:   s.rejected.Load(),
 		Panics:     s.panics.Load(),
-		Fallbacks:  s.fallbacks.Load(),
 
 		SpeculationCommits: s.specCommits.Load(),
 		SpeculationAborts:  s.specAborts.Load(),
@@ -432,7 +405,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 	if err := s.readJSON(w, r, &req); err != nil {
 		return err
 	}
-	name, source, opts, err := s.resolveSource(req.SourceRequest)
+	name, source, opts, err := resolveSource(req.SourceRequest)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
@@ -578,6 +551,9 @@ func errBody(code int, msg string) (int, []byte, error) {
 	return code, b, errors.New(msg)
 }
 
+// maxRunWorkers is the largest worker count a /v1/run request may ask for.
+const maxRunWorkers = 256
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	var req api.RunRequest
 	if err := s.readJSON(w, r, &req); err != nil {
@@ -594,23 +570,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if workers <= 0 {
 		workers = 4
 	}
+	if workers > maxRunWorkers {
+		// Every worker is a goroutine with its own deque, started before
+		// the run: admission control bounds requests, not their size.
+		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("workers %d out of range [1, %d]", workers, maxRunWorkers))
+	}
 	if mode == "serial" && req.MaxSteps > 0 {
 		// The step budget lives in the parallel runtime; reject rather
 		// than silently ignore the bound.
 		return writeErr(w, http.StatusBadRequest, "max_steps requires mode=parallel")
 	}
-	// Speculation policy: the request field overrides the server default.
-	specWord := req.Speculate
-	if specWord == "" {
-		specWord = s.cfg.Speculate
-	}
-	spec, ok := rt.ParseSpecMode(specWord)
+	spec, ok := rt.ParseSpecMode(req.Speculate)
 	if !ok {
 		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown speculate %q (off | auto | force)", req.Speculate))
-	}
-	specThreshold := req.SpeculateThreshold
-	if specThreshold == 0 {
-		specThreshold = s.cfg.SpeculateThreshold
 	}
 	if mode == "serial" && spec != rt.SpecOff {
 		return writeErr(w, http.StatusBadRequest, "speculate requires mode=parallel")
@@ -646,15 +618,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		_, runErr = sys.RunSerialContext(ctx, out)
 	} else {
 		_, rs, runErr = sys.RunParallelOpts(ctx, commute.RunOptions{
-			Workers:            workers,
-			SerialFallback:     req.Fallback,
-			MaxSteps:           req.MaxSteps,
-			Speculate:          spec,
-			SpeculateThreshold: specThreshold,
-			Conditional:        req.Conditional,
+			Workers:     workers,
+			MaxSteps:    req.MaxSteps,
+			Speculate:   spec,
+			Conditional: req.Conditional,
 		}, out)
 		if rs != nil {
-			s.fallbacks.Add(rs.SerialFallbacks)
 			s.specCommits.Add(rs.SpeculationCommits)
 			s.specAborts.Add(rs.SpeculationAborts)
 			s.guardPar.Add(rs.GuardParallel)

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -354,6 +355,10 @@ func TestBadRequests(t *testing.T) {
 		// carrying one is an unknown field, not a silently ignored one.
 		{"/v1/run", map[string]any{"app": "graph", "engine": "walk"}, http.StatusBadRequest},
 		{"/v1/run", map[string]any{"app": "graph", "sched": "central"}, http.StatusBadRequest},
+		// Nor are a serial rerun of failed regions or the auto-speculation
+		// confidence: the one threshold is the runtime's constant.
+		{"/v1/run", map[string]any{"app": "graph", "fallback": true}, http.StatusBadRequest},
+		{"/v1/run", map[string]any{"app": "graph", "speculate": "auto", "speculate_threshold": 0.3}, http.StatusBadRequest},
 		{"/v1/run", api.RunRequest{SourceRequest: api.SourceRequest{App: "graph"}, Mode: "serial", MaxSteps: 5}, http.StatusBadRequest},
 		{"/v1/simulate", api.SimulateRequest{SourceRequest: api.SourceRequest{App: "graph"}, Procs: []int{0}}, http.StatusBadRequest},
 	}
@@ -365,6 +370,31 @@ func TestBadRequests(t *testing.T) {
 		var e api.Error
 		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 			t.Errorf("%s error envelope missing: %s", tc.path, data)
+		}
+	}
+}
+
+// TestRunWorkersCeiling: a worker count past the documented ceiling is a
+// 400 that starts nothing — each worker would be a goroutine, and
+// admission control bounds requests, not their size.
+func TestRunWorkersCeiling(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	run := func(workers int) int {
+		resp, _ := post(t, ts, "/v1/run", api.RunRequest{SourceRequest: api.SourceRequest{App: "graph"}, Mode: "parallel", Workers: workers})
+		return resp.StatusCode
+	}
+	if code := run(maxRunWorkers); code != http.StatusOK {
+		t.Fatalf("workers %d = %d, want 200", maxRunWorkers, code)
+	}
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{maxRunWorkers + 1, 10000000} {
+		if code := run(workers); code != http.StatusBadRequest {
+			t.Fatalf("workers %d = %d, want 400", workers, code)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the rejected runs, baseline %d", runtime.NumGoroutine(), base)
 		}
 	}
 }
@@ -503,9 +533,8 @@ func TestGracefulDrain(t *testing.T) {
 
 // TestRunSpeculation is the in-process mirror of the smoke script's
 // speculation checks: a disjoint rejected extent commits, a conflicting
-// one aborts and re-runs serially with the exact serial output, the
-// abort never counts as an infrastructure fallback, and both counters
-// accumulate into /statusz.
+// one aborts and re-runs serially with the exact serial output, and both
+// counters accumulate into /statusz.
 func TestRunSpeculation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -568,9 +597,6 @@ func TestRunSpeculation(t *testing.T) {
 	if rr.Output != "2 3\n" {
 		t.Fatalf("specconflict output = %q, want the serial rerun's %q", rr.Output, "2 3\n")
 	}
-	if rr.Stats.SerialFallbacks != 0 {
-		t.Fatalf("speculation abort counted as serial fallback: %+v", rr.Stats)
-	}
 
 	// Speculation is rejected for serial mode, and bad modes 400.
 	resp, _ = post(t, ts, "/v1/run", api.RunRequest{
@@ -593,9 +619,6 @@ func TestRunSpeculation(t *testing.T) {
 	if st.SpeculationCommits == 0 || st.SpeculationAborts == 0 {
 		t.Fatalf("statusz speculation counters = %d commits / %d aborts, want both nonzero",
 			st.SpeculationCommits, st.SpeculationAborts)
-	}
-	if st.Fallbacks != 0 {
-		t.Fatalf("statusz fallbacks = %d, want 0 (aborts are not fallbacks)", st.Fallbacks)
 	}
 }
 

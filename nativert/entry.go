@@ -17,14 +17,14 @@ const (
 	// serial versions.
 	SpecOff SpecMode = iota
 	// SpecAuto speculates on extents whose confidence score (fraction
-	// of method pairs the analysis proved) reaches the threshold.
+	// of method pairs the analysis proved) reaches DefaultSpecThreshold.
 	SpecAuto
 	// SpecForce speculates on every eligible rejected extent.
 	SpecForce
 )
 
-// DefaultSpecThreshold is the SpecAuto confidence cutoff when none is
-// configured: at least half the extent's pairs must have been proven.
+// DefaultSpecThreshold is the SpecAuto confidence cutoff: at least half
+// the extent's pairs must have been proven.
 const DefaultSpecThreshold = 0.5
 
 // ParseSpecMode maps a speculation mode name (a command-line or request
@@ -63,10 +63,8 @@ type Policy struct {
 	// unproven one, left to Speculate.
 	Conditional bool
 	// Speculate is the policy for extents the analysis rejected but
-	// marked speculation-eligible, SpecThreshold the SpecAuto confidence
-	// cutoff (0: DefaultSpecThreshold).
-	Speculate     SpecMode
-	SpecThreshold float64
+	// marked speculation-eligible.
+	Speculate SpecMode
 }
 
 // Root is what the plan says about one region root (codegen.MethodPlan).
@@ -98,7 +96,7 @@ type Stats struct {
 	Chunks        int64 // GSS chunks claimed
 	Iterations    int64 // parallel loop iterations
 	Tasks         int64 // spawned tasks
-	LazyInlines   int64 // spawns absorbed inline by lazy task creation
+	LazyInlines   int64 // never incremented; read by e2ebench until ROADMAP item 1 drops it
 	LockAcquires  int64 // object-section lock acquisitions
 	Regions       int64 // serial→parallel region transitions
 	Steals        int64 // tasks and loop helpers taken from another worker's deque
@@ -110,7 +108,7 @@ type Stats struct {
 	RegionsDeclined int64
 
 	TaskPanics      int64 // panics captured and isolated as TaskError
-	SerialFallbacks int64 // regions re-executed serially after a fault
+	SerialFallbacks int64 // never incremented; read by e2ebench until ROADMAP item 1 drops it
 
 	SpeculativeRegions int64 // regions entered speculatively
 	SpeculationCommits int64 // speculative regions validated and committed
@@ -127,7 +125,7 @@ type Stats struct {
 // speculation, where the journals provide the safety the guard could not
 // prove. Any other unproven extent speculates when it is eligible and
 // the policy admits it: always under SpecForce, at or above the
-// confidence threshold under SpecAuto. guard is called at most once, and
+// DefaultSpecThreshold under SpecAuto. guard is called at most once, and
 // only for a conditional root.
 //
 // Callers run on the serial code's goroutine, so the counters are plain;
@@ -153,11 +151,7 @@ func (p Policy) Enter(st *Stats, r Root, guard func() bool) Tier {
 	case p.Speculate == SpecForce:
 		spec = true
 	case p.Speculate == SpecAuto:
-		th := p.SpecThreshold
-		if th <= 0 {
-			th = DefaultSpecThreshold
-		}
-		spec = r.Confidence >= th
+		spec = r.Confidence >= DefaultSpecThreshold
 	}
 	if !spec {
 		return Serial

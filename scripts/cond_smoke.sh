@@ -59,7 +59,7 @@ if grep -Eq '"guard_serial":[1-9]' "$OUT/true.stats"; then
 fi
 echo "guard-true parallel run ok"
 
-# Guard false (mode 3): serial fallback, zero parallel regions, output
+# Guard false (mode 3): serial path, zero parallel regions, output
 # still byte-identical to that program's serial run.
 go run ./cmd/commuterun -mode serial -stats-json "$OUT/wide3.mc" > "$OUT/serial3.raw"
 head -n -1 "$OUT/serial3.raw" > "$OUT/serial3.out"
@@ -69,8 +69,8 @@ head -n -1 "$OUT/false.raw" > "$OUT/false.out"
 tail -n 1 "$OUT/false.raw" > "$OUT/false.stats"
 diff "$OUT/serial3.out" "$OUT/false.out"
 grep -Eq '"guard_serial":[1-9]' "$OUT/false.stats"
-# Zero-valued counters are omitted from the stats line, so a serial
-# fallback shows no regions key at all.
+# Zero-valued counters are omitted from the stats line, so the serial
+# path shows no regions key at all.
 if grep -Eq '"regions":[1-9]' "$OUT/false.stats"; then
   echo "false guard still created parallel regions" >&2
   exit 1

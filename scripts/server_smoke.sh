@@ -54,6 +54,15 @@ echo "$RUN" | grep -q '"cache":"hit"'
 echo "$RUN" | grep -q '"regions":'
 echo "run round-trip ok"
 
+# A failed region is never re-run, and no request field asks for it.
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/run" \
+  -d '{"app":"quickstart","mode":"parallel","fallback":true}')
+if [ "$CODE" != 400 ]; then
+  echo "/v1/run with \"fallback\" answered $CODE, want 400" >&2
+  exit 1
+fi
+echo "fallback field rejected ok"
+
 # Speculation: the analysis rejects specdisjoint's fill extent but
 # scores it with a fractional confidence and marks it eligible.
 ANALYZE=$(curl -fs -X POST "http://$ADDR/v1/analyze" -d '{"app":"specdisjoint"}')
@@ -84,16 +93,11 @@ RUN=$(curl -fs -X POST "http://$ADDR/v1/run" \
   -d '{"source":"'"$DISJOINT"'","mode":"parallel","workers":4,"speculate":"force"}')
 echo "$RUN" | grep -Eq '"speculation_commits":[1-9]'
 # ...and a genuinely conflicting one aborts, reruns serially, and still
-# produces the serial output (no serial_fallbacks: aborts are not
-# infrastructure fallbacks).
+# produces the serial output.
 RUN=$(curl -fs -X POST "http://$ADDR/v1/run" \
   -d '{"source":"'"$CONFLICT"'","mode":"parallel","workers":4,"speculate":"force"}')
 echo "$RUN" | grep -Eq '"speculation_aborts":[1-9]'
 echo "$RUN" | grep -q '"output":"2 3\\n"'
-if echo "$RUN" | grep -q '"serial_fallbacks"'; then
-  echo "speculation abort leaked into serial_fallbacks" >&2
-  exit 1
-fi
 # Both counters surface in /statusz.
 STATUS=$(curl -fs "http://$ADDR/statusz")
 echo "$STATUS" | grep -Eq '"speculation_commits":[1-9]'
