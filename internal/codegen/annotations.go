@@ -100,7 +100,7 @@ func (p *Plan) Annotations() *Annotations {
 	return a
 }
 
-// MarshalJSON renders the annotation file content.
+// AnnotationsJSON renders the annotation file content.
 func (p *Plan) AnnotationsJSON() ([]byte, error) {
 	return json.MarshalIndent(p.Annotations(), "", "  ")
 }

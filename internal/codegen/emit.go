@@ -11,21 +11,27 @@ import (
 // EmitParallelSource renders the transformed parallel program as
 // annotated source in the style of the paper's Figure 2: every class
 // that needs one gains a mutual exclusion lock, and every parallel
-// method gains the three generated versions —
+// method gains its generated versions —
 //
-//   - the serial version (the original name), which invokes the
-//     parallel version and blocks in the wait() construct;
+//   - the serial version (the original name), which at a region root
+//     (Plan.RegionRoot) invokes the parallel version and blocks in the
+//     wait() construct, and anywhere else is the original method, return
+//     type and all, as serial callers run it;
 //   - the parallel version (<name>__parallel), whose object section
 //     executes under the receiver lock and whose invocation section
-//     spawns the parallel versions of extent operations and runs
-//     parallel loops under guided self-scheduling;
+//     spawns tasks and runs parallel loops under guided self-scheduling;
 //   - the mutex version (<name>__mutex), which locks the object section
-//     but invokes mutex versions serially (the §5.2 suppression).
+//     but spawns nothing (the §5.2 suppression).
 //
-// The output targets the run-time library API the paper's generated
-// code used (lock.acquire/release, spawn, wait, parallel_for); it is a
-// faithful rendering of the execution plan the in-process executors
-// (internal/rt, internal/tracer) interpret directly.
+// Every call site prints what the plan's call rule answers for the
+// version its body renders (MethodPlan.Call) — spawn(...__parallel), a
+// __mutex call on the caller's stack, or the plain serial call — and a
+// loop is a parallel_for exactly where LoopPlan.Parallel holds in a
+// parallel version, its body rendered as the iterations run it. The
+// output targets the run-time library API the paper's generated code
+// used (lock.acquire/release, spawn, wait, parallel_for); it says what
+// the in-process executors (internal/rt, internal/tracer) and the
+// emitted Go run.
 func (p *Plan) EmitParallelSource(file *ast.File) string {
 	e := &emitter{plan: p}
 	// A parallel method is printed three times, everything else once.
@@ -118,34 +124,38 @@ func (e *emitter) methodDef(md *ast.MethodDef) {
 		e.w(") {\n")
 	}
 
-	// Serial version: invoke the parallel version, then wait.
-	open("")
-	e.w("  this->", md.Name, "__parallel(")
-	for i, prm := range md.Params {
-		if i > 0 {
-			e.w(", ")
+	// Serial version: a region root invokes the parallel version, then
+	// waits; any other method is called from serial code as written.
+	if e.plan.RegionRoot(m) {
+		open("")
+		e.w("  this->", md.Name, "__parallel(")
+		for i, prm := range md.Params {
+			if i > 0 {
+				e.w(", ")
+			}
+			e.w(prm.Name)
 		}
-		e.w(prm.Name)
+		e.w(");\n  wait();\n}\n\n")
+	} else {
+		printer.WriteDecl(&e.sb, md)
+		e.w("\n")
 	}
-	e.w(");\n  wait();\n}\n\n")
 
-	// Parallel version.
 	open("__parallel")
-	e.body(m, mp, md.Body, false)
+	e.body(mp, md.Body, VersionParallel)
 	e.w("}\n\n")
 
-	// Mutex version.
 	open("__mutex")
-	e.body(m, mp, md.Body, true)
+	e.body(mp, md.Body, VersionMutex)
 	e.w("}\n")
 }
 
-// body renders a transformed method body with lock placement: the
-// receiver lock (when required) covers the object section and is
-// released on every control path before the first extent invocation
-// (or at method end under hoisting).
-func (e *emitter) body(m *types.Method, mp *MethodPlan, b *ast.Block, mutex bool) {
-	t := &bodyEmitter{e: e, m: m, mp: mp, mutex: mutex, indent: 1}
+// body renders a transformed method body running as version in, with
+// lock placement: the receiver lock (when required) covers the object
+// section and is released on every control path before the first extent
+// invocation (or at method end under hoisting).
+func (e *emitter) body(mp *MethodPlan, b *ast.Block, in Version) {
+	t := &bodyEmitter{e: e, mp: mp, in: in, indent: 1}
 	if mp.NeedsLock {
 		t.line("mutex.acquire();")
 		t.lockHeld = true
@@ -158,9 +168,8 @@ func (e *emitter) body(m *types.Method, mp *MethodPlan, b *ast.Block, mutex bool
 
 type bodyEmitter struct {
 	e        *emitter
-	m        *types.Method
 	mp       *MethodPlan
-	mutex    bool
+	in       Version // the version the statements run as
 	indent   int
 	lockHeld bool
 }
@@ -187,16 +196,28 @@ func (t *bodyEmitter) releaseIfNeeded() {
 	}
 }
 
-// containsExtentCall reports whether the subtree holds a call site of
-// this method that does not run the serial version.
-func (t *bodyEmitter) containsExtentCall(n ast.Node) bool {
+// site is the call rule's answer for a call of this body.
+func (t *bodyEmitter) site(call *ast.CallExpr) SiteCall {
+	cs := t.e.plan.Prog.CallSites[call.Site]
+	return t.mp.Call(t.in, cs, t.e.plan.Methods[cs.Callee])
+}
+
+// parallelLoop reports whether the loop is a parallel_for here.
+func (t *bodyEmitter) parallelLoop(x *ast.ForStmt) bool {
+	lp := t.e.plan.Loops[x]
+	return t.in == VersionParallel && lp != nil && lp.Parallel
+}
+
+// rewrites reports whether the subtree prints other than as written: it
+// holds a call site that is not a plain serial call, or a parallel loop.
+func (t *bodyEmitter) rewrites(n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(x ast.Node) bool {
-		if c, ok := x.(*ast.CallExpr); ok && !c.Builtin && c.Site >= 0 {
-			site := t.e.plan.Prog.CallSites[c.Site]
-			if t.mp.Call(t.version(), site, t.e.plan.Methods[site.Callee]).Run != VersionSerial {
-				found = true
-			}
+		switch x := x.(type) {
+		case *ast.CallExpr:
+			found = !x.Builtin && x.Site >= 0 && t.site(x) != SiteCall{Run: VersionSerial}
+		case *ast.ForStmt:
+			found = t.parallelLoop(x)
 		}
 		return !found
 	})
@@ -209,6 +230,15 @@ func (t *bodyEmitter) stmts(ss []ast.Stmt) {
 	}
 }
 
+// stmtsOf renders a statement or a block's statements.
+func (t *bodyEmitter) stmtsOf(s ast.Stmt) {
+	if b, ok := s.(*ast.Block); ok {
+		t.stmts(b.Stmts)
+		return
+	}
+	t.stmt(s)
+}
+
 func (t *bodyEmitter) stmt(s ast.Stmt) {
 	switch x := s.(type) {
 	case *ast.Block:
@@ -218,13 +248,23 @@ func (t *bodyEmitter) stmt(s ast.Stmt) {
 		t.indent--
 		t.line("}")
 	case *ast.ExprStmt:
-		t.exprStmt(x)
+		t.callStmt(x)
 	case *ast.IfStmt:
 		t.ifStmt(x)
 	case *ast.ForStmt:
 		t.forStmt(x)
+	case *ast.WhileStmt:
+		if !t.rewrites(x) {
+			t.raw(x)
+			return
+		}
+		t.releaseIfNeeded()
+		t.pad("while (")
+		printer.WriteExpr(&t.e.sb, x.Cond)
+		t.e.w(") {\n")
+		t.loopBody(x.Body, t.in)
 	default:
-		if t.containsExtentCall(s) {
+		if t.rewrites(s) {
 			t.releaseIfNeeded()
 		}
 		t.raw(s)
@@ -262,7 +302,7 @@ func (t *bodyEmitter) containsReceiverWrite(n ast.Node) bool {
 // them and each path releases before its invocations; otherwise the
 // lock drops before the conditional.
 func (t *bodyEmitter) ifStmt(x *ast.IfStmt) {
-	if !t.containsExtentCall(x) {
+	if !t.rewrites(x) {
 		t.raw(x)
 		return
 	}
@@ -306,35 +346,15 @@ func (t *bodyEmitter) ifStmt(x *ast.IfStmt) {
 	t.lockHeld = heldAtEntry && !lockLogic
 }
 
-// stmtsOf renders a statement or a block's statements.
-func (t *bodyEmitter) stmtsOf(s ast.Stmt) {
-	if b, ok := s.(*ast.Block); ok {
-		t.stmts(b.Stmts)
-		return
-	}
-	t.stmt(s)
-}
-
-// version is the version of the method the body renders.
-func (t *bodyEmitter) version() Version {
-	if t.mutex {
-		return VersionMutex
-	}
-	return VersionParallel
-}
-
-func (t *bodyEmitter) exprStmt(x *ast.ExprStmt) { t.callStmt(x, t.version()) }
-
-// callStmt renders an expression statement of a body running as version
-// in: a call site does what the plan's call rule says (MethodPlan.Call).
-func (t *bodyEmitter) callStmt(x *ast.ExprStmt, in Version) {
+// callStmt renders an expression statement: a call site does what the
+// plan's call rule says (MethodPlan.Call).
+func (t *bodyEmitter) callStmt(x *ast.ExprStmt) {
 	call, ok := x.X.(*ast.CallExpr)
 	if !ok || call.Builtin || call.Site < 0 {
 		t.raw(x)
 		return
 	}
-	site := t.e.plan.Prog.CallSites[call.Site]
-	sc := t.mp.Call(in, site, t.e.plan.Methods[site.Callee])
+	sc := t.site(call)
 	if sc.Release {
 		t.releaseIfNeeded()
 	}
@@ -356,46 +376,34 @@ func (t *bodyEmitter) callStmt(x *ast.ExprStmt, in Version) {
 // versionSuffix names the generated versions in the listing.
 var versionSuffix = [...]string{VersionSerial: "", VersionParallel: "__parallel", VersionMutex: "__mutex"}
 
+// forStmt renders a for loop: a parallel_for whose body runs as the
+// iterations run it, or a serial loop whose body runs as this one does.
 func (t *bodyEmitter) forStmt(x *ast.ForStmt) {
-	lp := t.e.plan.Loops[x]
-	if lp == nil || !lp.Parallel || t.mutex {
-		if t.containsExtentCall(x) {
-			t.releaseIfNeeded()
-			// Serial loop over mutex versions inside the mutex variant.
-			t.loopOverMutex(x, "for (", ") {\n")
-			return
-		}
+	in, close := t.in, ") {\n"
+	switch {
+	case t.parallelLoop(x):
+		in, close = VersionIteration, ") {  // guided self-scheduling; iterations run mutex versions\n"
+		t.releaseIfNeeded()
+		t.pad("parallel_for (")
+	case t.rewrites(x):
+		t.releaseIfNeeded()
+		t.pad("for (")
+	default:
 		t.raw(x)
 		return
 	}
-	t.releaseIfNeeded()
-	t.loopOverMutex(x, "parallel_for (", ") {  // guided self-scheduling; iterations run mutex versions\n")
-}
-
-// loopOverMutex renders a loop under the given header frame whose
-// invocations call mutex versions serially, as iterations run them.
-func (t *bodyEmitter) loopOverMutex(x *ast.ForStmt, open, close string) {
-	t.pad(open)
 	printer.WriteForHeader(&t.e.sb, x)
 	t.e.w(close)
-	t.indent++
-	if b, ok := x.Body.(*ast.Block); ok {
-		for _, s := range b.Stmts {
-			t.mutexStmt(s)
-		}
-	} else {
-		t.mutexStmt(x.Body)
-	}
-	t.indent--
-	t.line("}")
+	t.loopBody(x.Body, in)
 }
 
-// mutexStmt renders a loop body statement: its call sites run as a
-// parallel loop's iterations run them.
-func (t *bodyEmitter) mutexStmt(s ast.Stmt) {
-	if es, ok := s.(*ast.ExprStmt); ok {
-		t.callStmt(es, VersionIteration)
-		return
-	}
-	t.raw(s)
+// loopBody renders a loop's body, its header written, as version in.
+func (t *bodyEmitter) loopBody(body ast.Stmt, in Version) {
+	outer := t.in
+	t.in = in
+	t.indent++
+	t.stmtsOf(body)
+	t.indent--
+	t.in = outer
+	t.line("}")
 }

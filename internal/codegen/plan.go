@@ -10,7 +10,6 @@ package codegen
 import (
 	"maps"
 	"sort"
-	"sync/atomic"
 
 	"commute/internal/analysis/effects"
 	"commute/internal/cond"
@@ -124,8 +123,8 @@ type MethodPlan struct {
 	// read except as the source of its own update). Such operations can
 	// execute against per-processor replicas merged by a reduction at
 	// the end of the phase — the optimization §6.3.4 proposes to
-	// eliminate Water's contention. The ReplicateAccumulators option
-	// makes the executors use it.
+	// eliminate Water's contention. Only the tracer reads it, under the
+	// ReplicateAccumulators option; both runtimes lock.
 	Replicable bool
 	// Site maps call-site IDs within this method to their actions when
 	// executing the parallel (or mutex) version.
@@ -170,18 +169,7 @@ type MethodPlan struct {
 	// runtime runs its serial version instead. Final when the builder
 	// returns: concurrent runs share the plan.
 	Work int64
-
-	// conc memoizes Plan.GeneratesConcurrency for this method: 0 not yet
-	// computed, else concNo or concYes. A plan is immutable once built
-	// and the walk is deterministic, so concurrent first callers (runs
-	// sharing a cached System) store the same answer.
-	conc atomic.Int32
 }
-
-const (
-	concNo  = 1
-	concYes = 2
-)
 
 // LoopPlan is the decision for one candidate loop: a for loop in a
 // parallel method whose body is local bookkeeping and invocations of
@@ -712,63 +700,25 @@ func (mp *MethodPlan) EntryFacts() nativert.Root {
 	}
 }
 
-// GeneratesConcurrency reports whether invoking the parallel version of
-// m can spawn tasks or start parallel loops — i.e. whether a serial
-// caller must open a parallel region for it. The answer is computed on
-// the first query and memoized in the method's plan entry: the
-// interpreter runtime and the tracer ask on every serial call of a
-// parallel method.
+// GeneratesConcurrency reports whether the parallel version of m itself
+// spawns a task or starts a parallel loop — i.e. whether a serial caller
+// must open a parallel region for it: some site of m at which the call
+// rule spawns, or a parallel loop of m. Nothing below m counts: a site
+// that does not spawn runs the callee's serial version, which neither
+// spawns nor starts a loop.
 func (p *Plan) GeneratesConcurrency(m *types.Method) bool {
 	mp := p.Methods[m]
-	if mp == nil {
+	if mp == nil || !mp.Parallel {
 		return false
-	}
-	if c := mp.conc.Load(); c != 0 {
-		return c == concYes
-	}
-	// Only this top-level answer is stored: inside the walk a callee cut
-	// off by seen reports a provisional false.
-	c := int32(concNo)
-	if p.generatesConcurrency(m, make(map[*types.Method]bool)) {
-		c = concYes
-	}
-	mp.conc.Store(c)
-	return c == concYes
-}
-
-func (p *Plan) generatesConcurrency(m *types.Method, seen map[*types.Method]bool) bool {
-	if seen[m] {
-		return false
-	}
-	seen[m] = true
-	mp := p.Methods[m]
-	if mp == nil || !mp.Parallel || m.Def == nil {
-		return false
-	}
-	conc := false
-	ast.Inspect(m.Def.Body, func(n ast.Node) bool {
-		if conc {
-			return false
-		}
-		if fs, ok := n.(*ast.ForStmt); ok {
-			if lp := p.Loops[fs]; lp != nil && lp.Parallel {
-				conc = true
-				return false
-			}
-		}
-		return true
-	})
-	if conc {
-		return true
 	}
 	for _, cs := range m.CallSites {
-		switch mp.Site[cs.ID] {
-		case ActionSpawn:
+		if mp.Call(VersionParallel, cs, p.Methods[cs.Callee]).Spawn {
 			return true
-		case ActionHoisted, ActionInline:
-			if p.generatesConcurrency(cs.Callee, seen) {
-				return true
-			}
+		}
+	}
+	for _, lp := range p.Loops {
+		if lp.Method == m && lp.Parallel {
+			return true
 		}
 	}
 	return false

@@ -1,0 +1,273 @@
+package rt_test
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"commute/internal/apps/src"
+	"commute/internal/codegen"
+	"commute/internal/core"
+	"commute/internal/frontend/ast"
+	"commute/internal/frontend/parser"
+	"commute/internal/frontend/types"
+)
+
+// listingNeutral strips the run-time library's constructs from an
+// annotated listing back to plain calls the parser takes, line for line.
+var listingNeutral = strings.NewReplacer(
+	"parallel_for (", "for (",
+	"spawn(", "ignore_spawn(",
+	"lock mutex;", "int mutex__lockword;",
+	"mutex.acquire();", "ignore_lock();",
+	"mutex.release();", "ignore_lock();",
+	"wait();", "ignore_wait();",
+)
+
+// listingCall is one call of a reparsed listing: the call, whether it is
+// spawned, and the version of the body it sits in.
+type listingCall struct {
+	call    *ast.CallExpr
+	spawned bool
+	in      codegen.Version
+}
+
+// listingLoop is one for loop of a reparsed listing: whether it is a
+// parallel_for, and the version of the body it sits in.
+type listingLoop struct {
+	parallel bool
+	in       codegen.Version
+}
+
+// TestEmitSourceSaysWhatRuns: the annotated source `commutec -emit source`
+// prints answers every question from the plan the runtimes run, and
+// decides nothing itself. Over every method of the shipped apps, of the
+// loop, entry and dispatch fixtures, and of a generator draw — every loop
+// shape under every update shape, a commuting and a conditional program —
+// each under the proven plan -emit source renders, the reparsed listing
+// says:
+//
+//	(a) every call site in m, m__parallel and m__mutex is spawned,
+//	    suffixed or plain as MethodPlan.Call answers for the body it sits
+//	    in — a parallel_for's body runs as VersionIteration;
+//	(b) a loop is a parallel_for iff LoopPlan.Parallel holds and it sits
+//	    in a __parallel body;
+//	(c) the serial version is `this->m__parallel(…); wait();` iff
+//	    Plan.RegionRoot(m), and is otherwise m as written, its return
+//	    type included;
+//	(d) GeneratesConcurrency allocates nothing on a repeat query.
+func TestEmitSourceSaysWhatRuns(t *testing.T) {
+	sources := map[string]string{}
+	for _, name := range strings.Split(src.AppNames(), ", ") {
+		_, source, _ := src.App(name)
+		sources["app "+name] = source
+	}
+	for _, fx := range src.LoopFixtures() {
+		sources["loops/"+fx.Name] = fx.Source
+	}
+	for _, fx := range src.EntryFixtures() {
+		sources["entry/"+fx.Name] = fx.Source
+	}
+	for _, fx := range src.DispatchFixtures() {
+		sources["dispatch/"+fx.Name] = fx.Source
+	}
+	r := rand.New(rand.NewSource(26))
+	for _, shape := range loopBodyShapes {
+		for update := updateShape(0); update < updateShapes; update++ {
+			name := fmt.Sprintf("loop %s, update %d", shape.name, update)
+			sources[name] = genLoopProgram(r, 2+r.Intn(6), 8+r.Intn(40), shape, 1+r.Intn(3), r.Intn(2) == 0, update)
+		}
+	}
+	sources["commuting"] = genCommutingProgram(r, 2+r.Intn(6), 8+r.Intn(40))
+	sources["conditional"] = genConditionalProgram(r, 2+r.Intn(6), 8+r.Intn(40), r.Intn(2))
+
+	var roots, spawns, parallelFors int
+	for name, source := range sources {
+		f, err := parser.Parse(name+".mc", source)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		prog, err := types.Check(f)
+		if err != nil {
+			t.Fatalf("%s: check: %v", name, err)
+		}
+		plan := codegen.Build(core.New(prog))
+		out := plan.EmitParallelSource(f)
+		listing, err := parser.Parse("listing.mc", listingNeutral.Replace(out))
+		if err != nil {
+			t.Fatalf("%s: the listing does not reparse: %v", name, err)
+		}
+		lines := strings.Split(out, "\n")
+
+		defs := map[*types.Method]int{}
+		for _, d := range listing.Decls {
+			md, ok := d.(*ast.MethodDef)
+			if !ok {
+				continue
+			}
+			base, suffix, _ := strings.Cut(md.Name, "__")
+			m := prog.Funcs[base]
+			if md.ClassName != "" {
+				m = prog.Classes[md.ClassName].MethodByName(base)
+			}
+			mp := plan.Methods[m]
+			defs[m]++
+			in := map[string]codegen.Version{"": codegen.VersionSerial, "parallel": codegen.VersionParallel, "mutex": codegen.VersionMutex}[suffix]
+			if in != codegen.VersionSerial && !mp.Parallel {
+				t.Errorf("%s: %s::%s printed for a serial method", name, md.ClassName, md.Name)
+				continue
+			}
+
+			// (c) The serial version.
+			if in == codegen.VersionSerial {
+				root := plan.RegionRoot(m)
+				if entersRegion(md) != root {
+					t.Errorf("%s: serial version of %s enters a region = %t, Plan.RegionRoot = %t", name, m.FullName(), !root, root)
+					continue
+				}
+				if root {
+					roots++
+					continue
+				}
+				if md.RetType.Kind != m.Def.RetType.Kind || md.RetType.ClassName != m.Def.RetType.ClassName || md.RetType.Ptr != m.Def.RetType.Ptr {
+					t.Errorf("%s: serial version of %s lost its return type", name, m.FullName())
+				}
+			}
+
+			// (a) and (b): the listing's calls and loops, zipped in source
+			// order with the method's own.
+			calls, loops := listingBody(md.Body, in, lines)
+			var want []*ast.CallExpr
+			var wantLoops []*ast.ForStmt
+			ast.Inspect(m.Def.Body, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					want = append(want, x)
+				case *ast.ForStmt:
+					wantLoops = append(wantLoops, x)
+				}
+				return true
+			})
+			if len(calls) != len(want) || len(loops) != len(wantLoops) {
+				t.Errorf("%s: %s::%s has %d calls and %d loops, the method %d and %d", name, md.ClassName, md.Name, len(calls), len(loops), len(want), len(wantLoops))
+				continue
+			}
+			for i, c := range calls {
+				w := want[i]
+				sc := codegen.SiteCall{Run: codegen.VersionSerial}
+				if !w.Builtin {
+					site := prog.CallSites[w.Site]
+					sc = mp.Call(c.in, site, plan.Methods[site.Callee])
+				}
+				if got := c.call.Method; got != w.Method+versionSuffix[sc.Run] || c.spawned != sc.Spawn {
+					t.Errorf("%s: %s::%s at %s calls %s, spawned %t; the call rule in version %d says %+v", name, md.ClassName, md.Name, w.Pos(), got, c.spawned, c.in, sc)
+				}
+				if c.spawned {
+					spawns++
+				}
+			}
+			for i, l := range loops {
+				lp := plan.Loops[wantLoops[i]]
+				if want := lp != nil && lp.Parallel && l.in == codegen.VersionParallel; l.parallel != want {
+					t.Errorf("%s: loop of %s::%s at %s is a parallel_for = %t, want %t", name, md.ClassName, md.Name, wantLoops[i].Pos(), l.parallel, want)
+				}
+				if l.parallel {
+					parallelFors++
+				}
+			}
+		}
+		for _, m := range prog.Methods {
+			if m.Def == nil {
+				continue
+			}
+			// A method defined in its class body is printed there, as written.
+			if want := map[bool]int{false: 1, true: 3}[plan.Methods[m].Parallel]; defs[m] != want && slices.Contains(f.Decls, ast.Decl(m.Def)) {
+				t.Errorf("%s: %s printed %d times, want %d", name, m.FullName(), defs[m], want)
+			}
+			// (d)
+			if n := testing.AllocsPerRun(5, func() { plan.GeneratesConcurrency(m) }); n != 0 {
+				t.Errorf("%s: GeneratesConcurrency(%s) allocates %v times", name, m.FullName(), n)
+			}
+		}
+	}
+	if roots == 0 || spawns == 0 || parallelFors == 0 {
+		t.Fatalf("%d region roots, %d spawns and %d parallel_for in the whole corpus", roots, spawns, parallelFors)
+	}
+}
+
+var versionSuffix = [...]string{codegen.VersionSerial: "", codegen.VersionParallel: "__parallel", codegen.VersionMutex: "__mutex"}
+
+// entersRegion reports whether a reparsed serial version is
+// `this->m__parallel(params); wait();`.
+func entersRegion(md *ast.MethodDef) bool {
+	callOf := func(i int) *ast.CallExpr {
+		if es, ok := md.Body.Stmts[i].(*ast.ExprStmt); ok {
+			call, _ := es.X.(*ast.CallExpr)
+			return call
+		}
+		return nil
+	}
+	if len(md.Body.Stmts) != 2 {
+		return false
+	}
+	call, wait := callOf(0), callOf(1)
+	if call == nil || wait == nil || call.Method != md.Name+"__parallel" || wait.Method != "ignore_wait" || len(call.Args) != len(md.Params) {
+		return false
+	}
+	for i, a := range call.Args {
+		if id, ok := a.(*ast.Ident); !ok || id.Name != md.Params[i].Name {
+			return false
+		}
+	}
+	return true
+}
+
+// listingBody collects the calls and loops of a reparsed version body
+// running as in, in source order: the runtime constructs are dropped, a
+// spawned call is marked, and a parallel_for — a for whose line in the
+// listing says so — runs its body as VersionIteration.
+func listingBody(body *ast.Block, in codegen.Version, lines []string) ([]listingCall, []listingLoop) {
+	var calls []listingCall
+	var loops []listingLoop
+	var walk func(n ast.Node, in codegen.Version)
+	walk = func(n ast.Node, in codegen.Version) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.ForStmt:
+				l := listingLoop{strings.Contains(lines[x.Pos().Line-1], "parallel_for ("), in}
+				loops = append(loops, l)
+				if !l.parallel {
+					return true
+				}
+				for _, part := range []ast.Node{x.Init, x.Cond, x.Post} {
+					if part != nil {
+						walk(part, in)
+					}
+				}
+				walk(x.Body, codegen.VersionIteration)
+				return false
+			case *ast.CallExpr:
+				switch x.Method {
+				case "ignore_lock", "ignore_wait":
+					return false
+				case "ignore_spawn":
+					calls = append(calls, listingCall{x.Args[0].(*ast.CallExpr), true, in})
+					inner := x.Args[0].(*ast.CallExpr)
+					if inner.Recv != nil {
+						walk(inner.Recv, in)
+					}
+					for _, a := range inner.Args {
+						walk(a, in)
+					}
+					return false
+				}
+				calls = append(calls, listingCall{x, false, in})
+			}
+			return true
+		})
+	}
+	walk(body, in)
+	return calls, loops
+}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -18,7 +17,6 @@ import (
 
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
-	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/internal/rt"
@@ -473,65 +471,6 @@ func TestSpawnedTasksKeepTheirArguments(t *testing.T) {
 			got := box.Slots[ip.FieldSlot(prog.Classes["box"], "box", "val")].Int()
 			if want := int64(200*(i+1)*100000 + 199*200/2); got != want {
 				t.Errorf("workers=%d: %s.val = %d, want %d (a task saw another's argument)", workers, name, got, want)
-			}
-		}
-	}
-}
-
-// opensRegion is an independent statement of what
-// Plan.GeneratesConcurrency memoizes: from m, following the sites the
-// parallel version executes inline, some parallel method with a
-// definition contains a parallel loop or a spawning site.
-func opensRegion(p *codegen.Plan, m *types.Method, seen map[*types.Method]bool) bool {
-	mp := p.Methods[m]
-	if seen[m] || mp == nil || !mp.Parallel || m.Def == nil {
-		return false
-	}
-	seen[m] = true
-	found := false
-	ast.Inspect(m.Def.Body, func(n ast.Node) bool {
-		if fs, ok := n.(*ast.ForStmt); ok && p.Loops[fs] != nil && p.Loops[fs].Parallel {
-			found = true
-		}
-		return !found
-	})
-	for _, cs := range m.CallSites {
-		if found {
-			break
-		}
-		switch mp.Site[cs.ID] {
-		case codegen.ActionSpawn:
-			found = true
-		case codegen.ActionInline, codegen.ActionHoisted:
-			found = opensRegion(p, cs.Callee, seen)
-		}
-	}
-	return found
-}
-
-// TestGeneratesConcurrencyMemoOnRandomPrograms: on the random programs of
-// this package's differential tests, under every plan flavour, the
-// memoized answer is the walk's answer for every method.
-func TestGeneratesConcurrencyMemoOnRandomPrograms(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 8; trial++ {
-		sources := []string{
-			genCommutingProgram(r, 2+r.Intn(6), 8+r.Intn(40)),
-			genRejectedProgram(r, 2+r.Intn(6), 8+r.Intn(40)),
-			genViolatingProgram(r, 2+r.Intn(5)),
-			genConditionalProgram(r, 2+r.Intn(6), 8+r.Intn(40), r.Intn(2)),
-		}
-		for _, source := range sources {
-			for _, mk := range []func(testing.TB, string) (*types.Program, *codegen.Plan){build, buildSpec, buildCond} {
-				prog, plan := mk(t, source)
-				for _, m := range prog.Methods {
-					want := opensRegion(plan, m, map[*types.Method]bool{})
-					for q := 0; q < 2; q++ {
-						if got := plan.GeneratesConcurrency(m); got != want {
-							t.Fatalf("trial %d: GeneratesConcurrency(%s) = %v on query %d, the walk says %v", trial, m.FullName(), got, q+1, want)
-						}
-					}
-				}
 			}
 		}
 	}

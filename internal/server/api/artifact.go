@@ -43,10 +43,13 @@ type ArtifactBundle struct {
 }
 
 // artifactMagic is the frame header of an encoded bundle. The version
-// suffix guards against schema drift between replicas built from
-// different revisions: a decoder never misparses a future encoding, it
-// rejects it.
-const artifactMagic = "commute-artifact/1"
+// suffix guards against drift between replicas built from different
+// revisions: a decoder never misparses another encoding, it rejects it.
+// The fingerprint keys a bundle on name, source and options only, so the
+// version also changes whenever what a bundle carries for the same key
+// does — version 2 carries the parallel source whose serial versions
+// enter a region only at a region root.
+const artifactMagic = "commute-artifact/2"
 
 // EncodeArtifact frames a bundle for the blob tier: a header line with
 // the format version and the hex SHA-256 of the JSON payload, then the

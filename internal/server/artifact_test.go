@@ -5,6 +5,7 @@ package server
 // request batching.
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"commute"
 	"commute/internal/server/api"
 	"commute/internal/server/cache"
 )
@@ -84,6 +86,48 @@ func TestArtifactAdoption(t *testing.T) {
 	}
 	if st := statusz(t, cold); st.CacheAdoptions != 1 {
 		t.Fatalf("repeat adopt re-fetched the blob: adoptions = %d, want 1", st.CacheAdoptions)
+	}
+}
+
+// TestOldArtifactIsNotAdopted: a blob tier shared with a replica of an
+// older build holds, under the key this build computes, a bundle of the
+// previous format, whose parallel source that build emitted. The key
+// does not name the revision, so only the frame's version keeps this
+// replica from serving the old listing: it loads the program itself.
+func TestOldArtifactIsNotAdopted(t *testing.T) {
+	req := api.AnalyzeRequest{SourceRequest: api.SourceRequest{App: "graph"}, Emit: true}
+	name, source, opts, err := resolveSource(req.SourceRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := commute.Fingerprint(name, source, opts)
+	frame, err := api.EncodeArtifact(&api.ArtifactBundle{Fingerprint: key, Name: name, ParallelSource: "// an older build's listing\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := cache.NewMemStore()
+	if err := blobs.Put(key, bytes.Replace(frame, []byte("commute-artifact/2 "), []byte("commute-artifact/1 "), 1)); err != nil {
+		t.Fatal(err)
+	}
+	_, replica := newTestServer(t, Config{Blobs: blobs, BatchLinger: -1})
+
+	resp, data := post(t, replica, "/v1/analyze", req)
+	var ar api.AnalyzeResponse
+	if err := json.Unmarshal(data, &ar); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || ar.Cache != "miss" {
+		t.Fatalf("analyze = %d cache %q, want 200 miss (a cold load)", resp.StatusCode, ar.Cache)
+	}
+	sys, err := commute.LoadOpts(name, source, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sys.Plan.EmitParallelSource(sys.File); ar.ParallelSource != want {
+		t.Fatalf("served parallel source %.60q, want this build's %.60q", ar.ParallelSource, want)
+	}
+	if st := statusz(t, replica); st.CacheAdoptions != 0 || st.Endpoints["load-cold"].Requests != 1 {
+		t.Fatalf("adoptions = %d, cold loads = %d; want 0 and 1", st.CacheAdoptions, st.Endpoints["load-cold"].Requests)
 	}
 }
 

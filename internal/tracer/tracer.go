@@ -160,7 +160,6 @@ type taskState struct {
 	compute int64 // pending compute units
 	critObj int64 // active critical-section object (0 = none)
 	crit    int64 // pending crit units
-	serial  bool  // a serial version is running: every loop is serial
 }
 
 func (ts *taskState) charge(units int64) {
@@ -230,7 +229,7 @@ func (c *collector) runVersion(task *Task, m *types.Method, recv *interp.Object,
 	ctx.Invoke = c.invoker(ctx, ts, mp, ver, lockObj)
 	ctx.ForLoop = func(fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) (bool, error) {
 		lp := c.plan.Loops[fs]
-		if lp == nil || !lp.Parallel || ts.serial {
+		if lp == nil || !lp.Parallel {
 			return false, nil
 		}
 		if ver == codegen.VersionMutex && !c.plan.Opt.DisableSuppression {
@@ -280,15 +279,13 @@ func (c *collector) invoker(ctx *interp.Ctx, ts *taskState, mp *codegen.MethodPl
 		}
 		if sc.Run == codegen.VersionSerial && !sc.Spawn {
 			// The serial version, inline: its units accrue to the current
-			// (possibly critical) segment. The call hook is off while it
-			// runs; the loop hook stays on and declines, because an offer
-			// costs units — the engines charge the bound they evaluate
-			// for it — and the simulated times of the paper's tables
-			// count one for every counted loop below a region.
-			invoke := ctx.Invoke
-			ctx.Invoke, ts.serial = nil, true
+			// (possibly critical) segment. Both hooks are off while it
+			// runs, as in rt: every call below it is a serial version and
+			// every loop a serial loop, offered to nobody.
+			invoke, forLoop := ctx.Invoke, ctx.ForLoop
+			ctx.Invoke, ctx.ForLoop = nil, nil
 			v, err := c.ip.Call(ctx, site.Callee, recv, args)
-			ctx.Invoke, ts.serial = invoke, false
+			ctx.Invoke, ctx.ForLoop = invoke, forLoop
 			return v, err
 		}
 		ts.flushCompute()

@@ -27,38 +27,66 @@ func setup(t *testing.T, source string) (*types.Program, *codegen.Plan) {
 	return prog, codegen.Build(core.New(prog))
 }
 
-// TestUnitConservation: the trace accounts for (essentially) the work
-// the serial interpreter charges — partitioning the execution into
-// phases and tasks neither creates nor loses cost. The two execution
-// strategies differ slightly in loop-header bookkeeping (a parallel
-// loop evaluates its bound once instead of re-evaluating the condition
-// per iteration, and the dispatcher probes counted-loop headers), so
-// we allow 1.5%.
+// TestUnitConservation: the trace accounts for the work the serial
+// interpreter charges — partitioning the execution into phases and tasks
+// neither creates nor loses cost. Loops are the one place the two may
+// differ: a parallel loop evaluates its bound once where the serial loop
+// tests its condition every iteration, and a loop that a parallel or
+// mutex version offers to the dispatcher, and the dispatcher declines,
+// evaluates its bound once more. Below a serial version nothing is
+// offered. So the programs here whose traces hold no parallel loop —
+// their parallel and mutex versions run no counted loop — must account
+// for exactly the serial units, and Barnes-Hut and Water, whose traces
+// do, for them within 0.3%.
 func TestUnitConservation(t *testing.T) {
-	for _, source := range []string{src.Graph, src.BarnesHut, src.Water} {
+	sources := map[string]string{"graph": src.Graph, "barneshut": src.BarnesHut, "water": src.Water}
+	for _, fx := range src.DispatchFixtures() {
+		sources[fx.Name] = fx.AtDepth(6)
+	}
+	for name, source := range sources {
 		prog, plan := setup(t, source)
 
 		ipSerial := interp.New(prog, nil)
 		ctx := ipSerial.NewCtx()
 		if err := ipSerial.Run(ctx); err != nil {
-			t.Fatalf("serial: %v", err)
+			t.Fatalf("%s: serial: %v", name, err)
 		}
 		serialUnits := ctx.Cost
 
 		ipTrace := interp.New(prog, nil)
 		tr, err := tracer.Collect(ipTrace, plan)
 		if err != nil {
-			t.Fatalf("collect: %v", err)
+			t.Fatalf("%s: collect: %v", name, err)
 		}
 		traced := tr.SerialUnits() + tr.ParallelUnits()
 		diff := float64(traced-serialUnits) / float64(serialUnits)
 		if diff < 0 {
 			diff = -diff
 		}
-		if diff > 0.015 {
-			t.Errorf("units: traced %d vs serial %d (%.2f%% off)", traced, serialUnits, 100*diff)
+		loops := hasLoop(tr)
+		if !loops && traced != serialUnits || diff > 0.003 {
+			t.Errorf("%s: traced %d units vs serial %d (%.3f%% off; parallel loops in the trace: %t)", name, traced, serialUnits, 100*diff, loops)
 		}
 	}
+}
+
+// hasLoop reports whether the trace holds a parallel loop.
+func hasLoop(tr *tracer.Trace) bool {
+	var walk func(task *tracer.Task) bool
+	walk = func(task *tracer.Task) bool {
+		for _, ev := range task.Events {
+			if ev.Kind == tracer.EvLoop || ev.Kind == tracer.EvSpawn && walk(ev.Child) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, ph := range tr.Phases {
+		if ph.Root != nil && walk(ph.Root) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestCritEventsWellFormed: critical sections have positive duration
