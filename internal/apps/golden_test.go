@@ -2,9 +2,12 @@ package apps_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"commute"
 	"commute/internal/apps"
+	"commute/internal/apps/src"
 	"commute/internal/interp"
 )
 
@@ -70,5 +73,21 @@ func TestGoldenOutputs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDispatchFixturesPrint: each in-region dispatch fixture, at the size
+// it ships, prints serially the one line the fixture says it does (the
+// serial-equivalence oracle runs them on smaller trees).
+func TestDispatchFixturesPrint(t *testing.T) {
+	for _, fx := range src.DispatchFixtures() {
+		sys, err := commute.Load(fx.Name+".mc", fx.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if _, err := sys.RunSerial(&out); err != nil || out.String() != fx.Output {
+			t.Errorf("%s prints %q (%v), the fixture says %q", fx.Name, out.String(), err, fx.Output)
+		}
 	}
 }

@@ -77,7 +77,9 @@ func (e *emitter) methodByName(className, name string) *types.Method {
 }
 
 // classDecl renders a class, adding the lock field when the lock
-// elimination pass kept it, and prototypes for the generated versions.
+// elimination pass kept it, and prototypes for the generated versions. A
+// parallel method defined in the class body is declared there and its
+// versions are defined after the class, as methodDef renders them.
 func (e *emitter) classDecl(cd *ast.ClassDecl) {
 	if cd.Base != "" {
 		e.w("class ", cd.Name, " : public ", cd.Base, " {\npublic:\n")
@@ -88,30 +90,49 @@ func (e *emitter) classDecl(cd *ast.ClassDecl) {
 	if cl != nil && e.plan.LockedClasses[cl] {
 		e.w("  lock mutex;  // inserted: object sections execute atomically\n")
 	}
-	printer.WriteMembers(&e.sb, cd)
+	members, moved := *cd, []*ast.MethodDef(nil)
+	members.Inline = nil
+	for _, md := range cd.Inline {
+		if e.parallel(cd.Name, md.Name) {
+			members.Protos = append(members.Protos[:len(members.Protos):len(members.Protos)], &ast.MethodProto{Name: md.Name, RetType: md.RetType, Params: md.Params})
+			moved = append(moved, md)
+		} else {
+			members.Inline = append(members.Inline, md)
+		}
+	}
+	printer.WriteMembers(&e.sb, &members)
 	// Prototypes for generated versions.
-	for _, proto := range cd.Protos {
-		if m := e.methodByName(cd.Name, proto.Name); m != nil {
-			if mp := e.plan.Methods[m]; mp != nil && mp.Parallel {
-				for _, suffix := range [...]string{"__parallel", "__mutex"} {
-					e.w("  void ", proto.Name, suffix, "(")
-					printer.WriteParams(&e.sb, proto.Params)
-					e.w(");\n")
-				}
+	for _, proto := range members.Protos {
+		if e.parallel(cd.Name, proto.Name) {
+			for _, suffix := range [...]string{"__parallel", "__mutex"} {
+				e.w("  void ", proto.Name, suffix, "(")
+				printer.WriteParams(&e.sb, proto.Params)
+				e.w(");\n")
 			}
 		}
 	}
 	e.w("};\n")
+	for _, md := range moved {
+		e.w("\n")
+		e.methodDef(md)
+	}
+}
+
+// parallel reports whether the plan gives className::name generated
+// versions.
+func (e *emitter) parallel(className, name string) bool {
+	mp := e.plan.Methods[e.methodByName(className, name)]
+	return mp != nil && mp.Parallel
 }
 
 // methodDef renders the generated versions of one method.
 func (e *emitter) methodDef(md *ast.MethodDef) {
-	m := e.methodByName(md.ClassName, md.Name)
-	mp := e.plan.Methods[m]
-	if m == nil || mp == nil || !mp.Parallel {
+	if !e.parallel(md.ClassName, md.Name) {
 		printer.WriteDecl(&e.sb, md)
 		return
 	}
+	m := e.methodByName(md.ClassName, md.Name)
+	mp := e.plan.Methods[m]
 
 	// open writes a version's signature and opening brace.
 	open := func(suffix string) {

@@ -10,6 +10,7 @@ import (
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
 	"commute/internal/interp"
+	"commute/internal/oracle"
 )
 
 // walkerCost is what the tree walker charges a full serial run.
@@ -76,44 +77,6 @@ void main() {
 }
 `
 
-// genWorkProgram draws one program on the shapes the corpus is made of:
-// per-object operations that accumulate, overwrite, branch on a mode
-// field, or chain through value-returning helpers, driven by constant
-// loops. Only the mode-guarded shape branches.
-func genWorkProgram(r *rand.Rand, shape string) string {
-	ni, rounds, depth := 2+r.Intn(7), 1+r.Intn(5), 1+r.Intn(3)
-	k := func() int { return 1 + r.Intn(9) }
-	var b strings.Builder
-	fmt.Fprintf(&b, "const int NI = %d;\n\nclass cell {\npublic:\n  int s0;\n  int s1;\n  int cnt;\n", ni)
-	for d := 0; d <= depth; d++ {
-		fmt.Fprintf(&b, "  void op%d(int v);\n", d)
-	}
-	b.WriteString("  int helper(int v);\n};\n\nclass driver {\npublic:\n  int mode;\n  cell *a[NI];\n  int check;\n  void setup(int m);\n  void run();\n  void report();\n};\n\ndriver D;\n\n")
-	fmt.Fprintf(&b, "int cell::helper(int v) {\n  return v * %d + %d;\n}\n\n", k(), k())
-	for d := 0; d <= depth; d++ {
-		fmt.Fprintf(&b, "void cell::op%d(int v) {\n", d)
-		switch shape {
-		case "accumulate":
-			fmt.Fprintf(&b, "  s0 = s0 + v * %d;\n  cnt = cnt + 1;\n", k())
-		case "overwrite":
-			fmt.Fprintf(&b, "  s1 = v + %d;\n  cnt += 1;\n", k())
-		case "mode-guarded":
-			fmt.Fprintf(&b, "  if (D.mode == 0 && v > -1) {\n    s0 = s0 + v;\n  } else {\n    s0 = v;\n    s1 = s1 + %d;\n  }\n", k())
-		case "helper-chain":
-			fmt.Fprintf(&b, "  s0 = s0 + this->helper(v + %d);\n", k())
-		}
-		if d < depth {
-			fmt.Fprintf(&b, "  this->op%d(v + %d);\n", d+1, k())
-		}
-		b.WriteString("}\n\n")
-	}
-	b.WriteString("void driver::setup(int m) {\n  int i;\n  mode = m;\n  for (i = 0; i < NI; i += 1) {\n    a[i] = new cell;\n  }\n}\n\n")
-	fmt.Fprintf(&b, "void driver::run() {\n  int i;\n  for (i = 0; i < NI; i += 1) {\n    a[i]->op0(i * %d + 1);\n  }\n}\n\n", k())
-	b.WriteString("void driver::report() {\n  int i;\n  check = 0;\n  for (i = 0; i < NI; i += 1) {\n    check = check * 31 + a[i]->s0 + a[i]->s1 * 7 + a[i]->cnt;\n  }\n  print(check);\n}\n\n")
-	fmt.Fprintf(&b, "void main() {\n  int r;\n  D.setup(%d);\n  for (r = 0; r < %d; r += 1) {\n    D.run();\n  }\n  D.report();\n}\n", r.Intn(2), rounds)
-	return b.String()
-}
-
 // TestWorkBoundsTheWalker: where main is bounded, its estimate is an
 // upper bound on what the tree walker charges a full run, and a tight
 // one: equal for a program that never branches (the bound guesses only
@@ -122,25 +85,19 @@ func TestWorkBoundsTheWalker(t *testing.T) {
 	type prog struct {
 		name, source string
 	}
-	specMain := func(body, global, region, report string) string {
-		return body[:strings.Index(body, "void main()")] + fmt.Sprintf(
-			"void main() {\n  int r;\n  %[1]s.init();\n  for (r = 0; r < 16; r += 1) {\n    %[1]s.%[2]s();\n  }\n  %[1]s.%[3]s();\n}\n",
-			global, region, report)
-	}
 	progs := []prog{
 		{"condhash0", src.CondHashBase + src.CondHashMain(0, 64)},
 		{"condhash3", src.CondHashBase + src.CondHashMain(3, 64)},
 		{"specdisjoint", src.SpecDisjoint},
 		{"specconflict", src.SpecConflict},
-		{"specdisjoint-16", specMain(src.SpecDisjoint, "T", "fill", "report")},
-		{"specconflict-16", specMain(src.SpecConflict, "D", "run", "show")},
+		{"specdisjoint-16", oracle.Repeat(src.SpecDisjoint, "T.init();", "T.fill();", 16, "T.report();")},
+		{"specconflict-16", oracle.Repeat(src.SpecConflict, "D.init();", "D.run();", 16, "D.show();")},
 		{"rules", rulesSrc},
 		{"steps", stepsSrc},
 	}
 	r := rand.New(rand.NewSource(19))
 	for i := 0; i < 24; i++ {
-		shape := []string{"accumulate", "overwrite", "mode-guarded", "helper-chain"}[i%4]
-		progs = append(progs, prog{fmt.Sprintf("%s-%d", shape, i), genWorkProgram(r, shape)})
+		progs = append(progs, prog{fmt.Sprintf("work-%d", i), oracle.Work(r, oracle.Op(i%int(oracle.Ops)))})
 	}
 	branching := 0
 	for _, p := range progs {

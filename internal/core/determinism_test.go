@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"commute/internal/apps"
 	"commute/internal/core"
-	"commute/internal/frontend/parser"
 	"commute/internal/frontend/types"
+	"commute/internal/oracle"
 )
 
 // analyzeAt runs a fresh cold analysis of prog with the given driver
@@ -66,133 +65,14 @@ func TestParallelDriverDeterministic(t *testing.T) {
 	}
 }
 
-// genAnalysisProgram generates a random program mixing commuting
-// updates (adds), non-commuting updates (an order-dependent recurrence,
-// so some pairs fail symbolic testing and produce Reason strings), and
-// I/O-tainted methods — exercising the failure paths whose diagnostics
-// must not depend on goroutine scheduling.
-func genAnalysisProgram(r *rand.Rand, counters, updates int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `
-const int NC = %d;
-const int NU = %d;
-
-class counter {
-public:
-  int a; int b; int c;
-  void good(int k);
-  void bad(int k);
-  void loud(int k);
-};
-
-void counter::good(int k) {
-  a = a + k;
-  b = b + 2 * k;
-}
-
-void counter::bad(int k) {
-  a = a * 2 + k;
-  c = c + a;
-}
-
-void counter::loud(int k) {
-  b = b + k;
-  print(b);
-}
-
-class driver {
-public:
-  counter *cs[NC];
-  int targets[NU];
-  int amounts[NU];
-  void setup();
-  void applyGood(int u);
-  void applyBad(int u);
-  void applyLoud(int u);
-  void runGood();
-  void runBad();
-  void runLoud();
-};
-
-driver D;
-
-void driver::setup() {
-  int i;
-  for (i = 0; i < NC; i++) {
-    cs[i] = new counter;
-    cs[i]->a = 0;
-    cs[i]->b = 1;
-    cs[i]->c = 0;
-  }
-`, counters, updates)
-	for u := 0; u < updates; u++ {
-		fmt.Fprintf(&sb, "  targets[%d] = %d;\n  amounts[%d] = %d;\n",
-			u, r.Intn(counters), u, 1+r.Intn(9))
-	}
-	sb.WriteString(`}
-
-void driver::applyGood(int u) {
-  counter *x;
-  x = cs[targets[u]];
-  x->good(amounts[u]);
-}
-
-void driver::applyBad(int u) {
-  counter *x;
-  x = cs[targets[u]];
-  x->bad(amounts[u]);
-}
-
-void driver::applyLoud(int u) {
-  counter *x;
-  x = cs[targets[u]];
-  x->loud(amounts[u]);
-}
-
-void driver::runGood() {
-  int u;
-  for (u = 0; u < NU; u++)
-    this->applyGood(u);
-}
-
-void driver::runBad() {
-  int u;
-  for (u = 0; u < NU; u++)
-    this->applyBad(u);
-}
-
-void driver::runLoud() {
-  int u;
-  for (u = 0; u < NU; u++)
-    this->applyLoud(u);
-}
-
-void main() {
-  D.setup();
-  D.runGood();
-  D.runBad();
-  D.runLoud();
-}
-`)
-	return sb.String()
-}
-
 // TestParallelDriverDeterministicRandom: the serial/parallel
-// differential over randomly generated programs, including methods the
+// differential over the generator's Analysis programs, including methods the
 // analysis must reject (non-commuting recurrences, I/O) so the Reason
 // strings and pair orderings are compared on the failure paths too.
 func TestParallelDriverDeterministicRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(20260806))
 	for trial := 0; trial < 8; trial++ {
-		source := genAnalysisProgram(r, 2+r.Intn(5), 4+r.Intn(12))
-		file, err := parser.Parse("random.mc", source)
-		if err != nil {
-			t.Fatalf("trial %d parse: %v", trial, err)
-		}
-		prog, err := types.Check(file)
-		if err != nil {
-			t.Fatalf("trial %d check: %v", trial, err)
-		}
+		prog := mustCheck(t, "random.mc", oracle.Analysis(r))
 		want := analyzeAt(prog, 1)
 		var sawFailure bool
 		for _, rep := range want {

@@ -13,111 +13,8 @@ import (
 	"commute/internal/core"
 	"commute/internal/frontend/parser"
 	"commute/internal/frontend/types"
+	"commute/internal/oracle"
 )
-
-// genMixedProgram generates a program whose item classes mix the
-// behaviours that give one method pair different symbolic outcomes in
-// different extents: accumulating operations (commute), overwriting
-// ones (do not), operations guarded on D.mode (an extent constant below
-// the run methods, written state above them), operations that call a
-// helper reading D.mode (auxiliary only where D.mode is constant),
-// while loops (not symbolically executable), call chains inside a class
-// and links across classes (so extents overlap and share pairs). Every
-// class also has look, which calls the read-only peek: that call site
-// is auxiliary in quiet's extent, where nothing writes what peek reads,
-// and an extent operation in the run methods', so the pair (look, look)
-// is executed under both answers.
-func genMixedProgram(r *rand.Rand, classes, methods int) string {
-	const kinds = 5 // accumulate, overwrite, mode-guarded, helper, while
-	depth := r.Intn(methods)
-	link := r.Intn(2) == 0
-	var b strings.Builder
-	b.WriteString("const int NI = 4;\n\n")
-	for c := classes - 1; c >= 0; c-- {
-		fmt.Fprintf(&b, "class n%d {\npublic:\n  int v;\n  n%d *next;\n};\n\n", c, c)
-		fmt.Fprintf(&b, "class c%d {\npublic:\n  int s0;\n  int s1;\n  int last;\n  n%d *head;\n", c, c)
-		if link && c+1 < classes {
-			fmt.Fprintf(&b, "  c%d *peer;\n", c+1)
-		}
-		b.WriteString("  int weight(int k);\n  void peek(int k);\n  void look(int k);\n  void bump(int k);\n")
-		for m := 0; m < methods; m++ {
-			fmt.Fprintf(&b, "  void op%d(int k);\n", m)
-		}
-		b.WriteString("};\n\n")
-	}
-	b.WriteString("class driver {\npublic:\n  int mode;\n")
-	for c := 0; c < classes; c++ {
-		fmt.Fprintf(&b, "  c%d *a%d[NI];\n", c, c)
-	}
-	b.WriteString("  void setup(int m);\n")
-	for c := 0; c < classes; c++ {
-		fmt.Fprintf(&b, "  void run%d();\n", c)
-	}
-	b.WriteString("  void quiet();\n  void all();\n};\n\ndriver D;\n\n")
-
-	for c := 0; c < classes; c++ {
-		fmt.Fprintf(&b, "int c%d::weight(int k) {\n  return k * D.mode + %d;\n}\n\n", c, 1+r.Intn(9))
-		fmt.Fprintf(&b, "void c%d::peek(int k) {\n  int t;\n  t = s0 + k;\n}\n\n", c)
-		fmt.Fprintf(&b, "void c%d::look(int k) {\n  s1 = s1 + k;\n  this->peek(k);\n}\n\n", c)
-		fmt.Fprintf(&b, "void c%d::bump(int k) {\n  s0 = s0 + k;\n}\n\n", c)
-		for m := 0; m < methods; m++ {
-			fmt.Fprintf(&b, "void c%d::op%d(int k) {\n", c, m)
-			f, k := fmt.Sprintf("s%d", r.Intn(2)), 1+r.Intn(9)
-			switch r.Intn(kinds) {
-			case 0:
-				fmt.Fprintf(&b, "  %s = %s + k * %d;\n", f, f, k)
-			case 1:
-				fmt.Fprintf(&b, "  last = k;\n  %s = %s + k * %d;\n", f, f, k)
-			case 2:
-				fmt.Fprintf(&b, "  if (D.mode == 0) {\n    %s = %s + k * %d;\n  } else {\n    %s = k;\n  }\n", f, f, k, f)
-			case 3:
-				fmt.Fprintf(&b, "  int w;\n  w = this->weight(k);\n  %s = %s + w;\n", f, f)
-			case 4:
-				fmt.Fprintf(&b, "  n%d *p;\n  p = head;\n  while (p != NULL) {\n    %s = %s + p->v * %d;\n    p = p->next;\n  }\n", c, f, f, k)
-			}
-			if m < depth && m+1 < methods {
-				fmt.Fprintf(&b, "  this->op%d(k + %d);\n", m+1, k)
-			} else if m == depth && link && c+1 < classes {
-				fmt.Fprintf(&b, "  peer->op0(k + %d);\n", k)
-			}
-			b.WriteString("}\n\n")
-		}
-	}
-
-	b.WriteString("void driver::setup(int m) {\n  int i;\n  mode = m;\n")
-	for c := classes - 1; c >= 0; c-- {
-		fmt.Fprintf(&b, "  for (i = 0; i < NI; i += 1) {\n    a%d[i] = new c%d;\n    a%d[i]->head = new n%d;\n    a%d[i]->head->v = i;\n", c, c, c, c, c)
-		if link && c+1 < classes {
-			fmt.Fprintf(&b, "    a%d[i]->peer = a%d[i];\n", c, c+1)
-		}
-		b.WriteString("  }\n")
-	}
-	b.WriteString("}\n\n")
-	for c := 0; c < classes; c++ {
-		fmt.Fprintf(&b, "void driver::run%d() {\n  int i;\n  for (i = 0; i < NI; i += 1) {\n    a%d[i]->op0(i + 1);\n    a%d[i]->look(i);\n    a%d[i]->bump(i);\n", c, c, c, c)
-		for m := depth + 1; m < methods; m++ {
-			fmt.Fprintf(&b, "    a%d[i]->op%d(i + %d);\n", c, m, m)
-		}
-		b.WriteString("  }\n}\n\n")
-	}
-	b.WriteString("void driver::quiet() {\n  int i;\n  for (i = 0; i < NI; i += 1) {\n")
-	for c := 0; c < classes; c++ {
-		fmt.Fprintf(&b, "    a%d[i]->look(i + %d);\n", c, c)
-	}
-	b.WriteString("  }\n}\n\n")
-	// all's extent spans every class; mode stays constant in it, unlike
-	// in main's, where setup writes it.
-	b.WriteString("void driver::all() {\n")
-	for c := 0; c < classes; c++ {
-		fmt.Fprintf(&b, "  this->run%d();\n", c)
-	}
-	b.WriteString("}\n\nvoid main() {\n  D.setup(0);\n  D.quiet();\n  D.all();\n")
-	for c := 0; c < classes; c++ {
-		fmt.Fprintf(&b, "  D.run%d();\n", c)
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
 
 func mustCheck(t *testing.T, name, source string) *types.Program {
 	t.Helper()
@@ -133,7 +30,7 @@ func mustCheck(t *testing.T, name, source string) *types.Program {
 }
 
 // memoPrograms is the corpus of the memo differential: the shipped
-// applications and two families of generated programs.
+// applications and two families of the generator's programs.
 func memoPrograms(t *testing.T) map[string]*types.Program {
 	progs := map[string]*types.Program{
 		"graph":         mustCheck(t, "graph", src.Graph),
@@ -146,11 +43,11 @@ func memoPrograms(t *testing.T) map[string]*types.Program {
 	r := rand.New(rand.NewSource(20261001))
 	for i := 0; i < 10; i++ {
 		name := fmt.Sprintf("mixed-%d", i)
-		progs[name] = mustCheck(t, name, genMixedProgram(r, 2+r.Intn(4), 2+r.Intn(3)))
+		progs[name] = mustCheck(t, name, oracle.Mixed(r))
 	}
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("counters-%d", i)
-		progs[name] = mustCheck(t, name, genAnalysisProgram(r, 2+r.Intn(5), 4+r.Intn(12)))
+		progs[name] = mustCheck(t, name, oracle.Analysis(r))
 	}
 	return progs
 }

@@ -1,0 +1,397 @@
+package oracle_test
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"commute/internal/apps/src"
+	"commute/internal/oracle"
+	"commute/internal/rt"
+)
+
+// TestSerialEquivalence runs every row through oracle.Check: the shipped
+// applications and demonstrators, the loop, entry and dispatch fixtures,
+// and draws of every generator family, each with the counters that say
+// why its runs agree with the serial walker.
+func TestSerialEquivalence(t *testing.T) {
+	for _, row := range rows() {
+		t.Run(row.Name, func(t *testing.T) { oracle.Check(t, row) })
+	}
+}
+
+// FuzzSerialEquivalence holds programs of every generator family to the
+// serial walker on the interpreter runtime.
+func FuzzSerialEquivalence(f *testing.F) {
+	for seed := int64(0); seed < 6; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		oracle.Check(t, oracle.Row{Name: "draw", Source: oracle.Draw(rand.New(rand.NewSource(seed)))})
+	})
+}
+
+// interpreter is what is wrong with an interpreter run whose counters are
+// not ok; the binary does not count them.
+func interpreter(r oracle.Run, ok bool, what string) string {
+	if r.Native || ok {
+		return ""
+	}
+	return what
+}
+
+func rows() []oracle.Row {
+	apps := []int{7, 8, 16}
+	rows := []oracle.Row{
+		{Name: "graph", Source: src.Graph, Native: true, Workers: apps, Expect: func(r oracle.Run) string {
+			return interpreter(r, r.Stats.Regions > 0 && (r.Workers == 1 || r.Stats.Tasks > 0), "no region, or no task at several workers")
+		}},
+		{Name: "barneshut", Source: src.BarnesHut, Native: true, Race: []int{4}, Workers: apps, Expect: func(r oracle.Run) string {
+			s := r.Stats
+			return interpreter(r, s.ParallelLoops > 0 && s.Chunks > 0 && s.Iterations > 0 && s.LockAcquires > 0, "no parallel loop, chunk, iteration or lock")
+		}},
+		// Water accumulates doubles under locks in an order that varies.
+		{Name: "water", Source: src.Water, Tol: 1e-9, Native: true, Workers: apps, Expect: func(r oracle.Run) string {
+			return interpreter(r, r.Stats.ParallelLoops > 0 && r.Stats.LockAcquires > 0, "no parallel loop or lock")
+		}},
+
+		// The demonstrators, main entering one root again and again. The
+		// guard holds in condhash's mode 0 only; speculation commits on
+		// spec-disjoint and aborts on spec-conflict.
+		entries("condhash0", src.CondHashBase+src.CondHashMain(0, 512), 512, func(r oracle.Run) (tier rt.Stats) {
+			switch {
+			case r.Conditional:
+				tier = rt.Stats{Regions: 1, GuardParallel: 1}
+			case r.Speculate != rt.SpecOff:
+				tier = rt.Stats{Regions: 1, SpeculativeRegions: 1}
+			}
+			return tier
+		}),
+		entries("condhash3", src.CondHashBase+src.CondHashMain(3, 24), 24, func(r oracle.Run) (tier rt.Stats) {
+			if r.Conditional {
+				tier.GuardSerial = 1
+			}
+			if r.Speculate == rt.SpecForce || !r.Conditional && r.Speculate == rt.SpecAuto {
+				tier.Regions, tier.SpeculativeRegions = 1, 1
+			}
+			return tier
+		}),
+		entries("specdisjoint", oracle.Repeat(src.SpecDisjoint, "T.init();", "T.fill();", 256, "T.report();"), 256, func(r oracle.Run) (tier rt.Stats) {
+			if r.Speculate != rt.SpecOff {
+				tier = rt.Stats{Regions: 1, SpeculativeRegions: 1, SpeculationCommits: 1}
+			}
+			return tier
+		}),
+		entries("specconflict", oracle.Repeat(src.SpecConflict, "D.init();", "D.run();", 256, "D.show();"), 256, func(r oracle.Run) (tier rt.Stats) {
+			if r.Speculate != rt.SpecOff {
+				tier = rt.Stats{Regions: 1, SpeculativeRegions: 1, SpeculationAborts: 1}
+			}
+			return tier
+		}),
+		// Roots the cutoff declines on the plan as built: a speculative
+		// extent below two mutually recursive serial drivers, which need a
+		// D_ version of both halves of the cycle natively, and a root called
+		// from inside another, part of the outer's serial version there.
+		{Name: "pingpong", Source: src.SpecDisjoint[:strings.Index(src.SpecDisjoint, "void main()")] + pingPong, Native: true, Expect: declinesAsBuilt},
+		{Name: "nested", Source: nestedRoots, Native: true, Expect: declinesAsBuilt},
+	}
+
+	// A method that returns a value is no region root, however parallel
+	// its body, small or above both entry costs: a call from serial code is
+	// its serial version, result included, and counts nothing.
+	for _, fx := range append([]src.EntryFixture{{Name: "valueroot", Source: valueRoot, Root: "driver::step"}}, src.EntryFixtures()...) {
+		rows = append(rows, oracle.Row{Name: fx.Name, Source: fx.Source, Native: true, Expect: func(r oracle.Run) string {
+			root := r.Sys.Prog.MethodByFullName(fx.Root)
+			if r.Sys.CondPlan.RegionRoot(root) || !r.Sys.CondPlan.Methods[root].Parallel {
+				return fx.Root + " is a region root, or has no parallel version"
+			}
+			if r.Stats != (rt.Stats{}) {
+				return "counted an entry"
+			}
+			return ""
+		}})
+	}
+	// The legality fixtures open one region that runs a parallel loop
+	// exactly where the plan has one, and the binary's text lowers to GSS
+	// exactly those. carried's wrong answers depended on when helpers joined.
+	for _, fx := range src.LoopFixtures() {
+		row := oracle.Row{Name: fx.Name, Source: fx.Source, Native: true, Expect: func(r oracle.Run) string {
+			if r.Native && r.GSS != (fx.Parallel > 0) {
+				return fmt.Sprintf("GSS loop in the binary: %t, parallel loops in the plan: %d", r.GSS, fx.Parallel)
+			}
+			return interpreter(r, r.Stats.Regions == 1 && r.Stats.ParallelLoops == int64(fx.Parallel), fmt.Sprintf("want 1 region and %d parallel loops", fx.Parallel))
+		}}
+		if fx.Name == "carried" {
+			row.Repeat = 20
+		}
+		rows = append(rows, row)
+	}
+	// The dispatch fixtures open one region and run no loop in it, whatever
+	// the timing: an auxiliary call runs the serial version (aux-loop's
+	// counter::add keeps its lock from the probe to the write), and
+	// hoist-escape's outer::go may not hold its lock through (inner::poke is
+	// spawned and acc::add locks: two acquisitions a node). They run at the
+	// shipped size, where the old wrong answers showed in only some runs;
+	// under the race detector, which needs no luck, on trees of depth 8.
+	for _, fx := range src.DispatchFixtures() {
+		// Tree nodes, and lock acquisitions a node.
+		size := map[string][2]int64{"aux-loop": {65535, 1}, "hoist-escape": {16383, 2}, "nested-spawn": {65535, 3}}[fx.Name]
+		if raceEnabled {
+			fx.Source, size[0] = fx.AtDepth(8), 511
+		}
+		locks := size[0] * size[1]
+		rows = append(rows, oracle.Row{Name: fx.Name, Source: fx.Source, Native: true, Race: []int{4}, Expect: func(r oracle.Run) string {
+			s := r.Stats
+			return interpreter(r, s.Regions == 1 && s.ParallelLoops == 0 && s.LockAcquires == locks, fmt.Sprintf("want 1 region, no loop and %d locks", locks))
+		}})
+	}
+	return append(rows, draws()...)
+}
+
+// draws are rows of the generator. Counters: every loop shape at every
+// step under every reach, the second half with a valued pass, the update
+// loop parallel exactly where its shape is legal and its root opened;
+// then updates that overwrite (speculation, which commits or aborts) and
+// that depend on a mode (the guard holds in mode 0 only), the violators
+// (every speculative region aborts), and the analysis families.
+func draws() []oracle.Row {
+	r := rand.New(rand.NewSource(1234))
+	var rows []oracle.Row
+	counters := func(name string, c oracle.Counters, native bool, expect func(oracle.Run, rt.Stats) string) {
+		rows = append(rows, oracle.Row{Name: name, Source: c.Source(r), Native: native, Expect: func(run oracle.Run) string {
+			mp := run.Sys.CondPlan.Methods[run.Sys.Prog.MethodByFullName("driver::runAll")]
+			switch c.Op {
+			case oracle.Overwrite:
+				if !mp.Speculative {
+					return "driver::runAll is not planned speculative"
+				}
+			case oracle.ModeGuarded:
+				if !mp.Conditional {
+					return "driver::runAll is not planned conditional"
+				}
+			}
+			if run.Stats.RegionsDeclined != 0 {
+				return ""
+			}
+			return expect(run, run.Stats)
+		}})
+	}
+	for i := 0; i < 30; i++ {
+		c := oracle.DrawCounters(r)
+		c.Loop, c.Step, c.Reach, c.Valued = oracle.LoopShapes[i%len(oracle.LoopShapes)], 1+i/5%3, oracle.Reach(i%int(oracle.Reaches)), i >= 15
+		counters(fmt.Sprintf("commuting-%d", i), c, false, func(run oracle.Run, s rt.Stats) string {
+			return interpreter(run, (s.ParallelLoops > 0) == c.Loop.Legal, fmt.Sprintf("loop shape %q: %d parallel loops", c.Loop.Name, s.ParallelLoops))
+		})
+	}
+	speculates := func(run oracle.Run, s rt.Stats) string {
+		if run.Speculate == rt.SpecForce && s.SpeculativeRegions == 0 {
+			return "nothing speculated"
+		}
+		return ""
+	}
+	for i := 0; i < 8; i++ {
+		c := oracle.DrawCounters(r)
+		c.Op = oracle.Overwrite
+		if i < 2 {
+			// Natively, a root whose tier is serial by policy runs S_ code,
+			// where the interpreter still enters the roots below it: at one
+			// worker the two count alike only where no root is nested.
+			c.Reach, c.Loop = oracle.Direct, oracle.LoopShapes[0]
+		}
+		counters(fmt.Sprintf("rejected-%d", i), c, i < 2, speculates)
+		// rejected-0's root costs more than the interpreter's entry cost and
+		// less than the emitter's.
+		rows[len(rows)-1].NoParity = i == 0
+	}
+	for i := 0; i < 6; i++ {
+		c := oracle.DrawCounters(r)
+		c.Op, c.Mode = oracle.ModeGuarded, i%2
+		counters(fmt.Sprintf("conditional-%d", i), c, false, func(run oracle.Run, s rt.Stats) string {
+			if !run.Conditional || run.Speculate != rt.SpecOff {
+				return ""
+			}
+			if c.Mode == 0 && (s.GuardParallel == 0 || s.GuardSerial != 0) || c.Mode != 0 && (s.GuardSerial == 0 || s.GuardParallel != 0 || s.Regions != 0) {
+				return fmt.Sprintf("wrong guard outcome in mode %d", c.Mode)
+			}
+			return ""
+		})
+	}
+	for i := 0; i < 7; i++ {
+		rows = append(rows, oracle.Row{Name: fmt.Sprintf("violating-%d", i), Source: oracle.Violating(r), Native: i == 0, Expect: func(run oracle.Run) string {
+			s := run.Stats
+			if s.RegionsDeclined == 0 && run.Speculate == rt.SpecForce && (s.SpeculationAborts == 0 || s.SpeculationCommits != 0) {
+				return "a guaranteed conflict committed, or did not abort"
+			}
+			return ""
+		}})
+	}
+	for i := 0; i < 4; i++ {
+		rows = append(rows,
+			oracle.Row{Name: fmt.Sprintf("analysis-%d", i), Source: oracle.Analysis(r)},
+			oracle.Row{Name: fmt.Sprintf("mixed-%d", i), Source: oracle.Mixed(r)},
+			oracle.Row{Name: fmt.Sprintf("work-%d", i), Source: oracle.Work(r, oracle.Op(i))})
+	}
+	return rows
+}
+
+// entries is a row whose main enters one region root n times: on the plan
+// as built each entry is declined and nothing else counts; cleared, each
+// entry counts what tier says (Regions on the interpreter only), and
+// where tier names a speculative region but neither outcome, commits and
+// aborts need only add up.
+func entries(name, source string, n int64, tier func(oracle.Run) rt.Stats) oracle.Row {
+	return oracle.Row{Name: name, Source: source, Native: true, Race: []int{1, 4}, Expect: func(r oracle.Run) string {
+		want, got := rt.Stats{RegionsDeclined: n}, r.Stats
+		if r.Cleared {
+			want = tier(r)
+			for _, c := range []*int64{&want.Regions, &want.SpeculativeRegions, &want.SpeculationCommits, &want.SpeculationAborts, &want.GuardParallel, &want.GuardSerial} {
+				*c *= n
+			}
+			if want.SpeculationCommits+want.SpeculationAborts == 0 {
+				want.SpeculationCommits, want.SpeculationAborts = got.SpeculationCommits, got.SpeculationAborts
+			}
+			got = oracle.Policy(r.Stats)
+			got.Regions = r.Stats.Regions
+		}
+		if r.Native {
+			want.Regions = 0
+		}
+		if got != want {
+			return "want " + oracle.Counts(want)
+		}
+		return ""
+	}}
+}
+
+// declinesAsBuilt: on the plan as built the cutoff declines some entry.
+func declinesAsBuilt(r oracle.Run) string {
+	if !r.Cleared && r.Stats.RegionsDeclined == 0 {
+		return "declined nothing on the plan as built"
+	}
+	return ""
+}
+
+// pingPong drives SpecDisjoint's speculative extent from two mutually
+// recursive serial methods (they print, so they stay serial drivers).
+const pingPong = `
+class drv {
+public:
+  int unused;
+  void ping(int n);
+  void pong(int n);
+};
+
+drv D;
+
+void drv::ping(int n) {
+  print(n);
+  if (n > 0) {
+    pong(n - 1);
+  }
+  T.fill();
+}
+
+void drv::pong(int n) {
+  print(n);
+  if (n > 0) {
+    ping(n - 1);
+  }
+}
+
+void main() {
+  T.init();
+  D.ping(3);
+  D.pong(3);
+  T.report();
+}
+`
+
+// nestedRoots calls one region root from inside another: entered from
+// serial code each is a region entry of its own, but inside a declined
+// outer the inner is just part of the serial version — one decline, in
+// both runtimes.
+const nestedRoots = `
+class counter {
+public:
+  int total;
+  void add(int v);
+};
+
+class driver {
+public:
+  counter *c;
+  void init();
+  void outer();
+  void inner();
+};
+
+driver D;
+
+void counter::add(int v) {
+  total = total + v;
+}
+
+void driver::init() {
+  c = new counter;
+}
+
+void driver::inner() {
+  c->add(2);
+  c->add(3);
+}
+
+void driver::outer() {
+  c->add(1);
+  this->inner();
+}
+
+void main() {
+  D.init();
+  D.outer();
+  D.inner();
+  print(D.c->total);
+}
+`
+
+// valueRoot consumes the result of a method that spawns: only its result
+// keeps step from being a region root, and the cutoff would decline it.
+const valueRoot = `
+class counter {
+public:
+  int total;
+  void add(int v);
+};
+
+class driver {
+public:
+  counter *c;
+  int seen;
+  void init();
+  int step();
+};
+
+driver D;
+
+void counter::add(int v) {
+  total = total + v;
+}
+
+void driver::init() {
+  c = new counter;
+}
+
+int driver::step() {
+  c->add(1);
+  c->add(2);
+  return 7;
+}
+
+void main() {
+  int x;
+  D.init();
+  x = D.step();
+  D.seen = x;
+  print(x, D.c->total);
+}
+`

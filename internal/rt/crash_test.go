@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"commute/internal/interp"
+	"commute/internal/oracle"
 	"commute/internal/rt"
 )
 
@@ -189,8 +190,7 @@ func TestCrashCorpusSerialInterpreter(t *testing.T) {
 			{"spawn", spawnShape(tc.spawn)},
 			{"loop", loopShape(tc.loop)},
 		} {
-			prog, _ := build(t, shape.source)
-			ip := interp.New(prog, nil)
+			ip := interp.New(oracle.Load(t, "crash.mc", shape.source).Prog, nil)
 			ctx := ip.NewCtx()
 			ctx.MaxSteps = corpusMaxSteps
 			err := ip.Run(ctx)
@@ -215,10 +215,8 @@ func TestCrashCorpusParallelRuntime(t *testing.T) {
 			{"spawn", spawnShape(tc.spawn)},
 			{"loop", loopShape(tc.loop)},
 		} {
-			prog, plan := build(t, shape.source)
 			for _, workers := range []int{1, 2, 8} {
-				ip := interp.New(prog, nil)
-				r := rt.New(ip, plan, workers)
+				r := newRuntime(t, shape.source, workers)
 				r.MaxSteps = corpusMaxSteps
 				ctx, cancel := context.WithTimeout(context.Background(), corpusDeadline)
 				start := time.Now()
@@ -253,10 +251,8 @@ func TestCrashCorpusSpeculative(t *testing.T) {
 			{"spawn", spawnShape(tc.spawn)},
 			{"loop", loopShape(tc.loop)},
 		} {
-			prog, plan := buildSpec(t, shape.source)
 			for _, faults := range []*rt.FaultPlan{nil, {PanicOnValidate: 1}} {
-				ip := interp.New(prog, nil)
-				r := rt.New(ip, plan, 4)
+				r := newRuntime(t, shape.source, 4)
 				r.Speculate = rt.SpecForce
 				r.MaxSteps = corpusMaxSteps
 				r.Faults = faults

@@ -7,6 +7,7 @@ package rt_test
 // re-run. Run under -race.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -14,6 +15,8 @@ import (
 
 	"commute/internal/apps/src"
 	"commute/internal/interp"
+	"commute/internal/nativegen"
+	"commute/internal/oracle"
 	"commute/internal/rt"
 )
 
@@ -113,10 +116,21 @@ void main() {
 }
 `
 
-func newRuntime(t *testing.T, source string, workers int) *rt.Runtime {
+// newRuntime runs source under the plan every binary runs, its work
+// estimates cleared so that every root opens its region however small
+// the program is; what the program prints is kept for state.
+func newRuntime(t testing.TB, source string, workers int) *rt.Runtime {
 	t.Helper()
-	prog, plan := build(t, source)
-	return rt.New(interp.New(prog, nil), plan, workers)
+	sys := oracle.ClearWork(oracle.Load(t, "app.mc", source))
+	return rt.New(interp.New(sys.Prog, new(bytes.Buffer)), sys.CondPlan, workers)
+}
+
+// state is what r's program printed, then its final state: the bytes
+// oracle.Reference returns for the serial walker.
+func state(r *rt.Runtime) string {
+	out := r.IP.Out.(*bytes.Buffer)
+	nativegen.DumpInterp(out, r.IP.Prog, r.IP)
+	return out.String()
 }
 
 // TestInjectedSpawnPanicSurfacesAsTaskError: a panic injected at task
@@ -267,16 +281,8 @@ func TestRunStepBudget(t *testing.T) {
 // already applied could land twice.
 func graphRunFailsLoudly(t *testing.T, faults func() *rt.FaultPlan, isWant func(error) bool) {
 	t.Helper()
-	prog, plan := build(t, src.Graph)
-	ipSerial := interp.New(prog, nil)
-	if err := ipSerial.Run(ipSerial.NewCtx()); err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	_, wantMarked := graphSums(t, prog, ipSerial)
-
 	for _, workers := range []int{1, 2, 4} {
-		ip := interp.New(prog, nil)
-		r := rt.New(ip, plan, workers)
+		r := newRuntime(t, src.Graph, workers)
 		r.Faults = faults()
 		err := r.Run()
 		if !isWant(err) {
@@ -285,8 +291,8 @@ func graphRunFailsLoudly(t *testing.T, faults func() *rt.FaultPlan, isWant func(
 		if r.Stats.Regions != 1 {
 			t.Errorf("workers=%d: Regions = %d, want 1", workers, r.Stats.Regions)
 		}
-		if _, marked := graphSums(t, prog, ip); marked >= wantMarked {
-			t.Errorf("workers=%d: %d of %d nodes marked after the fault: the region was re-run", workers, marked, wantMarked)
+		if state(r) == oracle.Reference(t, r.IP.Prog) {
+			t.Errorf("workers=%d: the traversal finished after the fault: the region was re-run", workers)
 		}
 	}
 }
@@ -386,25 +392,13 @@ func TestNoFallbackWhenCallerTimedOut(t *testing.T) {
 // TestDelayInjectionPreservesResults: injected scheduling skew at task
 // start perturbs interleavings but never the final state.
 func TestDelayInjectionPreservesResults(t *testing.T) {
-	prog, plan := build(t, src.Graph)
-
-	ipSerial := interp.New(prog, nil)
-	if err := ipSerial.Run(ipSerial.NewCtx()); err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	wantSums, _ := graphSums(t, prog, ipSerial)
-
-	ip := interp.New(prog, nil)
-	r := rt.New(ip, plan, 8)
+	r := newRuntime(t, src.Graph, 8)
 	r.Faults = &rt.FaultPlan{Seed: 42, DelayOnSpawn: 200 * time.Microsecond, DelayRate: 0.5}
 	if err := r.Run(); err != nil {
 		t.Fatalf("delayed run failed: %v", err)
 	}
-	gotSums, _ := graphSums(t, prog, ip)
-	for i := range wantSums {
-		if gotSums[i] != wantSums[i] {
-			t.Errorf("node %d sum = %d, want %d", i, gotSums[i], wantSums[i])
-		}
+	if got, want := state(r), oracle.Reference(t, r.IP.Prog); got != want {
+		t.Errorf("state after delayed spawns:\n got %.200q\nwant %.200q", got, want)
 	}
 }
 

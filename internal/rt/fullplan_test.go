@@ -1,26 +1,25 @@
 package rt_test
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"testing"
 
 	"commute/internal/apps/src"
-	"commute/internal/codegen"
-	"commute/internal/core"
-	"commute/internal/frontend/parser"
-	"commute/internal/frontend/types"
+	"commute/internal/oracle"
 )
 
 // TestFullPlanExtendsProvenPlan: every parallel run executes the plan
 // that carries all three tiers (commute.System.CondPlan), also when both
 // run-time policies are off. That is the same computation as running the
 // paper's proven plan only if the full plan leaves the proven part
-// alone: over the shipped applications and this package's generated
-// programs, every method the proven plan parallelizes has the same lock,
+// alone: over the shipped applications and draws of every generator
+// family, every method the proven plan parallelizes has the same lock,
 // hoisting and call-site decisions in the full plan and stays unguarded
 // and unspeculated, and every loop the proven plan found is planned the
-// same way.
+// same way. It is what makes the serial-equivalence oracle's one plan
+// enough.
 func TestFullPlanExtendsProvenPlan(t *testing.T) {
 	sources := map[string]string{
 		"barneshut":    src.BarnesHut,
@@ -34,31 +33,14 @@ func TestFullPlanExtendsProvenPlan(t *testing.T) {
 		"proven-steps": provenSteps,
 	}
 	r := rand.New(rand.NewSource(20240914))
-	for trial := 0; trial < 8; trial++ {
-		for name, source := range map[string]string{
-			"commuting":   genCommutingProgram(r, 2+r.Intn(6), 8+r.Intn(40)),
-			"rejected":    genRejectedProgram(r, 2+r.Intn(6), 8+r.Intn(40)),
-			"violating":   genViolatingProgram(r, 2+r.Intn(5)),
-			"conditional": genConditionalProgram(r, 2+r.Intn(6), 8+r.Intn(40), r.Intn(2)),
-		} {
-			sources[name+"-"+string(rune('a'+trial))] = source
-		}
+	for i := 0; i < 40; i++ {
+		sources[fmt.Sprintf("draw-%d", i)] = oracle.Draw(r)
 	}
 
 	proven := 0
 	for name, source := range sources {
-		f, err := parser.Parse(name+".mc", source)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", name, err)
-		}
-		prog, err := types.Check(f)
-		if err != nil {
-			t.Fatalf("%s: check: %v", name, err)
-		}
-		an := core.New(prog)
-		plan := codegen.Build(an)
-		full := codegen.BuildWithOptions(an, codegen.Options{ConditionalGuards: true, SpeculateRejected: true})
-
+		sys := oracle.Load(t, name+".mc", source)
+		plan, full := sys.Plan, sys.CondPlan
 		for m, mp := range plan.Methods {
 			if !mp.Parallel {
 				continue

@@ -9,10 +9,10 @@ import (
 
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
-	"commute/internal/core"
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/parser"
 	"commute/internal/frontend/types"
+	"commute/internal/oracle"
 )
 
 // listingNeutral strips the run-time library's constructs from an
@@ -44,10 +44,9 @@ type listingLoop struct {
 // TestEmitSourceSaysWhatRuns: the annotated source `commutec -emit source`
 // prints answers every question from the plan the runtimes run, and
 // decides nothing itself. Over every method of the shipped apps, of the
-// loop, entry and dispatch fixtures, and of a generator draw — every loop
-// shape under every update shape, a commuting and a conditional program —
-// each under the proven plan -emit source renders, the reparsed listing
-// says:
+// loop, entry and dispatch fixtures, and of generator draws — every loop
+// shape under every reach, and draws of every family — each under the
+// proven plan -emit source renders, the reparsed listing says:
 //
 //	(a) every call site in m, m__parallel and m__mutex is spawned,
 //	    suffixed or plain as MethodPlan.Call answers for the body it sits
@@ -57,7 +56,9 @@ type listingLoop struct {
 //	(c) the serial version is `this->m__parallel(…); wait();` iff
 //	    Plan.RegionRoot(m), and is otherwise m as written, its return
 //	    type included;
-//	(d) GeneratesConcurrency allocates nothing on a repeat query.
+//	(d) GeneratesConcurrency allocates nothing on a repeat query;
+//	(e) every suffixed call names a version the listing defines, also
+//	    of a method defined in its class body.
 func TestEmitSourceSaysWhatRuns(t *testing.T) {
 	sources := map[string]string{}
 	for _, name := range strings.Split(src.AppNames(), ", ") {
@@ -74,26 +75,21 @@ func TestEmitSourceSaysWhatRuns(t *testing.T) {
 		sources["dispatch/"+fx.Name] = fx.Source
 	}
 	r := rand.New(rand.NewSource(26))
-	for _, shape := range loopBodyShapes {
-		for update := updateShape(0); update < updateShapes; update++ {
-			name := fmt.Sprintf("loop %s, update %d", shape.name, update)
-			sources[name] = genLoopProgram(r, 2+r.Intn(6), 8+r.Intn(40), shape, 1+r.Intn(3), r.Intn(2) == 0, update)
+	for _, shape := range oracle.LoopShapes {
+		for reach := oracle.Reach(0); reach < oracle.Reaches; reach++ {
+			c := oracle.DrawCounters(r)
+			c.Loop, c.Reach, c.Op = shape, reach, oracle.Op(r.Intn(int(oracle.Ops)))
+			sources[fmt.Sprintf("loop %s, reach %d", shape.Name, reach)] = c.Source(r)
 		}
 	}
-	sources["commuting"] = genCommutingProgram(r, 2+r.Intn(6), 8+r.Intn(40))
-	sources["conditional"] = genConditionalProgram(r, 2+r.Intn(6), 8+r.Intn(40), r.Intn(2))
+	for i := 0; i < 4; i++ {
+		sources[fmt.Sprintf("draw %d", i)] = oracle.Draw(r)
+	}
 
 	var roots, spawns, parallelFors int
 	for name, source := range sources {
-		f, err := parser.Parse(name+".mc", source)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", name, err)
-		}
-		prog, err := types.Check(f)
-		if err != nil {
-			t.Fatalf("%s: check: %v", name, err)
-		}
-		plan := codegen.Build(core.New(prog))
+		sys := oracle.Load(t, name+".mc", source)
+		f, prog, plan := sys.File, sys.Prog, sys.Plan
 		out := plan.EmitParallelSource(f)
 		listing, err := parser.Parse("listing.mc", listingNeutral.Replace(out))
 		if err != nil {
@@ -101,6 +97,12 @@ func TestEmitSourceSaysWhatRuns(t *testing.T) {
 		}
 		lines := strings.Split(out, "\n")
 
+		defined := map[string]bool{}
+		for _, d := range listing.Decls {
+			if md, ok := d.(*ast.MethodDef); ok {
+				defined[md.ClassName+"::"+md.Name] = true
+			}
+		}
 		defs := map[*types.Method]int{}
 		for _, d := range listing.Decls {
 			md, ok := d.(*ast.MethodDef)
@@ -164,6 +166,10 @@ func TestEmitSourceSaysWhatRuns(t *testing.T) {
 				if got := c.call.Method; got != w.Method+versionSuffix[sc.Run] || c.spawned != sc.Spawn {
 					t.Errorf("%s: %s::%s at %s calls %s, spawned %t; the call rule in version %d says %+v", name, md.ClassName, md.Name, w.Pos(), got, c.spawned, c.in, sc)
 				}
+				// (e)
+				if sc.Run != codegen.VersionSerial && !defined[prog.CallSites[w.Site].Callee.FullName()+versionSuffix[sc.Run]] {
+					t.Errorf("%s: %s::%s at %s calls %s, which the listing never defines", name, md.ClassName, md.Name, w.Pos(), prog.CallSites[w.Site].Callee.FullName()+versionSuffix[sc.Run])
+				}
 				if c.spawned {
 					spawns++
 				}
@@ -182,8 +188,10 @@ func TestEmitSourceSaysWhatRuns(t *testing.T) {
 			if m.Def == nil {
 				continue
 			}
-			// A method defined in its class body is printed there, as written.
-			if want := map[bool]int{false: 1, true: 3}[plan.Methods[m].Parallel]; defs[m] != want && slices.Contains(f.Decls, ast.Decl(m.Def)) {
+			// A serial method defined in its class body is printed there, as
+			// written; a parallel one's versions follow the class.
+			parallel := plan.Methods[m].Parallel
+			if want := map[bool]int{false: 1, true: 3}[parallel]; defs[m] != want && (parallel || slices.Contains(f.Decls, ast.Decl(m.Def))) {
 				t.Errorf("%s: %s printed %d times, want %d", name, m.FullName(), defs[m], want)
 			}
 			// (d)

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,6 +18,7 @@ import (
 	"commute/internal/codegen"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
+	"commute/internal/oracle"
 	"commute/internal/rt"
 	"commute/rtkit"
 )
@@ -81,40 +81,27 @@ void main() {
 }
 `
 
-// repeated rewrites a program whose main enters a region once so that it
-// enters it rounds times; each %d in call receives the round number.
-// after, if given, follows the loop (a report that prints).
-func repeated(body, init, call string, rounds int, after ...string) string {
-	if i := strings.Index(body, "void main()"); i >= 0 {
-		body = body[:i]
-	}
-	return body + fmt.Sprintf(
-		"void main() {\n  int r;\n  %s\n  for (r = 0; r < %d; r += 1) {\n    %s\n  }\n  %s\n}\n",
-		init, rounds, call, strings.Join(after, "\n  "))
-}
-
-func finePrograms(t testing.TB, rounds int) []fineProgram {
-	return fineProgramsPlanned(t, rounds, buildCond)
-}
-
-// fineProgramsPlanned plans the programs with build: buildCond clears
-// the work estimates, so every round's region opens; on the plan as built
-// the granularity cutoff declines them all (perRound does not apply).
-func fineProgramsPlanned(t testing.TB, rounds int, build func(testing.TB, string) (*types.Program, *codegen.Plan)) []fineProgram {
+// finePrograms are the programs with their work estimates cleared, so
+// that every round's region opens; asBuilt keeps the estimates, and the
+// granularity cutoff declines them all (perRound does not apply).
+func finePrograms(t testing.TB, rounds int, asBuilt bool) []fineProgram {
 	mk := func(name, source string, spec rt.SpecMode, perRound rt.Stats) fineProgram {
-		prog, plan := build(t, source)
-		return fineProgram{name, prog, plan, spec, perRound}
+		sys := oracle.Load(t, name+".mc", source)
+		if !asBuilt {
+			oracle.ClearWork(sys)
+		}
+		return fineProgram{name, sys.Prog, sys.CondPlan, spec, perRound}
 	}
 	return []fineProgram{
-		mk("proven", repeated(provenSteps, "D.init();", "D.step(r);", rounds), rt.SpecOff,
+		mk("proven", oracle.Repeat(provenSteps, "D.init();", "D.step(r);", rounds), rt.SpecOff,
 			rt.Stats{Regions: 1, ParallelLoops: 1, Iterations: 8, Tasks: 2, LockAcquires: 10}),
 		mk("guard-true", src.CondHashBase+src.CondHashMain(0, rounds), rt.SpecOff,
 			rt.Stats{Regions: 1, ParallelLoops: 1, Iterations: 8, Tasks: 2, LockAcquires: 10, GuardParallel: 1}),
 		mk("guard-false", src.CondHashBase+src.CondHashMain(3, rounds), rt.SpecOff,
 			rt.Stats{GuardSerial: 1}),
-		mk("spec-commit", repeated(src.SpecDisjoint, "T.init();", "T.fill();", rounds), rt.SpecForce,
+		mk("spec-commit", oracle.Repeat(src.SpecDisjoint, "T.init();", "T.fill();", rounds), rt.SpecForce,
 			rt.Stats{Regions: 1, ParallelLoops: 1, Iterations: 16, SpeculativeRegions: 1, SpeculationCommits: 1}),
-		mk("spec-abort", repeated(src.SpecConflict, "D.init();", "D.run();", rounds), rt.SpecForce,
+		mk("spec-abort", oracle.Repeat(src.SpecConflict, "D.init();", "D.run();", rounds), rt.SpecForce,
 			rt.Stats{Regions: 1, Tasks: 2, SpeculativeRegions: 1, SpeculationAborts: 1}),
 	}
 }
@@ -129,7 +116,7 @@ func (p fineProgram) runtime(workers int) *rt.Runtime {
 // BenchmarkRegionEntry runs 512 tiny regions per op; against the serial
 // sub-benchmark the difference is what the regions themselves cost.
 func BenchmarkRegionEntry(b *testing.B) {
-	for _, p := range finePrograms(b, 512) {
+	for _, p := range finePrograms(b, 512, false) {
 		for _, workers := range []int{0, 1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
@@ -156,10 +143,7 @@ func BenchmarkRegionEntry(b *testing.B) {
 // difference is what declining costs; against its other legs, what it
 // saves.
 func BenchmarkRegionDeclined(b *testing.B) {
-	asBuilt := func(t testing.TB, source string) (*types.Program, *codegen.Plan) {
-		return planAsBuilt(t, source, fullPlan)
-	}
-	for _, p := range fineProgramsPlanned(b, 512, asBuilt) {
+	for _, p := range finePrograms(b, 512, true) {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
@@ -182,7 +166,7 @@ func BenchmarkRegionDeclined(b *testing.B) {
 // of a region entry (BenchmarkRegionEntry), the number regionEntryCost
 // is derived from.
 func BenchmarkCostUnit(b *testing.B) {
-	for _, p := range finePrograms(b, 512) {
+	for _, p := range finePrograms(b, 512, false) {
 		b.Run(p.name, func(b *testing.B) {
 			var units int64
 			for i := 0; i < b.N; i++ {
@@ -204,7 +188,7 @@ func BenchmarkCostUnit(b *testing.B) {
 // pooling and recycling must not move them.
 func TestRegionCounters(t *testing.T) {
 	const rounds = 12
-	for _, p := range finePrograms(t, rounds) {
+	for _, p := range finePrograms(t, rounds, false) {
 		for _, workers := range []int{1, 2, 4} {
 			r := p.runtime(workers)
 			if err := r.Run(); err != nil {
@@ -237,7 +221,7 @@ func TestSteadyStateRegionAllocs(t *testing.T) {
 		t.Skip("sync.Pool sheds items under the race detector")
 	}
 	const short, long = 64, 64 + 256
-	shortRuns, longRuns := finePrograms(t, short), finePrograms(t, long)
+	shortRuns, longRuns := finePrograms(t, short, false), finePrograms(t, long, false)
 	for i, p := range shortRuns {
 		for _, workers := range []int{1, 2} {
 			measure := func(p fineProgram) float64 {
@@ -275,7 +259,8 @@ func settled(base int) (int, bool) {
 // goroutine watches the count for the whole run.
 func TestNoGoroutinePerRegion(t *testing.T) {
 	const workers = 3
-	prog, plan := buildCond(t, src.CondHashBase+src.CondHashMain(0, 1000))
+	r := newRuntime(t, src.CondHashBase+src.CondHashMain(0, 1000), workers)
+	r.Conditional = true
 	base := runtime.NumGoroutine()
 	var stop atomic.Bool
 	peak := make(chan int)
@@ -289,8 +274,6 @@ func TestNoGoroutinePerRegion(t *testing.T) {
 		}
 		peak <- max
 	}()
-	r := rt.New(interp.New(prog, nil), plan, workers)
-	r.Conditional = true
 	err := r.Run()
 	stop.Store(true)
 	max := <-peak
@@ -379,11 +362,10 @@ func TestPoolLifetime(t *testing.T) {
 			}},
 	}
 	for _, tc := range cases {
-		prog, plan := build(t, tc.source)
 		// The name carries the rtkit mode the runtime's pool runs in.
 		t.Run(fmt.Sprintf("%s/sched=%d", tc.name, rtkit.Stealing), func(t *testing.T) {
+			r := newRuntime(t, tc.source, 4)
 			base := runtime.NumGoroutine()
-			r := rt.New(interp.New(prog, nil), plan, 4)
 			ctx := context.Background()
 			if tc.setup != nil {
 				if c, cancel := tc.setup(r); c != nil {
@@ -450,13 +432,12 @@ void main() {
 // argument slice goes back to the caller's scratch when the hook returns;
 // ActionSpawn must have copied it for the child.
 func TestSpawnedTasksKeepTheirArguments(t *testing.T) {
-	prog, plan := build(t, spawnArgsApp)
-	if mp := plan.Methods[prog.MethodByFullName("driver::scatter")]; !mp.Parallel || len(mp.Site) != 6 {
-		t.Fatalf("scatter plan = %+v, want a parallel method with six sites", mp)
-	}
 	for _, workers := range []int{1, 4} {
-		ip := interp.New(prog, nil)
-		r := rt.New(ip, plan, workers)
+		r := newRuntime(t, spawnArgsApp, workers)
+		prog, ip := r.IP.Prog, r.IP
+		if mp := r.Plan.Methods[prog.MethodByFullName("driver::scatter")]; !mp.Parallel || len(mp.Site) != 6 {
+			t.Fatalf("scatter plan = %+v, want a parallel method with six sites", mp)
+		}
 		// Skew task starts so children outlive the caller's next calls.
 		r.Faults = &rt.FaultPlan{Seed: 1, DelayOnSpawn: 20 * time.Microsecond, DelayRate: 0.05}
 		if err := r.Run(); err != nil {

@@ -10,57 +10,10 @@ import (
 
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
-	"commute/internal/frontend/types"
 	"commute/internal/interp"
+	"commute/internal/oracle"
 	"commute/internal/rt"
 )
-
-// buildSpec compiles a program with the speculative plan extension.
-func buildSpec(t testing.TB, source string) (*types.Program, *codegen.Plan) {
-	t.Helper()
-	prog, plan := planAsBuilt(t, source, codegen.Options{SpeculateRejected: true})
-	return prog, clearWork(plan)
-}
-
-// serialOutput runs the program on the plain serial interpreter and
-// returns its print output (the bit-identical reference).
-func serialOutput(t *testing.T, prog *types.Program, eng interp.Engine) string {
-	t.Helper()
-	var buf bytes.Buffer
-	ip := interp.NewEngine(prog, &buf, eng)
-	if err := ip.Run(ip.NewCtx()); err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	return buf.String()
-}
-
-// specDisjointState reads every cell value plus the reported sum.
-func specDisjointState(t *testing.T, prog *types.Program, ip *interp.Interp) []int64 {
-	t.Helper()
-	tbl := ip.Globals["T"]
-	tableCl := prog.Classes["table"]
-	cellCl := prog.Classes["cell"]
-	cells := tbl.Slots[ip.FieldSlot(tableCl, "table", "cells")].Array()
-	var out []int64
-	for _, cv := range cells.Elems {
-		out = append(out, cv.Object().Slots[ip.FieldSlot(cellCl, "cell", "val")].Int())
-	}
-	out = append(out, tbl.Slots[ip.FieldSlot(tableCl, "table", "sum")].Int())
-	return out
-}
-
-// specConflictState reads the counter's last and total.
-func specConflictState(t *testing.T, prog *types.Program, ip *interp.Interp) [2]int64 {
-	t.Helper()
-	d := ip.Globals["D"]
-	driverCl := prog.Classes["driver"]
-	counterCl := prog.Classes["counter"]
-	c := d.Slots[ip.FieldSlot(driverCl, "driver", "c")].Object()
-	return [2]int64{
-		c.Slots[ip.FieldSlot(counterCl, "counter", "last")].Int(),
-		c.Slots[ip.FieldSlot(counterCl, "counter", "total")].Int(),
-	}
-}
 
 // shadowApp has what a slot-to-key table can get wrong: inherited slots,
 // and a subclass field shadowing a base one. put writes both x's.
@@ -153,7 +106,8 @@ func TestSlotKeysNameFieldsLikeTheEmitter(t *testing.T) {
 		{"specconflict", src.SpecConflict},
 		{"shadow", shadowApp},
 	} {
-		prog, plan := buildCond(t, app.source)
+		sys := oracle.ClearWork(oracle.Load(t, app.name+".mc", app.source))
+		prog, plan := sys.Prog, sys.CondPlan
 		keys := rt.SlotKeys(interp.New(prog, nil))
 		known := map[string]bool{}
 		for _, cl := range prog.ClassList {
@@ -188,126 +142,15 @@ func TestSlotKeysNameFieldsLikeTheEmitter(t *testing.T) {
 				t.Errorf("shadow: prog.go carries no key %q (keyLiteral out of date?)", k)
 			}
 		}
-		want := serialOutput(t, prog, interp.EngineWalk)
-		var buf bytes.Buffer
-		r := rt.New(interp.New(prog, &buf), plan, 4)
+		r := rt.New(interp.New(prog, new(bytes.Buffer)), plan, 4)
 		r.Speculate = rt.SpecForce
 		if err := r.Run(); err != nil {
 			t.Fatalf("shadow: %v", err)
 		}
-		if r.Stats.SpeculationCommits != 1 || r.Stats.SpeculationAborts != 0 || buf.String() != want {
-			t.Errorf("shadow: %d commits, %d aborts, output %q; want 1, 0, %q",
-				r.Stats.SpeculationCommits, r.Stats.SpeculationAborts, buf.String(), want)
+		if got, want := state(r), oracle.Reference(t, prog); r.Stats.SpeculationCommits != 1 || r.Stats.SpeculationAborts != 0 || got != want {
+			t.Errorf("shadow: %d commits, %d aborts, state %.200q; want 1, 0, %.200q",
+				r.Stats.SpeculationCommits, r.Stats.SpeculationAborts, got, want)
 		}
-	}
-}
-
-// TestSpeculativeDisjointCommits: the statically-rejected fill extent
-// runs speculatively, observes no runtime conflicts, and commits — and
-// the committed state and output are bit-identical to the serial
-// walker's across worker counts.
-func TestSpeculativeDisjointCommits(t *testing.T) {
-	prog, plan := buildSpec(t, src.SpecDisjoint)
-	var ref bytes.Buffer
-	ipRef := interp.NewEngine(prog, &ref, interp.EngineWalk)
-	if err := ipRef.Run(ipRef.NewCtx()); err != nil {
-		t.Fatal(err)
-	}
-	want, wantState := ref.String(), specDisjointState(t, prog, ipRef)
-
-	for _, workers := range []int{1, 2, 4} {
-		var buf bytes.Buffer
-		ip := interp.New(prog, &buf)
-		r := rt.New(ip, plan, workers)
-		r.Speculate = rt.SpecForce
-		if err := r.Run(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := buf.String(); got != want {
-			t.Errorf("workers=%d: output %q, want %q", workers, got, want)
-		}
-		got := specDisjointState(t, prog, ip)
-		for i := range wantState {
-			if got[i] != wantState[i] {
-				t.Errorf("workers=%d: state[%d] = %d, want %d", workers, i, got[i], wantState[i])
-			}
-		}
-		if r.Stats.SpeculationCommits == 0 {
-			t.Errorf("workers=%d: no speculation commits", workers)
-		}
-		if r.Stats.SpeculationAborts != 0 {
-			t.Errorf("workers=%d: %d aborts on a conflict-free program", workers, r.Stats.SpeculationAborts)
-		}
-	}
-}
-
-// TestSpeculativeConflictAborts: the guaranteed-violating program
-// aborts, reruns serially, and ends bit-identical to serial.
-func TestSpeculativeConflictAborts(t *testing.T) {
-	prog, plan := buildSpec(t, src.SpecConflict)
-	want := serialOutput(t, prog, interp.EngineWalk)
-	for _, workers := range []int{1, 2, 4} {
-		var buf bytes.Buffer
-		ip := interp.New(prog, &buf)
-		r := rt.New(ip, plan, workers)
-		r.Speculate = rt.SpecForce
-		if err := r.Run(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := buf.String(); got != want {
-			t.Errorf("workers=%d: output %q, want %q", workers, got, want)
-		}
-		if got := specConflictState(t, prog, ip); got != [2]int64{2, 3} {
-			t.Errorf("workers=%d: state = %v, want [2 3]", workers, got)
-		}
-		if r.Stats.SpeculationAborts == 0 {
-			t.Errorf("workers=%d: violating program did not abort", workers)
-		}
-		if r.Stats.SpeculationCommits != 0 {
-			t.Errorf("workers=%d: violating region committed", workers)
-		}
-	}
-}
-
-// TestSpeculativeAutoThreshold: auto mode speculates an extent whose
-// confidence clears rt.DefaultSpecThreshold (the rule on both sides of
-// the threshold is nativert's TestEnterTable).
-func TestSpeculativeAutoThreshold(t *testing.T) {
-	prog, plan := buildSpec(t, src.SpecDisjoint)
-	want := serialOutput(t, prog, interp.EngineCompiled)
-	var buf bytes.Buffer
-	ip := interp.New(prog, &buf)
-	r := rt.New(ip, plan, 4)
-	r.Speculate = rt.SpecAuto
-	if err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != want {
-		t.Errorf("output %q, want %q", got, want)
-	}
-	// fill's confidence is 2/3.
-	if r.Stats.SpeculativeRegions == 0 {
-		t.Errorf("confidence 2/3 at threshold %v: no speculation", rt.DefaultSpecThreshold)
-	}
-}
-
-// TestSpeculativeOffStaysSerial: with speculation off, a plan carrying
-// speculative versions still runs the rejected extent serially.
-func TestSpeculativeOffStaysSerial(t *testing.T) {
-	prog, plan := buildSpec(t, src.SpecConflict)
-	want := serialOutput(t, prog, interp.EngineCompiled)
-	var buf bytes.Buffer
-	ip := interp.New(prog, &buf)
-	r := rt.New(ip, plan, 4)
-	if err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != want {
-		t.Errorf("output %q, want %q", got, want)
-	}
-	if r.Stats.SpeculativeRegions != 0 || r.Stats.Regions != 0 {
-		t.Errorf("regions = %d speculative = %d, want 0/0",
-			r.Stats.Regions, r.Stats.SpeculativeRegions)
 	}
 }
 
@@ -316,18 +159,14 @@ func TestSpeculativeOffStaysSerial(t *testing.T) {
 // region and rerun serially with bit-identical results.
 func TestSpeculativeValidateFault(t *testing.T) {
 	for _, source := range []string{src.SpecDisjoint, src.SpecConflict} {
-		prog, plan := buildSpec(t, source)
-		want := serialOutput(t, prog, interp.EngineCompiled)
-		var buf bytes.Buffer
-		ip := interp.New(prog, &buf)
-		r := rt.New(ip, plan, 4)
+		r := newRuntime(t, source, 4)
 		r.Speculate = rt.SpecForce
 		r.Faults = &rt.FaultPlan{PanicOnValidate: 1}
 		if err := r.Run(); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		if got := buf.String(); got != want {
-			t.Errorf("output %q, want %q", got, want)
+		if got, want := state(r), oracle.Reference(t, r.IP.Prog); got != want {
+			t.Errorf("state %.200q, want %.200q", got, want)
 		}
 		if r.Stats.SpeculationAborts == 0 {
 			t.Error("validate fault did not abort")
@@ -345,21 +184,14 @@ func TestSpeculativeValidateFault(t *testing.T) {
 // aborts the region; the serial rerun is exact because nothing was
 // committed.
 func TestSpeculativeSpawnFault(t *testing.T) {
-	prog, plan := buildSpec(t, src.SpecConflict)
-	want := serialOutput(t, prog, interp.EngineCompiled)
-	var buf bytes.Buffer
-	ip := interp.New(prog, &buf)
-	r := rt.New(ip, plan, 4)
+	r := newRuntime(t, src.SpecConflict, 4)
 	r.Speculate = rt.SpecForce
 	r.Faults = &rt.FaultPlan{PanicOnSpawn: 1}
 	if err := r.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if got := buf.String(); got != want {
-		t.Errorf("output %q, want %q", got, want)
-	}
-	if got := specConflictState(t, prog, ip); got != [2]int64{2, 3} {
-		t.Errorf("state = %v, want [2 3]", got)
+	if got, want := state(r), oracle.Reference(t, r.IP.Prog); got != want {
+		t.Errorf("state %.200q, want %.200q", got, want)
 	}
 	if r.Stats.SpeculationAborts == 0 {
 		t.Error("spawn fault did not abort the speculative region")
@@ -375,22 +207,19 @@ func TestSpeculativeSpawnFault(t *testing.T) {
 // is atomic (the counter audit found them all atomic already — this
 // locks that in as a regression test).
 func TestSpeculationStatsStress(t *testing.T) {
-	prog, plan := buildSpec(t, src.SpecConflict)
-	want := serialOutput(t, prog, interp.EngineCompiled)
+	var want string
 	for seed := int64(0); seed < 20; seed++ {
-		var buf bytes.Buffer
-		ip := interp.New(prog, &buf)
-		r := rt.New(ip, plan, 4)
+		r := newRuntime(t, src.SpecConflict, 4)
 		r.Speculate = rt.SpecForce
 		r.Faults = &rt.FaultPlan{Seed: seed, PanicRate: 0.4}
 		if err := r.Run(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got := buf.String(); got != want {
-			t.Errorf("seed %d: output %q, want %q", seed, got, want)
+		if want == "" {
+			want = oracle.Reference(t, r.IP.Prog)
 		}
-		if got := specConflictState(t, prog, ip); got != [2]int64{2, 3} {
-			t.Errorf("seed %d: state = %v, want [2 3]", seed, got)
+		if got := state(r); got != want {
+			t.Errorf("seed %d: state %.200q, want %.200q", seed, got, want)
 		}
 		if r.Stats.SpeculationCommits+r.Stats.SpeculationAborts != r.Stats.SpeculativeRegions {
 			t.Errorf("seed %d: commits %d + aborts %d != speculative regions %d", seed,
@@ -399,10 +228,8 @@ func TestSpeculationStatsStress(t *testing.T) {
 	}
 
 	// Proven-path counters under the same probabilistic faulting.
-	gprog, gplan := build(t, src.Graph)
 	for seed := int64(0); seed < 5; seed++ {
-		ip := interp.New(gprog, nil)
-		r := rt.New(ip, gplan, 4)
+		r := newRuntime(t, src.Graph, 4)
 		r.Faults = &rt.FaultPlan{Seed: seed, PanicRate: 0.1}
 		err := r.Run()
 		var te *rt.TaskError
@@ -416,9 +243,7 @@ func TestSpeculationStatsStress(t *testing.T) {
 // speculated past — the region returns the error without a serial
 // rerun, and no buffered write reaches the heap.
 func TestSpeculativeCallerTimeout(t *testing.T) {
-	prog, plan := buildSpec(t, src.SpecConflict)
-	ip := interp.New(prog, nil)
-	r := rt.New(ip, plan, 2)
+	r := newRuntime(t, src.SpecConflict, 2)
 	r.Speculate = rt.SpecForce
 	r.Faults = &rt.FaultPlan{DelayOnSpawn: 300 * time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
