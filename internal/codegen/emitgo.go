@@ -268,32 +268,17 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 	return files, nil
 }
 
-// guardExpr lowers a conditional extent's plan guard to a Go boolean
+// guardExpr renders a conditional extent's checked guard as a Go boolean
 // expression over the generated global roots: every cond.FieldRef leaf
 // becomes a G_<global>(.as_<class>()).F_<field> access. The planner
-// resolved every reference before marking the extent Conditional, so
-// an error here means the plan and program are mismatched.
-func (e *goEmitter) guardExpr(mp *MethodPlan) (string, error) {
-	return cond.EmitGo(mp.Guard, func(ref cond.FieldRef) (cond.GoLeaf, error) {
-		g, field, ok := ResolveGuardRef(e.prog, ref)
-		if !ok {
-			return cond.GoLeaf{}, fmt.Errorf("guard reference %s.%s@global:%s does not resolve", ref.Class, ref.Field, ref.Global)
-		}
+// checked that each names a field of a global object.
+func (e *goEmitter) guardExpr(mp *MethodPlan) string {
+	return mp.Guard.Go(func(ref cond.FieldRef) string {
 		expr := "G_" + ref.Global
-		if g.Class.Name != ref.Class {
+		if e.prog.Globals[ref.Global].Class.Name != ref.Class {
 			expr += ".as_" + ref.Class + "()"
 		}
-		expr += ".F_" + field.Name
-		var kind cond.Kind
-		switch field.Type {
-		case types.Basic(types.Int):
-			kind = cond.KInt
-		case types.Basic(types.Double):
-			kind = cond.KFloat
-		default:
-			kind = cond.KBool
-		}
-		return cond.GoLeaf{Expr: expr, Kind: kind}, nil
+		return expr + ".F_" + ref.Field
 	})
 }
 

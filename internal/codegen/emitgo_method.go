@@ -231,13 +231,8 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) {
 	}
 	if root.Conditional {
 		facts = append(facts, "Conditional: true")
-		g, err := e.guardExpr(c.mp)
-		if err != nil {
-			e.errorf("%s: %v", m.FullName(), err)
-			g = "false"
-		}
 		// A function literal on three lines stays on three lines.
-		guard = "func() bool {\n\t\treturn " + g + "\n\t}"
+		guard = "func() bool {\n\t\treturn " + e.guardExpr(c.mp) + "\n\t}"
 	}
 	if root.SpecEligible {
 		facts = append(facts, "SpecEligible: true", "Confidence: "+formatFloatLit(root.Confidence))

@@ -144,9 +144,11 @@ type MethodPlan struct {
 	// over speculation; a guard-false region may still speculate when
 	// the policy forces it and SpecEligible holds.
 	Conditional bool
-	// Guard is the runtime-checkable predicate gating the parallel
-	// lowering; non-nil exactly when Conditional is set.
-	Guard cond.Pred
+	// Guard is the predicate gating the parallel lowering, checked
+	// against the program when the plan was built, so both runtimes
+	// render it without a failure path; non-nil exactly when Conditional
+	// is set.
+	Guard *cond.Checked
 	// SpecEligible, Confidence, and Condition copy the method's own
 	// analysis report so the runtime's speculation policy (auto mode
 	// with a confidence threshold) can decide at region entry without
@@ -266,79 +268,52 @@ func BuildWithOptions(a *core.Analysis, opt Options) *Plan {
 		byMethod[r.Method] = r
 	}
 
-	// Method plans: a method has a parallel version when it is marked
-	// parallel itself or participates in some parallel extent (the
-	// paper generates the three versions for every method of a parallel
-	// extent).
-	inParallelExtent := make(map[*types.Method]*core.MethodReport)
-	auxSites := make(map[int]bool)
+	// Tiers: a method has a parallel version when some extent that
+	// contains it has a tier, and the paper generates the three versions
+	// for every method of such an extent. A method belonging to several is
+	// planned by the first, in report order, of the highest tier. Proven:
+	// the analysis marked the extent parallel. Conditional
+	// (Options.ConditionalGuards): the extent failed only at the pair
+	// stage, every failing pair synthesized a residual, and the weakened
+	// guard passes cond.Check against the program. This is the one place
+	// a guard is checked; one the check refuses could not be evaluated at
+	// region entry, and its extent is planned as though it had none.
+	// Speculative (Options.SpeculateRejected): the extent failed only at
+	// the pair stage. An extent's auxiliary sites count for every tier it
+	// qualifies for.
+	resolve := func(ref cond.FieldRef) (cond.Kind, bool) { return ResolveGuardRef(a.Prog, ref) }
+	claims := make(map[*types.Method]claim)
+	var aux [tierProven + 1]map[int]bool
+	for t := range aux {
+		aux[t] = make(map[int]bool)
+	}
 	for _, r := range reports {
-		if !r.Parallel {
+		c := claim{r: r}
+		qualify := func(t tier) {
+			c.tier = t
+			for _, s := range r.Ext.Aux {
+				aux[t][s.ID] = true
+			}
+		}
+		if r.Parallel {
+			qualify(tierProven)
+		} else {
+			if opt.SpeculateRejected && r.SpeculationEligible {
+				qualify(tierSpeculative)
+			}
+			if opt.ConditionalGuards && r.ConditionalEligible {
+				if g, err := cond.Check(r.Guard, resolve); err == nil {
+					c.guard = g
+					qualify(tierConditional)
+				}
+			}
+		}
+		if c.tier == tierNone {
 			continue
 		}
 		for _, m := range r.Ext.Methods {
-			if _, ok := inParallelExtent[m]; !ok {
-				inParallelExtent[m] = r
-			}
-		}
-		for _, c := range r.Ext.Aux {
-			auxSites[c.ID] = true
-		}
-	}
-
-	// Conditional extension: extents rejected only at the pair stage
-	// whose failing pairs all synthesized residual predicates get
-	// guarded parallel versions, planned exactly like proven extents.
-	// The guard must survive validation against the program: every
-	// field reference it reads has to resolve to a basic-typed field
-	// of an existing global object, or the runtime could not evaluate
-	// it at region entry.
-	inCondExtent := make(map[*types.Method]*core.MethodReport)
-	condAuxSites := make(map[int]bool)
-	if opt.ConditionalGuards {
-		for _, r := range reports {
-			if r.Parallel || !r.ConditionalEligible || !guardResolves(a.Prog, r.Guard) {
-				continue
-			}
-			for _, m := range r.Ext.Methods {
-				if _, ok := inParallelExtent[m]; ok {
-					continue
-				}
-				if _, ok := inCondExtent[m]; !ok {
-					inCondExtent[m] = r
-				}
-			}
-			for _, c := range r.Ext.Aux {
-				condAuxSites[c.ID] = true
-			}
-		}
-	}
-
-	// Speculative extension: extents rejected only at the pair stage
-	// get optimistic parallel versions. A method already covered by a
-	// proven extent keeps its proven plan (its own pairs are a subset
-	// of the proven extent's, so the two sets never disagree); a
-	// method covered by a conditional extent keeps its guarded plan.
-	inSpecExtent := make(map[*types.Method]*core.MethodReport)
-	specAuxSites := make(map[int]bool)
-	if opt.SpeculateRejected {
-		for _, r := range reports {
-			if r.Parallel || !r.SpeculationEligible {
-				continue
-			}
-			for _, m := range r.Ext.Methods {
-				if _, ok := inParallelExtent[m]; ok {
-					continue
-				}
-				if _, ok := inCondExtent[m]; ok {
-					continue
-				}
-				if _, ok := inSpecExtent[m]; !ok {
-					inSpecExtent[m] = r
-				}
-			}
-			for _, c := range r.Ext.Aux {
-				specAuxSites[c.ID] = true
+			if old, ok := claims[m]; !ok || old.tier < c.tier {
+				claims[m] = c
 			}
 		}
 	}
@@ -350,28 +325,21 @@ func BuildWithOptions(a *core.Analysis, opt Options) *Plan {
 		}
 		mp := &MethodPlan{Method: m, Site: make(map[int]SiteAction), Work: work[m.ID]}
 		p.Methods[m] = mp
-		r, inPar := inParallelExtent[m]
-		aux := auxSites
-		if !inPar {
-			root, inCond := inCondExtent[m]
-			if !inCond {
-				if sroot, inSpec := inSpecExtent[m]; inSpec {
-					p.planSpeculative(a, mp, sroot, byMethod[m], specAuxSites)
-					continue
-				}
-				for _, cs := range m.CallSites {
-					mp.Site[cs.ID] = ActionSerial
-				}
-				continue
+		c, ok := claims[m]
+		if !ok {
+			for _, cs := range m.CallSites {
+				mp.Site[cs.ID] = ActionSerial
 			}
-			// Conditionally commutative: plan the proven-style lowering
-			// below (the guard-true path needs the full lock discipline)
-			// and carry the guard plus the speculation metadata so a
-			// guard-false region can still speculate under a forcing
-			// policy.
-			r, aux = root, condAuxSites
-			mp.Conditional = true
-			mp.Guard = root.Guard
+			continue
+		}
+		mp.Parallel = true
+		info := a.Eff.Info(m)
+		if c.tier != tierProven {
+			// An unproven extent carries its speculation metadata: a
+			// speculative region needs it, and so does a guard-false
+			// conditional region a forcing policy speculates.
+			mp.Conditional, mp.Guard = c.tier == tierConditional, c.guard
+			mp.Speculative = c.tier == tierSpeculative
 			if own := byMethod[m]; own != nil {
 				mp.SpecEligible = own.SpeculationEligible
 				mp.Confidence = own.Confidence
@@ -382,19 +350,20 @@ func BuildWithOptions(a *core.Analysis, opt Options) *Plan {
 			mp.SpecReads.AddAll(te.Reads)
 			mp.SpecWrites.AddAll(te.Writes)
 		}
-		mp.Parallel = true
 
 		// §5.4.1 lock elimination: operations whose object section
-		// writes nothing need no lock.
-		info := a.Eff.Info(m)
-		writesIvars := false
-		for _, d := range info.Writes.Slice() {
-			if d.Space == effects.DescField {
-				writesIvars = true
-				break
+		// writes nothing need no lock. A speculative version takes none:
+		// isolation comes from the per-task write buffers, and a detected
+		// conflict aborts the whole region before any buffered write
+		// reaches the heap.
+		if !mp.Speculative {
+			for _, d := range info.Writes.Slice() {
+				if d.Space == effects.DescField {
+					mp.NeedsLock = true
+					break
+				}
 			}
 		}
-		mp.NeedsLock = writesIvars
 
 		// Call-site actions: auxiliary sites run inline, invocations on
 		// nested objects of the receiver are hoisting's to decide, the
@@ -403,7 +372,7 @@ func BuildWithOptions(a *core.Analysis, opt Options) *Plan {
 			cc := &info.Calls[i]
 			id := cc.Site.ID
 			switch {
-			case aux[id] || r.Ext.IsAux(cc.Site):
+			case aux[c.tier][id] || c.r.Ext.IsAux(cc.Site):
 				mp.Site[id] = ActionInline
 			case cc.Recv.Kind == effects.RecvNested && cc.Recv.ViaThis:
 				mp.Site[id] = ActionHoisted
@@ -414,9 +383,27 @@ func BuildWithOptions(a *core.Analysis, opt Options) *Plan {
 	}
 
 	p.hoistLocks()
-	p.findLoops(a, inParallelExtent)
+	p.findLoops()
 	p.computeLockedClasses()
 	return p
+}
+
+// tier is how an extent's methods run, in increasing precedence.
+type tier int
+
+const (
+	tierNone tier = iota
+	tierSpeculative
+	tierConditional
+	tierProven
+)
+
+// claim is the extent a method is planned by: the extent's report, its
+// tier, and for a conditional extent its checked guard.
+type claim struct {
+	tier  tier
+	r     *core.MethodReport
+	guard *cond.Checked
 }
 
 // hoistLocks applies §5.4.2 lock hoisting to the methods planned with
@@ -508,42 +495,6 @@ func escapeReason(site *types.CallSite) string {
 	return site.Caller.FullName() + " invokes " + site.Callee.FullName() + " outside the receiver"
 }
 
-// planSpeculative fills the plan for a method executing only inside
-// speculative regions: the site actions mirror the proven-extent
-// policy (auxiliary inline, nested-via-this hoisted, the rest
-// spawned), but no locks are planned — isolation comes from the
-// per-task write buffers, and a detected conflict aborts the whole
-// region before any buffered write reaches the heap.
-func (p *Plan) planSpeculative(a *core.Analysis, mp *MethodPlan, root, own *core.MethodReport, specAux map[int]bool) {
-	m := mp.Method
-	mp.Parallel = true
-	mp.Speculative = true
-	if own != nil {
-		mp.SpecEligible = own.SpeculationEligible
-		mp.Confidence = own.Confidence
-		mp.Condition = own.Condition
-	}
-	te := a.Eff.TransitiveEffects(m)
-	mp.SpecReads, mp.SpecWrites = effects.NewSet(), effects.NewSet()
-	mp.SpecReads.AddAll(te.Reads)
-	mp.SpecWrites.AddAll(te.Writes)
-
-	mi := a.Eff.Info(m)
-	for i := range mi.Calls {
-		cc := &mi.Calls[i]
-		id := cc.Site.ID
-		if specAux[id] || root.Ext.IsAux(cc.Site) {
-			mp.Site[id] = ActionInline
-			continue
-		}
-		if cc.Recv.Kind == effects.RecvNested && cc.Recv.ViaThis {
-			mp.Site[id] = ActionHoisted
-		} else {
-			mp.Site[id] = ActionSpawn
-		}
-	}
-}
-
 // computeLockedClasses decides which class declarations keep their
 // mutual-exclusion lock (§5.4.1): a class is locked when some
 // lock-acquiring operation with that receiver class can execute under
@@ -607,7 +558,7 @@ func (p *Plan) computeLockedClasses() {
 
 // findLoops detects parallel loops (§5.1) and applies the §5.2
 // suppression of nested concurrency.
-func (p *Plan) findLoops(a *core.Analysis, inPar map[*types.Method]*core.MethodReport) {
+func (p *Plan) findLoops() {
 	// Candidate loops: for loops in parallel methods whose bodies
 	// contain only local bookkeeping and invocations of parallel
 	// methods.
@@ -727,40 +678,30 @@ func (p *Plan) GeneratesConcurrency(m *types.Method) bool {
 // ResolveGuardRef resolves a guard field reference against the
 // program: the named global must exist and its class chain must
 // declare a field with the referenced name whose declaring class
-// matches and whose type is a basic scalar the guard evaluator
-// handles (int, double, bool).
-func ResolveGuardRef(prog *types.Program, ref cond.FieldRef) (*types.Global, *types.Field, bool) {
+// matches and whose type is a basic scalar a guard reads (int, double,
+// bool). It gives that field's kind.
+func ResolveGuardRef(prog *types.Program, ref cond.FieldRef) (cond.Kind, bool) {
 	g := prog.Globals[ref.Global]
 	if g == nil {
-		return nil, nil, false
+		return 0, false
 	}
 	for c := g.Class; c != nil; c = c.Base {
 		for _, f := range c.Fields {
 			if f.Name != ref.Field || f.Class.Name != ref.Class {
 				continue
 			}
-			if b, ok := f.Type.(types.Basic); ok &&
-				(b == types.Int || b == types.Double || b == types.Bool) {
-				return g, f, true
+			switch f.Type {
+			case types.Basic(types.Int):
+				return cond.KInt, true
+			case types.Basic(types.Double):
+				return cond.KFloat, true
+			case types.Basic(types.Bool):
+				return cond.KBool, true
 			}
-			return nil, nil, false
+			return 0, false
 		}
 	}
-	return nil, nil, false
-}
-
-// guardResolves reports whether every field reference in g resolves
-// (see ResolveGuardRef).
-func guardResolves(prog *types.Program, g cond.Pred) bool {
-	if g == nil {
-		return false
-	}
-	for _, ref := range cond.Refs(g) {
-		if _, _, ok := ResolveGuardRef(prog, ref); !ok {
-			return false
-		}
-	}
-	return true
+	return 0, false
 }
 
 // loopSites returns the call sites directly in a loop body.

@@ -1,13 +1,19 @@
 package codegen_test
 
 import (
+	"bytes"
 	"testing"
 
+	"commute/internal/analysis/symbolic"
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
+	"commute/internal/cond"
 	"commute/internal/core"
 	"commute/internal/frontend/parser"
 	"commute/internal/frontend/types"
+	"commute/internal/interp"
+	"commute/internal/nativegen"
+	"commute/internal/rt"
 )
 
 func buildSpeculativePlan(t *testing.T, source string) (*types.Program, *codegen.Plan) {
@@ -87,5 +93,84 @@ func TestSpeculativePlanConflict(t *testing.T) {
 	}
 	if !plan.GeneratesConcurrency(run) {
 		t.Error("speculative run must generate concurrency")
+	}
+}
+
+// TestRefusedGuardPlansUnproven: a conditional-eligible extent whose guard
+// the check refuses — here an int-valued atom — gets no Conditional plan.
+// It is planned as the speculative extent it also is, and with guards on
+// both runtimes run it as one: no guard is asked, the serial version runs
+// under -speculate off and a journaled region under force, and the state
+// is the serial walker's.
+func TestRefusedGuardPlansUnproven(t *testing.T) {
+	const rounds = 4
+	prog, _ := buildSpeculativePlan(t, src.CondHashBase+src.CondHashMain(0, rounds))
+	a := core.New(prog)
+	refused := 0
+	for _, r := range a.AnalyzeAll() {
+		if r.ConditionalEligible {
+			r.Guard = cond.MkAtom(symbolic.Extent{ID: "ec:table.mode@global:H"})
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("condhash has no conditional-eligible extent")
+	}
+	plan := codegen.BuildWithOptions(a, codegen.Options{ConditionalGuards: true, SpeculateRejected: true})
+	ingest := prog.MethodByFullName("table::ingest")
+	if mp := plan.Methods[ingest]; mp.Conditional || mp.Guard != nil || !mp.Speculative {
+		t.Fatalf("ingest plan: conditional %t, guard %v, speculative %t; want an unguarded speculative plan", mp.Conditional, mp.Guard, mp.Speculative)
+	}
+	for _, mp := range plan.Methods {
+		mp.Work = 0 // open every region the tier allows
+	}
+
+	var ref bytes.Buffer
+	walker := interp.NewEngine(prog, &ref, interp.EngineWalk)
+	if err := walker.Run(walker.NewCtx()); err != nil {
+		t.Fatal(err)
+	}
+	nativegen.DumpInterp(&ref, prog, walker)
+
+	var bin string
+	if nativegen.HaveGo() {
+		dir := t.TempDir()
+		if err := nativegen.GeneratePlan(plan, "condhash", dir); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if bin, err = nativegen.Build(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, spec := range []rt.SpecMode{rt.SpecOff, rt.SpecForce} {
+		want := rt.Stats{}
+		if spec == rt.SpecForce {
+			want.SpeculativeRegions = rounds
+		}
+		var out bytes.Buffer
+		ip := interp.New(prog, &out)
+		r := rt.New(ip, plan, 1)
+		r.Conditional, r.Speculate = true, spec
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		nativegen.DumpInterp(&out, prog, ip)
+		got := rt.Stats{GuardParallel: r.Stats.GuardParallel, GuardSerial: r.Stats.GuardSerial, SpeculativeRegions: r.Stats.SpeculativeRegions}
+		if got != want || out.String() != ref.String() {
+			t.Errorf("interpreter, -speculate %s: counted %+v, want %+v; state matches the walker's: %t", spec, got, want, out.String() == ref.String())
+		}
+		if bin == "" {
+			continue
+		}
+		stdout, stderr, err := nativegen.RunErr(bin, "-mode", "parallel", "-workers", "1", "-conditional", "-speculate", spec.String(), "-guardstats", "-specstats", "-dump")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := nativegen.CounterStats(stderr)
+		got = rt.Stats{GuardParallel: n["guard_parallel"], GuardSerial: n["guard_serial"], SpeculativeRegions: n["spec_regions"]}
+		if got != want || stdout != ref.String() {
+			t.Errorf("native, -speculate %s: counted %+v, want %+v; state matches the walker's: %t", spec, got, want, stdout == ref.String())
+		}
 	}
 }

@@ -6,10 +6,10 @@
 // Commutativity Conditions") this package synthesizes that residual
 // condition as a structured predicate, weakens it to the fragment a
 // runtime can evaluate at region entry (literals and extent-constant
-// fields of global objects), and compiles the weakened guard into a
-// closure (interpreter engines) or a Go expression (native backend).
-// Predicate true → run the parallel region; false → take the existing
-// serial path.
+// fields of global objects), type-checks the weakened guard once against
+// the program (Check), and renders the checked guard as a closure
+// (interpreter runtime) or a Go expression (native backend). Predicate
+// true → run the parallel region; false → take the existing serial path.
 //
 // The package depends only on internal/analysis/symbolic; core,
 // codegen, rt and the server layers all build on it.
@@ -360,50 +360,4 @@ func Guard(p Pred) Pred {
 		return MkOr(out...)
 	}
 	return False{}
-}
-
-// Refs returns the distinct field references read by p's atoms, sorted
-// by (Global, Class, Field). Planning layers use it to validate that
-// every leaf resolves to a basic-typed field before committing to a
-// conditional lowering.
-func Refs(p Pred) []FieldRef {
-	seen := map[FieldRef]bool{}
-	var walkPred func(Pred)
-	walkPred = func(p Pred) {
-		switch x := p.(type) {
-		case Atom:
-			symbolic.Walk(x.E, func(n symbolic.Expr) bool {
-				if ext, ok := n.(symbolic.Extent); ok {
-					if ref, refOK := ParseFieldRef(ext.ID); refOK {
-						seen[ref] = true
-					}
-				}
-				return true
-			})
-		case *And:
-			for _, q := range x.Ps {
-				walkPred(q)
-			}
-		case *Or:
-			for _, q := range x.Ps {
-				walkPred(q)
-			}
-		}
-	}
-	walkPred(p)
-	refs := make([]FieldRef, 0, len(seen))
-	for r := range seen {
-		refs = append(refs, r)
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		a, b := refs[i], refs[j]
-		if a.Global != b.Global {
-			return a.Global < b.Global
-		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		return a.Field < b.Field
-	})
-	return refs
 }

@@ -1,7 +1,6 @@
 package cond
 
 import (
-	"fmt"
 	"go/format"
 	"strings"
 	"testing"
@@ -120,9 +119,13 @@ func TestResidualCaseSplit(t *testing.T) {
 	if want := symbolic.Simplify(c).Key(); g.Key() != want {
 		t.Fatalf("Guard(%s) = %s, want %s", p.Key(), g.Key(), want)
 	}
-	refs := Refs(g)
-	if len(refs) != 1 || refs[0] != (FieldRef{"H", "table", "mode"}) {
-		t.Fatalf("Refs = %v, want [{H table mode}]", refs)
+	var refs []FieldRef
+	_, err := Check(g, func(r FieldRef) (Kind, bool) {
+		refs = append(refs, r)
+		return KInt, true
+	})
+	if err != nil || len(refs) != 1 || refs[0] != (FieldRef{"H", "table", "mode"}) {
+		t.Fatalf("guard reads %v (check: %v), want [{H table mode}]", refs, err)
 	}
 }
 
@@ -174,94 +177,29 @@ func TestGuardableFragment(t *testing.T) {
 	}
 }
 
-func testLeaf(vals map[FieldRef]Value) func(FieldRef) (Leaf, error) {
-	return func(r FieldRef) (Leaf, error) {
-		v, ok := vals[r]
-		if !ok {
-			return Leaf{}, fmt.Errorf("unbound ref %v", r)
-		}
-		return Leaf{Get: func() Value { return vals[r] }, Kind: v.K}, nil
-	}
+// The guard table: one table of guards that TestCompileEval holds to the
+// closure and TestEmitGo to the Go text. A row pins the Go text — in
+// gofmt's form, a fixed point of the formatter inside `if <guard> {` —
+// and the closure's truth value in each of guardStates. The rows the
+// check refuses name why.
+type guardRow struct {
+	name string
+	p    Pred
+	// goText is the Go rendering and holds the closure's value in each
+	// state, T or F; refused says why the check refuses the guard.
+	goText, holds, refused string
 }
 
-func TestCompileEval(t *testing.T) {
-	c := modeEq(t)
-	mode := FieldRef{"H", "table", "mode"}
-	p := MkAtom(c)
-	vals := map[FieldRef]Value{mode: IntVal(0)}
-	f, err := Compile(p, testLeaf(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f() {
-		t.Errorf("guard should hold with mode=0")
-	}
-	vals[mode] = IntVal(3)
-	if f() {
-		t.Errorf("guard should fail with mode=3")
-	}
+var guardKinds = map[string]Kind{"mode": KInt, "bias": KInt, "scale": KFloat, "on": KBool}
 
-	// Mixed int/float comparison promotes.
-	mix := MkAtom(symbolic.Intern(&symbolic.Bin{
-		Op: symbolic.OpLt,
-		L:  symbolic.Extent{ID: "ec:table.load@global:H"},
-		R:  symbolic.Num{V: 2, IsInt: true},
-	}))
-	load := FieldRef{"H", "table", "load"}
-	vals[load] = FloatVal(1.5)
-	f, err = Compile(mix, testLeaf(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f() {
-		t.Errorf("1.5 < 2 should hold")
-	}
-	vals[load] = FloatVal(2.5)
-	if f() {
-		t.Errorf("2.5 < 2 should fail")
-	}
-
-	// Conjunction and negation.
-	both := MkAnd(MkAtom(symbolic.MkNot(c)), mix)
-	vals[mode] = IntVal(1)
-	vals[load] = FloatVal(0.5)
-	f, err = Compile(both, testLeaf(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f() {
-		t.Errorf("!(mode==0) && load<2 should hold with mode=1, load=0.5")
-	}
-
-	// Unbound leaves are compile-time errors.
-	if _, err := Compile(MkAtom(symbolic.Intern(&symbolic.Bin{
-		Op: symbolic.OpEq,
-		L:  symbolic.Extent{ID: "ec:other.x@global:Z"},
-		R:  symbolic.Num{V: 0, IsInt: true},
-	})), testLeaf(vals)); err == nil {
-		t.Errorf("unbound ref should fail compilation")
-	}
+var guardStates = []map[string]Value{
+	{"mode": IntVal(0), "bias": IntVal(0), "scale": FloatVal(0), "on": BoolVal(false)},
+	{"mode": IntVal(1), "bias": IntVal(8), "scale": FloatVal(2), "on": BoolVal(true)},
+	{"mode": IntVal(0), "bias": IntVal(5), "scale": FloatVal(-1.5), "on": BoolVal(true)},
+	{"mode": IntVal(-2), "bias": IntVal(9), "scale": FloatVal(9.5), "on": BoolVal(false)},
 }
 
-// TestEmitGo: a guard is emitted as the condition of an if statement,
-// already in gofmt's form. Every case is checked both ways: against the
-// text gofmt gives the fully parenthesised spelling, and as a fixed
-// point of the formatter inside `if <guard> {`.
-func TestEmitGo(t *testing.T) {
-	leaf := func(r FieldRef) (GoLeaf, error) {
-		if r.Global != "H" || r.Class != "table" {
-			return GoLeaf{}, fmt.Errorf("unbound ref %v", r)
-		}
-		switch r.Field {
-		case "mode", "bias":
-			return GoLeaf{Expr: "G_H.F_" + r.Field, Kind: KInt}, nil
-		case "scale":
-			return GoLeaf{Expr: "G_H.F_scale", Kind: KFloat}, nil
-		case "on":
-			return GoLeaf{Expr: "G_H.F_on", Kind: KBool}, nil
-		}
-		return GoLeaf{}, fmt.Errorf("unbound ref %v", r)
-	}
+func guardRows() []guardRow {
 	field := func(name string) symbolic.Expr { return symbolic.Extent{ID: "ec:table." + name + "@global:H"} }
 	num := func(v float64, isInt bool) symbolic.Expr { return symbolic.Num{V: v, IsInt: isInt} }
 	bin := func(op symbolic.Op, l, r symbolic.Expr) symbolic.Expr { return &symbolic.Bin{Op: op, L: l, R: r} }
@@ -270,56 +208,103 @@ func TestEmitGo(t *testing.T) {
 	modeIs0 := bin(symbolic.OpEq, mode, num(0, true))
 	atom := func(e symbolic.Expr) Pred { return Atom{E: e} }
 
-	for _, tc := range []struct {
-		name string
-		p    Pred
-		want string
-	}{
-		{"true", True{}, "true"},
-		{"false", False{}, "false"},
-		{"nil", nil, "false"},
-		{"comparison", atom(modeIs0), "G_H.F_mode == 0"},
-		{"bool leaf", atom(on), "G_H.F_on"},
-		{"not", atom(&symbolic.Not{X: modeIs0}), "!(G_H.F_mode == 0)"},
-		{"or of atom and not", MkOr(atom(modeIs0), atom(symbolic.MkNot(modeIs0))),
-			"(G_H.F_mode == 0) || (!(G_H.F_mode == 0))"},
-		{"and of three", &And{Ps: []Pred{atom(modeIs0), atom(on), atom(bin(symbolic.OpLt, bias, num(8, true)))}},
-			"(G_H.F_mode == 0) && G_H.F_on && (G_H.F_bias < 8)"},
-		{"or of ands", &Or{Ps: []Pred{
+	return []guardRow{
+		{name: "true", p: True{}, goText: "true", holds: "TTTT"},
+		{name: "false", p: False{}, goText: "false", holds: "FFFF"},
+		{name: "nil", p: nil, goText: "false", holds: "FFFF"},
+		{name: "comparison", p: atom(modeIs0), goText: "G_H.F_mode == 0", holds: "TFTF"},
+		{name: "bool leaf", p: atom(on), goText: "G_H.F_on", holds: "FTTF"},
+		{name: "not", p: atom(&symbolic.Not{X: modeIs0}), goText: "!(G_H.F_mode == 0)", holds: "FTFT"},
+		{name: "mixed comparison promotes", p: atom(bin(symbolic.OpLt, scale, num(2, true))),
+			goText: "G_H.F_scale < float64(2)", holds: "TFTF"},
+		{name: "or of atom and not", p: MkOr(atom(modeIs0), atom(symbolic.MkNot(modeIs0))),
+			goText: "(G_H.F_mode == 0) || (!(G_H.F_mode == 0))", holds: "TTTT"},
+		{name: "and of three", p: &And{Ps: []Pred{atom(modeIs0), atom(on), atom(bin(symbolic.OpLt, bias, num(8, true)))}},
+			goText: "(G_H.F_mode == 0) && G_H.F_on && (G_H.F_bias < 8)", holds: "FFTF"},
+		{name: "or of ands", p: &Or{Ps: []Pred{
 			&And{Ps: []Pred{atom(modeIs0), atom(on)}},
 			&And{Ps: []Pred{atom(&symbolic.Not{X: on}), atom(bin(symbolic.OpGe, bias, mode))}},
-		}}, "((G_H.F_mode == 0) && G_H.F_on) || ((!G_H.F_on) && (G_H.F_bias >= G_H.F_mode))"},
-		{"int arithmetic", atom(bin(symbolic.OpLt, nary(symbolic.OpAdd, nary(symbolic.OpMul, num(2, true), bias), mode), num(10, true))),
-			"((2 * G_H.F_bias) + G_H.F_mode) < 10"},
-		{"neg", atom(bin(symbolic.OpLe, &symbolic.Neg{X: nary(symbolic.OpAdd, mode, bias)}, &symbolic.Neg{X: scale})),
-			"float64((-(G_H.F_mode + G_H.F_bias))) <= (-G_H.F_scale)"},
-		{"mixed arithmetic promotes through float64 and fences FMA",
-			atom(bin(symbolic.OpGt, nary(symbolic.OpAdd, nary(symbolic.OpMul, mode, num(0.5, false)), scale, bias), num(1, true))),
-			"float64(float64(float64(float64(G_H.F_mode)*0.5)+G_H.F_scale)+float64(G_H.F_bias)) > float64(1)"},
-		{"float product of an int sum", atom(bin(symbolic.OpNe, nary(symbolic.OpMul, scale, nary(symbolic.OpAdd, mode, bias, num(-1, true))), scale)),
-			"float64(G_H.F_scale*float64(((G_H.F_mode+G_H.F_bias)+-1))) != G_H.F_scale"},
-		{"nary and/or inside an atom", atom(nary(symbolic.OpOr, nary(symbolic.OpAnd, on, modeIs0), bin(symbolic.OpEq, on, symbolic.Bool{V: false}))),
-			"(G_H.F_on && (G_H.F_mode == 0)) || (G_H.F_on == false)"},
-	} {
-		code, err := EmitGo(tc.p, leaf)
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
+		}}, goText: "((G_H.F_mode == 0) && G_H.F_on) || ((!G_H.F_on) && (G_H.F_bias >= G_H.F_mode))", holds: "TFTT"},
+		{name: "int arithmetic", p: atom(bin(symbolic.OpLt, nary(symbolic.OpAdd, nary(symbolic.OpMul, num(2, true), bias), mode), num(10, true))),
+			goText: "((2 * G_H.F_bias) + G_H.F_mode) < 10", holds: "TFFF"},
+		{name: "neg", p: atom(bin(symbolic.OpLe, &symbolic.Neg{X: nary(symbolic.OpAdd, mode, bias)}, &symbolic.Neg{X: scale})),
+			goText: "float64((-(G_H.F_mode + G_H.F_bias))) <= (-G_H.F_scale)", holds: "TTTF"},
+		{name: "mixed arithmetic promotes through float64 and fences FMA",
+			p:      atom(bin(symbolic.OpGt, nary(symbolic.OpAdd, nary(symbolic.OpMul, mode, num(0.5, false)), scale, bias), num(1, true))),
+			goText: "float64(float64(float64(float64(G_H.F_mode)*0.5)+G_H.F_scale)+float64(G_H.F_bias)) > float64(1)", holds: "FTTT"},
+		{name: "float product of an int sum", p: atom(bin(symbolic.OpNe, nary(symbolic.OpMul, scale, nary(symbolic.OpAdd, mode, bias, num(-1, true))), scale)),
+			goText: "float64(G_H.F_scale*float64(((G_H.F_mode+G_H.F_bias)+-1))) != G_H.F_scale", holds: "FTTT"},
+		{name: "nary and/or inside an atom", p: atom(nary(symbolic.OpOr, nary(symbolic.OpAnd, on, modeIs0), bin(symbolic.OpEq, on, symbolic.Bool{V: false}))),
+			goText: "(G_H.F_on && (G_H.F_mode == 0)) || (G_H.F_on == false)", holds: "TFTT"},
+
+		{name: "int-valued atom", p: atom(mode), refused: "is int-valued, want bool"},
+		{name: "bool operand of +", p: atom(bin(symbolic.OpEq, nary(symbolic.OpAdd, on, mode), num(1, true))), refused: "over bool/int operands"},
+		{name: "< over bools", p: atom(bin(symbolic.OpLt, on, on)), refused: "over bool/bool operands"},
+		{name: "unbound leaf", p: atom(bin(symbolic.OpEq, field("other"), num(0, true))), refused: "table.other@global:H is not an int, double or bool field"},
+		{name: "division", p: atom(bin(symbolic.OpEq, bin(symbolic.OpDiv, mode, num(2, true)), num(0, true))), refused: "outside the guardable fragment"},
+	}
+}
+
+// checkGuards runs Check on every row of the guard table, holds the
+// refused rows to their reasons, and hands each accepted guard to f.
+func checkGuards(t *testing.T, f func(row guardRow, g *Checked)) {
+	t.Helper()
+	kind := func(r FieldRef) (Kind, bool) {
+		k, ok := guardKinds[r.Field]
+		return k, ok && r.Global == "H" && r.Class == "table"
+	}
+	for _, row := range guardRows() {
+		g, err := Check(row.p, kind)
+		switch {
+		case row.refused != "":
+			if err == nil || !strings.Contains(err.Error(), row.refused) {
+				t.Errorf("%s: Check = %v, want an error saying %q", row.name, err, row.refused)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", row.name, err)
+		default:
+			f(row, g)
 		}
-		if code != tc.want {
-			t.Errorf("%s: EmitGo = %q, want %q", tc.name, code, tc.want)
+	}
+}
+
+// TestCompileEval: the closure of every accepted guard reads its leaves
+// at the kinds Check gave them and holds exactly in the states its row
+// says.
+func TestCompileEval(t *testing.T) {
+	checkGuards(t, func(row guardRow, g *Checked) {
+		var state map[string]Value
+		holds := g.Func(func(r FieldRef, k Kind) func() Value {
+			if guardKinds[r.Field] != k {
+				t.Errorf("%s: leaf %s bound at %s, checked %s", row.name, r.Field, k, guardKinds[r.Field])
+			}
+			return func() Value { return state[r.Field] }
+		})
+		got := ""
+		for _, state = range guardStates {
+			got += map[bool]string{true: "T", false: "F"}[holds()]
+		}
+		if got != row.holds {
+			t.Errorf("%s: holds in the four states %s, want %s", row.name, got, row.holds)
+		}
+	})
+}
+
+// TestEmitGo: every accepted guard is emitted as the condition of an if
+// statement, already in gofmt's form — the text its row pins, and a fixed
+// point of the formatter inside `if <guard> {`.
+func TestEmitGo(t *testing.T) {
+	checkGuards(t, func(row guardRow, g *Checked) {
+		code := g.Go(func(r FieldRef) string { return "G_H.F_" + r.Field })
+		if code != row.goText {
+			t.Errorf("%s: Go = %q, want %q", row.name, code, row.goText)
+			return
 		}
 		src := "package p\n\nfunc f() {\n\tif " + code + " {\n\t}\n}\n"
 		if fmted, err := format.Source([]byte(src)); err != nil || string(fmted) != src {
-			t.Errorf("%s: `if %s {` is not a gofmt fixed point (err %v):\n%s", tc.name, code, err, fmted)
+			t.Errorf("%s: `if %s {` is not a gofmt fixed point (err %v):\n%s", row.name, code, err, fmted)
 		}
-	}
-	if _, err := EmitGo(atom(bin(symbolic.OpEq, field("other"), num(0, true))), leaf); err == nil {
-		t.Error("unbound ref should fail emission")
-	}
-	if _, err := EmitGo(atom(mode), leaf); err == nil {
-		t.Error("int-valued atom should fail emission")
-	}
+	})
 }
 
 func TestRenderNil(t *testing.T) {

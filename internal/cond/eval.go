@@ -8,11 +8,15 @@ import (
 	"commute/internal/analysis/symbolic"
 )
 
-// Guard evaluation. A guard predicate is compiled once per (method,
-// runtime) into a closure over leaf accessors supplied by the caller:
-// the interpreter runtime binds FieldRefs to object slots, tests bind
-// them to maps. The compiled closure is total — the guardable fragment
-// excludes every faulting operator — so region entry never traps.
+// Guard evaluation. A guard predicate is type-checked once, when the plan
+// is built (Check): every leaf resolved to the kind of the field it reads,
+// every operator applied at its kinds, the int operand of every mixed
+// int/float pair converted explicitly. Both runtimes render the result —
+// the interpreter as a closure over leaf accessors (Checked.Func), the Go
+// emitter as the condition of an if statement (Checked.Go) — and neither
+// rendering can fail or decide a kind. The guardable fragment excludes
+// every faulting operator, so a checked guard is total: region entry
+// never traps.
 
 // Kind is the static type of a guard expression.
 type Kind int
@@ -52,270 +56,284 @@ func FloatVal(f float64) Value { return Value{K: KFloat, F: f} }
 // BoolVal wraps a bool.
 func BoolVal(b bool) Value { return Value{K: KBool, B: b} }
 
-func (v Value) asFloat() float64 {
-	if v.K == KInt {
-		return float64(v.I)
-	}
-	return v.F
+// Checked is a guard predicate that passed Check: a tree of typed nodes
+// whose root is bool-valued.
+type Checked struct {
+	op   nodeOp
+	kind Kind
+	bin  symbolic.Op // opBin's operator; opJoin's OpAnd or OpOr
+	lit  Value       // opLit
+	ref  FieldRef    // opLeaf
+	args []*Checked
 }
 
-// Leaf binds one FieldRef at compile time: a getter producing the
-// current value and its static kind.
-type Leaf struct {
-	Get  func() Value
-	Kind Kind
-}
+type nodeOp int
 
-// Compile compiles p into a boolean closure. leaf resolves every
-// FieldRef in p to an accessor; compilation fails if a leaf cannot be
-// bound, an atom is not boolean-valued, or an operator is applied at
-// the wrong type — all conditions the planning layer screens for, so
-// errors here indicate a plan/runtime mismatch.
-func Compile(p Pred, leaf func(FieldRef) (Leaf, error)) (func() bool, error) {
+const (
+	opLit   nodeOp = iota
+	opLeaf         // a field of a global object
+	opFloat        // an int operand converted to float
+	opNeg
+	opNot
+	opBin  // a comparison, &&, ||, + or * inside an atom
+	opJoin // the conjunction or disjunction of predicates
+)
+
+// Check type-checks p against the program: kind gives the kind of the
+// field a reference reads, false when the reference does not resolve to
+// an int, double or bool field. It refuses a leaf that does not resolve,
+// an atom that is not bool-valued, an operator applied at the wrong kinds
+// and anything outside the guardable fragment. A nil p, like False, is
+// the guard that never holds.
+func Check(p Pred, kind func(FieldRef) (Kind, bool)) (*Checked, error) {
 	switch x := p.(type) {
 	case nil, False:
-		return func() bool { return false }, nil
+		return literal(BoolVal(false)), nil
 	case True:
-		return func() bool { return true }, nil
+		return literal(BoolVal(true)), nil
 	case Atom:
-		get, kind, err := compileExpr(x.E, leaf)
+		n, err := checkExpr(x.E, kind)
 		if err != nil {
 			return nil, err
 		}
-		if kind != KBool {
-			return nil, fmt.Errorf("cond: atom %s is %s-valued, want bool", x.E.Key(), kind)
+		if n.kind != KBool {
+			return nil, fmt.Errorf("cond: atom %s is %s-valued, want bool", x.E.Key(), n.kind)
 		}
-		return func() bool { return get().B }, nil
+		return n, nil
 	case *And:
-		fns, err := compilePreds(x.Ps, leaf)
-		if err != nil {
-			return nil, err
-		}
-		return func() bool {
-			for _, f := range fns {
-				if !f() {
-					return false
-				}
-			}
-			return true
-		}, nil
+		return checkJoin(symbolic.OpAnd, x.Ps, kind)
 	case *Or:
-		fns, err := compilePreds(x.Ps, leaf)
-		if err != nil {
-			return nil, err
-		}
-		return func() bool {
-			for _, f := range fns {
-				if f() {
-					return true
-				}
-			}
-			return false
-		}, nil
+		return checkJoin(symbolic.OpOr, x.Ps, kind)
 	}
 	return nil, fmt.Errorf("cond: unknown predicate %T", p)
 }
 
-func compilePreds(ps []Pred, leaf func(FieldRef) (Leaf, error)) ([]func() bool, error) {
-	fns := make([]func() bool, len(ps))
+func checkJoin(op symbolic.Op, ps []Pred, kind func(FieldRef) (Kind, bool)) (*Checked, error) {
+	n := &Checked{op: opJoin, kind: KBool, bin: op, args: make([]*Checked, len(ps))}
 	for i, q := range ps {
-		f, err := Compile(q, leaf)
+		a, err := Check(q, kind)
 		if err != nil {
 			return nil, err
 		}
-		fns[i] = f
+		n.args[i] = a
 	}
-	return fns, nil
+	return n, nil
 }
 
-func compileExpr(e symbolic.Expr, leaf func(FieldRef) (Leaf, error)) (func() Value, Kind, error) {
+func literal(v Value) *Checked { return &Checked{op: opLit, kind: v.K, lit: v} }
+
+func checkExpr(e symbolic.Expr, kind func(FieldRef) (Kind, bool)) (*Checked, error) {
 	switch x := e.(type) {
 	case symbolic.Num:
-		v := x.V
 		if x.IsInt {
-			iv := IntVal(int64(v))
-			return func() Value { return iv }, KInt, nil
+			return literal(IntVal(int64(x.V))), nil
 		}
-		fv := FloatVal(v)
-		return func() Value { return fv }, KFloat, nil
+		return literal(FloatVal(x.V)), nil
 	case symbolic.Bool:
-		bv := BoolVal(x.V)
-		return func() Value { return bv }, KBool, nil
+		return literal(BoolVal(x.V)), nil
 	case symbolic.Extent:
 		ref, ok := ParseFieldRef(x.ID)
 		if !ok {
-			return nil, 0, fmt.Errorf("cond: extent constant %s is not a guardable field reference", x.ID)
+			return nil, fmt.Errorf("cond: extent constant %s is not a guardable field reference", x.ID)
 		}
-		l, err := leaf(ref)
-		if err != nil {
-			return nil, 0, err
+		k, ok := kind(ref)
+		if !ok {
+			return nil, fmt.Errorf("cond: %s.%s@global:%s is not an int, double or bool field", ref.Class, ref.Field, ref.Global)
 		}
-		return l.Get, l.Kind, nil
+		return &Checked{op: opLeaf, kind: k, ref: ref}, nil
 	case *symbolic.Neg:
-		get, kind, err := compileExpr(x.X, leaf)
+		a, err := checkExpr(x.X, kind)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		switch kind {
-		case KInt:
-			return func() Value { return IntVal(-get().I) }, KInt, nil
-		case KFloat:
-			return func() Value { return FloatVal(-get().F) }, KFloat, nil
+		if a.kind == KBool {
+			return nil, fmt.Errorf("cond: negation of bool operand")
 		}
-		return nil, 0, fmt.Errorf("cond: negation of %s operand", kind)
+		return &Checked{op: opNeg, kind: a.kind, args: []*Checked{a}}, nil
 	case *symbolic.Not:
-		get, kind, err := compileExpr(x.X, leaf)
+		a, err := checkExpr(x.X, kind)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		if kind != KBool {
-			return nil, 0, fmt.Errorf("cond: ! of %s operand", kind)
+		if a.kind != KBool {
+			return nil, fmt.Errorf("cond: ! of %s operand", a.kind)
 		}
-		return func() Value { return BoolVal(!get().B) }, KBool, nil
+		return &Checked{op: opNot, kind: KBool, args: []*Checked{a}}, nil
 	case *symbolic.Bin:
-		return compileBin(x.Op, x.L, x.R, leaf)
+		return checkFold(x.Op, []symbolic.Expr{x.L, x.R}, kind)
 	case *symbolic.Nary:
-		if len(x.Args) == 0 {
-			return nil, 0, fmt.Errorf("cond: empty %s application", x.Op)
-		}
-		get, kind, err := compileExpr(x.Args[0], leaf)
+		return checkFold(x.Op, x.Args, kind)
+	}
+	return nil, fmt.Errorf("cond: expression %s is outside the guardable fragment", e.Key())
+}
+
+// checkFold applies op to the operands from the left, one binary step
+// each.
+func checkFold(op symbolic.Op, operands []symbolic.Expr, kind func(FieldRef) (Kind, bool)) (*Checked, error) {
+	if len(operands) == 0 {
+		return nil, fmt.Errorf("cond: empty %s application", op)
+	}
+	n, err := checkExpr(operands[0], kind)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range operands[1:] {
+		r, err := checkExpr(e, kind)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		for _, a := range x.Args[1:] {
-			get, kind, err = combine(x.Op, get, kind, a, leaf)
-			if err != nil {
-				return nil, 0, err
-			}
+		if n, err = binary(op, n, r); err != nil {
+			return nil, err
 		}
-		return get, kind, nil
 	}
-	return nil, 0, fmt.Errorf("cond: expression %s is outside the guardable fragment", e.Key())
+	return n, nil
 }
 
-// combine folds one more operand into an n-ary application.
-func combine(op symbolic.Op, lget func() Value, lk Kind, r symbolic.Expr, leaf func(FieldRef) (Leaf, error)) (func() Value, Kind, error) {
-	rget, rk, err := compileExpr(r, leaf)
-	if err != nil {
-		return nil, 0, err
-	}
+// binary types one application of op: && and || take bools, ordering and
+// arithmetic take numbers, == and != take either, and the int operand of
+// a mixed pair converts to float.
+func binary(op symbolic.Op, l, r *Checked) (*Checked, error) {
+	bools := l.kind == KBool && r.kind == KBool
+	numbers := l.kind != KBool && r.kind != KBool
+	var ok bool
 	switch op {
-	case symbolic.OpAnd:
-		if lk != KBool || rk != KBool {
-			return nil, 0, fmt.Errorf("cond: && over %s/%s operands", lk, rk)
-		}
-		return func() Value { return BoolVal(lget().B && rget().B) }, KBool, nil
-	case symbolic.OpOr:
-		if lk != KBool || rk != KBool {
-			return nil, 0, fmt.Errorf("cond: || over %s/%s operands", lk, rk)
-		}
-		return func() Value { return BoolVal(lget().B || rget().B) }, KBool, nil
-	case symbolic.OpAdd:
-		return arith(op, lget, lk, rget, rk, func(a, b int64) int64 { return a + b }, func(a, b float64) float64 { return a + b })
-	case symbolic.OpMul:
-		return arith(op, lget, lk, rget, rk, func(a, b int64) int64 { return a * b }, func(a, b float64) float64 { return a * b })
-	}
-	return nil, 0, fmt.Errorf("cond: operator %s is outside the guardable fragment", op)
-}
-
-func arith(op symbolic.Op, lget func() Value, lk Kind, rget func() Value, rk Kind, fi func(a, b int64) int64, ff func(a, b float64) float64) (func() Value, Kind, error) {
-	if lk == KBool || rk == KBool {
-		return nil, 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
-	}
-	if lk == KInt && rk == KInt {
-		return func() Value { return IntVal(fi(lget().I, rget().I)) }, KInt, nil
-	}
-	return func() Value { return FloatVal(ff(lget().asFloat(), rget().asFloat())) }, KFloat, nil
-}
-
-func compileBin(op symbolic.Op, l, r symbolic.Expr, leaf func(FieldRef) (Leaf, error)) (func() Value, Kind, error) {
-	lget, lk, err := compileExpr(l, leaf)
-	if err != nil {
-		return nil, 0, err
-	}
-	rget, rk, err := compileExpr(r, leaf)
-	if err != nil {
-		return nil, 0, err
-	}
-	boolPair := lk == KBool && rk == KBool
-	numPair := lk != KBool && rk != KBool
-	switch op {
-	case symbolic.OpEq:
-		if boolPair {
-			return func() Value { return BoolVal(lget().B == rget().B) }, KBool, nil
-		}
-		if numPair {
-			if lk == KInt && rk == KInt {
-				return func() Value { return BoolVal(lget().I == rget().I) }, KBool, nil
-			}
-			return func() Value { return BoolVal(lget().asFloat() == rget().asFloat()) }, KBool, nil
-		}
-	case symbolic.OpNe:
-		if boolPair {
-			return func() Value { return BoolVal(lget().B != rget().B) }, KBool, nil
-		}
-		if numPair {
-			if lk == KInt && rk == KInt {
-				return func() Value { return BoolVal(lget().I != rget().I) }, KBool, nil
-			}
-			return func() Value { return BoolVal(lget().asFloat() != rget().asFloat()) }, KBool, nil
-		}
-	case symbolic.OpLt, symbolic.OpLe, symbolic.OpGt, symbolic.OpGe:
-		if !numPair {
-			break
-		}
-		if lk == KInt && rk == KInt {
-			switch op {
-			case symbolic.OpLt:
-				return func() Value { return BoolVal(lget().I < rget().I) }, KBool, nil
-			case symbolic.OpLe:
-				return func() Value { return BoolVal(lget().I <= rget().I) }, KBool, nil
-			case symbolic.OpGt:
-				return func() Value { return BoolVal(lget().I > rget().I) }, KBool, nil
-			default:
-				return func() Value { return BoolVal(lget().I >= rget().I) }, KBool, nil
-			}
-		}
-		switch op {
-		case symbolic.OpLt:
-			return func() Value { return BoolVal(lget().asFloat() < rget().asFloat()) }, KBool, nil
-		case symbolic.OpLe:
-			return func() Value { return BoolVal(lget().asFloat() <= rget().asFloat()) }, KBool, nil
-		case symbolic.OpGt:
-			return func() Value { return BoolVal(lget().asFloat() > rget().asFloat()) }, KBool, nil
-		default:
-			return func() Value { return BoolVal(lget().asFloat() >= rget().asFloat()) }, KBool, nil
-		}
+	case symbolic.OpAnd, symbolic.OpOr:
+		ok = bools
+	case symbolic.OpEq, symbolic.OpNe:
+		ok = bools || numbers
+	case symbolic.OpLt, symbolic.OpLe, symbolic.OpGt, symbolic.OpGe, symbolic.OpAdd, symbolic.OpMul:
+		ok = numbers
 	default:
-		return nil, 0, fmt.Errorf("cond: operator %s is outside the guardable fragment", op)
+		return nil, fmt.Errorf("cond: operator %s is outside the guardable fragment", op)
 	}
-	return nil, 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
+	if !ok {
+		return nil, fmt.Errorf("cond: %s over %s/%s operands", op, l.kind, r.kind)
+	}
+	if numbers && l.kind != r.kind {
+		l, r = toFloat(l), toFloat(r)
+	}
+	n := &Checked{op: opBin, kind: KBool, bin: op, args: []*Checked{l, r}}
+	if op == symbolic.OpAdd || op == symbolic.OpMul {
+		n.kind = l.kind
+	}
+	return n, nil
+}
+
+func toFloat(n *Checked) *Checked {
+	if n.kind != KInt {
+		return n
+	}
+	return &Checked{op: opFloat, kind: KFloat, args: []*Checked{n}}
 }
 
 // ---------------------------------------------------------------------
-// Native emission
+// The interpreter's rendering
 
-// GoLeaf is the native rendering of a FieldRef: a Go expression
-// reading the field and its static kind.
-type GoLeaf struct {
-	Expr string
-	Kind Kind
+// Func renders c as a closure. leaf gives the accessor of the field a
+// reference reads, at the kind Check found for it.
+func (c *Checked) Func(leaf func(FieldRef, Kind) func() Value) func() bool {
+	f := c.eval(leaf)
+	return func() bool { return f().B }
 }
 
-// EmitGo renders p as the condition of a Go if statement whose
-// evaluation matches the compiled closure bit for bit: mixed int/float
-// operands promote through float64 conversions, and every float
-// arithmetic step is wrapped in float64(...) to fence FMA contraction,
-// mirroring the native backend's expression emission. The text is
-// laid out the way gofmt prints it after `if `, so the emitter can
-// write it as it stands.
-func EmitGo(p Pred, leaf func(FieldRef) (GoLeaf, error)) (string, error) {
-	g, err := emitPred(p, leaf)
-	if err != nil {
-		return "", err
+func (c *Checked) eval(leaf func(FieldRef, Kind) func() Value) func() Value {
+	switch c.op {
+	case opLit:
+		v := c.lit
+		return func() Value { return v }
+	case opLeaf:
+		return leaf(c.ref, c.kind)
 	}
-	return g.at(1), nil
+	args := make([]func() Value, len(c.args))
+	for i, a := range c.args {
+		args[i] = a.eval(leaf)
+	}
+	if c.op == opJoin {
+		// The first operand that differs from the conjunction's identity
+		// (true) or the disjunction's (false) decides.
+		and := c.bin == symbolic.OpAnd
+		return func() Value {
+			for _, f := range args {
+				if f().B != and {
+					return BoolVal(!and)
+				}
+			}
+			return BoolVal(and)
+		}
+	}
+	x := args[0]
+	switch c.op {
+	case opFloat:
+		return func() Value { return FloatVal(float64(x().I)) }
+	case opNeg:
+		if c.kind == KInt {
+			return func() Value { return IntVal(-x().I) }
+		}
+		return func() Value { return FloatVal(-x().F) }
+	case opNot:
+		return func() Value { return BoolVal(!x().B) }
+	}
+	y, op := args[1], c.bin
+	switch c.args[0].kind {
+	case KBool:
+		return func() Value { return BoolVal(logic(op, x().B, y().B)) }
+	case KInt:
+		if c.kind == KBool {
+			return func() Value { return BoolVal(compare(op, x().I, y().I)) }
+		}
+		return func() Value { return IntVal(arith(op, x().I, y().I)) }
+	}
+	if c.kind == KBool {
+		return func() Value { return BoolVal(compare(op, x().F, y().F)) }
+	}
+	return func() Value { return FloatVal(arith(op, x().F, y().F)) }
 }
+
+func logic(op symbolic.Op, a, b bool) bool {
+	switch op {
+	case symbolic.OpAnd:
+		return a && b
+	case symbolic.OpOr:
+		return a || b
+	case symbolic.OpEq:
+		return a == b
+	}
+	return a != b
+}
+
+func compare[T int64 | float64](op symbolic.Op, a, b T) bool {
+	switch op {
+	case symbolic.OpEq:
+		return a == b
+	case symbolic.OpNe:
+		return a != b
+	case symbolic.OpLt:
+		return a < b
+	case symbolic.OpLe:
+		return a <= b
+	case symbolic.OpGt:
+		return a > b
+	}
+	return a >= b
+}
+
+func arith[T int64 | float64](op symbolic.Op, a, b T) T {
+	if op == symbolic.OpAdd {
+		return a + b
+	}
+	return a * b
+}
+
+// ---------------------------------------------------------------------
+// The Go emitter's rendering
+
+// Go renders c as the condition of a Go if statement whose evaluation
+// matches Func bit for bit. leaf spells the read of the field a reference
+// names. A conversion is a float64(...) call, and every float arithmetic
+// step is wrapped in float64(...) to fence FMA contraction, mirroring the
+// native backend's expression emission. The text is laid out the way
+// gofmt prints it after `if `, so the emitter can write it as it stands.
+func (c *Checked) Go(leaf func(FieldRef) string) string { return c.text(leaf).at(1) }
 
 // goExpr is a Go expression not yet laid out. gofmt's blanks depend on
 // the nesting depth an expression is printed at (go/printer's
@@ -323,7 +341,7 @@ func EmitGo(p Pred, leaf func(FieldRef) (GoLeaf, error)) (string, error) {
 // inside a binary operand, and parentheses take a level back off; below
 // level 1 arithmetic operators lose their blanks), while an
 // expression's kind, and with it the choice between parentheses and a
-// float64 fence, is only known once its operands are. So emission
+// float64 fence, is only known once its operands are. So rendering
 // returns the layout as a function of the depth.
 type goExpr struct {
 	// paren: an operator expression, parenthesised as an operand and
@@ -360,186 +378,62 @@ func goUnary(op string, g goExpr) goExpr {
 	return goExpr{paren: true, at: func(d int) string { return op + g.operand(d) }}
 }
 
-func emitPred(p Pred, leaf func(FieldRef) (GoLeaf, error)) (goExpr, error) {
-	switch x := p.(type) {
-	case nil, False:
-		return goText("false"), nil
-	case True:
-		return goText("true"), nil
-	case Atom:
-		g, kind, err := emitExpr(x.E, leaf)
-		if err != nil {
-			return goExpr{}, err
-		}
-		if kind != KBool {
-			return goExpr{}, fmt.Errorf("cond: atom %s is %s-valued, want bool", x.E.Key(), kind)
-		}
-		return g, nil
-	case *And:
-		return emitJoin(x.Ps, "&&", leaf)
-	case *Or:
-		return emitJoin(x.Ps, "||", leaf)
-	}
-	return goExpr{}, fmt.Errorf("cond: unknown predicate %T", p)
+// goConvert wraps a rendering in a float64 conversion, which keeps the
+// depth.
+func goConvert(at func(depth int) string) goExpr {
+	return goExpr{at: func(d int) string { return "float64(" + at(d) + ")" }}
 }
 
-func emitJoin(ps []Pred, op string, leaf func(FieldRef) (GoLeaf, error)) (goExpr, error) {
-	parts := make([]goExpr, len(ps))
-	for i, q := range ps {
-		g, err := emitPred(q, leaf)
-		if err != nil {
-			return goExpr{}, err
-		}
-		parts[i] = g
+func (c *Checked) text(leaf func(FieldRef) string) goExpr {
+	switch c.op {
+	case opLit:
+		return goText(c.lit.goLiteral())
+	case opLeaf:
+		return goText(leaf(c.ref))
 	}
-	// A chain of one operator is one expression to gofmt: every
-	// operand prints one level below it.
-	return goExpr{paren: true, at: func(d int) string {
-		texts := make([]string, len(parts))
-		for i, g := range parts {
-			texts[i] = g.operand(d + 1)
-		}
-		return strings.Join(texts, " "+op+" ")
-	}}, nil
-}
-
-// emitNum renders a numeric literal; float renderings always carry a
-// decimal point or exponent so the Go constant stays typed float64.
-func emitNum(x symbolic.Num) (string, Kind) {
-	if x.IsInt {
-		return strconv.FormatInt(int64(x.V), 10), KInt
+	args := make([]goExpr, len(c.args))
+	for i, a := range c.args {
+		args[i] = a.text(leaf)
 	}
-	s := strconv.FormatFloat(x.V, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
-	}
-	return s, KFloat
-}
-
-func emitExpr(e symbolic.Expr, leaf func(FieldRef) (GoLeaf, error)) (goExpr, Kind, error) {
-	switch x := e.(type) {
-	case symbolic.Num:
-		s, k := emitNum(x)
-		return goText(s), k, nil
-	case symbolic.Bool:
-		if x.V {
-			return goText("true"), KBool, nil
-		}
-		return goText("false"), KBool, nil
-	case symbolic.Extent:
-		ref, ok := ParseFieldRef(x.ID)
-		if !ok {
-			return goExpr{}, 0, fmt.Errorf("cond: extent constant %s is not a guardable field reference", x.ID)
-		}
-		l, err := leaf(ref)
-		if err != nil {
-			return goExpr{}, 0, err
-		}
-		return goText(l.Expr), l.Kind, nil
-	case *symbolic.Neg:
-		g, kind, err := emitExpr(x.X, leaf)
-		if err != nil {
-			return goExpr{}, 0, err
-		}
-		if kind == KBool {
-			return goExpr{}, 0, fmt.Errorf("cond: negation of bool operand")
-		}
-		return goUnary("-", g), kind, nil
-	case *symbolic.Not:
-		g, kind, err := emitExpr(x.X, leaf)
-		if err != nil {
-			return goExpr{}, 0, err
-		}
-		if kind != KBool {
-			return goExpr{}, 0, fmt.Errorf("cond: ! of %s operand", kind)
-		}
-		return goUnary("!", g), KBool, nil
-	case *symbolic.Bin:
-		l, lk, err := emitExpr(x.L, leaf)
-		if err != nil {
-			return goExpr{}, 0, err
-		}
-		r, rk, err := emitExpr(x.R, leaf)
-		if err != nil {
-			return goExpr{}, 0, err
-		}
-		return emitCompare(x.Op, l, lk, r, rk)
-	case *symbolic.Nary:
-		if len(x.Args) == 0 {
-			return goExpr{}, 0, fmt.Errorf("cond: empty %s application", x.Op)
-		}
-		g, kind, err := emitExpr(x.Args[0], leaf)
-		if err != nil {
-			return goExpr{}, 0, err
-		}
-		for _, a := range x.Args[1:] {
-			r, rk, err2 := emitExpr(a, leaf)
-			if err2 != nil {
-				return goExpr{}, 0, err2
+	switch c.op {
+	case opFloat:
+		return goConvert(args[0].operand)
+	case opNeg:
+		return goUnary("-", args[0])
+	case opNot:
+		return goUnary("!", args[0])
+	case opJoin:
+		// A chain of one operator is one expression to gofmt: every
+		// operand prints one level below it.
+		return goExpr{paren: true, at: func(d int) string {
+			texts := make([]string, len(args))
+			for i, g := range args {
+				texts[i] = g.operand(d + 1)
 			}
-			g, kind, err = emitCombine(x.Op, g, kind, r, rk)
-			if err != nil {
-				return goExpr{}, 0, err
-			}
-		}
-		return g, kind, nil
+			return strings.Join(texts, " "+c.bin.String()+" ")
+		}}
 	}
-	return goExpr{}, 0, fmt.Errorf("cond: expression %s is outside the guardable fragment", e.Key())
+	arithmetic := c.bin == symbolic.OpAdd || c.bin == symbolic.OpMul
+	g := goBinary(args[0], c.bin.String(), args[1], arithmetic)
+	if arithmetic && c.kind == KFloat {
+		// The fence is a conversion, not parentheses.
+		return goConvert(g.at)
+	}
+	return g
 }
 
-// promote renders the operand pair at a common numeric kind. A
-// conversion keeps its operand's depth.
-func promote(l goExpr, lk Kind, r goExpr, rk Kind) (goExpr, goExpr, Kind) {
-	if lk == rk {
-		return l, r, lk
-	}
-	toFloat := func(g goExpr) goExpr {
-		return goExpr{at: func(d int) string { return "float64(" + g.operand(d) + ")" }}
-	}
-	if lk == KInt {
-		l = toFloat(l)
-	}
-	if rk == KInt {
-		r = toFloat(r)
-	}
-	return l, r, KFloat
-}
-
-func emitCombine(op symbolic.Op, l goExpr, lk Kind, r goExpr, rk Kind) (goExpr, Kind, error) {
-	switch op {
-	case symbolic.OpAnd, symbolic.OpOr:
-		if lk != KBool || rk != KBool {
-			return goExpr{}, 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
+// goLiteral spells a literal; a float always carries a decimal point or
+// an exponent, so the Go constant stays typed float64.
+func (v Value) goLiteral() string {
+	switch v.K {
+	case KInt:
+		return strconv.FormatInt(v.I, 10)
+	case KFloat:
+		s := strconv.FormatFloat(v.F, 'g', -1, 64)
+		if !strings.ContainsAny(s, ".eE") {
+			s += ".0"
 		}
-		return goBinary(l, op.String(), r, false), KBool, nil
-	case symbolic.OpAdd, symbolic.OpMul:
-		if lk == KBool || rk == KBool {
-			return goExpr{}, 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
-		}
-		l, r, k := promote(l, lk, r, rk)
-		bin := goBinary(l, op.String(), r, true)
-		if k == KFloat {
-			// The fence is a conversion, not parentheses: the depth stays.
-			return goExpr{at: func(d int) string { return "float64(" + bin.at(d) + ")" }}, k, nil
-		}
-		return bin, k, nil
+		return s
 	}
-	return goExpr{}, 0, fmt.Errorf("cond: operator %s is outside the guardable fragment", op)
-}
-
-func emitCompare(op symbolic.Op, l goExpr, lk Kind, r goExpr, rk Kind) (goExpr, Kind, error) {
-	switch op {
-	case symbolic.OpEq, symbolic.OpNe:
-		if lk == KBool && rk == KBool {
-			return goBinary(l, op.String(), r, false), KBool, nil
-		}
-		fallthrough
-	case symbolic.OpLt, symbolic.OpLe, symbolic.OpGt, symbolic.OpGe:
-		if lk == KBool || rk == KBool {
-			return goExpr{}, 0, fmt.Errorf("cond: %s over %s/%s operands", op, lk, rk)
-		}
-		l, r, _ = promote(l, lk, r, rk)
-		return goBinary(l, op.String(), r, false), KBool, nil
-	}
-	return goExpr{}, 0, fmt.Errorf("cond: operator %s is outside the guardable fragment", op)
+	return strconv.FormatBool(v.B)
 }

@@ -107,10 +107,14 @@ func TestConditionAggregatesAllFailingPairs(t *testing.T) {
 	}
 
 	// The guard reads exactly the two mode fields.
-	refs := cond.Refs(r.Guard)
-	if len(refs) != 2 ||
-		refs[0] != (cond.FieldRef{Global: "B", Class: "box", Field: "m1"}) ||
-		refs[1] != (cond.FieldRef{Global: "B", Class: "box", Field: "m2"}) {
-		t.Errorf("guard refs = %+v, want [B.box.m1 B.box.m2]", refs)
+	refs := map[cond.FieldRef]bool{}
+	_, err := cond.Check(r.Guard, func(ref cond.FieldRef) (cond.Kind, bool) {
+		refs[ref] = true
+		return cond.KInt, true
+	})
+	if err != nil || len(refs) != 2 ||
+		!refs[cond.FieldRef{Global: "B", Class: "box", Field: "m1"}] ||
+		!refs[cond.FieldRef{Global: "B", Class: "box", Field: "m2"}] {
+		t.Errorf("guard refs = %+v (check: %v), want B.box.m1 and B.box.m2", refs, err)
 	}
 }

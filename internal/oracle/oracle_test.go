@@ -193,21 +193,15 @@ func draws() []oracle.Row {
 	for i := 0; i < 8; i++ {
 		c := oracle.DrawCounters(r)
 		c.Op = oracle.Overwrite
-		if i < 2 {
-			// Natively, a root whose tier is serial by policy runs S_ code,
-			// where the interpreter still enters the roots below it: at one
-			// worker the two count alike only where no root is nested.
-			c.Reach, c.Loop = oracle.Direct, oracle.LoopShapes[0]
-		}
 		counters(fmt.Sprintf("rejected-%d", i), c, i < 2, speculates)
-		// rejected-0's root costs more than the interpreter's entry cost and
-		// less than the emitter's.
+		// rejected-0 has a root that costs more than the interpreter's entry
+		// cost and less than the emitter's.
 		rows[len(rows)-1].NoParity = i == 0
 	}
 	for i := 0; i < 6; i++ {
 		c := oracle.DrawCounters(r)
 		c.Op, c.Mode = oracle.ModeGuarded, i%2
-		counters(fmt.Sprintf("conditional-%d", i), c, false, func(run oracle.Run, s rt.Stats) string {
+		counters(fmt.Sprintf("conditional-%d", i), c, i < 2, func(run oracle.Run, s rt.Stats) string {
 			if !run.Conditional || run.Speculate != rt.SpecOff {
 				return ""
 			}

@@ -1,11 +1,8 @@
 package rt
 
 import (
-	"fmt"
-
 	"commute/internal/codegen"
 	"commute/internal/cond"
-	"commute/internal/frontend/types"
 )
 
 // This file implements the runtime side of conditional commutativity:
@@ -17,64 +14,30 @@ import (
 // cond.Guardable fragment), so evaluating it before the region opens
 // observes the same values every operation in the region would.
 
-// compileGuard lowers a plan guard to a closure over the interpreter's
-// global object slots. Compilation is infallible in practice: the
-// planner only marks an extent Conditional after resolving every field
-// reference against the program (codegen.ResolveGuardRef), and the
-// interpreter allocates a global object per program global — but a
-// mismatch still returns an error rather than panicking, and the
-// caller degrades to the serial path.
-func (rt *Runtime) compileGuard(mp *codegen.MethodPlan) (func() bool, error) {
-	return cond.Compile(mp.Guard, func(ref cond.FieldRef) (cond.Leaf, error) {
+// compileGuard renders a plan guard as a closure over the interpreter's
+// global object slots. The planner checked the guard against the program
+// (cond.Check), so every leaf names a field of a global object at the
+// kind it reads, and the interpreter allocates a global object per
+// program global.
+func (rt *Runtime) compileGuard(mp *codegen.MethodPlan) func() bool {
+	return mp.Guard.Func(func(ref cond.FieldRef, kind cond.Kind) func() cond.Value {
 		obj := rt.IP.Globals[ref.Global]
-		if obj == nil {
-			return cond.Leaf{}, fmt.Errorf("guard references unknown global %q", ref.Global)
-		}
-		_, field, ok := codegen.ResolveGuardRef(rt.IP.Prog, ref)
-		if !ok {
-			return cond.Leaf{}, fmt.Errorf("guard reference %s.%s does not resolve", ref.Class, ref.Field)
-		}
 		slot := rt.IP.FieldSlot(obj.Class, ref.Class, ref.Field)
-		var kind cond.Kind
-		switch field.Type {
-		case types.Basic(types.Int):
-			kind = cond.KInt
-		case types.Basic(types.Double):
-			kind = cond.KFloat
-		case types.Basic(types.Bool):
-			kind = cond.KBool
-		default:
-			return cond.Leaf{}, fmt.Errorf("guard field %s.%s has non-scalar type %s", ref.Class, ref.Field, field.Type)
+		switch kind {
+		case cond.KInt:
+			return func() cond.Value { return cond.IntVal(obj.Slots[slot].Int()) }
+		case cond.KFloat:
+			return func() cond.Value { return cond.FloatVal(obj.Slots[slot].Float()) }
 		}
-		return cond.Leaf{
-			Kind: kind,
-			Get: func() cond.Value {
-				v := obj.Slots[slot]
-				switch kind {
-				case cond.KInt:
-					return cond.IntVal(v.Int())
-				case cond.KFloat:
-					return cond.FloatVal(v.Float())
-				default:
-					return cond.BoolVal(v.Bool())
-				}
-			},
-		}, nil
+		return func() cond.Value { return cond.BoolVal(obj.Slots[slot].Bool()) }
 	})
 }
 
-// guardHolds evaluates the root's guard, compiling it on first use (the
-// compiled closure stays in the run's dispatch table). A guard that
-// fails to compile — impossible for plans the planner built, but
-// conceivable for a hand-assembled plan — reports false: the serial
-// path is always correct.
+// guardHolds evaluates the root's guard, rendering it on first use (the
+// closure stays in the run's dispatch table).
 func (rt *Runtime) guardHolds(e *methodEntry) bool {
 	if e.guard == nil {
-		g, err := rt.compileGuard(e.mp)
-		if err != nil {
-			g = func() bool { return false }
-		}
-		e.guard = g
+		e.guard = rt.compileGuard(e.mp)
 	}
 	return e.guard()
 }

@@ -236,14 +236,8 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 		case e.declined:
 			// Not worth a region, whatever its tier and whatever the
 			// policies say (force overrides confidence, not
-			// profitability): the serial version and nothing else — the
-			// hook is off while it runs, as S_m calls only S_ versions.
+			// profitability).
 			rt.Stats.RegionsDeclined++
-			hook := ctx.Invoke
-			ctx.Invoke = nil
-			v, err := rt.IP.Call(ctx, site.Callee, recv, args)
-			ctx.Invoke = hook
-			return v, err
 		case e.root:
 			// A root returns no value (Plan.RegionRoot).
 			switch policy.Enter(&rt.Stats, e.facts, func() bool { return rt.guardHolds(e) }) {
@@ -252,10 +246,19 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 			case nativert.Speculative:
 				return interp.Value{}, rt.runSpeculativeRegion(e, recv, args)
 			}
+		default:
+			// Not a region root: serial code, which may enter the roots it
+			// calls.
+			return rt.IP.Call(ctx, site.Callee, recv, args)
 		}
-		// Not a region root, or an unproven extent no policy took: the
-		// original serial version, inline.
-		return rt.IP.Call(ctx, site.Callee, recv, args)
+		// A declined root, or one whose tier is serial: its serial version
+		// and nothing else. The hook is off while it runs, as S_m calls
+		// only S_ versions, so no root below it is entered.
+		hook := ctx.Invoke
+		ctx.Invoke = nil
+		v, err := rt.IP.Call(ctx, site.Callee, recv, args)
+		ctx.Invoke = hook
+		return v, err
 	}
 	return ctx
 }

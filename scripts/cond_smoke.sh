@@ -92,12 +92,20 @@ echo "shipped condhash: six regions declined ok"
 
 # Native backend: the generated Go program evaluates the same guards
 # and matches the interpreter's state dump byte for byte; the shipped
-# app's package is its serial versions behind the declined counter.
+# app's package is its serial versions behind the declined counter. The
+# emitter runs no formatter, so gofmt must have nothing to change in what
+# it wrote, guard conditions included.
 go run ./cmd/commutec -emit go -o "$OUT/native-shipped" -app condhash
 go run ./cmd/commutec -emit go -o "$OUT/native-wide" "$OUT/wide0.mc"
 for DIR in "$OUT/native-shipped" "$OUT/native-wide"; do
   (cd "$DIR" && go vet . && go build -o app .)
+  UNFORMATTED=$(gofmt -l "$DIR")
+  if [ -n "$UNFORMATTED" ]; then
+    echo "FAIL: emitted files are not in gofmt's form: $UNFORMATTED" >&2
+    exit 1
+  fi
 done
+grep -q 'return 0 == G_H.F_mode$' "$OUT/native-wide/prog.go"
 go run ./cmd/commuterun -mode serial -dump "$OUT/wide0.mc" > "$OUT/native.interp"
 "$OUT/native-wide/app" -mode parallel -workers 4 -conditional -dump > "$OUT/native.out"
 diff "$OUT/native.interp" "$OUT/native.out"
