@@ -225,4 +225,14 @@ func main() {
 	for _, l := range lines {
 		fmt.Println(l)
 	}
+	// The accumulations the plan every execution runs takes off the lock
+	// (§6.3.4), and the candidates it leaves on it, with the reason.
+	for _, r := range sys.CondPlan.Replicas {
+		at := fmt.Sprintf("%s at %s on global %s", r.Site.Callee.FullName(), r.Site.Call.Pos(), r.Global.Name)
+		if r.Refused == "" {
+			fmt.Printf("replicated: %s\n", at)
+		} else {
+			fmt.Printf("not replicated: %s: %s\n", at, r.Refused)
+		}
+	}
 }

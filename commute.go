@@ -61,7 +61,10 @@ type System struct {
 	// (codegen.Options.SpeculateRejected). Which tier an unproven extent
 	// runs under is decided at each region entry from
 	// RunOptions.Conditional and RunOptions.Speculate; with both off it
-	// runs its serial version, as under Plan.
+	// runs its serial version, as under Plan. It also runs a pure additive
+	// accumulation on a global on the executing worker's replica, folded
+	// at the region's join, where Plan takes the global's lock
+	// (codegen.Options.ReplicateAccumulators).
 	CondPlan *codegen.Plan
 }
 
@@ -98,7 +101,7 @@ func newSystem(file *ast.File, prog *types.Program) *System {
 		Prog:     prog,
 		Analysis: analysis,
 		Plan:     codegen.Build(analysis),
-		CondPlan: codegen.BuildWithOptions(analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: true}),
+		CondPlan: codegen.BuildWithOptions(analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: true, ReplicateAccumulators: true}),
 	}
 }
 

@@ -49,11 +49,14 @@ type LoopAnnotation struct {
 	Nested   bool   `json:"nested,omitempty"`
 }
 
+// actionNames writes a replicated site as the spawn it replaces: the
+// annotation file carries the paper's plan, which locks.
 var actionNames = map[SiteAction]string{
 	ActionInline:  "inline",
 	ActionSpawn:   "spawn",
 	ActionHoisted: "hoisted",
 	ActionSerial:  "serial",
+	ActionReplica: "spawn",
 }
 
 var actionValues = map[string]SiteAction{

@@ -21,6 +21,7 @@ func TestCallRuleTable(t *testing.T) {
 	)
 	type call = codegen.SiteCall
 	serial := call{Run: ser}
+	replica := call{Run: ser, Replica: true, Release: true}
 	// parallel: what the site does when the callee has a parallel version
 	// and the caller's lock covers its object section only; plain: when the
 	// callee has none.
@@ -33,18 +34,22 @@ func TestCallRuleTable(t *testing.T) {
 		{par, codegen.ActionHoisted, serial, serial},
 		{par, codegen.ActionSpawn, call{Run: par, Spawn: true, Release: true}, call{Run: ser, Spawn: true, Release: true}},
 		{par, codegen.ActionSerial, serial, serial},
+		{par, codegen.ActionReplica, replica, replica},
 		{mut, codegen.ActionInline, serial, serial},
 		{mut, codegen.ActionHoisted, serial, serial},
 		{mut, codegen.ActionSpawn, call{Run: mut, Release: true}, call{Run: ser, Release: true}},
 		{mut, codegen.ActionSerial, serial, serial},
+		{mut, codegen.ActionReplica, replica, replica},
 		{iter, codegen.ActionInline, serial, serial},
 		{iter, codegen.ActionHoisted, call{Run: mut}, serial},
 		{iter, codegen.ActionSpawn, call{Run: mut}, serial},
 		{iter, codegen.ActionSerial, serial, serial},
+		{iter, codegen.ActionReplica, call{Run: ser, Replica: true}, call{Run: ser, Replica: true}},
 		{ser, codegen.ActionInline, serial, serial},
 		{ser, codegen.ActionHoisted, serial, serial},
 		{ser, codegen.ActionSpawn, serial, serial},
 		{ser, codegen.ActionSerial, serial, serial},
+		{ser, codegen.ActionReplica, serial, serial},
 	}
 	site := &types.CallSite{ID: 7}
 	for _, row := range rows {

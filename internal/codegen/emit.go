@@ -25,7 +25,8 @@ import (
 //
 // Every call site prints what the plan's call rule answers for the
 // version its body renders (MethodPlan.Call) — spawn(...__parallel), a
-// __mutex call on the caller's stack, or the plain serial call — and a
+// __mutex call on the caller's stack, replica(...) for a serial call on
+// the worker's replica of a global, or the plain serial call — and a
 // loop is a parallel_for exactly where LoopPlan.Parallel holds in a
 // parallel version, its body rendered as the iterations run it. The
 // output targets the run-time library API the paper's generated code
@@ -389,6 +390,10 @@ func (t *bodyEmitter) callStmt(x *ast.ExprStmt) {
 		t.pad()
 		printer.WriteCall(&t.e.sb, call, versionSuffix[sc.Run])
 		t.e.w(";\n")
+	case sc.Replica:
+		t.pad("replica(")
+		printer.WriteCall(&t.e.sb, call, "")
+		t.e.w(");\n")
 	default:
 		t.raw(x)
 	}

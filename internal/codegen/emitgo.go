@@ -28,7 +28,12 @@ package codegen
 //	      body is emitted in place, its call sites under the rule's
 //	      iteration context.
 //	X_m   mutex version: same lock discipline, invoked operations run
-//	      inline as X_ calls and every loop is serial.
+//	      inline as X_ calls and every loop is serial. It takes the
+//	      handle of the worker running it, w, as does a parallel loop's
+//	      claimant (its GSSOn factory's parameter): a replicated
+//	      accumulation (ActionReplica) runs the callee's S_ version on
+//	      that worker's replica of the global, rep_G.At(w), and the R_
+//	      wrapper folds the touched replicas back after the drain.
 //
 // Speculative extents (statically rejected, optimistically run under
 // effect journals) add journaled twins: SJ_ (parallel root, spawns tasks
@@ -115,7 +120,7 @@ var versions = [...]struct {
 	varS:  {"S_", mS, varJS, nil},
 	varD:  {"D_", mD, 0, nil},
 	varP:  {"P_", mP, varJP, []string{"w"}},
-	varX:  {"X_", mX, varJX, nil},
+	varX:  {"X_", mX, varJX, []string{"w"}},
 	varJP: {"SJ_", mP, 0, []string{"w", "sr_", "sj_"}},
 	varJS: {"SJS_", mS, 0, []string{"sj_"}},
 	varJX: {"SJX_", mX, 0, []string{"sr_", "sj_"}},
@@ -182,6 +187,9 @@ type goEmitter struct {
 	// types.Method.ID (reachesRegion).
 	driver []bool
 
+	// replicas: the globals whose replica tables some emitted code uses.
+	replicas map[*types.Global]bool
+
 	useMath    bool
 	useRtkit   bool
 	useStrconv bool
@@ -227,6 +235,7 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 		demanded: make(map[vkey]bool),
 		fnAt:     make(map[vkey][2]int),
 		helpers:  make(map[string]string),
+		replicas: make(map[*types.Global]bool),
 	}
 	for _, cl := range e.prog.ClassList {
 		if cl.Base != nil {

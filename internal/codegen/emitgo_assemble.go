@@ -140,6 +140,19 @@ func (e *goEmitter) assembleProg(entry variant) []byte {
 		alignRows(&b, "\t", rows)
 		b.WriteString(")\n\n")
 	}
+	if len(e.replicas) > 0 {
+		var rows [][]string
+		for _, g := range e.prog.GlobalSeq {
+			if e.replicas[g] {
+				rows = append(rows, []string{"rep_" + g.Name, "nativert.Replicas[T_" + g.Class.Name + "]"})
+			}
+		}
+		b.WriteString("// Per-worker replicas of the globals replicated accumulations add\n")
+		b.WriteString("// into; each region's join folds its own back.\n")
+		b.WriteString("var (\n")
+		alignRows(&b, "\t", rows)
+		b.WriteString(")\n\n")
+	}
 	b.WriteString("// initGlobals allocates fresh zeroed global roots, as the\n")
 	b.WriteString("// interpreter does before each run.\n")
 	b.WriteString("func initGlobals() {\n")
@@ -226,6 +239,33 @@ func (e *goEmitter) emitClass(b *bytes.Buffer, cl *types.Class) {
 			acc = "o.as_" + f.DeclClass + "().F_" + f.Name
 		}
 		e.emitFieldDump(b, f, acc)
+	}
+	b.WriteString("}\n\n")
+	e.emitFold(b, cl)
+}
+
+// emitFold appends fold_, the join of a class some used replica table
+// holds: it adds the fields replicated accumulations write (Plan.Folds)
+// from a replica into the object and zeroes them in the replica.
+func (e *goEmitter) emitFold(b *bytes.Buffer, cl *types.Class) {
+	used := false
+	for g := range e.replicas {
+		used = used || g.Class == cl
+	}
+	if !used {
+		return
+	}
+	fmt.Fprintf(b, "func (o *T_%s) fold_(r *T_%s) {\n", cl.Name, cl.Name)
+	for _, f := range e.plan.Folds[cl] {
+		acc := "F_" + f.Name
+		if f.DeclClass != cl.Name {
+			acc = "as_" + f.DeclClass + "().F_" + f.Name
+		}
+		if _, array := f.Type.(types.Array); array {
+			fmt.Fprintf(b, "\tfor i_ := range r.%s {\n\t\to.%[1]s[i_] += r.%[1]s[i_]\n\t\tr.%[1]s[i_] = 0\n\t}\n", acc)
+			continue
+		}
+		fmt.Fprintf(b, "\to.%s += r.%[1]s\n\tr.%[1]s = 0\n", acc)
 	}
 	b.WriteString("}\n\n")
 }

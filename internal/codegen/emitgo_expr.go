@@ -28,7 +28,7 @@ const (
 	ckValue   callKind = iota // plain call, value preserved
 	ckRegion                  // serial context enters a region; the root returns no value
 	ckSpawn                   // spawned as a task; value discarded
-	ckEffectX                 // mutex version runs inline; value discarded
+	ckEffectX                 // mutex version, or serial on a replica, runs inline; value discarded
 )
 
 // callPlan is the lowering decision for one call site in the current
@@ -36,8 +36,9 @@ const (
 type callPlan struct {
 	kind    callKind
 	callee  *types.Method
-	v       variant // the version called
-	release bool    // release the receiver lock, if still held, before the call
+	v       variant       // the version called
+	release bool          // release the receiver lock, if still held, before the call
+	replica *types.Global // run on the executing worker's replica of this global
 }
 
 // call plans a call of callee's version v — inside a speculative body,
@@ -74,10 +75,17 @@ func (c *fnCtx) siteDispatch(x *ast.CallExpr) callPlan {
 	switch {
 	case sc.Spawn:
 		kind = ckSpawn
-	case sc.Run == VersionMutex:
+	case sc.Replica && c.spec:
+		// The journal isolates the accumulation: the mutex twin.
+		kind, sc.Run = ckEffectX, VersionMutex
+	case sc.Run == VersionMutex || sc.Replica:
 		kind = ckEffectX
 	}
 	cp := c.call(kind, callee, runVariant[sc.Run])
+	if sc.Replica && !c.spec {
+		cp.replica = c.e.prog.Globals[x.Recv.(*ast.Ident).Name]
+		c.e.replicas[cp.replica] = true
+	}
 	// A speculative body holds no lock.
 	cp.release = sc.Release && c.locked
 	return cp
@@ -131,6 +139,13 @@ func (c *fnCtx) renderCall(x *ast.CallExpr, cp callPlan, d int) string {
 		args = append(args, c.exprAs(a, cp.callee.Params[i].Type, d))
 	}
 	call := versions[cp.v].prefix + cp.callee.Name + "(" + strings.Join(args, ", ") + ")"
+	if g := cp.replica; g != nil {
+		recv := "rep_" + g.Name + ".At(w)"
+		if !c.recvPlain(x, cp.callee) {
+			recv += ".as_" + cp.callee.Class.Name + "()"
+		}
+		return recv + "." + call
+	}
 	if recv := c.recvChain(x, cp.callee, d); recv != "" {
 		return recv + "." + call
 	}

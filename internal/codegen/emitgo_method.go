@@ -181,7 +181,9 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) {
 //   - Parallel: P_m runs on the calling goroutine with the external
 //     handle of the run-wide pool (nativert.Pool); Drain blocks until
 //     every transitively spawned task and loop helper completes, then
-//     leaves the workers parked for the next region.
+//     leaves the workers parked for the next region, and the replicas
+//     the region's accumulations may have touched are folded back into
+//     their globals (Plan.regionReplicas).
 //   - Speculative: the journaled SJ_m, inside Driver.RunSpeculative; when
 //     that reports an abort nothing has reached the heap and S_m reruns.
 //   - otherwise S_m (-mode serial included).
@@ -244,6 +246,10 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) {
 		c.line("\tpool_ := nativert.Pool(rt_.Workers)")
 		c.line("\t%s", call(varP, "pool_.External()"))
 		c.line("\tpool_.Drain()")
+		for _, g := range e.plan.regionReplicas(m) {
+			e.replicas[g] = true
+			c.line("\trep_%s.Fold(G_%s, (*T_%s).fold_)", g.Name, g.Name, g.Class.Name)
+		}
 	}
 	if root.SpecEligible {
 		e.demand(m, varJP)
@@ -512,7 +518,8 @@ func (c *fnCtx) forStmt(fs *ast.ForStmt) {
 //   - the enclosing body's scheduler handle w goes in, so the loop's
 //     helpers are offered on the deque of the worker running it,
 //   - each claimant gets one private copy of the frame variables the
-//     body touches (the interpreter's per-claimant iteration frame),
+//     body touches (the interpreter's per-claimant iteration frame), and
+//     its own handle w, which the factory's parameter shadows,
 //   - the body's call sites lower under the iteration context (mI),
 //   - afterwards the loop variable holds what the serial loop leaves in
 //     it (rtkit.LoopExit, the interpreter's function); the post
@@ -550,7 +557,7 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, h ast.CountedLoop) {
 		c.line("nativert.SpecGSS(w, sr_, %q, %q, rt_.Workers, v_%s, gssTo_, %d, func(sj_ *nativert.SpecJournal) func(int64) {",
 			c.m.FullName(), fs.Pos().String(), h.Var.Name, h.Step)
 	} else {
-		c.line("nativert.GSSOn(w, %q, %q, rt_.Workers, v_%s, gssTo_, %d, func() func(int64) {",
+		c.line("nativert.GSSOn(w, %q, %q, rt_.Workers, v_%s, gssTo_, %d, func(w *rtkit.Worker) func(int64) {",
 			c.m.FullName(), fs.Pos().String(), h.Var.Name, h.Step)
 	}
 	c.indent++

@@ -17,6 +17,7 @@ import (
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/token"
 	"commute/internal/frontend/types"
+	"commute/internal/interp"
 	"commute/nativert"
 )
 
@@ -30,6 +31,7 @@ const (
 	ActionSpawn                     // extent operation: spawn a task running the parallel version
 	ActionHoisted                   // nested-object operation under the caller's hoisted lock: inline
 	ActionSerial                    // site inside a serial method: plain call
+	ActionReplica                   // accumulation on a global: inline, on the worker's replica (replicate)
 )
 
 // Version names the generated versions of an operation (§5.3) and, as
@@ -47,12 +49,15 @@ const (
 
 // SiteCall is what a call site does inside a region: the version of the
 // callee it runs, whether that runs as a spawned task rather than on the
-// caller's stack, and whether the caller lets go of its receiver lock —
-// if it holds it — first. A spawned or mutex version returns nothing to
-// the caller; a serial version returns its value.
+// caller's stack, whether it runs on the executing worker's replica of
+// its receiver (a global) rather than on the receiver itself, and whether
+// the caller lets go of its receiver lock — if it holds it — first. A
+// spawned, mutex or replica call returns nothing to the caller; a serial
+// version otherwise returns its value.
 type SiteCall struct {
 	Run     Version
 	Spawn   bool
+	Replica bool
 	Release bool
 }
 
@@ -67,6 +72,8 @@ type SiteCall struct {
 //	hoisted     serial               serial           mutex
 //	spawn       parallel, spawned,   mutex,           mutex
 //	            release              release
+//	replica     serial on replica,   serial on        serial on
+//	            release              replica, release replica
 //
 // An inline or hoisted site runs the serial version — a body whose own
 // call sites are all serial and whose loops are all serial, whatever
@@ -77,19 +84,27 @@ type SiteCall struct {
 // set unless the operation holds its lock through. A callee with no
 // parallel plan — a speculative extent's site map can name one — runs
 // its serial version wherever the table says parallel or mutex, spawned
-// where the table spawns. Everything called from a serial version is a
-// serial version.
+// where the table spawns. A replica site is an extent site the planner
+// replicated (replicate): the callee, a pure additive accumulator, runs
+// its serial version on the executing worker's zeroed replica of the
+// global it was called on, and the region's join folds the replicas back.
+// A journaled body runs it as the callee's mutex version, which its
+// journal isolates. Everything called from a serial version is a serial
+// version.
 func (mp *MethodPlan) Call(in Version, site *types.CallSite, callee *MethodPlan) SiteCall {
 	act := ActionSerial
 	if in != VersionSerial {
 		act = mp.Site[site.ID]
 	}
-	extent := act == ActionSpawn || act == ActionHoisted && in == VersionIteration
+	extent := act == ActionSpawn || act == ActionReplica || act == ActionHoisted && in == VersionIteration
 	if !extent {
 		return SiteCall{Run: VersionSerial}
 	}
 	sc := SiteCall{Run: VersionMutex}
-	if in == VersionParallel {
+	switch {
+	case act == ActionReplica:
+		sc = SiteCall{Run: VersionSerial, Replica: true}
+	case in == VersionParallel:
 		sc = SiteCall{Run: VersionParallel, Spawn: true}
 	}
 	if callee == nil || !callee.Parallel {
@@ -118,13 +133,12 @@ type MethodPlan struct {
 	// nested objects of its receiver does not hold its lock through
 	// (hoistEscape); such an operation is planned like a mixed one.
 	NoHoist string
-	// Replicable is true when every receiver write in the operation is
-	// a pure commutative accumulation (the written storage is never
-	// read except as the source of its own update). Such operations can
-	// execute against per-processor replicas merged by a reduction at
-	// the end of the phase — the optimization §6.3.4 proposes to
-	// eliminate Water's contention. Only the tracer reads it, under the
-	// ReplicateAccumulators option; both runtimes lock.
+	// Replicable is true when the operation is planned with a lock and is
+	// a pure additive accumulator (accumulates): run on a zeroed replica
+	// of its receiver, it leaves there exactly what it adds. Such
+	// operations can execute against per-worker replicas folded at the
+	// region's join — the optimization §6.3.4 proposes to eliminate
+	// Water's contention, which replicate applies where it is sound.
 	Replicable bool
 	// Site maps call-site IDs within this method to their actions when
 	// executing the parallel (or mutex) version.
@@ -215,6 +229,13 @@ type Plan struct {
 	// LockedClasses lists the classes whose declarations keep a
 	// mutual-exclusion lock after the §5.4.1 elimination.
 	LockedClasses map[*types.Class]bool
+
+	// Replicas lists, in program order, the sites replicate considered
+	// (Options.ReplicateAccumulators), and Folds, by the class of a global
+	// some ActionReplica site accumulates into, the fields a region's join
+	// folds back from the workers' replicas of it, in slot order.
+	Replicas []ReplicaSite
+	Folds    map[*types.Class][]interp.FieldInfo
 }
 
 // Options tune the code generation policy (used by the ablation
@@ -226,10 +247,12 @@ type Options struct {
 	// DisableSuppression turns off the §5.2 suppression of nested
 	// concurrency: dynamically nested legal loops stay parallel.
 	DisableSuppression bool
-	// ReplicateAccumulators enables the §6.3.4 optimization: operations
-	// whose receiver writes are pure commutative accumulations execute
-	// against per-processor replicas (no locks, no contention) that a
-	// phase-end reduction merges.
+	// ReplicateAccumulators enables the §6.3.4 optimization: a call of a
+	// pure additive accumulator on a global object runs, inside a region,
+	// on the executing worker's replica of the object (no lock, no
+	// contention), and the region's join folds the replicas back
+	// (replicate). The plan every parallel execution runs sets it; the
+	// paper's compiler (commute.System.Plan) does not.
 	ReplicateAccumulators bool
 	// SpeculateRejected extends the plan with speculative parallel
 	// versions for extents that failed only the pairwise commutativity
@@ -384,6 +407,9 @@ func BuildWithOptions(a *core.Analysis, opt Options) *Plan {
 
 	p.hoistLocks()
 	p.findLoops()
+	if opt.ReplicateAccumulators {
+		p.replicate(a)
+	}
 	p.computeLockedClasses()
 	return p
 }
@@ -433,7 +459,7 @@ func (p *Plan) hoistLocks() {
 		if !locking(mp) {
 			continue
 		}
-		mp.Replicable = mp.NeedsLock && pureAccumulator(m)
+		mp.Replicable = mp.NeedsLock && accumulates(p.Prog, m) != nil
 		if !mp.HoldsLockThrough {
 			for id, act := range mp.Site {
 				if act == ActionHoisted {

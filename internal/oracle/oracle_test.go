@@ -51,23 +51,22 @@ func rows() []oracle.Row {
 			s := r.Stats
 			return interpreter(r, s.ParallelLoops > 0 && s.Chunks > 0 && s.Iterations > 0 && s.LockAcquires > 0, "no parallel loop, chunk, iteration or lock")
 		}},
-		// Water accumulates doubles under locks in an order that varies.
+		// Water accumulates doubles on per-worker replicas folded in an
+		// order that varies.
 		{Name: "water", Source: src.Water, Tol: 1e-9, Native: true, Workers: apps, Expect: func(r oracle.Run) string {
 			return interpreter(r, r.Stats.ParallelLoops > 0 && r.Stats.LockAcquires > 0, "no parallel loop or lock")
 		}},
+		// A global accumulator a parallel loop adds into, of ints and of
+		// doubles: every addition runs on the worker's replica, so nothing
+		// locks, and each region's join folds the replicas back before main
+		// reads the total. A fold skipped or done twice shows in the ints.
+		{Name: "replica-int", Source: replicated("int", "3 * w + 1", "w * w - 3 * w"), Native: true, Race: []int{4}, Expect: unlocked},
+		{Name: "replica-float", Source: replicated("double", "0.37 * w + 0.001", "0.5 * w"), Tol: 1e-9, Native: true, Expect: unlocked},
 
 		// The demonstrators, main entering one root again and again. The
 		// guard holds in condhash's mode 0 only; speculation commits on
 		// spec-disjoint and aborts on spec-conflict.
-		entries("condhash0", src.CondHashBase+src.CondHashMain(0, 512), 512, func(r oracle.Run) (tier rt.Stats) {
-			switch {
-			case r.Conditional:
-				tier = rt.Stats{Regions: 1, GuardParallel: 1}
-			case r.Speculate != rt.SpecOff:
-				tier = rt.Stats{Regions: 1, SpeculativeRegions: 1}
-			}
-			return tier
-		}),
+		entries("condhash0", src.CondHashBase+src.CondHashMain(0, 512), 512, guardHolds),
 		entries("condhash3", src.CondHashBase+src.CondHashMain(3, 24), 24, func(r oracle.Run) (tier rt.Stats) {
 			if r.Conditional {
 				tier.GuardSerial = 1
@@ -77,6 +76,19 @@ func rows() []oracle.Row {
 			}
 			return tier
 		}),
+		// condhash0 with a global accumulator below the update: a guarded
+		// region adds on the workers' replicas, a speculative one runs the
+		// same call as its journaled mutex version (and aborts).
+		entries("condhash0-replica", replicaCondHash+src.CondHashMain(0, 64), 64, guardHolds),
+		// A speculative root reaching a replicated site: its tasks journal
+		// the accumulation, which commits or aborts with the region (on a
+		// replica it would escape the journal and the join's fold).
+		{Name: "spec-replica", Source: specReplica, Native: true, Expect: func(r oracle.Run) string {
+			if r.Speculate == rt.SpecForce && r.Stats.SpeculativeRegions == 0 {
+				return "nothing speculated"
+			}
+			return ""
+		}},
 		entries("specdisjoint", oracle.Repeat(src.SpecDisjoint, "T.init();", "T.fill();", 256, "T.report();"), 256, func(r oracle.Run) (tier rt.Stats) {
 			if r.Speculate != rt.SpecOff {
 				tier = rt.Stats{Regions: 1, SpeculativeRegions: 1, SpeculationCommits: 1}
@@ -257,6 +269,153 @@ func entries(name, source string, n int64, tier func(oracle.Run) rt.Stats) oracl
 		return ""
 	}}
 }
+
+// guardHolds is what one entry of condhash in mode 0 counts: the guard
+// holds, so the region opens guarded, or speculates when only speculation
+// may open it.
+func guardHolds(r oracle.Run) (tier rt.Stats) {
+	switch {
+	case r.Conditional:
+		tier = rt.Stats{Regions: 1, GuardParallel: 1}
+	case r.Speculate != rt.SpecOff:
+		tier = rt.Stats{Regions: 1, SpeculativeRegions: 1}
+	}
+	return tier
+}
+
+// replicaCondHash is condhash with a global accumulator, Tot, that every
+// bucket update adds its value into.
+var replicaCondHash = strings.NewReplacer(
+	"// Global Variables\ntable H;", "class acc {\npublic:\n  int total;\n  void add(int v);\n};\n\nvoid acc::add(int v) {\n  total += v;\n}\n\n// Global Variables\ntable H;\nacc Tot;",
+	"  touched = touched + 1;\n}", "  touched = touched + 1;\n  Tot.add(v);\n}",
+).Replace(src.CondHashBase)
+
+// unlocked: an interpreter run took no lock, and ran a parallel loop.
+func unlocked(r oracle.Run) string {
+	return interpreter(r, r.Stats.ParallelLoops > 0 && r.Stats.LockAcquires == 0, "no parallel loop, or a lock")
+}
+
+// replicated is a program whose parallel loops add into the global
+// accumulator A: into its fields of type typ, a scalar and an array,
+// every item adds the two values one and other compute from its w. The
+// loop bound is a field, so the region opens on the plan as built.
+func replicated(typ, one, other string) string {
+	return fmt.Sprintf(`
+class acc {
+public:
+  %[1]s total;
+  %[1]s bins[8];
+  void add(%[1]s v, int b);
+};
+
+class item {
+public:
+  int w;
+  void visit();
+};
+
+class driver {
+public:
+  item *items[96];
+  int n;
+  %[1]s first;
+  void build(int k);
+  void run();
+};
+
+acc A;
+driver D;
+
+void acc::add(%[1]s v, int b) {
+  total += v;
+  bins[b] = bins[b] + v;
+}
+
+void item::visit() {
+  A.add(%[2]s, w %% 8);
+  A.add(%[3]s, 3);
+}
+
+void driver::build(int k) {
+  n = k;
+  for (int i = 0; i < k; i++) {
+    items[i] = new item;
+    items[i]->w = i * 7 %% 23 + 1;
+  }
+}
+
+void driver::run() {
+  for (int i = 0; i < n; i++) {
+    items[i]->visit();
+  }
+}
+
+void main() {
+  D.build(96);
+  D.run();
+  D.first = A.total;
+  D.run();
+}
+`, typ, one, other)
+}
+
+// specReplica's driver::run overwrites last, so its extent only
+// speculates, and each item::visit it reaches adds into the global A,
+// which visit's own proven extent replicates.
+const specReplica = `
+class acc {
+public:
+  int total;
+  void add(int v);
+};
+
+class item {
+public:
+  int w;
+  void visit();
+};
+
+class driver {
+public:
+  item *items[64];
+  int n;
+  int last;
+  void build(int k);
+  void run(int k);
+};
+
+acc A;
+driver D;
+
+void acc::add(int v) {
+  total += v;
+}
+
+void item::visit() {
+  A.add(w);
+}
+
+void driver::build(int k) {
+  n = k;
+  for (int i = 0; i < k; i++) {
+    items[i] = new item;
+    items[i]->w = i * 5 + 2;
+  }
+}
+
+void driver::run(int k) {
+  last = k;
+  for (int i = 0; i < n; i++) {
+    items[i]->visit();
+  }
+}
+
+void main() {
+  D.build(64);
+  D.run(5);
+  D.run(7);
+}
+`
 
 // declinesAsBuilt: on the plan as built the cutoff declines some entry.
 func declinesAsBuilt(r oracle.Run) string {

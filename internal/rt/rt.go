@@ -267,9 +267,10 @@ func (rt *Runtime) serialCtx() *interp.Ctx {
 // serial version invokes the parallel version and blocks until the region
 // completes): the root activation runs the parallel version on the
 // caller's goroutine under panic isolation (journaling into j in a
-// speculative region), and the pool is always drained. When it returns —
-// with the region's first error, if any — no task or loop helper of the
-// region is queued or running.
+// speculative region), the pool is always drained, and the replicas the
+// region's accumulations touched are folded back. When it returns — with
+// the region's first error, if any — no task or loop helper of the region
+// is queued or running.
 func (rt *Runtime) runRoot(j *nativert.SpecJournal, m *types.Method, recv *interp.Object, args []interp.Value) error {
 	pool := rt.regionPool()
 	func() {
@@ -277,6 +278,7 @@ func (rt *Runtime) runRoot(j *nativert.SpecJournal, m *types.Method, recv *inter
 		rt.callVersion(pool.External(), j, m, recv, args, codegen.VersionParallel, 0)
 	}()
 	pool.Drain()
+	rt.foldReplicas()
 	return rt.firstErr()
 }
 
@@ -400,6 +402,12 @@ func (a *activation) invoke(site *types.CallSite, recv *interp.Object, args []in
 		}
 		rt.spawn(a.w, j, site.Callee, recv, args, sc.Run)
 		return interp.Value{}, nil
+	case sc.Replica && a.log.j != nil:
+		// The journal isolates the accumulation: the callee's mutex
+		// version, journaled.
+		return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, codegen.VersionMutex, a.Depth)
+	case sc.Replica:
+		recv = a.lane.replica(rt, recv)
 	case sc.Run != codegen.VersionSerial:
 		return interp.Value{}, rt.callVersion(a.w, a.log.j, site.Callee, recv, args, sc.Run, a.Depth)
 	}
@@ -411,6 +419,9 @@ func (a *activation) invoke(site *types.CallSite, recv *interp.Object, args []in
 	a.Invoke, a.ForLoop = nil, nil
 	v, err := rt.IP.Call(&a.Ctx, site.Callee, recv, args)
 	a.Invoke, a.ForLoop = invoke, forLoop
+	if sc.Replica {
+		return interp.Value{}, err
+	}
 	return v, err
 }
 

@@ -25,11 +25,74 @@ import (
 // callVersion so spawns from a pool worker hit its private deque.
 type worker = rtkit.Worker
 
-// lane is one goroutine's LIFO free list of activation records. Each
-// scheduler handle belongs to one goroutine — a pool worker's to that
-// worker, the external handle (and nil) to RunContext's — so the lane
-// its ID selects needs no lock.
-type lane struct{ free *activation }
+// lane is one goroutine's LIFO free list of activation records, and its
+// replicas of the global objects the plan's replicated accumulations
+// write (codegen.ActionReplica). Each scheduler handle belongs to one
+// goroutine — a pool worker's to that worker, the external handle (and
+// nil) to RunContext's — so the lane its ID selects needs no lock.
+type lane struct {
+	free     *activation
+	replicas map[*interp.Object]*replica
+	touched  []*replica // written since the last fold
+}
+
+// replica is one goroutine's replica of a global accumulator object: an
+// object of its class, zero but for what this goroutine added since the
+// last fold.
+type replica struct {
+	of, rep *interp.Object
+	touched bool
+}
+
+// replica returns the lane's replica of the global o, making it on first
+// use, and notes it for the region's fold.
+func (ln *lane) replica(rt *Runtime, o *interp.Object) *interp.Object {
+	r := ln.replicas[o]
+	if r == nil {
+		if ln.replicas == nil {
+			ln.replicas = make(map[*interp.Object]*replica)
+		}
+		r = &replica{of: o, rep: rt.IP.NewObject(o.Class)}
+		ln.replicas[o] = r
+	}
+	if !r.touched {
+		r.touched = true
+		ln.touched = append(ln.touched, r)
+	}
+	return r.rep
+}
+
+// foldReplicas is a region's join for its replicated accumulations: the
+// accumulated fields (codegen.Plan.Folds) of every replica a lane touched
+// are added into its object and zeroed. The pool has drained, so nothing
+// else runs.
+func (rt *Runtime) foldReplicas() {
+	for _, ln := range rt.lanes {
+		for _, r := range ln.touched {
+			for _, f := range rt.Plan.Folds[r.of.Class] {
+				foldValue(&r.of.Slots[f.Slot], &r.rep.Slots[f.Slot])
+			}
+			r.touched = false
+		}
+		ln.touched = ln.touched[:0]
+	}
+}
+
+// foldValue adds the replica's value r into o and zeroes r: an int, a
+// double, or an array of them element by element.
+func foldValue(o, r *interp.Value) {
+	switch r.Kind() {
+	case interp.KInt:
+		*o, *r = interp.IntValue(o.Int()+r.Int()), interp.IntValue(0)
+	case interp.KFloat:
+		*o, *r = interp.FloatValue(o.Float()+r.Float()), interp.FloatValue(0)
+	case interp.KArray:
+		oe, re := o.Array().Elems, r.Array().Elems
+		for i := range re {
+			foldValue(&oe[i], &re[i])
+		}
+	}
+}
 
 // regionPool returns the run's scheduler, starting it (and the lanes) at
 // the first parallel region. Regions open only on RunContext's own

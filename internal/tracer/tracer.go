@@ -211,15 +211,6 @@ func (c *collector) runVersion(task *Task, m *types.Method, recv *interp.Object,
 	}
 
 	locked := mp.NeedsLock && recv != nil
-	if locked && c.plan.Opt.ReplicateAccumulators && mp.Replicable {
-		// §6.3.4 replication: the accumulations run against a
-		// per-processor replica — no lock, no contention; the region
-		// pays a reduction at the end.
-		locked = false
-		if c.replicated != nil {
-			c.replicated[recv.ID] = true
-		}
-	}
 	var lockObj int64
 	if locked {
 		lockObj = recv.ID
@@ -276,6 +267,17 @@ func (c *collector) invoker(ctx *interp.Ctx, ts *taskState, mp *codegen.MethodPl
 		sc := mp.Call(in, site, c.plan.Methods[site.Callee])
 		if sc.Release && lockObj != 0 {
 			ts.endCrit(lockObj)
+		}
+		if sc.Replica {
+			// §6.3.4 replication: the accumulation runs against this
+			// processor's replica — no lock, no contention, compute events
+			// of their own; the region pays a reduction at its end.
+			c.replicated[recv.ID] = true
+			ts.flushCompute()
+			sub := &Task{}
+			err := c.runVersion(sub, site.Callee, recv, args, codegen.VersionSerial)
+			ts.task.Events = append(ts.task.Events, sub.Events...)
+			return interp.Value{}, err
 		}
 		if sc.Run == codegen.VersionSerial && !sc.Spawn {
 			// The serial version, inline: its units accrue to the current

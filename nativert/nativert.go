@@ -72,7 +72,7 @@ func Pool(workers int) *rtkit.Pool {
 // or, for a speculative one, the region and the journaled factory.
 type gssRun struct {
 	rtkit.Loop
-	mk     func() func(int64)
+	mk     func(*rtkit.Worker) func(int64)
 	sr     *SpecRegion
 	specMk func(*SpecJournal) func(int64)
 }
@@ -81,9 +81,9 @@ var gssRuns sync.Pool // of *gssRun
 
 // GSS runs a parallel loop from a goroutine that holds no scheduler
 // handle (see GSSOn): helpers are offered through the run-wide pool's
-// external handle.
+// external handle, and no claimant needs its own.
 func GSS(method, site string, workers int, from, to, step int64, mk func() func(int64)) {
-	GSSOn(Pool(workers).External(), method, site, workers, from, to, step, mk)
+	GSSOn(Pool(workers).External(), method, site, workers, from, to, step, func(*rtkit.Worker) func(int64) { return mk() })
 }
 
 // GSSOn runs the counted loop for (i = from; i < to; i += step) on w's
@@ -98,18 +98,19 @@ func GSS(method, site string, workers int, from, to, step int64, mk func() func(
 // method and site identify the loop for failure reports (the emitter
 // passes the enclosing dialect method and the loop's source position),
 // w is the scheduler handle the enclosing P_ body holds. mk is
-// called once per claimant and returns the iteration body; the emitter
-// uses that factory to give every claimant its own copy of the
-// enclosing method's frame variables, mirroring the interpreter's
-// per-claimant iteration frames (NewIterFrame). step must be positive:
-// the planner only parallelizes loops it proved counted with a positive
-// literal step.
-func GSSOn(w *rtkit.Worker, method, site string, workers int, from, to, step int64, mk func() func(int64)) {
+// called once per claimant, with the claimant's own handle, and returns
+// the iteration body; the emitter uses that factory to give every
+// claimant its own copy of the enclosing method's frame variables,
+// mirroring the interpreter's per-claimant iteration frames
+// (NewIterFrame), and the handle its mutex versions run with. step must
+// be positive: the planner only parallelizes loops it proved counted
+// with a positive literal step.
+func GSSOn(w *rtkit.Worker, method, site string, workers int, from, to, step int64, mk func(*rtkit.Worker) func(int64)) {
 	runLoop(w, nil, method, site, workers, from, to, step, mk, nil)
 }
 
 func runLoop(w *rtkit.Worker, sr *SpecRegion, method, site string, workers int, from, to, step int64,
-	mk func() func(int64), specMk func(*SpecJournal) func(int64)) {
+	mk func(*rtkit.Worker) func(int64), specMk func(*SpecJournal) func(int64)) {
 	if step <= 0 {
 		Errf("gss", method, site, "non-positive step %d", step)
 	}
@@ -128,14 +129,14 @@ func runLoop(w *rtkit.Worker, sr *SpecRegion, method, site string, workers int, 
 // Speculation adds the claimant's own journal, the failed-region fast
 // path at every chunk claim, and panic capture, so a faulting iteration
 // aborts the region instead of crashing the process.
-func (g *gssRun) Claim(*rtkit.Worker) {
+func (g *gssRun) Claim(w *rtkit.Worker) {
 	sr := g.sr
 	var body func(int64)
 	if sr != nil {
 		defer sr.CapturePanic()
 		body = g.specMk(sr.NewJournal())
 	} else {
-		body = g.mk()
+		body = g.mk(w)
 	}
 	step := g.Step()
 	for sr == nil || !sr.Failed() {

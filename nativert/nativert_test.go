@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"commute/rtkit"
 )
 
 // testWorkers sizes the run-wide pool for this package's tests: enough
@@ -51,7 +53,9 @@ func TestGSSCoversEveryIteration(t *testing.T) {
 }
 
 // TestGSSFactoryPerGoroutine checks mk is invoked once per claimant —
-// the emitter relies on it for frame copies — for proven and speculative
+// the emitter relies on it for frame copies, and on a proven claimant
+// being handed a scheduler handle of its own for its mutex versions'
+// replicas — for proven and speculative
 // loops: every body mk returned counts its iterations in a variable of
 // its own (unsynchronized, so the race detector sees a body shared
 // between claimants), the counts add up to the iteration space, and
@@ -62,17 +66,19 @@ func TestGSSFactoryPerGoroutine(t *testing.T) {
 		for _, spec := range []bool{false, true} {
 			var mu sync.Mutex
 			var locals []*int
-			mk := func() func(int64) {
+			handles := map[*rtkit.Worker]bool{}
+			mk := func(cw *rtkit.Worker) func(int64) {
 				n := new(int)
 				mu.Lock()
 				locals = append(locals, n)
+				handles[cw] = true
 				mu.Unlock()
 				return func(int64) { *n++ }
 			}
 			w := Pool(testWorkers).External()
 			if spec {
 				sr := NewSpecRegion(nil, nil)
-				SpecGSS(w, sr, "m", "site", workers, 0, total, 1, func(*SpecJournal) func(int64) { return mk() })
+				SpecGSS(w, sr, "m", "site", workers, 0, total, 1, func(*SpecJournal) func(int64) { return mk(nil) })
 				if n := len(sr.journals); n != len(locals) {
 					t.Errorf("workers=%d: %d journals for %d claimants", workers, n, len(locals))
 				}
@@ -81,6 +87,9 @@ func TestGSSFactoryPerGoroutine(t *testing.T) {
 				}
 			} else {
 				GSSOn(w, "m", "site", workers, 0, total, 1, mk)
+				if len(handles) != len(locals) || handles[nil] {
+					t.Errorf("workers=%d: %d claimants were handed %d handles, want one each", workers, len(locals), len(handles))
+				}
 			}
 			if len(locals) < 1 || len(locals) > workers {
 				t.Errorf("workers=%d spec=%v: factory called %d times, want 1..%d", workers, spec, len(locals), workers)
@@ -132,7 +141,7 @@ func TestSteadyStateLoopAllocs(t *testing.T) {
 	p := Pool(testWorkers)
 	var sink atomic.Int64
 	body := func(i int64) { sink.Add(i) }
-	mk := func() func(int64) { return body }
+	mk := func(*rtkit.Worker) func(int64) { return body }
 	proven := testing.AllocsPerRun(200, func() {
 		GSSOn(p.External(), "m", "site", testWorkers, 0, 64, 1, mk)
 		p.Drain()
@@ -215,5 +224,41 @@ func TestDumperRefsAndFormats(t *testing.T) {
 	}, "\n")
 	if buf.String() != want {
 		t.Errorf("dump mismatch:\ngot:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
+// TestReplicasFold: tasks on every worker and the region's root add into
+// their own handles' replicas, with no lock (the race detector watches),
+// and each join folds exactly what was added and leaves every replica
+// zero for the next region.
+func TestReplicasFold(t *testing.T) {
+	type acc struct {
+		n int64
+		v [4]int64
+	}
+	var g acc
+	var reps Replicas[acc]
+	fold := func(dst, rep *acc) {
+		dst.n, rep.n = dst.n+rep.n, 0
+		for i := range rep.v {
+			dst.v[i], rep.v[i] = dst.v[i]+rep.v[i], 0
+		}
+	}
+	p := Pool(testWorkers)
+	const tasks = 200
+	for round := int64(1); round <= 3; round++ {
+		for i := range tasks {
+			p.Spawn(p.External(), "add", func(w *rtkit.Worker) {
+				r := reps.At(w)
+				r.n++
+				r.v[i%4] += int64(i)
+			})
+		}
+		reps.At(p.External()).n += 1000
+		p.Drain()
+		reps.Fold(&g, fold)
+		if g.n != round*(tasks+1000) || g.v[1] != round*(tasks/4)*(tasks-2)/2 {
+			t.Fatalf("round %d: folded %+v", round, g)
+		}
 	}
 }

@@ -189,6 +189,9 @@ func NewPool(workers int, _ Mode, h Hooks) *Pool {
 // region root).
 func (p *Pool) External() *Worker { return p.external }
 
+// Workers is the number of pool workers: every worker's ID is below it.
+func (p *Pool) Workers() int { return len(p.workers) }
+
 // Pending reports the program's queued+running tasks, loop helpers
 // aside (lazy task creation).
 func (p *Pool) Pending() int { return int(p.pending.Load() - p.helpers.Load()) }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Native-backend smoke: generate the Go package for Barnes-Hut and
-# Water, vet, gofmt-check and build each, run them natively (serial and
-# parallel), and diff the final state dumps against the serial
+# Native-backend smoke: generate the Go package for Barnes-Hut, Graph
+# and Water, vet, gofmt-check and build each, run them natively (serial
+# and parallel), and diff the final state dumps against the serial
 # interpreter byte for byte (Water's parallel accumulation order varies,
-# so its parallel run only has to finish cleanly). The speculative leg emits
+# so its parallel runs only have to finish cleanly). The speculative leg emits
 # the journaled packages for the speculation corpus and byte-diffs both
 # the commit and the abort-and-rerun paths. The many-region leg enters
 # 2000 guarded parallel regions on the one run-wide pool. The region-entry
@@ -246,14 +246,26 @@ if grep -q 'flag\.' "$OUT"/*/main.go; then
   exit 1
 fi
 
-# Water: serial must be bit-identical; parallel must run cleanly.
+# Water: its force and energy accumulations run on per-worker replicas
+# of the global FBank and Sums (the four sites commutec reports), which
+# each region's join folds back. The package vets (no lock copied by a
+# fold), serial must be bit-identical, and parallel at one and four
+# workers must run cleanly.
 DIR="$OUT/water"
+REPORT=$(go run ./cmd/commutec -app water)
+if [ "$(echo "$REPORT" | grep -c '^replicated: ')" != 4 ]; then
+  echo "FAIL: water: expected 4 replicated sites in the commutec report:" >&2
+  echo "$REPORT" | tail >&2
+  exit 1
+fi
 go run ./cmd/commutec -emit go -o "$DIR" -app water
 (cd "$DIR" && go vet . && canonical && go build -o app .)
+grep -q 'rep_FBank.Fold(G_FBank' "$DIR/prog.go"
 go run ./cmd/commuterun -mode serial -app water -dump > "$OUT/water.interp"
 "$DIR/app" -mode serial -dump > "$OUT/water.native"
 diff "$OUT/water.interp" "$OUT/water.native"
+"$DIR/app" -mode parallel -workers 1 > /dev/null
 "$DIR/app" -mode parallel -workers 4 > /dev/null
-echo "water: serial native == interpreter; parallel ran clean"
+echo "water: serial native == interpreter; parallel ran clean at 1 and 4 workers"
 
 echo "native smoke OK"
