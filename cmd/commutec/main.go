@@ -235,4 +235,19 @@ func main() {
 			fmt.Printf("not replicated: %s: %s\n", at, r.Refused)
 		}
 	}
+	// The mutex versions it holds one receiver lock through, and the
+	// candidates whose computation leaves the receiver.
+	lines = lines[:0]
+	for m, mp := range sys.CondPlan.Methods {
+		switch {
+		case mp.Coarse:
+			lines = append(lines, fmt.Sprintf("coarsened: %s holds %s's lock through its mutex version", m.FullName(), m.Class.Name))
+		case mp.NoCoarsen != "":
+			lines = append(lines, fmt.Sprintf("not coarsened: %s: %s", m.FullName(), mp.NoCoarsen))
+		}
+	}
+	sort.Strings(lines)
+	for _, l := range lines {
+		fmt.Println(l)
+	}
 }

@@ -61,10 +61,11 @@ type System struct {
 	// (codegen.Options.SpeculateRejected). Which tier an unproven extent
 	// runs under is decided at each region entry from
 	// RunOptions.Conditional and RunOptions.Speculate; with both off it
-	// runs its serial version, as under Plan. It also runs a pure additive
-	// accumulation on a global on the executing worker's replica, folded
-	// at the region's join, where Plan takes the global's lock
-	// (codegen.Options.ReplicateAccumulators).
+	// runs its serial version, as under Plan. It also takes contention off
+	// the locks Plan takes (codegen.Options.Contention): a pure additive
+	// accumulation on a global runs on the executing worker's replica,
+	// folded at the region's join, and a mutex version that stays on its
+	// receiver holds that one lock through its serial version.
 	CondPlan *codegen.Plan
 }
 
@@ -101,7 +102,7 @@ func newSystem(file *ast.File, prog *types.Program) *System {
 		Prog:     prog,
 		Analysis: analysis,
 		Plan:     codegen.Build(analysis),
-		CondPlan: codegen.BuildWithOptions(analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: true, ReplicateAccumulators: true}),
+		CondPlan: codegen.BuildWithOptions(analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: true, Contention: true}),
 	}
 }
 

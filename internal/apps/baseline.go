@@ -186,9 +186,11 @@ func TraceWithNestedLoops(sys *commute.System) (*tracer.Trace, error) {
 
 // TraceWithReplication traces a system under the §6.3.4 replication
 // optimization: commuting-accumulator operations run lock-free against
-// per-processor replicas merged by phase-end reductions.
+// per-processor replicas merged by phase-end reductions. The option also
+// coarsens the locks of operations that stay on their receiver, of which
+// Water, the program it is traced on, has none.
 func TraceWithReplication(sys *commute.System) (*tracer.Trace, error) {
-	plan := codegen.BuildWithOptions(sys.Analysis, codegen.Options{ReplicateAccumulators: true})
+	plan := codegen.BuildWithOptions(sys.Analysis, codegen.Options{Contention: true})
 	ip := interp.New(sys.Prog, nil)
 	return tracer.Collect(ip, plan)
 }

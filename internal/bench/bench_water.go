@@ -292,9 +292,9 @@ func (r *Runner) AblationSuppress() (string, error) {
 // "It should, in principle, be possible to automatically eliminate the
 // contention by replicating objects to enable conflict-free write
 // access. We expect that this optimization would dramatically improve
-// the scalability." The plan option ReplicateAccumulators detects
-// operations whose receiver writes are pure commutative accumulations
-// and runs them against per-processor replicas.
+// the scalability." The plan option Contention detects operations whose
+// receiver writes are pure commutative accumulations and runs them
+// against per-processor replicas (Water has nothing it coarsens).
 func (r *Runner) Replication() (string, error) {
 	n := r.Cfg.WaterMols[0]
 	sys, err := r.waterSystem(n)

@@ -155,7 +155,7 @@ func ApplyAnnotations(prog *types.Program, a *Annotations) (*Plan, error) {
 
 	for _, m := range prog.Methods {
 		if mp := p.Methods[m]; mp != nil && mp.HoldsLockThrough {
-			if site := p.hoistEscape(m); site != nil {
+			if site := p.hoistEscape(m, false); site != nil {
 				return nil, fmt.Errorf("annotations hold the lock of %s through: %s at %s",
 					m.FullName(), escapeReason(site), site.Call.Pos())
 			}

@@ -11,7 +11,8 @@ import (
 )
 
 // TestCallRuleTable is MethodPlan.Call written out: every context × site
-// action × callee {parallel, not, unplanned} × lock {held through, not}.
+// action × callee {parallel, not, unplanned} × lock {held through, not} ×
+// coarse {not, coarse}.
 func TestCallRuleTable(t *testing.T) {
 	const (
 		ser  = codegen.VersionSerial
@@ -54,20 +55,26 @@ func TestCallRuleTable(t *testing.T) {
 	site := &types.CallSite{ID: 7}
 	for _, row := range rows {
 		for _, held := range []bool{false, true} {
-			mp := &codegen.MethodPlan{Site: map[int]codegen.SiteAction{7: row.act}, HoldsLockThrough: held}
-			for _, tc := range []struct {
-				callee *codegen.MethodPlan
-				want   call
-			}{
-				{&codegen.MethodPlan{Parallel: true}, row.parallel},
-				{&codegen.MethodPlan{}, row.plain},
-				{nil, row.plain},
-			} {
-				if held {
-					tc.want.Release = false
-				}
-				if got := mp.Call(row.in, site, tc.callee); got != tc.want {
-					t.Errorf("in=%d action=%d callee=%+v held=%t: %+v, want %+v", row.in, row.act, tc.callee, held, got, tc.want)
+			for _, coarse := range []bool{false, true} {
+				mp := &codegen.MethodPlan{Site: map[int]codegen.SiteAction{7: row.act}, HoldsLockThrough: held, Coarse: coarse}
+				for _, tc := range []struct {
+					callee *codegen.MethodPlan
+					want   call
+				}{
+					{&codegen.MethodPlan{Parallel: true}, row.parallel},
+					{&codegen.MethodPlan{}, row.plain},
+					{nil, row.plain},
+				} {
+					if held {
+						tc.want.Release = false
+					}
+					if coarse && row.in == mut {
+						// The serial version under the receiver lock.
+						tc.want = serial
+					}
+					if got := mp.Call(row.in, site, tc.callee); got != tc.want {
+						t.Errorf("in=%d action=%d callee=%+v held=%t coarse=%t: %+v, want %+v", row.in, row.act, tc.callee, held, coarse, got, tc.want)
+					}
 				}
 			}
 		}

@@ -476,6 +476,19 @@ func (e *goEmitter) helperToI(src, dst *types.Class) string {
 	return name
 }
 
+// helperAsI returns the nil-preserving interface-to-concrete helper
+// I_c -> *T_c a bound parameter is read through (bindings), generating it
+// on first use: a NULL parameter binds to nil instead of faulting.
+func (e *goEmitter) helperAsI(c *types.Class) string {
+	name := "asI_" + c.Name
+	if _, ok := e.helpers[name]; !ok {
+		e.helpers[name] = fmt.Sprintf(
+			"func %s(v I_%s) *T_%s {\n\tif v == nil {\n\t\treturn nil\n\t}\n\treturn v.as_%s()\n}\n",
+			name, c.Name, c.Name, c.Name)
+	}
+	return name
+}
+
 // helperDC returns the dynamic-cast helper I_src -> target class,
 // generating it on first use. Failed and nil casts yield nil, like the
 // interpreter's castValue.

@@ -93,23 +93,92 @@ func (c *fnCtx) siteDispatch(x *ast.CallExpr) callPlan {
 
 // recvChain renders the receiver expression of a call to callee,
 // inserting the as_ accessor that narrows to the callee's declaring
-// class (also resolving interface receivers to concrete pointers).
-func (c *fnCtx) recvChain(x *ast.CallExpr, callee *types.Method, d int) string {
+// class (also resolving interface receivers to concrete pointers). value
+// says the receiver renders as the object rather than a pointer to it: a
+// nested object, or a bound parameter dereferenced — a Go call through a
+// nil pointer does not fault, so `(*b_n)` is what faults where
+// `v_n.as_C()` did.
+func (c *fnCtx) recvChain(x *ast.CallExpr, callee *types.Method, d int) (code string, value bool) {
 	if callee.Class == nil {
-		return ""
+		return "", false
 	}
 	if x.Recv == nil {
 		// Implicit this->m(...).
 		if c.m.Class == callee.Class {
-			return "o"
+			return "o", false
 		}
-		return "o.as_" + callee.Class.Name + "()"
+		return "o.as_" + callee.Class.Name + "()", false
 	}
-	code := c.expr(x.Recv, d)
+	if b, cl := c.binding(x.Recv); b != "" {
+		if cl == callee.Class {
+			return "(*" + b + ")", true
+		}
+		return b + ".as_" + callee.Class.Name + "()", false
+	}
+	code = c.expr(x.Recv, d)
 	if c.recvPlain(x, callee) {
-		return code
+		return code, c.byValue(x.Recv)
 	}
-	return code + ".as_" + callee.Class.Name + "()"
+	return code + ".as_" + callee.Class.Name + "()", false
+}
+
+// bindings lists the parameters of m a version binds once, at its top, to
+// the concrete pointer of their class, b_<name> := asI_<class>(v_<name>):
+// pointers to a class with subclasses, emitted as the I_ interface, that
+// the body never assigns and reads a field or calls a method through. A
+// field read or a call through one then renders through the binding, a
+// static call Go can inline, instead of an interface call per use (recvChain,
+// fieldSel); comparisons, casts and arguments keep the parameter. The
+// binding is nil-safe, so a NULL parameter tested before use stays
+// harmless, and a NULL one used faults at the same statement.
+func (e *goEmitter) bindings(m *types.Method) []*types.Param {
+	var out []*types.Param
+	var assigned map[string]bool
+	for _, p := range m.Params {
+		if pt, ok := p.Type.(types.Pointer); !ok || !e.reprIface(pt.Class) || !usedThrough(m.Def.Body, p.Name) {
+			continue
+		}
+		if assigned == nil {
+			assigned = ast.AssignedVars(m.Def.Body)
+		}
+		if !assigned[p.Name] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// usedThrough reports whether body reads a field of, or calls a method
+// on, the object parameter name points to.
+func usedThrough(body ast.Node, name string) bool {
+	param := func(x ast.Expr) bool {
+		id, ok := x.(*ast.Ident)
+		return ok && id.Sym == ast.SymParam && id.Name == name
+	}
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FieldAccess:
+			found = found || param(x.X)
+		case *ast.CallExpr:
+			found = found || param(x.Recv)
+		}
+		return !found
+	})
+	return found
+}
+
+// binding returns the name and class of the binding x reads, when x is a
+// parameter the version binds; "" otherwise.
+func (c *fnCtx) binding(x ast.Expr) (string, *types.Class) {
+	if id, ok := x.(*ast.Ident); ok && id.Sym == ast.SymParam {
+		for _, p := range c.bound {
+			if p.Name == id.Name {
+				return "b_" + p.Name, p.Type.(types.Pointer).Class
+			}
+		}
+	}
+	return "", nil
 }
 
 // byValue reports whether x renders as a struct value: a nested object.
@@ -146,7 +215,7 @@ func (c *fnCtx) renderCall(x *ast.CallExpr, cp callPlan, d int) string {
 		}
 		return recv + "." + call
 	}
-	if recv := c.recvChain(x, cp.callee, d); recv != "" {
+	if recv, _ := c.recvChain(x, cp.callee, d); recv != "" {
 		return recv + "." + call
 	}
 	return call
@@ -197,9 +266,9 @@ func (c *fnCtx) spawn(x *ast.CallExpr, cp callPlan) {
 	recv := ""
 	if callee.Class != nil {
 		rv := c.tmpName()
-		chain := c.recvChain(x, callee, 1)
-		if c.byValue(x.Recv) && c.recvPlain(x, callee) {
-			chain = "&" + chain // the task takes the nested object's address
+		chain, value := c.recvChain(x, callee, 1)
+		if value {
+			chain = "&" + chain // the task takes the object's address
 		}
 		// Narrow interface receivers to the concrete declaring class.
 		c.line("var %s *T_%s = %s", rv, callee.Class.Name, chain)
@@ -546,6 +615,12 @@ func (c *fnCtx) expr(x ast.Expr, d int) string {
 // accessor of the field's declaring class unless the base expression
 // already is a concrete pointer to that class.
 func (c *fnCtx) fieldSel(v *ast.FieldAccess, d int) string {
+	if b, cl := c.binding(v.X); b != "" {
+		if cl.Name == v.DeclClass {
+			return b + ".F_" + v.Name
+		}
+		return b + ".as_" + v.DeclClass + "().F_" + v.Name
+	}
 	base := c.expr(v.X, d)
 	if bcl := ptrClass(c.e.prog.TypeOf(v.X)); bcl != nil && bcl.Name == v.DeclClass && !c.e.exprIface(v.X) {
 		return base + ".F_" + v.Name

@@ -53,6 +53,10 @@ type fnCtx struct {
 	// locked: the P_/X_ prologue acquired the receiver lock.
 	locked bool
 
+	// bound: the parameters the version binds once to a concrete pointer
+	// (bindings), b_<name>.
+	bound []*types.Param
+
 	b      *bytes.Buffer // the emitter's fns
 	indent int
 	tmp    int
@@ -85,6 +89,14 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) {
 	c.b.WriteString(" {\n")
 	c.indent = 1
 
+	if v == varX && c.mp.Coarse {
+		// Lock coarsening: the serial version under the receiver lock.
+		e.demand(m, varS)
+		c.lockPrologue()
+		c.line("o.S_%s(%s)", m.Name, strings.Join(paramArgs(m), ", "))
+		c.b.WriteString("}\n")
+		return
+	}
 	if v == varJP {
 		// rt.callVersion's entry fast path: once some task failed, the
 		// region aborts regardless, so stop journaling work.
@@ -109,20 +121,16 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) {
 		c.line(")")
 		c.line("%s = %s", strings.Repeat("_, ", len(locals)-1)+"_", strings.Join(names, ", "))
 	}
+	c.bound = e.bindings(m)
+	for _, p := range c.bound {
+		c.line("b_%s := %s(v_%[1]s)", p.Name, e.helperAsI(p.Type.(types.Pointer).Class))
+	}
 
 	// Lock prologue for parallel/mutex versions (rt.callVersion:
 	// locked = NeedsLock && recv != nil). Speculative versions never
 	// lock — the journals provide the isolation.
 	if (c.mode == mP || c.mode == mX) && !c.spec && c.mp != nil && c.mp.NeedsLock && m.Class != nil {
-		e.muRoots[chainRoot(m.Class)] = true
-		c.locked = true
-		c.line("o.mu_.Lock()")
-		c.line("lockHeld_ := true")
-		c.line("defer func() {")
-		c.line("\tif lockHeld_ {")
-		c.line("\t\to.mu_.Unlock()")
-		c.line("\t}")
-		c.line("}()")
+		c.lockPrologue()
 	}
 
 	for _, s := range m.Def.Body.Stmts {
@@ -134,6 +142,16 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) {
 		c.line("return %s", e.zeroVal(m.Ret))
 	}
 	c.b.WriteString("}\n")
+}
+
+// paramArgs lists m's parameters as a version passes them on to another
+// version of m.
+func paramArgs(m *types.Method) []string {
+	var args []string
+	for _, p := range m.Params {
+		args = append(args, "v_"+p.Name)
+	}
+	return args
 }
 
 // valueMode reports whether the current version returns the method's
@@ -197,10 +215,7 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) {
 	c := &fnCtx{e: e, b: &e.fns, m: m, mp: e.plan.Methods[m], indent: 1}
 	e.fnSignature(m, varR)
 	c.b.WriteString(" {\n")
-	var args []string
-	for _, p := range m.Params {
-		args = append(args, "v_"+p.Name)
-	}
+	args := paramArgs(m)
 	// call renders a call of m's version v, ahead of whose own arguments
 	// go the pool's external handle and the region's journal.
 	call := func(v variant, w string) string {
@@ -571,7 +586,7 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, h ast.CountedLoop) {
 		c.line("v_%s = gssI_", h.Var.Name)
 	}
 	// The body's call sites lower under the iteration context.
-	sub := &fnCtx{e: c.e, b: c.b, m: c.m, mp: c.mp, mode: mI, spec: c.spec, indent: c.indent, tmp: c.tmp}
+	sub := &fnCtx{e: c.e, b: c.b, m: c.m, mp: c.mp, mode: mI, spec: c.spec, bound: c.bound, indent: c.indent, tmp: c.tmp}
 	sub.stmt(fs.Body)
 	c.tmp = sub.tmp
 	c.indent--
@@ -601,6 +616,50 @@ func (c *fnCtx) bodyVars(body ast.Stmt) []string {
 		}
 	}
 	return out
+}
+
+// lockPrologue takes the receiver lock. Where the version holds it to the
+// end, the release is deferred; where something lets go of it first
+// (releasesEarly), lockHeld_ says whether the deferred release still has
+// to.
+func (c *fnCtx) lockPrologue() {
+	c.e.muRoots[chainRoot(c.m.Class)] = true
+	c.locked = true
+	c.line("o.mu_.Lock()")
+	if !c.releasesEarly() {
+		c.line("defer o.mu_.Unlock()")
+		return
+	}
+	c.line("lockHeld_ := true")
+	c.line("defer func() {")
+	c.line("\tif lockHeld_ {")
+	c.line("\t\to.mu_.Unlock()")
+	c.line("\t}")
+	c.line("}()")
+}
+
+// releasesEarly reports whether the version lets go of its receiver lock
+// before it returns: the call rule releases it at some site, or a
+// parallel loop ends the object section. (A site in a parallel loop's
+// body lowers under the iteration context, which releases nothing, but
+// the loop itself does.)
+func (c *fnCtx) releasesEarly() bool {
+	if c.mp.HoldsLockThrough {
+		return false
+	}
+	for _, cs := range c.m.CallSites {
+		if c.mp.Call(modeVersion[c.mode], cs, c.e.plan.Methods[cs.Callee]).Release {
+			return true
+		}
+	}
+	if c.mode == mP {
+		for _, lp := range c.e.plan.Loops {
+			if lp.Method == c.m && lp.Parallel {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // releaseLock emits the guarded receiver-lock release that ends the

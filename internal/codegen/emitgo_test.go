@@ -500,6 +500,59 @@ var specRd_world_run = map[string]bool{
 	}
 }
 
+// TestEmitGoForcePhase pins what Barnes-Hut's force walk emits as under
+// the plan every binary runs: a node parameter read through is bound once
+// to its concrete pointer by a nil-safe helper, so no version calls
+// v_n.as_node() at all, and body::walksub's mutex version is the serial
+// walk under the body's lock, so no X_ version below it is emitted.
+func TestEmitGoForcePhase(t *testing.T) {
+	sys, err := apps.BarnesHut(16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := sys.CondPlan.EmitGoPackage(codegen.EmitGoOptions{AppName: "barneshut"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := string(files["prog.go"])
+	for _, want := range []string{`
+func (o *T_body) S_computeInter(v_n I_node, v_res []float64) float64 {
+	var (
+		v_inc  float64
+		v_r    float64
+		v_drsq float64
+		v_d    float64
+		v_i    int64
+	)
+	_, _, _, _, _ = v_inc, v_r, v_drsq, v_d, v_i
+	b_n := asI_node(v_n)
+`, `
+	v_inc = float64(b_n.F_mass / math.Sqrt(v_drsq))
+`, `
+func (o *T_body) X_walksub(w *rtkit.Worker, v_n I_node, v_dsq float64) {
+	o.mu_.Lock()
+	defer o.mu_.Unlock()
+	o.S_walksub(v_n, v_dsq)
+}
+`, `
+func asI_node(v I_node) *T_node {
+	if v == nil {
+		return nil
+	}
+	return v.as_node()
+}
+`} {
+		if !strings.Contains(prog, want) {
+			t.Errorf("prog.go lacks%s", want)
+		}
+	}
+	for _, gone := range []string{"v_n.as_node()", "X_gravsub", "X_openCell", "X_openLeaf", "lockHeld_"} {
+		if strings.Contains(prog, gone) {
+			t.Errorf("prog.go has %s", gone)
+		}
+	}
+}
+
 // TestEmitGoAppName: main.go is a literal template, stored in gofmt's
 // form, with the app name substituted into its first line, so an odd
 // name must still leave a gofmt-stable file that names it — in prog.go

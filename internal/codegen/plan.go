@@ -74,6 +74,7 @@ type SiteCall struct {
 //	            release              release
 //	replica     serial on replica,   serial on        serial on
 //	            release              replica, release replica
+//	(coarse)    as above             serial           as above
 //
 // An inline or hoisted site runs the serial version — a body whose own
 // call sites are all serial and whose loops are all serial, whatever
@@ -89,11 +90,13 @@ type SiteCall struct {
 // its serial version on the executing worker's zeroed replica of the
 // global it was called on, and the region's join folds the replicas back.
 // A journaled body runs it as the callee's mutex version, which its
-// journal isolates. Everything called from a serial version is a serial
-// version.
+// journal isolates. The mutex version of a Coarse method is its serial
+// version under the receiver lock (coarsen): every site of it runs the
+// serial version and nothing lets go of the lock. Everything called from
+// a serial version is a serial version.
 func (mp *MethodPlan) Call(in Version, site *types.CallSite, callee *MethodPlan) SiteCall {
 	act := ActionSerial
-	if in != VersionSerial {
+	if in != VersionSerial && (in != VersionMutex || !mp.Coarse) {
 		act = mp.Site[site.ID]
 	}
 	extent := act == ActionSpawn || act == ActionReplica || act == ActionHoisted && in == VersionIteration
@@ -140,6 +143,14 @@ type MethodPlan struct {
 	// region's join — the optimization §6.3.4 proposes to eliminate
 	// Water's contention, which replicate applies where it is sound.
 	Replicable bool
+	// Coarse is computation lock coarsening (coarsen, Options.Contention):
+	// everything the serial version reaches stays on the receiver and its
+	// nested objects, so the mutex version takes the receiver lock once and
+	// runs the serial version beneath it, instead of one lock per operation
+	// it invokes. Coarse sets NeedsLock. NoCoarsen says why an operation
+	// that invokes an extent operation on its own receiver is not Coarse.
+	Coarse    bool
+	NoCoarsen string
 	// Site maps call-site IDs within this method to their actions when
 	// executing the parallel (or mutex) version.
 	Site map[int]SiteAction
@@ -231,7 +242,7 @@ type Plan struct {
 	LockedClasses map[*types.Class]bool
 
 	// Replicas lists, in program order, the sites replicate considered
-	// (Options.ReplicateAccumulators), and Folds, by the class of a global
+	// (Options.Contention), and Folds, by the class of a global
 	// some ActionReplica site accumulates into, the fields a region's join
 	// folds back from the workers' replicas of it, in slot order.
 	Replicas []ReplicaSite
@@ -247,13 +258,16 @@ type Options struct {
 	// DisableSuppression turns off the §5.2 suppression of nested
 	// concurrency: dynamically nested legal loops stay parallel.
 	DisableSuppression bool
-	// ReplicateAccumulators enables the §6.3.4 optimization: a call of a
-	// pure additive accumulator on a global object runs, inside a region,
-	// on the executing worker's replica of the object (no lock, no
-	// contention), and the region's join folds the replicas back
-	// (replicate). The plan every parallel execution runs sets it; the
-	// paper's compiler (commute.System.Plan) does not.
-	ReplicateAccumulators bool
+	// Contention enables the two optimizations that take lock contention
+	// off an extent without changing what its parallel version spawns: the
+	// §6.3.4 replication — a call of a pure additive accumulator on a
+	// global object runs, inside a region, on the executing worker's
+	// replica of the object, and the region's join folds the replicas back
+	// (replicate) — and computation lock coarsening — a mutex version that
+	// stays on its receiver holds the receiver lock once, through its
+	// serial version (coarsen). The plan every parallel execution runs
+	// sets it; the paper's compiler (commute.System.Plan) does not.
+	Contention bool
 	// SpeculateRejected extends the plan with speculative parallel
 	// versions for extents that failed only the pairwise commutativity
 	// test (core.MethodReport.SpeculationEligible). Methods covered by
@@ -407,8 +421,9 @@ func BuildWithOptions(a *core.Analysis, opt Options) *Plan {
 
 	p.hoistLocks()
 	p.findLoops()
-	if opt.ReplicateAccumulators {
+	if opt.Contention {
 		p.replicate(a)
+		p.coarsen()
 	}
 	p.computeLockedClasses()
 	return p
@@ -446,7 +461,7 @@ func (p *Plan) hoistLocks() {
 		if !locking(mp) || p.Opt.DisableHoisting || m.Class == nil || !nestedOnly(mp) {
 			continue
 		}
-		if site := p.hoistEscape(m); site != nil {
+		if site := p.hoistEscape(m, false); site != nil {
 			mp.NoHoist = escapeReason(site)
 			continue
 		}
@@ -490,8 +505,11 @@ func nestedOnly(mp *MethodPlan) bool {
 // own receiver and auxiliaries — all of it stays under the one lock. It
 // returns the first call site that leaves, nil when none does. The rule
 // reads the site maps alone, a nested-object invocation being the one
-// marked ActionHoisted, so an annotation file is held to it as well.
-func (p *Plan) hoistEscape(m *types.Method) *types.CallSite {
+// marked ActionHoisted, so an annotation file is held to it as well. With
+// self set it is coarsening's walk (coarsen): an extent invocation on the
+// caller's own receiver stays under the one lock too, and is walked into
+// like a nested one.
+func (p *Plan) hoistEscape(m *types.Method, self bool) *types.CallSite {
 	seen := make(map[*types.Method]bool)
 	var walk func(m *types.Method) *types.CallSite
 	walk = func(m *types.Method) *types.CallSite {
@@ -501,9 +519,9 @@ func (p *Plan) hoistEscape(m *types.Method) *types.CallSite {
 		}
 		seen[m] = true
 		for _, cs := range m.CallSites {
-			switch mp.Site[cs.ID] {
-			case ActionInline:
-			case ActionHoisted:
+			switch act := mp.Site[cs.ID]; {
+			case act == ActionInline:
+			case act == ActionHoisted, self && act == ActionSpawn && onThis(cs):
 				if site := walk(cs.Callee); site != nil {
 					return site
 				}
@@ -516,9 +534,62 @@ func (p *Plan) hoistEscape(m *types.Method) *types.CallSite {
 	return walk(m)
 }
 
+// onThis reports whether a call site invokes a method on the caller's own
+// receiver, `this->m()` or an implicit `m()` (effects.RecvThis).
+func onThis(cs *types.CallSite) bool {
+	if cs.Callee.Class == nil {
+		return false
+	}
+	_, this := cs.Call.Recv.(*ast.ThisExpr)
+	return this || cs.Call.Recv == nil
+}
+
 // escapeReason words a hoistEscape site for reports.
 func escapeReason(site *types.CallSite) string {
 	return site.Caller.FullName() + " invokes " + site.Callee.FullName() + " outside the receiver"
+}
+
+// coarsen applies computation lock coarsening (Diniz & Rinard's follow-up
+// to this paper) to the operations planned with locks that invoke an
+// extent operation on their own receiver. Where every site the serial
+// version reaches, transitively, is auxiliary, hoisted or another
+// invocation on the receiver (hoistEscape with self), the computation
+// touches nothing but the receiver and its nested objects: the mutex
+// version takes the receiver lock once and runs the serial version
+// beneath it (Coarse), rather than one lock per operation it invokes. It
+// holds one lock and runs only serial versions, which take none, so it
+// cannot deadlock; aliased receivers serialize whole computations instead
+// of single operations. The parallel version spawns and loops as before
+// (holding the receiver lock NeedsLock now asks for up to its first
+// release), so every region root, spawn and loop is unchanged. A replica
+// site or an invocation on any other object in reach refuses it
+// (NoCoarsen).
+func (p *Plan) coarsen() {
+	for m, mp := range p.Methods {
+		if !mp.Parallel || mp.Speculative || !spawnsOnThis(mp, m) {
+			continue
+		}
+		site := p.hoistEscape(m, true)
+		switch {
+		case site == nil:
+			mp.Coarse, mp.NeedsLock = true, true
+		case p.Methods[site.Caller].Site[site.ID] == ActionReplica:
+			mp.NoCoarsen = site.Caller.FullName() + " runs " + site.Callee.FullName() + " on a replica"
+		default:
+			mp.NoCoarsen = escapeReason(site)
+		}
+	}
+}
+
+// spawnsOnThis reports whether mp's method has an extent site on its own
+// receiver: the candidates coarsen walks.
+func spawnsOnThis(mp *MethodPlan, m *types.Method) bool {
+	for _, cs := range m.CallSites {
+		if mp.Site[cs.ID] == ActionSpawn && onThis(cs) {
+			return true
+		}
+	}
+	return false
 }
 
 // computeLockedClasses decides which class declarations keep their

@@ -11,7 +11,7 @@ import (
 	"commute/internal/interp"
 )
 
-// Accumulator replication (§6.3.4, Options.ReplicateAccumulators). Water
+// Accumulator replication (§6.3.4, Options.Contention). Water
 // adds every force and energy contribution into one shared object, and
 // every addition takes that object's lock. The paper proposes replicating
 // such objects, as its explicitly parallel Water does by hand: a call of

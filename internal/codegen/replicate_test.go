@@ -122,10 +122,11 @@ void main() {
 // every parallel execution runs, in the versions the site's body runs
 // as, and the reason a candidate keeps its lock. Only the accumulation
 // on a global no other operation of its region reads is replicated; one
-// through this or a pointer, one whose field acc::bump also reads in the
-// region (on another object, which the effects cannot tell apart), one
-// whose callee makes a call, and one in a speculative extent keep the
-// mutex version.
+// through a pointer, one whose field acc::bump also reads in the region
+// (on another object, which the effects cannot tell apart), one whose
+// callee makes a call, and one in a speculative extent keep the mutex
+// version. One through this is no candidate either: acc::twice's mutex
+// version holds its receiver's lock through the serial add (coarsen).
 func TestReplicaSiteRule(t *testing.T) {
 	const (
 		ser = VersionSerial
@@ -142,7 +143,7 @@ func TestReplicaSiteRule(t *testing.T) {
 	}{
 		{"global", "A.add(w);", "item::visit", "acc::add", []Version{par, mut},
 			SiteCall{Run: ser, Replica: true, Release: true}, ""},
-		{"this", "A.twice(w);", "acc::twice", "acc::add", []Version{mut}, locked, "-"},
+		{"this", "A.twice(w);", "acc::twice", "acc::add", []Version{mut}, SiteCall{Run: ser}, "-"},
 		{"pointer", "mine->add(w);", "item::visit", "acc::add", []Version{mut}, locked, "-"},
 		{"read in the region", "A.add(w);\n  mine->bump(w);", "item::visit", "acc::add", []Version{mut},
 			locked, "A.total read by acc::bump in region item::visit"},
@@ -231,7 +232,7 @@ void main() {
   print(A.total);
 }
 `)
-		plan := BuildWithOptions(core.New(prog), Options{ConditionalGuards: true, SpeculateRejected: true, ReplicateAccumulators: true})
+		plan := BuildWithOptions(core.New(prog), Options{ConditionalGuards: true, SpeculateRejected: true, Contention: true})
 		caller := prog.MethodByFullName(row.caller)
 		var site *types.CallSite
 		for _, cs := range caller.CallSites {

@@ -62,6 +62,18 @@ func rows() []oracle.Row {
 		// reads the total. A fold skipped or done twice shows in the ints.
 		{Name: "replica-int", Source: replicated("int", "3 * w + 1", "w * w - 3 * w"), Native: true, Race: []int{4}, Expect: unlocked},
 		{Name: "replica-float", Source: replicated("double", "0.37 * w + 0.001", "0.5 * w"), Tol: 1e-9, Native: true, Expect: unlocked},
+		// Three counters behind 96 slots, each iteration running a chain of
+		// operations on its slot's counter: the coarse mutex version takes
+		// the counter's lock once for the chain, and two iterations on one
+		// counter serialize whole chains.
+		{Name: "coarse-alias", Source: coarseAlias, Native: true, Race: []int{4}, Expect: func(r oracle.Run) string {
+			return interpreter(r, r.Stats.ParallelLoops > 0 && r.Stats.LockAcquires == 2*96, "no parallel loop, or not one lock a chain")
+		}},
+		// A parameter of a class with subclasses, NULL on a third of the
+		// calls and read only behind a NULL test: its binding stays nil.
+		{Name: "poly-nil", Source: polyNil, Native: true, Expect: func(r oracle.Run) string {
+			return interpreter(r, r.Stats.ParallelLoops > 0, "no parallel loop")
+		}},
 
 		// The demonstrators, main entering one root again and again. The
 		// guard holds in condhash's mode 0 only; speculation commits on
@@ -358,6 +370,139 @@ void main() {
 }
 `, typ, one, other)
 }
+
+// coarseAlias: slot i holds counter i % 3, and cnt::add bumps, then
+// notes, its receiver — the chain coarsen holds one lock through.
+const coarseAlias = `
+class cnt {
+public:
+  int total;
+  int hits;
+  int sq;
+  void add(int v);
+  void bump(int v);
+  void note(int v);
+};
+
+class driver {
+public:
+  cnt *objs[3];
+  cnt *slots[96];
+  int n;
+  void build(int k);
+  void run();
+};
+
+driver D;
+
+void cnt::bump(int v) {
+  total += v;
+}
+
+void cnt::note(int v) {
+  hits = hits + 1;
+  sq = sq + v * v;
+}
+
+void cnt::add(int v) {
+  this->bump(v);
+  note(v);
+}
+
+void driver::build(int k) {
+  n = k;
+  for (int i = 0; i < 3; i++) {
+    objs[i] = new cnt;
+  }
+  for (int i = 0; i < k; i++) {
+    slots[i] = objs[i % 3];
+  }
+}
+
+void driver::run() {
+  for (int i = 0; i < n; i++) {
+    slots[i]->add(i * 3 + 1);
+  }
+}
+
+void main() {
+  D.build(96);
+  D.run();
+  D.run();
+}
+`
+
+// polyNil: a bin takes a shape, a square or NULL, reading its field and
+// calling its method only when it is not NULL.
+const polyNil = `
+class shape {
+public:
+  int w;
+  int weight(int k);
+};
+
+class square : public shape {
+public:
+  int side;
+};
+
+class bin {
+public:
+  int total;
+  int empty;
+  void take(shape *s, int k);
+};
+
+class driver {
+public:
+  bin *bins[4];
+  shape *slots[64];
+  int n;
+  void build(int k);
+  void run();
+};
+
+driver D;
+
+int shape::weight(int k) {
+  return w * k + 1;
+}
+
+void bin::take(shape *s, int k) {
+  if (s != NULL) {
+    total = total + s->w + s->weight(k);
+  } else {
+    empty = empty + 1;
+  }
+}
+
+void driver::build(int k) {
+  square *q;
+  n = k;
+  for (int i = 0; i < 4; i++) {
+    bins[i] = new bin;
+  }
+  for (int i = 0; i < k; i++) {
+    if (i % 3 != 0) {
+      q = new square;
+      q->w = i * 5 + 1;
+      q->side = i;
+      slots[i] = q;
+    }
+  }
+}
+
+void driver::run() {
+  for (int i = 0; i < n; i++) {
+    bins[i % 4]->take(slots[i], i);
+  }
+}
+
+void main() {
+  D.build(64);
+  D.run();
+}
+`
 
 // specReplica's driver::run overwrites last, so its extent only
 // speculates, and each item::visit it reaches adds into the global A,

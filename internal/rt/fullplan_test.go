@@ -20,11 +20,12 @@ import (
 // hoisting and call-site decisions in the full plan and stays unguarded
 // and unspeculated, and every loop the proven plan found is planned the
 // same way. It is what makes the serial-equivalence oracle's one plan
-// enough. The one permitted difference is the full plan's replication
-// (codegen.Options.ReplicateAccumulators): it may answer replica at a
+// enough. The permitted differences are the full plan's contention
+// optimizations (codegen.Options.Contention): it may answer replica at a
 // site where the proven plan spawns (or, in a mutex version, runs the
 // mutex version), and a method whose only concurrency such a site was
-// then opens no region.
+// then opens no region; and it may coarsen a method, whose mutex version
+// then holds its receiver lock (NeedsLock) through its serial version.
 func TestFullPlanExtendsProvenPlan(t *testing.T) {
 	sources := map[string]string{
 		"barneshut":    src.BarnesHut,
@@ -56,9 +57,9 @@ func TestFullPlanExtendsProvenPlan(t *testing.T) {
 				t.Errorf("%s: proven method %s is %+v in the full plan", name, m.FullName(), fp)
 				continue
 			}
-			if fp.NeedsLock != mp.NeedsLock || fp.HoldsLockThrough != mp.HoldsLockThrough || fp.Replicable != mp.Replicable {
-				t.Errorf("%s: %s locks differ: proven lock=%t hoist=%t replicable=%t, full lock=%t hoist=%t replicable=%t",
-					name, m.FullName(), mp.NeedsLock, mp.HoldsLockThrough, mp.Replicable, fp.NeedsLock, fp.HoldsLockThrough, fp.Replicable)
+			if mp.Coarse || fp.NeedsLock != mp.NeedsLock && !(fp.Coarse && fp.NeedsLock) || fp.HoldsLockThrough != mp.HoldsLockThrough || fp.Replicable != mp.Replicable {
+				t.Errorf("%s: %s locks differ: proven lock=%t hoist=%t replicable=%t coarse=%t, full lock=%t hoist=%t replicable=%t coarse=%t",
+					name, m.FullName(), mp.NeedsLock, mp.HoldsLockThrough, mp.Replicable, mp.Coarse, fp.NeedsLock, fp.HoldsLockThrough, fp.Replicable, fp.Coarse)
 			}
 			replicated := false
 			if !maps.EqualFunc(fp.Site, mp.Site, func(f, p codegen.SiteAction) bool {

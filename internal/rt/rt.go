@@ -370,9 +370,14 @@ func (rt *Runtime) callVersion(w *worker, j *nativert.SpecJournal, m *types.Meth
 	if ver != codegen.VersionSerial {
 		mp := rt.methods[m.ID].mp
 		a.mp, a.ver, a.recv = mp, ver, recv
-		a.Invoke = a.invokeFn
-		if ver != codegen.VersionMutex {
-			a.ForLoop = a.forLoopFn
+		switch {
+		case ver == codegen.VersionMutex && mp.Coarse:
+			// The serial version under the receiver lock: every site
+			// answers serial (MethodPlan.Call), so both hooks stay off.
+		case ver == codegen.VersionMutex:
+			a.Invoke = a.invokeFn
+		default:
+			a.Invoke, a.ForLoop = a.invokeFn, a.forLoopFn
 		}
 		if j == nil && mp.NeedsLock && recv != nil {
 			atomic.AddInt64(&rt.Stats.LockAcquires, 1)

@@ -38,7 +38,7 @@ for APP in barneshut graph; do
   go run ./cmd/commutec -emit go -o "$DIR" -app "$APP"
   (cd "$DIR" && go vet . && canonical && go build -o app .)
   go run ./cmd/commuterun -mode serial -app "$APP" -dump > "$OUT/$APP.interp"
-  for ARGS in "-mode serial" "-mode parallel -workers 4"; do
+  for ARGS in "-mode serial" "-mode parallel -workers 1" "-mode parallel -workers 4"; do
     # shellcheck disable=SC2086
     "$DIR/app" $ARGS -dump > "$OUT/$APP.native"
     if ! diff -q "$OUT/$APP.interp" "$OUT/$APP.native" >/dev/null; then
@@ -47,8 +47,23 @@ for APP in barneshut graph; do
       exit 1
     fi
   done
-  echo "$APP: native == interpreter (serial + parallel)"
+  echo "$APP: native == interpreter (serial + parallel at 1 and 4 workers)"
 done
+
+# Barnes-Hut's force walk: body::walksub's mutex version holds the body's
+# lock through the serial walk, so no per-interaction X_gravsub is
+# emitted, and each version reads a node parameter through one binding
+# instead of an interface call per use.
+go run ./cmd/commutec -app barneshut | grep -qx "coarsened: body::walksub holds body's lock through its mutex version"
+if grep -q 'X_gravsub' "$OUT/barneshut/prog.go"; then
+  echo "FAIL: barneshut: prog.go still has X_gravsub" >&2
+  exit 1
+fi
+if ! awk '/^func / { fn = $0 } { n[fn] += gsub(/v_n\.as_node\(\)/, "&") } END { for (f in n) if (n[f] > 1) { print f; bad = 1 } exit bad }' "$OUT/barneshut/prog.go"; then
+  echo "FAIL: barneshut: a function above calls v_n.as_node() more than once" >&2
+  exit 1
+fi
+echo "barneshut: walksub coarsened, no X_gravsub, node parameters bound once"
 
 . scripts/wide_sources.sh
 
