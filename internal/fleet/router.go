@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	"commute/internal/server"
 	"commute/internal/server/api"
+	"commute/internal/server/cache"
 )
 
 // Config shapes a Router. Zero fields take the documented defaults.
@@ -109,6 +111,9 @@ type Router struct {
 	requests atomic.Int64
 	rejected atomic.Int64 // no live shard reachable
 
+	// Route keys of the distinct bodies that resolved (see routeKey).
+	memo *cache.Memo[string]
+
 	// Active health prober lifecycle (nil channels when disabled).
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -127,6 +132,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		states: make(map[string]*shardState, len(cfg.Shards)),
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
+		memo:   cache.NewMemo[string](cache.MemoEntries),
 	}
 	for _, s := range cfg.Shards {
 		if _, dup := rt.states[s]; dup {
@@ -282,25 +288,42 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusRequestEntityTooLarge, "request body over router cap")
 		return
 	}
-	key := routeKeyForBody(body)
-	rt.forward(w, r, key, body)
+	rt.forward(w, r, rt.routeKey(body), body)
 }
 
-// routeKeyForBody extracts the routing key from a request body: the
-// program fingerprint when the body resolves, a hash of the raw bytes
-// otherwise.
-func routeKeyForBody(body []byte) string {
+// routeKey extracts the routing key from a request body: the program
+// fingerprint when the body resolves, a hash of the raw bytes otherwise.
+// A body that resolves is remembered by the SHA-256 of its bytes, so a
+// byte-identical repeat costs one hash instead of one JSON decode; one
+// that does not is decoded again every time.
+func (rt *Router) routeKey(body []byte) string {
+	sum := sha256.Sum256(body)
+	if key, ok := rt.memo.Get(sum); ok {
+		return key
+	}
+	key, ok := fingerprintBody(body)
+	if !ok {
+		return bodyKey(body)
+	}
+	rt.memo.Put(sum, key)
+	return key
+}
+
+// fingerprintBody is the fingerprint of the program a body names.
+func fingerprintBody(body []byte) (string, bool) {
 	var src api.SourceRequest
 	// Tolerant decode: run/analyze/simulate bodies all embed
 	// SourceRequest; their other fields are ignored here (the replica
 	// re-validates everything).
-	if err := json.Unmarshal(body, &src); err == nil {
-		if key, err := server.FingerprintRequest(src); err == nil {
-			return key
-		}
+	if err := json.Unmarshal(body, &src); err != nil {
+		return "", false
 	}
-	return fmt.Sprintf("body:%x", hash64(string(body)))
+	key, err := server.FingerprintRequest(src)
+	return key, err == nil
 }
+
+// bodyKey routes a body that names no program by its raw bytes.
+func bodyKey(body []byte) string { return fmt.Sprintf("body:%x", hash64(string(body))) }
 
 // forward sends the request to key's owner with bounded retry:
 // transport failures mark the shard down and reroute via rendezvous

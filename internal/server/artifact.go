@@ -139,7 +139,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 }
 
 // peekBundleName recalls the program name a fingerprint was loaded
-// under (kept by loadSystemKeyed for artifact serving).
+// under (kept by loadProgram for artifact serving).
 func (s *Server) peekBundleName(key string) (string, bool) {
 	s.nameMu.Lock()
 	defer s.nameMu.Unlock()

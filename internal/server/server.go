@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -67,7 +66,8 @@ type Config struct {
 	// can ask for (default 60s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxSourceBytes caps a request body (default 4 MiB).
+	// MaxSourceBytes caps a request body (default 4 MiB); a larger one
+	// is answered 413.
 	MaxSourceBytes int64
 	// RetryAfter is the client backoff hint sent with 429s (default 1s).
 	RetryAfter time.Duration
@@ -153,6 +153,8 @@ type Server struct {
 	// Cross-request response batching (see batch.go).
 	batch     *batcher
 	coalesced atomic.Int64
+	// What each distinct request body decoded to (see request.go).
+	memo *cache.Memo[memoEntry]
 
 	lat map[string]*latencyRecorder
 }
@@ -183,6 +185,7 @@ func New(cfg Config) *Server {
 	}
 	s.initArtifacts(cfg.Blobs)
 	s.batch = newBatcher(cfg.BatchLinger)
+	s.memo = cache.NewMemo[memoEntry](cache.MemoEntries)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statusz", s.handleStatusz)
 	s.mux.HandleFunc("GET /v1/artifact/{key}", s.handleArtifact)
@@ -304,13 +307,20 @@ func resolveSource(req api.SourceRequest) (name, source string, opts commute.Loa
 	return name, source, commute.LoadOptions{Transform: req.Options.Transform}, nil
 }
 
-// loadSystemKeyed resolves a fingerprinted program through the cache.
-// The returned handle must be Closed when the request is done with the
-// system. A cold load publishes its artifact to the blob tier so fleet
-// peers can adopt the analysis instead of repeating it.
-func (s *Server) loadSystemKeyed(name, source string, opts commute.LoadOptions, key string) (h *cache.Handle, hit bool, err error) {
+// loadProgram resolves a fingerprinted program through the cache; only
+// a cold load asks for the program's text. The returned handle must be
+// Closed when the request is done with the system. A cold load publishes
+// its artifact to the blob tier so fleet peers can adopt the analysis
+// instead of repeating it.
+func (s *Server) loadProgram(p program) (h *cache.Handle, hit bool, err error) {
 	start := time.Now()
-	h, hit, err = s.cache.GetOrLoad(key, func() (*commute.System, int64, error) {
+	var name string
+	h, hit, err = s.cache.GetOrLoad(p.key, func() (*commute.System, int64, error) {
+		n, source, opts, err := p.text()
+		if err != nil {
+			return nil, 0, err
+		}
+		name = n
 		sys, lerr := commute.LoadOpts(name, source, opts)
 		if lerr != nil {
 			return nil, 0, lerr
@@ -325,22 +335,10 @@ func (s *Server) loadSystemKeyed(name, source string, opts commute.LoadOptions, 
 		rec.record(time.Since(start), err != nil)
 	}
 	if err == nil && !hit {
-		s.rememberName(key, name)
-		s.publishArtifact(key, name, h.System())
+		s.rememberName(p.key, name)
+		s.publishArtifact(p.key, name, h.System())
 	}
 	return h, hit, err
-}
-
-// loadSystem is the resolve→fingerprint→load composition used by the
-// endpoints that need the live system (/v1/run, /v1/simulate).
-func (s *Server) loadSystem(req api.SourceRequest) (h *cache.Handle, key string, hit bool, err error) {
-	name, source, opts, rerr := resolveSource(req)
-	if rerr != nil {
-		return nil, "", false, rerr
-	}
-	key = commute.Fingerprint(name, source, opts)
-	h, hit, err = s.loadSystemKeyed(name, source, opts, key)
-	return h, key, hit, err
 }
 
 func loadWord(hit bool) string {
@@ -401,20 +399,18 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
-	var req api.AnalyzeRequest
-	if err := s.readJSON(w, r, &req); err != nil {
+	req, p, err := readRequest(s, w, r, analyzeSource)
+	if err != nil {
 		return err
 	}
-	name, source, opts, err := resolveSource(req.SourceRequest)
-	if err != nil {
-		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
+	if err := p.accept(w); err != nil {
+		return err
 	}
-	key := commute.Fingerprint(name, source, opts)
 
 	// Batch: concurrent (or just-completed, within the linger window)
 	// requests for one (fingerprint, emit) pair share one serialized
 	// response. The batch key includes every field that shapes the body.
-	batchKey := key + "|emit=" + strconv.FormatBool(req.Emit)
+	batchKey := p.key + "|emit=" + strconv.FormatBool(req.Emit)
 	call, leader := s.batch.join(batchKey)
 	if !leader {
 		return s.awaitBatch(w, r, call)
@@ -430,7 +426,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 			s.batch.finish(batchKey, call, http.StatusInternalServerError, body)
 		}
 	}()
-	code, body, err := s.analyzeResult(req, name, source, opts, key, start)
+	code, body, err := s.analyzeResult(req.Emit, p, start)
 	finished = true
 	s.batch.finish(batchKey, call, code, body)
 
@@ -464,10 +460,11 @@ func (s *Server) awaitBatch(w http.ResponseWriter, r *http.Request, c *batchCall
 // analyzeResult computes the /v1/analyze response as (status, body),
 // trying the three serving tiers in cost order: the warm in-memory
 // system, an adopted fleet artifact, then the full analysis pipeline.
-func (s *Server) analyzeResult(req api.AnalyzeRequest, name, source string, opts commute.LoadOptions, key string, start time.Time) (int, []byte, error) {
+func (s *Server) analyzeResult(emit bool, p program, start time.Time) (int, []byte, error) {
+	key := p.key
 	if h, ok := s.cache.Peek(key); ok {
 		loadStart := time.Now()
-		resp := analyzeFromSystem(h.System(), key, "hit", req.Emit, start)
+		resp := analyzeFromSystem(h.System(), key, "hit", emit, start)
 		h.Close()
 		if rec := s.lat["load-warm"]; rec != nil {
 			rec.record(time.Since(loadStart), false)
@@ -480,15 +477,15 @@ func (s *Server) analyzeResult(req api.AnalyzeRequest, name, source string, opts
 			if rec := s.lat["load-adopt"]; rec != nil {
 				rec.record(time.Since(loadStart), false)
 			}
-			return jsonBody(http.StatusOK, analyzeFromBundle(b, key, "adopt", req.Emit, start))
+			return jsonBody(http.StatusOK, analyzeFromBundle(b, key, "adopt", emit, start))
 		}
 	}
-	h, hit, err := s.loadSystemKeyed(name, source, opts, key)
+	h, hit, err := s.loadProgram(p)
 	if err != nil {
 		return errBody(http.StatusUnprocessableEntity, err.Error())
 	}
 	defer h.Close()
-	return jsonBody(http.StatusOK, analyzeFromSystem(h.System(), key, cacheWord(hit), req.Emit, start))
+	return jsonBody(http.StatusOK, analyzeFromSystem(h.System(), key, cacheWord(hit), emit, start))
 }
 
 // analyzeFromSystem renders the analyze response from a live system.
@@ -555,8 +552,8 @@ func errBody(code int, msg string) (int, []byte, error) {
 const maxRunWorkers = 256
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
-	var req api.RunRequest
-	if err := s.readJSON(w, r, &req); err != nil {
+	req, p, err := readRequest(s, w, r, runSource)
+	if err != nil {
 		return err
 	}
 	mode := req.Mode
@@ -591,7 +588,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		return writeErr(w, http.StatusBadRequest, "conditional requires mode=parallel")
 	}
 
-	h, key, hit, err := s.loadSystem(req.SourceRequest)
+	if err := p.accept(w); err != nil {
+		return err
+	}
+	h, hit, err := s.loadProgram(p)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
@@ -640,7 +640,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		return writeErr(w, code, runErr.Error())
 	}
 	return writeJSON(w, http.StatusOK, api.RunResponse{
-		Key:             key,
+		Key:             p.key,
 		Cache:           cacheWord(hit),
 		Output:          out.String(),
 		OutputTruncated: out.Truncated(),
@@ -650,8 +650,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
-	var req api.SimulateRequest
-	if err := s.readJSON(w, r, &req); err != nil {
+	req, prog, err := readRequest(s, w, r, simulateSource)
+	if err != nil {
 		return err
 	}
 	procs := req.Procs
@@ -667,7 +667,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 
-	h, key, hit, err := s.loadSystem(req.SourceRequest)
+	if err := prog.accept(w); err != nil {
+		return err
+	}
+	h, hit, err := s.loadProgram(prog)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
@@ -678,7 +681,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	resp := api.SimulateResponse{Key: key, Cache: cacheWord(hit)}
+	resp := api.SimulateResponse{Key: prog.key, Cache: cacheWord(hit)}
 	var base float64
 	for _, p := range procs {
 		res := commute.Simulate(tr, p)
@@ -702,17 +705,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 
 // ---------------------------------------------------------------------
 // Helpers
-
-// readJSON decodes the request body with the size cap applied. On
-// failure it writes a 400 and returns the error.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, s.cfg.MaxSourceBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-	}
-	return nil
-}
 
 func writeJSON(w http.ResponseWriter, code int, v any) error {
 	w.Header().Set("Content-Type", "application/json")

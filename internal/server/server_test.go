@@ -341,12 +341,15 @@ func TestSimulate(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	// Every body below fits the cap but the first, which is refused
+	// whole rather than decoded up to the cap.
+	_, ts := newTestServer(t, Config{MaxSourceBytes: 1024})
 	cases := []struct {
 		path string
 		req  any
 		want int
 	}{
+		{"/v1/analyze", api.AnalyzeRequest{SourceRequest: api.SourceRequest{Source: strings.Repeat(" ", 1024) + "void main() {}"}}, http.StatusRequestEntityTooLarge},
 		{"/v1/analyze", api.AnalyzeRequest{SourceRequest: api.SourceRequest{App: "nope"}}, http.StatusUnprocessableEntity},
 		{"/v1/analyze", api.AnalyzeRequest{}, http.StatusUnprocessableEntity},
 		{"/v1/analyze", api.AnalyzeRequest{SourceRequest: api.SourceRequest{Source: "void main("}}, http.StatusUnprocessableEntity},
