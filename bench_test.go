@@ -81,7 +81,7 @@ func BenchmarkAnalyzeBarnesHut(b *testing.B) {
 	}
 }
 
-// BenchmarkEmitGoBarnesHut isolates the native emitter: the full plan of
+// BenchmarkEmitGoBarnesHut isolates the native emitter: the plan of
 // an already analyzed Barnes-Hut lowered to its Go package, the layer
 // e2ebench reports as codegen.emit_go_ms.
 func BenchmarkEmitGoBarnesHut(b *testing.B) {
@@ -92,7 +92,7 @@ func BenchmarkEmitGoBarnesHut(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.CondPlan.EmitGoPackage(codegen.EmitGoOptions{AppName: "barneshut"}); err != nil {
+		if _, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: "barneshut"}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,8 +2,7 @@
 // in the mini-C++ dialect, runs commutativity analysis, and reports
 // which methods are parallel, each parallel extent's statistics, the
 // detected parallel loops, the region roots with their static work
-// bounds, and the lock policy — the analogue of the paper's annotation
-// file.
+// bounds, and the lock policy, all of the one plan every execution runs.
 //
 // Usage:
 //
@@ -16,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -36,7 +36,6 @@ func main() {
 	emit := flag.String("emit", "", "emit instead of the report: source (the Figure 2 style transformed source) | go (native Go package, requires -o)")
 	outDir := flag.String("o", "", "output directory for -emit go")
 	doTransform := flag.Bool("transform", false, "apply the §7.2 loop replacement (while loops → tail-recursive methods) before analysis")
-	annotations := flag.String("annotations", "", "also write the annotation file (JSON) to this path (the paper's analysis→codegen interface)")
 	flag.Parse()
 
 	var name, source string
@@ -79,18 +78,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *annotations != "" {
-		data, err := sys.Plan.AnnotationsJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*annotations, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
 	switch *emit {
 	case "":
 	case "source":
@@ -114,36 +101,45 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Printf("== commutativity analysis: %s ==\n\n", name)
+	report(os.Stdout, name, sys, *verbose)
+}
+
+// report writes the analysis report of a loaded program: each method's
+// commutativity outcome, then, from the plan every execution runs, its
+// candidate loops, its region roots with their work bounds and the
+// runtimes that decline them, and its lock policy.
+func report(w io.Writer, name string, sys *commute.System, verbose bool) {
+	p := sys.Plan
+	fmt.Fprintf(w, "== commutativity analysis: %s ==\n\n", name)
 	for _, r := range sys.Reports() {
 		if r.Parallel {
-			fmt.Printf("PARALLEL %-30s extent=%d aux=%d independent=%d symbolic=%d\n",
+			fmt.Fprintf(w, "PARALLEL %-30s extent=%d aux=%d independent=%d symbolic=%d\n",
 				r.Method.FullName(), r.ExtentSize, r.AuxiliaryCallSites,
 				r.IndependentPairs, r.SymbolicPairs)
-			if *verbose {
+			if verbose {
 				for _, pr := range r.Pairs {
 					kind := "independent"
 					if !pr.Independent {
 						kind = "symbolically executed"
 					}
-					fmt.Printf("         commute(%s, %s): %s\n",
+					fmt.Fprintf(w, "         commute(%s, %s): %s\n",
 						pr.M1.FullName(), pr.M2.FullName(), kind)
 				}
 			}
 		} else if r.ConditionalEligible {
-			fmt.Printf("COND     %-30s guard: %s\n", r.Method.FullName(), cond.Render(r.Guard))
-			if *verbose {
-				fmt.Printf("         reason: %s\n", r.Reason)
-				fmt.Printf("         condition: %s\n", r.Condition)
+			fmt.Fprintf(w, "COND     %-30s guard: %s\n", r.Method.FullName(), cond.Render(r.Guard))
+			if verbose {
+				fmt.Fprintf(w, "         reason: %s\n", r.Reason)
+				fmt.Fprintf(w, "         condition: %s\n", r.Condition)
 			}
 		} else {
-			fmt.Printf("serial   %-30s %s\n", r.Method.FullName(), r.Reason)
+			fmt.Fprintf(w, "serial   %-30s %s\n", r.Method.FullName(), r.Reason)
 		}
 	}
 
-	fmt.Printf("\n== parallel loops ==\n")
+	fmt.Fprintf(w, "\n== parallel loops ==\n")
 	var lines []string
-	for _, lp := range sys.Plan.Loops {
+	for _, lp := range p.Loops {
 		status := "parallel"
 		switch {
 		case lp.Parallel:
@@ -156,24 +152,22 @@ func main() {
 	}
 	sort.Strings(lines)
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(w, l)
 	}
-	p := sys.Plan
 	refused := ""
 	if p.LoopsRefused > 0 {
 		refused = fmt.Sprintf(" %d refused,", p.LoopsRefused)
 	}
-	fmt.Printf("%d found, %d suppressed,%s %d generated\n",
+	fmt.Fprintf(w, "%d found, %d suppressed,%s %d generated\n",
 		p.LoopsFound, p.LoopsSuppressed, refused, p.LoopsFound-p.LoopsSuppressed-p.LoopsRefused)
 
-	// Region roots of the plan every execution runs, with the static
-	// work bound the granularity cutoff reads and which runtime's entry
-	// rule it makes decline the region.
-	fmt.Printf("\n== region roots ==\n")
+	// Region roots, with the static work bound the granularity cutoff
+	// reads and which runtime's entry rule it makes decline the region.
+	fmt.Fprintf(w, "\n== region roots ==\n")
 	lines = lines[:0]
-	for m, mp := range sys.CondPlan.Methods {
-		if !sys.CondPlan.RegionRoot(m) {
-			if mp.Parallel && sys.CondPlan.GeneratesConcurrency(m) {
+	for m, mp := range p.Methods {
+		if !p.RegionRoot(m) {
+			if mp.Parallel && p.GeneratesConcurrency(m) {
 				// Only its result keeps it from being one.
 				lines = append(lines, fmt.Sprintf("not a root  %s  returns %s: calls from serial code run the serial version", m.FullName(), m.Ret))
 			}
@@ -184,10 +178,10 @@ func main() {
 			work = strconv.FormatInt(mp.Work, 10)
 		}
 		var by []string
-		if rt.Declines(sys.CondPlan, m) {
+		if rt.Declines(p, m) {
 			by = append(by, "interp")
 		}
-		if sys.CondPlan.EmitDeclines(m) {
+		if p.EmitDeclines(m) {
 			by = append(by, "native")
 		}
 		line := fmt.Sprintf("root %-30s work %s", m.FullName(), work)
@@ -198,47 +192,47 @@ func main() {
 	}
 	sort.Strings(lines)
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(w, l)
 	}
 
-	fmt.Printf("\n== lock policy ==\n")
+	fmt.Fprintf(w, "\n== lock policy ==\n")
 	var locked []string
-	for cl := range sys.Plan.LockedClasses {
+	for cl := range p.LockedClasses {
 		locked = append(locked, cl.Name)
 	}
 	sort.Strings(locked)
 	if len(locked) == 0 {
-		fmt.Println("no classes require locks")
+		fmt.Fprintln(w, "no classes require locks")
 	}
 	for _, cl := range locked {
-		fmt.Printf("class %s keeps its mutual exclusion lock\n", cl)
+		fmt.Fprintf(w, "class %s keeps its mutual exclusion lock\n", cl)
 	}
 	// Operations on nested objects only that still may not hold their
 	// lock through, and why.
 	lines = lines[:0]
-	for m, mp := range sys.Plan.Methods {
+	for m, mp := range p.Methods {
 		if mp.NoHoist != "" {
 			lines = append(lines, fmt.Sprintf("no hoisting  %s  %s", m.FullName(), mp.NoHoist))
 		}
 	}
 	sort.Strings(lines)
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(w, l)
 	}
-	// The accumulations the plan every execution runs takes off the lock
-	// (§6.3.4), and the candidates it leaves on it, with the reason.
-	for _, r := range sys.CondPlan.Replicas {
+	// The accumulations the plan takes off the lock (§6.3.4), and the
+	// candidates it leaves on it, with the reason.
+	for _, r := range p.Replicas {
 		at := fmt.Sprintf("%s at %s on global %s", r.Site.Callee.FullName(), r.Site.Call.Pos(), r.Global.Name)
 		if r.Refused == "" {
-			fmt.Printf("replicated: %s\n", at)
+			fmt.Fprintf(w, "replicated: %s\n", at)
 		} else {
-			fmt.Printf("not replicated: %s: %s\n", at, r.Refused)
+			fmt.Fprintf(w, "not replicated: %s: %s\n", at, r.Refused)
 		}
 	}
 	// The mutex versions it holds one receiver lock through, and the
 	// candidates whose computation leaves the receiver.
 	lines = lines[:0]
-	for m, mp := range sys.CondPlan.Methods {
+	for m, mp := range p.Methods {
 		switch {
 		case mp.Coarse:
 			lines = append(lines, fmt.Sprintf("coarsened: %s holds %s's lock through its mutex version", m.FullName(), m.Class.Name))
@@ -248,6 +242,6 @@ func main() {
 	}
 	sort.Strings(lines)
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(w, l)
 	}
 }

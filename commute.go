@@ -49,23 +49,27 @@ type System struct {
 	File     *ast.File
 	Prog     *types.Program
 	Analysis *core.Analysis
-	Plan     *codegen.Plan
 
-	// CondPlan is the plan every parallel execution runs — the
-	// interpreter runtime and the emitted Go package alike. It extends
-	// Plan, leaving every proven method and loop as Plan has it: extents
-	// whose pair failures all synthesized guardable residual predicates
-	// carry a runtime guard (codegen.Options.ConditionalGuards), and the
-	// other extents rejected only at the symbolic pair stage carry
-	// write-buffered speculative versions
-	// (codegen.Options.SpeculateRejected). Which tier an unproven extent
-	// runs under is decided at each region entry from
+	// Plan is the plan every view of the program reads: both runtimes,
+	// the emitted Go package, the annotated source, the commutec report,
+	// the tracer and so the simulator. Every extent the analysis proved
+	// runs parallel under it; an extent whose pair failures all
+	// synthesized guardable residual predicates carries a runtime guard
+	// (codegen.Options.ConditionalGuards), and any other extent rejected
+	// only at the symbolic pair stage carries write-buffered speculative
+	// versions (codegen.Options.SpeculateRejected). Which tier an unproven
+	// extent runs under is decided at each region entry from
 	// RunOptions.Conditional and RunOptions.Speculate; with both off it
-	// runs its serial version, as under Plan. It also takes contention off
-	// the locks Plan takes (codegen.Options.Contention): a pure additive
-	// accumulation on a global runs on the executing worker's replica,
-	// folded at the region's join, and a mutex version that stays on its
-	// receiver holds that one lock through its serial version.
+	// runs its serial version. It also takes contention off the locks
+	// (codegen.Options.Contention): a pure additive accumulation on a
+	// global runs on the executing worker's replica, folded at the
+	// region's join, and a mutex version that stays on its receiver holds
+	// that one lock through its serial version. The paper's own
+	// configuration, proven extents only and every lock taken, is
+	// codegen.Build, which only the paper's tables read.
+	Plan *codegen.Plan
+
+	// The same pointer as Plan, kept only because e2ebench/compile.go and e2ebench/run.go name it; ROADMAP item 1 deletes it.
 	CondPlan *codegen.Plan
 }
 
@@ -93,17 +97,12 @@ func check(name, source string) (*ast.File, *types.Program, error) {
 	return file, prog, nil
 }
 
-// newSystem analyzes a checked program and builds its two plans. file is
-// nil for a program parsed from several files (LoadFiles).
+// newSystem analyzes a checked program and builds its plan. file is nil
+// for a program parsed from several files (LoadFiles).
 func newSystem(file *ast.File, prog *types.Program) *System {
 	analysis := core.New(prog)
-	return &System{
-		File:     file,
-		Prog:     prog,
-		Analysis: analysis,
-		Plan:     codegen.Build(analysis),
-		CondPlan: codegen.BuildWithOptions(analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: true, Contention: true}),
-	}
+	plan := codegen.BuildWithOptions(analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: true, Contention: true})
+	return &System{File: file, Prog: prog, Analysis: analysis, Plan: plan, CondPlan: plan}
 }
 
 // LoadTransformed applies the §7.2 loop-replacement transformation —
@@ -304,7 +303,7 @@ func (s *System) RunParallelOpts(ctx context.Context, opts RunOptions, out io.Wr
 		ctx = context.Background()
 	}
 	ip := interp.New(s.Prog, out)
-	r := rt.New(ip, s.CondPlan, opts.Workers)
+	r := rt.New(ip, s.Plan, opts.Workers)
 	r.Conditional = opts.Conditional
 	r.Speculate = opts.Speculate
 	r.MaxSteps = opts.MaxSteps
@@ -312,8 +311,10 @@ func (s *System) RunParallelOpts(ctx context.Context, opts RunOptions, out io.Wr
 	return ip, &r.Stats, err
 }
 
-// Trace executes the program once, recording the parallel task/lock
-// event structure for simulation.
+// Trace executes the program once under the zero run policy
+// (RunOptions{}), recording the parallel task/lock event structure of
+// the plan that runs for simulation: a root opens a region exactly when
+// its extent is proven.
 func (s *System) Trace() (*tracer.Trace, error) {
 	return tracer.Collect(interp.New(s.Prog, nil), s.Plan)
 }

@@ -62,7 +62,7 @@ void main() {
 	// Files are parsed in name order, whatever order the map yields them
 	// in: every load emits the same Go package, byte for byte.
 	emit := func(sys *commute.System) map[string][]byte {
-		files, err := sys.CondPlan.EmitGoPackage(codegen.EmitGoOptions{AppName: "loadfiles"})
+		files, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: "loadfiles"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +376,7 @@ func emitted(t *testing.T, name string, sys *commute.System) map[string]string {
 		}
 	}
 	out := map[string]string{"reports": rep.String(), "parallel source": sys.Plan.EmitParallelSource(sys.File)}
-	files, err := sys.CondPlan.EmitGoPackage(codegen.EmitGoOptions{AppName: name})
+	files, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: name})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -458,7 +458,7 @@ func compileCold(name, source string, opts commute.LoadOptions) error {
 	sys.Warm()
 	defer sys.Release()
 	_ = sys.Plan.EmitParallelSource(sys.File)
-	_, err = sys.CondPlan.EmitGoPackage(codegen.EmitGoOptions{AppName: name})
+	_, err = sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: name})
 	return err
 }
 

@@ -58,12 +58,14 @@ func main() {
 	fmt.Printf("\nreal parallel run (%d workers): %d lock acquisitions\n", *workers, stats.LockAcquires)
 	fmt.Printf("  kinetic energy  serial %.9f  parallel %.9f\n", sKin, pKin)
 
-	tr, err := sys.Trace()
+	// The paper's compiler locks the accumulators; the plan that runs
+	// replicates them.
+	tr, err := apps.TracePaper(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
 	explicit := apps.ExplicitWater(tr, int64(*mols*20))
-	replicated, err := apps.TraceWithReplication(sys)
+	replicated, err := sys.Trace()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestExplicitBaselineTransforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := sys.Trace()
+	tr, err := apps.TracePaper(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestExplicitBaselineTransforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wtr, err := wsys.Trace()
+	wtr, err := apps.TracePaper(wsys)
 	if err != nil {
 		t.Fatal(err)
 	}

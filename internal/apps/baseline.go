@@ -168,29 +168,29 @@ func scaleTask(t *tracer.Task, f float64) *tracer.Task {
 	return out
 }
 
+// PaperPlan is the paper's configuration of sys's program: proven
+// extents only, every lock taken (codegen.Build). Only the paper's
+// tables and figures read it; every execution and every other view runs
+// sys.Plan, which extends it (TestFullPlanExtendsProvenPlan states how).
+func PaperPlan(sys *commute.System) *codegen.Plan { return codegen.Build(sys.Analysis) }
+
+// TracePaper traces a system under the paper's configuration (PaperPlan).
+func TracePaper(sys *commute.System) (*tracer.Trace, error) {
+	return traceUnder(sys, PaperPlan(sys))
+}
+
 // TraceWithoutHoisting traces a system under a plan with the §5.4.2
 // lock hoisting disabled (every nested operation locks individually).
 func TraceWithoutHoisting(sys *commute.System) (*tracer.Trace, error) {
-	plan := codegen.BuildWithOptions(sys.Analysis, codegen.Options{DisableHoisting: true})
-	ip := interp.New(sys.Prog, nil)
-	return tracer.Collect(ip, plan)
+	return traceUnder(sys, codegen.BuildWithOptions(sys.Analysis, codegen.Options{DisableHoisting: true}))
 }
 
 // TraceWithNestedLoops traces a system under a plan with the §5.2
 // nested-concurrency suppression disabled.
 func TraceWithNestedLoops(sys *commute.System) (*tracer.Trace, error) {
-	plan := codegen.BuildWithOptions(sys.Analysis, codegen.Options{DisableSuppression: true})
-	ip := interp.New(sys.Prog, nil)
-	return tracer.Collect(ip, plan)
+	return traceUnder(sys, codegen.BuildWithOptions(sys.Analysis, codegen.Options{DisableSuppression: true}))
 }
 
-// TraceWithReplication traces a system under the §6.3.4 replication
-// optimization: commuting-accumulator operations run lock-free against
-// per-processor replicas merged by phase-end reductions. The option also
-// coarsens the locks of operations that stay on their receiver, of which
-// Water, the program it is traced on, has none.
-func TraceWithReplication(sys *commute.System) (*tracer.Trace, error) {
-	plan := codegen.BuildWithOptions(sys.Analysis, codegen.Options{Contention: true})
-	ip := interp.New(sys.Prog, nil)
-	return tracer.Collect(ip, plan)
+func traceUnder(sys *commute.System, plan *codegen.Plan) (*tracer.Trace, error) {
+	return tracer.Collect(interp.New(sys.Prog, nil), plan)
 }

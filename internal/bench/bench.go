@@ -96,7 +96,7 @@ func (r *Runner) trace(key string, sys *commute.System) (*tracer.Trace, error) {
 	if t, ok := r.traces[key]; ok {
 		return t, nil
 	}
-	t, err := sys.Trace()
+	t, err := apps.TracePaper(sys)
 	if err != nil {
 		return nil, err
 	}

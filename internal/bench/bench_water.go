@@ -28,7 +28,7 @@ func (r *Runner) Table8() (string, error) {
 	})
 	out := table(statHeader, rows)
 	out += "\npaper: Virtual 9/3/5/1, Energy 1/5/14/1, Loading 5/2/2/1, Forces 3/4/9/1, Momenta 2/2/2/1\n"
-	plan := sys.Plan
+	plan := apps.PaperPlan(sys)
 	out += fmt.Sprintf("parallel loops: %d found, %d nested suppressed, %d generated (paper: 7 found, 2 suppressed, 5 generated)\n",
 		plan.LoopsFound, plan.LoopsSuppressed, plan.LoopsFound-plan.LoopsSuppressed-plan.LoopsRefused)
 	return out, nil
@@ -292,9 +292,10 @@ func (r *Runner) AblationSuppress() (string, error) {
 // "It should, in principle, be possible to automatically eliminate the
 // contention by replicating objects to enable conflict-free write
 // access. We expect that this optimization would dramatically improve
-// the scalability." The plan option Contention detects operations whose
-// receiver writes are pure commutative accumulations and runs them
-// against per-processor replicas (Water has nothing it coarsens).
+// the scalability." The plan every execution runs (commute.System.Plan,
+// traced by System.Trace) detects operations whose receiver writes are
+// pure commutative accumulations and runs them against per-processor
+// replicas (Water has nothing it coarsens).
 func (r *Runner) Replication() (string, error) {
 	n := r.Cfg.WaterMols[0]
 	sys, err := r.waterSystem(n)
@@ -305,7 +306,7 @@ func (r *Runner) Replication() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	trRepl, err := apps.TraceWithReplication(sys)
+	trRepl, err := sys.Trace()
 	if err != nil {
 		return "", err
 	}
@@ -347,8 +348,8 @@ func (r *Runner) DepBase() (string, error) {
 		sys  *commute.System
 	}{{"Barnes-Hut", bh}, {"Water", w}, {"Graph traversal", g}} {
 		dep := depbase.Analyze(tc.sys.Prog)
-		ca := 0
-		for _, lp := range tc.sys.Plan.Loops {
+		ca, loops := 0, apps.PaperPlan(tc.sys).Loops
+		for _, lp := range loops {
 			if lp.Parallel {
 				ca++
 			}
@@ -356,7 +357,7 @@ func (r *Runner) DepBase() (string, error) {
 		rows = append(rows, []string{
 			tc.name,
 			fmt.Sprintf("%d/%d", dep.ParallelLoops, dep.TotalLoops),
-			fmt.Sprintf("%d/%d", ca, len(tc.sys.Plan.Loops)),
+			fmt.Sprintf("%d/%d", ca, len(loops)),
 		})
 	}
 	note := "\n(loops parallelized / loops examined; type-based dependence analysis cannot\n prove independence for any loop that updates objects through pointers, §8.1)\n"

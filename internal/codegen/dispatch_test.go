@@ -1,7 +1,6 @@
 package codegen_test
 
 import (
-	"strings"
 	"testing"
 
 	"commute"
@@ -86,9 +85,10 @@ func TestCallRuleTable(t *testing.T) {
 // only its nested inner, but inner::poke goes on to the acc every outer
 // shares: hoisting is refused with the reason commutec prints, go is
 // planned like the mixed operation it is in nested-spawn, and acc keeps
-// the lock its add needs. An annotation file that hoists over the escape
-// is refused, naming the site. On the six shipped applications the rule
-// refuses nothing: the operations that held their lock through still do.
+// the lock its add needs, in the plan that runs and in the paper's
+// configuration the paper's tables read. On the six shipped applications
+// the rule refuses nothing: the operations that held their lock through
+// still do.
 func TestHoistingStaysUnderTheLock(t *testing.T) {
 	var source string
 	for _, fx := range src.DispatchFixtures() {
@@ -101,7 +101,7 @@ func TestHoistingStaysUnderTheLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	method := sys.Prog.MethodByFullName
-	for _, plan := range []*codegen.Plan{sys.Plan, sys.CondPlan} {
+	for _, plan := range []*codegen.Plan{codegen.Build(sys.Analysis), sys.Plan} {
 		goPlan := plan.Methods[method("outer::go")]
 		if want := "inner::poke invokes acc::add outside the receiver"; goPlan.HoldsLockThrough || goPlan.NoHoist != want {
 			t.Errorf("outer::go: holds through = %t, reason %q; want false and %q", goPlan.HoldsLockThrough, goPlan.NoHoist, want)
@@ -121,27 +121,6 @@ func TestHoistingStaysUnderTheLock(t *testing.T) {
 		}
 	}
 
-	// The annotation file of the plan as built round-trips; the same file
-	// with the hoist put back does not.
-	data, err := sys.Plan.AnnotationsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ann, err := codegen.ParseAnnotations(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := codegen.ApplyAnnotations(sys.Prog, ann); err != nil {
-		t.Errorf("the plan's own annotations are refused: %v", err)
-	}
-	hoisted := ann.Methods["outer::go"]
-	hoisted.HoldsLockThrough, hoisted.Sites = true, []string{"hoisted"}
-	ann.Methods["outer::go"] = hoisted
-	_, err = codegen.ApplyAnnotations(sys.Prog, ann)
-	if err == nil || !strings.Contains(err.Error(), "outer::go") || !strings.Contains(err.Error(), "inner::poke invokes acc::add outside the receiver at ") {
-		t.Errorf("annotations that hoist over the escape: error %v, want one naming outer::go and the site in inner::poke", err)
-	}
-
 	holders := map[string]int{}
 	for _, app := range []string{"barneshut", "water", "graph", "condhash", "specdisjoint", "specconflict"} {
 		file, source, _ := src.App(app)
@@ -149,7 +128,7 @@ func TestHoistingStaysUnderTheLock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, plan := range []*codegen.Plan{sys.Plan, sys.CondPlan} {
+		for _, plan := range []*codegen.Plan{codegen.Build(sys.Analysis), sys.Plan} {
 			for m, mp := range plan.Methods {
 				if mp.NoHoist != "" {
 					t.Errorf("%s: hoisting refused on %s: %s", app, m.FullName(), mp.NoHoist)

@@ -3,6 +3,7 @@ package codegen
 import (
 	"strings"
 
+	"commute/internal/cond"
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/printer"
 	"commute/internal/frontend/types"
@@ -11,12 +12,14 @@ import (
 // EmitParallelSource renders the transformed parallel program as
 // annotated source in the style of the paper's Figure 2: every class
 // that needs one gains a mutual exclusion lock, and every parallel
-// method gains its generated versions —
+// method gains the generated versions something can run (listedVersions)
+// beside its serial version —
 //
-//   - the serial version (the original name), which at a region root
-//     (Plan.RegionRoot) invokes the parallel version and blocks in the
-//     wait() construct, and anywhere else is the original method, return
-//     type and all, as serial callers run it;
+//   - the serial version (the original name), which at a proven region
+//     root (Plan.RegionRoot) invokes the parallel version and blocks in
+//     the wait() construct, and anywhere else is the original method,
+//     return type and all, as serial callers run it — at a guarded or
+//     speculative root under a comment line naming its tier;
 //   - the parallel version (<name>__parallel), whose object section
 //     executes under the receiver lock and whose invocation section
 //     spawns tasks and runs parallel loops under guided self-scheduling;
@@ -34,8 +37,8 @@ import (
 // the in-process executors (internal/rt, internal/tracer) and the
 // emitted Go run.
 func (p *Plan) EmitParallelSource(file *ast.File) string {
-	e := &emitter{plan: p}
-	// A parallel method is printed three times, everything else once.
+	e := &emitter{plan: p, listed: p.listedVersions()}
+	// A parallel method is printed up to three times, everything else once.
 	e.sb.Grow(3*file.Size + 256)
 	e.sb.WriteString("// Automatically parallelized by commutativity analysis.\n")
 	e.sb.WriteString("// Generated constructs: lock.acquire()/lock.release(), spawn(op),\n")
@@ -56,8 +59,59 @@ func (p *Plan) EmitParallelSource(file *ast.File) string {
 
 // emitter writes the whole listing into one builder.
 type emitter struct {
-	plan *Plan
-	sb   strings.Builder
+	plan   *Plan
+	listed map[listedVersion]bool
+	sb     strings.Builder
+}
+
+// listedVersion is one generated version the listing defines.
+type listedVersion struct {
+	m  *types.Method
+	in Version
+}
+
+// listedVersions returns the parallel and mutex versions something can
+// run, as -emit go demands them: the parallel version of every region
+// root, and every version a call site of a listed version runs by the
+// call rule — a site in a parallel loop of a parallel version as the
+// iterations run it.
+func (p *Plan) listedVersions() map[listedVersion]bool {
+	listed := make(map[listedVersion]bool)
+	var visit func(m *types.Method, in Version)
+	visit = func(m *types.Method, in Version) {
+		if listed[listedVersion{m, in}] {
+			return
+		}
+		listed[listedVersion{m, in}] = true
+		mp := p.Methods[m]
+		var walk func(n ast.Node, in Version)
+		walk = func(n ast.Node, in Version) {
+			ast.Inspect(n, func(x ast.Node) bool {
+				switch x := x.(type) {
+				case *ast.ForStmt:
+					if lp := p.Loops[x]; in == VersionParallel && lp != nil && lp.Parallel {
+						walk(x.Body, VersionIteration)
+						return false
+					}
+				case *ast.CallExpr:
+					if !x.Builtin && x.Site >= 0 {
+						cs := p.Prog.CallSites[x.Site]
+						if sc := mp.Call(in, cs, p.Methods[cs.Callee]); sc.Run != VersionSerial {
+							visit(cs.Callee, sc.Run)
+						}
+					}
+				}
+				return true
+			})
+		}
+		walk(m.Def.Body, in)
+	}
+	for m := range p.Methods {
+		if p.RegionRoot(m) {
+			visit(m, VersionParallel)
+		}
+	}
+	return listed
 }
 
 func (e *emitter) w(parts ...string) {
@@ -104,9 +158,10 @@ func (e *emitter) classDecl(cd *ast.ClassDecl) {
 	printer.WriteMembers(&e.sb, &members)
 	// Prototypes for generated versions.
 	for _, proto := range members.Protos {
-		if e.parallel(cd.Name, proto.Name) {
-			for _, suffix := range [...]string{"__parallel", "__mutex"} {
-				e.w("  void ", proto.Name, suffix, "(")
+		m := e.methodByName(cd.Name, proto.Name)
+		for _, v := range [...]Version{VersionParallel, VersionMutex} {
+			if e.listed[listedVersion{m, v}] {
+				e.w("  void ", proto.Name, versionSuffix[v], "(")
 				printer.WriteParams(&e.sb, proto.Params)
 				e.w(");\n")
 			}
@@ -146,9 +201,12 @@ func (e *emitter) methodDef(md *ast.MethodDef) {
 		e.w(") {\n")
 	}
 
-	// Serial version: a region root invokes the parallel version, then
-	// waits; any other method is called from serial code as written.
-	if e.plan.RegionRoot(m) {
+	// Serial version: a proven region root invokes the parallel version,
+	// then waits; any other method is called from serial code as written,
+	// and so is a guarded or speculative root under the default policy —
+	// its tier line says what else may open it.
+	root := e.plan.RegionRoot(m)
+	if root && mp.EntryFacts().Proven {
 		open("")
 		e.w("  this->", md.Name, "__parallel(")
 		for i, prm := range md.Params {
@@ -157,19 +215,32 @@ func (e *emitter) methodDef(md *ast.MethodDef) {
 			}
 			e.w(prm.Name)
 		}
-		e.w(");\n  wait();\n}\n\n")
+		e.w(");\n  wait();\n}\n")
 	} else {
+		if root {
+			e.w(tierLine(mp), "\n")
+		}
 		printer.WriteDecl(&e.sb, md)
-		e.w("\n")
 	}
 
-	open("__parallel")
-	e.body(mp, md.Body, VersionParallel)
-	e.w("}\n\n")
+	for _, v := range [...]Version{VersionParallel, VersionMutex} {
+		if e.listed[listedVersion{m, v}] {
+			e.w("\n")
+			open(versionSuffix[v])
+			e.body(mp, md.Body, v)
+			e.w("}\n")
+		}
+	}
+}
 
-	open("__mutex")
-	e.body(mp, md.Body, VersionMutex)
-	e.w("}\n")
+// tierLine is the comment over the serial version of an unproven region
+// root: its tier and, for a guarded root, the guard's text.
+func tierLine(mp *MethodPlan) string {
+	if mp.Conditional {
+		return "// guarded root: parallel only under the conditional policy, when " +
+			mp.Guard.Go(func(r cond.FieldRef) string { return r.Global + "." + r.Field }) + " holds"
+	}
+	return "// speculative root: parallel only under a speculation policy, journaled"
 }
 
 // body renders a transformed method body running as version in, with

@@ -58,7 +58,7 @@ package codegen
 // depth they print at (the d every expression renderer takes, see
 // emitgo_expr.go). That is a property of the tests, not a check in the
 // product: emitgo_test.go asserts format.Source(f) == f for every
-// shipped program under both plans and for a program built to hit each
+// shipped program under its plan and for a program built to hit each
 // rule, the native differential tests assert it on every package they
 // build, and scripts/native_smoke.sh runs the toolchain's own gofmt -l
 // over what commutec -emit go wrote.

@@ -23,9 +23,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // TestEmitGoGolden pins the emitted Go source so any unintended change
 // to naming, version selection, statement lowering or layout shows up
 // as a reviewable diff: the §2 graph traversal — the paper's running
-// example — under the proven plan, and under the full plan one program
-// per construct the proven plan never emits (condhash: guard wrapper
-// and spec_ block; specconflict: the journaled SJ_ family and its
+// example — and one program per construct only unproven tiers or
+// contention emit (condhash: guard wrapper and spec_ block; specconflict: the journaled SJ_ family and its
 // effect-key sets; water: float fences at every nesting depth). Those
 // are the region forms, so they are emitted with the work estimates
 // cleared; condhash as built is the declined form — a region root under
@@ -34,29 +33,24 @@ func TestEmitGoGolden(t *testing.T) {
 	for _, g := range []struct {
 		app    string
 		load   func() (*commute.System, error)
-		full   bool
 		golden map[string]string
 	}{
-		{"graph", func() (*commute.System, error) { return cleared(apps.Graph(8)) }, false,
+		{"graph", func() (*commute.System, error) { return cleared(apps.Graph(8)) },
 			map[string]string{"prog.go": "graph_prog.go.golden", "main.go": "graph_main.go.golden"}},
-		{"condhash", func() (*commute.System, error) { return cleared(apps.CondHash(0, 4)) }, true,
+		{"condhash", func() (*commute.System, error) { return cleared(apps.CondHash(0, 4)) },
 			map[string]string{"prog.go": "condhash_prog.go.golden"}},
-		{"condhash", func() (*commute.System, error) { return apps.CondHash(0, 4) }, true,
+		{"condhash", func() (*commute.System, error) { return apps.CondHash(0, 4) },
 			map[string]string{"prog.go": "condhash_declined_prog.go.golden"}},
-		{"specconflict", func() (*commute.System, error) { return cleared(commute.Load("specconflict.mc", src.SpecConflict)) }, true,
+		{"specconflict", func() (*commute.System, error) { return cleared(commute.Load("specconflict.mc", src.SpecConflict)) },
 			map[string]string{"prog.go": "specconflict_prog.go.golden"}},
-		{"water", func() (*commute.System, error) { return cleared(apps.Water(8, 1)) }, true,
+		{"water", func() (*commute.System, error) { return cleared(apps.Water(8, 1)) },
 			map[string]string{"prog.go": "water_prog.go.golden"}},
 	} {
 		sys, err := g.load()
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := sys.Plan
-		if g.full {
-			plan = sys.CondPlan
-		}
-		files, err := plan.EmitGoPackage(codegen.EmitGoOptions{AppName: g.app})
+		files, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: g.app})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,24 +77,22 @@ func TestEmitGoGolden(t *testing.T) {
 	}
 }
 
-// cleared drops the static work estimates of both plans of a loaded
-// system, so that every region root is emitted as a region however
-// small the program.
+// cleared drops the static work estimates of a loaded system's plan, so
+// that every region root is emitted as a region however small the
+// program.
 func cleared(sys *commute.System, err error) (*commute.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, plan := range []*codegen.Plan{sys.Plan, sys.CondPlan} {
-		for _, mp := range plan.Methods {
-			mp.Work = 0
-		}
+	for _, mp := range sys.Plan.Methods {
+		mp.Work = 0
 	}
 	return sys, nil
 }
 
 // TestEmitGoDigests pins prog.go of every shipped application (the ten
 // programs of e2ebench's compile corpus, at its sizes) and of rulesSrc,
-// under both plans, by SHA-256 — byte identity of the emitter across a
+// under the plan every execution runs, by SHA-256 — byte identity of the emitter across a
 // refactor, readable from the diff: testdata/emit_digests.txt changes
 // exactly when some emitted byte does. The goldens show what changed;
 // this says whether anything did, on three times the programs. The
@@ -130,31 +122,23 @@ func TestEmitGoDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.name, err)
 		}
-		digest := func(plan *codegen.Plan, label string) [sha256.Size]byte {
-			files, err := plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name})
+		digest := func() [sha256.Size]byte {
+			files, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name})
 			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+				t.Fatalf("%s: %v", app.name, err)
 			}
 			return sha256.Sum256(files["prog.go"])
 		}
-		asBuilt := [...][sha256.Size]byte{digest(sys.Plan, app.name+"/Plan"), digest(sys.CondPlan, app.name+"/CondPlan")}
+		asBuilt := digest()
 		cleared(sys, nil)
-		for i, pl := range []struct {
-			name string
-			plan *codegen.Plan
-		}{{"Plan", sys.Plan}, {"CondPlan", sys.CondPlan}} {
-			label := app.name + "/" + pl.name
-			sum := digest(pl.plan, label)
-			fmt.Fprintf(&got, "%x  %s\n", sum, label)
-			if sum != asBuilt[i] {
-				declined = append(declined, label)
-			}
+		sum := digest()
+		fmt.Fprintf(&got, "%x  %s\n", sum, app.name)
+		if sum != asBuilt {
+			declined = append(declined, app.name)
 		}
 	}
-	// BH, Water and graph roots are all unbounded; the proven plan of
-	// condhash and the two spec programs has no region root at all.
-	if want := []string{"condhash0-64/CondPlan", "condhash3-64/CondPlan", "specdisjoint/CondPlan",
-		"specconflict/CondPlan", "rules/Plan", "rules/CondPlan"}; !slices.Equal(declined, want) {
+	// BH, Water and graph roots are all unbounded.
+	if want := []string{"condhash0-64", "condhash3-64", "specdisjoint", "specconflict", "rules"}; !slices.Equal(declined, want) {
 		t.Errorf("packages the granularity cutoff changes: %v, want %v", declined, want)
 	}
 	path := filepath.Join("testdata", "emit_digests.txt")
@@ -244,10 +228,9 @@ void main() {
 }
 `
 
-// TestEmitGoDeterministic checks, for every shipped application and
-// under both the proven and the full plan — guards, speculation
-// wrappers and effect-key sets only exist under the latter — that
-// generation is reproducible and that what it writes is already in
+// TestEmitGoDeterministic checks, for every shipped application under
+// the plan every execution runs — guards, speculation wrappers and
+// effect-key sets included — that generation is reproducible and that what it writes is already in
 // gofmt's form: two emissions are byte-identical and formatting is a
 // fixed point.
 func TestEmitGoDeterministic(t *testing.T) {
@@ -270,26 +253,20 @@ func TestEmitGoDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.name, err)
 		}
-		for _, pl := range []struct {
-			name string
-			plan *codegen.Plan
-		}{{"Plan", sys.Plan}, {"CondPlan", sys.CondPlan}} {
-			label := app.name + "/" + pl.name
-			a, err := pl.plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			b, err := pl.plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			for name := range a {
-				if !bytes.Equal(a[name], b[name]) {
-					t.Errorf("%s/%s: two emissions differ", label, name)
-				}
-			}
-			assertCanonical(t, label, a)
+		a, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name})
+		if err != nil {
+			t.Fatalf("%s: %v", app.name, err)
 		}
+		b, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name})
+		if err != nil {
+			t.Fatalf("%s: %v", app.name, err)
+		}
+		for name := range a {
+			if !bytes.Equal(a[name], b[name]) {
+				t.Errorf("%s/%s: two emissions differ", app.name, name)
+			}
+		}
+		assertCanonical(t, app.name, a)
 	}
 }
 
@@ -395,7 +372,7 @@ func TestEmitGoLayoutRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := sys.CondPlan.EmitGoPackage(codegen.EmitGoOptions{AppName: "rules"})
+	files, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: "rules"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +487,7 @@ func TestEmitGoForcePhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := sys.CondPlan.EmitGoPackage(codegen.EmitGoOptions{AppName: "barneshut"})
+	files, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: "barneshut"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,8 +265,9 @@ type Options struct {
 	// replica of the object, and the region's join folds the replicas back
 	// (replicate) — and computation lock coarsening — a mutex version that
 	// stays on its receiver holds the receiver lock once, through its
-	// serial version (coarsen). The plan every parallel execution runs
-	// sets it; the paper's compiler (commute.System.Plan) does not.
+	// serial version (coarsen). The plan every execution runs
+	// (commute.System.Plan) sets it; the paper's configuration (Build)
+	// does not.
 	Contention bool
 	// SpeculateRejected extends the plan with speculative parallel
 	// versions for extents that failed only the pairwise commutativity
@@ -286,8 +287,8 @@ type Options struct {
 	ConditionalGuards bool
 }
 
-// Build computes the plan from the analysis results with the default
-// policy.
+// Build computes the paper's configuration of the plan: proven extents
+// only, every lock taken. Only the paper's tables and figures read it.
 func Build(a *core.Analysis) *Plan { return BuildWithOptions(a, Options{}) }
 
 // BuildWithOptions computes the plan with explicit policy options.
@@ -505,8 +506,7 @@ func nestedOnly(mp *MethodPlan) bool {
 // own receiver and auxiliaries — all of it stays under the one lock. It
 // returns the first call site that leaves, nil when none does. The rule
 // reads the site maps alone, a nested-object invocation being the one
-// marked ActionHoisted, so an annotation file is held to it as well. With
-// self set it is coarsening's walk (coarsen): an extent invocation on the
+// marked ActionHoisted. With self set it is coarsening's walk (coarsen): an extent invocation on the
 // caller's own receiver stays under the one lock too, and is walked into
 // like a nested one.
 func (p *Plan) hoistEscape(m *types.Method, self bool) *types.CallSite {

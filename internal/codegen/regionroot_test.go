@@ -18,7 +18,7 @@ func TestRegionRootReturnsNoValue(t *testing.T) {
 	// parallel is RegionRoot without the clause.
 	parallel := func(sys *commute.System, full string) bool {
 		m := sys.Prog.MethodByFullName(full)
-		return sys.CondPlan.Methods[m].Parallel && sys.CondPlan.GeneratesConcurrency(m)
+		return sys.Plan.Methods[m].Parallel && sys.Plan.GeneratesConcurrency(m)
 	}
 	for _, fx := range src.EntryFixtures() {
 		sys, err := commute.Load(fx.Name+".mc", fx.Source)
@@ -28,7 +28,7 @@ func TestRegionRootReturnsNoValue(t *testing.T) {
 		if !parallel(sys, fx.Root) {
 			t.Errorf("%s: %s has no parallel version that generates concurrency: the fixture tests nothing", fx.Name, fx.Root)
 		}
-		if sys.CondPlan.RegionRoot(sys.Prog.MethodByFullName(fx.Root)) {
+		if sys.Plan.RegionRoot(sys.Prog.MethodByFullName(fx.Root)) {
 			t.Errorf("%s: %s returns a value and is a region root", fx.Name, fx.Root)
 		}
 	}
@@ -39,9 +39,9 @@ func TestRegionRootReturnsNoValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for m := range sys.CondPlan.Methods {
+		for m := range sys.Plan.Methods {
 			was := parallel(sys, m.FullName())
-			if sys.CondPlan.RegionRoot(m) != was {
+			if sys.Plan.RegionRoot(m) != was {
 				t.Errorf("%s: %s stopped being a region root", app, m.FullName())
 			}
 			if was {

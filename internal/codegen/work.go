@@ -39,9 +39,8 @@ import (
 const WorkUnbounded int64 = math.MaxInt64
 
 // WorkUnder reports whether the method's work is known to stay under
-// cost units. Zero means no estimate was made (a plan reconstructed
-// from annotations, a test that cleared it): nothing is known, and the
-// region opens. No method costs zero — a call alone is interp.CostCall.
+// cost units. Zero means no estimate was made (a test cleared it):
+// nothing is known, and the region opens. No method costs zero — a call alone is interp.CostCall.
 func (mp *MethodPlan) WorkUnder(cost int64) bool { return mp.Work != 0 && mp.Work < cost }
 
 // methodWork returns the estimate of every method, by types.Method.ID.

@@ -38,10 +38,10 @@ func CommuteRoot() string {
 	return filepath.Dir(filepath.Dir(filepath.Dir(file)))
 }
 
-// Generate emits sys.CondPlan, the plan every parallel execution runs,
+// Generate emits sys.Plan, the plan every parallel execution runs,
 // as a buildable Go module in dir.
 func Generate(sys *commute.System, app, dir string) error {
-	return GeneratePlan(sys.CondPlan, app, dir)
+	return GeneratePlan(sys.Plan, app, dir)
 }
 
 // GeneratePlan emits an explicit plan — e.g. one an ablation built with

@@ -80,7 +80,7 @@ func Policy(s rt.Stats) rt.Stats {
 		GuardParallel: s.GuardParallel, GuardSerial: s.GuardSerial}
 }
 
-// Load compiles a program the way every binary does. Its CondPlan is the
+// Load compiles a program the way every binary does. Its Plan is the
 // plan every parallel run executes.
 func Load(t testing.TB, name, source string) *commute.System {
 	t.Helper()
@@ -91,10 +91,10 @@ func Load(t testing.TB, name, source string) *commute.System {
 	return sys
 }
 
-// ClearWork drops the static work estimates of sys.CondPlan, so that every
+// ClearWork drops the static work estimates of sys.Plan, so that every
 // region root opens its region however small the program is.
 func ClearWork(sys *commute.System) *commute.System {
-	for _, mp := range sys.CondPlan.Methods {
+	for _, mp := range sys.Plan.Methods {
 		mp.Work = 0
 	}
 	return sys
@@ -141,7 +141,7 @@ func Check(t *testing.T, row Row) {
 		t.Fatalf("compiled serial run: %s", diff(c.want, got, 0))
 	}
 	for _, m := range sys.Prog.Methods {
-		c.agree = c.agree && rt.Declines(sys.CondPlan, m) == sys.CondPlan.EmitDeclines(m)
+		c.agree = c.agree && rt.Declines(sys.Plan, m) == sys.Plan.EmitDeclines(m)
 	}
 	if c.pass(t) {
 		c.cleared, c.agree = true, true

@@ -127,7 +127,7 @@ func rows() []oracle.Row {
 	for _, fx := range append([]src.EntryFixture{{Name: "valueroot", Source: valueRoot, Root: "driver::step"}}, src.EntryFixtures()...) {
 		rows = append(rows, oracle.Row{Name: fx.Name, Source: fx.Source, Native: true, Expect: func(r oracle.Run) string {
 			root := r.Sys.Prog.MethodByFullName(fx.Root)
-			if r.Sys.CondPlan.RegionRoot(root) || !r.Sys.CondPlan.Methods[root].Parallel {
+			if r.Sys.Plan.RegionRoot(root) || !r.Sys.Plan.Methods[root].Parallel {
 				return fx.Root + " is a region root, or has no parallel version"
 			}
 			if r.Stats != (rt.Stats{}) {
@@ -184,7 +184,7 @@ func draws() []oracle.Row {
 	var rows []oracle.Row
 	counters := func(name string, c oracle.Counters, native bool, expect func(oracle.Run, rt.Stats) string) {
 		rows = append(rows, oracle.Row{Name: name, Source: c.Source(r), Native: native, Expect: func(run oracle.Run) string {
-			mp := run.Sys.CondPlan.Methods[run.Sys.Prog.MethodByFullName("driver::runAll")]
+			mp := run.Sys.Plan.Methods[run.Sys.Prog.MethodByFullName("driver::runAll")]
 			switch c.Op {
 			case oracle.Overwrite:
 				if !mp.Speculative {

@@ -11,12 +11,13 @@ import (
 	"commute/internal/oracle"
 )
 
-// TestFullPlanExtendsProvenPlan: every parallel run executes the plan
-// that carries all three tiers (commute.System.CondPlan), also when both
-// run-time policies are off. That is the same computation as running the
-// paper's proven plan only if the full plan leaves the proven part
-// alone: over the shipped applications and draws of every generator
-// family, every method the proven plan parallelizes has the same lock,
+// TestFullPlanExtendsProvenPlan: every parallel run, and every view,
+// reads the plan that carries all three tiers (commute.System.Plan),
+// also when both run-time policies are off; the paper's tables read its
+// proven configuration (codegen.Build, apps.PaperPlan). This is the
+// stated relation between the two, the same computation only if the
+// full plan leaves the proven part alone: over the shipped applications
+// and draws of every generator family, every method the proven plan parallelizes has the same lock,
 // hoisting and call-site decisions in the full plan and stays unguarded
 // and unspeculated, and every loop the proven plan found is planned the
 // same way. It is what makes the serial-equivalence oracle's one plan
@@ -46,7 +47,7 @@ func TestFullPlanExtendsProvenPlan(t *testing.T) {
 	proven := 0
 	for name, source := range sources {
 		sys := oracle.Load(t, name+".mc", source)
-		plan, full := sys.Plan, sys.CondPlan
+		plan, full := codegen.Build(sys.Analysis), sys.Plan
 		for m, mp := range plan.Methods {
 			if !mp.Parallel {
 				continue

@@ -20,6 +20,7 @@ import (
 var listingNeutral = strings.NewReplacer(
 	"parallel_for (", "for (",
 	"spawn(", "ignore_spawn(",
+	"replica(", "ignore_replica(",
 	"lock mutex;", "int mutex__lockword;",
 	"mutex.acquire();", "ignore_lock();",
 	"mutex.release();", "ignore_lock();",
@@ -27,10 +28,11 @@ var listingNeutral = strings.NewReplacer(
 )
 
 // listingCall is one call of a reparsed listing: the call, whether it is
-// spawned, and the version of the body it sits in.
+// spawned or runs on a replica, and the version of the body it sits in.
 type listingCall struct {
 	call    *ast.CallExpr
 	spawned bool
+	replica bool
 	in      codegen.Version
 }
 
@@ -45,20 +47,28 @@ type listingLoop struct {
 // prints answers every question from the plan the runtimes run, and
 // decides nothing itself. Over every method of the shipped apps, of the
 // loop, entry and dispatch fixtures, and of generator draws — every loop
-// shape under every reach, and draws of every family — each under the
-// proven plan -emit source renders, the reparsed listing says:
+// shape under every reach, and draws of every family — the reparsed
+// listing says:
 //
-//	(a) every call site in m, m__parallel and m__mutex is spawned,
-//	    suffixed or plain as MethodPlan.Call answers for the body it sits
-//	    in — a parallel_for's body runs as VersionIteration;
+//	(a) every call site in m, m__parallel and m__mutex is spawned, on a
+//	    replica, suffixed or plain as MethodPlan.Call answers for the
+//	    body it sits in — a parallel_for's body runs as VersionIteration;
 //	(b) a loop is a parallel_for iff LoopPlan.Parallel holds and it sits
 //	    in a __parallel body;
 //	(c) the serial version is `this->m__parallel(…); wait();` iff
-//	    Plan.RegionRoot(m), and is otherwise m as written, its return
-//	    type included;
+//	    Plan.RegionRoot(m) and m's tier is proven, and is otherwise m as
+//	    written, its return type included; a guarded or speculative
+//	    root's carries its tier line;
 //	(d) GeneratesConcurrency allocates nothing on a repeat query;
 //	(e) every suffixed call names a version the listing defines, also
-//	    of a method defined in its class body.
+//	    of a method defined in its class body, and the listing defines
+//	    no other version but a region root's parallel one.
+//
+// Three programs pin what the contention answers print: Water's four
+// replicated accumulations are replica(…) in every version that reaches
+// them, and Barnes-Hut's coarse walksub__mutex holds its one lock from
+// its first line to its last, calling gravsub plain — no gravsub__mutex
+// anywhere.
 func TestEmitSourceSaysWhatRuns(t *testing.T) {
 	sources := map[string]string{}
 	for _, name := range strings.Split(src.AppNames(), ", ") {
@@ -87,10 +97,14 @@ func TestEmitSourceSaysWhatRuns(t *testing.T) {
 	}
 
 	var roots, spawns, parallelFors int
+	tierLines := map[string]int{}
+	replicaSites := map[string]map[int]bool{}
 	for name, source := range sources {
 		sys := oracle.Load(t, name+".mc", source)
 		f, prog, plan := sys.File, sys.Prog, sys.Plan
 		out := plan.EmitParallelSource(f)
+		called := map[string]bool{}
+		replicaSites[name] = map[int]bool{}
 		listing, err := parser.Parse("listing.mc", listingNeutral.Replace(out))
 		if err != nil {
 			t.Fatalf("%s: the listing does not reparse: %v", name, err)
@@ -125,13 +139,26 @@ func TestEmitSourceSaysWhatRuns(t *testing.T) {
 			// (c) The serial version.
 			if in == codegen.VersionSerial {
 				root := plan.RegionRoot(m)
-				if entersRegion(md) != root {
-					t.Errorf("%s: serial version of %s enters a region = %t, Plan.RegionRoot = %t", name, m.FullName(), !root, root)
+				proven := root && mp.EntryFacts().Proven
+				if entersRegion(md) != proven {
+					t.Errorf("%s: serial version of %s enters a region = %t, Plan.RegionRoot = %t, proven = %t", name, m.FullName(), !proven, root, mp.EntryFacts().Proven)
+					continue
+				}
+				if proven {
+					roots++
+					called[m.FullName()+"__parallel"] = true
 					continue
 				}
 				if root {
-					roots++
-					continue
+					tier := "// speculative root: "
+					if mp.Conditional {
+						tier = "// guarded root: "
+					}
+					if !strings.HasPrefix(lines[md.Pos().Line-2], tier) {
+						t.Errorf("%s: serial version of %s follows %q, want its tier line %q…", name, m.FullName(), lines[md.Pos().Line-2], tier)
+					}
+					tierLines[name]++
+					called[m.FullName()+"__parallel"] = true
 				}
 				if md.RetType.Kind != m.Def.RetType.Kind || md.RetType.ClassName != m.Def.RetType.ClassName || md.RetType.Ptr != m.Def.RetType.Ptr {
 					t.Errorf("%s: serial version of %s lost its return type", name, m.FullName())
@@ -163,12 +190,19 @@ func TestEmitSourceSaysWhatRuns(t *testing.T) {
 					site := prog.CallSites[w.Site]
 					sc = mp.Call(c.in, site, plan.Methods[site.Callee])
 				}
-				if got := c.call.Method; got != w.Method+versionSuffix[sc.Run] || c.spawned != sc.Spawn {
-					t.Errorf("%s: %s::%s at %s calls %s, spawned %t; the call rule in version %d says %+v", name, md.ClassName, md.Name, w.Pos(), got, c.spawned, c.in, sc)
+				if got := c.call.Method; got != w.Method+versionSuffix[sc.Run] || c.spawned != sc.Spawn || c.replica != sc.Replica {
+					t.Errorf("%s: %s::%s at %s calls %s, spawned %t, replica %t; the call rule in version %d says %+v", name, md.ClassName, md.Name, w.Pos(), got, c.spawned, c.replica, c.in, sc)
+				}
+				if c.replica {
+					replicaSites[name][w.Site] = true
 				}
 				// (e)
-				if sc.Run != codegen.VersionSerial && !defined[prog.CallSites[w.Site].Callee.FullName()+versionSuffix[sc.Run]] {
-					t.Errorf("%s: %s::%s at %s calls %s, which the listing never defines", name, md.ClassName, md.Name, w.Pos(), prog.CallSites[w.Site].Callee.FullName()+versionSuffix[sc.Run])
+				if sc.Run != codegen.VersionSerial {
+					version := prog.CallSites[w.Site].Callee.FullName() + versionSuffix[sc.Run]
+					called[version] = true
+					if !defined[version] {
+						t.Errorf("%s: %s::%s at %s calls %s, which the listing never defines", name, md.ClassName, md.Name, w.Pos(), version)
+					}
 				}
 				if c.spawned {
 					spawns++
@@ -190,8 +224,16 @@ func TestEmitSourceSaysWhatRuns(t *testing.T) {
 			}
 			// A serial method defined in its class body is printed there, as
 			// written; a parallel one's versions follow the class.
-			parallel := plan.Methods[m].Parallel
-			if want := map[bool]int{false: 1, true: 3}[parallel]; defs[m] != want && (parallel || slices.Contains(f.Decls, ast.Decl(m.Def))) {
+			want := 1
+			for _, suffix := range []string{"__parallel", "__mutex"} {
+				if defined[m.FullName()+suffix] {
+					want++
+					if !called[m.FullName()+suffix] {
+						t.Errorf("%s: the listing defines %s%s, which nothing runs", name, m.FullName(), suffix)
+					}
+				}
+			}
+			if defs[m] != want && (plan.Methods[m].Parallel || slices.Contains(f.Decls, ast.Decl(m.Def))) {
 				t.Errorf("%s: %s printed %d times, want %d", name, m.FullName(), defs[m], want)
 			}
 			// (d)
@@ -202,6 +244,27 @@ func TestEmitSourceSaysWhatRuns(t *testing.T) {
 	}
 	if roots == 0 || spawns == 0 || parallelFors == 0 {
 		t.Fatalf("%d region roots, %d spawns and %d parallel_for in the whole corpus", roots, spawns, parallelFors)
+	}
+	if tierLines["app condhash"] == 0 || tierLines["app specdisjoint"] == 0 {
+		t.Errorf("tier lines: %v; want the guarded roots of condhash and the speculative ones of specdisjoint", tierLines)
+	}
+	if n := len(replicaSites["app water"]); n != 4 {
+		t.Errorf("Water's listing prints %d replicated sites, want 4", n)
+	}
+
+	// Barnes-Hut's coarse mutex version: one acquire first, one release
+	// last, gravsub plain between them.
+	_, source, _ := src.App("barneshut")
+	bh := oracle.Load(t, "barneshut.mc", source)
+	out := bh.Plan.EmitParallelSource(bh.File)
+	if strings.Contains(out, "gravsub__mutex(") {
+		t.Error("the Barnes-Hut listing has a gravsub__mutex")
+	}
+	_, walk, _ := strings.Cut(out, "void body::walksub__mutex(node *n, double dsq) {\n")
+	walk, _, _ = strings.Cut(walk, "\n}\n")
+	if !strings.HasPrefix(walk, "  mutex.acquire();\n") || !strings.HasSuffix(walk, "\n  mutex.release();") ||
+		strings.Count(walk, "mutex.") != 2 || !strings.Contains(walk, "    this->gravsub(n);\n") {
+		t.Errorf("body::walksub__mutex is not its serial body under one lock:\n%s", walk)
 	}
 }
 
@@ -260,8 +323,8 @@ func listingBody(body *ast.Block, in codegen.Version, lines []string) ([]listing
 				switch x.Method {
 				case "ignore_lock", "ignore_wait":
 					return false
-				case "ignore_spawn":
-					calls = append(calls, listingCall{x.Args[0].(*ast.CallExpr), true, in})
+				case "ignore_spawn", "ignore_replica":
+					calls = append(calls, listingCall{x.Args[0].(*ast.CallExpr), x.Method == "ignore_spawn", x.Method == "ignore_replica", in})
 					inner := x.Args[0].(*ast.CallExpr)
 					if inner.Recv != nil {
 						walk(inner.Recv, in)
@@ -271,7 +334,7 @@ func listingBody(body *ast.Block, in codegen.Version, lines []string) ([]listing
 					}
 					return false
 				}
-				calls = append(calls, listingCall{x, false, in})
+				calls = append(calls, listingCall{x, false, false, in})
 			}
 			return true
 		})

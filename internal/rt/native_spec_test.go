@@ -23,7 +23,7 @@ import (
 func TestUndeclaredWriteAborts(t *testing.T) {
 	sys := oracle.ClearWork(oracle.Load(t, "specdisjoint.mc", src.SpecDisjoint))
 	val := effects.FieldDesc(sys.Prog.Classes["cell"], nil, "val")
-	for _, mp := range sys.CondPlan.Methods {
+	for _, mp := range sys.Plan.Methods {
 		if mp.Speculative && mp.SpecWrites.OverlapsDesc(val) {
 			mp.SpecWrites = mp.SpecWrites.Filter(func(d effects.Desc) bool { return !effects.NewSet(d).OverlapsDesc(val) })
 		}
@@ -31,7 +31,7 @@ func TestUndeclaredWriteAborts(t *testing.T) {
 	want := oracle.Reference(t, sys.Prog)
 
 	for _, workers := range []int{1, 4} {
-		r := rt.New(interp.New(sys.Prog, new(bytes.Buffer)), sys.CondPlan, workers)
+		r := rt.New(interp.New(sys.Prog, new(bytes.Buffer)), sys.Plan, workers)
 		r.Speculate = rt.SpecForce
 		if err := r.Run(); err != nil {
 			t.Fatalf("interpreter workers=%d: %v", workers, err)

@@ -20,7 +20,7 @@ func TestRandomCommutingPrograms(t *testing.T) {
 		c := oracle.DrawCounters(r)
 		c.Loop, c.Step, c.Reach, c.Valued = oracle.LoopShapes[trial%len(oracle.LoopShapes)], 1+trial/5%3, oracle.Reach(trial%int(oracle.Reaches)), trial >= 15
 		sys := oracle.Load(t, "counters.mc", c.Source(r))
-		prog, plan := sys.Prog, sys.CondPlan
+		prog, plan := sys.Prog, sys.Plan
 
 		runAll := prog.MethodByFullName("driver::runAll")
 		if !plan.RegionRoot(runAll) {

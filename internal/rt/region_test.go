@@ -90,7 +90,7 @@ func finePrograms(t testing.TB, rounds int, asBuilt bool) []fineProgram {
 		if !asBuilt {
 			oracle.ClearWork(sys)
 		}
-		return fineProgram{name, sys.Prog, sys.CondPlan, spec, perRound}
+		return fineProgram{name, sys.Prog, sys.Plan, spec, perRound}
 	}
 	return []fineProgram{
 		mk("proven", oracle.Repeat(provenSteps, "D.init();", "D.step(r);", rounds), rt.SpecOff,

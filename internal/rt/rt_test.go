@@ -17,7 +17,7 @@ func TestWalkerInterpreterRefused(t *testing.T) {
 	sys := oracle.Load(t, "graph.mc", src.Graph)
 	var out strings.Builder
 	ip := interp.NewEngine(sys.Prog, &out, interp.EngineWalk)
-	r := rt.New(ip, sys.CondPlan, 2)
+	r := rt.New(ip, sys.Plan, 2)
 	if err := r.Run(); err == nil || !strings.Contains(err.Error(), "tree walker") {
 		t.Errorf("Run on a walker interpreter: err = %v, want a refusal", err)
 	}

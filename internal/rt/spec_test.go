@@ -107,7 +107,7 @@ func TestSlotKeysNameFieldsLikeTheEmitter(t *testing.T) {
 		{"shadow", shadowApp},
 	} {
 		sys := oracle.ClearWork(oracle.Load(t, app.name+".mc", app.source))
-		prog, plan := sys.Prog, sys.CondPlan
+		prog, plan := sys.Prog, sys.Plan
 		keys := rt.SlotKeys(interp.New(prog, nil))
 		known := map[string]bool{}
 		for _, cl := range prog.ClassList {

@@ -47,10 +47,10 @@ type ArtifactBundle struct {
 // revisions: a decoder never misparses another encoding, it rejects it.
 // The fingerprint keys a bundle on name, source and options only, so the
 // version also changes whenever what a bundle carries for the same key
-// does — version 2 carries the parallel source whose serial versions
-// enter a region only at a region root, version 3 the one that defines
-// the versions of a parallel method written in its class body.
-const artifactMagic = "commute-artifact/3"
+// does — version 4 carries the parallel source and loop counts of the
+// plan every execution runs, where version 3 carried the paper's
+// configuration.
+const artifactMagic = "commute-artifact/4"
 
 // EncodeArtifact frames a bundle for the blob tier: a header line with
 // the format version and the hex SHA-256 of the JSON payload, then the

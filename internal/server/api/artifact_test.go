@@ -21,12 +21,12 @@ func TestDecodeArtifactRejectsOtherVersions(t *testing.T) {
 	if _, err := DecodeArtifact(key, frame); err != nil {
 		t.Fatalf("own frame: %v", err)
 	}
-	old := bytes.Replace(frame, []byte(artifactMagic+" "), []byte("commute-artifact/2 "), 1)
+	old := bytes.Replace(frame, []byte(artifactMagic+" "), []byte("commute-artifact/3 "), 1)
 	if bytes.Equal(old, frame) {
 		t.Fatalf("frame does not start with %q: %.40q", artifactMagic, frame)
 	}
 	if b, err := DecodeArtifact(key, old); err == nil {
-		t.Fatalf("a commute-artifact/2 frame decodes: %+v", b)
+		t.Fatalf("a commute-artifact/3 frame decodes: %+v", b)
 	}
 }
 
@@ -52,7 +52,7 @@ func FuzzDecodeArtifact(f *testing.F) {
 		frame[:header/2],
 		frame[:header+(len(frame)-header)/2],
 		flipped,
-		bytes.Replace(frame, []byte(artifactMagic), []byte("commute-artifact/2"), 1),
+		bytes.Replace(frame, []byte(artifactMagic), []byte("commute-artifact/3"), 1),
 	} {
 		f.Add(key, data)
 	}

@@ -106,7 +106,7 @@ func TestOldArtifactIsNotAdopted(t *testing.T) {
 		t.Fatal(err)
 	}
 	blobs := cache.NewMemStore()
-	if err := blobs.Put(key, bytes.Replace(frame, []byte("commute-artifact/3 "), []byte("commute-artifact/2 "), 1)); err != nil {
+	if err := blobs.Put(key, bytes.Replace(frame, []byte("commute-artifact/4 "), []byte("commute-artifact/3 "), 1)); err != nil {
 		t.Fatal(err)
 	}
 	_, replica := newTestServer(t, Config{Blobs: blobs, BatchLinger: -1})

@@ -11,6 +11,7 @@ import (
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
+	"commute/nativert"
 )
 
 // EventKind discriminates task events.
@@ -128,27 +129,40 @@ func (c *collector) flushSerial(label string) {
 	}
 }
 
-// serialCtx records serial compute and opens parallel regions.
+// serialCtx records serial compute and opens parallel regions. A call of
+// a region root is an entry under the zero run policy, with no
+// granularity cutoff (the simulated machine is DASH, not this one): it
+// opens a region exactly when nativert's Enter answers Parallel, as
+// under rt's serialCtx. Any other root runs its serial version with the
+// hook off, so no root below it is entered.
 func (c *collector) serialCtx() *interp.Ctx {
 	ctx := c.ip.NewCtx()
 	ctx.Charge = func(units int64) { c.serialUnits += units }
+	var st nativert.Stats
 	ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
-		if c.plan.RegionRoot(site.Callee) {
-			c.flushSerial(site.Caller.FullName())
-			root := &Task{}
-			c.replicated = make(map[int64]bool)
-			err := c.runVersion(root, site.Callee, recv, args, codegen.VersionParallel)
-			if err != nil {
-				return interp.Value{}, err
-			}
-			c.trace.Phases = append(c.trace.Phases, Phase{
-				Label: site.Callee.FullName(), Root: root,
-				ReduceObjects: len(c.replicated),
-			})
-			c.replicated = nil
-			return interp.Value{}, nil
+		if !c.plan.RegionRoot(site.Callee) {
+			return c.ip.Call(ctx, site.Callee, recv, args)
 		}
-		return c.ip.Call(ctx, site.Callee, recv, args)
+		if (nativert.Policy{Parallel: true}).Enter(&st, c.plan.Methods[site.Callee].EntryFacts(), nil) != nativert.Parallel {
+			hook := ctx.Invoke
+			ctx.Invoke = nil
+			v, err := c.ip.Call(ctx, site.Callee, recv, args)
+			ctx.Invoke = hook
+			return v, err
+		}
+		c.flushSerial(site.Caller.FullName())
+		root := &Task{}
+		c.replicated = make(map[int64]bool)
+		err := c.runVersion(root, site.Callee, recv, args, codegen.VersionParallel)
+		if err != nil {
+			return interp.Value{}, err
+		}
+		c.trace.Phases = append(c.trace.Phases, Phase{
+			Label: site.Callee.FullName(), Root: root,
+			ReduceObjects: len(c.replicated),
+		})
+		c.replicated = nil
+		return interp.Value{}, nil
 	}
 	return ctx
 }

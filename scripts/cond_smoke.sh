@@ -23,14 +23,10 @@ wide_condhash 0 6 > "$OUT/wide0.mc"
 wide_condhash 3 6 > "$OUT/wide3.mc"
 grep -q 'NBUCKET = 4096' "$OUT/wide0.mc"
 
-# Analysis: commutec reports the rejected-but-guardable extents with
-# their synthesized guards.
-REPORT=$(go run ./cmd/commutec -app condhash)
-echo "$REPORT" | grep -q 'COND .*table::ingest'
-echo "$REPORT" | grep -q 'COND .*bucket::update'
-echo "$REPORT" | grep -q 'ec:table.mode@global:H'
-echo "$REPORT" | grep -Eq 'root table::ingest +work [0-9]+ +declined: interp, native'
-# (Captured first: grep -q leaves at the match, and commutec has more to write.)
+# Analysis: the widened table's root is above both entry costs (the
+# shipped one's guards and declined root are cmd/commutec's condhash
+# golden). Captured first: grep -q leaves at the match, and commutec has
+# more to write.
 WIDE=$(go run ./cmd/commutec "$OUT/wide0.mc")
 echo "$WIDE" | grep -Eq 'root table::ingest +work [0-9]+$'
 echo "analysis guards ok"
