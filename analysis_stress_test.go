@@ -21,9 +21,9 @@ import (
 // four workers, mixing AnalyzeAll with per-method IsParallel lookups,
 // while a live commuted server concurrently cold-loads and serves
 // /v1/analyze for the same programs. Run under -race, it verifies the
-// report cells, effects memos, pair cache, and the global expression
-// intern table publish safely under contention, and that every goroutine
-// observes the same published reports.
+// report cells, effects memos, pair cache, and each analysis's
+// expression intern table publish safely under contention, and that
+// every goroutine observes the same published reports.
 func TestAnalysisConcurrencyStress(t *testing.T) {
 	apps := map[string]string{
 		"graph.mc":     src.Graph,

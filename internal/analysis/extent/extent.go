@@ -4,7 +4,8 @@
 package extent
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"commute/internal/analysis/effects"
 	"commute/internal/frontend/types"
@@ -91,6 +92,6 @@ func Compute(a *effects.Analyzer, m *types.Method, ec *effects.Set) *Result {
 	for mm := range methodSet {
 		res.Methods = append(res.Methods, mm)
 	}
-	sort.Slice(res.Methods, func(i, j int) bool { return res.Methods[i].ID < res.Methods[j].ID })
+	slices.SortFunc(res.Methods, func(a, b *types.Method) int { return cmp.Compare(a.ID, b.ID) })
 	return res
 }

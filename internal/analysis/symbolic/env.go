@@ -213,11 +213,13 @@ func (t *Memo[K, V]) Len() int {
 }
 
 // Cache holds what the symbolic executions of one program share across
-// environments: the footnote-4 constant arguments, which depend on the
-// program only, and the state each method body leaves when run from
-// the initial state. It is dropped with the analysis that owns it.
+// environments: the table their expressions are interned in, the
+// footnote-4 constant arguments, which depend on the program only, and
+// the state each method body leaves when run from the initial state. It
+// is dropped with the analysis that owns it, and the table with it.
 type Cache struct {
 	prog *types.Program
+	tab  *Table
 
 	constOnce sync.Once
 	constArgs map[*types.Method][]Expr
@@ -231,8 +233,10 @@ type Cache struct {
 	execs atomic.Int64
 }
 
-// NewCache returns an empty cache for prog.
-func NewCache(prog *types.Program) *Cache { return &Cache{prog: prog} }
+// NewCache returns an empty cache for prog, with a table of its own.
+func NewCache(prog *types.Program) *Cache {
+	return &Cache{prog: prog, tab: newTable(len(prog.ExprType))}
+}
 
 // Env builds an execution environment backed by the cache.
 func (c *Cache) Env(ec *effects.Set, aux map[int]bool) *Env {
@@ -240,6 +244,10 @@ func (c *Cache) Env(ec *effects.Set, aux map[int]bool) *Env {
 	env.fp = sync.OnceValue(env.fingerprint)
 	return env
 }
+
+// Table returns the table the environment's executions intern their
+// expressions in.
+func (env *Env) Table() *Table { return env.cache.tab }
 
 // Executions returns the number of method bodies executed so far.
 func (c *Cache) Executions() int { return int(c.execs.Load()) }
@@ -263,7 +271,7 @@ type firstRun struct {
 // firstRun returns the memoized state after invocation tag of m.
 func (env *Env) firstRun(m *types.Method, tag string) *firstRun {
 	return env.cache.first.Get(firstKey{m, tag}, env, func(rec *Env) *firstRun {
-		ex := &executor{env: rec, ivars: make(map[string]Expr)}
+		ex := &executor{env: rec, tab: rec.cache.tab}
 		fr := &firstRun{}
 		fr.err = ex.runMethod(m, tag, &fr.invoked)
 		fr.ivars = ex.ivars

@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"fmt"
+	"slices"
 
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
@@ -25,16 +26,18 @@ func (e *UnanalyzableError) Error() string {
 type Result struct {
 	IVars   map[string]Expr
 	Invoked Multiset
+
+	tab *Table // the table the execution built its expressions in
 }
 
-// Canonical returns the simplified, canonical form of the result.
+// Canonical rewrites the result in place to its simplified, canonical
+// form, in the table of the execution that produced it, and returns it.
 func (r *Result) Canonical() *Result {
-	out := &Result{IVars: make(map[string]Expr, len(r.IVars))}
 	for k, v := range r.IVars {
-		out.IVars[k] = Simplify(v)
+		r.IVars[k] = r.tab.simplify(v)
 	}
-	out.Invoked = SimplifyMultiset(r.Invoked)
-	return out
+	r.Invoked = SimplifyMultiset(r.tab, r.Invoked)
+	return r
 }
 
 // ExecutePair symbolically executes invocation A of mA (parameters
@@ -50,12 +53,12 @@ func ExecutePair(mA, mB *types.Method, tagA, tagB string, env *Env) (*Result, er
 	if first.err != nil {
 		return nil, first.err
 	}
-	ex := &executor{env: env, ivars: cloneMap(first.ivars)}
+	ex := &executor{env: env, tab: env.cache.tab, ivars: cloneMap(first.ivars)}
 	invoked := append(Multiset(nil), first.invoked...)
 	if err := ex.runMethod(mB, tagB, &invoked); err != nil {
 		return nil, err
 	}
-	return &Result{IVars: ex.ivars, Invoked: invoked}, nil
+	return &Result{IVars: ex.ivars, Invoked: invoked, tab: ex.tab}, nil
 }
 
 // ExecuteOne symbolically executes a single invocation (used by
@@ -65,7 +68,7 @@ func ExecuteOne(m *types.Method, tag string, env *Env) (*Result, error) {
 	if first.err != nil {
 		return nil, first.err
 	}
-	return &Result{IVars: cloneMap(first.ivars), Invoked: append(Multiset(nil), first.invoked...)}, nil
+	return &Result{IVars: cloneMap(first.ivars), Invoked: append(Multiset(nil), first.invoked...), tab: env.cache.tab}, nil
 }
 
 // Analyzable reports whether the method can be symbolically executed in
@@ -81,13 +84,14 @@ func Analyzable(m *types.Method, env *Env) error {
 // invocations plus the per-invocation frame.
 type executor struct {
 	env   *Env
+	tab   *Table          // env.cache.tab
 	ivars map[string]Expr // "class.field" → current value
 
 	// Per-invocation frame.
 	m       *types.Method
 	tag     string
-	locals  map[string]Expr
-	params  map[string]Expr
+	locals  []binding
+	params  []Expr // in m.Params order
 	guard   []Expr // conjunction stack
 	invoked *Multiset
 	retSeen bool
@@ -101,22 +105,22 @@ func (ex *executor) runMethod(m *types.Method, tag string, invoked *Multiset) er
 	if m.Def == nil {
 		return &UnanalyzableError{Method: m, Reason: "no definition"}
 	}
+	ex.env.cache.execs.Add(1)
+	params, ivars := ex.env.cache.initialOf(m, tag)
 	ex.m = m
 	ex.tag = tag
-	ex.locals = make(map[string]Expr)
-	ex.params = make(map[string]Expr)
+	ex.locals = nil
+	ex.params = slices.Clone(params)
 	ex.guard = nil
 	ex.invoked = invoked
 	ex.retSeen = false
 
-	ex.env.cache.execs.Add(1)
-	params, ivars := ex.env.cache.initialOf(m, tag)
-	for i, v := range params {
-		ex.params[m.Params[i].Name] = v
-	}
 	// Instance variables start at their pre-execution values; the state
 	// is shared between the two invocations, so only initialize unseen
 	// fields.
+	if ex.ivars == nil {
+		ex.ivars = make(map[string]Expr, len(ivars))
+	}
 	for _, iv := range ivars {
 		if _, ok := ex.ivars[iv.key]; !ok {
 			ex.ivars[iv.key] = iv.init
@@ -131,16 +135,59 @@ func (ex *executor) curGuard() Expr {
 	}
 	args := make([]Expr, len(ex.guard))
 	copy(args, ex.guard)
-	return Simplify(mkNary(OpAnd, args))
+	return ex.tab.simplify(ex.tab.mkNary(OpAnd, args))
 }
+
+// binding is a local variable's current value. A frame has a handful
+// of locals, so they live in a slice searched by name.
+type binding struct {
+	name string
+	v    Expr
+}
+
+// lookup is the named local's value, or nil.
+func lookup(locals []binding, name string) Expr {
+	for _, b := range locals {
+		if b.name == name {
+			return b.v
+		}
+	}
+	return nil
+}
+
+func (ex *executor) setLocal(name string, v Expr) {
+	for i := range ex.locals {
+		if ex.locals[i].name == name {
+			ex.locals[i].v = v
+			return
+		}
+	}
+	ex.locals = append(ex.locals, binding{name, v})
+}
+
+// paramIndex is the position of the named parameter in m.Params, or -1.
+func (ex *executor) paramIndex(name string) int {
+	return slices.IndexFunc(ex.m.Params, func(p *types.Param) bool { return p.Name == name })
+}
+
+func (ex *executor) param(name string) Expr {
+	if i := ex.paramIndex(name); i >= 0 {
+		return ex.params[i]
+	}
+	return nil
+}
+
+func (ex *executor) setParam(name string, v Expr) { ex.params[ex.paramIndex(name)] = v }
 
 // stateSnap is the mutable value state (ivars + locals + params).
 type stateSnap struct {
-	ivars, locals, params map[string]Expr
+	ivars  map[string]Expr
+	locals []binding
+	params []Expr
 }
 
-// state returns the executor's current maps themselves: a snapshot only
-// for a caller that installs other maps before anything executes.
+// state returns the executor's current state itself: a snapshot only
+// for a caller that installs another state before anything executes.
 func (ex *executor) state() stateSnap {
 	return stateSnap{ivars: ex.ivars, locals: ex.locals, params: ex.params}
 }
@@ -149,8 +196,8 @@ func (ex *executor) state() stateSnap {
 func (ex *executor) snap() stateSnap {
 	return stateSnap{
 		ivars:  cloneMap(ex.ivars),
-		locals: cloneMap(ex.locals),
-		params: cloneMap(ex.params),
+		locals: slices.Clone(ex.locals),
+		params: slices.Clone(ex.params),
 	}
 }
 
@@ -180,13 +227,13 @@ func (ex *executor) stmt(s ast.Stmt) error {
 		}
 		return nil
 	case *ast.DeclStmt:
-		ex.locals[st.Name] = Var{Name: ex.tag + ":undef:" + st.Name}
+		ex.setLocal(st.Name, Var{Name: ex.tag + ":undef:" + st.Name})
 		if st.Init != nil {
 			v, err := ex.eval(st.Init)
 			if err != nil {
 				return err
 			}
-			ex.locals[st.Name] = v
+			ex.setLocal(st.Name, v)
 		}
 		return nil
 	case *ast.ExprStmt:
@@ -218,7 +265,7 @@ func (ex *executor) ifStmt(st *ast.IfStmt) error {
 	if err != nil {
 		return err
 	}
-	c = Simplify(c)
+	c = ex.tab.simplify(c)
 	if b, ok := c.(Bool); ok {
 		// Statically decided branch.
 		if b.V {
@@ -236,7 +283,7 @@ func (ex *executor) ifStmt(st *ast.IfStmt) error {
 	if err := ex.stmt(st.Then); err != nil {
 		return err
 	}
-	thenState := ex.state() // restore(pre) below takes these maps out of use
+	thenState := ex.state() // restore(pre) below takes this state out of use
 	thenRet := ex.retSeen
 	ex.guard = ex.guard[:len(ex.guard)-1]
 	if thenRet {
@@ -244,7 +291,7 @@ func (ex *executor) ifStmt(st *ast.IfStmt) error {
 	}
 
 	ex.restore(pre)
-	notC := Simplify(mkNot(c))
+	notC := ex.tab.simplify(ex.tab.mkNot(c))
 	ex.guard = append(ex.guard, notC)
 	if st.Else != nil {
 		if err := ex.stmt(st.Else); err != nil {
@@ -257,30 +304,38 @@ func (ex *executor) ifStmt(st *ast.IfStmt) error {
 	elseState := ex.state()
 	ex.guard = ex.guard[:len(ex.guard)-1]
 
-	// Merge into fresh maps: differing bindings become conditional
-	// expressions.
-	ex.ivars = mergeState(c, thenState.ivars, elseState.ivars)
-	ex.locals = mergeState(c, thenState.locals, elseState.locals)
-	ex.params = mergeState(c, thenState.params, elseState.params)
+	// Merge into the then arm's state, which nothing else holds any
+	// more: differing bindings become conditional expressions.
+	for k, tv := range thenState.ivars {
+		thenState.ivars[k] = ex.merge(c, tv, elseState.ivars[k])
+	}
+	for k, fv := range elseState.ivars {
+		if _, ok := thenState.ivars[k]; !ok {
+			thenState.ivars[k] = fv
+		}
+	}
+	for i, b := range thenState.locals {
+		thenState.locals[i].v = ex.merge(c, b.v, lookup(elseState.locals, b.name))
+	}
+	for _, b := range elseState.locals {
+		if lookup(thenState.locals, b.name) == nil {
+			thenState.locals = append(thenState.locals, b)
+		}
+	}
+	for i, tv := range thenState.params {
+		thenState.params[i] = ex.merge(c, tv, elseState.params[i])
+	}
+	ex.restore(thenState)
 	return nil
 }
 
-func mergeState(c Expr, t, f map[string]Expr) map[string]Expr {
-	out := make(map[string]Expr, len(t))
-	for k, tv := range t {
-		fv, ok := f[k]
-		if !ok || tv.Key() == fv.Key() {
-			out[k] = tv
-			continue
-		}
-		out[k] = Simplify(mkCond(c, tv, fv))
+// merge is what a variable holds after a branch on c that leaves it tv
+// when c holds and fv, if the else branch has it, when it does not.
+func (ex *executor) merge(c, tv, fv Expr) Expr {
+	if fv == nil || tv.Key() == fv.Key() {
+		return tv
 	}
-	for k, fv := range f {
-		if _, ok := t[k]; !ok {
-			out[k] = fv
-		}
-	}
-	return out
+	return ex.tab.simplify(ex.tab.mkCond(c, tv, fv))
 }
 
 // evalConstInt evaluates an expression to a compile-time integer if
@@ -290,7 +345,7 @@ func (ex *executor) evalConstInt(e ast.Expr) (int64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	n, ok := Simplify(v).(Num)
+	n, ok := ex.tab.simplify(v).(Num)
 	if !ok || !n.IsInt {
 		return 0, false
 	}

@@ -60,16 +60,16 @@ func (ex *executor) eval(e ast.Expr) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return mkArrSel(arr, idx), nil
+		return ex.tab.mkArrSel(arr, idx), nil
 	case *ast.Unary:
 		v, err := ex.eval(x.X)
 		if err != nil {
 			return nil, err
 		}
 		if x.Op == token.MINUS {
-			return mkNeg(v), nil
+			return ex.tab.mkNeg(v), nil
 		}
-		return mkNot(v), nil
+		return ex.tab.mkNot(v), nil
 	case *ast.Binary:
 		return ex.evalBinary(x)
 	case *ast.CastExpr:
@@ -77,7 +77,7 @@ func (ex *executor) eval(e ast.Expr) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return mkCall("cast:"+x.ClassName, []Expr{v}), nil
+		return ex.tab.mkCall("cast:"+x.ClassName, []Expr{v}), nil
 	case *ast.Assign:
 		return ex.evalAssign(x)
 	case *ast.CallExpr:
@@ -91,14 +91,14 @@ func (ex *executor) eval(e ast.Expr) (Expr, error) {
 func (ex *executor) evalIdent(x *ast.Ident) (Expr, error) {
 	switch x.Sym {
 	case ast.SymLocal:
-		if v, ok := ex.locals[x.Name]; ok {
+		if v := lookup(ex.locals, x.Name); v != nil {
 			return v, nil
 		}
 		v := Var{Name: ex.tag + ":undef:" + x.Name}
-		ex.locals[x.Name] = v
+		ex.setLocal(x.Name, v)
 		return v, nil
 	case ast.SymParam:
-		return ex.params[x.Name], nil
+		return ex.param(x.Name), nil
 	case ast.SymConst:
 		cv := ex.env.Prog.Consts[x.Name]
 		if cv.IsInt {
@@ -173,7 +173,7 @@ func (ex *executor) evalFieldAccess(x *ast.FieldAccess) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Extent{ID: "ec:" + desc.Key() + "@" + Simplify(base).Key()}, nil
+	return Extent{ID: "ec:" + desc.Key() + "@" + ex.tab.simplify(base).Key()}, nil
 }
 
 // fieldDescOf resolves a field access to a storage descriptor using the
@@ -194,31 +194,31 @@ func (ex *executor) evalBinary(x *ast.Binary) (Expr, error) {
 	}
 	switch x.Op {
 	case token.PLUS:
-		return mkNary(OpAdd, []Expr{l, r}), nil
+		return ex.tab.mkNary(OpAdd, []Expr{l, r}), nil
 	case token.MINUS:
-		return mkNary(OpAdd, []Expr{l, mkNeg(r)}), nil
+		return ex.tab.mkNary(OpAdd, []Expr{l, ex.tab.mkNeg(r)}), nil
 	case token.STAR:
-		return mkNary(OpMul, []Expr{l, r}), nil
+		return ex.tab.mkNary(OpMul, []Expr{l, r}), nil
 	case token.SLASH:
-		return mkBin(OpDiv, l, r), nil
+		return ex.tab.mkBin(OpDiv, l, r), nil
 	case token.PERCENT:
-		return mkBin(OpMod, l, r), nil
+		return ex.tab.mkBin(OpMod, l, r), nil
 	case token.LT:
-		return mkBin(OpLt, l, r), nil
+		return ex.tab.mkBin(OpLt, l, r), nil
 	case token.LEQ:
-		return mkBin(OpLe, l, r), nil
+		return ex.tab.mkBin(OpLe, l, r), nil
 	case token.GT:
-		return mkBin(OpGt, l, r), nil
+		return ex.tab.mkBin(OpGt, l, r), nil
 	case token.GEQ:
-		return mkBin(OpGe, l, r), nil
+		return ex.tab.mkBin(OpGe, l, r), nil
 	case token.EQ:
-		return mkBin(OpEq, l, r), nil
+		return ex.tab.mkBin(OpEq, l, r), nil
 	case token.NEQ:
-		return mkBin(OpNe, l, r), nil
+		return ex.tab.mkBin(OpNe, l, r), nil
 	case token.AND:
-		return mkNary(OpAnd, []Expr{l, r}), nil
+		return ex.tab.mkNary(OpAnd, []Expr{l, r}), nil
 	case token.OR:
-		return mkNary(OpOr, []Expr{l, r}), nil
+		return ex.tab.mkNary(OpOr, []Expr{l, r}), nil
 	}
 	return nil, ex.failf("unsupported operator %s", x.Op)
 }
@@ -235,13 +235,13 @@ func (ex *executor) evalAssign(x *ast.Assign) (Expr, error) {
 		}
 		switch x.Op {
 		case token.PLUSEQ:
-			rhs = mkNary(OpAdd, []Expr{old, rhs})
+			rhs = ex.tab.mkNary(OpAdd, []Expr{old, rhs})
 		case token.MINUSEQ:
-			rhs = mkNary(OpAdd, []Expr{old, mkNeg(rhs)})
+			rhs = ex.tab.mkNary(OpAdd, []Expr{old, ex.tab.mkNeg(rhs)})
 		case token.STAREQ:
-			rhs = mkNary(OpMul, []Expr{old, rhs})
+			rhs = ex.tab.mkNary(OpMul, []Expr{old, rhs})
 		case token.SLASHEQ:
-			rhs = mkBin(OpDiv, old, rhs)
+			rhs = ex.tab.mkBin(OpDiv, old, rhs)
 		}
 	}
 	if err := ex.store(x.LHS, rhs); err != nil {
@@ -256,7 +256,7 @@ func (ex *executor) store(lhs ast.Expr, v Expr) error {
 	case *ast.Ident:
 		switch x.Sym {
 		case ast.SymLocal:
-			ex.locals[x.Name] = v
+			ex.setLocal(x.Name, v)
 			return nil
 		case ast.SymParam:
 			p := ex.m.ParamByName(x.Name)
@@ -264,7 +264,7 @@ func (ex *executor) store(lhs ast.Expr, v Expr) error {
 				return ex.failf("write to reference parameter %s", x.Name)
 			}
 			// Value parameters are local copies.
-			ex.params[x.Name] = v
+			ex.setParam(x.Name, v)
 			return nil
 		case ast.SymField:
 			ex.ivars[x.FieldClass+"."+x.Name] = v
@@ -288,7 +288,7 @@ func (ex *executor) store(lhs ast.Expr, v Expr) error {
 		if kind == arrParam {
 			return ex.failf("write to reference parameter array")
 		}
-		ex.storeArray(name, kind, mkArrStore(ex.loadArray(name, kind), Simplify(idx), v))
+		ex.storeArray(name, kind, ex.tab.mkArrStore(ex.loadArray(name, kind), ex.tab.simplify(idx), v))
 		return nil
 	}
 	return ex.failf("unanalyzable lvalue")
@@ -309,7 +309,7 @@ func (ex *executor) evalCall(x *ast.CallExpr) (Expr, error) {
 			}
 			args[i] = v
 		}
-		return mkCall(x.Method, args), nil
+		return ex.tab.mkCall(x.Method, args), nil
 	}
 	site := ex.env.Prog.CallSites[x.Site]
 	if ex.env.isAux(x.Site) {
@@ -370,7 +370,7 @@ func (ex *executor) evalAuxCall(x *ast.CallExpr, site *types.CallSite) (Expr, er
 		if err != nil {
 			return nil, err
 		}
-		sig += "@" + Simplify(recv).Key()
+		sig += "@" + ex.tab.simplify(recv).Key()
 	}
 	var refLocals []struct {
 		local string
@@ -391,10 +391,10 @@ func (ex *executor) evalAuxCall(x *ast.CallExpr, site *types.CallSite) (Expr, er
 		if err != nil {
 			return nil, err
 		}
-		sig += "," + Simplify(v).Key()
+		sig += "," + ex.tab.simplify(v).Key()
 	}
 	for _, rl := range refLocals {
-		ex.locals[rl.local] = Extent{ID: sig + ":ref:" + rl.param}
+		ex.setLocal(rl.local, Extent{ID: sig + ":ref:" + rl.param})
 	}
 	return Extent{ID: sig + ":ret"}, nil
 }

@@ -103,10 +103,10 @@ func (ex *executor) tryArrayForm(st *ast.ForStmt) (bool, error) {
 			return false, err
 		}
 		if negate {
-			operand = Simplify(mkNeg(operand))
+			operand = ex.tab.simplify(ex.tab.mkNeg(operand))
 		}
-		ex.storeArray(target, tKind, mkArrUpd(
-			ex.loadArray(target, tKind), op, Simplify(operand),
+		ex.storeArray(target, tKind, ex.tab.mkArrUpd(
+			ex.loadArray(target, tKind), op, ex.tab.simplify(operand),
 		))
 		return true, nil
 	}
@@ -115,7 +115,7 @@ func (ex *executor) tryArrayForm(st *ast.ForStmt) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		ex.storeArray(target, tKind, mkArrFill(Simplify(val)))
+		ex.storeArray(target, tKind, ex.tab.mkArrFill(ex.tab.simplify(val)))
 		return true, nil
 	}
 
@@ -245,9 +245,9 @@ func (ex *executor) lvalueArray(e ast.Expr) (string, arrKind) {
 func (ex *executor) loadArray(name string, kind arrKind) Expr {
 	switch kind {
 	case arrLocal:
-		return ex.locals[name]
+		return lookup(ex.locals, name)
 	case arrParam:
-		return ex.params[name]
+		return ex.param(name)
 	default:
 		return ex.ivars[name]
 	}
@@ -256,9 +256,9 @@ func (ex *executor) loadArray(name string, kind arrKind) Expr {
 func (ex *executor) storeArray(name string, kind arrKind, v Expr) {
 	switch kind {
 	case arrLocal:
-		ex.locals[name] = v
+		ex.setLocal(name, v)
 	case arrParam:
-		ex.params[name] = v
+		ex.setParam(name, v)
 	default:
 		ex.ivars[name] = v
 	}
@@ -315,8 +315,8 @@ func (ex *executor) tryInvocationForm(st *ast.ForStmt) (bool, error) {
 		Args:   args,
 		Loop: &LoopSpec{
 			Var:  v,
-			From: Simplify(fromE),
-			To:   Simplify(boundE),
+			From: ex.tab.simplify(fromE),
+			To:   ex.tab.simplify(boundE),
 			Step: Num{V: float64(h.Step), IsInt: true},
 		},
 	})
@@ -347,12 +347,12 @@ func (ex *executor) unrollLoop(st *ast.ForStmt) error {
 	}
 	i := fromV
 	for ; i < boundV; i += step {
-		ex.locals[v] = Num{V: float64(i), IsInt: true}
+		ex.setLocal(v, Num{V: float64(i), IsInt: true})
 		if err := ex.stmt(st.Body); err != nil {
 			return err
 		}
 	}
 	// What the serial loop leaves: fromV itself after no iteration.
-	ex.locals[v] = Num{V: float64(i), IsInt: true}
+	ex.setLocal(v, Num{V: float64(i), IsInt: true})
 	return nil
 }

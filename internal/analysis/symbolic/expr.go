@@ -71,13 +71,12 @@ func (o Op) Commutative() bool {
 // simplification.
 //
 // Leaf expressions (Num, Bool, Null, Extent, Var) are comparable value
-// types. Composite expressions are pointer types hash-consed through
-// the package's intern table: nodes built by the executor or the
-// simplifier with identical canonical keys share one allocation, so
-// `==` on Expr values is both safe and a cheap structural fast path.
-// Composite literals constructed outside the package (`&Nary{...}`)
-// are legal but uninterned; Key falls back to recomputing the
-// rendering for them.
+// types. Composite expressions are pointer types hash-consed through a
+// Table: nodes built by one analysis's executor or simplifier with
+// identical canonical keys share one allocation, so `==` on Expr values
+// is both safe and a cheap structural fast path. Composite literals
+// constructed outside the package (`&Nary{...}`) are legal but
+// uninterned; Key falls back to recomputing the rendering for them.
 type Expr interface {
 	Key() string
 	expr()
@@ -211,7 +210,9 @@ func (*AccumAt) expr()  {}
 // Key implementations produce a canonical rendering; after Simplify,
 // equal keys mean structurally isomorphic expressions. Interned nodes
 // carry the rendering computed once at construction; uninterned
-// literals recompute it on demand.
+// literals recompute it on demand. A composite node's rendering is
+// written by its *Key function into a keyBuf, so that looking a node up
+// in its table allocates nothing.
 
 func (e Num) Key() string {
 	if e.IsInt {
@@ -231,145 +232,152 @@ func (Null) Key() string     { return "NULL" }
 func (e Extent) Key() string { return "⟨" + e.ID + "⟩" }
 func (e Var) Key() string    { return e.Name }
 
-// naryKey renders prefix, then the node's key, in one allocation (the
-// hash-consing of an n-ary node renders one per construction).
-func naryKey(prefix string, op Op, args []Expr) string {
-	var few [8]string
-	parts := few[:0]
-	sep := " " + op.String() + " "
-	n := len(prefix) + 2 + max(len(args)-1, 0)*len(sep)
-	for _, a := range args {
-		k := a.Key()
-		parts = append(parts, k)
-		n += len(k)
-	}
-	var sb strings.Builder
-	sb.Grow(n)
-	sb.WriteString(prefix)
-	sb.WriteByte('(')
-	for i, k := range parts {
-		if i > 0 {
-			sb.WriteString(sep)
+// keyBuf is a rendering being written.
+type keyBuf []byte
+
+// s appends text.
+func (b keyBuf) s(text string) keyBuf { return append(b, text...) }
+
+// e appends x's rendering.
+func (b keyBuf) e(x Expr) keyBuf {
+	switch v := x.(type) {
+	case Num:
+		if v.IsInt {
+			return strconv.AppendInt(b, int64(v.V), 10)
 		}
-		sb.WriteString(k)
+		return strconv.AppendFloat(b, v.V, 'g', -1, 64)
+	case Extent:
+		return b.s("⟨").s(v.ID).s("⟩")
 	}
-	sb.WriteByte(')')
-	return sb.String()
+	return b.s(x.Key())
+}
+
+func naryKey(b keyBuf, op Op, args []Expr) keyBuf {
+	b = b.s("(")
+	for i, a := range args {
+		if i > 0 {
+			b = b.s(" ").s(op.String()).s(" ")
+		}
+		b = b.e(a)
+	}
+	return b.s(")")
 }
 
 func (e *Nary) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return naryKey("", e.Op, e.Args)
+	return string(naryKey(nil, e.Op, e.Args))
 }
 
-func binKey(op Op, l, r Expr) string {
-	return "(" + l.Key() + " " + op.String() + " " + r.Key() + ")"
+func binKey(b keyBuf, op Op, l, r Expr) keyBuf {
+	return b.s("(").e(l).s(" ").s(op.String()).s(" ").e(r).s(")")
 }
 
 func (e *Bin) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return binKey(e.Op, e.L, e.R)
+	return string(binKey(nil, e.Op, e.L, e.R))
 }
 
-func negKey(x Expr) string { return "(-" + x.Key() + ")" }
-func notKey(x Expr) string { return "(!" + x.Key() + ")" }
+func negKey(b keyBuf, x Expr) keyBuf { return b.s("(-").e(x).s(")") }
+func notKey(b keyBuf, x Expr) keyBuf { return b.s("(!").e(x).s(")") }
 
 func (e *Neg) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return negKey(e.X)
+	return string(negKey(nil, e.X))
 }
 
 func (e *Not) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return notKey(e.X)
+	return string(notKey(nil, e.X))
 }
 
-func callKey(fn string, args []Expr) string {
-	parts := make([]string, len(args))
+func callKey(b keyBuf, fn string, args []Expr) keyBuf {
+	b = b.s(fn).s("(")
 	for i, a := range args {
-		parts[i] = a.Key()
+		if i > 0 {
+			b = b.s(", ")
+		}
+		b = b.e(a)
 	}
-	return fn + "(" + strings.Join(parts, ", ") + ")"
+	return b.s(")")
 }
 
 func (e *Call) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return callKey(e.Fn, e.Args)
+	return string(callKey(nil, e.Fn, e.Args))
 }
 
-func condKey(c, t, f Expr) string {
-	return "(" + c.Key() + " ? " + t.Key() + " : " + f.Key() + ")"
+func condKey(b keyBuf, c, t, f Expr) keyBuf {
+	return b.s("(").e(c).s(" ? ").e(t).s(" : ").e(f).s(")")
 }
 
 func (e *Cond) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return condKey(e.C, e.T, e.F)
+	return string(condKey(nil, e.C, e.T, e.F))
 }
 
-func arrUpdKey(arr Expr, op Op, operand Expr) string {
-	return "upd(" + arr.Key() + " " + op.String() + "= " + operand.Key() + ")"
+func arrUpdKey(b keyBuf, arr Expr, op Op, operand Expr) keyBuf {
+	return b.s("upd(").e(arr).s(" ").s(op.String()).s("= ").e(operand).s(")")
 }
 
 func (e *ArrUpd) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return arrUpdKey(e.Arr, e.Op, e.Operand)
+	return string(arrUpdKey(nil, e.Arr, e.Op, e.Operand))
 }
 
-func arrFillKey(elem Expr) string { return "fill(" + elem.Key() + ")" }
+func arrFillKey(b keyBuf, elem Expr) keyBuf { return b.s("fill(").e(elem).s(")") }
 
 func (e *ArrFill) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return arrFillKey(e.Elem)
+	return string(arrFillKey(nil, e.Elem))
 }
 
-func arrStoreKey(arr, idx, val Expr) string {
-	return "store(" + arr.Key() + ", " + idx.Key() + ", " + val.Key() + ")"
+func arrStoreKey(b keyBuf, arr, idx, val Expr) keyBuf {
+	return b.s("store(").e(arr).s(", ").e(idx).s(", ").e(val).s(")")
 }
 
 func (e *ArrStore) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return arrStoreKey(e.Arr, e.Idx, e.Val)
+	return string(arrStoreKey(nil, e.Arr, e.Idx, e.Val))
 }
 
-func arrSelKey(arr, idx Expr) string {
-	return "sel(" + arr.Key() + ", " + idx.Key() + ")"
+func arrSelKey(b keyBuf, arr, idx Expr) keyBuf {
+	return b.s("sel(").e(arr).s(", ").e(idx).s(")")
 }
 
 func (e *ArrSel) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return arrSelKey(e.Arr, e.Idx)
+	return string(arrSelKey(nil, e.Arr, e.Idx))
 }
 
-func accumAtKey(arr Expr, op Op, idx, delta Expr) string {
-	return "accum(" + arr.Key() + "[" + idx.Key() + "] " +
-		op.String() + "= " + delta.Key() + ")"
+func accumAtKey(b keyBuf, arr Expr, op Op, idx, delta Expr) keyBuf {
+	return b.s("accum(").e(arr).s("[").e(idx).s("] ").s(op.String()).s("= ").e(delta).s(")")
 }
 
 func (e *AccumAt) Key() string {
 	if e.key != "" {
 		return e.key
 	}
-	return accumAtKey(e.Arr, e.Op, e.Idx, e.Delta)
+	return string(accumAtKey(nil, e.Arr, e.Op, e.Idx, e.Delta))
 }
 
 // Equal reports whether two expressions have identical canonical form.

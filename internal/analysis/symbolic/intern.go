@@ -1,159 +1,174 @@
 package symbolic
 
 import (
+	"hash/maphash"
 	"sync"
-	"sync/atomic"
 )
 
-// Hash-consing for composite expressions (§4.8.2 support). Every
-// composite node built inside the package goes through one of the mk*
-// constructors below, which intern the node in a process-wide table
-// keyed by its canonical rendering. Consequences:
+// Table hash-conses the composite expressions of one analysis (§4.8.2
+// support). Every composite node built through a table goes through one
+// of the mk* constructors below, which intern it by kind and canonical
+// rendering. Consequences:
 //
-//   - structurally identical nodes share one allocation, so Expr
-//     values compare with == (pointer identity for composites, value
-//     identity for leaves);
+//   - structurally identical nodes of one table share one allocation,
+//     so Expr values compare with == (pointer identity for composites,
+//     value identity for leaves);
 //   - each node's canonical key is computed exactly once, from its
 //     children's cached keys (O(fan-out), not O(subtree));
-//   - Simplify memoizes per canonical node (see simplify.go), so a
-//     shared subterm is simplified once no matter how many expressions
-//     contain it.
+//   - Simplify memoizes per node (see simplify.go), so a shared subterm
+//     is simplified once no matter how many expressions contain it.
 //
-// The table is bounded: once the entry count passes internCap the
-// whole epoch is dropped and a fresh table is installed. Correctness
-// never depends on canonicality — an uninterned or cross-epoch node
-// still renders the same Key() — so the flush only costs future memo
-// hits. All table access is lock-free (sync.Map / atomic pointer) and
-// safe for the concurrent pair tests in core.
-type internTable struct {
-	nodes    sync.Map // kind-prefixed canonical key → Expr
-	simplify sync.Map // canonical node (Expr) → simplified Expr
-	n        atomic.Int64
+// A table lives as long as the Cache that owns it, which an analysis
+// drops with the rest of its memo; no expression outlives the analysis
+// that built it unless a report keeps it. A nil *Table is accepted
+// wherever a table is: it builds uninterned nodes and memoizes nothing.
+// Correctness never depends on canonicality, since nodes of different
+// tables, or of none, render the same Key(), which Equal falls back to.
+//
+// Safe for concurrent use. The analysis workers of one program share
+// the table; it is split into shards by key, each a pair of plain maps
+// behind a mutex, so that they seldom wait on one another.
+type Table struct {
+	seed   maphash.Seed
+	shards [8]shard
 }
 
-// internCap bounds the total number of entries (nodes + memoized
-// simplifications) per epoch.
-const internCap = 1 << 19
-
-var curTable atomic.Pointer[internTable]
-
-func init() { curTable.Store(new(internTable)) }
-
-func tab() *internTable { return curTable.Load() }
-
-// bump accounts one new entry and swings to a fresh epoch at the cap.
-// Racing goroutines may keep using the old epoch's table briefly;
-// their nodes simply stop being canonical, which is harmless.
-func (t *internTable) bump() {
-	if t.n.Add(1) >= internCap {
-		curTable.CompareAndSwap(t, new(internTable))
-	}
+type shard struct {
+	mu         sync.Mutex
+	nodes      map[string]Expr // kind byte + canonical key → node
+	simplified map[Expr]Expr   // node → its Simplify
+	_          [40]byte        // one cache line per shard
 }
 
-// Kind prefixes keep the intern map injective per node type even if
-// two kinds ever rendered the same key.
+// shard is the shard of hash h.
+func (tab *Table) shard(h uint64) *shard { return &tab.shards[h%uint64(len(tab.shards))] }
+
+// Node kinds. A node is interned under its kind byte followed by its
+// key, which keeps the table injective per node type even if two kinds
+// ever rendered the same key.
 const (
-	kNary     = "n\x00"
-	kBin      = "b\x00"
-	kNeg      = "g\x00"
-	kNot      = "t\x00"
-	kCall     = "c\x00"
-	kCond     = "d\x00"
-	kArrUpd   = "u\x00"
-	kArrFill  = "f\x00"
-	kArrStore = "s\x00"
-	kArrSel   = "l\x00"
-	kAccumAt  = "a\x00"
+	kNary byte = iota
+	kBin
+	kNeg
+	kNot
+	kCall
+	kCond
+	kArrUpd
+	kArrFill
+	kArrStore
+	kArrSel
+	kAccumAt
 )
 
-// intern returns the canonical node for ik, a kind prefix followed by
-// the node's key, installing build()'s result on first sight. The slices
-// referenced by the built node must never be mutated afterwards.
-func intern(t *internTable, ik string, build func() Expr) Expr {
-	if v, ok := t.nodes.Load(ik); ok {
-		return v.(Expr)
+// NewTable returns an empty table.
+func NewTable() *Table { return newTable(0) }
+
+// newTable returns an empty table sized for the analysis of a program
+// of the given number of expressions, which interns about half as many
+// nodes and simplifies about a third as many.
+func newTable(exprs int) *Table {
+	tab := &Table{seed: maphash.MakeSeed()}
+	n := len(tab.shards)
+	for i := range tab.shards {
+		tab.shards[i].nodes = make(map[string]Expr, exprs/2/n)
+		tab.shards[i].simplified = make(map[Expr]Expr, exprs/3/n)
 	}
-	v, loaded := t.nodes.LoadOrStore(ik, build())
-	if !loaded {
-		t.bump()
-	}
-	return v.(Expr)
+	return tab
 }
+
+// intern returns tab's node for ik, a kind byte followed by a key,
+// installing build(key)'s result on first sight; without a table it
+// returns build(key)'s result. Only a node not seen before costs its
+// key a string. The slices referenced by the built node must never be
+// mutated afterwards.
+func (tab *Table) intern(ik keyBuf, build func(key string) Expr) Expr {
+	if tab == nil {
+		return build(string(ik[1:]))
+	}
+	sh := tab.shard(maphash.Bytes(tab.seed, ik))
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e, ok := sh.nodes[string(ik)]; ok {
+		return e
+	}
+	k := string(ik)
+	e := build(k[1:])
+	sh.nodes[k] = e
+	return e
+}
+
+// kind starts the interning key of a node of the given kind in buf,
+// which holds most keys without growing.
+func kind(buf *[256]byte, k byte) keyBuf { return append(keyBuf(buf[:0]), k) }
 
 // Constructors. Callers hand over ownership of any slice argument.
 
-func mkNary(op Op, args []Expr) Expr {
-	t := tab()
-	ik := naryKey(kNary, op, args)
-	k := ik[len(kNary):]
-	return intern(t, ik, func() Expr { return &Nary{Op: op, Args: args, key: k} })
+func (tab *Table) mkNary(op Op, args []Expr) Expr {
+	var buf [256]byte
+	return tab.intern(naryKey(kind(&buf, kNary), op, args), func(k string) Expr { return &Nary{Op: op, Args: args, key: k} })
 }
 
-func mkBin(op Op, l, r Expr) Expr {
-	t := tab()
-	k := binKey(op, l, r)
-	return intern(t, kBin+k, func() Expr { return &Bin{Op: op, L: l, R: r, key: k} })
+func (tab *Table) mkBin(op Op, l, r Expr) Expr {
+	var buf [256]byte
+	return tab.intern(binKey(kind(&buf, kBin), op, l, r), func(k string) Expr { return &Bin{Op: op, L: l, R: r, key: k} })
 }
 
-func mkNeg(x Expr) Expr {
-	t := tab()
-	k := negKey(x)
-	return intern(t, kNeg+k, func() Expr { return &Neg{X: x, key: k} })
+func (tab *Table) mkNeg(x Expr) Expr {
+	var buf [256]byte
+	return tab.intern(negKey(kind(&buf, kNeg), x), func(k string) Expr { return &Neg{X: x, key: k} })
 }
 
-func mkNot(x Expr) Expr {
-	t := tab()
-	k := notKey(x)
-	return intern(t, kNot+k, func() Expr { return &Not{X: x, key: k} })
+func (tab *Table) mkNot(x Expr) Expr {
+	var buf [256]byte
+	return tab.intern(notKey(kind(&buf, kNot), x), func(k string) Expr { return &Not{X: x, key: k} })
 }
 
-func mkCall(fn string, args []Expr) Expr {
-	t := tab()
-	k := callKey(fn, args)
-	return intern(t, kCall+k, func() Expr { return &Call{Fn: fn, Args: args, key: k} })
+func (tab *Table) mkCall(fn string, args []Expr) Expr {
+	var buf [256]byte
+	return tab.intern(callKey(kind(&buf, kCall), fn, args), func(k string) Expr { return &Call{Fn: fn, Args: args, key: k} })
 }
 
-func mkCond(c, then, els Expr) Expr {
-	t := tab()
-	k := condKey(c, then, els)
-	return intern(t, kCond+k, func() Expr { return &Cond{C: c, T: then, F: els, key: k} })
+func (tab *Table) mkCond(c, then, els Expr) Expr {
+	var buf [256]byte
+	return tab.intern(condKey(kind(&buf, kCond), c, then, els), func(k string) Expr { return &Cond{C: c, T: then, F: els, key: k} })
 }
 
-func mkArrUpd(arr Expr, op Op, operand Expr) Expr {
-	t := tab()
-	k := arrUpdKey(arr, op, operand)
-	return intern(t, kArrUpd+k, func() Expr { return &ArrUpd{Arr: arr, Op: op, Operand: operand, key: k} })
+func (tab *Table) mkArrUpd(arr Expr, op Op, operand Expr) Expr {
+	var buf [256]byte
+	return tab.intern(arrUpdKey(kind(&buf, kArrUpd), arr, op, operand), func(k string) Expr {
+		return &ArrUpd{Arr: arr, Op: op, Operand: operand, key: k}
+	})
 }
 
-func mkArrFill(elem Expr) Expr {
-	t := tab()
-	k := arrFillKey(elem)
-	return intern(t, kArrFill+k, func() Expr { return &ArrFill{Elem: elem, key: k} })
+func (tab *Table) mkArrFill(elem Expr) Expr {
+	var buf [256]byte
+	return tab.intern(arrFillKey(kind(&buf, kArrFill), elem), func(k string) Expr { return &ArrFill{Elem: elem, key: k} })
 }
 
-func mkArrStore(arr, idx, val Expr) Expr {
-	t := tab()
-	k := arrStoreKey(arr, idx, val)
-	return intern(t, kArrStore+k, func() Expr { return &ArrStore{Arr: arr, Idx: idx, Val: val, key: k} })
+func (tab *Table) mkArrStore(arr, idx, val Expr) Expr {
+	var buf [256]byte
+	return tab.intern(arrStoreKey(kind(&buf, kArrStore), arr, idx, val), func(k string) Expr {
+		return &ArrStore{Arr: arr, Idx: idx, Val: val, key: k}
+	})
 }
 
-func mkArrSel(arr, idx Expr) Expr {
-	t := tab()
-	k := arrSelKey(arr, idx)
-	return intern(t, kArrSel+k, func() Expr { return &ArrSel{Arr: arr, Idx: idx, key: k} })
+func (tab *Table) mkArrSel(arr, idx Expr) Expr {
+	var buf [256]byte
+	return tab.intern(arrSelKey(kind(&buf, kArrSel), arr, idx), func(k string) Expr { return &ArrSel{Arr: arr, Idx: idx, key: k} })
 }
 
-func mkAccumAt(arr Expr, op Op, idx, delta Expr) Expr {
-	t := tab()
-	k := accumAtKey(arr, op, idx, delta)
-	return intern(t, kAccumAt+k, func() Expr { return &AccumAt{Arr: arr, Op: op, Idx: idx, Delta: delta, key: k} })
+func (tab *Table) mkAccumAt(arr Expr, op Op, idx, delta Expr) Expr {
+	var buf [256]byte
+	return tab.intern(accumAtKey(kind(&buf, kAccumAt), arr, op, idx, delta), func(k string) Expr {
+		return &AccumAt{Arr: arr, Op: op, Idx: idx, Delta: delta, key: k}
+	})
 }
 
-// Intern canonicalizes an expression tree bottom-up, returning the
+// Intern canonicalizes an expression tree bottom-up in tab, returning the
 // interned equivalent. Useful for expressions constructed as raw
-// composite literals (tests, external callers); nodes built by the
-// package are already canonical.
-func Intern(e Expr) Expr {
+// composite literals (tests, external callers). A node that already
+// carries its key was built by a constructor and is returned as is.
+func Intern(tab *Table, e Expr) Expr {
 	switch x := e.(type) {
 	case nil, Num, Bool, Null, Extent, Var:
 		return e
@@ -161,65 +176,65 @@ func Intern(e Expr) Expr {
 		if x.key != "" {
 			return x
 		}
-		return mkNary(x.Op, internSlice(x.Args))
+		return tab.mkNary(x.Op, internSlice(tab, x.Args))
 	case *Bin:
 		if x.key != "" {
 			return x
 		}
-		return mkBin(x.Op, Intern(x.L), Intern(x.R))
+		return tab.mkBin(x.Op, Intern(tab, x.L), Intern(tab, x.R))
 	case *Neg:
 		if x.key != "" {
 			return x
 		}
-		return mkNeg(Intern(x.X))
+		return tab.mkNeg(Intern(tab, x.X))
 	case *Not:
 		if x.key != "" {
 			return x
 		}
-		return mkNot(Intern(x.X))
+		return tab.mkNot(Intern(tab, x.X))
 	case *Call:
 		if x.key != "" {
 			return x
 		}
-		return mkCall(x.Fn, internSlice(x.Args))
+		return tab.mkCall(x.Fn, internSlice(tab, x.Args))
 	case *Cond:
 		if x.key != "" {
 			return x
 		}
-		return mkCond(Intern(x.C), Intern(x.T), Intern(x.F))
+		return tab.mkCond(Intern(tab, x.C), Intern(tab, x.T), Intern(tab, x.F))
 	case *ArrUpd:
 		if x.key != "" {
 			return x
 		}
-		return mkArrUpd(Intern(x.Arr), x.Op, Intern(x.Operand))
+		return tab.mkArrUpd(Intern(tab, x.Arr), x.Op, Intern(tab, x.Operand))
 	case *ArrFill:
 		if x.key != "" {
 			return x
 		}
-		return mkArrFill(Intern(x.Elem))
+		return tab.mkArrFill(Intern(tab, x.Elem))
 	case *ArrStore:
 		if x.key != "" {
 			return x
 		}
-		return mkArrStore(Intern(x.Arr), Intern(x.Idx), Intern(x.Val))
+		return tab.mkArrStore(Intern(tab, x.Arr), Intern(tab, x.Idx), Intern(tab, x.Val))
 	case *ArrSel:
 		if x.key != "" {
 			return x
 		}
-		return mkArrSel(Intern(x.Arr), Intern(x.Idx))
+		return tab.mkArrSel(Intern(tab, x.Arr), Intern(tab, x.Idx))
 	case *AccumAt:
 		if x.key != "" {
 			return x
 		}
-		return mkAccumAt(Intern(x.Arr), x.Op, Intern(x.Idx), Intern(x.Delta))
+		return tab.mkAccumAt(Intern(tab, x.Arr), x.Op, Intern(tab, x.Idx), Intern(tab, x.Delta))
 	}
 	return e
 }
 
-func internSlice(args []Expr) []Expr {
+func internSlice(tab *Table, args []Expr) []Expr {
 	out := make([]Expr, len(args))
 	for i, a := range args {
-		out[i] = Intern(a)
+		out[i] = Intern(tab, a)
 	}
 	return out
 }

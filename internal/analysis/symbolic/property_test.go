@@ -79,6 +79,7 @@ func evalNumeric(e symbolic.Expr, env map[string]float64) float64 {
 // TestSimplifyPreservesValue: simplification never changes the value of
 // a (division-free, integer-coefficient) arithmetic expression.
 func TestSimplifyPreservesValue(t *testing.T) {
+	tab := symbolic.NewTable()
 	r := rand.New(rand.NewSource(42))
 	env := map[string]float64{
 		"a": 2, "b": -3, "c": 5, "d": 7,
@@ -87,21 +88,22 @@ func TestSimplifyPreservesValue(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		e := genExpr(r, 4)
 		want := evalNumeric(e, env)
-		got := evalNumeric(symbolic.Simplify(e), env)
+		got := evalNumeric(symbolic.Simplify(tab, e), env)
 		if math.Abs(want-got) > 1e-6*math.Max(1, math.Abs(want)) {
 			t.Fatalf("iteration %d: Simplify changed value %g → %g\n  in:  %s\n  out: %s",
-				i, want, got, e.Key(), symbolic.Simplify(e).Key())
+				i, want, got, e.Key(), symbolic.Simplify(tab, e).Key())
 		}
 	}
 }
 
 // TestSimplifyIdempotent: simplify(simplify(e)) == simplify(e).
 func TestSimplifyIdempotent(t *testing.T) {
+	tab := symbolic.NewTable()
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		e := genExpr(r, 4)
-		once := symbolic.Simplify(e)
-		twice := symbolic.Simplify(once)
+		once := symbolic.Simplify(tab, e)
+		twice := symbolic.Simplify(tab, once)
 		if once.Key() != twice.Key() {
 			t.Fatalf("iteration %d: not idempotent\n  once:  %s\n  twice: %s",
 				i, once.Key(), twice.Key())
@@ -112,6 +114,7 @@ func TestSimplifyIdempotent(t *testing.T) {
 // TestCommutativeOperandOrderIrrelevant: permuting the operands of a
 // commutative operator never changes the canonical form.
 func TestCommutativeOperandOrderIrrelevant(t *testing.T) {
+	tab := symbolic.NewTable()
 	r := rand.New(rand.NewSource(99))
 	for i := 0; i < 300; i++ {
 		n := 2 + r.Intn(4)
@@ -123,12 +126,12 @@ func TestCommutativeOperandOrderIrrelevant(t *testing.T) {
 		if r.Intn(2) == 0 {
 			op = symbolic.OpMul
 		}
-		fwd := symbolic.Simplify(&symbolic.Nary{Op: op, Args: args})
+		fwd := symbolic.Simplify(tab, &symbolic.Nary{Op: op, Args: args})
 		perm := make([]symbolic.Expr, n)
 		for j, k := range r.Perm(n) {
 			perm[j] = args[k]
 		}
-		rev := symbolic.Simplify(&symbolic.Nary{Op: op, Args: perm})
+		rev := symbolic.Simplify(tab, &symbolic.Nary{Op: op, Args: perm})
 		if fwd.Key() != rev.Key() {
 			t.Fatalf("iteration %d: operand order changed canonical form\n  %s\n  %s",
 				i, fwd.Key(), rev.Key())
@@ -139,6 +142,7 @@ func TestCommutativeOperandOrderIrrelevant(t *testing.T) {
 // TestAccumChainsCommute: random accumulation sequences into array
 // elements canonicalize independently of order.
 func TestAccumChainsCommute(t *testing.T) {
+	tab := symbolic.NewTable()
 	type upd struct {
 		Idx   uint8
 		Delta int8
@@ -161,7 +165,7 @@ func TestAccumChainsCommute(t *testing.T) {
 					}},
 				}
 			}
-			return symbolic.Simplify(e)
+			return symbolic.Simplify(tab, e)
 		}
 		fwd := make([]int, len(updates))
 		for i := range fwd {
@@ -178,15 +182,16 @@ func TestAccumChainsCommute(t *testing.T) {
 // TestBooleanTautologies via quick: x ∨ ¬x ⇒ true, x ∧ ¬x ⇒ false for
 // arbitrary generated subexpressions.
 func TestBooleanTautologies(t *testing.T) {
+	tab := symbolic.NewTable()
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		x := &symbolic.Bin{Op: symbolic.OpLt, L: genExpr(r, 2), R: genExpr(r, 2)}
-		or := symbolic.Simplify(&symbolic.Nary{Op: symbolic.OpOr,
+		or := symbolic.Simplify(tab, &symbolic.Nary{Op: symbolic.OpOr,
 			Args: []symbolic.Expr{x, &symbolic.Not{X: x}}})
 		if or.Key() != "true" {
 			t.Fatalf("x∨¬x = %s for x=%s", or.Key(), x.Key())
 		}
-		and := symbolic.Simplify(&symbolic.Nary{Op: symbolic.OpAnd,
+		and := symbolic.Simplify(tab, &symbolic.Nary{Op: symbolic.OpAnd,
 			Args: []symbolic.Expr{x, &symbolic.Not{X: x}}})
 		if and.Key() != "false" {
 			t.Fatalf("x∧¬x = %s for x=%s", and.Key(), x.Key())

@@ -1,6 +1,11 @@
 package symbolic
 
-import "sort"
+import (
+	"cmp"
+	"hash/maphash"
+	"slices"
+	"strings"
+)
 
 // Simplify rewrites an expression to the canonical form used for
 // isomorphism comparison: subtractions are already represented as
@@ -9,52 +14,61 @@ import "sort"
 // sorted n-ary applications, apply boolean/conditional rules, distribute
 // products over (small) sums, and canonicalize array-update chains.
 //
-// Simplification is memoized per node in the intern table's epoch:
-// because composite nodes are hash-consed, a subterm shared by many
-// expressions is simplified once and every later Simplify of the same
-// node is a map hit. The memo key is node identity, so uninterned
-// composite literals still simplify correctly (they just memoize under
-// their own pointer). A node whose children all simplify to themselves
-// is returned as-is rather than rebuilt.
-func Simplify(e Expr) Expr {
+// Simplification is memoized per node in tab: because composite nodes
+// are hash-consed, a subterm shared by many expressions is simplified
+// once and every later Simplify of the same node is a map hit. The memo
+// key is node identity, so uninterned composite literals still simplify
+// correctly (they just memoize under their own pointer). With a nil tab
+// the result is uninterned and nothing is memoized. A node whose
+// children all simplify to themselves is returned as-is rather than
+// rebuilt.
+func Simplify(tab *Table, e Expr) Expr { return tab.simplify(e) }
+
+func (tab *Table) simplify(e Expr) Expr {
 	switch e.(type) {
 	case nil, Num, Bool, Null, Extent, Var:
 		return e
 	}
-	t := tab()
-	if v, ok := t.simplify.Load(e); ok {
-		return v.(Expr)
+	if tab == nil {
+		return tab.simplifyNode(e)
 	}
-	out := simplifyNode(e)
-	if _, loaded := t.simplify.LoadOrStore(e, out); !loaded {
-		t.bump()
+	sh := tab.shard(maphash.String(tab.seed, e.Key()))
+	sh.mu.Lock()
+	out, ok := sh.simplified[e]
+	sh.mu.Unlock()
+	if ok {
+		return out
 	}
+	out = tab.simplifyNode(e)
+	sh.mu.Lock()
+	sh.simplified[e] = out
+	sh.mu.Unlock()
 	return out
 }
 
-func simplifyNode(e Expr) Expr {
+func (tab *Table) simplifyNode(e Expr) Expr {
 	switch x := e.(type) {
 	case *Neg:
-		return simplifyNeg(Simplify(x.X))
+		return tab.simplifyNeg(tab.simplify(x.X))
 
 	case *Not:
-		return simplifyNot(Simplify(x.X))
+		return tab.simplifyNot(tab.simplify(x.X))
 
 	case *Nary:
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = Simplify(a)
+			args[i] = tab.simplify(a)
 		}
-		return simplifyNary(x.Op, args)
+		return tab.simplifyNary(x.Op, args)
 
 	case *Bin:
-		return simplifyBin(x.Op, Simplify(x.L), Simplify(x.R))
+		return tab.simplifyBin(x.Op, tab.simplify(x.L), tab.simplify(x.R))
 
 	case *Call:
 		changed := false
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = Simplify(a)
+			args[i] = tab.simplify(a)
 			if args[i] != a {
 				changed = true
 			}
@@ -62,33 +76,33 @@ func simplifyNode(e Expr) Expr {
 		if !changed {
 			return x
 		}
-		return mkCall(x.Fn, args)
+		return tab.mkCall(x.Fn, args)
 
 	case *Cond:
-		return simplifyCond(Simplify(x.C), Simplify(x.T), Simplify(x.F))
+		return tab.simplifyCond(tab.simplify(x.C), tab.simplify(x.T), tab.simplify(x.F))
 
 	case *ArrUpd:
-		return simplifyArrUpd(Simplify(x.Arr), x.Op, Simplify(x.Operand))
+		return tab.simplifyArrUpd(tab.simplify(x.Arr), x.Op, tab.simplify(x.Operand))
 
 	case *ArrFill:
-		if el := Simplify(x.Elem); el != x.Elem {
-			return mkArrFill(el)
+		if el := tab.simplify(x.Elem); el != x.Elem {
+			return tab.mkArrFill(el)
 		}
 		return x
 
 	case *ArrStore:
-		return simplifyArrStore(Simplify(x.Arr), Simplify(x.Idx), Simplify(x.Val))
+		return tab.simplifyArrStore(tab.simplify(x.Arr), tab.simplify(x.Idx), tab.simplify(x.Val))
 
 	case *ArrSel:
-		return simplifyArrSel(Simplify(x.Arr), Simplify(x.Idx))
+		return tab.simplifyArrSel(tab.simplify(x.Arr), tab.simplify(x.Idx))
 
 	case *AccumAt:
-		return canonAccum(Simplify(x.Arr), x.Op, Simplify(x.Idx), Simplify(x.Delta))
+		return tab.canonAccum(tab.simplify(x.Arr), x.Op, tab.simplify(x.Idx), tab.simplify(x.Delta))
 	}
 	return e
 }
 
-func simplifyNeg(x Expr) Expr {
+func (tab *Table) simplifyNeg(x Expr) Expr {
 	switch v := x.(type) {
 	case Num:
 		return Num{V: -v.V, IsInt: v.IsInt}
@@ -98,20 +112,20 @@ func simplifyNeg(x Expr) Expr {
 		if v.Op == OpAdd {
 			args := make([]Expr, len(v.Args))
 			for i, a := range v.Args {
-				args[i] = simplifyNeg(a)
+				args[i] = tab.simplifyNeg(a)
 			}
-			return simplifyNary(OpAdd, args)
+			return tab.simplifyNary(OpAdd, args)
 		}
 		if v.Op == OpMul {
 			// Fold the sign into the constant factor if present.
 			args := append([]Expr{Num{V: -1, IsInt: true}}, v.Args...)
-			return simplifyNary(OpMul, args)
+			return tab.simplifyNary(OpMul, args)
 		}
 	}
-	return mkNeg(x)
+	return tab.mkNeg(x)
 }
 
-func simplifyNot(x Expr) Expr {
+func (tab *Table) simplifyNot(x Expr) Expr {
 	switch v := x.(type) {
 	case Bool:
 		return Bool{V: !v.V}
@@ -121,24 +135,24 @@ func simplifyNot(x Expr) Expr {
 		// Flip comparisons so guards canonicalize.
 		switch v.Op {
 		case OpLt:
-			return simplifyBin(OpGe, v.L, v.R)
+			return tab.simplifyBin(OpGe, v.L, v.R)
 		case OpLe:
-			return simplifyBin(OpGt, v.L, v.R)
+			return tab.simplifyBin(OpGt, v.L, v.R)
 		case OpGt:
-			return simplifyBin(OpLe, v.L, v.R)
+			return tab.simplifyBin(OpLe, v.L, v.R)
 		case OpGe:
-			return simplifyBin(OpLt, v.L, v.R)
+			return tab.simplifyBin(OpLt, v.L, v.R)
 		case OpEq:
-			return simplifyBin(OpNe, v.L, v.R)
+			return tab.simplifyBin(OpNe, v.L, v.R)
 		case OpNe:
-			return simplifyBin(OpEq, v.L, v.R)
+			return tab.simplifyBin(OpEq, v.L, v.R)
 		}
 	}
-	return mkNot(x)
+	return tab.mkNot(x)
 }
 
 // simplifyNary assumes args are already simplified.
-func simplifyNary(op Op, args []Expr) Expr {
+func (tab *Table) simplifyNary(op Op, args []Expr) Expr {
 	// Flatten nested applications of the same operator.
 	flat := make([]Expr, 0, len(args))
 	for _, a := range args {
@@ -151,14 +165,14 @@ func simplifyNary(op Op, args []Expr) Expr {
 
 	switch op {
 	case OpAdd, OpMul:
-		return simplifyArith(op, flat)
+		return tab.simplifyArith(op, flat)
 	case OpAnd, OpOr:
-		return simplifyBool(op, flat)
+		return tab.simplifyBool(op, flat)
 	}
-	return mkNary(op, flat)
+	return tab.mkNary(op, flat)
 }
 
-func simplifyArith(op Op, flat []Expr) Expr {
+func (tab *Table) simplifyArith(op Op, flat []Expr) Expr {
 	// Distribute multiplication over small sums.
 	if op == OpMul {
 		for i, a := range flat {
@@ -168,9 +182,9 @@ func simplifyArith(op Op, flat []Expr) Expr {
 				rest = append(rest, flat[i+1:]...)
 				terms := make([]Expr, len(add.Args))
 				for j, t := range add.Args {
-					terms[j] = simplifyNary(OpMul, append([]Expr{t}, rest...))
+					terms[j] = tab.simplifyNary(OpMul, append([]Expr{t}, rest...))
 				}
-				return simplifyNary(OpAdd, terms)
+				return tab.simplifyNary(OpAdd, terms)
 			}
 		}
 	}
@@ -212,10 +226,10 @@ func simplifyArith(op Op, flat []Expr) Expr {
 		return rest[0]
 	}
 	sortExprs(rest)
-	return mkNary(op, rest)
+	return tab.mkNary(op, rest)
 }
 
-func simplifyBool(op Op, flat []Expr) Expr {
+func (tab *Table) simplifyBool(op Op, flat []Expr) Expr {
 	// Identity/annihilator constants, idempotence, complements.
 	seen := make(map[string]Expr)
 	rest := make([]Expr, 0, len(flat))
@@ -238,7 +252,7 @@ func simplifyBool(op Op, flat []Expr) Expr {
 	}
 	// Complement detection: x together with !x.
 	for _, a := range rest {
-		neg := simplifyNot(a)
+		neg := tab.simplifyNot(a)
 		if _, ok := seen[neg.Key()]; ok {
 			if op == OpAnd {
 				return Bool{V: false}
@@ -253,10 +267,10 @@ func simplifyBool(op Op, flat []Expr) Expr {
 		return rest[0]
 	}
 	sortExprs(rest)
-	return mkNary(op, rest)
+	return tab.mkNary(op, rest)
 }
 
-func simplifyBin(op Op, l, r Expr) Expr {
+func (tab *Table) simplifyBin(op Op, l, r Expr) Expr {
 	ln, lok := l.(Num)
 	rn, rok := r.(Num)
 	if lok && rok {
@@ -289,11 +303,11 @@ func simplifyBin(op Op, l, r Expr) Expr {
 	// Canonicalize comparison direction: a > b ⇒ b < a, a >= b ⇒ b <= a.
 	switch op {
 	case OpGt:
-		return binOrSame(OpLt, r, l)
+		return tab.binOrSame(OpLt, r, l)
 	case OpGe:
-		return binOrSame(OpLe, r, l)
+		return tab.binOrSame(OpLe, r, l)
 	case OpLt, OpLe:
-		return binOrSame(op, l, r)
+		return tab.binOrSame(op, l, r)
 	case OpEq, OpNe:
 		if l.Key() == r.Key() {
 			return Bool{V: op == OpEq}
@@ -306,15 +320,15 @@ func simplifyBin(op Op, l, r Expr) Expr {
 			return l
 		}
 	}
-	return mkBin(op, l, r)
+	return tab.mkBin(op, l, r)
 }
 
 // binOrSame folds reflexive comparisons: x < x ⇒ false, x <= x ⇒ true.
-func binOrSame(op Op, l, r Expr) Expr {
+func (tab *Table) binOrSame(op Op, l, r Expr) Expr {
 	if l.Key() == r.Key() {
 		return Bool{V: op == OpLe}
 	}
-	return mkBin(op, l, r)
+	return tab.mkBin(op, l, r)
 }
 
 // isBoolish reports whether an expression is boolean-valued, enabling
@@ -334,7 +348,7 @@ func isBoolish(e Expr) bool {
 	return false
 }
 
-func simplifyCond(c, t, f Expr) Expr {
+func (tab *Table) simplifyCond(c, t, f Expr) Expr {
 	if b, ok := c.(Bool); ok {
 		if b.V {
 			return t
@@ -349,13 +363,13 @@ func simplifyCond(c, t, f Expr) Expr {
 		fb, fok := f.(Bool)
 		switch {
 		case tok && tb.V: // c ? true : f  ⇒  c || f
-			return simplifyNary(OpOr, []Expr{c, f})
+			return tab.simplifyNary(OpOr, []Expr{c, f})
 		case tok && !tb.V: // c ? false : f  ⇒  !c && f
-			return simplifyNary(OpAnd, []Expr{simplifyNot(c), f})
+			return tab.simplifyNary(OpAnd, []Expr{tab.simplifyNot(c), f})
 		case fok && fb.V: // c ? t : true  ⇒  !c || t
-			return simplifyNary(OpOr, []Expr{simplifyNot(c), t})
+			return tab.simplifyNary(OpOr, []Expr{tab.simplifyNot(c), t})
 		case fok && !fb.V: // c ? t : false  ⇒  c && t
-			return simplifyNary(OpAnd, []Expr{c, t})
+			return tab.simplifyNary(OpAnd, []Expr{c, t})
 		}
 	}
 	// Factor common additive terms out of the branches:
@@ -363,14 +377,14 @@ func simplifyCond(c, t, f Expr) Expr {
 	// accumulate-under-a-guard pattern that guarded recursion (the
 	// §7.2 loop replacement) produces, so that
 	// cond(c1,t+v1,t)+... sorts into t + cond(c1,v1,0) + cond(c2,v2,0).
-	if factored, ok := factorCondAdd(c, t, f); ok {
+	if factored, ok := tab.factorCondAdd(c, t, f); ok {
 		return factored
 	}
 	// Canonicalize the branch order using the condition's negation.
 	if n, ok := c.(*Not); ok {
-		return mkCond(n.X, f, t)
+		return tab.mkCond(n.X, f, t)
 	}
-	return mkCond(c, t, f)
+	return tab.mkCond(c, t, f)
 }
 
 // addTerms flattens an expression into additive terms.
@@ -383,7 +397,7 @@ func addTerms(e Expr) []Expr {
 
 // factorCondAdd extracts the common additive terms of a conditional's
 // branches.
-func factorCondAdd(c, t, f Expr) (Expr, bool) {
+func (tab *Table) factorCondAdd(c, t, f Expr) (Expr, bool) {
 	tt := addTerms(t)
 	ft := addTerms(f)
 	if len(tt) == 1 && len(ft) == 1 {
@@ -427,7 +441,7 @@ func factorCondAdd(c, t, f Expr) (Expr, bool) {
 	case 1:
 		newT = restT[0]
 	default:
-		newT = simplifyNary(OpAdd, restT)
+		newT = tab.simplifyNary(OpAdd, restT)
 	}
 	switch len(restF) {
 	case 0:
@@ -435,17 +449,17 @@ func factorCondAdd(c, t, f Expr) (Expr, bool) {
 	case 1:
 		newF = restF[0]
 	default:
-		newF = simplifyNary(OpAdd, restF)
+		newF = tab.simplifyNary(OpAdd, restF)
 	}
-	inner := simplifyCond(c, newT, newF)
-	return simplifyNary(OpAdd, append(common, inner)), true
+	inner := tab.simplifyCond(c, newT, newF)
+	return tab.simplifyNary(OpAdd, append(common, inner)), true
 }
 
 // simplifyArrUpd canonicalizes chains of elementwise updates with the
 // same commutative operator by sorting the operands.
-func simplifyArrUpd(arr Expr, op Op, operand Expr) Expr {
+func (tab *Table) simplifyArrUpd(arr Expr, op Op, operand Expr) Expr {
 	if !op.Commutative() {
-		return mkArrUpd(arr, op, operand)
+		return tab.mkArrUpd(arr, op, operand)
 	}
 	// Collect the chain.
 	operands := []Expr{operand}
@@ -461,7 +475,7 @@ func simplifyArrUpd(arr Expr, op Op, operand Expr) Expr {
 	sortExprs(operands)
 	out := base
 	for i := len(operands) - 1; i >= 0; i-- {
-		out = mkArrUpd(out, op, operands[i])
+		out = tab.mkArrUpd(out, op, operands[i])
 	}
 	return out
 }
@@ -470,8 +484,8 @@ func simplifyArrUpd(arr Expr, op Op, operand Expr) Expr {
 // a[i] = a[i] ⊕ d rewrite to AccumAt (which commutes); adjacent plain
 // stores to distinct constant indices are ordered by index; a store
 // shadowed by a later store to the same index is dropped.
-func simplifyArrStore(arr, idx, val Expr) Expr {
-	if acc, ok := recognizeAccum(arr, idx, val); ok {
+func (tab *Table) simplifyArrStore(arr, idx, val Expr) Expr {
+	if acc, ok := tab.recognizeAccum(arr, idx, val); ok {
 		return acc
 	}
 	if inner, ok := arr.(*ArrStore); ok {
@@ -480,22 +494,22 @@ func simplifyArrStore(arr, idx, val Expr) Expr {
 		if iok && ook {
 			if ii.V == oi.V {
 				// The outer store shadows the inner one.
-				return simplifyArrStore(inner.Arr, idx, val)
+				return tab.simplifyArrStore(inner.Arr, idx, val)
 			}
 			if oi.V < ii.V {
 				// Reorder: stores to distinct indices commute.
-				return mkArrStore(
-					simplifyArrStore(inner.Arr, idx, val),
+				return tab.mkArrStore(
+					tab.simplifyArrStore(inner.Arr, idx, val),
 					inner.Idx,
 					inner.Val,
 				)
 			}
 		}
 	}
-	return mkArrStore(arr, idx, val)
+	return tab.mkArrStore(arr, idx, val)
 }
 
-func simplifyArrSel(arr, idx Expr) Expr {
+func (tab *Table) simplifyArrSel(arr, idx Expr) Expr {
 	switch a := arr.(type) {
 	case *ArrFill:
 		return a.Elem
@@ -506,22 +520,22 @@ func simplifyArrSel(arr, idx Expr) Expr {
 			if si.V == qi.V {
 				return a.Val
 			}
-			return simplifyArrSel(a.Arr, idx)
+			return tab.simplifyArrSel(a.Arr, idx)
 		}
 		if a.Idx.Key() == idx.Key() {
 			return a.Val
 		}
 	case *AccumAt:
 		if a.Idx.Key() == idx.Key() {
-			return simplifyNary(a.Op, []Expr{simplifyArrSel(a.Arr, idx), a.Delta})
+			return tab.simplifyNary(a.Op, []Expr{tab.simplifyArrSel(a.Arr, idx), a.Delta})
 		}
 		ai, aok := a.Idx.(Num)
 		qi, qok := idx.(Num)
 		if aok && qok && ai.V != qi.V {
-			return simplifyArrSel(a.Arr, idx)
+			return tab.simplifyArrSel(a.Arr, idx)
 		}
 	}
-	return mkArrSel(arr, idx)
+	return tab.mkArrSel(arr, idx)
 }
 
 // recognizeAccum matches a store of the form a[i] = a[i] ⊕ d (with the
@@ -531,7 +545,7 @@ func simplifyArrSel(arr, idx Expr) Expr {
 // select may also reference the chain's base array; in that additive
 // case the store overwrites index i with base[i]+D, which is the
 // accumulation of D minus the chain's existing deltas at i.
-func recognizeAccum(arr, idx, val Expr) (Expr, bool) {
+func (tab *Table) recognizeAccum(arr, idx, val Expr) (Expr, bool) {
 	var op Op
 	var args []Expr
 	switch v := val.(type) {
@@ -582,17 +596,17 @@ func recognizeAccum(arr, idx, val Expr) (Expr, bool) {
 				return nil, false
 			}
 			if e.idx.Key() == idx.Key() {
-				rest = append(rest, mkNeg(e.delta))
+				rest = append(rest, tab.mkNeg(e.delta))
 			}
 		}
 	}
 	var delta Expr
 	if len(rest) == 1 {
-		delta = Simplify(rest[0])
+		delta = tab.simplify(rest[0])
 	} else {
-		delta = Simplify(mkNary(op, rest))
+		delta = tab.simplify(tab.mkNary(op, rest))
 	}
-	return canonAccum(arr, op, idx, delta), true
+	return tab.canonAccum(arr, op, idx, delta), true
 }
 
 // accumEntry is one accumulation step of a chain.
@@ -620,7 +634,7 @@ func accumChain(arr Expr) (Expr, []accumEntry) {
 // canonAccum sorts chains of same-operator accumulations by
 // (index, delta) canonical key — accumulations into array elements
 // commute regardless of index equality.
-func canonAccum(arr Expr, op Op, idx, delta Expr) Expr {
+func (tab *Table) canonAccum(arr Expr, op Op, idx, delta Expr) Expr {
 	type entry struct{ idx, delta Expr }
 	entries := []entry{{idx, delta}}
 	base := arr
@@ -632,43 +646,41 @@ func canonAccum(arr Expr, op Op, idx, delta Expr) Expr {
 		entries = append(entries, entry{inner.Idx, inner.Delta})
 		base = inner.Arr
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		ki := entries[i].idx.Key() + "\x00" + entries[i].delta.Key()
-		kj := entries[j].idx.Key() + "\x00" + entries[j].delta.Key()
-		return ki < kj
+	slices.SortFunc(entries, func(a, b entry) int {
+		return cmp.Or(strings.Compare(a.idx.Key(), b.idx.Key()), strings.Compare(a.delta.Key(), b.delta.Key()))
 	})
 	out := base
 	for i := len(entries) - 1; i >= 0; i-- {
-		out = mkAccumAt(out, op, entries[i].idx, entries[i].delta)
+		out = tab.mkAccumAt(out, op, entries[i].idx, entries[i].delta)
 	}
 	return out
 }
 
 func sortExprs(xs []Expr) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i].Key() < xs[j].Key() })
+	slices.SortFunc(xs, func(a, b Expr) int { return strings.Compare(a.Key(), b.Key()) })
 }
 
-// SimplifyMX simplifies an invocation expression's components, reusing
-// unchanged pieces.
-func SimplifyMX(m MX) MX {
+// SimplifyMX simplifies an invocation expression's components in tab,
+// reusing unchanged pieces.
+func SimplifyMX(tab *Table, m MX) MX {
 	out := MX{
-		Guard:  Simplify(m.Guard),
-		Recv:   Simplify(m.Recv),
+		Guard:  tab.simplify(m.Guard),
+		Recv:   tab.simplify(m.Recv),
 		Method: m.Method,
 		Loop:   m.Loop,
 	}
 	if m.Loop != nil {
 		out.Loop = &LoopSpec{
 			Var:  m.Loop.Var,
-			From: Simplify(m.Loop.From),
-			To:   Simplify(m.Loop.To),
-			Step: Simplify(m.Loop.Step),
+			From: tab.simplify(m.Loop.From),
+			To:   tab.simplify(m.Loop.To),
+			Step: tab.simplify(m.Loop.Step),
 		}
 	}
 	changed := false
 	args := make([]Expr, len(m.Args))
 	for i, a := range m.Args {
-		args[i] = Simplify(a)
+		args[i] = tab.simplify(a)
 		if args[i] != a {
 			changed = true
 		}
@@ -681,11 +693,11 @@ func SimplifyMX(m MX) MX {
 	return out
 }
 
-// SimplifyMultiset simplifies every invocation of the multiset.
-func SimplifyMultiset(ms Multiset) Multiset {
+// SimplifyMultiset simplifies every invocation of the multiset in tab.
+func SimplifyMultiset(tab *Table, ms Multiset) Multiset {
 	out := make(Multiset, 0, len(ms))
 	for _, m := range ms {
-		sm := SimplifyMX(m)
+		sm := SimplifyMX(tab, m)
 		if sm.Guard != nil && sm.Guard.Key() == "false" {
 			continue
 		}

@@ -53,15 +53,15 @@ func Walk(e Expr, f func(Expr) bool) {
 }
 
 // Subst replaces every subexpression whose canonical Key appears in
-// repl with the corresponding replacement and returns the interned
-// result. Matching is by Key, so the same condition expression is
+// repl with the corresponding replacement and returns the result
+// interned in tab. Matching is by Key, so the same condition expression is
 // replaced wherever it occurs, however the tree was built. The result
 // is not simplified; callers normally pass it through Simplify.
-func Subst(e Expr, repl map[string]Expr) Expr {
+func Subst(tab *Table, e Expr, repl map[string]Expr) Expr {
 	if e == nil || len(repl) == 0 {
 		return e
 	}
-	return Intern(subst(e, repl))
+	return Intern(tab, subst(e, repl))
 }
 
 func subst(e Expr, repl map[string]Expr) Expr {
@@ -150,8 +150,8 @@ func substSlice(args []Expr, repl map[string]Expr) ([]Expr, bool) {
 	return out, changed
 }
 
-// MkNot returns the interned boolean negation of x.
-func MkNot(x Expr) Expr { return mkNot(x) }
+// MkNot returns the boolean negation of x, interned in tab.
+func MkNot(tab *Table, x Expr) Expr { return tab.mkNot(x) }
 
-// MkBin returns the interned binary application op(l, r).
-func MkBin(op Op, l, r Expr) Expr { return mkBin(op, l, r) }
+// MkBin returns the binary application op(l, r), interned in tab.
+func MkBin(tab *Table, op Op, l, r Expr) Expr { return tab.mkBin(op, l, r) }

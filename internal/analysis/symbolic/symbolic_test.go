@@ -215,24 +215,28 @@ func TestSimplifyRules(t *testing.T) {
 		}, "y"},
 		{&symbolic.ArrSel{Arr: &symbolic.ArrFill{Elem: y}, Idx: x}, "y"},
 	}
-	for _, tc := range cases {
-		got := symbolic.Simplify(tc.in).Key()
-		if got != tc.want {
-			t.Errorf("Simplify(%s) = %s, want %s", tc.in.Key(), got, tc.want)
+	// A table interns what the rules build; no table builds it uninterned.
+	for _, tab := range []*symbolic.Table{symbolic.NewTable(), nil} {
+		for _, tc := range cases {
+			got := symbolic.Simplify(tab, tc.in).Key()
+			if got != tc.want {
+				t.Errorf("Simplify(%s) = %s, want %s (table %v)", tc.in.Key(), got, tc.want, tab != nil)
+			}
 		}
 	}
 }
 
 func TestArrUpdChainCanonicalization(t *testing.T) {
+	tab := symbolic.NewTable()
 	a := symbolic.Var{Name: "a"}
 	c1 := symbolic.Extent{ID: "c1"}
 	c2 := symbolic.Extent{ID: "c2"}
-	ab := symbolic.Simplify(&symbolic.ArrUpd{
+	ab := symbolic.Simplify(tab, &symbolic.ArrUpd{
 		Arr:     &symbolic.ArrUpd{Arr: a, Op: symbolic.OpAdd, Operand: c1},
 		Op:      symbolic.OpAdd,
 		Operand: c2,
 	})
-	ba := symbolic.Simplify(&symbolic.ArrUpd{
+	ba := symbolic.Simplify(tab, &symbolic.ArrUpd{
 		Arr:     &symbolic.ArrUpd{Arr: a, Op: symbolic.OpAdd, Operand: c2},
 		Op:      symbolic.OpAdd,
 		Operand: c1,
@@ -241,12 +245,12 @@ func TestArrUpdChainCanonicalization(t *testing.T) {
 		t.Errorf("update chains should canonicalize equal: %s vs %s", ab.Key(), ba.Key())
 	}
 	// Mixed operators do not reorder.
-	mixed1 := symbolic.Simplify(&symbolic.ArrUpd{
+	mixed1 := symbolic.Simplify(tab, &symbolic.ArrUpd{
 		Arr:     &symbolic.ArrUpd{Arr: a, Op: symbolic.OpAdd, Operand: c1},
 		Op:      symbolic.OpMul,
 		Operand: c2,
 	})
-	mixed2 := symbolic.Simplify(&symbolic.ArrUpd{
+	mixed2 := symbolic.Simplify(tab, &symbolic.ArrUpd{
 		Arr:     &symbolic.ArrUpd{Arr: a, Op: symbolic.OpMul, Operand: c2},
 		Op:      symbolic.OpAdd,
 		Operand: c1,

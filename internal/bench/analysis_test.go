@@ -48,7 +48,7 @@ func BenchmarkAnalyzeWater(b *testing.B) {
 func BenchmarkSimplifyDeep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		symbolic.Simplify(DeepExpr(200))
+		symbolic.Simplify(symbolic.NewTable(), DeepExpr(200))
 	}
 }
 

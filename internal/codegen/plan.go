@@ -8,8 +8,10 @@
 package codegen
 
 import (
+	"cmp"
 	"maps"
-	"sort"
+	"slices"
+	"strings"
 
 	"commute/internal/analysis/effects"
 	"commute/internal/cond"
@@ -677,12 +679,9 @@ func (p *Plan) findLoops() {
 			return true
 		})
 	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Name != candidates[j].Name {
-			return candidates[i].Name < candidates[j].Name
-		}
-		pi, pj := candidates[i].Stmt.Pos(), candidates[j].Stmt.Pos()
-		return pi.Line < pj.Line
+	slices.SortFunc(candidates, func(a, b *LoopPlan) int {
+		pa, pb := a.Stmt.Pos(), b.Stmt.Pos()
+		return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(pa.Line, pb.Line), cmp.Compare(pa.Col, pb.Col))
 	})
 	p.LoopsFound = len(candidates)
 

@@ -180,13 +180,15 @@ const maxCaseConds = 3
 // specialized values. The result is the disjunction over all
 // assignments — exactly the states in which executing the two
 // operations in either order leaves this instance variable identical.
-func Residual(v12, v21 symbolic.Expr) Pred {
+// The expressions it builds are interned in tab, the table of the
+// execution that produced the two values.
+func Residual(tab *symbolic.Table, v12, v21 symbolic.Expr) Pred {
 	if symbolic.Equal(v12, v21) {
 		return True{}
 	}
 	conds := embeddedConds(v12, v21)
 	if len(conds) == 0 || len(conds) > maxCaseConds {
-		return MkAtom(eq(v12, v21))
+		return MkAtom(eq(tab, v12, v21))
 	}
 	var cases []Pred
 	for mask := 0; mask < 1<<len(conds); mask++ {
@@ -198,13 +200,13 @@ func Residual(v12, v21 symbolic.Expr) Pred {
 			if val {
 				assume = append(assume, MkAtom(c))
 			} else {
-				assume = append(assume, MkAtom(symbolic.Simplify(symbolic.MkNot(c))))
+				assume = append(assume, MkAtom(symbolic.Simplify(tab, symbolic.MkNot(tab, c))))
 			}
 		}
-		a12 := symbolic.Simplify(symbolic.Subst(v12, repl))
-		a21 := symbolic.Simplify(symbolic.Subst(v21, repl))
+		a12 := symbolic.Simplify(tab, symbolic.Subst(tab, v12, repl))
+		a21 := symbolic.Simplify(tab, symbolic.Subst(tab, v21, repl))
 		if !symbolic.Equal(a12, a21) {
-			assume = append(assume, MkAtom(eq(a12, a21)))
+			assume = append(assume, MkAtom(eq(tab, a12, a21)))
 		}
 		cases = append(cases, MkAnd(assume...))
 	}
@@ -212,8 +214,8 @@ func Residual(v12, v21 symbolic.Expr) Pred {
 }
 
 // eq builds the simplified equality of two symbolic values.
-func eq(a, b symbolic.Expr) symbolic.Expr {
-	return symbolic.Simplify(symbolic.MkBin(symbolic.OpEq, a, b))
+func eq(tab *symbolic.Table, a, b symbolic.Expr) symbolic.Expr {
+	return symbolic.Simplify(tab, symbolic.MkBin(tab, symbolic.OpEq, a, b))
 }
 
 // embeddedConds returns the distinct Cond conditions appearing

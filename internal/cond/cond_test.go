@@ -9,10 +9,10 @@ import (
 )
 
 // modeEq builds the canonical guard atom of the conditional corpus
-// app: ⟨ec:table.mode@global:H⟩ == 0.
+// app, ⟨ec:table.mode@global:H⟩ == 0, uninterned.
 func modeEq(t *testing.T) symbolic.Expr {
 	t.Helper()
-	return symbolic.Intern(&symbolic.Bin{
+	return symbolic.Intern(nil, &symbolic.Bin{
 		Op: symbolic.OpEq,
 		L:  symbolic.Extent{ID: "ec:table.mode@global:H"},
 		R:  symbolic.Num{V: 0, IsInt: true},
@@ -20,6 +20,7 @@ func modeEq(t *testing.T) symbolic.Expr {
 }
 
 func TestConstructors(t *testing.T) {
+	tab := symbolic.NewTable()
 	c := MkAtom(modeEq(t))
 	if got := MkAnd(True{}, c, c).Key(); got != c.Key() {
 		t.Errorf("MkAnd(true, c, c) = %s, want %s", got, c.Key())
@@ -40,7 +41,7 @@ func TestConstructors(t *testing.T) {
 		t.Errorf("empty MkOr should be False")
 	}
 	// Nested conjunctions flatten and dedup by key.
-	d := MkAtom(symbolic.Intern(&symbolic.Bin{
+	d := MkAtom(symbolic.Intern(tab, &symbolic.Bin{
 		Op: symbolic.OpLt,
 		L:  symbolic.Extent{ID: "ec:table.cap@global:H"},
 		R:  symbolic.Num{V: 8, IsInt: true},
@@ -89,24 +90,25 @@ func TestParseFieldRef(t *testing.T) {
 // the simplifier's output for a conditional update: the condition is
 // factored inside an addition rather than at the root.
 func TestResidualCaseSplit(t *testing.T) {
+	tab := symbolic.NewTable()
 	c := modeEq(t)
 	old := symbolic.Var{Name: "table.count"}
 	v1 := symbolic.Var{Name: "1:v"}
 	v2 := symbolic.Var{Name: "2:v"}
 	// v12 = old + (c ? v1+v2 : v2); v21 = old + (c ? v1+v2 : v1)
-	both := symbolic.Intern(&symbolic.Nary{Op: symbolic.OpAdd, Args: []symbolic.Expr{v1, v2}})
-	v12 := symbolic.Simplify(symbolic.Intern(&symbolic.Nary{
+	both := symbolic.Intern(tab, &symbolic.Nary{Op: symbolic.OpAdd, Args: []symbolic.Expr{v1, v2}})
+	v12 := symbolic.Simplify(tab, symbolic.Intern(tab, &symbolic.Nary{
 		Op:   symbolic.OpAdd,
 		Args: []symbolic.Expr{old, &symbolic.Cond{C: c, T: both, F: v2}},
 	}))
-	v21 := symbolic.Simplify(symbolic.Intern(&symbolic.Nary{
+	v21 := symbolic.Simplify(tab, symbolic.Intern(tab, &symbolic.Nary{
 		Op:   symbolic.OpAdd,
 		Args: []symbolic.Expr{old, &symbolic.Cond{C: c, T: both, F: v1}},
 	}))
 	if symbolic.Equal(v12, v21) {
 		t.Fatalf("test wants unequal values, got both %s", v12.Key())
 	}
-	p := Residual(v12, v21)
+	p := Residual(tab, v12, v21)
 	if p == nil {
 		t.Fatal("Residual returned nil")
 	}
@@ -116,7 +118,7 @@ func TestResidualCaseSplit(t *testing.T) {
 	// The weakened guard keeps exactly the c-true case: parameters are
 	// not evaluable at region entry.
 	g := Guard(p)
-	if want := symbolic.Simplify(c).Key(); g.Key() != want {
+	if want := symbolic.Simplify(tab, c).Key(); g.Key() != want {
 		t.Fatalf("Guard(%s) = %s, want %s", p.Key(), g.Key(), want)
 	}
 	var refs []FieldRef
@@ -130,16 +132,18 @@ func TestResidualCaseSplit(t *testing.T) {
 }
 
 func TestResidualEqualValues(t *testing.T) {
+	tab := symbolic.NewTable()
 	v := symbolic.Var{Name: "table.count"}
-	if _, ok := Residual(v, v).(True); !ok {
+	if _, ok := Residual(tab, v, v).(True); !ok {
 		t.Errorf("Residual of equal values should be True")
 	}
 }
 
 func TestResidualNoEmbeddedCond(t *testing.T) {
+	tab := symbolic.NewTable()
 	a := symbolic.Var{Name: "1:v"}
 	b := symbolic.Var{Name: "2:v"}
-	p := Residual(a, b)
+	p := Residual(tab, a, b)
 	at, ok := p.(Atom)
 	if !ok {
 		t.Fatalf("Residual(%s, %s) = %s, want equality atom", a.Key(), b.Key(), p.Key())
@@ -153,6 +157,7 @@ func TestResidualNoEmbeddedCond(t *testing.T) {
 }
 
 func TestGuardableFragment(t *testing.T) {
+	tab := symbolic.NewTable()
 	c := modeEq(t)
 	if !Guardable(c) {
 		t.Errorf("%s should be guardable", c.Key())
@@ -163,7 +168,7 @@ func TestGuardableFragment(t *testing.T) {
 	if Guardable(symbolic.Extent{ID: "aux3:ret"}) {
 		t.Errorf("auxiliary results are not guardable")
 	}
-	div := symbolic.Intern(&symbolic.Bin{
+	div := symbolic.Intern(tab, &symbolic.Bin{
 		Op: symbolic.OpDiv,
 		L:  symbolic.Extent{ID: "ec:table.mode@global:H"},
 		R:  symbolic.Num{V: 2, IsInt: true},
@@ -171,7 +176,7 @@ func TestGuardableFragment(t *testing.T) {
 	if Guardable(div) {
 		t.Errorf("division is excluded from the guardable fragment")
 	}
-	not := symbolic.MkNot(c)
+	not := symbolic.MkNot(tab, c)
 	if !Guardable(not) {
 		t.Errorf("negated comparisons are guardable")
 	}
@@ -217,7 +222,7 @@ func guardRows() []guardRow {
 		{name: "not", p: atom(&symbolic.Not{X: modeIs0}), goText: "!(G_H.F_mode == 0)", holds: "FTFT"},
 		{name: "mixed comparison promotes", p: atom(bin(symbolic.OpLt, scale, num(2, true))),
 			goText: "G_H.F_scale < float64(2)", holds: "TFTF"},
-		{name: "or of atom and not", p: MkOr(atom(modeIs0), atom(symbolic.MkNot(modeIs0))),
+		{name: "or of atom and not", p: MkOr(atom(modeIs0), atom(symbolic.MkNot(nil, modeIs0))),
 			goText: "(G_H.F_mode == 0) || (!(G_H.F_mode == 0))", holds: "TTTT"},
 		{name: "and of three", p: &And{Ps: []Pred{atom(modeIs0), atom(on), atom(bin(symbolic.OpLt, bias, num(8, true)))}},
 			goText: "(G_H.F_mode == 0) && G_H.F_on && (G_H.F_bias < 8)", holds: "FFTF"},

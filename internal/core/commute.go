@@ -85,7 +85,7 @@ func commuteSymbolic(m1, m2 *types.Method, env *symbolic.Env) PairResult {
 			if pr.Reason == "" {
 				pr.Reason = fmt.Sprintf("instance variable %s: %s vs %s", k, v12.Key(), v21.Key())
 			}
-			residuals = append(residuals, cond.Residual(v12, v21))
+			residuals = append(residuals, cond.Residual(env.Table(), v12, v21))
 		}
 	}
 	if len(residuals) > 0 {

@@ -6,9 +6,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"commute/internal/analysis/effects"
@@ -406,7 +407,7 @@ func (a *Analysis) AnalyzeAll() []*MethodReport {
 			methods = append(methods, m)
 		}
 	}
-	sort.Slice(methods, func(i, j int) bool { return methods[i].ID < methods[j].ID })
+	slices.SortFunc(methods, func(a, b *types.Method) int { return cmp.Compare(a.ID, b.ID) })
 
 	if w := a.workerCount(len(methods)); w > 1 {
 		ch := make(chan *types.Method)

@@ -228,8 +228,18 @@ func (*ReturnStmt) stmtNode() {}
 // Expr is an expression node.
 type Expr interface {
 	Node
-	exprNode()
+	// Num is the number types.Check gives the expression, its index in
+	// the checked program's expression table; 0 before any check. A file
+	// checked again is numbered again.
+	Num() int32
+	SetNum(int32)
 }
+
+// exprNum carries Expr.Num; every expression node embeds it.
+type exprNum struct{ num int32 }
+
+func (e *exprNum) Num() int32     { return e.num }
+func (e *exprNum) SetNum(n int32) { e.num = n }
 
 // Coercion is the store-coercion kind precomputed by the interpreter's
 // resolution pass: what implicit numeric conversion a value assigned
@@ -246,7 +256,7 @@ const (
 )
 
 // SymKind classifies what an identifier resolved to.
-type SymKind int
+type SymKind uint8
 
 // Identifier resolution classes, filled in by the type checker.
 const (
@@ -269,43 +279,50 @@ const (
 // global-table index (SymGlobal).
 type Ident struct {
 	Name       string
-	Sym        SymKind
 	FieldClass string // class where the field is declared (SymField)
 	Slot       int32
-	Coerce     Coercion
-	TokPos     token.Pos
+	exprNum
+	Sym    SymKind
+	Coerce Coercion
+	TokPos token.Pos
 }
 
 // ThisExpr is the receiver reference `this`.
 type ThisExpr struct {
 	TokPos token.Pos
+	exprNum
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
+	exprNum
 	Value  int64
 	TokPos token.Pos
 }
 
 // FloatLit is a floating literal.
 type FloatLit struct {
+	exprNum
 	Value  float64
 	TokPos token.Pos
 }
 
 // BoolLit is TRUE or FALSE.
 type BoolLit struct {
-	Value  bool
+	Value bool
+	exprNum
 	TokPos token.Pos
 }
 
 // NullLit is NULL.
 type NullLit struct {
+	exprNum
 	TokPos token.Pos
 }
 
 // StringLit is a string literal (print builtins only).
 type StringLit struct {
+	exprNum
 	Value  string
 	TokPos token.Pos
 }
@@ -315,9 +332,10 @@ type StringLit struct {
 // Slot is the static object-slot offset of the field and Coerce the
 // store coercion, both filled by the interpreter's resolution pass.
 type FieldAccess struct {
-	X         Expr
-	Name      string
-	Arrow     bool
+	X     Expr
+	Name  string
+	Arrow bool
+	exprNum
 	DeclClass string
 	Slot      int32
 	Coerce    Coercion
@@ -330,6 +348,7 @@ type IndexExpr struct {
 	X      Expr
 	Index  Expr
 	Coerce Coercion
+	exprNum
 	TokPos token.Pos
 }
 
@@ -342,8 +361,9 @@ type IndexExpr struct {
 // Site is the global call-site ID assigned by the type checker
 // (builtins get Site == -1).
 type CallExpr struct {
-	Recv    Expr // nil for builtins and implicit-this calls
-	Arrow   bool // Recv->M vs Recv.M
+	Recv  Expr // nil for builtins and implicit-this calls
+	Arrow bool // Recv->M vs Recv.M
+	exprNum
 	Method  string
 	Args    []Expr
 	Builtin bool
@@ -356,7 +376,8 @@ type CallExpr struct {
 type NewExpr struct {
 	ClassName string
 	ClassIdx  int32
-	TokPos    token.Pos
+	exprNum
+	TokPos token.Pos
 }
 
 // CastExpr is `dynamic_cast<cl*>(X)` (or the C-style `(cl*)X`).
@@ -365,14 +386,16 @@ type NewExpr struct {
 type CastExpr struct {
 	ClassName string
 	ClassIdx  int32
-	X         Expr
-	Dynamic   bool // true for dynamic_cast (runtime-checked, NULL on failure)
-	TokPos    token.Pos
+	exprNum
+	X       Expr
+	Dynamic bool // true for dynamic_cast (runtime-checked, NULL on failure)
+	TokPos  token.Pos
 }
 
 // Unary is `Op X` (prefix). INC/DEC are desugared by the parser into
 // Assign nodes, so Op is one of -, !.
 type Unary struct {
+	exprNum
 	Op     token.Kind
 	X      Expr
 	TokPos token.Pos
@@ -380,6 +403,7 @@ type Unary struct {
 
 // Binary is `X Op Y`.
 type Binary struct {
+	exprNum
 	Op     token.Kind
 	X, Y   Expr
 	TokPos token.Pos
@@ -387,6 +411,7 @@ type Binary struct {
 
 // Assign is `LHS op= RHS`; Op is one of =, +=, -=, *=, /=.
 type Assign struct {
+	exprNum
 	Op     token.Kind
 	LHS    Expr
 	RHS    Expr
@@ -408,19 +433,3 @@ func (e *CastExpr) Pos() token.Pos    { return e.TokPos }
 func (e *Unary) Pos() token.Pos       { return e.TokPos }
 func (e *Binary) Pos() token.Pos      { return e.TokPos }
 func (e *Assign) Pos() token.Pos      { return e.TokPos }
-
-func (*Ident) exprNode()       {}
-func (*ThisExpr) exprNode()    {}
-func (*IntLit) exprNode()      {}
-func (*FloatLit) exprNode()    {}
-func (*BoolLit) exprNode()     {}
-func (*NullLit) exprNode()     {}
-func (*StringLit) exprNode()   {}
-func (*FieldAccess) exprNode() {}
-func (*IndexExpr) exprNode()   {}
-func (*CallExpr) exprNode()    {}
-func (*NewExpr) exprNode()     {}
-func (*CastExpr) exprNode()    {}
-func (*Unary) exprNode()       {}
-func (*Binary) exprNode()      {}
-func (*Assign) exprNode()      {}

@@ -22,13 +22,15 @@ type checker struct {
 // program. Class, constant, and global declarations are visible to all
 // files regardless of order within a file set.
 func Check(files ...*ast.File) (*Program, error) {
-	// ExprType gets one entry per expression: size it once.
-	exprs, size := 0, 0
+	// Number the expressions: ExprType has one entry per number.
+	var exprs int32
+	size := 0
 	for _, f := range files {
 		size += f.Size
 		ast.Inspect(f, func(n ast.Node) bool {
-			if _, ok := n.(ast.Expr); ok {
+			if e, ok := n.(ast.Expr); ok {
 				exprs++
+				e.SetNum(exprs)
 			}
 			return true
 		})
@@ -38,7 +40,7 @@ func Check(files ...*ast.File) (*Program, error) {
 		Funcs:    make(map[string]*Method),
 		Globals:  make(map[string]*Global),
 		Consts:   make(map[string]ConstVal),
-		ExprType: make(map[ast.Expr]Type, exprs),
+		ExprType: make([]Type, exprs+1),
 		DeclType: make(map[*ast.DeclStmt]Type),
 
 		SourceBytes: size,

@@ -168,7 +168,7 @@ func (c *checker) checkAssignable(to, from Type, pos token.Pos, what string) {
 
 // setType records and returns an expression's type.
 func (c *checker) setType(e ast.Expr, t Type) Type {
-	c.prog.ExprType[e] = t
+	c.prog.ExprType[e.Num()] = t
 	return t
 }
 

@@ -324,8 +324,9 @@ type Program struct {
 
 	SourceBytes int // Σ ast.File.Size of the checked files
 
-	// ExprType records the checked type of every expression.
-	ExprType map[ast.Expr]Type
+	// ExprType records the checked type of every expression, indexed
+	// by the expression's number (ast.Expr.Num).
+	ExprType []Type
 	// DeclType records the resolved type of every local declaration.
 	DeclType map[*ast.DeclStmt]Type
 	// EnclosingMethod maps each call site ID back to its method (same
@@ -333,7 +334,12 @@ type Program struct {
 }
 
 // TypeOf returns the checked type of e.
-func (p *Program) TypeOf(e ast.Expr) Type { return p.ExprType[e] }
+func (p *Program) TypeOf(e ast.Expr) Type {
+	if e == nil || int(e.Num()) >= len(p.ExprType) {
+		return nil
+	}
+	return p.ExprType[e.Num()]
+}
 
 // MethodByFullName resolves "class::name" or a free-function name.
 func (p *Program) MethodByFullName(full string) *Method {
