@@ -17,10 +17,10 @@ import (
 
 // TestAnalysisConcurrencyStress hammers the analysis pipeline the way a
 // busy daemon does: 16 goroutines share one fresh Analysis per
-// application (graph, Barnes-Hut, Water) that fans AnalyzeAll out across
-// four workers, mixing AnalyzeAll with per-method IsParallel lookups,
-// while a live commuted server concurrently cold-loads and serves
-// /v1/analyze for the same programs. Run under -race, it verifies the
+// application (graph, Barnes-Hut, Water), mixing AnalyzeAll with
+// per-method IsParallel lookups, while a live commuted server
+// concurrently cold-loads and serves /v1/analyze for the same
+// programs. Run under -race, it verifies the
 // report cells, effects memos, pair cache, and each analysis's
 // expression intern table publish safely under contention, and that
 // every goroutine observes the same published reports.
@@ -36,9 +36,7 @@ func TestAnalysisConcurrencyStress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		a := core.New(sys.Prog)
-		a.Workers = 4
-		analyses[name] = a
+		analyses[name] = core.New(sys.Prog)
 	}
 
 	srv := server.New(server.Config{Workers: 4, CacheBytes: 1 << 20})
@@ -56,8 +54,8 @@ func TestAnalysisConcurrencyStress(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				for name, a := range analyses {
-					// Shared-Analysis reads: the full fan-out and a few
-					// single-method lookups racing against it.
+					// Shared-Analysis reads: every report and a few
+					// single-method lookups racing against them.
 					reports := a.AnalyzeAll()
 					if len(reports) == 0 {
 						errc <- fmt.Errorf("goroutine %d: %s produced no reports", g, name)

@@ -74,8 +74,7 @@ type System struct {
 }
 
 // Load parses, type checks, analyzes, and plans a program written in
-// the mini-C++ dialect. The analysis phase fans out across GOMAXPROCS
-// goroutines.
+// the mini-C++ dialect. The analysis runs on the calling goroutine.
 func Load(name, source string) (*System, error) {
 	file, prog, err := check(name, source)
 	if err != nil {

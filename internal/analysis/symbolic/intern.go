@@ -1,9 +1,6 @@
 package symbolic
 
-import (
-	"hash/maphash"
-	"sync"
-)
+import "sync"
 
 // Table hash-conses the composite expressions of one analysis (§4.8.2
 // support). Every composite node built through a table goes through one
@@ -25,23 +22,14 @@ import (
 // Correctness never depends on canonicality, since nodes of different
 // tables, or of none, render the same Key(), which Equal falls back to.
 //
-// Safe for concurrent use. The analysis workers of one program share
-// the table; it is split into shards by key, each a pair of plain maps
-// behind a mutex, so that they seldom wait on one another.
+// Safe for concurrent use: the goroutines that ask one analysis for
+// reports at once share its table, one node map and one Simplify memo
+// behind one mutex.
 type Table struct {
-	seed   maphash.Seed
-	shards [8]shard
-}
-
-type shard struct {
 	mu         sync.Mutex
 	nodes      map[string]Expr // kind byte + canonical key → node
 	simplified map[Expr]Expr   // node → its Simplify
-	_          [40]byte        // one cache line per shard
 }
-
-// shard is the shard of hash h.
-func (tab *Table) shard(h uint64) *shard { return &tab.shards[h%uint64(len(tab.shards))] }
 
 // Node kinds. A node is interned under its kind byte followed by its
 // key, which keeps the table injective per node type even if two kinds
@@ -67,13 +55,10 @@ func NewTable() *Table { return newTable(0) }
 // of the given number of expressions, which interns about half as many
 // nodes and simplifies about a third as many.
 func newTable(exprs int) *Table {
-	tab := &Table{seed: maphash.MakeSeed()}
-	n := len(tab.shards)
-	for i := range tab.shards {
-		tab.shards[i].nodes = make(map[string]Expr, exprs/2/n)
-		tab.shards[i].simplified = make(map[Expr]Expr, exprs/3/n)
+	return &Table{
+		nodes:      make(map[string]Expr, exprs/2),
+		simplified: make(map[Expr]Expr, exprs/3),
 	}
-	return tab
 }
 
 // intern returns tab's node for ik, a kind byte followed by a key,
@@ -85,15 +70,14 @@ func (tab *Table) intern(ik keyBuf, build func(key string) Expr) Expr {
 	if tab == nil {
 		return build(string(ik[1:]))
 	}
-	sh := tab.shard(maphash.Bytes(tab.seed, ik))
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.nodes[string(ik)]; ok {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	if e, ok := tab.nodes[string(ik)]; ok {
 		return e
 	}
 	k := string(ik)
 	e := build(k[1:])
-	sh.nodes[k] = e
+	tab.nodes[k] = e
 	return e
 }
 

@@ -91,7 +91,7 @@ func TestSimplifyReturnsOriginalWhenUnchanged(t *testing.T) {
 
 // TestSimplifyMemoized: simplifying one node of a table twice returns
 // the identical result node, including from many goroutines at once,
-// as the analysis workers of one analysis do.
+// as concurrent callers of one analysis do.
 func TestSimplifyMemoized(t *testing.T) {
 	tab := symbolic.NewTable()
 	e := symbolic.Intern(tab, &symbolic.Nary{Op: symbolic.OpAdd, Args: []symbolic.Expr{

@@ -2,7 +2,6 @@ package symbolic
 
 import (
 	"cmp"
-	"hash/maphash"
 	"slices"
 	"strings"
 )
@@ -32,17 +31,16 @@ func (tab *Table) simplify(e Expr) Expr {
 	if tab == nil {
 		return tab.simplifyNode(e)
 	}
-	sh := tab.shard(maphash.String(tab.seed, e.Key()))
-	sh.mu.Lock()
-	out, ok := sh.simplified[e]
-	sh.mu.Unlock()
+	tab.mu.Lock()
+	out, ok := tab.simplified[e]
+	tab.mu.Unlock()
 	if ok {
 		return out
 	}
 	out = tab.simplifyNode(e)
-	sh.mu.Lock()
-	sh.simplified[e] = out
-	sh.mu.Unlock()
+	tab.mu.Lock()
+	tab.simplified[e] = out
+	tab.mu.Unlock()
 	return out
 }
 

@@ -15,15 +15,12 @@ import (
 // benchmarks measure a warm System; these measure what it costs to
 // produce one — a fresh core.Analysis per iteration over a shared
 // checked program, so every effects memo, pair-test cache, and report
-// is rebuilt from scratch. The serial/parallel split (Workers 1 vs
-// GOMAXPROCS) tracks what the parallel analysis driver buys.
+// is rebuilt from scratch.
 
 // AnalyzeCold runs a complete cold commutativity analysis of sys's
-// program with the given driver parallelism.
-func AnalyzeCold(sys *commute.System, workers int) []*core.MethodReport {
-	a := core.New(sys.Prog)
-	a.Workers = workers
-	return a.AnalyzeAll()
+// program.
+func AnalyzeCold(sys *commute.System) []*core.MethodReport {
+	return core.New(sys.Prog).AnalyzeAll()
 }
 
 // DeepExpr builds an n-level alternating sum/product/negation tree over

@@ -11,22 +11,13 @@ import (
 // Analysis-phase benchmarks: go test -bench 'Analyze|SimplifyDeep|PairTest' ./internal/bench/
 //
 // Each Analyze iteration is a full cold analysis (fresh core.Analysis,
-// fresh effects memos) of a shared checked program; the serial/parallel
-// sub-benchmarks differ only in the driver's Workers setting.
+// fresh effects memos) of a shared checked program.
 
 func benchAnalyze(b *testing.B, sys *commute.System) {
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			AnalyzeCold(sys, 1)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			AnalyzeCold(sys, 0) // GOMAXPROCS
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		AnalyzeCold(sys)
+	}
 }
 
 func BenchmarkAnalyzeBarnesHut(b *testing.B) {

@@ -8,7 +8,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -27,14 +26,17 @@ func isFalsePred(p cond.Pred) bool {
 
 // Analysis runs commutativity analysis over one checked program.
 //
-// Concurrency contract: an Analysis is safe for concurrent use. Each
-// method's report is computed exactly once and published through a
-// sync.Once cell, so any number of goroutines may call IsParallel /
-// AnalyzeAll / Report concurrently; later callers share the first
-// computation's immutable *MethodReport. The effects analyzer carries
-// its own per-method once-published memos (see effects.Analyzer), so
-// distinct methods analyze concurrently without coordination. Results
-// are deterministic — identical regardless of Workers.
+// Concurrency contract: the analysis runs on the goroutine that asks
+// for it — IsParallel analyzes one method there, AnalyzeAll every
+// defined method in ID order — and an Analysis is safe for concurrent
+// use. Each method's report is computed exactly once and published
+// through a sync.Once cell, so any number of goroutines may call
+// IsParallel / AnalyzeAll / Report concurrently; later callers share
+// the first computation's immutable *MethodReport. The effects analyzer
+// carries its own per-method once-published memos (see
+// effects.Analyzer), which concurrent callers and the code generator's
+// plan builders read. Results are deterministic — identical in whatever
+// order the methods are asked for.
 //
 // What the analyses share while they run — the symbolic first-run
 // states and the pair verdicts (see memo) — serves no published report:
@@ -44,13 +46,6 @@ func isFalsePred(p cond.Pred) bool {
 type Analysis struct {
 	Prog *types.Program
 	Eff  *effects.Analyzer
-
-	// Workers bounds the analysis parallelism: the number of goroutines
-	// AnalyzeAll fans method analyses across and the number used for
-	// the symbolic stage of pairwise commutativity testing. Zero means
-	// GOMAXPROCS; 1 is the serial escape hatch (everything runs on the
-	// calling goroutine). Set before the first analysis call.
-	Workers int
 
 	mu      sync.Mutex
 	reports map[*types.Method]*reportCell
@@ -112,22 +107,6 @@ func New(prog *types.Program) *Analysis {
 func (a *Analysis) MethodWork(compute func() []int64) []int64 {
 	a.workOnce.Do(func() { a.work = compute() })
 	return a.work
-}
-
-// workerCount resolves the Workers setting to a concrete parallelism
-// bound, never above n (the amount of work available).
-func (a *Analysis) workerCount(n int) int {
-	w := a.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // PairResult records the outcome of one commutativity test.
@@ -281,11 +260,8 @@ func (a *Analysis) analyze(m *types.Method, memo *memo) *MethodReport {
 	}
 
 	// Pairwise commutativity testing, in two stages: the cheap §4.7
-	// independence test runs first over every pair, and only the
-	// survivors go through symbolic execution — concurrently when
-	// Workers allows. Results land in a slice pre-indexed by pair
-	// position, so the report (ordering, counters, first-failure
-	// Reason) is byte-identical to the serial driver's.
+	// independence test first, and symbolic execution only for the
+	// pairs it cannot separate.
 	aux := make(map[int]bool, len(ext.Aux))
 	for _, c := range ext.Aux {
 		aux[c.ID] = true
@@ -294,44 +270,14 @@ func (a *Analysis) analyze(m *types.Method, memo *memo) *MethodReport {
 
 	n := len(ext.Methods)
 	pairs := make([]PairResult, 0, n*(n+1)/2)
-	type job struct {
-		p      int
-		m1, m2 *types.Method
-	}
-	var survivors []job
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			m1, m2 := ext.Methods[i], ext.Methods[j]
 			if a.independent(m1, m2) {
 				pairs = append(pairs, PairResult{M1: m1, M2: m2, Independent: true, Commutes: true})
 			} else {
-				survivors = append(survivors, job{p: len(pairs), m1: m1, m2: m2})
-				pairs = append(pairs, PairResult{})
+				pairs = append(pairs, symbolicPair(memo, m1, m2, env))
 			}
-		}
-	}
-
-	if w := a.workerCount(len(survivors)); w > 1 {
-		ch := make(chan job)
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for jb := range ch {
-					// Workers write disjoint indices; no locking needed.
-					pairs[jb.p] = symbolicPair(memo, jb.m1, jb.m2, env)
-				}
-			}()
-		}
-		for _, jb := range survivors {
-			ch <- jb
-		}
-		close(ch)
-		wg.Wait()
-	} else {
-		for _, jb := range survivors {
-			pairs[jb.p] = symbolicPair(memo, jb.m1, jb.m2, env)
 		}
 	}
 
@@ -396,10 +342,8 @@ func (a *Analysis) analyze(m *types.Method, memo *memo) *MethodReport {
 	return r
 }
 
-// AnalyzeAll runs IsParallel over every defined method — fanning the
-// work across workerCount goroutines — and returns the reports ordered
-// by method ID. The reports are identical to a serial run's (Workers=1)
-// in both content and order.
+// AnalyzeAll runs IsParallel over every defined method, in method-ID
+// order on the calling goroutine, and returns the reports in that order.
 func (a *Analysis) AnalyzeAll() []*MethodReport {
 	var methods []*types.Method
 	for _, m := range a.Prog.Methods {
@@ -408,29 +352,9 @@ func (a *Analysis) AnalyzeAll() []*MethodReport {
 		}
 	}
 	slices.SortFunc(methods, func(a, b *types.Method) int { return cmp.Compare(a.ID, b.ID) })
-
-	if w := a.workerCount(len(methods)); w > 1 {
-		ch := make(chan *types.Method)
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for m := range ch {
-					a.IsParallel(m)
-				}
-			}()
-		}
-		for _, m := range methods {
-			ch <- m
-		}
-		close(ch)
-		wg.Wait()
-	}
-
 	out := make([]*MethodReport, len(methods))
 	for i, m := range methods {
-		out[i] = a.IsParallel(m) // memo hit after the fan-out
+		out[i] = a.IsParallel(m)
 	}
 	return out
 }

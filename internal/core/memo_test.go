@@ -56,8 +56,8 @@ func memoPrograms(t *testing.T) map[string]*types.Program {
 // Every pair verdict equals one computed by fresh executions under
 // that extent's own environment, and every report equals the one an
 // analysis produces that analyzed nothing else (so no entry in it was
-// recorded under another extent's environment) — at every worker
-// count and with either extension disabled.
+// recorded under another extent's environment) — in every call order
+// and with either extension disabled.
 func TestMemoMatchesFreshExecution(t *testing.T) {
 	type option struct {
 		name string
@@ -73,13 +73,12 @@ func TestMemoMatchesFreshExecution(t *testing.T) {
 		for _, opt := range options {
 			eff := effects.NewAnalyzer(prog)
 			var oracle []*core.MethodReport
-			for _, workers := range []int{1, 2, 4} {
-				label := fmt.Sprintf("%s/%s/workers=%d", name, opt.name, workers)
+			for _, order := range callOrders {
+				label := fmt.Sprintf("%s/%s/order=%s", name, opt.name, order)
 				a := core.New(prog)
-				a.Workers = workers
 				opt.set(a)
 				read, _ := a.MemoCounts()
-				reports := a.AnalyzeAll()
+				reports := reportsInOrder(a, order)
 
 				if oracle == nil {
 					symbolicPairs := 0
@@ -93,7 +92,6 @@ func TestMemoMatchesFreshExecution(t *testing.T) {
 						}
 						solo := core.New(prog)
 						solo.Eff = eff // the effects memos are not under test
-						solo.Workers = 1
 						opt.set(solo)
 						oracle = append(oracle, solo.IsParallel(r.Method))
 						symbolicPairs += r.SymbolicPairs
@@ -156,7 +154,6 @@ func TestBodyExecutionCount(t *testing.T) {
 		"graph": src.Graph, "barneshut": src.BarnesHut, "water": src.Water,
 	} {
 		a := core.New(mustCheck(t, name, source))
-		a.Workers = 1
 		read, _ := a.MemoCounts()
 		symbolicPairs := 0
 		type pair struct{ m1, m2 *types.Method }

@@ -176,8 +176,8 @@ func New(cfg Config) *Server {
 			// the full pipeline (parse → analysis → codegen → warm),
 			// load-warm a cache hit, load-adopt a peer artifact decoded
 			// from the blob tier instead of re-analyzed. The cold↔warm
-			// gap is what the parallel analysis driver buys; the
-			// cold↔adopt gap is what the fleet artifact tier buys.
+			// gap is what the cache buys; the cold↔adopt gap is what
+			// the fleet artifact tier buys.
 			"load-cold":  {},
 			"load-warm":  {},
 			"load-adopt": {},
