@@ -6,9 +6,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 
 	"commute/internal/analysis/effects"
@@ -343,18 +341,14 @@ func (a *Analysis) analyze(m *types.Method, memo *memo) *MethodReport {
 }
 
 // AnalyzeAll runs IsParallel over every defined method, in method-ID
-// order on the calling goroutine, and returns the reports in that order.
+// order (Prog.Methods is indexed by ID) on the calling goroutine, and
+// returns the reports in that order.
 func (a *Analysis) AnalyzeAll() []*MethodReport {
-	var methods []*types.Method
+	out := make([]*MethodReport, 0, len(a.Prog.Methods))
 	for _, m := range a.Prog.Methods {
 		if m.Def != nil {
-			methods = append(methods, m)
+			out = append(out, a.IsParallel(m))
 		}
-	}
-	slices.SortFunc(methods, func(a, b *types.Method) int { return cmp.Compare(a.ID, b.ID) })
-	out := make([]*MethodReport, len(methods))
-	for i, m := range methods {
-		out[i] = a.IsParallel(m)
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -29,7 +28,6 @@ func reportsInOrder(a *core.Analysis, order string) []*core.MethodReport {
 			methods = append(methods, m)
 		}
 	}
-	slices.SortFunc(methods, func(a, b *types.Method) int { return cmp.Compare(a.ID, b.ID) })
 	switch order {
 	case "id":
 		methods = nil
