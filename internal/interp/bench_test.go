@@ -167,9 +167,9 @@ func BenchmarkFloatArith(b *testing.B) {
 
 // TestCompiledFloatArithZeroAlloc pins the headline property of the
 // unboxed representation: steady-state float arithmetic under the
-// compiled engine allocates nothing. The first call warms the frame
-// pool; after that a full call — frame, loop, arithmetic, return —
-// must run at allocs/op = 0.
+// compiled engine allocates nothing. The first call warms the context's
+// activation stack; after that a full call — frame, loop, arithmetic,
+// return — must run at allocs/op = 0.
 func TestCompiledFloatArithZeroAlloc(t *testing.T) {
 	prog := benchProg(t, arithBenchSrc)
 	ip := interp.NewEngine(prog, nil, interp.EngineCompiled)
@@ -190,5 +190,129 @@ func TestCompiledFloatArithZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("compiled float arithmetic allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+const callBenchSrc = `
+const int NDIM = 3;
+
+class vector {
+public:
+  double val[NDIM];
+};
+
+class node {
+public:
+  double mass;
+  vector pos;
+};
+
+class body : public node {
+public:
+  vector acc;
+  double phi;
+  node *other;
+  double inter(node *n, double eps, double *res);
+  void gravsub(node *n, double eps);
+  void sweep(int k);
+  double probe(int k);
+  double mix(int i, double x);
+  double calls(int k);
+};
+
+body B;
+
+double body::inter(node *n, double eps, double *res) {
+  double drsq, d, r;
+  drsq = eps;
+  for (int i = 0; i < NDIM; i++) {
+    d = n->pos.val[i] - pos.val[i];
+    drsq += d * d;
+  }
+  r = n->mass / drsq;
+  for (int i = 0; i < NDIM; i++) {
+    d = n->pos.val[i] - pos.val[i];
+    res[i] = d * r;
+  }
+  return r;
+}
+
+void body::gravsub(node *n, double eps) {
+  double tmpv[NDIM];
+  phi -= this->inter(n, eps, tmpv);
+  for (int i = 0; i < NDIM; i++)
+    acc.val[i] += tmpv[i];
+}
+
+void body::sweep(int k) {
+  if (other == NULL) {
+    other = new node;
+    other->mass = 1.0;
+    other->pos.val[0] = 1.5;
+  }
+  for (int j = 0; j < k; j++)
+    this->gravsub(other, 0.05);
+}
+
+double body::probe(int k) {
+  double s;
+  node *n;
+  if (other == NULL)
+    other = new node;
+  n = other;
+  for (int j = 0; j < k; j++)
+    for (int i = 0; i < NDIM; i++)
+      s += n->pos.val[i] - pos.val[i];
+  return s;
+}
+
+double body::mix(int i, double x) { return x * 0.5 + i; }
+
+double body::calls(int k) {
+  double s;
+  for (int i = 0; i < k; i++)
+    s = s + this->mix(i, 0.25);
+  return s;
+}
+
+void main() {
+  B.sweep(10);
+}
+`
+
+// BenchmarkCallChain measures the steady-state call path on a
+// gravsub-shaped method: a pointer and a double argument, a local
+// array passed by reference, and two NDIM loops over field paths in the
+// callee. The local array allocates on every call.
+func BenchmarkCallChain(b *testing.B) {
+	benchCall(b, callBenchSrc, "body::sweep", "B")
+}
+
+// BenchmarkFieldPath measures n->pos.val[i] reads: a chain of field
+// accesses over a local, then an element load.
+func BenchmarkFieldPath(b *testing.B) {
+	benchCall(b, callBenchSrc, "body::probe", "B")
+}
+
+// TestCompiledCallZeroAlloc: a steady-state call with primitive
+// arguments allocates nothing under the compiled engine — the arguments
+// go straight into the callee's frame on the context's stack.
+func TestCompiledCallZeroAlloc(t *testing.T) {
+	prog := benchProg(t, callBenchSrc)
+	ip := interp.NewEngine(prog, nil, interp.EngineCompiled)
+	m := prog.MethodByFullName("body::calls")
+	recv := ip.Globals["B"]
+	ctx := ip.NewCtx()
+	args := []interp.Value{interp.IntValue(200)}
+	if _, err := ip.Call(ctx, m, recv, args); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ip.Call(ctx, m, recv, args); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("compiled calls allocate %v allocs/op, want 0", allocs)
 	}
 }

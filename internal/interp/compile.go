@@ -15,9 +15,12 @@ package interp
 // every such subtree and charges the sum once ("sealing"). Subtrees
 // whose charge depends on runtime control flow (short-circuit
 // operators) or that contain hook boundaries (calls) charge themselves
-// piecewise in walker order. Statement counting (Ctx.step) is never
-// coalesced: MaxSteps budgets and Interrupt polling behave identically
-// under both engines.
+// piecewise in walker order. Every statement opens with Ctx.stmt, which
+// counts it and charges its units; statements are never coalesced, so
+// MaxSteps budgets and Interrupt polling behave identically under both
+// engines.
+// Operator kernels are picked by static type (kernel), a call enters its
+// callee's body directly (compileCall), and a field chain is one walk.
 
 import (
 	"math"
@@ -64,6 +67,9 @@ type compiler struct {
 	// loops receives the offered counted loops for RunLoopIteration
 	// (res.loopBodies or res.loopBodiesMon, per pass).
 	loops map[*ast.ForStmt]loopBody
+	// methods is the pass's table, indexed by types.Method.ID: a call
+	// site enters its callee's body of the same pass.
+	methods []*compiledMethod
 }
 
 // loopBody is what RunLoopIteration needs of a counted loop the engines
@@ -74,12 +80,23 @@ type loopBody struct {
 	body stmtFn
 }
 
-func (c *compiler) compileMethod(m *types.Method) *compiledMethod {
-	if m.Def == nil {
-		return nil
+// compileAll lowers every method body of r's program in one pass (mon
+// selects the monitored kernels). The table is made before any body is
+// lowered, so a call site can hold its callee's entry.
+func compileAll(r *resolution, mon bool) ([]*compiledMethod, map[*ast.ForStmt]loopBody) {
+	c := &compiler{prog: r.prog, res: r, mon: mon, loops: make(map[*ast.ForStmt]loopBody),
+		methods: make([]*compiledMethod, len(r.prog.Methods))}
+	for _, m := range r.prog.Methods {
+		if m.Def != nil {
+			c.methods[m.ID] = &compiledMethod{}
+		}
 	}
-	ms := c.res.methods[m.ID]
-	return &compiledMethod{body: c.compileStmt(m.Def.Body, ms)}
+	for _, m := range r.prog.Methods {
+		if m.Def != nil {
+			c.methods[m.ID].body = c.compileStmt(m.Def.Body, r.methods[m.ID])
+		}
+	}
+	return c.methods, c.loops
 }
 
 // seal wraps a non-self-charging closure with its subtree's total cost.
@@ -140,47 +157,19 @@ func (c *compiler) compileExpr(e ast.Expr) (exprFn, int64, bool) {
 				return ObjectValue(fr.ctx.IP.globals[slot]), nil
 			}, CostExpr, false
 		case ast.SymField:
+			// A compiled body's this is never nil (Interp.Call).
 			slot := x.Slot
-			name := x.Name
 			if c.mon {
 				return func(fr *Frame) (Value, error) {
-					if fr.this == nil {
-						return Value{}, rtErrf(errFieldNoRecv, name)
-					}
 					return fr.ctx.Mon.LoadField(fr.this, int(slot)), nil
 				}, CostExpr, false
 			}
-			return func(fr *Frame) (Value, error) {
-				if fr.this == nil {
-					return Value{}, rtErrf(errFieldNoRecv, name)
-				}
-				return fr.this.Slots[slot], nil
-			}, CostExpr, false
+			return func(fr *Frame) (Value, error) { return fr.this.Slots[slot], nil }, CostExpr, false
 		}
 		return c.errExpr("unresolved identifier %s at %s", x.Name, x.Pos())
 
 	case *ast.FieldAccess:
-		slot := x.Slot
-		if c.mon {
-			return c.unary1fr(x.X, func(fr *Frame, v Value) (Value, error) {
-				if v.kind != KObject {
-					if v.kind == KNull {
-						return Value{}, rtErrf(errNullDeref, x.Pos())
-					}
-					return Value{}, rtErrf(errFieldNonObj, x.Pos())
-				}
-				return fr.ctx.Mon.LoadField(v.ref.(*Object), int(slot)), nil
-			})
-		}
-		return c.unary1(x.X, func(v Value) (Value, error) {
-			if v.kind != KObject {
-				if v.kind == KNull {
-					return Value{}, rtErrf(errNullDeref, x.Pos())
-				}
-				return Value{}, rtErrf(errFieldNonObj, x.Pos())
-			}
-			return v.ref.(*Object).Slots[slot], nil
-		})
+		return c.compileFieldPath(x)
 
 	case *ast.IndexExpr:
 		if c.mon {
@@ -253,11 +242,10 @@ func (c *compiler) compileExpr(e ast.Expr) (exprFn, int64, bool) {
 }
 
 // leaf compiles an expression whose evaluation can neither fail nor
-// charge dynamically — literals, constants, this, local slots, and
-// global reads — to an infallible value producer. Fusing leaves into
-// the parent operator's closure removes an indirect call and an error
-// check per operand on the hottest paths. Field reads are excluded:
-// they can fail (nil receiver), so they keep the exprFn shape.
+// charge dynamically — literals, constants, this, local slots, this
+// fields and global reads — to an infallible value producer. Fusing
+// leaves into the parent operator's closure removes an indirect call
+// and an error check per operand on the hottest paths.
 func (c *compiler) leaf(e ast.Expr) (func(fr *Frame) Value, int64, bool) {
 	switch x := e.(type) {
 	case *ast.IntLit:
@@ -289,6 +277,12 @@ func (c *compiler) leaf(e ast.Expr) (func(fr *Frame) Value, int64, bool) {
 			return func(fr *Frame) Value {
 				return ObjectValue(fr.ctx.IP.globals[slot])
 			}, CostExpr, true
+		case ast.SymField:
+			slot := x.Slot
+			if c.mon {
+				return func(fr *Frame) Value { return fr.ctx.Mon.LoadField(fr.this, int(slot)) }, CostExpr, true
+			}
+			return func(fr *Frame) Value { return fr.this.Slots[slot] }, CostExpr, true
 		}
 	}
 	return nil, 0, false
@@ -316,27 +310,73 @@ func (c *compiler) unary1(child ast.Expr, k func(Value) (Value, error)) (exprFn,
 	}, 0, true
 }
 
-// unary1fr is unary1 for kernels that need the frame (the monitored
-// field-load kernel reads fr.ctx.Mon). Same fusion shape, same costs.
-func (c *compiler) unary1fr(child ast.Expr, k func(fr *Frame, v Value) (Value, error)) (exprFn, int64, bool) {
-	xf, xc, xd := c.compileExpr(child)
-	if !xd {
+// compileFieldPath lowers a chain of field accesses (n->pos.val) to one
+// closure that walks the slots from the chain's base, charging CostExpr
+// per hop beside the base's own cost, as the walker does. The hop that
+// finds no object fails with the walker's message at its position.
+func (c *compiler) compileFieldPath(x *ast.FieldAccess) (exprFn, int64, bool) {
+	var hops []*ast.FieldAccess
+	base := ast.Expr(x)
+	for fa, ok := x, true; ok; fa, ok = base.(*ast.FieldAccess) {
+		hops = append([]*ast.FieldAccess{fa}, hops...)
+		base = fa.X
+	}
+	cost := CostExpr * int64(len(hops))
+	if bv, bc, ok := c.leaf(base); ok {
+		if c.mon {
+			return func(fr *Frame) (Value, error) { return walkFieldsMon(fr, bv(fr), hops) }, bc + cost, false
+		}
+		return func(fr *Frame) (Value, error) { return walkFields(fr, bv(fr), hops) }, bc + cost, false
+	}
+	walk := walkFields
+	if c.mon {
+		walk = walkFieldsMon
+	}
+	bf, bc, bd := c.compileExpr(base)
+	if !bd {
 		return func(fr *Frame) (Value, error) {
-			v, err := xf(fr)
+			v, err := bf(fr)
 			if err != nil {
 				return Value{}, err
 			}
-			return k(fr, v)
-		}, CostExpr + xc, false
+			return walk(fr, v, hops)
+		}, bc + cost, false
 	}
 	return func(fr *Frame) (Value, error) {
-		fr.ctx.charge(CostExpr)
-		v, err := xf(fr)
+		fr.ctx.charge(cost)
+		v, err := bf(fr)
 		if err != nil {
 			return Value{}, err
 		}
-		return k(fr, v)
+		return walk(fr, v, hops)
 	}, 0, true
+}
+
+func walkFields(_ *Frame, v Value, hops []*ast.FieldAccess) (Value, error) {
+	for _, h := range hops {
+		if v.kind != KObject {
+			return Value{}, fieldErr(v, h)
+		}
+		v = v.ref.(*Object).Slots[h.Slot]
+	}
+	return v, nil
+}
+
+func walkFieldsMon(fr *Frame, v Value, hops []*ast.FieldAccess) (Value, error) {
+	for _, h := range hops {
+		if v.kind != KObject {
+			return Value{}, fieldErr(v, h)
+		}
+		v = fr.ctx.Mon.LoadField(v.ref.(*Object), int(h.Slot))
+	}
+	return v, nil
+}
+
+func fieldErr(v Value, x *ast.FieldAccess) error {
+	if v.kind == KNull {
+		return rtErrf(errNullDeref, x.Pos())
+	}
+	return rtErrf(errFieldNonObj, x.Pos())
 }
 
 // compileIndexMon mirrors the three fused IndexExpr load forms with the
@@ -425,7 +465,10 @@ func (c *compiler) compileBinary(x *ast.Binary) (exprFn, int64, bool) {
 		}, 0, true
 	}
 
-	op := binOpFn(x)
+	op := kernel(x.Op, c.kindOf(x.X), c.kindOf(x.Y))
+	if op == nil {
+		op = func(l, r Value) (Value, error) { return applyBinary(x, l, r) }
+	}
 	// Leaf operands fuse into the operator closure. Evaluation order is
 	// preserved: the left operand is always materialized before any part
 	// of the right evaluates (the right side may contain an assignment
@@ -487,115 +530,91 @@ func (c *compiler) compileBinary(x *ast.Binary) (exprFn, int64, bool) {
 	}, 0, true
 }
 
-// binOpFn specializes the strict binary operators into per-operator
-// closures; the hot arithmetic/comparison operators avoid any runtime
-// operator dispatch. Semantics (including every error message) match
-// applyBinary, which handles the remaining operators.
-func binOpFn(x *ast.Binary) func(l, r Value) (Value, error) {
-	switch x.Op {
-	case token.PLUS:
-		return func(l, r Value) (Value, error) {
-			if l.kind == KInt && r.kind == KInt {
-				return IntValue(int64(l.num) + int64(r.num)), nil
-			}
-			lf, lok := asFloat(l)
-			rf, rok := asFloat(r)
-			if !lok || !rok {
-				return Value{}, rtErrf(errNonNumbers, x.Pos())
-			}
-			return FloatValue(lf + rf), nil
+// kindOf is e's checked type where every value e yields has that kind.
+// Every store coerces to its checked type and a body that falls off its
+// end returns its type's zero, so that is every expression but an
+// assignment — its value is the right-hand side as computed — and
+// arithmetic over one.
+func (c *compiler) kindOf(e ast.Expr) types.Type {
+	switch x := e.(type) {
+	case *ast.Assign:
+		return nil
+	case *ast.Unary:
+		if x.Op == token.MINUS && c.kindOf(x.X) == nil {
+			return nil
 		}
-	case token.MINUS:
-		return func(l, r Value) (Value, error) {
-			if l.kind == KInt && r.kind == KInt {
-				return IntValue(int64(l.num) - int64(r.num)), nil
+	case *ast.Binary:
+		switch x.Op {
+		case token.PLUS, token.MINUS, token.STAR, token.SLASH, token.PERCENT:
+			if c.kindOf(x.X) == nil || c.kindOf(x.Y) == nil {
+				return nil
 			}
-			lf, lok := asFloat(l)
-			rf, rok := asFloat(r)
-			if !lok || !rok {
-				return Value{}, rtErrf(errNonNumbers, x.Pos())
-			}
-			return FloatValue(lf - rf), nil
-		}
-	case token.STAR:
-		return func(l, r Value) (Value, error) {
-			if l.kind == KInt && r.kind == KInt {
-				return IntValue(int64(l.num) * int64(r.num)), nil
-			}
-			lf, lok := asFloat(l)
-			rf, rok := asFloat(r)
-			if !lok || !rok {
-				return Value{}, rtErrf(errNonNumbers, x.Pos())
-			}
-			return FloatValue(lf * rf), nil
-		}
-	case token.SLASH:
-		return func(l, r Value) (Value, error) {
-			if l.kind == KInt && r.kind == KInt {
-				if r.num == 0 {
-					return Value{}, rtErrf(errDivZero, x.Pos())
-				}
-				return IntValue(int64(l.num) / int64(r.num)), nil
-			}
-			lf, lok := asFloat(l)
-			rf, rok := asFloat(r)
-			if !lok || !rok {
-				return Value{}, rtErrf(errNonNumbers, x.Pos())
-			}
-			return FloatValue(lf / rf), nil
-		}
-	case token.LT:
-		return func(l, r Value) (Value, error) {
-			if l.kind == KInt && r.kind == KInt {
-				return BoolValue(int64(l.num) < int64(r.num)), nil
-			}
-			lf, lok := asFloat(l)
-			rf, rok := asFloat(r)
-			if !lok || !rok {
-				return Value{}, rtErrf(errNonNumbers, x.Pos())
-			}
-			return BoolValue(lf < rf), nil
-		}
-	case token.LEQ:
-		return func(l, r Value) (Value, error) {
-			if l.kind == KInt && r.kind == KInt {
-				return BoolValue(int64(l.num) <= int64(r.num)), nil
-			}
-			lf, lok := asFloat(l)
-			rf, rok := asFloat(r)
-			if !lok || !rok {
-				return Value{}, rtErrf(errNonNumbers, x.Pos())
-			}
-			return BoolValue(lf <= rf), nil
-		}
-	case token.GT:
-		return func(l, r Value) (Value, error) {
-			if l.kind == KInt && r.kind == KInt {
-				return BoolValue(int64(l.num) > int64(r.num)), nil
-			}
-			lf, lok := asFloat(l)
-			rf, rok := asFloat(r)
-			if !lok || !rok {
-				return Value{}, rtErrf(errNonNumbers, x.Pos())
-			}
-			return BoolValue(lf > rf), nil
-		}
-	case token.GEQ:
-		return func(l, r Value) (Value, error) {
-			if l.kind == KInt && r.kind == KInt {
-				return BoolValue(int64(l.num) >= int64(r.num)), nil
-			}
-			lf, lok := asFloat(l)
-			rf, rok := asFloat(r)
-			if !lok || !rok {
-				return Value{}, rtErrf(errNonNumbers, x.Pos())
-			}
-			return BoolValue(lf >= rf), nil
 		}
 	}
-	// PERCENT, EQ, NEQ, and malformed operators share the walker's
-	// kernel directly.
-	return func(l, r Value) (Value, error) { return applyBinary(x, l, r) }
+	return c.prog.TypeOf(e)
+}
+
+// kernel is the strict operator op (binary, or compound assignment) on
+// operands of the static types lt and rt, reading the payloads without
+// a kind test: the int side of a mixed pair converts as asFloat
+// converts it, and == / != compare numbers as valueEqual does. It is
+// nil — the caller keeps the walker's kernel — for int / and %
+// (division by zero), equality on non-numbers, and unknown kinds.
+func kernel(op token.Kind, lt, rt types.Type) func(l, r Value) (Value, error) {
+	li, ri := lt == types.Int, rt == types.Int
+	if li && ri {
+		switch op {
+		case token.PLUS, token.PLUSEQ:
+			return func(l, r Value) (Value, error) { return IntValue(int64(l.num) + int64(r.num)), nil }
+		case token.MINUS, token.MINUSEQ:
+			return func(l, r Value) (Value, error) { return IntValue(int64(l.num) - int64(r.num)), nil }
+		case token.STAR, token.STAREQ:
+			return func(l, r Value) (Value, error) { return IntValue(int64(l.num) * int64(r.num)), nil }
+		case token.LT:
+			return func(l, r Value) (Value, error) { return BoolValue(int64(l.num) < int64(r.num)), nil }
+		case token.LEQ:
+			return func(l, r Value) (Value, error) { return BoolValue(int64(l.num) <= int64(r.num)), nil }
+		case token.GT:
+			return func(l, r Value) (Value, error) { return BoolValue(int64(l.num) > int64(r.num)), nil }
+		case token.GEQ:
+			return func(l, r Value) (Value, error) { return BoolValue(int64(l.num) >= int64(r.num)), nil }
+		}
+	}
+	if !types.IsNumeric(lt) || !types.IsNumeric(rt) || li && ri && op != token.EQ && op != token.NEQ {
+		return nil
+	}
+	switch op {
+	case token.PLUS, token.PLUSEQ:
+		return func(l, r Value) (Value, error) { return FloatValue(flt(l, li) + flt(r, ri)), nil }
+	case token.MINUS, token.MINUSEQ:
+		return func(l, r Value) (Value, error) { return FloatValue(flt(l, li) - flt(r, ri)), nil }
+	case token.STAR, token.STAREQ:
+		return func(l, r Value) (Value, error) { return FloatValue(flt(l, li) * flt(r, ri)), nil }
+	case token.SLASH, token.SLASHEQ:
+		return func(l, r Value) (Value, error) { return FloatValue(flt(l, li) / flt(r, ri)), nil }
+	case token.LT:
+		return func(l, r Value) (Value, error) { return BoolValue(flt(l, li) < flt(r, ri)), nil }
+	case token.LEQ:
+		return func(l, r Value) (Value, error) { return BoolValue(flt(l, li) <= flt(r, ri)), nil }
+	case token.GT:
+		return func(l, r Value) (Value, error) { return BoolValue(flt(l, li) > flt(r, ri)), nil }
+	case token.GEQ:
+		return func(l, r Value) (Value, error) { return BoolValue(flt(l, li) >= flt(r, ri)), nil }
+	case token.EQ:
+		return func(l, r Value) (Value, error) { return BoolValue(flt(l, li) == flt(r, ri)), nil }
+	case token.NEQ:
+		return func(l, r Value) (Value, error) { return BoolValue(flt(l, li) != flt(r, ri)), nil }
+	}
+	return nil
+}
+
+// flt reads a number whose kind is fixed: an int converts as asFloat
+// converts it.
+func flt(v Value, isInt bool) float64 {
+	if isInt {
+		return float64(int64(v.num))
+	}
+	return math.Float64frombits(v.num)
 }
 
 // castValueClass is castValue with the target class pre-resolved.
@@ -647,15 +666,11 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 	if id, ok := x.LHS.(*ast.Ident); ok && !compound && !rd && id.Sym == ast.SymField {
 		slot := id.Slot
 		co := id.Coerce
-		name := id.Name
 		if c.mon {
 			return func(fr *Frame) (Value, error) {
 				v, err := rf(fr)
 				if err != nil {
 					return Value{}, err
-				}
-				if fr.this == nil {
-					return Value{}, rtErrf(errFieldNoRecvWr, name)
 				}
 				fr.ctx.Mon.StoreField(fr.this, int(slot), coerceKind(co, v))
 				return v, nil
@@ -666,9 +681,6 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 			if err != nil {
 				return Value{}, err
 			}
-			if fr.this == nil {
-				return Value{}, rtErrf(errFieldNoRecvWr, name)
-			}
 			fr.this.Slots[slot] = coerceKind(co, v)
 			return v, nil
 		}, CostExpr + rc, false
@@ -676,8 +688,12 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 	var lf exprFn
 	var lc int64
 	var ld bool
+	var op func(l, r Value) (Value, error)
 	if compound {
 		lf, lc, ld = c.compileExpr(x.LHS)
+		if op = kernel(x.Op, c.kindOf(x.LHS), c.kindOf(x.RHS)); op == nil {
+			op = func(l, r Value) (Value, error) { return applyCompound(x, l, r) }
+		}
 	}
 	sf, sc, sd := c.compileStore(x.LHS)
 
@@ -692,7 +708,7 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 				if err != nil {
 					return Value{}, err
 				}
-				rhs, err = applyCompound(x, old, rhs)
+				rhs, err = op(old, rhs)
 				if err != nil {
 					return Value{}, err
 				}
@@ -721,7 +737,7 @@ func (c *compiler) compileAssign(x *ast.Assign) (exprFn, int64, bool) {
 			if err != nil {
 				return Value{}, err
 			}
-			rhs, err = applyCompound(x, old, rhs)
+			rhs, err = op(old, rhs)
 			if err != nil {
 				return Value{}, err
 			}
@@ -766,20 +782,13 @@ func (c *compiler) compileStore(lhs ast.Expr) (storeFn, int64, bool) {
 		case ast.SymField:
 			slot := x.Slot
 			co := x.Coerce
-			name := x.Name
 			if c.mon {
 				return func(fr *Frame, v Value) error {
-					if fr.this == nil {
-						return rtErrf(errFieldNoRecvWr, name)
-					}
 					fr.ctx.Mon.StoreField(fr.this, int(slot), coerceKind(co, v))
 					return nil
 				}, 0, false
 			}
 			return func(fr *Frame, v Value) error {
-				if fr.this == nil {
-					return rtErrf(errFieldNoRecvWr, name)
-				}
 				fr.this.Slots[slot] = coerceKind(co, v)
 				return nil
 			}, 0, false
@@ -976,6 +985,7 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 		argFns[i] = c.sealedExpr(a)
 	}
 	n := len(argFns)
+	ms, cm := c.res.methods[callee.ID], c.methods[callee.ID]
 	return func(fr *Frame) (Value, error) {
 		ctx := fr.ctx
 		ctx.charge(CostExpr)
@@ -995,6 +1005,19 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 		} else if implicitRecv {
 			recv = fr.this
 		}
+		if ctx.Invoke == nil && cm != nil {
+			// Unhooked: the arguments go straight into the callee's frame.
+			nf := ctx.pushFrame(ms.n)
+			for i, af := range argFns {
+				v, err := af(fr)
+				if err != nil {
+					ctx.popFrame()
+					return Value{}, err
+				}
+				nf.vars[i] = coerceKind(ms.paramCo[i], v)
+			}
+			return ctx.enter(nf, callee, ms, recv, cm.body)
+		}
 		var args []Value
 		if n > 0 {
 			args = ctx.getArgs(n)
@@ -1013,7 +1036,7 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 			// The slice is the hook's only until it returns (Ctx.Invoke).
 			v, err = ctx.Invoke(site, recv, args)
 		} else {
-			v, err = ctx.IP.Call(ctx, callee, recv, args)
+			v, err = ctx.IP.Call(ctx, callee, recv, args) // no definition
 		}
 		if args != nil {
 			ctx.putArgs(args)
@@ -1023,9 +1046,9 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 }
 
 // compileStmt lowers a statement to a self-contained closure. Each
-// statement charges CostStmt plus the static cost of its call-free
-// expression operands up front, then counts one step — preserving the
-// walker's MaxSteps and Interrupt behavior exactly.
+// statement's prologue (Ctx.stmt) counts one step and charges CostStmt
+// plus the static cost of its call-free expression operands up front —
+// preserving the walker's MaxSteps and Interrupt behavior exactly.
 func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 	switch st := s.(type) {
 	case *ast.Block:
@@ -1034,8 +1057,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 			subs[i] = c.compileStmt(sub, ms)
 		}
 		return func(fr *Frame) (flow, error) {
-			fr.ctx.charge(CostStmt)
-			if err := fr.ctx.step(); err != nil {
+			if err := fr.ctx.stmt(CostStmt); err != nil {
 				return flowNext, err
 			}
 			for _, sub := range subs {
@@ -1053,39 +1075,17 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 		// Primitive zero values are constants; object/array-typed
 		// declarations allocate fresh storage per execution, exactly as
 		// the walker's zeroValue does.
-		var zc Value
-		constZero := true
-		switch tt := t.(type) {
-		case types.Basic:
-			switch tt {
-			case types.Int:
-				zc = IntValue(0)
-			case types.Double:
-				zc = FloatValue(0)
-			case types.Bool:
-				zc = BoolValue(false)
-			}
-		case types.Pointer:
-		default:
-			constZero = false
-		}
+		zc, constZero := primZero(t)
 		if st.Init == nil {
-			if constZero {
-				return func(fr *Frame) (flow, error) {
-					fr.ctx.charge(CostStmt)
-					if err := fr.ctx.step(); err != nil {
-						return flowNext, err
-					}
-					fr.vars[slot] = zc
-					return flowNext, nil
-				}
-			}
 			return func(fr *Frame) (flow, error) {
-				fr.ctx.charge(CostStmt)
-				if err := fr.ctx.step(); err != nil {
+				if err := fr.ctx.stmt(CostStmt); err != nil {
 					return flowNext, err
 				}
-				fr.vars[slot] = fr.ctx.IP.zeroValue(t)
+				if constZero {
+					fr.vars[slot] = zc
+				} else {
+					fr.vars[slot] = fr.ctx.IP.zeroValue(t)
+				}
 				return flowNext, nil
 			}
 		}
@@ -1096,8 +1096,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 			entry += ic
 		}
 		return func(fr *Frame) (flow, error) {
-			fr.ctx.charge(entry)
-			if err := fr.ctx.step(); err != nil {
+			if err := fr.ctx.stmt(entry); err != nil {
 				return flowNext, err
 			}
 			if constZero {
@@ -1120,8 +1119,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 			entry += xc
 		}
 		return func(fr *Frame) (flow, error) {
-			fr.ctx.charge(entry)
-			if err := fr.ctx.step(); err != nil {
+			if err := fr.ctx.stmt(entry); err != nil {
 				return flowNext, err
 			}
 			_, err := xf(fr)
@@ -1140,8 +1138,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 			elseFn = c.compileStmt(st.Else, ms)
 		}
 		return func(fr *Frame) (flow, error) {
-			fr.ctx.charge(entry)
-			if err := fr.ctx.step(); err != nil {
+			if err := fr.ctx.stmt(entry); err != nil {
 				return flowNext, err
 			}
 			cv, err := cf(fr)
@@ -1168,8 +1165,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 		condS := c.sealedExpr(st.Cond)
 		bodyFn := c.compileStmt(st.Body, ms)
 		return func(fr *Frame) (flow, error) {
-			fr.ctx.charge(CostStmt)
-			if err := fr.ctx.step(); err != nil {
+			if err := fr.ctx.stmt(CostStmt); err != nil {
 				return flowNext, err
 			}
 			for {
@@ -1194,8 +1190,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 	case *ast.ReturnStmt:
 		if st.X == nil {
 			return func(fr *Frame) (flow, error) {
-				fr.ctx.charge(CostStmt)
-				if err := fr.ctx.step(); err != nil {
+				if err := fr.ctx.stmt(CostStmt); err != nil {
 					return flowNext, err
 				}
 				fr.ret = Value{}
@@ -1209,8 +1204,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 		}
 		retCo := ms.retCo
 		return func(fr *Frame) (flow, error) {
-			fr.ctx.charge(entry)
-			if err := fr.ctx.step(); err != nil {
+			if err := fr.ctx.stmt(entry); err != nil {
 				return flowNext, err
 			}
 			v, err := xf(fr)
@@ -1256,8 +1250,7 @@ func (c *compiler) compileFor(st *ast.ForStmt, ms *methodSlots) stmtFn {
 	step := h.Step
 	return func(fr *Frame) (flow, error) {
 		ctx := fr.ctx
-		ctx.charge(CostStmt)
-		if err := ctx.step(); err != nil {
+		if err := ctx.stmt(CostStmt); err != nil {
 			return flowNext, err
 		}
 		if initFn != nil {

@@ -43,6 +43,7 @@ const (
 	errCastNonObj     = "cast of non-object at %s"
 	errCallOnNull     = "method call on NULL at %s"
 	errCallNonObj     = "method call on non-object at %s"
+	errCallNoRecv     = "%s called without a receiver"
 	errFieldStoreObj  = "field store on non-object at %s"
 	errWalkerMon      = "the tree-walking engine cannot run under an effect monitor"
 	errIndexStoreArr  = "index store on non-array at %s"
@@ -92,10 +93,7 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 			return Value{}, err
 		}
 		if base.kind != KObject {
-			if base.kind == KNull {
-				return Value{}, rtErrf(errNullDeref, x.Pos())
-			}
-			return Value{}, rtErrf(errFieldNonObj, x.Pos())
+			return Value{}, fieldErr(base, x)
 		}
 		return base.ref.(*Object).Slots[x.Slot], nil
 

@@ -3,7 +3,6 @@ package interp
 import (
 	"io"
 	"math"
-	"sync"
 
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
@@ -119,10 +118,24 @@ type Ctx struct {
 	Cost int64
 
 	steps int64
+	// poll is the step at which stmt next takes its slow path: where
+	// MaxSteps or the Interrupt poll can fire, every step under a Charge
+	// hook; zero makes the first statement compute it.
+	poll int64
 
-	// argScratch recycles the compiled engine's call-argument slices,
-	// LIFO, for hooked and unhooked calls alike (see Invoke). A Ctx is
+	// frames is the activation stack: frames[:sp] are live, strictly
+	// LIFO, and a frame above sp has all-zero slots. A Ctx is
 	// goroutine-local, so no locking is needed.
+	frames []*Frame
+	sp     int
+	// first backs the stack's first four frames, so a fresh context's
+	// shallow calls allocate nothing.
+	first  [4]Frame
+	firstp [4]*Frame
+
+	// argScratch recycles the argument slices of hooked calls (see
+	// Invoke), LIFO; an unhooked call evaluates its arguments straight
+	// into the callee's frame.
 	argScratch [][]Value
 }
 
@@ -140,22 +153,48 @@ const DefaultMaxDepth = 4096
 func (ip *Interp) NewCtx() *Ctx { return &Ctx{IP: ip} }
 
 // Recycle readies a context for another activation at the given depth,
-// as NewCtx would have left it: the step and cost counters restart (so
-// Interrupt polling and MaxSteps behave as on a fresh context) while
-// the hooks and the argument scratch are kept.
+// as NewCtx would have left it: the step and cost counters restart and
+// the stack is emptied (frames a recovered panic abandoned are zeroed),
+// while the hooks, the stack's frames and the argument scratch stay.
 func (c *Ctx) Recycle(depth int) {
-	c.Depth, c.Cost, c.steps = depth, 0, 0
+	for c.sp > 0 {
+		c.popFrame()
+	}
+	c.Depth, c.Cost, c.steps, c.poll = depth, 0, 0, 0
 }
 
-// step enforces the statement budget and polls the interrupt hook.
-func (c *Ctx) step() error {
+// stmt is every statement's prologue in both engines: it counts the
+// step and charges its units, and takes the slow path only when the
+// count reaches poll. Statements are counted one at a time, never
+// coalesced, so MaxSteps and Interrupt behave alike under both engines.
+func (c *Ctx) stmt(units int64) error {
 	c.steps++
-	if c.MaxSteps > 0 && c.steps > c.MaxSteps {
-		return rtErrf("step budget of %d statements exhausted", c.MaxSteps)
+	c.Cost += units
+	if c.steps < c.poll {
+		return nil
 	}
-	if c.Interrupt != nil && c.steps%InterruptStride == 0 {
-		if err := c.Interrupt(); err != nil {
-			return err
+	return c.stmtSlow(units)
+}
+
+// stmtSlow hands the units to the Charge hook, if any, enforces the
+// statement budget, polls the interrupt hook, and sets the next poll.
+func (c *Ctx) stmtSlow(units int64) error {
+	c.poll = math.MaxInt64
+	if c.Charge != nil {
+		c.Cost -= units
+		c.Charge(units)
+		c.poll = c.steps + 1
+	}
+	if c.MaxSteps > 0 {
+		c.poll = min(c.poll, max(c.MaxSteps, c.steps)+1)
+		if c.steps > c.MaxSteps {
+			return rtErrf("step budget of %d statements exhausted", c.MaxSteps)
+		}
+	}
+	if c.Interrupt != nil {
+		c.poll = min(c.poll, (c.steps/InterruptStride+1)*InterruptStride)
+		if c.steps%InterruptStride == 0 {
+			return c.Interrupt()
 		}
 	}
 	return nil
@@ -192,55 +231,69 @@ func (c *Ctx) putArgs(s []Value) {
 // Frame is one activation record. Variables live in a flat slot array
 // (parameters first, then locals in declaration order) — the slot of
 // every name use was resolved ahead of time, so access is an array
-// index, not a map lookup. Frames are recycled through a sync.Pool;
-// freeFrame zeroes the slot array, so a pooled frame's backing array is
-// all-zero up to its capacity (frames abandoned by a panic unwind are
-// simply collected by the GC).
+// index, not a map lookup. A frame lives on its context's stack and is
+// taken again by the next activation at its height; popFrame zeroes the
+// slot array, so a pushed frame is all-zero up to its capacity.
 type Frame struct {
 	method *types.Method
 	slots  *methodSlots
 	this   *Object
 	vars   []Value
 	ctx    *Ctx
+	height int // index on ctx's stack
 	// ret receives the return value in compiled execution (the walker
 	// threads a *returnValue instead).
-	ret Value
+	ret   Value
+	small [8]Value // vars of a method with at most eight slots
 }
 
 // Method reports the frame's executing method (runtime diagnostics).
 func (fr *Frame) Method() *types.Method { return fr.method }
 
-var framePool = sync.Pool{New: func() any { return &Frame{} }}
-
-// newFrame acquires a pooled frame with n zeroed variable slots.
-func newFrame(n int) *Frame {
-	fr := framePool.Get().(*Frame)
-	if cap(fr.vars) >= n {
-		// The pool invariant guarantees every slot up to cap is zero.
-		fr.vars = fr.vars[:n]
-	} else {
+// pushFrame takes the frame above the stack's top, with n zero slots.
+func (c *Ctx) pushFrame(n int) *Frame {
+	if c.sp == len(c.frames) {
+		c.grow()
+	}
+	fr := c.frames[c.sp]
+	c.sp++
+	if cap(fr.vars) < n {
 		fr.vars = make([]Value, n)
 	}
+	fr.vars = fr.vars[:n]
 	return fr
 }
 
-// freeFrame zeroes and recycles a frame. Callers release frames only on
-// the normal (non-panicking) paths; a panic abandons the frame to the
-// garbage collector, which keeps the pool invariant (all slots zero)
-// trivially true.
-func freeFrame(fr *Frame) {
-	clear(fr.vars)
-	fr.method = nil
-	fr.slots = nil
-	fr.this = nil
-	fr.ctx = nil
-	fr.ret = Value{}
-	framePool.Put(fr)
+// grow adds four frames to the stack, in one allocation past the first.
+func (c *Ctx) grow() {
+	blk := &c.first
+	if len(c.frames) > 0 {
+		blk = new([4]Frame)
+	} else {
+		c.frames = c.firstp[:0]
+	}
+	for i := range blk {
+		blk[i].ctx, blk[i].height, blk[i].vars = c, len(c.frames), blk[i].small[:0]
+		c.frames = append(c.frames, &blk[i])
+	}
 }
 
-// ReleaseFrame recycles an iteration frame obtained from NewIterFrame
-// once no more iterations will run in it.
-func (ip *Interp) ReleaseFrame(fr *Frame) { freeFrame(fr) }
+// popFrame zeroes the top frame and takes it off the stack.
+func (c *Ctx) popFrame() {
+	c.sp--
+	fr := c.frames[c.sp]
+	clear(fr.vars)
+	fr.this, fr.ret = nil, Value{}
+}
+
+// ReleaseFrame pops an iteration frame obtained from NewIterFrame, and
+// any frame a recovered panic abandoned above it, off its context's
+// stack: claimants release it last, after every iteration.
+func (ip *Interp) ReleaseFrame(fr *Frame) {
+	for c := fr.ctx; c.sp > fr.height; {
+		c.popFrame()
+	}
+}
 
 // returnValue signals a return through the statement walkers.
 type returnValue struct {
@@ -256,45 +309,26 @@ func (ip *Interp) Run(ctx *Ctx) error {
 	return err
 }
 
-// Call executes method m with the given receiver and arguments.
+// Call executes method m with the given receiver and arguments. A
+// class method needs a receiver: a compiled body never tests this for
+// nil, as no call site passes one (a NULL receiver fails at the site,
+// an implicit one is the caller's own).
 func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (Value, error) {
 	if m.Def == nil {
 		return Value{}, rtErrf("%s has no definition", m.FullName())
 	}
-	maxDepth := ctx.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = DefaultMaxDepth
+	if m.Class != nil && this == nil {
+		return Value{}, rtErrf(errCallNoRecv, m.FullName())
 	}
-	if ctx.Depth >= maxDepth {
-		return Value{}, rtErrf("recursion depth limit of %d activations exceeded calling %s", maxDepth, m.FullName())
-	}
-	ctx.Depth++
-	defer func() { ctx.Depth-- }()
 	ms := ip.res.methods[m.ID]
-	fr := newFrame(ms.n)
-	fr.method, fr.slots, fr.this, fr.ctx = m, ms, this, ctx
+	fr := ctx.pushFrame(ms.n)
 	for i := range m.Params {
 		if i < len(args) {
 			fr.vars[i] = coerceKind(ms.paramCo[i], args[i])
 		}
 	}
-	ctx.charge(CostCall)
-
-	var out Value
-	if ip.engine == EngineWalk {
-		if ctx.Mon != nil {
-			freeFrame(fr)
-			return Value{}, rtErrf(errWalkerMon)
-		}
-		ret, err := ip.execStmt(fr, m.Def.Body)
-		if err != nil {
-			freeFrame(fr)
-			return Value{}, err
-		}
-		if ret != nil {
-			out = ret.v
-		}
-	} else {
+	body := walkBody
+	if ip.engine == EngineCompiled {
 		// A non-nil monitor selects the monitored compiled bodies; the
 		// unmonitored table is untouched, so steady-state execution
 		// stays branch-free inside the closures.
@@ -302,24 +336,57 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (V
 		if ctx.Mon != nil {
 			compiled, _ = ip.res.monTables()
 		}
-		fl, err := compiled[m.ID].body(fr)
-		if err != nil {
-			freeFrame(fr)
-			return Value{}, err
-		}
-		if fl == flowReturn {
-			out = fr.ret
-		}
+		body = compiled[m.ID].body
 	}
-	freeFrame(fr)
+	return ctx.enter(fr, m, ms, this, body)
+}
+
+// enter runs an activation whose frame is pushed with its arguments in
+// place: the depth guard, CostCall, the body, and the pop on every
+// return path. A non-void body that falls off its end returns its
+// type's zero, as the emitted Go does.
+func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, body stmtFn) (Value, error) {
+	maxDepth := c.MaxDepth
+	if maxDepth <= 0 {
+		maxDepth = DefaultMaxDepth
+	}
+	if c.Depth >= maxDepth {
+		c.popFrame()
+		return Value{}, rtErrf("recursion depth limit of %d activations exceeded calling %s", maxDepth, m.FullName())
+	}
+	c.Depth++
+	fr.method, fr.slots, fr.this = m, ms, this
+	c.charge(CostCall)
+	fl, err := body(fr)
+	c.Depth--
+	out := fr.ret
+	if fl != flowReturn {
+		out = ms.retZero
+	}
+	c.popFrame()
+	if err != nil {
+		return Value{}, err
+	}
 	return out, nil
+}
+
+// walkBody runs fr's method on the tree walker (no monitored kernels).
+func walkBody(fr *Frame) (flow, error) {
+	if fr.ctx.Mon != nil {
+		return flowNext, rtErrf(errWalkerMon)
+	}
+	ret, err := fr.ctx.IP.execStmt(fr, fr.method.Def.Body)
+	if ret == nil || err != nil {
+		return flowNext, err
+	}
+	fr.ret = ret.v
+	return flowReturn, nil
 }
 
 // execStmt executes a statement; a non-nil *returnValue unwinds a
 // return. (Tree-walking engine.)
 func (ip *Interp) execStmt(fr *Frame, s ast.Stmt) (*returnValue, error) {
-	fr.ctx.charge(CostStmt)
-	if err := fr.ctx.step(); err != nil {
+	if err := fr.ctx.stmt(CostStmt); err != nil {
 		return nil, err
 	}
 	switch st := s.(type) {
@@ -471,10 +538,11 @@ func (ip *Interp) countedLoop(fr *Frame, st *ast.ForStmt) (slot int, to, step in
 // locals (exactly as the serial loop reuses one frame across
 // iterations), so a single iteration frame can serve every iteration a
 // worker executes — the per-iteration cost is one slot store, not a
-// map rebuild. Release with ReleaseFrame when the worker is done.
+// map rebuild. The frame is pushed on the claimant's stack, LIFO:
+// release it with ReleaseFrame when the claimant is done.
 func (ip *Interp) NewIterFrame(ctx *Ctx, fr *Frame) *Frame {
-	sub := newFrame(len(fr.vars))
-	sub.method, sub.slots, sub.this, sub.ctx = fr.method, fr.slots, fr.this, ctx
+	sub := ctx.pushFrame(len(fr.vars))
+	sub.method, sub.slots, sub.this = fr.method, fr.slots, fr.this
 	copy(sub.vars, fr.vars)
 	return sub
 }

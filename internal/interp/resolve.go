@@ -18,6 +18,7 @@ type methodSlots struct {
 	types   []types.Type   // slot -> declared type (DeclStmt re-zeroing)
 	paramCo []ast.Coercion // per-parameter store coercion
 	retCo   ast.Coercion   // return-value coercion
+	retZero Value          // what a body that falls off its end returns
 	byName  map[string]int // name -> slot (cold paths only: loop offers)
 }
 
@@ -58,13 +59,7 @@ type resolution struct {
 // run concurrently with unmonitored execution.
 func (r *resolution) monTables() ([]*compiledMethod, map[*ast.ForStmt]loopBody) {
 	r.monOnce.Do(func() {
-		loops := make(map[*ast.ForStmt]loopBody)
-		c := &compiler{prog: r.prog, res: r, mon: true, loops: loops}
-		compiled := make([]*compiledMethod, len(r.prog.Methods))
-		for _, m := range r.prog.Methods {
-			compiled[m.ID] = c.compileMethod(m)
-		}
-		r.compiledMon, r.loopBodiesMon = compiled, loops
+		r.compiledMon, r.loopBodiesMon = compileAll(r, true)
 	})
 	return r.compiledMon, r.loopBodiesMon
 }
@@ -168,12 +163,7 @@ func buildResolution(prog *types.Program) *resolution {
 	// Lower every resolved body to closures. The compiled forms read
 	// only the annotations written above, so this runs after the whole
 	// program is resolved.
-	r.loopBodies = make(map[*ast.ForStmt]loopBody)
-	c := &compiler{prog: prog, res: r, loops: r.loopBodies}
-	r.compiled = make([]*compiledMethod, len(prog.Methods))
-	for _, m := range prog.Methods {
-		r.compiled[m.ID] = c.compileMethod(m)
-	}
+	r.compiled, r.loopBodies = compileAll(r, false)
 	return r
 }
 
@@ -194,6 +184,7 @@ func (r *resolution) resolveMethod(prog *types.Program, m *types.Method, constId
 		ms.paramCo = append(ms.paramCo, coercionFor(p.Type))
 	}
 	ms.retCo = coercionFor(m.Ret)
+	ms.retZero, _ = primZero(m.Ret)
 	if m.Def == nil {
 		return ms
 	}

@@ -241,19 +241,10 @@ func (ip *Interp) NewObject(cl *types.Class) *Object {
 }
 
 func (ip *Interp) zeroValue(t types.Type) Value {
+	if v, ok := primZero(t); ok {
+		return v
+	}
 	switch tt := t.(type) {
-	case types.Basic:
-		switch tt {
-		case types.Int:
-			return IntValue(0)
-		case types.Double:
-			return FloatValue(0)
-		case types.Bool:
-			return BoolValue(false)
-		}
-		return Value{}
-	case types.Pointer:
-		return Value{}
 	case types.Object:
 		return ObjectValue(ip.NewObject(tt.Class))
 	case types.Array:
@@ -264,6 +255,24 @@ func (ip *Interp) zeroValue(t types.Type) Value {
 		return ArrayValue(a)
 	}
 	return Value{}
+}
+
+// primZero is the zero value of a primitive or pointer type, which
+// needs no allocation (ok=false: an object or array type).
+func primZero(t types.Type) (v Value, ok bool) {
+	switch t {
+	case types.Int:
+		return IntValue(0), true
+	case types.Double:
+		return FloatValue(0), true
+	case types.Bool:
+		return BoolValue(false), true
+	}
+	switch t.(type) {
+	case types.Basic, types.Pointer:
+		return Value{}, true
+	}
+	return Value{}, false
 }
 
 // RuntimeError is a failure during interpretation.
