@@ -19,8 +19,8 @@ package interp
 // counts it and charges its units; statements are never coalesced, so
 // MaxSteps budgets and Interrupt polling behave identically under both
 // engines.
-// Operator kernels are picked by static type (kernel), a call enters its
-// callee's body directly (compileCall), and a field chain is one walk.
+// Operator kernels are picked by static type (kernel), and a call enters
+// its callee's body directly (compileCall).
 
 import (
 	"math"
@@ -70,6 +70,10 @@ type compiler struct {
 	// methods is the pass's table, indexed by types.Method.ID: a call
 	// site enters its callee's body of the same pass.
 	methods []*compiledMethod
+	// typed is whether operator kernels may be picked by static type
+	// (kindOf): no int or double method can fall off its end, which
+	// returns NULL.
+	typed bool
 }
 
 // loopBody is what RunLoopIteration needs of a counted loop the engines
@@ -85,10 +89,13 @@ type loopBody struct {
 // lowered, so a call site can hold its callee's entry.
 func compileAll(r *resolution, mon bool) ([]*compiledMethod, map[*ast.ForStmt]loopBody) {
 	c := &compiler{prog: r.prog, res: r, mon: mon, loops: make(map[*ast.ForStmt]loopBody),
-		methods: make([]*compiledMethod, len(r.prog.Methods))}
+		methods: make([]*compiledMethod, len(r.prog.Methods)), typed: true}
 	for _, m := range r.prog.Methods {
 		if m.Def != nil {
 			c.methods[m.ID] = &compiledMethod{}
+			if types.IsNumeric(m.Ret) && !terminates(m.Def.Body) {
+				c.typed = false
+			}
 		}
 	}
 	for _, m := range r.prog.Methods {
@@ -169,7 +176,21 @@ func (c *compiler) compileExpr(e ast.Expr) (exprFn, int64, bool) {
 		return c.errExpr("unresolved identifier %s at %s", x.Name, x.Pos())
 
 	case *ast.FieldAccess:
-		return c.compileFieldPath(x)
+		slot := x.Slot
+		if c.mon {
+			return c.unary1(x.X, func(fr *Frame, v Value) (Value, error) {
+				if v.kind != KObject {
+					return Value{}, fieldErr(v, x)
+				}
+				return fr.ctx.Mon.LoadField(v.ref.(*Object), int(slot)), nil
+			})
+		}
+		return c.unary1(x.X, func(_ *Frame, v Value) (Value, error) {
+			if v.kind != KObject {
+				return Value{}, fieldErr(v, x)
+			}
+			return v.ref.(*Object).Slots[slot], nil
+		})
 
 	case *ast.IndexExpr:
 		if c.mon {
@@ -223,12 +244,12 @@ func (c *compiler) compileExpr(e ast.Expr) (exprFn, int64, bool) {
 		}, CostExpr + CostAlloc, false
 
 	case *ast.CastExpr:
-		return c.unary1(x.X, func(v Value) (Value, error) {
+		return c.unary1(x.X, func(_ *Frame, v Value) (Value, error) {
 			return castValueClass(c.res.classList[x.ClassIdx], v, x)
 		})
 
 	case *ast.Unary:
-		return c.unary1(x.X, func(v Value) (Value, error) {
+		return c.unary1(x.X, func(_ *Frame, v Value) (Value, error) {
 			return applyUnary(x, v)
 		})
 
@@ -288,8 +309,8 @@ func (c *compiler) leaf(e ast.Expr) (func(fr *Frame) Value, int64, bool) {
 	return nil, 0, false
 }
 
-// unary1 composes a single compiled child with a pure kernel.
-func (c *compiler) unary1(child ast.Expr, k func(Value) (Value, error)) (exprFn, int64, bool) {
+// unary1 composes a single compiled child with a kernel.
+func (c *compiler) unary1(child ast.Expr, k func(*Frame, Value) (Value, error)) (exprFn, int64, bool) {
 	xf, xc, xd := c.compileExpr(child)
 	if !xd {
 		return func(fr *Frame) (Value, error) {
@@ -297,7 +318,7 @@ func (c *compiler) unary1(child ast.Expr, k func(Value) (Value, error)) (exprFn,
 			if err != nil {
 				return Value{}, err
 			}
-			return k(v)
+			return k(fr, v)
 		}, CostExpr + xc, false
 	}
 	return func(fr *Frame) (Value, error) {
@@ -306,70 +327,8 @@ func (c *compiler) unary1(child ast.Expr, k func(Value) (Value, error)) (exprFn,
 		if err != nil {
 			return Value{}, err
 		}
-		return k(v)
+		return k(fr, v)
 	}, 0, true
-}
-
-// compileFieldPath lowers a chain of field accesses (n->pos.val) to one
-// closure that walks the slots from the chain's base, charging CostExpr
-// per hop beside the base's own cost, as the walker does. The hop that
-// finds no object fails with the walker's message at its position.
-func (c *compiler) compileFieldPath(x *ast.FieldAccess) (exprFn, int64, bool) {
-	var hops []*ast.FieldAccess
-	base := ast.Expr(x)
-	for fa, ok := x, true; ok; fa, ok = base.(*ast.FieldAccess) {
-		hops = append([]*ast.FieldAccess{fa}, hops...)
-		base = fa.X
-	}
-	cost := CostExpr * int64(len(hops))
-	if bv, bc, ok := c.leaf(base); ok {
-		if c.mon {
-			return func(fr *Frame) (Value, error) { return walkFieldsMon(fr, bv(fr), hops) }, bc + cost, false
-		}
-		return func(fr *Frame) (Value, error) { return walkFields(fr, bv(fr), hops) }, bc + cost, false
-	}
-	walk := walkFields
-	if c.mon {
-		walk = walkFieldsMon
-	}
-	bf, bc, bd := c.compileExpr(base)
-	if !bd {
-		return func(fr *Frame) (Value, error) {
-			v, err := bf(fr)
-			if err != nil {
-				return Value{}, err
-			}
-			return walk(fr, v, hops)
-		}, bc + cost, false
-	}
-	return func(fr *Frame) (Value, error) {
-		fr.ctx.charge(cost)
-		v, err := bf(fr)
-		if err != nil {
-			return Value{}, err
-		}
-		return walk(fr, v, hops)
-	}, 0, true
-}
-
-func walkFields(_ *Frame, v Value, hops []*ast.FieldAccess) (Value, error) {
-	for _, h := range hops {
-		if v.kind != KObject {
-			return Value{}, fieldErr(v, h)
-		}
-		v = v.ref.(*Object).Slots[h.Slot]
-	}
-	return v, nil
-}
-
-func walkFieldsMon(fr *Frame, v Value, hops []*ast.FieldAccess) (Value, error) {
-	for _, h := range hops {
-		if v.kind != KObject {
-			return Value{}, fieldErr(v, h)
-		}
-		v = fr.ctx.Mon.LoadField(v.ref.(*Object), int(h.Slot))
-	}
-	return v, nil
 }
 
 func fieldErr(v Value, x *ast.FieldAccess) error {
@@ -531,11 +490,14 @@ func (c *compiler) compileBinary(x *ast.Binary) (exprFn, int64, bool) {
 }
 
 // kindOf is e's checked type where every value e yields has that kind.
-// Every store coerces to its checked type and a body that falls off its
-// end returns its type's zero, so that is every expression but an
+// Every store coerces to its checked type, so unless a numeric method
+// can fall off its end (c.typed), that is every expression but an
 // assignment — its value is the right-hand side as computed — and
 // arithmetic over one.
 func (c *compiler) kindOf(e ast.Expr) types.Type {
+	if !c.typed {
+		return nil
+	}
 	switch x := e.(type) {
 	case *ast.Assign:
 		return nil
@@ -606,6 +568,19 @@ func kernel(op token.Kind, lt, rt types.Type) func(l, r Value) (Value, error) {
 		return func(l, r Value) (Value, error) { return BoolValue(flt(l, li) != flt(r, ri)), nil }
 	}
 	return nil
+}
+
+// terminates reports whether s always ends in a return statement.
+func terminates(s ast.Stmt) bool {
+	switch st := s.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.Block:
+		return len(st.Stmts) > 0 && terminates(st.Stmts[len(st.Stmts)-1])
+	case *ast.IfStmt:
+		return st.Else != nil && terminates(st.Then) && terminates(st.Else)
+	}
+	return false
 }
 
 // flt reads a number whose kind is fixed: an int converts as asFloat
@@ -1005,42 +980,28 @@ func (c *compiler) compileCall(x *ast.CallExpr) (exprFn, int64, bool) {
 		} else if implicitRecv {
 			recv = fr.this
 		}
-		if ctx.Invoke == nil && cm != nil {
-			// Unhooked: the arguments go straight into the callee's frame.
-			nf := ctx.pushFrame(ms.n)
-			for i, af := range argFns {
-				v, err := af(fr)
-				if err != nil {
-					ctx.popFrame()
-					return Value{}, err
-				}
-				nf.vars[i] = coerceKind(ms.paramCo[i], v)
+		// The arguments go straight into the callee's frame. A hook gets
+		// them as a slice of it, which is popped when the hook returns.
+		nf := ctx.pushFrame(ms.n)
+		for i, af := range argFns {
+			v, err := af(fr)
+			if err != nil {
+				ctx.popFrame()
+				return Value{}, err
 			}
-			return ctx.enter(nf, callee, ms, recv, cm.body)
+			nf.vars[i] = coerceKind(ms.paramCo[i], v)
 		}
-		var args []Value
-		if n > 0 {
-			args = ctx.getArgs(n)
-			for i, af := range argFns {
-				v, err := af(fr)
-				if err != nil {
-					ctx.putArgs(args)
-					return Value{}, err
-				}
-				args[i] = v
-			}
+		if ctx.Invoke == nil && cm != nil {
+			return ctx.enter(nf, callee, ms, recv, cm.body)
 		}
 		var v Value
 		var err error
 		if ctx.Invoke != nil {
-			// The slice is the hook's only until it returns (Ctx.Invoke).
-			v, err = ctx.Invoke(site, recv, args)
+			v, err = ctx.Invoke(site, recv, nf.vars[:n:n])
 		} else {
-			v, err = ctx.IP.Call(ctx, callee, recv, args) // no definition
+			v, err = ctx.IP.Call(ctx, callee, recv, nf.vars[:n:n]) // no definition
 		}
-		if args != nil {
-			ctx.putArgs(args)
-		}
+		ctx.popFrame()
 		return v, err
 	}, 0, true
 }

@@ -128,15 +128,6 @@ type Ctx struct {
 	// goroutine-local, so no locking is needed.
 	frames []*Frame
 	sp     int
-	// first backs the stack's first four frames, so a fresh context's
-	// shallow calls allocate nothing.
-	first  [4]Frame
-	firstp [4]*Frame
-
-	// argScratch recycles the argument slices of hooked calls (see
-	// Invoke), LIFO; an unhooked call evaluates its arguments straight
-	// into the callee's frame.
-	argScratch [][]Value
 }
 
 // InterruptStride is how many statements execute between Interrupt
@@ -155,7 +146,7 @@ func (ip *Interp) NewCtx() *Ctx { return &Ctx{IP: ip} }
 // Recycle readies a context for another activation at the given depth,
 // as NewCtx would have left it: the step and cost counters restart and
 // the stack is emptied (frames a recovered panic abandoned are zeroed),
-// while the hooks, the stack's frames and the argument scratch stay.
+// while the hooks and the stack's frames stay.
 func (c *Ctx) Recycle(depth int) {
 	for c.sp > 0 {
 		c.popFrame()
@@ -208,26 +199,6 @@ func (c *Ctx) charge(units int64) {
 	c.Cost += units
 }
 
-// getArgs returns an argument slice of length n, recycling the most
-// recently released slice when it fits.
-func (c *Ctx) getArgs(n int) []Value {
-	if ln := len(c.argScratch); ln > 0 {
-		s := c.argScratch[ln-1]
-		if cap(s) >= n {
-			c.argScratch = c.argScratch[:ln-1]
-			return s[:n]
-		}
-	}
-	return make([]Value, n)
-}
-
-// putArgs releases an argument slice obtained from getArgs. The callee
-// has already copied the arguments into its frame.
-func (c *Ctx) putArgs(s []Value) {
-	clear(s)
-	c.argScratch = append(c.argScratch, s)
-}
-
 // Frame is one activation record. Variables live in a flat slot array
 // (parameters first, then locals in declaration order) — the slot of
 // every name use was resolved ahead of time, so access is an array
@@ -243,17 +214,18 @@ type Frame struct {
 	height int // index on ctx's stack
 	// ret receives the return value in compiled execution (the walker
 	// threads a *returnValue instead).
-	ret   Value
-	small [8]Value // vars of a method with at most eight slots
+	ret Value
 }
 
 // Method reports the frame's executing method (runtime diagnostics).
 func (fr *Frame) Method() *types.Method { return fr.method }
 
 // pushFrame takes the frame above the stack's top, with n zero slots.
+// A frame keeps its slot array across pushes, so a context's calls
+// allocate only while its stack or a frame's slots grow.
 func (c *Ctx) pushFrame(n int) *Frame {
 	if c.sp == len(c.frames) {
-		c.grow()
+		c.frames = append(c.frames, &Frame{ctx: c, height: c.sp})
 	}
 	fr := c.frames[c.sp]
 	c.sp++
@@ -262,20 +234,6 @@ func (c *Ctx) pushFrame(n int) *Frame {
 	}
 	fr.vars = fr.vars[:n]
 	return fr
-}
-
-// grow adds four frames to the stack, in one allocation past the first.
-func (c *Ctx) grow() {
-	blk := &c.first
-	if len(c.frames) > 0 {
-		blk = new([4]Frame)
-	} else {
-		c.frames = c.firstp[:0]
-	}
-	for i := range blk {
-		blk[i].ctx, blk[i].height, blk[i].vars = c, len(c.frames), blk[i].small[:0]
-		c.frames = append(c.frames, &blk[i])
-	}
 }
 
 // popFrame zeroes the top frame and takes it off the stack.
@@ -343,8 +301,7 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (V
 
 // enter runs an activation whose frame is pushed with its arguments in
 // place: the depth guard, CostCall, the body, and the pop on every
-// return path. A non-void body that falls off its end returns its
-// type's zero, as the emitted Go does.
+// return path. A body that falls off its end returns NULL.
 func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, body stmtFn) (Value, error) {
 	maxDepth := c.MaxDepth
 	if maxDepth <= 0 {
@@ -359,9 +316,9 @@ func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, b
 	c.charge(CostCall)
 	fl, err := body(fr)
 	c.Depth--
-	out := fr.ret
-	if fl != flowReturn {
-		out = ms.retZero
+	var out Value
+	if fl == flowReturn {
+		out = fr.ret
 	}
 	c.popFrame()
 	if err != nil {

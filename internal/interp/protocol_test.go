@@ -137,46 +137,53 @@ void main() { }
 // NULL dereference (in an argument, after the callee's frame is pushed)
 // and one that hits MaxDepth leave the context with no depth and an
 // empty activation stack, and a call after them behaves exactly as it
-// does on a fresh context.
+// does on a fresh context, with or without an Invoke hook.
 func TestFrameStackUnwinds(t *testing.T) {
 	prog := compile(t, frameStackSrc)
 	for _, e := range benchEngines {
-		t.Run(e.name, func(t *testing.T) {
-			ip := interp.NewEngine(prog, nil, e.eng)
-			recv := ip.Globals["N"]
-			call := func(ctx *interp.Ctx, name string, arg int64) (interp.Value, error) {
-				return ip.Call(ctx, prog.MethodByFullName("node::"+name), recv, []interp.Value{interp.IntValue(arg)})
-			}
-			ctx := ip.NewCtx()
-			ctx.MaxDepth = 64
-			settled := func(after string) {
-				t.Helper()
-				if ctx.Depth != 0 || ctx.StackHeight() != 0 {
-					t.Errorf("after %s: depth %d, stack height %d, want 0 and 0", after, ctx.Depth, ctx.StackHeight())
+		for _, hooked := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/hooked=%v", e.name, hooked), func(t *testing.T) {
+				ip := interp.NewEngine(prog, nil, e.eng)
+				recv := ip.Globals["N"]
+				call := func(ctx *interp.Ctx, name string, arg int64) (interp.Value, error) {
+					return ip.Call(ctx, prog.MethodByFullName("node::"+name), recv, []interp.Value{interp.IntValue(arg)})
 				}
-			}
-			if _, err := call(ctx, "nullAt", 1); err == nil || !strings.Contains(err.Error(), "NULL dereference") {
-				t.Fatalf("nullAt: err = %v, want a NULL dereference", err)
-			}
-			settled("a NULL dereference at depth 3")
-			if _, err := call(ctx, "spin", 0); err == nil || !strings.Contains(err.Error(), "recursion depth limit of 64") {
-				t.Fatalf("spin: err = %v, want the depth limit", err)
-			}
-			settled("the depth limit")
+				ctx := ip.NewCtx()
+				ctx.MaxDepth = 64
+				if hooked {
+					ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
+						return ip.Call(ctx, site.Callee, recv, args)
+					}
+				}
+				settled := func(after string) {
+					t.Helper()
+					if ctx.Depth != 0 || ctx.StackHeight() != 0 {
+						t.Errorf("after %s: depth %d, stack height %d, want 0 and 0", after, ctx.Depth, ctx.StackHeight())
+					}
+				}
+				if _, err := call(ctx, "nullAt", 1); err == nil || !strings.Contains(err.Error(), "NULL dereference") {
+					t.Fatalf("nullAt: err = %v, want a NULL dereference", err)
+				}
+				settled("a NULL dereference at depth 3")
+				if _, err := call(ctx, "spin", 0); err == nil || !strings.Contains(err.Error(), "recursion depth limit of 64") {
+					t.Fatalf("spin: err = %v, want the depth limit", err)
+				}
+				settled("the depth limit")
 
-			cost, steps := ctx.Cost, ctx.Steps()
-			got, err := call(ctx, "count", 5)
-			settled("a successful call")
-			fresh := ip.NewCtx()
-			want, werr := call(fresh, "count", 5)
-			if err != nil || werr != nil || !sameValue(got, want) || got.Int() != 5 {
-				t.Fatalf("count(5) = %v (%v) on the reused context, %v (%v) on a fresh one, want 5", got.Any(), err, want.Any(), werr)
-			}
-			if ctx.Cost-cost != fresh.Cost || ctx.Steps()-steps != fresh.Steps() {
-				t.Errorf("count(5) charged %d units in %d steps on the reused context, %d in %d on a fresh one",
-					ctx.Cost-cost, ctx.Steps()-steps, fresh.Cost, fresh.Steps())
-			}
-		})
+				cost, steps := ctx.Cost, ctx.Steps()
+				got, err := call(ctx, "count", 5)
+				settled("a successful call")
+				fresh := ip.NewCtx()
+				want, werr := call(fresh, "count", 5)
+				if err != nil || werr != nil || !sameValue(got, want) || got.Int() != 5 {
+					t.Fatalf("count(5) = %v (%v) on the reused context, %v (%v) on a fresh one, want 5", got.Any(), err, want.Any(), werr)
+				}
+				if ctx.Cost-cost != fresh.Cost || ctx.Steps()-steps != fresh.Steps() {
+					t.Errorf("count(5) charged %d units in %d steps on the reused context, %d in %d on a fresh one",
+						ctx.Cost-cost, ctx.Steps()-steps, fresh.Cost, fresh.Steps())
+				}
+			})
+		}
 	}
 }
 
@@ -207,11 +214,12 @@ func TestNilReceiverRejectedAtEntry(t *testing.T) {
 	}
 }
 
-// TestFallOffReturnsZero: a non-void body that falls off its end
-// returns its type's zero on both engines, as the emitted Go does, so a
-// caller's arithmetic sees a number.
-func TestFallOffReturnsZero(t *testing.T) {
-	const source = `
+// TestFallOffReturnsNull: a numeric body that falls off its end returns
+// NULL, and arithmetic on it fails alike on both engines, straight or
+// through a local: such a program keeps the walker's kernels.
+func TestFallOffReturnsNull(t *testing.T) {
+	for _, use := range []string{"n = none(0) + 3;", "x = noneD(0); d = x * 2.0;", "d = noneD(0);"} {
+		source := `
 class m {
 public:
   int n;
@@ -223,19 +231,19 @@ public:
 m M;
 int m::none(int k) { if (k > 0) return k; }
 double m::noneD(int k) { if (k > 0) return 1.5; }
-void m::go() { n = none(0) + 3; d = noneD(0) * 2.0; }
+void m::go() { double x; ` + use + ` }
 void main() { M.go(); }
 `
-	prog := compile(t, source)
-	for _, e := range benchEngines {
-		ip := interp.NewEngine(prog, nil, e.eng)
-		if err := ip.Run(ip.NewCtx()); err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+		prog := compile(t, source)
+		var got [2]string
+		for i, e := range benchEngines {
+			ip := interp.NewEngine(prog, nil, e.eng)
+			err := ip.Run(ip.NewCtx())
+			d := ip.Globals["M"].Slots[ip.FieldSlot(prog.Classes["m"], "m", "d")]
+			got[i] = fmt.Sprintf("%v %v", err, d.Kind())
 		}
-		cl := prog.Classes["m"]
-		o := ip.Globals["M"]
-		if n, d := o.Slots[ip.FieldSlot(cl, "m", "n")], o.Slots[ip.FieldSlot(cl, "m", "d")]; n.Int() != 3 || d.Kind() != interp.KFloat || d.Float() != 0 {
-			t.Errorf("%s: n = %v, d = %v, want 3 and 0.0", e.name, n.Any(), d.Any())
+		if got[0] != got[1] {
+			t.Errorf("%s: compiled %q, walker %q", use, got[0], got[1])
 		}
 	}
 }
@@ -268,8 +276,8 @@ void main() { }
 		defer func() { recover() }()
 		ip.Call(ctx, outer, ip.Globals["M"], []interp.Value{interp.IntValue(1)})
 	}()
-	if ctx.StackHeight() != 1 {
-		t.Fatalf("the panic left %d frames, want outer's", ctx.StackHeight())
+	if ctx.StackHeight() != 2 {
+		t.Fatalf("the panic left %d frames, want outer's and inner's", ctx.StackHeight())
 	}
 	ctx.Recycle(0)
 	if ctx.StackHeight() != 0 || ctx.Depth != 0 || !ctx.FreeFramesZero() {

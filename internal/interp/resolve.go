@@ -18,7 +18,6 @@ type methodSlots struct {
 	types   []types.Type   // slot -> declared type (DeclStmt re-zeroing)
 	paramCo []ast.Coercion // per-parameter store coercion
 	retCo   ast.Coercion   // return-value coercion
-	retZero Value          // what a body that falls off its end returns
 	byName  map[string]int // name -> slot (cold paths only: loop offers)
 }
 
@@ -184,7 +183,6 @@ func (r *resolution) resolveMethod(prog *types.Program, m *types.Method, constId
 		ms.paramCo = append(ms.paramCo, coercionFor(p.Type))
 	}
 	ms.retCo = coercionFor(m.Ret)
-	ms.retZero, _ = primZero(m.Ret)
 	if m.Def == nil {
 		return ms
 	}
