@@ -322,8 +322,3 @@ func (s *System) Trace() (*tracer.Trace, error) {
 func Simulate(tr *tracer.Trace, procs int) *simdash.Result {
 	return simdash.Simulate(tr, simdash.DefaultParams(procs))
 }
-
-// SimulateWith runs a trace with explicit machine parameters.
-func SimulateWith(tr *tracer.Trace, p simdash.Params) *simdash.Result {
-	return simdash.Simulate(tr, p)
-}

@@ -5,7 +5,6 @@
 package symbolic
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -461,18 +460,3 @@ func EqualMultisets(a, b Multiset) bool { return a.Key() == b.Key() }
 
 // String helpers for diagnostics.
 func (ms Multiset) String() string { return "{" + ms.Key() + "}" }
-
-// Fmt renders an instance-variable binding map deterministically (used
-// in reports and tests).
-func Fmt(bindings map[string]Expr) string {
-	names := make([]string, 0, len(bindings))
-	for n := range bindings {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = fmt.Sprintf("%s ↦ %s", n, bindings[n].Key())
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
-}

@@ -136,11 +136,6 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) {
 	for _, s := range m.Def.Body.Stmts {
 		c.stmt(s)
 	}
-	if c.valueMode() && !isVoid(m.Ret) && !blockTerminates(m.Def.Body) {
-		// The interpreter returns a zero value when control falls off
-		// the end of a non-void body.
-		c.line("return %s", e.zeroVal(m.Ret))
-	}
 	c.b.WriteString("}\n")
 }
 
@@ -475,25 +470,6 @@ func refersToVar(x ast.Expr, name string) bool {
 		return !found
 	})
 	return found
-}
-
-// blockTerminates reports whether the statement always transfers
-// control (Go's terminating-statement analysis, restricted to the
-// dialect's statement forms), so emitFn knows when a trailing zero
-// return would be flagged as unreachable.
-func blockTerminates(s ast.Stmt) bool {
-	switch v := s.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.Block:
-		if len(v.Stmts) == 0 {
-			return false
-		}
-		return blockTerminates(v.Stmts[len(v.Stmts)-1])
-	case *ast.IfStmt:
-		return v.Else != nil && blockTerminates(v.Then) && blockTerminates(v.Else)
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------

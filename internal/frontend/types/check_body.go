@@ -60,8 +60,27 @@ func (c *checker) checkBody(m *Method) {
 		}
 	}
 	c.checkStmt(m.Def.Body)
+	if m.Ret != Basic(Void) && !terminates(m.Def.Body) {
+		c.errorf(m.Def.Pos(), "%s: missing return at end of body", m.FullName())
+	}
 	c.popScope()
 	c.method = nil
+}
+
+// terminates reports whether s always ends in a return statement. No
+// loop terminates, not even while (TRUE): the rule is conservative, so
+// a non-void body must end in a return (or an if/else whose arms both
+// do) and neither backend has to decide what falling off its end means.
+func terminates(s ast.Stmt) bool {
+	switch st := s.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.Block:
+		return len(st.Stmts) > 0 && terminates(st.Stmts[len(st.Stmts)-1])
+	case *ast.IfStmt:
+		return st.Else != nil && terminates(st.Then) && terminates(st.Else)
+	}
+	return false
 }
 
 func (c *checker) checkStmt(s ast.Stmt) {

@@ -207,6 +207,11 @@ func TestErrors(t *testing.T) {
 		{`class a { public: void m(); }; void a::m() { return 1; }`, "return value in void method"},
 		{`class a { public: int m(); }; int a::m() { return; }`, "return with no value"},
 		{`class b { public: int q; }; class a { public: int x; void m(b *p); }; void a::m(b *p) { x = p->nope; }`, "no field nope"},
+		{`class a { public: int x; int m(); }; int a::m() { if (x > 0) return x; }`, "a::m: missing return at end of body"},
+		{`class a { public: int m(); }; int a::m() { int i; i = 0; while (TRUE) { i = i + 1; if (i > 3) return i; } }`, "missing return"},
+		{`class a { public: double m(); }; double a::m() { }`, "missing return"},
+		{`class a { public: int x; boolean m(); }; boolean a::m() { if (x > 0) return TRUE; }`, "missing return"},
+		{`class a { public: a *next; a *m(); }; a *a::m() { if (next != NULL) return next; }`, "missing return"},
 	}
 	for _, tc := range cases {
 		checkErr(t, tc.src, tc.want)
@@ -221,10 +226,20 @@ public:
   double d;
   boolean b;
   void m();
+  int sign();
 };
 void a::m() {
   d = i * 2 + d;
   b = i < 3 && d >= 1.0;
+}
+int a::sign() {
+  {
+    if (i < 0) {
+      return -1;
+    } else {
+      return 1;
+    }
+  }
 }
 `)
 	m := p.Classes["a"].MethodByName("m")

@@ -70,10 +70,6 @@ type compiler struct {
 	// methods is the pass's table, indexed by types.Method.ID: a call
 	// site enters its callee's body of the same pass.
 	methods []*compiledMethod
-	// typed is whether operator kernels may be picked by static type
-	// (kindOf): no int or double method can fall off its end, which
-	// returns NULL.
-	typed bool
 }
 
 // loopBody is what RunLoopIteration needs of a counted loop the engines
@@ -89,13 +85,10 @@ type loopBody struct {
 // lowered, so a call site can hold its callee's entry.
 func compileAll(r *resolution, mon bool) ([]*compiledMethod, map[*ast.ForStmt]loopBody) {
 	c := &compiler{prog: r.prog, res: r, mon: mon, loops: make(map[*ast.ForStmt]loopBody),
-		methods: make([]*compiledMethod, len(r.prog.Methods)), typed: true}
+		methods: make([]*compiledMethod, len(r.prog.Methods))}
 	for _, m := range r.prog.Methods {
 		if m.Def != nil {
 			c.methods[m.ID] = &compiledMethod{}
-			if types.IsNumeric(m.Ret) && !terminates(m.Def.Body) {
-				c.typed = false
-			}
 		}
 	}
 	for _, m := range r.prog.Methods {
@@ -490,14 +483,12 @@ func (c *compiler) compileBinary(x *ast.Binary) (exprFn, int64, bool) {
 }
 
 // kindOf is e's checked type where every value e yields has that kind.
-// Every store coerces to its checked type, so unless a numeric method
-// can fall off its end (c.typed), that is every expression but an
+// Every store coerces to its checked type, and the checker rejects a
+// non-void body that can fall off its end, so a call yields its
+// method's return type too. That is every expression but an
 // assignment — its value is the right-hand side as computed — and
 // arithmetic over one.
 func (c *compiler) kindOf(e ast.Expr) types.Type {
-	if !c.typed {
-		return nil
-	}
 	switch x := e.(type) {
 	case *ast.Assign:
 		return nil
@@ -568,19 +559,6 @@ func kernel(op token.Kind, lt, rt types.Type) func(l, r Value) (Value, error) {
 		return func(l, r Value) (Value, error) { return BoolValue(flt(l, li) != flt(r, ri)), nil }
 	}
 	return nil
-}
-
-// terminates reports whether s always ends in a return statement.
-func terminates(s ast.Stmt) bool {
-	switch st := s.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.Block:
-		return len(st.Stmts) > 0 && terminates(st.Stmts[len(st.Stmts)-1])
-	case *ast.IfStmt:
-		return st.Else != nil && terminates(st.Then) && terminates(st.Else)
-	}
-	return false
 }
 
 // flt reads a number whose kind is fixed: an int converts as asFloat

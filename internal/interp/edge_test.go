@@ -175,6 +175,7 @@ int m::probe(int limit) {
     if (i >= limit)
       return i;
   }
+  return -1;
 }
 void m::go() { found = this->probe(5); }
 void main() { M.go(); }

@@ -301,7 +301,8 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (V
 
 // enter runs an activation whose frame is pushed with its arguments in
 // place: the depth guard, CostCall, the body, and the pop on every
-// return path. A body that falls off its end returns NULL.
+// return path. Only a void body can fall off its end (the checker
+// rejects any other); it yields NULL.
 func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, body stmtFn) (Value, error) {
 	maxDepth := c.MaxDepth
 	if maxDepth <= 0 {

@@ -214,40 +214,6 @@ func TestNilReceiverRejectedAtEntry(t *testing.T) {
 	}
 }
 
-// TestFallOffReturnsNull: a numeric body that falls off its end returns
-// NULL, and arithmetic on it fails alike on both engines, straight or
-// through a local: such a program keeps the walker's kernels.
-func TestFallOffReturnsNull(t *testing.T) {
-	for _, use := range []string{"n = none(0) + 3;", "x = noneD(0); d = x * 2.0;", "d = noneD(0);"} {
-		source := `
-class m {
-public:
-  int n;
-  double d;
-  int none(int k);
-  double noneD(int k);
-  void go();
-};
-m M;
-int m::none(int k) { if (k > 0) return k; }
-double m::noneD(int k) { if (k > 0) return 1.5; }
-void m::go() { double x; ` + use + ` }
-void main() { M.go(); }
-`
-		prog := compile(t, source)
-		var got [2]string
-		for i, e := range benchEngines {
-			ip := interp.NewEngine(prog, nil, e.eng)
-			err := ip.Run(ip.NewCtx())
-			d := ip.Globals["M"].Slots[ip.FieldSlot(prog.Classes["m"], "m", "d")]
-			got[i] = fmt.Sprintf("%v %v", err, d.Kind())
-		}
-		if got[0] != got[1] {
-			t.Errorf("%s: compiled %q, walker %q", use, got[0], got[1])
-		}
-	}
-}
-
 // TestRecycleRetakesAbandonedFrames: a panic recovered above a call
 // abandons its frames on the context's stack; Recycle pops and zeroes
 // them, so the next activation takes them again clean.
