@@ -170,9 +170,6 @@ func (e *goEmitter) assembleProg(entry variant) []byte {
 	}
 	b.WriteString("}\n\n")
 
-	if len(e.prog.Main.Params) > 0 {
-		e.errorf("main has parameters; the driver cannot call it")
-	}
 	fmt.Fprintf(&b, "func run_() {\n\t%smain()\n}\n", versions[entry].prefix)
 
 	// Helpers, sorted by name.

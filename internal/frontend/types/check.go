@@ -120,6 +120,9 @@ func Check(files ...*ast.File) (*Program, error) {
 
 	if m, ok := c.prog.Funcs["main"]; ok {
 		c.prog.Main = m
+		if len(m.Params) > 0 {
+			c.errorf(m.Def.Pos(), "main has parameters; a program's entry takes none")
+		}
 	}
 	if len(c.errors) > 0 {
 		var sb strings.Builder

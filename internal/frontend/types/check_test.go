@@ -212,6 +212,7 @@ func TestErrors(t *testing.T) {
 		{`class a { public: double m(); }; double a::m() { }`, "missing return"},
 		{`class a { public: int x; boolean m(); }; boolean a::m() { if (x > 0) return TRUE; }`, "missing return"},
 		{`class a { public: a *next; a *m(); }; a *a::m() { if (next != NULL) return next; }`, "missing return"},
+		{`void main(int n) { print(n + 1); }`, "main has parameters"},
 	}
 	for _, tc := range cases {
 		checkErr(t, tc.src, tc.want)

@@ -5,6 +5,7 @@ import (
 
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/token"
+	"commute/internal/frontend/types"
 )
 
 // Abstract cost units charged by the interpreter. One unit corresponds
@@ -44,6 +45,7 @@ const (
 	errCallOnNull     = "method call on NULL at %s"
 	errCallNonObj     = "method call on non-object at %s"
 	errCallNoRecv     = "%s called without a receiver"
+	errCallArity      = "%s takes %d arguments, called with %d"
 	errFieldStoreObj  = "field store on non-object at %s"
 	errWalkerMon      = "the tree-walking engine cannot run under an effect monitor"
 	errIndexStoreArr  = "index store on non-array at %s"
@@ -120,7 +122,7 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return castValue(ip, v, x)
+		return castValue(ip.res.classList[x.ClassIdx], v, x)
 
 	case *ast.Unary:
 		v, err := ip.eval(fr, x.X)
@@ -140,34 +142,43 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 
 // indexLoad is the array-read kernel shared by both engines.
 func indexLoad(arrV, idxV Value, x *ast.IndexExpr) (Value, error) {
-	if arrV.kind != KArray {
-		return Value{}, rtErrf(errIndexNonArr, x.Pos())
-	}
-	if idxV.kind != KInt {
-		return Value{}, rtErrf(errIndexNonInt, x.Pos())
-	}
-	arr := arrV.ref.(*Array)
-	i := int64(idxV.num)
-	if i < 0 || int(i) >= len(arr.Elems) {
-		return Value{}, rtErrf(errIndexRange, i, len(arr.Elems), x.Pos())
+	arr, i, err := elemLoad(arrV, idxV, x)
+	if err != nil {
+		return Value{}, err
 	}
 	return arr.Elems[i], nil
 }
 
+// elemLoad is indexLoad's checks: the array x reads and the element's
+// index.
+func elemLoad(arrV, idxV Value, x *ast.IndexExpr) (*Array, int, error) {
+	if arrV.kind != KArray {
+		return nil, 0, rtErrf(errIndexNonArr, x.Pos())
+	}
+	if idxV.kind != KInt {
+		return nil, 0, rtErrf(errIndexNonInt, x.Pos())
+	}
+	arr := arrV.ref.(*Array)
+	i := int64(idxV.num)
+	if i < 0 || int(i) >= len(arr.Elems) {
+		return nil, 0, rtErrf(errIndexRange, i, len(arr.Elems), x.Pos())
+	}
+	return arr, int(i), nil
+}
+
 // castValue is the dynamic-cast kernel shared by both engines: a failed
-// cast yields NULL, matching the dialect's checked downcasts.
-func castValue(ip *Interp, v Value, x *ast.CastExpr) (Value, error) {
+// cast to target yields NULL, matching the dialect's checked downcasts.
+func castValue(target *types.Class, v Value, x *ast.CastExpr) (Value, error) {
 	if v.kind == KNull {
 		return Value{}, nil
 	}
 	if v.kind != KObject {
 		return Value{}, rtErrf(errCastNonObj, x.Pos())
 	}
-	obj := v.ref.(*Object)
-	if obj.Class.InheritsFrom(ip.res.classList[x.ClassIdx]) {
+	if v.ref.(*Object).Class.InheritsFrom(target) {
 		return v, nil
 	}
-	return Value{}, nil // failed dynamic cast yields NULL
+	return Value{}, nil
 }
 
 // applyUnary is the unary-operator kernel shared by both engines.
@@ -431,19 +442,29 @@ func (ip *Interp) store(fr *Frame, lhs ast.Expr, v Value) error {
 
 // indexStore is the array-write kernel shared by both engines.
 func indexStore(arrV, idxV, v Value, x *ast.IndexExpr) error {
-	if arrV.kind != KArray {
-		return rtErrf(errIndexStoreArr, x.Pos())
-	}
-	arr := arrV.ref.(*Array)
-	if idxV.kind != KInt {
-		return rtErrf(errIndexStoreRng, idxV.Any(), x.Pos())
-	}
-	i := int64(idxV.num)
-	if i < 0 || int(i) >= len(arr.Elems) {
-		return rtErrf(errIndexStoreRng, idxV.Any(), x.Pos())
+	arr, i, err := elemStore(arrV, idxV, x)
+	if err != nil {
+		return err
 	}
 	arr.Elems[i] = coerceKind(x.Coerce, v)
 	return nil
+}
+
+// elemStore is indexStore's checks: the array x writes and the
+// element's index.
+func elemStore(arrV, idxV Value, x *ast.IndexExpr) (*Array, int, error) {
+	if arrV.kind != KArray {
+		return nil, 0, rtErrf(errIndexStoreArr, x.Pos())
+	}
+	arr := arrV.ref.(*Array)
+	if idxV.kind != KInt {
+		return nil, 0, rtErrf(errIndexStoreRng, idxV.Any(), x.Pos())
+	}
+	i := int64(idxV.num)
+	if i < 0 || int(i) >= len(arr.Elems) {
+		return nil, 0, rtErrf(errIndexStoreRng, idxV.Any(), x.Pos())
+	}
+	return arr, int(i), nil
 }
 
 // evalCall evaluates receiver and arguments, then dispatches through

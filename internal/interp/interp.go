@@ -191,6 +191,41 @@ func (c *Ctx) stmtSlow(units int64) error {
 	return nil
 }
 
+// tick is stmt in compiled code, which throws its failure.
+func (c *Ctx) tick(units int64) {
+	c.steps++
+	c.Cost += units
+	if c.steps >= c.poll {
+		c.tickSlow(units)
+	}
+}
+
+// tickSlow stays out of line so that tick inlines into every statement.
+//
+//go:noinline
+func (c *Ctx) tickSlow(units int64) {
+	if err := c.stmtSlow(units); err != nil {
+		throw(err)
+	}
+}
+
+// catch is deferred by the two entries into compiled code, Interp.Call
+// and RunLoopIteration: a thrown failure pops the context's stack back
+// to the entry's height sp, restores the entry's depth and becomes the
+// entry's error. Any other panic goes on unwinding, frames and all.
+func (c *Ctx) catch(sp, depth int, err *error) {
+	if r := recover(); r != nil {
+		t, ok := r.(thrown)
+		if !ok {
+			panic(r)
+		}
+		for c.sp > sp {
+			c.popFrame()
+		}
+		c.Depth, *err = depth, t.err
+	}
+}
+
 func (c *Ctx) charge(units int64) {
 	if c.Charge != nil {
 		c.Charge(units)
@@ -270,20 +305,23 @@ func (ip *Interp) Run(ctx *Ctx) error {
 // Call executes method m with the given receiver and arguments. A
 // class method needs a receiver: a compiled body never tests this for
 // nil, as no call site passes one (a NULL receiver fails at the site,
-// an implicit one is the caller's own).
-func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (Value, error) {
+// an implicit one is the caller's own). It needs one argument per
+// parameter, so no parameter slot holds a kind other than its type.
+func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (v Value, err error) {
 	if m.Def == nil {
 		return Value{}, rtErrf("%s has no definition", m.FullName())
 	}
 	if m.Class != nil && this == nil {
 		return Value{}, rtErrf(errCallNoRecv, m.FullName())
 	}
+	if len(args) != len(m.Params) {
+		return Value{}, rtErrf(errCallArity, m.FullName(), len(m.Params), len(args))
+	}
 	ms := ip.res.methods[m.ID]
+	defer ctx.catch(ctx.sp, ctx.Depth, &err)
 	fr := ctx.pushFrame(ms.n)
-	for i := range m.Params {
-		if i < len(args) {
-			fr.vars[i] = coerceKind(ms.paramCo[i], args[i])
-		}
+	for i, a := range args {
+		fr.vars[i] = coerceKind(ms.paramCo[i], a)
 	}
 	body := walkBody
 	if ip.engine == EngineCompiled {
@@ -296,49 +334,49 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (V
 		}
 		body = compiled[m.ID].body
 	}
-	return ctx.enter(fr, m, ms, this, body)
+	return ctx.enter(fr, m, ms, this, body), nil
 }
 
 // enter runs an activation whose frame is pushed with its arguments in
-// place: the depth guard, CostCall, the body, and the pop on every
-// return path. Only a void body can fall off its end (the checker
-// rejects any other); it yields NULL.
-func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, body stmtFn) (Value, error) {
+// place: the depth guard, CostCall, the body, and the pop. Only a void
+// body can fall off its end (the checker rejects any other); it yields
+// NULL. A failure throws past it: the catching entry pops the frame.
+func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, body stmtFn) Value {
 	maxDepth := c.MaxDepth
 	if maxDepth <= 0 {
 		maxDepth = DefaultMaxDepth
 	}
 	if c.Depth >= maxDepth {
-		c.popFrame()
-		return Value{}, rtErrf("recursion depth limit of %d activations exceeded calling %s", maxDepth, m.FullName())
+		throw(rtErrf("recursion depth limit of %d activations exceeded calling %s", maxDepth, m.FullName()))
 	}
 	c.Depth++
 	fr.method, fr.slots, fr.this = m, ms, this
 	c.charge(CostCall)
-	fl, err := body(fr)
+	fl := body(fr)
 	c.Depth--
 	var out Value
 	if fl == flowReturn {
 		out = fr.ret
 	}
 	c.popFrame()
-	if err != nil {
-		return Value{}, err
-	}
-	return out, nil
+	return out
 }
 
-// walkBody runs fr's method on the tree walker (no monitored kernels).
-func walkBody(fr *Frame) (flow, error) {
+// walkBody runs fr's method on the tree walker (no monitored kernels),
+// throwing its error as a compiled body would.
+func walkBody(fr *Frame) flow {
 	if fr.ctx.Mon != nil {
-		return flowNext, rtErrf(errWalkerMon)
+		throw(rtErrf(errWalkerMon))
 	}
 	ret, err := fr.ctx.IP.execStmt(fr, fr.method.Def.Body)
-	if ret == nil || err != nil {
-		return flowNext, err
+	if err != nil {
+		throw(err)
+	}
+	if ret == nil {
+		return flowNext
 	}
 	fr.ret = ret.v
-	return flowReturn, nil
+	return flowReturn
 }
 
 // execStmt executes a statement; a non-nil *returnValue unwinds a
@@ -508,12 +546,13 @@ func (ip *Interp) NewIterFrame(ctx *Ctx, fr *Frame) *Frame {
 // RunLoopIteration executes one iteration of the body of a counted loop
 // the engine offered, in an iteration frame obtained from NewIterFrame,
 // with the loop variable bound to i.
-func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) error {
-	if ip.engine == EngineWalk && sub.ctx.Mon != nil {
+func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) (err error) {
+	ctx := sub.ctx
+	if ip.engine == EngineWalk && ctx.Mon != nil {
 		return rtErrf(errWalkerMon)
 	}
 	loops := ip.res.loopBodies
-	if sub.ctx.Mon != nil {
+	if ctx.Mon != nil {
 		_, loops = ip.res.monTables()
 	}
 	lb, ok := loops[st]
@@ -521,7 +560,7 @@ func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) error {
 		return rtErrf("parallel loop at %s is not a counted loop", st.Pos())
 	}
 	sub.vars[lb.slot] = IntValue(i)
-	returned := false
+	var returned bool
 	if ip.engine == EngineWalk {
 		ret, err := ip.execStmt(sub, st.Body)
 		if err != nil {
@@ -529,11 +568,8 @@ func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) error {
 		}
 		returned = ret != nil
 	} else {
-		fl, err := lb.body(sub)
-		if err != nil {
-			return err
-		}
-		returned = fl == flowReturn
+		defer ctx.catch(ctx.sp, ctx.Depth, &err)
+		returned = lb.body(sub) == flowReturn
 	}
 	if returned {
 		return rtErrf("return inside a parallel loop")

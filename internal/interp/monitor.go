@@ -1,9 +1,6 @@
 package interp
 
-import (
-	"commute/internal/frontend/ast"
-	"commute/internal/frontend/types"
-)
+import "commute/internal/frontend/types"
 
 // Mon observes — and may redirect — every shared-state access a
 // compiled body performs: object field loads and stores, and array
@@ -12,9 +9,9 @@ import (
 // so a task reads its own buffered writes instead of the live heap.
 //
 // The compiled engine keeps two sets of closure-compiled bodies — the
-// unmonitored hot path, byte-identical to what an unmonitored program
-// always ran, and a monitored set (built lazily on first use) whose
-// field/element kernels call the monitor unconditionally. Call and
+// unmonitored hot path, which carries no monitor branch, and a
+// monitored set (built lazily on first use) whose field and element
+// loads and stores call the monitor unconditionally. Call and
 // RunLoopIteration select the monitored set whenever Ctx.Mon is
 // non-nil. The tree walker, the serial reference, has no monitored
 // kernels: it fails a call made under a monitor (errWalkerMon) rather
@@ -48,40 +45,4 @@ func (ip *Interp) SlotField(cl *types.Class, slot int) (*types.Class, string, bo
 		}
 	}
 	return nil, "", false
-}
-
-// indexLoadMon is the monitored variant of the indexLoad kernel: the
-// same checks, with the element read routed through the monitor. The
-// unmonitored kernels stay untouched — they are shared with the
-// compiled engine's hot path.
-func indexLoadMon(mon Mon, arrV, idxV Value, x *ast.IndexExpr) (Value, error) {
-	if arrV.kind != KArray {
-		return Value{}, rtErrf(errIndexNonArr, x.Pos())
-	}
-	if idxV.kind != KInt {
-		return Value{}, rtErrf(errIndexNonInt, x.Pos())
-	}
-	arr := arrV.ref.(*Array)
-	i := int64(idxV.num)
-	if i < 0 || int(i) >= len(arr.Elems) {
-		return Value{}, rtErrf(errIndexRange, i, len(arr.Elems), x.Pos())
-	}
-	return mon.LoadElem(arr, int(i)), nil
-}
-
-// indexStoreMon is the monitored variant of the indexStore kernel.
-func indexStoreMon(mon Mon, arrV, idxV, v Value, x *ast.IndexExpr) error {
-	if arrV.kind != KArray {
-		return rtErrf(errIndexStoreArr, x.Pos())
-	}
-	arr := arrV.ref.(*Array)
-	if idxV.kind != KInt {
-		return rtErrf(errIndexStoreRng, idxV.Any(), x.Pos())
-	}
-	i := int64(idxV.num)
-	if i < 0 || int(i) >= len(arr.Elems) {
-		return rtErrf(errIndexStoreRng, idxV.Any(), x.Pos())
-	}
-	mon.StoreElem(arr, int(i), coerceKind(x.Coerce, v))
-	return nil
 }

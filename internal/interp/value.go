@@ -249,8 +249,14 @@ func (ip *Interp) zeroValue(t types.Type) Value {
 		return ObjectValue(ip.NewObject(tt.Class))
 	case types.Array:
 		a := &Array{Elems: make([]Value, tt.Len)}
-		for i := range a.Elems {
-			a.Elems[i] = ip.zeroValue(tt.Elem)
+		if z, ok := primZero(tt.Elem); ok {
+			for i := range a.Elems {
+				a.Elems[i] = z
+			}
+		} else {
+			for i := range a.Elems {
+				a.Elems[i] = ip.zeroValue(tt.Elem)
+			}
 		}
 		return ArrayValue(a)
 	}
@@ -260,16 +266,18 @@ func (ip *Interp) zeroValue(t types.Type) Value {
 // primZero is the zero value of a primitive or pointer type, which
 // needs no allocation (ok=false: an object or array type).
 func primZero(t types.Type) (v Value, ok bool) {
-	switch t {
-	case types.Int:
-		return IntValue(0), true
-	case types.Double:
-		return FloatValue(0), true
-	case types.Bool:
-		return BoolValue(false), true
-	}
-	switch t.(type) {
-	case types.Basic, types.Pointer:
+	switch t := t.(type) {
+	case types.Basic:
+		switch t {
+		case types.Int:
+			return IntValue(0), true
+		case types.Double:
+			return FloatValue(0), true
+		case types.Bool:
+			return BoolValue(false), true
+		}
+		return Value{}, true
+	case types.Pointer:
 		return Value{}, true
 	}
 	return Value{}, false
