@@ -9,6 +9,7 @@
 package commute_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -202,7 +203,7 @@ func BenchmarkSimulate32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := sys.Trace()
+	tr, err := sys.Trace(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 //	commuterun -mode parallel -workers 8 file.mc
 //	commuterun -mode parallel -timeout 10s -maxsteps 50000000 file.mc
 //	commuterun -mode parallel -conditional on -app condhash
-//	commuterun -mode simulate -procs 1,2,4,8,16,32 -app water
+//	commuterun -mode simulate -procs 1,2,4,8,16,32 -timeout 30s -app water
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -31,10 +32,9 @@ import (
 
 // modeConflict names the flag that asks for what the chosen mode does
 // not do: the serial runner and the trace-driven simulator have no effect
-// monitor, evaluate no guards and keep no step budget, and the simulator's
-// trace run takes no deadline. Failing loudly beats silently ignoring the
-// request.
-func modeConflict(mode string, spec rt.SpecMode, conditional bool, maxSteps int64, timeout time.Duration) string {
+// monitor, evaluate no guards and keep no step budget. Failing loudly
+// beats silently ignoring the request.
+func modeConflict(mode string, spec rt.SpecMode, conditional bool, maxSteps int64) string {
 	switch {
 	case mode == "parallel":
 	case spec != rt.SpecOff:
@@ -43,8 +43,6 @@ func modeConflict(mode string, spec rt.SpecMode, conditional bool, maxSteps int6
 		return fmt.Sprintf("-conditional on requires -mode parallel (the %s mode evaluates no guards)", mode)
 	case maxSteps > 0:
 		return fmt.Sprintf("-maxsteps requires -mode parallel (the %s mode keeps no step budget)", mode)
-	case timeout > 0 && mode == "simulate":
-		return "-timeout does not apply to -mode simulate (the trace run takes no deadline)"
 	}
 	return ""
 }
@@ -77,7 +75,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown conditional mode %q (on | off)\n", *conditional)
 		os.Exit(2)
 	}
-	if msg := modeConflict(*mode, spec, condOn, *maxSteps, *timeout); msg != "" {
+	if msg := modeConflict(*mode, spec, condOn, *maxSteps); msg != "" {
 		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(2)
 	}
@@ -195,29 +193,42 @@ func main() {
 		}
 
 	case "simulate":
-		tr, err := sys.Trace()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%6s  %12s  %8s  %10s\n", "procs", "time (s)", "speedup", "blocked (s)")
-		var base float64
+		var counts []int
 		for _, ps := range strings.Split(*procs, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(ps))
 			if err != nil || p < 1 {
 				fmt.Fprintf(os.Stderr, "bad processor count %q\n", ps)
 				os.Exit(2)
 			}
-			res := commute.Simulate(tr, p)
-			if base == 0 {
-				base = res.TimeMicros
-			}
-			fmt.Printf("%6d  %12.3f  %7.2fx  %10.3f\n",
-				p, res.TimeMicros/1e6, base/res.TimeMicros, res.Breakdown.Blocked/1e6)
+			counts = append(counts, p)
+		}
+		if err := simulate(ctx, sys, counts, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 
 	default:
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
+}
+
+// simulate traces sys under ctx and prints its simulated time, speedup
+// and blocked time at each processor count.
+func simulate(ctx context.Context, sys *commute.System, procs []int, w io.Writer) error {
+	tr, err := sys.Trace(ctx)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%6s  %12s  %8s  %10s\n", "procs", "time (s)", "speedup", "blocked (s)")
+	var base float64
+	for _, p := range procs {
+		res := commute.Simulate(tr, p)
+		if base == 0 {
+			base = res.TimeMicros
+		}
+		fmt.Fprintf(w, "%6d  %12.3f  %7.2fx  %10.3f\n",
+			p, res.TimeMicros/1e6, base/res.TimeMicros, res.Breakdown.Blocked/1e6)
+	}
+	return nil
 }

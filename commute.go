@@ -250,12 +250,7 @@ func (s *System) runSerial(ctx context.Context, eng interp.Engine, out io.Writer
 	ip := interp.NewEngine(s.Prog, out, eng)
 	c := ip.NewCtx()
 	if ctx != nil && ctx.Done() != nil {
-		c.Interrupt = func() error {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-			return nil
-		}
+		c.Interrupt = func() error { return context.Cause(ctx) }
 	}
 	return ip, ip.Run(c)
 }
@@ -313,9 +308,11 @@ func (s *System) RunParallelOpts(ctx context.Context, opts RunOptions, out io.Wr
 // Trace executes the program once under the zero run policy
 // (RunOptions{}), recording the parallel task/lock event structure of
 // the plan that runs for simulation: a root opens a region exactly when
-// its extent is proven.
-func (s *System) Trace() (*tracer.Trace, error) {
-	return tracer.Collect(interp.New(s.Prog, nil), s.Plan)
+// its extent is proven. It runs on the tree walker, the engine that
+// charges the cost units the simulator schedules; a deadline or
+// cancellation on ctx aborts it between statements.
+func (s *System) Trace(ctx context.Context) (*tracer.Trace, error) {
+	return tracer.Collect(ctx, interp.NewEngine(s.Prog, nil, interp.EngineWalk), s.Plan)
 }
 
 // Simulate runs a trace on the simulated multiprocessor.

@@ -2,6 +2,7 @@ package commute_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -117,7 +118,7 @@ func TestFacadePipeline(t *testing.T) {
 		t.Error("no parallel regions executed")
 	}
 
-	tr, err := sys.Trace()
+	tr, err := sys.Trace(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

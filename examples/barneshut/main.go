@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -58,7 +59,7 @@ func main() {
 	fmt.Printf("  body[0].phi  serial %.9f  parallel %.9f\n", sPhi, pPhi)
 
 	// Simulated DASH scaling.
-	tr, err := sys.Trace()
+	tr, err := sys.Trace(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -171,7 +172,7 @@ func main() {
 	}
 	fmt.Printf("  total deposited charge: serial %.6f, parallel %.6f\n", sTotal, pTotal)
 
-	tr, err := sys.Trace()
+	tr, err := sys.Trace(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

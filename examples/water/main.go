@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -65,7 +66,7 @@ func main() {
 		log.Fatal(err)
 	}
 	explicit := apps.ExplicitWater(tr, int64(*mols*20))
-	replicated, err := sys.Trace()
+	replicated, err := sys.Trace(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

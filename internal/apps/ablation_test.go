@@ -1,6 +1,7 @@
 package apps_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -40,8 +41,8 @@ func TestAblationTracesComputeTheSerialState(t *testing.T) {
 		nativegen.DumpInterp(&want, tc.sys.Prog, ip)
 		for _, opt := range []codegen.Options{{}, {DisableSuppression: true}, {DisableHoisting: true}} {
 			plan := codegen.BuildWithOptions(tc.sys.Analysis, opt)
-			ip := interp.New(tc.sys.Prog, nil)
-			if _, err := tracer.Collect(ip, plan); err != nil {
+			ip := interp.NewEngine(tc.sys.Prog, nil, interp.EngineWalk)
+			if _, err := tracer.Collect(context.Background(), ip, plan); err != nil {
 				t.Fatalf("%s %+v: %v", tc.name, opt, err)
 			}
 			var got strings.Builder

@@ -6,6 +6,8 @@
 package apps
 
 import (
+	"context"
+
 	"commute"
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
@@ -192,5 +194,5 @@ func TraceWithNestedLoops(sys *commute.System) (*tracer.Trace, error) {
 }
 
 func traceUnder(sys *commute.System, plan *codegen.Plan) (*tracer.Trace, error) {
-	return tracer.Collect(interp.New(sys.Prog, nil), plan)
+	return tracer.Collect(context.TODO(), interp.NewEngine(sys.Prog, nil, interp.EngineWalk), plan)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -306,7 +307,7 @@ func (r *Runner) Replication() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	trRepl, err := sys.Trace()
+	trRepl, err := sys.Trace(context.TODO())
 	if err != nil {
 		return "", err
 	}

@@ -530,6 +530,46 @@ func asI_node(v I_node) *T_node {
 	}
 }
 
+// TestEmitGoShippedPrograms: every shipped application and every entry
+// and dispatch fixture, emitted as built and in its region form
+// (estimates cleared), threads no lock-release closure through a
+// version (no rel_ in prog.go), and Water's regions fold the FBank
+// replicas back into the global at their join.
+func TestEmitGoShippedPrograms(t *testing.T) {
+	programs := map[string]string{}
+	for _, name := range strings.Split(src.AppNames(), ", ") {
+		_, programs[name], _ = src.App(name)
+	}
+	for _, fx := range src.EntryFixtures() {
+		programs[fx.Name] = fx.Source
+	}
+	for _, fx := range src.DispatchFixtures() {
+		programs[fx.Name] = fx.Source
+	}
+	for name, source := range programs {
+		for _, clear := range []bool{false, true} {
+			sys, err := commute.Load(name+".mc", source)
+			if clear {
+				sys, err = cleared(sys, err)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			files, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: name})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			prog := string(files["prog.go"])
+			if strings.Contains(prog, "rel_") {
+				t.Errorf("%s (cleared=%v): prog.go threads a lock-release closure (rel_)", name, clear)
+			}
+			if name == "water" && !strings.Contains(prog, "rep_FBank.Fold(G_FBank") {
+				t.Errorf("water (cleared=%v): prog.go folds no FBank replica into G_FBank", clear)
+			}
+		}
+	}
+}
+
 // TestEmitGoAppName: main.go is a literal template, stored in gofmt's
 // form, with the app name substituted into its first line, so an odd
 // name must still leave a gofmt-stable file that names it — in prog.go

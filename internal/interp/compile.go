@@ -13,18 +13,9 @@ package interp
 // Compiled closures return no errors: a failure throws (throw), and only
 // Interp.Call and RunLoopIteration catch it (Ctx.catch).
 //
-// Cost parity with the tree walker is a hard requirement: the tracer
-// charges cost units through Ctx.Charge and attributes them to compute
-// or critical segments at dispatcher-hook boundaries (Ctx.Invoke /
-// Ctx.ForLoop calls), so the DASH simulator sees identical traces from
-// both engines only if the totals charged between consecutive hook
-// calls match. No hook can fire inside a call-free expression subtree,
-// so the compiler statically sums the walker's per-node charges over
-// every such subtree and charges the sum once ("sealing"). Subtrees
-// whose charge depends on runtime control flow (short-circuit
-// operators) or that contain hook boundaries (calls) charge themselves
-// piecewise in walker order. Every statement opens with Ctx.tick, which
-// counts it and charges its units; statements are never coalesced, so
+// Compiled code charges no cost units: the tree walker, which the
+// tracer runs on, is the only engine that does. Every statement opens
+// with Ctx.tick, which counts it; statements are never coalesced, so
 // MaxSteps budgets and Interrupt polling behave identically under both
 // engines.
 
@@ -54,8 +45,9 @@ const (
 	flowReturn
 )
 
-// thrown carries a failure of compiled code to the Ctx.catch of the
-// innermost Interp.Call or RunLoopIteration.
+// thrown carries a failure of compiled code, or a Ctx.tick stop on
+// either engine, to the Ctx.catch of the innermost Interp.Call or
+// RunLoopIteration.
 type thrown struct{ err error }
 
 func throw(err error) { panic(thrown{err}) }
@@ -81,8 +73,7 @@ type compiler struct {
 	// monitored body runs — Call and RunLoopIteration select the
 	// monitored tables only under a non-nil Mon). The unmonitored pass
 	// carries no monitor branches; typed loads of fields and elements
-	// exist only there. Cost sealing is identical in both passes, so
-	// traces stay bit-for-bit comparable.
+	// exist only there.
 	mon bool
 	// loops receives the offered counted loops for RunLoopIteration
 	// (res.loopBodies or res.loopBodiesMon, per pass).
@@ -122,57 +113,8 @@ func compileAll(r *resolution, mon bool) ([]*compiledMethod, map[*ast.ForStmt]lo
 	return c.methods, c.loops
 }
 
-// code is one lowered expression. Either its closure charges nothing
-// itself (dyn false: cost is the walker's total charge for the subtree,
-// which the enclosing statement or a seal charges) or it charges itself
-// piecewise in walker order (dyn true, cost zero).
-type code[T any] struct {
-	fn   func(*Frame) T
-	cost int64
-	dyn  bool
-}
-
-func leaf[T any](fn func(*Frame) T) code[T] { return code[T]{fn: fn, cost: CostExpr} }
-
-func constant[T any](v T) code[T] { return leaf(func(*Frame) T { return v }) }
-
-// sealed is e's closure charging its own cost.
-func (e code[T]) sealed() func(*Frame) T {
-	if e.dyn || e.cost == 0 {
-		return e.fn
-	}
-	fn, cost := e.fn, e.cost
-	return func(fr *Frame) T {
-		fr.ctx.charge(cost)
-		return fn(fr)
-	}
-}
-
-// selfCharged is a node whose operands charge themselves: it charges
-// its own CostExpr first, as the walker does.
-func selfCharged[T any](fn func(*Frame) T) code[T] {
-	return code[T]{fn: func(fr *Frame) T {
-		fr.ctx.charge(CostExpr)
-		return fn(fr)
-	}, dyn: true}
-}
-
-// op1 lowers a node with one operand; mk builds the node's closure over
-// the operand's.
-func op1[A, T any](a code[A], mk func(func(*Frame) A) func(*Frame) T) code[T] {
-	if !a.dyn {
-		return code[T]{fn: mk(a.fn), cost: CostExpr + a.cost}
-	}
-	return selfCharged(mk(a.fn))
-}
-
-// op2 lowers a node with two operands, evaluated left to right.
-func op2[A, B, T any](a code[A], b code[B], mk func(func(*Frame) A, func(*Frame) B) func(*Frame) T) code[T] {
-	if !a.dyn && !b.dyn {
-		return code[T]{fn: mk(a.fn, b.fn), cost: CostExpr + a.cost + b.cost}
-	}
-	return selfCharged(mk(a.sealed(), b.sealed()))
-}
+// constant is a closure yielding v.
+func constant[T any](v T) func(*Frame) T { return func(*Frame) T { return v } }
 
 // kindOf is the kind of every value e yields where its checked type
 // fixes one — KInt, KFloat or KBool — and KNull elsewhere. Every store
@@ -224,7 +166,7 @@ func (c *compiler) kindOf1(e ast.Expr) Kind {
 // value lowers e to a Value closure. An operator whose kind is fixed is
 // lowered typed and boxed here; a load, a call or an untyped operator
 // lowers generically.
-func (c *compiler) value(e ast.Expr) code[Value] {
+func (c *compiler) value(e ast.Expr) exprFn {
 	operator := false
 	switch x := e.(type) {
 	case *ast.Unary, *ast.Binary:
@@ -235,24 +177,21 @@ func (c *compiler) value(e ast.Expr) code[Value] {
 	if operator {
 		switch c.kindOf(e) {
 		case KInt:
-			i := c.int(e)
-			f := i.fn
-			return code[Value]{func(fr *Frame) Value { return IntValue(f(fr)) }, i.cost, i.dyn}
+			f := c.int(e)
+			return func(fr *Frame) Value { return IntValue(f(fr)) }
 		case KFloat:
-			d := c.float(e)
-			f := d.fn
-			return code[Value]{func(fr *Frame) Value { return FloatValue(f(fr)) }, d.cost, d.dyn}
+			f := c.float(e)
+			return func(fr *Frame) Value { return FloatValue(f(fr)) }
 		case KBool:
-			b := c.bool(e)
-			f := b.fn
-			return code[Value]{func(fr *Frame) Value { return BoolValue(f(fr)) }, b.cost, b.dyn}
+			f := c.bool(e)
+			return func(fr *Frame) Value { return BoolValue(f(fr)) }
 		}
 	}
 	return c.generic(e)
 }
 
 // generic lowers e to a Value closure without a typed form at its root.
-func (c *compiler) generic(e ast.Expr) code[Value] {
+func (c *compiler) generic(e ast.Expr) exprFn {
 	switch x := e.(type) {
 	case *ast.IntLit:
 		return constant(IntValue(x.Value))
@@ -265,75 +204,64 @@ func (c *compiler) generic(e ast.Expr) code[Value] {
 	case *ast.StringLit:
 		return constant(StringValue(x.Value))
 	case *ast.ThisExpr:
-		return leaf(func(fr *Frame) Value { return ObjectValue(fr.this) })
+		return func(fr *Frame) Value { return ObjectValue(fr.this) }
 
 	case *ast.Ident:
 		slot := x.Slot
 		switch x.Sym {
 		case ast.SymLocal, ast.SymParam:
-			return leaf(func(fr *Frame) Value { return fr.vars[slot] })
+			return func(fr *Frame) Value { return fr.vars[slot] }
 		case ast.SymConst:
 			return constant(c.res.consts[slot])
 		case ast.SymGlobal:
-			return leaf(func(fr *Frame) Value { return ObjectValue(fr.ctx.IP.globals[slot]) })
+			return func(fr *Frame) Value { return ObjectValue(fr.ctx.IP.globals[slot]) }
 		case ast.SymField:
 			// A compiled body's this is never nil (Interp.Call).
 			if c.mon {
-				return leaf(func(fr *Frame) Value { return fr.ctx.Mon.LoadField(fr.this, int(slot)) })
+				return func(fr *Frame) Value { return fr.ctx.Mon.LoadField(fr.this, int(slot)) }
 			}
-			return leaf(func(fr *Frame) Value { return fr.this.Slots[slot] })
+			return func(fr *Frame) Value { return fr.this.Slots[slot] }
 		}
 		return c.fails(rtErrf("unresolved identifier %s at %s", x.Name, x.Pos()))
 
 	case *ast.FieldAccess:
-		slot := x.Slot
+		b, slot := c.value(x.X), x.Slot
 		if c.mon {
-			return op1(c.value(x.X), func(b exprFn) exprFn {
-				return func(fr *Frame) Value { return fr.ctx.Mon.LoadField(object(b(fr), x), int(slot)) }
-			})
+			return func(fr *Frame) Value { return fr.ctx.Mon.LoadField(object(b(fr), x), int(slot)) }
 		}
-		return op1(c.value(x.X), func(b exprFn) exprFn {
-			return func(fr *Frame) Value { return object(b(fr), x).Slots[slot] }
-		})
+		return func(fr *Frame) Value { return object(b(fr), x).Slots[slot] }
 
 	case *ast.IndexExpr:
+		a, j := c.value(x.X), c.value(x.Index)
 		if c.mon {
-			return op2(c.value(x.X), c.value(x.Index), func(a, j exprFn) exprFn {
-				return func(fr *Frame) Value {
-					arr, i := loadAt(a(fr), j(fr), x)
-					return fr.ctx.Mon.LoadElem(arr, i)
-				}
-			})
-		}
-		return op2(c.value(x.X), c.value(x.Index), func(a, j exprFn) exprFn {
 			return func(fr *Frame) Value {
 				arr, i := loadAt(a(fr), j(fr), x)
-				return arr.Elems[i]
+				return fr.ctx.Mon.LoadElem(arr, i)
 			}
-		})
+		}
+		return func(fr *Frame) Value {
+			arr, i := loadAt(a(fr), j(fr), x)
+			return arr.Elems[i]
+		}
 
 	case *ast.CallExpr:
 		return c.call(x)
 
 	case *ast.NewExpr:
 		cl := c.res.classList[x.ClassIdx]
-		return code[Value]{fn: func(fr *Frame) Value { return ObjectValue(fr.ctx.IP.NewObject(cl)) }, cost: CostExpr + CostAlloc}
+		return func(fr *Frame) Value { return ObjectValue(fr.ctx.IP.NewObject(cl)) }
 
 	case *ast.CastExpr:
-		cl := c.res.classList[x.ClassIdx]
-		return op1(c.value(x.X), func(a exprFn) exprFn {
-			return func(fr *Frame) Value { return must(castValue(cl, a(fr), x)) }
-		})
+		cl, a := c.res.classList[x.ClassIdx], c.value(x.X)
+		return func(fr *Frame) Value { return must(castValue(cl, a(fr), x)) }
 
 	case *ast.Unary:
-		return op1(c.value(x.X), func(a exprFn) exprFn {
-			return func(fr *Frame) Value { return must(applyUnary(x, a(fr))) }
-		})
+		a := c.value(x.X)
+		return func(fr *Frame) Value { return must(applyUnary(x, a(fr))) }
 
 	case *ast.Binary:
-		return op2(c.value(x.X), c.value(x.Y), func(l, r exprFn) exprFn {
-			return func(fr *Frame) Value { return must(applyBinary(x, l(fr), r(fr))) }
-		})
+		l, r := c.value(x.X), c.value(x.Y)
+		return func(fr *Frame) Value { return must(applyBinary(x, l(fr), r(fr))) }
 
 	case *ast.Assign:
 		return c.assign(x)
@@ -341,8 +269,8 @@ func (c *compiler) generic(e ast.Expr) code[Value] {
 	return c.fails(rtErrf("unsupported expression at %s", e.Pos()))
 }
 
-func (c *compiler) fails(err error) code[Value] {
-	return leaf(func(*Frame) Value { throw(err); return Value{} })
+func (c *compiler) fails(err error) exprFn {
+	return func(*Frame) Value { throw(err); return Value{} }
 }
 
 // object is the object a field access reads, failing as the walker does
@@ -398,7 +326,7 @@ func storeAt(arrV, idxV Value, x *ast.IndexExpr) (*Array, int) {
 }
 
 // int lowers an expression of kind KInt.
-func (c *compiler) int(e ast.Expr) code[int64] {
+func (c *compiler) int(e ast.Expr) func(*Frame) int64 {
 	switch x := e.(type) {
 	case *ast.IntLit:
 		return constant(x.Value)
@@ -406,68 +334,61 @@ func (c *compiler) int(e ast.Expr) code[int64] {
 		slot := x.Slot
 		switch {
 		case x.Sym == ast.SymLocal || x.Sym == ast.SymParam:
-			return leaf(func(fr *Frame) int64 { return int64(fr.vars[slot].num) })
+			return func(fr *Frame) int64 { return int64(fr.vars[slot].num) }
 		case x.Sym == ast.SymConst:
 			return constant(int64(c.res.consts[slot].num))
 		case x.Sym == ast.SymField && !c.mon:
-			return leaf(func(fr *Frame) int64 { return int64(fr.this.Slots[slot].num) })
+			return func(fr *Frame) int64 { return int64(fr.this.Slots[slot].num) }
 		}
 	case *ast.FieldAccess:
 		if !c.mon {
-			slot := x.Slot
-			return op1(c.value(x.X), func(b exprFn) func(*Frame) int64 {
-				return func(fr *Frame) int64 { return int64(object(b(fr), x).Slots[slot].num) }
-			})
+			b, slot := c.value(x.X), x.Slot
+			return func(fr *Frame) int64 { return int64(object(b(fr), x).Slots[slot].num) }
 		}
 	case *ast.IndexExpr:
 		if !c.mon {
-			return op2(c.value(x.X), c.value(x.Index), func(a, j exprFn) func(*Frame) int64 {
-				return func(fr *Frame) int64 {
-					arr, i := loadAt(a(fr), j(fr), x)
-					return int64(arr.Elems[i].num)
-				}
-			})
+			a, j := c.value(x.X), c.value(x.Index)
+			return func(fr *Frame) int64 {
+				arr, i := loadAt(a(fr), j(fr), x)
+				return int64(arr.Elems[i].num)
+			}
 		}
 	case *ast.Unary:
 		if x.Op == token.MINUS {
-			return op1(c.int(x.X), func(a func(*Frame) int64) func(*Frame) int64 {
-				return func(fr *Frame) int64 { return -a(fr) }
-			})
+			a := c.int(x.X)
+			return func(fr *Frame) int64 { return -a(fr) }
 		}
 	case *ast.Binary:
 		if c.kindOf(x.X) != KInt || c.kindOf(x.Y) != KInt {
 			break
 		}
-		pos := x.Pos()
-		return op2(c.int(x.X), c.int(x.Y), func(l, r func(*Frame) int64) func(*Frame) int64 {
-			switch x.Op {
-			case token.SLASH:
-				return func(fr *Frame) int64 {
-					a, b := l(fr), r(fr)
-					if b == 0 {
-						throw(rtErrf(errDivZero, pos))
-					}
-					return a / b
+		l, r, pos := c.int(x.X), c.int(x.Y), x.Pos()
+		switch x.Op {
+		case token.SLASH:
+			return func(fr *Frame) int64 {
+				a, b := l(fr), r(fr)
+				if b == 0 {
+					throw(rtErrf(errDivZero, pos))
 				}
-			case token.PERCENT:
-				return func(fr *Frame) int64 {
-					a, b := l(fr), r(fr)
-					if b == 0 {
-						throw(rtErrf(errModZero, pos))
-					}
-					return a % b
-				}
+				return a / b
 			}
-			return arith(x.Op, l, r)
-		})
+		case token.PERCENT:
+			return func(fr *Frame) int64 {
+				a, b := l(fr), r(fr)
+				if b == 0 {
+					throw(rtErrf(errModZero, pos))
+				}
+				return a % b
+			}
+		}
+		return arith(x.Op, l, r)
 	}
-	g := c.generic(e)
-	f := g.fn
-	return code[int64]{func(fr *Frame) int64 { return int64(f(fr).num) }, g.cost, g.dyn}
+	f := c.generic(e)
+	return func(fr *Frame) int64 { return int64(f(fr).num) }
 }
 
 // float lowers an expression of kind KFloat.
-func (c *compiler) float(e ast.Expr) code[float64] {
+func (c *compiler) float(e ast.Expr) func(*Frame) float64 {
 	switch x := e.(type) {
 	case *ast.FloatLit:
 		return constant(x.Value)
@@ -475,81 +396,53 @@ func (c *compiler) float(e ast.Expr) code[float64] {
 		slot := x.Slot
 		switch {
 		case x.Sym == ast.SymLocal || x.Sym == ast.SymParam:
-			return leaf(func(fr *Frame) float64 { return math.Float64frombits(fr.vars[slot].num) })
+			return func(fr *Frame) float64 { return math.Float64frombits(fr.vars[slot].num) }
 		case x.Sym == ast.SymConst:
 			return constant(math.Float64frombits(c.res.consts[slot].num))
 		case x.Sym == ast.SymField && !c.mon:
-			return leaf(func(fr *Frame) float64 { return math.Float64frombits(fr.this.Slots[slot].num) })
+			return func(fr *Frame) float64 { return math.Float64frombits(fr.this.Slots[slot].num) }
 		}
 	case *ast.FieldAccess:
 		if !c.mon {
-			slot := x.Slot
-			return op1(c.value(x.X), func(b exprFn) func(*Frame) float64 {
-				return func(fr *Frame) float64 { return math.Float64frombits(object(b(fr), x).Slots[slot].num) }
-			})
+			b, slot := c.value(x.X), x.Slot
+			return func(fr *Frame) float64 { return math.Float64frombits(object(b(fr), x).Slots[slot].num) }
 		}
 	case *ast.IndexExpr:
 		if !c.mon {
-			return op2(c.value(x.X), c.value(x.Index), func(a, j exprFn) func(*Frame) float64 {
-				return func(fr *Frame) float64 {
-					arr, i := loadAt(a(fr), j(fr), x)
-					return math.Float64frombits(arr.Elems[i].num)
-				}
-			})
+			a, j := c.value(x.X), c.value(x.Index)
+			return func(fr *Frame) float64 {
+				arr, i := loadAt(a(fr), j(fr), x)
+				return math.Float64frombits(arr.Elems[i].num)
+			}
 		}
 	case *ast.Unary:
 		if x.Op == token.MINUS {
-			return op1(c.float(x.X), func(a func(*Frame) float64) func(*Frame) float64 {
-				return func(fr *Frame) float64 { return -a(fr) }
-			})
+			a := c.float(x.X)
+			return func(fr *Frame) float64 { return -a(fr) }
 		}
 	case *ast.Binary:
 		switch x.Op {
 		case token.PLUS, token.MINUS, token.STAR, token.SLASH:
-			return op2(c.num(x.X), c.num(x.Y), func(l, r func(*Frame) float64) func(*Frame) float64 {
-				return arith(x.Op, l, r)
-			})
+			return arith(x.Op, c.num(x.X), c.num(x.Y))
 		}
 	case *ast.CallExpr:
 		if mf, ok := builtin1(x.Method); ok && x.Builtin && len(x.Args) == 1 {
-			// Builtins never reach a dispatcher hook: over a static
-			// argument the whole cost (argument + CostBuiltin) is static.
 			a := c.num(x.Args[0])
-			af := a.fn
-			if !a.dyn {
-				return code[float64]{fn: func(fr *Frame) float64 { return mf(af(fr)) }, cost: CostExpr + a.cost + CostBuiltin}
-			}
-			return code[float64]{fn: func(fr *Frame) float64 {
-				fr.ctx.charge(CostExpr)
-				v := af(fr)
-				fr.ctx.charge(CostBuiltin)
-				return mf(v)
-			}, dyn: true}
+			return func(fr *Frame) float64 { return mf(a(fr)) }
 		}
 		if x.Builtin && x.Method == "pow" && len(x.Args) == 2 {
 			a, b := c.num(x.Args[0]), c.num(x.Args[1])
-			if !a.dyn && !b.dyn {
-				af, bf := a.fn, b.fn
-				return code[float64]{fn: func(fr *Frame) float64 { return math.Pow(af(fr), bf(fr)) }, cost: CostExpr + a.cost + b.cost + CostBuiltin}
-			}
-			af, bf := a.sealed(), b.sealed()
-			return code[float64]{fn: func(fr *Frame) float64 {
-				fr.ctx.charge(CostExpr)
-				v, w := af(fr), bf(fr)
-				fr.ctx.charge(CostBuiltin)
-				return math.Pow(v, w)
-			}, dyn: true}
+			return func(fr *Frame) float64 { return math.Pow(a(fr), b(fr)) }
 		}
 	}
-	g := c.generic(e)
-	f := g.fn
-	return code[float64]{func(fr *Frame) float64 { return math.Float64frombits(f(fr).num) }, g.cost, g.dyn}
+	f := c.generic(e)
+	return func(fr *Frame) float64 { return math.Float64frombits(f(fr).num) }
 }
 
 // num lowers an operand read as a double: an int converts as asFloat
 // converts it, and a value of no fixed kind (a builtin's argument) as a
 // builtin reads it.
-func (c *compiler) num(e ast.Expr) code[float64] {
+func (c *compiler) num(e ast.Expr) func(*Frame) float64 {
 	switch c.kindOf(e) {
 	case KFloat:
 		return c.float(e)
@@ -557,16 +450,14 @@ func (c *compiler) num(e ast.Expr) code[float64] {
 		if x, ok := e.(*ast.IntLit); ok {
 			return constant(float64(x.Value))
 		}
-		i := c.int(e)
-		f := i.fn
-		return code[float64]{func(fr *Frame) float64 { return float64(f(fr)) }, i.cost, i.dyn}
+		f := c.int(e)
+		return func(fr *Frame) float64 { return float64(f(fr)) }
 	}
-	g := c.value(e)
-	f := g.fn
-	return code[float64]{func(fr *Frame) float64 {
+	f := c.value(e)
+	return func(fr *Frame) float64 {
 		v, _ := asFloat(f(fr))
 		return v
-	}, g.cost, g.dyn}
+	}
 }
 
 // arith is + - * / on two operands of one kind (int / is the caller's:
@@ -602,164 +493,113 @@ func compare[T int64 | float64](op token.Kind, l, r func(*Frame) T) func(*Frame)
 
 // bool lowers a condition or an expression of kind KBool. A value of no
 // fixed kind is tested as the walker's truthy tests it.
-func (c *compiler) bool(e ast.Expr) code[bool] {
+func (c *compiler) bool(e ast.Expr) func(*Frame) bool {
 	switch x := e.(type) {
 	case *ast.BoolLit:
 		return constant(x.Value)
 	case *ast.Ident:
 		if x.Sym == ast.SymLocal || x.Sym == ast.SymParam {
 			slot := x.Slot
-			return leaf(func(fr *Frame) bool { return fr.vars[slot].num != 0 })
+			return func(fr *Frame) bool { return fr.vars[slot].num != 0 }
 		}
 	case *ast.Unary:
 		if x.Op == token.NOT {
-			return op1(c.bool(x.X), func(a func(*Frame) bool) func(*Frame) bool {
-				return func(fr *Frame) bool { return !a(fr) }
-			})
+			a := c.bool(x.X)
+			return func(fr *Frame) bool { return !a(fr) }
 		}
 	case *ast.Binary:
 		lk, rk := c.kindOf(x.X), c.kindOf(x.Y)
 		numeric := (lk == KInt || lk == KFloat) && (rk == KInt || rk == KFloat)
 		switch x.Op {
 		case token.AND, token.OR:
-			// The right operand charges only when it evaluates, exactly
-			// as in the walker.
-			l, r := c.bool(x.X).sealed(), c.bool(x.Y).sealed()
+			l, r := c.bool(x.X), c.bool(x.Y)
 			if x.Op == token.AND {
-				return selfCharged(func(fr *Frame) bool { return l(fr) && r(fr) })
+				return func(fr *Frame) bool { return l(fr) && r(fr) }
 			}
-			return selfCharged(func(fr *Frame) bool { return l(fr) || r(fr) })
+			return func(fr *Frame) bool { return l(fr) || r(fr) }
 		case token.LT, token.LEQ, token.GT, token.GEQ:
 			if lk == KInt && rk == KInt {
-				return op2(c.int(x.X), c.int(x.Y), func(l, r func(*Frame) int64) func(*Frame) bool {
-					return compare(x.Op, l, r)
-				})
+				return compare(x.Op, c.int(x.X), c.int(x.Y))
 			}
 			fallthrough
 		case token.EQ, token.NEQ:
 			// Numbers compare equal as valueEqual compares them: as
 			// doubles, ints included.
 			if numeric {
-				return op2(c.num(x.X), c.num(x.Y), func(l, r func(*Frame) float64) func(*Frame) bool {
-					return compare(x.Op, l, r)
-				})
+				return compare(x.Op, c.num(x.X), c.num(x.Y))
 			}
 		}
 	}
-	g := c.generic(e)
-	f := g.fn
-	return code[bool]{func(fr *Frame) bool {
+	f := c.generic(e)
+	return func(fr *Frame) bool {
 		v := f(fr)
 		if v.kind != KBool {
 			_, err := truthy(v)
 			throw(err)
 		}
 		return v.num != 0
-	}, g.cost, g.dyn}
-}
-
-// store is a lowered lvalue. The walker charges only for the lvalue's
-// subexpressions (the target node itself is free), and cost and dyn
-// follow code's convention over those.
-type store struct {
-	fn   storeFn
-	cost int64
-	dyn  bool
-}
-
-func (s store) sealed() storeFn {
-	if s.dyn || s.cost == 0 {
-		return s.fn
-	}
-	fn, cost := s.fn, s.cost
-	return func(fr *Frame, v Value) {
-		fr.ctx.charge(cost)
-		fn(fr, v)
 	}
 }
 
 // assign lowers an assignment used as a value: the right side first,
 // then for a compound form the target's old value, then the store.
-func (c *compiler) assign(x *ast.Assign) code[Value] {
-	rhs, st := c.value(x.RHS), c.store(x.LHS)
-	old := code[Value]{fn: func(*Frame) Value { return Value{} }}
-	if x.Op != token.ASSIGN {
-		old = c.value(x.LHS)
-	}
-	dyn := rhs.dyn || old.dyn || st.dyn
-	rf, lf, sf := rhs.fn, old.fn, st.fn
-	if dyn {
-		rf, lf, sf = rhs.sealed(), old.sealed(), st.sealed()
-	}
-	var fn exprFn
+func (c *compiler) assign(x *ast.Assign) exprFn {
+	rf, sf := c.value(x.RHS), c.store(x.LHS)
 	if x.Op == token.ASSIGN {
-		fn = func(fr *Frame) Value {
+		return func(fr *Frame) Value {
 			v := rf(fr)
 			sf(fr, v)
 			return v
 		}
-	} else {
-		fn = func(fr *Frame) Value {
-			r := rf(fr)
-			v := must(applyCompound(x, lf(fr), r))
-			sf(fr, v)
-			return v
-		}
 	}
-	if dyn {
-		return selfCharged(fn)
+	lf := c.value(x.LHS)
+	return func(fr *Frame) Value {
+		r := rf(fr)
+		v := must(applyCompound(x, lf(fr), r))
+		sf(fr, v)
+		return v
 	}
-	return code[Value]{fn: fn, cost: CostExpr + rhs.cost + old.cost + st.cost}
 }
 
 // store lowers an lvalue.
-func (c *compiler) store(lhs ast.Expr) store {
+func (c *compiler) store(lhs ast.Expr) storeFn {
 	switch x := lhs.(type) {
 	case *ast.Ident:
 		slot, co := x.Slot, x.Coerce
 		switch x.Sym {
 		case ast.SymLocal, ast.SymParam:
-			return store{fn: func(fr *Frame, v Value) { fr.vars[slot] = coerceKind(co, v) }}
+			return func(fr *Frame, v Value) { fr.vars[slot] = coerceKind(co, v) }
 		case ast.SymField:
 			if c.mon {
-				return store{fn: func(fr *Frame, v Value) { fr.ctx.Mon.StoreField(fr.this, int(slot), coerceKind(co, v)) }}
+				return func(fr *Frame, v Value) { fr.ctx.Mon.StoreField(fr.this, int(slot), coerceKind(co, v)) }
 			}
-			return store{fn: func(fr *Frame, v Value) { fr.this.Slots[slot] = coerceKind(co, v) }}
+			return func(fr *Frame, v Value) { fr.this.Slots[slot] = coerceKind(co, v) }
 		}
 		err := rtErrf("cannot assign to %s", x.Name)
-		return store{fn: func(*Frame, Value) { throw(err) }}
+		return func(*Frame, Value) { throw(err) }
 
 	case *ast.FieldAccess:
-		b := c.value(x.X)
-		bf, slot, co := b.fn, x.Slot, x.Coerce
+		b, slot, co := c.value(x.X), x.Slot, x.Coerce
 		if c.mon {
-			return store{func(fr *Frame, v Value) { fr.ctx.Mon.StoreField(storeObject(bf(fr), x), int(slot), coerceKind(co, v)) }, b.cost, b.dyn}
+			return func(fr *Frame, v Value) { fr.ctx.Mon.StoreField(storeObject(b(fr), x), int(slot), coerceKind(co, v)) }
 		}
-		return store{func(fr *Frame, v Value) { storeObject(bf(fr), x).Slots[slot] = coerceKind(co, v) }, b.cost, b.dyn}
+		return func(fr *Frame, v Value) { storeObject(b(fr), x).Slots[slot] = coerceKind(co, v) }
 
 	case *ast.IndexExpr:
-		a, j := c.value(x.X), c.value(x.Index)
-		s := store{cost: a.cost + j.cost, dyn: a.dyn || j.dyn}
-		af, jf := a.fn, j.fn
-		if s.dyn {
-			af, jf, s.cost = a.sealed(), j.sealed(), 0
-		}
-		co := x.Coerce
+		a, j, co := c.value(x.X), c.value(x.Index), x.Coerce
 		if c.mon {
-			s.fn = func(fr *Frame, v Value) {
-				arr, i := storeAt(af(fr), jf(fr), x)
+			return func(fr *Frame, v Value) {
+				arr, i := storeAt(a(fr), j(fr), x)
 				fr.ctx.Mon.StoreElem(arr, i, coerceKind(co, v))
 			}
-		} else {
-			s.fn = func(fr *Frame, v Value) {
-				arr, i := storeAt(af(fr), jf(fr), x)
-				arr.Elems[i] = coerceKind(co, v)
-			}
 		}
-		return s
+		return func(fr *Frame, v Value) {
+			arr, i := storeAt(a(fr), j(fr), x)
+			arr.Elems[i] = coerceKind(co, v)
+		}
 	}
 	err := rtErrf("unsupported assignment target at %s", lhs.Pos())
-	return store{fn: func(*Frame, Value) { throw(err) }}
+	return func(*Frame, Value) { throw(err) }
 }
 
 // builtin1 maps single-argument math builtins to their kernels.
@@ -783,49 +623,27 @@ func builtin1(name string) (func(float64) float64, bool) {
 	return nil, false
 }
 
-func (c *compiler) call(x *ast.CallExpr) code[Value] {
-	// The receiver and the arguments: where none holds a call, their
-	// charge joins the call's own CostExpr, up front; else each charges
-	// itself, in walker order.
+func (c *compiler) call(x *ast.CallExpr) exprFn {
 	var recvFn exprFn
-	parts := make([]code[Value], 0, len(x.Args)+1)
 	if x.Recv != nil {
-		parts = append(parts, c.value(x.Recv))
+		recvFn = c.value(x.Recv)
 	}
-	for _, a := range x.Args {
-		parts = append(parts, c.value(a))
-	}
-	pre, dyn := int64(CostExpr), false
-	for _, p := range parts {
-		pre, dyn = pre+p.cost, dyn || p.dyn
-	}
-	fns := make([]exprFn, len(parts))
-	for i, p := range parts {
-		fns[i] = p.fn
-		if dyn {
-			fns[i] = p.sealed()
-		}
-	}
-	if dyn {
-		pre = CostExpr
-	}
-	if x.Recv != nil {
-		recvFn, fns = fns[0], fns[1:]
+	fns := make([]exprFn, len(x.Args))
+	for i, a := range x.Args {
+		fns[i] = c.value(a)
 	}
 
 	if x.Builtin {
 		// print, arity oddities and unknown names: evaluate the arguments
 		// into a slice and dispatch by name, exactly like the walker.
 		name := x.Method
-		return code[Value]{fn: func(fr *Frame) Value {
-			fr.ctx.charge(pre)
+		return func(fr *Frame) Value {
 			args := make([]Value, len(fns))
 			for i, af := range fns {
 				args[i] = af(fr)
 			}
-			fr.ctx.charge(CostBuiltin)
 			return must(callBuiltin(fr.ctx.IP, name, x, args))
-		}, dyn: true}
+		}
 	}
 
 	site := c.prog.CallSites[x.Site]
@@ -833,9 +651,8 @@ func (c *compiler) call(x *ast.CallExpr) code[Value] {
 	implicitRecv := x.Recv == nil && callee.Class != nil
 	n := len(fns)
 	ms, cm := c.res.methods[callee.ID], c.methods[callee.ID]
-	return code[Value]{fn: func(fr *Frame) Value {
+	return func(fr *Frame) Value {
 		ctx := fr.ctx
-		ctx.charge(pre)
 		var recv *Object
 		if recvFn != nil {
 			rv := recvFn(fr)
@@ -870,13 +687,12 @@ func (c *compiler) call(x *ast.CallExpr) code[Value] {
 		}
 		ctx.popFrame()
 		return v
-	}, dyn: true}
+	}
 }
 
 // compileStmt lowers a statement to a self-contained closure. Each
-// statement's prologue (Ctx.tick) counts one step and charges CostStmt
-// plus the static cost of its call-free expression operands up front —
-// preserving the walker's MaxSteps and Interrupt behavior exactly.
+// statement's prologue (Ctx.tick) counts one step, preserving the
+// walker's MaxSteps and Interrupt behavior exactly.
 func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 	switch st := s.(type) {
 	case *ast.Block:
@@ -885,7 +701,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 			subs[i] = c.compileStmt(sub, ms)
 		}
 		return func(fr *Frame) flow {
-			fr.ctx.tick(CostStmt)
+			fr.ctx.tick()
 			for _, sub := range subs {
 				if fl := sub(fr); fl != flowNext {
 					return fl
@@ -901,19 +717,19 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 		// declarations allocate fresh storage per execution, exactly as
 		// the walker's zeroValue does.
 		zc, constZero := primZero(t)
-		inf, entry, co := func(*Frame) Value { return zc }, int64(CostStmt), ast.CoNone
+		var inf exprFn
 		if st.Init != nil {
-			in := c.value(st.Init)
-			inf, entry, co = in.fn, operandEntry(in), st.Coerce
+			inf = c.value(st.Init)
 		}
+		co := st.Coerce
 		return func(fr *Frame) flow {
-			fr.ctx.tick(entry)
+			fr.ctx.tick()
 			if constZero {
 				fr.vars[slot] = zc
 			} else {
 				fr.vars[slot] = fr.ctx.IP.zeroValue(t)
 			}
-			if st.Init != nil {
+			if inf != nil {
 				fr.vars[slot] = coerceKind(co, inf(fr))
 			}
 			return flowNext
@@ -925,24 +741,22 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 				return fn
 			}
 		}
-		x := c.value(st.X)
-		xf, entry := x.fn, operandEntry(x)
+		xf := c.value(st.X)
 		return func(fr *Frame) flow {
-			fr.ctx.tick(entry)
+			fr.ctx.tick()
 			xf(fr)
 			return flowNext
 		}
 
 	case *ast.IfStmt:
-		cond := c.bool(st.Cond)
-		cf, entry := cond.fn, operandEntry(cond)
+		cf := c.bool(st.Cond)
 		thenFn := c.compileStmt(st.Then, ms)
 		var elseFn stmtFn
 		if st.Else != nil {
 			elseFn = c.compileStmt(st.Else, ms)
 		}
 		return func(fr *Frame) flow {
-			fr.ctx.tick(entry)
+			fr.ctx.tick()
 			if cf(fr) {
 				return thenFn(fr)
 			}
@@ -956,12 +770,11 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 		return c.compileFor(st, ms)
 
 	case *ast.WhileStmt:
-		cond := c.bool(st.Cond)
-		cf, cc := cond.fn, cond.cost
+		cf := c.bool(st.Cond)
 		bodyFn := c.compileStmt(st.Body, ms)
 		return func(fr *Frame) flow {
-			fr.ctx.tick(CostStmt)
-			for fr.ctx.charge(cc); cf(fr); fr.ctx.charge(cc) {
+			fr.ctx.tick()
+			for cf(fr) {
 				if fl := bodyFn(fr); fl != flowNext {
 					return fl
 				}
@@ -972,15 +785,14 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 	case *ast.ReturnStmt:
 		if st.X == nil {
 			return func(fr *Frame) flow {
-				fr.ctx.tick(CostStmt)
+				fr.ctx.tick()
 				fr.ret = Value{}
 				return flowReturn
 			}
 		}
-		x := c.value(st.X)
-		xf, entry, retCo := x.fn, operandEntry(x), ms.retCo
+		xf, retCo := c.value(st.X), ms.retCo
 		return func(fr *Frame) flow {
-			fr.ctx.tick(entry)
+			fr.ctx.tick()
 			fr.ret = coerceKind(retCo, xf(fr))
 			return flowReturn
 		}
@@ -989,23 +801,14 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 	return func(*Frame) flow { throw(err); return flowNext }
 }
 
-// operandEntry is the prologue charge of a statement over one operand:
-// CostStmt, plus the operand's cost where it is static.
-func operandEntry[T any](e code[T]) int64 {
-	if e.dyn {
-		return CostStmt
-	}
-	return CostStmt + e.cost
-}
-
 // assignStmt lowers the expression statement lhs op= rhs to one closure
 // (nil: the generic lowering applies) where op is =, +=, -=, *= or — on
 // doubles — /=, both sides have one numeric kind, and the target is a
 // local, a parameter, a this field, or o->f or a[i] over pure operands
 // (in the monitored pass, only a local or a parameter). The closure
 // keeps the generic lowering's order — the right side, then the target —
-// its errors and its charge: pure operands are static and evaluate to
-// the same values for the load as for the store.
+// and its errors: pure operands evaluate to the same values for the load
+// as for the store.
 func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 	var op token.Kind
 	switch x.Op {
@@ -1025,9 +828,8 @@ func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 	if k != c.kindOf(x.RHS) || k != KFloat && (k != KInt || op == token.SLASH) {
 		return nil
 	}
-	// slot >= 0: a local or parameter; else ref is the target, and lc and
-	// sc are what the walker charges for loading and storing it.
-	slot, lc, sc := int32(-1), int64(CostExpr), int64(0)
+	// slot >= 0: a local or parameter; else ref is the target.
+	slot := int32(-1)
 	var ref func(*Frame) *Value
 	switch t := x.LHS.(type) {
 	case *ast.Ident:
@@ -1044,27 +846,18 @@ func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 		if c.mon || !ast.Pure(t.X) {
 			return nil
 		}
-		b := c.value(t.X)
-		if b.dyn {
-			return nil
-		}
-		bf, fs, load := b.fn, t.Slot, op != 0
+		bf, fs, load := c.value(t.X), t.Slot, op != 0
 		ref = func(fr *Frame) *Value {
 			if load {
 				return &object(bf(fr), t).Slots[fs]
 			}
 			return &storeObject(bf(fr), t).Slots[fs]
 		}
-		lc, sc = CostExpr+b.cost, b.cost
 	case *ast.IndexExpr:
 		if c.mon || !ast.Pure(t.X) || !ast.Pure(t.Index) {
 			return nil
 		}
-		a, j := c.value(t.X), c.value(t.Index)
-		if a.dyn || j.dyn {
-			return nil
-		}
-		af, jf, load := a.fn, j.fn, op != 0
+		af, jf, load := c.value(t.X), c.value(t.Index), op != 0
 		ref = func(fr *Frame) *Value {
 			if load {
 				arr, i := loadAt(af(fr), jf(fr), t)
@@ -1073,18 +866,14 @@ func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 			arr, i := storeAt(af(fr), jf(fr), t)
 			return &arr.Elems[i]
 		}
-		lc, sc = CostExpr+a.cost+j.cost, a.cost+j.cost
 	default:
 		return nil
 	}
-	if op == 0 {
-		lc = 0
-	}
 	if k == KInt {
-		rf, entry := fusedRHS(c.int(x.RHS), lc+sc)
+		rf := c.int(x.RHS)
 		if ref == nil {
 			return func(fr *Frame) flow {
-				fr.ctx.tick(entry)
+				fr.ctx.tick()
 				v := rf(fr)
 				if op != 0 {
 					v = apply(op, int64(fr.vars[slot].num), v)
@@ -1094,7 +883,7 @@ func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 			}
 		}
 		return func(fr *Frame) flow {
-			fr.ctx.tick(entry)
+			fr.ctx.tick()
 			v := rf(fr)
 			p := ref(fr)
 			if op != 0 {
@@ -1104,10 +893,10 @@ func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 			return flowNext
 		}
 	}
-	rf, entry := fusedRHS(c.float(x.RHS), lc+sc)
+	rf := c.float(x.RHS)
 	if ref == nil {
 		return func(fr *Frame) flow {
-			fr.ctx.tick(entry)
+			fr.ctx.tick()
 			v := rf(fr)
 			if op != 0 {
 				v = apply(op, math.Float64frombits(fr.vars[slot].num), v)
@@ -1117,7 +906,7 @@ func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 		}
 	}
 	return func(fr *Frame) flow {
-		fr.ctx.tick(entry)
+		fr.ctx.tick()
 		v := rf(fr)
 		p := ref(fr)
 		if op != 0 {
@@ -1126,21 +915,6 @@ func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 		*p = FloatValue(v)
 		return flowNext
 	}
-}
-
-// fusedRHS is a fused assignment's right side and prologue charge: post
-// is what loading and storing the target charge after it.
-func fusedRHS[T any](rhs code[T], post int64) (func(*Frame) T, int64) {
-	if !rhs.dyn {
-		return rhs.fn, CostStmt + CostExpr + rhs.cost + post
-	}
-	f := rhs.fn
-	return func(fr *Frame) T {
-		fr.ctx.charge(CostExpr)
-		v := f(fr)
-		fr.ctx.charge(post)
-		return v
-	}, CostStmt
 }
 
 // apply is + - * / on two numbers of one kind (no int division reaches
@@ -1168,11 +942,10 @@ func (c *compiler) compileFor(st *ast.ForStmt, ms *methodSlots) stmtFn {
 	if st.Init != nil {
 		initFn = c.compileStmt(st.Init, ms)
 	}
-	cond := code[bool]{fn: func(*Frame) bool { return true }}
+	cf := constant(true)
 	if st.Cond != nil {
-		cond = c.bool(st.Cond)
+		cf = c.bool(st.Cond)
 	}
-	cf, cc := cond.fn, cond.cost
 	bodyFn := c.compileStmt(st.Body, ms)
 	var postFn stmtFn
 	if st.Post != nil {
@@ -1183,13 +956,13 @@ func (c *compiler) compileFor(st *ast.ForStmt, ms *methodSlots) stmtFn {
 	var bound exprFn
 	var slot int32
 	if matched {
-		slot, bound = h.Var.Slot, c.value(h.Bound).sealed()
+		slot, bound = h.Var.Slot, c.value(h.Bound)
 		c.loops[st] = loopBody{slot: slot, body: bodyFn}
 	}
 	step := h.Step
 	return func(fr *Frame) flow {
 		ctx := fr.ctx
-		ctx.tick(CostStmt)
+		ctx.tick()
 		if initFn != nil {
 			if fl := initFn(fr); fl != flowNext {
 				return fl
@@ -1211,7 +984,7 @@ func (c *compiler) compileFor(st *ast.ForStmt, ms *methodSlots) stmtFn {
 				}
 			}
 		}
-		for ctx.charge(cc); cf(fr); ctx.charge(cc) {
+		for cf(fr) {
 			if fl := bodyFn(fr); fl != flowNext {
 				return fl
 			}

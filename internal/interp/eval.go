@@ -8,13 +8,12 @@ import (
 	"commute/internal/frontend/types"
 )
 
-// Abstract cost units charged by the interpreter. One unit corresponds
-// to roughly one simple machine operation; the simulator converts units
-// to microseconds with a calibration constant. Both engines charge the
-// same totals between dispatcher-hook boundaries (see compile.go), so
-// DASH simulation results are independent of the engine. Exported for
-// codegen's static work estimate, which bounds what a serial execution
-// charges with these same five numbers.
+// Abstract cost units charged by the tree walker, the engine the tracer
+// runs on; compiled code charges none. One unit corresponds to roughly
+// one simple machine operation; the simulator converts units to
+// microseconds with a calibration constant. Exported for codegen's
+// static work estimate, which bounds what a serial execution charges
+// with these same five numbers.
 const (
 	CostStmt    = 1
 	CostExpr    = 1

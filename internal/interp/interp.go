@@ -69,11 +69,13 @@ func (ip *Interp) FieldSlot(cl *types.Class, declClass, field string) int {
 
 // Ctx carries the execution strategy: cost accounting and the call /
 // loop dispatchers that the parallel executors override. A zero-value
-// strategy executes serially and charges into Cost.
+// strategy executes serially and, on the tree walker, charges into Cost.
 type Ctx struct {
 	IP *Interp
 
 	// Charge accounts abstract cost units (nil: accumulate into Cost).
+	// Only the tree walker charges units — the tracer runs on it;
+	// compiled code never calls Charge.
 	Charge func(units int64)
 	// Invoke dispatches a non-builtin call after receiver and argument
 	// evaluation (nil: execute inline serially). args belongs to the
@@ -114,13 +116,14 @@ type Ctx struct {
 	// counting across derived contexts.
 	Depth int
 
-	// Cost is the default cost accumulator.
+	// Cost is the default cost accumulator of the tree walker; compiled
+	// code leaves it zero.
 	Cost int64
 
 	steps int64
-	// poll is the step at which stmt next takes its slow path: where
-	// MaxSteps or the Interrupt poll can fire, every step under a Charge
-	// hook; zero makes the first statement compute it.
+	// poll is the step at which tick next takes its slow path: where
+	// MaxSteps or the Interrupt poll can fire; zero makes the first
+	// statement compute it.
 	poll int64
 
 	// frames is the activation stack: frames[:sp] are live, strictly
@@ -154,62 +157,41 @@ func (c *Ctx) Recycle(depth int) {
 	c.Depth, c.Cost, c.steps, c.poll = depth, 0, 0, 0
 }
 
-// stmt is every statement's prologue in both engines: it counts the
-// step and charges its units, and takes the slow path only when the
+// tick is every statement's prologue in both engines: it counts the
+// step and takes the slow path, which throws its failure, only when the
 // count reaches poll. Statements are counted one at a time, never
 // coalesced, so MaxSteps and Interrupt behave alike under both engines.
-func (c *Ctx) stmt(units int64) error {
+func (c *Ctx) tick() {
 	c.steps++
-	c.Cost += units
-	if c.steps < c.poll {
-		return nil
+	if c.steps >= c.poll {
+		c.tickSlow()
 	}
-	return c.stmtSlow(units)
 }
 
-// stmtSlow hands the units to the Charge hook, if any, enforces the
-// statement budget, polls the interrupt hook, and sets the next poll.
-func (c *Ctx) stmtSlow(units int64) error {
+// tickSlow enforces the statement budget, polls the interrupt hook, and
+// sets the next poll. It stays out of line so that tick inlines into
+// every statement.
+//
+//go:noinline
+func (c *Ctx) tickSlow() {
 	c.poll = math.MaxInt64
-	if c.Charge != nil {
-		c.Cost -= units
-		c.Charge(units)
-		c.poll = c.steps + 1
-	}
 	if c.MaxSteps > 0 {
 		c.poll = min(c.poll, max(c.MaxSteps, c.steps)+1)
 		if c.steps > c.MaxSteps {
-			return rtErrf("step budget of %d statements exhausted", c.MaxSteps)
+			throw(rtErrf("step budget of %d statements exhausted", c.MaxSteps))
 		}
 	}
 	if c.Interrupt != nil {
 		c.poll = min(c.poll, (c.steps/InterruptStride+1)*InterruptStride)
 		if c.steps%InterruptStride == 0 {
-			return c.Interrupt()
+			if err := c.Interrupt(); err != nil {
+				throw(err)
+			}
 		}
 	}
-	return nil
 }
 
-// tick is stmt in compiled code, which throws its failure.
-func (c *Ctx) tick(units int64) {
-	c.steps++
-	c.Cost += units
-	if c.steps >= c.poll {
-		c.tickSlow(units)
-	}
-}
-
-// tickSlow stays out of line so that tick inlines into every statement.
-//
-//go:noinline
-func (c *Ctx) tickSlow(units int64) {
-	if err := c.stmtSlow(units); err != nil {
-		throw(err)
-	}
-}
-
-// catch is deferred by the two entries into compiled code, Interp.Call
+// catch is deferred by the two entries into a method body, Interp.Call
 // and RunLoopIteration: a thrown failure pops the context's stack back
 // to the entry's height sp, restores the entry's depth and becomes the
 // entry's error. Any other panic goes on unwinding, frames and all.
@@ -226,6 +208,8 @@ func (c *Ctx) catch(sp, depth int, err *error) {
 	}
 }
 
+// charge accounts the tree walker's units: to the Charge hook, if any,
+// else into Cost.
 func (c *Ctx) charge(units int64) {
 	if c.Charge != nil {
 		c.Charge(units)
@@ -338,7 +322,7 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (v
 }
 
 // enter runs an activation whose frame is pushed with its arguments in
-// place: the depth guard, CostCall, the body, and the pop. Only a void
+// place: the depth guard, the body, and the pop. Only a void
 // body can fall off its end (the checker rejects any other); it yields
 // NULL. A failure throws past it: the catching entry pops the frame.
 func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, body stmtFn) Value {
@@ -351,7 +335,6 @@ func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, b
 	}
 	c.Depth++
 	fr.method, fr.slots, fr.this = m, ms, this
-	c.charge(CostCall)
 	fl := body(fr)
 	c.Depth--
 	var out Value
@@ -363,8 +346,9 @@ func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, b
 }
 
 // walkBody runs fr's method on the tree walker (no monitored kernels),
-// throwing its error as a compiled body would.
+// charging CostCall, and throws its error as a compiled body would.
 func walkBody(fr *Frame) flow {
+	fr.ctx.charge(CostCall)
 	if fr.ctx.Mon != nil {
 		throw(rtErrf(errWalkerMon))
 	}
@@ -382,9 +366,8 @@ func walkBody(fr *Frame) flow {
 // execStmt executes a statement; a non-nil *returnValue unwinds a
 // return. (Tree-walking engine.)
 func (ip *Interp) execStmt(fr *Frame, s ast.Stmt) (*returnValue, error) {
-	if err := fr.ctx.stmt(CostStmt); err != nil {
-		return nil, err
-	}
+	fr.ctx.charge(CostStmt)
+	fr.ctx.tick()
 	switch st := s.(type) {
 	case *ast.Block:
 		for _, sub := range st.Stmts {
@@ -560,6 +543,7 @@ func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) (err er
 		return rtErrf("parallel loop at %s is not a counted loop", st.Pos())
 	}
 	sub.vars[lb.slot] = IntValue(i)
+	defer ctx.catch(ctx.sp, ctx.Depth, &err)
 	var returned bool
 	if ip.engine == EngineWalk {
 		ret, err := ip.execStmt(sub, st.Body)
@@ -568,7 +552,6 @@ func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) (err er
 		}
 		returned = ret != nil
 	} else {
-		defer ctx.catch(ctx.sp, ctx.Depth, &err)
 		returned = lb.body(sub) == flowReturn
 	}
 	if returned {
@@ -578,7 +561,7 @@ func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) (err er
 }
 
 // callBuiltin dispatches a math or print builtin on evaluated
-// arguments. The caller has already charged CostBuiltin.
+// arguments. The walker charges CostBuiltin before the call.
 func callBuiltin(ip *Interp, name string, x *ast.CallExpr, args []Value) (Value, error) {
 	f := func(i int) float64 {
 		v, _ := asFloat(args[i])

@@ -166,8 +166,17 @@ func TestBarnesHutSerial(t *testing.T) {
 		t.Errorf("root mass = %v, want ≈1.0", mass)
 	}
 	_ = nodeCl
-	if ctx.Cost == 0 {
-		t.Error("cost accounting recorded nothing")
+	// Cost units come from the walker; compiled code charges none.
+	if ctx.Cost != 0 {
+		t.Errorf("the compiled engine charged %d units, want none", ctx.Cost)
+	}
+	walk := interp.NewEngine(prog, nil, interp.EngineWalk)
+	wctx := walk.NewCtx()
+	if err := walk.Run(wctx); err != nil {
+		t.Fatalf("walker run: %v", err)
+	}
+	if wctx.Cost == 0 {
+		t.Error("the walker's cost accounting recorded nothing")
 	}
 }
 

@@ -164,21 +164,29 @@ func BenchmarkRegionDeclined(b *testing.B) {
 // BenchmarkCostUnit reports what the compiled engine takes to retire one
 // DASH cost unit on the tiny-region programs run serially: with the cost
 // of a region entry (BenchmarkRegionEntry), the number regionEntryCost
-// is derived from.
+// is derived from. Compiled code charges no units, so one tree-walker run
+// per program counts them and the compiled runs are timed.
 func BenchmarkCostUnit(b *testing.B) {
 	for _, p := range finePrograms(b, 512, false) {
 		b.Run(p.name, func(b *testing.B) {
-			var units int64
+			walk := interp.NewEngine(p.prog, nil, interp.EngineWalk)
+			wctx := walk.NewCtx()
+			if err := walk.Run(wctx); err != nil {
+				b.Fatal(err)
+			}
+			units := wctx.Cost
+			if units == 0 {
+				b.Fatal("the walker charged no units")
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ip := interp.New(p.prog, nil)
-				ctx := ip.NewCtx()
-				if err := ip.Run(ctx); err != nil {
+				if err := ip.Run(ip.NewCtx()); err != nil {
 					b.Fatal(err)
 				}
-				units += ctx.Cost
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(units), "ns/unit")
-			b.ReportMetric(float64(units)/float64(b.N), "units/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(units*int64(b.N)), "ns/unit")
+			b.ReportMetric(float64(units), "units/op")
 		})
 	}
 }

@@ -154,7 +154,9 @@ func (rt *Runtime) interrupt() error {
 // region takes 2.7-3.3 µs to enter and leave beyond the work inside it
 // (run-fine and BenchmarkRegionEntry, two workers; speculative ones cost
 // more), and the compiled engine retires a cost unit in 4.1-4.3 ns
-// (BenchmarkCostUnit), so an entry is ≈ 650 units. Two workers at best
+// (BenchmarkCostUnit: the units one tree-walker run charges, over the
+// time of the compiled runs; compiled code charges none), so an entry is
+// ≈ 650 units. Two workers at best
 // halve the work, saving W/2, which pays for the entry only when
 // W > 2 × 650. The constant is that break-even at two workers, at the
 // low end of the measurements; nothing reads it but the entry rule.

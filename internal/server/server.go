@@ -61,9 +61,10 @@ type Config struct {
 	CacheBytes int64
 	// MaxOutputBytes caps one request's program output (default 1 MiB).
 	MaxOutputBytes int64
-	// DefaultTimeout bounds an execution when the request doesn't ask
-	// for a deadline (default 10s); MaxTimeout is the ceiling a request
-	// can ask for (default 60s).
+	// DefaultTimeout bounds an execution — a /v1/run, or the trace run
+	// of a /v1/simulate — when the request doesn't ask for a deadline
+	// (default 10s); MaxTimeout is the ceiling a request can ask for
+	// (default 60s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 	// MaxSourceBytes caps a request body (default 4 MiB); a larger one
@@ -598,16 +599,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	defer h.Close()
 	sys := h.System()
 
-	// Per-request deadline, clamped to the server ceiling and derived
-	// from the connection context so a vanished client cancels the run.
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := s.deadline(r, req.TimeoutMS)
 	defer cancel()
 
 	out := newCappedWriter(s.cfg.MaxOutputBytes)
@@ -633,11 +625,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	}
 	wall := time.Since(start)
 	if runErr != nil {
-		code := http.StatusUnprocessableEntity
-		if errors.Is(runErr, context.DeadlineExceeded) {
-			code = http.StatusGatewayTimeout
-		}
-		return writeErr(w, code, runErr.Error())
+		return writeErr(w, execErrCode(runErr), runErr.Error())
 	}
 	return writeJSON(w, http.StatusOK, api.RunResponse{
 		Key:             p.key,
@@ -646,6 +634,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		OutputTruncated: out.Truncated(),
 		Stats:           api.NewRunStats(mode, workers, wall, rs),
 	})
+}
+
+// deadline is an execution's context: timeoutMS (0: DefaultTimeout),
+// clamped to MaxTimeout, derived from the connection context so a
+// vanished client cancels the execution.
+func (s *Server) deadline(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMS > 0 {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
+	}
+	return context.WithTimeout(r.Context(), min(timeout, s.cfg.MaxTimeout))
+}
+
+// execErrCode is the status of a failed execution: 504 past its
+// deadline, else 422.
+func execErrCode(err error) int {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusUnprocessableEntity
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
@@ -677,9 +685,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	defer h.Close()
 	sys := h.System()
 
-	tr, err := sys.Trace()
+	ctx, cancel := s.deadline(r, 0)
+	defer cancel()
+	tr, err := sys.Trace(ctx)
 	if err != nil {
-		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
+		return writeErr(w, execErrCode(err), err.Error())
 	}
 	resp := api.SimulateResponse{Key: prog.key, Cache: cacheWord(hit)}
 	var base float64

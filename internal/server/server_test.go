@@ -340,6 +340,24 @@ func TestSimulate(t *testing.T) {
 	}
 }
 
+// TestSimulateDeadline: the trace run of /v1/simulate is bounded by
+// DefaultTimeout, as a /v1/run is: a program that never ends is
+// answered 504 within the deadline plus a second.
+func TestSimulateDeadline(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	_, ts := newTestServer(t, Config{DefaultTimeout: timeout})
+	t0 := time.Now()
+	resp, data := post(t, ts, "/v1/simulate", api.SimulateRequest{
+		SourceRequest: api.SourceRequest{Name: "spin.mc", Source: spinSource},
+	})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("runaway simulate = %d: %s, want 504", resp.StatusCode, data)
+	}
+	if d := time.Since(t0); d > timeout+time.Second {
+		t.Fatalf("the simulate deadline took %v", d)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	// Every body below fits the cap but the first, which is refused
 	// whole rather than decoded up to the cap.

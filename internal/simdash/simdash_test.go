@@ -1,6 +1,7 @@
 package simdash_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -26,8 +27,7 @@ func collect(t testing.TB, source string) *tracer.Trace {
 		t.Fatalf("check: %v", err)
 	}
 	plan := codegen.Build(core.New(prog))
-	ip := interp.New(prog, nil)
-	tr, err := tracer.Collect(ip, plan)
+	tr, err := tracer.Collect(context.Background(), interp.NewEngine(prog, nil, interp.EngineWalk), plan)
 	if err != nil {
 		t.Fatalf("collect: %v", err)
 	}

@@ -25,7 +25,7 @@ func TestTraceEntersWhatRuns(t *testing.T) {
 	for _, name := range strings.Split(src.AppNames(), ", ") {
 		_, source, _ := src.App(name)
 		sys := oracle.ClearWork(oracle.Load(t, name+".mc", source))
-		tr, err := sys.Trace()
+		tr, err := sys.Trace(context.Background())
 		if err != nil {
 			t.Fatalf("%s: trace: %v", name, err)
 		}
@@ -49,8 +49,8 @@ func TestTraceEntersWhatRuns(t *testing.T) {
 		if reduced == 0 {
 			t.Errorf("water: no region of the trace reduces a replica")
 		}
-		ip := interp.New(sys.Prog, nil)
-		tr, err = tracer.Collect(ip, sys.Plan)
+		ip := interp.NewEngine(sys.Prog, nil, interp.EngineWalk)
+		tr, err = tracer.Collect(context.Background(), ip, sys.Plan)
 		if err != nil {
 			t.Fatal(err)
 		}

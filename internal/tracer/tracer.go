@@ -4,9 +4,15 @@
 // tasks, and critical sections on concrete objects. The DASH simulator
 // (internal/simdash) schedules these traces on a configurable number of
 // virtual processors.
+//
+// The trace is collected on the tree walker (interp.EngineWalk), the only
+// engine that charges cost units.
 package tracer
 
 import (
+	"context"
+	"errors"
+
 	"commute/internal/codegen"
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
@@ -98,12 +104,17 @@ func (tr *Trace) ParallelUnits() int64 {
 	return sum
 }
 
-// Collect runs the program and returns its trace.
-func Collect(ip *interp.Interp, plan *codegen.Plan) (*Trace, error) {
-	c := &collector{ip: ip, plan: plan, trace: &Trace{}}
+// Collect runs the program on ip, which must be a tree-walker
+// interpreter, and returns its trace. A deadline or cancellation on ctx
+// aborts the run between statements.
+func Collect(ctx context.Context, ip *interp.Interp, plan *codegen.Plan) (*Trace, error) {
+	if ip.Engine() != interp.EngineWalk {
+		return nil, errors.New("tracer: the trace needs a tree-walker interpreter; compiled code charges no cost units")
+	}
 	if ip.Prog.Main == nil {
 		return nil, &interp.RuntimeError{Msg: "program has no main function"}
 	}
+	c := &collector{ip: ip, plan: plan, trace: &Trace{}, ctx: ctx}
 	_, err := ip.Call(c.serialCtx(), ip.Prog.Main, nil, nil)
 	if err != nil {
 		return nil, err
@@ -113,6 +124,7 @@ func Collect(ip *interp.Interp, plan *codegen.Plan) (*Trace, error) {
 }
 
 type collector struct {
+	ctx         context.Context
 	ip          *interp.Interp
 	plan        *codegen.Plan
 	trace       *Trace
@@ -120,6 +132,15 @@ type collector struct {
 	// replicated collects the objects whose locks the §6.3.4
 	// replication optimization removed within the current region.
 	replicated map[int64]bool
+}
+
+// newCtx is an execution context whose units go to charge and whose
+// Interrupt hook reports the end of Collect's ctx.
+func (c *collector) newCtx(charge func(int64)) *interp.Ctx {
+	ctx := c.ip.NewCtx()
+	ctx.Charge = charge
+	ctx.Interrupt = func() error { return context.Cause(c.ctx) }
+	return ctx
 }
 
 func (c *collector) flushSerial(label string) {
@@ -136,8 +157,7 @@ func (c *collector) flushSerial(label string) {
 // under rt's serialCtx. Any other root runs its serial version with the
 // hook off, so no root below it is entered.
 func (c *collector) serialCtx() *interp.Ctx {
-	ctx := c.ip.NewCtx()
-	ctx.Charge = func(units int64) { c.serialUnits += units }
+	ctx := c.newCtx(func(units int64) { c.serialUnits += units })
 	var st nativert.Stats
 	ctx.Invoke = func(site *types.CallSite, recv *interp.Object, args []interp.Value) (interp.Value, error) {
 		if !c.plan.RegionRoot(site.Callee) {
@@ -214,8 +234,7 @@ func (ts *taskState) endCrit(obj int64) {
 func (c *collector) runVersion(task *Task, m *types.Method, recv *interp.Object, args []interp.Value, ver codegen.Version) error {
 	mp := c.plan.Methods[m]
 	ts := &taskState{task: task}
-	ctx := c.ip.NewCtx()
-	ctx.Charge = ts.charge
+	ctx := c.newCtx(ts.charge)
 
 	if ver == codegen.VersionSerial {
 		// Plain serial execution inside the task.
@@ -248,8 +267,7 @@ func (c *collector) runVersion(task *Task, m *types.Method, recv *interp.Object,
 		// copy of the frame — a schedule rt.parallelLoop can produce.
 		var iters []*Task
 		its := &taskState{}
-		ictx := c.ip.NewCtx()
-		ictx.Charge = its.charge
+		ictx := c.newCtx(its.charge)
 		ictx.Invoke = c.invoker(ictx, its, mp, codegen.VersionIteration, 0)
 		sub := c.ip.NewIterFrame(ictx, fr)
 		defer c.ip.ReleaseFrame(sub)

@@ -2,6 +2,10 @@ package tracer_test
 
 import (
 	"bytes"
+	"context"
+	"io"
+	"math"
+	"strings"
 	"testing"
 
 	"commute/internal/apps/src"
@@ -11,6 +15,7 @@ import (
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/internal/nativegen"
+	"commute/internal/simdash"
 	"commute/internal/tracer"
 )
 
@@ -27,8 +32,13 @@ func setup(t *testing.T, source string) (*types.Program, *codegen.Plan) {
 	return prog, codegen.Build(core.New(prog))
 }
 
-// TestUnitConservation: the trace accounts for the work the serial
-// interpreter charges — partitioning the execution into phases and tasks
+// collect traces prog under plan on a fresh tree walker writing to out.
+func collect(prog *types.Program, out io.Writer, plan *codegen.Plan) (*tracer.Trace, error) {
+	return tracer.Collect(context.Background(), interp.NewEngine(prog, out, interp.EngineWalk), plan)
+}
+
+// TestUnitConservation: the trace accounts for the work a serial run of
+// the tree walker charges — partitioning the execution into phases and tasks
 // neither creates nor loses cost. Loops are the one place the two may
 // differ: a parallel loop evaluates its bound once where the serial loop
 // tests its condition every iteration, and a loop that a parallel or
@@ -46,15 +56,14 @@ func TestUnitConservation(t *testing.T) {
 	for name, source := range sources {
 		prog, plan := setup(t, source)
 
-		ipSerial := interp.New(prog, nil)
+		ipSerial := interp.NewEngine(prog, nil, interp.EngineWalk)
 		ctx := ipSerial.NewCtx()
 		if err := ipSerial.Run(ctx); err != nil {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
 		serialUnits := ctx.Cost
 
-		ipTrace := interp.New(prog, nil)
-		tr, err := tracer.Collect(ipTrace, plan)
+		tr, err := collect(prog, nil, plan)
 		if err != nil {
 			t.Fatalf("%s: collect: %v", name, err)
 		}
@@ -68,6 +77,55 @@ func TestUnitConservation(t *testing.T) {
 			t.Errorf("%s: traced %d units vs serial %d (%.3f%% off; parallel loops in the trace: %t)", name, traced, serialUnits, 100*diff, loops)
 		}
 	}
+}
+
+// TestTracePinned pins what the simulator reads of the three
+// applications' traces at the tests' sizes: the phase count, the serial
+// and parallel units, and the simulated time at 1 and 32 processors.
+// The figures were recorded when both engines charged units and their
+// traces were held equal; the tree walker, the one engine that charges
+// them now, must still produce them. Collect refuses an interpreter of
+// the compiled engine, which charges none.
+func TestTracePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		source           string
+		phases           int
+		serial, parallel int64
+		t1, t32          float64
+	}{
+		{"graph", src.Graph, 2, 10291, 2838, 1848.3999999999953, 1351.4999999999993},
+		{"barneshut", src.BarnesHut, 16, 339718, 8605486, 999911.2399995588, 69875.91999999882},
+		{"water", src.Water, 20, 58144, 2951810, 330631.40000000986, 75998.41999999985},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, plan := setup(t, tc.source)
+			tr, err := collect(prog, nil, plan)
+			if err != nil {
+				t.Fatalf("collect: %v", err)
+			}
+			if len(tr.Phases) != tc.phases || tr.SerialUnits() != tc.serial || tr.ParallelUnits() != tc.parallel {
+				t.Errorf("%d phases, %d serial and %d parallel units, want %d, %d and %d",
+					len(tr.Phases), tr.SerialUnits(), tr.ParallelUnits(), tc.phases, tc.serial, tc.parallel)
+			}
+			for _, pt := range []struct {
+				procs int
+				want  float64
+			}{{1, tc.t1}, {32, tc.t32}} {
+				// A relative 1e-12 absorbs a platform's fused multiply-adds.
+				got := simdash.Simulate(tr, simdash.DefaultParams(pt.procs)).TimeMicros
+				if math.Abs(got-pt.want) > 1e-12*pt.want {
+					t.Errorf("simulated time at %d processors %v µs, want %v", pt.procs, got, pt.want)
+				}
+			}
+		})
+	}
+	t.Run("compiled-refused", func(t *testing.T) {
+		prog, plan := setup(t, src.Graph)
+		if _, err := tracer.Collect(context.Background(), interp.New(prog, nil), plan); err == nil || !strings.Contains(err.Error(), "tree-walker") {
+			t.Errorf("Collect on a compiled-engine interpreter: %v, want a refusal", err)
+		}
+	})
 }
 
 // hasLoop reports whether the trace holds a parallel loop.
@@ -94,8 +152,7 @@ func hasLoop(tr *tracer.Trace) bool {
 // semantics).
 func TestCritEventsWellFormed(t *testing.T) {
 	prog, plan := setup(t, src.Water)
-	ip := interp.New(prog, nil)
-	tr, err := tracer.Collect(ip, plan)
+	tr, err := collect(prog, nil, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +199,7 @@ func TestCritEventsWellFormed(t *testing.T) {
 func TestTracerDeterministic(t *testing.T) {
 	prog, plan := setup(t, src.BarnesHut)
 	sig := func() (int, int64, int64) {
-		ip := interp.New(prog, nil)
-		tr, err := tracer.Collect(ip, plan)
+		tr, err := collect(prog, nil, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,8 +227,8 @@ func TestValueRootTraced(t *testing.T) {
 	}
 	nativegen.DumpInterp(&want, prog, ipSerial)
 
-	ipTrace := interp.New(prog, &got)
-	tr, err := tracer.Collect(ipTrace, plan)
+	ipTrace := interp.NewEngine(prog, &got, interp.EngineWalk)
+	tr, err := tracer.Collect(context.Background(), ipTrace, plan)
 	if err != nil {
 		t.Fatalf("%s: collect: %v", fx.Name, err)
 	}
@@ -204,8 +260,8 @@ func TestDispatchFixturesTraced(t *testing.T) {
 		}
 		nativegen.DumpInterp(&want, prog, ipSerial)
 
-		ipTrace := interp.New(prog, &got)
-		tr, err := tracer.Collect(ipTrace, plan)
+		ipTrace := interp.NewEngine(prog, &got, interp.EngineWalk)
+		tr, err := tracer.Collect(context.Background(), ipTrace, plan)
 		if err != nil {
 			t.Fatalf("%s: collect: %v", fx.Name, err)
 		}

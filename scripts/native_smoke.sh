@@ -50,20 +50,6 @@ for APP in barneshut graph; do
   echo "$APP: native == interpreter (serial + parallel at 1 and 4 workers)"
 done
 
-# Barnes-Hut's force walk: body::walksub's mutex version holds the body's
-# lock through the serial walk (cmd/commutec's barneshut golden), so no
-# per-interaction X_gravsub is emitted, and each version reads a node
-# parameter through one binding instead of an interface call per use.
-if grep -q 'X_gravsub' "$OUT/barneshut/prog.go"; then
-  echo "FAIL: barneshut: prog.go still has X_gravsub" >&2
-  exit 1
-fi
-if ! awk '/^func / { fn = $0 } { n[fn] += gsub(/v_n\.as_node\(\)/, "&") } END { for (f in n) if (n[f] > 1) { print f; bad = 1 } exit bad }' "$OUT/barneshut/prog.go"; then
-  echo "FAIL: barneshut: a function above calls v_n.as_node() more than once" >&2
-  exit 1
-fi
-echo "barneshut: walksub coarsened, no X_gravsub, node parameters bound once"
-
 . scripts/wide_sources.sh
 
 # The shipped speculation demonstrators: every policy reproduces the
@@ -243,28 +229,15 @@ for APP in aux-loop hoist-escape nested-spawn; do
   echo "$APP: serial interpreter == parallel interpreter == native, 5 runs"
 done
 
-# No emitted version threads a lock-release closure.
-if grep -l 'rel_' "$OUT"/*/prog.go; then
-  echo "FAIL: an emitted prog.go mentions rel_" >&2
-  exit 1
-fi
-
-# The driver is nativert's: an emitted main.go defines no flag.
-if grep -q 'flag\.' "$OUT"/*/main.go; then
-  echo "FAIL: an emitted main.go defines flags:" >&2
-  grep -l 'flag\.' "$OUT"/*/main.go >&2
-  exit 1
-fi
-
 # Water: its force and energy accumulations run on per-worker replicas
 # of the global FBank and Sums (the four sites cmd/commutec's water
-# golden reports), which each region's join folds back. The package vets
-# (no lock copied by a fold), serial must be bit-identical, and parallel
-# at one and four workers must run cleanly.
+# golden reports), which each region's join folds back
+# (TestEmitGoShippedPrograms checks the fold is emitted). The package
+# vets (no lock copied by a fold), serial must be bit-identical, and
+# parallel at one and four workers must run cleanly.
 DIR="$OUT/water"
 go run ./cmd/commutec -emit go -o "$DIR" -app water
 (cd "$DIR" && go vet . && canonical && go build -o app .)
-grep -q 'rep_FBank.Fold(G_FBank' "$DIR/prog.go"
 go run ./cmd/commuterun -mode serial -app water -dump > "$OUT/water.interp"
 "$DIR/app" -mode serial -dump > "$OUT/water.native"
 diff "$OUT/water.interp" "$OUT/water.native"

@@ -2,6 +2,7 @@ package commute_test
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestSharedSystemStress(t *testing.T) {
 						t.Errorf("parallel output diverged under concurrency")
 					}
 				case 2:
-					if _, err := sys.Trace(); err != nil {
+					if _, err := sys.Trace(context.Background()); err != nil {
 						errc <- err
 					}
 				case 3:
