@@ -257,7 +257,8 @@ func (c *fnCtx) effectCall(x *ast.CallExpr, cp callPlan) {
 // spawn lowers a spawned call: evaluate receiver and arguments now (the
 // interpreter evaluates them in the caller before enqueuing the task),
 // release the receiver lock when the rule says so, and push a task
-// running the version it named.
+// running the version it named. An array actual is snapshotted, as the
+// interpreter runtime's spawn does: the task reads it as of the call.
 func (c *fnCtx) spawn(x *ast.CallExpr, cp callPlan) {
 	callee := cp.callee
 	c.line("{")
@@ -280,8 +281,20 @@ func (c *fnCtx) spawn(x *ast.CallExpr, cp callPlan) {
 		}
 		av := c.tmpName()
 		pt := callee.Params[i].Type
-		c.line("var %s %s = %s", av, c.e.goType(pt, true), c.exprAs(a, pt, 1))
 		taskArgs = append(taskArgs, av)
+		gt := c.e.goType(pt, true)
+		switch {
+		case !strings.HasPrefix(gt, "[]"):
+			c.line("var %s %s = %s", av, gt, c.exprAs(a, pt, 1))
+		case c.spec:
+			// The spawner's buffered writes are in its journal.
+			c.line("%s := nativert.SpecSnapshot(sj_, %s)", av, c.exprAs(a, pt, 1))
+		default:
+			// A reference actual of an extent call is a local array (Fig.
+			// 10), a Go array, which the declaration copies.
+			c.line("var %s = %s", av, c.expr(a, 1))
+			taskArgs[len(taskArgs)-1] = av + "[:]"
+		}
 	}
 	// A speculative task gets a fresh journal, and captures panics so a
 	// faulting task aborts the region instead of killing the pool

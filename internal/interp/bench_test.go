@@ -283,7 +283,8 @@ void main() {
 // BenchmarkCallChain measures the steady-state call path on a
 // gravsub-shaped method: a pointer and a double argument, a local
 // array passed by reference, and two NDIM loops over field paths in the
-// callee. The local array allocates on every call.
+// callee. The compiled engine keeps the local array in the frame; the
+// walker allocates it on every call.
 func BenchmarkCallChain(b *testing.B) {
 	benchCall(b, callBenchSrc, "body::sweep", "B")
 }
@@ -294,25 +295,28 @@ func BenchmarkFieldPath(b *testing.B) {
 	benchCall(b, callBenchSrc, "body::probe", "B")
 }
 
-// TestCompiledCallZeroAlloc: a steady-state call with primitive
-// arguments allocates nothing under the compiled engine — the arguments
-// go straight into the callee's frame on the context's stack.
+// TestCompiledCallZeroAlloc: a steady-state call allocates nothing
+// under the compiled engine — the arguments go straight into the
+// callee's frame on the context's stack — with primitive arguments, and
+// on the gravsub shape, whose local array lives in the frame too.
 func TestCompiledCallZeroAlloc(t *testing.T) {
 	prog := benchProg(t, callBenchSrc)
 	ip := interp.NewEngine(prog, nil, interp.EngineCompiled)
-	m := prog.MethodByFullName("body::calls")
 	recv := ip.Globals["B"]
 	ctx := ip.NewCtx()
 	args := []interp.Value{interp.IntValue(200)}
-	if _, err := ip.Call(ctx, m, recv, args); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, name := range []string{"body::calls", "body::sweep"} {
+		m := prog.MethodByFullName(name)
 		if _, err := ip.Call(ctx, m, recv, args); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("compiled calls allocate %v allocs/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ip.Call(ctx, m, recv, args); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: compiled calls allocate %v allocs/op, want 0", name, allocs)
+		}
 	}
 }

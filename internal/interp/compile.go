@@ -21,6 +21,7 @@ package interp
 
 import (
 	"math"
+	"slices"
 
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/token"
@@ -225,22 +226,20 @@ func (c *compiler) generic(e ast.Expr) exprFn {
 		return c.fails(rtErrf("unresolved identifier %s at %s", x.Name, x.Pos()))
 
 	case *ast.FieldAccess:
-		b, slot := c.value(x.X), x.Slot
 		if c.mon {
+			b, slot := c.value(x.X), x.Slot
 			return func(fr *Frame) Value { return fr.ctx.Mon.LoadField(object(b(fr), x), int(slot)) }
 		}
-		return func(fr *Frame) Value { return object(b(fr), x).Slots[slot] }
+		p := c.fieldPath(x, false)
+		return func(fr *Frame) Value { return *p(fr) }
 
 	case *ast.IndexExpr:
-		a, j := c.value(x.X), c.value(x.Index)
+		at := c.elem(x, false)
 		if c.mon {
-			return func(fr *Frame) Value {
-				arr, i := loadAt(a(fr), j(fr), x)
-				return fr.ctx.Mon.LoadElem(arr, i)
-			}
+			return func(fr *Frame) Value { return fr.ctx.Mon.LoadElem(at(fr)) }
 		}
 		return func(fr *Frame) Value {
-			arr, i := loadAt(a(fr), j(fr), x)
+			arr, i := at(fr)
 			return arr.Elems[i]
 		}
 
@@ -274,7 +273,7 @@ func (c *compiler) fails(err error) exprFn {
 }
 
 // object is the object a field access reads, failing as the walker does
-// on NULL or a non-object.
+// on NULL or a non-object (the monitored pass).
 func object(v Value, x *ast.FieldAccess) *Object {
 	if v.kind != KObject {
 		throw(fieldErr(v, x))
@@ -282,7 +281,7 @@ func object(v Value, x *ast.FieldAccess) *Object {
 	return v.ref.(*Object)
 }
 
-// storeObject is the object a field store writes.
+// storeObject is the object a field store writes (the monitored pass).
 func storeObject(v Value, x *ast.FieldAccess) *Object {
 	if v.kind != KObject {
 		throw(rtErrf(errFieldStoreObj, x.Pos()))
@@ -297,32 +296,143 @@ func fieldErr(v Value, x *ast.FieldAccess) error {
 	return rtErrf(errFieldNonObj, x.Pos())
 }
 
-// loadAt and storeAt are the element an index expression reads or
-// writes, failing as indexLoad and indexStore fail.
-func loadAt(arrV, idxV Value, x *ast.IndexExpr) (*Array, int) {
-	if arrV.kind == KArray && idxV.kind == KInt {
-		if arr := arrV.ref.(*Array); idxV.num < uint64(len(arr.Elems)) {
-			return arr, int(idxV.num)
+// fieldPath lowers the chain of field accesses that ends at x — two in
+// n->pos.val — to one closure yielding the address of the slot x names
+// (the unmonitored pass). It reads the chain's root, then each access in
+// turn checks that it reached an object, failing with its own NULL or
+// non-object error (the store's, for the last access of a store), and
+// steps into its slot: the walker's errors, at the walker's hop.
+func (c *compiler) fieldPath(x *ast.FieldAccess, store bool) func(*Frame) *Value {
+	var hops []*ast.FieldAccess
+	root := ast.Expr(x)
+	for fa, ok := x, true; ok; fa, ok = root.(*ast.FieldAccess) {
+		hops = append(hops, fa)
+		root = fa.X
+	}
+	slices.Reverse(hops)
+	mid, last, rv := hops[:len(hops)-1], x, c.operand(root)
+	return func(fr *Frame) *Value {
+		var v Value
+		switch rv.kind { // never opPath: the root is no field access
+		case opVar:
+			v = fr.vars[rv.slot]
+		case opField:
+			v = fr.this.Slots[rv.slot]
+		case opGlobal:
+			v = ObjectValue(fr.ctx.IP.globals[rv.slot])
+		default:
+			v = rv.fn(fr)
+		}
+		for _, h := range mid {
+			if v.kind != KObject {
+				throw(fieldErr(v, h))
+			}
+			v = v.ref.(*Object).Slots[h.Slot]
+		}
+		if v.kind != KObject {
+			if store {
+				throw(rtErrf(errFieldStoreObj, last.Pos()))
+			}
+			throw(fieldErr(v, last))
+		}
+		return &v.ref.(*Object).Slots[last.Slot]
+	}
+}
+
+// operand is a Value operand the hot closures read where it lies: a
+// variable, a this field or a global in place, a field path (unmonitored)
+// through its one closure, anything else through its value closure. It
+// saves a closure call on the bases of field paths and of index
+// expressions.
+type operand struct {
+	slot int32
+	kind uint8 // opVar, opField, opGlobal (slot), opPath (path) or opValue (fn)
+	path func(*Frame) *Value
+	fn   exprFn
+}
+
+const (
+	opValue uint8 = iota
+	opVar
+	opField
+	opGlobal
+	opPath
+)
+
+func (c *compiler) operand(e ast.Expr) operand {
+	switch x := e.(type) {
+	case *ast.Ident:
+		switch {
+		case x.Sym == ast.SymLocal || x.Sym == ast.SymParam:
+			return operand{slot: x.Slot, kind: opVar}
+		case x.Sym == ast.SymField && !c.mon:
+			return operand{slot: x.Slot, kind: opField}
+		case x.Sym == ast.SymGlobal:
+			return operand{slot: x.Slot, kind: opGlobal}
+		}
+	case *ast.FieldAccess:
+		if !c.mon {
+			return operand{kind: opPath, path: c.fieldPath(x, false)}
 		}
 	}
-	throwLoad(arrV, idxV, x)
-	return nil, 0
+	return operand{fn: c.value(e)}
 }
 
-// throwLoad stays out of line, keeping loadAt's fast path small.
+// elem lowers the operands of x to one closure yielding the element's
+// array and index: the array, then the index, then the checks, failing
+// as elemLoad or, for a store, elemStore fails. An index the checker
+// typed int is lowered typed.
+func (c *compiler) elem(x *ast.IndexExpr, store bool) func(*Frame) (*Array, int) {
+	if c.kindOf(x.Index) != KInt {
+		a, j := c.value(x.X), c.value(x.Index)
+		return func(fr *Frame) (*Array, int) {
+			av, iv := a(fr), j(fr)
+			if av.kind == KArray && iv.kind == KInt {
+				if arr := av.ref.(*Array); iv.num < uint64(len(arr.Elems)) {
+					return arr, int(iv.num)
+				}
+			}
+			throwElem(av, iv, x, store)
+			return nil, 0
+		}
+	}
+	a, j := c.operand(x.X), c.int(x.Index)
+	return func(fr *Frame) (*Array, int) {
+		var av Value
+		switch a.kind {
+		case opVar:
+			av = fr.vars[a.slot]
+		case opField:
+			av = fr.this.Slots[a.slot]
+		case opGlobal:
+			av = ObjectValue(fr.ctx.IP.globals[a.slot])
+		case opPath:
+			av = *a.path(fr)
+		default:
+			av = a.fn(fr)
+		}
+		i := j(fr)
+		if av.kind == KArray {
+			if arr := av.ref.(*Array); uint64(i) < uint64(len(arr.Elems)) {
+				return arr, int(i)
+			}
+		}
+		throwElem(av, IntValue(i), x, store)
+		return nil, 0
+	}
+}
+
+// throwElem throws elemLoad's or elemStore's failure. It stays out of
+// line, keeping elem's fast path small.
 //
 //go:noinline
-func throwLoad(arrV, idxV Value, x *ast.IndexExpr) {
-	_, _, err := elemLoad(arrV, idxV, x)
-	throw(err)
-}
-
-func storeAt(arrV, idxV Value, x *ast.IndexExpr) (*Array, int) {
-	arr, i, err := elemStore(arrV, idxV, x)
-	if err != nil {
-		throw(err)
+func throwElem(av, iv Value, x *ast.IndexExpr, store bool) {
+	check := elemLoad
+	if store {
+		check = elemStore
 	}
-	return arr, i
+	_, _, err := check(av, iv, x)
+	throw(err)
 }
 
 // int lowers an expression of kind KInt.
@@ -342,14 +452,14 @@ func (c *compiler) int(e ast.Expr) func(*Frame) int64 {
 		}
 	case *ast.FieldAccess:
 		if !c.mon {
-			b, slot := c.value(x.X), x.Slot
-			return func(fr *Frame) int64 { return int64(object(b(fr), x).Slots[slot].num) }
+			p := c.fieldPath(x, false)
+			return func(fr *Frame) int64 { return int64(p(fr).num) }
 		}
 	case *ast.IndexExpr:
 		if !c.mon {
-			a, j := c.value(x.X), c.value(x.Index)
+			at := c.elem(x, false)
 			return func(fr *Frame) int64 {
-				arr, i := loadAt(a(fr), j(fr), x)
+				arr, i := at(fr)
 				return int64(arr.Elems[i].num)
 			}
 		}
@@ -404,14 +514,14 @@ func (c *compiler) float(e ast.Expr) func(*Frame) float64 {
 		}
 	case *ast.FieldAccess:
 		if !c.mon {
-			b, slot := c.value(x.X), x.Slot
-			return func(fr *Frame) float64 { return math.Float64frombits(object(b(fr), x).Slots[slot].num) }
+			p := c.fieldPath(x, false)
+			return func(fr *Frame) float64 { return math.Float64frombits(p(fr).num) }
 		}
 	case *ast.IndexExpr:
 		if !c.mon {
-			a, j := c.value(x.X), c.value(x.Index)
+			at := c.elem(x, false)
 			return func(fr *Frame) float64 {
-				arr, i := loadAt(a(fr), j(fr), x)
+				arr, i := at(fr)
 				return math.Float64frombits(arr.Elems[i].num)
 			}
 		}
@@ -579,22 +689,24 @@ func (c *compiler) store(lhs ast.Expr) storeFn {
 		return func(*Frame, Value) { throw(err) }
 
 	case *ast.FieldAccess:
-		b, slot, co := c.value(x.X), x.Slot, x.Coerce
+		co := x.Coerce
 		if c.mon {
+			b, slot := c.value(x.X), x.Slot
 			return func(fr *Frame, v Value) { fr.ctx.Mon.StoreField(storeObject(b(fr), x), int(slot), coerceKind(co, v)) }
 		}
-		return func(fr *Frame, v Value) { storeObject(b(fr), x).Slots[slot] = coerceKind(co, v) }
+		p := c.fieldPath(x, true)
+		return func(fr *Frame, v Value) { *p(fr) = coerceKind(co, v) }
 
 	case *ast.IndexExpr:
-		a, j, co := c.value(x.X), c.value(x.Index), x.Coerce
+		at, co := c.elem(x, true), x.Coerce
 		if c.mon {
 			return func(fr *Frame, v Value) {
-				arr, i := storeAt(a(fr), j(fr), x)
+				arr, i := at(fr)
 				fr.ctx.Mon.StoreElem(arr, i, coerceKind(co, v))
 			}
 		}
 		return func(fr *Frame, v Value) {
-			arr, i := storeAt(a(fr), j(fr), x)
+			arr, i := at(fr)
 			arr.Elems[i] = coerceKind(co, v)
 		}
 	}
@@ -712,6 +824,9 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 
 	case *ast.DeclStmt:
 		slot := int(st.Slot)
+		if o, ok := ms.owned[st]; ok && !c.mon {
+			return ownedDecl(o, slot, c.prog.DeclType[st].(types.Array))
+		}
 		t := ms.types[slot]
 		// Primitive zero values are constants; object/array-typed
 		// declarations allocate fresh storage per execution, exactly as
@@ -801,6 +916,31 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 	return func(*Frame) flow { throw(err); return flowNext }
 }
 
+// ownedDecl lowers the declaration of a frame-owned local array
+// (methodSlots.owned) in the unmonitored pass: every execution zero-fills
+// the array's place in the frame's arena and binds the variable to it,
+// allocating nothing. Reuse is sound because nothing outlives the
+// activation that declared the array: the dialect never stores or
+// returns an array, a synchronous callee returns before the frame pops,
+// and a spawned task reads a snapshot (rt's spawn, and the emitted
+// spawn). The monitored pass allocates a fresh array per execution, as
+// the walker does: the journal keys an element by its address, so
+// storage reused across activations would alias their buffered writes.
+func ownedDecl(o ownedArray, slot int, t types.Array) stmtFn {
+	z, _ := primZero(t.Elem)
+	return func(fr *Frame) flow {
+		fr.ctx.tick()
+		e := fr.arena[o.off : o.off+o.n : o.off+o.n]
+		for i := range e {
+			e[i] = z
+		}
+		a := &fr.arrays[o.idx]
+		a.Elems = e
+		fr.vars[slot] = ArrayValue(a)
+		return flowNext
+	}
+}
+
 // assignStmt lowers the expression statement lhs op= rhs to one closure
 // (nil: the generic lowering applies) where op is =, +=, -=, *= or — on
 // doubles — /=, both sides have one numeric kind, and the target is a
@@ -846,24 +986,14 @@ func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 		if c.mon || !ast.Pure(t.X) {
 			return nil
 		}
-		bf, fs, load := c.value(t.X), t.Slot, op != 0
-		ref = func(fr *Frame) *Value {
-			if load {
-				return &object(bf(fr), t).Slots[fs]
-			}
-			return &storeObject(bf(fr), t).Slots[fs]
-		}
+		ref = c.fieldPath(t, op == 0)
 	case *ast.IndexExpr:
 		if c.mon || !ast.Pure(t.X) || !ast.Pure(t.Index) {
 			return nil
 		}
-		af, jf, load := c.value(t.X), c.value(t.Index), op != 0
+		at := c.elem(t, op == 0)
 		ref = func(fr *Frame) *Value {
-			if load {
-				arr, i := loadAt(af(fr), jf(fr), t)
-				return &arr.Elems[i]
-			}
-			arr, i := storeAt(af(fr), jf(fr), t)
+			arr, i := at(fr)
 			return &arr.Elems[i]
 		}
 	default:
@@ -932,56 +1062,36 @@ func apply[T int64 | float64](op token.Kind, a, b T) T {
 }
 
 // compileFor lowers a for loop. The counted header is matched here,
-// once (the walker's countedLoop is the same test); the run-time half —
-// an int loop variable and an int bound — is checked before the loop is
-// offered to the ForLoop dispatcher. An
-// offered loop is also registered in c.loops, slot and compiled body, so
-// RunLoopIteration executes parallel iterations without matching again.
+// once (the walker's countedLoop is the same test). A counted loop whose
+// variable and bound the checker typed int is lowered by countedFor, and
+// registered in c.loops, slot and compiled body, so RunLoopIteration
+// executes parallel iterations without matching again. No other loop is
+// offered to the ForLoop dispatcher: the walker's run-time test — an int
+// variable, an int bound — fails on it whatever the values, as a slot
+// and a pure expression hold the kinds their types fix (kindOf).
 func (c *compiler) compileFor(st *ast.ForStmt, ms *methodSlots) stmtFn {
 	var initFn stmtFn
 	if st.Init != nil {
 		initFn = c.compileStmt(st.Init, ms)
 	}
+	bodyFn := c.compileStmt(st.Body, ms)
+	if h, ok := ast.MatchCountedLoop(st); ok && ast.Pure(h.Bound) && c.kindOf(h.Var) == KInt && c.kindOf(h.Bound) == KInt {
+		c.loops[st] = loopBody{slot: h.Var.Slot, body: bodyFn}
+		return countedFor(st, initFn, bodyFn, h.Var.Slot, c.int(h.Bound), h.Step)
+	}
 	cf := constant(true)
 	if st.Cond != nil {
 		cf = c.bool(st.Cond)
 	}
-	bodyFn := c.compileStmt(st.Body, ms)
 	var postFn stmtFn
 	if st.Post != nil {
 		postFn = c.compileStmt(st.Post, ms)
 	}
-	h, matched := ast.MatchCountedLoop(st)
-	matched = matched && ast.Pure(h.Bound)
-	var bound exprFn
-	var slot int32
-	if matched {
-		slot, bound = h.Var.Slot, c.value(h.Bound)
-		c.loops[st] = loopBody{slot: slot, body: bodyFn}
-	}
-	step := h.Step
 	return func(fr *Frame) flow {
-		ctx := fr.ctx
-		ctx.tick()
+		fr.ctx.tick()
 		if initFn != nil {
 			if fl := initFn(fr); fl != flowNext {
 				return fl
-			}
-		}
-		if ctx.ForLoop != nil && matched && fr.vars[slot].kind == KInt {
-			from := fr.vars[slot].Int()
-			// A non-int bound declines the offer. A failing one fails as
-			// the walker's serial loop then fails: its condition reads
-			// the same pure bound right after.
-			if to := bound(fr); to.kind == KInt {
-				handled, err := ctx.ForLoop(st, fr, from, to.Int(), step)
-				if err != nil {
-					throw(err)
-				}
-				if handled {
-					fr.vars[slot] = IntValue(rtkit.LoopExit(from, to.Int(), step))
-					return flowNext
-				}
 			}
 		}
 		for cf(fr) {
@@ -993,6 +1103,45 @@ func (c *compiler) compileFor(st *ast.ForStmt, ms *methodSlots) stmtFn {
 					return fl
 				}
 			}
+		}
+		return flowNext
+	}
+}
+
+// countedFor runs a counted loop whose variable and bound the checker
+// typed int as one Go loop over the variable's slot: the condition is a
+// typed compare against the bound, evaluated again before every
+// iteration (the body may write the variable or what the bound reads),
+// and the post is the slot's increment behind the Ctx.tick its statement
+// would take, so steps, MaxSteps and Interrupt land where they do in the
+// generic loop. The loop is offered to the ForLoop dispatcher first.
+func countedFor(st *ast.ForStmt, initFn, bodyFn stmtFn, slot int32, to func(*Frame) int64, step int64) stmtFn {
+	return func(fr *Frame) flow {
+		ctx := fr.ctx
+		ctx.tick()
+		if initFn != nil {
+			if fl := initFn(fr); fl != flowNext {
+				return fl
+			}
+		}
+		if ctx.ForLoop != nil {
+			from, bound := int64(fr.vars[slot].num), to(fr)
+			handled, err := ctx.ForLoop(st, fr, from, bound, step)
+			if err != nil {
+				throw(err)
+			}
+			if handled {
+				fr.vars[slot] = IntValue(rtkit.LoopExit(from, bound, step))
+				return flowNext
+			}
+		}
+		v := &fr.vars[slot]
+		for int64(v.num) < to(fr) {
+			if fl := bodyFn(fr); fl != flowNext {
+				return fl
+			}
+			ctx.tick()
+			*v = IntValue(int64(v.num) + step)
 		}
 		return flowNext
 	}

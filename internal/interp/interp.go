@@ -79,9 +79,11 @@ type Ctx struct {
 	Charge func(units int64)
 	// Invoke dispatches a non-builtin call after receiver and argument
 	// evaluation (nil: execute inline serially). args belongs to the
-	// caller and is recycled as soon as the hook returns: a hook that
-	// hands the arguments to something outliving the call (a spawned
-	// task) copies them first.
+	// caller and is recycled as soon as the hook returns, and an array
+	// argument may be storage the caller's frame owns and rewrites: a
+	// hook that hands the arguments to something outliving the call (a
+	// spawned task) copies the slice and snapshots each array's elements
+	// first.
 	Invoke func(site *types.CallSite, recv *Object, args []Value) (Value, error)
 	// ForLoop may take over a for loop given its evaluated header
 	// (nil or returning handled=false: execute serially). The body
@@ -234,6 +236,13 @@ type Frame struct {
 	// ret receives the return value in compiled execution (the walker
 	// threads a *returnValue instead).
 	ret Value
+	// arena and arrays are the storage and headers of the method's
+	// frame-owned local arrays (methodSlots.owned), which only the
+	// unmonitored compiled body uses. They are sized before the
+	// activation's body runs (fitArrays) and never grow during it, so an
+	// array's address is fixed until the frame is popped.
+	arena  []Value
+	arrays []Array
 }
 
 // Method reports the frame's executing method (runtime diagnostics).
@@ -253,6 +262,19 @@ func (c *Ctx) pushFrame(n int) *Frame {
 	}
 	fr.vars = fr.vars[:n]
 	return fr
+}
+
+// fitArrays gives the frame room for ms's frame-owned arrays before an
+// activation of it runs (enter, NewIterFrame), so the arena never moves
+// under a bound array. The arena and the headers keep their full length,
+// which the arrays of every method the frame serves fit in.
+func (fr *Frame) fitArrays(ms *methodSlots) {
+	if len(fr.arena) < ms.arena {
+		fr.arena = make([]Value, ms.arena)
+	}
+	if len(fr.arrays) < ms.arrays {
+		fr.arrays = make([]Array, ms.arrays)
+	}
 }
 
 // popFrame zeroes the top frame and takes it off the stack.
@@ -335,6 +357,7 @@ func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, b
 	}
 	c.Depth++
 	fr.method, fr.slots, fr.this = m, ms, this
+	fr.fitArrays(ms)
 	fl := body(fr)
 	c.Depth--
 	var out Value
@@ -498,7 +521,8 @@ func (ip *Interp) execFor(fr *Frame, st *ast.ForStmt) (*returnValue, error) {
 // again per iteration by the serial loop when the dispatcher declines —
 // and, at run time, the loop variable holds an int and the bound
 // evaluates without error to an int. It returns the variable's frame
-// slot. The compiled engine applies the same test (compileFor).
+// slot. The compiled engine decides the same from the checked types
+// (compileFor).
 func (ip *Interp) countedLoop(fr *Frame, st *ast.ForStmt) (slot int, to, step int64, ok bool) {
 	h, ok := ast.MatchCountedLoop(st)
 	if !ok || !ast.Pure(h.Bound) || fr.vars[h.Var.Slot].kind != KInt {
@@ -522,6 +546,7 @@ func (ip *Interp) countedLoop(fr *Frame, st *ast.ForStmt) (slot int, to, step in
 func (ip *Interp) NewIterFrame(ctx *Ctx, fr *Frame) *Frame {
 	sub := ctx.pushFrame(len(fr.vars))
 	sub.method, sub.slots, sub.this = fr.method, fr.slots, fr.this
+	sub.fitArrays(fr.slots)
 	copy(sub.vars, fr.vars)
 	return sub
 }

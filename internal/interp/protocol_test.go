@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"commute/internal/frontend/ast"
@@ -131,6 +132,126 @@ func TestStaticKernelsMatchWalker(t *testing.T) {
 	}
 	if checked < 25000 {
 		t.Fatalf("checked %d operand pairs, want the full table", checked)
+	}
+	t.Run("paths", checkPaths)
+}
+
+const pathSrc = `
+class vec {
+public:
+  double val[2];
+};
+class lnk {
+public:
+  lnk *nx;
+  int i;
+  double d;
+  vec pos;
+  int e[2];
+};
+class w {
+public:
+  int h1(lnk *a) { return a->i; }
+  double h1d(lnk *a) { return a->d; }
+  int h2(lnk *a) { return a->nx->i; }
+  double h2d(lnk *a) { return a->nx->d; }
+  int h3(lnk *a) { return a->nx->nx->i; }
+  double h3d(lnk *a) { return a->nx->nx->d; }
+  lnk *h3v(lnk *a) { return a->nx->nx->nx; }
+  void s1(lnk *a, int k) { a->i = k; }
+  void s2(lnk *a, int k) { a->nx->d = k; }
+  void s3(lnk *a, int k) { a->nx->nx->i = k; }
+  void c3(lnk *a, int k) { a->nx->nx->d += k; }
+  int v3(lnk *a, int k) { return (a->nx->nx->i -= k); }
+  int ix(lnk *a, int k) { return a->e[k]; }
+  int ixv(lnk *a, int k) { lnk *p[2]; p[1] = a; return p[k]->nx->i; }
+  void sx(lnk *a, int k) { a->e[k] = k; }
+  void cx(lnk *a, int k) { a->e[k] *= 3; }
+  double px(lnk *a, int k) { return a->nx->pos.val[k]; }
+  void spx(lnk *a, int k) { a->nx->pos.val[k] = 0.5; }
+  void cpx(lnk *a, int k) { a->nx->pos.val[k] += 0.5; }
+  double lx(int k) { double t[2]; t[0] = 1.5; t[1] = 2.5; return t[k]; }
+  void slx(int k) { double t[2]; t[k] = 1.5; }
+};
+w W;
+void main() { }
+`
+
+// checkPaths: field paths of one, two and three accesses — loaded as
+// int, double and pointer, stored, compound-assigned and assigned as a
+// value — with NULL or a non-object at each access, and elements read,
+// written and compound-assigned through an int index in range, past the
+// end and negative, behave and fail on both engines alike, with the
+// walker's error text.
+func checkPaths(t *testing.T) {
+	prog := compile(t, pathSrc)
+	lnk := prog.Classes["lnk"]
+	// chain builds a's chain on ip: depth live links, then the value bad
+	// where the next link (or, at depth 2, the pos object) would be.
+	type chainCase struct {
+		name  string
+		depth int
+		bad   interp.Value // NULL, or a non-object
+		pos   bool         // bad replaces nx->pos instead of a link
+	}
+	var cases []chainCase
+	for _, bad := range []struct {
+		name string
+		v    interp.Value
+	}{{"null", interp.Value{}}, {"int", interp.IntValue(3)}} {
+		for depth := 0; depth <= 3; depth++ {
+			cases = append(cases, chainCase{fmt.Sprintf("%s@%d", bad.name, depth), depth, bad.v, false})
+		}
+		cases = append(cases, chainCase{bad.name + "@pos", 2, bad.v, true})
+	}
+	chain := func(ip *interp.Interp, c chainCase) interp.Value {
+		if c.depth == 0 {
+			return c.bad
+		}
+		nx := ip.FieldSlot(lnk, "lnk", "nx")
+		objs := make([]*interp.Object, c.depth)
+		for k := range objs {
+			objs[k] = ip.NewObject(lnk)
+			objs[k].Slots[ip.FieldSlot(lnk, "lnk", "i")] = interp.IntValue(int64(10 * (k + 1)))
+			objs[k].Slots[ip.FieldSlot(lnk, "lnk", "d")] = interp.FloatValue(float64(k) + 0.25)
+			if k > 0 {
+				objs[k-1].Slots[nx] = interp.ObjectValue(objs[k])
+			}
+		}
+		if c.pos {
+			objs[1].Slots[ip.FieldSlot(lnk, "lnk", "pos")] = c.bad
+		} else {
+			objs[c.depth-1].Slots[nx] = c.bad
+		}
+		return interp.ObjectValue(objs[0])
+	}
+	walk := interp.NewEngine(prog, nil, interp.EngineWalk)
+	comp := interp.NewEngine(prog, nil, interp.EngineCompiled)
+	seen := map[string]bool{}
+	for _, m := range prog.Classes["w"].Methods {
+		for _, c := range cases {
+			for _, k := range []int64{0, 1, 2, -1, math.MaxInt64, math.MinInt64} {
+				args := func(ip *interp.Interp) []interp.Value {
+					if len(m.Params) == 1 {
+						return []interp.Value{interp.IntValue(k)}
+					}
+					return []interp.Value{chain(ip, c), interp.IntValue(k)}
+				}
+				wv, werr := walk.Call(walk.NewCtx(), m, walk.Globals["W"], args(walk))
+				cv, cerr := comp.Call(comp.NewCtx(), m, comp.Globals["W"], args(comp))
+				if fmt.Sprint(werr) != fmt.Sprint(cerr) || !sameValue(wv, cv) {
+					t.Errorf("%s(%s, %d): walker %v (%v), compiled %v (%v)", m.Name, c.name, k, wv.Any(), werr, cv.Any(), cerr)
+				}
+				if werr != nil {
+					seen[werr.Error()[:strings.Index(werr.Error(), " ")]+" "+strings.Fields(werr.Error())[1]] = true
+				}
+			}
+		}
+	}
+	for _, want := range []string{"NULL dereference", "field access", "field store", "index -1", "index 2", "index 9223372036854775807", "index -9223372036854775808"} {
+		if !seen[want] {
+			t.Errorf("no call failed with %q: the table misses a failure (seen %v)", want, seen)
+		}
 	}
 }
 
@@ -417,5 +538,239 @@ void main() { }
 	}
 	if ctx.StackHeight() != 0 || !ctx.FreeFramesZero() {
 		t.Errorf("after a clean call: %d frames, free frames zero %v", ctx.StackHeight(), ctx.FreeFramesZero())
+	}
+}
+
+const countedSrc = `
+class cl {
+public:
+  int n;
+  int skip(int m) {
+    int s;
+    for (int i = 0; i < m; i++) {
+      s += i;
+      if (i % 3 == 0)
+        i = i + 1;
+    }
+    return s;
+  }
+  int shrink(int m) {
+    int s;
+    for (int i = 0; i < m; i += 2)
+      m = m - 1;
+    return s + m;
+  }
+  int field(int m) {
+    int s;
+    n = m;
+    for (int i = 0; i < n; i = i + 3) {
+      s += i;
+      if (i > 4)
+        n = n - 1;
+    }
+    return s;
+  }
+  int nested(int m) {
+    int s;
+    for (int i = 0; i < m; i++)
+      for (int j = i; j < m - i; j++)
+        s += j;
+    return s;
+  }
+};
+cl C;
+void main() { }
+`
+
+// TestCountedLoopHeaderSteps: counted loops whose body writes the loop
+// variable or what the bound reads run the same iterations on both
+// engines, and a MaxSteps budget or an Interrupt that fires at any step
+// — the typed header's own included — stops them at the same step with
+// the same error.
+func TestCountedLoopHeaderSteps(t *testing.T) {
+	prog := compile(t, countedSrc)
+	type outcome struct {
+		v     int64
+		err   string
+		steps int64
+	}
+	run := func(eng interp.Engine, name string, m int64, arm func(*interp.Ctx)) outcome {
+		ip := interp.NewEngine(prog, nil, eng)
+		ctx := ip.NewCtx()
+		arm(ctx)
+		v, err := ip.Call(ctx, prog.MethodByFullName("cl::"+name), ip.Globals["C"], []interp.Value{interp.IntValue(m)})
+		return outcome{v.Int(), fmt.Sprint(err), ctx.Steps()}
+	}
+	for _, name := range []string{"skip", "shrink", "field", "nested"} {
+		m := int64(40)
+		full := run(interp.EngineWalk, name, m, func(*interp.Ctx) {})
+		if got := run(interp.EngineCompiled, name, m, func(*interp.Ctx) {}); got != full {
+			t.Fatalf("%s(%d): walker %+v, compiled %+v", name, m, full, got)
+		}
+		for budget := int64(1); budget <= full.steps; budget++ {
+			arm := func(ctx *interp.Ctx) { ctx.MaxSteps = budget }
+			w, c := run(interp.EngineWalk, name, m, arm), run(interp.EngineCompiled, name, m, arm)
+			if w != c || budget < full.steps && w.err == "<nil>" {
+				t.Fatalf("%s(%d) with MaxSteps %d: walker %+v, compiled %+v", name, m, budget, w, c)
+			}
+		}
+		for fire := 1; int64(fire*interp.InterruptStride) <= full.steps; fire++ {
+			arm := func(ctx *interp.Ctx) {
+				polls := 0
+				ctx.Interrupt = func() error {
+					if polls++; polls == fire {
+						return errors.New("interrupted")
+					}
+					return nil
+				}
+			}
+			w, c := run(interp.EngineWalk, name, m, arm), run(interp.EngineCompiled, name, m, arm)
+			if w != c || w.err != "interrupted" {
+				t.Fatalf("%s(%d), interrupted at poll %d: walker %+v, compiled %+v", name, m, fire, w, c)
+			}
+		}
+	}
+}
+
+const ownedSrc = `
+class own {
+public:
+  int out[64];
+  double fresh() {
+    double t[2];
+    double r;
+    r = t[0] + t[1];
+    t[0] = 3.0;
+    t[1] = 4.0;
+    return r;
+  }
+  double again(int m) {
+    double s;
+    for (int i = 0; i < m; i++) {
+      double t[2];
+      s += t[0] + t[1];
+      t[0] = 5.0;
+      t[1] = i;
+    }
+    return s;
+  }
+  double calls(int m) {
+    double s;
+    for (int i = 0; i < m; i++)
+      s += this->fresh();
+    return s;
+  }
+  double rec(int d) {
+    double t[1];
+    double r;
+    t[0] = d;
+    if (d > 0)
+      r = this->rec(d - 1);
+    return t[0] * 1000.0 + r;
+  }
+  int sum(int v[3]) {
+    int s;
+    for (int j = 0; j < 3; j++)
+      s += v[j];
+    return s;
+  }
+  void fill(int m) {
+    for (int i = 0; i < m; i++) {
+      int t[3];
+      t[0] = i;
+      t[1] = i * 2;
+      for (int r = 0; r < 50; r++)
+        t[2] = t[2] + 1;
+      out[i] = this->sum(t);
+    }
+  }
+};
+own O;
+void main() { }
+`
+
+// bufMon is a speculative monitor in miniature: every store is buffered,
+// keyed by the address of the slot or element, and a load reads its own
+// buffered write first.
+type bufMon map[*interp.Value]interp.Value
+
+func (m bufMon) load(p *interp.Value) interp.Value {
+	if v, ok := m[p]; ok {
+		return v
+	}
+	return *p
+}
+func (m bufMon) LoadField(o *interp.Object, slot int) interp.Value     { return m.load(&o.Slots[slot]) }
+func (m bufMon) StoreField(o *interp.Object, slot int, v interp.Value) { m[&o.Slots[slot]] = v }
+func (m bufMon) LoadElem(a *interp.Array, i int) interp.Value          { return m.load(&a.Elems[i]) }
+func (m bufMon) StoreElem(a *interp.Array, i int, v interp.Value)      { m[&a.Elems[i]] = v }
+
+// TestLocalArrayFrameOwned: a local array the compiled engine keeps in
+// its frame is zero each time its declaration runs, in a loop and call
+// after call; an activation deeper in a recursion and each claimant of
+// a parallel loop has its own; and a monitored (speculative) run reads
+// zeros, not the write an earlier activation buffered for the same
+// declaration.
+func TestLocalArrayFrameOwned(t *testing.T) {
+	prog := compile(t, ownedSrc)
+	rows := []struct {
+		name string
+		arg  int64
+		want float64
+	}{
+		{"again", 5, 0}, {"calls", 5, 0}, {"rec", 5, 15000},
+	}
+	for _, e := range benchEngines {
+		for _, mon := range []bool{false, true} {
+			if mon && e.eng == interp.EngineWalk {
+				continue
+			}
+			ip := interp.NewEngine(prog, nil, e.eng)
+			ctx := ip.NewCtx()
+			if mon {
+				ctx.Mon = bufMon{}
+			}
+			for _, row := range rows {
+				for round := 0; round < 2; round++ {
+					v, err := ip.Call(ctx, prog.MethodByFullName("own::"+row.name), ip.Globals["O"], []interp.Value{interp.IntValue(row.arg)})
+					if err != nil || v.Float() != row.want {
+						t.Errorf("%s, monitored %v: %s(%d) round %d = %v (%v), want %v", e.name, mon, row.name, row.arg, round, v.Any(), err, row.want)
+					}
+				}
+			}
+		}
+	}
+
+	// fill's iterations, split between two claimants running at once.
+	ip := interp.New(prog, nil)
+	ctx := ip.NewCtx()
+	ctx.ForLoop = func(fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) (bool, error) {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for k := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cctx := ip.NewCtx()
+				sub := ip.NewIterFrame(cctx, fr)
+				defer ip.ReleaseFrame(sub)
+				for i := from + int64(k)*step; i < to && errs[k] == nil; i += 2 * step {
+					errs[k] = ip.RunLoopIteration(sub, fs, i)
+				}
+			}()
+		}
+		wg.Wait()
+		return true, errors.Join(errs...)
+	}
+	out := ip.FieldSlot(prog.Classes["own"], "own", "out")
+	for round := 0; round < 20; round++ {
+		if _, err := ip.Call(ctx, prog.MethodByFullName("own::fill"), ip.Globals["O"], []interp.Value{interp.IntValue(64)}); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range ip.Globals["O"].Slots[out].Array().Elems {
+			if v.Int() != int64(3*i+50) {
+				t.Fatalf("round %d: out[%d] = %d, want %d", round, i, v.Int(), 3*i+50)
+			}
+		}
 	}
 }

@@ -19,7 +19,19 @@ type methodSlots struct {
 	paramCo []ast.Coercion // per-parameter store coercion
 	retCo   ast.Coercion   // return-value coercion
 	byName  map[string]int // name -> slot (cold paths only: loop offers)
+
+	// owned places each local array declaration of primitive or pointer
+	// elements in the frame: arena elements from off, array header idx.
+	// The unmonitored compiled body zero-fills it there on every
+	// execution of the declaration (compile.go); arena and arrays are
+	// what an activation's frame is fitted to (Frame.fitArrays).
+	owned         map[*ast.DeclStmt]ownedArray
+	arena, arrays int
 }
+
+// ownedArray is one frame-owned local array: its n elements start at
+// off in the frame's arena, and idx is its header in the frame's arrays.
+type ownedArray struct{ off, n, idx int }
 
 // resolution is the per-program side table the interpreter executes
 // against. It is built exactly once per checked program (interp.New
@@ -200,6 +212,15 @@ func (r *resolution) resolveMethod(prog *types.Program, m *types.Method, constId
 			}
 			x.Slot = int32(slot)
 			x.Coerce = coercionFor(prog.DeclType[x])
+			if t, ok := prog.DeclType[x].(types.Array); ok && t.Len >= 0 && x.Init == nil {
+				if _, prim := primZero(t.Elem); prim {
+					if ms.owned == nil {
+						ms.owned = make(map[*ast.DeclStmt]ownedArray)
+					}
+					ms.owned[x] = ownedArray{off: ms.arena, n: t.Len, idx: ms.arrays}
+					ms.arena, ms.arrays = ms.arena+t.Len, ms.arrays+1
+				}
+			}
 		case *ast.Ident:
 			switch x.Sym {
 			case ast.SymLocal, ast.SymParam:

@@ -9,6 +9,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -178,16 +179,30 @@ type Array struct {
 }
 
 // layout computes the slot index of every field of a class, walking the
-// inheritance chain root-first.
+// inheritance chain root-first, and each class's object template.
 type layout struct {
 	index map[*types.Class]map[string]int
 	size  map[*types.Class]int
+	tmpl  map[*types.Class]*objTemplate
+}
+
+// objTemplate is what NewObject copies: every slot's zero value, but for
+// the nested objects and arrays, which each object allocates afresh.
+type objTemplate struct {
+	zero  []Value
+	fresh []freshSlot
+}
+
+type freshSlot struct {
+	slot int
+	t    types.Type
 }
 
 func newLayout(prog *types.Program) *layout {
 	l := &layout{
 		index: make(map[*types.Class]map[string]int),
 		size:  make(map[*types.Class]int),
+		tmpl:  make(map[*types.Class]*objTemplate),
 	}
 	var build func(cl *types.Class) int
 	build = func(cl *types.Class) int {
@@ -212,6 +227,18 @@ func newLayout(prog *types.Program) *layout {
 	}
 	for _, cl := range prog.ClassList {
 		build(cl)
+		t := &objTemplate{zero: make([]Value, l.size[cl])}
+		for c := cl; c != nil; c = c.Base {
+			for _, f := range c.Fields {
+				slot := l.slot(cl, f.Class.Name, f.Name)
+				if z, ok := primZero(f.Type); ok {
+					t.zero[slot] = z
+				} else {
+					t.fresh = append(t.fresh, freshSlot{slot, f.Type})
+				}
+			}
+		}
+		l.tmpl[cl] = t
 	}
 	return l
 }
@@ -227,15 +254,14 @@ var objectIDs atomic.Int64
 // fields (zero numbers, false booleans, nil pointers, recursively
 // allocated nested objects and arrays).
 func (ip *Interp) NewObject(cl *types.Class) *Object {
+	t := ip.res.layout.tmpl[cl]
 	o := &Object{
 		Class: cl,
-		Slots: make([]Value, ip.res.layout.size[cl]),
+		Slots: slices.Clone(t.zero),
 		ID:    objectIDs.Add(1),
 	}
-	for c := cl; c != nil; c = c.Base {
-		for _, f := range c.Fields {
-			o.Slots[ip.res.layout.slot(cl, f.Class.Name, f.Name)] = ip.zeroValue(f.Type)
-		}
+	for _, f := range t.fresh {
+		o.Slots[f.slot] = ip.zeroValue(f.t)
 	}
 	return o
 }

@@ -90,6 +90,10 @@ const (
 	// nested port; port::push goes on to the counter, which many relays
 	// share, so send may not hold its lock through (§5.4.2).
 	Nested
+	// Ref: apply passes its amount in a local array to counter::take,
+	// which bumps by the element, and zeroes the array after the call: a
+	// spawned take must read the array as of the call.
+	Ref
 	// Reaches counts the ways.
 	Reaches
 )
@@ -112,11 +116,11 @@ type Counters struct {
 	Op                     Op
 }
 
-// DrawCounters draws every choice of a Counters but its Op (Accumulate)
-// and Mode (0).
+// DrawCounters draws every choice of a Counters but its Op (Accumulate),
+// its Mode (0) and the reach Ref, which Draw draws.
 func DrawCounters(r *rand.Rand) Counters {
 	return Counters{N: 2 + r.Intn(6), Updates: 8 + r.Intn(40), Step: 1 + r.Intn(3),
-		Loop: LoopShapes[r.Intn(len(LoopShapes))], Valued: r.Intn(2) == 0, Reach: Reach(r.Intn(int(Reaches)))}
+		Loop: LoopShapes[r.Intn(len(LoopShapes))], Valued: r.Intn(2) == 0, Reach: Reach(r.Intn(int(Ref)))}
 }
 
 // Source renders the program, drawing its update targets and amounts.
@@ -124,9 +128,13 @@ func (c Counters) Source(r *rand.Rand) string {
 	// The pieces a reach adds: classes ahead of the driver's, driver
 	// members, statements of setup's counter loop and after its tables,
 	// the body of apply, and what bump does around its writes.
-	var classes, members, perCounter, perUpdate, bumpAsk, bumpUse string
+	var classes, members, perCounter, perUpdate, bumpAsk, bumpUse, takeDecl, takeDef string
 	applyBody := "counter *c;\n  c = cs[targets[u]];\n  c->bump(amounts[u]);"
 	switch c.Reach {
+	case Ref:
+		takeDecl = "\n  void take(int v[1]);"
+		takeDef = "void counter::take(int v[1]) {\n  this->bump(v[0]);\n}\n\n"
+		applyBody = "counter *c;\n  int a[1];\n  c = cs[targets[u]];\n  a[0] = amounts[u];\n  c->take(a);\n  a[0] = 0;"
 	case Scan:
 		classes = `
 class probe {
@@ -207,14 +215,14 @@ public:
   int prods;
   int last;
   void bump(int k);
-  int weight(int k);
+  int weight(int k);%s
 };
 
 void counter::bump(int k) {
 %s%s  prods = prods * 2 + 0 * k%s;
 }
 
-%s%s
+%s%s%s
 class tally {
 public:
   int seen;
@@ -248,7 +256,7 @@ void driver::setup() {
     cs[i]->adds = 0;
     cs[i]->prods = 1;%s
   }
-`, c.N, c.Updates, bumpAsk, c.Op.update("adds", "k", 1), bumpUse, weightDef("counter", 1+r.Intn(9)), classes, againDecl, members, c.Mode, perCounter)
+`, c.N, c.Updates, takeDecl, bumpAsk, c.Op.update("adds", "k", 1), bumpUse, takeDef, weightDef("counter", 1+r.Intn(9)), classes, againDecl, members, c.Mode, perCounter)
 	for u := 0; u < c.Updates; u++ {
 		fmt.Fprintf(&sb, "  targets[%d] = %d;\n  amounts[%d] = %d;\n", u, r.Intn(c.N), u, 1+r.Intn(9))
 	}
@@ -526,6 +534,9 @@ func Draw(r *rand.Rand) string {
 	}
 	c := DrawCounters(r)
 	c.Op, c.Mode = Op(r.Intn(int(Ops))), r.Intn(2)
+	if r.Intn(int(Reaches)) == 0 {
+		c.Reach = Ref
+	}
 	return c.Source(r)
 }
 

@@ -69,6 +69,21 @@ func rows() []oracle.Row {
 		{Name: "coarse-alias", Source: coarseAlias, Native: true, Race: []int{4}, Expect: func(r oracle.Run) string {
 			return interpreter(r, r.Stats.ParallelLoops > 0 && r.Stats.LockAcquires == 2*96, "no parallel loop, or not one lock a chain")
 		}},
+		// A local array passed by reference to two spawned calls an
+		// iteration, then rewritten by the caller: each task reads the
+		// array as of its call, not as the next iteration left it.
+		{Name: "ref-spawn", Source: refSpawn, Native: true, Race: []int{4}, Expect: func(r oracle.Run) string {
+			return interpreter(r, r.Stats.Regions == 1 && r.Stats.Tasks == 2*2000, "want 1 region and 4000 tasks")
+		}},
+		// The same under speculation: the spawner's writes to the array
+		// are buffered in its journal, so its snapshot reads through it,
+		// and the region commits.
+		{Name: "ref-spawn-spec", Source: refSpawnSpec, Native: true, Race: []int{4}, Expect: func(r oracle.Run) string {
+			if r.Speculate == rt.SpecForce && r.Stats.SpeculationCommits != 1 {
+				return "want one committed speculative region"
+			}
+			return ""
+		}},
 		// A parameter of a class with subclasses, NULL on a third of the
 		// calls and read only behind a NULL test: its binding stays nil.
 		{Name: "poly-nil", Source: polyNil, Native: true, Expect: func(r oracle.Run) string {
@@ -174,11 +189,12 @@ func rows() []oracle.Row {
 }
 
 // draws are rows of the generator. Counters: every loop shape at every
-// step under every reach, the second half with a valued pass, the update
-// loop parallel exactly where its shape is legal and its root opened;
-// then updates that overwrite (speculation, which commits or aborts) and
-// that depend on a mode (the guard holds in mode 0 only), the violators
-// (every speculative region aborts), and the analysis families.
+// step under every reach but Ref, the second half with a valued pass, the
+// update loop parallel exactly where its shape is legal and its root
+// opened; then updates that overwrite (speculation, which commits or
+// aborts) and that depend on a mode (the guard holds in mode 0 only), the
+// violators (every speculative region aborts), the analysis families,
+// and last every loop shape under the reach Ref.
 func draws() []oracle.Row {
 	r := rand.New(rand.NewSource(1234))
 	var rows []oracle.Row
@@ -203,7 +219,7 @@ func draws() []oracle.Row {
 	}
 	for i := 0; i < 30; i++ {
 		c := oracle.DrawCounters(r)
-		c.Loop, c.Step, c.Reach, c.Valued = oracle.LoopShapes[i%len(oracle.LoopShapes)], 1+i/5%3, oracle.Reach(i%int(oracle.Reaches)), i >= 15
+		c.Loop, c.Step, c.Reach, c.Valued = oracle.LoopShapes[i%len(oracle.LoopShapes)], 1+i/5%3, oracle.Reach(i%int(oracle.Ref)), i >= 15
 		counters(fmt.Sprintf("commuting-%d", i), c, false, func(run oracle.Run, s rt.Stats) string {
 			return interpreter(run, (s.ParallelLoops > 0) == c.Loop.Legal, fmt.Sprintf("loop shape %q: %d parallel loops", c.Loop.Name, s.ParallelLoops))
 		})
@@ -249,6 +265,15 @@ func draws() []oracle.Row {
 			oracle.Row{Name: fmt.Sprintf("analysis-%d", i), Source: oracle.Analysis(r)},
 			oracle.Row{Name: fmt.Sprintf("mixed-%d", i), Source: oracle.Mixed(r)},
 			oracle.Row{Name: fmt.Sprintf("work-%d", i), Source: oracle.Work(r, oracle.Op(i))})
+	}
+	// The reach Ref under every loop shape, drawn last so that the rows
+	// above keep their programs.
+	for i, shape := range oracle.LoopShapes {
+		c := oracle.DrawCounters(r)
+		c.Loop, c.Reach, c.Valued = shape, oracle.Ref, i%2 == 1
+		counters(fmt.Sprintf("ref-%d", i), c, false, func(run oracle.Run, s rt.Stats) string {
+			return interpreter(run, (s.ParallelLoops > 0) == c.Loop.Legal, fmt.Sprintf("loop shape %q: %d parallel loops", c.Loop.Name, s.ParallelLoops))
+		})
 	}
 	return rows
 }
@@ -434,6 +459,27 @@ void main() {
 
 // polyNil: a bin takes a shape, a square or NULL, reading its field and
 // calling its method only when it is not NULL.
+const refSpawn = `
+class acc { public: double s; double w;
+  void add(double v[2]) { s += v[0]; w += v[0] * v[1]; } };
+class drv { public: acc *a; acc *b;
+  void run(int n) { double t[2];
+    for (int i = 0; i < n; i++) { t[0] = i * 1.0; t[1] = i * 2.0; a->add(t); b->add(t); } } };
+drv D;
+void main() { D.a = new acc; D.b = new acc; D.run(2000); }
+`
+
+const refSpawnSpec = `
+class cell { public: int v; int w;
+  void put(int a[2]) { v = a[0]; w = w + a[1]; } };
+class table { public: cell *cs[64];
+  void init() { for (int i = 0; i < 64; i++) cs[i] = new cell; }
+  void fill(int n) { int t[2];
+    for (int i = 0; i < n; i++) { t[0] = i * 3 + 1; t[1] = i; cs[i]->put(t); t[0] = 0; t[1] = 0; } } };
+table T;
+void main() { T.init(); T.fill(64); }
+`
+
 const polyNil = `
 class shape {
 public:

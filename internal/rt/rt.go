@@ -407,7 +407,7 @@ func (a *activation) invoke(site *types.CallSite, recv *interp.Object, args []in
 		if a.log.j != nil {
 			j = rt.spec.NewJournal()
 		}
-		rt.spawn(a.w, j, site.Callee, recv, args, sc.Run)
+		rt.spawn(a.w, a.Mon, j, site.Callee, recv, args, sc.Run)
 		return interp.Value{}, nil
 	case sc.Replica && a.log.j != nil:
 		// The journal isolates the accumulation: the callee's mutex

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -124,13 +125,16 @@ func (rt *Runtime) isolate(origin string, m *types.Method) {
 
 // spawnRec is one spawned operation in flight: the callee and its own
 // copy of the arguments (the caller's slice is recycled when the Invoke
-// hook returns). Records cross goroutines — taken by the spawner, put
-// back by whichever worker ran the task — hence a sync.Pool.
+// hook returns), with the storage of its array snapshots. Records cross
+// goroutines — taken by the spawner, put back by whichever worker ran
+// the task — hence a sync.Pool.
 type spawnRec struct {
 	rt     *Runtime
 	callee *types.Method
 	recv   *interp.Object
 	args   []interp.Value
+	snaps  []interp.Array // the task's copies of its array actuals
+	elems  []interp.Value // their elements
 	j      *nativert.SpecJournal
 	ver    codegen.Version
 	runFn  func(*worker) // run, bound once
@@ -139,8 +143,9 @@ type spawnRec struct {
 var spawnRecs sync.Pool // of *spawnRec
 
 // spawn creates a task executing callee as version ver, journaling into j
-// in a speculative region.
-func (rt *Runtime) spawn(w *worker, j *nativert.SpecJournal, callee *types.Method, recv *interp.Object, args []interp.Value, ver codegen.Version) {
+// in a speculative region. mon is the spawner's monitor (nil outside a
+// speculative region).
+func (rt *Runtime) spawn(w *worker, mon interp.Mon, j *nativert.SpecJournal, callee *types.Method, recv *interp.Object, args []interp.Value, ver codegen.Version) {
 	atomic.AddInt64(&rt.Stats.Tasks, 1)
 	s, _ := spawnRecs.Get().(*spawnRec)
 	if s == nil {
@@ -149,7 +154,45 @@ func (rt *Runtime) spawn(w *worker, j *nativert.SpecJournal, callee *types.Metho
 	}
 	s.rt, s.callee, s.recv, s.j, s.ver = rt, callee, recv, j, ver
 	s.args = append(s.args[:0], args...)
+	s.snapshot(mon)
 	rt.pool.Spawn(w, "", s.runFn)
+}
+
+// snapshot gives the task its own copy of each array actual. Fig. 10
+// forbids an extent operation to write its reference parameters, so the
+// copy is exactly what the serial call would have read, however the
+// spawner rewrites the array after the call (a local array is reused by
+// its frame's next activation, too). A speculative spawner's buffered
+// writes are in its journal, so its copy reads through mon.
+func (s *spawnRec) snapshot(mon interp.Mon) {
+	n, k := 0, 0
+	for _, v := range s.args {
+		if a := v.Array(); a != nil {
+			n, k = n+len(a.Elems), k+1
+		}
+	}
+	if k == 0 {
+		return
+	}
+	s.elems, s.snaps = slices.Grow(s.elems[:0], n)[:n], slices.Grow(s.snaps[:0], k)[:k]
+	n, k = 0, 0
+	for i, v := range s.args {
+		a := v.Array()
+		if a == nil {
+			continue
+		}
+		e := s.elems[n : n+len(a.Elems) : n+len(a.Elems)]
+		if mon != nil {
+			for x := range e {
+				e[x] = mon.LoadElem(a, x)
+			}
+		} else {
+			copy(e, a.Elems)
+		}
+		s.snaps[k].Elems = e
+		s.args[i] = interp.ArrayValue(&s.snaps[k])
+		n, k = n+len(e), k+1
+	}
 }
 
 // run executes one spawned task under panic isolation. Once the region
@@ -179,6 +222,7 @@ func (s *spawnRec) run(cw *worker) {
 
 func (s *spawnRec) recycle() {
 	clear(s.args)
+	clear(s.elems)
 	s.rt, s.callee, s.recv, s.j = nil, nil, nil, nil
 	spawnRecs.Put(s)
 }

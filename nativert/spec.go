@@ -152,6 +152,17 @@ func SpecTouch[T any](j *SpecJournal, p *T, desc string) *T {
 	return p
 }
 
+// SpecSnapshot is a speculative spawn's copy of a reference actual:
+// each element as the spawner reads it, its own buffered writes
+// included. The spawned task reads the copy, never the spawner's array.
+func SpecSnapshot[T any](j *SpecJournal, s []T) []T {
+	out := make([]T, len(s))
+	for i := range s {
+		out[i] = SpecLoad(j, &s[i], "")
+	}
+	return out
+}
+
 // journalKeep is the largest journal (and validator map) kept for the
 // next region: clearing a map costs its capacity, not its length, so one
 // huge region must not tax every small one after it.
