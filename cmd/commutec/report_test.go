@@ -17,8 +17,8 @@ var update = flag.Bool("update", false, "rewrite the report goldens")
 
 // reportPrograms are the programs the goldens cover, under the names
 // commutec reports them by: every shipped application as -app NAME, and
-// the fixtures the smoke scripts run as the file the repository root
-// passes.
+// the entry and dispatch fixtures as their files under the repository
+// root.
 func reportPrograms() map[string][2]string {
 	progs := map[string][2]string{}
 	for _, name := range strings.Split(src.AppNames(), ", ") {
@@ -36,24 +36,23 @@ func reportPrograms() map[string][2]string {
 	return progs
 }
 
-// reportLines are the report lines the smoke scripts grepped before the
-// goldens held them, each beside the golden that now makes the check: a
-// golden re-recorded without one fails here.
+// reportLines are report lines a golden must hold, each beside the
+// golden that holds it: a golden re-recorded without one fails here.
 var reportLines = []struct {
 	golden, pattern string
 	count           int
 }{
-	// native_smoke.sh: Barnes-Hut's force walk holds one lock.
+	// Barnes-Hut's force walk holds one lock.
 	{"barneshut", `^coarsened: body::walksub holds body's lock through its mutex version$`, 1},
-	// native_smoke.sh: a root that returns a value is no root.
+	// A root that returns a value is no root.
 	{"entry-value-proven", `^not a root  table::.* returns int: calls from serial code run the serial version$`, 1},
 	{"entry-value-guarded", `^not a root  table::.* returns int: calls from serial code run the serial version$`, 1},
 	{"entry-value-spec", `^not a root  table::.* returns int: calls from serial code run the serial version$`, 1},
-	// native_smoke.sh: hoisting refused where the walk leaves the receiver.
+	// Hoisting refused where the walk leaves the receiver.
 	{"dispatch-hoist-escape", `^no hoisting  outer::go  inner::poke invokes acc::add outside the receiver$`, 1},
-	// native_smoke.sh: Water's four accumulations run on replicas.
+	// Water's four accumulations run on replicas.
 	{"water", `^replicated: `, 4},
-	// cond_smoke.sh: condhash's guards, and its declined root.
+	// Condhash's guards, and its declined root.
 	{"condhash", `^COND .*table::ingest`, 1},
 	{"condhash", `^COND .*bucket::update`, 1},
 	{"condhash", `ec:table\.mode@global:H`, 2},
@@ -61,9 +60,9 @@ var reportLines = []struct {
 }
 
 // TestReportGolden: the commutec report of every shipped application and
-// of the fixtures the smoke scripts run is byte-identical to its golden
-// in testdata (go test -update rewrites them), and each golden still
-// holds the lines the scripts used to grep for.
+// of the fixtures above is byte-identical to its golden in testdata (go
+// test -update rewrites them), and each golden still holds its
+// reportLines.
 func TestReportGolden(t *testing.T) {
 	got := map[string]string{}
 	for key, prog := range reportPrograms() {

@@ -16,7 +16,6 @@ import (
 // set of iterations, or the right ones on the wrong cells, shows in the
 // one printed number. The loops run to the field cnt, which bounds no
 // work estimate: every region opens on both runtimes.
-// scripts/wide_sources.sh assembles the same files.
 //
 // The region-entry fixtures, entry/*.mc, are whole programs: in each a
 // method that would be a region root — proven, guarded, speculative —

@@ -59,9 +59,8 @@ package codegen
 // emitgo_expr.go). That is a property of the tests, not a check in the
 // product: emitgo_test.go asserts format.Source(f) == f for every
 // shipped program under its plan and for a program built to hit each
-// rule, the native differential tests assert it on every package they
-// build, and scripts/native_smoke.sh runs the toolchain's own gofmt -l
-// over what commutec -emit go wrote.
+// rule, and the serial-equivalence oracle (internal/oracle) asserts it
+// on every package it builds, which it also runs through go vet.
 
 import (
 	"bytes"

@@ -16,6 +16,7 @@ import (
 	"go/format"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -37,7 +38,7 @@ type Row struct {
 	// Tol is the relative error a double in the state may carry; 0 means
 	// the dumps are equal byte for byte.
 	Tol float64
-	// Native also runs the emitted binary.
+	// Native also vets, builds and runs the emitted package.
 	Native bool
 	// Race are the worker counts its race-built twin runs at, with
 	// -conditional and -speculate force, where every region that can open
@@ -261,7 +262,10 @@ func (c *check) reps(p policy, w int) int {
 	return 1
 }
 
-// build emits the plan as a Go package in dir and builds it.
+// build emits the plan as a Go package in dir, builds it and vets it:
+// what the emitter writes must be gofmt's fixed point and draw nothing
+// from go vet (a lock copied by value, a bad format verb), neither of
+// which go build rejects.
 func (c *check) build(t *testing.T, dir string) (bin string, gss bool) {
 	if err := nativegen.Generate(c.sys, c.row.Name, dir); err != nil {
 		t.Fatal(err)
@@ -273,6 +277,11 @@ func (c *check) build(t *testing.T, dir string) (bin string, gss bool) {
 	gss = bytes.Contains(text, []byte("nativert.GSSOn(")) || bytes.Contains(text, []byte("nativert.SpecGSS("))
 	if bin, err = nativegen.Build(dir); err != nil {
 		t.Fatal(err)
+	}
+	vet := exec.Command("go", "vet", ".")
+	vet.Dir = dir
+	if out, err := vet.CombinedOutput(); err != nil {
+		t.Errorf("go vet on the emitted package: %v\n%s", err, out)
 	}
 	return bin, gss
 }

@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"commute"
 	"commute/internal/apps/src"
+	"commute/internal/rt"
 	"commute/internal/server/api"
 )
 
@@ -552,10 +554,10 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestRunSpeculation is the in-process mirror of the smoke script's
-// speculation checks: a disjoint rejected extent commits, a conflicting
-// one aborts and re-runs serially with the exact serial output, and both
-// counters accumulate into /statusz.
+// TestRunSpeculation: the daemon's speculation surface. A disjoint
+// rejected extent commits, a conflicting one aborts and re-runs serially
+// with the exact serial output, and both counters accumulate into
+// /statusz.
 func TestRunSpeculation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -693,6 +695,13 @@ func TestRunConditional(t *testing.T) {
 	wideApps := map[string]string{
 		"condhash":        wide(t, src.CondHashBase, "NBUCKET", 8) + src.CondHashMain(0, 6),
 		"condhash-serial": wide(t, src.CondHashBase, "NBUCKET", 8) + src.CondHashMain(3, 6),
+	}
+	sys, err := commute.Load("condhash.mc", wideApps["condhash"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ingest := sys.Prog.MethodByFullName("table::ingest"); rt.Declines(sys.Plan, ingest) || sys.Plan.EmitDeclines(ingest) {
+		t.Fatal("the widened table's root is under an entry cost: the interpreter's or the emitter's")
 	}
 	run := func(app, mode string, conditional bool) (api.RunResponse, int) {
 		t.Helper()

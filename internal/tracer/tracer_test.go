@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"commute"
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
 	"commute/internal/core"
@@ -212,32 +213,39 @@ func TestTracerDeterministic(t *testing.T) {
 	}
 }
 
-// TestValueRootTraced: value-proven's ingest returns a value main adds
-// up, so the tracer, like both runtimes, runs it as the serial code it is
-// (codegen.Plan.RegionRoot). Collect succeeds — entered as a region the
-// value was lost and main failed on arithmetic over it — no phase is
-// parallel, and output and heap are the serial run's.
+// TestValueRootTraced: in each region-entry fixture the root — proven,
+// guarded, speculative — returns a value main uses, so the tracer, like
+// both runtimes, runs it as the serial code it is
+// (codegen.Plan.RegionRoot) under the plan commuterun -mode simulate
+// traces. Collect succeeds — entered as a region the value was lost and
+// main failed on arithmetic over it — no phase is parallel, and output
+// and heap are the serial run's.
 func TestValueRootTraced(t *testing.T) {
-	fx := src.EntryFixtures()[0]
-	prog, plan := setup(t, fx.Source)
-	var want, got bytes.Buffer
-	ipSerial := interp.New(prog, &want)
-	if err := ipSerial.Run(ipSerial.NewCtx()); err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	nativegen.DumpInterp(&want, prog, ipSerial)
+	for _, fx := range src.EntryFixtures() {
+		sys, err := commute.Load(fx.Name+".mc", fx.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, plan := sys.Prog, sys.Plan
+		var want, got bytes.Buffer
+		ipSerial := interp.New(prog, &want)
+		if err := ipSerial.Run(ipSerial.NewCtx()); err != nil {
+			t.Fatalf("%s: serial: %v", fx.Name, err)
+		}
+		nativegen.DumpInterp(&want, prog, ipSerial)
 
-	ipTrace := interp.NewEngine(prog, &got, interp.EngineWalk)
-	tr, err := tracer.Collect(context.Background(), ipTrace, plan)
-	if err != nil {
-		t.Fatalf("%s: collect: %v", fx.Name, err)
-	}
-	nativegen.DumpInterp(&got, prog, ipTrace)
-	if got.String() != want.String() {
-		t.Errorf("%s: traced output and state differ from the serial run's:\n got %.200q\nwant %.200q", fx.Name, got.String(), want.String())
-	}
-	if tr.ParallelUnits() != 0 || tr.SerialUnits() == 0 {
-		t.Errorf("%s: %d parallel and %d serial units, want a serial trace", fx.Name, tr.ParallelUnits(), tr.SerialUnits())
+		ipTrace := interp.NewEngine(prog, &got, interp.EngineWalk)
+		tr, err := tracer.Collect(context.Background(), ipTrace, plan)
+		if err != nil {
+			t.Fatalf("%s: collect: %v", fx.Name, err)
+		}
+		nativegen.DumpInterp(&got, prog, ipTrace)
+		if got.String() != want.String() {
+			t.Errorf("%s: traced output and state differ from the serial run's:\n got %.200q\nwant %.200q", fx.Name, got.String(), want.String())
+		}
+		if tr.ParallelUnits() != 0 || tr.SerialUnits() == 0 {
+			t.Errorf("%s: %d parallel and %d serial units, want a serial trace", fx.Name, tr.ParallelUnits(), tr.SerialUnits())
+		}
 	}
 }
 
