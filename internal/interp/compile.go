@@ -69,18 +69,11 @@ type compiledMethod struct {
 type compiler struct {
 	prog *types.Program
 	res  *resolution
-	// mon selects the monitored load/store kernels: field and element
-	// accesses route through fr.ctx.Mon (guaranteed non-nil when a
-	// monitored body runs — Call and RunLoopIteration select the
-	// monitored tables only under a non-nil Mon). The unmonitored pass
-	// carries no monitor branches; typed loads of fields and elements
-	// exist only there.
-	mon bool
 	// loops receives the offered counted loops for RunLoopIteration
-	// (res.loopBodies or res.loopBodiesMon, per pass).
+	// (res.loopBodies).
 	loops map[*ast.ForStmt]loopBody
-	// methods is the pass's table, indexed by types.Method.ID: a call
-	// site enters its callee's body of the same pass.
+	// methods is the table of compiled bodies, indexed by
+	// types.Method.ID: a call site enters its callee's body.
 	methods []*compiledMethod
 	// kinds memoizes kindOf by expression number, plus one (zero: not
 	// yet computed).
@@ -95,18 +88,18 @@ type loopBody struct {
 	body stmtFn
 }
 
-// compileAll lowers every method body of r's program in one pass (mon
-// selects the monitored kernels). The table is made before any body is
-// lowered, so a call site can hold its callee's entry.
-func compileAll(r *resolution, mon bool) ([]*compiledMethod, map[*ast.ForStmt]loopBody) {
-	c := &compiler{prog: r.prog, res: r, mon: mon, loops: make(map[*ast.ForStmt]loopBody),
-		methods: make([]*compiledMethod, len(r.prog.Methods)), kinds: make([]Kind, len(r.prog.ExprType))}
-	for _, m := range r.prog.Methods {
+// compileAll lowers every method body of prog, which r resolves. The
+// table is made before any body is lowered, so a call site can hold its
+// callee's entry.
+func compileAll(prog *types.Program, r *resolution) ([]*compiledMethod, map[*ast.ForStmt]loopBody) {
+	c := &compiler{prog: prog, res: r, loops: make(map[*ast.ForStmt]loopBody),
+		methods: make([]*compiledMethod, len(prog.Methods)), kinds: make([]Kind, len(prog.ExprType))}
+	for _, m := range prog.Methods {
 		if m.Def != nil {
 			c.methods[m.ID] = &compiledMethod{}
 		}
 	}
-	for _, m := range r.prog.Methods {
+	for _, m := range prog.Methods {
 		if m.Def != nil {
 			c.methods[m.ID].body = c.compileStmt(m.Def.Body, r.methods[m.ID])
 		}
@@ -218,26 +211,16 @@ func (c *compiler) generic(e ast.Expr) exprFn {
 			return func(fr *Frame) Value { return ObjectValue(fr.ctx.IP.globals[slot]) }
 		case ast.SymField:
 			// A compiled body's this is never nil (Interp.Call).
-			if c.mon {
-				return func(fr *Frame) Value { return fr.ctx.Mon.LoadField(fr.this, int(slot)) }
-			}
 			return func(fr *Frame) Value { return fr.this.Slots[slot] }
 		}
 		return c.fails(rtErrf("unresolved identifier %s at %s", x.Name, x.Pos()))
 
 	case *ast.FieldAccess:
-		if c.mon {
-			b, slot := c.value(x.X), x.Slot
-			return func(fr *Frame) Value { return fr.ctx.Mon.LoadField(object(b(fr), x), int(slot)) }
-		}
 		p := c.fieldPath(x, false)
 		return func(fr *Frame) Value { return *p(fr) }
 
 	case *ast.IndexExpr:
 		at := c.elem(x, false)
-		if c.mon {
-			return func(fr *Frame) Value { return fr.ctx.Mon.LoadElem(at(fr)) }
-		}
 		return func(fr *Frame) Value {
 			arr, i := at(fr)
 			return arr.Elems[i]
@@ -272,23 +255,6 @@ func (c *compiler) fails(err error) exprFn {
 	return func(*Frame) Value { throw(err); return Value{} }
 }
 
-// object is the object a field access reads, failing as the walker does
-// on NULL or a non-object (the monitored pass).
-func object(v Value, x *ast.FieldAccess) *Object {
-	if v.kind != KObject {
-		throw(fieldErr(v, x))
-	}
-	return v.ref.(*Object)
-}
-
-// storeObject is the object a field store writes (the monitored pass).
-func storeObject(v Value, x *ast.FieldAccess) *Object {
-	if v.kind != KObject {
-		throw(rtErrf(errFieldStoreObj, x.Pos()))
-	}
-	return v.ref.(*Object)
-}
-
 func fieldErr(v Value, x *ast.FieldAccess) error {
 	if v.kind == KNull {
 		return rtErrf(errNullDeref, x.Pos())
@@ -297,11 +263,11 @@ func fieldErr(v Value, x *ast.FieldAccess) error {
 }
 
 // fieldPath lowers the chain of field accesses that ends at x — two in
-// n->pos.val — to one closure yielding the address of the slot x names
-// (the unmonitored pass). It reads the chain's root, then each access in
-// turn checks that it reached an object, failing with its own NULL or
-// non-object error (the store's, for the last access of a store), and
-// steps into its slot: the walker's errors, at the walker's hop.
+// n->pos.val — to one closure yielding the address of the slot x names.
+// It reads the chain's root, then each access in turn checks that it
+// reached an object, failing with its own NULL or non-object error (the
+// store's, for the last access of a store), and steps into its slot: the
+// walker's errors, at the walker's hop.
 func (c *compiler) fieldPath(x *ast.FieldAccess, store bool) func(*Frame) *Value {
 	var hops []*ast.FieldAccess
 	root := ast.Expr(x)
@@ -340,10 +306,9 @@ func (c *compiler) fieldPath(x *ast.FieldAccess, store bool) func(*Frame) *Value
 }
 
 // operand is a Value operand the hot closures read where it lies: a
-// variable, a this field or a global in place, a field path (unmonitored)
-// through its one closure, anything else through its value closure. It
-// saves a closure call on the bases of field paths and of index
-// expressions.
+// variable, a this field or a global in place, a field path through its
+// one closure, anything else through its value closure. It saves a
+// closure call on the bases of field paths and of index expressions.
 type operand struct {
 	slot int32
 	kind uint8 // opVar, opField, opGlobal (slot), opPath (path) or opValue (fn)
@@ -365,15 +330,13 @@ func (c *compiler) operand(e ast.Expr) operand {
 		switch {
 		case x.Sym == ast.SymLocal || x.Sym == ast.SymParam:
 			return operand{slot: x.Slot, kind: opVar}
-		case x.Sym == ast.SymField && !c.mon:
+		case x.Sym == ast.SymField:
 			return operand{slot: x.Slot, kind: opField}
 		case x.Sym == ast.SymGlobal:
 			return operand{slot: x.Slot, kind: opGlobal}
 		}
 	case *ast.FieldAccess:
-		if !c.mon {
-			return operand{kind: opPath, path: c.fieldPath(x, false)}
-		}
+		return operand{kind: opPath, path: c.fieldPath(x, false)}
 	}
 	return operand{fn: c.value(e)}
 }
@@ -447,21 +410,17 @@ func (c *compiler) int(e ast.Expr) func(*Frame) int64 {
 			return func(fr *Frame) int64 { return int64(fr.vars[slot].num) }
 		case x.Sym == ast.SymConst:
 			return constant(int64(c.res.consts[slot].num))
-		case x.Sym == ast.SymField && !c.mon:
+		case x.Sym == ast.SymField:
 			return func(fr *Frame) int64 { return int64(fr.this.Slots[slot].num) }
 		}
 	case *ast.FieldAccess:
-		if !c.mon {
-			p := c.fieldPath(x, false)
-			return func(fr *Frame) int64 { return int64(p(fr).num) }
-		}
+		p := c.fieldPath(x, false)
+		return func(fr *Frame) int64 { return int64(p(fr).num) }
 	case *ast.IndexExpr:
-		if !c.mon {
-			at := c.elem(x, false)
-			return func(fr *Frame) int64 {
-				arr, i := at(fr)
-				return int64(arr.Elems[i].num)
-			}
+		at := c.elem(x, false)
+		return func(fr *Frame) int64 {
+			arr, i := at(fr)
+			return int64(arr.Elems[i].num)
 		}
 	case *ast.Unary:
 		if x.Op == token.MINUS {
@@ -509,21 +468,17 @@ func (c *compiler) float(e ast.Expr) func(*Frame) float64 {
 			return func(fr *Frame) float64 { return math.Float64frombits(fr.vars[slot].num) }
 		case x.Sym == ast.SymConst:
 			return constant(math.Float64frombits(c.res.consts[slot].num))
-		case x.Sym == ast.SymField && !c.mon:
+		case x.Sym == ast.SymField:
 			return func(fr *Frame) float64 { return math.Float64frombits(fr.this.Slots[slot].num) }
 		}
 	case *ast.FieldAccess:
-		if !c.mon {
-			p := c.fieldPath(x, false)
-			return func(fr *Frame) float64 { return math.Float64frombits(p(fr).num) }
-		}
+		p := c.fieldPath(x, false)
+		return func(fr *Frame) float64 { return math.Float64frombits(p(fr).num) }
 	case *ast.IndexExpr:
-		if !c.mon {
-			at := c.elem(x, false)
-			return func(fr *Frame) float64 {
-				arr, i := at(fr)
-				return math.Float64frombits(arr.Elems[i].num)
-			}
+		at := c.elem(x, false)
+		return func(fr *Frame) float64 {
+			arr, i := at(fr)
+			return math.Float64frombits(arr.Elems[i].num)
 		}
 	case *ast.Unary:
 		if x.Op == token.MINUS {
@@ -680,31 +635,17 @@ func (c *compiler) store(lhs ast.Expr) storeFn {
 		case ast.SymLocal, ast.SymParam:
 			return func(fr *Frame, v Value) { fr.vars[slot] = coerceKind(co, v) }
 		case ast.SymField:
-			if c.mon {
-				return func(fr *Frame, v Value) { fr.ctx.Mon.StoreField(fr.this, int(slot), coerceKind(co, v)) }
-			}
 			return func(fr *Frame, v Value) { fr.this.Slots[slot] = coerceKind(co, v) }
 		}
 		err := rtErrf("cannot assign to %s", x.Name)
 		return func(*Frame, Value) { throw(err) }
 
 	case *ast.FieldAccess:
-		co := x.Coerce
-		if c.mon {
-			b, slot := c.value(x.X), x.Slot
-			return func(fr *Frame, v Value) { fr.ctx.Mon.StoreField(storeObject(b(fr), x), int(slot), coerceKind(co, v)) }
-		}
-		p := c.fieldPath(x, true)
+		p, co := c.fieldPath(x, true), x.Coerce
 		return func(fr *Frame, v Value) { *p(fr) = coerceKind(co, v) }
 
 	case *ast.IndexExpr:
 		at, co := c.elem(x, true), x.Coerce
-		if c.mon {
-			return func(fr *Frame, v Value) {
-				arr, i := at(fr)
-				fr.ctx.Mon.StoreElem(arr, i, coerceKind(co, v))
-			}
-		}
 		return func(fr *Frame, v Value) {
 			arr, i := at(fr)
 			arr.Elems[i] = coerceKind(co, v)
@@ -824,7 +765,7 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 
 	case *ast.DeclStmt:
 		slot := int(st.Slot)
-		if o, ok := ms.owned[st]; ok && !c.mon {
+		if o, ok := ms.owned[st]; ok {
 			return ownedDecl(o, slot, c.prog.DeclType[st].(types.Array))
 		}
 		t := ms.types[slot]
@@ -917,15 +858,15 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 }
 
 // ownedDecl lowers the declaration of a frame-owned local array
-// (methodSlots.owned) in the unmonitored pass: every execution zero-fills
-// the array's place in the frame's arena and binds the variable to it,
-// allocating nothing. Reuse is sound because nothing outlives the
-// activation that declared the array: the dialect never stores or
-// returns an array, a synchronous callee returns before the frame pops,
-// and a spawned task reads a snapshot (rt's spawn, and the emitted
-// spawn). The monitored pass allocates a fresh array per execution, as
-// the walker does: the journal keys an element by its address, so
-// storage reused across activations would alias their buffered writes.
+// (methodSlots.owned): every execution zero-fills the array's place in
+// the frame's arena and binds the variable to it, allocating nothing.
+// Reuse is sound because nothing outlives the activation that declared
+// the array: the dialect never stores or returns an array, a synchronous
+// callee returns before the frame pops, and a spawned task reads a
+// snapshot (rt's spawn, and the emitted spawn). A monitored activation
+// runs on the walker, which allocates a fresh array per execution: the
+// journal keys an element by its address, so storage reused across
+// activations would alias their buffered writes.
 func ownedDecl(o ownedArray, slot int, t types.Array) stmtFn {
 	z, _ := primZero(t.Elem)
 	return func(fr *Frame) flow {
@@ -944,11 +885,10 @@ func ownedDecl(o ownedArray, slot int, t types.Array) stmtFn {
 // assignStmt lowers the expression statement lhs op= rhs to one closure
 // (nil: the generic lowering applies) where op is =, +=, -=, *= or — on
 // doubles — /=, both sides have one numeric kind, and the target is a
-// local, a parameter, a this field, or o->f or a[i] over pure operands
-// (in the monitored pass, only a local or a parameter). The closure
-// keeps the generic lowering's order — the right side, then the target —
-// and its errors: pure operands evaluate to the same values for the load
-// as for the store.
+// local, a parameter, a this field, or o->f or a[i] over pure operands.
+// The closure keeps the generic lowering's order — the right side, then
+// the target — and its errors: pure operands evaluate to the same values
+// for the load as for the store.
 func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 	var op token.Kind
 	switch x.Op {
@@ -976,19 +916,19 @@ func (c *compiler) assignStmt(x *ast.Assign) stmtFn {
 		switch {
 		case t.Sym == ast.SymLocal || t.Sym == ast.SymParam:
 			slot = t.Slot
-		case t.Sym == ast.SymField && !c.mon:
+		case t.Sym == ast.SymField:
 			fs := t.Slot
 			ref = func(fr *Frame) *Value { return &fr.this.Slots[fs] }
 		default:
 			return nil
 		}
 	case *ast.FieldAccess:
-		if c.mon || !ast.Pure(t.X) {
+		if !ast.Pure(t.X) {
 			return nil
 		}
 		ref = c.fieldPath(t, op == 0)
 	case *ast.IndexExpr:
-		if c.mon || !ast.Pure(t.X) || !ast.Pure(t.Index) {
+		if !ast.Pure(t.X) || !ast.Pure(t.Index) {
 			return nil
 		}
 		at := c.elem(t, op == 0)

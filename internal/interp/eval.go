@@ -46,7 +46,6 @@ const (
 	errCallNoRecv     = "%s called without a receiver"
 	errCallArity      = "%s takes %d arguments, called with %d"
 	errFieldStoreObj  = "field store on non-object at %s"
-	errWalkerMon      = "the tree-walking engine cannot run under an effect monitor"
 	errIndexStoreArr  = "index store on non-array at %s"
 	errIndexStoreRng  = "index %v out of range at %s"
 	errUnknownBuiltin = "unknown builtin %s"
@@ -84,6 +83,9 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 			if fr.this == nil {
 				return Value{}, rtErrf(errFieldNoRecv, x.Name)
 			}
+			if m := fr.ctx.Mon; m != nil {
+				return m.LoadField(fr.this, int(x.Slot)), nil
+			}
 			return fr.this.Slots[x.Slot], nil
 		}
 		return Value{}, rtErrf("unresolved identifier %s at %s", x.Name, x.Pos())
@@ -96,6 +98,9 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 		if base.kind != KObject {
 			return Value{}, fieldErr(base, x)
 		}
+		if m := fr.ctx.Mon; m != nil {
+			return m.LoadField(base.ref.(*Object), int(x.Slot)), nil
+		}
 		return base.ref.(*Object).Slots[x.Slot], nil
 
 	case *ast.IndexExpr:
@@ -107,7 +112,14 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return indexLoad(arrV, idxV, x)
+		arr, i, err := elemLoad(arrV, idxV, x)
+		if err != nil {
+			return Value{}, err
+		}
+		if m := fr.ctx.Mon; m != nil {
+			return m.LoadElem(arr, i), nil
+		}
+		return arr.Elems[i], nil
 
 	case *ast.CallExpr:
 		return ip.evalCall(fr, x)
@@ -139,17 +151,8 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 	return Value{}, rtErrf("unsupported expression at %s", e.Pos())
 }
 
-// indexLoad is the array-read kernel shared by both engines.
-func indexLoad(arrV, idxV Value, x *ast.IndexExpr) (Value, error) {
-	arr, i, err := elemLoad(arrV, idxV, x)
-	if err != nil {
-		return Value{}, err
-	}
-	return arr.Elems[i], nil
-}
-
-// elemLoad is indexLoad's checks: the array x reads and the element's
-// index.
+// elemLoad is an element read's checks, shared by both engines: the
+// array x reads and the element's index.
 func elemLoad(arrV, idxV Value, x *ast.IndexExpr) (*Array, int, error) {
 	if arrV.kind != KArray {
 		return nil, 0, rtErrf(errIndexNonArr, x.Pos())
@@ -411,6 +414,10 @@ func (ip *Interp) store(fr *Frame, lhs ast.Expr, v Value) error {
 			if fr.this == nil {
 				return rtErrf(errFieldNoRecvWr, x.Name)
 			}
+			if m := fr.ctx.Mon; m != nil {
+				m.StoreField(fr.this, int(x.Slot), coerceKind(x.Coerce, v))
+				return nil
+			}
 			fr.this.Slots[x.Slot] = coerceKind(x.Coerce, v)
 			return nil
 		}
@@ -423,6 +430,10 @@ func (ip *Interp) store(fr *Frame, lhs ast.Expr, v Value) error {
 		if base.kind != KObject {
 			return rtErrf(errFieldStoreObj, x.Pos())
 		}
+		if m := fr.ctx.Mon; m != nil {
+			m.StoreField(base.ref.(*Object), int(x.Slot), coerceKind(x.Coerce, v))
+			return nil
+		}
 		base.ref.(*Object).Slots[x.Slot] = coerceKind(x.Coerce, v)
 		return nil
 	case *ast.IndexExpr:
@@ -434,23 +445,22 @@ func (ip *Interp) store(fr *Frame, lhs ast.Expr, v Value) error {
 		if err != nil {
 			return err
 		}
-		return indexStore(arrV, idxV, v, x)
+		arr, i, err := elemStore(arrV, idxV, x)
+		if err != nil {
+			return err
+		}
+		if m := fr.ctx.Mon; m != nil {
+			m.StoreElem(arr, i, coerceKind(x.Coerce, v))
+			return nil
+		}
+		arr.Elems[i] = coerceKind(x.Coerce, v)
+		return nil
 	}
 	return rtErrf("unsupported assignment target at %s", lhs.Pos())
 }
 
-// indexStore is the array-write kernel shared by both engines.
-func indexStore(arrV, idxV, v Value, x *ast.IndexExpr) error {
-	arr, i, err := elemStore(arrV, idxV, x)
-	if err != nil {
-		return err
-	}
-	arr.Elems[i] = coerceKind(x.Coerce, v)
-	return nil
-}
-
-// elemStore is indexStore's checks: the array x writes and the
-// element's index.
+// elemStore is an element write's checks, shared by both engines: the
+// array x writes and the element's index.
 func elemStore(arrV, idxV Value, x *ast.IndexExpr) (*Array, int, error) {
 	if arrV.kind != KArray {
 		return nil, 0, rtErrf(errIndexStoreArr, x.Pos())
@@ -467,50 +477,54 @@ func elemStore(arrV, idxV Value, x *ast.IndexExpr) (*Array, int, error) {
 }
 
 // evalCall evaluates receiver and arguments, then dispatches through
-// the context's Invoke hook.
+// the context's Invoke hook. The arguments go into a frame pushed for
+// them, as a compiled call's do: the builtin, the hook or Call gets them
+// as a slice of it, which is popped when the call returns.
 func (ip *Interp) evalCall(fr *Frame, x *ast.CallExpr) (Value, error) {
-	if x.Builtin {
-		args := make([]Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := ip.eval(fr, a)
+	ctx := fr.ctx
+	var site *types.CallSite
+	var recv *Object
+	if !x.Builtin {
+		site = ip.Prog.CallSites[x.Site]
+		if x.Recv != nil {
+			rv, err := ip.eval(fr, x.Recv)
 			if err != nil {
 				return Value{}, err
 			}
-			args[i] = v
-		}
-		fr.ctx.charge(CostBuiltin)
-		return callBuiltin(ip, x.Method, x, args)
-	}
-	site := ip.Prog.CallSites[x.Site]
-
-	var recv *Object
-	if x.Recv != nil {
-		rv, err := ip.eval(fr, x.Recv)
-		if err != nil {
-			return Value{}, err
-		}
-		if rv.kind != KObject {
-			if rv.kind == KNull {
-				return Value{}, rtErrf(errCallOnNull, x.Pos())
+			if rv.kind != KObject {
+				if rv.kind == KNull {
+					return Value{}, rtErrf(errCallOnNull, x.Pos())
+				}
+				return Value{}, rtErrf(errCallNonObj, x.Pos())
 			}
-			return Value{}, rtErrf(errCallNonObj, x.Pos())
+			recv = rv.ref.(*Object)
+		} else if site.Callee.Class != nil {
+			recv = fr.this
 		}
-		recv = rv.ref.(*Object)
-	} else if site.Callee.Class != nil {
-		recv = fr.this
 	}
 
-	args := make([]Value, len(x.Args))
+	n := len(x.Args)
+	nf := ctx.pushFrame(n)
 	for i, a := range x.Args {
 		v, err := ip.eval(fr, a)
 		if err != nil {
+			ctx.popFrame()
 			return Value{}, err
 		}
-		args[i] = v
+		nf.vars[i] = v
 	}
-
-	if fr.ctx.Invoke != nil {
-		return fr.ctx.Invoke(site, recv, args)
+	args := nf.vars[:n:n]
+	var v Value
+	var err error
+	switch {
+	case x.Builtin:
+		ctx.charge(CostBuiltin)
+		v, err = callBuiltin(ip, x.Method, x, args)
+	case ctx.Invoke != nil:
+		v, err = ctx.Invoke(site, recv, args)
+	default:
+		v, err = ip.Call(ctx, site.Callee, recv, args)
 	}
-	return ip.Call(fr.ctx, site.Callee, recv, args)
+	ctx.popFrame()
+	return v, err
 }

@@ -15,12 +15,13 @@ type Engine uint8
 const (
 	// EngineCompiled executes closure-compiled bodies (the default):
 	// each method is lowered once per program to a tree of thunks, so
-	// steady-state execution performs no AST type-switches.
+	// steady-state execution performs no AST type-switches. A body run
+	// under an effect monitor (Ctx.Mon) runs on the tree walker.
 	EngineCompiled Engine = iota
 	// EngineWalk executes the tree-walking evaluator: the semantic
-	// baseline of the differential tests. It runs serially only — it
-	// takes no effect monitor (Ctx.Mon), and the parallel runtime
-	// refuses it.
+	// baseline of the differential tests, and the engine of every
+	// monitored body. The parallel runtime refuses an interpreter that
+	// walks everything.
 	EngineWalk
 )
 
@@ -92,11 +93,9 @@ type Ctx struct {
 
 	// Mon, when non-nil, observes every object-field and array-element
 	// access and may redirect loads to buffered state (speculative
-	// execution). The compiled engine switches to a second set of
-	// closure-compiled bodies whose load/store kernels call the monitor
-	// unconditionally — the unmonitored compiled hot path carries no
-	// monitor checks at all. The tree walker has no monitored kernels
-	// and refuses to run under one.
+	// execution). A body entered under a monitor (Call,
+	// RunLoopIteration) runs on the tree walker, whatever the engine, so
+	// the compiled closures carry no monitor checks at all.
 	Mon Mon
 
 	// Interrupt, when non-nil, is polled every InterruptStride
@@ -238,9 +237,9 @@ type Frame struct {
 	ret Value
 	// arena and arrays are the storage and headers of the method's
 	// frame-owned local arrays (methodSlots.owned), which only the
-	// unmonitored compiled body uses. They are sized before the
-	// activation's body runs (fitArrays) and never grow during it, so an
-	// array's address is fixed until the frame is popped.
+	// compiled body uses. They are sized before the activation's body
+	// runs (fitArrays) and never grow during it, so an array's address
+	// is fixed until the frame is popped.
 	arena  []Value
 	arrays []Array
 }
@@ -308,8 +307,8 @@ func (ip *Interp) Run(ctx *Ctx) error {
 	return err
 }
 
-// Call executes method m with the given receiver and arguments. A
-// class method needs a receiver: a compiled body never tests this for
+// Call executes method m with the given receiver and arguments, on the
+// tree walker where ip.walks(ctx). A class method needs a receiver: a compiled body never tests this for
 // nil, as no call site passes one (a NULL receiver fails at the site,
 // an implicit one is the caller's own). It needs one argument per
 // parameter, so no parameter slot holds a kind other than its type.
@@ -330,18 +329,15 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (v
 		fr.vars[i] = coerceKind(ms.paramCo[i], a)
 	}
 	body := walkBody
-	if ip.engine == EngineCompiled {
-		// A non-nil monitor selects the monitored compiled bodies; the
-		// unmonitored table is untouched, so steady-state execution
-		// stays branch-free inside the closures.
-		compiled := ip.res.compiled
-		if ctx.Mon != nil {
-			compiled, _ = ip.res.monTables()
-		}
-		body = compiled[m.ID].body
+	if !ip.walks(ctx) {
+		body = ip.res.compiled[m.ID].body
 	}
 	return ctx.enter(fr, m, ms, this, body), nil
 }
+
+// walks reports whether a body entered under ctx runs on the tree
+// walker: always on EngineWalk, and under a monitor on either engine.
+func (ip *Interp) walks(ctx *Ctx) bool { return ip.engine == EngineWalk || ctx.Mon != nil }
 
 // enter runs an activation whose frame is pushed with its arguments in
 // place: the depth guard, the body, and the pop. Only a void
@@ -368,13 +364,10 @@ func (c *Ctx) enter(fr *Frame, m *types.Method, ms *methodSlots, this *Object, b
 	return out
 }
 
-// walkBody runs fr's method on the tree walker (no monitored kernels),
-// charging CostCall, and throws its error as a compiled body would.
+// walkBody runs fr's method on the tree walker, charging CostCall, and
+// throws its error as a compiled body would.
 func walkBody(fr *Frame) flow {
 	fr.ctx.charge(CostCall)
-	if fr.ctx.Mon != nil {
-		throw(rtErrf(errWalkerMon))
-	}
 	ret, err := fr.ctx.IP.execStmt(fr, fr.method.Def.Body)
 	if err != nil {
 		throw(err)
@@ -553,24 +546,18 @@ func (ip *Interp) NewIterFrame(ctx *Ctx, fr *Frame) *Frame {
 
 // RunLoopIteration executes one iteration of the body of a counted loop
 // the engine offered, in an iteration frame obtained from NewIterFrame,
-// with the loop variable bound to i.
+// with the loop variable bound to i: on the tree walker where
+// ip.walks(sub's context), as Call does.
 func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) (err error) {
 	ctx := sub.ctx
-	if ip.engine == EngineWalk && ctx.Mon != nil {
-		return rtErrf(errWalkerMon)
-	}
-	loops := ip.res.loopBodies
-	if ctx.Mon != nil {
-		_, loops = ip.res.monTables()
-	}
-	lb, ok := loops[st]
+	lb, ok := ip.res.loopBodies[st]
 	if !ok {
 		return rtErrf("parallel loop at %s is not a counted loop", st.Pos())
 	}
 	sub.vars[lb.slot] = IntValue(i)
 	defer ctx.catch(ctx.sp, ctx.Depth, &err)
 	var returned bool
-	if ip.engine == EngineWalk {
+	if ip.walks(ctx) {
 		ret, err := ip.execStmt(sub, st.Body)
 		if err != nil {
 			return err

@@ -2,21 +2,19 @@ package interp
 
 import "commute/internal/frontend/types"
 
-// Mon observes — and may redirect — every shared-state access a
-// compiled body performs: object field loads and stores, and array
-// element loads and stores. The speculative runtime installs one Mon
-// per task to buffer writes and log reads; a load consults the monitor
-// so a task reads its own buffered writes instead of the live heap.
+// Mon observes — and may redirect — every shared-state access a body
+// performs: object field loads and stores, and array element loads and
+// stores. The speculative runtime installs one Mon per task to buffer
+// writes and log reads; a load consults the monitor so a task reads its
+// own buffered writes instead of the live heap.
 //
-// The compiled engine keeps two sets of closure-compiled bodies — the
-// unmonitored hot path, which carries no monitor branch, and a
-// monitored set (built lazily on first use) whose field and element
-// loads and stores call the monitor unconditionally. Call and
-// RunLoopIteration select the monitored set whenever Ctx.Mon is
-// non-nil. The tree walker, the serial reference, has no monitored
-// kernels: it fails a call made under a monitor (errWalkerMon) rather
-// than run it unobserved. Locals, parameters, and constants are
-// frame-private and are never reported.
+// The tree walker is the one monitored engine: its six shared-state
+// sites — a this field, o->f and a[i], each loaded and stored — call
+// the monitor whenever Ctx.Mon is non-nil, and Call and
+// RunLoopIteration run a body entered under a monitor on the walker,
+// whatever the engine. The compiled closures carry no monitor branch.
+// Locals, parameters, and constants are frame-private and are never
+// reported.
 type Mon interface {
 	// LoadField returns the value of o's field slot, consulting any
 	// buffered write first.

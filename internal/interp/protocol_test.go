@@ -722,9 +722,6 @@ func TestLocalArrayFrameOwned(t *testing.T) {
 	}
 	for _, e := range benchEngines {
 		for _, mon := range []bool{false, true} {
-			if mon && e.eng == interp.EngineWalk {
-				continue
-			}
 			ip := interp.NewEngine(prog, nil, e.eng)
 			ctx := ip.NewCtx()
 			if mon {

@@ -22,8 +22,8 @@ type methodSlots struct {
 
 	// owned places each local array declaration of primitive or pointer
 	// elements in the frame: arena elements from off, array header idx.
-	// The unmonitored compiled body zero-fills it there on every
-	// execution of the declaration (compile.go); arena and arrays are
+	// The compiled body zero-fills it there on every execution of the
+	// declaration (compile.go); arena and arrays are
 	// what an activation's frame is fitted to (Frame.fitArrays).
 	owned         map[*ast.DeclStmt]ownedArray
 	arena, arrays int
@@ -52,27 +52,6 @@ type resolution struct {
 	// resolution and shared by every interpreter for the program.
 	compiled   []*compiledMethod // indexed by types.Method.ID
 	loopBodies map[*ast.ForStmt]loopBody
-
-	// Monitored compiled bodies: the same closure-compile pass run with
-	// the monitored load/store kernels (compiler.mon), so speculative
-	// regions execute at compiled speed. Built lazily on the first
-	// monitored execution — programs that never speculate pay nothing.
-	// prog is retained solely for that deferred pass.
-	prog          *types.Program
-	monOnce       sync.Once
-	compiledMon   []*compiledMethod // indexed by types.Method.ID
-	loopBodiesMon map[*ast.ForStmt]loopBody
-}
-
-// monTables builds (once, racing builders deduped) and returns the
-// monitored compiled bodies and loop-body table. The pass reads only
-// the immutable AST annotations buildResolution wrote, so it is safe to
-// run concurrently with unmonitored execution.
-func (r *resolution) monTables() ([]*compiledMethod, map[*ast.ForStmt]loopBody) {
-	r.monOnce.Do(func() {
-		r.compiledMon, r.loopBodiesMon = compileAll(r, true)
-	})
-	return r.compiledMon, r.loopBodiesMon
 }
 
 // resolveCache maps *types.Program -> *resolveEntry. Entries carry a
@@ -135,7 +114,6 @@ func buildResolution(prog *types.Program) *resolution {
 		layout:    newLayout(prog),
 		methods:   make([]*methodSlots, len(prog.Methods)),
 		classList: prog.ClassList,
-		prog:      prog,
 	}
 
 	// Constant table in sorted-name order (deterministic indices).
@@ -174,7 +152,7 @@ func buildResolution(prog *types.Program) *resolution {
 	// Lower every resolved body to closures. The compiled forms read
 	// only the annotations written above, so this runs after the whole
 	// program is resolved.
-	r.compiled, r.loopBodies = compileAll(r, false)
+	r.compiled, r.loopBodies = compileAll(prog, r)
 	return r
 }
 

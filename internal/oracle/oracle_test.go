@@ -116,18 +116,17 @@ func rows() []oracle.Row {
 			}
 			return ""
 		}},
-		entries("specdisjoint", oracle.Repeat(src.SpecDisjoint, "T.init();", "T.fill();", 256, "T.report();"), 256, func(r oracle.Run) (tier rt.Stats) {
-			if r.Speculate != rt.SpecOff {
-				tier = rt.Stats{Regions: 1, SpeculativeRegions: 1, SpeculationCommits: 1}
-			}
-			return tier
-		}),
-		entries("specconflict", oracle.Repeat(src.SpecConflict, "D.init();", "D.run();", 256, "D.show();"), 256, func(r oracle.Run) (tier rt.Stats) {
-			if r.Speculate != rt.SpecOff {
-				tier = rt.Stats{Regions: 1, SpeculativeRegions: 1, SpeculationAborts: 1}
-			}
-			return tier
-		}),
+		entries("specdisjoint", oracle.Repeat(src.SpecDisjoint, "T.init();", "T.fill();", 256, "T.report();"), 256, speculative(rt.Stats{SpeculationCommits: 1})),
+		entries("specconflict", oracle.Repeat(src.SpecConflict, "D.init();", "D.run();", 256, "D.show();"), 256, speculative(rt.Stats{SpeculationAborts: 1})),
+		// specconflict accumulating through a this field, o->f and a[i]:
+		// a write that leaks past a task's journal at any of the three
+		// reaches the heap before the abort, and the serial rerun adds it
+		// again.
+		entries("specleak", oracle.Repeat(specLeak, "D.init();", "D.run();", 64, "D.show();"), 64, speculative(rt.Stats{SpeculationAborts: 1})),
+		// specdisjoint reading its own writes through o->f and a[i]: every
+		// region commits, so a load that reads the heap past a task's
+		// buffered write commits a wrong value.
+		entries("specreadown", oracle.Repeat(specReadOwn, "T.init();", "T.fill(r);", 64, "T.report();"), 64, speculative(rt.Stats{SpeculationCommits: 1})),
 		// Roots the cutoff declines on the plan as built: a speculative
 		// extent below two mutually recursive serial drivers, which need a
 		// D_ version of both halves of the cycle natively, and a root called
@@ -320,6 +319,18 @@ func guardHolds(r oracle.Run) (tier rt.Stats) {
 	return tier
 }
 
+// speculative is what one entry of a speculative root counts under a
+// policy that speculates: one speculative region, ending in outcome.
+func speculative(outcome rt.Stats) func(oracle.Run) rt.Stats {
+	return func(r oracle.Run) (tier rt.Stats) {
+		if r.Speculate != rt.SpecOff {
+			tier = outcome
+			tier.Regions, tier.SpeculativeRegions = 1, 1
+		}
+		return tier
+	}
+}
+
 // replicaCondHash is condhash with a global accumulator, Tot, that every
 // bucket update adds its value into.
 var replicaCondHash = strings.NewReplacer(
@@ -478,6 +489,32 @@ class table { public: cell *cs[64];
     for (int i = 0; i < n; i++) { t[0] = i * 3 + 1; t[1] = i; cs[i]->put(t); t[0] = 0; t[1] = 0; } } };
 table T;
 void main() { T.init(); T.fill(64); }
+`
+
+// specLeak: both marks overwrite last, so every speculative region
+// aborts; total, sum and hits accumulate through the three kinds of
+// shared-state store.
+const specLeak = `
+class counter { public: int last; int total; int sum; int hits[4];
+  void mark(int v) { last = v; total = total + v; this->sum = this->sum + v; hits[v] = hits[v] + v; } };
+class driver { public: counter *c;
+  void init() { c = new counter; }
+  void run() { c->mark(1); c->mark(2); }
+  void show() { print(c->last, c->total, c->sum, c->hits[1], c->hits[2]); } };
+driver D;
+`
+
+// specReadOwn: set overwrites val, so the extent speculates, and each
+// set reads back the field and the element it has just written, which
+// differ from what the heap holds: round r writes values of its own.
+const specReadOwn = `
+class cell { public: int val; int twice; int h[2];
+  void set(int v) { this->val = v; this->twice = this->val * 2; h[0] = v; h[1] = h[0] + 1; } };
+class table { public: cell *cells[16]; int sum;
+  void init() { for (int i = 0; i < 16; i++) cells[i] = new cell; }
+  void fill(int r) { for (int i = 0; i < 16; i++) cells[i]->set(r * 100 + i); }
+  void report() { for (int i = 0; i < 16; i++) sum = sum + cells[i]->twice + cells[i]->h[1]; print(sum); } };
+table T;
 `
 
 const polyNil = `

@@ -196,14 +196,16 @@ func (rt *Runtime) Run() error { return rt.RunContext(context.Background()) }
 // at task-start and chunk-claim boundaries and, via the interpreter's
 // interrupt hook, inside long-running statement loops. The worker pool
 // the regions share is shut down before RunContext returns, whichever
-// way the run ends. Regions run the closure-compiled bodies only: the
-// tree walker is the serial reference and takes no effect monitor.
+// way the run ends. Regions run the closure-compiled bodies, and a
+// speculative region's monitored activations the tree walker (interp.Mon):
+// an interpreter that walks everything is the serial reference, and is
+// refused.
 func (rt *Runtime) RunContext(parent context.Context) error {
 	if rt.IP.Prog.Main == nil {
 		return &interp.RuntimeError{Msg: "program has no main function"}
 	}
 	if rt.IP.Engine() == interp.EngineWalk {
-		return errors.New("rt: the parallel runtime needs a compiled-engine interpreter; the tree walker runs serially only")
+		return errors.New("rt: the parallel runtime needs a compiled-engine interpreter; a tree walker interpreter is the serial reference")
 	}
 	rt.parent = parent
 	rt.runCtx, rt.cancel = context.WithCancelCause(parent)

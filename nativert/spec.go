@@ -2,8 +2,8 @@ package nativert
 
 // Write-buffered speculation: the one effect journal of both runtimes.
 // The generated SJ_ method versions route every field and element access
-// through a per-task SpecJournal directly; internal/rt's monitored
-// closures reach the same calls through its interp.Mon adapter, with
+// through a per-task SpecJournal directly; the interpreter's tree walker
+// reaches the same calls through internal/rt's interp.Mon adapter, with
 // T = interp.Value. A location is identified by its typed Go pointer
 // boxed in an interface — one cell, one key — so a pointer to a whole
 // array field (*[N]T) and a pointer to its first element (*T) stay
