@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -45,8 +44,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 60*time.Second, "ceiling on requested execution deadlines")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 	blobDir := flag.String("blob-dir", "", "shared artifact directory (fleet tier); empty disables")
-	peers := flag.String("peers", "", "comma-separated peer base URLs to pull artifacts from")
-	batchLinger := flag.Duration("batch-linger", 2*time.Millisecond, "window for coalescing identical /v1/analyze requests (0 or negative: off)")
 	flag.Parse()
 
 	q := *queue
@@ -54,28 +51,16 @@ func main() {
 		q = -1 // Config treats 0 as "default"; the flag's 0 means none.
 	}
 
-	// Assemble the artifact tier: shared directory first (cheapest),
-	// then peer fetch. Either alone also works.
-	var tiers cache.Tiered
+	// The shared artifact tier: a directory every replica can reach.
+	var blobs cache.BlobStore
 	if *blobDir != "" {
 		ds, err := cache.NewDirStore(*blobDir)
 		if err != nil {
 			log.Fatalf("blob dir: %v", err)
 		}
-		tiers = append(tiers, ds)
-	}
-	if *peers != "" {
-		tiers = append(tiers, cache.NewHTTPPeerStore(strings.Split(*peers, ","), nil))
-	}
-	var blobs cache.BlobStore
-	if len(tiers) > 0 {
-		blobs = tiers
+		blobs = ds
 	}
 
-	linger := *batchLinger
-	if linger == 0 {
-		linger = -1 // Config treats 0 as "default"; the flag's explicit 0 means off.
-	}
 	srv := server.New(server.Config{
 		Workers:        *workers,
 		Queue:          q,
@@ -84,7 +69,6 @@ func main() {
 		DefaultTimeout: *defaultTimeout,
 		MaxTimeout:     *maxTimeout,
 		Blobs:          blobs,
-		BatchLinger:    linger,
 	})
 
 	hs := &http.Server{

@@ -155,7 +155,7 @@ func BenchmarkRouterHop(b *testing.B) {
 	body := hotBody(b)
 	var urls []string
 	for i := 0; i < 2; i++ {
-		ts := httptest.NewServer(server.New(server.Config{Workers: 2, BatchLinger: -1}).Handler())
+		ts := httptest.NewServer(server.New(server.Config{Workers: 2}).Handler())
 		b.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}

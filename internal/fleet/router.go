@@ -142,7 +142,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /statusz", rt.handleStatusz)
-	rt.mux.HandleFunc("GET /v1/artifact/{key}", rt.handleArtifact)
 	rt.mux.HandleFunc("POST /v1/analyze", rt.handleProxy)
 	rt.mux.HandleFunc("POST /v1/run", rt.handleProxy)
 	rt.mux.HandleFunc("POST /v1/simulate", rt.handleProxy)
@@ -266,12 +265,6 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// handleArtifact routes artifact fetches by their path key, so a peer
-// (or operator) asking the router finds the owner's bundle.
-func (rt *Router) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	rt.forward(w, r, r.PathValue("key"), nil)
 }
 
 // handleProxy routes an API request by the fingerprint of the program
@@ -406,11 +399,7 @@ func (rt *Router) pick(key string, tried map[string]bool) *shardState {
 // send issues one forwarding attempt.
 func (rt *Router) send(r *http.Request, shardURL string, body []byte) (*http.Response, error) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
-	var reqBody io.Reader
-	if body != nil {
-		reqBody = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, shardURL+r.URL.Path, reqBody)
+	req, err := http.NewRequestWithContext(ctx, r.Method, shardURL+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		cancel()
 		return nil, err

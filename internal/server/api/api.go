@@ -269,10 +269,6 @@ type EndpointStats struct {
 	Errors   int64   `json:"errors"`
 	P50MS    float64 `json:"p50_ms"`
 	P99MS    float64 `json:"p99_ms"`
-	// Coalesced counts requests served from another request's batched
-	// response (same fingerprint, within the batch linger window)
-	// without re-entering the endpoint's handler.
-	Coalesced int64 `json:"coalesced,omitempty"`
 }
 
 // ShardStats is one replica's counters in a fleet router's /statusz.
@@ -318,8 +314,8 @@ type StatusZ struct {
 	// to the tier after its own cold loads.
 	CacheAdoptions     int64 `json:"cache_adoptions,omitempty"`
 	ArtifactsPublished int64 `json:"artifacts_published,omitempty"`
-	// BatchCoalesced is the total across endpoints (per-endpoint counts
-	// are in Endpoints[...].Coalesced).
+	// BatchCoalesced is always 0; read by e2ebench until ROADMAP item 1
+	// drops it.
 	BatchCoalesced int64 `json:"batch_coalesced,omitempty"`
 
 	Endpoints map[string]EndpointStats `json:"endpoints"`

@@ -7,8 +7,8 @@ package api
 // parse, type check, and commutativity analysis itself. Bundles are
 // content-addressed by the same commute.Fingerprint that keys the
 // in-memory system cache, and the wire encoding carries an integrity
-// frame so a truncated blob file or a mislabeled peer response is
-// rejected rather than served.
+// frame so a truncated or mislabeled blob file is rejected rather than
+// served.
 
 import (
 	"bytes"

@@ -12,7 +12,6 @@ package server
 
 import (
 	"container/list"
-	"net/http"
 	"time"
 
 	"commute"
@@ -107,63 +106,11 @@ type artEntry struct {
 	bundle *api.ArtifactBundle
 }
 
-// handleArtifact serves GET /v1/artifact/{key}: the encoded bundle for
-// a fingerprint this replica can produce — from its warm system cache
-// (the owner path: peers pull artifacts the owner analyzed) or from
-// its own blob tier. 404 otherwise; peers treat that as "try the next
-// peer".
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if h, ok := s.cache.Peek(key); ok {
-		sys := h.System()
-		name := key // the bundle name is diagnostic only; prefer the real one below
-		if b, ok := s.peekBundleName(key); ok {
-			name = b
-		}
-		data, err := api.EncodeArtifact(bundleFromSystem(key, name, sys))
-		h.Close()
-		if err == nil {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(data)
-			return
-		}
-	}
-	if s.blobs != nil {
-		if data, err := s.blobs.Get(key); err == nil {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(data)
-			return
-		}
-	}
-	writeErr(w, http.StatusNotFound, "no artifact for "+key)
-}
-
-// peekBundleName recalls the program name a fingerprint was loaded
-// under (kept by loadProgram for artifact serving).
-func (s *Server) peekBundleName(key string) (string, bool) {
-	s.nameMu.Lock()
-	defer s.nameMu.Unlock()
-	name, ok := s.names[key]
-	return name, ok
-}
-
-func (s *Server) rememberName(key, name string) {
-	s.nameMu.Lock()
-	if len(s.names) > 4*artMemEntries {
-		// Bounded diagnostic map; resetting it only degrades bundle
-		// labels, never correctness.
-		s.names = make(map[string]string)
-	}
-	s.names[key] = name
-	s.nameMu.Unlock()
-}
-
 // initArtifacts wires the artifact state at construction.
 func (s *Server) initArtifacts(blobs cache.BlobStore) {
 	s.blobs = blobs
 	s.artMap = make(map[string]*list.Element)
 	s.artLL = list.New()
-	s.names = make(map[string]string)
 }
 
 // analyzeFromBundle renders the /v1/analyze response for an adopted

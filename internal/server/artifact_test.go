@@ -1,17 +1,16 @@
 package server
 
-// Tests for the fleet-facing serving features: the shared artifact
-// tier (publish on cold load, adopt on a peer's miss) and /v1/analyze
-// request batching.
+// Tests for the shared artifact tier (publish on cold load, adopt on a
+// peer's miss) and for what /v1/analyze answers on each of its three
+// paths: a warm hit, an adopted artifact and a cold load.
 
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"commute"
 	"commute/internal/server/api"
@@ -23,8 +22,8 @@ func TestArtifactAdoption(t *testing.T) {
 	// pipeline and publishes; the second must adopt the artifact
 	// instead of re-analyzing.
 	blobs := cache.NewMemStore()
-	_, owner := newTestServer(t, Config{Blobs: blobs, BatchLinger: -1})
-	_, cold := newTestServer(t, Config{Blobs: blobs, BatchLinger: -1})
+	_, owner := newTestServer(t, Config{Blobs: blobs})
+	_, cold := newTestServer(t, Config{Blobs: blobs})
 	req := api.AnalyzeRequest{SourceRequest: api.SourceRequest{App: "graph"}, Emit: true}
 
 	resp, data := post(t, owner, "/v1/analyze", req)
@@ -109,7 +108,7 @@ func TestOldArtifactIsNotAdopted(t *testing.T) {
 	if err := blobs.Put(key, bytes.Replace(frame, []byte("commute-artifact/4 "), []byte("commute-artifact/3 "), 1)); err != nil {
 		t.Fatal(err)
 	}
-	_, replica := newTestServer(t, Config{Blobs: blobs, BatchLinger: -1})
+	_, replica := newTestServer(t, Config{Blobs: blobs})
 
 	resp, data := post(t, replica, "/v1/analyze", req)
 	var ar api.AnalyzeResponse
@@ -131,148 +130,90 @@ func TestOldArtifactIsNotAdopted(t *testing.T) {
 	}
 }
 
-func TestArtifactEndpointServesOwnerBundle(t *testing.T) {
-	// Peers pull artifacts over GET /v1/artifact/{key}; an owner with a
-	// warm system must serve a decodable, integrity-checked bundle.
-	_, owner := newTestServer(t, Config{Blobs: cache.NewMemStore(), BatchLinger: -1})
-	resp, data := post(t, owner, "/v1/analyze", api.AnalyzeRequest{SourceRequest: api.SourceRequest{App: "graph"}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze = %d: %s", resp.StatusCode, data)
-	}
-	var ar api.AnalyzeResponse
-	if err := json.Unmarshal(data, &ar); err != nil {
-		t.Fatal(err)
-	}
-
-	hr, err := owner.Client().Get(owner.URL + "/v1/artifact/" + ar.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := readAll(t, hr)
-	if hr.StatusCode != http.StatusOK {
-		t.Fatalf("artifact fetch = %d: %s", hr.StatusCode, raw)
-	}
-	b, err := api.DecodeArtifact(ar.Key, raw)
-	if err != nil {
-		t.Fatalf("served bundle fails integrity check: %v", err)
-	}
-	if b.Name != "graph.mc" || len(b.Methods) != len(ar.Methods) {
-		t.Fatalf("bundle = name %q, %d methods; want graph.mc, %d", b.Name, len(b.Methods), len(ar.Methods))
-	}
-
-	hr, err = owner.Client().Get(owner.URL + "/v1/artifact/" + "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	readAll(t, hr)
-	if hr.StatusCode != http.StatusNotFound {
-		t.Fatalf("missing artifact = %d, want 404", hr.StatusCode)
+func TestAnalyzeEmitOnEveryPath(t *testing.T) {
+	// emit=true carries the parallel source and emit=false omits it, on
+	// the miss, the hit and the adopt path alike.
+	src := api.SourceRequest{App: "graph"}
+	for _, emit := range []bool{false, true} {
+		blobs := cache.NewMemStore()
+		_, owner := newTestServer(t, Config{Blobs: blobs})
+		_, cold := newTestServer(t, Config{Blobs: blobs})
+		req := api.AnalyzeRequest{SourceRequest: src, Emit: emit}
+		var first string
+		for _, step := range []struct {
+			ts    *httptest.Server
+			cache string
+		}{{owner, "miss"}, {owner, "hit"}, {cold, "adopt"}} {
+			resp, data := post(t, step.ts, "/v1/analyze", req)
+			var ar api.AnalyzeResponse
+			if err := json.Unmarshal(data, &ar); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || ar.Cache != step.cache {
+				t.Fatalf("emit=%v: analyze = %d cache %q, want 200 %s", emit, resp.StatusCode, ar.Cache, step.cache)
+			}
+			if emit != (ar.ParallelSource != "") {
+				t.Fatalf("emit=%v: the %s response carries %d bytes of parallel source", emit, ar.Cache, len(ar.ParallelSource))
+			}
+			if step.cache == "miss" {
+				first = ar.ParallelSource
+			} else if ar.ParallelSource != first {
+				t.Fatalf("emit=%v: the %s response's parallel source differs from the miss's", emit, ar.Cache)
+			}
+		}
 	}
 }
 
-func TestAnalyzeBatchingCoalesces(t *testing.T) {
-	// A stampede of identical analyze requests must produce one
-	// response computation: followers are answered with the leader's
-	// bytes and counted in the coalesce counters. A long linger makes
-	// the test deterministic — every request after the first joins
-	// either the in-flight batch or the lingering completed one.
-	s, ts := newTestServer(t, Config{BatchLinger: 250 * time.Millisecond})
+func TestAnalyzeErrorNotCached(t *testing.T) {
+	// A program that fails to load is answered 422 and not cached: a
+	// repeat loads it again and gets a fresh 422.
+	s, ts := newTestServer(t, Config{})
+	bad := api.AnalyzeRequest{SourceRequest: api.SourceRequest{Name: "bad.mc", Source: "void main( {}"}}
+	for i := 0; i < 2; i++ {
+		resp, data := post(t, ts, "/v1/analyze", bad)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("bad program, request %d = %d: %s", i, resp.StatusCode, data)
+		}
+	}
+	if lc := statusz(t, ts).Endpoints["load-cold"]; lc.Requests != 2 || lc.Errors != 2 {
+		t.Fatalf("load-cold = %d requests, %d errors; want 2 failed loads", lc.Requests, lc.Errors)
+	}
+	if cs := s.Cache().Snapshot(); cs.Entries != 0 {
+		t.Fatalf("cache holds %d entries after two failed loads, want 0", cs.Entries)
+	}
+}
+
+func TestAnalyzeStampedeLoadsOnce(t *testing.T) {
+	// A stampede of identical analyzes on a cold program loads it once:
+	// the cache's singleflight is the only dedup layer, and every
+	// request still gets its own full answer.
+	s, ts := newTestServer(t, Config{})
 	req := api.AnalyzeRequest{SourceRequest: api.SourceRequest{App: "graph"}}
 
 	const n = 16
-	bodies := make([][]byte, n)
+	answers := make([]api.AnalyzeResponse, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range answers {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			resp, data := post(t, ts, "/v1/analyze", req)
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("request %d = %d: %s", i, resp.StatusCode, data)
+				return
 			}
-			bodies[i] = data
-		}(i)
+			if err := json.Unmarshal(data, &answers[i]); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
 	wg.Wait()
-
-	coalesced := s.coalesced.Load()
-	if coalesced == 0 {
-		t.Fatal("no requests coalesced across a 16-way identical stampede")
-	}
-	// Every coalesced follower got the leader's exact bytes; spot-check
-	// that all bodies decode to the same key and report count.
-	var first api.AnalyzeResponse
-	if err := json.Unmarshal(bodies[0], &first); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < n; i++ {
-		var got api.AnalyzeResponse
-		if err := json.Unmarshal(bodies[i], &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.Key != first.Key || len(got.Methods) != len(first.Methods) {
-			t.Fatalf("response %d diverged: key %s, %d methods", i, got.Key, len(got.Methods))
+	for i, a := range answers[1:] {
+		if a.Key != answers[0].Key || len(a.Methods) != len(answers[0].Methods) || len(a.Methods) == 0 {
+			t.Fatalf("response %d: key %s, %d methods; response 0: key %s, %d methods", i+1, a.Key, len(a.Methods), answers[0].Key, len(answers[0].Methods))
 		}
 	}
-	st := statusz(t, ts)
-	if st.BatchCoalesced != coalesced {
-		t.Fatalf("statusz batch_coalesced = %d, counter = %d", st.BatchCoalesced, coalesced)
-	}
-	if ep := st.Endpoints["analyze"]; ep.Coalesced != coalesced {
-		t.Fatalf("analyze endpoint coalesced = %d, want %d", ep.Coalesced, coalesced)
-	}
-	// Only one actual load happened under the stampede.
 	if cs := s.Cache().Snapshot(); cs.Misses != 1 {
 		t.Fatalf("cache misses = %d, want 1", cs.Misses)
 	}
-}
-
-func TestAnalyzeBatchKeySeparatesEmit(t *testing.T) {
-	// emit=true and emit=false responses differ; they must never share
-	// a batch even under a generous linger.
-	_, ts := newTestServer(t, Config{BatchLinger: 250 * time.Millisecond})
-	src := api.SourceRequest{App: "graph"}
-
-	_, plain := post(t, ts, "/v1/analyze", api.AnalyzeRequest{SourceRequest: src})
-	_, emitted := post(t, ts, "/v1/analyze", api.AnalyzeRequest{SourceRequest: src, Emit: true})
-	var p, e api.AnalyzeResponse
-	if err := json.Unmarshal(plain, &p); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(emitted, &e); err != nil {
-		t.Fatal(err)
-	}
-	if p.ParallelSource != "" {
-		t.Fatal("emit=false response carries parallel source")
-	}
-	if e.ParallelSource == "" {
-		t.Fatal("emit=true response coalesced onto the emit=false batch")
-	}
-}
-
-func TestBatchLeaderErrorSharedThenRetryable(t *testing.T) {
-	// A leader that fails (bad program) publishes its error to the
-	// batch; the linger then expires and a later request gets a fresh
-	// computation, not the cached failure forever.
-	_, ts := newTestServer(t, Config{BatchLinger: 1 * time.Millisecond})
-	bad := api.AnalyzeRequest{SourceRequest: api.SourceRequest{Name: "bad.mc", Source: "void main( {}"}}
-	resp, _ := post(t, ts, "/v1/analyze", bad)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad program = %d, want 422", resp.StatusCode)
-	}
-	time.Sleep(20 * time.Millisecond)
-	resp, _ = post(t, ts, "/v1/analyze", bad)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad program after linger = %d, want 422", resp.StatusCode)
-	}
-}
-
-func readAll(t *testing.T, resp *http.Response) []byte {
-	t.Helper()
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }

@@ -13,12 +13,9 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // ErrBlobNotFound is returned by BlobStore.Get for a missing key.
@@ -52,8 +49,8 @@ func validKey(key string) bool {
 
 // DirStore keeps blobs as files under a root directory, fanned into
 // 256 two-hex-character subdirectories. Puts are atomic (temp file +
-// rename), so replicas sharing the directory — the simplest fleet
-// artifact tier — never observe a torn blob.
+// rename), so replicas sharing the directory — the fleet artifact
+// tier — never observe a torn blob.
 type DirStore struct {
 	dir string
 }
@@ -151,85 +148,4 @@ func (s *MemStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.m)
-}
-
-// ---------------------------------------------------------------------
-// HTTP peer store
-
-// HTTPPeerStore fetches blobs from fleet peers' /v1/artifact endpoints.
-// It is read-only: replicas publish to their local/shared tier and
-// peers pull on demand, so there is no write fan-out to keep
-// consistent. Get tries each peer in order and returns the first
-// verified hit; a peer being down just moves on to the next.
-type HTTPPeerStore struct {
-	peers  []string // base URLs, e.g. "http://10.0.0.2:8080"
-	client *http.Client
-}
-
-// NewHTTPPeerStore returns a peer-fetch store over the given base
-// URLs. client may be nil (a 2s-timeout client is used — artifact
-// fetches race a local re-analysis, so slow peers must lose quickly,
-// not stall the request).
-func NewHTTPPeerStore(peers []string, client *http.Client) *HTTPPeerStore {
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Second}
-	}
-	return &HTTPPeerStore{peers: peers, client: client}
-}
-
-// Get fetches key from the first peer that has it.
-func (s *HTTPPeerStore) Get(key string) ([]byte, error) {
-	if !validKey(key) {
-		return nil, fmt.Errorf("bad blob key %q: %w", key, ErrBlobNotFound)
-	}
-	for _, peer := range s.peers {
-		resp, err := s.client.Get(peer + "/v1/artifact/" + key)
-		if err != nil {
-			continue // peer down; try the next
-		}
-		data, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || rerr != nil {
-			continue
-		}
-		return data, nil
-	}
-	return nil, fmt.Errorf("%s: no peer has it: %w", key, ErrBlobNotFound)
-}
-
-// Put is a no-op: peers pull, producers publish locally.
-func (s *HTTPPeerStore) Put(string, []byte) error { return nil }
-
-// ---------------------------------------------------------------------
-// Tiered store
-
-// Tiered composes stores: Get tries each in order (first hit wins),
-// Put offers the blob to every tier. A typical fleet replica runs
-// Tiered{DirStore, HTTPPeerStore}: the shared directory first, then
-// peer fetch.
-type Tiered []BlobStore
-
-// Get returns the first tier's hit.
-func (t Tiered) Get(key string) ([]byte, error) {
-	var lastErr error = fmt.Errorf("%s: empty tier list: %w", key, ErrBlobNotFound)
-	for _, s := range t {
-		data, err := s.Get(key)
-		if err == nil {
-			return data, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// Put offers data to every tier; the first hard error is returned
-// after all tiers were tried.
-func (t Tiered) Put(key string, data []byte) error {
-	var firstErr error
-	for _, s := range t {
-		if err := s.Put(key, data); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

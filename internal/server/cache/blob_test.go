@@ -2,8 +2,6 @@ package cache
 
 import (
 	"errors"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -61,55 +59,5 @@ func TestBlobStoresRejectBadKeys(t *testing.T) {
 		if err := mem.Put(key, []byte("x")); err == nil {
 			t.Errorf("MemStore.Put accepted bad key %q", key)
 		}
-	}
-}
-
-func TestHTTPPeerStoreFallsThroughDeadPeers(t *testing.T) {
-	key := fp(1)
-	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/artifact/"+key {
-			w.Write([]byte("bundle-bytes"))
-			return
-		}
-		http.NotFound(w, r)
-	}))
-	defer up.Close()
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // connection refused
-
-	s := NewHTTPPeerStore([]string{dead.URL, up.URL}, up.Client())
-	data, err := s.Get(key)
-	if err != nil || string(data) != "bundle-bytes" {
-		t.Fatalf("get through dead peer = %q, %v", data, err)
-	}
-	if _, err := s.Get(fp(2)); !errors.Is(err, ErrBlobNotFound) {
-		t.Fatalf("missing everywhere err = %v, want ErrBlobNotFound", err)
-	}
-	// Put is a deliberate no-op on the peer tier.
-	if err := s.Put(key, []byte("x")); err != nil {
-		t.Fatalf("peer Put = %v, want nil no-op", err)
-	}
-}
-
-func TestTieredGetFirstHitPutAll(t *testing.T) {
-	a, b := NewMemStore(), NewMemStore()
-	tiers := Tiered{a, b}
-	key := fp(3)
-	if err := b.Put(key, []byte("from-b")); err != nil {
-		t.Fatal(err)
-	}
-	data, err := tiers.Get(key)
-	if err != nil || string(data) != "from-b" {
-		t.Fatalf("tiered get = %q, %v", data, err)
-	}
-	other := fp(4)
-	if err := tiers.Put(other, []byte("fanout")); err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 1 || b.Len() != 2 {
-		t.Fatalf("fanout put landed in %d/%d tiers, want both", a.Len(), b.Len())
-	}
-	if _, err := tiers.Get(fp(5)); !errors.Is(err, ErrBlobNotFound) {
-		t.Fatalf("tiered miss err = %v, want ErrBlobNotFound", err)
 	}
 }

@@ -14,13 +14,12 @@ import (
 // accumulate unbounded samples — so the percentiles describe the last
 // ringSize requests, which is what an operator watching /statusz wants.
 type latencyRecorder struct {
-	mu        sync.Mutex
-	requests  int64
-	errors    int64
-	coalesced int64             // answered with another request's response bytes
-	ring      [ringSize]float64 // milliseconds
-	n         int               // filled slots
-	idx       int               // next write position
+	mu       sync.Mutex
+	requests int64
+	errors   int64
+	ring     [ringSize]float64 // milliseconds
+	n        int               // filled slots
+	idx      int               // next write position
 }
 
 const ringSize = 512
@@ -40,18 +39,11 @@ func (l *latencyRecorder) record(d time.Duration, isErr bool) {
 	l.mu.Unlock()
 }
 
-// coalesce counts a request answered from a batch leader's response.
-func (l *latencyRecorder) coalesce() {
-	l.mu.Lock()
-	l.coalesced++
-	l.mu.Unlock()
-}
-
 // snapshot computes the endpoint summary; percentiles are nearest-rank
 // over the window.
 func (l *latencyRecorder) snapshot() api.EndpointStats {
 	l.mu.Lock()
-	out := api.EndpointStats{Requests: l.requests, Errors: l.errors, Coalesced: l.coalesced}
+	out := api.EndpointStats{Requests: l.requests, Errors: l.errors}
 	samples := append([]float64(nil), l.ring[:l.n]...)
 	l.mu.Unlock()
 	if len(samples) > 0 {

@@ -89,8 +89,7 @@ func TestRequestMemoMatchesFresh(t *testing.T) {
 		{"/v1/simulate", `{}`, 422, false, ""},
 		{"/v1/run", `{"mode":"serial"}`, 422, false, ""},
 	}
-	cfg := Config{BatchLinger: -1}
-	s, twin := New(cfg), New(cfg)
+	s, twin := New(Config{}), New(Config{})
 	remembered := 0
 	for round := 0; round < 2; round++ {
 		keys := map[string]string{}
@@ -148,7 +147,7 @@ func TestRequestMemoAfterEviction(t *testing.T) {
 		blobs cache.BlobStore
 		word  string
 	}{{nil, "miss"}, {cache.NewMemStore(), "adopt"}} {
-		s := New(Config{CacheBytes: 1, BatchLinger: -1, Blobs: tc.blobs})
+		s := New(Config{CacheBytes: 1, Blobs: tc.blobs})
 		_, first := serve(s, "/v1/analyze", analyze)
 		var want api.AnalyzeResponse
 		if err := json.Unmarshal(first, &want); err != nil || want.Cache != "miss" {
@@ -220,7 +219,7 @@ func TestRequestMemoBound(t *testing.T) {
 func BenchmarkAnalyzeHit(b *testing.B) {
 	name, source, _ := src.App("graph")
 	body, _ := json.Marshal(api.AnalyzeRequest{SourceRequest: api.SourceRequest{Name: name, Source: source}})
-	s := New(Config{BatchLinger: -1})
+	s := New(Config{})
 	if code, data := serve(s, "/v1/analyze", string(body)); code != http.StatusOK {
 		b.Fatalf("analyze = %d: %s", code, data)
 	}

@@ -73,17 +73,10 @@ type Config struct {
 	// RetryAfter is the client backoff hint sent with 429s (default 1s).
 	RetryAfter time.Duration
 	// Blobs is the shared artifact tier (fleet deployments: a directory
-	// shared by replicas, a peer-fetch store, or both tiered). After a
-	// cold load the replica publishes the program's serialized analysis
-	// to it; on a miss it adopts a peer's bundle instead of re-running
-	// the analysis. Nil disables the tier.
+	// shared by replicas). After a cold load the replica publishes the
+	// program's serialized analysis to it; on a miss it adopts a peer's
+	// bundle instead of re-running the analysis. Nil disables the tier.
 	Blobs cache.BlobStore
-	// BatchLinger coalesces same-fingerprint /v1/analyze requests: a
-	// request arriving while an identical one is in flight — or within
-	// this window after it completed — is answered with the same
-	// serialized response bytes without re-entering the handler.
-	// 0 means the 2ms default; negative disables batching.
-	BatchLinger time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -113,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.BatchLinger == 0 {
-		c.BatchLinger = 2 * time.Millisecond
 	}
 	return c
 }
@@ -149,11 +139,6 @@ type Server struct {
 	artMu     sync.Mutex
 	artMap    map[string]*list.Element
 	artLL     *list.List
-	nameMu    sync.Mutex
-	names     map[string]string
-	// Cross-request response batching (see batch.go).
-	batch     *batcher
-	coalesced atomic.Int64
 	// What each distinct request body decoded to (see request.go).
 	memo *cache.Memo[memoEntry]
 
@@ -185,11 +170,9 @@ func New(cfg Config) *Server {
 		},
 	}
 	s.initArtifacts(cfg.Blobs)
-	s.batch = newBatcher(cfg.BatchLinger)
 	s.memo = cache.NewMemo[memoEntry](cache.MemoEntries)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statusz", s.handleStatusz)
-	s.mux.HandleFunc("GET /v1/artifact/{key}", s.handleArtifact)
 	s.mux.HandleFunc("POST /v1/analyze", s.guard("analyze", s.handleAnalyze))
 	s.mux.HandleFunc("POST /v1/run", s.guard("run", s.handleRun))
 	s.mux.HandleFunc("POST /v1/simulate", s.guard("simulate", s.handleSimulate))
@@ -289,7 +272,7 @@ func FingerprintRequest(req api.SourceRequest) (string, error) {
 
 // resolveSource maps a request to its (name, source, load options)
 // triple without loading anything. Fingerprinting the triple is what
-// the batcher and the fleet router key on, so it must be cheap and
+// the cache and the fleet router key on, so it must be cheap and
 // deterministic.
 func resolveSource(req api.SourceRequest) (name, source string, opts commute.LoadOptions, err error) {
 	name, source = req.Name, req.Source
@@ -336,7 +319,6 @@ func (s *Server) loadProgram(p program) (h *cache.Handle, hit bool, err error) {
 		rec.record(time.Since(start), err != nil)
 	}
 	if err == nil && !hit {
-		s.rememberName(p.key, name)
 		s.publishArtifact(p.key, name, h.System())
 	}
 	return h, hit, err
@@ -389,7 +371,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		CacheBytes:         cs.Bytes,
 		CacheAdoptions:     s.adoptions.Load(),
 		ArtifactsPublished: s.published.Load(),
-		BatchCoalesced:     s.coalesced.Load(),
 		Endpoints:          make(map[string]api.EndpointStats, len(s.lat)),
 	}
 	for name, rec := range s.lat {
@@ -408,85 +389,29 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 
-	// Batch: concurrent (or just-completed, within the linger window)
-	// requests for one (fingerprint, emit) pair share one serialized
-	// response. The batch key includes every field that shapes the body.
-	batchKey := p.key + "|emit=" + strconv.FormatBool(req.Emit)
-	call, leader := s.batch.join(batchKey)
-	if !leader {
-		return s.awaitBatch(w, r, call)
-	}
-
-	// Leader: compute the response bytes, publish them to the batch —
-	// unconditionally, or followers hang until their clients give up —
-	// then write them as our own response.
-	finished := false
-	defer func() {
-		if !finished {
-			body, _ := json.Marshal(api.Error{Error: "internal error"})
-			s.batch.finish(batchKey, call, http.StatusInternalServerError, body)
-		}
-	}()
-	code, body, err := s.analyzeResult(req.Emit, p, start)
-	finished = true
-	s.batch.finish(batchKey, call, code, body)
-
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(body)
-	return err
-}
-
-// awaitBatch serves a coalesced follower: block until the leader
-// finishes (or the client goes away), then replay its bytes.
-func (s *Server) awaitBatch(w http.ResponseWriter, r *http.Request, c *batchCall) error {
-	select {
-	case <-c.done:
-	case <-r.Context().Done():
-		return r.Context().Err()
-	}
-	s.coalesced.Add(1)
-	if rec := s.lat["analyze"]; rec != nil {
-		rec.coalesce()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(c.code)
-	w.Write(c.body)
-	if c.code >= 400 {
-		return fmt.Errorf("coalesced onto failed leader (status %d)", c.code)
-	}
-	return nil
-}
-
-// analyzeResult computes the /v1/analyze response as (status, body),
-// trying the three serving tiers in cost order: the warm in-memory
-// system, an adopted fleet artifact, then the full analysis pipeline.
-func (s *Server) analyzeResult(emit bool, p program, start time.Time) (int, []byte, error) {
+	// The three serving tiers in cost order: the warm in-memory system,
+	// an adopted fleet artifact, then the full analysis pipeline.
 	key := p.key
 	if h, ok := s.cache.Peek(key); ok {
 		loadStart := time.Now()
-		resp := analyzeFromSystem(h.System(), key, "hit", emit, start)
+		resp := analyzeFromSystem(h.System(), key, "hit", req.Emit, start)
 		h.Close()
-		if rec := s.lat["load-warm"]; rec != nil {
-			rec.record(time.Since(loadStart), false)
-		}
-		return jsonBody(http.StatusOK, resp)
+		s.lat["load-warm"].record(time.Since(loadStart), false)
+		return writeJSON(w, http.StatusOK, resp)
 	}
 	if s.blobs != nil {
 		loadStart := time.Now()
 		if b, ok := s.adoptArtifact(key); ok {
-			if rec := s.lat["load-adopt"]; rec != nil {
-				rec.record(time.Since(loadStart), false)
-			}
-			return jsonBody(http.StatusOK, analyzeFromBundle(b, key, "adopt", emit, start))
+			s.lat["load-adopt"].record(time.Since(loadStart), false)
+			return writeJSON(w, http.StatusOK, analyzeFromBundle(b, key, "adopt", req.Emit, start))
 		}
 	}
 	h, hit, err := s.loadProgram(p)
 	if err != nil {
-		return errBody(http.StatusUnprocessableEntity, err.Error())
+		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
 	defer h.Close()
-	return jsonBody(http.StatusOK, analyzeFromSystem(h.System(), key, cacheWord(hit), emit, start))
+	return writeJSON(w, http.StatusOK, analyzeFromSystem(h.System(), key, cacheWord(hit), req.Emit, start))
 }
 
 // analyzeFromSystem renders the analyze response from a live system.
@@ -530,23 +455,6 @@ func apiMethodReport(mr *core.MethodReport) api.MethodReport {
 		ConditionalEligible: mr.ConditionalEligible,
 		SpeculationEligible: mr.SpeculationEligible,
 	}
-}
-
-// jsonBody serializes a response value to (status, body) for batching.
-func jsonBody(code int, v any) (int, []byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		eb, _ := json.Marshal(api.Error{Error: "encode response: " + err.Error()})
-		return http.StatusInternalServerError, eb, err
-	}
-	return code, b, nil
-}
-
-// errBody is jsonBody for the error envelope; the returned error makes
-// the guard count the request as failed.
-func errBody(code int, msg string) (int, []byte, error) {
-	b, _ := json.Marshal(api.Error{Error: msg})
-	return code, b, errors.New(msg)
 }
 
 // maxRunWorkers is the largest worker count a /v1/run request may ask for.

@@ -121,10 +121,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestAnalyzeCacheHit(t *testing.T) {
-	// BatchLinger off: this test asserts per-request cache words, which
-	// the coalescing window intentionally blurs for back-to-back
-	// identical requests.
-	_, ts := newTestServer(t, Config{BatchLinger: -1})
+	_, ts := newTestServer(t, Config{})
 	req := api.AnalyzeRequest{SourceRequest: api.SourceRequest{App: "graph"}}
 
 	resp, data := post(t, ts, "/v1/analyze", req)
@@ -179,7 +176,7 @@ func TestAnalyzeCacheSpeedupBarnesHut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	_, ts := newTestServer(t, Config{BatchLinger: -1})
+	_, ts := newTestServer(t, Config{})
 	req := api.AnalyzeRequest{SourceRequest: api.SourceRequest{App: "barneshut"}}
 
 	t0 := time.Now()
