@@ -12,6 +12,7 @@ import (
 	"commute"
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
+	"commute/internal/core"
 )
 
 func TestLoadErrors(t *testing.T) {
@@ -464,31 +465,51 @@ func compileCold(name, source string, opts commute.LoadOptions) error {
 }
 
 // TestCompileAllocBudget bounds what a cold compile allocates per byte of
-// source, 15 % above what it measured when the path last changed. A
-// budget is the only thing that notices work done twice or a buffer
-// grown piece by piece: the outputs are the same either way.
+// source, 15 % above what it measured when the path last changed, and
+// what the analysis alone allocates (core.New(prog).AnalyzeAll() on a
+// checked program), so that a change to the compile's other layers
+// cannot hide growth in the pair test. A budget is the only thing that
+// notices work done twice or a buffer grown piece by piece: the outputs
+// are the same either way.
 func TestCompileAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocator does not honour byte budgets")
+	}
+	check := func(what, name string, source string, budget float64, run func()) {
+		t.Helper()
+		got := allocated(run)
+		per := float64(got) / float64(len(source))
+		t.Logf("%s %s: %d bytes allocated for %d of source: %.0f per byte (budget %.0f)", what, name, got, len(source), per, budget)
+		if per > budget {
+			t.Errorf("%s %s allocates %.0f bytes per source byte, budget %.0f", what, name, per, budget)
+		}
 	}
 	for _, tc := range []struct {
 		name, source string
 		opts         commute.LoadOptions
 		budget       float64 // bytes allocated per source byte
 	}{
-		{"barneshut", src.BarnesHut, commute.LoadOptions{}, 99},
+		{"barneshut", src.BarnesHut, commute.LoadOptions{}, 90},
 		{"water", src.Water, commute.LoadOptions{}, 120},
-		{"twoclass", whileTwoClass, commute.LoadOptions{Transform: true}, 197},
+		{"twoclass", whileTwoClass, commute.LoadOptions{Transform: true}, 161},
 	} {
-		got := allocated(func() {
+		check("a cold compile of", tc.name, tc.source, tc.budget, func() {
 			if err := compileCold(tc.name, tc.source, tc.opts); err != nil {
 				t.Fatal(err)
 			}
 		})
-		per := float64(got) / float64(len(tc.source))
-		t.Logf("%s: %d bytes allocated for %d of source: %.0f per byte (budget %.0f)", tc.name, got, len(tc.source), per, tc.budget)
-		if per > tc.budget {
-			t.Errorf("%s: a cold compile allocates %.0f bytes per source byte, budget %.0f", tc.name, per, tc.budget)
+	}
+	for _, tc := range []struct {
+		name, source string
+		budget       float64
+	}{
+		{"barneshut", src.BarnesHut, 33},
+		{"water", src.Water, 64},
+	} {
+		sys, err := commute.Load(tc.name, tc.source)
+		if err != nil {
+			t.Fatal(err)
 		}
+		check("the analysis of", tc.name, tc.source, tc.budget, func() { core.New(sys.Prog).AnalyzeAll() })
 	}
 }

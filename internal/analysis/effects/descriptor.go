@@ -5,6 +5,7 @@
 package effects
 
 import (
+	"slices"
 	"strings"
 
 	"commute/internal/frontend/types"
@@ -48,6 +49,14 @@ type Desc struct {
 	Path    []string
 	Field   string
 	ViaThis bool
+}
+
+// Equal reports whether d and o are the same descriptor field by field
+// (the identity the interner keys entries by), which gives them one
+// key, without rendering it.
+func (d Desc) Equal(o Desc) bool {
+	return d.Space == o.Space && d.Method == o.Method && d.Name == o.Name && d.Basic == o.Basic &&
+		d.Class == o.Class && d.Field == o.Field && d.ViaThis == o.ViaThis && slices.Equal(d.Path, o.Path)
 }
 
 // Param returns a formal-reference-parameter descriptor.

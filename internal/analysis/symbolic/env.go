@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,19 +31,23 @@ type Env struct {
 	Aux map[int]bool
 
 	cache *Cache
-	fp    func() string
-	// asked, on a recording view of an environment (see Memo.Get), logs
-	// each distinct question with its answer. A recording view belongs
-	// to the one goroutine filling a memo entry.
-	asked *[]question
+	// A recording view of an environment (see Memo.Get) logs in asked
+	// each distinct question with its answer. It belongs to the one
+	// goroutine filling a memo entry.
+	recording bool
+	asked     []question
 }
 
 // question is one thing an execution asked, with the answer it got.
 type question struct {
 	site int          // the call site of an isAux question; -1 for covers
 	desc effects.Desc // the storage of a covers question
-	key  string       // desc.Key()
 	yes  bool
+}
+
+// same reports whether q and p ask the same thing.
+func (q *question) same(p *question) bool {
+	return q.site == p.site && (q.site >= 0 || q.desc.Equal(p.desc))
 }
 
 // NewEnv builds an execution environment that shares nothing with any
@@ -68,30 +73,27 @@ func (env *Env) answer(q question) bool {
 
 func (env *Env) ask(q question) bool {
 	q.yes = env.answer(q)
-	if env.asked != nil {
-		if q.site < 0 {
-			q.key = q.desc.Key()
-		}
-		env.note(q)
+	if env.recording {
+		env.note(&q)
 	}
 	return q.yes
 }
 
-// recording returns a view of env that logs what is asked through it.
-func (env *Env) recording() *Env {
+// record returns a view of env that logs what is asked through it.
+func (env *Env) record() *Env {
 	rec := *env
-	rec.asked = new([]question)
+	rec.recording, rec.asked = true, nil
 	return &rec
 }
 
 // note logs q unless the same question is already there.
-func (env *Env) note(q question) {
-	for _, p := range *env.asked {
-		if p.site == q.site && p.key == q.key {
+func (env *Env) note(q *question) {
+	for i := range env.asked {
+		if env.asked[i].same(q) {
 			return
 		}
 	}
-	*env.asked = append(*env.asked, q)
+	env.asked = append(env.asked, *q)
 }
 
 // answers reports whether env gives every question the recorded answer.
@@ -109,10 +111,9 @@ func (env *Env) answers(asked []question) bool {
 // constant set and the auxiliary call-site classification. Two Envs
 // over the same program with equal fingerprints produce identical
 // execution results. (The converse is what matters for reuse and does
-// not hold: see Memo.)
-func (env *Env) Fingerprint() string { return env.fp() }
-
-func (env *Env) fingerprint() string {
+// not hold: see Memo.) It is rendered on each call; no execution and
+// no memo consults it.
+func (env *Env) Fingerprint() string {
 	var sb strings.Builder
 	if env.EC != nil {
 		sb.WriteString(env.EC.Key())
@@ -186,14 +187,14 @@ func (t *Memo[K, V]) Get(k K, env *Env, compute func(rec *Env) V) V {
 		}
 	}
 	if e == nil {
-		rec := env.recording()
+		rec := env.record()
 		v := compute(rec)
-		c.entries = append(c.entries, memoEntry[V]{asked: *rec.asked, v: v})
+		c.entries = append(c.entries, memoEntry[V]{asked: rec.asked, v: v})
 		e = &c.entries[len(c.entries)-1]
 	}
-	if env.asked != nil {
-		for _, q := range e.asked {
-			env.note(q)
+	if env.recording {
+		for i := range e.asked {
+			env.note(&e.asked[i])
 		}
 	}
 	return e.v
@@ -227,7 +228,7 @@ type Cache struct {
 	// What every body execution starts from (initialOf).
 	initMu sync.Mutex
 	params map[firstKey][]Expr
-	ivars  map[*types.Class][]ivar
+	ivars  map[*types.Class][]IVar
 
 	first Memo[firstKey, *firstRun]
 	execs atomic.Int64
@@ -240,9 +241,7 @@ func NewCache(prog *types.Program) *Cache {
 
 // Env builds an execution environment backed by the cache.
 func (c *Cache) Env(ec *effects.Set, aux map[int]bool) *Env {
-	env := &Env{Prog: c.prog, EC: ec, Aux: aux, cache: c}
-	env.fp = sync.OnceValue(env.fingerprint)
-	return env
+	return &Env{Prog: c.prog, EC: ec, Aux: aux, cache: c}
 }
 
 // Table returns the table the environment's executions intern their
@@ -263,7 +262,7 @@ type firstKey struct {
 // firstRun is the executor state after one body ran from the initial
 // state, or the reason it could not.
 type firstRun struct {
-	ivars   map[string]Expr
+	ivars   []IVar
 	invoked Multiset
 	err     error
 }
@@ -279,22 +278,18 @@ func (env *Env) firstRun(m *types.Method, tag string) *firstRun {
 	})
 }
 
-// ivar is an instance variable's state key and pre-execution value.
-type ivar struct {
-	key  string
-	init Expr
-}
-
 // initialOf returns what invocation tag of m starts from, made once per
 // (method, tag) and per class: each parameter's binding — its footnote-4
 // constant, else the variable tag:name — and the instance variables of
-// m's class and its bases with their initial values iv:class.field
-// (nested objects are accessed via operations and have none).
-func (c *Cache) initialOf(m *types.Method, tag string) ([]Expr, []ivar) {
+// m's class and its bases with their initial values iv:class.field,
+// sorted by key (nested objects are accessed via operations and have
+// none).
+func (c *Cache) initialOf(m *types.Method, tag string) ([]Expr, []IVar) {
 	c.initMu.Lock()
 	defer c.initMu.Unlock()
 	if c.params == nil {
-		c.params, c.ivars = make(map[firstKey][]Expr), make(map[*types.Class][]ivar)
+		// Most methods run under both tags of a pair.
+		c.params, c.ivars = make(map[firstKey][]Expr, 2*len(c.prog.Methods)), make(map[*types.Class][]IVar)
 	}
 	ps, ok := c.params[firstKey{m, tag}]
 	if !ok {
@@ -315,10 +310,11 @@ func (c *Cache) initialOf(m *types.Method, tag string) ([]Expr, []ivar) {
 			for _, f := range cl.Fields {
 				if _, isObj := f.Type.(types.Object); !isObj {
 					key := f.QualName()
-					ivs = append(ivs, ivar{key, Var{Name: "iv:" + key}})
+					ivs = append(ivs, IVar{key, Var{Name: "iv:" + key}})
 				}
 			}
 		}
+		slices.SortFunc(ivs, func(a, b IVar) int { return byKey(a, b.Key) })
 		c.ivars[m.Class] = ivs
 	}
 	return ps, ivs

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestOnlyAnswerReadsTheEnvironment(t *testing.T) {
 					return true
 				}
 				reads++
-				if fn.Name.Name != "answer" && fn.Name.Name != "fingerprint" {
+				if fn.Name.Name != "answer" && fn.Name.Name != "Fingerprint" {
 					t.Errorf("%s reads .%s: an execution may consult its environment only through Env.covers and Env.isAux", fn.Name.Name, sel.Sel.Name)
 				}
 				return true
@@ -90,8 +91,8 @@ func TestExecutionDependsOnAnswersOnly(t *testing.T) {
 			}
 			for _, mA := range ext.Methods {
 				for _, mB := range ext.Methods {
-					rec := NewEnv(prog, ec, aux).recording()
-					ex := &executor{env: rec, tab: rec.Table(), ivars: map[string]Expr{}}
+					rec := NewEnv(prog, ec, aux).record()
+					ex := &executor{env: rec, tab: rec.Table()}
 					var invoked Multiset
 					err := ex.runMethod(mA, "1", &invoked)
 					if err == nil {
@@ -99,7 +100,7 @@ func TestExecutionDependsOnAnswersOnly(t *testing.T) {
 					}
 
 					least, leastAux := effects.NewSet(), map[int]bool{}
-					for _, q := range *rec.asked {
+					for _, q := range rec.asked {
 						switch {
 						case q.yes && q.site >= 0:
 							leastAux[q.site] = true
@@ -108,13 +109,13 @@ func TestExecutionDependsOnAnswersOnly(t *testing.T) {
 						}
 					}
 					env := NewEnv(prog, least, leastAux)
-					if !env.answers(*rec.asked) {
+					if !env.answers(rec.asked) {
 						t.Fatalf("%s: %s;%s under %s: the least environment does not give the recorded answers",
 							name, mA.FullName(), mB.FullName(), root.FullName())
 					}
 					got, gotErr := ExecutePair(mA, mB, "1", "2", env)
 					pairs++
-					asked += len(*rec.asked)
+					asked += len(rec.asked)
 					if (err == nil) != (gotErr == nil) || (err != nil && err.Error() != gotErr.Error()) {
 						t.Fatalf("%s: %s;%s under %s: error %v, under the least environment %v",
 							name, mA.FullName(), mB.FullName(), root.FullName(), err, gotErr)
@@ -183,11 +184,15 @@ func TestMemoRefusesAChangedAnswer(t *testing.T) {
 	}
 
 	// A lookup made while recording passes the entry's questions on.
-	rec := base.recording()
+	rec := base.record()
 	get(rec)
 	var got []string
-	for _, q := range *rec.asked {
-		got = append(got, q.key)
+	for _, q := range rec.asked {
+		if q.site < 0 {
+			got = append(got, q.desc.Key())
+		} else {
+			got = append(got, strconv.Itoa(q.site))
+		}
 	}
 	if len(got) != 2 || !strings.Contains(strings.Join(got, "|"), sum.Key()) {
 		t.Fatalf("a nested lookup recorded %q, want the entry's two questions", got)

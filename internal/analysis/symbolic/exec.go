@@ -3,6 +3,7 @@ package symbolic
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
@@ -20,21 +21,37 @@ func (e *UnanalyzableError) Error() string {
 }
 
 // Result is the outcome of symbolically executing a pair of
-// invocations in one order: the new instance-variable values (keyed by
-// declaring-class-qualified field name) and the multiset of directly
-// invoked operations.
+// invocations in one order: the new instance-variable values (sorted by
+// their declaring-class-qualified field names) and the multiset of
+// directly invoked operations.
 type Result struct {
-	IVars   map[string]Expr
+	IVars   []IVar
 	Invoked Multiset
 
 	tab *Table // the table the execution built its expressions in
 }
 
+// IVar is one instance variable of an execution's state: its key, the
+// declaring class's name and the field's joined by a dot, and its value.
+type IVar struct {
+	Key string
+	V   Expr
+}
+
+// IVar returns the value of the instance variable with the given key,
+// or nil if the execution has no such variable.
+func (r *Result) IVar(key string) Expr {
+	if i := ivarIndex(r.IVars, key); i >= 0 {
+		return r.IVars[i].V
+	}
+	return nil
+}
+
 // Canonical rewrites the result in place to its simplified, canonical
 // form, in the table of the execution that produced it, and returns it.
 func (r *Result) Canonical() *Result {
-	for k, v := range r.IVars {
-		r.IVars[k] = r.tab.simplify(v)
+	for i := range r.IVars {
+		r.IVars[i].V = r.tab.simplify(r.IVars[i].V)
 	}
 	r.Invoked = SimplifyMultiset(r.tab, r.Invoked)
 	return r
@@ -46,29 +63,29 @@ func (r *Result) Canonical() *Result {
 // opposite order; extent constants generated for auxiliary operations
 // are keyed by (invocation tag, call site, occurrence) so both orders
 // agree on them.
-func ExecutePair(mA, mB *types.Method, tagA, tagB string, env *Env) (*Result, error) {
+func ExecutePair(mA, mB *types.Method, tagA, tagB string, env *Env) (Result, error) {
 	// A's run from the initial state is the same whatever follows it:
 	// take it from the memo and execute only B on a copy of its state.
 	first := env.firstRun(mA, tagA)
 	if first.err != nil {
-		return nil, first.err
+		return Result{}, first.err
 	}
-	ex := &executor{env: env, tab: env.cache.tab, ivars: cloneMap(first.ivars)}
-	invoked := append(Multiset(nil), first.invoked...)
+	ex := &executor{env: env, tab: env.cache.tab, ivars: slices.Clone(first.ivars)}
+	invoked := first.invoked[:len(first.invoked):len(first.invoked)] // B's appends copy
 	if err := ex.runMethod(mB, tagB, &invoked); err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	return &Result{IVars: ex.ivars, Invoked: invoked, tab: ex.tab}, nil
+	return Result{IVars: ex.ivars, Invoked: invoked, tab: ex.tab}, nil
 }
 
 // ExecuteOne symbolically executes a single invocation (used by
 // reports and the Table 1 demonstration).
-func ExecuteOne(m *types.Method, tag string, env *Env) (*Result, error) {
+func ExecuteOne(m *types.Method, tag string, env *Env) (Result, error) {
 	first := env.firstRun(m, tag)
 	if first.err != nil {
-		return nil, first.err
+		return Result{}, first.err
 	}
-	return &Result{IVars: cloneMap(first.ivars), Invoked: append(Multiset(nil), first.invoked...), tab: env.cache.tab}, nil
+	return Result{IVars: slices.Clone(first.ivars), Invoked: first.invoked[:len(first.invoked):len(first.invoked)], tab: env.cache.tab}, nil
 }
 
 // Analyzable reports whether the method can be symbolically executed in
@@ -84,8 +101,8 @@ func Analyzable(m *types.Method, env *Env) error {
 // invocations plus the per-invocation frame.
 type executor struct {
 	env   *Env
-	tab   *Table          // env.cache.tab
-	ivars map[string]Expr // "class.field" → current value
+	tab   *Table // env.cache.tab
+	ivars []IVar // sorted by key
 
 	// Per-invocation frame.
 	m       *types.Method
@@ -116,26 +133,60 @@ func (ex *executor) runMethod(m *types.Method, tag string, invoked *Multiset) er
 	ex.retSeen = false
 
 	// Instance variables start at their pre-execution values; the state
-	// is shared between the two invocations, so only initialize unseen
-	// fields.
-	if ex.ivars == nil {
-		ex.ivars = make(map[string]Expr, len(ivars))
+	// is shared between the two invocations, so only add unseen fields.
+	ex.ivars = withIVars(ex.ivars, ivars)
+	return ex.stmt(m.Def.Body)
+}
+
+// withIVars adds to state, which the executor owns, every instance
+// variable of init it lacks, at its initial value; both are sorted by
+// key.
+func withIVars(state, init []IVar) []IVar {
+	if len(state) == 0 {
+		return slices.Clone(init)
 	}
-	for _, iv := range ivars {
-		if _, ok := ex.ivars[iv.key]; !ok {
-			ex.ivars[iv.key] = iv.init
+	for _, iv := range init {
+		if i, found := slices.BinarySearchFunc(state, iv.Key, byKey); !found {
+			state = slices.Insert(state, i, iv)
 		}
 	}
-	return ex.stmt(m.Def.Body)
+	return state
+}
+
+// byKey orders a state's instance variables.
+func byKey(iv IVar, key string) int { return strings.Compare(iv.Key, key) }
+
+// ivarIndex is the position of key in ivs, or -1.
+func ivarIndex(ivs []IVar, key string) int {
+	for i := range ivs {
+		if ivs[i].Key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// ivar is the state of the receiver's field class.name, which the state
+// gains at its initial value iv:class.name if it lacks it; the key is
+// only built then. The pointer is good until the state next grows.
+func (ex *executor) ivar(class, name string) *IVar {
+	n := len(class)
+	for i := range ex.ivars {
+		if k := ex.ivars[i].Key; len(k) == n+1+len(name) && k[n] == '.' && k[:n] == class && k[n+1:] == name {
+			return &ex.ivars[i]
+		}
+	}
+	key := class + "." + name
+	i, _ := slices.BinarySearchFunc(ex.ivars, key, byKey)
+	ex.ivars = slices.Insert(ex.ivars, i, IVar{key, Var{Name: "iv:" + key}})
+	return &ex.ivars[i]
 }
 
 func (ex *executor) curGuard() Expr {
 	if len(ex.guard) == 0 {
 		return Bool{V: true}
 	}
-	args := make([]Expr, len(ex.guard))
-	copy(args, ex.guard)
-	return ex.tab.simplify(ex.tab.mkNary(OpAnd, args))
+	return ex.tab.simplify(ex.tab.mkNary(OpAnd, ex.guard))
 }
 
 // binding is a local variable's current value. A frame has a handful
@@ -181,7 +232,7 @@ func (ex *executor) setParam(name string, v Expr) { ex.params[ex.paramIndex(name
 
 // stateSnap is the mutable value state (ivars + locals + params).
 type stateSnap struct {
-	ivars  map[string]Expr
+	ivars  []IVar
 	locals []binding
 	params []Expr
 }
@@ -195,7 +246,7 @@ func (ex *executor) state() stateSnap {
 // snap copies the state, for a caller that keeps executing on it.
 func (ex *executor) snap() stateSnap {
 	return stateSnap{
-		ivars:  cloneMap(ex.ivars),
+		ivars:  slices.Clone(ex.ivars),
 		locals: slices.Clone(ex.locals),
 		params: slices.Clone(ex.params),
 	}
@@ -204,14 +255,6 @@ func (ex *executor) snap() stateSnap {
 // restore installs s, which the executor owns from here on.
 func (ex *executor) restore(s stateSnap) {
 	ex.ivars, ex.locals, ex.params = s.ivars, s.locals, s.params
-}
-
-func cloneMap(m map[string]Expr) map[string]Expr {
-	out := make(map[string]Expr, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 func (ex *executor) stmt(s ast.Stmt) error {
@@ -306,14 +349,7 @@ func (ex *executor) ifStmt(st *ast.IfStmt) error {
 
 	// Merge into the then arm's state, which nothing else holds any
 	// more: differing bindings become conditional expressions.
-	for k, tv := range thenState.ivars {
-		thenState.ivars[k] = ex.merge(c, tv, elseState.ivars[k])
-	}
-	for k, fv := range elseState.ivars {
-		if _, ok := thenState.ivars[k]; !ok {
-			thenState.ivars[k] = fv
-		}
-	}
+	thenState.ivars = ex.mergeIVars(c, thenState.ivars, elseState.ivars)
 	for i, b := range thenState.locals {
 		thenState.locals[i].v = ex.merge(c, b.v, lookup(elseState.locals, b.name))
 	}
@@ -327,6 +363,19 @@ func (ex *executor) ifStmt(st *ast.IfStmt) error {
 	}
 	ex.restore(thenState)
 	return nil
+}
+
+// mergeIVars merges the else arm's instance variables f into the then
+// arm's t, which nothing else holds; both are sorted by key.
+func (ex *executor) mergeIVars(c Expr, t, f []IVar) []IVar {
+	for _, fv := range f {
+		if i, found := slices.BinarySearchFunc(t, fv.Key, byKey); found {
+			t[i].V = ex.merge(c, t[i].V, fv.V)
+		} else {
+			t = slices.Insert(t, i, fv)
+		}
+	}
+	return t
 }
 
 // merge is what a variable holds after a branch on c that leaves it tv

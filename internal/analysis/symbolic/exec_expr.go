@@ -12,7 +12,7 @@ import (
 func literalExpr(e ast.Expr) Expr {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		return Num{V: float64(x.Value), IsInt: true}
+		return intExpr(x.Value)
 	case *ast.FloatLit:
 		return Num{V: x.Value}
 	case *ast.BoolLit:
@@ -36,7 +36,7 @@ func literalExpr(e ast.Expr) Expr {
 func (ex *executor) eval(e ast.Expr) (Expr, error) {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		return Num{V: float64(x.Value), IsInt: true}, nil
+		return intExpr(x.Value), nil
 	case *ast.FloatLit:
 		return Num{V: x.Value}, nil
 	case *ast.BoolLit:
@@ -46,7 +46,7 @@ func (ex *executor) eval(e ast.Expr) (Expr, error) {
 	case *ast.StringLit:
 		return Var{Name: strconv.Quote(x.Value)}, nil
 	case *ast.ThisExpr:
-		return Var{Name: "this"}, nil
+		return thisVar, nil
 	case *ast.Ident:
 		return ex.evalIdent(x)
 	case *ast.FieldAccess:
@@ -102,7 +102,7 @@ func (ex *executor) evalIdent(x *ast.Ident) (Expr, error) {
 	case ast.SymConst:
 		cv := ex.env.Prog.Consts[x.Name]
 		if cv.IsInt {
-			return Num{V: float64(cv.I), IsInt: true}, nil
+			return intExpr(cv.I), nil
 		}
 		return Num{V: cv.F}, nil
 	case ast.SymField:
@@ -111,13 +111,7 @@ func (ex *executor) evalIdent(x *ast.Ident) (Expr, error) {
 			// path from the shared receiver.
 			return Var{Name: "this." + x.Name}, nil
 		}
-		key := x.FieldClass + "." + x.Name
-		if v, ok := ex.ivars[key]; ok {
-			return v, nil
-		}
-		v := Var{Name: "iv:" + key}
-		ex.ivars[key] = v
-		return v, nil
+		return ex.ivar(x.FieldClass, x.Name).V, nil
 	case ast.SymGlobal:
 		return Var{Name: "global:" + x.Name}, nil
 	}
@@ -138,13 +132,7 @@ func (ex *executor) evalFieldAccess(x *ast.FieldAccess) (Expr, error) {
 	}
 	// this->field.
 	if _, isThis := x.X.(*ast.ThisExpr); isThis {
-		key := x.DeclClass + "." + x.Name
-		if v, ok := ex.ivars[key]; ok {
-			return v, nil
-		}
-		v := Var{Name: "iv:" + key}
-		ex.ivars[key] = v
-		return v, nil
+		return ex.ivar(x.DeclClass, x.Name).V, nil
 	}
 	// A field of another object (or of a nested object): legal only
 	// when it holds an extent constant value. The opaque constant is
@@ -267,12 +255,12 @@ func (ex *executor) store(lhs ast.Expr, v Expr) error {
 			ex.setParam(x.Name, v)
 			return nil
 		case ast.SymField:
-			ex.ivars[x.FieldClass+"."+x.Name] = v
+			ex.ivar(x.FieldClass, x.Name).V = v
 			return nil
 		}
 	case *ast.FieldAccess:
 		if _, isThis := x.X.(*ast.ThisExpr); isThis {
-			ex.ivars[x.DeclClass+"."+x.Name] = v
+			ex.ivar(x.DeclClass, x.Name).V = v
 			return nil
 		}
 		return ex.failf("write to a non-receiver field %s", x.Name)
@@ -301,13 +289,14 @@ func (ex *executor) evalCall(x *ast.CallExpr) (Expr, error) {
 		if b != nil && b.IsIO {
 			return nil, ex.failf("I/O in symbolically executed code")
 		}
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
+		var buf [8]Expr
+		args := buf[:0]
+		for _, a := range x.Args {
 			v, err := ex.eval(a)
 			if err != nil {
 				return nil, err
 			}
-			args[i] = v
+			args = append(args, v)
 		}
 		return ex.tab.mkCall(x.Method, args), nil
 	}
@@ -332,12 +321,12 @@ func (ex *executor) evalCall(x *ast.CallExpr) (Expr, error) {
 		// conservative only when it is (handled by callers that consume
 		// the value — the statement context discards it).
 	}
-	return Var{Name: "void"}, nil
+	return voidVar, nil
 }
 
 // callParts evaluates the receiver and argument expressions of a call.
 func (ex *executor) callParts(x *ast.CallExpr) (Expr, []Expr, error) {
-	var recv Expr = Var{Name: "this"}
+	recv := thisVar
 	if x.Recv != nil {
 		r, err := ex.eval(x.Recv)
 		if err != nil {

@@ -221,7 +221,8 @@ const (
 	arrIvar
 )
 
-// lvalueArray resolves an array-valued expression to its storage slot.
+// lvalueArray resolves an array-valued expression to its storage slot:
+// a local's or a parameter's name, or an instance variable's key.
 func (ex *executor) lvalueArray(e ast.Expr) (string, arrKind) {
 	switch x := e.(type) {
 	case *ast.Ident:
@@ -231,12 +232,12 @@ func (ex *executor) lvalueArray(e ast.Expr) (string, arrKind) {
 		case ast.SymParam:
 			return x.Name, arrParam
 		case ast.SymField:
-			return x.FieldClass + "." + x.Name, arrIvar
+			return ex.ivar(x.FieldClass, x.Name).Key, arrIvar
 		}
 	case *ast.FieldAccess:
 		// this->field arrays.
 		if _, isThis := x.X.(*ast.ThisExpr); isThis {
-			return x.DeclClass + "." + x.Name, arrIvar
+			return ex.ivar(x.DeclClass, x.Name).Key, arrIvar
 		}
 	}
 	return "", arrNone
@@ -249,7 +250,7 @@ func (ex *executor) loadArray(name string, kind arrKind) Expr {
 	case arrParam:
 		return ex.param(name)
 	default:
-		return ex.ivars[name]
+		return ex.ivars[ivarIndex(ex.ivars, name)].V
 	}
 }
 
@@ -260,7 +261,7 @@ func (ex *executor) storeArray(name string, kind arrKind, v Expr) {
 	case arrParam:
 		ex.setParam(name, v)
 	default:
-		ex.ivars[name] = v
+		ex.ivars[ivarIndex(ex.ivars, name)].V = v
 	}
 }
 
@@ -317,7 +318,7 @@ func (ex *executor) tryInvocationForm(st *ast.ForStmt) (bool, error) {
 			Var:  v,
 			From: ex.tab.simplify(fromE),
 			To:   ex.tab.simplify(boundE),
-			Step: Num{V: float64(h.Step), IsInt: true},
+			Step: intExpr(h.Step),
 		},
 	})
 	return true, nil
@@ -347,12 +348,12 @@ func (ex *executor) unrollLoop(st *ast.ForStmt) error {
 	}
 	i := fromV
 	for ; i < boundV; i += step {
-		ex.setLocal(v, Num{V: float64(i), IsInt: true})
+		ex.setLocal(v, intExpr(i))
 		if err := ex.stmt(st.Body); err != nil {
 			return err
 		}
 	}
 	// What the serial loop leaves: fromV itself after no iteration.
-	ex.setLocal(v, Num{V: float64(i), IsInt: true})
+	ex.setLocal(v, intExpr(i))
 	return nil
 }

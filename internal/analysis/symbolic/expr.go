@@ -5,6 +5,7 @@
 package symbolic
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,6 +86,36 @@ type Expr interface {
 type Num struct {
 	V     float64
 	IsInt bool
+}
+
+// Boxing a Num or a Var in an Expr allocates, so the leaves executions
+// and the simplifier produce most are boxed once, here, and shared.
+var (
+	thisVar   Expr = Var{Name: "this"}
+	voidVar   Expr = Var{Name: "void"}
+	minusOne  Expr = Num{V: -1, IsInt: true}
+	smallInts      = func() (t [256]Expr) {
+		for i := range t {
+			t[i] = Num{V: float64(i), IsInt: true}
+		}
+		return t
+	}()
+)
+
+// intExpr is the integer v as an Expr.
+func intExpr(v int64) Expr {
+	if v >= 0 && v < int64(len(smallInts)) {
+		return smallInts[v]
+	}
+	return Num{V: float64(v), IsInt: true}
+}
+
+// numExpr is Num{v, isInt} as an Expr.
+func numExpr(v float64, isInt bool) Expr {
+	if isInt && v >= 0 && v < float64(len(smallInts)) && v == float64(int64(v)) {
+		return smallInts[int64(v)]
+	}
+	return Num{V: v, IsInt: isInt}
 }
 
 // Bool is a boolean literal.
@@ -455,8 +486,49 @@ func (ms Multiset) Key() string {
 }
 
 // EqualMultisets reports whether the two multisets are equal after
-// canonicalization.
-func EqualMultisets(a, b Multiset) bool { return a.Key() == b.Key() }
+// canonicalization. Multisets that hold the same invocations, node for
+// node, are; only others are rendered and compared by Key.
+func EqualMultisets(a, b Multiset) bool { return samePermutation(a, b) || a.Key() == b.Key() }
+
+// samePermutation reports whether b is a permutation of a, invocations
+// paired off when they are made of the same nodes.
+func samePermutation(a, b Multiset) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	var buf [16]bool
+	used := buf[:0]
+	if len(b) > len(buf) {
+		used = make([]bool, len(b))
+	}
+	used = used[:len(b)]
+	for i := range a {
+		j := 0
+		for ; j < len(b); j++ {
+			if !used[j] && a[i].same(&b[j]) {
+				used[j] = true
+				break
+			}
+		}
+		if j == len(b) {
+			return false
+		}
+	}
+	return true
+}
+
+// same reports whether m and o are made of the same nodes, which makes
+// their renderings equal.
+func (m *MX) same(o *MX) bool {
+	if m.Guard != o.Guard || m.Recv != o.Recv || m.Method != o.Method || !slices.Equal(m.Args, o.Args) {
+		return false
+	}
+	if m.Loop == o.Loop {
+		return true
+	}
+	return m.Loop != nil && o.Loop != nil && m.Loop.Var == o.Loop.Var &&
+		m.Loop.From == o.Loop.From && m.Loop.To == o.Loop.To && m.Loop.Step == o.Loop.Step
+}
 
 // String helpers for diagnostics.
 func (ms Multiset) String() string { return "{" + ms.Key() + "}" }

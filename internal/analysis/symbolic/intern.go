@@ -1,6 +1,9 @@
 package symbolic
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Table hash-conses the composite expressions of one analysis (§4.8.2
 // support). Every composite node built through a table goes through one
@@ -85,11 +88,14 @@ func (tab *Table) intern(ik keyBuf, build func(key string) Expr) Expr {
 // which holds most keys without growing.
 func kind(buf *[256]byte, k byte) keyBuf { return append(keyBuf(buf[:0]), k) }
 
-// Constructors. Callers hand over ownership of any slice argument.
+// Constructors. A slice argument is copied into a node the table does
+// not hold yet and is otherwise only read, so callers may pass scratch.
 
 func (tab *Table) mkNary(op Op, args []Expr) Expr {
 	var buf [256]byte
-	return tab.intern(naryKey(kind(&buf, kNary), op, args), func(k string) Expr { return &Nary{Op: op, Args: args, key: k} })
+	return tab.intern(naryKey(kind(&buf, kNary), op, args), func(k string) Expr {
+		return &Nary{Op: op, Args: slices.Clone(args), key: k}
+	})
 }
 
 func (tab *Table) mkBin(op Op, l, r Expr) Expr {
@@ -109,7 +115,9 @@ func (tab *Table) mkNot(x Expr) Expr {
 
 func (tab *Table) mkCall(fn string, args []Expr) Expr {
 	var buf [256]byte
-	return tab.intern(callKey(kind(&buf, kCall), fn, args), func(k string) Expr { return &Call{Fn: fn, Args: args, key: k} })
+	return tab.intern(callKey(kind(&buf, kCall), fn, args), func(k string) Expr {
+		return &Call{Fn: fn, Args: slices.Clone(args), key: k}
+	})
 }
 
 func (tab *Table) mkCond(c, then, els Expr) Expr {
@@ -160,7 +168,8 @@ func Intern(tab *Table, e Expr) Expr {
 		if x.key != "" {
 			return x
 		}
-		return tab.mkNary(x.Op, internSlice(tab, x.Args))
+		var buf [8]Expr
+		return tab.mkNary(x.Op, internArgs(tab, buf[:0], x.Args))
 	case *Bin:
 		if x.key != "" {
 			return x
@@ -180,7 +189,8 @@ func Intern(tab *Table, e Expr) Expr {
 		if x.key != "" {
 			return x
 		}
-		return tab.mkCall(x.Fn, internSlice(tab, x.Args))
+		var buf [8]Expr
+		return tab.mkCall(x.Fn, internArgs(tab, buf[:0], x.Args))
 	case *Cond:
 		if x.key != "" {
 			return x
@@ -215,10 +225,10 @@ func Intern(tab *Table, e Expr) Expr {
 	return e
 }
 
-func internSlice(tab *Table, args []Expr) []Expr {
-	out := make([]Expr, len(args))
-	for i, a := range args {
-		out[i] = Intern(tab, a)
+// internArgs appends the interned args to dst.
+func internArgs(tab *Table, dst, args []Expr) []Expr {
+	for _, a := range args {
+		dst = append(dst, Intern(tab, a))
 	}
-	return out
+	return dst
 }

@@ -123,7 +123,7 @@ func TestArrayLoopForms(t *testing.T) {
 			t.Errorf("%s: %v", tc.method, err)
 			continue
 		}
-		got := r.IVars["vec.v"].Key()
+		got := r.IVar("vec.v").Key()
 		if got != tc.want {
 			t.Errorf("%s: v ↦ %s, want %s", tc.method, got, tc.want)
 		}
@@ -198,7 +198,7 @@ void driver::run() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := r.IVars["tri.v"].Key()
+	got := r.IVar("tri.v").Key()
 	// Unrolled stores in index order.
 	want := "store(store(store(iv:tri.v, 0, 0), 1, 2), 2, 4)"
 	if got != want {

@@ -53,9 +53,10 @@ func (tab *Table) simplifyNode(e Expr) Expr {
 		return tab.simplifyNot(tab.simplify(x.X))
 
 	case *Nary:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = tab.simplify(a)
+		var buf [8]Expr
+		args := buf[:0]
+		for _, a := range x.Args {
+			args = append(args, tab.simplify(a))
 		}
 		return tab.simplifyNary(x.Op, args)
 
@@ -63,13 +64,12 @@ func (tab *Table) simplifyNode(e Expr) Expr {
 		return tab.simplifyBin(x.Op, tab.simplify(x.L), tab.simplify(x.R))
 
 	case *Call:
-		changed := false
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = tab.simplify(a)
-			if args[i] != a {
-				changed = true
-			}
+		var buf [8]Expr
+		args, changed := buf[:0], false
+		for _, a := range x.Args {
+			sa := tab.simplify(a)
+			changed = changed || sa != a
+			args = append(args, sa)
 		}
 		if !changed {
 			return x
@@ -103,20 +103,21 @@ func (tab *Table) simplifyNode(e Expr) Expr {
 func (tab *Table) simplifyNeg(x Expr) Expr {
 	switch v := x.(type) {
 	case Num:
-		return Num{V: -v.V, IsInt: v.IsInt}
+		return numExpr(-v.V, v.IsInt)
 	case *Neg:
 		return v.X
 	case *Nary:
+		var buf [8]Expr
+		args := buf[:0]
 		if v.Op == OpAdd {
-			args := make([]Expr, len(v.Args))
-			for i, a := range v.Args {
-				args[i] = tab.simplifyNeg(a)
+			for _, a := range v.Args {
+				args = append(args, tab.simplifyNeg(a))
 			}
 			return tab.simplifyNary(OpAdd, args)
 		}
 		if v.Op == OpMul {
 			// Fold the sign into the constant factor if present.
-			args := append([]Expr{Num{V: -1, IsInt: true}}, v.Args...)
+			args = append(append(args, minusOne), v.Args...)
 			return tab.simplifyNary(OpMul, args)
 		}
 	}
@@ -149,10 +150,13 @@ func (tab *Table) simplifyNot(x Expr) Expr {
 	return tab.mkNot(x)
 }
 
-// simplifyNary assumes args are already simplified.
+// simplifyNary assumes args are already simplified. It only reads
+// args, so callers may pass scratch.
 func (tab *Table) simplifyNary(op Op, args []Expr) Expr {
-	// Flatten nested applications of the same operator.
-	flat := make([]Expr, 0, len(args))
+	// Flatten nested applications of the same operator into scratch the
+	// rules below own.
+	var buf [16]Expr
+	flat := buf[:0]
 	for _, a := range args {
 		if n, ok := a.(*Nary); ok && n.Op == op {
 			flat = append(flat, n.Args...)
@@ -170,17 +174,18 @@ func (tab *Table) simplifyNary(op Op, args []Expr) Expr {
 	return tab.mkNary(op, flat)
 }
 
+// simplifyArith and simplifyBool rewrite flat, which they own, in place.
 func (tab *Table) simplifyArith(op Op, flat []Expr) Expr {
-	// Distribute multiplication over small sums.
+	// Distribute multiplication over small sums: each term t of the sum
+	// times the other factors.
 	if op == OpMul {
 		for i, a := range flat {
 			if add, ok := a.(*Nary); ok && add.Op == OpAdd && len(flat) <= 8 && len(add.Args) <= 8 {
-				rest := make([]Expr, 0, len(flat)-1)
-				rest = append(rest, flat[:i]...)
-				rest = append(rest, flat[i+1:]...)
-				terms := make([]Expr, len(add.Args))
-				for j, t := range add.Args {
-					terms[j] = tab.simplifyNary(OpMul, append([]Expr{t}, rest...))
+				var tb, fb [8]Expr
+				terms := tb[:0]
+				for _, t := range add.Args {
+					factors := append(append(append(fb[:0], t), flat[:i]...), flat[i+1:]...)
+					terms = append(terms, tab.simplifyNary(OpMul, factors))
 				}
 				return tab.simplifyNary(OpAdd, terms)
 			}
@@ -194,7 +199,7 @@ func (tab *Table) simplifyArith(op Op, flat []Expr) Expr {
 		acc = 0.0
 	}
 	hasConst := false
-	rest := make([]Expr, 0, len(flat))
+	rest := flat[:0]
 	for _, a := range flat {
 		if n, ok := a.(Num); ok {
 			hasConst = true
@@ -211,14 +216,14 @@ func (tab *Table) simplifyArith(op Op, flat []Expr) Expr {
 	if op == OpMul && hasConst && acc == 0 {
 		// The paper's simplifier ignores floating-point anomalies
 		// (footnote 1); 0·x ⇒ 0.
-		return Num{V: 0, IsInt: isInt}
+		return numExpr(0, isInt)
 	}
 	identity := (op == OpAdd && acc == 0) || (op == OpMul && acc == 1)
 	if hasConst && !identity {
-		rest = append(rest, Num{V: acc, IsInt: isInt})
+		rest = append(rest, numExpr(acc, isInt))
 	}
 	if len(rest) == 0 {
-		return Num{V: acc, IsInt: isInt}
+		return numExpr(acc, isInt)
 	}
 	if len(rest) == 1 {
 		return rest[0]
@@ -229,8 +234,7 @@ func (tab *Table) simplifyArith(op Op, flat []Expr) Expr {
 
 func (tab *Table) simplifyBool(op Op, flat []Expr) Expr {
 	// Identity/annihilator constants, idempotence, complements.
-	seen := make(map[string]Expr)
-	rest := make([]Expr, 0, len(flat))
+	rest := flat[:0]
 	for _, a := range flat {
 		if b, ok := a.(Bool); ok {
 			if op == OpAnd && !b.V {
@@ -241,17 +245,14 @@ func (tab *Table) simplifyBool(op Op, flat []Expr) Expr {
 			}
 			continue // identity element
 		}
-		k := a.Key()
-		if _, dup := seen[k]; dup {
+		if containsExpr(rest, a) {
 			continue
 		}
-		seen[k] = a
 		rest = append(rest, a)
 	}
 	// Complement detection: x together with !x.
 	for _, a := range rest {
-		neg := tab.simplifyNot(a)
-		if _, ok := seen[neg.Key()]; ok {
+		if containsExpr(rest, tab.simplifyNot(a)) {
 			if op == OpAnd {
 				return Bool{V: false}
 			}
@@ -268,6 +269,16 @@ func (tab *Table) simplifyBool(op Op, flat []Expr) Expr {
 	return tab.mkNary(op, rest)
 }
 
+// containsExpr reports whether xs holds an expression Equal to x.
+func containsExpr(xs []Expr, x Expr) bool {
+	for _, y := range xs {
+		if Equal(y, x) {
+			return true
+		}
+	}
+	return false
+}
+
 func (tab *Table) simplifyBin(op Op, l, r Expr) Expr {
 	ln, lok := l.(Num)
 	rn, rok := r.(Num)
@@ -276,13 +287,13 @@ func (tab *Table) simplifyBin(op Op, l, r Expr) Expr {
 		case OpDiv:
 			if rn.V != 0 {
 				if ln.IsInt && rn.IsInt {
-					return Num{V: float64(int64(ln.V) / int64(rn.V)), IsInt: true}
+					return intExpr(int64(ln.V) / int64(rn.V))
 				}
 				return Num{V: ln.V / rn.V}
 			}
 		case OpMod:
 			if rn.V != 0 && ln.IsInt && rn.IsInt {
-				return Num{V: float64(int64(ln.V) % int64(rn.V)), IsInt: true}
+				return intExpr(int64(ln.V) % int64(rn.V))
 			}
 		case OpLt:
 			return Bool{V: ln.V < rn.V}
@@ -431,7 +442,7 @@ func (tab *Table) factorCondAdd(c, t, f Expr) (Expr, bool) {
 		}
 		restF = append(restF, x)
 	}
-	zero := Expr(Num{V: 0, IsInt: true})
+	zero := intExpr(0)
 	var newT, newF Expr
 	switch len(restT) {
 	case 0:
@@ -658,48 +669,51 @@ func sortExprs(xs []Expr) {
 	slices.SortFunc(xs, func(a, b Expr) int { return strings.Compare(a.Key(), b.Key()) })
 }
 
-// SimplifyMX simplifies an invocation expression's components in tab,
-// reusing unchanged pieces.
-func SimplifyMX(tab *Table, m MX) MX {
-	out := MX{
-		Guard:  tab.simplify(m.Guard),
-		Recv:   tab.simplify(m.Recv),
-		Method: m.Method,
-		Loop:   m.Loop,
-	}
-	if m.Loop != nil {
-		out.Loop = &LoopSpec{
-			Var:  m.Loop.Var,
-			From: tab.simplify(m.Loop.From),
-			To:   tab.simplify(m.Loop.To),
-			Step: tab.simplify(m.Loop.Step),
+// simplifyMX simplifies an invocation expression's components in tab,
+// reporting whether m was already simplified; only a changed loop or
+// argument list is copied.
+func simplifyMX(tab *Table, m MX) (MX, bool) {
+	out := m
+	out.Guard, out.Recv = tab.simplify(m.Guard), tab.simplify(m.Recv)
+	same := out.Guard == m.Guard && out.Recv == m.Recv
+	if l := m.Loop; l != nil {
+		from, to, step := tab.simplify(l.From), tab.simplify(l.To), tab.simplify(l.Step)
+		if from != l.From || to != l.To || step != l.Step {
+			out.Loop = &LoopSpec{Var: l.Var, From: from, To: to, Step: step}
+			same = false
 		}
 	}
-	changed := false
-	args := make([]Expr, len(m.Args))
+	copied := false
 	for i, a := range m.Args {
-		args[i] = tab.simplify(a)
-		if args[i] != a {
-			changed = true
-		}
-	}
-	if changed {
-		out.Args = args
-	} else {
-		out.Args = m.Args
-	}
-	return out
-}
-
-// SimplifyMultiset simplifies every invocation of the multiset in tab.
-func SimplifyMultiset(tab *Table, ms Multiset) Multiset {
-	out := make(Multiset, 0, len(ms))
-	for _, m := range ms {
-		sm := SimplifyMX(tab, m)
-		if sm.Guard != nil && sm.Guard.Key() == "false" {
+		sa := tab.simplify(a)
+		if sa == a {
 			continue
 		}
-		out = append(out, sm)
+		if !copied {
+			out.Args, copied = slices.Clone(m.Args), true
+		}
+		out.Args[i], same = sa, false
+	}
+	return out, same
+}
+
+// SimplifyMultiset simplifies every invocation of the multiset in tab
+// and drops those guarded by false. It returns ms itself when that
+// changes nothing.
+func SimplifyMultiset(tab *Table, ms Multiset) Multiset {
+	var out Multiset
+	for i, m := range ms {
+		sm, same := simplifyMX(tab, m)
+		drop := sm.Guard != nil && sm.Guard.Key() == "false"
+		if out == nil && (!same || drop) {
+			out = append(make(Multiset, 0, len(ms)), ms[:i]...)
+		}
+		if out != nil && !drop {
+			out = append(out, sm)
+		}
+	}
+	if out == nil {
+		return ms
 	}
 	return out
 }

@@ -54,8 +54,8 @@ func TestTable1VisitSum(t *testing.T) {
 	c12, c21 := r12.Canonical(), r21.Canonical()
 
 	// (sum+p1)+p2 and (sum+p2)+p1 both canonicalize to a sorted n-ary sum.
-	s12 := c12.IVars["graph.sum"]
-	s21 := c21.IVars["graph.sum"]
+	s12 := c12.IVar("graph.sum")
+	s21 := c21.IVar("graph.sum")
 	if s12 == nil || s21 == nil {
 		t.Fatalf("sum bindings missing: %v / %v", c12.IVars, c21.IVars)
 	}
@@ -69,9 +69,9 @@ func TestTable1VisitSum(t *testing.T) {
 	}
 
 	// mark converges to TRUE in both orders (the marking protocol).
-	if !symbolic.Equal(c12.IVars["graph.mark"], c21.IVars["graph.mark"]) {
+	if !symbolic.Equal(c12.IVar("graph.mark"), c21.IVar("graph.mark")) {
 		t.Errorf("mark differs: %s vs %s",
-			c12.IVars["graph.mark"].Key(), c21.IVars["graph.mark"].Key())
+			c12.IVar("graph.mark").Key(), c21.IVar("graph.mark").Key())
 	}
 
 	// The multisets of invoked operations agree: the first visit to an
@@ -101,8 +101,8 @@ func TestFigure13GravsubPair(t *testing.T) {
 	}
 	c12, c21 := r12.Canonical(), r21.Canonical()
 
-	phi12 := c12.IVars["body.phi"]
-	phi21 := c21.IVars["body.phi"]
+	phi12 := c12.IVar("body.phi")
+	phi21 := c21.IVar("body.phi")
 	if !symbolic.Equal(phi12, phi21) {
 		t.Errorf("phi differs: %s vs %s", phi12.Key(), phi21.Key())
 	}
@@ -146,8 +146,8 @@ func TestFigure14VecAddPair(t *testing.T) {
 	}
 	c12, c21 := r12.Canonical(), r21.Canonical()
 
-	v12 := c12.IVars["vector.val"]
-	v21 := c21.IVars["vector.val"]
+	v12 := c12.IVar("vector.val")
+	v21 := c21.IVar("vector.val")
 	if v12 == nil || v21 == nil {
 		t.Fatalf("val bindings missing")
 	}

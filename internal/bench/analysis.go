@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"commute"
 	"commute/internal/analysis/extent"
 	"commute/internal/analysis/symbolic"
 	"commute/internal/apps"
-	"commute/internal/core"
 	"commute/internal/frontend/types"
 )
 
@@ -16,12 +14,6 @@ import (
 // produce one — a fresh core.Analysis per iteration over a shared
 // checked program, so every effects memo, pair-test cache, and report
 // is rebuilt from scratch.
-
-// AnalyzeCold runs a complete cold commutativity analysis of sys's
-// program.
-func AnalyzeCold(sys *commute.System) []*core.MethodReport {
-	return core.New(sys.Prog).AnalyzeAll()
-}
 
 // DeepExpr builds an n-level alternating sum/product/negation tree over
 // a few variables — the shape the simplifier sees from long symbolic
@@ -83,9 +75,9 @@ func (p *PairTestEnv) Run() error {
 		return err
 	}
 	c12, c21 := r12.Canonical(), r21.Canonical()
-	for k, v := range c12.IVars {
-		if w, ok := c21.IVars[k]; !ok || !symbolic.Equal(v, w) {
-			return fmt.Errorf("pair test diverged on %s", k)
+	for _, iv := range c12.IVars {
+		if w := c21.IVar(iv.Key); w == nil || !symbolic.Equal(iv.V, w) {
+			return fmt.Errorf("pair test diverged on %s", iv.Key)
 		}
 	}
 	if !symbolic.EqualMultisets(c12.Invoked, c21.Invoked) {

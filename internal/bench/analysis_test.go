@@ -6,6 +6,7 @@ import (
 	"commute"
 	"commute/internal/analysis/symbolic"
 	"commute/internal/apps"
+	"commute/internal/core"
 )
 
 // Analysis-phase benchmarks: go test -bench 'Analyze|SimplifyDeep|PairTest' ./internal/bench/
@@ -16,7 +17,7 @@ import (
 func benchAnalyze(b *testing.B, sys *commute.System) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		AnalyzeCold(sys)
+		core.New(sys.Prog).AnalyzeAll()
 	}
 }
 

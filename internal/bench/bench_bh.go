@@ -41,12 +41,12 @@ func (r *Runner) Table1() (string, error) {
 	c12, c21 := r12.Canonical(), r21.Canonical()
 
 	rows := [][]string{
-		{"r->visit(p1); r->visit(p2)", "(sum+p1)+p2", c12.IVars["graph.sum"].Key()},
-		{"r->visit(p2); r->visit(p1)", "(sum+p2)+p1", c21.IVars["graph.sum"].Key()},
+		{"r->visit(p1); r->visit(p2)", "(sum+p1)+p2", c12.IVar("graph.sum").Key()},
+		{"r->visit(p2); r->visit(p1)", "(sum+p2)+p1", c21.IVar("graph.sum").Key()},
 	}
 	out := table([]string{"Execution Order", "Paper", "Simplified (ours)"}, rows)
 	out += fmt.Sprintf("\nequal after simplification: %v\n",
-		symbolic.Equal(c12.IVars["graph.sum"], c21.IVars["graph.sum"]))
+		symbolic.Equal(c12.IVar("graph.sum"), c21.IVar("graph.sum")))
 	out += fmt.Sprintf("invoked multisets equal:     %v\n",
 		symbolic.EqualMultisets(c12.Invoked, c21.Invoked))
 	return out, nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"commute/internal/analysis/symbolic"
 	"commute/internal/cond"
@@ -50,40 +49,24 @@ func commuteSymbolic(m1, m2 *types.Method, env *symbolic.Env) PairResult {
 
 	// Compare the new values of every instance variable either order
 	// touched (untouched variables keep their initial symbolic value
-	// and compare equal trivially). Keys are visited in sorted order so
-	// the first-difference Reason is deterministic. Mismatches do not
-	// short-circuit: every differing variable contributes a residual
-	// commutativity condition, and the pair's condition is their
-	// conjunction (the two orders agree exactly when all of them do).
-	seen := make(map[string]bool)
-	var keys []string
-	for k := range c12.IVars {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	for k := range c21.IVars {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
+	// and compare equal trivially). Both states are sorted by key and
+	// walked together, so the first-difference Reason is deterministic.
+	// Mismatches do not short-circuit: every differing variable
+	// contributes a residual commutativity condition, and the pair's
+	// condition is their conjunction (the two orders agree exactly when
+	// all of them do).
 	var residuals []cond.Pred
-	for _, k := range keys {
-		v12, ok12 := c12.IVars[k]
-		v21, ok21 := c21.IVars[k]
-		if !ok12 || !ok21 {
-			// Present in only one order: differing footprints mean a
-			// statically visible asymmetry; treat as non-commuting with
-			// no residual term.
-			pr.Reason = fmt.Sprintf("instance variable %s touched in only one order", k)
-			return pr
+	a, b := c12.IVars, c21.IVars
+	for i, j := 0, 0; i < len(a) || j < len(b); i, j = i+1, j+1 {
+		if j == len(b) || i < len(a) && a[i].Key < b[j].Key {
+			return onlyOneOrder(pr, a[i].Key)
 		}
-		if !symbolic.Equal(v12, v21) {
+		if i == len(a) || b[j].Key < a[i].Key {
+			return onlyOneOrder(pr, b[j].Key)
+		}
+		if v12, v21 := a[i].V, b[j].V; !symbolic.Equal(v12, v21) {
 			if pr.Reason == "" {
-				pr.Reason = fmt.Sprintf("instance variable %s: %s vs %s", k, v12.Key(), v21.Key())
+				pr.Reason = fmt.Sprintf("instance variable %s: %s vs %s", a[i].Key, v12.Key(), v21.Key())
 			}
 			residuals = append(residuals, cond.Residual(env.Table(), v12, v21))
 		}
@@ -103,6 +86,14 @@ func commuteSymbolic(m1, m2 *types.Method, env *symbolic.Env) PairResult {
 		return pr
 	}
 	pr.Commutes = true
+	return pr
+}
+
+// onlyOneOrder fails pr on an instance variable present in one order's
+// state only: differing footprints mean a statically visible asymmetry,
+// so the pair does not commute and has no residual term.
+func onlyOneOrder(pr PairResult, key string) PairResult {
+	pr.Reason = fmt.Sprintf("instance variable %s touched in only one order", key)
 	return pr
 }
 

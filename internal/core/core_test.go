@@ -286,3 +286,39 @@ void driver::keep() { c->add(1); last = c->add(2); }
 		t.Errorf("keep: parallel=%t reason=%q", r.Parallel, r.Reason)
 	}
 }
+
+// TestPairReasonInKeyOrder: a pair that fails on several instance
+// variables names the first in key order, whatever order the class
+// declares them in, and its condition covers every one of them.
+func TestPairReasonInKeyOrder(t *testing.T) {
+	p, a := analyze(t, `
+class acc {
+public:
+  int z; int m; int a;
+  void scale(int k);
+  void shift(int k);
+  void run();
+};
+void acc::scale(int k) { z = z * k; m = m * k; a = a * k; }
+void acc::shift(int k) { z = z + k; m = m + k; a = a + k; }
+void acc::run() { scale(2); shift(3); }
+`)
+	r := report(t, p, a, "acc::run")
+	var pr *core.PairResult
+	for i := range r.Pairs {
+		if r.Pairs[i].M1.Name == "scale" && r.Pairs[i].M2.Name == "shift" {
+			pr = &r.Pairs[i]
+		}
+	}
+	if pr == nil || pr.Commutes {
+		t.Fatalf("scale and shift should be tested and fail; pairs %+v", r.Pairs)
+	}
+	if !strings.HasPrefix(pr.Reason, "instance variable acc.a: ") {
+		t.Errorf("Reason = %q, want the first differing variable in key order, acc.a", pr.Reason)
+	}
+	for _, f := range []string{"iv:acc.a", "iv:acc.m", "iv:acc.z"} {
+		if !strings.Contains(pr.Condition, f) {
+			t.Errorf("Condition %q does not constrain %s", pr.Condition, f)
+		}
+	}
+}

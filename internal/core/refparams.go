@@ -43,11 +43,10 @@ func (a *Analysis) checkReferenceParameters(m *types.Method, ext *extent.Result,
 			}
 		}
 		te := a.Eff.TransitiveEffects(site.Callee)
-		for _, d := range te.Writes.Slice() {
-			if d.Space != effects.DescField {
-				r.Reason = site.Callee.FullName() + " writes non-instance-variable storage " + d.Key()
-				return false
-			}
+		var d effects.Desc
+		if !te.Writes.All(func(w effects.Desc) bool { d = w; return w.Space == effects.DescField }) {
+			r.Reason = site.Callee.FullName() + " writes non-instance-variable storage " + d.Key()
+			return false
 		}
 	}
 	return true

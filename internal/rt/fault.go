@@ -32,7 +32,8 @@ var ErrInjectedCancel = errors.New("injected cancellation")
 // counts (deterministic regardless of scheduling: the Nth event fires the
 // fault, whichever goroutine gets there); probabilistic triggers draw
 // from a rand.Rand seeded with Seed, so a plan replays identically
-// for a fixed seed and event interleaving.
+// for a fixed seed and event interleaving. Only internal/rt's tests set
+// one: no flag, option or request field reaches Runtime.Faults.
 type FaultPlan struct {
 	Seed int64
 
