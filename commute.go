@@ -162,10 +162,11 @@ func LoadOpts(name, source string, opts LoadOptions) (*System, error) {
 }
 
 // Warm forces the per-program lazy caches — slot resolution and the
-// closure-compiled method bodies — to build now instead of on the first
-// execution. A caching layer calls this once at load time so every
-// subsequent request, including the first execution, runs against a
-// fully warm System.
+// closure-compiled method bodies — to build now instead of inside the
+// first execution. Only execution needs them: analysis, reports and the
+// emitted source never do. A caching layer calls this before it times
+// an entry's execution; the first call for a program builds the caches,
+// and concurrent first calls share that one build.
 func (s *System) Warm() { interp.Warm(s.Prog) }
 
 // Release drops the per-program resolution and compiled-closure caches,

@@ -240,7 +240,7 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 		if cl.Base != nil {
 			e.hasSub[cl.Base] = true
 		}
-		e.layouts[cl] = interp.ClassLayout(e.prog, cl)
+		e.layouts[cl] = interp.ClassLayout(cl)
 	}
 	for _, m := range e.prog.Methods {
 		e.frames[m] = interp.MethodFrame(e.prog, m)

@@ -235,7 +235,7 @@ func (p *Plan) replicate(a *core.Analysis) {
 			continue
 		}
 		cl := c.Global.Class
-		for _, f := range interp.ClassLayout(p.Prog, cl) {
+		for _, f := range interp.ClassLayout(cl) {
 			accumulated := slices.ContainsFunc(fields, func(af *types.Field) bool { return af.Class.Name == f.DeclClass && af.Name == f.Name })
 			if accumulated && !slices.Contains(p.Folds[cl], f) {
 				p.Folds[cl] = append(p.Folds[cl], f)

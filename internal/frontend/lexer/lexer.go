@@ -26,6 +26,11 @@ func New(src string) *Lexer {
 // Errors returns the scan errors encountered so far.
 func (l *Lexer) Errors() []error { return l.errors }
 
+// Truncate drops every scan error after the first n: a parser that
+// stops early takes back the errors of a token it scanned but never
+// looked at.
+func (l *Lexer) Truncate(n int) { l.errors = l.errors[:n] }
+
 func (l *Lexer) errorf(pos token.Pos, format string, args ...any) {
 	l.errors = append(l.errors, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 }
@@ -58,27 +63,57 @@ func (l *Lexer) advance() byte {
 
 func (l *Lexer) pos() token.Pos { return token.Pos{Line: l.line, Col: l.col} }
 
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-func isAlpha(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+// Byte classes: identBit marks the bytes an identifier continues with,
+// digitBit the decimal digits among them, spaceBit the blanks within a
+// line.
+const (
+	identBit = 1 << iota
+	digitBit
+	spaceBit
+)
+
+var class = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case c >= '0' && c <= '9':
+			t[c] = identBit | digitBit
+		case c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
+			t[c] = identBit
+		case c == ' ' || c == '\t' || c == '\r':
+			t[c] = spaceBit
+		}
+	}
+	return t
+}()
+
+func isDigit(c byte) bool { return class[c]&digitBit != 0 }
+func isAlpha(c byte) bool { return class[c] == identBit }
+
+// run returns the offset of the first byte at or after off outside the
+// class bits.
+func (l *Lexer) run(off int, bits uint8) int {
+	for off < len(l.src) && class[l.src[off]]&bits != 0 {
+		off++
+	}
+	return off
 }
 
 // skipSpace consumes whitespace, //-comments, /*-comments, and
 // #-preprocessor lines (which the dialect ignores).
 func (l *Lexer) skipSpace() {
 	for l.off < len(l.src) {
-		c := l.peek()
+		c := l.src[l.off]
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '/' && l.peekAt(1) == '/':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
-			}
-		case c == '#':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
-			}
+		case class[c] == spaceBit:
+			end := l.run(l.off+1, spaceBit)
+			l.col += end - l.off
+			l.off = end
+		case c == '\n':
+			l.off++
+			l.line++
+			l.col = 1
+		case c == '#' || c == '/' && l.peekAt(1) == '/':
+			l.skipLine()
 		case c == '/' && l.peekAt(1) == '*':
 			start := l.pos()
 			l.advance()
@@ -102,153 +137,162 @@ func (l *Lexer) skipSpace() {
 	}
 }
 
+// skipLine consumes the rest of the line, up to its newline.
+func (l *Lexer) skipLine() {
+	end := l.off
+	for end < len(l.src) && l.src[end] != '\n' {
+		end++
+	}
+	l.col += end - l.off
+	l.off = end
+}
+
 // Next returns the next token in the stream. At end of input it returns
 // an EOF token indefinitely.
 func (l *Lexer) Next() token.Token {
+	kind, lit, pos := l.Scan()
+	return token.Token{Kind: kind, Lit: lit, Pos: pos}
+}
+
+// Scan is Next as the token's three fields, which a caller stores
+// straight from the result registers: a Token result goes through a
+// spilled copy.
+func (l *Lexer) Scan() (kind token.Kind, lit string, pos token.Pos) {
 	l.skipSpace()
-	pos := l.pos()
+	pos = l.pos()
 	if l.off >= len(l.src) {
-		return token.Token{Kind: token.EOF, Pos: pos}
+		return token.EOF, "", pos
 	}
-	c := l.peek()
+	c := l.src[l.off]
 	switch {
 	case isAlpha(c):
-		return l.scanIdent(pos)
+		lit = l.scanIdent()
+		return token.Lookup(lit), lit, pos
 	case isDigit(c):
-		return l.scanNumber(pos)
+		kind, lit = l.scanNumber(pos)
+		return kind, lit, pos
 	case c == '"':
-		return l.scanString(pos)
+		kind, lit = l.scanString(pos)
+		return kind, lit, pos
 	}
-	l.advance()
-	two := func(next byte, k2, k1 token.Kind) token.Token {
-		if l.peek() == next {
-			l.advance()
-			return token.Token{Kind: k2, Pos: pos}
-		}
-		return token.Token{Kind: k1, Pos: pos}
+	// c is punctuation or illegal, never a newline.
+	l.off++
+	l.col++
+	if k := pair(c, l.peek()); k != token.ILLEGAL {
+		l.off++
+		l.col++
+		return k, "", pos
 	}
-	switch c {
-	case '+':
-		if l.peek() == '+' {
-			l.advance()
-			return token.Token{Kind: token.INC, Pos: pos}
-		}
-		return two('=', token.PLUSEQ, token.PLUS)
-	case '-':
-		switch l.peek() {
-		case '-':
-			l.advance()
-			return token.Token{Kind: token.DEC, Pos: pos}
-		case '>':
-			l.advance()
-			return token.Token{Kind: token.ARROW, Pos: pos}
-		}
-		return two('=', token.MINUSEQ, token.MINUS)
-	case '*':
-		return two('=', token.STAREQ, token.STAR)
-	case '/':
-		return two('=', token.SLASHEQ, token.SLASH)
-	case '%':
-		return token.Token{Kind: token.PERCENT, Pos: pos}
-	case '=':
-		return two('=', token.EQ, token.ASSIGN)
-	case '!':
-		return two('=', token.NEQ, token.NOT)
-	case '<':
-		return two('=', token.LEQ, token.LT)
-	case '>':
-		return two('=', token.GEQ, token.GT)
-	case '&':
-		return two('&', token.AND, token.AMP)
-	case '|':
-		if l.peek() == '|' {
-			l.advance()
-			return token.Token{Kind: token.OR, Pos: pos}
-		}
+	if k := single[c]; k != token.ILLEGAL {
+		return k, "", pos
+	}
+	if c == '|' {
 		l.errorf(pos, "unexpected character %q (bitwise-or is not in the dialect)", c)
-		return token.Token{Kind: token.ILLEGAL, Lit: string(c), Pos: pos}
-	case '.':
-		return token.Token{Kind: token.DOT, Pos: pos}
-	case ',':
-		return token.Token{Kind: token.COMMA, Pos: pos}
-	case ';':
-		return token.Token{Kind: token.SEMI, Pos: pos}
-	case ':':
-		return two(':', token.SCOPE, token.COLON)
-	case '(':
-		return token.Token{Kind: token.LPAREN, Pos: pos}
-	case ')':
-		return token.Token{Kind: token.RPAREN, Pos: pos}
-	case '{':
-		return token.Token{Kind: token.LBRACE, Pos: pos}
-	case '}':
-		return token.Token{Kind: token.RBRACE, Pos: pos}
-	case '[':
-		return token.Token{Kind: token.LBRACKET, Pos: pos}
-	case ']':
-		return token.Token{Kind: token.RBRACKET, Pos: pos}
+	} else {
+		l.errorf(pos, "unexpected character %q", c)
 	}
-	l.errorf(pos, "unexpected character %q", c)
-	return token.Token{Kind: token.ILLEGAL, Lit: string(c), Pos: pos}
+	return token.ILLEGAL, string(c), pos
 }
 
-func (l *Lexer) scanIdent(pos token.Pos) token.Token {
+// single maps each one-character operator and delimiter to its kind,
+// every other byte to ILLEGAL.
+var single = [256]token.Kind{
+	'+': token.PLUS, '-': token.MINUS, '*': token.STAR, '/': token.SLASH,
+	'%': token.PERCENT, '=': token.ASSIGN, '!': token.NOT, '<': token.LT,
+	'>': token.GT, '&': token.AMP, '.': token.DOT, ',': token.COMMA,
+	';': token.SEMI, ':': token.COLON, '(': token.LPAREN, ')': token.RPAREN,
+	'{': token.LBRACE, '}': token.RBRACE, '[': token.LBRACKET, ']': token.RBRACKET,
+}
+
+// pair is the kind of the two-character operator c d, or ILLEGAL.
+func pair(c, d byte) token.Kind {
+	switch uint16(c)<<8 | uint16(d) {
+	case '+'<<8 | '+':
+		return token.INC
+	case '+'<<8 | '=':
+		return token.PLUSEQ
+	case '-'<<8 | '-':
+		return token.DEC
+	case '-'<<8 | '>':
+		return token.ARROW
+	case '-'<<8 | '=':
+		return token.MINUSEQ
+	case '*'<<8 | '=':
+		return token.STAREQ
+	case '/'<<8 | '=':
+		return token.SLASHEQ
+	case '='<<8 | '=':
+		return token.EQ
+	case '!'<<8 | '=':
+		return token.NEQ
+	case '<'<<8 | '=':
+		return token.LEQ
+	case '>'<<8 | '=':
+		return token.GEQ
+	case '&'<<8 | '&':
+		return token.AND
+	case '|'<<8 | '|':
+		return token.OR
+	case ':'<<8 | ':':
+		return token.SCOPE
+	}
+	return token.ILLEGAL
+}
+
+func (l *Lexer) scanIdent() string {
 	start := l.off
-	for l.off < len(l.src) && (isAlpha(l.peek()) || isDigit(l.peek())) {
-		l.advance()
-	}
-	lit := l.src[start:l.off]
-	if k, ok := token.Keywords[lit]; ok {
-		return token.Token{Kind: k, Lit: lit, Pos: pos}
-	}
-	return token.Token{Kind: token.IDENT, Lit: lit, Pos: pos}
+	l.off = l.run(start+1, identBit)
+	l.col += l.off - start
+	return l.src[start:l.off]
 }
 
-func (l *Lexer) scanNumber(pos token.Pos) token.Token {
+// skipDigits consumes a run of decimal digits.
+func (l *Lexer) skipDigits() {
+	end := l.run(l.off, digitBit)
+	l.col += end - l.off
+	l.off = end
+}
+
+func (l *Lexer) scanNumber(pos token.Pos) (token.Kind, string) {
 	start := l.off
 	kind := token.INTLIT
-	for l.off < len(l.src) && isDigit(l.peek()) {
-		l.advance()
-	}
+	l.skipDigits()
 	if l.peek() == '.' && isDigit(l.peekAt(1)) {
 		kind = token.FLOATLIT
 		l.advance()
-		for l.off < len(l.src) && isDigit(l.peek()) {
-			l.advance()
-		}
+		l.skipDigits()
 	} else if l.peek() == '.' && !isAlpha(l.peekAt(1)) {
 		// trailing-dot float like "4."
 		kind = token.FLOATLIT
 		l.advance()
 	}
 	if l.peek() == 'e' || l.peek() == 'E' {
-		save := l.off
+		save, saveCol := l.off, l.col
 		l.advance()
 		if l.peek() == '+' || l.peek() == '-' {
 			l.advance()
 		}
 		if isDigit(l.peek()) {
 			kind = token.FLOATLIT
-			for l.off < len(l.src) && isDigit(l.peek()) {
-				l.advance()
-			}
+			l.skipDigits()
 		} else {
-			// not an exponent; rewind is impossible with line tracking,
-			// but 'e' following a number with no digits is illegal anyway.
+			// Not an exponent: report it, and scan the 'e' and any sign
+			// again as the tokens they are. Neither is a newline, so
+			// only the column moves back.
 			l.errorf(pos, "malformed exponent in numeric literal")
-			l.off = save
+			l.off, l.col = save, saveCol
 		}
 	}
-	return token.Token{Kind: kind, Lit: l.src[start:l.off], Pos: pos}
+	return kind, l.src[start:l.off]
 }
 
-func (l *Lexer) scanString(pos token.Pos) token.Token {
+func (l *Lexer) scanString(pos token.Pos) (token.Kind, string) {
 	l.advance() // opening quote
 	var sb strings.Builder
 	for l.off < len(l.src) {
 		c := l.advance()
 		if c == '"' {
-			return token.Token{Kind: token.STRINGLIT, Lit: sb.String(), Pos: pos}
+			return token.STRINGLIT, sb.String()
 		}
 		if c == '\\' && l.off < len(l.src) {
 			e := l.advance()
@@ -272,7 +316,7 @@ func (l *Lexer) scanString(pos token.Pos) token.Token {
 		sb.WriteByte(c)
 	}
 	l.errorf(pos, "unterminated string literal")
-	return token.Token{Kind: token.ILLEGAL, Lit: sb.String(), Pos: pos}
+	return token.ILLEGAL, sb.String()
 }
 
 // All scans the entire input and returns the token slice, ending with

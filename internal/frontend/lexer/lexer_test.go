@@ -112,6 +112,35 @@ func TestPositions(t *testing.T) {
 	}
 }
 
+// TestPositionsAfterMalformedExponent: `1e` and `1e+` are a number, a
+// malformed-exponent error, and the 'e' and the sign scanned again as
+// tokens of their own, each at its own column.
+func TestPositionsAfterMalformedExponent(t *testing.T) {
+	for _, tc := range []struct {
+		src   string
+		kinds []token.Kind
+		cols  []int
+	}{
+		{"x = 1e + y;", []token.Kind{token.IDENT, token.ASSIGN, token.INTLIT, token.IDENT, token.PLUS, token.IDENT, token.SEMI}, []int{1, 3, 5, 6, 8, 10, 11}},
+		{"x = 1e+ y;", []token.Kind{token.IDENT, token.ASSIGN, token.INTLIT, token.IDENT, token.PLUS, token.IDENT, token.SEMI}, []int{1, 3, 5, 6, 7, 9, 10}},
+		{"x = 2.5e- z", []token.Kind{token.IDENT, token.ASSIGN, token.FLOATLIT, token.IDENT, token.MINUS, token.IDENT}, []int{1, 3, 5, 8, 9, 11}},
+	} {
+		lx := New(tc.src)
+		toks := lx.All()
+		if len(lx.Errors()) != 1 {
+			t.Errorf("%q: errors %v, want one malformed exponent", tc.src, lx.Errors())
+		}
+		if len(toks) != len(tc.kinds)+1 {
+			t.Fatalf("%q: %d tokens, want %d", tc.src, len(toks)-1, len(tc.kinds))
+		}
+		for i, k := range tc.kinds {
+			if want := (token.Pos{Line: 1, Col: tc.cols[i]}); toks[i].Kind != k || toks[i].Pos != want {
+				t.Errorf("%q: token %d is %s at %v, want %s at %v", tc.src, i, toks[i].Kind, toks[i].Pos, k, want)
+			}
+		}
+	}
+}
+
 func TestStringLiteral(t *testing.T) {
 	toks := New(`"hello\nworld"`).All()
 	if toks[0].Kind != token.STRINGLIT || toks[0].Lit != "hello\nworld" {

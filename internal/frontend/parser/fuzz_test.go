@@ -4,11 +4,14 @@ import (
 	"testing"
 
 	"commute/internal/apps/src"
+	"commute/internal/frontend/printer"
 )
 
 // FuzzParse checks that the parser never panics and always terminates
-// on arbitrary input (run with `go test -fuzz=FuzzParse` for active
-// fuzzing; the seed corpus runs under plain `go test`).
+// on arbitrary input, and that whatever it accepts prints to source the
+// parser accepts again and that prints the same (run with `go test
+// -fuzz=FuzzParse` for active fuzzing; the seed corpus runs under plain
+// `go test`).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		src.Graph,
@@ -34,6 +37,9 @@ func FuzzParse(f *testing.F) {
 		"void m() { x = -----1; }",
 		"# preprocessor only",
 		"class µ { public: int 日本; };",
+		"class a { public: int x; }; void m() { if (x) int p, q; while (x) ; x = +-!x; }",
+		"const int N 3; class c { public: double v[N], w; c *l, *r; void f(int a[], double b); };",
+		"class a { public: int x; }; a *g; void m() { a * p; p = (a *) g; x = \"q\\\"\\n\"; x = 1.5e-3 + 4. ; }",
 	}
 	for _, s := range append(seeds, lookaheadAtEOF...) {
 		f.Add(s)
@@ -44,9 +50,19 @@ func FuzzParse(f *testing.F) {
 		}
 		// Must not panic or hang; errors are expected.
 		file, err := Parse("fuzz.mc", input)
-		_ = err
 		if file == nil {
 			t.Fatal("Parse returned a nil file")
+		}
+		if err != nil {
+			return
+		}
+		printed := printer.File(file)
+		again, err := Parse("printed.mc", printed)
+		if err != nil {
+			t.Fatalf("printed source does not parse: %v\n%s", err, printed)
+		}
+		if reprinted := printer.File(again); reprinted != printed {
+			t.Fatalf("printing is not a fixed point:\n%s\nthen\n%s", printed, reprinted)
 		}
 	})
 }

@@ -18,32 +18,93 @@ type Parser struct {
 	lex    *lexer.Lexer
 	errors []error
 
-	// ring holds the n lookahead tokens, the next one at ring[head]. The
-	// deepest lookahead is peekAt(3), the `)` of a cast `(Class *)`.
-	ring    [4]token.Token
-	head, n int
+	// tok is the current token. Three sites look further — `Class * x`
+	// at the start of a statement (two tokens) and the C-style cast
+	// `(Class *)` (three) — and ahead holds the nahead tokens they
+	// scanned past tok, the next one first.
+	tok    token.Token
+	ahead  [3]token.Token
+	nahead int
+
+	// examined is false from the moment next makes a freshly scanned
+	// token current until a failed expect or a stopped sync looks at
+	// it; tokErrs is the lexer's error count before that scan. Parse
+	// uses both when it stops early: a token no decision looked at
+	// reports no lexical error.
+	examined bool
+	tokErrs  int
 
 	// classNames tracks class declarations seen so far, used to
 	// disambiguate local variable declarations from expressions.
 	classNames map[string]bool
+
+	// stmts and exprs hold the statements of the blocks and the
+	// arguments of the calls being parsed, innermost last; each list is
+	// copied out at its exact length when it ends (see cut).
+	stmts []ast.Stmt
+	exprs []ast.Expr
+
+	// The nodes a program has most of come out of slabs.
+	idents  slab[ast.Ident]
+	fields  slab[ast.FieldAccess]
+	indexes slab[ast.IndexExpr]
+	binarys slab[ast.Binary]
+	assigns slab[ast.Assign]
+	ints    slab[ast.IntLit]
+	types   slab[ast.TypeExpr]
+	exprSts slab[ast.ExprStmt]
+}
+
+// slab carves nodes of one type out of chunks, one allocation for
+// slabChunk nodes instead of one each.
+type slab[T any] []T
+
+const slabChunk = 8
+
+// add returns a slab node holding v.
+func (s *slab[T]) add(v T) *T {
+	if len(*s) == 0 {
+		*s = make([]T, slabChunk)
+	}
+	n := &(*s)[0]
+	*s = (*s)[1:]
+	*n = v
+	return n
+}
+
+// cut pops (*stack)[mark:] and returns it as a slice of its own, nil
+// when it is empty.
+func cut[T any](stack *[]T, mark int) []T {
+	s := *stack
+	if len(s) == mark {
+		return nil
+	}
+	out := make([]T, len(s)-mark)
+	copy(out, s[mark:])
+	*stack = s[:mark]
+	return out
 }
 
 // Parse parses src (named name in diagnostics) and returns the file.
 // It returns an error summarizing the first few syntax errors, if any.
 func Parse(name, src string) (*ast.File, error) {
 	p := &Parser{lex: lexer.New(src), classNames: make(map[string]bool)}
+	p.tok.Kind, p.tok.Lit, p.tok.Pos = p.lex.Scan()
 	file := &ast.File{Name: name, Size: len(src)}
-	for p.peek().Kind != token.EOF {
-		before := p.peek()
+	for p.tok.Kind != token.EOF {
+		before := p.tok.Pos
 		d := p.parseDecl()
 		if d != nil {
 			file.Decls = append(file.Decls, d)
 		}
 		if len(p.errors) > 12 {
+			if !p.examined {
+				p.lex.Truncate(p.tokErrs)
+			}
 			break
 		}
 		// Guarantee progress even on malformed input.
-		if p.peek() == before && d == nil {
+		if p.tok.Pos == before && d == nil {
 			p.next()
 		}
 	}
@@ -61,40 +122,49 @@ func Parse(name, src string) (*ast.File, error) {
 	return file, nil
 }
 
-func (p *Parser) peek() token.Token { return p.peekAt(0) }
-
-func (p *Parser) peekAt(n int) token.Token {
-	for p.n <= n {
-		p.ring[(p.head+p.n)%len(p.ring)] = p.lex.Next()
-		p.n++
+// next advances to the following token.
+func (p *Parser) next() {
+	p.examined = false
+	if p.nahead == 0 {
+		p.tokErrs = len(p.lex.Errors())
+		p.tok.Kind, p.tok.Lit, p.tok.Pos = p.lex.Scan()
+		return
 	}
-	return p.ring[(p.head+n)%len(p.ring)]
+	p.tok = p.ahead[0]
+	p.nahead--
+	copy(p.ahead[:p.nahead], p.ahead[1:])
+	p.tokErrs = len(p.lex.Errors())
 }
 
-func (p *Parser) next() token.Token {
-	t := p.peek()
-	p.head = (p.head + 1) % len(p.ring)
-	p.n--
-	return t
+// peekAt returns the token n places past the current one (1 ≤ n ≤ 3),
+// scanning it if no earlier lookahead has.
+func (p *Parser) peekAt(n int) *token.Token {
+	for ; p.nahead < n; p.nahead++ {
+		t := &p.ahead[p.nahead]
+		t.Kind, t.Lit, t.Pos = p.lex.Scan()
+	}
+	return &p.ahead[n-1]
 }
 
 func (p *Parser) errorf(pos token.Pos, format string, args ...any) {
 	p.errors = append(p.errors, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 }
 
-// expect consumes the next token if it has kind k, otherwise records an
-// error and returns the (unconsumed) token.
+// expect consumes the current token if it has kind k, otherwise records
+// an error and leaves it current. It returns the token either way.
 func (p *Parser) expect(k token.Kind) token.Token {
-	t := p.peek()
+	t := p.tok
 	if t.Kind != k {
+		p.examined = true
 		p.errorf(t.Pos, "expected %s, found %s", k, t)
 		return t
 	}
-	return p.next()
+	p.next()
+	return t
 }
 
 func (p *Parser) accept(k token.Kind) bool {
-	if p.peek().Kind == k {
+	if p.tok.Kind == k {
 		p.next()
 		return true
 	}
@@ -105,11 +175,12 @@ func (p *Parser) accept(k token.Kind) bool {
 // brace/EOF, for error recovery.
 func (p *Parser) sync() {
 	for {
-		switch p.peek().Kind {
+		switch p.tok.Kind {
 		case token.SEMI:
 			p.next()
 			return
 		case token.RBRACE, token.EOF:
+			p.examined = true
 			return
 		}
 		p.next()
@@ -120,8 +191,7 @@ func (p *Parser) sync() {
 // Declarations
 
 func (p *Parser) parseDecl() ast.Decl {
-	t := p.peek()
-	switch t.Kind {
+	switch p.tok.Kind {
 	case token.KWCLASS:
 		return p.parseClassDecl()
 	case token.KWCONST:
@@ -129,24 +199,21 @@ func (p *Parser) parseDecl() ast.Decl {
 	case token.KWINT, token.KWDOUBLE, token.KWBOOLEAN, token.KWVOID:
 		return p.parseMethodOrGlobal()
 	case token.IDENT:
-		if p.classNames[t.Lit] {
+		if p.classNames[p.tok.Lit] {
 			return p.parseMethodOrGlobal()
 		}
-		p.errorf(t.Pos, "unexpected %s at top level", t)
-		p.sync()
-		return nil
-	default:
-		p.errorf(t.Pos, "unexpected %s at top level", t)
-		p.sync()
-		return nil
 	}
+	p.errorf(p.tok.Pos, "unexpected %s at top level", p.tok)
+	p.sync()
+	return nil
 }
 
 // parseBaseType parses `int|double|boolean|void|ClassName` with an
 // optional trailing `*`.
 func (p *Parser) parseBaseType() *ast.TypeExpr {
-	t := p.next()
-	te := &ast.TypeExpr{TokPos: t.Pos}
+	t := p.tok
+	p.next()
+	te := p.types.add(ast.TypeExpr{TokPos: t.Pos})
 	switch t.Kind {
 	case token.KWINT:
 		te.Kind = ast.TInt
@@ -176,9 +243,8 @@ func (p *Parser) parseBaseType() *ast.TypeExpr {
 
 // parseArrayDims parses zero or more `[const-expr]` suffixes.
 func (p *Parser) parseArrayDims(te *ast.TypeExpr) {
-	for p.peek().Kind == token.LBRACKET {
-		p.next()
-		if p.peek().Kind == token.RBRACKET {
+	for p.accept(token.LBRACKET) {
+		if p.tok.Kind == token.RBRACKET {
 			// `double v[]` — unsized reference-parameter array.
 			te.ArrayDims = append(te.ArrayDims, nil)
 		} else {
@@ -199,8 +265,8 @@ func (p *Parser) parseClassDecl() ast.Decl {
 	}
 	p.expect(token.LBRACE)
 	public := false // C++ classes default to private
-	for p.peek().Kind != token.RBRACE && p.peek().Kind != token.EOF {
-		switch p.peek().Kind {
+	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
+		switch p.tok.Kind {
 		case token.KWPUBLIC:
 			p.next()
 			p.expect(token.COLON)
@@ -223,10 +289,10 @@ func (p *Parser) parseClassDecl() ast.Decl {
 func (p *Parser) parseMember(cd *ast.ClassDecl, public bool) {
 	te := p.parseBaseType()
 	nameTok := p.expect(token.IDENT)
-	if p.peek().Kind == token.LPAREN {
+	if p.tok.Kind == token.LPAREN {
 		// Method prototype or inline definition.
 		params := p.parseParams()
-		if p.peek().Kind == token.LBRACE {
+		if p.tok.Kind == token.LBRACE {
 			md := &ast.MethodDef{
 				ClassName: cd.Name, Name: nameTok.Lit, RetType: te,
 				Params: params, TokPos: nameTok.Pos,
@@ -246,20 +312,17 @@ func (p *Parser) parseMember(cd *ast.ClassDecl, public bool) {
 	// Field declaration; comma-separated declarators share the base
 	// type, with each declarator carrying its own optional `*`, e.g.
 	// `graph *left, *right;` or `int val, sum;`.
+	base := *te
 	for {
-		fte := &ast.TypeExpr{
-			Kind: te.Kind, ClassName: te.ClassName, Ptr: te.Ptr, TokPos: te.TokPos,
-		}
-		p.parseArrayDims(fte)
+		p.parseArrayDims(te)
 		cd.Fields = append(cd.Fields, &ast.FieldDecl{
-			Name: nameTok.Lit, Type: fte, Public: public, TokPos: nameTok.Pos,
+			Name: nameTok.Lit, Type: te, Public: public, TokPos: nameTok.Pos,
 		})
 		if !p.accept(token.COMMA) {
 			break
 		}
-		ptr := p.accept(token.STAR)
+		te = p.types.add(ast.TypeExpr{Kind: base.Kind, ClassName: base.ClassName, Ptr: p.accept(token.STAR), TokPos: base.TokPos})
 		nameTok = p.expect(token.IDENT)
-		te = &ast.TypeExpr{Kind: te.Kind, ClassName: te.ClassName, Ptr: ptr, TokPos: te.TokPos}
 	}
 	p.expect(token.SEMI)
 }
@@ -268,13 +331,9 @@ func (p *Parser) parseConstDecl() ast.Decl {
 	start := p.expect(token.KWCONST)
 	te := p.parseBaseType()
 	nameTok := p.expect(token.IDENT)
-	var val ast.Expr
-	if p.accept(token.ASSIGN) {
-		val = p.parseExpr()
-	} else {
-		// Tolerate the paper's `const int NDIM 3;` spelling.
-		val = p.parseExpr()
-	}
+	// `=` is optional: the paper spells some constants `const int NDIM 3;`.
+	p.accept(token.ASSIGN)
+	val := p.parseExpr()
 	p.expect(token.SEMI)
 	return &ast.ConstDecl{Name: nameTok.Lit, Type: te, Value: val, TokPos: start.Pos}
 }
@@ -287,11 +346,11 @@ func (p *Parser) parseConstDecl() ast.Decl {
 func (p *Parser) parseMethodOrGlobal() ast.Decl {
 	te := p.parseBaseType()
 	nameTok := p.expect(token.IDENT)
-	switch p.peek().Kind {
+	switch p.tok.Kind {
 	case token.SCOPE:
 		p.next()
-		// te was actually the return type? No: `double body::subdivp` —
-		// te is the return type and nameTok is the class name.
+		// `double body::subdivp`: te is the return type and nameTok the
+		// class name.
 		methodTok := p.expect(token.IDENT)
 		md := &ast.MethodDef{
 			ClassName: nameTok.Lit,
@@ -315,7 +374,7 @@ func (p *Parser) parseMethodOrGlobal() ast.Decl {
 		p.next()
 		return &ast.GlobalVar{Name: nameTok.Lit, Type: te, TokPos: te.TokPos}
 	default:
-		p.errorf(p.peek().Pos, "expected '::', '(' or ';' after %q, found %s", nameTok.Lit, p.peek())
+		p.errorf(p.tok.Pos, "expected '::', '(' or ';' after %q, found %s", nameTok.Lit, p.tok)
 		p.sync()
 		return nil
 	}
@@ -324,7 +383,7 @@ func (p *Parser) parseMethodOrGlobal() ast.Decl {
 func (p *Parser) parseParams() []*ast.Param {
 	p.expect(token.LPAREN)
 	var params []*ast.Param
-	if p.peek().Kind != token.RPAREN {
+	if p.tok.Kind != token.RPAREN {
 		for {
 			te := p.parseBaseType()
 			nameTok := p.expect(token.IDENT)
@@ -345,41 +404,63 @@ func (p *Parser) parseParams() []*ast.Param {
 func (p *Parser) parseBlock() *ast.Block {
 	start := p.expect(token.LBRACE)
 	blk := &ast.Block{TokPos: start.Pos}
-	for p.peek().Kind != token.RBRACE && p.peek().Kind != token.EOF {
-		before := p.peek()
-		ss := p.parseStmtList()
-		blk.Stmts = append(blk.Stmts, ss...)
-		if p.peek() == before && len(ss) == 0 {
+	mark := len(p.stmts)
+	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
+		before, n := p.tok.Pos, len(p.stmts)
+		p.pushStmt()
+		if p.tok.Pos == before && len(p.stmts) == n {
 			p.next()
 		}
 	}
+	blk.Stmts = cut(&p.stmts, mark)
 	p.expect(token.RBRACE)
 	return blk
 }
 
-// parseStmtList parses one syntactic statement, which may expand into
-// several AST statements (comma-separated local declarators such as
-// `double inc, r, drsq, d;` become one DeclStmt each).
-func (p *Parser) parseStmtList() []ast.Stmt {
-	t := p.peek()
-	switch t.Kind {
-	case token.KWINT, token.KWDOUBLE, token.KWBOOLEAN:
-		return p.parseDeclStmts()
-	case token.IDENT:
-		if p.classNames[t.Lit] && p.peekAt(1).Kind == token.STAR && p.peekAt(2).Kind == token.IDENT {
-			return p.parseDeclStmts()
-		}
+// pushStmt parses one syntactic statement onto p.stmts. A local
+// declaration pushes one DeclStmt per declarator (`double inc, r,
+// drsq, d;` pushes four), an empty statement nothing.
+func (p *Parser) pushStmt() {
+	if p.atDecl() {
+		p.parseDeclStmts()
+		return
 	}
-	s := p.parseStmt()
-	if s == nil {
-		return nil
+	if s := p.parseOtherStmt(); s != nil {
+		p.stmts = append(p.stmts, s)
 	}
-	return []ast.Stmt{s}
 }
 
+// atDecl reports whether the current token starts a local declaration:
+// a basic type, or `ClassName * name`.
+func (p *Parser) atDecl() bool {
+	switch p.tok.Kind {
+	case token.KWINT, token.KWDOUBLE, token.KWBOOLEAN:
+		return true
+	case token.IDENT:
+		return p.classNames[p.tok.Lit] && p.peekAt(1).Kind == token.STAR && p.peekAt(2).Kind == token.IDENT
+	}
+	return false
+}
+
+// parseStmt parses the single statement that is the body of an if, a
+// for or a while. A declaration of several names there becomes a block.
 func (p *Parser) parseStmt() ast.Stmt {
-	t := p.peek()
-	switch t.Kind {
+	if !p.atDecl() {
+		return p.parseOtherStmt()
+	}
+	pos, mark := p.tok.Pos, len(p.stmts)
+	p.parseDeclStmts()
+	ss := cut(&p.stmts, mark)
+	if len(ss) == 1 {
+		return ss[0]
+	}
+	return &ast.Block{Stmts: ss, TokPos: pos}
+}
+
+// parseOtherStmt parses a statement that is not a local declaration; it
+// returns nil for the empty statement.
+func (p *Parser) parseOtherStmt() ast.Stmt {
+	switch p.tok.Kind {
 	case token.LBRACE:
 		return p.parseBlock()
 	case token.KWIF:
@@ -389,31 +470,13 @@ func (p *Parser) parseStmt() ast.Stmt {
 	case token.KWWHILE:
 		return p.parseWhile()
 	case token.KWRETURN:
+		rs := &ast.ReturnStmt{TokPos: p.tok.Pos}
 		p.next()
-		rs := &ast.ReturnStmt{TokPos: t.Pos}
-		if p.peek().Kind != token.SEMI {
+		if p.tok.Kind != token.SEMI {
 			rs.X = p.parseExpr()
 		}
 		p.expect(token.SEMI)
 		return rs
-	case token.KWINT, token.KWDOUBLE, token.KWBOOLEAN:
-		// A declaration used as a single-statement body; wrap multiple
-		// declarators in a block.
-		ss := p.parseDeclStmts()
-		if len(ss) == 1 {
-			return ss[0]
-		}
-		return &ast.Block{Stmts: ss, TokPos: t.Pos}
-	case token.IDENT:
-		// `ClassName *x;` declares a pointer local.
-		if p.classNames[t.Lit] && p.peekAt(1).Kind == token.STAR && p.peekAt(2).Kind == token.IDENT {
-			ss := p.parseDeclStmts()
-			if len(ss) == 1 {
-				return ss[0]
-			}
-			return &ast.Block{Stmts: ss, TokPos: t.Pos}
-		}
-		return p.parseExprStmt()
 	case token.SEMI:
 		p.next()
 		return nil
@@ -423,37 +486,32 @@ func (p *Parser) parseStmt() ast.Stmt {
 }
 
 // parseDeclStmts parses a local declaration statement with one or more
-// comma-separated declarators sharing the base type. Each declarator
-// may carry its own `*` and array dimensions.
-func (p *Parser) parseDeclStmts() []ast.Stmt {
+// comma-separated declarators sharing the base type onto p.stmts. Each
+// declarator may carry its own `*` and array dimensions.
+func (p *Parser) parseDeclStmts() {
 	te := p.parseBaseType()
-	var out []ast.Stmt
+	base := *te
 	for {
-		dte := &ast.TypeExpr{
-			Kind: te.Kind, ClassName: te.ClassName, Ptr: te.Ptr, TokPos: te.TokPos,
-		}
 		nameTok := p.expect(token.IDENT)
-		p.parseArrayDims(dte)
-		ds := &ast.DeclStmt{Name: nameTok.Lit, Type: dte, TokPos: dte.TokPos}
+		p.parseArrayDims(te)
+		ds := &ast.DeclStmt{Name: nameTok.Lit, Type: te, TokPos: te.TokPos}
 		if p.accept(token.ASSIGN) {
 			ds.Init = p.parseExpr()
 		}
-		out = append(out, ds)
+		p.stmts = append(p.stmts, ds)
 		if !p.accept(token.COMMA) {
 			break
 		}
 		// Declarators after the first carry their own optional `*`.
-		ptr := p.accept(token.STAR)
-		te = &ast.TypeExpr{Kind: te.Kind, ClassName: te.ClassName, Ptr: ptr, TokPos: te.TokPos}
+		te = p.types.add(ast.TypeExpr{Kind: base.Kind, ClassName: base.ClassName, Ptr: p.accept(token.STAR), TokPos: base.TokPos})
 	}
 	p.expect(token.SEMI)
-	return out
 }
 
 func (p *Parser) parseExprStmt() ast.Stmt {
 	e := p.parseExpr()
 	p.expect(token.SEMI)
-	return &ast.ExprStmt{X: e}
+	return p.exprSts.add(ast.ExprStmt{X: e})
 }
 
 func (p *Parser) parseIf() ast.Stmt {
@@ -473,27 +531,26 @@ func (p *Parser) parseFor() ast.Stmt {
 	start := p.expect(token.KWFOR)
 	p.expect(token.LPAREN)
 	fs := &ast.ForStmt{TokPos: start.Pos}
-	if p.peek().Kind != token.SEMI {
-		switch p.peek().Kind {
-		case token.KWINT, token.KWDOUBLE, token.KWBOOLEAN:
-			te := p.parseBaseType()
-			nameTok := p.expect(token.IDENT)
-			ds := &ast.DeclStmt{Name: nameTok.Lit, Type: te, TokPos: te.TokPos}
-			if p.accept(token.ASSIGN) {
-				ds.Init = p.parseExpr()
-			}
-			fs.Init = ds
-		default:
-			fs.Init = &ast.ExprStmt{X: p.parseExpr()}
+	switch p.tok.Kind {
+	case token.SEMI:
+	case token.KWINT, token.KWDOUBLE, token.KWBOOLEAN:
+		te := p.parseBaseType()
+		nameTok := p.expect(token.IDENT)
+		ds := &ast.DeclStmt{Name: nameTok.Lit, Type: te, TokPos: te.TokPos}
+		if p.accept(token.ASSIGN) {
+			ds.Init = p.parseExpr()
 		}
+		fs.Init = ds
+	default:
+		fs.Init = p.exprSts.add(ast.ExprStmt{X: p.parseExpr()})
 	}
 	p.expect(token.SEMI)
-	if p.peek().Kind != token.SEMI {
+	if p.tok.Kind != token.SEMI {
 		fs.Cond = p.parseExpr()
 	}
 	p.expect(token.SEMI)
-	if p.peek().Kind != token.RPAREN {
-		fs.Post = &ast.ExprStmt{X: p.parseExpr()}
+	if p.tok.Kind != token.RPAREN {
+		fs.Post = p.exprSts.add(ast.ExprStmt{X: p.parseExpr()})
 	}
 	p.expect(token.RPAREN)
 	fs.Body = p.parseStmt()
@@ -516,11 +573,10 @@ func (p *Parser) parseWhile() ast.Stmt {
 // associative, lowest precedence).
 func (p *Parser) parseExpr() ast.Expr {
 	lhs := p.parseBinary(1)
-	t := p.peek()
-	if t.Kind.IsAssign() {
+	if op, pos := p.tok.Kind, p.tok.Pos; op.IsAssign() {
 		p.next()
 		rhs := p.parseExpr()
-		return &ast.Assign{Op: t.Kind, LHS: lhs, RHS: rhs, TokPos: t.Pos}
+		return p.assigns.add(ast.Assign{Op: op, LHS: lhs, RHS: rhs, TokPos: pos})
 	}
 	return lhs
 }
@@ -528,71 +584,68 @@ func (p *Parser) parseExpr() ast.Expr {
 func (p *Parser) parseBinary(minPrec int) ast.Expr {
 	lhs := p.parseUnary()
 	for {
-		t := p.peek()
-		prec := t.Kind.Precedence()
+		op, pos := p.tok.Kind, p.tok.Pos
+		prec := op.Precedence()
 		if prec < minPrec || prec == 0 {
 			return lhs
 		}
 		p.next()
 		rhs := p.parseBinary(prec + 1)
-		lhs = &ast.Binary{Op: t.Kind, X: lhs, Y: rhs, TokPos: t.Pos}
+		lhs = p.binarys.add(ast.Binary{Op: op, X: lhs, Y: rhs, TokPos: pos})
 	}
 }
 
 func (p *Parser) parseUnary() ast.Expr {
-	t := p.peek()
-	switch t.Kind {
-	case token.MINUS:
+	op, pos := p.tok.Kind, p.tok.Pos
+	switch op {
+	case token.MINUS, token.NOT:
 		p.next()
-		return &ast.Unary{Op: token.MINUS, X: p.parseUnary(), TokPos: t.Pos}
-	case token.NOT:
-		p.next()
-		return &ast.Unary{Op: token.NOT, X: p.parseUnary(), TokPos: t.Pos}
+		return &ast.Unary{Op: op, X: p.parseUnary(), TokPos: pos}
 	case token.PLUS:
 		p.next()
 		return p.parseUnary()
 	case token.INC, token.DEC:
 		p.next()
-		x := p.parseUnary()
-		op := token.PLUSEQ
-		if t.Kind == token.DEC {
-			op = token.MINUSEQ
-		}
-		return &ast.Assign{Op: op, LHS: x, RHS: &ast.IntLit{Value: 1, TokPos: t.Pos}, TokPos: t.Pos}
+		return incDec(op, p.parseUnary(), pos)
 	}
 	return p.parsePostfix()
+}
+
+// incDec desugars `++x`, `x++`, `--x` and `x--` to `x += 1` / `x -= 1`.
+func incDec(op token.Kind, x ast.Expr, pos token.Pos) *ast.Assign {
+	asn := token.PLUSEQ
+	if op == token.DEC {
+		asn = token.MINUSEQ
+	}
+	return &ast.Assign{Op: asn, LHS: x, RHS: &ast.IntLit{Value: 1, TokPos: pos}, TokPos: pos}
 }
 
 func (p *Parser) parsePostfix() ast.Expr {
 	x := p.parsePrimary()
 	for {
-		t := p.peek()
-		switch t.Kind {
+		op, pos := p.tok.Kind, p.tok.Pos
+		switch op {
 		case token.DOT, token.ARROW:
 			p.next()
 			nameTok := p.expect(token.IDENT)
-			arrow := t.Kind == token.ARROW
-			if p.peek().Kind == token.LPAREN {
+			arrow := op == token.ARROW
+			if p.tok.Kind == token.LPAREN {
 				call := &ast.CallExpr{
 					Recv: x, Arrow: arrow, Method: nameTok.Lit, Site: -1, TokPos: nameTok.Pos,
 				}
 				call.Args = p.parseArgs()
 				x = call
 			} else {
-				x = &ast.FieldAccess{X: x, Name: nameTok.Lit, Arrow: arrow, TokPos: nameTok.Pos}
+				x = p.fields.add(ast.FieldAccess{X: x, Name: nameTok.Lit, Arrow: arrow, TokPos: nameTok.Pos})
 			}
 		case token.LBRACKET:
 			p.next()
 			idx := p.parseExpr()
 			p.expect(token.RBRACKET)
-			x = &ast.IndexExpr{X: x, Index: idx, TokPos: t.Pos}
+			x = p.indexes.add(ast.IndexExpr{X: x, Index: idx, TokPos: pos})
 		case token.INC, token.DEC:
 			p.next()
-			op := token.PLUSEQ
-			if t.Kind == token.DEC {
-				op = token.MINUSEQ
-			}
-			x = &ast.Assign{Op: op, LHS: x, RHS: &ast.IntLit{Value: 1, TokPos: t.Pos}, TokPos: t.Pos}
+			x = incDec(op, x, pos)
 		default:
 			return x
 		}
@@ -601,29 +654,39 @@ func (p *Parser) parsePostfix() ast.Expr {
 
 func (p *Parser) parseArgs() []ast.Expr {
 	p.expect(token.LPAREN)
-	var args []ast.Expr
-	if p.peek().Kind != token.RPAREN {
+	mark := len(p.exprs)
+	if p.tok.Kind != token.RPAREN {
 		for {
-			args = append(args, p.parseExpr())
+			x := p.parseExpr()
+			p.exprs = append(p.exprs, x)
 			if !p.accept(token.COMMA) {
 				break
 			}
 		}
 	}
+	args := cut(&p.exprs, mark)
 	p.expect(token.RPAREN)
 	return args
 }
 
 func (p *Parser) parsePrimary() ast.Expr {
-	t := p.peek()
+	t := p.tok
 	switch t.Kind {
+	case token.IDENT:
+		p.next()
+		if p.tok.Kind == token.LPAREN {
+			call := &ast.CallExpr{Method: t.Lit, Site: -1, TokPos: t.Pos}
+			call.Args = p.parseArgs()
+			return call
+		}
+		return p.idents.add(ast.Ident{Name: t.Lit, TokPos: t.Pos})
 	case token.INTLIT:
 		p.next()
 		v, err := strconv.ParseInt(t.Lit, 10, 64)
 		if err != nil {
 			p.errorf(t.Pos, "bad integer literal %q", t.Lit)
 		}
-		return &ast.IntLit{Value: v, TokPos: t.Pos}
+		return p.ints.add(ast.IntLit{Value: v, TokPos: t.Pos})
 	case token.FLOATLIT:
 		p.next()
 		v, err := strconv.ParseFloat(t.Lit, 64)
@@ -634,12 +697,9 @@ func (p *Parser) parsePrimary() ast.Expr {
 	case token.STRINGLIT:
 		p.next()
 		return &ast.StringLit{Value: t.Lit, TokPos: t.Pos}
-	case token.KWTRUE:
+	case token.KWTRUE, token.KWFALSE:
 		p.next()
-		return &ast.BoolLit{Value: true, TokPos: t.Pos}
-	case token.KWFALSE:
-		p.next()
-		return &ast.BoolLit{Value: false, TokPos: t.Pos}
+		return &ast.BoolLit{Value: t.Kind == token.KWTRUE, TokPos: t.Pos}
 	case token.KWNULL:
 		p.next()
 		return &ast.NullLit{TokPos: t.Pos}
@@ -650,8 +710,7 @@ func (p *Parser) parsePrimary() ast.Expr {
 		p.next()
 		nameTok := p.expect(token.IDENT)
 		// Tolerate `new cl()`.
-		if p.peek().Kind == token.LPAREN {
-			p.next()
+		if p.accept(token.LPAREN) {
 			p.expect(token.RPAREN)
 		}
 		return &ast.NewExpr{ClassName: nameTok.Lit, TokPos: t.Pos}
@@ -665,24 +724,17 @@ func (p *Parser) parsePrimary() ast.Expr {
 		x := p.parseExpr()
 		p.expect(token.RPAREN)
 		return &ast.CastExpr{ClassName: nameTok.Lit, X: x, Dynamic: true, TokPos: t.Pos}
-	case token.IDENT:
-		p.next()
-		if p.peek().Kind == token.LPAREN {
-			call := &ast.CallExpr{Method: t.Lit, Site: -1, TokPos: t.Pos}
-			call.Args = p.parseArgs()
-			return call
-		}
-		return &ast.Ident{Name: t.Lit, TokPos: t.Pos}
 	case token.LPAREN:
 		// C-style pointer cast `(cl*)expr` or a parenthesized expression.
-		if p.peekAt(1).Kind == token.IDENT && p.classNames[p.peekAt(1).Lit] &&
+		if n := p.peekAt(1); n.Kind == token.IDENT && p.classNames[n.Lit] &&
 			p.peekAt(2).Kind == token.STAR && p.peekAt(3).Kind == token.RPAREN {
+			name := n.Lit
 			p.next()
-			nameTok := p.next()
+			p.next()
 			p.next() // *
 			p.next() // )
 			x := p.parseUnary()
-			return &ast.CastExpr{ClassName: nameTok.Lit, X: x, Dynamic: false, TokPos: t.Pos}
+			return &ast.CastExpr{ClassName: name, X: x, Dynamic: false, TokPos: t.Pos}
 		}
 		p.next()
 		x := p.parseExpr()

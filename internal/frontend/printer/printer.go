@@ -297,8 +297,13 @@ func (p *printer) forHeader(x *ast.ForStmt) {
 
 // inlineStmt renders a statement as the body of if/for/while without a
 // trailing newline. A single-statement body goes on its own line, which
-// it ends; the caller adds another.
+// it ends; the caller adds another. The empty statement (a nil body) is
+// its semicolon.
 func (p *printer) inlineStmt(s ast.Stmt) {
+	if s == nil {
+		p.w(";")
+		return
+	}
 	if b, ok := s.(*ast.Block); ok {
 		p.block(b)
 		return

@@ -147,32 +147,51 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Keywords maps source spellings to keyword kinds.
-var Keywords = map[string]Kind{
-	"class":        KWCLASS,
-	"public":       KWPUBLIC,
-	"private":      KWPRIVATE,
-	"const":        KWCONST,
-	"int":          KWINT,
-	"double":       KWDOUBLE,
-	"float":        KWDOUBLE, // treated as double
-	"boolean":      KWBOOLEAN,
-	"bool":         KWBOOLEAN,
-	"void":         KWVOID,
-	"if":           KWIF,
-	"else":         KWELSE,
-	"for":          KWFOR,
-	"while":        KWWHILE,
-	"return":       KWRETURN,
-	"new":          KWNEW,
-	"this":         KWTHIS,
-	"NULL":         KWNULL,
-	"nullptr":      KWNULL,
-	"TRUE":         KWTRUE,
-	"true":         KWTRUE,
-	"FALSE":        KWFALSE,
-	"false":        KWFALSE,
-	"dynamic_cast": KWCAST,
+// Lookup returns the keyword kind spelled lit, or IDENT when lit is no
+// keyword. "float" is read as double, "bool" as boolean, "nullptr" as
+// NULL, and true and false in either case.
+func Lookup(lit string) Kind {
+	switch lit {
+	case "class":
+		return KWCLASS
+	case "public":
+		return KWPUBLIC
+	case "private":
+		return KWPRIVATE
+	case "const":
+		return KWCONST
+	case "int":
+		return KWINT
+	case "double", "float":
+		return KWDOUBLE
+	case "boolean", "bool":
+		return KWBOOLEAN
+	case "void":
+		return KWVOID
+	case "if":
+		return KWIF
+	case "else":
+		return KWELSE
+	case "for":
+		return KWFOR
+	case "while":
+		return KWWHILE
+	case "return":
+		return KWRETURN
+	case "new":
+		return KWNEW
+	case "this":
+		return KWTHIS
+	case "NULL", "nullptr":
+		return KWNULL
+	case "TRUE", "true":
+		return KWTRUE
+	case "FALSE", "false":
+		return KWFALSE
+	case "dynamic_cast":
+		return KWCAST
+	}
+	return IDENT
 }
 
 // Pos is a position in a source file.

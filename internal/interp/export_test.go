@@ -22,3 +22,6 @@ func (c *Ctx) FreeFramesZero() bool {
 	}
 	return true
 }
+
+// Resolution is the program resolution the interpreter executes with.
+func (ip *Interp) Resolution() any { return ip.res }

@@ -20,10 +20,10 @@ type FieldInfo struct {
 
 // ClassLayout returns the full field layout of cl — inherited fields
 // first, each class's own fields in declaration order — with the slot
-// index the interpreter assigns to each. The result is freshly
-// allocated and sorted by slot (slots are dense: 0..len-1).
-func ClassLayout(prog *types.Program, cl *types.Class) []FieldInfo {
-	l := resolve(prog).layout
+// index the interpreter assigns to each, which is that order (slots are
+// dense: 0..len-1). The result is freshly allocated; computing it
+// builds no resolution of the program.
+func ClassLayout(cl *types.Class) []FieldInfo {
 	var chain []*types.Class
 	for c := cl; c != nil; c = c.Base {
 		chain = append(chain, c)
@@ -32,12 +32,7 @@ func ClassLayout(prog *types.Program, cl *types.Class) []FieldInfo {
 	for i := len(chain) - 1; i >= 0; i-- {
 		c := chain[i]
 		for _, f := range c.Fields {
-			out = append(out, FieldInfo{
-				Name:      f.Name,
-				DeclClass: c.Name,
-				Slot:      l.slot(cl, c.Name, f.Name),
-				Type:      f.Type,
-			})
+			out = append(out, FieldInfo{Name: f.Name, DeclClass: c.Name, Slot: len(out), Type: f.Type})
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"io"
+	"sync"
 	"testing"
 
 	"commute"
@@ -30,7 +31,7 @@ func TestClassLayoutAgreesWithFieldSlot(t *testing.T) {
 			t.Fatalf("%s: run: %v", app.name, err)
 		}
 		for _, cl := range sys.Prog.ClassList {
-			fields := interp.ClassLayout(sys.Prog, cl)
+			fields := interp.ClassLayout(cl)
 			if want := interp.ClassSlotCount(sys.Prog, cl); len(fields) != want {
 				t.Fatalf("%s: class %s: layout has %d fields, slot count is %d",
 					app.name, cl.Name, len(fields), want)
@@ -87,5 +88,39 @@ func TestClassLayoutAgreesWithFieldSlot(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConcurrentFirstInterpretersShareOneResolution: the first
+// interpreters of a program, created at once, resolve it once and
+// execute with the one resolution; nothing is held for the program
+// before and after a Release.
+func TestConcurrentFirstInterpretersShareOneResolution(t *testing.T) {
+	sys, err := commute.Load("graph", src.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interp.Resolved(sys.Prog) {
+		t.Fatal("loading resolved the program")
+	}
+	const n = 8
+	res := make([]any, n)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i] = interp.New(sys.Prog, io.Discard).Resolution()
+		}()
+	}
+	wg.Wait()
+	for i, r := range res {
+		if r != res[0] {
+			t.Fatalf("interpreter %d executes with another resolution than interpreter 0", i)
+		}
+	}
+	sys.Release()
+	if interp.Resolved(sys.Prog) {
+		t.Fatal("Release left the resolution held")
 	}
 }

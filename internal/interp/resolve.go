@@ -71,9 +71,13 @@ type resolveEntry struct {
 }
 
 // resolve returns the program's cached resolution, building and
-// annotating the AST on first use.
+// annotating the AST on first use. Only the first call for a program
+// allocates its entry.
 func resolve(prog *types.Program) *resolution {
-	e, _ := resolveCache.LoadOrStore(prog, &resolveEntry{})
+	e, ok := resolveCache.Load(prog)
+	if !ok {
+		e, _ = resolveCache.LoadOrStore(prog, &resolveEntry{})
+	}
 	ent := e.(*resolveEntry)
 	ent.once.Do(func() { ent.res = buildResolution(prog) })
 	return ent.res
@@ -81,9 +85,16 @@ func resolve(prog *types.Program) *resolution {
 
 // Warm forces the program's slot resolution and closure compilation to
 // run now (they otherwise run lazily on the first interpreter
-// creation), so a caching layer can pay the one-time cost at load time
-// instead of on the first request.
+// creation), so a caller can pay the one-time cost before it starts
+// timing an execution. Concurrent calls build once.
 func Warm(prog *types.Program) { resolve(prog) }
+
+// Resolved reports whether the program's resolution is held: built, or
+// being built, by an execution or a Warm, and not released since.
+func Resolved(prog *types.Program) bool {
+	_, ok := resolveCache.Load(prog)
+	return ok
+}
 
 // Release drops the program's cached resolution and compiled bodies,
 // letting a long-running process reclaim the memory of programs it has

@@ -26,12 +26,12 @@ func codegenOpts(app string) codegen.EmitGoOptions {
 func DumpInterp(w io.Writer, prog *types.Program, ip *interp.Interp) {
 	d := nativert.NewDumper(w)
 	for _, g := range prog.GlobalSeq {
-		dumpObj(d, prog, "g."+g.Name, ip.Globals[g.Name])
+		dumpObj(d, "g."+g.Name, ip.Globals[g.Name])
 	}
 	d.Flush()
 }
 
-func dumpObj(d *nativert.Dumper, prog *types.Program, path string, o *interp.Object) {
+func dumpObj(d *nativert.Dumper, path string, o *interp.Object) {
 	if o == nil {
 		d.Null(path)
 		return
@@ -39,12 +39,12 @@ func dumpObj(d *nativert.Dumper, prog *types.Program, path string, o *interp.Obj
 	if !d.Begin(path, o, o.Class.Name) {
 		return
 	}
-	for i, f := range interp.ClassLayout(prog, o.Class) {
-		dumpVal(d, prog, path+"."+f.Name, o.Slots[i])
+	for i, f := range interp.ClassLayout(o.Class) {
+		dumpVal(d, path+"."+f.Name, o.Slots[i])
 	}
 }
 
-func dumpVal(d *nativert.Dumper, prog *types.Program, path string, v interp.Value) {
+func dumpVal(d *nativert.Dumper, path string, v interp.Value) {
 	switch v.Kind() {
 	case interp.KInt:
 		d.Int(path, v.Int())
@@ -53,10 +53,10 @@ func dumpVal(d *nativert.Dumper, prog *types.Program, path string, v interp.Valu
 	case interp.KBool:
 		d.Bool(path, v.Bool())
 	case interp.KObject:
-		dumpObj(d, prog, path, v.Object())
+		dumpObj(d, path, v.Object())
 	case interp.KArray:
 		for i, el := range v.Array().Elems {
-			dumpVal(d, prog, path+"["+strconv.Itoa(i)+"]", el)
+			dumpVal(d, path+"["+strconv.Itoa(i)+"]", el)
 		}
 	default:
 		d.Null(path)

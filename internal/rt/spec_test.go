@@ -115,7 +115,7 @@ func TestSlotKeysNameFieldsLikeTheEmitter(t *testing.T) {
 				t.Errorf("%s: class %s has %d slot keys, %d slots", app.name, cl.Name, got, want)
 				continue
 			}
-			for _, f := range interp.ClassLayout(prog, cl) {
+			for _, f := range interp.ClassLayout(cl) {
 				want := f.DeclClass + "." + f.Name
 				if got := keys[cl][f.Slot]; got != want {
 					t.Errorf("%s: slot %d of class %s is keyed %q, want %q", app.name, f.Slot, cl.Name, got, want)

@@ -24,8 +24,9 @@ import (
 // most.
 const artMemEntries = 128
 
-// bundleFromSystem serializes a loaded system's analysis artifacts.
-func bundleFromSystem(key, name string, sys *commute.System) *api.ArtifactBundle {
+// bundleFromSystem collects a loaded system's analysis artifacts, the
+// emitted parallel source only when source is set.
+func bundleFromSystem(key, name string, sys *commute.System, source bool) *api.ArtifactBundle {
 	b := &api.ArtifactBundle{
 		Fingerprint:     key,
 		Name:            name,
@@ -37,24 +38,25 @@ func bundleFromSystem(key, name string, sys *commute.System) *api.ArtifactBundle
 	for _, mr := range sys.Reports() {
 		b.Methods = append(b.Methods, apiMethodReport(mr))
 	}
-	if sys.File != nil {
+	if source && sys.File != nil {
 		b.ParallelSource = sys.Plan.EmitParallelSource(sys.File)
 	}
 	return b
 }
 
-// publishArtifact encodes and offers the bundle to the blob tier.
-// Publishing is best-effort: a full disk or an unreachable tier must
-// not fail the request that triggered the cold load.
-func (s *Server) publishArtifact(key, name string, sys *commute.System) {
+// publishArtifact encodes and offers the bundle to the blob tier, if
+// there is one. Publishing is best-effort: a full disk or an
+// unreachable tier must not fail the request that triggered the cold
+// load.
+func (s *Server) publishArtifact(b *api.ArtifactBundle) {
 	if s.blobs == nil {
 		return
 	}
-	data, err := api.EncodeArtifact(bundleFromSystem(key, name, sys))
+	data, err := api.EncodeArtifact(b)
 	if err != nil {
 		return
 	}
-	if s.blobs.Put(key, data) == nil {
+	if s.blobs.Put(b.Fingerprint, data) == nil {
 		s.published.Add(1)
 	}
 }
@@ -114,7 +116,7 @@ func (s *Server) initArtifacts(blobs cache.BlobStore) {
 }
 
 // analyzeFromBundle renders the /v1/analyze response for an adopted
-// (or freshly built) bundle.
+// bundle, or for the one a cold load just built.
 func analyzeFromBundle(b *api.ArtifactBundle, key, cacheWord string, emit bool, start time.Time) api.AnalyzeResponse {
 	resp := api.AnalyzeResponse{
 		Key:             key,

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -159,6 +160,41 @@ func TestAnalyzeEmitOnEveryPath(t *testing.T) {
 				first = ar.ParallelSource
 			} else if ar.ParallelSource != first {
 				t.Fatalf("emit=%v: the %s response's parallel source differs from the miss's", emit, ar.Cache)
+			}
+		}
+	}
+}
+
+// TestAnalyzePathsAgree: a cold load answers from the bundle it renders
+// for the blob tier, so for one program the miss, the adopt and the hit
+// reply agree in every field but the cache word and the time taken.
+// Water is the app whose plan replicates accumulations, the one that
+// reads class layouts while it plans.
+func TestAnalyzePathsAgree(t *testing.T) {
+	for _, app := range []string{"graph", "water"} {
+		blobs := cache.NewMemStore()
+		_, owner := newTestServer(t, Config{Blobs: blobs})
+		_, peer := newTestServer(t, Config{Blobs: blobs})
+		req := api.AnalyzeRequest{SourceRequest: api.SourceRequest{App: app}, Emit: true}
+		var first map[string]any
+		for _, step := range []struct {
+			ts    *httptest.Server
+			cache string
+		}{{owner, "miss"}, {peer, "adopt"}, {owner, "hit"}} {
+			resp, data := post(t, step.ts, "/v1/analyze", req)
+			var reply map[string]any
+			if err := json.Unmarshal(data, &reply); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || reply["cache"] != step.cache {
+				t.Fatalf("%s: analyze = %d cache %v, want 200 %s", app, resp.StatusCode, reply["cache"], step.cache)
+			}
+			delete(reply, "cache")
+			delete(reply, "elapsed_ms")
+			if first == nil {
+				first = reply
+			} else if !reflect.DeepEqual(reply, first) {
+				t.Fatalf("%s: the %s reply differs from the miss:\n%v\n%v", app, step.cache, reply, first)
 			}
 		}
 	}

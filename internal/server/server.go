@@ -159,7 +159,8 @@ func New(cfg Config) *Server {
 			"run":      {},
 			"simulate": {},
 			// Program-load latency, split by cache outcome: load-cold is
-			// the full pipeline (parse → analysis → codegen → warm),
+			// the full pipeline (parse → analysis → codegen) and the
+			// program's analysis bundle,
 			// load-warm a cache hit, load-adopt a peer artifact decoded
 			// from the blob tier instead of re-analyzed. The cold↔warm
 			// gap is what the cache buys; the cold↔adopt gap is what
@@ -293,35 +294,54 @@ func resolveSource(req api.SourceRequest) (name, source string, opts commute.Loa
 
 // loadProgram resolves a fingerprinted program through the cache; only
 // a cold load asks for the program's text. The returned handle must be
-// Closed when the request is done with the system. A cold load publishes
-// its artifact to the blob tier so fleet peers can adopt the analysis
-// instead of repeating it.
-func (s *Server) loadProgram(p program) (h *cache.Handle, hit bool, err error) {
+// Closed when the request is done with the system.
+//
+// A cold load renders the program's analysis bundle once, when anyone
+// reads it: the blob tier, which gets it published so fleet peers can
+// adopt the analysis instead of repeating it, or an analyze miss
+// (analyze), which answers from it; the parallel source is rendered
+// when the tier or the request (emit) wants it. Otherwise, and on a hit,
+// the bundle is nil.
+//
+// Loading does not prepare the program for execution: the interpreter's
+// slot resolution and compiled closures are built by the first request
+// that runs the entry (warm), so an entry only ever analyzed holds none.
+func (s *Server) loadProgram(p program, analyze, emit bool) (h *cache.Handle, hit bool, b *api.ArtifactBundle, err error) {
 	start := time.Now()
-	var name string
 	h, hit, err = s.cache.GetOrLoad(p.key, func() (*commute.System, int64, error) {
-		n, source, opts, err := p.text()
+		name, source, opts, err := p.text()
 		if err != nil {
 			return nil, 0, err
 		}
-		name = n
 		sys, lerr := commute.LoadOpts(name, source, opts)
 		if lerr != nil {
 			return nil, 0, lerr
 		}
-		// Pay the lazy costs (slot resolution, closure compilation) now
-		// so every request against this entry — including this one —
-		// executes fully warm.
-		sys.Warm()
+		// Rendered before the entry is published, so no other request
+		// holds the system yet.
+		if s.blobs != nil || analyze {
+			b = bundleFromSystem(p.key, name, sys, s.blobs != nil || emit)
+		}
 		return sys, systemSize(source), nil
 	})
 	if rec := s.lat[loadWord(hit)]; rec != nil {
 		rec.record(time.Since(start), err != nil)
 	}
-	if err == nil && !hit {
-		s.publishArtifact(p.key, name, h.System())
+	if err == nil && b != nil {
+		s.publishArtifact(b)
 	}
-	return h, hit, err
+	return h, hit, b, err
+}
+
+// warm readies a loaded system for execution. The first execution of an
+// entry pays the interpreter's slot resolution and closure compilation,
+// once: concurrent first runs share one build. It runs before a handler
+// starts its clock, so an execution's reported wall time never includes
+// it.
+func warm(h *cache.Handle) *commute.System {
+	sys := h.System()
+	sys.Warm()
+	return sys
 }
 
 func loadWord(hit bool) string {
@@ -406,11 +426,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 			return writeJSON(w, http.StatusOK, analyzeFromBundle(b, key, "adopt", req.Emit, start))
 		}
 	}
-	h, hit, err := s.loadProgram(p)
+	h, hit, b, err := s.loadProgram(p, true, req.Emit)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
 	defer h.Close()
+	if b != nil {
+		return writeJSON(w, http.StatusOK, analyzeFromBundle(b, key, "miss", req.Emit, start))
+	}
 	return writeJSON(w, http.StatusOK, analyzeFromSystem(h.System(), key, cacheWord(hit), req.Emit, start))
 }
 
@@ -500,12 +523,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if err := p.accept(w); err != nil {
 		return err
 	}
-	h, hit, err := s.loadProgram(p)
+	h, hit, _, err := s.loadProgram(p, false, false)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
 	defer h.Close()
-	sys := h.System()
+	sys := warm(h)
 
 	ctx, cancel := s.deadline(r, req.TimeoutMS)
 	defer cancel()
@@ -586,12 +609,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	if err := prog.accept(w); err != nil {
 		return err
 	}
-	h, hit, err := s.loadProgram(prog)
+	h, hit, _, err := s.loadProgram(prog, false, false)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
 	defer h.Close()
-	sys := h.System()
+	sys := warm(h)
 
 	ctx, cancel := s.deadline(r, 0)
 	defer cancel()

@@ -17,6 +17,7 @@ import (
 
 	"commute"
 	"commute/internal/apps/src"
+	"commute/internal/interp"
 	"commute/internal/rt"
 	"commute/internal/server/api"
 )
@@ -170,8 +171,8 @@ func TestAnalyzeCacheHit(t *testing.T) {
 // TestAnalyzeCacheSpeedupBarnesHut is the acceptance bar: a second
 // identical analyze of Barnes-Hut must be served from cache at least
 // 10x faster than the cold request (the cold request pays parse, type
-// check, §3–§4 analysis, codegen, slot resolution, and closure
-// compilation; the hit pays a map lookup and response assembly).
+// check, §3–§4 analysis and codegen; the hit pays a map lookup and
+// response assembly).
 func TestAnalyzeCacheSpeedupBarnesHut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -217,6 +218,94 @@ func TestAnalyzeCacheSpeedupBarnesHut(t *testing.T) {
 	if warm*10 > cold {
 		t.Fatalf("cached analyze took %v vs cold %v — want >= 10x faster", warm, cold)
 	}
+}
+
+// TestAnalyzeDoesNotWarm: a program that is only analyzed holds no
+// interpreter resolution, whatever its plan reads (Water's replication
+// reads class layouts); the first /v1/run of it warms the entry and
+// prints what the tree walker prints.
+func TestAnalyzeDoesNotWarm(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, app := range []string{"graph", "water"} {
+		source := api.SourceRequest{App: app}
+		resp, data := post(t, ts, "/v1/analyze", api.AnalyzeRequest{SourceRequest: source})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: analyze = %d: %s", app, resp.StatusCode, data)
+		}
+		key, err := FingerprintRequest(source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, ok := s.Cache().Peek(key)
+		if !ok {
+			t.Fatalf("%s: the analyzed program is not cached", app)
+		}
+		sys := h.System()
+		h.Close()
+		if interp.Resolved(sys.Prog) {
+			t.Fatalf("%s: an analyze resolved the program for execution", app)
+		}
+
+		resp, data = post(t, ts, "/v1/run", api.RunRequest{SourceRequest: source, Mode: "serial"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: run = %d: %s", app, resp.StatusCode, data)
+		}
+		var rr api.RunResponse
+		if err := json.Unmarshal(data, &rr); err != nil {
+			t.Fatal(err)
+		}
+		if want := walkerOutput(t, app); rr.Cache != "hit" || rr.Output != want {
+			t.Fatalf("%s: run after analyze: cache %q, output %q; want hit, %q", app, rr.Cache, rr.Output, want)
+		}
+		if !interp.Resolved(sys.Prog) {
+			t.Fatalf("%s: a run left the entry unresolved", app)
+		}
+	}
+}
+
+// TestConcurrentFirstRuns: two runs of a program only analyzed so far
+// warm the entry at once; both print what the walker prints. (That they
+// share one build is interp's TestConcurrentFirstInterpretersShareOneResolution.)
+func TestConcurrentFirstRuns(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	source := api.SourceRequest{App: "graph"}
+	if resp, data := post(t, ts, "/v1/analyze", api.AnalyzeRequest{SourceRequest: source}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze = %d: %s", resp.StatusCode, data)
+	}
+	want := walkerOutput(t, "graph")
+	var wg sync.WaitGroup
+	for _, mode := range []string{"serial", "parallel"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, data := post(t, ts, "/v1/run", api.RunRequest{SourceRequest: source, Mode: mode, Workers: 2})
+			var rr api.RunResponse
+			if err := json.Unmarshal(data, &rr); err != nil {
+				t.Error(err)
+				return
+			}
+			if resp.StatusCode != http.StatusOK || rr.Output != want {
+				t.Errorf("%s run = %d, output %q; want 200, %q", mode, resp.StatusCode, rr.Output, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// walkerOutput is what the tree walker prints for a shipped app, on a
+// system of its own.
+func walkerOutput(t *testing.T, app string) string {
+	t.Helper()
+	name, source, _ := src.App(app)
+	sys, err := commute.Load(name, source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if _, err := sys.RunSerialEngine(interp.EngineWalk, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
 }
 
 func TestRunSerialAndParallelAgree(t *testing.T) {
