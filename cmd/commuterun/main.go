@@ -79,6 +79,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(2)
 	}
+	if *mode == "parallel" {
+		if err := api.CheckWorkers(*workers); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
 
 	var name, source string
 	switch {

@@ -1,15 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
 
 	"commute"
 	"commute/internal/rt"
+	"commute/internal/server/api"
 )
 
 func TestModeConflict(t *testing.T) {
@@ -54,5 +59,32 @@ func TestSimulateTimeout(t *testing.T) {
 	}
 	if d := time.Since(t0); d > 5*time.Second {
 		t.Fatalf("the deadline took %v to stop the trace run", d)
+	}
+}
+
+// TestWorkersOutOfRange: -mode parallel with a worker count outside
+// [1, api.MaxRunWorkers] exits 2 with /v1/run's message before the
+// program loads, so nothing runs and nothing reaches stdout. The test
+// binary runs main in a child process, its arguments in the
+// environment.
+func TestWorkersOutOfRange(t *testing.T) {
+	if args := os.Getenv("COMMUTERUN_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"commuterun"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, n := range []int{0, -3, api.MaxRunWorkers + 1} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestWorkersOutOfRange$")
+		cmd.Env = append(os.Environ(), fmt.Sprintf("COMMUTERUN_TEST_ARGS=-mode parallel -workers %d -stats-json -app graph", n))
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-workers %d: %v, want exit status 2", n, err)
+		}
+		if want := api.CheckWorkers(n).Error() + "\n"; stderr.String() != want || stdout.Len() != 0 {
+			t.Errorf("-workers %d: stdout %q, stderr %q; want nothing and %q", n, stdout.String(), stderr.String(), want)
+		}
 	}
 }

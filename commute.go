@@ -161,8 +161,8 @@ func LoadOpts(name, source string, opts LoadOptions) (*System, error) {
 	return Load(name, source)
 }
 
-// Warm forces the per-program lazy caches — slot resolution and the
-// closure-compiled method bodies — to build now instead of inside the
+// Warm forces the per-program lazy caches — the interpreter's resolution
+// and the closure-compiled method bodies — to build now instead of inside the
 // first execution. Only execution needs them: analysis, reports and the
 // emitted source never do. A caching layer calls this before it times
 // an entry's execution; the first call for a program builds the caches,
@@ -170,11 +170,9 @@ func LoadOpts(name, source string, opts LoadOptions) (*System, error) {
 func (s *System) Warm() { interp.Warm(s.Prog) }
 
 // Release drops the per-program resolution and compiled-closure caches,
-// releasing their memory. Call it when evicting a System from a cache.
-// The caller must guarantee no executions of this System are in flight
-// (and none start concurrently): a later execution would rebuild the
-// caches, including re-annotating the shared AST, which is only safe
-// once every prior reader is done.
+// releasing their memory. Call it when evicting a System from a cache,
+// after its last execution: an execution that starts later rebuilds the
+// caches, and nothing releases them again.
 func (s *System) Release() { interp.Release(s.Prog) }
 
 // LoadFiles parses several source files into one program (class and

@@ -13,6 +13,7 @@ import (
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
 	"commute/internal/core"
+	"commute/internal/interp"
 )
 
 func TestLoadErrors(t *testing.T) {
@@ -24,6 +25,33 @@ class a { public: int x; void m(); };
 void a::m() { y = 1; }
 `); err == nil || !strings.Contains(err.Error(), "type check") {
 		t.Errorf("expected type-check error, got %v", err)
+	}
+}
+
+// TestCompileResolvesNothing: loading a program and what commutec prints
+// of it — the reports, the parallel source, the emitted Go package —
+// read the checker's layouts and build nothing for execution.
+func TestCompileResolvesNothing(t *testing.T) {
+	for _, app := range []struct{ name, source string }{
+		{"barneshut", src.BarnesHut},
+		{"water", src.Water},
+		{"graph", src.Graph},
+	} {
+		sys, err := commute.Load(app.name, app.source)
+		if err != nil {
+			t.Fatalf("%s: %v", app.name, err)
+		}
+		for _, m := range sys.Prog.Methods {
+			sys.Report(m.FullName())
+		}
+		sys.Plan.EmitParallelSource(sys.File)
+		if _, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name}); err != nil {
+			t.Fatalf("%s: %v", app.name, err)
+		}
+		if interp.Resolved(sys.Prog) {
+			t.Errorf("%s: compiling resolved the program for execution", app.name)
+			sys.Release()
+		}
 	}
 }
 

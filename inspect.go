@@ -40,7 +40,7 @@ func (s *System) Read(ip *interp.Interp, path string) (any, error) {
 		if f == nil {
 			return nil, fmt.Errorf("class %s has no field %q", o.Class.Name, seg.name)
 		}
-		cur = o.Slots[ip.FieldSlot(o.Class, f.Class.Name, f.Name)]
+		cur = o.Slots[f.Slot]
 		if seg.indexed {
 			arr := cur.Array()
 			if arr == nil {

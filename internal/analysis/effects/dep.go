@@ -71,7 +71,7 @@ func (d *depWalker) single(desc Desc) *Set {
 // order, so taints from later statements never pollute earlier dep
 // sets.
 func (d *depWalker) loopFix(walk func()) {
-	for i := 0; i < len(d.m.Locals)+2; i++ {
+	for i := 0; i < len(d.m.Frame)-len(d.m.Params)+2; i++ {
 		before := d.taintSize()
 		walk()
 		if d.taintSize() == before {

@@ -175,7 +175,7 @@ func (d Desc) PrimType() (types.Basic, bool) {
 		}
 		return 0, false
 	case DescLocal:
-		t, ok := d.Method.Locals[d.Name]
+		t, ok := d.Method.LocalType(d.Name)
 		if !ok {
 			return 0, false
 		}

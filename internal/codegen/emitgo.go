@@ -72,7 +72,6 @@ import (
 	"commute/internal/cond"
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
-	"commute/internal/interp"
 )
 
 // EmitGoOptions configure EmitGoPackage.
@@ -166,8 +165,6 @@ type goEmitter struct {
 	opts EmitGoOptions
 
 	hasSub  map[*types.Class]bool
-	layouts map[*types.Class][]interp.FieldInfo
-	frames  map[*types.Method][]interp.VarInfo
 	muRoots map[*types.Class]bool
 
 	demanded map[vkey]bool
@@ -228,8 +225,6 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 		prog:     p.Prog,
 		opts:     opts,
 		hasSub:   make(map[*types.Class]bool),
-		layouts:  make(map[*types.Class][]interp.FieldInfo),
-		frames:   make(map[*types.Method][]interp.VarInfo),
 		muRoots:  make(map[*types.Class]bool),
 		demanded: make(map[vkey]bool),
 		fnAt:     make(map[vkey][2]int),
@@ -240,10 +235,6 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 		if cl.Base != nil {
 			e.hasSub[cl.Base] = true
 		}
-		e.layouts[cl] = interp.ClassLayout(cl)
-	}
-	for _, m := range e.prog.Methods {
-		e.frames[m] = interp.MethodFrame(e.prog, m)
 	}
 	e.driver = e.reachesRegion()
 

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"commute/internal/frontend/types"
-	"commute/internal/interp"
 )
 
 // alignRows writes one line per row, every cell but the row's last
@@ -51,8 +50,8 @@ func (e *goEmitter) assembleProg(entry variant) []byte {
 	// lines per class and one or two per field.
 	rest := 2048
 	for _, cl := range e.prog.ClassList {
-		rest += 448 + 48*len(e.layouts[cl])
-		for _, f := range e.layouts[cl] {
+		rest += 448 + 48*len(cl.Layout)
+		for _, f := range cl.Layout {
 			if _, ok := f.Type.(types.Array); ok {
 				e.useStrconv = true // emitFieldDump indexes the element paths
 			}
@@ -230,10 +229,10 @@ func (e *goEmitter) emitClass(b *bytes.Buffer, cl *types.Class) {
 
 	fmt.Fprintf(b, "func (o *T_%s) dmp_(d *nativert.Dumper, path string) {\n", name)
 	fmt.Fprintf(b, "\tif !d.Begin(path, o, %q) {\n\t\treturn\n\t}\n", name)
-	for _, f := range e.layouts[cl] {
+	for _, f := range cl.Layout {
 		acc := "o.F_" + f.Name
-		if f.DeclClass != name {
-			acc = "o.as_" + f.DeclClass + "().F_" + f.Name
+		if f.Class != cl {
+			acc = "o.as_" + f.Class.Name + "().F_" + f.Name
 		}
 		e.emitFieldDump(b, f, acc)
 	}
@@ -255,8 +254,8 @@ func (e *goEmitter) emitFold(b *bytes.Buffer, cl *types.Class) {
 	fmt.Fprintf(b, "func (o *T_%s) fold_(r *T_%s) {\n", cl.Name, cl.Name)
 	for _, f := range e.plan.Folds[cl] {
 		acc := "F_" + f.Name
-		if f.DeclClass != cl.Name {
-			acc = "as_" + f.DeclClass + "().F_" + f.Name
+		if f.Class != cl {
+			acc = "as_" + f.Class.Name + "().F_" + f.Name
 		}
 		if _, array := f.Type.(types.Array); array {
 			fmt.Fprintf(b, "\tfor i_ := range r.%s {\n\t\to.%[1]s[i_] += r.%[1]s[i_]\n\t\tr.%[1]s[i_] = 0\n\t}\n", acc)
@@ -279,7 +278,7 @@ func shortFunc(b *bytes.Buffer, header, stmt string) {
 }
 
 // emitFieldDump appends the dump statement(s) for one field slot.
-func (e *goEmitter) emitFieldDump(b *bytes.Buffer, f interp.FieldInfo, acc string) {
+func (e *goEmitter) emitFieldDump(b *bytes.Buffer, f *types.Field, acc string) {
 	path := fmt.Sprintf("path+%q", "."+f.Name)
 	switch tt := f.Type.(type) {
 	case types.Basic:
@@ -314,11 +313,11 @@ func (e *goEmitter) emitFieldDump(b *bytes.Buffer, f interp.FieldInfo, acc strin
 		case types.Object:
 			fmt.Fprintf(b, "\t\t%s[i_].dmp_(d, %s)\n", acc, epath)
 		default:
-			e.errorf("class %s field %s: unsupported array element type %v in dump", f.DeclClass, f.Name, tt.Elem)
+			e.errorf("class %s field %s: unsupported array element type %v in dump", f.Class.Name, f.Name, tt.Elem)
 		}
 		b.WriteString("\t}\n")
 	default:
-		e.errorf("class %s field %s: unsupported field type %v in dump", f.DeclClass, f.Name, f.Type)
+		e.errorf("class %s field %s: unsupported field type %v in dump", f.Class.Name, f.Name, f.Type)
 	}
 }
 

@@ -107,8 +107,7 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) {
 
 	// Hoisted frame locals (interpreter frames allocate every local up
 	// front; DeclStmt re-zeroes its slot on execution).
-	frame := e.frames[m]
-	locals := frame[len(m.Params):]
+	locals := m.Frame[len(m.Params):]
 	if len(locals) > 0 {
 		var names []string
 		var rows [][]string
@@ -586,7 +585,7 @@ func (c *fnCtx) bodyVars(body ast.Stmt) []string {
 		return true
 	})
 	var out []string
-	for _, v := range c.e.frames[c.m] {
+	for _, v := range c.m.Frame {
 		if used[v.Name] {
 			out = append(out, v.Name)
 		}

@@ -19,7 +19,6 @@ import (
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/token"
 	"commute/internal/frontend/types"
-	"commute/internal/interp"
 	"commute/nativert"
 )
 
@@ -248,7 +247,7 @@ type Plan struct {
 	// some ActionReplica site accumulates into, the fields a region's join
 	// folds back from the workers' replicas of it, in slot order.
 	Replicas []ReplicaSite
-	Folds    map[*types.Class][]interp.FieldInfo
+	Folds    map[*types.Class][]*types.Field
 }
 
 // Options tune the code generation policy (used by the ablation

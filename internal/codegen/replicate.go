@@ -8,7 +8,6 @@ import (
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/token"
 	"commute/internal/frontend/types"
-	"commute/internal/interp"
 )
 
 // Accumulator replication (§6.3.4, Options.Contention). Water
@@ -222,7 +221,7 @@ func (p *Plan) replicate(a *core.Analysis) {
 	for _, r := range roots {
 		reach[r] = reachable(r)
 	}
-	p.Folds = make(map[*types.Class][]interp.FieldInfo)
+	p.Folds = make(map[*types.Class][]*types.Field)
 	for i := range cands {
 		c := &cands[i]
 		fields := accumulates(p.Prog, c.Site.Callee)
@@ -235,9 +234,8 @@ func (p *Plan) replicate(a *core.Analysis) {
 			continue
 		}
 		cl := c.Global.Class
-		for _, f := range interp.ClassLayout(cl) {
-			accumulated := slices.ContainsFunc(fields, func(af *types.Field) bool { return af.Class.Name == f.DeclClass && af.Name == f.Name })
-			if accumulated && !slices.Contains(p.Folds[cl], f) {
+		for _, f := range cl.Layout {
+			if slices.Contains(fields, f) && !slices.Contains(p.Folds[cl], f) {
 				p.Folds[cl] = append(p.Folds[cl], f)
 			}
 		}
@@ -250,7 +248,7 @@ func (p *Plan) replicate(a *core.Analysis) {
 		}
 	}
 	for _, fs := range p.Folds {
-		slices.SortFunc(fs, func(x, y interp.FieldInfo) int { return x.Slot - y.Slot })
+		slices.SortFunc(fs, func(x, y *types.Field) int { return x.Slot - y.Slot })
 	}
 	p.Replicas = cands
 }

@@ -161,7 +161,7 @@ type Block struct {
 
 // DeclStmt declares a local variable with an optional initializer.
 // Slot (the method-frame slot) and Coerce (the initializer's store
-// coercion) are filled by the interpreter's resolution pass.
+// coercion) are filled in by the type checker.
 type DeclStmt struct {
 	Name   string
 	Type   *TypeExpr
@@ -241,8 +241,8 @@ type exprNum struct{ num int32 }
 func (e *exprNum) Num() int32     { return e.num }
 func (e *exprNum) SetNum(n int32) { e.num = n }
 
-// Coercion is the store-coercion kind precomputed by the interpreter's
-// resolution pass: what implicit numeric conversion a value assigned
+// Coercion is the store-coercion kind precomputed by the type checker
+// (types.Coercion): what implicit numeric conversion a value assigned
 // through this node undergoes (int↔double per the dialect's rules).
 // Precomputing it removes the per-store type-table lookup from the
 // interpreter's hot path.
@@ -272,11 +272,10 @@ const (
 // the type checker. For SymField, the identifier behaves as
 // this->Name with the field declared in class FieldClass.
 //
-// Slot and Coerce are filled in by the interpreter's resolution pass
-// (interp.resolve): Slot is the frame slot (SymLocal/SymParam), the
-// object slot offset (SymField — static because the layout is
-// base-class-first), the constant-table index (SymConst), or the
-// global-table index (SymGlobal).
+// Slot and Coerce are filled in by the type checker too: Slot is the
+// frame slot (SymLocal/SymParam), the object slot offset (SymField —
+// static because the layout is base-class-first), the constant-table
+// index (SymConst), or the global-table index (SymGlobal).
 type Ident struct {
 	Name       string
 	FieldClass string // class where the field is declared (SymField)
@@ -330,7 +329,7 @@ type StringLit struct {
 // FieldAccess is `X.Name` (Arrow=false) or `X->Name` (Arrow=true).
 // DeclClass (set by the type checker) is the class that declares Name.
 // Slot is the static object-slot offset of the field and Coerce the
-// store coercion, both filled by the interpreter's resolution pass.
+// store coercion, both filled in by the type checker too.
 type FieldAccess struct {
 	X     Expr
 	Name  string
@@ -342,8 +341,8 @@ type FieldAccess struct {
 	TokPos    token.Pos
 }
 
-// IndexExpr is `X[Index]`. Coerce (resolution pass) is the element
-// store coercion.
+// IndexExpr is `X[Index]`. Coerce (type checker) is the element store
+// coercion.
 type IndexExpr struct {
 	X      Expr
 	Index  Expr
@@ -372,7 +371,7 @@ type CallExpr struct {
 }
 
 // NewExpr allocates a new object: `new cl`. ClassIdx is the index of
-// the class in the program's declaration order (resolution pass).
+// the class in the program's declaration order (type checker).
 type NewExpr struct {
 	ClassName string
 	ClassIdx  int32
@@ -381,8 +380,8 @@ type NewExpr struct {
 }
 
 // CastExpr is `dynamic_cast<cl*>(X)` (or the C-style `(cl*)X`).
-// ClassIdx is the target class's declaration-order index (resolution
-// pass).
+// ClassIdx is the target class's declaration-order index (type
+// checker).
 type CastExpr struct {
 	ClassName string
 	ClassIdx  int32

@@ -11,10 +11,9 @@ import "commute/internal/frontend/token"
 // parallel loops on it, the interpreter offers loops by it, the work
 // estimate and the symbolic executor take their loop forms from it.
 type CountedLoop struct {
-	// Var is the loop variable as the condition names it: Name and Sym
-	// from the checker, Slot once the interpreter has resolved the
-	// program. Names are unique within a frame (the dialect has no
-	// shadowing), so the name identifies the variable.
+	// Var is the loop variable as the condition names it: Name, Sym and
+	// Slot from the checker. Names are unique within a frame (the
+	// dialect has no shadowing), so the name identifies the variable.
 	Var *Ident
 	// From is the initial value; nil when the init is a declaration
 	// without an initializer (`int v;`, which zeroes v).

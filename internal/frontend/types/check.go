@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"commute/internal/frontend/ast"
@@ -15,7 +16,7 @@ type checker struct {
 
 	// per-method state
 	method *Method
-	scopes []map[string]Type // local scopes, innermost last
+	scopes []map[string]int32 // local scopes (name -> frame slot), innermost last
 }
 
 // Check type-checks the files (in order) and returns the checked
@@ -70,7 +71,12 @@ func Check(files ...*ast.File) (*Program, error) {
 		}
 	}
 
-	// Pass 3: class bases, fields, method signatures.
+	for name := range c.prog.Consts {
+		c.prog.ConstNames = append(c.prog.ConstNames, name)
+	}
+	slices.Sort(c.prog.ConstNames)
+
+	// Pass 3: class bases, fields, method signatures, object layouts.
 	for _, f := range files {
 		for _, d := range f.Decls {
 			if cd, ok := d.(*ast.ClassDecl); ok {
@@ -79,6 +85,9 @@ func Check(files ...*ast.File) (*Program, error) {
 		}
 	}
 	c.checkInheritanceCycles()
+	for _, cl := range c.prog.ClassList {
+		layOut(cl)
+	}
 
 	// Pass 4: globals and free-function signatures.
 	for _, f := range files {
@@ -303,17 +312,16 @@ func (c *checker) checkClassHeader(cd *ast.ClassDecl) {
 			continue
 		}
 		cl.Fields = append(cl.Fields, &Field{
-			Name: fd.Name, Type: t, Class: cl, Index: len(cl.Fields),
+			Name: fd.Name, Type: t, Class: cl, Index: len(cl.Fields), qual: cl.Name + "." + fd.Name,
 		})
 	}
 	declareMethod := func(name string, ret *ast.TypeExpr, params []*ast.Param, def *ast.MethodDef, pos token.Pos) {
 		m := &Method{
-			ID:     len(c.prog.Methods),
-			Class:  cl,
-			Name:   name,
-			Ret:    c.resolveType(ret, pos),
-			Def:    def,
-			Locals: make(map[string]Type),
+			ID:    len(c.prog.Methods),
+			Class: cl,
+			Name:  name,
+			Ret:   c.resolveType(ret, pos),
+			Def:   def,
 		}
 		for i, p := range params {
 			pt := c.resolveType(p.Type, p.Pos())
@@ -351,6 +359,25 @@ func (c *checker) checkInheritanceCycles() {
 	}
 }
 
+// layOut gives cl its Layout and its own fields their slots, laying out
+// the base class first. A class in an inheritance cycle, which
+// checkInheritanceCycles reports, is laid out as far as the cycle.
+func layOut(cl *Class) {
+	if cl.Layout != nil {
+		return
+	}
+	cl.Layout = []*Field{} // being laid out
+	var base []*Field
+	if cl.Base != nil {
+		layOut(cl.Base)
+		base = cl.Base.Layout
+	}
+	cl.Layout = append(slices.Clip(base), cl.Fields...)
+	for i, f := range cl.Fields {
+		f.Slot = len(base) + i
+	}
+}
+
 func (c *checker) checkGlobal(gv *ast.GlobalVar) {
 	if gv.Type.Kind != ast.TClass || gv.Type.Ptr {
 		c.errorf(gv.Pos(), "global %s: globals must be class types (dialect §6.1)", gv.Name)
@@ -376,11 +403,10 @@ func (c *checker) declareFreeFunc(md *ast.MethodDef) {
 		return
 	}
 	m := &Method{
-		ID:     len(c.prog.Methods),
-		Name:   md.Name,
-		Ret:    c.resolveType(md.RetType, md.Pos()),
-		Def:    md,
-		Locals: make(map[string]Type),
+		ID:   len(c.prog.Methods),
+		Name: md.Name,
+		Ret:  c.resolveType(md.RetType, md.Pos()),
+		Def:  md,
 	}
 	for i, p := range md.Params {
 		pt := c.resolveType(p.Type, p.Pos())

@@ -1,6 +1,8 @@
 package types
 
 import (
+	"slices"
+
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/token"
 )
@@ -8,19 +10,24 @@ import (
 // ---------------------------------------------------------------------
 // Bodies
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, make(map[string]Type)) }
+func (c *checker) pushScope() { c.scopes = append(c.scopes, make(map[string]int32)) }
 func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
 
-func (c *checker) lookupLocal(name string) (Type, bool) {
+// lookupLocal returns the frame slot of the local name in scope.
+func (c *checker) lookupLocal(name string) (int32, bool) {
 	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if t, ok := c.scopes[i][name]; ok {
-			return t, true
+		if slot, ok := c.scopes[i][name]; ok {
+			return slot, true
 		}
 	}
-	return nil, false
+	return 0, false
 }
 
-func (c *checker) declareLocal(name string, t Type, pos token.Pos) {
+// declareLocal declares st's variable in the innermost scope and gives
+// st its frame slot: the slot of an earlier declaration of the name, or
+// the next one.
+func (c *checker) declareLocal(st *ast.DeclStmt, t Type) {
+	name, pos := st.Name, st.Pos()
 	if _, ok := c.scopes[len(c.scopes)-1][name]; ok {
 		c.errorf(pos, "local %s redeclared in the same scope", name)
 		return
@@ -29,26 +36,38 @@ func (c *checker) declareLocal(name string, t Type, pos token.Pos) {
 		c.errorf(pos, "local %s shadows an outer declaration (not allowed in the dialect)", name)
 		return
 	}
-	if c.method.ParamByName(name) != nil {
+	m := c.method
+	if m.ParamByName(name) != nil {
 		c.errorf(pos, "local %s shadows a parameter", name)
 		return
 	}
 	// Sequential reuse of the same name (e.g. two `for (int i...)`
 	// loops) shares the method-level slot; conflicting types are
 	// rejected.
-	if prev, ok := c.method.Locals[name]; ok && !Equal(prev, t) {
+	slot := slices.IndexFunc(m.Frame, func(v Var) bool { return v.Name == name })
+	if slot < 0 {
+		slot = len(m.Frame)
+		m.Frame = append(m.Frame, Var{Name: name, Type: t})
+	} else if prev := m.Frame[slot].Type; !Equal(prev, t) {
 		c.errorf(pos, "local %s redeclared with a different type (%s vs %s)", name, t, prev)
 		return
 	}
-	c.method.Locals[name] = t
-	c.scopes[len(c.scopes)-1][name] = t
+	st.Slot, st.Coerce = int32(slot), Coercion(t)
+	c.scopes[len(c.scopes)-1][name] = int32(slot)
 }
 
+// checkBody checks m's body and lays out its frame; a method without a
+// body gets the frame of its parameters.
 func (c *checker) checkBody(m *Method) {
-	if m == nil || m.Def == nil {
-		if m != nil {
-			c.errorf(token.Pos{Line: 1, Col: 1}, "%s declared but never defined", m.FullName())
-		}
+	if m == nil {
+		return
+	}
+	m.Frame = make([]Var, len(m.Params))
+	for i, p := range m.Params {
+		m.Frame[i] = Var{Name: p.Name, Type: p.Type, Param: true}
+	}
+	if m.Def == nil {
+		c.errorf(token.Pos{Line: 1, Col: 1}, "%s declared but never defined", m.FullName())
 		return
 	}
 	c.method = m
@@ -102,7 +121,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 			return
 		}
 		c.prog.DeclType[st] = t
-		c.declareLocal(st.Name, t, st.Pos())
+		c.declareLocal(st, t)
 		if st.Init != nil {
 			it := c.checkExpr(st.Init)
 			c.checkAssignable(t, it, st.Pos(), "initialization of "+st.Name)
@@ -221,8 +240,10 @@ func (c *checker) checkExpr(e ast.Expr) Type {
 		}
 		switch at := xt.(type) {
 		case Array:
+			x.Coerce = Coercion(at.Elem)
 			return c.setType(e, at.Elem)
 		case PrimPointer:
+			x.Coerce = Coercion(Basic(at.Elem))
 			return c.setType(e, Basic(at.Elem))
 		default:
 			c.errorf(x.Pos(), "indexing non-array type %s", xt)
@@ -236,6 +257,7 @@ func (c *checker) checkExpr(e ast.Expr) Type {
 			c.errorf(x.Pos(), "new of undefined class %s", x.ClassName)
 			return c.setType(e, Basic(Int))
 		}
+		x.ClassIdx = int32(slices.Index(c.prog.ClassList, cl))
 		return c.setType(e, Pointer{Class: cl})
 	case *ast.CastExpr:
 		xt := c.checkExpr(x.X)
@@ -244,6 +266,7 @@ func (c *checker) checkExpr(e ast.Expr) Type {
 			c.errorf(x.Pos(), "cast to undefined class %s", x.ClassName)
 			return c.setType(e, Basic(Int))
 		}
+		x.ClassIdx = int32(slices.Index(c.prog.ClassList, cl))
 		fp, ok := xt.(Pointer)
 		if !ok {
 			c.errorf(x.Pos(), "cast applied to non-pointer type %s", xt)
@@ -281,19 +304,28 @@ func (c *checker) checkExpr(e ast.Expr) Type {
 
 func (c *checker) checkIdent(x *ast.Ident) Type {
 	// Resolution order: locals, parameters, constants, receiver fields,
-	// globals.
-	if t, ok := c.lookupLocal(x.Name); ok {
-		x.Sym = ast.SymLocal
+	// globals. Slot is the frame slot of a local or parameter, the
+	// object slot of a field, and the index of a constant in ConstNames
+	// or of a global in GlobalSeq.
+	if slot, ok := c.lookupLocal(x.Name); ok {
+		t := c.method.Frame[slot].Type
+		x.Sym, x.Slot, x.Coerce = ast.SymLocal, slot, Coercion(t)
 		return c.setType(x, t)
 	}
 	if c.method != nil {
 		if p := c.method.ParamByName(x.Name); p != nil {
-			x.Sym = ast.SymParam
+			// A repeated parameter name binds its last slot.
+			slot := len(c.method.Params) - 1
+			for c.method.Params[slot].Name != x.Name {
+				slot--
+			}
+			x.Sym, x.Slot, x.Coerce = ast.SymParam, int32(slot), Coercion(p.Type)
 			return c.setType(x, p.Type)
 		}
 	}
 	if v, ok := c.prog.Consts[x.Name]; ok {
-		x.Sym = ast.SymConst
+		i, _ := slices.BinarySearch(c.prog.ConstNames, x.Name)
+		x.Sym, x.Slot = ast.SymConst, int32(i)
 		if v.IsInt {
 			return c.setType(x, Basic(Int))
 		}
@@ -301,13 +333,13 @@ func (c *checker) checkIdent(x *ast.Ident) Type {
 	}
 	if c.method != nil && c.method.Class != nil {
 		if f := c.method.Class.FieldByName(x.Name); f != nil {
-			x.Sym = ast.SymField
+			x.Sym, x.Slot, x.Coerce = ast.SymField, int32(f.Slot), Coercion(f.Type)
 			x.FieldClass = f.Class.Name
 			return c.setType(x, f.Type)
 		}
 	}
 	if g, ok := c.prog.Globals[x.Name]; ok {
-		x.Sym = ast.SymGlobal
+		x.Sym, x.Slot = ast.SymGlobal, int32(slices.Index(c.prog.GlobalSeq, g))
 		return c.setType(x, Object{Class: g.Class})
 	}
 	c.errorf(x.Pos(), "undefined identifier %s", x.Name)
@@ -338,7 +370,7 @@ func (c *checker) checkFieldAccess(x *ast.FieldAccess) Type {
 		c.errorf(x.Pos(), "class %s has no field %s", cl.Name, x.Name)
 		return c.setType(x, Basic(Int))
 	}
-	x.DeclClass = f.Class.Name
+	x.DeclClass, x.Slot, x.Coerce = f.Class.Name, int32(f.Slot), Coercion(f.Type)
 	return c.setType(x, f.Type)
 }
 

@@ -144,6 +144,10 @@ type Class struct {
 	// class, in declaration order.
 	Methods []*Method
 	Decl    *ast.ClassDecl
+	// Layout lists every field of an instance in slot order: the base
+	// class's layout, then this class's own fields in declaration order.
+	// A field's Slot is its index here.
+	Layout []*Field
 }
 
 // InheritsFrom reports whether c is cl or inherits (transitively) from cl.
@@ -191,10 +195,14 @@ type Field struct {
 	Type  Type
 	Class *Class // declaring class
 	Index int    // index within the declaring class
+	// Slot is the field's object slot. Base-class fields come first, so
+	// the slot is the same in every class that inherits the field.
+	Slot int
+	qual string
 }
 
 // QualName returns "class.field".
-func (f *Field) QualName() string { return f.Class.Name + "." + f.Name }
+func (f *Field) QualName() string { return f.qual }
 
 // Param is a formal parameter.
 type Param struct {
@@ -218,10 +226,28 @@ type Method struct {
 	// CallSites are the non-builtin call sites in the body, in source
 	// order.
 	CallSites []*CallSite
-	// Locals maps each local variable name to its type (loop variables
-	// reusing a name share an entry; the checker rejects conflicting
-	// reuse).
-	Locals map[string]Type
+	// Frame lists the activation's variables in slot order: the
+	// parameters, then the locals in first-declaration order. Loop
+	// variables reusing a name share one slot; the checker rejects
+	// conflicting reuse.
+	Frame []Var
+}
+
+// Var is one slot of a method's frame.
+type Var struct {
+	Name  string
+	Type  Type
+	Param bool // one of the leading parameter slots
+}
+
+// LocalType returns the type of the named local variable.
+func (m *Method) LocalType(name string) (Type, bool) {
+	for _, v := range m.Frame[len(m.Params):] {
+		if v.Name == name {
+			return v.Type, true
+		}
+	}
+	return nil, false
 }
 
 // FullName returns "class::name" or just the name for free functions.
@@ -319,8 +345,11 @@ type Program struct {
 	Globals   map[string]*Global
 	GlobalSeq []*Global
 	Consts    map[string]ConstVal
-	CallSites []*CallSite
-	Main      *Method // free function "main", if present
+	// ConstNames lists the constants' names, sorted: a SymConst
+	// Ident.Slot indexes it.
+	ConstNames []string
+	CallSites  []*CallSite
+	Main       *Method // free function "main", if present
 
 	SourceBytes int // Σ ast.File.Size of the checked files
 
@@ -329,8 +358,6 @@ type Program struct {
 	ExprType []Type
 	// DeclType records the resolved type of every local declaration.
 	DeclType map[*ast.DeclStmt]Type
-	// EnclosingMethod maps each call site ID back to its method (same
-	// as CallSites[id].Caller; kept for O(1) audits).
 }
 
 // TypeOf returns the checked type of e.
@@ -339,6 +366,18 @@ func (p *Program) TypeOf(e ast.Expr) Type {
 		return nil
 	}
 	return p.ExprType[e.Num()]
+}
+
+// Coercion is the store coercion a value assigned into a location of
+// type t undergoes.
+func Coercion(t Type) ast.Coercion {
+	switch t {
+	case Basic(Int):
+		return ast.CoInt
+	case Basic(Double):
+		return ast.CoDouble
+	}
+	return ast.CoNone
 }
 
 // MethodByFullName resolves "class::name" or a free-function name.

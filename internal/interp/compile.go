@@ -1,9 +1,10 @@
 package interp
 
-// Closure compilation: each resolved method body is lowered once per
+// Closure compilation: each checked method body is lowered once per
 // program to a tree of closures, so steady-state execution never
 // type-switches on AST nodes. The lowering happens inside
-// buildResolution, under the same lock and cache as slot resolution.
+// buildResolution, under the resolution's once, and reads the slots the
+// checker assigned.
 //
 // An expression whose checked type is int, double or boolean is lowered
 // to a closure returning the bare payload (int64, float64, bool): the
@@ -230,11 +231,11 @@ func (c *compiler) generic(e ast.Expr) exprFn {
 		return c.call(x)
 
 	case *ast.NewExpr:
-		cl := c.res.classList[x.ClassIdx]
+		cl := c.prog.ClassList[x.ClassIdx]
 		return func(fr *Frame) Value { return ObjectValue(fr.ctx.IP.NewObject(cl)) }
 
 	case *ast.CastExpr:
-		cl, a := c.res.classList[x.ClassIdx], c.value(x.X)
+		cl, a := c.prog.ClassList[x.ClassIdx], c.value(x.X)
 		return func(fr *Frame) Value { return must(castValue(cl, a(fr), x)) }
 
 	case *ast.Unary:
@@ -764,11 +765,14 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 		}
 
 	case *ast.DeclStmt:
-		slot := int(st.Slot)
-		if o, ok := ms.owned[st]; ok {
-			return ownedDecl(o, slot, c.prog.DeclType[st].(types.Array))
+		slot, t := int(st.Slot), c.prog.DeclType[st]
+		if at, ok := t.(types.Array); ok && at.Len >= 0 && st.Init == nil {
+			if _, prim := primZero(at.Elem); prim {
+				o := ownedArray{off: ms.arena, n: at.Len, idx: ms.arrays}
+				ms.arena, ms.arrays = ms.arena+at.Len, ms.arrays+1
+				return ownedDecl(o, slot, at)
+			}
 		}
-		t := ms.types[slot]
 		// Primitive zero values are constants; object/array-typed
 		// declarations allocate fresh storage per execution, exactly as
 		// the walker's zeroValue does.
@@ -857,9 +861,10 @@ func (c *compiler) compileStmt(s ast.Stmt, ms *methodSlots) stmtFn {
 	return func(*Frame) flow { throw(err); return flowNext }
 }
 
-// ownedDecl lowers the declaration of a frame-owned local array
-// (methodSlots.owned): every execution zero-fills the array's place in
-// the frame's arena and binds the variable to it, allocating nothing.
+// ownedDecl lowers the declaration of a frame-owned local array — a
+// sized array of primitive or pointer elements with no initializer,
+// placed in the frame at o: every execution zero-fills the array's place
+// in the frame's arena and binds the variable to it, allocating nothing.
 // Reuse is sound because nothing outlives the activation that declared
 // the array: the dialect never stores or returns an array, a synchronous
 // callee returns before the frame pops, and a spawned task reads a

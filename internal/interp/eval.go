@@ -126,14 +126,14 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 
 	case *ast.NewExpr:
 		fr.ctx.charge(CostAlloc)
-		return ObjectValue(ip.NewObject(ip.res.classList[x.ClassIdx])), nil
+		return ObjectValue(ip.NewObject(ip.Prog.ClassList[x.ClassIdx])), nil
 
 	case *ast.CastExpr:
 		v, err := ip.eval(fr, x.X)
 		if err != nil {
 			return Value{}, err
 		}
-		return castValue(ip.res.classList[x.ClassIdx], v, x)
+		return castValue(ip.Prog.ClassList[x.ClassIdx], v, x)
 
 	case *ast.Unary:
 		v, err := ip.eval(fr, x.X)

@@ -36,9 +36,9 @@ type Interp struct {
 }
 
 // New allocates an interpreter with default-initialized globals,
-// executing closure-compiled bodies. The program's slot resolution and
-// compiled bodies are computed once per program and shared by every
-// interpreter instance.
+// executing closure-compiled bodies. The program's resolution (object
+// templates, constants, compiled bodies) is computed once per program
+// and shared by every interpreter instance.
 func New(prog *types.Program, out io.Writer) *Interp {
 	return NewEngine(prog, out, EngineCompiled)
 }
@@ -62,11 +62,6 @@ func NewEngine(prog *types.Program, out io.Writer, eng Engine) *Interp {
 
 // Engine reports the interpreter's execution engine.
 func (ip *Interp) Engine() Engine { return ip.engine }
-
-// FieldSlot exposes slot resolution for the runtime and tests.
-func (ip *Interp) FieldSlot(cl *types.Class, declClass, field string) int {
-	return ip.res.layout.slot(cl, declClass, field)
-}
 
 // Ctx carries the execution strategy: cost accounting and the call /
 // loop dispatchers that the parallel executors override. A zero-value
@@ -236,7 +231,7 @@ type Frame struct {
 	// threads a *returnValue instead).
 	ret Value
 	// arena and arrays are the storage and headers of the method's
-	// frame-owned local arrays (methodSlots.owned), which only the
+	// frame-owned local arrays (ownedDecl), which only the
 	// compiled body uses. They are sized before the activation's body
 	// runs (fitArrays) and never grow during it, so an array's address
 	// is fixed until the frame is popped.
@@ -395,7 +390,7 @@ func (ip *Interp) execStmt(fr *Frame, s ast.Stmt) (*returnValue, error) {
 		return nil, nil
 
 	case *ast.DeclStmt:
-		fr.vars[st.Slot] = ip.zeroValue(fr.slots.types[st.Slot])
+		fr.vars[st.Slot] = ip.zeroValue(fr.method.Frame[st.Slot].Type)
 		if st.Init != nil {
 			v, err := ip.eval(fr, st.Init)
 			if err != nil {

@@ -88,13 +88,13 @@ void main() { M.run(); }
 	}
 	M := ip.Globals["M"]
 	cl := prog.Classes["m"]
-	if got := M.Slots[ip.FieldSlot(cl, "m", "r")]; got.Any() != int64(4) {
+	if got := M.Slots[cl.FieldByName("r").Slot]; got.Any() != int64(4) {
 		t.Errorf("r = %v, want 4", got)
 	}
-	if got := M.Slots[ip.FieldSlot(cl, "m", "f")]; got.Any() != float64(4+2.5+8+1) {
+	if got := M.Slots[cl.FieldByName("f").Slot]; got.Any() != float64(4+2.5+8+1) {
 		t.Errorf("f = %v, want 15.5", got)
 	}
-	if got := M.Slots[ip.FieldSlot(cl, "m", "b")]; got.Any() != true {
+	if got := M.Slots[cl.FieldByName("b").Slot]; got.Any() != true {
 		t.Errorf("b = %v, want true", got)
 	}
 }
@@ -110,19 +110,19 @@ func TestGraphTraversalSerial(t *testing.T) {
 	b := ip.Globals["Builder"]
 	builderCl := prog.Classes["builder"]
 	graphCl := prog.Classes["graph"]
-	nodesArr := b.Slots[ip.FieldSlot(builderCl, "builder", "nodes")].Array()
-	n := b.Slots[ip.FieldSlot(builderCl, "builder", "numnodes")].Int()
+	nodesArr := b.Slots[builderCl.FieldByName("nodes").Slot].Array()
+	n := b.Slots[builderCl.FieldByName("numnodes").Slot].Int()
 	if n != 64 {
 		t.Fatalf("numnodes = %d", n)
 	}
-	root := b.Slots[ip.FieldSlot(builderCl, "builder", "root")].Object()
-	if !root.Slots[ip.FieldSlot(graphCl, "graph", "mark")].Bool() {
+	root := b.Slots[builderCl.FieldByName("root").Slot].Object()
+	if !root.Slots[graphCl.FieldByName("mark").Slot].Bool() {
 		t.Error("root should be marked after traversal")
 	}
 	marked := 0
 	for i := int64(0); i < n; i++ {
 		node := nodesArr.Elems[i].Object()
-		if node.Slots[ip.FieldSlot(graphCl, "graph", "mark")].Bool() {
+		if node.Slots[graphCl.FieldByName("mark").Slot].Bool() {
 			marked++
 		}
 	}
@@ -144,15 +144,15 @@ func TestBarnesHutSerial(t *testing.T) {
 	nbodyCl := prog.Classes["nbody"]
 	bodyCl := prog.Classes["body"]
 	nodeCl := prog.Classes["node"]
-	n := nb.Slots[ip.FieldSlot(nbodyCl, "nbody", "numbodies")].Int()
+	n := nb.Slots[nbodyCl.FieldByName("numbodies").Slot].Int()
 	if n != 256 {
 		t.Fatalf("numbodies = %d", n)
 	}
-	bodies := nb.Slots[ip.FieldSlot(nbodyCl, "nbody", "bodies")].Array()
+	bodies := nb.Slots[nbodyCl.FieldByName("bodies").Slot].Array()
 	nonzero := 0
 	for i := int64(0); i < n; i++ {
 		b := bodies.Elems[i].Object()
-		phi := b.Slots[ip.FieldSlot(bodyCl, "body", "phi")].Float()
+		phi := b.Slots[bodyCl.FieldByName("phi").Slot].Float()
 		if phi != 0 {
 			nonzero++
 		}
@@ -160,12 +160,11 @@ func TestBarnesHutSerial(t *testing.T) {
 	if nonzero < int(n)/2 {
 		t.Errorf("only %d/%d bodies have nonzero potential", nonzero, n)
 	}
-	root := nb.Slots[ip.FieldSlot(nbodyCl, "nbody", "BH_root")].Object()
-	mass := root.Slots[ip.FieldSlot(root.Class, "node", "mass")].Float()
+	root := nb.Slots[nbodyCl.FieldByName("BH_root").Slot].Object()
+	mass := root.Slots[nodeCl.FieldByName("mass").Slot].Float()
 	if mass < 0.99 || mass > 1.01 {
 		t.Errorf("root mass = %v, want ≈1.0", mass)
 	}
-	_ = nodeCl
 	// Cost units come from the walker; compiled code charges none.
 	if ctx.Cost != 0 {
 		t.Errorf("the compiled engine charged %d units, want none", ctx.Cost)
@@ -243,10 +242,10 @@ void main() {
 	}
 	W := ip.Globals["W"]
 	cl := prog.Classes["w"]
-	if got := W.Slots[ip.FieldSlot(cl, "w", "isCell")]; got.Any() != int64(2) {
+	if got := W.Slots[cl.FieldByName("isCell").Slot]; got.Any() != int64(2) {
 		t.Errorf("isCell = %v, want 2", got)
 	}
-	if got := W.Slots[ip.FieldSlot(cl, "w", "isLeaf")]; got.Any() != int64(1) {
+	if got := W.Slots[cl.FieldByName("isLeaf").Slot]; got.Any() != int64(1) {
 		t.Errorf("isLeaf = %v, want 1", got)
 	}
 }

@@ -1,7 +1,5 @@
 package interp
 
-import "commute/internal/frontend/types"
-
 // Mon observes — and may redirect — every shared-state access a body
 // performs: object field loads and stores, and array element loads and
 // stores. The speculative runtime installs one Mon per task to buffer
@@ -27,20 +25,4 @@ type Mon interface {
 	// StoreElem records a write of v (already coerced and
 	// bounds-checked) to element idx of a.
 	StoreElem(a *Array, idx int, v Value)
-}
-
-// SlotField is the reverse of FieldSlot: it reports the declaring
-// class and field name of slot in an object of class cl, preferring
-// the most-derived declaration when a field is shadowed. The
-// speculation validator uses it to map observed slot accesses back to
-// the effect descriptors the analysis reasoned about.
-func (ip *Interp) SlotField(cl *types.Class, slot int) (*types.Class, string, bool) {
-	for c := cl; c != nil; c = c.Base {
-		for _, f := range c.Fields {
-			if ip.res.layout.slot(cl, f.Class.Name, f.Name) == slot {
-				return f.Class, f.Name, true
-			}
-		}
-	}
-	return nil, "", false
 }

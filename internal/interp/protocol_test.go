@@ -208,18 +208,18 @@ func checkPaths(t *testing.T) {
 		if c.depth == 0 {
 			return c.bad
 		}
-		nx := ip.FieldSlot(lnk, "lnk", "nx")
+		nx := lnk.FieldByName("nx").Slot
 		objs := make([]*interp.Object, c.depth)
 		for k := range objs {
 			objs[k] = ip.NewObject(lnk)
-			objs[k].Slots[ip.FieldSlot(lnk, "lnk", "i")] = interp.IntValue(int64(10 * (k + 1)))
-			objs[k].Slots[ip.FieldSlot(lnk, "lnk", "d")] = interp.FloatValue(float64(k) + 0.25)
+			objs[k].Slots[lnk.FieldByName("i").Slot] = interp.IntValue(int64(10 * (k + 1)))
+			objs[k].Slots[lnk.FieldByName("d").Slot] = interp.FloatValue(float64(k) + 0.25)
 			if k > 0 {
 				objs[k-1].Slots[nx] = interp.ObjectValue(objs[k])
 			}
 		}
 		if c.pos {
-			objs[1].Slots[ip.FieldSlot(lnk, "lnk", "pos")] = c.bad
+			objs[1].Slots[lnk.FieldByName("pos").Slot] = c.bad
 		} else {
 			objs[c.depth-1].Slots[nx] = c.bad
 		}
@@ -759,7 +759,7 @@ func TestLocalArrayFrameOwned(t *testing.T) {
 		wg.Wait()
 		return true, errors.Join(errs...)
 	}
-	out := ip.FieldSlot(prog.Classes["own"], "own", "out")
+	out := ip.Prog.Classes["own"].FieldByName("out").Slot
 	for round := 0; round < 20; round++ {
 		if _, err := ip.Call(ctx, prog.MethodByFullName("own::fill"), ip.Globals["O"], []interp.Value{interp.IntValue(64)}); err != nil {
 			t.Fatal(err)

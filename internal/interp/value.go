@@ -178,14 +178,6 @@ type Array struct {
 	Elems []Value
 }
 
-// layout computes the slot index of every field of a class, walking the
-// inheritance chain root-first, and each class's object template.
-type layout struct {
-	index map[*types.Class]map[string]int
-	size  map[*types.Class]int
-	tmpl  map[*types.Class]*objTemplate
-}
-
 // objTemplate is what NewObject copies: every slot's zero value, but for
 // the nested objects and arrays, which each object allocates afresh.
 type objTemplate struct {
@@ -198,54 +190,25 @@ type freshSlot struct {
 	t    types.Type
 }
 
-func newLayout(prog *types.Program) *layout {
-	l := &layout{
-		index: make(map[*types.Class]map[string]int),
-		size:  make(map[*types.Class]int),
-		tmpl:  make(map[*types.Class]*objTemplate),
-	}
-	var build func(cl *types.Class) int
-	build = func(cl *types.Class) int {
-		if _, done := l.index[cl]; done {
-			return l.size[cl]
-		}
-		idx := make(map[string]int)
-		off := 0
-		if cl.Base != nil {
-			off = build(cl.Base)
-			for k, v := range l.index[cl.Base] {
-				idx[k] = v
-			}
-		}
-		for _, f := range cl.Fields {
-			idx[f.Class.Name+"."+f.Name] = off
-			off++
-		}
-		l.index[cl] = idx
-		l.size[cl] = off
-		return off
-	}
+// templates builds every class's object template over its checked
+// layout (types.Class.Layout). The fresh slots go the derived class's
+// first, the order in which NewObject allocates them and numbers them.
+func templates(prog *types.Program) map[*types.Class]*objTemplate {
+	tm := make(map[*types.Class]*objTemplate, len(prog.ClassList))
 	for _, cl := range prog.ClassList {
-		build(cl)
-		t := &objTemplate{zero: make([]Value, l.size[cl])}
+		t := &objTemplate{zero: make([]Value, len(cl.Layout))}
 		for c := cl; c != nil; c = c.Base {
 			for _, f := range c.Fields {
-				slot := l.slot(cl, f.Class.Name, f.Name)
 				if z, ok := primZero(f.Type); ok {
-					t.zero[slot] = z
+					t.zero[f.Slot] = z
 				} else {
-					t.fresh = append(t.fresh, freshSlot{slot, f.Type})
+					t.fresh = append(t.fresh, freshSlot{f.Slot, f.Type})
 				}
 			}
 		}
-		l.tmpl[cl] = t
+		tm[cl] = t
 	}
-	return l
-}
-
-// slot returns the slot index of a field declared in class declClass.
-func (l *layout) slot(cl *types.Class, declClass, field string) int {
-	return l.index[cl][declClass+"."+field]
+	return tm
 }
 
 var objectIDs atomic.Int64
@@ -254,7 +217,7 @@ var objectIDs atomic.Int64
 // fields (zero numbers, false booleans, nil pointers, recursively
 // allocated nested objects and arrays).
 func (ip *Interp) NewObject(cl *types.Class) *Object {
-	t := ip.res.layout.tmpl[cl]
+	t := ip.res.tmpl[cl]
 	o := &Object{
 		Class: cl,
 		Slots: slices.Clone(t.zero),

@@ -39,7 +39,7 @@ func dumpObj(d *nativert.Dumper, path string, o *interp.Object) {
 	if !d.Begin(path, o, o.Class.Name) {
 		return
 	}
-	for i, f := range interp.ClassLayout(o.Class) {
+	for i, f := range o.Class.Layout {
 		dumpVal(d, path+"."+f.Name, o.Slots[i])
 	}
 }

@@ -46,8 +46,8 @@ func TestRegionEntryCostBoundary(t *testing.T) {
 			t.Errorf("work %d against an entry cost of %d: %d regions declined, %d opened", tc.work, regionEntryCost,
 				r.Stats.RegionsDeclined, r.Stats.Regions)
 		}
-		if got := r.IP.Globals["D"].Slots[r.IP.FieldSlot(prog.Classes["driver"], "driver", "c")].Object().
-			Slots[r.IP.FieldSlot(prog.Classes["counter"], "counter", "total")].Int(); got != 3 {
+		if got := r.IP.Globals["D"].Slots[r.IP.Prog.Classes["driver"].FieldByName("c").Slot].Object().
+			Slots[r.IP.Prog.Classes["counter"].FieldByName("total").Slot].Int(); got != 3 {
 			t.Errorf("work %d: total = %d, want 3", tc.work, got)
 		}
 	}

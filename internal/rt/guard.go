@@ -22,7 +22,7 @@ import (
 func (rt *Runtime) compileGuard(mp *codegen.MethodPlan) func() bool {
 	return mp.Guard.Func(func(ref cond.FieldRef, kind cond.Kind) func() cond.Value {
 		obj := rt.IP.Globals[ref.Global]
-		slot := rt.IP.FieldSlot(obj.Class, ref.Class, ref.Field)
+		slot := rt.IP.Prog.Classes[ref.Class].FieldByName(ref.Field).Slot
 		switch kind {
 		case cond.KInt:
 			return func() cond.Value { return cond.IntVal(obj.Slots[slot].Int()) }

@@ -126,9 +126,9 @@ func TestLoopJoinsWithoutStarvedHelpers(t *testing.T) {
 		if got := atomic.LoadInt64(&r.Stats.Iterations); got != 16 {
 			t.Errorf("%s: %d iterations, want 16", tc.entry, got)
 		}
-		cs := r.IP.Globals["D"].Slots[r.IP.FieldSlot(prog.Classes["driver"], "driver", "c")].Array()
+		cs := r.IP.Globals["D"].Slots[r.IP.Prog.Classes["driver"].FieldByName("c").Slot].Array()
 		for i, cv := range cs.Elems {
-			got := cv.Object().Slots[r.IP.FieldSlot(prog.Classes["counter"], "counter", "total")].Int()
+			got := cv.Object().Slots[r.IP.Prog.Classes["counter"].FieldByName("total").Slot].Int()
 			if want := int64(3 + i + 3); got != want {
 				t.Errorf("%s: c[%d].total = %d, want %d", tc.entry, i, got, want)
 			}

@@ -456,8 +456,8 @@ func TestSpawnedTasksKeepTheirArguments(t *testing.T) {
 		}
 		d := ip.Globals["D"]
 		for i, name := range []string{"a", "b", "c", "d", "e", "f"} {
-			box := d.Slots[ip.FieldSlot(prog.Classes["driver"], "driver", name)].Object()
-			got := box.Slots[ip.FieldSlot(prog.Classes["box"], "box", "val")].Int()
+			box := d.Slots[ip.Prog.Classes["driver"].FieldByName(name).Slot].Object()
+			got := box.Slots[ip.Prog.Classes["box"].FieldByName("val").Slot].Int()
 			if want := int64(200*(i+1)*100000 + 199*200/2); got != want {
 				t.Errorf("workers=%d: %s.val = %d, want %d (a task saw another's argument)", workers, name, got, want)
 			}

@@ -69,10 +69,8 @@ type Runtime struct {
 	pool    *rtkit.Pool   // started at the first region (regionPool)
 	lanes   []*lane       // activation free lists, by worker ID + 1
 
-	// Speculation (spec.go): the region in flight, if it is speculative,
-	// and the "Class.field" key of every object slot, by class.
-	spec     *nativert.SpecRegion
-	slotKeys map[*types.Class][]string
+	// Speculation (spec.go): the region in flight, if it is speculative.
+	spec *nativert.SpecRegion
 
 	errMu  sync.Mutex
 	err    error
@@ -328,7 +326,7 @@ func (rt *Runtime) activate(w *worker, j *nativert.SpecJournal, depth int) *acti
 	a.Recycle(depth)
 	a.w = w
 	if j != nil {
-		a.log.j, a.log.keys = j, rt.slotKeys
+		a.log.j = j
 		a.Mon = &a.log
 	}
 	return a

@@ -29,32 +29,22 @@ func ParseSpecMode(s string) (SpecMode, bool) { return nativert.ParseSpecMode(s)
 // task's nativert.SpecJournal, the one journal of both runtimes (the
 // emitted SJ_ versions make the same calls directly). A location is the
 // typed pointer of the field slot or array element, and a field slot
-// carries the "Class.field" key the emitter writes for the same access
-// (Runtime.slotKeys, behind a one-entry class cache: the hot path is a
-// pointer compare and an index). Elements carry "": an element access
+// carries the "Class.field" key the emitter writes for the same access:
+// the QualName of the field at that slot of the object's layout
+// (types.Class.Layout). Elements carry "": an element access
 // reaches its array through a journaled field load, whose key vouches for
 // it. Read-your-own-writes, conflict and declared-effect validation,
 // commit and recycling are all the journal's.
 type specLog struct {
-	j    *nativert.SpecJournal     // nil outside speculative regions
-	keys map[*types.Class][]string // Runtime.slotKeys
-	cl   *types.Class              // the class ks belongs to
-	ks   []string
-}
-
-func (lg *specLog) key(o *interp.Object, slot int) string {
-	if o.Class != lg.cl {
-		lg.cl, lg.ks = o.Class, lg.keys[o.Class]
-	}
-	return lg.ks[slot]
+	j *nativert.SpecJournal // nil outside speculative regions
 }
 
 func (lg *specLog) LoadField(o *interp.Object, slot int) interp.Value {
-	return nativert.SpecLoad(lg.j, &o.Slots[slot], lg.key(o, slot))
+	return nativert.SpecLoad(lg.j, &o.Slots[slot], o.Class.Layout[slot].QualName())
 }
 
 func (lg *specLog) StoreField(o *interp.Object, slot int, v interp.Value) {
-	nativert.SpecStore(lg.j, &o.Slots[slot], v, lg.key(o, slot))
+	nativert.SpecStore(lg.j, &o.Slots[slot], v, o.Class.Layout[slot].QualName())
 }
 
 func (lg *specLog) LoadElem(a *interp.Array, idx int) interp.Value {
@@ -65,32 +55,11 @@ func (lg *specLog) StoreElem(a *interp.Array, idx int, v interp.Value) {
 	nativert.SpecStore(lg.j, &a.Elems[idx], v, "")
 }
 
-// slotKeys names every object slot of the program the way the emitter
-// names the field behind it: the declaring class, a dot, the field. A
-// slot with no field behind it keeps "" — no descriptor to violate.
-func slotKeys(ip *interp.Interp) map[*types.Class][]string {
-	keys := make(map[*types.Class][]string, len(ip.Prog.ClassList))
-	for _, cl := range ip.Prog.ClassList {
-		ks := make([]string, interp.ClassSlotCount(ip.Prog, cl))
-		for slot := range ks {
-			if decl, field, ok := ip.SlotField(cl, slot); ok {
-				ks[slot] = decl.Name + "." + field
-			}
-		}
-		keys[cl] = ks
-	}
-	return keys
-}
-
-// openSpec opens the journal's region for the extent rooted at e. The
-// slot keys are built at the run's first speculative region and e's
+// openSpec opens the journal's region for the extent rooted at e. Its
 // declared-effect key sets (codegen.Plan.SpecKeys, the enumeration the
-// emitter writes out) at its own first; both are read-only afterwards,
-// so tasks consult them without a lock.
+// emitter writes out) are built at its own first; they are read-only
+// afterwards, so tasks consult them without a lock.
 func (rt *Runtime) openSpec(e *methodEntry) *nativert.SpecRegion {
-	if rt.slotKeys == nil {
-		rt.slotKeys = slotKeys(rt.IP)
-	}
 	if e.writeOK == nil {
 		e.readOK, e.writeOK = map[string]bool{}, map[string]bool{}
 		reads, writes := rt.Plan.SpecKeys(e.mp)

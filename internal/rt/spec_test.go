@@ -92,10 +92,10 @@ var keyLiteral = regexp.MustCompile(`"(\w+\.\w+)"[):]`)
 // hand it "Class.field" keys and one codegen enumeration declares them,
 // so the interpreter must name a slot exactly as the emitter names the
 // field behind it. For every class of every shipped program and of
-// shadowApp the key of the slot of (declaring class, field) is
-// "decl.field", and every key the emitted prog.go carries is in the
-// table; shadowApp, run speculatively on the interpreter, commits with
-// the serial output.
+// shadowApp the key of each layout slot — the QualName of the field
+// there — is "decl.field", and every key the emitted prog.go carries
+// names a slot; shadowApp, run speculatively on the interpreter,
+// commits with the serial output.
 func TestSlotKeysNameFieldsLikeTheEmitter(t *testing.T) {
 	for _, app := range []struct{ name, source string }{
 		{"barneshut", src.BarnesHut},
@@ -108,17 +108,12 @@ func TestSlotKeysNameFieldsLikeTheEmitter(t *testing.T) {
 	} {
 		sys := oracle.ClearWork(oracle.Load(t, app.name+".mc", app.source))
 		prog, plan := sys.Prog, sys.Plan
-		keys := rt.SlotKeys(interp.New(prog, nil))
 		known := map[string]bool{}
 		for _, cl := range prog.ClassList {
-			if got, want := len(keys[cl]), interp.ClassSlotCount(prog, cl); got != want {
-				t.Errorf("%s: class %s has %d slot keys, %d slots", app.name, cl.Name, got, want)
-				continue
-			}
-			for _, f := range interp.ClassLayout(cl) {
-				want := f.DeclClass + "." + f.Name
-				if got := keys[cl][f.Slot]; got != want {
-					t.Errorf("%s: slot %d of class %s is keyed %q, want %q", app.name, f.Slot, cl.Name, got, want)
+			for slot, f := range cl.Layout {
+				want := f.Class.Name + "." + f.Name
+				if got := f.QualName(); got != want || f.Slot != slot {
+					t.Errorf("%s: slot %d of class %s is keyed %q at slot %d, want %q", app.name, slot, cl.Name, got, f.Slot, want)
 				}
 				known[want] = true
 			}

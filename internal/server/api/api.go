@@ -6,6 +6,7 @@
 package api
 
 import (
+	"fmt"
 	"time"
 
 	"commute/internal/cond"
@@ -148,7 +149,8 @@ type RunRequest struct {
 	SourceRequest
 	// Mode is "serial" or "parallel" (default "parallel").
 	Mode string `json:"mode,omitempty"`
-	// Workers is the parallel worker count (default 4, at most 256).
+	// Workers is the parallel worker count (default 4, at most
+	// MaxRunWorkers).
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS bounds the execution's wall-clock time; the server
 	// clamps it to its configured ceiling. 0 means the server default.
@@ -198,6 +200,20 @@ type RunStats struct {
 	// RegionsDeclined counts region-root calls run serially because the
 	// root's static work bound is under the cost of entering a region.
 	RegionsDeclined int64 `json:"regions_declined,omitempty"`
+}
+
+// MaxRunWorkers is the largest worker count a run may ask for. Every
+// worker is a goroutine with its own deque, started before the run:
+// admission control bounds requests, not their size.
+const MaxRunWorkers = 256
+
+// CheckWorkers rejects a worker count outside [1, MaxRunWorkers], the
+// bound of /v1/run and of commuterun -mode parallel.
+func CheckWorkers(n int) error {
+	if n < 1 || n > MaxRunWorkers {
+		return fmt.Errorf("workers %d out of range [1, %d]", n, MaxRunWorkers)
+	}
+	return nil
 }
 
 // NewRunStats renders one execution's summary in the wire schema; rs

@@ -1,9 +1,9 @@
 // Package cache is the content-addressed artifact cache at the core of
 // the commuted serving layer. Programs are keyed by the SHA-256 of
 // their (source, dialect options) pair — commute.Fingerprint — and a
-// hit reuses the warm *commute.System, skipping parse, type check,
-// commutativity analysis, codegen, slot resolution, and closure
-// compilation entirely.
+// hit reuses the loaded *commute.System, skipping parse, type check,
+// commutativity analysis and codegen entirely, and, once a run has
+// warmed it, the interpreter's resolution and closure compilation.
 //
 // Three production properties:
 //
@@ -18,8 +18,10 @@
 //     Evicting an entry removes it from the index immediately, but the
 //     release hook (which tears down the program's per-program
 //     resolution caches — see commute.System.Release) runs only when
-//     the last lease closes, so an in-flight request never races a
-//     cache rebuild.
+//     the last lease closes. A release must follow the program's last
+//     execution: an execution that starts after it resolves the program
+//     into interp's process-wide cache again, and nothing would release
+//     that copy.
 package cache
 
 import (

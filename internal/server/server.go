@@ -334,7 +334,7 @@ func (s *Server) loadProgram(p program, analyze, emit bool) (h *cache.Handle, hi
 }
 
 // warm readies a loaded system for execution. The first execution of an
-// entry pays the interpreter's slot resolution and closure compilation,
+// entry pays the interpreter's resolution and closure compilation,
 // once: concurrent first runs share one build. It runs before a handler
 // starts its clock, so an execution's reported wall time never includes
 // it.
@@ -480,9 +480,6 @@ func apiMethodReport(mr *core.MethodReport) api.MethodReport {
 	}
 }
 
-// maxRunWorkers is the largest worker count a /v1/run request may ask for.
-const maxRunWorkers = 256
-
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	req, p, err := readRequest(s, w, r, runSource)
 	if err != nil {
@@ -496,13 +493,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (serial | parallel)", req.Mode))
 	}
 	workers := req.Workers
-	if workers <= 0 {
+	if workers == 0 {
 		workers = 4
 	}
-	if workers > maxRunWorkers {
-		// Every worker is a goroutine with its own deque, started before
-		// the run: admission control bounds requests, not their size.
-		return writeErr(w, http.StatusBadRequest, fmt.Sprintf("workers %d out of range [1, %d]", workers, maxRunWorkers))
+	if err := api.CheckWorkers(workers); err != nil {
+		return writeErr(w, http.StatusBadRequest, err.Error())
 	}
 	if mode == "serial" && req.MaxSteps > 0 {
 		// The step budget lives in the parallel runtime; reject rather

@@ -483,7 +483,7 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestRunWorkersCeiling: a worker count past the documented ceiling is a
+// TestRunWorkersCeiling: a worker count outside [1, api.MaxRunWorkers] is a
 // 400 that starts nothing — each worker would be a goroutine, and
 // admission control bounds requests, not their size.
 func TestRunWorkersCeiling(t *testing.T) {
@@ -492,11 +492,11 @@ func TestRunWorkersCeiling(t *testing.T) {
 		resp, _ := post(t, ts, "/v1/run", api.RunRequest{SourceRequest: api.SourceRequest{App: "graph"}, Mode: "parallel", Workers: workers})
 		return resp.StatusCode
 	}
-	if code := run(maxRunWorkers); code != http.StatusOK {
-		t.Fatalf("workers %d = %d, want 200", maxRunWorkers, code)
+	if code := run(api.MaxRunWorkers); code != http.StatusOK {
+		t.Fatalf("workers %d = %d, want 200", api.MaxRunWorkers, code)
 	}
 	base := runtime.NumGoroutine()
-	for _, workers := range []int{maxRunWorkers + 1, 10000000} {
+	for _, workers := range []int{-3, api.MaxRunWorkers + 1, 10000000} {
 		if code := run(workers); code != http.StatusBadRequest {
 			t.Fatalf("workers %d = %d, want 400", workers, code)
 		}

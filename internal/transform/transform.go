@@ -234,7 +234,7 @@ func (t *transformer) typeExprOf(m *types.Method, name string) *ast.TypeExpr {
 	var typ types.Type
 	if p := m.ParamByName(name); p != nil {
 		typ = p.Type
-	} else if lt, ok := m.Locals[name]; ok {
+	} else if lt, ok := m.LocalType(name); ok {
 		typ = lt
 	} else {
 		return nil
