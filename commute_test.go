@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -240,6 +241,57 @@ void main() {
   print(D.a->total);
 }
 `
+
+// unrollNest is the oracle row coarse-alias's busy-wait nest on its
+// own, n iterations a loop, accumulating step: the pair test unrolls
+// cnt::bump's two levels of loops, 2n² accumulations a body and four
+// bodies a pair. With step j (coarse-alias's) each sum ends in a
+// constant, which the executor folds; with j * 2 it cannot, so the sum
+// nests a level an accumulation and only simplifies to t + c.
+func unrollNest(n int, step string) string {
+	return strings.NewReplacer("BOUND", strconv.Itoa(n), "STEP", step).Replace(`
+class cnt {
+public:
+  int total;
+  void bump(int v);
+};
+
+class driver {
+public:
+  cnt *slots[8];
+  void run();
+};
+
+driver D;
+
+void cnt::bump(int v) {
+  int t = total;
+  for (int i = 0; i < BOUND; i++) {
+    for (int j = 0; j < BOUND; j++) {
+      t = t + STEP;
+    }
+    for (int j = 0; j < BOUND; j++) {
+      t = t - STEP;
+    }
+  }
+  total = t + v;
+}
+
+void driver::run() {
+  for (int i = 0; i < 8; i++) {
+    slots[i]->bump(i);
+  }
+}
+
+void main() {
+  for (int i = 0; i < 8; i++) {
+    D.slots[i] = new cnt;
+  }
+  D.run();
+  print(D.slots[3]->total);
+}
+`)
+}
 
 // whileTwoClass is a two-class shape of the benchmark's synthetic
 // corpus: one class of plain accumulators, one whose first operation
@@ -520,6 +572,10 @@ func TestCompileAllocBudget(t *testing.T) {
 		{"barneshut", src.BarnesHut, commute.LoadOptions{}, 90},
 		{"water", src.Water, commute.LoadOptions{}, 120},
 		{"twoclass", whileTwoClass, commute.LoadOptions{Transform: true}, 161},
+		// Folding keeps coarse-alias's sums t + c; a rendered key per
+		// nested sum would make the second row quadratic.
+		{"unrollnest", unrollNest(64, "j"), commute.LoadOptions{}, 1390},
+		{"unrollnest-nested", unrollNest(32, "j * 2"), commute.LoadOptions{}, 3800},
 	} {
 		check("a cold compile of", tc.name, tc.source, tc.budget, func() {
 			if err := compileCold(tc.name, tc.source, tc.opts); err != nil {
@@ -531,8 +587,8 @@ func TestCompileAllocBudget(t *testing.T) {
 		name, source string
 		budget       float64
 	}{
-		{"barneshut", src.BarnesHut, 33},
-		{"water", src.Water, 64},
+		{"barneshut", src.BarnesHut, 30},
+		{"water", src.Water, 44},
 	} {
 		sys, err := commute.Load(tc.name, tc.source)
 		if err != nil {

@@ -262,9 +262,10 @@ type firstKey struct {
 // firstRun is the executor state after one body ran from the initial
 // state, or the reason it could not.
 type firstRun struct {
-	ivars   []IVar
-	invoked Multiset
-	err     error
+	ivars    []IVar
+	invoked  Multiset
+	unrolled int // statements its unrolled loops executed
+	err      error
 }
 
 // firstRun returns the memoized state after invocation tag of m.
@@ -273,7 +274,7 @@ func (env *Env) firstRun(m *types.Method, tag string) *firstRun {
 		ex := &executor{env: rec, tab: rec.cache.tab}
 		fr := &firstRun{}
 		fr.err = ex.runMethod(m, tag, &fr.invoked)
-		fr.ivars = ex.ivars
+		fr.ivars, fr.unrolled = ex.ivars, ex.unrolled
 		return fr
 	})
 }

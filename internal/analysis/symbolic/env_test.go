@@ -5,13 +5,13 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"commute/internal/analysis/effects"
 	"commute/internal/analysis/extent"
+	"commute/internal/analysis/symbolic/symtest"
 	"commute/internal/apps/src"
 	mcparser "commute/internal/frontend/parser"
 	"commute/internal/frontend/types"
@@ -123,7 +123,7 @@ func TestExecutionDependsOnAnswersOnly(t *testing.T) {
 					if err != nil {
 						continue
 					}
-					if !reflect.DeepEqual(ex.ivars, got.IVars) || !reflect.DeepEqual(invoked, got.Invoked) {
+					if !symtest.DeepEqual(ex.ivars, got.IVars) || !symtest.DeepEqual(invoked, got.Invoked) {
 						t.Fatalf("%s: %s;%s under %s: result differs under the least environment\nfull:  %v %v\nleast: %v %v",
 							name, mA.FullName(), mB.FullName(), root.FullName(), ex.ivars, invoked, got.IVars, got.Invoked)
 					}

@@ -70,7 +70,7 @@ func ExecutePair(mA, mB *types.Method, tagA, tagB string, env *Env) (Result, err
 	if first.err != nil {
 		return Result{}, first.err
 	}
-	ex := &executor{env: env, tab: env.cache.tab, ivars: slices.Clone(first.ivars)}
+	ex := &executor{env: env, tab: env.cache.tab, ivars: slices.Clone(first.ivars), unrolled: first.unrolled}
 	invoked := first.invoked[:len(first.invoked):len(first.invoked)] // B's appends copy
 	if err := ex.runMethod(mB, tagB, &invoked); err != nil {
 		return Result{}, err
@@ -112,6 +112,12 @@ type executor struct {
 	guard   []Expr // conjunction stack
 	invoked *Multiset
 	retSeen bool
+
+	// Unrolling (unrollLoop): how deep in unrolled loops execution is,
+	// and how many statements they have executed in this order of the
+	// pair, the first invocation's included.
+	unrolling int
+	unrolled  int
 }
 
 func (ex *executor) failf(format string, args ...any) error {
@@ -260,6 +266,11 @@ func (ex *executor) restore(s stateSnap) {
 func (ex *executor) stmt(s ast.Stmt) error {
 	if ex.retSeen {
 		return ex.failf("statement after return")
+	}
+	if ex.unrolling > 0 {
+		if ex.unrolled++; ex.unrolled > unrollBudget {
+			return ex.failf("loop too large to unroll (over %d statements)", unrollBudget)
+		}
 	}
 	switch st := s.(type) {
 	case *ast.Block:

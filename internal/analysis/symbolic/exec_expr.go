@@ -182,9 +182,9 @@ func (ex *executor) evalBinary(x *ast.Binary) (Expr, error) {
 	}
 	switch x.Op {
 	case token.PLUS:
-		return ex.tab.mkNary(OpAdd, []Expr{l, r}), nil
+		return ex.add(l, r), nil
 	case token.MINUS:
-		return ex.tab.mkNary(OpAdd, []Expr{l, ex.tab.mkNeg(r)}), nil
+		return ex.add(l, ex.tab.mkNeg(r)), nil
 	case token.STAR:
 		return ex.tab.mkNary(OpMul, []Expr{l, r}), nil
 	case token.SLASH:
@@ -211,6 +211,35 @@ func (ex *executor) evalBinary(x *ast.Binary) (Expr, error) {
 	return nil, ex.failf("unsupported operator %s", x.Op)
 }
 
+// add is l + r. An integer constant added to a sum that already ends
+// in one is folded into it, so that an unrolled accumulation
+// t = t + j stays t + c instead of nesting a level per iteration;
+// Simplify folds the two constants alike either way.
+func (ex *executor) add(l, r Expr) Expr {
+	if s, ok := l.(*Nary); ok && s.Op == OpAdd && len(s.Args) > 0 {
+		last, isNum := s.Args[len(s.Args)-1].(Num)
+		if c, isConst := intConst(r); isNum && last.IsInt && isConst {
+			var buf [8]Expr
+			args := append(buf[:0], s.Args[:len(s.Args)-1]...)
+			return ex.tab.mkNary(OpAdd, append(args, numExpr(last.V+c, true)))
+		}
+	}
+	return ex.tab.mkNary(OpAdd, []Expr{l, r})
+}
+
+// intConst is x's value when x is an integer constant or its negation.
+func intConst(x Expr) (float64, bool) {
+	switch v := x.(type) {
+	case Num:
+		return v.V, v.IsInt
+	case *Neg:
+		if n, ok := v.X.(Num); ok && n.IsInt {
+			return -n.V, true
+		}
+	}
+	return 0, false
+}
+
 func (ex *executor) evalAssign(x *ast.Assign) (Expr, error) {
 	rhs, err := ex.eval(x.RHS)
 	if err != nil {
@@ -223,9 +252,9 @@ func (ex *executor) evalAssign(x *ast.Assign) (Expr, error) {
 		}
 		switch x.Op {
 		case token.PLUSEQ:
-			rhs = ex.tab.mkNary(OpAdd, []Expr{old, rhs})
+			rhs = ex.add(old, rhs)
 		case token.MINUSEQ:
-			rhs = ex.tab.mkNary(OpAdd, []Expr{old, ex.tab.mkNeg(rhs)})
+			rhs = ex.add(old, ex.tab.mkNeg(rhs))
 		case token.STAREQ:
 			rhs = ex.tab.mkNary(OpMul, []Expr{old, rhs})
 		case token.SLASHEQ:

@@ -5,8 +5,13 @@ import (
 	"commute/internal/frontend/token"
 )
 
-// maxUnroll bounds the fallback loop unrolling.
-const maxUnroll = 64
+// unrollBudget bounds the fallback loop unrolling: the statements that
+// unrolled loop bodies may execute in one order of a pair test, over
+// both invocations and however the loops nest. It is well above what
+// the shipped programs use (coarse-alias's cnt::add;cnt::add, 33 152)
+// and refuses a third nesting level of 64-bound loops within a few
+// milliseconds.
+const unrollBudget = 1 << 16
 
 // forStmt executes a for loop: first the two recognized closed forms of
 // §4.8.1 (whole-array elementwise updates and loop-form invocations),
@@ -339,13 +344,13 @@ func (ex *executor) unrollLoop(st *ast.ForStmt) error {
 	if !okF || !okB {
 		return ex.failf("loop bounds are not compile-time constants")
 	}
-	iters := (boundV - fromV + step - 1) / step
-	if iters < 0 {
-		iters = 0
-	}
-	if iters > maxUnroll {
+	// Every iteration executes at least its body: refuse at once a
+	// loop that cannot fit what is left of the budget.
+	if iters := (boundV - fromV + step - 1) / step; iters > unrollBudget-int64(ex.unrolled) {
 		return ex.failf("loop too large to unroll (%d iterations)", iters)
 	}
+	ex.unrolling++
+	defer func() { ex.unrolling-- }()
 	i := fromV
 	for ; i < boundV; i += step {
 		ex.setLocal(v, intExpr(i))

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Op is an operator in the symbolic expression language.
@@ -72,11 +73,11 @@ func (o Op) Commutative() bool {
 //
 // Leaf expressions (Num, Bool, Null, Extent, Var) are comparable value
 // types. Composite expressions are pointer types hash-consed through a
-// Table: nodes built by one analysis's executor or simplifier with
-// identical canonical keys share one allocation, so `==` on Expr values
-// is both safe and a cheap structural fast path. Composite literals
-// constructed outside the package (`&Nary{...}`) are legal but
-// uninterned; Key falls back to recomputing the rendering for them.
+// Table: nodes built by one analysis's executor or simplifier with the
+// same operator and the same operands share one allocation, so `==` on
+// Expr values is both safe and a cheap structural fast path. Composite
+// literals constructed outside the package (`&Nary{...}`) are legal but
+// uninterned until Intern; Key renders them like any other node.
 type Expr interface {
 	Key() string
 	expr()
@@ -138,26 +139,26 @@ type Var struct{ Name string }
 type Nary struct {
 	Op   Op
 	Args []Expr
-	key  string
+	node
 }
 
 // Bin is a binary non-commutative operator application.
 type Bin struct {
 	Op   Op
 	L, R Expr
-	key  string
+	node
 }
 
 // Neg is arithmetic negation.
 type Neg struct {
-	X   Expr
-	key string
+	X Expr
+	node
 }
 
 // Not is boolean negation.
 type Not struct {
-	X   Expr
-	key string
+	X Expr
+	node
 }
 
 // Call is a pure builtin application (sqrt, fabs, ...) or an
@@ -165,13 +166,13 @@ type Not struct {
 type Call struct {
 	Fn   string
 	Args []Expr
-	key  string
+	node
 }
 
 // Cond is a conditional expression: C ? T : F.
 type Cond struct {
 	C, T, F Expr
-	key     string
+	node
 }
 
 // ArrUpd is a whole-array elementwise update v = v ⊕ operand (the
@@ -182,14 +183,14 @@ type ArrUpd struct {
 	Arr     Expr
 	Op      Op
 	Operand Expr
-	key     string
+	node
 }
 
 // ArrFill is a whole-array elementwise store v[l] = e with e
 // loop-invariant.
 type ArrFill struct {
 	Elem Expr
-	key  string
+	node
 }
 
 // ArrStore is a single-element array store.
@@ -197,14 +198,14 @@ type ArrStore struct {
 	Arr Expr
 	Idx Expr
 	Val Expr
-	key string
+	node
 }
 
 // ArrSel is a single-element array read.
 type ArrSel struct {
 	Arr Expr
 	Idx Expr
-	key string
+	node
 }
 
 // AccumAt is a commutative accumulation into one array element:
@@ -217,7 +218,7 @@ type AccumAt struct {
 	Op    Op
 	Idx   Expr
 	Delta Expr
-	key   string
+	node
 }
 
 func (Num) expr()       {}
@@ -238,11 +239,10 @@ func (*ArrSel) expr()   {}
 func (*AccumAt) expr()  {}
 
 // Key implementations produce a canonical rendering; after Simplify,
-// equal keys mean structurally isomorphic expressions. Interned nodes
-// carry the rendering computed once at construction; uninterned
-// literals recompute it on demand. A composite node's rendering is
-// written by its *Key function into a keyBuf, so that looking a node up
-// in its table allocates nothing.
+// equal keys mean structurally isomorphic expressions. A composite node
+// renders its key the first time Key is read, from its operands' keys,
+// and keeps it (see node): a node whose key nothing reads, directly or
+// through a parent's, never renders one.
 
 func (e Num) Key() string {
 	if e.IsInt {
@@ -262,13 +262,59 @@ func (Null) Key() string     { return "NULL" }
 func (e Extent) Key() string { return "⟨" + e.ID + "⟩" }
 func (e Var) Key() string    { return e.Name }
 
-// keyBuf is a rendering being written.
+// node is what every composite expression carries besides its
+// operands: the identity the table that interned it gave it (zero for
+// an uninterned node) and its rendering, once Key has been read. The
+// goroutines of one analysis share its nodes, so the rendering is
+// published atomically; two racing first reads render the same text.
+type node struct {
+	id  uint64
+	key atomic.Pointer[string]
+}
+
+func (n *node) hdr() *node { return n }
+
+// composite is implemented by the pointer expression types.
+type composite interface {
+	Expr
+	hdr() *node
+}
+
+// keyOf returns c's rendering, made and kept on the first call.
+func keyOf(c composite) string {
+	n := c.hdr()
+	if k := n.key.Load(); k != nil {
+		return *k
+	}
+	var buf [256]byte
+	k := string(keyBuf(buf[:0]).node(c))
+	n.key.Store(&k)
+	return k
+}
+
+func (e *Nary) Key() string     { return keyOf(e) }
+func (e *Bin) Key() string      { return keyOf(e) }
+func (e *Neg) Key() string      { return keyOf(e) }
+func (e *Not) Key() string      { return keyOf(e) }
+func (e *Call) Key() string     { return keyOf(e) }
+func (e *Cond) Key() string     { return keyOf(e) }
+func (e *ArrUpd) Key() string   { return keyOf(e) }
+func (e *ArrFill) Key() string  { return keyOf(e) }
+func (e *ArrStore) Key() string { return keyOf(e) }
+func (e *ArrSel) Key() string   { return keyOf(e) }
+func (e *AccumAt) Key() string  { return keyOf(e) }
+
+// keyBuf is a rendering being written. Its methods switch on concrete
+// types rather than call through Expr, so that a buffer on the stack
+// stays there.
 type keyBuf []byte
 
 // s appends text.
 func (b keyBuf) s(text string) keyBuf { return append(b, text...) }
 
-// e appends x's rendering.
+// e appends x's rendering. A composite operand's is its Key, kept from
+// here on: reached through the interface, the recursion leaves the
+// buffer on its caller's stack.
 func (b keyBuf) e(x Expr) keyBuf {
 	switch v := x.(type) {
 	case Num:
@@ -282,132 +328,47 @@ func (b keyBuf) e(x Expr) keyBuf {
 	return b.s(x.Key())
 }
 
-func naryKey(b keyBuf, op Op, args []Expr) keyBuf {
-	b = b.s("(")
-	for i, a := range args {
-		if i > 0 {
-			b = b.s(" ").s(op.String()).s(" ")
+// node appends composite x's rendering, made from its operands'.
+func (b keyBuf) node(x composite) keyBuf {
+	switch e := x.(type) {
+	case *Nary:
+		b = b.s("(")
+		for i, a := range e.Args {
+			if i > 0 {
+				b = b.s(" ").s(e.Op.String()).s(" ")
+			}
+			b = b.e(a)
 		}
-		b = b.e(a)
-	}
-	return b.s(")")
-}
-
-func (e *Nary) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(naryKey(nil, e.Op, e.Args))
-}
-
-func binKey(b keyBuf, op Op, l, r Expr) keyBuf {
-	return b.s("(").e(l).s(" ").s(op.String()).s(" ").e(r).s(")")
-}
-
-func (e *Bin) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(binKey(nil, e.Op, e.L, e.R))
-}
-
-func negKey(b keyBuf, x Expr) keyBuf { return b.s("(-").e(x).s(")") }
-func notKey(b keyBuf, x Expr) keyBuf { return b.s("(!").e(x).s(")") }
-
-func (e *Neg) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(negKey(nil, e.X))
-}
-
-func (e *Not) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(notKey(nil, e.X))
-}
-
-func callKey(b keyBuf, fn string, args []Expr) keyBuf {
-	b = b.s(fn).s("(")
-	for i, a := range args {
-		if i > 0 {
-			b = b.s(", ")
+		return b.s(")")
+	case *Bin:
+		return b.s("(").e(e.L).s(" ").s(e.Op.String()).s(" ").e(e.R).s(")")
+	case *Neg:
+		return b.s("(-").e(e.X).s(")")
+	case *Not:
+		return b.s("(!").e(e.X).s(")")
+	case *Call:
+		b = b.s(e.Fn).s("(")
+		for i, a := range e.Args {
+			if i > 0 {
+				b = b.s(", ")
+			}
+			b = b.e(a)
 		}
-		b = b.e(a)
+		return b.s(")")
+	case *Cond:
+		return b.s("(").e(e.C).s(" ? ").e(e.T).s(" : ").e(e.F).s(")")
+	case *ArrUpd:
+		return b.s("upd(").e(e.Arr).s(" ").s(e.Op.String()).s("= ").e(e.Operand).s(")")
+	case *ArrFill:
+		return b.s("fill(").e(e.Elem).s(")")
+	case *ArrStore:
+		return b.s("store(").e(e.Arr).s(", ").e(e.Idx).s(", ").e(e.Val).s(")")
+	case *ArrSel:
+		return b.s("sel(").e(e.Arr).s(", ").e(e.Idx).s(")")
+	case *AccumAt:
+		return b.s("accum(").e(e.Arr).s("[").e(e.Idx).s("] ").s(e.Op.String()).s("= ").e(e.Delta).s(")")
 	}
-	return b.s(")")
-}
-
-func (e *Call) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(callKey(nil, e.Fn, e.Args))
-}
-
-func condKey(b keyBuf, c, t, f Expr) keyBuf {
-	return b.s("(").e(c).s(" ? ").e(t).s(" : ").e(f).s(")")
-}
-
-func (e *Cond) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(condKey(nil, e.C, e.T, e.F))
-}
-
-func arrUpdKey(b keyBuf, arr Expr, op Op, operand Expr) keyBuf {
-	return b.s("upd(").e(arr).s(" ").s(op.String()).s("= ").e(operand).s(")")
-}
-
-func (e *ArrUpd) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(arrUpdKey(nil, e.Arr, e.Op, e.Operand))
-}
-
-func arrFillKey(b keyBuf, elem Expr) keyBuf { return b.s("fill(").e(elem).s(")") }
-
-func (e *ArrFill) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(arrFillKey(nil, e.Elem))
-}
-
-func arrStoreKey(b keyBuf, arr, idx, val Expr) keyBuf {
-	return b.s("store(").e(arr).s(", ").e(idx).s(", ").e(val).s(")")
-}
-
-func (e *ArrStore) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(arrStoreKey(nil, e.Arr, e.Idx, e.Val))
-}
-
-func arrSelKey(b keyBuf, arr, idx Expr) keyBuf {
-	return b.s("sel(").e(arr).s(", ").e(idx).s(")")
-}
-
-func (e *ArrSel) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(arrSelKey(nil, e.Arr, e.Idx))
-}
-
-func accumAtKey(b keyBuf, arr Expr, op Op, idx, delta Expr) keyBuf {
-	return b.s("accum(").e(arr).s("[").e(idx).s("] ").s(op.String()).s("= ").e(delta).s(")")
-}
-
-func (e *AccumAt) Key() string {
-	if e.key != "" {
-		return e.key
-	}
-	return string(accumAtKey(nil, e.Arr, e.Op, e.Idx, e.Delta))
+	panic("symbolic: unknown node")
 }
 
 // Equal reports whether two expressions have identical canonical form.

@@ -1,8 +1,10 @@
 package symbolic_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"commute/internal/analysis/effects"
 	"commute/internal/analysis/extent"
@@ -244,10 +246,11 @@ void driver::run() { c->m(); }
 	}
 }
 
-// TestLargeUnrollRejected: unrolling is bounded.
+// TestLargeUnrollRejected: unrolling is bounded; a loop longer than the
+// whole budget is refused before it starts.
 func TestLargeUnrollRejected(t *testing.T) {
 	source := `
-const int N = 1000;
+const int N = 100000;
 class big {
 public:
   double v[N];
@@ -267,5 +270,54 @@ void driver::run() { x->odd(); }
 	_, err := execOne(t, source, "driver::run", "big::odd")
 	if err == nil || !strings.Contains(err.Error(), "too large to unroll") {
 		t.Errorf("expected unroll-bound error, got %v", err)
+	}
+}
+
+// TestNestedUnrollBudget: the unrolling budget covers a whole nest, so
+// three levels of 64-bound loops (262 144 innermost iterations) finish
+// or are refused within 1 s and 200 MB, where a bound per loop would let
+// them run to the end. The addend k * 2 is one the executor cannot fold
+// into the sum, which therefore nests a level per iteration.
+func TestNestedUnrollBudget(t *testing.T) {
+	source := `
+class cnt {
+public:
+  int total;
+  void bump(int v);
+};
+void cnt::bump(int v) {
+  int t = total;
+  for (int i = 0; i < 64; i++) {
+    for (int j = 0; j < 64; j++) {
+      for (int k = 0; k < 64; k++) {
+        t = t + k * 2;
+      }
+    }
+  }
+  total = t + v;
+}
+class driver {
+public:
+  cnt *c;
+  void run();
+};
+void driver::run() { c->bump(1); }
+`
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err := execOne(t, source, "driver::run", "cnt::bump")
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil && !strings.Contains(err.Error(), "too large to unroll") {
+		t.Fatalf("the nest failed for another reason: %v", err)
+	}
+	allocMB := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	sysMB := float64(after.Sys-before.Sys) / (1 << 20)
+	t.Logf("%v in %v, %.1f MB allocated, %.1f MB more from the OS", err, elapsed, allocMB, sysMB)
+	if elapsed > time.Second || allocMB > 200 || sysMB > 200 {
+		t.Errorf("the three-deep nest took %v, allocated %.1f MB and took %.1f MB more from the OS: bound 1 s and 200 MB",
+			elapsed, allocMB, sysMB)
 	}
 }

@@ -3,10 +3,10 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
+	"commute/internal/analysis/symbolic/symtest"
 	"commute/internal/core"
 	"commute/internal/frontend/types"
 	"commute/internal/oracle"
@@ -53,7 +53,7 @@ func requireSameReports(t *testing.T, label string, want, got []*core.MethodRepo
 		t.Fatalf("%s: %d reports, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
+		if !symtest.DeepEqual(want[i], got[i]) {
 			t.Fatalf("%s: report %d (%s) differs from the ID-order analysis's\nwant: %+v\ngot:  %+v",
 				label, i, want[i].Method.FullName(), want[i], got[i])
 		}

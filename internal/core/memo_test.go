@@ -3,12 +3,12 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"commute/internal/analysis/effects"
 	"commute/internal/analysis/symbolic"
+	"commute/internal/analysis/symbolic/symtest"
 	"commute/internal/apps/src"
 	"commute/internal/core"
 	"commute/internal/frontend/parser"
@@ -136,7 +136,7 @@ func checkPairsAgainstFresh(t *testing.T, label string, prog *types.Program, r *
 			continue
 		}
 		fresh := core.CommuteSymbolic(pr.M1, pr.M2, symbolic.NewEnv(prog, ec, aux))
-		if !reflect.DeepEqual(pr, fresh) {
+		if !symtest.DeepEqual(pr, fresh) {
 			t.Fatalf("%s: extent %s, pair (%s, %s): memoized verdict differs from a fresh execution\nmemo:  %+v\nfresh: %+v",
 				label, r.Method.FullName(), pr.M1.FullName(), pr.M2.FullName(), pr, fresh)
 		}

@@ -316,6 +316,7 @@ func (c *checker) checkClassHeader(cd *ast.ClassDecl) {
 		})
 	}
 	declareMethod := func(name string, ret *ast.TypeExpr, params []*ast.Param, def *ast.MethodDef, pos token.Pos) {
+		c.checkParamNames(cl.Name+"::"+name, params)
 		m := &Method{
 			ID:    len(c.prog.Methods),
 			Class: cl,
@@ -402,6 +403,7 @@ func (c *checker) declareFreeFunc(md *ast.MethodDef) {
 		c.errorf(md.Pos(), "function %s redeclared", md.Name)
 		return
 	}
+	c.checkParamNames(md.Name, md.Params)
 	m := &Method{
 		ID:   len(c.prog.Methods),
 		Name: md.Name,
@@ -414,6 +416,20 @@ func (c *checker) declareFreeFunc(md *ast.MethodDef) {
 	}
 	c.prog.Funcs[md.Name] = m
 	c.prog.Methods = append(c.prog.Methods, m)
+}
+
+// checkParamNames rejects a parameter list that names a parameter
+// twice, as a scope rejects a repeated local: the two would share one
+// name and no reference could tell them apart.
+func (c *checker) checkParamNames(fn string, params []*ast.Param) {
+	for i, p := range params {
+		for _, q := range params[:i] {
+			if p.Name != "" && p.Name == q.Name {
+				c.errorf(p.Pos(), "%s: parameter %s declared twice", fn, p.Name)
+				return
+			}
+		}
+	}
 }
 
 func (c *checker) bindMethodDef(md *ast.MethodDef) {
@@ -439,6 +455,7 @@ func (c *checker) bindMethodDef(md *ast.MethodDef) {
 	}
 	// The definition's parameter list wins (prototypes and definitions
 	// must agree in arity; we verify types element-wise).
+	c.checkParamNames(md.ClassName+"::"+md.Name, md.Params)
 	if len(md.Params) != len(m.Params) {
 		c.errorf(md.Pos(), "%s::%s: definition has %d parameters, prototype has %d",
 			md.ClassName, md.Name, len(md.Params), len(m.Params))

@@ -81,6 +81,15 @@ func TestMoreErrors(t *testing.T) {
 		{"cycle",
 			`class a : public b { public: int x; }; class b : public a { public: int y; };`,
 			"cycle"},
+		{"repeated-param-method",
+			`class c { public: int x; void f(int a, int b); }; void c::f(int a, int a) { x = a; }`,
+			"parameter a declared twice"},
+		{"repeated-param-proto",
+			`class c { public: int x; void f(int a, int a); };`,
+			"parameter a declared twice"},
+		{"repeated-param-func",
+			`void f(int a, int a) { } void main() { f(1, 2); }`,
+			"parameter a declared twice"},
 		{"compound-on-bool",
 			`class a { public: boolean b; void m(); }; void a::m() { b += TRUE; }`,
 			"compound assignment"},
