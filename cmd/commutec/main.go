@@ -27,7 +27,6 @@ import (
 	"commute/internal/cond"
 	"commute/internal/nativegen"
 	"commute/internal/rt"
-	"commute/internal/transform"
 )
 
 func main() {
@@ -60,22 +59,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sys *commute.System
-	var err error
-	if *doTransform {
-		var rewrites []transform.Rewrite
-		sys, _, rewrites, err = commute.LoadTransformed(name, source)
-		if err == nil {
-			for _, rw := range rewrites {
-				fmt.Printf("// loop in %s replaced by tail-recursive %s\n", rw.Method, rw.Helper)
-			}
-		}
-	} else {
-		sys, err = commute.Load(name, source)
-	}
+	sys, err := commute.LoadOpts(name, source, commute.LoadOptions{Transform: *doTransform})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	for _, rw := range sys.Rewrites {
+		fmt.Printf("// loop in %s replaced by tail-recursive %s\n", rw.Method, rw.Helper)
 	}
 
 	switch *emit {

@@ -35,6 +35,7 @@ import (
 	"commute/internal/core"
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/parser"
+	"commute/internal/frontend/printer"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/internal/rt"
@@ -68,6 +69,10 @@ type System struct {
 	// configuration, proven extents only and every lock taken, is
 	// codegen.Build, which only the paper's tables read.
 	Plan *codegen.Plan
+
+	// Rewrites lists the §7.2 loop replacements a load under Transform
+	// made, in the order it made them; nil otherwise.
+	Rewrites []transform.Rewrite
 
 	// The same pointer as Plan, kept only because e2ebench/compile.go and e2ebench/run.go name it; ROADMAP item 1 deletes it.
 	CondPlan *codegen.Plan
@@ -109,21 +114,38 @@ func newSystem(file *ast.File, prog *types.Program) *System {
 // analysis, widening the set of computations the symbolic executor can
 // analyze (e.g. pointer-chasing accumulation loops). It returns the
 // loaded system, the transformed source, and the rewrites performed.
+// The system is LoadOpts's under Transform; only the returned text is
+// printed here.
 func LoadTransformed(name, source string) (*System, string, []transform.Rewrite, error) {
-	// The rewrite reads the checked program; only the text kept is analyzed.
-	file, prog, err := check(name, source)
+	sys, err := loadTransformed(name, source)
 	if err != nil {
 		return nil, "", nil, err
 	}
-	out, rewrites := transform.WhileToRecursion(prog, file)
-	if len(rewrites) == 0 {
-		return newSystem(file, prog), source, nil, nil
+	if len(sys.Rewrites) == 0 {
+		return sys, source, nil, nil
 	}
-	sys, err := Load(name, out)
+	return sys, printer.File(sys.File), sys.Rewrites, nil
+}
+
+// loadTransformed checks the source once, rewrites the checked tree in
+// place and, when anything was rewritten, checks that same tree again:
+// the rewrite reads the first program, the analysis the second. No text
+// is printed or parsed again, so positions, and File.Size, are the
+// given source's.
+func loadTransformed(name, source string) (*System, error) {
+	file, prog, err := check(name, source)
 	if err != nil {
-		return nil, out, rewrites, fmt.Errorf("transformed source failed to reload: %w", err)
+		return nil, err
 	}
-	return sys, out, rewrites, nil
+	rewrites := transform.ReplaceLoops(prog, file)
+	if len(rewrites) > 0 {
+		if prog, err = types.Check(file); err != nil {
+			return nil, fmt.Errorf("transformed program failed to check: %w", err)
+		}
+	}
+	sys := newSystem(file, prog)
+	sys.Rewrites = rewrites
+	return sys, nil
 }
 
 // LoadOptions selects load-time dialect options. The options are part
@@ -155,8 +177,7 @@ func Fingerprint(name, source string, opts LoadOptions) string {
 // by Fingerprint(name, source, opts).
 func LoadOpts(name, source string, opts LoadOptions) (*System, error) {
 	if opts.Transform {
-		sys, _, _, err := LoadTransformed(name, source)
-		return sys, err
+		return loadTransformed(name, source)
 	}
 	return Load(name, source)
 }

@@ -103,6 +103,29 @@ func joinPath(a, b []string) []string {
 // SubstSet substitutes every descriptor of s.
 func (b Binding) SubstSet(s *Set) *Set { return s.mapped(b.subst) }
 
+// SubstAll reports whether pred holds of every descriptor of s
+// substituted under b: SubstSet(s).All(pred) without building the set.
+func (b Binding) SubstAll(s *Set, pred func(Desc) bool) bool {
+	for _, e := range s.e {
+		if !pred(b.subst(e).Desc) {
+			return false
+		}
+	}
+	return true
+}
+
+// addSubst adds to s every descriptor of o substituted under b. The
+// substitutions go through scratch, which it returns for the next call
+// to reuse.
+func (s *Set) addSubst(b Binding, o *Set, scratch []*entry) []*entry {
+	scratch = scratch[:0]
+	for _, e := range o.e {
+		scratch = append(scratch, b.subst(e))
+	}
+	s.merge(canonical(scratch))
+	return scratch
+}
+
 // Bind computes the callee binding at a call site (the paper's
 // bind(c, b)): the receiver actual composed with the caller's receiver
 // binding, and each formal reference parameter mapped to the descriptor

@@ -262,23 +262,23 @@ func (d *depWalker) callTaint(x *ast.CallExpr) *Set {
 				break
 			}
 		}
+		// The callee's reads in the caller's frame (the identity when the
+		// site has no call context). Reads of locals (reference actuals)
+		// resolve to those locals' taints.
+		var b Binding
 		if cc != nil {
-			b := d.a.Bind(d.m, *cc, identity(d.m, &d.a.in))
-			calleeReads = b.SubstSet(te.Reads)
-		} else {
-			calleeReads = te.Reads.Clone()
+			b = d.a.Bind(d.m, *cc, identity(d.m, &d.a.in))
 		}
-		// Reads of locals (reference actuals) resolve to those locals'
-		// taints.
-		resolved := NewSet()
-		for _, e := range calleeReads.e {
+		for _, e := range te.Reads.e {
+			if cc != nil {
+				e = b.subst(e)
+			}
 			if e.Space == DescLocal && e.Method == d.m {
-				resolved.AddAll(d.localTaint(e.Name))
+				calleeReads.AddAll(d.localTaint(e.Name))
 			} else {
-				resolved.add(e)
+				calleeReads.add(e)
 			}
 		}
-		calleeReads = resolved
 	}
 
 	// Record dep(c). Multiple syntactic evaluations (loop fixpoint)

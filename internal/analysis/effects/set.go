@@ -51,8 +51,13 @@ func (s *Set) Add(d Desc) bool {
 }
 
 // AddAll inserts every descriptor of o; it reports whether the set changed.
-func (s *Set) AddAll(o *Set) bool {
-	a, b := s.e, o.e
+func (s *Set) AddAll(o *Set) bool { return s.merge(o.e) }
+
+// merge inserts the entries of b, which are in key order without
+// duplicates, and reports whether the set changed. The set never keeps
+// b's backing array.
+func (s *Set) merge(b []*entry) bool {
+	a := s.e
 	// Skip what the two already share: the last round of a fixpoint adds
 	// nothing and allocates nothing.
 	i, j := 0, 0
@@ -187,6 +192,19 @@ func (s *Set) Filter(keep func(Desc) bool) *Set {
 	return out
 }
 
+// keep drops, in place, the entries f rejects. Only the owner of a set
+// nobody else holds yet may call it.
+func (s *Set) keep(f func(*entry) bool) {
+	out := s.e[:0]
+	for _, e := range s.e {
+		if f(e) {
+			out = append(out, e)
+		}
+	}
+	clear(s.e[len(out):])
+	s.e = out
+}
+
 // mapped returns the set of f's values over s; f maps interned entries
 // to interned entries and mostly returns its argument.
 func (s *Set) mapped(f func(*entry) *entry) *Set {
@@ -222,6 +240,23 @@ func canonical(es []*entry) []*entry {
 // Lift returns the set of the elements' lifts: parameters and locals
 // become their primitive types.
 func (s *Set) Lift() *Set { return s.mapped((*entry).lifted) }
+
+// LiftUnwritten returns the lifts of s's descriptors that overlap no
+// lift of a descriptor of w: Lift(s) less what overlaps Lift(w), in one
+// set. With s and w a computation's transitive reads and writes it is
+// the paper's set of extent constant variables.
+func (s *Set) LiftUnwritten(w *Set) *Set {
+	out := s.mapped((*entry).lifted)
+	out.keep(func(r *entry) bool {
+		for _, x := range w.e {
+			if x.lifted().overlaps(r) {
+				return false
+			}
+		}
+		return true
+	})
+	return out
+}
 
 // Key returns a canonical string for the whole set (sorted keys).
 func (s *Set) Key() string { return s.join(";") }

@@ -69,12 +69,13 @@ func (a *Analyzer) transitiveEffects(m *types.Method) *TE {
 	work := []item{{m: m, b: identity(m, &a.in)}}
 	visited := map[visit]bool{{m, work[0].b.Key()}: true}
 
+	var scratch []*entry
 	for len(work) > 0 {
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
 		mi := a.Info(it.m)
-		rd.AddAll(it.b.SubstSet(mi.Reads))
-		wr.AddAll(it.b.SubstSet(mi.Writes))
+		scratch = rd.addSubst(it.b, mi.Reads, scratch)
+		scratch = wr.addSubst(it.b, mi.Writes, scratch)
 		for _, cc := range mi.Calls {
 			next := item{m: cc.Site.Callee, b: a.Bind(it.m, cc, it.b)}
 			k := visit{next.m, next.b.Key()}
@@ -85,8 +86,11 @@ func (a *Analyzer) transitiveEffects(m *types.Method) *TE {
 		}
 	}
 
-	notLocal := func(d Desc) bool { return d.Space != DescLocal }
-	return &TE{Reads: rd.Filter(notLocal), Writes: wr.Filter(notLocal)}
+	// rd and wr are this call's own until published.
+	notLocal := func(e *entry) bool { return e.Space != DescLocal }
+	rd.keep(notLocal)
+	wr.keep(notLocal)
+	return &TE{Reads: rd, Writes: wr}
 }
 
 // MayCreateObject reports whether the computation rooted at m may

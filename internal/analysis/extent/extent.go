@@ -18,8 +18,7 @@ import (
 // overlap writes.
 func Constants(a *effects.Analyzer, m *types.Method) *effects.Set {
 	te := a.TransitiveEffects(m)
-	wr := te.Writes.Lift()
-	return te.Reads.Lift().Filter(func(s effects.Desc) bool { return !wr.OverlapsDesc(s) })
+	return te.Reads.LiftUnwritten(te.Writes)
 }
 
 // Result is the outcome of the extent computation for one method.
@@ -77,8 +76,8 @@ func Compute(a *effects.Analyzer, m *types.Method, ec *effects.Set) *Result {
 			callee := cc.Site.Callee
 			te := a.TransitiveEffects(callee)
 			b := a.Bind(x, *cc, ident)
-			if b.SubstSet(te.Writes).All(isLocal) && b.SubstSet(te.Reads).All(constant) &&
-				ident.SubstSet(a.Dep(cc.Site)).All(constant) {
+			if b.SubstAll(te.Writes, isLocal) && b.SubstAll(te.Reads, constant) &&
+				ident.SubstAll(a.Dep(cc.Site), constant) {
 				res.Aux = append(res.Aux, cc.Site)
 				continue
 			}

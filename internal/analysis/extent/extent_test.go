@@ -196,3 +196,35 @@ func TestGraphExtent(t *testing.T) {
 		t.Errorf("traverse extent size = %d, want 2 (traverse, visit)", len(res.Methods))
 	}
 }
+
+// TestConstantsMatchesLiftAndFilter: Constants, which lifts the reads
+// once and tests them against each write's lift, is the composition of
+// the paper's definition — lift the reads, lift the writes, keep the
+// reads that overlap no write — over every method of the shipped apps
+// and fixtures.
+func TestConstantsMatchesLiftAndFilter(t *testing.T) {
+	sources := map[string]string{}
+	for _, name := range strings.Split(src.AppNames(), ", ") {
+		_, sources[name], _ = src.App(name)
+	}
+	for _, fx := range src.LoopFixtures() {
+		sources["loops/"+fx.Name] = fx.Source
+	}
+	for _, fx := range src.EntryFixtures() {
+		sources["entry/"+fx.Name] = fx.Source
+	}
+	for _, fx := range src.DispatchFixtures() {
+		sources["dispatch/"+fx.Name] = fx.Source
+	}
+	for name, source := range sources {
+		p, a := analyze(t, source)
+		for _, m := range p.Methods {
+			te := a.TransitiveEffects(m)
+			wr := te.Writes.Lift()
+			want := te.Reads.Lift().Filter(func(d effects.Desc) bool { return !wr.OverlapsDesc(d) })
+			if got := extent.Constants(a, m); got.Key() != want.Key() {
+				t.Errorf("%s: %s: Constants is %s, want %s", name, m.FullName(), got, want)
+			}
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/printer"
+	"commute/internal/frontend/token"
 	"commute/internal/frontend/types"
 )
 
@@ -24,17 +25,26 @@ type Rewrite struct {
 	Helper string // the synthesized tail-recursive method
 }
 
-// WhileToRecursion rewrites eligible while loops in the checked program
-// and returns the transformed source text together with the rewrites
-// performed. The caller re-parses and re-checks the result. Loops are
-// eligible when:
+// WhileToRecursion rewrites eligible while loops as ReplaceLoops does
+// and returns the rewritten file printed as source text, together with
+// the rewrites performed.
+func WhileToRecursion(prog *types.Program, file *ast.File) (string, []Rewrite) {
+	rewrites := ReplaceLoops(prog, file)
+	return printer.File(file), rewrites
+}
+
+// ReplaceLoops rewrites eligible while loops of the checked program in
+// place and returns the rewrites performed; the caller checks file
+// again before analyzing it. Every node it synthesizes takes the
+// position of the loop it replaces, so positions still point into the
+// source file was parsed from. Loops are eligible when:
 //
 //   - they appear in a class method (the recursion needs a receiver);
 //   - the body contains no return statement;
 //   - every local variable the loop references has a parameter-passable
 //     type (primitives and class pointers — no local arrays);
 //   - no local the loop modifies is used after the loop.
-func WhileToRecursion(prog *types.Program, file *ast.File) (string, []Rewrite) {
+func ReplaceLoops(prog *types.Program, file *ast.File) []Rewrite {
 	t := &transformer{prog: prog, file: file}
 	for _, m := range prog.Methods {
 		if m.Class == nil || m.Def == nil {
@@ -42,7 +52,7 @@ func WhileToRecursion(prog *types.Program, file *ast.File) (string, []Rewrite) {
 		}
 		t.method(m)
 	}
-	return printer.File(t.file), t.rewrites
+	return t.rewrites
 }
 
 type transformer struct {
@@ -120,17 +130,18 @@ func (t *transformer) extract(m *types.Method, w *ast.WhileStmt, after []ast.Stm
 	t.seq++
 	helperName := fmt.Sprintf("%s__loop%d", m.Name, t.seq)
 
-	// Parameters: the free locals, with their declared types.
+	// Parameters: the free locals, with their declared types. Every
+	// synthesized node sits at the loop.
+	pos := w.TokPos
 	var params []*ast.Param
-	var args []ast.Expr
 	for _, fl := range free {
-		params = append(params, &ast.Param{Name: fl.name, Type: fl.typ})
-		args = append(args, &ast.Ident{Name: fl.name})
+		fl.typ.TokPos = pos
+		params = append(params, &ast.Param{Name: fl.name, Type: fl.typ, TokPos: pos})
 	}
 
 	// Helper body: if (cond) { body...; this->helper(locals); }.
 	recurse := &ast.ExprStmt{X: &ast.CallExpr{
-		Method: helperName, Args: cloneArgs(free), Site: -1,
+		Method: helperName, Args: freeArgs(free, pos), Site: -1, TokPos: pos,
 	}}
 	var bodyStmts []ast.Stmt
 	if b, ok := w.Body.(*ast.Block); ok {
@@ -142,14 +153,15 @@ func (t *transformer) extract(m *types.Method, w *ast.WhileStmt, after []ast.Stm
 	helper := &ast.MethodDef{
 		ClassName: m.Class.Name,
 		Name:      helperName,
-		RetType:   &ast.TypeExpr{Kind: ast.TVoid},
+		RetType:   &ast.TypeExpr{Kind: ast.TVoid, TokPos: pos},
 		Params:    params,
 		Body: &ast.Block{Stmts: []ast.Stmt{
-			&ast.IfStmt{Cond: w.Cond, Then: &ast.Block{Stmts: bodyStmts}},
-		}},
+			&ast.IfStmt{Cond: w.Cond, Then: &ast.Block{Stmts: bodyStmts, TokPos: pos}, TokPos: pos},
+		}, TokPos: pos},
+		TokPos: pos,
 	}
 
-	call := &ast.ExprStmt{X: &ast.CallExpr{Method: helperName, Args: args, Site: -1}}
+	call := &ast.ExprStmt{X: &ast.CallExpr{Method: helperName, Args: freeArgs(free, pos), Site: -1, TokPos: pos}}
 	t.rewrites = append(t.rewrites, Rewrite{Method: m.FullName(), Helper: m.Class.Name + "::" + helperName})
 	return call, helper, true
 }
@@ -164,6 +176,7 @@ func (t *transformer) install(m *types.Method, helper *ast.MethodDef) {
 				RetType: helper.RetType,
 				Params:  helper.Params,
 				Public:  true,
+				TokPos:  helper.TokPos,
 			})
 		}
 	}
@@ -255,10 +268,11 @@ func (t *transformer) typeExprOf(m *types.Method, name string) *ast.TypeExpr {
 	return nil // arrays and reference parameters are not passable
 }
 
-func cloneArgs(free []freeLocal) []ast.Expr {
+// freeArgs builds the argument list passing the free locals, at pos.
+func freeArgs(free []freeLocal, pos token.Pos) []ast.Expr {
 	out := make([]ast.Expr, len(free))
 	for i, fl := range free {
-		out[i] = &ast.Ident{Name: fl.name}
+		out[i] = &ast.Ident{Name: fl.name, TokPos: pos}
 	}
 	return out
 }

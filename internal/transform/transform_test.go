@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"commute"
+	"commute/internal/apps/src"
+	"commute/internal/frontend/ast"
+	"commute/internal/transform/transformtest"
 )
 
 const listSum = `
@@ -71,10 +74,8 @@ func TestListSumParallelizesAfterTransform(t *testing.T) {
 	}
 }
 
-// TestTransformedExecutionMatches: the transformed program computes the
-// same sums, serially and in parallel.
-func TestTransformedExecutionMatches(t *testing.T) {
-	source := listSum + `
+// listSumMain is listSum with two lists to sum and a main.
+const listSumMain = listSum + `
 class setup {
 public:
   int built;
@@ -110,10 +111,14 @@ void main() {
   D.run();
 }
 `
+
+// TestTransformedExecutionMatches: the transformed program computes the
+// same sums, serially and in parallel.
+func TestTransformedExecutionMatches(t *testing.T) {
 	want := int64(1 + 2 + 3 + 4 + 5 + 10 + 11 + 12)
 
 	// Untransformed serial run.
-	plain, err := commute.Load("listsum.mc", source)
+	plain, err := commute.Load("listsum.mc", listSumMain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +137,7 @@ void main() {
 	}
 
 	// Transformed, serial and parallel.
-	sys, out, _, err := commute.LoadTransformed("listsum.mc", source)
+	sys, out, _, err := commute.LoadTransformed("listsum.mc", listSumMain)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -155,25 +160,42 @@ void main() {
 // TestIneligibleLoopsSkipped: loops whose locals escape, that return,
 // or that reference local arrays stay untouched.
 func TestIneligibleLoopsSkipped(t *testing.T) {
-	cases := []struct{ name, body string }{
-		{"local-used-after", `
+	for _, tc := range ineligible {
+		_, _, rewrites, err := commute.LoadTransformed("skip.mc", tc.source())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(rewrites) != 0 {
+			t.Errorf("%s: expected no rewrites, got %v", tc.name, rewrites)
+		}
+	}
+}
+
+// ineligible are loops whose locals escape, that return, or that
+// reference local arrays.
+var ineligible = []ineligibleLoop{
+	{"local-used-after", `
   int i;
   i = 0;
   while (i < n) { i = i + 1; }
   total = i;`},
-		{"return-inside", `
+	{"return-inside", `
   int i;
   i = 0;
   while (i < n) { i = i + 1; if (i > 3) return; }`},
-		{"local-array", `
+	{"local-array", `
   double t[4];
   int i;
   i = 0;
   t[0] = 0.0;
   while (i < n) { t[0] = t[0] + 1.0; i = i + 1; }`},
-	}
-	for _, tc := range cases {
-		source := `
+}
+
+type ineligibleLoop struct{ name, body string }
+
+// source is a program whose acc::work is the case's body.
+func (l ineligibleLoop) source() string {
+	return `
 class acc {
 public:
   int total;
@@ -181,16 +203,77 @@ public:
   void work();
 };
 class driver { public: acc *a; void run(); };
-void acc::work() {` + tc.body + `
+void acc::work() {` + l.body + `
 }
 void driver::run() { a->work(); }
 `
-		_, _, rewrites, err := commute.LoadTransformed("skip.mc", source)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+}
+
+// TestInPlaceMatchesRoundTrip: the rewrite in place, checked again,
+// says what printing the rewrite and loading the text says, for every
+// fixture here and every shipped app.
+func TestInPlaceMatchesRoundTrip(t *testing.T) {
+	sources := map[string]string{"listsum": listSum, "listsum-main": listSumMain}
+	for _, l := range ineligible {
+		sources[l.name] = l.source()
+	}
+	for _, name := range strings.Split(src.AppNames(), ", ") {
+		_, sources[name], _ = src.App(name)
+	}
+	for name, source := range sources {
+		diff, checked := transformtest.Diff(name+".mc", source)
+		if !checked {
+			t.Errorf("%s does not load", name)
 		}
-		if len(rewrites) != 0 {
-			t.Errorf("%s: expected no rewrites, got %v", tc.name, rewrites)
+		if diff != "" {
+			t.Errorf("%s: %s", name, diff)
 		}
+	}
+}
+
+// FuzzTransformInPlace: any program that loads says the same loaded
+// under Transform as through the printed round trip. The seeds are
+// FuzzParse's programs and this package's fixtures.
+func FuzzTransformInPlace(f *testing.F) {
+	for _, s := range []string{
+		src.Graph, src.BarnesHut, src.Water, listSum, listSumMain,
+		"class a { public: int x; }; void m() { if (x) int p, q; while (x) ; x = +-!x; }",
+		"const int N 3; class c { public: double v[N], w; c *l, *r; void f(int a[], double b); };",
+		"class a { public: int x; }; a *g; void m() { a * p; p = (a *) g; x = \"q\\\"\\n\"; x = 1.5e-3 + 4. ; }",
+	} {
+		f.Add(s)
+	}
+	for _, l := range ineligible {
+		f.Add(l.source())
+	}
+	f.Fuzz(func(t *testing.T, source string) {
+		if len(source) > 1<<14 {
+			return
+		}
+		if diff, _ := transformtest.Diff("fuzz.mc", source); diff != "" {
+			t.Fatalf("%s\nsource:\n%s", diff, source)
+		}
+	})
+}
+
+// TestSynthesizedNodesSitAtTheLoop: every node of a rewritten tree has
+// a position, and the helper and the call that replaces the loop have
+// the loop's.
+func TestSynthesizedNodesSitAtTheLoop(t *testing.T) {
+	sys, err := commute.LoadOpts("listsum.mc", listSum, commute.LoadOptions{Transform: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(sys.File, func(n ast.Node) bool {
+		if n != nil && n.Pos().Line == 0 {
+			t.Errorf("%T has no position", n)
+		}
+		return true
+	})
+	loop := sys.Prog.MethodByFullName("acc::sumList__loop1").Def
+	call := sys.Prog.MethodByFullName("acc::sumList").Def.Body.Stmts[2]
+	// listSum's while loop starts at line 22, column 3.
+	if want := "22:3"; loop.Pos().String() != want || call.Pos().String() != want {
+		t.Errorf("helper at %s, its call at %s, want both at the while, %s", loop.Pos(), call.Pos(), want)
 	}
 }
