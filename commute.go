@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"commute/internal/codegen"
 	"commute/internal/core"
@@ -76,6 +77,9 @@ type System struct {
 
 	// The same pointer as Plan, kept only because e2ebench/compile.go and e2ebench/run.go name it; ROADMAP item 1 deletes it.
 	CondPlan *codegen.Plan
+
+	compileOnce sync.Once
+	code        *interp.Code
 }
 
 // Load parses, type checks, analyzes, and plans a program written in
@@ -162,8 +166,8 @@ type LoadOptions struct {
 // the hex SHA-256 of a canonical encoding of the name, source text, and
 // load options. Equal fingerprints mean Load would produce an
 // equivalent System, so a caching layer may reuse a previously loaded
-// one — including its warm per-program resolution and compiled-closure
-// caches — without re-running any phase of the pipeline.
+// one, with the code its executions built, without re-running any
+// phase of the pipeline.
 func Fingerprint(name, source string, opts LoadOptions) string {
 	h := sha256.New()
 	// Length-prefix each field so no two distinct inputs collide by
@@ -182,19 +186,22 @@ func LoadOpts(name, source string, opts LoadOptions) (*System, error) {
 	return Load(name, source)
 }
 
-// Warm forces the per-program lazy caches — the interpreter's resolution
-// and the closure-compiled method bodies — to build now instead of inside the
-// first execution. Only execution needs them: analysis, reports and the
-// emitted source never do. A caching layer calls this before it times
-// an entry's execution; the first call for a program builds the caches,
-// and concurrent first calls share that one build.
-func (s *System) Warm() { interp.Warm(s.Prog) }
+// Code returns the interpreter's code for the program: slot coercions,
+// object templates and closure-compiled bodies. Only execution needs it
+// (analysis, reports and the emitted source never do), so the first
+// call builds it; concurrent first calls share that one build, and the
+// System keeps it until the System itself is dropped.
+func (s *System) Code() *interp.Code {
+	s.compileOnce.Do(func() { s.code = interp.Compile(s.Prog) })
+	return s.code
+}
 
-// Release drops the per-program resolution and compiled-closure caches,
-// releasing their memory. Call it when evicting a System from a cache,
-// after its last execution: an execution that starts later rebuilds the
-// caches, and nothing releases them again.
-func (s *System) Release() { interp.Release(s.Prog) }
+// Warm builds the System's code now instead of inside its first
+// execution, so a caller can pay the one-time cost before it times one.
+func (s *System) Warm() { s.Code() }
+
+// Release does nothing. Read by e2ebench until ROADMAP 1a drops it.
+func (s *System) Release() {}
 
 // LoadFiles parses several source files into one program (class and
 // global declarations are visible across files). Files are taken in
@@ -267,7 +274,7 @@ func (s *System) RunSerialContext(ctx context.Context, out io.Writer) (*interp.I
 }
 
 func (s *System) runSerial(ctx context.Context, eng interp.Engine, out io.Writer) (*interp.Interp, error) {
-	ip := interp.NewEngine(s.Prog, out, eng)
+	ip := interp.NewEngine(s.Code(), out, eng)
 	c := ip.NewCtx()
 	if ctx != nil && ctx.Done() != nil {
 		c.Interrupt = func() error { return context.Cause(ctx) }
@@ -316,7 +323,7 @@ func (s *System) RunParallelOpts(ctx context.Context, opts RunOptions, out io.Wr
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ip := interp.New(s.Prog, out)
+	ip := interp.New(s.Code(), out)
 	r := rt.New(ip, s.Plan, opts.Workers)
 	r.Conditional = opts.Conditional
 	r.Speculate = opts.Speculate
@@ -332,7 +339,7 @@ func (s *System) RunParallelOpts(ctx context.Context, opts RunOptions, out io.Wr
 // charges the cost units the simulator schedules; a deadline or
 // cancellation on ctx aborts it between statements.
 func (s *System) Trace(ctx context.Context) (*tracer.Trace, error) {
-	return tracer.Collect(ctx, interp.NewEngine(s.Prog, nil, interp.EngineWalk), s.Plan)
+	return tracer.Collect(ctx, interp.NewEngine(s.Code(), nil, interp.EngineWalk), s.Plan)
 }
 
 // Simulate runs a trace on the simulated multiprocessor.

@@ -3,8 +3,12 @@ package commute_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -15,6 +19,9 @@ import (
 	"commute/internal/codegen"
 	"commute/internal/core"
 	"commute/internal/interp"
+	"commute/internal/server"
+	"commute/internal/server/api"
+	"commute/internal/tracer"
 	"commute/internal/transform/transformtest"
 )
 
@@ -32,7 +39,7 @@ void a::m() { y = 1; }
 
 // TestCompileResolvesNothing: loading a program and what commutec prints
 // of it — the reports, the parallel source, the emitted Go package —
-// read the checker's layouts and build nothing for execution.
+// read the checker's layouts and build no interpreter code.
 func TestCompileResolvesNothing(t *testing.T) {
 	for _, app := range []struct{ name, source string }{
 		{"barneshut", src.BarnesHut},
@@ -50,10 +57,78 @@ func TestCompileResolvesNothing(t *testing.T) {
 		if _, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: app.name}); err != nil {
 			t.Fatalf("%s: %v", app.name, err)
 		}
-		if interp.Resolved(sys.Prog) {
-			t.Errorf("%s: compiling resolved the program for execution", app.name)
-			sys.Release()
+		if sys.CodeBuilt() {
+			t.Errorf("%s: compiling built the interpreter code", app.name)
 		}
+	}
+}
+
+// TestAnalyzeDoesNotWarm: a program that is only analyzed holds no
+// interpreter code, whatever its plan reads (Water's replication reads
+// class layouts); the first /v1/run of it builds the code and prints
+// what the tree walker prints.
+func TestAnalyzeDoesNotWarm(t *testing.T) {
+	srv := server.New(server.Config{})
+	post := func(path string, req any) []byte {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	for _, app := range []string{"graph", "water"} {
+		source := api.SourceRequest{App: app}
+		post("/v1/analyze", api.AnalyzeRequest{SourceRequest: source})
+		key, err := server.FingerprintRequest(source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, ok := srv.Cache().Peek(key)
+		if !ok {
+			t.Fatalf("%s: the analyzed program is not cached", app)
+		}
+		if sys.CodeBuilt() {
+			t.Fatalf("%s: an analyze built the interpreter code", app)
+		}
+
+		var rr api.RunResponse
+		if err := json.Unmarshal(post("/v1/run", api.RunRequest{SourceRequest: source, Mode: "serial"}), &rr); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if _, err := sys.RunSerialEngine(interp.EngineWalk, &want); err != nil {
+			t.Fatal(err)
+		}
+		if rr.Cache != "hit" || rr.Output != want.String() {
+			t.Fatalf("%s: run after analyze: cache %q, output %q; want hit, %q", app, rr.Cache, rr.Output, want.String())
+		}
+		if !sys.CodeBuilt() {
+			t.Fatalf("%s: a run left the entry without code", app)
+		}
+	}
+}
+
+// TestTraceRepeats: two traces of one System are equal, object
+// identities included: every interpreter numbers its objects from one.
+func TestTraceRepeats(t *testing.T) {
+	sys, err := commute.Load("graph.mc", src.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces [2]*tracer.Trace
+	for i := range traces {
+		if traces[i], err = sys.Trace(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(traces[0], traces[1]) {
+		t.Error("two traces of one System differ")
 	}
 }
 
@@ -578,15 +653,14 @@ func TestTransformedLoadAnalyzesOnce(t *testing.T) {
 }
 
 // compileCold is the sequence every cold consumer runs (commutec, a
-// /v1/analyze miss, the benchmark's compile operation): load, warm the
-// per-program caches, emit both outputs, release.
+// /v1/analyze miss, the benchmark's compile operation): load, build the
+// interpreter code, emit both outputs.
 func compileCold(name, source string, opts commute.LoadOptions) error {
 	sys, err := commute.LoadOpts(name, source, opts)
 	if err != nil {
 		return err
 	}
 	sys.Warm()
-	defer sys.Release()
 	_ = sys.Plan.EmitParallelSource(sys.File)
 	_, err = sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: name})
 	return err

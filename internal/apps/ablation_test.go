@@ -41,7 +41,7 @@ func TestAblationTracesComputeTheSerialState(t *testing.T) {
 		nativegen.DumpInterp(&want, tc.sys.Prog, ip)
 		for _, opt := range []codegen.Options{{}, {DisableSuppression: true}, {DisableHoisting: true}} {
 			plan := codegen.BuildWithOptions(tc.sys.Analysis, opt)
-			ip := interp.NewEngine(tc.sys.Prog, nil, interp.EngineWalk)
+			ip := interp.NewEngine(tc.sys.Code(), nil, interp.EngineWalk)
 			if _, err := tracer.Collect(context.Background(), ip, plan); err != nil {
 				t.Fatalf("%s %+v: %v", tc.name, opt, err)
 			}

@@ -194,5 +194,5 @@ func TraceWithNestedLoops(sys *commute.System) (*tracer.Trace, error) {
 }
 
 func traceUnder(sys *commute.System, plan *codegen.Plan) (*tracer.Trace, error) {
-	return tracer.Collect(context.TODO(), interp.NewEngine(sys.Prog, nil, interp.EngineWalk), plan)
+	return tracer.Collect(context.TODO(), interp.NewEngine(sys.Code(), nil, interp.EngineWalk), plan)
 }

@@ -126,7 +126,8 @@ func TestRefusedGuardPlansUnproven(t *testing.T) {
 	}
 
 	var ref bytes.Buffer
-	walker := interp.NewEngine(prog, &ref, interp.EngineWalk)
+	code := interp.Compile(prog)
+	walker := interp.NewEngine(code, &ref, interp.EngineWalk)
 	if err := walker.Run(walker.NewCtx()); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestRefusedGuardPlansUnproven(t *testing.T) {
 			want.SpeculativeRegions = rounds
 		}
 		var out bytes.Buffer
-		ip := interp.New(prog, &out)
+		ip := interp.New(code, &out)
 		r := rt.New(ip, plan, 1)
 		r.Conditional, r.Speculate = true, spec
 		if err := r.Run(); err != nil {

@@ -17,7 +17,7 @@ import (
 func walkerCost(t *testing.T, source string) (int64, *codegen.Plan) {
 	t.Helper()
 	prog, plan := buildPlan(t, source)
-	ip := interp.NewEngine(prog, io.Discard, interp.EngineWalk)
+	ip := interp.NewEngine(interp.Compile(prog), io.Discard, interp.EngineWalk)
 	ctx := ip.NewCtx()
 	if err := ip.Run(ctx); err != nil {
 		t.Fatalf("serial walk: %v", err)

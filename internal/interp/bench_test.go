@@ -36,9 +36,10 @@ var benchEngines = []struct {
 // instance per engine.
 func benchCall(b *testing.B, source, full, recvGlobal string) {
 	prog := benchProg(b, source)
+	code := interp.Compile(prog)
 	for _, e := range benchEngines {
 		b.Run(e.name, func(b *testing.B) {
-			ip := interp.NewEngine(prog, nil, e.eng)
+			ip := interp.NewEngine(code, nil, e.eng)
 			m := prog.MethodByFullName(full)
 			if m == nil {
 				b.Fatalf("%s not found", full)
@@ -172,7 +173,7 @@ func BenchmarkFloatArith(b *testing.B) {
 // return — must run at allocs/op = 0.
 func TestCompiledFloatArithZeroAlloc(t *testing.T) {
 	prog := benchProg(t, arithBenchSrc)
-	ip := interp.NewEngine(prog, nil, interp.EngineCompiled)
+	ip := interp.NewEngine(interp.Compile(prog), nil, interp.EngineCompiled)
 	m := prog.MethodByFullName("acc::step")
 	if m == nil {
 		t.Fatal("acc::step not found")
@@ -301,7 +302,7 @@ func BenchmarkFieldPath(b *testing.B) {
 // on the gravsub shape, whose local array lives in the frame too.
 func TestCompiledCallZeroAlloc(t *testing.T) {
 	prog := benchProg(t, callBenchSrc)
-	ip := interp.NewEngine(prog, nil, interp.EngineCompiled)
+	ip := interp.NewEngine(interp.Compile(prog), nil, interp.EngineCompiled)
 	recv := ip.Globals["B"]
 	ctx := ip.NewCtx()
 	args := []interp.Value{interp.IntValue(200)}

@@ -2,9 +2,8 @@ package interp
 
 // Closure compilation: each checked method body is lowered once per
 // program to a tree of closures, so steady-state execution never
-// type-switches on AST nodes. The lowering happens inside
-// buildResolution, under the resolution's once, and reads the slots the
-// checker assigned.
+// type-switches on AST nodes. The lowering happens inside Compile and
+// reads the slots the checker assigned.
 //
 // An expression whose checked type is int, double or boolean is lowered
 // to a closure returning the bare payload (int64, float64, bool): the
@@ -69,9 +68,9 @@ type compiledMethod struct {
 
 type compiler struct {
 	prog *types.Program
-	res  *resolution
+	code *Code
 	// loops receives the offered counted loops for RunLoopIteration
-	// (res.loopBodies).
+	// (Code.loopBodies).
 	loops map[*ast.ForStmt]loopBody
 	// methods is the table of compiled bodies, indexed by
 	// types.Method.ID: a call site enters its callee's body.
@@ -89,11 +88,11 @@ type loopBody struct {
 	body stmtFn
 }
 
-// compileAll lowers every method body of prog, which r resolves. The
+// compileAll lowers every method body of prog into r. The
 // table is made before any body is lowered, so a call site can hold its
 // callee's entry.
-func compileAll(prog *types.Program, r *resolution) ([]*compiledMethod, map[*ast.ForStmt]loopBody) {
-	c := &compiler{prog: prog, res: r, loops: make(map[*ast.ForStmt]loopBody),
+func compileAll(prog *types.Program, r *Code) ([]*compiledMethod, map[*ast.ForStmt]loopBody) {
+	c := &compiler{prog: prog, code: r, loops: make(map[*ast.ForStmt]loopBody),
 		methods: make([]*compiledMethod, len(prog.Methods)), kinds: make([]Kind, len(prog.ExprType))}
 	for _, m := range prog.Methods {
 		if m.Def != nil {
@@ -207,7 +206,7 @@ func (c *compiler) generic(e ast.Expr) exprFn {
 		case ast.SymLocal, ast.SymParam:
 			return func(fr *Frame) Value { return fr.vars[slot] }
 		case ast.SymConst:
-			return constant(c.res.consts[slot])
+			return constant(c.code.consts[slot])
 		case ast.SymGlobal:
 			return func(fr *Frame) Value { return ObjectValue(fr.ctx.IP.globals[slot]) }
 		case ast.SymField:
@@ -410,7 +409,7 @@ func (c *compiler) int(e ast.Expr) func(*Frame) int64 {
 		case x.Sym == ast.SymLocal || x.Sym == ast.SymParam:
 			return func(fr *Frame) int64 { return int64(fr.vars[slot].num) }
 		case x.Sym == ast.SymConst:
-			return constant(int64(c.res.consts[slot].num))
+			return constant(int64(c.code.consts[slot].num))
 		case x.Sym == ast.SymField:
 			return func(fr *Frame) int64 { return int64(fr.this.Slots[slot].num) }
 		}
@@ -468,7 +467,7 @@ func (c *compiler) float(e ast.Expr) func(*Frame) float64 {
 		case x.Sym == ast.SymLocal || x.Sym == ast.SymParam:
 			return func(fr *Frame) float64 { return math.Float64frombits(fr.vars[slot].num) }
 		case x.Sym == ast.SymConst:
-			return constant(math.Float64frombits(c.res.consts[slot].num))
+			return constant(math.Float64frombits(c.code.consts[slot].num))
 		case x.Sym == ast.SymField:
 			return func(fr *Frame) float64 { return math.Float64frombits(fr.this.Slots[slot].num) }
 		}
@@ -704,7 +703,7 @@ func (c *compiler) call(x *ast.CallExpr) exprFn {
 	callee := site.Callee
 	implicitRecv := x.Recv == nil && callee.Class != nil
 	n := len(fns)
-	ms, cm := c.res.methods[callee.ID], c.methods[callee.ID]
+	ms, cm := c.code.methods[callee.ID], c.methods[callee.ID]
 	return func(fr *Frame) Value {
 		ctx := fr.ctx
 		var recv *Object

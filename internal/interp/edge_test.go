@@ -12,7 +12,7 @@ func run(t *testing.T, source string) (*interp.Interp, string) {
 	t.Helper()
 	prog := compile(t, source)
 	var out bytes.Buffer
-	ip := interp.New(prog, &out)
+	ip := interp.New(interp.Compile(prog), &out)
 	if err := ip.Run(ip.NewCtx()); err != nil {
 		t.Fatalf("run: %v", err)
 	}

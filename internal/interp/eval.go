@@ -76,7 +76,7 @@ func (ip *Interp) eval(fr *Frame, e ast.Expr) (Value, error) {
 		case ast.SymLocal, ast.SymParam:
 			return fr.vars[x.Slot], nil
 		case ast.SymConst:
-			return ip.res.consts[x.Slot], nil
+			return ip.code.consts[x.Slot], nil
 		case ast.SymGlobal:
 			return ObjectValue(ip.globals[x.Slot]), nil
 		case ast.SymField:

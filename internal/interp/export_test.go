@@ -23,5 +23,5 @@ func (c *Ctx) FreeFramesZero() bool {
 	return true
 }
 
-// Resolution is the program resolution the interpreter executes with.
-func (ip *Interp) Resolution() any { return ip.res }
+// Code is the code the interpreter executes.
+func (ip *Interp) Code() *Code { return ip.code }

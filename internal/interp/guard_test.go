@@ -21,7 +21,7 @@ void main() {
   }
 }
 `)
-	ip := interp.New(prog, nil)
+	ip := interp.New(interp.Compile(prog), nil)
 	ctx := ip.NewCtx()
 	ctx.MaxSteps = 10000
 	err := ip.Run(ctx)
@@ -49,7 +49,7 @@ void main() {
   }
 }
 `)
-	ip := interp.New(prog, nil)
+	ip := interp.New(interp.Compile(prog), nil)
 	ctx := ip.NewCtx()
 	sentinel := errors.New("stop now")
 	deadline := time.Now().Add(50 * time.Millisecond)
@@ -79,7 +79,7 @@ void main() {
   x = 1;
 }
 `)
-	ip := interp.New(prog, nil)
+	ip := interp.New(interp.Compile(prog), nil)
 	ctx := ip.NewCtx()
 	polled := false
 	ctx.Interrupt = func() error { polled = true; return nil }
@@ -109,7 +109,7 @@ void main() {
   R.spin(0);
 }
 `)
-	ip := interp.New(prog, nil)
+	ip := interp.New(interp.Compile(prog), nil)
 	err := ip.Run(ip.NewCtx())
 	if err == nil {
 		t.Fatal("unbounded recursion terminated without error")
@@ -141,14 +141,15 @@ void main() {
 `
 	prog := compile(t, source)
 
-	ip := interp.New(prog, nil)
+	code := interp.Compile(prog)
+	ip := interp.New(code, nil)
 	ctx := ip.NewCtx()
 	ctx.MaxDepth = 20
 	if err := ip.Run(ctx); err == nil {
 		t.Fatal("recursion past MaxDepth=20 succeeded")
 	}
 
-	ip = interp.New(prog, nil)
+	ip = interp.New(code, nil)
 	ctx = ip.NewCtx()
 	ctx.MaxDepth = 200
 	if err := ip.Run(ctx); err != nil {

@@ -3,6 +3,7 @@ package interp
 import (
 	"io"
 	"math"
+	"sync/atomic"
 
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
@@ -28,31 +29,31 @@ const (
 // Interp holds the immutable program and the global object store.
 type Interp struct {
 	Prog    *types.Program
-	res     *resolution
+	code    *Code
 	engine  Engine
 	globals []*Object // declaration order, indexed by SymGlobal Ident.Slot
 	Globals map[string]*Object
 	Out     io.Writer
+
+	objectIDs atomic.Int64 // the last Object.ID handed out
 }
 
-// New allocates an interpreter with default-initialized globals,
-// executing closure-compiled bodies. The program's resolution (object
-// templates, constants, compiled bodies) is computed once per program
-// and shared by every interpreter instance.
-func New(prog *types.Program, out io.Writer) *Interp {
-	return NewEngine(prog, out, EngineCompiled)
+// New allocates an interpreter of a program's code with
+// default-initialized globals, executing closure-compiled bodies.
+func New(code *Code, out io.Writer) *Interp {
+	return NewEngine(code, out, EngineCompiled)
 }
 
 // NewEngine allocates an interpreter using the given execution engine.
-func NewEngine(prog *types.Program, out io.Writer, eng Engine) *Interp {
+func NewEngine(code *Code, out io.Writer, eng Engine) *Interp {
 	ip := &Interp{
-		Prog:    prog,
-		res:     resolve(prog),
+		Prog:    code.prog,
+		code:    code,
 		engine:  eng,
 		Globals: make(map[string]*Object),
 		Out:     out,
 	}
-	for _, g := range prog.GlobalSeq {
+	for _, g := range code.prog.GlobalSeq {
 		o := ip.NewObject(g.Class)
 		ip.globals = append(ip.globals, o)
 		ip.Globals[g.Name] = o
@@ -317,7 +318,7 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (v
 	if len(args) != len(m.Params) {
 		return Value{}, rtErrf(errCallArity, m.FullName(), len(m.Params), len(args))
 	}
-	ms := ip.res.methods[m.ID]
+	ms := ip.code.methods[m.ID]
 	defer ctx.catch(ctx.sp, ctx.Depth, &err)
 	fr := ctx.pushFrame(ms.n)
 	for i, a := range args {
@@ -325,7 +326,7 @@ func (ip *Interp) Call(ctx *Ctx, m *types.Method, this *Object, args []Value) (v
 	}
 	body := walkBody
 	if !ip.walks(ctx) {
-		body = ip.res.compiled[m.ID].body
+		body = ip.code.compiled[m.ID].body
 	}
 	return ctx.enter(fr, m, ms, this, body), nil
 }
@@ -545,7 +546,7 @@ func (ip *Interp) NewIterFrame(ctx *Ctx, fr *Frame) *Frame {
 // ip.walks(sub's context), as Call does.
 func (ip *Interp) RunLoopIteration(sub *Frame, st *ast.ForStmt, i int64) (err error) {
 	ctx := sub.ctx
-	lb, ok := ip.res.loopBodies[st]
+	lb, ok := ip.code.loopBodies[st]
 	if !ok {
 		return rtErrf("parallel loop at %s is not a counted loop", st.Pos())
 	}

@@ -44,7 +44,7 @@ void main() {
 }
 `)
 	var out bytes.Buffer
-	ip := interp.New(prog, &out)
+	ip := interp.New(interp.Compile(prog), &out)
 	if err := ip.Run(ip.NewCtx()); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -82,7 +82,7 @@ void m::run() {
 void main() { M.run(); }
 `)
 	var out bytes.Buffer
-	ip := interp.New(prog, &out)
+	ip := interp.New(interp.Compile(prog), &out)
 	if err := ip.Run(ip.NewCtx()); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -101,7 +101,7 @@ void main() { M.run(); }
 
 func TestGraphTraversalSerial(t *testing.T) {
 	prog := compile(t, src.Graph)
-	ip := interp.New(prog, nil)
+	ip := interp.New(interp.Compile(prog), nil)
 	if err := ip.Run(ip.NewCtx()); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -133,7 +133,8 @@ func TestGraphTraversalSerial(t *testing.T) {
 
 func TestBarnesHutSerial(t *testing.T) {
 	prog := compile(t, src.BarnesHut)
-	ip := interp.New(prog, nil)
+	code := interp.Compile(prog)
+	ip := interp.New(code, nil)
 	ctx := ip.NewCtx()
 	if err := ip.Run(ctx); err != nil {
 		t.Fatalf("run: %v", err)
@@ -169,7 +170,7 @@ func TestBarnesHutSerial(t *testing.T) {
 	if ctx.Cost != 0 {
 		t.Errorf("the compiled engine charged %d units, want none", ctx.Cost)
 	}
-	walk := interp.NewEngine(prog, nil, interp.EngineWalk)
+	walk := interp.NewEngine(code, nil, interp.EngineWalk)
 	wctx := walk.NewCtx()
 	if err := walk.Run(wctx); err != nil {
 		t.Fatalf("walker run: %v", err)
@@ -202,7 +203,7 @@ void main() { A.m(); }
 	}
 	for _, tc := range cases {
 		prog := compile(t, tc.src)
-		ip := interp.New(prog, nil)
+		ip := interp.New(interp.Compile(prog), nil)
 		err := ip.Run(ip.NewCtx())
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("want error containing %q, got %v", tc.want, err)
@@ -236,7 +237,7 @@ void main() {
   W.test(new cell);
 }
 `)
-	ip := interp.New(prog, nil)
+	ip := interp.New(interp.Compile(prog), nil)
 	if err := ip.Run(ip.NewCtx()); err != nil {
 		t.Fatalf("run: %v", err)
 	}

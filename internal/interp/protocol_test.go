@@ -111,8 +111,9 @@ func TestStaticKernelsMatchWalker(t *testing.T) {
 		decls.String() + "};\n" + defs.String() + "k K;\nvoid main() { }\n"
 	prog := compile(t, source)
 
-	walk := interp.NewEngine(prog, nil, interp.EngineWalk)
-	comp := interp.NewEngine(prog, nil, interp.EngineCompiled)
+	code := interp.Compile(prog)
+	walk := interp.NewEngine(code, nil, interp.EngineWalk)
+	comp := interp.NewEngine(code, nil, interp.EngineCompiled)
 	wctx, cctx := walk.NewCtx(), comp.NewCtx()
 	checked := 0
 	for _, m := range append(methods, wrappers...) {
@@ -225,8 +226,9 @@ func checkPaths(t *testing.T) {
 		}
 		return interp.ObjectValue(objs[0])
 	}
-	walk := interp.NewEngine(prog, nil, interp.EngineWalk)
-	comp := interp.NewEngine(prog, nil, interp.EngineCompiled)
+	code := interp.Compile(prog)
+	walk := interp.NewEngine(code, nil, interp.EngineWalk)
+	comp := interp.NewEngine(code, nil, interp.EngineCompiled)
 	seen := map[string]bool{}
 	for _, m := range prog.Classes["w"].Methods {
 		for _, c := range cases {
@@ -393,11 +395,12 @@ func TestFrameStackUnwinds(t *testing.T) {
 			}},
 	}
 	texts := map[string][]string{} // per row and hook, each engine's error
+	code := interp.Compile(prog)
 	for _, e := range benchEngines {
 		for _, hooked := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/hooked=%v", e.name, hooked), func(t *testing.T) {
 				for i, row := range rows {
-					ip := interp.NewEngine(prog, nil, e.eng)
+					ip := interp.NewEngine(code, nil, e.eng)
 					recv := ip.Globals["N"]
 					call := func(ctx *interp.Ctx, name string, arg int64) (interp.Value, error) {
 						return ip.Call(ctx, prog.MethodByFullName("node::"+name), recv, []interp.Value{interp.IntValue(arg)})
@@ -475,9 +478,10 @@ func TestNilReceiverRejectedAtEntry(t *testing.T) {
 		{true, nil, "node::count takes 1 arguments, called with 0"},
 		{true, append(two, two...), "node::count takes 1 arguments, called with 2"},
 	}
+	code := interp.Compile(prog)
 	for _, row := range rows {
 		for _, e := range benchEngines {
-			ip := interp.NewEngine(prog, nil, e.eng)
+			ip := interp.NewEngine(code, nil, e.eng)
 			ctx := ip.NewCtx()
 			var recv *interp.Object
 			if row.recv {
@@ -517,7 +521,7 @@ int m::inner(int d) { return d; }
 void main() { }
 `
 	prog := compile(t, source)
-	ip := interp.New(prog, nil)
+	ip := interp.New(interp.Compile(prog), nil)
 	outer := prog.MethodByFullName("m::outer")
 	ctx := ip.NewCtx()
 	ctx.Invoke = func(*types.CallSite, *interp.Object, []interp.Value) (interp.Value, error) { panic("hook") }
@@ -594,8 +598,9 @@ func TestCountedLoopHeaderSteps(t *testing.T) {
 		err   string
 		steps int64
 	}
+	code := interp.Compile(prog)
 	run := func(eng interp.Engine, name string, m int64, arm func(*interp.Ctx)) outcome {
-		ip := interp.NewEngine(prog, nil, eng)
+		ip := interp.NewEngine(code, nil, eng)
 		ctx := ip.NewCtx()
 		arm(ctx)
 		v, err := ip.Call(ctx, prog.MethodByFullName("cl::"+name), ip.Globals["C"], []interp.Value{interp.IntValue(m)})
@@ -720,9 +725,10 @@ func TestLocalArrayFrameOwned(t *testing.T) {
 	}{
 		{"again", 5, 0}, {"calls", 5, 0}, {"rec", 5, 15000},
 	}
+	code := interp.Compile(prog)
 	for _, e := range benchEngines {
 		for _, mon := range []bool{false, true} {
-			ip := interp.NewEngine(prog, nil, e.eng)
+			ip := interp.NewEngine(code, nil, e.eng)
 			ctx := ip.NewCtx()
 			if mon {
 				ctx.Mon = bufMon{}
@@ -739,7 +745,7 @@ func TestLocalArrayFrameOwned(t *testing.T) {
 	}
 
 	// fill's iterations, split between two claimants running at once.
-	ip := interp.New(prog, nil)
+	ip := interp.New(interp.Compile(prog), nil)
 	ctx := ip.NewCtx()
 	ctx.ForLoop = func(fs *ast.ForStmt, fr *interp.Frame, from, to, step int64) (bool, error) {
 		var wg sync.WaitGroup

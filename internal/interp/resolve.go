@@ -1,8 +1,6 @@
 package interp
 
 import (
-	"sync"
-
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/types"
 )
@@ -27,74 +25,28 @@ type methodSlots struct {
 // off in the frame's arena, and idx is its header in the frame's arrays.
 type ownedArray struct{ off, n, idx int }
 
-// resolution is the per-program side table the interpreter executes
-// against, beside the slots the checker assigned: the constant values,
-// the object templates, each method's coercions and array room, and the
-// closure-compiled bodies. It is built once per checked program
-// (interp.New shares it across instances) and writes nothing into the
-// program or its AST.
-type resolution struct {
+// Code is a checked program's code for the interpreter, beside the
+// slots the checker assigned: the constant values, the object templates,
+// each method's coercions and array room, and the closure-compiled
+// bodies. Compile builds it; every interpreter made from it (New)
+// shares it, and it writes nothing into the program or its AST. Its
+// owner (commute.System) builds it once, and the garbage collector frees
+// it with its owner.
+type Code struct {
+	prog    *types.Program
 	tmpl    map[*types.Class]*objTemplate
 	methods []*methodSlots // indexed by types.Method.ID
 	consts  []Value        // SymConst Ident.Slot -> value
 
-	// Closure-compiled bodies (see compile.go), built once with the
-	// resolution and shared by every interpreter for the program.
+	// Closure-compiled bodies (see compile.go).
 	compiled   []*compiledMethod // indexed by types.Method.ID
 	loopBodies map[*ast.ForStmt]loopBody
 }
 
-// resolveCache maps *types.Program -> *resolveEntry. Entries carry a
-// sync.Once so that N goroutines racing to create the first interpreter
-// for one program dedupe to a single buildResolution, while first-builds
-// of *different* programs proceed concurrently — a long-running daemon
-// loading many programs must not serialize all compilation behind one
-// global lock. The Once also publishes the finished resolution with a
-// happens-before edge, so no goroutine can observe a torn (partially
-// built) resolution.
-var resolveCache sync.Map
-
-type resolveEntry struct {
-	once sync.Once
-	res  *resolution
-}
-
-// resolve returns the program's cached resolution, building it on first
-// use. Only the first call for a program allocates its entry.
-func resolve(prog *types.Program) *resolution {
-	e, ok := resolveCache.Load(prog)
-	if !ok {
-		e, _ = resolveCache.LoadOrStore(prog, &resolveEntry{})
-	}
-	ent := e.(*resolveEntry)
-	ent.once.Do(func() { ent.res = buildResolution(prog) })
-	return ent.res
-}
-
-// Warm forces the program's resolution and closure compilation to run
-// now (they otherwise run lazily on the first interpreter creation), so
-// a caller can pay the one-time cost before it starts timing an
-// execution. Concurrent calls build once.
-func Warm(prog *types.Program) { resolve(prog) }
-
-// Resolved reports whether the program's resolution is held: built, or
-// being built, by an execution or a Warm, and not released since.
-func Resolved(prog *types.Program) bool {
-	_, ok := resolveCache.Load(prog)
-	return ok
-}
-
-// Release drops the program's cached resolution and compiled bodies,
-// letting a long-running process reclaim the memory of programs it has
-// evicted. An execution holds its resolution, so a release beside one
-// is safe, but it reclaims nothing while one can still start: an
-// execution of prog after the release resolves the program into the
-// cache again, and that copy stays until the next Release. Release a
-// program after its last execution.
-func Release(prog *types.Program) { resolveCache.Delete(prog) }
-
-func buildResolution(prog *types.Program) *resolution {
-	r := &resolution{
+// Compile builds the interpreter's code for a checked program.
+func Compile(prog *types.Program) *Code {
+	r := &Code{
+		prog:    prog,
 		tmpl:    templates(prog),
 		methods: make([]*methodSlots, len(prog.Methods)),
 		consts:  make([]Value, len(prog.ConstNames)),
@@ -116,6 +68,13 @@ func buildResolution(prog *types.Program) *resolution {
 	r.compiled, r.loopBodies = compileAll(prog, r)
 	return r
 }
+
+// Warm compiles prog and drops the result. Read by e2ebench until
+// ROADMAP 1a drops it.
+func Warm(prog *types.Program) { Compile(prog) }
+
+// Release does nothing. Read by e2ebench until ROADMAP 1a drops it.
+func Release(*types.Program) {}
 
 // coerceKind applies a precomputed store coercion.
 func coerceKind(c ast.Coercion, v Value) Value {

@@ -10,44 +10,47 @@ import (
 	"commute/internal/interp"
 )
 
-// TestConcurrentFirstInterpretersShareOneResolution: the first
-// interpreters of a program, created at once, resolve it once and
-// execute with the one resolution; nothing is held for the program
-// before and after a Release.
+// TestConcurrentFirstInterpretersShareOneResolution: the first runs of
+// a System, serial and parallel, started at once, build its code once
+// and execute with that one Code.
 func TestConcurrentFirstInterpretersShareOneResolution(t *testing.T) {
 	sys, err := commute.Load("graph", src.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if interp.Resolved(sys.Prog) {
-		t.Fatal("loading resolved the program")
-	}
 	const n = 8
-	res := make([]any, n)
+	codes := make([]*interp.Code, n)
 	var wg sync.WaitGroup
-	for i := range res {
+	for i := range codes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res[i] = interp.New(sys.Prog, io.Discard).Resolution()
+			var ip *interp.Interp
+			var err error
+			if i%2 == 0 {
+				ip, err = sys.RunSerial(io.Discard)
+			} else {
+				ip, _, err = sys.RunParallel(2, io.Discard)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			codes[i] = ip.Code()
 		}()
 	}
 	wg.Wait()
-	for i, r := range res {
-		if r != res[0] {
-			t.Fatalf("interpreter %d executes with another resolution than interpreter 0", i)
+	for i, c := range codes {
+		if c != sys.Code() {
+			t.Fatalf("run %d executes with another Code than the System's", i)
 		}
-	}
-	sys.Release()
-	if interp.Resolved(sys.Prog) {
-		t.Fatal("Release left the resolution held")
 	}
 }
 
-// TestReleaseBesideAWalk: a resolution writes nothing into the checked
-// program, so releasing and rebuilding it while the tree walker, which
-// reads the checker's slots and coercions, runs the program is no race.
-func TestReleaseBesideAWalk(t *testing.T) {
+// TestCompileBesideAWalk: compiling writes nothing into the checked
+// program, so building code for it while the tree walker, which reads
+// the checker's slots and coercions, runs the program is no race.
+func TestCompileBesideAWalk(t *testing.T) {
 	sys, err := commute.Load("graph", src.Graph)
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +60,7 @@ func TestReleaseBesideAWalk(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for range 20 {
-			interp.Release(sys.Prog)
-			interp.Warm(sys.Prog)
+			interp.Compile(sys.Prog)
 		}
 	}()
 	for range 20 {
@@ -68,5 +70,4 @@ func TestReleaseBesideAWalk(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	sys.Release()
 }

@@ -11,7 +11,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"commute/internal/frontend/types"
 )
@@ -168,7 +167,8 @@ type Object struct {
 	// Mutex is the per-object lock the generated parallel code
 	// acquires around object sections (§5).
 	Mutex sync.Mutex
-	// ID is a stable identity for tracing and simulation.
+	// ID is a stable identity for tracing and simulation: the objects of
+	// one interpreter are numbered from 1 in allocation order.
 	ID int64
 }
 
@@ -211,17 +211,15 @@ func templates(prog *types.Program) map[*types.Class]*objTemplate {
 	return tm
 }
 
-var objectIDs atomic.Int64
-
 // NewObject allocates an object of class cl with default-initialized
 // fields (zero numbers, false booleans, nil pointers, recursively
 // allocated nested objects and arrays).
 func (ip *Interp) NewObject(cl *types.Class) *Object {
-	t := ip.res.tmpl[cl]
+	t := ip.code.tmpl[cl]
 	o := &Object{
 		Class: cl,
 		Slots: slices.Clone(t.zero),
-		ID:    objectIDs.Add(1),
+		ID:    ip.objectIDs.Add(1),
 	}
 	for _, f := range t.fresh {
 		o.Slots[f.slot] = ip.zeroValue(f.t)

@@ -106,17 +106,17 @@ func ClearWork(sys *commute.System) *commute.System {
 // produce, and what the emitted binary's -dump writes.
 func Reference(t testing.TB, prog *types.Program) string {
 	t.Helper()
-	return serial(t, prog, interp.EngineWalk)
+	return serial(t, interp.Compile(prog), interp.EngineWalk)
 }
 
-func serial(t testing.TB, prog *types.Program, eng interp.Engine) string {
+func serial(t testing.TB, code *interp.Code, eng interp.Engine) string {
 	t.Helper()
 	var buf bytes.Buffer
-	ip := interp.NewEngine(prog, &buf, eng)
+	ip := interp.NewEngine(code, &buf, eng)
 	if err := ip.Run(ip.NewCtx()); err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
-	nativegen.DumpInterp(&buf, prog, ip)
+	nativegen.DumpInterp(&buf, ip.Prog, ip)
 	return buf.String()
 }
 
@@ -137,8 +137,8 @@ func serial(t testing.TB, prog *types.Program, eng interp.Engine) string {
 func Check(t *testing.T, row Row) {
 	t.Helper()
 	sys := Load(t, row.Name+".mc", row.Source)
-	c := check{row: row, sys: sys, want: Reference(t, sys.Prog), agree: true}
-	if got := serial(t, sys.Prog, interp.EngineCompiled); got != c.want {
+	c := check{row: row, sys: sys, want: serial(t, sys.Code(), interp.EngineWalk), agree: true}
+	if got := serial(t, sys.Code(), interp.EngineCompiled); got != c.want {
 		t.Fatalf("compiled serial run: %s", diff(c.want, got, 0))
 	}
 	for _, m := range sys.Prog.Methods {

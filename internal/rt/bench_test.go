@@ -17,7 +17,7 @@ func benchRuns(b *testing.B, source string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rt.New(interp.New(sys.Prog, nil), sys.Plan, 4).Run(); err != nil {
+		if err := rt.New(interp.New(sys.Code(), nil), sys.Plan, 4).Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

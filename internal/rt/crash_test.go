@@ -190,7 +190,7 @@ func TestCrashCorpusSerialInterpreter(t *testing.T) {
 			{"spawn", spawnShape(tc.spawn)},
 			{"loop", loopShape(tc.loop)},
 		} {
-			ip := interp.New(oracle.Load(t, "crash.mc", shape.source).Prog, nil)
+			ip := interp.New(oracle.Load(t, "crash.mc", shape.source).Code(), nil)
 			ctx := ip.NewCtx()
 			ctx.MaxSteps = corpusMaxSteps
 			err := ip.Run(ctx)

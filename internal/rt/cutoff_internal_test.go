@@ -38,7 +38,7 @@ func TestRegionEntryCostBoundary(t *testing.T) {
 		if step.Work != tc.work {
 			t.Fatalf("generated a root of work %d, want %d", step.Work, tc.work)
 		}
-		r := New(interp.New(prog, nil), p, 2)
+		r := New(interp.New(interp.Compile(prog), nil), p, 2)
 		if err := r.Run(); err != nil {
 			t.Fatal(err)
 		}

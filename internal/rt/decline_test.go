@@ -29,7 +29,7 @@ func TestUnboundedRootsStillOpen(t *testing.T) {
 			if clear {
 				oracle.ClearWork(sys)
 			}
-			r := rt.New(interp.New(sys.Prog, nil), sys.Plan, 2)
+			r := rt.New(interp.New(sys.Code(), nil), sys.Plan, 2)
 			if err := r.Run(); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

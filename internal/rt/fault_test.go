@@ -122,7 +122,7 @@ void main() {
 func newRuntime(t testing.TB, source string, workers int) *rt.Runtime {
 	t.Helper()
 	sys := oracle.ClearWork(oracle.Load(t, "app.mc", source))
-	return rt.New(interp.New(sys.Prog, new(bytes.Buffer)), sys.Plan, workers)
+	return rt.New(interp.New(sys.Code(), new(bytes.Buffer)), sys.Plan, workers)
 }
 
 // state is what r's program printed, then its final state: the bytes

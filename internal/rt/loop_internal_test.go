@@ -93,7 +93,7 @@ func TestLoopJoinsWithoutStarvedHelpers(t *testing.T) {
 		for _, mp := range plan.Methods {
 			mp.Work = 0 // a tiny program: open its regions all the same
 		}
-		r := New(interp.New(prog, nil), plan, 2)
+		r := New(interp.New(interp.Compile(prog), nil), plan, 2)
 
 		// Occupy the workers before the run starts its first region.
 		pool := r.regionPool()

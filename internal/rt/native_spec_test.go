@@ -31,7 +31,7 @@ func TestUndeclaredWriteAborts(t *testing.T) {
 	want := oracle.Reference(t, sys.Prog)
 
 	for _, workers := range []int{1, 4} {
-		r := rt.New(interp.New(sys.Prog, new(bytes.Buffer)), sys.Plan, workers)
+		r := rt.New(interp.New(sys.Code(), new(bytes.Buffer)), sys.Plan, workers)
 		r.Speculate = rt.SpecForce
 		if err := r.Run(); err != nil {
 			t.Fatalf("interpreter workers=%d: %v", workers, err)

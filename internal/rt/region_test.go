@@ -16,7 +16,6 @@ import (
 
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
-	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/internal/oracle"
 	"commute/internal/rt"
@@ -27,7 +26,7 @@ import (
 // four run-fine programs of e2ebench plus a proven extent.
 type fineProgram struct {
 	name string
-	prog *types.Program
+	code *interp.Code
 	plan *codegen.Plan
 	spec rt.SpecMode
 	// perRound is what one round adds to the counters the analysis and
@@ -90,7 +89,7 @@ func finePrograms(t testing.TB, rounds int, asBuilt bool) []fineProgram {
 		if !asBuilt {
 			oracle.ClearWork(sys)
 		}
-		return fineProgram{name, sys.Prog, sys.Plan, spec, perRound}
+		return fineProgram{name, sys.Code(), sys.Plan, spec, perRound}
 	}
 	return []fineProgram{
 		mk("proven", oracle.Repeat(provenSteps, "D.init();", "D.step(r);", rounds), rt.SpecOff,
@@ -107,7 +106,7 @@ func finePrograms(t testing.TB, rounds int, asBuilt bool) []fineProgram {
 }
 
 func (p fineProgram) runtime(workers int) *rt.Runtime {
-	r := rt.New(interp.New(p.prog, nil), p.plan, workers)
+	r := rt.New(interp.New(p.code, nil), p.plan, workers)
 	r.Conditional = true
 	r.Speculate = p.spec
 	return r
@@ -123,7 +122,7 @@ func BenchmarkRegionEntry(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var err error
 					if workers == 0 {
-						ip := interp.New(p.prog, nil)
+						ip := interp.New(p.code, nil)
 						err = ip.Run(ip.NewCtx())
 					} else {
 						err = p.runtime(workers).Run()
@@ -169,7 +168,7 @@ func BenchmarkRegionDeclined(b *testing.B) {
 func BenchmarkCostUnit(b *testing.B) {
 	for _, p := range finePrograms(b, 512, false) {
 		b.Run(p.name, func(b *testing.B) {
-			walk := interp.NewEngine(p.prog, nil, interp.EngineWalk)
+			walk := interp.NewEngine(p.code, nil, interp.EngineWalk)
 			wctx := walk.NewCtx()
 			if err := walk.Run(wctx); err != nil {
 				b.Fatal(err)
@@ -180,7 +179,7 @@ func BenchmarkCostUnit(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ip := interp.New(p.prog, nil)
+				ip := interp.New(p.code, nil)
 				if err := ip.Run(ip.NewCtx()); err != nil {
 					b.Fatal(err)
 				}

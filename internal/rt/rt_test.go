@@ -22,7 +22,7 @@ import (
 func TestWalkerInterpreterRefused(t *testing.T) {
 	sys := oracle.Load(t, "graph.mc", src.Graph)
 	var out strings.Builder
-	ip := interp.NewEngine(sys.Prog, &out, interp.EngineWalk)
+	ip := interp.NewEngine(sys.Code(), &out, interp.EngineWalk)
 	r := rt.New(ip, sys.Plan, 2)
 	if err := r.Run(); err == nil || !strings.Contains(err.Error(), "tree walker") {
 		t.Errorf("Run on a walker interpreter: err = %v, want a refusal", err)
@@ -31,15 +31,15 @@ func TestWalkerInterpreterRefused(t *testing.T) {
 		t.Errorf("refused run still executed: stats %+v, output %q", r.Stats, out.String())
 	}
 
-	ref := interp.NewEngine(sys.Prog, nil, interp.EngineWalk)
+	ref := interp.NewEngine(sys.Code(), nil, interp.EngineWalk)
 	if err := ref.Run(ref.NewCtx()); err != nil {
 		t.Fatal(err)
 	}
-	fresh := interp.NewEngine(sys.Prog, nil, interp.EngineWalk)
+	fresh := interp.NewEngine(sys.Code(), nil, interp.EngineWalk)
 	heap := func(p *interp.Value) interp.Value { return *p }
 	want, untouched := heapDump(ref, heap), heapDump(fresh, heap)
 	for _, eng := range []interp.Engine{interp.EngineWalk, interp.EngineCompiled} {
-		ip := interp.NewEngine(sys.Prog, nil, eng)
+		ip := interp.NewEngine(sys.Code(), nil, eng)
 		mon := &bufMon{buf: map[*interp.Value]interp.Value{}, seen: map[*interp.Value]sighting{}}
 		ctx := ip.NewCtx()
 		ctx.Mon = mon

@@ -137,7 +137,7 @@ func TestSlotKeysNameFieldsLikeTheEmitter(t *testing.T) {
 				t.Errorf("shadow: prog.go carries no key %q (keyLiteral out of date?)", k)
 			}
 		}
-		r := rt.New(interp.New(prog, new(bytes.Buffer)), plan, 4)
+		r := rt.New(interp.New(interp.Compile(prog), new(bytes.Buffer)), plan, 4)
 		r.Speculate = rt.SpecForce
 		if err := r.Run(); err != nil {
 			t.Fatalf("shadow: %v", err)

@@ -150,7 +150,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		cache: cache.New(cfg.CacheBytes, func(sys *commute.System) { sys.Release() }),
+		cache: cache.New(cfg.CacheBytes),
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 		slots: make(chan struct{}, cfg.Workers),
@@ -252,10 +252,9 @@ func (s *Server) guard(name string, h func(w http.ResponseWriter, r *http.Reques
 // Program loading through the artifact cache
 
 // systemSize estimates the retained bytes of a loaded system (AST,
-// types, analysis reports, codegen plan, slot resolution, compiled
-// closures) for the cache's byte accounting. The structures are all
-// roughly proportional to the source text, with a fixed floor for the
-// per-program tables.
+// types, analysis reports, codegen plan, interpreter code) for the
+// cache's byte accounting. The structures are all roughly proportional
+// to the source text, with a fixed floor for the per-program tables.
 func systemSize(source string) int64 {
 	return int64(len(source))*48 + 64<<10
 }
@@ -293,8 +292,7 @@ func resolveSource(req api.SourceRequest) (name, source string, opts commute.Loa
 }
 
 // loadProgram resolves a fingerprinted program through the cache; only
-// a cold load asks for the program's text. The returned handle must be
-// Closed when the request is done with the system.
+// a cold load asks for the program's text.
 //
 // A cold load renders the program's analysis bundle once, when anyone
 // reads it: the blob tier, which gets it published so fleet peers can
@@ -303,12 +301,12 @@ func resolveSource(req api.SourceRequest) (name, source string, opts commute.Loa
 // when the tier or the request (emit) wants it. Otherwise, and on a hit,
 // the bundle is nil.
 //
-// Loading does not prepare the program for execution: the interpreter's
-// slot resolution and compiled closures are built by the first request
-// that runs the entry (warm), so an entry only ever analyzed holds none.
-func (s *Server) loadProgram(p program, analyze, emit bool) (h *cache.Handle, hit bool, b *api.ArtifactBundle, err error) {
+// Loading does not prepare the program for execution: the System's
+// interpreter code is built by the first request that runs the entry
+// (System.Warm), so an entry only ever analyzed holds none.
+func (s *Server) loadProgram(p program, analyze, emit bool) (sys *commute.System, hit bool, b *api.ArtifactBundle, err error) {
 	start := time.Now()
-	h, hit, err = s.cache.GetOrLoad(p.key, func() (*commute.System, int64, error) {
+	sys, hit, err = s.cache.GetOrLoad(p.key, func() (*commute.System, int64, error) {
 		name, source, opts, err := p.text()
 		if err != nil {
 			return nil, 0, err
@@ -330,18 +328,7 @@ func (s *Server) loadProgram(p program, analyze, emit bool) (h *cache.Handle, hi
 	if err == nil && b != nil {
 		s.publishArtifact(b)
 	}
-	return h, hit, b, err
-}
-
-// warm readies a loaded system for execution. The first execution of an
-// entry pays the interpreter's resolution and closure compilation,
-// once: concurrent first runs share one build. It runs before a handler
-// starts its clock, so an execution's reported wall time never includes
-// it.
-func warm(h *cache.Handle) *commute.System {
-	sys := h.System()
-	sys.Warm()
-	return sys
+	return sys, hit, b, err
 }
 
 func loadWord(hit bool) string {
@@ -412,10 +399,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 	// The three serving tiers in cost order: the warm in-memory system,
 	// an adopted fleet artifact, then the full analysis pipeline.
 	key := p.key
-	if h, ok := s.cache.Peek(key); ok {
+	if sys, ok := s.cache.Peek(key); ok {
 		loadStart := time.Now()
-		resp := analyzeFromSystem(h.System(), key, "hit", req.Emit, start)
-		h.Close()
+		resp := analyzeFromSystem(sys, key, "hit", req.Emit, start)
 		s.lat["load-warm"].record(time.Since(loadStart), false)
 		return writeJSON(w, http.StatusOK, resp)
 	}
@@ -426,15 +412,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 			return writeJSON(w, http.StatusOK, analyzeFromBundle(b, key, "adopt", req.Emit, start))
 		}
 	}
-	h, hit, b, err := s.loadProgram(p, true, req.Emit)
+	sys, hit, b, err := s.loadProgram(p, true, req.Emit)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	defer h.Close()
 	if b != nil {
 		return writeJSON(w, http.StatusOK, analyzeFromBundle(b, key, "miss", req.Emit, start))
 	}
-	return writeJSON(w, http.StatusOK, analyzeFromSystem(h.System(), key, cacheWord(hit), req.Emit, start))
+	return writeJSON(w, http.StatusOK, analyzeFromSystem(sys, key, cacheWord(hit), req.Emit, start))
 }
 
 // analyzeFromSystem renders the analyze response from a live system.
@@ -518,12 +503,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if err := p.accept(w); err != nil {
 		return err
 	}
-	h, hit, _, err := s.loadProgram(p, false, false)
+	sys, hit, _, err := s.loadProgram(p, false, false)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	defer h.Close()
-	sys := warm(h)
+	// The first execution of an entry builds its code here, before the
+	// clock starts, so an execution's reported wall time never includes it.
+	sys.Warm()
 
 	ctx, cancel := s.deadline(r, req.TimeoutMS)
 	defer cancel()
@@ -604,12 +590,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	if err := prog.accept(w); err != nil {
 		return err
 	}
-	h, hit, _, err := s.loadProgram(prog, false, false)
+	sys, hit, _, err := s.loadProgram(prog, false, false)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	defer h.Close()
-	sys := warm(h)
+	sys.Warm()
 
 	ctx, cancel := s.deadline(r, 0)
 	defer cancel()

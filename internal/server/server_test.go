@@ -220,52 +220,9 @@ func TestAnalyzeCacheSpeedupBarnesHut(t *testing.T) {
 	}
 }
 
-// TestAnalyzeDoesNotWarm: a program that is only analyzed holds no
-// interpreter resolution, whatever its plan reads (Water's replication
-// reads class layouts); the first /v1/run of it warms the entry and
-// prints what the tree walker prints.
-func TestAnalyzeDoesNotWarm(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	for _, app := range []string{"graph", "water"} {
-		source := api.SourceRequest{App: app}
-		resp, data := post(t, ts, "/v1/analyze", api.AnalyzeRequest{SourceRequest: source})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: analyze = %d: %s", app, resp.StatusCode, data)
-		}
-		key, err := FingerprintRequest(source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, ok := s.Cache().Peek(key)
-		if !ok {
-			t.Fatalf("%s: the analyzed program is not cached", app)
-		}
-		sys := h.System()
-		h.Close()
-		if interp.Resolved(sys.Prog) {
-			t.Fatalf("%s: an analyze resolved the program for execution", app)
-		}
-
-		resp, data = post(t, ts, "/v1/run", api.RunRequest{SourceRequest: source, Mode: "serial"})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: run = %d: %s", app, resp.StatusCode, data)
-		}
-		var rr api.RunResponse
-		if err := json.Unmarshal(data, &rr); err != nil {
-			t.Fatal(err)
-		}
-		if want := walkerOutput(t, app); rr.Cache != "hit" || rr.Output != want {
-			t.Fatalf("%s: run after analyze: cache %q, output %q; want hit, %q", app, rr.Cache, rr.Output, want)
-		}
-		if !interp.Resolved(sys.Prog) {
-			t.Fatalf("%s: a run left the entry unresolved", app)
-		}
-	}
-}
-
 // TestConcurrentFirstRuns: two runs of a program only analyzed so far
 // warm the entry at once; both print what the walker prints. (That they
-// share one build is interp's TestConcurrentFirstInterpretersShareOneResolution.)
+// share one Code is interp's TestConcurrentFirstInterpretersShareOneResolution.)
 func TestConcurrentFirstRuns(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	source := api.SourceRequest{App: "graph"}

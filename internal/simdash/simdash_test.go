@@ -27,7 +27,7 @@ func collect(t testing.TB, source string) *tracer.Trace {
 		t.Fatalf("check: %v", err)
 	}
 	plan := codegen.Build(core.New(prog))
-	tr, err := tracer.Collect(context.Background(), interp.NewEngine(prog, nil, interp.EngineWalk), plan)
+	tr, err := tracer.Collect(context.Background(), interp.NewEngine(interp.Compile(prog), nil, interp.EngineWalk), plan)
 	if err != nil {
 		t.Fatalf("collect: %v", err)
 	}

@@ -49,7 +49,7 @@ func TestTraceEntersWhatRuns(t *testing.T) {
 		if reduced == 0 {
 			t.Errorf("water: no region of the trace reduces a replica")
 		}
-		ip := interp.NewEngine(sys.Prog, nil, interp.EngineWalk)
+		ip := interp.NewEngine(sys.Code(), nil, interp.EngineWalk)
 		tr, err = tracer.Collect(context.Background(), ip, sys.Plan)
 		if err != nil {
 			t.Fatal(err)

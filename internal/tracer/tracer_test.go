@@ -35,7 +35,7 @@ func setup(t *testing.T, source string) (*types.Program, *codegen.Plan) {
 
 // collect traces prog under plan on a fresh tree walker writing to out.
 func collect(prog *types.Program, out io.Writer, plan *codegen.Plan) (*tracer.Trace, error) {
-	return tracer.Collect(context.Background(), interp.NewEngine(prog, out, interp.EngineWalk), plan)
+	return tracer.Collect(context.Background(), interp.NewEngine(interp.Compile(prog), out, interp.EngineWalk), plan)
 }
 
 // TestUnitConservation: the trace accounts for the work a serial run of
@@ -57,7 +57,7 @@ func TestUnitConservation(t *testing.T) {
 	for name, source := range sources {
 		prog, plan := setup(t, source)
 
-		ipSerial := interp.NewEngine(prog, nil, interp.EngineWalk)
+		ipSerial := interp.NewEngine(interp.Compile(prog), nil, interp.EngineWalk)
 		ctx := ipSerial.NewCtx()
 		if err := ipSerial.Run(ctx); err != nil {
 			t.Fatalf("%s: serial: %v", name, err)
@@ -123,7 +123,7 @@ func TestTracePinned(t *testing.T) {
 	}
 	t.Run("compiled-refused", func(t *testing.T) {
 		prog, plan := setup(t, src.Graph)
-		if _, err := tracer.Collect(context.Background(), interp.New(prog, nil), plan); err == nil || !strings.Contains(err.Error(), "tree-walker") {
+		if _, err := tracer.Collect(context.Background(), interp.New(interp.Compile(prog), nil), plan); err == nil || !strings.Contains(err.Error(), "tree-walker") {
 			t.Errorf("Collect on a compiled-engine interpreter: %v, want a refusal", err)
 		}
 	})
@@ -228,13 +228,13 @@ func TestValueRootTraced(t *testing.T) {
 		}
 		prog, plan := sys.Prog, sys.Plan
 		var want, got bytes.Buffer
-		ipSerial := interp.New(prog, &want)
+		ipSerial := interp.New(sys.Code(), &want)
 		if err := ipSerial.Run(ipSerial.NewCtx()); err != nil {
 			t.Fatalf("%s: serial: %v", fx.Name, err)
 		}
 		nativegen.DumpInterp(&want, prog, ipSerial)
 
-		ipTrace := interp.NewEngine(prog, &got, interp.EngineWalk)
+		ipTrace := interp.NewEngine(sys.Code(), &got, interp.EngineWalk)
 		tr, err := tracer.Collect(context.Background(), ipTrace, plan)
 		if err != nil {
 			t.Fatalf("%s: collect: %v", fx.Name, err)
@@ -261,14 +261,15 @@ func TestValueRootTraced(t *testing.T) {
 func TestDispatchFixturesTraced(t *testing.T) {
 	for _, fx := range src.DispatchFixtures() {
 		prog, plan := setup(t, fx.AtDepth(6))
+		code := interp.Compile(prog)
 		var want, got bytes.Buffer
-		ipSerial := interp.New(prog, &want)
+		ipSerial := interp.New(code, &want)
 		if err := ipSerial.Run(ipSerial.NewCtx()); err != nil {
 			t.Fatalf("%s: serial: %v", fx.Name, err)
 		}
 		nativegen.DumpInterp(&want, prog, ipSerial)
 
-		ipTrace := interp.NewEngine(prog, &got, interp.EngineWalk)
+		ipTrace := interp.NewEngine(code, &got, interp.EngineWalk)
 		tr, err := tracer.Collect(context.Background(), ipTrace, plan)
 		if err != nil {
 			t.Fatalf("%s: collect: %v", fx.Name, err)

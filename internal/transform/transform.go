@@ -12,6 +12,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/printer"
@@ -190,8 +191,8 @@ type freeLocal struct {
 }
 
 // freeLocals collects the locals and parameters the loop references, in
-// deterministic (name-sorted) order, or nil when some referenced local
-// is not parameter-passable.
+// name-sorted order, each with the parameter type typeExprOf gives it;
+// nil when typeExprOf gives one none (it cannot be passed by value).
 func (t *transformer) freeLocals(m *types.Method, w *ast.WhileStmt) []freeLocal {
 	names := map[string]bool{}
 	declaredInside := map[string]bool{}
@@ -201,7 +202,6 @@ func (t *transformer) freeLocals(m *types.Method, w *ast.WhileStmt) []freeLocal 
 		}
 		return true
 	})
-	bad := false
 	collect := func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
@@ -218,16 +218,13 @@ func (t *transformer) freeLocals(m *types.Method, w *ast.WhileStmt) []freeLocal 
 	}
 	ast.Inspect(w.Cond, collect)
 	ast.Inspect(w.Body, collect)
-	if bad {
-		return nil
-	}
 
 	var out []freeLocal
 	ordered := make([]string, 0, len(names))
 	for n := range names {
 		ordered = append(ordered, n)
 	}
-	sortStrings(ordered)
+	slices.Sort(ordered)
 	for _, name := range ordered {
 		te := t.typeExprOf(m, name)
 		if te == nil {
@@ -313,12 +310,4 @@ func mentions(n ast.Node, name string) bool {
 		return !found
 	})
 	return found
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -13,9 +13,9 @@ import (
 // TestSharedSystemStress hammers one cached *System from 32 goroutines
 // mixing serial execution, parallel execution, tracing, and analysis
 // reads — the daemon's steady state, where many requests share one
-// warm cache entry. Run under -race, it verifies the per-program
-// resolution/compile caches publish safely (no torn publication) and
-// that nothing in the read path mutates shared state.
+// warm cache entry. Run under -race, it verifies the System's code
+// publishes safely (no torn publication) and that nothing in the read
+// path mutates shared state.
 func TestSharedSystemStress(t *testing.T) {
 	sys, err := commute.LoadOpts("graph.mc", src.Graph, commute.LoadOptions{})
 	if err != nil {
@@ -82,15 +82,14 @@ func TestSharedSystemStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstUse creates many interpreters for freshly loaded
-// programs from many goroutines at once: the per-program resolution
-// and closure-compilation pass must run exactly once per program (the
-// sync.Once entry) while different programs build concurrently.
+// TestConcurrentFirstUse runs freshly loaded programs from many
+// goroutines at once: each System builds its code once while the others
+// build theirs concurrently, and a System runs again on the code it
+// holds.
 func TestConcurrentFirstUse(t *testing.T) {
 	const programs = 4
 	systems := make([]*commute.System, programs)
 	for i := range systems {
-		// Distinct sources → distinct *types.Program cache entries.
 		sys, err := commute.Load("quickstart.mc", src.GraphBase+src.GraphMain(32+i, 7))
 		if err != nil {
 			t.Fatal(err)
@@ -111,12 +110,10 @@ func TestConcurrentFirstUse(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Release and re-run: the rebuild path must be identical.
 	for _, sys := range systems {
-		sys.Release()
 		var out bytes.Buffer
 		if _, err := sys.RunSerial(&out); err != nil {
-			t.Errorf("run after Release: %v", err)
+			t.Errorf("re-run: %v", err)
 		}
 	}
 }
