@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -19,6 +20,7 @@ import (
 	"commute/internal/codegen"
 	"commute/internal/core"
 	"commute/internal/interp"
+	"commute/internal/oracle"
 	"commute/internal/server"
 	"commute/internal/server/api"
 	"commute/internal/tracer"
@@ -652,6 +654,57 @@ func TestTransformedLoadAnalyzesOnce(t *testing.T) {
 	}
 }
 
+// TestEmitAllocBudget bounds what each emitter allocates per byte it
+// returns, 15 % above what it measured when the emitters last changed.
+// Both render straight into scratch buffers reused across calls and copy
+// out the exact result once: the copy is a byte per byte, and the rest is
+// their bookkeeping (the versions and helpers that exist, the cells of
+// aligned declaration blocks). A renderer that returns strings again, or
+// a buffer grown piece by piece, shows here first. The programs are the
+// shipped applications and eight oracle.Draw programs.
+func TestEmitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocator does not honour byte budgets")
+	}
+	sources := []string{src.BarnesHut, src.Water, src.Graph, src.SpecDisjoint, src.SpecConflict, src.CondHashBase + src.CondHashMain(0, 6)}
+	r := rand.New(rand.NewSource(1))
+	for range 8 {
+		sources = append(sources, oracle.Draw(r))
+	}
+	var listing, pkg [2]uint64 // bytes allocated, bytes returned
+	for i, source := range sources {
+		sys, err := commute.Load(fmt.Sprintf("p%d", i), source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out string
+		listing[0] += allocated(func() { out = sys.Plan.EmitParallelSource(sys.File) })
+		listing[1] += uint64(len(out))
+		var files map[string][]byte
+		pkg[0] += allocated(func() { files, err = sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: "p"}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			pkg[1] += uint64(len(f))
+		}
+	}
+	for _, e := range []struct {
+		name   string
+		got    [2]uint64
+		budget float64 // bytes allocated per byte returned
+	}{
+		{"EmitParallelSource", listing, 1.28},
+		{"EmitGoPackage", pkg, 2.47},
+	} {
+		per := float64(e.got[0]) / float64(e.got[1])
+		t.Logf("%s: %d bytes allocated for %d returned: %.2f per byte (budget %.2f)", e.name, e.got[0], e.got[1], per, e.budget)
+		if per > e.budget {
+			t.Errorf("%s allocates %.2f bytes per byte it returns, budget %.2f", e.name, per, e.budget)
+		}
+	}
+}
+
 // compileCold is the sequence every cold consumer runs (commutec, a
 // /v1/analyze miss, the benchmark's compile operation): load, build the
 // interpreter code, emit both outputs.
@@ -691,13 +744,13 @@ func TestCompileAllocBudget(t *testing.T) {
 		opts         commute.LoadOptions
 		budget       float64 // bytes allocated per source byte
 	}{
-		{"barneshut", src.BarnesHut, commute.LoadOptions{}, 90},
-		{"water", src.Water, commute.LoadOptions{}, 120},
-		{"twoclass", whileTwoClass, commute.LoadOptions{Transform: true}, 122},
+		{"barneshut", src.BarnesHut, commute.LoadOptions{}, 65},
+		{"water", src.Water, commute.LoadOptions{}, 74},
+		{"twoclass", whileTwoClass, commute.LoadOptions{Transform: true}, 105},
 		// Folding keeps coarse-alias's sums t + c; a rendered key per
 		// nested sum would make the second row quadratic.
-		{"unrollnest", unrollNest(64, "j"), commute.LoadOptions{}, 1390},
-		{"unrollnest-nested", unrollNest(32, "j * 2"), commute.LoadOptions{}, 3800},
+		{"unrollnest", unrollNest(64, "j"), commute.LoadOptions{}, 1366},
+		{"unrollnest-nested", unrollNest(32, "j * 2"), commute.LoadOptions{}, 3773},
 	} {
 		check("a cold compile of", tc.name, tc.source, tc.budget, func() {
 			if err := compileCold(tc.name, tc.source, tc.opts); err != nil {

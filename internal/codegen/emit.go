@@ -1,7 +1,8 @@
 package codegen
 
 import (
-	"strings"
+	"bytes"
+	"sync"
 
 	"commute/internal/cond"
 	"commute/internal/frontend/ast"
@@ -37,9 +38,9 @@ import (
 // the in-process executors (internal/rt, internal/tracer) and the
 // emitted Go run.
 func (p *Plan) EmitParallelSource(file *ast.File) string {
-	e := &emitter{plan: p, listed: p.listedVersions()}
-	// A parallel method is printed up to three times, everything else once.
-	e.sb.Grow(3*file.Size + 256)
+	e := &emitter{plan: p, listed: p.listedVersions(), sb: getScratch()}
+	defer scratch.Put(e.sb)
+	e.sb.Grow(file.Size + file.Size/2) // a fresh buffer: about the listing's size
 	e.sb.WriteString("// Automatically parallelized by commutativity analysis.\n")
 	e.sb.WriteString("// Generated constructs: lock.acquire()/lock.release(), spawn(op),\n")
 	e.sb.WriteString("// wait(), and parallel_for (guided self-scheduling).\n\n")
@@ -50,39 +51,50 @@ func (p *Plan) EmitParallelSource(file *ast.File) string {
 		case *ast.MethodDef:
 			e.methodDef(x)
 		default:
-			printer.WriteDecl(&e.sb, d)
+			printer.WriteDecl(e.sb, d)
 		}
 		e.sb.WriteString("\n")
 	}
 	return e.sb.String()
 }
 
-// emitter writes the whole listing into one builder.
-type emitter struct {
-	plan   *Plan
-	listed map[listedVersion]bool
-	sb     strings.Builder
+// scratch holds the buffers both emitters render into before they copy
+// out what they return: each call takes its own, so concurrent emits
+// share nothing, and the capacity one emit grew serves the next.
+var scratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getScratch() *bytes.Buffer {
+	b := scratch.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
 }
 
-// listedVersion is one generated version the listing defines.
-type listedVersion struct {
-	m  *types.Method
-	in Version
+// emitter writes the whole listing into one scratch buffer.
+type emitter struct {
+	plan   *Plan
+	listed versionSet
+	sb     *bytes.Buffer
 }
+
+// versionSet holds generated versions, a bit (1 << Version) per version
+// at each method's ID.
+type versionSet []uint8
+
+func (s versionSet) has(m *types.Method, v Version) bool { return s[m.ID]&(1<<v) != 0 }
 
 // listedVersions returns the parallel and mutex versions something can
 // run, as -emit go demands them: the parallel version of every region
 // root, and every version a call site of a listed version runs by the
 // call rule — a site in a parallel loop of a parallel version as the
 // iterations run it.
-func (p *Plan) listedVersions() map[listedVersion]bool {
-	listed := make(map[listedVersion]bool)
+func (p *Plan) listedVersions() versionSet {
+	listed := make(versionSet, len(p.Prog.Methods))
 	var visit func(m *types.Method, in Version)
 	visit = func(m *types.Method, in Version) {
-		if listed[listedVersion{m, in}] {
+		if listed.has(m, in) {
 			return
 		}
-		listed[listedVersion{m, in}] = true
+		listed[m.ID] |= 1 << in
 		mp := p.Methods[m]
 		var walk func(n ast.Node, in Version)
 		walk = func(n ast.Node, in Version) {
@@ -114,11 +126,7 @@ func (p *Plan) listedVersions() map[listedVersion]bool {
 	return listed
 }
 
-func (e *emitter) w(parts ...string) {
-	for _, s := range parts {
-		e.sb.WriteString(s)
-	}
-}
+func (e *emitter) w(parts ...string) { write(e.sb, parts...) }
 
 func (e *emitter) methodByName(className, name string) *types.Method {
 	if className == "" {
@@ -155,14 +163,14 @@ func (e *emitter) classDecl(cd *ast.ClassDecl) {
 			members.Inline = append(members.Inline, md)
 		}
 	}
-	printer.WriteMembers(&e.sb, &members)
+	printer.WriteMembers(e.sb, &members)
 	// Prototypes for generated versions.
 	for _, proto := range members.Protos {
 		m := e.methodByName(cd.Name, proto.Name)
 		for _, v := range [...]Version{VersionParallel, VersionMutex} {
-			if e.listed[listedVersion{m, v}] {
+			if e.listed.has(m, v) {
 				e.w("  void ", proto.Name, versionSuffix[v], "(")
-				printer.WriteParams(&e.sb, proto.Params)
+				printer.WriteParams(e.sb, proto.Params)
 				e.w(");\n")
 			}
 		}
@@ -184,7 +192,7 @@ func (e *emitter) parallel(className, name string) bool {
 // methodDef renders the generated versions of one method.
 func (e *emitter) methodDef(md *ast.MethodDef) {
 	if !e.parallel(md.ClassName, md.Name) {
-		printer.WriteDecl(&e.sb, md)
+		printer.WriteDecl(e.sb, md)
 		return
 	}
 	m := e.methodByName(md.ClassName, md.Name)
@@ -197,7 +205,7 @@ func (e *emitter) methodDef(md *ast.MethodDef) {
 			e.w(md.ClassName, "::")
 		}
 		e.w(md.Name, suffix, "(")
-		printer.WriteParams(&e.sb, md.Params)
+		printer.WriteParams(e.sb, md.Params)
 		e.w(") {\n")
 	}
 
@@ -220,11 +228,11 @@ func (e *emitter) methodDef(md *ast.MethodDef) {
 		if root {
 			e.w(tierLine(mp), "\n")
 		}
-		printer.WriteDecl(&e.sb, md)
+		printer.WriteDecl(e.sb, md)
 	}
 
 	for _, v := range [...]Version{VersionParallel, VersionMutex} {
-		if e.listed[listedVersion{m, v}] {
+		if e.listed.has(m, v) {
 			e.w("\n")
 			open(versionSuffix[v])
 			e.body(mp, md.Body, v)
@@ -278,7 +286,7 @@ func (t *bodyEmitter) pad(parts ...string) {
 // line writes one indented line.
 func (t *bodyEmitter) line(s string) { t.pad(s, "\n") }
 
-func (t *bodyEmitter) raw(s ast.Stmt) { printer.WriteStmt(&t.e.sb, s, t.indent) }
+func (t *bodyEmitter) raw(s ast.Stmt) { printer.WriteStmt(t.e.sb, s, t.indent) }
 
 // releaseIfNeeded drops the lock before entering the invocation
 // section, unless hoisting holds it through.
@@ -353,7 +361,7 @@ func (t *bodyEmitter) stmt(s ast.Stmt) {
 		}
 		t.releaseIfNeeded()
 		t.pad("while (")
-		printer.WriteExpr(&t.e.sb, x.Cond)
+		printer.WriteExpr(t.e.sb, x.Cond)
 		t.e.w(") {\n")
 		t.loopBody(x.Body, t.in)
 	default:
@@ -409,7 +417,7 @@ func (t *bodyEmitter) ifStmt(x *ast.IfStmt) {
 
 	heldAtEntry := t.lockHeld
 	t.pad("if (")
-	printer.WriteExpr(&t.e.sb, x.Cond)
+	printer.WriteExpr(t.e.sb, x.Cond)
 	t.e.w(") {\n")
 	t.indent++
 	t.lockHeld = heldAtEntry
@@ -455,15 +463,15 @@ func (t *bodyEmitter) callStmt(x *ast.ExprStmt) {
 	switch {
 	case sc.Spawn:
 		t.pad("spawn(")
-		printer.WriteCall(&t.e.sb, call, versionSuffix[sc.Run])
+		printer.WriteCall(t.e.sb, call, versionSuffix[sc.Run])
 		t.e.w(");\n")
 	case sc.Run != VersionSerial:
 		t.pad()
-		printer.WriteCall(&t.e.sb, call, versionSuffix[sc.Run])
+		printer.WriteCall(t.e.sb, call, versionSuffix[sc.Run])
 		t.e.w(";\n")
 	case sc.Replica:
 		t.pad("replica(")
-		printer.WriteCall(&t.e.sb, call, "")
+		printer.WriteCall(t.e.sb, call, "")
 		t.e.w(");\n")
 	default:
 		t.raw(x)
@@ -489,7 +497,7 @@ func (t *bodyEmitter) forStmt(x *ast.ForStmt) {
 		t.raw(x)
 		return
 	}
-	printer.WriteForHeader(&t.e.sb, x)
+	printer.WriteForHeader(t.e.sb, x)
 	t.e.w(close)
 	t.loopBody(x.Body, in)
 }

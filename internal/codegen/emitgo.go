@@ -131,31 +131,15 @@ var threadType = map[string]string{
 	"w": "*rtkit.Worker", "sr_": "*nativert.SpecRegion", "sj_": "*nativert.SpecJournal",
 }
 
-// threadArgs lists what a call of version v passes ahead of the method's
-// own arguments, the site naming its worker handle and the callee's
-// journal.
-func threadArgs(v variant, w, sj string) []string {
-	var args []string
-	for _, a := range versions[v].thread {
-		switch a {
-		case "w":
-			a = w
-		case "sj_":
-			a = sj
-		}
-		args = append(args, a)
-	}
-	return args
-}
-
 // specVariant reports whether v is one of the journaled speculative
 // versions (every field/element access routed through a SpecJournal).
 func specVariant(v variant) bool { return v >= varJP }
 
-// vkey is the demand-set key: one method version.
-type vkey struct {
-	m *types.Method
-	v variant
+// demand is one demanded method version and where fns holds it.
+type demand struct {
+	m          *types.Method
+	v          variant
+	start, end int
 }
 
 // goEmitter holds the whole-package emission state.
@@ -167,16 +151,17 @@ type goEmitter struct {
 	hasSub  map[*types.Class]bool
 	muRoots map[*types.Class]bool
 
-	demanded map[vkey]bool
-	queue    []vkey
+	// demanded holds, at demandKey, 1 + a demanded version's index in
+	// queue, the versions in demand order; 0 is not demanded.
+	demanded []int32
+	queue    []demand
 
-	// fns holds every emitted version, in demand order, fnAt where each
-	// starts and ends; assembleProg copies them out in declaration order.
-	fns  bytes.Buffer
-	fnAt map[vkey][2]int
+	// fns holds every emitted version, in demand order, each between its
+	// queue entry's start and end; assembleProg copies them out in
+	// declaration order.
+	fns *bytes.Buffer
 
-	// helpers maps helper function name to its source; emitted sorted
-	// by name.
+	// helpers maps helper name to its source; emitted sorted by name.
 	helpers map[string]string
 
 	// driver: the method reaches a call site that enters a region, by
@@ -185,6 +170,9 @@ type goEmitter struct {
 
 	// replicas: the globals whose replica tables some emitted code uses.
 	replicas map[*types.Global]bool
+
+	// fn is the state of the version emitFn writes, one at a time.
+	fn fnCtx
 
 	useMath    bool
 	useRtkit   bool
@@ -226,8 +214,8 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 		opts:     opts,
 		hasSub:   make(map[*types.Class]bool),
 		muRoots:  make(map[*types.Class]bool),
-		demanded: make(map[vkey]bool),
-		fnAt:     make(map[vkey][2]int),
+		demanded: make([]int32, len(p.Prog.Methods)*len(versions)),
+		fns:      getScratch(),
 		helpers:  make(map[string]string),
 		replicas: make(map[*types.Global]bool),
 	}
@@ -236,6 +224,7 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 			e.hasSub[cl.Base] = true
 		}
 	}
+	defer scratch.Put(e.fns)
 	e.driver = e.reachesRegion()
 
 	// Demand-driven emission from the entry point.
@@ -247,10 +236,9 @@ func (p *Plan) EmitGoPackage(opts EmitGoOptions) (map[string][]byte, error) {
 	// The emitted versions run to 1.2-1.5 times the source they lower.
 	e.fns.Grow(e.prog.SourceBytes + e.prog.SourceBytes/2)
 	for i := 0; i < len(e.queue); i++ {
-		k := e.queue[i]
-		start := e.fns.Len()
-		e.emitFn(k.m, k.v)
-		e.fnAt[k] = [2]int{start, e.fns.Len()}
+		e.queue[i].start = e.fns.Len()
+		e.emitFn(e.queue[i].m, e.queue[i].v)
+		e.queue[i].end = e.fns.Len()
 	}
 
 	progSrc := e.assembleProg(entry)
@@ -283,12 +271,13 @@ func (e *goEmitter) guardExpr(mp *MethodPlan) string {
 
 // demand schedules (m, v) for emission if not already demanded.
 func (e *goEmitter) demand(m *types.Method, v variant) {
-	k := vkey{m, v}
-	if !e.demanded[k] {
-		e.demanded[k] = true
-		e.queue = append(e.queue, k)
+	if k := demandKey(m, v); e.demanded[k] == 0 {
+		e.queue = append(e.queue, demand{m: m, v: v})
+		e.demanded[k] = int32(len(e.queue))
 	}
 }
+
+func demandKey(m *types.Method, v variant) int { return m.ID*len(versions) + int(v) }
 
 // reachesRegion computes needDriver for every method: m has a call site
 // that enters a region, or calls, transitively, a method that has one.
@@ -353,51 +342,45 @@ func basicGo(b types.Basic) string {
 	return "any"
 }
 
-// goType renders a dialect type as a Go type. Parameter positions use
-// slices for arrays (dialect arrays pass by reference).
-func (e *goEmitter) goType(t types.Type, param bool) string {
+// appendType appends a dialect type as a Go type. Parameter positions
+// use slices for arrays (dialect arrays pass by reference).
+func (e *goEmitter) appendType(dst []byte, t types.Type, param bool) []byte {
 	switch tt := t.(type) {
 	case types.Basic:
 		if tt == types.Void {
-			return ""
+			return dst
 		}
-		return basicGo(tt)
+		return append(dst, basicGo(tt)...)
 	case types.Pointer:
 		if e.hasSub[tt.Class] {
-			return "I_" + tt.Class.Name
+			return append(append(dst, "I_"...), tt.Class.Name...)
 		}
-		return "*T_" + tt.Class.Name
+		return append(append(dst, "*T_"...), tt.Class.Name...)
 	case types.PrimPointer:
-		return "[]" + basicGo(tt.Elem)
+		return append(append(dst, "[]"...), basicGo(tt.Elem)...)
 	case types.Array:
 		if param || tt.Len < 0 {
-			return "[]" + e.goType(tt.Elem, false)
+			return e.appendType(append(dst, "[]"...), tt.Elem, false)
 		}
-		return "[" + strconv.Itoa(tt.Len) + "]" + e.goType(tt.Elem, false)
+		dst = strconv.AppendInt(append(dst, '['), int64(tt.Len), 10)
+		return e.appendType(append(dst, ']'), tt.Elem, false)
 	case types.Object:
-		return "T_" + tt.Class.Name
+		return append(append(dst, "T_"...), tt.Class.Name...)
 	}
-	return "any"
+	return append(dst, "any"...)
 }
 
-// zeroVal renders the zero value of a dialect type (what the
-// interpreter's zeroValue produces for a freshly declared local).
-func (e *goEmitter) zeroVal(t types.Type) string {
-	switch tt := t.(type) {
-	case types.Basic:
-		switch tt {
-		case types.Int, types.Double:
-			return "0"
-		case types.Bool:
-			return "false"
-		}
-		return "nil"
-	case types.Pointer, types.PrimPointer:
-		return "nil"
-	case types.Array, types.Object:
-		return e.goType(t, false) + "{}"
+// goType is a type as a cell alignRows pads.
+func (e *goEmitter) goType(t types.Type, param bool) string {
+	var buf [64]byte
+	return string(e.appendType(buf[:0], t, param))
+}
+
+// write writes parts to b.
+func write(b *bytes.Buffer, parts ...string) {
+	for _, s := range parts {
+		b.WriteString(s)
 	}
-	return "nil"
 }
 
 // ptrClass returns the class of a pointer- or object-typed expression
@@ -452,101 +435,64 @@ func (e *goEmitter) exprIface(x ast.Expr) bool {
 // ---------------------------------------------------------------------
 // Conversion helpers (demanded on use)
 
-// helperToI returns the name of the nil-normalizing concrete-to-
-// interface conversion helper *T_src -> I_dst, generating it on first
-// use. A plain Go conversion would wrap a nil *T_src into a non-nil
-// interface value and break NULL comparisons downstream.
-func (e *goEmitter) helperToI(src, dst *types.Class) string {
-	name := "toI_" + src.Name + "_" + dst.Name
-	if _, ok := e.helpers[name]; !ok {
-		e.helpers[name] = fmt.Sprintf(
-			"func %s(p *T_%s) I_%s {\n\tif p == nil {\n\t\treturn nil\n\t}\n\treturn p\n}\n",
-			name, src.Name, dst.Name)
-	}
-	return name
-}
+// helper is a function (or variable) emitted code calls where Go has no
+// operator for what the dialect does, written once per package on first
+// use: its name is prefix and the names of the classes it is for, joined
+// by underscores, and src is its source, a format over that name and
+// those class names.
+type helper struct{ prefix, src string }
 
-// helperAsI returns the nil-preserving interface-to-concrete helper
-// I_c -> *T_c a bound parameter is read through (bindings), generating it
-// on first use: a NULL parameter binds to nil instead of faulting.
-func (e *goEmitter) helperAsI(c *types.Class) string {
-	name := "asI_" + c.Name
-	if _, ok := e.helpers[name]; !ok {
-		e.helpers[name] = fmt.Sprintf(
-			"func %s(v I_%s) *T_%s {\n\tif v == nil {\n\t\treturn nil\n\t}\n\treturn v.as_%s()\n}\n",
-			name, c.Name, c.Name, c.Name)
-	}
-	return name
-}
+var (
+	// toI_src_dst: *T_src to I_dst, nil kept nil (a Go conversion makes
+	// a nil *T_src a non-nil interface value, unequal to NULL).
+	helperToI = helper{"toI_", "func %s(p *T_%s) I_%s {\n\tif p == nil {\n\t\treturn nil\n\t}\n\treturn p\n}\n"}
+	// asI_c: the concrete pointer a bound parameter is read through
+	// (bindings); a NULL parameter binds to nil instead of faulting.
+	helperAsI = helper{"asI_", "func %s(v I_%[2]s) *T_%[2]s {\n\tif v == nil {\n\t\treturn nil\n\t}\n\treturn v.as_%[2]s()\n}\n"}
+	// dc_src_dst: the dynamic cast of an I_src to dst's pointer, nil when
+	// it fails and on nil, like the interpreter's castValue.
+	helperDC  = helper{"dc_", "func %s(v I_%s) *T_%[3]s {\n\tc, ok := v.(*T_%[3]s)\n\tif !ok {\n\t\treturn nil\n\t}\n\treturn c\n}\n"}
+	helperDCI = helper{"dc_", "func %s(v I_%s) I_%[3]s {\n\tc, ok := v.(I_%[3]s)\n\tif !ok {\n\t\treturn nil\n\t}\n\treturn c\n}\n"}
+	// eqp_root: pointer equality in a chain of interfaces, by the shared
+	// root embedding's identity, nil on either side included.
+	helperEq = helper{"eqp_", "func %s(a, b I_%[2]s) bool {\n\tif a == nil || b == nil {\n\t\treturn a == nil && b == nil\n\t}\n\treturn a.as_%[2]s() == b.as_%[2]s()\n}\n"}
+	// pnC_c, pnI_c: what print prints for a pointer of static class c:
+	// "<class>", the dynamic class for an interface, or NULL.
+	helperPNC = helper{"pnC_", "func %s(v *T_%[2]s) any {\n\tif v == nil {\n\t\treturn nil\n\t}\n\treturn \"<%[2]s>\"\n}\n"}
+	helperPNI = helper{"pnI_", "func %s(v I_%s) any {\n\tif v == nil {\n\t\treturn nil\n\t}\n\treturn \"<\" + v.cls_() + \">\"\n}\n"}
+	// dmpC_c, dmpI_c: the nil-checked dump of a pointer field.
+	helperDmpC = helper{"dmpC_", "func %s(d *nativert.Dumper, path string, v *T_%s) {\n\tif v == nil {\n\t\td.Null(path)\n\t\treturn\n\t}\n\tv.dmp_(d, path)\n}\n"}
+	helperDmpI = helper{"dmpI_", "func %s(d *nativert.Dumper, path string, v I_%s) {\n\tif v == nil {\n\t\td.Null(path)\n\t\treturn\n\t}\n\tv.dmp_(d, path)\n}\n"}
+	// zero_: a divisor Go cannot see is zero (fnCtx.divisor).
+	helperZero = helper{"zero_", "// zero_ is a zero divisor Go cannot see: the division fails at run\n// time, as the interpreter's does.\nvar %s int64\n"}
+)
 
-// helperDC returns the dynamic-cast helper I_src -> target class,
-// generating it on first use. Failed and nil casts yield nil, like the
-// interpreter's castValue.
-func (e *goEmitter) helperDC(src, dst *types.Class) string {
-	name := "dc_" + src.Name + "_" + dst.Name
-	if _, ok := e.helpers[name]; !ok {
-		ret := "*T_" + dst.Name
-		if e.reprIface(dst) {
-			ret = "I_" + dst.Name
+// use writes the name of helper h for the classes cls, rendering its
+// source on first use.
+func (e *goEmitter) use(b *bytes.Buffer, h helper, cls ...*types.Class) {
+	var buf [64]byte
+	name := append(buf[:0], h.prefix...)
+	for i, c := range cls {
+		if i > 0 {
+			name = append(name, '_')
 		}
-		e.helpers[name] = fmt.Sprintf(
-			"func %s(v I_%s) %s {\n\tc, ok := v.(%s)\n\tif !ok {\n\t\treturn nil\n\t}\n\treturn c\n}\n",
-			name, src.Name, ret, ret)
+		name = append(name, c.Name...)
 	}
-	return name
+	if b.Write(name); e.helpers[string(name)] == "" {
+		args := []any{string(name)}
+		for _, c := range cls {
+			args = append(args, c.Name)
+		}
+		e.helpers[string(name)] = fmt.Sprintf(h.src, args...)
+	}
 }
 
-// helperEq returns the pointer-equality helper for a class chain whose
-// pointers are interfaces: compares object identity via the shared
-// root embedding, handling nil on either side.
-func (e *goEmitter) helperEq(root *types.Class) string {
-	name := "eqp_" + root.Name
-	if _, ok := e.helpers[name]; !ok {
-		e.helpers[name] = fmt.Sprintf(
-			"func %s(a, b I_%s) bool {\n\tif a == nil || b == nil {\n\t\treturn a == nil && b == nil\n\t}\n\treturn a.as_%s() == b.as_%s()\n}\n",
-			name, root.Name, root.Name, root.Name)
-	}
-	return name
-}
-
-// helperPN returns the print-name helper for a pointer argument to
-// print: "<class>" using the dynamic class, or NULL.
-func (e *goEmitter) helperPN(c *types.Class) string {
+// helperDmp writes the name of the dump helper for a pointer field of
+// static class c.
+func (e *goEmitter) helperDmp(b *bytes.Buffer, c *types.Class) {
 	if e.reprIface(c) {
-		name := "pnI_" + c.Name
-		if _, ok := e.helpers[name]; !ok {
-			e.helpers[name] = fmt.Sprintf(
-				"func %s(v I_%s) any {\n\tif v == nil {\n\t\treturn nil\n\t}\n\treturn \"<\" + v.cls_() + \">\"\n}\n",
-				name, c.Name)
-		}
-		return name
+		e.use(b, helperDmpI, c)
+	} else {
+		e.use(b, helperDmpC, c)
 	}
-	name := "pnC_" + c.Name
-	if _, ok := e.helpers[name]; !ok {
-		e.helpers[name] = fmt.Sprintf(
-			"func %s(v *T_%s) any {\n\tif v == nil {\n\t\treturn nil\n\t}\n\treturn \"<%s>\"\n}\n",
-			name, c.Name, c.Name)
-	}
-	return name
-}
-
-// helperDmp returns the nil-checking dump helper for a pointer field
-// of static class c.
-func (e *goEmitter) helperDmp(c *types.Class) string {
-	if e.reprIface(c) {
-		name := "dmpI_" + c.Name
-		if _, ok := e.helpers[name]; !ok {
-			e.helpers[name] = fmt.Sprintf(
-				"func %s(d *nativert.Dumper, path string, v I_%s) {\n\tif v == nil {\n\t\td.Null(path)\n\t\treturn\n\t}\n\tv.dmp_(d, path)\n}\n",
-				name, c.Name)
-		}
-		return name
-	}
-	name := "dmpC_" + c.Name
-	if _, ok := e.helpers[name]; !ok {
-		e.helpers[name] = fmt.Sprintf(
-			"func %s(d *nativert.Dumper, path string, v *T_%s) {\n\tif v == nil {\n\t\td.Null(path)\n\t\treturn\n\t}\n\tv.dmp_(d, path)\n}\n",
-			name, c.Name)
-	}
-	return name
 }

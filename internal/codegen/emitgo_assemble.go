@@ -6,10 +6,8 @@ package codegen
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"commute/internal/frontend/types"
 )
@@ -42,9 +40,10 @@ func alignRows(b *bytes.Buffer, indent string, rows [][]string) {
 	}
 }
 
-// assembleProg renders prog.go. Declarations are separated by one blank
-// line and the file ends at the last one's closing line. Every version
-// is emitted by now, so what the file imports is known.
+// assembleProg renders prog.go into scratch and returns a copy of it.
+// Declarations are separated by one blank line and the file ends at the
+// last one's closing line. Every version is emitted by now, so what the
+// file imports is known.
 func (e *goEmitter) assembleProg(entry variant) []byte {
 	// The functions are most of the file; the rest is the header, a few
 	// lines per class and one or two per field.
@@ -57,17 +56,19 @@ func (e *goEmitter) assembleProg(entry variant) []byte {
 			}
 		}
 	}
-	var b bytes.Buffer
+	b := getScratch()
+	defer scratch.Put(b)
 	b.Grow(e.fns.Len() + rest)
 
-	b.WriteString("// Code generated by commutec -emit go (" + e.opts.AppName + "). DO NOT EDIT.\n")
-	var proven []string
+	write(b, "// Code generated by commutec -emit go (", e.opts.AppName, "). DO NOT EDIT.\n//\n// Structs mirror the interpreter's object slot layout; ")
+	sep := ""
 	for v, row := range versions {
 		if !specVariant(variant(v)) {
-			proven = append(proven, row.prefix)
+			write(b, sep, row.prefix)
+			sep = "/"
 		}
 	}
-	b.WriteString("//\n// Structs mirror the interpreter's object slot layout; " + strings.Join(proven, "/") + "\n")
+	b.WriteString("\n")
 	b.WriteString("// functions are the customized method versions the\n")
 	b.WriteString("// commutativity analysis plan selects at each call site, and the\n")
 	b.WriteString("// SJ_-prefixed family are their journaled twins for speculative\n")
@@ -95,37 +96,32 @@ func (e *goEmitter) assembleProg(entry variant) []byte {
 
 	// Constants.
 	if len(e.prog.Consts) > 0 {
-		var names []string
-		for name := range e.prog.Consts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		var rows [][]string
-		for _, name := range names {
+		for _, name := range e.prog.ConstNames {
 			cv := e.prog.Consts[name]
 			if cv.IsInt {
 				rows = append(rows, []string{"C_" + name, "int64", "= " + strconv.FormatInt(cv.I, 10)})
 			} else {
-				rows = append(rows, []string{"C_" + name, "float64", "= " + formatFloatLit(cv.F)})
+				rows = append(rows, []string{"C_" + name, "float64", "= " + string(appendFloatLit(nil, cv.F))})
 			}
 		}
 		b.WriteString("const (\n")
-		alignRows(&b, "\t", rows)
+		alignRows(b, "\t", rows)
 		b.WriteString(")\n\n")
 	}
 
 	// Classes in declaration order: interface, struct, accessors,
 	// dump method, then the demanded method versions in a fixed order.
 	for _, cl := range e.prog.ClassList {
-		e.emitClass(&b, cl)
+		e.emitClass(b, cl)
 		for _, m := range cl.Methods {
-			e.emitVariants(&b, m)
+			e.emitVariants(b, m)
 		}
 	}
 	// Free functions in program order.
 	for _, m := range e.prog.Methods {
 		if m.Class == nil {
-			e.emitVariants(&b, m)
+			e.emitVariants(b, m)
 		}
 	}
 
@@ -136,7 +132,7 @@ func (e *goEmitter) assembleProg(entry variant) []byte {
 			rows = append(rows, []string{"G_" + g.Name, "*T_" + g.Class.Name})
 		}
 		b.WriteString("var (\n")
-		alignRows(&b, "\t", rows)
+		alignRows(b, "\t", rows)
 		b.WriteString(")\n\n")
 	}
 	if len(e.replicas) > 0 {
@@ -149,14 +145,14 @@ func (e *goEmitter) assembleProg(entry variant) []byte {
 		b.WriteString("// Per-worker replicas of the globals replicated accumulations add\n")
 		b.WriteString("// into; each region's join folds its own back.\n")
 		b.WriteString("var (\n")
-		alignRows(&b, "\t", rows)
+		alignRows(b, "\t", rows)
 		b.WriteString(")\n\n")
 	}
 	b.WriteString("// initGlobals allocates fresh zeroed global roots, as the\n")
 	b.WriteString("// interpreter does before each run.\n")
 	b.WriteString("func initGlobals() {\n")
 	for _, g := range e.prog.GlobalSeq {
-		fmt.Fprintf(&b, "\tG_%s = &T_%s{}\n", g.Name, g.Class.Name)
+		write(b, "\tG_", g.Name, " = &T_", g.Class.Name, "{}\n")
 	}
 	b.WriteString("}\n\n")
 
@@ -165,14 +161,16 @@ func (e *goEmitter) assembleProg(entry variant) []byte {
 	b.WriteString("// interpreter heap.\n")
 	b.WriteString("func dumpState(d *nativert.Dumper) {\n")
 	for _, g := range e.prog.GlobalSeq {
-		fmt.Fprintf(&b, "\t%s(d, %q, G_%s)\n", e.helperDmp(g.Class), "g."+g.Name, g.Name)
+		b.WriteString("\t")
+		e.helperDmp(b, g.Class)
+		write(b, "(d, \"g.", g.Name, "\", G_", g.Name, ")\n") // a global's name needs no escapes
 	}
 	b.WriteString("}\n\n")
 
-	fmt.Fprintf(&b, "func run_() {\n\t%smain()\n}\n", versions[entry].prefix)
+	write(b, "func run_() {\n\t", versions[entry].prefix, "main()\n}\n")
 
 	// Helpers, sorted by name.
-	var hnames []string
+	hnames := make([]string, 0, len(e.helpers))
 	for name := range e.helpers {
 		hnames = append(hnames, name)
 	}
@@ -181,14 +179,14 @@ func (e *goEmitter) assembleProg(entry variant) []byte {
 		b.WriteString("\n")
 		b.WriteString(e.helpers[name])
 	}
-	return b.Bytes()
+	return bytes.Clone(b.Bytes())
 }
 
 // emitVariants appends every demanded version of m in table order.
 func (e *goEmitter) emitVariants(b *bytes.Buffer, m *types.Method) {
 	for v := range versions {
-		if at, ok := e.fnAt[vkey{m, variant(v)}]; ok {
-			b.Write(e.fns.Bytes()[at[0]:at[1]])
+		if i := e.demanded[demandKey(m, variant(v))]; i > 0 {
+			b.Write(e.fns.Bytes()[e.queue[i-1].start:e.queue[i-1].end])
 			b.WriteString("\n")
 		}
 	}
@@ -199,20 +197,19 @@ func (e *goEmitter) emitVariants(b *bytes.Buffer, m *types.Method) {
 func (e *goEmitter) emitClass(b *bytes.Buffer, cl *types.Class) {
 	name := cl.Name
 	if e.hasSub[cl] {
-		fmt.Fprintf(b, "type I_%s interface {\n", name)
+		write(b, "type I_", name, " interface {\n")
 		if cl.Base != nil {
-			fmt.Fprintf(b, "\tI_%s\n", cl.Base.Name)
+			write(b, "\tI_", cl.Base.Name, "\n")
 		} else {
 			b.WriteString("\tcls_() string\n")
 			b.WriteString("\tdmp_(d *nativert.Dumper, path string)\n")
 		}
-		fmt.Fprintf(b, "\tas_%s() *T_%s\n", name, name)
-		b.WriteString("}\n\n")
+		write(b, "\tas_", name, "() *T_", name, "\n}\n\n")
 	}
 
-	fmt.Fprintf(b, "type T_%s struct {\n", name)
+	write(b, "type T_", name, " struct {\n")
 	if cl.Base != nil {
-		fmt.Fprintf(b, "\tT_%s\n", cl.Base.Name)
+		write(b, "\tT_", cl.Base.Name, "\n")
 	}
 	var rows [][]string
 	for _, f := range cl.Fields {
@@ -224,17 +221,14 @@ func (e *goEmitter) emitClass(b *bytes.Buffer, cl *types.Class) {
 	alignRows(b, "\t", rows)
 	b.WriteString("}\n\n")
 
-	shortFunc(b, fmt.Sprintf("func (o *T_%s) as_%s() *T_%s", name, name, name), "return o")
-	shortFunc(b, fmt.Sprintf("func (o *T_%s) cls_() string", name), "return "+strconv.Quote(name))
+	// A class name is an identifier: quoted, it needs no escapes.
+	shortFunc(b, []string{"func (o *T_", name, ") as_", name, "() *T_", name}, "return o")
+	shortFunc(b, []string{"func (o *T_", name, ") cls_() string"}, `return "`, name, `"`)
 
-	fmt.Fprintf(b, "func (o *T_%s) dmp_(d *nativert.Dumper, path string) {\n", name)
-	fmt.Fprintf(b, "\tif !d.Begin(path, o, %q) {\n\t\treturn\n\t}\n", name)
+	write(b, "func (o *T_", name, ") dmp_(d *nativert.Dumper, path string) {\n")
+	write(b, "\tif !d.Begin(path, o, \"", name, "\") {\n\t\treturn\n\t}\n")
 	for _, f := range cl.Layout {
-		acc := "o.F_" + f.Name
-		if f.Class != cl {
-			acc = "o.as_" + f.Class.Name + "().F_" + f.Name
-		}
-		e.emitFieldDump(b, f, acc)
+		e.emitFieldDump(b, cl, f)
 	}
 	b.WriteString("}\n\n")
 	e.emitFold(b, cl)
@@ -251,17 +245,17 @@ func (e *goEmitter) emitFold(b *bytes.Buffer, cl *types.Class) {
 	if !used {
 		return
 	}
-	fmt.Fprintf(b, "func (o *T_%s) fold_(r *T_%s) {\n", cl.Name, cl.Name)
+	write(b, "func (o *T_", cl.Name, ") fold_(r *T_", cl.Name, ") {\n")
 	for _, f := range e.plan.Folds[cl] {
 		acc := "F_" + f.Name
 		if f.Class != cl {
 			acc = "as_" + f.Class.Name + "().F_" + f.Name
 		}
 		if _, array := f.Type.(types.Array); array {
-			fmt.Fprintf(b, "\tfor i_ := range r.%s {\n\t\to.%[1]s[i_] += r.%[1]s[i_]\n\t\tr.%[1]s[i_] = 0\n\t}\n", acc)
+			write(b, "\tfor i_ := range r.", acc, " {\n\t\to.", acc, "[i_] += r.", acc, "[i_]\n\t\tr.", acc, "[i_] = 0\n\t}\n")
 			continue
 		}
-		fmt.Fprintf(b, "\to.%s += r.%[1]s\n\tr.%[1]s = 0\n", acc)
+		write(b, "\to.", acc, " += r.", acc, "\n\tr.", acc, " = 0\n")
 	}
 	b.WriteString("}\n\n")
 }
@@ -269,55 +263,79 @@ func (e *goEmitter) emitFold(b *bytes.Buffer, cl *types.Class) {
 // shortFunc appends a one-statement function the way gofmt leaves it:
 // on one line while header and statement together fit in 100 bytes
 // (funcBody in go/printer/nodes.go), on three otherwise.
-func shortFunc(b *bytes.Buffer, header, stmt string) {
-	if len(header)+len(stmt) <= 100 {
-		b.WriteString(header + " { " + stmt + " }\n\n")
-	} else {
-		b.WriteString(header + " {\n\t" + stmt + "\n}\n\n")
+func shortFunc(b *bytes.Buffer, header []string, stmt ...string) {
+	n := 0
+	for _, s := range header {
+		n += len(s)
 	}
+	for _, s := range stmt {
+		n += len(s)
+	}
+	open, end := " { ", " }\n\n"
+	if n > 100 {
+		open, end = " {\n\t", "\n}\n\n"
+	}
+	write(b, header...)
+	b.WriteString(open)
+	write(b, stmt...)
+	b.WriteString(end)
 }
 
-// emitFieldDump appends the dump statement(s) for one field slot.
-func (e *goEmitter) emitFieldDump(b *bytes.Buffer, f *types.Field, acc string) {
-	path := fmt.Sprintf("path+%q", "."+f.Name)
-	switch tt := f.Type.(type) {
+// dumpKind names the Dumper method of each basic field type.
+var dumpKind = map[types.Basic]string{types.Int: "Int", types.Double: "Float", types.Bool: "Bool"}
+
+// emitFieldDump appends the dump statement(s) for one field slot of cl,
+// an array's in a loop over its elements. Its paths and accessors are
+// written from identifiers, which need no escapes inside quotes.
+func (e *goEmitter) emitFieldDump(b *bytes.Buffer, cl *types.Class, f *types.Field) {
+	t, indent, idx := f.Type, "\t", ""
+	if at, ok := t.(types.Array); ok {
+		// assembleProg has imported strconv, from the layouts.
+		b.WriteString("\tfor i_ := 0; i_ < ")
+		b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(at.Len), 10))
+		b.WriteString("; i_++ {\n")
+		t, indent, idx = at.Elem, "\t\t", "[i_]"
+	}
+	acc := func(tail ...string) {
+		if b.WriteString("o."); f.Class != cl {
+			write(b, "as_", f.Class.Name, "().")
+		}
+		write(b, "F_", f.Name, idx)
+		write(b, tail...)
+	}
+	path := func(tail string) {
+		if write(b, `path+".`, f.Name); idx != "" {
+			write(b, `["+strconv.Itoa(i_)+"]"`, tail)
+		} else {
+			write(b, `"`, tail)
+		}
+	}
+	switch tt := t.(type) {
 	case types.Basic:
-		switch tt {
-		case types.Int:
-			fmt.Fprintf(b, "\td.Int(%s, %s)\n", path, acc)
-		case types.Double:
-			fmt.Fprintf(b, "\td.Float(%s, %s)\n", path, acc)
-		case types.Bool:
-			fmt.Fprintf(b, "\td.Bool(%s, %s)\n", path, acc)
+		if k := dumpKind[tt]; k != "" {
+			write(b, indent, "d.", k, "(")
+			path(", ")
+			acc(")\n")
 		}
 	case types.Pointer:
-		fmt.Fprintf(b, "\t%s(d, %s, %s)\n", e.helperDmp(tt.Class), path, acc)
+		b.WriteString(indent)
+		e.helperDmp(b, tt.Class)
+		b.WriteString("(d, ")
+		path(", ")
+		acc(")\n")
 	case types.Object:
-		fmt.Fprintf(b, "\t%s.dmp_(d, %s)\n", acc, path)
-	case types.Array:
-		// assembleProg has imported strconv, from the layouts.
-		fmt.Fprintf(b, "\tfor i_ := 0; i_ < %d; i_++ {\n", tt.Len)
-		epath := fmt.Sprintf("path+%q+strconv.Itoa(i_)+\"]\"", "."+f.Name+"[")
-		switch et := tt.Elem.(type) {
-		case types.Basic:
-			switch et {
-			case types.Int:
-				fmt.Fprintf(b, "\t\td.Int(%s, %s[i_])\n", epath, acc)
-			case types.Double:
-				fmt.Fprintf(b, "\t\td.Float(%s, %s[i_])\n", epath, acc)
-			case types.Bool:
-				fmt.Fprintf(b, "\t\td.Bool(%s, %s[i_])\n", epath, acc)
-			}
-		case types.Pointer:
-			fmt.Fprintf(b, "\t\t%s(d, %s, %s[i_])\n", e.helperDmp(et.Class), epath, acc)
-		case types.Object:
-			fmt.Fprintf(b, "\t\t%s[i_].dmp_(d, %s)\n", acc, epath)
-		default:
-			e.errorf("class %s field %s: unsupported array element type %v in dump", f.Class.Name, f.Name, tt.Elem)
-		}
-		b.WriteString("\t}\n")
+		b.WriteString(indent)
+		acc(".dmp_(d, ")
+		path(")\n")
 	default:
-		e.errorf("class %s field %s: unsupported field type %v in dump", f.Class.Name, f.Name, f.Type)
+		what := "field"
+		if idx != "" {
+			what = "array element"
+		}
+		e.errorf("class %s field %s: unsupported %s type %v in dump", f.Class.Name, f.Name, what, t)
+	}
+	if idx != "" {
+		b.WriteString("\t}\n")
 	}
 }
 
@@ -328,7 +346,9 @@ func (e *goEmitter) emitFieldDump(b *bytes.Buffer, f *types.Field, acc string) {
 // counter output are nativert's (Driver.Main). EmitGoPackage has refused
 // an app name with a line break in it.
 func (e *goEmitter) assembleMain() []byte {
-	return []byte("// Code generated by commutec -emit go (" + e.opts.AppName + "). DO NOT EDIT.\n" + mainSrc)
+	const head, tail = "// Code generated by commutec -emit go (", "). DO NOT EDIT.\n"
+	b := make([]byte, 0, len(head)+len(e.opts.AppName)+len(tail)+len(mainSrc))
+	return append(append(append(append(b, head...), e.opts.AppName...), tail...), mainSrc...)
 }
 
 const mainSrc = `package main

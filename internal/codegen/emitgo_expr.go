@@ -13,8 +13,9 @@ package codegen
 // their blanks.
 
 import (
+	"bytes"
+	"math"
 	"strconv"
-	"strings"
 
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/token"
@@ -91,35 +92,36 @@ func (c *fnCtx) siteDispatch(x *ast.CallExpr) callPlan {
 	return cp
 }
 
-// recvChain renders the receiver expression of a call to callee,
+// recvChain writes the receiver expression of a call to callee,
 // inserting the as_ accessor that narrows to the callee's declaring
-// class (also resolving interface receivers to concrete pointers). value
-// says the receiver renders as the object rather than a pointer to it: a
+// class (also resolving interface receivers to concrete pointers).
+// recvValue says it writes the object rather than a pointer to it: a
 // nested object, or a bound parameter dereferenced — a Go call through a
 // nil pointer does not fault, so `(*b_n)` is what faults where
 // `v_n.as_C()` did.
-func (c *fnCtx) recvChain(x *ast.CallExpr, callee *types.Method, d int) (code string, value bool) {
-	if callee.Class == nil {
-		return "", false
-	}
-	if x.Recv == nil {
-		// Implicit this->m(...).
-		if c.m.Class == callee.Class {
-			return "o", false
+func (c *fnCtx) recvChain(x *ast.CallExpr, callee *types.Method, d int) *fnCtx {
+	switch p := c.binding(x.Recv); {
+	case x.Recv == nil: // implicit this->m(...)
+		if c.w("o"); c.m.Class == callee.Class {
+			return c
 		}
-		return "o.as_" + callee.Class.Name + "()", false
-	}
-	if b, cl := c.binding(x.Recv); b != "" {
-		if cl == callee.Class {
-			return "(*" + b + ")", true
+	case p != nil && c.recvValue(x, callee):
+		return c.w("(*b_", p.Name, ")")
+	case p != nil:
+		c.w("b_", p.Name)
+	default:
+		if c.expr(x.Recv, d); c.recvPlain(x, callee) {
+			return c
 		}
-		return b + ".as_" + callee.Class.Name + "()", false
 	}
-	code = c.expr(x.Recv, d)
-	if c.recvPlain(x, callee) {
-		return code, c.byValue(x.Recv)
+	return c.w(".as_", callee.Class.Name, "()")
+}
+
+func (c *fnCtx) recvValue(x *ast.CallExpr, callee *types.Method) bool {
+	if p := c.binding(x.Recv); p != nil {
+		return p.Type.(types.Pointer).Class == callee.Class
 	}
-	return code + ".as_" + callee.Class.Name + "()", false
+	return x.Recv != nil && c.recvPlain(x, callee) && c.byValue(x.Recv)
 }
 
 // bindings lists the parameters of m a version binds once, at its top, to
@@ -168,17 +170,17 @@ func usedThrough(body ast.Node, name string) bool {
 	return found
 }
 
-// binding returns the name and class of the binding x reads, when x is a
-// parameter the version binds; "" otherwise.
-func (c *fnCtx) binding(x ast.Expr) (string, *types.Class) {
+// binding returns the parameter x reads, when x is a parameter the
+// version binds (b_<name>); nil otherwise.
+func (c *fnCtx) binding(x ast.Expr) *types.Param {
 	if id, ok := x.(*ast.Ident); ok && id.Sym == ast.SymParam {
 		for _, p := range c.bound {
 			if p.Name == id.Name {
-				return "b_" + p.Name, p.Type.(types.Pointer).Class
+				return p
 			}
 		}
 	}
-	return "", nil
+	return nil
 }
 
 // byValue reports whether x renders as a struct value: a nested object.
@@ -196,29 +198,27 @@ func (c *fnCtx) recvPlain(x *ast.CallExpr, callee *types.Method) bool {
 	return ptrClass(c.e.prog.TypeOf(x.Recv)) == callee.Class && !c.e.exprIface(x.Recv)
 }
 
-// renderCall assembles a lowered call expression. A call with more than
+// renderCall writes a lowered call expression. A call with more than
 // one argument prints its receiver and its arguments one level deeper.
-func (c *fnCtx) renderCall(x *ast.CallExpr, cp callPlan, d int) string {
-	args := threadArgs(cp.v, "w", "sj_")
-	n := min(len(x.Args), len(cp.callee.Params))
-	if len(args)+n > 1 {
+func (c *fnCtx) renderCall(x *ast.CallExpr, cp callPlan, d int) *fnCtx {
+	n, thread := min(len(x.Args), len(cp.callee.Params)), len(versions[cp.v].thread)
+	if thread+n > 1 {
 		d++
 	}
-	for i, a := range x.Args[:n] {
-		args = append(args, c.exprAs(a, cp.callee.Params[i].Type, d))
-	}
-	call := versions[cp.v].prefix + cp.callee.Name + "(" + strings.Join(args, ", ") + ")"
-	if g := cp.replica; g != nil {
-		recv := "rep_" + g.Name + ".At(w)"
-		if !c.recvPlain(x, cp.callee) {
-			recv += ".as_" + cp.callee.Class.Name + "()"
+	switch g := cp.replica; {
+	case g != nil:
+		if c.w("rep_", g.Name, ".At(w)"); !c.recvPlain(x, cp.callee) {
+			c.w(".as_", cp.callee.Class.Name, "()")
 		}
-		return recv + "." + call
+		c.w(".")
+	case cp.callee.Class != nil:
+		c.recvChain(x, cp.callee, d).w(".")
 	}
-	if recv, _ := c.recvChain(x, cp.callee, d); recv != "" {
-		return recv + "." + call
+	c.w(versions[cp.v].prefix, cp.callee.Name, "(").threadArgs(cp.v, "w", 0)
+	for i, a := range x.Args[:n] {
+		c.sep(thread+i).exprAs(a, cp.callee.Params[i].Type, d)
 	}
-	return call
+	return c.w(")")
 }
 
 // exprStmt lowers an expression statement.
@@ -226,20 +226,18 @@ func (c *fnCtx) exprStmt(x ast.Expr) {
 	switch v := x.(type) {
 	case *ast.Assign:
 		c.assign(v)
-		return
 	case *ast.CallExpr:
-		if v.Builtin {
-			if v.Method == "print" {
-				c.printStmt(v)
-			} else {
-				c.line("_ = %s", c.builtinCall(v, 1))
-			}
-			return
+		switch {
+		case !v.Builtin:
+			c.effectCall(v, c.siteDispatch(v))
+		case v.Method == "print":
+			c.printStmt(v)
+		default:
+			c.begin("_ = ").builtinCall(v, 1).end()
 		}
-		c.effectCall(v, c.siteDispatch(v))
-		return
+	default:
+		c.begin("_ = ").expr(x, 1).end()
 	}
-	c.line("_ = %s", c.expr(x, 1))
 }
 
 // effectCall lowers a call whose value is not used.
@@ -251,7 +249,7 @@ func (c *fnCtx) effectCall(x *ast.CallExpr, cp callPlan) {
 	if cp.release {
 		c.releaseLock()
 	}
-	c.line("%s", c.renderCall(x, cp, 1))
+	c.begin().renderCall(x, cp, 1).end()
 }
 
 // spawn lowers a spawned call: evaluate receiver and arguments now (the
@@ -263,158 +261,167 @@ func (c *fnCtx) spawn(x *ast.CallExpr, cp callPlan) {
 	callee := cp.callee
 	c.line("{")
 	c.indent++
-	var taskArgs []string
-	recv := ""
+	rv := 0
 	if callee.Class != nil {
-		rv := c.tmpName()
-		chain, value := c.recvChain(x, callee, 1)
-		if value {
-			chain = "&" + chain // the task takes the object's address
+		// Narrow interface receivers to the concrete declaring class; the
+		// task takes a nested object's address.
+		rv = c.newTmp()
+		if c.begin("var ").tmpVar(rv).w(" *T_", callee.Class.Name, " = "); c.recvValue(x, callee) {
+			c.w("&")
 		}
-		// Narrow interface receivers to the concrete declaring class.
-		c.line("var %s *T_%s = %s", rv, callee.Class.Name, chain)
-		recv = rv + "."
+		c.recvChain(x, callee, 1).end()
 	}
-	for i, a := range x.Args {
-		if i >= len(callee.Params) {
-			break
-		}
-		av := c.tmpName()
-		pt := callee.Params[i].Type
-		taskArgs = append(taskArgs, av)
-		gt := c.e.goType(pt, true)
+	n, first := min(len(x.Args), len(callee.Params)), c.tmp+1
+	for i, a := range x.Args[:n] {
+		av, pt := c.newTmp(), callee.Params[i].Type
 		switch {
-		case !strings.HasPrefix(gt, "[]"):
-			c.line("var %s %s = %s", av, gt, c.exprAs(a, pt, 1))
+		case !sliceParam(pt):
+			c.begin("var ").tmpVar(av).w(" ").typ(pt, true).w(" = ").exprAs(a, pt, 1).end()
 		case c.spec:
 			// The spawner's buffered writes are in its journal.
-			c.line("%s := nativert.SpecSnapshot(sj_, %s)", av, c.exprAs(a, pt, 1))
+			c.begin().tmpVar(av).w(" := nativert.SpecSnapshot(sj_, ").exprAs(a, pt, 1).w(")").end()
 		default:
 			// A reference actual of an extent call is a local array (Fig.
 			// 10), a Go array, which the declaration copies.
-			c.line("var %s = %s", av, c.expr(a, 1))
-			taskArgs[len(taskArgs)-1] = av + "[:]"
+			c.begin("var ").tmpVar(av).w(" = ").expr(a, 1).end()
 		}
 	}
 	// A speculative task gets a fresh journal, and captures panics so a
 	// faulting task aborts the region instead of killing the pool
 	// goroutine.
-	jv := ""
+	jv := 0
 	if c.spec {
-		jv = c.tmpName()
-		c.line("%s := sr_.NewJournal()", jv)
+		jv = c.newTmp()
+		c.begin().tmpVar(jv).w(" := sr_.NewJournal()").end()
 	}
 	if cp.release {
 		c.releaseLock()
 	}
 	c.e.useRtkit = true
-	args := append(threadArgs(cp.v, "cw_", jv), taskArgs...)
-	c.line("w.Pool().Spawn(w, %q, func(cw_ *rtkit.Worker) {", callee.FullName())
+	c.begin("w.Pool().Spawn(w, ").fullName(callee).w(", func(cw_ *rtkit.Worker) {").end()
 	if c.spec {
 		c.line("\tdefer sr_.CapturePanic()")
 	}
-	c.line("\t%s%s%s(%s)", recv, versions[cp.v].prefix, callee.Name, strings.Join(args, ", "))
+	if c.begin("\t"); rv > 0 {
+		c.tmpVar(rv).w(".")
+	}
+	c.w(versions[cp.v].prefix, callee.Name, "(").threadArgs(cp.v, "cw_", jv)
+	for i := range n {
+		if c.sep(len(versions[cp.v].thread) + i).tmpVar(first + i); sliceParam(callee.Params[i].Type) && !c.spec {
+			c.w("[:]")
+		}
+	}
+	c.w(")").end()
 	c.line("})")
 	c.indent--
 	c.line("}")
 }
 
-func (c *fnCtx) tmpName() string {
-	c.tmp++
-	return "t" + strconv.Itoa(c.tmp) + "_"
+// sliceParam reports whether a parameter of type t is a Go slice.
+func sliceParam(t types.Type) bool {
+	_, prim := t.(types.PrimPointer)
+	_, array := t.(types.Array)
+	return prim || array
 }
+
+// newTmp numbers a fresh temporary; tmpVar writes its name.
+func (c *fnCtx) newTmp() int { c.tmp++; return c.tmp }
+
+func (c *fnCtx) tmpVar(n int) *fnCtx { return c.w("t").int(int64(n)).w("_") }
 
 // ---------------------------------------------------------------------
 // Assignment
 
 func (c *fnCtx) assign(a *ast.Assign) {
 	lt := c.e.prog.TypeOf(a.LHS)
-	if c.spec {
-		if addr, desc, shared := c.specLHS(a.LHS); shared {
-			c.specAssign(a, addr, desc, lt)
-			return
-		}
+	if _, _, shared := specKey(a.LHS); c.spec && shared {
+		c.specAssign(a, lt)
+		return
 	}
-	lhs := c.expr(a.LHS, 1)
 	if a.Op == token.ASSIGN {
 		if call, ok := a.RHS.(*ast.CallExpr); ok && !call.Builtin {
-			cp := c.siteDispatch(call)
-			if cp.kind != ckValue {
+			if cp := c.siteDispatch(call); cp.kind != ckValue {
 				// The discarded-value call kinds store a zero value
 				// (the interpreter stores the spawned call's Value{},
 				// which reads back as the type's zero).
 				c.effectCall(call, cp)
-				c.line("%s = %s", lhs, c.e.zeroVal(lt))
+				c.begin().expr(a.LHS, 1).w(" = ").zero(lt).end()
 				return
 			}
 		}
-		c.line("%s = %s", lhs, c.exprAs(a.RHS, lt, 1))
+		c.begin().expr(a.LHS, 1).w(" = ").exprAs(a.RHS, lt, 1).end()
 		return
 	}
 	// Compound assignment: int op int stays int; any double promotes
 	// the arithmetic to double, then the store coerces back to the
-	// target type (truncating for int targets).
+	// target type (truncating for int targets). The target is read as an
+	// operand of the fenced operation, one level below the statement.
 	op := goOp[a.Op]
 	if op == "" {
 		c.errf("unsupported compound assignment %v", a.Op)
 		return
 	}
-	rt := c.e.prog.TypeOf(a.RHS)
-	if isIntType(lt) && isIntType(rt) {
-		c.line("%s %s= %s", lhs, op, c.expr(a.RHS, 1))
-		return
+	switch c.begin().expr(a.LHS, 1); {
+	case isIntType(lt) && isIntType(c.e.prog.TypeOf(a.RHS)):
+		c.w(" ", op, "= ").divisor(a.Op == token.SLASHEQ, a.RHS, 1)
+	case isIntType(lt):
+		c.w(" = int64(float64(").floatOperand(a.LHS, 2).w(" ", op, " ").floatOperand(a.RHS, 2).w("))")
+	default:
+		c.w(" = float64(").floatOperand(a.LHS, 2).w(" ", op, " ").floatOperand(a.RHS, 2).w(")")
 	}
-	// The target is read as an operand of the fenced operation, one
-	// level below the statement.
-	res := "float64(" + c.floatOperand(a.LHS, lt, 2) + " " + op + " " + c.floatOperand(a.RHS, rt, 2) + ")"
-	if isIntType(lt) {
-		res = "int64(" + res + ")"
-	}
-	c.line("%s = %s", lhs, res)
+	c.end()
 }
 
-// specLHS resolves an assignment target to its journal location — the
-// address expression and the declared-effect key — when the target is
-// shared state. Locals and parameters are frame-private and keep the
-// plain lowering (shared reads inside their RHS still journal through
-// expr). Wherever specAssign puts the address, its parentheses bring
-// the location back to depth 1.
-func (c *fnCtx) specLHS(x ast.Expr) (addr, desc string, shared bool) {
+// specKey is the declared-effect key of an assignment target (an
+// element's is empty) and whether the target is shared state, which a
+// speculative task writes through its journal (specAssign). Locals and
+// parameters are frame-private and keep the plain lowering (shared reads
+// inside their RHS still journal through expr).
+func specKey(x ast.Expr) (class, field string, shared bool) {
 	switch v := x.(type) {
 	case *ast.Ident:
-		if v.Sym != ast.SymField {
-			return "", "", false
-		}
-		sel := "o.as_" + v.FieldClass + "().F_" + v.Name
-		if c.m.Class != nil && c.m.Class.Name == v.FieldClass {
-			sel = "o.F_" + v.Name
-		}
-		return "&(" + sel + ")", v.FieldClass + "." + v.Name, true
+		return v.FieldClass, v.Name, v.Sym == ast.SymField
 	case *ast.FieldAccess:
-		// Rendering the base journals the chain's own loads.
-		return "&(" + c.fieldSel(v, 1) + ")", v.DeclClass + "." + v.Name, true
+		return v.DeclClass, v.Name, true
 	case *ast.IndexExpr:
-		return "&(" + c.expr(v.X, 1) + "[" + c.expr(v.Index, 2) + "])", "", true
+		return "", "", true
 	}
 	return "", "", false
+}
+
+// specAddr writes the journal address of a shared assignment target.
+// Wherever specAssign puts it, its parentheses bring the location back
+// to depth 1.
+func (c *fnCtx) specAddr(x ast.Expr) *fnCtx {
+	switch v := x.(type) {
+	case *ast.Ident:
+		c.w("&(").fieldOf(v.FieldClass, v.Name)
+	case *ast.FieldAccess:
+		// Rendering the base journals the chain's own loads.
+		c.w("&(").fieldSel(v, 1)
+	case *ast.IndexExpr:
+		c.w("&(").expr(v.X, 1).w("[").expr(v.Index, 2).w("]")
+	}
+	return c.w(")")
 }
 
 // specAssign lowers an assignment to shared state inside a speculative
 // task: the write is buffered in the journal and never reaches the
 // live heap before commit. The right-hand side is evaluated into a
 // temporary first, matching the interpreter's evaluation order.
-func (c *fnCtx) specAssign(a *ast.Assign, addr, desc string, lt types.Type) {
+func (c *fnCtx) specAssign(a *ast.Assign, lt types.Type) {
+	class, field, _ := specKey(a.LHS)
 	if a.Op == token.ASSIGN {
 		if call, ok := a.RHS.(*ast.CallExpr); ok && !call.Builtin {
 			if cp := c.siteDispatch(call); cp.kind != ckValue {
 				c.effectCall(call, cp)
-				c.line("nativert.SpecStore(sj_, %s, %s, %q)", addr, c.e.zeroVal(lt), desc)
+				c.begin("nativert.SpecStore(sj_, ").specAddr(a.LHS).w(", ").zero(lt).w(", ").desc(class, field).w(")").end()
 				return
 			}
 		}
-		rv := c.tmpName()
-		c.line("var %s %s = %s", rv, c.e.goType(lt, false), c.exprAs(a.RHS, lt, 1))
-		c.line("nativert.SpecStore(sj_, %s, %s, %q)", addr, rv, desc)
+		rv := c.newTmp()
+		c.begin("var ").tmpVar(rv).w(" ").typ(lt, false).w(" = ").exprAs(a.RHS, lt, 1).end()
+		c.begin("nativert.SpecStore(sj_, ").specAddr(a.LHS).w(", ").tmpVar(rv).w(", ").desc(class, field).w(")").end()
 		return
 	}
 	op := goOp[a.Op]
@@ -423,29 +430,22 @@ func (c *fnCtx) specAssign(a *ast.Assign, addr, desc string, lt types.Type) {
 		return
 	}
 	rt := c.e.prog.TypeOf(a.RHS)
-	rv := c.tmpName()
-	c.line("var %s %s = %s", rv, c.e.goType(rt, false), c.expr(a.RHS, 1))
-	pv := c.tmpName()
-	c.line("%s := %s", pv, addr)
-	ov := c.tmpName()
-	c.line("%s := nativert.SpecLoad(sj_, %s, %q)", ov, pv, desc)
-	lInt := isIntType(lt)
-	rInt := isIntType(rt)
-	l, r := ov, rv
-	if lInt && !rInt {
-		l = "float64(" + l + ")"
+	rv, pv, ov := c.newTmp(), c.newTmp(), c.newTmp()
+	c.begin("var ").tmpVar(rv).w(" ").typ(rt, false).w(" = ").expr(a.RHS, 1).end()
+	c.begin().tmpVar(pv).w(" := ").specAddr(a.LHS).end()
+	c.begin().tmpVar(ov).w(" := nativert.SpecLoad(sj_, ").tmpVar(pv).w(", ").desc(class, field).w(")").end()
+	// The operation is an argument of SpecStore: depth 2.
+	switch c.begin("nativert.SpecStore(sj_, ").tmpVar(pv).w(", "); {
+	case isIntType(lt) && isIntType(rt):
+		c.tmpVar(ov).w(op).tmpVar(rv)
+	case isIntType(lt):
+		c.w("int64(float64(float64(").tmpVar(ov).w(")", op).tmpVar(rv).w("))")
+	case isIntType(rt):
+		c.w("float64(").tmpVar(ov).w(op, "float64(").tmpVar(rv).w("))")
+	default:
+		c.w("float64(").tmpVar(ov).w(op).tmpVar(rv).w(")")
 	}
-	if rInt && !lInt {
-		r = "float64(" + r + ")"
-	}
-	res := l + op + r // an argument of SpecStore: depth 2
-	if !lInt || !rInt {
-		res = "float64(" + res + ")"
-		if lInt {
-			res = "int64(" + res + ")"
-		}
-	}
-	c.line("nativert.SpecStore(sj_, %s, %s, %q)", pv, res, desc)
+	c.w(", ").desc(class, field).w(")").end()
 }
 
 func isIntType(t types.Type) bool {
@@ -461,78 +461,62 @@ func isDoubleType(t types.Type) bool {
 // ---------------------------------------------------------------------
 // Conversions
 
-// conv converts an emitted expression from its checked type to the
-// target type: the dialect's implicit numeric coercions, array decay
-// to slices at call boundaries, and nil-safe concrete-to-interface
-// pointer widening.
-func (c *fnCtx) conv(code string, src ast.Expr, from, to types.Type) string {
+// convOpen writes the opening of src's conversion from its checked type
+// to the target type — the dialect's implicit numeric coercions, array
+// decay to slices at call boundaries, and nil-safe concrete-to-interface
+// pointer widening — and returns what closes it after src.
+func (c *fnCtx) convOpen(src ast.Expr, from, to types.Type) string {
 	if from == nil || to == nil {
-		return code
+		return ""
 	}
 	switch tt := to.(type) {
 	case types.Basic:
-		switch tt {
-		case types.Int:
-			if isDoubleType(from) {
-				return "int64(" + code + ")"
-			}
-		case types.Double:
-			if isIntType(from) {
-				return "float64(" + code + ")"
-			}
+		switch {
+		case tt == types.Int && isDoubleType(from):
+			c.w("int64(")
+			return ")"
+		case tt == types.Double && isIntType(from):
+			c.w("float64(")
+			return ")"
 		}
-		return code
 	case types.Pointer:
 		if b, ok := from.(types.Basic); ok && b == types.Null {
-			return code // untyped nil assigns to both reprs
+			return "" // untyped nil assigns to both reprs
 		}
 		fc := ptrClass(from)
-		if fc == nil {
-			return code
-		}
-		if !c.e.reprIface(tt.Class) {
-			return code
+		if fc == nil || !c.e.reprIface(tt.Class) {
+			return ""
 		}
 		if c.e.exprIface(src) {
-			return code // interface-to-interface widening is implicit
+			return "" // interface-to-interface widening is implicit
 		}
 		if _, ok := src.(*ast.NewExpr); ok {
-			return code // never nil; implicit conversion is safe
+			return "" // never nil; implicit conversion is safe
 		}
-		return c.e.helperToI(fc, tt.Class) + "(" + code + ")"
-	case types.PrimPointer:
-		if _, ok := from.(types.Array); ok {
-			return c.decay(code, src)
+		c.e.use(c.b, helperToI, fc, tt.Class)
+		c.w("(")
+		return ")"
+	case types.PrimPointer, types.Array:
+		// Parameter position: dialect arrays pass by reference, and an
+		// array a parameter holds is a slice already.
+		_, prim := to.(types.PrimPointer)
+		id, _ := src.(*ast.Ident)
+		if fa, ok := from.(types.Array); ok && (prim || fa.Len >= 0) && (id == nil || id.Sym != ast.SymParam) {
+			return "[:]"
 		}
-		return code
-	case types.Array:
-		// Parameter position: dialect arrays pass by reference.
-		if fa, ok := from.(types.Array); ok && fa.Len >= 0 {
-			return c.decay(code, src)
-		}
-		return code
 	}
-	return code
+	return ""
 }
 
-// exprAs renders x converted to the type its context expects. conv
-// slices an array operand, and a slice expression prints its operand at
-// depth 1 wherever it stands.
-func (c *fnCtx) exprAs(x ast.Expr, to types.Type, d int) string {
+// exprAs writes x converted to the type its context expects. A sliced
+// array operand prints at depth 1 wherever it stands.
+func (c *fnCtx) exprAs(x ast.Expr, to types.Type, d int) *fnCtx {
 	from := c.e.prog.TypeOf(x)
 	if _, ok := from.(types.Array); ok {
 		d = 1
 	}
-	return c.conv(c.expr(x, d), x, from, to)
-}
-
-// decay turns a Go fixed-array expression into a slice; parameters are
-// already slices.
-func (c *fnCtx) decay(code string, src ast.Expr) string {
-	if id, ok := src.(*ast.Ident); ok && id.Sym == ast.SymParam {
-		return code
-	}
-	return code + "[:]"
+	end := c.convOpen(x, from, to)
+	return c.expr(x, d).w(end)
 }
 
 // ---------------------------------------------------------------------
@@ -542,10 +526,10 @@ func (c *fnCtx) decay(code string, src ast.Expr) string {
 // expression inside it.
 func reduceDepth(d int) int { return max(d-1, 1) }
 
-// clause renders the condition of an if or for statement: gofmt prints
+// clause writes the condition of an if or for statement: gofmt prints
 // it at depth 1 and without the parentheses expr puts around an
 // operator used as an operand.
-func (c *fnCtx) clause(x ast.Expr) string {
+func (c *fnCtx) clause(x ast.Expr) *fnCtx {
 	switch v := x.(type) {
 	case *ast.Unary:
 		return c.unary(v, 1)
@@ -555,175 +539,229 @@ func (c *fnCtx) clause(x ast.Expr) string {
 	return c.expr(x, 1)
 }
 
-func (c *fnCtx) expr(x ast.Expr, d int) string {
+func (c *fnCtx) expr(x ast.Expr, d int) *fnCtx {
 	switch v := x.(type) {
 	case *ast.IntLit:
-		return strconv.FormatInt(v.Value, 10)
+		c.int(v.Value)
 	case *ast.FloatLit:
-		return formatFloatLit(v.Value)
+		writeFloatLit(c.b, v.Value)
 	case *ast.BoolLit:
-		if v.Value {
-			return "true"
-		}
-		return "false"
+		c.w(strconv.FormatBool(v.Value))
 	case *ast.NullLit:
-		return "nil"
+		c.w("nil")
 	case *ast.StringLit:
-		return strconv.Quote(v.Value)
+		c.b.Write(strconv.AppendQuote(c.b.AvailableBuffer(), v.Value))
 	case *ast.ThisExpr:
-		return "o"
+		c.w("o")
 	case *ast.Ident:
-		return c.ident(v)
+		c.ident(v)
 	case *ast.FieldAccess:
-		if c.spec {
-			// The depth carries over: a SpecLoad's argument list adds a
-			// level and the parentheses of its address take it back. (An
-			// array, under a SpecTouch, only ever stands at depth 1:
-			// indexed here, or sliced by exprAs.)
-			return c.specLoad("&("+c.fieldSel(v, d)+")", v.DeclClass+"."+v.Name, c.e.prog.TypeOf(x))
-		}
-		return c.fieldSel(v, d)
+		// The depth carries over into a SpecLoad: its argument list adds a
+		// level and the parentheses of its address take it back. (An
+		// array, under a SpecTouch, only ever stands at depth 1: indexed
+		// here, or sliced by exprAs.)
+		c.load(x, v.DeclClass, v.Name, func() { c.fieldSel(v, d) })
 	case *ast.IndexExpr:
 		// An indexed operand prints at depth 1, its index one level down
-		// — at the same depths inside a SpecLoad's address.
-		el := c.expr(v.X, 1) + "[" + c.expr(v.Index, d+1) + "]"
-		if c.spec {
-			// Element locations carry no descriptor: the access reached
-			// the array through a monitored field load, whose key
-			// vouches for the whole aggregate.
-			return c.specLoad("&("+el+")", "", c.e.prog.TypeOf(x))
-		}
-		return el
+		// — at the same depths inside a SpecLoad's address. Element
+		// locations carry no descriptor: the access reached the array
+		// through a monitored field load, whose key vouches for the whole
+		// aggregate.
+		c.load(x, "", "", func() { c.expr(v.X, 1).w("[").expr(v.Index, d+1).w("]") })
 	case *ast.NewExpr:
-		return "&T_" + v.ClassName + "{}"
+		c.w("&T_", v.ClassName, "{}")
 	case *ast.CastExpr:
-		return c.cast(v, d)
+		c.cast(v, d)
 	case *ast.Unary:
-		return "(" + c.unary(v, reduceDepth(d)) + ")"
+		if !c.constant(x) {
+			c.w("(").unary(v, reduceDepth(d)).w(")")
+		}
 	case *ast.Binary:
-		return c.binary(v, d, false)
+		if !c.constant(x) {
+			c.binary(v, d, false)
+		}
 	case *ast.CallExpr:
-		if v.Builtin {
-			if v.Method == "print" {
-				c.errf("print used as a value")
-				return "0"
+		if !v.Builtin {
+			if cp := c.siteDispatch(v); cp.kind == ckValue {
+				return c.renderCall(v, cp, d)
 			}
+			c.errf("call with discarded result used as a value (site %d)", v.Site)
+			return c.zero(c.e.prog.TypeOf(v))
+		}
+		if v.Method != "print" {
 			return c.builtinCall(v, d)
 		}
-		cp := c.siteDispatch(v)
-		if cp.kind != ckValue {
-			c.errf("call with discarded result used as a value (site %d)", v.Site)
-			return c.e.zeroVal(c.e.prog.TypeOf(v))
-		}
-		return c.renderCall(v, cp, d)
+		c.errf("print used as a value")
+		c.w("0")
 	case *ast.Assign:
 		c.errf("assignment used as a value")
-		return "0"
+		c.w("0")
+	default:
+		c.errf("unsupported expression %T", x)
+		c.w("0")
 	}
-	c.errf("unsupported expression %T", x)
-	return "0"
+	return c
 }
 
-// fieldSel renders the selector of a field access, through the as_
+// constant writes an operation on constants only as its value, folded
+// with the interpreter's run-time arithmetic (types.Program.ConstValue),
+// and reports whether x was one. Go evaluates a constant expression
+// exactly, so `0.1 + 0.2` left to it is 0.3, not the interpreter's
+// 0.30000000000000004, and `9223372036854775807 + 1` does not compile.
+// A negative value is parenthesised, and a value no Go constant spells
+// (an infinity, a NaN, -0) is the call that makes its bits.
+func (c *fnCtx) constant(x ast.Expr) bool {
+	v, ok := c.e.prog.ConstValue(x)
+	switch f := v.F; {
+	case !ok:
+	case v.IsInt:
+		c.paren("(", v.I >= 0).int(v.I).paren(")", v.I >= 0)
+	case math.IsInf(f, 0) || math.IsNaN(f) || f == 0 && math.Signbit(f):
+		c.e.useMath = true
+		c.w("math.Float64frombits(0x")
+		c.b.Write(strconv.AppendUint(c.b.AvailableBuffer(), math.Float64bits(f), 16))
+		c.w(")")
+	default:
+		c.paren("(", f >= 0)
+		writeFloatLit(c.b, f)
+		c.paren(")", f >= 0)
+	}
+	return ok
+}
+
+// divisor writes the right operand of an integer division when div, or
+// any other operand, at depth d. Go rejects a division by a constant
+// zero, so that divisor is zero_, a variable: the division fails at run
+// time, as the interpreter's does.
+func (c *fnCtx) divisor(div bool, y ast.Expr, d int) *fnCtx {
+	if v, ok := c.e.prog.ConstValue(y); !div || !ok || !v.IsInt || v.I != 0 {
+		return c.expr(y, d)
+	}
+	c.e.use(c.b, helperZero)
+	return c
+}
+
+// load writes a load of x, the location addr writes. In a speculative
+// body it goes through the task's journal with its declared-effect key:
+// an aggregate (an embedded array, a nested object) stays addressable
+// for the caller to index, select or call through — SpecTouch logs the
+// read, and the inner accesses journal their own locations — anything
+// else is the journal's view: the task's buffered write, or the heap's.
+func (c *fnCtx) load(x ast.Expr, class, field string, addr func()) *fnCtx {
+	if !c.spec {
+		addr()
+		return c
+	}
+	open, end := "nativert.SpecLoad(sj_, &(", ")"
+	switch c.e.prog.TypeOf(x).(type) {
+	case types.Array, types.Object:
+		open, end = "(*nativert.SpecTouch(sj_, &(", "))"
+	}
+	c.w(open)
+	addr()
+	return c.w("), ").desc(class, field).w(end)
+}
+
+// desc writes a declared-effect key, class.field, quoted: both are
+// identifiers, which need no escapes. An element's key is empty.
+func (c *fnCtx) desc(class, field string) *fnCtx {
+	if class == "" {
+		return c.w(`""`)
+	}
+	return c.w(`"`, class, ".", field, `"`)
+}
+
+// fieldSel writes the selector of a field access, through the as_
 // accessor of the field's declaring class unless the base expression
 // already is a concrete pointer to that class.
-func (c *fnCtx) fieldSel(v *ast.FieldAccess, d int) string {
-	if b, cl := c.binding(v.X); b != "" {
-		if cl.Name == v.DeclClass {
-			return b + ".F_" + v.Name
+func (c *fnCtx) fieldSel(v *ast.FieldAccess, d int) *fnCtx {
+	if p := c.binding(v.X); p != nil {
+		if c.w("b_", p.Name); p.Type.(types.Pointer).Class.Name != v.DeclClass {
+			c.w(".as_", v.DeclClass, "()")
 		}
-		return b + ".as_" + v.DeclClass + "().F_" + v.Name
+		return c.w(".F_", v.Name)
 	}
-	base := c.expr(v.X, d)
-	if bcl := ptrClass(c.e.prog.TypeOf(v.X)); bcl != nil && bcl.Name == v.DeclClass && !c.e.exprIface(v.X) {
-		return base + ".F_" + v.Name
+	c.expr(v.X, d)
+	if bcl := ptrClass(c.e.prog.TypeOf(v.X)); bcl == nil || bcl.Name != v.DeclClass || c.e.exprIface(v.X) {
+		c.w(".as_", v.DeclClass, "()")
 	}
-	return base + ".as_" + v.DeclClass + "().F_" + v.Name
+	return c.w(".F_", v.Name)
 }
 
-// unary renders a prefix operator without the parentheses it carries
+// fieldOf writes the receiver's field name, declared in class.
+func (c *fnCtx) fieldOf(class, name string) *fnCtx {
+	if c.m.Class != nil && c.m.Class.Name == class {
+		return c.w("o.F_", name)
+	}
+	return c.w("o.as_", class, "().F_", name)
+}
+
+// unary writes a prefix operator without the parentheses it carries
 // as an operand.
-func (c *fnCtx) unary(v *ast.Unary, d int) string {
+func (c *fnCtx) unary(v *ast.Unary, d int) *fnCtx {
 	switch v.Op {
 	case token.MINUS:
-		return "-" + c.expr(v.X, d)
+		return c.w("-").expr(v.X, d)
 	case token.NOT:
-		return "!" + c.expr(v.X, d)
+		return c.w("!").expr(v.X, d)
 	}
 	c.errf("unsupported unary operator %v", v.Op)
-	return "0"
+	return c.w("0")
 }
 
-func (c *fnCtx) ident(v *ast.Ident) string {
+func (c *fnCtx) ident(v *ast.Ident) *fnCtx {
 	switch v.Sym {
 	case ast.SymLocal, ast.SymParam:
-		return "v_" + v.Name
+		return c.w("v_", v.Name)
 	case ast.SymConst:
-		return "C_" + v.Name
+		return c.w("C_", v.Name)
 	case ast.SymGlobal:
-		return "G_" + v.Name
+		return c.w("G_", v.Name)
 	case ast.SymField:
-		sel := "o.as_" + v.FieldClass + "().F_" + v.Name
-		if c.m.Class != nil && c.m.Class.Name == v.FieldClass {
-			sel = "o.F_" + v.Name
-		}
-		if c.spec {
-			return c.specLoad("&("+sel+")", v.FieldClass+"."+v.Name, c.e.prog.TypeOf(v))
-		}
-		return sel
+		return c.load(v, v.FieldClass, v.Name, func() { c.fieldOf(v.FieldClass, v.Name) })
 	}
 	c.errf("unresolved identifier %s", v.Name)
-	return "0"
+	return c.w("0")
 }
 
-// specLoad routes a shared-state load through the task's journal.
-// Aggregate-typed locations (embedded arrays and nested objects) must
-// stay addressable so the caller can index, select or invoke through
-// them — SpecTouch logs the read and returns the pointer, and the inner
-// accesses journal their own locations. Everything else returns the
-// journal's view of the value: a buffered write if the task made one,
-// the frozen heap value otherwise.
-func (c *fnCtx) specLoad(addr, desc string, t types.Type) string {
-	switch t.(type) {
-	case types.Array, types.Object:
-		return "(*nativert.SpecTouch(sj_, " + addr + ", " + strconv.Quote(desc) + "))"
-	}
-	return "nativert.SpecLoad(sj_, " + addr + ", " + strconv.Quote(desc) + ")"
-}
-
-// formatFloatLit renders a float literal so Go reads back the same
+// appendFloatLit appends a float literal so Go reads back the same
 // float64 bit pattern, keeping a decimal point or exponent so the
 // literal stays floating-typed.
-func formatFloatLit(v float64) string {
-	s := strconv.FormatFloat(v, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
+func appendFloatLit(dst []byte, v float64) []byte {
+	s := strconv.AppendFloat(dst, v, 'g', -1, 64)
+	if !bytes.ContainsAny(s[len(dst):], ".eE") {
+		s = append(s, ".0"...)
 	}
 	return s
 }
 
-func (c *fnCtx) cast(v *ast.CastExpr, d int) string {
+func writeFloatLit(b *bytes.Buffer, v float64) { b.Write(appendFloatLit(b.AvailableBuffer(), v)) }
+
+func (c *fnCtx) cast(v *ast.CastExpr, d int) *fnCtx {
 	tc := c.e.prog.Classes[v.ClassName]
 	sc := ptrClass(c.e.prog.TypeOf(v.X))
-	code := c.expr(v.X, d)
-	if tc == nil || sc == nil {
+	end := ""
+	switch {
+	case tc == nil || sc == nil:
 		c.errf("cast with unresolved classes")
-		return code
-	}
-	if sc == tc {
-		return code
-	}
-	if sc.InheritsFrom(tc) {
+	case sc == tc:
+	case sc.InheritsFrom(tc):
 		// Upcast: same object, possibly widened to the base interface.
-		return c.conv(code, v.X, types.Pointer{Class: sc}, types.Pointer{Class: tc})
-	}
-	if tc.InheritsFrom(sc) {
+		end = c.convOpen(v.X, types.Pointer{Class: sc}, types.Pointer{Class: tc})
+	case tc.InheritsFrom(sc):
 		// Downcast: runtime-checked, nil on failure (and on nil input),
 		// exactly like the interpreter's castValue.
-		return c.e.helperDC(sc, tc) + "(" + code + ")"
+		if c.e.reprIface(tc) {
+			c.e.use(c.b, helperDCI, sc, tc)
+		} else {
+			c.e.use(c.b, helperDC, sc, tc)
+		}
+		c.w("(")
+		end = ")"
+	default:
+		c.errf("cast between unrelated classes %s and %s", sc.Name, tc.Name)
 	}
-	c.errf("cast between unrelated classes %s and %s", sc.Name, tc.Name)
-	return code
+	return c.expr(v.X, d).w(end)
 }
 
 // goOp spells the dialect's arithmetic, compound-assignment and ordering
@@ -732,6 +770,7 @@ var goOp = map[token.Kind]string{
 	token.PLUS: "+", token.MINUS: "-", token.STAR: "*", token.SLASH: "/", token.PERCENT: "%",
 	token.PLUSEQ: "+", token.MINUSEQ: "-", token.STAREQ: "*", token.SLASHEQ: "/",
 	token.LT: "<", token.GT: ">", token.LEQ: "<=", token.GEQ: ">=",
+	token.EQ: "==", token.NEQ: "!=", token.AND: "&&", token.OR: "||",
 }
 
 // goBuiltin names the math-package function behind each math builtin.
@@ -741,24 +780,24 @@ var goBuiltin = map[string]string{
 	"cos": "math.Cos", "pow": "math.Pow",
 }
 
-// arith joins two operands with an arithmetic operator as gofmt prints
-// one at depth d: blanks at depth 1 only. (Every operand the emitter
-// writes is a primary expression, so go/printer's other spacing rules —
-// mixed precedence, clashing unary operands — never apply.)
-func arith(l, op, r string, d int) string {
+// arith writes an arithmetic operator as gofmt prints one at depth d:
+// blanks at depth 1 only. (Every operand the emitter writes is a
+// primary expression, so go/printer's other spacing rules — mixed
+// precedence, clashing unary operands — never apply.)
+func (c *fnCtx) arith(op string, d int) *fnCtx {
 	if d > 1 {
-		return l + op + r
+		return c.w(op)
 	}
-	return l + " " + op + " " + r
+	return c.w(" ", op, " ")
 }
 
-// paren wraps an operator expression for use as an operand; a control
-// clause takes it bare.
-func paren(code string, bare bool) string {
+// paren writes one of the parentheses around an operator expression used
+// as an operand; a control clause takes it bare.
+func (c *fnCtx) paren(s string, bare bool) *fnCtx {
 	if bare {
-		return code
+		return c
 	}
-	return "(" + code + ")"
+	return c.w(s)
 }
 
 // binary lowers a binary operator. Every float operation is wrapped in
@@ -769,86 +808,81 @@ func paren(code string, bare bool) string {
 // conversion keeps the depth; every other form is parenthesised (bare
 // only as a control clause, at depth 1), which takes a level off, and
 // operands print one level below their operator.
-func (c *fnCtx) binary(v *ast.Binary, d int, bare bool) string {
-	lt := c.e.prog.TypeOf(v.X)
-	rt := c.e.prog.TypeOf(v.Y)
-	in := reduceDepth(d)
+func (c *fnCtx) binary(v *ast.Binary, d int, bare bool) *fnCtx {
+	ints := isIntType(c.e.prog.TypeOf(v.X)) && isIntType(c.e.prog.TypeOf(v.Y))
+	in, op := reduceDepth(d), goOp[v.Op]
 	switch v.Op {
 	case token.PLUS, token.MINUS, token.STAR, token.SLASH, token.PERCENT:
-		if isIntType(lt) && isIntType(rt) {
-			return paren(arith(c.expr(v.X, in+1), goOp[v.Op], c.expr(v.Y, in+1), in), bare)
+		if ints {
+			return c.paren("(", bare).expr(v.X, in+1).arith(op, in).divisor(v.Op == token.SLASH || v.Op == token.PERCENT, v.Y, in+1).paren(")", bare)
 		}
-		return "float64(" + arith(c.floatOperand(v.X, lt, d+1), goOp[v.Op], c.floatOperand(v.Y, rt, d+1), d) + ")"
+		return c.w("float64(").floatOperand(v.X, d+1).arith(op, d).floatOperand(v.Y, d+1).w(")")
 	case token.LT, token.GT, token.LEQ, token.GEQ:
-		if isIntType(lt) && isIntType(rt) {
-			return paren(c.expr(v.X, in+1)+" "+goOp[v.Op]+" "+c.expr(v.Y, in+1), bare)
-		}
-		return paren(c.floatOperand(v.X, lt, in+1)+" "+goOp[v.Op]+" "+c.floatOperand(v.Y, rt, in+1), bare)
+		return c.infix(v, op, in+1, !ints, bare)
 	case token.EQ, token.NEQ:
 		return c.equality(v, d, bare)
-	case token.AND:
-		return paren(c.expr(v.X, in+1)+" && "+c.expr(v.Y, in+1), bare)
-	case token.OR:
-		return paren(c.expr(v.X, in+1)+" || "+c.expr(v.Y, in+1), bare)
+	case token.AND, token.OR:
+		return c.infix(v, op, in+1, false, bare)
 	}
 	c.errf("unsupported binary operator %v", v.Op)
-	return "0"
+	return c.w("0")
 }
 
-func (c *fnCtx) floatOperand(x ast.Expr, t types.Type, d int) string {
-	code := c.expr(x, d)
-	if isIntType(t) {
-		return "float64(" + code + ")"
+// infix writes v's operands at depth d around op, parenthesised unless
+// bare, and as float operands when float.
+func (c *fnCtx) infix(v *ast.Binary, op string, d int, float, bare bool) *fnCtx {
+	if c.paren("(", bare); float {
+		return c.floatOperand(v.X, d).w(" ", op, " ").floatOperand(v.Y, d).paren(")", bare)
 	}
-	return code
+	return c.expr(v.X, d).w(" ", op, " ").expr(v.Y, d).paren(")", bare)
 }
 
-func (c *fnCtx) equality(v *ast.Binary, d int, bare bool) string {
+// floatOperand writes x as an operand of a float operation: an int
+// converted.
+func (c *fnCtx) floatOperand(x ast.Expr, d int) *fnCtx {
+	if isIntType(c.e.prog.TypeOf(x)) {
+		return c.w("float64(").expr(x, d).w(")")
+	}
+	return c.expr(x, d)
+}
+
+func (c *fnCtx) equality(v *ast.Binary, d int, bare bool) *fnCtx {
 	lt := c.e.prog.TypeOf(v.X)
 	rt := c.e.prog.TypeOf(v.Y)
-	in := reduceDepth(d)
-	op := " == "
-	if v.Op == token.NEQ {
-		op = " != "
-	}
+	in, op := reduceDepth(d), goOp[v.Op]
 	lNull := types.Equal(lt, types.Basic(types.Null))
 	rNull := types.Equal(rt, types.Basic(types.Null))
 	switch {
 	case lNull && rNull:
-		if v.Op == token.NEQ {
-			return "false"
-		}
-		return "true"
+		return c.w(strconv.FormatBool(v.Op == token.EQ))
 	case rNull:
-		return paren(c.expr(v.X, in+1)+op+"nil", bare)
+		return c.paren("(", bare).expr(v.X, in+1).w(" ", op, " nil").paren(")", bare)
 	case lNull:
-		return paren(c.expr(v.Y, in+1)+op+"nil", bare)
+		return c.paren("(", bare).expr(v.Y, in+1).w(" ", op, " nil").paren(")", bare)
 	}
 	lc := ptrClass(lt)
 	rc := ptrClass(rt)
 	if lc != nil && rc != nil {
 		if !c.e.reprIface(lc) && !c.e.reprIface(rc) && !c.e.exprIface(v.X) && !c.e.exprIface(v.Y) {
-			return paren(c.expr(v.X, in+1)+op+c.expr(v.Y, in+1), bare)
+			return c.infix(v, op, in+1, false, bare)
 		}
 		// The helper call is no operator expression: only its negation
 		// is parenthesised. Its two arguments print one level down.
 		if v.Op == token.NEQ {
 			d = in
+			c.paren("(", bare).w("!")
 		}
-		root := chainRoot(lc)
-		call := c.e.helperEq(root) + "(" +
-			c.conv(c.expr(v.X, d+1), v.X, lt, types.Pointer{Class: root}) + ", " +
-			c.conv(c.expr(v.Y, d+1), v.Y, rt, types.Pointer{Class: root}) + ")"
-		if v.Op == token.NEQ {
-			return paren("!"+call, bare)
+		root := types.Pointer{Class: chainRoot(lc)}
+		c.e.use(c.b, helperEq, root.Class)
+		end := c.w("(").convOpen(v.X, lt, root)
+		end = c.expr(v.X, d+1).w(end, ", ").convOpen(v.Y, rt, root)
+		if c.expr(v.Y, d+1).w(end, ")"); v.Op == token.NEQ {
+			c.paren(")", bare)
 		}
-		return call
+		return c
 	}
 	// Numeric or boolean equality.
-	if isIntType(lt) && isIntType(rt) || !types.IsNumeric(lt) {
-		return paren(c.expr(v.X, in+1)+op+c.expr(v.Y, in+1), bare)
-	}
-	return paren(c.floatOperand(v.X, lt, in+1)+op+c.floatOperand(v.Y, rt, in+1), bare)
+	return c.infix(v, op, in+1, !(isIntType(lt) && isIntType(rt) || !types.IsNumeric(lt)), bare)
 }
 
 // ---------------------------------------------------------------------
@@ -857,21 +891,21 @@ func (c *fnCtx) equality(v *ast.Binary, d int, bare bool) string {
 // builtinCall lowers a math builtin to its math-package equivalent
 // (the interpreter's callBuiltin mapping); arguments coerce to float64
 // like the interpreter's asFloat.
-func (c *fnCtx) builtinCall(v *ast.CallExpr, d int) string {
+func (c *fnCtx) builtinCall(v *ast.CallExpr, d int) *fnCtx {
 	name := goBuiltin[v.Method]
 	if name == "" {
 		c.errf("unsupported builtin %s", v.Method)
-		return "0"
+		return c.w("0")
 	}
 	c.e.useMath = true
 	if len(v.Args) > 1 {
 		d++
 	}
-	var args []string
-	for _, a := range v.Args {
-		args = append(args, c.floatOperand(a, c.e.prog.TypeOf(a), d))
+	c.w(name, "(")
+	for i, a := range v.Args {
+		c.sep(i).floatOperand(a, d)
 	}
-	return name + "(" + strings.Join(args, ", ") + ")"
+	return c.w(")")
 }
 
 // printStmt lowers print(...): arguments are pre-converted to the
@@ -881,30 +915,33 @@ func (c *fnCtx) printStmt(v *ast.CallExpr) {
 	if len(v.Args) > 1 {
 		d = 2
 	}
-	var args []string
-	for _, a := range v.Args {
-		args = append(args, c.printArg(a, d))
+	c.begin("nativert.Print(")
+	for i, a := range v.Args {
+		c.sep(i).printArg(a, d)
 	}
-	c.line("nativert.Print(%s)", strings.Join(args, ", "))
+	c.w(")").end()
 }
 
-func (c *fnCtx) printArg(a ast.Expr, d int) string {
-	t := c.e.prog.TypeOf(a)
-	switch tt := t.(type) {
+func (c *fnCtx) printArg(a ast.Expr, d int) *fnCtx {
+	switch tt := c.e.prog.TypeOf(a).(type) {
 	case types.Basic:
 		switch tt {
 		case types.Int:
-			return "int64(" + c.expr(a, d) + ")"
+			return c.w("int64(").expr(a, d).w(")")
 		case types.Double:
-			return "float64(" + c.expr(a, d) + ")"
+			return c.w("float64(").expr(a, d).w(")")
 		case types.Null:
-			return "nil"
+			return c.w("nil")
 		}
-		return c.expr(a, d)
 	case types.Pointer:
-		return c.e.helperPN(tt.Class) + "(" + c.expr(a, d) + ")"
+		if c.e.reprIface(tt.Class) {
+			c.e.use(c.b, helperPNI, tt.Class)
+		} else {
+			c.e.use(c.b, helperPNC, tt.Class)
+		}
+		return c.w("(").expr(a, d).w(")")
 	case types.Object:
-		return strconv.Quote("<" + tt.Class.Name + ">")
+		return c.w(`"<`, tt.Class.Name, `>"`) // a class name needs no escapes
 	}
 	return c.expr(a, d)
 }

@@ -8,8 +8,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
-	"strings"
 
 	"commute/internal/analysis/effects"
 	"commute/internal/frontend/ast"
@@ -62,16 +62,91 @@ type fnCtx struct {
 	tmp    int
 }
 
-func (c *fnCtx) line(format string, args ...any) {
-	for i := 0; i < c.indent; i++ {
+// w writes parts; it and every renderer return c, to chain a line.
+func (c *fnCtx) w(parts ...string) *fnCtx {
+	write(c.b, parts...)
+	return c
+}
+
+// begin indents a new line and writes parts on it; end ends the line.
+func (c *fnCtx) begin(parts ...string) *fnCtx {
+	for range c.indent {
 		c.b.WriteByte('\t')
 	}
-	if len(args) == 0 {
-		c.b.WriteString(format)
-	} else {
-		fmt.Fprintf(c.b, format, args...)
+	return c.w(parts...)
+}
+
+func (c *fnCtx) end() { c.b.WriteByte('\n') }
+
+// line writes one line of parts.
+func (c *fnCtx) line(parts ...string) { c.begin(parts...).end() }
+
+// sep writes the separator ahead of the i-th item of a list.
+func (c *fnCtx) sep(i int) *fnCtx {
+	if i > 0 {
+		c.w(", ")
 	}
-	c.b.WriteByte('\n')
+	return c
+}
+
+func (c *fnCtx) int(n int64) *fnCtx {
+	c.b.Write(strconv.AppendInt(c.b.AvailableBuffer(), n, 10))
+	return c
+}
+
+func (c *fnCtx) typ(t types.Type, param bool) *fnCtx {
+	c.b.Write(c.e.appendType(c.b.AvailableBuffer(), t, param))
+	return c
+}
+
+// zero writes the zero value of a dialect type (what the interpreter's
+// zeroValue produces for a freshly declared local).
+func (c *fnCtx) zero(t types.Type) *fnCtx {
+	switch t.(type) {
+	case types.Array, types.Object:
+		return c.typ(t, false).w("{}")
+	}
+	switch t {
+	case types.Basic(types.Int), types.Basic(types.Double):
+		return c.w("0")
+	case types.Basic(types.Bool):
+		return c.w("false")
+	}
+	return c.w("nil")
+}
+
+// fullName writes m's dialect name, quoted: identifiers and "::" need no
+// escapes.
+func (c *fnCtx) fullName(m *types.Method) *fnCtx {
+	if c.w(`"`); m.Class != nil {
+		c.w(m.Class.Name, "::")
+	}
+	return c.w(m.Name, `"`)
+}
+
+// threadArgs writes what a call of version v passes ahead of the
+// method's own arguments: the site's worker handle w, sr_, and the
+// callee's journal — temporary jv where one is given, sj_ otherwise.
+func (c *fnCtx) threadArgs(v variant, w string, jv int) *fnCtx {
+	for i, a := range versions[v].thread {
+		switch c.sep(i); {
+		case a == "w":
+			c.w(w)
+		case a == "sj_" && jv > 0:
+			c.tmpVar(jv)
+		default:
+			c.w(a)
+		}
+	}
+	return c
+}
+
+// vars writes the frame variables' names as a list, after n items.
+func (c *fnCtx) vars(n int, vs []types.Var) *fnCtx {
+	for i, v := range vs {
+		c.sep(n+i).w("v_", v.Name)
+	}
+	return c
 }
 
 func (c *fnCtx) errf(format string, args ...any) {
@@ -80,21 +155,21 @@ func (c *fnCtx) errf(format string, args ...any) {
 
 // emitFn appends one method version to e.fns as Go source.
 func (e *goEmitter) emitFn(m *types.Method, v variant) {
+	c := &e.fn
+	*c = fnCtx{e: e, b: e.fns, m: m, mp: e.plan.Methods[m], mode: versions[v].mode, spec: specVariant(v), indent: 1}
+	params, locals := m.Frame[:len(m.Params)], m.Frame[len(m.Params):]
 	if v == varR {
-		e.emitRegionWrapper(m)
+		c.regionWrapper()
 		return
 	}
-	c := &fnCtx{e: e, b: &e.fns, m: m, mp: e.plan.Methods[m], mode: versions[v].mode, spec: specVariant(v)}
-	e.fnSignature(m, v)
-	c.b.WriteString(" {\n")
-	c.indent = 1
+	c.signature(v).w(" {\n")
 
 	if v == varX && c.mp.Coarse {
 		// Lock coarsening: the serial version under the receiver lock.
 		e.demand(m, varS)
 		c.lockPrologue()
-		c.line("o.S_%s(%s)", m.Name, strings.Join(paramArgs(m), ", "))
-		c.b.WriteString("}\n")
+		c.begin("o.S_", m.Name, "(").vars(0, params).w(")").end()
+		c.w("}\n")
 		return
 	}
 	if v == varJP {
@@ -107,22 +182,25 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) {
 
 	// Hoisted frame locals (interpreter frames allocate every local up
 	// front; DeclStmt re-zeroes its slot on execution).
-	locals := m.Frame[len(m.Params):]
 	if len(locals) > 0 {
-		var names []string
-		var rows [][]string
-		for _, l := range locals {
-			names = append(names, "v_"+l.Name)
-			rows = append(rows, []string{"v_" + l.Name, e.goType(l.Type, false)})
+		rows := make([][]string, len(locals))
+		for i, l := range locals {
+			rows[i] = []string{"v_" + l.Name, e.goType(l.Type, false)}
 		}
 		c.line("var (")
 		alignRows(c.b, "\t\t", rows)
 		c.line(")")
-		c.line("%s = %s", strings.Repeat("_, ", len(locals)-1)+"_", strings.Join(names, ", "))
+		c.begin("_")
+		for range len(locals) - 1 {
+			c.w(", _")
+		}
+		c.w(" = ").vars(0, locals).end()
 	}
 	c.bound = e.bindings(m)
 	for _, p := range c.bound {
-		c.line("b_%s := %s(v_%[1]s)", p.Name, e.helperAsI(p.Type.(types.Pointer).Class))
+		c.begin("b_", p.Name, " := ")
+		e.use(c.b, helperAsI, p.Type.(types.Pointer).Class)
+		c.w("(v_", p.Name, ")").end()
 	}
 
 	// Lock prologue for parallel/mutex versions (rt.callVersion:
@@ -135,17 +213,7 @@ func (e *goEmitter) emitFn(m *types.Method, v variant) {
 	for _, s := range m.Def.Body.Stmts {
 		c.stmt(s)
 	}
-	c.b.WriteString("}\n")
-}
-
-// paramArgs lists m's parameters as a version passes them on to another
-// version of m.
-func paramArgs(m *types.Method) []string {
-	var args []string
-	for _, p := range m.Params {
-		args = append(args, "v_"+p.Name)
-	}
-	return args
+	c.w("}\n")
 }
 
 // valueMode reports whether the current version returns the method's
@@ -157,33 +225,27 @@ func isVoid(t types.Type) bool {
 	return t == nil || (ok && b == types.Void)
 }
 
-// fnSignature appends the func header for one version.
-func (e *goEmitter) fnSignature(m *types.Method, v variant) {
-	b := &e.fns
-	b.WriteString("func ")
-	if m.Class != nil {
-		fmt.Fprintf(b, "(o *T_%s) ", m.Class.Name)
+// signature writes the func header of version v of the method.
+func (c *fnCtx) signature(v variant) *fnCtx {
+	m, thread := c.m, versions[v].thread
+	if c.w("func "); m.Class != nil {
+		c.w("(o *T_", m.Class.Name, ") ")
 	}
-	b.WriteString(versions[v].prefix)
-	b.WriteString(m.Name)
-	b.WriteByte('(')
-	var params []string
-	for _, a := range versions[v].thread {
-		params = append(params, a+" "+threadType[a])
-		e.useRtkit = e.useRtkit || a == "w"
+	c.w(versions[v].prefix, m.Name, "(")
+	for i, a := range thread {
+		c.sep(i).w(a, " ", threadType[a])
+		c.e.useRtkit = c.e.useRtkit || a == "w"
 	}
-	for _, p := range m.Params {
-		params = append(params, "v_"+p.Name+" "+e.goType(p.Type, true))
+	for i, p := range m.Params {
+		c.sep(len(thread)+i).w("v_", p.Name, " ").typ(p.Type, true)
 	}
-	b.WriteString(strings.Join(params, ", "))
-	b.WriteByte(')')
 	if mode := versions[v].mode; mode != mP && mode != mX && !isVoid(m.Ret) {
-		b.WriteByte(' ')
-		b.WriteString(e.goType(m.Ret, false))
+		return c.w(") ").typ(m.Ret, false)
 	}
+	return c.w(")")
 }
 
-// emitRegionWrapper renders R_m, the serial-to-parallel boundary: a
+// regionWrapper writes R_m, the serial-to-parallel boundary: a
 // switch on the tier nativert's entry rule gives this entry under the
 // run's policy (rt_, the program's nativert.Driver), as internal/rt's
 // serialCtx is. The root's static facts and its guard go in; only the
@@ -204,20 +266,18 @@ func (e *goEmitter) fnSignature(m *types.Method, v variant) {
 // work bound is under regionEntryCost is not worth a region under any
 // tier or policy. Its wrapper counts the entry it declined and is the
 // serial version, so no other version of the extent is ever demanded.
-func (e *goEmitter) emitRegionWrapper(m *types.Method) {
+func (c *fnCtx) regionWrapper() {
+	e, m := c.e, c.m
 	e.demand(m, varS)
-	c := &fnCtx{e: e, b: &e.fns, m: m, mp: e.plan.Methods[m], indent: 1}
-	e.fnSignature(m, varR)
-	c.b.WriteString(" {\n")
-	args := paramArgs(m)
-	// call renders a call of m's version v, ahead of whose own arguments
-	// go the pool's external handle and the region's journal.
-	call := func(v variant, w string) string {
-		recv := ""
-		if m.Class != nil {
-			recv = "o."
+	c.signature(varR).w(" {\n")
+	// call writes a line calling m's version v, indented by tab, ahead
+	// of whose own arguments go the pool's external handle w and the
+	// region's journal.
+	call := func(tab string, v variant, w string) {
+		if c.begin(tab); m.Class != nil {
+			c.w("o.")
 		}
-		return recv + versions[v].prefix + m.Name + "(" + strings.Join(append(threadArgs(v, w, "sj_"), args...), ", ") + ")"
+		c.w(versions[v].prefix, m.Name, "(").threadArgs(v, w, 0).vars(len(versions[v].thread), m.Frame[:len(m.Params)]).w(")").end()
 	}
 	root, declined := c.mp.EntryFacts(), e.plan.EmitDeclines(m)
 	if declined {
@@ -231,33 +291,38 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) {
 	if declined || root == (nativert.Root{}) {
 		// Declined, or a rejected extent that may not speculate: serial
 		// under every policy.
-		c.line("%s", call(varS, ""))
-		c.b.WriteString("}\n")
+		call("", varS, "")
+		c.w("}\n")
 		return
 	}
-	var facts []string
-	guard := "nil"
-	if root.Proven {
-		facts = append(facts, "Proven: true")
-	}
-	if root.Conditional {
-		facts = append(facts, "Conditional: true")
-		// A function literal on three lines stays on three lines.
-		guard = "func() bool {\n\t\treturn " + e.guardExpr(c.mp) + "\n\t}"
+	c.begin("switch rt_.Enter(&rt_.Stats, nativert.Root{")
+	n, facts := 0, [...]bool{root.Proven, root.Conditional, root.SpecEligible}
+	for i, name := range [...]string{"Proven", "Conditional", "SpecEligible"} {
+		if facts[i] {
+			c.sep(n).w(name, ": true")
+			n++
+		}
 	}
 	if root.SpecEligible {
-		facts = append(facts, "SpecEligible: true", "Confidence: "+formatFloatLit(root.Confidence))
+		c.w(", Confidence: ")
+		writeFloatLit(c.b, root.Confidence)
 	}
-	c.line("switch rt_.Enter(&rt_.Stats, nativert.Root{%s}, %s) {", strings.Join(facts, ", "), guard)
+	if c.w("}, "); root.Conditional {
+		// A function literal on three lines stays on three lines.
+		c.w("func() bool {\n\t\treturn ", e.guardExpr(c.mp), "\n\t}")
+	} else {
+		c.w("nil")
+	}
+	c.w(") {").end()
 	if root.Proven || root.Conditional {
 		e.demand(m, varP)
 		c.line("case nativert.Parallel:")
 		c.line("\tpool_ := nativert.Pool(rt_.Workers)")
-		c.line("\t%s", call(varP, "pool_.External()"))
+		call("\t", varP, "pool_.External()")
 		c.line("\tpool_.Drain()")
 		for _, g := range e.plan.regionReplicas(m) {
 			e.replicas[g] = true
-			c.line("\trep_%s.Fold(G_%s, (*T_%s).fold_)", g.Name, g.Name, g.Class.Name)
+			c.line("\trep_", g.Name, ".Fold(G_", g.Name, ", (*T_", g.Class.Name, ").fold_)")
 		}
 	}
 	if root.SpecEligible {
@@ -265,16 +330,16 @@ func (e *goEmitter) emitRegionWrapper(m *types.Method) {
 		e.useRtkit = true
 		rd, wr := e.specSets(m)
 		c.line("case nativert.Speculative:")
-		c.line("\tif !rt_.RunSpeculative(%s, %s, func(w *rtkit.Worker, sr_ *nativert.SpecRegion, sj_ *nativert.SpecJournal) {", rd, wr)
-		c.line("\t\t%s", call(varJP, "w"))
+		c.line("\tif !rt_.RunSpeculative(", rd, ", ", wr, ", func(w *rtkit.Worker, sr_ *nativert.SpecRegion, sj_ *nativert.SpecJournal) {")
+		call("\t\t", varJP, "w")
 		c.line("\t}) {")
-		c.line("\t\t%s", call(varS, ""))
+		call("\t\t", varS, "")
 		c.line("\t}")
 	}
 	c.line("default:")
-	c.line("\t%s", call(varS, ""))
+	call("\t", varS, "")
 	c.line("}")
-	c.b.WriteString("}\n")
+	c.w("}\n")
 }
 
 // regionEntryCost is what entering a parallel region costs emitted code,
@@ -384,21 +449,19 @@ func (c *fnCtx) stmt(s ast.Stmt) {
 		}
 	case *ast.DeclStmt:
 		t := c.e.prog.DeclType[v]
-		if v.Init == nil {
-			c.line("v_%s = %s", v.Name, c.e.zeroVal(t))
-			return
-		}
 		// The interpreter zeroes the slot before evaluating the
 		// initializer; that is observable only when the initializer
 		// reads the variable being declared.
-		if refersToVar(v.Init, v.Name) {
-			c.line("v_%s = %s", v.Name, c.e.zeroVal(t))
+		if v.Init == nil || refersToVar(v.Init, v.Name) {
+			c.begin("v_", v.Name, " = ").zero(t).end()
 		}
-		c.line("v_%s = %s", v.Name, c.exprAs(v.Init, t, 1))
+		if v.Init != nil {
+			c.begin("v_", v.Name, " = ").exprAs(v.Init, t, 1).end()
+		}
 	case *ast.ExprStmt:
 		c.exprStmt(v.X)
 	case *ast.IfStmt:
-		c.line("if %s {", c.clause(v.Cond))
+		c.begin("if ").clause(v.Cond).w(" {").end()
 		c.indent++
 		c.stmt(v.Then)
 		c.indent--
@@ -410,7 +473,7 @@ func (c *fnCtx) stmt(s ast.Stmt) {
 		}
 		c.line("}")
 	case *ast.WhileStmt:
-		c.line("for %s {", c.clause(v.Cond))
+		c.begin("for ").clause(v.Cond).w(" {").end()
 		c.indent++
 		c.stmt(v.Body)
 		c.indent--
@@ -433,29 +496,23 @@ func (c *fnCtx) returnStmt(v *ast.ReturnStmt) {
 		c.line("return")
 		return
 	}
-	if v.X == nil {
-		if isVoid(c.m.Ret) {
-			c.line("return")
-		} else {
-			c.line("return %s", c.e.zeroVal(c.m.Ret))
-		}
-		return
-	}
-	if call, ok := v.X.(*ast.CallExpr); ok && !call.Builtin {
-		cp := c.siteDispatch(call)
-		if cp.kind != ckValue {
+	x := v.X
+	if call, ok := x.(*ast.CallExpr); ok && !call.Builtin {
+		if cp := c.siteDispatch(call); cp.kind != ckValue {
 			// The called version's result is discarded (spawn/
 			// hoisted); run it, return a zero value.
 			c.effectCall(call, cp)
-			if isVoid(c.m.Ret) {
-				c.line("return")
-			} else {
-				c.line("return %s", c.e.zeroVal(c.m.Ret))
-			}
-			return
+			x = nil
 		}
 	}
-	c.line("return %s", c.exprAs(v.X, c.m.Ret, 1))
+	switch {
+	case x != nil:
+		c.begin("return ").exprAs(x, c.m.Ret, 1).end()
+	case isVoid(c.m.Ret):
+		c.line("return")
+	default:
+		c.begin("return ").zero(c.m.Ret).end()
+	}
 }
 
 // refersToVar reports whether the expression reads local/param name.
@@ -488,11 +545,12 @@ func (c *fnCtx) forStmt(fs *ast.ForStmt) {
 	if fs.Init != nil {
 		c.stmt(fs.Init)
 	}
-	cond := "true"
-	if fs.Cond != nil {
-		cond = c.clause(fs.Cond)
+	if c.begin("for "); fs.Cond != nil {
+		c.clause(fs.Cond)
+	} else {
+		c.w("true")
 	}
-	c.line("for %s {", cond)
+	c.w(" {").end()
 	c.indent++
 	c.stmt(fs.Body)
 	if fs.Post != nil {
@@ -528,37 +586,27 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, h ast.CountedLoop) {
 	}
 	// Frame variables referenced by the body, in frame-slot order.
 	used := c.bodyVars(fs.Body)
-	loopVarUsed := false
-	var copies []string
-	for _, name := range used {
-		if name == h.Var.Name {
-			loopVarUsed = true
-		}
-		copies = append(copies, "v_"+name)
-	}
 	c.line("{")
 	c.indent++
-	c.line("var gssTo_ int64 = %s", c.expr(h.Bound, 1))
+	c.begin("var gssTo_ int64 = ").expr(h.Bound, 1).end()
+	// rt's speculative loops: one fresh journal per claimant, taken by the
+	// claimant; the factory parameter shadows the enclosing task's sj_ so
+	// the iteration body journals into the claimant's own log.
+	loop, factory := "nativert.GSSOn(w, ", ", func(w *rtkit.Worker) func(int64) {"
 	if c.spec {
-		// rt's speculative loops: one fresh journal per claimant, taken
-		// by the claimant; the factory parameter shadows the enclosing
-		// task's sj_ so the iteration body journals into the claimant's
-		// own log.
-		c.line("nativert.SpecGSS(w, sr_, %q, %q, rt_.Workers, v_%s, gssTo_, %d, func(sj_ *nativert.SpecJournal) func(int64) {",
-			c.m.FullName(), fs.Pos().String(), h.Var.Name, h.Step)
-	} else {
-		c.line("nativert.GSSOn(w, %q, %q, rt_.Workers, v_%s, gssTo_, %d, func(w *rtkit.Worker) func(int64) {",
-			c.m.FullName(), fs.Pos().String(), h.Var.Name, h.Step)
+		loop, factory = "nativert.SpecGSS(w, sr_, ", ", func(sj_ *nativert.SpecJournal) func(int64) {"
 	}
+	pos := fs.Pos()
+	c.begin(loop).fullName(c.m).w(`, "`).int(int64(pos.Line)).w(":").int(int64(pos.Col))
+	c.w(`", rt_.Workers, v_`, h.Var.Name, ", gssTo_, ").int(h.Step).w(factory).end()
 	c.indent++
-	if len(copies) > 0 {
-		list := strings.Join(copies, ", ")
-		c.line("%s := %s", list, list)
+	if len(used) > 0 {
+		c.begin().vars(0, used).w(" := ").vars(0, used).end()
 	}
 	c.line("return func(gssI_ int64) {")
 	c.indent++
-	if loopVarUsed {
-		c.line("v_%s = gssI_", h.Var.Name)
+	if slices.ContainsFunc(used, func(v types.Var) bool { return v.Name == h.Var.Name }) {
+		c.line("v_", h.Var.Name, " = gssI_")
 	}
 	// The body's call sites lower under the iteration context.
 	sub := &fnCtx{e: c.e, b: c.b, m: c.m, mp: c.mp, mode: mI, spec: c.spec, bound: c.bound, indent: c.indent, tmp: c.tmp}
@@ -568,15 +616,15 @@ func (c *fnCtx) gssLoop(fs *ast.ForStmt, h ast.CountedLoop) {
 	c.line("}")
 	c.indent--
 	c.line("})")
-	c.line("v_%[1]s = rtkit.LoopExit(v_%[1]s, gssTo_, %d)", h.Var.Name, h.Step)
+	c.begin("v_", h.Var.Name, " = rtkit.LoopExit(v_", h.Var.Name, ", gssTo_, ").int(h.Step).w(")").end()
 	c.indent--
 	c.line("}")
 }
 
-// bodyVars returns the frame variable names referenced in the loop
-// body, in frame-slot order (deterministic emission order for the
-// per-claimant copies).
-func (c *fnCtx) bodyVars(body ast.Stmt) []string {
+// bodyVars returns the frame variables referenced in the loop body, in
+// frame-slot order (deterministic emission order for the per-claimant
+// copies).
+func (c *fnCtx) bodyVars(body ast.Stmt) []types.Var {
 	used := map[string]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && (id.Sym == ast.SymLocal || id.Sym == ast.SymParam) {
@@ -584,10 +632,10 @@ func (c *fnCtx) bodyVars(body ast.Stmt) []string {
 		}
 		return true
 	})
-	var out []string
+	var out []types.Var
 	for _, v := range c.m.Frame {
 		if used[v.Name] {
-			out = append(out, v.Name)
+			out = append(out, v)
 		}
 	}
 	return out

@@ -8,8 +8,10 @@ import (
 	"go/format"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"commute"
@@ -639,4 +641,56 @@ func TestEmitGoLowersSpeculativePlans(t *testing.T) {
 		t.Errorf("main.go defines flags:\n%s", main)
 	}
 	assertCanonical(t, "spec", files)
+}
+
+// TestConcurrentEmitsShareNothing: each emit renders into scratch of its
+// own, so eight goroutines emitting the same plans at once each return,
+// byte for byte, what one emit alone returns.
+func TestConcurrentEmitsShareNothing(t *testing.T) {
+	type emitted struct {
+		sys     *commute.System
+		listing string
+		files   map[string][]byte
+	}
+	var want []emitted
+	for _, load := range []func() (*commute.System, error){
+		func() (*commute.System, error) { return apps.BarnesHut(64, 1) },
+		func() (*commute.System, error) { return cleared(apps.Water(8, 1)) },
+		func() (*commute.System, error) { return cleared(apps.Graph(8)) },
+		func() (*commute.System, error) { return cleared(apps.CondHash(0, 4)) },
+		func() (*commute.System, error) { return cleared(commute.Load("specconflict", src.SpecConflict)) },
+	} {
+		sys, err := load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: "p"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, emitted{sys, sys.Plan.EmitParallelSource(sys.File), files})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*2*len(want))
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				w := want[(g+i)%len(want)]
+				if got := w.sys.Plan.EmitParallelSource(w.sys.File); got != w.listing {
+					errs <- fmt.Sprintf("goroutine %d: the listing of program %d differs", g, (g+i)%len(want))
+				}
+				files, err := w.sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: "p"})
+				if err != nil || !reflect.DeepEqual(files, w.files) {
+					errs <- fmt.Sprintf("goroutine %d: the package of program %d differs (%v)", g, (g+i)%len(want), err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

@@ -3,7 +3,7 @@ package codegen
 // The static work estimate: for every method, an upper bound on the
 // DASH cost units one serial execution of it charges, callees included.
 // It is what the entry rule of each runtime (rt.serialCtx,
-// emitRegionWrapper) compares against that runtime's region-entry cost
+// regionWrapper) compares against that runtime's region-entry cost
 // to decline a region parallel execution cannot win — §5.2's suppression
 // of concurrency that does not pay, taken from "already inside a region"
 // to "not worth a region".

@@ -3,22 +3,21 @@
 // paper's source-to-source output, §6.1), and the tests use it for
 // parse→print→parse round trips.
 //
-// Everything is written into one strings.Builder, the caller's where it
-// has one (the Write* entry points), so a nested construct costs no
+// Everything is written into one buffer, the caller's where it has one
+// (the Write* entry points), so a nested construct costs no
 // intermediate string.
 package printer
 
 import (
 	"bytes"
 	"strconv"
-	"strings"
 
 	"commute/internal/frontend/ast"
 )
 
 // File renders a complete source file.
 func File(f *ast.File) string {
-	var sb strings.Builder
+	var sb bytes.Buffer
 	sb.Grow(f.Size)
 	p := &printer{sb: &sb}
 	for i, d := range f.Decls {
@@ -32,41 +31,41 @@ func File(f *ast.File) string {
 
 // Expr renders an expression.
 func Expr(e ast.Expr) string {
-	var sb strings.Builder
+	var sb bytes.Buffer
 	WriteExpr(&sb, e)
 	return sb.String()
 }
 
 // WriteDecl appends a top-level declaration as File renders it.
-func WriteDecl(sb *strings.Builder, d ast.Decl) { (&printer{sb: sb}).decl(d) }
+func WriteDecl(sb *bytes.Buffer, d ast.Decl) { (&printer{sb: sb}).decl(d) }
 
 // WriteMembers appends the members of a class (fields, prototypes and
 // inline methods) as File renders them between the class frame's lines.
-func WriteMembers(sb *strings.Builder, cd *ast.ClassDecl) {
+func WriteMembers(sb *bytes.Buffer, cd *ast.ClassDecl) {
 	(&printer{sb: sb, indent: 1}).members(cd)
 }
 
 // WriteParams appends a parameter list, without its parentheses.
-func WriteParams(sb *strings.Builder, ps []*ast.Param) { (&printer{sb: sb}).params(ps) }
+func WriteParams(sb *bytes.Buffer, ps []*ast.Param) { (&printer{sb: sb}).params(ps) }
 
 // WriteStmt appends a statement at the given indent level.
-func WriteStmt(sb *strings.Builder, s ast.Stmt, indent int) {
+func WriteStmt(sb *bytes.Buffer, s ast.Stmt, indent int) {
 	(&printer{sb: sb, indent: indent}).stmt(s)
 }
 
 // WriteForHeader appends the "init; cond; post" of a for statement.
-func WriteForHeader(sb *strings.Builder, x *ast.ForStmt) { (&printer{sb: sb}).forHeader(x) }
+func WriteForHeader(sb *bytes.Buffer, x *ast.ForStmt) { (&printer{sb: sb}).forHeader(x) }
 
 // WriteExpr appends an expression.
-func WriteExpr(sb *strings.Builder, e ast.Expr) { (&printer{sb: sb}).expr(e, 0) }
+func WriteExpr(sb *bytes.Buffer, e ast.Expr) { (&printer{sb: sb}).expr(e, 0) }
 
 // WriteCall appends a call whose method name carries suffix.
-func WriteCall(sb *strings.Builder, x *ast.CallExpr, suffix string) {
+func WriteCall(sb *bytes.Buffer, x *ast.CallExpr, suffix string) {
 	(&printer{sb: sb}).call(x, suffix)
 }
 
 type printer struct {
-	sb     *strings.Builder
+	sb     *bytes.Buffer
 	indent int
 }
 

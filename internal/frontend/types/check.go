@@ -41,7 +41,8 @@ func Check(files ...*ast.File) (*Program, error) {
 		Funcs:    make(map[string]*Method),
 		Globals:  make(map[string]*Global),
 		Consts:   make(map[string]ConstVal),
-		ExprType: make([]Type, exprs+1),
+		ExprType: make([]uint32, exprs+1),
+		typeTab:  []Type{nil},
 		DeclType: make(map[*ast.DeclStmt]Type),
 
 		SourceBytes: size,
@@ -154,7 +155,7 @@ func (c *checker) errorf(pos token.Pos, format string, args ...any) {
 // Declarations
 
 func (c *checker) checkConstDecl(kd *ast.ConstDecl) {
-	v, ok := c.evalConst(kd.Value)
+	v, ok := c.prog.ConstValue(kd.Value)
 	if !ok {
 		c.errorf(kd.Pos(), "constant %s: initializer is not a compile-time constant", kd.Name)
 		return
@@ -173,23 +174,29 @@ func (c *checker) checkConstDecl(kd *ast.ConstDecl) {
 	c.prog.Consts[kd.Name] = v
 }
 
-// evalConst evaluates a compile-time constant expression built from
+// ConstValue evaluates a compile-time constant expression built from
 // literals, named constants, unary minus, and the four arithmetic
-// operators.
-func (c *checker) evalConst(e ast.Expr) (ConstVal, bool) {
+// operators, as the interpreter's kernels evaluate it at run time:
+// int64 arithmetic wraps, and every float64 operation rounds once (the
+// conversions forbid fusing two into one). An integer division by zero
+// is no constant: it fails at run time.
+func (p *Program) ConstValue(e ast.Expr) (ConstVal, bool) {
 	switch x := e.(type) {
 	case *ast.IntLit:
 		return ConstVal{IsInt: true, I: x.Value}, true
 	case *ast.FloatLit:
 		return ConstVal{F: x.Value}, true
 	case *ast.Ident:
-		v, ok := c.prog.Consts[x.Name]
+		if x.Sym != ast.SymUnresolved && x.Sym != ast.SymConst {
+			return ConstVal{}, false
+		}
+		v, ok := p.Consts[x.Name]
 		return v, ok
 	case *ast.Unary:
 		if x.Op != token.MINUS {
 			return ConstVal{}, false
 		}
-		v, ok := c.evalConst(x.X)
+		v, ok := p.ConstValue(x.X)
 		if !ok {
 			return ConstVal{}, false
 		}
@@ -198,9 +205,12 @@ func (c *checker) evalConst(e ast.Expr) (ConstVal, bool) {
 		}
 		return ConstVal{F: -v.F}, true
 	case *ast.Binary:
-		a, ok1 := c.evalConst(x.X)
-		b, ok2 := c.evalConst(x.Y)
-		if !ok1 || !ok2 {
+		a, ok := p.ConstValue(x.X)
+		if !ok {
+			return ConstVal{}, false
+		}
+		b, ok := p.ConstValue(x.Y)
+		if !ok {
 			return ConstVal{}, false
 		}
 		if a.IsInt && b.IsInt {
@@ -222,13 +232,13 @@ func (c *checker) evalConst(e ast.Expr) (ConstVal, bool) {
 		af, bf := a.AsFloat(), b.AsFloat()
 		switch x.Op {
 		case token.PLUS:
-			return ConstVal{F: af + bf}, true
+			return ConstVal{F: float64(af + bf)}, true
 		case token.MINUS:
-			return ConstVal{F: af - bf}, true
+			return ConstVal{F: float64(af - bf)}, true
 		case token.STAR:
-			return ConstVal{F: af * bf}, true
+			return ConstVal{F: float64(af * bf)}, true
 		case token.SLASH:
-			return ConstVal{F: af / bf}, true
+			return ConstVal{F: float64(af / bf)}, true
 		}
 	}
 	return ConstVal{}, false
@@ -276,7 +286,7 @@ func (c *checker) resolveType(te *ast.TypeExpr, pos token.Pos) Type {
 			base = Array{Elem: base, Len: -1}
 			continue
 		}
-		v, ok := c.evalConst(dim)
+		v, ok := c.prog.ConstValue(dim)
 		if !ok || !v.IsInt || v.I <= 0 {
 			c.errorf(pos, "array dimension must be a positive integer constant")
 			base = Array{Elem: base, Len: 1}

@@ -204,9 +204,17 @@ func (c *checker) checkAssignable(to, from Type, pos token.Pos, what string) {
 	c.errorf(pos, "%s: cannot assign %s to %s", what, from, to)
 }
 
-// setType records and returns an expression's type.
+// setType records and returns an expression's type. A program has a
+// few dozen distinct types, so a scan finds an entry's index.
 func (c *checker) setType(e ast.Expr, t Type) Type {
-	c.prog.ExprType[e.Num()] = t
+	i := 0
+	for i < len(c.prog.typeTab) && c.prog.typeTab[i] != t {
+		i++
+	}
+	if i == len(c.prog.typeTab) {
+		c.prog.typeTab = append(c.prog.typeTab, t)
+	}
+	c.prog.ExprType[e.Num()] = uint32(i)
 	return t
 }
 

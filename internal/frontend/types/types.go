@@ -354,8 +354,10 @@ type Program struct {
 	SourceBytes int // Σ ast.File.Size of the checked files
 
 	// ExprType records the checked type of every expression, indexed
-	// by the expression's number (ast.Expr.Num).
-	ExprType []Type
+	// by the expression's number (ast.Expr.Num), as an index into
+	// typeTab, the program's distinct types; 0 is no type.
+	ExprType []uint32
+	typeTab  []Type
 	// DeclType records the resolved type of every local declaration.
 	DeclType map[*ast.DeclStmt]Type
 }
@@ -365,7 +367,7 @@ func (p *Program) TypeOf(e ast.Expr) Type {
 	if e == nil || int(e.Num()) >= len(p.ExprType) {
 		return nil
 	}
-	return p.ExprType[e.Num()]
+	return p.typeTab[p.ExprType[e.Num()]]
 }
 
 // Coercion is the store coercion a value assigned into a location of

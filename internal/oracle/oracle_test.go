@@ -2,11 +2,14 @@ package oracle_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"commute/internal/apps/src"
+	"commute/internal/nativegen"
 	"commute/internal/oracle"
 	"commute/internal/rt"
 )
@@ -134,6 +137,11 @@ func rows() []oracle.Row {
 		// extent below two mutually recursive serial drivers, which need a
 		// D_ version of both halves of the cycle natively, and a root called
 		// from inside another, part of the outer's serial version there.
+		// Operations on constants only, which Go would evaluate exactly
+		// (0.3, not 0.30000000000000004), could not spell (-0, +Inf, NaN)
+		// or would reject (an int64 overflow): the emitter folds each as
+		// the interpreter computes it and writes the value's bits.
+		{Name: "constfold", Source: constFold, Native: true},
 		{Name: "pingpong", Source: src.SpecDisjoint[:strings.Index(src.SpecDisjoint, "void main()")] + pingPong, Native: true, Expect: declinesAsBuilt},
 		{Name: "nested", Source: nestedRoots, Native: true, Expect: declinesAsBuilt},
 	}
@@ -658,6 +666,93 @@ void main() {
   D.run(7);
 }
 `
+
+const constFold = `
+const double TENTH = 0.1;
+const int BIG = 9223372036854775807;
+
+class consts {
+public:
+  double sum;
+  double negzero;
+  double inf;
+  double nan;
+  int wrap;
+  double mixed;
+  void fill(double x);
+};
+
+consts K;
+
+void consts::fill(double x) {
+  sum = 0.1 + 0.2;
+  negzero = -0.0;
+  inf = 1e300 * 1e300;
+  nan = 0.0 / 0.0;
+  wrap = 9223372036854775807 + 1;
+  mixed = x * (TENTH + 0.2) + BIG * 2;
+}
+
+void main() {
+  double d;
+  d = 0.1 + 0.2;
+  print(d);
+  print(0.1 + 0.2, -0.0, 1e300 * 1e300, 9223372036854775807 + 1);
+  K.fill(3.0);
+  print(K.sum, K.negzero, K.inf, K.nan, K.wrap, K.mixed);
+}
+`
+
+// TestZeroDivisorBuilds: an integer division or remainder by a constant
+// zero, which Go rejects, emits a package that builds, vets and fails
+// when the division runs, as the interpreter's run does.
+func TestZeroDivisorBuilds(t *testing.T) {
+	if !nativegen.HaveGo() {
+		t.Skip("go toolchain not available")
+	}
+	const source = `
+const int ZERO = 0;
+
+class box {
+public:
+  int q;
+  int r;
+  void div(int v);
+};
+
+box B;
+
+void box::div(int v) {
+  r = v % ZERO;
+  q = 7 / 0;
+  q /= 1 - 1;
+}
+
+void main() {
+  B.div(3);
+}
+`
+	sys := oracle.Load(t, "zerodiv.mc", source)
+	if _, err := sys.RunSerial(io.Discard); err == nil || !strings.Contains(err.Error(), "by zero") {
+		t.Fatalf("the interpreter's run: %v, want a division by zero", err)
+	}
+	dir := t.TempDir()
+	if err := nativegen.Generate(sys, "zerodiv", dir); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := nativegen.Build(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vet := exec.Command("go", "vet", ".")
+	vet.Dir = dir
+	if out, err := vet.CombinedOutput(); err != nil {
+		t.Errorf("go vet on the emitted package: %v\n%s", err, out)
+	}
+	if out, err := nativegen.Run(bin, "-mode", "serial"); err == nil {
+		t.Errorf("the binary ran to the end (%q); want a division by zero", out)
+	}
+}
 
 // declinesAsBuilt: on the plan as built the cutoff declines some entry.
 func declinesAsBuilt(r oracle.Run) string {

@@ -215,7 +215,10 @@ func TestAnalyzeCacheSpeedupBarnesHut(t *testing.T) {
 	if st := statusz(t, ts); st.CacheMisses != 1 || st.CacheHits != warmRequests {
 		t.Fatalf("statusz cache counters = %d misses / %d hits, want 1 / %d", st.CacheMisses, st.CacheHits, warmRequests)
 	}
-	if warm*10 > cold {
+	// The race detector slows the cold load less than it slows a hit's
+	// request round trip, so the ratio is held without it only (CI's
+	// no-race step runs this test).
+	if !raceEnabled && warm*10 > cold {
 		t.Fatalf("cached analyze took %v vs cold %v — want >= 10x faster", warm, cold)
 	}
 }
