@@ -3,13 +3,13 @@
 // one program's warm cache entry lives on exactly one shard and the
 // fleet's aggregate cache is the sum of its replicas' caches.
 //
-// Routing is a consistent-hash ring (virtual nodes) with rendezvous
-// fallback: a dead shard's keys spread across the survivors while
-// every other key stays put. Transport failures mark a shard down for
-// -down-ttl; an active prober GETs /healthz on down shards every
-// -probe-interval and revives them as soon as they answer, so recovery
-// never waits on live traffic; 429s are retried honoring Retry-After
-// (capped).
+// Placement is rendezvous hashing over the shards: a program's owner
+// is its top-scoring shard, and while the owner is down its programs go
+// to the runner-up, so a dead shard's keys spread across the survivors
+// while every other key stays put. A transport failure marks a shard
+// down; a prober GETs /healthz on down shards every second and revives
+// them as soon as they answer 200. 429s are retried honoring
+// Retry-After (capped).
 //
 // Usage:
 //
@@ -39,10 +39,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.String("shards", "", "comma-separated replica base URLs (required)")
-	vnodes := flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring")
 	retries := flag.Int("retries", 2, "forwarding attempts beyond the first (-1: none)")
-	downTTL := flag.Duration("down-ttl", 3*time.Second, "how long a failed shard stays marked down")
-	probeInterval := flag.Duration("probe-interval", time.Second, "active /healthz probing of down-marked shards (0: passive down-ttl expiry only)")
 	maxRetryWait := flag.Duration("max-retry-wait", 2*time.Second, "cap on honored Retry-After hints")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 	flag.Parse()
@@ -55,12 +52,9 @@ func main() {
 		r = -1 // Config treats 0 as "default"; the flag's explicit 0 means none.
 	}
 	rt, err := fleet.NewRouter(fleet.Config{
-		Shards:        strings.Split(*shards, ","),
-		VNodes:        *vnodes,
-		Retries:       r,
-		DownTTL:       *downTTL,
-		ProbeInterval: *probeInterval,
-		MaxRetryWait:  *maxRetryWait,
+		Shards:       strings.Split(*shards, ","),
+		Retries:      r,
+		MaxRetryWait: *maxRetryWait,
 	})
 	if err != nil {
 		log.Fatalf("router: %v", err)

@@ -29,14 +29,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"commute/internal/codegen"
 	"commute/internal/core"
 	"commute/internal/frontend/ast"
 	"commute/internal/frontend/parser"
-	"commute/internal/frontend/printer"
 	"commute/internal/frontend/types"
 	"commute/internal/interp"
 	"commute/internal/rt"
@@ -105,30 +103,11 @@ func check(name, source string) (*ast.File, *types.Program, error) {
 	return file, prog, nil
 }
 
-// newSystem analyzes a checked program and builds its plan. file is nil
-// for a program parsed from several files (LoadFiles).
+// newSystem analyzes a checked program and builds its plan.
 func newSystem(file *ast.File, prog *types.Program) *System {
 	analysis := core.New(prog)
 	plan := codegen.BuildWithOptions(analysis, codegen.Options{ConditionalGuards: true, SpeculateRejected: true, Contention: true})
 	return &System{File: file, Prog: prog, Analysis: analysis, Plan: plan, CondPlan: plan}
-}
-
-// LoadTransformed applies the §7.2 loop-replacement transformation —
-// while loops rewritten into tail-recursive auxiliary methods — before
-// analysis, widening the set of computations the symbolic executor can
-// analyze (e.g. pointer-chasing accumulation loops). It returns the
-// loaded system, the transformed source, and the rewrites performed.
-// The system is LoadOpts's under Transform; only the returned text is
-// printed here.
-func LoadTransformed(name, source string) (*System, string, []transform.Rewrite, error) {
-	sys, err := loadTransformed(name, source)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	if len(sys.Rewrites) == 0 {
-		return sys, source, nil, nil
-	}
-	return sys, printer.File(sys.File), sys.Rewrites, nil
 }
 
 // loadTransformed checks the source once, rewrites the checked tree in
@@ -157,8 +136,10 @@ func loadTransformed(name, source string) (*System, error) {
 // different options are different programs (see Fingerprint).
 type LoadOptions struct {
 	// Transform applies the §7.2 loop-replacement rewrite (while loops
-	// → tail-recursive auxiliary methods) before analysis, as
-	// LoadTransformed does.
+	// → tail-recursive auxiliary methods) before analysis, widening the
+	// set of computations the symbolic executor can analyze (e.g.
+	// pointer-chasing accumulation loops). System.Rewrites lists what it
+	// rewrote.
 	Transform bool
 }
 
@@ -202,31 +183,6 @@ func (s *System) Warm() { s.Code() }
 
 // Release does nothing. Read by e2ebench until ROADMAP 1a drops it.
 func (s *System) Release() {}
-
-// LoadFiles parses several source files into one program (class and
-// global declarations are visible across files). Files are taken in
-// name order, so declaration order, method IDs and everything emitted
-// from the plans are the same on every load.
-func LoadFiles(sources map[string]string) (*System, error) {
-	names := make([]string, 0, len(sources))
-	for name := range sources {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.Parse(name, sources[name])
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", name, err)
-		}
-		files = append(files, f)
-	}
-	prog, err := types.Check(files...)
-	if err != nil {
-		return nil, fmt.Errorf("type check: %w", err)
-	}
-	return newSystem(nil, prog), nil
-}
 
 // Report returns the commutativity analysis report for a method named
 // "class::method" (or a free function name), or nil if no such method

@@ -19,6 +19,7 @@ import (
 	"commute/internal/apps/src"
 	"commute/internal/codegen"
 	"commute/internal/core"
+	"commute/internal/frontend/printer"
 	"commute/internal/interp"
 	"commute/internal/oracle"
 	"commute/internal/server"
@@ -131,63 +132,6 @@ func TestTraceRepeats(t *testing.T) {
 	}
 	if !reflect.DeepEqual(traces[0], traces[1]) {
 		t.Error("two traces of one System differ")
-	}
-}
-
-func TestLoadFiles(t *testing.T) {
-	sources := map[string]string{
-		"classes.mc": `
-class acc { public: int n; void add(int k); };
-void acc::add(int k) { n = n + k; }
-acc A;
-`,
-		"main.mc": `
-class tally { public: int hits; void hit(); };
-void tally::hit() { hits = hits + 1; }
-tally T;
-void main() {
-  A.add(1);
-  A.add(2);
-  T.hit();
-}
-`,
-	}
-	sys, err := commute.LoadFiles(sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip, err := sys.RunSerial(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := sys.ReadInt(ip, "A.n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Errorf("A.n = %d, want 3", n)
-	}
-
-	// Files are parsed in name order, whatever order the map yields them
-	// in: every load emits the same Go package, byte for byte.
-	emit := func(sys *commute.System) map[string][]byte {
-		files, err := sys.Plan.EmitGoPackage(codegen.EmitGoOptions{AppName: "loadfiles"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return files
-	}
-	want := emit(sys)
-	for i := 0; i < 20; i++ {
-		again, err := commute.LoadFiles(sources)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, data := range emit(again) {
-			if !bytes.Equal(data, want[name]) {
-				t.Fatalf("load %d: emitted %s differs from the first load's", i+2, name)
-			}
-		}
 	}
 }
 
@@ -625,13 +569,14 @@ func TestTransformedLoadAnalyzesOnce(t *testing.T) {
 		{"listsum", whileListSum},
 		{"twoclass", whileTwoClass},
 	} {
-		_, rewritten, rewrites, err := commute.LoadTransformed(tc.name, tc.source)
+		sys, err := commute.LoadOpts(tc.name, tc.source, commute.LoadOptions{Transform: true})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(rewrites) == 0 {
+		if len(sys.Rewrites) == 0 {
 			t.Fatalf("%s: no while loop was rewritten", tc.name)
 		}
+		rewritten := printer.File(sys.File)
 		load := func(source string, transform bool) uint64 {
 			return allocated(func() {
 				if _, err := commute.LoadOpts(tc.name, source, commute.LoadOptions{Transform: transform}); err != nil {

@@ -509,9 +509,18 @@ func (c *fnCtx) convOpen(src ast.Expr, from, to types.Type) string {
 }
 
 // exprAs writes x converted to the type its context expects. A sliced
-// array operand prints at depth 1 wherever it stands.
+// array operand prints at depth 1 wherever it stands. A double constant
+// stored into an int prints as the integer the interpreter's store
+// coercion makes of it, int64(f): Go rejects a constant conversion that
+// truncates.
 func (c *fnCtx) exprAs(x ast.Expr, to types.Type, d int) *fnCtx {
 	from := c.e.prog.TypeOf(x)
+	if isIntType(to) && isDoubleType(from) {
+		if v, ok := c.e.prog.ConstValue(x); ok {
+			n := int64(v.AsFloat())
+			return c.paren("(", n >= 0).int(n).paren(")", n >= 0)
+		}
+	}
 	if _, ok := from.(types.Array); ok {
 		d = 1
 	}

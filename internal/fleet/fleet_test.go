@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,51 +16,127 @@ import (
 	"commute/internal/server/api"
 )
 
-func TestRingDeterministicAndBalanced(t *testing.T) {
-	shards := []string{"http://a", "http://b", "http://c"}
-	r1 := NewRing(shards, 64)
-	r2 := NewRing(shards, 64)
-
-	counts := map[string]int{}
-	const keys = 10000
-	for i := 0; i < keys; i++ {
-		key := fmt.Sprintf("fingerprint-%d", i)
-		s1, s2 := r1.Lookup(key), r2.Lookup(key)
-		if s1 != s2 {
-			t.Fatalf("two identical rings disagree on %q: %s vs %s", key, s1, s2)
-		}
-		counts[s1]++
+// newRouter builds a router the test closes when it ends.
+func newRouter(t testing.TB, cfg Config) *Router {
+	t.Helper()
+	rt, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range shards {
-		share := float64(counts[s]) / keys
-		if share < 0.15 || share > 0.60 {
-			t.Fatalf("shard %s owns %.0f%% of keys; 64 vnodes should land in [15%%, 60%%] (got %v)", s, share*100, counts)
+	t.Cleanup(rt.Close)
+	return rt
+}
+
+// fingerprint is the i-th test key, shaped like commute.Fingerprint.
+func fingerprint(i int) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(strconv.Itoa(i))))
+}
+
+var shardURLs = []string{"http://a", "http://b", "http://c", "http://d", "http://e", "http://f"}
+
+// TestRendezvousDeterministicAndBalanced: two routers over one shard
+// list place every key alike, and each shard owns its 1/N share of
+// the keys to within 5 %.
+func TestRendezvousDeterministicAndBalanced(t *testing.T) {
+	const keys = 10000
+	for _, n := range []int{2, 3, 5} {
+		r1 := newRouter(t, Config{Shards: shardURLs[:n]})
+		r2 := newRouter(t, Config{Shards: shardURLs[:n]})
+		counts := map[string]int{}
+		for i := 0; i < keys; i++ {
+			key := fingerprint(i)
+			s1, s2 := r1.RouteKey(key), r2.RouteKey(key)
+			if s1 != s2 {
+				t.Fatalf("N=%d: two routers disagree on %q: %s vs %s", n, key, s1, s2)
+			}
+			counts[s1]++
 		}
-		ringShare := r1.Share(s)
-		if diff := share - ringShare; diff < -0.05 || diff > 0.05 {
-			t.Fatalf("shard %s: empirical share %.3f vs ring share %.3f", s, share, ringShare)
+		want := 1 / float64(n)
+		for _, s := range shardURLs[:n] {
+			if share := float64(counts[s]) / keys; share < want*0.95 || share > want*1.05 {
+				t.Fatalf("N=%d: shard %s owns %.2f%% of keys, want %.2f%% ± 5%% (%v)", n, s, share*100, want*100, counts)
+			}
 		}
 	}
 }
 
+// TestRendezvousStableUnderShardGrowth: a shard added to the list takes
+// some keys and moves no key anywhere else.
+func TestRendezvousStableUnderShardGrowth(t *testing.T) {
+	for _, n := range []int{2, 3, 5} {
+		before := newRouter(t, Config{Shards: shardURLs[:n]})
+		after := newRouter(t, Config{Shards: shardURLs[:n+1]})
+		added := shardURLs[n]
+		moved := 0
+		for i := 0; i < 2000; i++ {
+			key := fingerprint(i)
+			was, is := before.RouteKey(key), after.RouteKey(key)
+			if was != is && is != added {
+				t.Fatalf("N=%d: key %q moved from %s to %s, not to the added %s", n, key, was, is, added)
+			}
+			if is == added {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("N=%d: the added shard took no keys", n)
+		}
+	}
+}
+
+// TestRendezvousStableUnderShardLoss: while a shard is down its keys
+// spread across the survivors, and every other key keeps its owner.
 func TestRendezvousStableUnderShardLoss(t *testing.T) {
-	all := []string{"http://a", "http://b", "http://c"}
-	survivors := []string{"http://a", "http://c"}
-	moved := 0
+	rt := newRouter(t, Config{Shards: shardURLs[:3]})
+	rt.shards[1].down.Store(true)
+	dead := rt.shards[1].url
+	moved := map[string]int{}
 	const keys = 2000
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("k%d", i)
-		before := Rendezvous(key, all)
-		after := Rendezvous(key, survivors)
-		if before != "http://b" && before != after {
-			t.Fatalf("key %q moved from live shard %s to %s when b died", key, before, after)
+		owner, picked := rt.RouteKey(key), rt.pick(key, nil).url
+		if owner != dead && picked != owner {
+			t.Fatalf("key %q moved from live shard %s to %s when %s died", key, owner, picked, dead)
 		}
-		if before == "http://b" {
-			moved++
+		if picked == dead {
+			t.Fatalf("key %q routed to the down shard", key)
+		}
+		if owner == dead {
+			moved[picked]++
 		}
 	}
-	if moved == 0 || moved == keys {
-		t.Fatalf("b owned %d/%d keys; rendezvous distribution broken", moved, keys)
+	if len(moved) != 2 {
+		t.Fatalf("%s's keys went to %v, want both survivors", dead, moved)
+	}
+}
+
+// proberRunning counts the goroutines NewRouter started: its probers.
+func proberRunning() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by commute/internal/fleet.NewRouter")
+}
+
+// TestRouterCloseStopsProber: Close stops the router's prober, and a
+// second Close is a no-op.
+func TestRouterCloseStopsProber(t *testing.T) {
+	before := proberRunning()
+	rt, err := NewRouter(Config{Shards: shardURLs[:2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := proberRunning(); n != before+1 {
+		t.Fatalf("%d probers after NewRouter, want %d", n, before+1)
+	}
+	rt.Close()
+	rt.Close()
+	// The prober has signalled its exit; its goroutine may take a moment
+	// to leave the stack dump.
+	deadline := time.Now().Add(time.Second)
+	for proberRunning() != before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d probers after Close, want %d", proberRunning(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -94,10 +173,7 @@ func TestRouterDeterministicFingerprintRouting(t *testing.T) {
 	a := testShard(t, "a", nil)
 	b := testShard(t, "b", nil)
 	c := testShard(t, "c", nil)
-	rt, err := NewRouter(Config{Shards: []string{a.URL, b.URL, c.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newRouter(t, Config{Shards: []string{a.URL, b.URL, c.URL}})
 
 	// Same program → same shard, every time.
 	apps := []string{"graph", "barneshut", "water", "specdisjoint", "specconflict"}
@@ -135,10 +211,7 @@ func TestRouterReroutesAroundDeadShard(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close() // connection refused from the start
 
-	rt, err := NewRouter(Config{Shards: []string{a.URL, b.URL, deadURL}, Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newRouter(t, Config{Shards: []string{a.URL, b.URL, deadURL}, Retries: 2})
 	// Drive enough distinct programs that some route to the dead shard.
 	sawReroute := false
 	for i := 0; i < 40; i++ {
@@ -191,19 +264,7 @@ func TestRouterProberRevivesRecoveredShard(t *testing.T) {
 	a := testShard(t, "a", nil)
 	b := testShard(t, "b", nil)
 	gate := &gateTransport{gated: b.URL}
-	// DownTTL is an hour: passive expiry cannot revive b within the
-	// test, so a recovery must come from the active prober.
-	rt, err := NewRouter(Config{
-		Shards:        []string{a.URL, b.URL},
-		Retries:       2,
-		DownTTL:       time.Hour,
-		ProbeInterval: 10 * time.Millisecond,
-		Transport:     gate,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := newRouter(t, Config{Shards: []string{a.URL, b.URL}, Retries: 2, Transport: gate})
 
 	// Drive distinct programs until b's gate failure marks it down.
 	for i := 0; i < 40; i++ {
@@ -216,9 +277,10 @@ func TestRouterProberRevivesRecoveredShard(t *testing.T) {
 		t.Fatal("gated shard never marked down")
 	}
 
-	// Recover b and wait for a probe to notice.
+	// Recover b and wait for the prober, which probes once a second, to
+	// notice.
 	gate.open.Store(true)
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(3 * time.Second)
 	for statuszShard(t, rt, b.URL).Down {
 		if time.Now().After(deadline) {
 			t.Fatalf("prober never revived recovered shard (stats: %+v)", statuszShard(t, rt, b.URL))
@@ -264,10 +326,7 @@ func TestRouterHonorsRetryAfterOn429(t *testing.T) {
 		}
 		return false
 	})
-	rt, err := NewRouter(Config{Shards: []string{flaky.URL}, Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newRouter(t, Config{Shards: []string{flaky.URL}, Retries: 2})
 	code, out := postRouter(t, rt, analyzeBody("graph"))
 	if code != http.StatusOK || out["shard"] != "flaky" {
 		t.Fatalf("after 429 retry: code %d, shard %q, want 200 from flaky", code, out["shard"])
@@ -290,16 +349,13 @@ func TestRouterRetriesExhaustTo502(t *testing.T) {
 	dead.Close()
 	// Retries: -1 disables retrying, so the one transport failure maps
 	// to a 502 rather than falling through to the no-live-shard 503.
-	rt, err := NewRouter(Config{Shards: []string{deadURL}, Retries: -1, DownTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newRouter(t, Config{Shards: []string{deadURL}, Retries: -1})
 	code, _ := postRouter(t, rt, analyzeBody("graph"))
 	if code != http.StatusBadGateway {
 		t.Fatalf("all shards dead = %d, want 502", code)
 	}
 	// With the only shard marked down, the router sheds instead of
-	// hammering it until the TTL expires.
+	// hammering it until a probe revives it.
 	code, _ = postRouter(t, rt, analyzeBody("graph"))
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("marked-down shard = %d, want 503", code)

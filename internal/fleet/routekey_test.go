@@ -59,10 +59,7 @@ var routeKeyBodies = []struct {
 // first sight and on a repeat, and only bodies that resolve to a program
 // are remembered.
 func TestRouteKeyMemo(t *testing.T) {
-	rt, err := NewRouter(Config{Shards: []string{"http://a", "http://b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newRouter(t, Config{Shards: []string{"http://a", "http://b"}})
 	resolved := 0
 	for round := 0; round < 2; round++ {
 		for _, tc := range routeKeyBodies {
@@ -95,10 +92,7 @@ func FuzzRouteKey(f *testing.F) {
 	for _, tc := range routeKeyBodies {
 		f.Add([]byte(tc.body))
 	}
-	rt, err := NewRouter(Config{Shards: []string{"http://a", "http://b"}})
-	if err != nil {
-		f.Fatal(err)
-	}
+	rt := newRouter(f, Config{Shards: []string{"http://a", "http://b"}})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		want := routeKeyForBody(body)
 		for i := 0; i < 2; i++ {
@@ -124,10 +118,7 @@ func hotBody(b *testing.B) []byte {
 // the request memo, "decode" decoded and fingerprinted in full.
 func BenchmarkRouteKey(b *testing.B) {
 	body := hotBody(b)
-	rt, err := NewRouter(Config{Shards: []string{"http://a"}})
-	if err != nil {
-		b.Fatal(err)
-	}
+	rt := newRouter(b, Config{Shards: []string{"http://a"}})
 	rt.routeKey(body)
 	b.Run("memo", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
@@ -148,9 +139,10 @@ func BenchmarkRouteKey(b *testing.B) {
 // off, so every request reaches the handler). "via-router" and
 // "via-replica" are the whole request from a client, through the router
 // and straight to the owning replica; their difference is the hop.
-// "body", "key", "forward" and "relay" are the router's own steps:
-// reading the body, its route key, the round trip to the replica
-// (replica handler included) and copying the reply to the client.
+// "body", "key", "place", "forward" and "relay" are the router's own
+// steps: reading the body, its route key, picking the key's shard, the
+// round trip to the replica (replica handler included) and copying the
+// reply to the client.
 func BenchmarkRouterHop(b *testing.B) {
 	body := hotBody(b)
 	var urls []string
@@ -159,10 +151,7 @@ func BenchmarkRouterHop(b *testing.B) {
 		b.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}
-	rt, err := NewRouter(Config{Shards: urls})
-	if err != nil {
-		b.Fatal(err)
-	}
+	rt := newRouter(b, Config{Shards: urls})
 	front := httptest.NewServer(rt.Handler())
 	b.Cleanup(front.Close)
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2}}
@@ -195,12 +184,18 @@ func BenchmarkRouterHop(b *testing.B) {
 	})
 	b.Run("body", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			io.ReadAll(io.LimitReader(bytes.NewReader(body), rt.cfg.MaxBody+1))
+			io.ReadAll(io.LimitReader(bytes.NewReader(body), api.MaxBodyBytes+1))
 		}
 	})
 	b.Run("key", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rt.routeKey(body)
+		}
+	})
+	b.Run("place", func(b *testing.B) {
+		key := rt.routeKey(body)
+		for i := 0; i < b.N; i++ {
+			rt.pick(key, nil)
 		}
 	})
 	b.Run("forward", func(b *testing.B) {

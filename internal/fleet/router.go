@@ -1,3 +1,12 @@
+// Package fleet is the multi-node serving layer: a fingerprint-routed
+// router (commutefleet) in front of N commuted replicas. Programs are
+// content-addressed — commute.Fingerprint — and the router places each
+// key by rendezvous (highest-random-weight) hashing over the shards, so
+// every request for one program lands on the same replica and the
+// fleet's aggregate cache capacity is the sum of its replicas' caches,
+// not N copies of the same hot set. The owner is the top scorer; while
+// it is down its keys go to the runner-up among the live shards, and
+// every other key stays where it is.
 package fleet
 
 import (
@@ -8,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -18,45 +28,32 @@ import (
 	"commute/internal/server/cache"
 )
 
+const (
+	// probeInterval is how often the prober GETs /healthz on each
+	// down shard, and how long one probe may take.
+	probeInterval = time.Second
+	// forwardTimeout bounds one forwarding attempt: a run request can
+	// legitimately take its full server-side deadline.
+	forwardTimeout = 90 * time.Second
+)
+
 // Config shapes a Router. Zero fields take the documented defaults.
 type Config struct {
 	// Shards are the replica base URLs (e.g. "http://10.0.0.2:8080").
 	Shards []string
-	// VNodes is the per-shard virtual node count (default 64).
-	VNodes int
 	// Retries bounds forwarding attempts beyond the first: transport
 	// failures reroute to another shard, 429s wait out Retry-After and
-	// retry (default 2).
+	// retry (default 2; negative: none).
 	Retries int
 	// MaxRetryWait caps how long one 429 Retry-After hint is honored
 	// (default 2s) — a misbehaving shard must not park the router.
 	MaxRetryWait time.Duration
-	// DownTTL is how long a shard stays marked down after a transport
-	// failure before the router probes it with live traffic again
-	// (default 3s).
-	DownTTL time.Duration
-	// MaxBody caps a request body (default 4 MiB), matching the
-	// replicas' own cap.
-	MaxBody int64
 	// Transport overrides the forwarding transport (in-process fleets,
 	// tests). Nil uses http.DefaultTransport.
 	Transport http.RoundTripper
-	// ForwardTimeout bounds one forwarding attempt (default 90s — run
-	// requests can legitimately take their full server-side deadline).
-	ForwardTimeout time.Duration
-	// ProbeInterval enables the active health prober: a background
-	// goroutine GETs /healthz on down-marked shards at this interval and
-	// revives them on a 200, so recovery is detected without spending
-	// live traffic on it. While the prober owns a shard's health, a
-	// failed probe re-arms the down mark for another DownTTL. 0 disables
-	// the prober (passive TTL expiry only). Stop it with Router.Close.
-	ProbeInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.Retries == 0 {
 		c.Retries = 2
 	}
@@ -66,45 +63,33 @@ func (c Config) withDefaults() Config {
 	if c.MaxRetryWait == 0 {
 		c.MaxRetryWait = 2 * time.Second
 	}
-	if c.DownTTL == 0 {
-		c.DownTTL = 3 * time.Second
-	}
-	if c.MaxBody == 0 {
-		c.MaxBody = 4 << 20
-	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
-	}
-	if c.ForwardTimeout == 0 {
-		c.ForwardTimeout = 90 * time.Second
 	}
 	return c
 }
 
-// shardState is one replica's routing state: counters for /statusz and
-// the passive health mark. downUntil is unix nanos; 0 means live.
-type shardState struct {
-	url       string
-	requests  atomic.Int64
-	errors    atomic.Int64
-	rerouted  atomic.Int64
-	retries   atomic.Int64
-	probes    atomic.Int64
-	revivals  atomic.Int64
-	downUntil atomic.Int64
-}
-
-func (ss *shardState) live(now time.Time) bool {
-	return now.UnixNano() >= ss.downUntil.Load()
+// shard is one replica: its rendezvous seed, its counters for /statusz
+// and its health flag. A transport failure sets down; only a successful
+// /healthz probe clears it.
+type shard struct {
+	url      string
+	seed     uint64 // hash64(url), mixed with a key's hash to score it
+	requests atomic.Int64
+	errors   atomic.Int64
+	rerouted atomic.Int64
+	retries  atomic.Int64
+	probes   atomic.Int64
+	revivals atomic.Int64
+	down     atomic.Bool
 }
 
 // Router fronts a fleet of commuted replicas, routing each request by
 // its program fingerprint so one program's cache entry lives on one
-// shard. Create with NewRouter; serve Handler().
+// shard. Create with NewRouter; serve Handler(); stop with Close.
 type Router struct {
 	cfg    Config
-	ring   *Ring
-	states map[string]*shardState
+	shards []*shard // in Config order
 	mux    *http.ServeMux
 	start  time.Time
 
@@ -114,103 +99,81 @@ type Router struct {
 	// Route keys of the distinct bodies that resolved (see routeKey).
 	memo *cache.Memo[string]
 
-	// Active health prober lifecycle (nil channels when disabled).
 	probeStop chan struct{}
 	probeDone chan struct{}
 	closeOnce sync.Once
 }
 
-// NewRouter builds a router over cfg.Shards.
+// NewRouter builds a router over cfg.Shards and starts its prober.
 func NewRouter(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("fleet router needs at least one shard")
 	}
 	rt := &Router{
-		cfg:    cfg,
-		ring:   NewRing(cfg.Shards, cfg.VNodes),
-		states: make(map[string]*shardState, len(cfg.Shards)),
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-		memo:   cache.NewMemo[string](cache.MemoEntries),
+		cfg:       cfg,
+		mux:       http.NewServeMux(),
+		start:     time.Now(),
+		memo:      cache.NewMemo[string](cache.MemoEntries),
+		probeStop: make(chan struct{}),
+		probeDone: make(chan struct{}),
 	}
-	for _, s := range cfg.Shards {
-		if _, dup := rt.states[s]; dup {
-			return nil, fmt.Errorf("duplicate shard %q", s)
+	for _, url := range cfg.Shards {
+		if slices.ContainsFunc(rt.shards, func(s *shard) bool { return s.url == url }) {
+			return nil, fmt.Errorf("duplicate shard %q", url)
 		}
-		rt.states[s] = &shardState{url: s}
+		rt.shards = append(rt.shards, &shard{url: url, seed: hash64(url)})
 	}
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /statusz", rt.handleStatusz)
 	rt.mux.HandleFunc("POST /v1/analyze", rt.handleProxy)
 	rt.mux.HandleFunc("POST /v1/run", rt.handleProxy)
 	rt.mux.HandleFunc("POST /v1/simulate", rt.handleProxy)
-	if cfg.ProbeInterval > 0 {
-		rt.probeStop = make(chan struct{})
-		rt.probeDone = make(chan struct{})
-		go rt.probeLoop()
-	}
+	go rt.probeLoop()
 	return rt, nil
 }
 
 // Handler returns the router's HTTP handler tree.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Close stops the active health prober and waits for it to exit.
-// Safe to call multiple times; a no-op when the prober is disabled.
+// Close stops the prober and waits for it to exit. Safe to call more
+// than once.
 func (rt *Router) Close() {
 	rt.closeOnce.Do(func() {
-		if rt.probeStop != nil {
-			close(rt.probeStop)
-			<-rt.probeDone
-		}
+		close(rt.probeStop)
+		<-rt.probeDone
 	})
 }
 
-// probeLoop drives the active health prober: every ProbeInterval it
-// probes each down-marked shard's /healthz out of band.
+// probeLoop probes every down shard's /healthz once per probeInterval,
+// out of band: a 200 revives the shard, anything else leaves it down,
+// so live traffic never spends a request on a dead shard.
 func (rt *Router) probeLoop() {
 	defer close(rt.probeDone)
-	tick := time.NewTicker(rt.cfg.ProbeInterval)
+	tick := time.NewTicker(probeInterval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-rt.probeStop:
 			return
 		case <-tick.C:
-			rt.probeDownShards()
+			for _, s := range rt.shards {
+				if s.down.Load() {
+					s.probes.Add(1)
+					if rt.probe(s.url) {
+						s.down.Store(false)
+						s.revivals.Add(1)
+					}
+				}
+			}
 		}
 	}
 }
 
-// probeDownShards probes every currently-down shard once. A 200 from
-// /healthz clears the down mark immediately (no waiting out the TTL);
-// anything else re-arms it for another DownTTL, so live traffic never
-// has to rediscover a still-dead shard between probes.
-func (rt *Router) probeDownShards() {
-	now := time.Now()
-	for _, ss := range rt.states {
-		if ss.live(now) {
-			continue
-		}
-		ss.probes.Add(1)
-		if rt.probeShard(ss.url) {
-			ss.downUntil.Store(0)
-			ss.revivals.Add(1)
-		} else {
-			ss.downUntil.Store(time.Now().Add(rt.cfg.DownTTL).UnixNano())
-		}
-	}
-}
-
-// probeShard issues one /healthz probe; true means the shard answered
-// 200 (a draining replica's 503 keeps it down).
-func (rt *Router) probeShard(shardURL string) bool {
-	timeout := rt.cfg.ProbeInterval
-	if timeout > 2*time.Second {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// probe issues one /healthz probe; true means the shard answered 200
+// (a draining replica's 503 keeps it down).
+func (rt *Router) probe(shardURL string) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), probeInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shardURL+"/healthz", nil)
 	if err != nil {
@@ -225,43 +188,79 @@ func (rt *Router) probeShard(shardURL string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// RouteKey computes the shard a request body would be routed to —
+// hash64 is 64-bit FNV-1a: one pass over the key, the same value in
+// every process.
+func hash64(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// mix is SplitMix64's finalizer, a bijection: distinct shard seeds give
+// one key distinct scores.
+func mix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// winner returns the top-scoring shard for key among those ok admits,
+// or nil when it admits none. The key is hashed once; each shard's
+// score is that hash mixed with the shard's seed.
+func (rt *Router) winner(key string, ok func(*shard) bool) *shard {
+	h := hash64(key)
+	var best *shard
+	var bestScore uint64
+	for _, s := range rt.shards {
+		if score := mix(h ^ s.seed); (best == nil || score > bestScore) && ok(s) {
+			best, bestScore = s, score
+		}
+	}
+	return best
+}
+
+// RouteKey returns the shard that owns key with every shard live —
 // exported for the smoke harness and the load generator, which assert
 // deterministic placement.
-func (rt *Router) RouteKey(key string) string { return rt.ring.Lookup(key) }
+func (rt *Router) RouteKey(key string) string {
+	return rt.winner(key, func(*shard) bool { return true }).url
+}
+
+// pick returns the shard to try for key: the winner among the live
+// shards not in tried, or nil.
+func (rt *Router) pick(key string, tried []*shard) *shard {
+	return rt.winner(key, func(s *shard) bool { return !s.down.Load() && !slices.Contains(tried, s) })
+}
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	for _, ss := range rt.states {
-		if ss.live(now) {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-			return
-		}
+	if slices.ContainsFunc(rt.shards, func(s *shard) bool { return !s.down.Load() }) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		return
 	}
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no live shards"})
 }
 
 func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
 	st := api.StatusZ{
 		UptimeSec: time.Since(rt.start).Seconds(),
 		Requests:  rt.requests.Load(),
 		Rejected:  rt.rejected.Load(),
 		Endpoints: map[string]api.EndpointStats{},
-		Shards:    make(map[string]api.ShardStats, len(rt.states)),
+		Shards:    make(map[string]api.ShardStats, len(rt.shards)),
 	}
-	for url, ss := range rt.states {
-		st.Shards[url] = api.ShardStats{
-			URL:       url,
-			Requests:  ss.requests.Load(),
-			Errors:    ss.errors.Load(),
-			Rerouted:  ss.rerouted.Load(),
-			Retries:   ss.retries.Load(),
-			Probes:    ss.probes.Load(),
-			Revivals:  ss.revivals.Load(),
-			Down:      !ss.live(now),
-			VNodes:    rt.ring.VNodes(),
-			RingShare: rt.ring.Share(url),
+	for _, s := range rt.shards {
+		st.Shards[s.url] = api.ShardStats{
+			URL:      s.url,
+			Requests: s.requests.Load(),
+			Errors:   s.errors.Load(),
+			Rerouted: s.rerouted.Load(),
+			Retries:  s.retries.Load(),
+			Probes:   s.probes.Load(),
+			Revivals: s.revivals.Load(),
+			Down:     s.down.Load(),
 		}
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -272,12 +271,12 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
 // source) still route — deterministically, by raw body — so the owner
 // shard produces the canonical error response.
 func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBody+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes+1))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	if int64(len(body)) > rt.cfg.MaxBody {
+	if len(body) > api.MaxBodyBytes {
 		writeErr(w, http.StatusRequestEntityTooLarge, "request body over router cap")
 		return
 	}
@@ -318,33 +317,31 @@ func fingerprintBody(body []byte) (string, bool) {
 // bodyKey routes a body that names no program by its raw bytes.
 func bodyKey(body []byte) string { return fmt.Sprintf("body:%x", hash64(string(body))) }
 
-// forward sends the request to key's owner with bounded retry:
-// transport failures mark the shard down and reroute via rendezvous
-// hashing over the survivors; 429s honor Retry-After (capped) against
-// the same shard. Any HTTP response that isn't a retried 429 — success
-// or application error — is relayed verbatim.
+// forward sends the request to key's owner with bounded retry: a
+// transport failure marks the shard down and reroutes to the next
+// rendezvous winner; a 429 honors Retry-After (capped) against the same
+// shard. Any HTTP response that isn't a retried 429 — success or
+// application error — is relayed verbatim.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	rt.requests.Add(1)
-	tried := make(map[string]bool, len(rt.states))
-	ss := rt.pick(key, tried)
+	var tried []*shard
+	s := rt.pick(key, nil)
 	for attempt := 0; ; attempt++ {
-		if ss == nil {
+		if s == nil {
 			rt.rejected.Add(1)
 			w.Header().Set("Retry-After", "1")
 			writeErr(w, http.StatusServiceUnavailable, "no live shard for "+key)
 			return
 		}
-		ss.requests.Add(1)
-		resp, err := rt.send(r, ss.url, body)
+		s.requests.Add(1)
+		resp, err := rt.send(r, s.url, body)
 		if err != nil {
-			ss.errors.Add(1)
+			s.errors.Add(1)
 			if r.Context().Err() != nil {
 				return // client gone; nothing to answer
 			}
-			// Passive markdown: stop routing to this shard for DownTTL,
-			// then let live traffic probe it again.
-			ss.downUntil.Store(time.Now().Add(rt.cfg.DownTTL).UnixNano())
-			tried[ss.url] = true
+			s.down.Store(true)
+			tried = append(tried, s)
 			if attempt >= rt.cfg.Retries {
 				rt.rejected.Add(1)
 				writeErr(w, http.StatusBadGateway, "shard unreachable: "+err.Error())
@@ -352,16 +349,16 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 			}
 			next := rt.pick(key, tried)
 			if next != nil {
-				ss.rerouted.Add(1)
+				s.rerouted.Add(1)
 			}
-			ss = next
+			s = next
 			continue
 		}
 		if resp.StatusCode == http.StatusTooManyRequests && attempt < rt.cfg.Retries {
 			wait := retryAfter(resp, rt.cfg.MaxRetryWait)
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			ss.retries.Add(1)
+			s.retries.Add(1)
 			select {
 			case <-time.After(wait):
 			case <-r.Context().Done():
@@ -374,31 +371,9 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 	}
 }
 
-// pick returns the shard to try: the ring owner when it is live and
-// untried, else the rendezvous winner among live untried shards, else
-// nil. A shard marked down is only skipped while its TTL holds —
-// after that it competes again (live-traffic probing).
-func (rt *Router) pick(key string, tried map[string]bool) *shardState {
-	now := time.Now()
-	owner := rt.states[rt.ring.Lookup(key)]
-	if owner != nil && owner.live(now) && !tried[owner.url] {
-		return owner
-	}
-	var candidates []string
-	for url, ss := range rt.states {
-		if ss.live(now) && !tried[url] {
-			candidates = append(candidates, url)
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	return rt.states[Rendezvous(key, candidates)]
-}
-
 // send issues one forwarding attempt.
 func (rt *Router) send(r *http.Request, shardURL string, body []byte) (*http.Response, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 	req, err := http.NewRequestWithContext(ctx, r.Method, shardURL+r.URL.Path, bytes.NewReader(body))
 	if err != nil {
 		cancel()

@@ -139,8 +139,9 @@ func rows() []oracle.Row {
 		// from inside another, part of the outer's serial version there.
 		// Operations on constants only, which Go would evaluate exactly
 		// (0.3, not 0.30000000000000004), could not spell (-0, +Inf, NaN)
-		// or would reject (an int64 overflow): the emitter folds each as
-		// the interpreter computes it and writes the value's bits.
+		// or would reject (an int64 overflow, a double constant truncated
+		// into an int): the emitter folds each as the interpreter computes
+		// it and writes the value's bits.
 		{Name: "constfold", Source: constFold, Native: true},
 		{Name: "pingpong", Source: src.SpecDisjoint[:strings.Index(src.SpecDisjoint, "void main()")] + pingPong, Native: true, Expect: declinesAsBuilt},
 		{Name: "nested", Source: nestedRoots, Native: true, Expect: declinesAsBuilt},
@@ -669,6 +670,7 @@ void main() {
 
 const constFold = `
 const double TENTH = 0.1;
+const double HALF = 0.5;
 const int BIG = 9223372036854775807;
 
 class consts {
@@ -679,6 +681,8 @@ public:
   double nan;
   int wrap;
   double mixed;
+  int half;
+  int named;
   void fill(double x);
 };
 
@@ -691,6 +695,8 @@ void consts::fill(double x) {
   nan = 0.0 / 0.0;
   wrap = 9223372036854775807 + 1;
   mixed = x * (TENTH + 0.2) + BIG * 2;
+  half = 0.5;
+  named = HALF;
 }
 
 void main() {
@@ -699,7 +705,7 @@ void main() {
   print(d);
   print(0.1 + 0.2, -0.0, 1e300 * 1e300, 9223372036854775807 + 1);
   K.fill(3.0);
-  print(K.sum, K.negzero, K.inf, K.nan, K.wrap, K.mixed);
+  print(K.sum, K.negzero, K.inf, K.nan, K.wrap, K.mixed, K.half, K.named);
 }
 `
 

@@ -13,6 +13,10 @@ import (
 	"commute/internal/rt"
 )
 
+// MaxBodyBytes caps one request body: the default of a replica's
+// server.Config.MaxSourceBytes, and the fleet router's cap.
+const MaxBodyBytes = 4 << 20
+
 // Options selects load-time dialect options; they are part of the
 // cache key (commute.Fingerprint).
 type Options struct {
@@ -289,16 +293,14 @@ type EndpointStats struct {
 
 // ShardStats is one replica's counters in a fleet router's /statusz.
 type ShardStats struct {
-	URL       string  `json:"url"`
-	Requests  int64   `json:"requests"`
-	Errors    int64   `json:"errors"`
-	Rerouted  int64   `json:"rerouted"`           // requests moved off this shard while it was down
-	Retries   int64   `json:"retries"`            // bounded 429 Retry-After retries against this shard
-	Probes    int64   `json:"probes,omitempty"`   // active /healthz probes sent while marked down
-	Revivals  int64   `json:"revivals,omitempty"` // probe-driven down→live transitions
-	Down      bool    `json:"down"`
-	VNodes    int     `json:"vnodes"`
-	RingShare float64 `json:"ring_share"` // fraction of keyspace owned while all shards live
+	URL      string `json:"url"`
+	Requests int64  `json:"requests"`
+	Errors   int64  `json:"errors"`
+	Rerouted int64  `json:"rerouted"`           // requests moved off this shard while it was down
+	Retries  int64  `json:"retries"`            // bounded 429 Retry-After retries against this shard
+	Probes   int64  `json:"probes,omitempty"`   // active /healthz probes sent while marked down
+	Revivals int64  `json:"revivals,omitempty"` // probe-driven down→live transitions
+	Down     bool   `json:"down"`
 }
 
 // StatusZ is the daemon's counter snapshot.

@@ -67,8 +67,8 @@ type Config struct {
 	// (default 60s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxSourceBytes caps a request body (default 4 MiB); a larger one
-	// is answered 413.
+	// MaxSourceBytes caps a request body (default api.MaxBodyBytes); a
+	// larger one is answered 413.
 	MaxSourceBytes int64
 	// RetryAfter is the client backoff hint sent with 429s (default 1s).
 	RetryAfter time.Duration
@@ -102,7 +102,7 @@ func (c Config) withDefaults() Config {
 		c.MaxTimeout = 60 * time.Second
 	}
 	if c.MaxSourceBytes == 0 {
-		c.MaxSourceBytes = 4 << 20
+		c.MaxSourceBytes = api.MaxBodyBytes
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second

@@ -7,6 +7,7 @@ import (
 	"commute"
 	"commute/internal/apps/src"
 	"commute/internal/frontend/ast"
+	"commute/internal/frontend/printer"
 	"commute/internal/transform/transformtest"
 )
 
@@ -55,13 +56,15 @@ func TestListSumParallelizesAfterTransform(t *testing.T) {
 		t.Fatal("the while-loop version must be serial (unanalyzable loop)")
 	}
 
-	sys, out, rewrites, err := commute.LoadTransformed("listsum.mc", listSum)
+	sys, err := commute.LoadOpts("listsum.mc", listSum, commute.LoadOptions{Transform: true})
 	if err != nil {
-		t.Fatalf("transform: %v\n%s", err, out)
+		t.Fatalf("transform: %v", err)
 	}
+	rewrites := sys.Rewrites
 	if len(rewrites) != 1 {
 		t.Fatalf("rewrites = %v, want one", rewrites)
 	}
+	out := printer.File(sys.File)
 	if rewrites[0].Helper != "acc::sumList__loop1" {
 		t.Errorf("helper = %s", rewrites[0].Helper)
 	}
@@ -137,9 +140,9 @@ func TestTransformedExecutionMatches(t *testing.T) {
 	}
 
 	// Transformed, serial and parallel.
-	sys, out, _, err := commute.LoadTransformed("listsum.mc", listSumMain)
+	sys, err := commute.LoadOpts("listsum.mc", listSumMain, commute.LoadOptions{Transform: true})
 	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+		t.Fatal(err)
 	}
 	ipS, err := sys.RunSerial(nil)
 	if err != nil {
@@ -161,12 +164,12 @@ func TestTransformedExecutionMatches(t *testing.T) {
 // or that reference local arrays stay untouched.
 func TestIneligibleLoopsSkipped(t *testing.T) {
 	for _, tc := range ineligible {
-		_, _, rewrites, err := commute.LoadTransformed("skip.mc", tc.source())
+		sys, err := commute.LoadOpts("skip.mc", tc.source(), commute.LoadOptions{Transform: true})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(rewrites) != 0 {
-			t.Errorf("%s: expected no rewrites, got %v", tc.name, rewrites)
+		if len(sys.Rewrites) != 0 {
+			t.Errorf("%s: expected no rewrites, got %v", tc.name, sys.Rewrites)
 		}
 	}
 }

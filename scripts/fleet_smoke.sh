@@ -2,8 +2,9 @@
 # Fleet smoke: boot three commuted replicas sharing a blob directory
 # plus a commutefleet router, then assert the fleet behaviors end to
 # end: deterministic fingerprint routing, warm artifact adoption on a
-# cold replica (no re-analysis), and a clean reroute after SIGTERM of
-# one shard.
+# cold replica (no re-analysis), a clean reroute after SIGTERM of one
+# shard, and the one health rule: a shard marked down stays down until
+# a /healthz probe succeeds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +23,7 @@ go build -o "$TMP/commutefleet" ./cmd/commutefleet
 "$TMP/commuted" -addr "$R2" -blob-dir "$BLOBS" & PID2=$!
 "$TMP/commuted" -addr "$R3" -blob-dir "$BLOBS" & PID3=$!
 "$TMP/commutefleet" -addr "$ROUTER" \
-  -shards "http://$R1,http://$R2,http://$R3" -down-ttl 30s & PIDR=$!
+  -shards "http://$R1,http://$R2,http://$R3" & PIDR=$!
 cleanup() { kill "$PID1" "$PID2" "$PID3" "$PIDR" 2>/dev/null || true; }
 trap cleanup EXIT
 
@@ -79,7 +80,9 @@ echo "warm adoption ok (no re-analysis on cold replicas)"
 
 # --- Reroute after shard death: SIGTERM the owner; the same program
 # must keep answering 200 through the router, and the router's
-# counters must show the reroute.
+# counters must show the reroute. The prober probes the dead shard
+# once a second; 1.5 s later it has probed at least once, and the shard
+# is still down.
 kill -TERM "$(eval echo \$PID"$(case $OWNER_ADDR in $R1) echo 1;; $R2) echo 2;; $R3) echo 3;; esac)")"
 sleep 0.5
 for i in $(seq 1 5); do
@@ -90,6 +93,7 @@ for i in $(seq 1 5); do
     exit 1
   fi
 done
+sleep 1.5
 RST=$(curl -fs "http://$ROUTER/statusz")
 python3 - "$OWNER_ADDR" "$RST" <<'EOF'
 import json, sys
@@ -99,10 +103,11 @@ shards = st["shards"]
 dead = shards[owner]
 assert dead["down"], f"dead shard not marked down: {dead}"
 assert dead["rerouted"] >= 1, f"no reroutes recorded off the dead shard: {dead}"
+assert dead.get("probes", 0) >= 1, f"the prober never probed the dead shard: {dead}"
 live_requests = sum(s["requests"] for url, s in shards.items() if url != owner)
 assert live_requests >= 5, f"survivors served {live_requests} requests, want >=5"
 EOF
-echo "reroute after SIGTERM ok"
+echo "reroute after SIGTERM ok (dead shard probed, still down)"
 
 # Router healthz stays green with two of three shards.
 curl -fs "http://$ROUTER/healthz" | grep -q '"ok"'
