@@ -13,8 +13,8 @@ import (
 	"commute/internal/rt"
 )
 
-// MaxBodyBytes caps one request body: the default of a replica's
-// server.Config.MaxSourceBytes, and the fleet router's cap.
+// MaxBodyBytes caps one request body, at a replica and at the fleet
+// router alike.
 const MaxBodyBytes = 4 << 20
 
 // Options selects load-time dialect options; they are part of the

@@ -1,35 +1,54 @@
 package server
 
-// The serving side of the shared artifact tier. After a cold load the
-// replica serializes the program's analysis — method reports, parallel
-// methods, loop counts, emitted parallel source — into an
-// api.ArtifactBundle and publishes it to the configured blob store.
-// When another replica later misses on the same fingerprint, it adopts
-// the bundle (decode + integrity check) and answers /v1/analyze
-// without re-running parse, type check, or commutativity analysis.
-// Adopted bundles are kept in a small in-memory LRU so repeat requests
-// on a non-owner replica stop paying even the blob fetch.
+// Every /v1/analyze reply is built from one record, the program's
+// api.ArtifactBundle: its method reports, parallel methods, loop counts
+// and, when asked for, its emitted parallel source. A warm hit renders
+// the bundle from the cached System; a cold load renders it once and,
+// when a blob tier is configured, publishes that same bundle there; a
+// replica that misses on a fingerprint a peer published adopts the
+// bundle (tier read, decode, integrity check) instead of re-running
+// parse, type check and commutativity analysis. analyzeFromBundle turns
+// any of them into the reply.
 
 import (
-	"container/list"
 	"time"
 
 	"commute"
+	"commute/internal/cond"
+	"commute/internal/core"
 	"commute/internal/server/api"
-	"commute/internal/server/cache"
 )
 
-// artMemEntries bounds the in-memory adopted-bundle LRU. Bundles are
-// small (a report list plus one source file), so this is a few MiB at
-// most.
-const artMemEntries = 128
+// analysis is the bundle an analyze reply is built from and the reply's
+// cache word, from the three serving tiers in cost order: the warm
+// in-memory System, an adopted fleet artifact, then the full pipeline.
+func (s *Server) analysis(p program, emit bool) (*api.ArtifactBundle, string, error) {
+	start := time.Now()
+	if sys, ok := s.cache.Peek(p.key); ok {
+		s.lat["load-warm"].record(time.Since(start), false)
+		return s.bundle(p.key, sys, false, emit), "hit", nil
+	}
+	if b, ok := s.adoptArtifact(p.key); ok {
+		return b, "adopt", nil
+	}
+	sys, hit, err := s.loadProgram(p)
+	if err != nil {
+		return nil, "", err
+	}
+	return s.bundle(p.key, sys, !hit, emit), cacheWord(hit), nil
+}
 
-// bundleFromSystem collects a loaded system's analysis artifacts, the
-// emitted parallel source only when source is set.
-func bundleFromSystem(key, name string, sys *commute.System, source bool) *api.ArtifactBundle {
+// bundle renders a loaded program's bundle, with the emitted parallel
+// source when emit asks for it or the bundle is published: after a cold
+// load it goes to the blob tier, if there is one, so fleet peers adopt
+// the analysis instead of repeating it. Publishing is best-effort: a
+// full disk or an unreachable tier must not fail the request that
+// loaded the program.
+func (s *Server) bundle(key string, sys *commute.System, cold, emit bool) *api.ArtifactBundle {
+	publish := cold && s.cfg.Blobs != nil
 	b := &api.ArtifactBundle{
 		Fingerprint:     key,
-		Name:            name,
+		Name:            sys.File.Name,
 		ParallelMethods: sys.ParallelMethods(),
 		LoopsFound:      sys.Plan.LoopsFound,
 		LoopsSuppressed: sys.Plan.LoopsSuppressed,
@@ -38,88 +57,44 @@ func bundleFromSystem(key, name string, sys *commute.System, source bool) *api.A
 	for _, mr := range sys.Reports() {
 		b.Methods = append(b.Methods, apiMethodReport(mr))
 	}
-	if source && sys.File != nil {
+	if emit || publish {
 		b.ParallelSource = sys.Plan.EmitParallelSource(sys.File)
+	}
+	if publish {
+		if data, err := api.EncodeArtifact(b); err == nil && s.cfg.Blobs.Put(key, data) == nil {
+			s.published.Add(1)
+		}
 	}
 	return b
 }
 
-// publishArtifact encodes and offers the bundle to the blob tier, if
-// there is one. Publishing is best-effort: a full disk or an
-// unreachable tier must not fail the request that triggered the cold
-// load.
-func (s *Server) publishArtifact(b *api.ArtifactBundle) {
-	if s.blobs == nil {
-		return
-	}
-	data, err := api.EncodeArtifact(b)
-	if err != nil {
-		return
-	}
-	if s.blobs.Put(b.Fingerprint, data) == nil {
-		s.published.Add(1)
-	}
-}
-
-// adoptArtifact looks the fingerprint up in the adopted-bundle LRU and
-// then the blob tier. A blob-tier hit is decoded, integrity-checked,
-// counted as an adoption, and cached in the LRU.
+// adoptArtifact reads the fingerprint's bundle from the blob tier and
+// decodes it, timing both as load-adopt. Every adoption is checked: a
+// corrupt or mislabeled blob is refused, and the caller falls back to a
+// full load, which publishes a good bundle.
 func (s *Server) adoptArtifact(key string) (*api.ArtifactBundle, bool) {
-	s.artMu.Lock()
-	if el, ok := s.artMap[key]; ok {
-		s.artLL.MoveToFront(el)
-		b := el.Value.(*artEntry).bundle
-		s.artMu.Unlock()
-		return b, true
-	}
-	s.artMu.Unlock()
-
-	if s.blobs == nil {
+	if s.cfg.Blobs == nil {
 		return nil, false
 	}
-	data, err := s.blobs.Get(key)
+	start := time.Now()
+	data, err := s.cfg.Blobs.Get(key)
 	if err != nil {
 		return nil, false
 	}
 	b, err := api.DecodeArtifact(key, data)
 	if err != nil {
-		// Corrupt or mislabeled blob: refuse to adopt; the caller falls
-		// back to a full load, which will re-publish a good bundle.
 		return nil, false
 	}
 	s.adoptions.Add(1)
-
-	s.artMu.Lock()
-	if _, ok := s.artMap[key]; !ok {
-		s.artMap[key] = s.artLL.PushFront(&artEntry{key: key, bundle: b})
-		if s.artLL.Len() > artMemEntries {
-			old := s.artLL.Back()
-			s.artLL.Remove(old)
-			delete(s.artMap, old.Value.(*artEntry).key)
-		}
-	}
-	s.artMu.Unlock()
+	s.lat["load-adopt"].record(time.Since(start), false)
 	return b, true
 }
 
-// artEntry is one adopted bundle in the LRU.
-type artEntry struct {
-	key    string
-	bundle *api.ArtifactBundle
-}
-
-// initArtifacts wires the artifact state at construction.
-func (s *Server) initArtifacts(blobs cache.BlobStore) {
-	s.blobs = blobs
-	s.artMap = make(map[string]*list.Element)
-	s.artLL = list.New()
-}
-
-// analyzeFromBundle renders the /v1/analyze response for an adopted
-// bundle, or for the one a cold load just built.
-func analyzeFromBundle(b *api.ArtifactBundle, key, cacheWord string, emit bool, start time.Time) api.AnalyzeResponse {
+// analyzeFromBundle renders the /v1/analyze reply from a bundle, with
+// its parallel source only when emit is set.
+func analyzeFromBundle(b *api.ArtifactBundle, cacheWord string, emit bool, start time.Time) api.AnalyzeResponse {
 	resp := api.AnalyzeResponse{
-		Key:             key,
+		Key:             b.Fingerprint,
 		Cache:           cacheWord,
 		Methods:         b.Methods,
 		ParallelMethods: b.ParallelMethods,
@@ -132,4 +107,27 @@ func analyzeFromBundle(b *api.ArtifactBundle, key, cacheWord string, emit bool, 
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return resp
+}
+
+// apiMethodReport renders one analysis report in the wire schema,
+// including the synthesized conditional-commutativity predicate in
+// both rendered and structured form.
+func apiMethodReport(mr *core.MethodReport) api.MethodReport {
+	return api.MethodReport{
+		Method:             mr.Method.FullName(),
+		Parallel:           mr.Parallel,
+		Reason:             mr.Reason,
+		ExtentSize:         mr.ExtentSize,
+		AuxiliaryCallSites: mr.AuxiliaryCallSites,
+		IndependentPairs:   mr.IndependentPairs,
+		SymbolicPairs:      mr.SymbolicPairs,
+
+		Confidence:          mr.Confidence,
+		Condition:           mr.Condition,
+		ConditionTree:       api.CondTree(mr.Pred),
+		Guard:               cond.Render(mr.Guard),
+		GuardTree:           api.CondTree(mr.Guard),
+		ConditionalEligible: mr.ConditionalEligible,
+		SpeculationEligible: mr.SpeculationEligible,
+	}
 }

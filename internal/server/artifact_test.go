@@ -2,7 +2,9 @@ package server
 
 // Tests for the shared artifact tier (publish on cold load, adopt on a
 // peer's miss) and for what /v1/analyze answers on each of its three
-// paths: a warm hit, an adopted artifact and a cold load.
+// paths: a warm hit, an adopted artifact and a cold load. Every reply is
+// built from one bundle, so the paths agree by construction; these
+// tests hold them to it.
 
 import (
 	"bytes"
@@ -21,71 +23,51 @@ import (
 func TestArtifactAdoption(t *testing.T) {
 	// Two replicas sharing one blob tier: the first pays the full
 	// pipeline and publishes; the second must adopt the artifact
-	// instead of re-analyzing.
+	// instead of re-analyzing, on every request, each one a tier read
+	// and a checked decode, each reply the owner's but for the cache
+	// word and the time taken.
 	blobs := cache.NewMemStore()
 	_, owner := newTestServer(t, Config{Blobs: blobs})
-	_, cold := newTestServer(t, Config{Blobs: blobs})
+	_, peer := newTestServer(t, Config{Blobs: blobs})
 	req := api.AnalyzeRequest{SourceRequest: api.SourceRequest{App: "graph"}, Emit: true}
+	reply := func(ts *httptest.Server, cache string) map[string]any {
+		t.Helper()
+		resp, data := post(t, ts, "/v1/analyze", req)
+		var r map[string]any
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || r["cache"] != cache {
+			t.Fatalf("analyze = %d cache %v, want 200 %s", resp.StatusCode, r["cache"], cache)
+		}
+		delete(r, "cache")
+		delete(r, "elapsed_ms")
+		return r
+	}
 
-	resp, data := post(t, owner, "/v1/analyze", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owner analyze = %d: %s", resp.StatusCode, data)
-	}
-	var ownerResp api.AnalyzeResponse
-	if err := json.Unmarshal(data, &ownerResp); err != nil {
-		t.Fatal(err)
-	}
-	if ownerResp.Cache != "miss" {
-		t.Fatalf("owner cache = %q, want miss", ownerResp.Cache)
-	}
+	miss := reply(owner, "miss")
 	if blobs.Len() != 1 {
 		t.Fatalf("blob tier holds %d artifacts after cold load, want 1", blobs.Len())
 	}
-
-	resp, data = post(t, cold, "/v1/analyze", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cold-replica analyze = %d: %s", resp.StatusCode, data)
+	if miss["parallel_source"] == nil {
+		t.Fatal("the miss reply carries no parallel source")
 	}
-	var adopted api.AnalyzeResponse
-	if err := json.Unmarshal(data, &adopted); err != nil {
-		t.Fatal(err)
-	}
-	if adopted.Cache != "adopt" {
-		t.Fatalf("cold-replica cache = %q, want adopt", adopted.Cache)
-	}
-	if adopted.Key != ownerResp.Key {
-		t.Fatalf("adopted key %s != owner key %s", adopted.Key, ownerResp.Key)
-	}
-	if len(adopted.Methods) != len(ownerResp.Methods) {
-		t.Fatalf("adopted reports %d methods, owner %d", len(adopted.Methods), len(ownerResp.Methods))
-	}
-	if adopted.ParallelSource == "" || adopted.ParallelSource != ownerResp.ParallelSource {
-		t.Fatal("adopted emitted source differs from the owner's")
+	for i := 0; i < 2; i++ {
+		if adopted := reply(peer, "adopt"); !reflect.DeepEqual(adopted, miss) {
+			t.Fatalf("adopted reply %d differs from the owner's miss:\n%v\n%v", i, adopted, miss)
+		}
 	}
 
-	ownerSt, coldSt := statusz(t, owner), statusz(t, cold)
+	ownerSt, peerSt := statusz(t, owner), statusz(t, peer)
 	if ownerSt.ArtifactsPublished != 1 {
 		t.Fatalf("owner published = %d, want 1", ownerSt.ArtifactsPublished)
 	}
-	if coldSt.CacheAdoptions != 1 {
-		t.Fatalf("cold replica adoptions = %d, want 1", coldSt.CacheAdoptions)
+	if peerSt.CacheAdoptions != 2 || peerSt.Endpoints["load-adopt"].Requests != 2 {
+		t.Fatalf("peer adoptions = %d, load-adopt = %d; want 2 tier reads", peerSt.CacheAdoptions, peerSt.Endpoints["load-adopt"].Requests)
 	}
 	// The adopting replica must never have run the pipeline.
-	if lc := coldSt.Endpoints["load-cold"]; lc.Requests != 0 {
-		t.Fatalf("cold replica ran %d full loads, want 0", lc.Requests)
-	}
-	// Repeat adoption is served from the in-memory bundle LRU without
-	// another blob fetch, still reported as "adopt".
-	resp, data = post(t, cold, "/v1/analyze", req)
-	var again api.AnalyzeResponse
-	if err := json.Unmarshal(data, &again); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || again.Cache != "adopt" {
-		t.Fatalf("repeat adopt = %d cache %q, want 200 adopt", resp.StatusCode, again.Cache)
-	}
-	if st := statusz(t, cold); st.CacheAdoptions != 1 {
-		t.Fatalf("repeat adopt re-fetched the blob: adoptions = %d, want 1", st.CacheAdoptions)
+	if lc := peerSt.Endpoints["load-cold"]; lc.Requests != 0 {
+		t.Fatalf("peer ran %d full loads, want 0", lc.Requests)
 	}
 }
 
@@ -165,9 +147,10 @@ func TestAnalyzeEmitOnEveryPath(t *testing.T) {
 	}
 }
 
-// TestAnalyzePathsAgree: a cold load answers from the bundle it renders
-// for the blob tier, so for one program the miss, the adopt and the hit
-// reply agree in every field but the cache word and the time taken.
+// TestAnalyzePathsAgree: the miss reply comes from the bundle a cold
+// load publishes, the adopt reply from that bundle decoded, the hit reply
+// from one rendered again, so for one program the three agree in every
+// field but the cache word and the time taken.
 // Water is the app whose plan replicates accumulations, the one that
 // reads class layouts while it plans.
 func TestAnalyzePathsAgree(t *testing.T) {

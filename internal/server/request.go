@@ -57,7 +57,7 @@ func (p program) accept(w http.ResponseWriter) error {
 	return nil
 }
 
-// readRequest reads one POST body, capped at MaxSourceBytes, and decodes
+// readRequest reads one POST body, capped at api.MaxBodyBytes, and decodes
 // it into a T with unknown fields refused; src names the SourceRequest a
 // T embeds. A body the handler accepts (program.accept) is remembered,
 // keyed by the SHA-256 of the endpoint and the exact bytes, and a repeat
@@ -65,11 +65,11 @@ func (p program) accept(w http.ResponseWriter) error {
 // returns the error.
 func readRequest[T any](s *Server, w http.ResponseWriter, r *http.Request, src func(*T) *api.SourceRequest) (T, program, error) {
 	var req T
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSourceBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes+1))
 	if err != nil {
 		return req, program{}, writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 	}
-	if int64(len(body)) > s.cfg.MaxSourceBytes {
+	if len(body) > api.MaxBodyBytes {
 		return req, program{}, writeErr(w, http.StatusRequestEntityTooLarge, "request body over cap")
 	}
 	sum := bodySum(r.URL.Path, body)

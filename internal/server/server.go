@@ -26,29 +26,26 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"commute"
 	"commute/internal/apps/src"
-	"commute/internal/cond"
-	"commute/internal/core"
 	"commute/internal/rt"
 	"commute/internal/server/api"
 	"commute/internal/server/cache"
 )
 
 // Config shapes the serving layer. Zero fields take the documented
-// defaults.
+// defaults. A request body is capped at api.MaxBodyBytes (413 past it),
+// and a 429 asks the client to retry after one second.
 type Config struct {
 	// Workers bounds concurrently executing requests (default:
 	// GOMAXPROCS).
@@ -67,11 +64,6 @@ type Config struct {
 	// (default 60s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxSourceBytes caps a request body (default api.MaxBodyBytes); a
-	// larger one is answered 413.
-	MaxSourceBytes int64
-	// RetryAfter is the client backoff hint sent with 429s (default 1s).
-	RetryAfter time.Duration
 	// Blobs is the shared artifact tier (fleet deployments: a directory
 	// shared by replicas). After a cold load the replica publishes the
 	// program's serialized analysis to it; on a miss it adopts a peer's
@@ -101,12 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout == 0 {
 		c.MaxTimeout = 60 * time.Second
 	}
-	if c.MaxSourceBytes == 0 {
-		c.MaxSourceBytes = api.MaxBodyBytes
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
-	}
 	return c
 }
 
@@ -132,13 +118,9 @@ type Server struct {
 	declined    atomic.Int64
 	draining    atomic.Bool
 
-	// Shared artifact tier (see artifact.go).
-	blobs     cache.BlobStore
+	// Shared artifact tier counters (see artifact.go).
 	adoptions atomic.Int64
 	published atomic.Int64
-	artMu     sync.Mutex
-	artMap    map[string]*list.Element
-	artLL     *list.List
 	// What each distinct request body decoded to (see request.go).
 	memo *cache.Memo[memoEntry]
 
@@ -159,18 +141,16 @@ func New(cfg Config) *Server {
 			"run":      {},
 			"simulate": {},
 			// Program-load latency, split by cache outcome: load-cold is
-			// the full pipeline (parse → analysis → codegen) and the
-			// program's analysis bundle,
-			// load-warm a cache hit, load-adopt a peer artifact decoded
-			// from the blob tier instead of re-analyzed. The cold↔warm
-			// gap is what the cache buys; the cold↔adopt gap is what
-			// the fleet artifact tier buys.
+			// the full pipeline (parse → analysis → codegen), load-warm
+			// a cache lookup that found the program, load-adopt a tier
+			// read and decode of a peer's artifact instead of a
+			// re-analysis. The cold↔warm gap is what the cache buys;
+			// the cold↔adopt gap is what the fleet artifact tier buys.
 			"load-cold":  {},
 			"load-warm":  {},
 			"load-adopt": {},
 		},
 	}
-	s.initArtifacts(cfg.Blobs)
 	s.memo = cache.NewMemo[memoEntry](cache.MemoEntries)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statusz", s.handleStatusz)
@@ -224,7 +204,7 @@ func (s *Server) guard(name string, h func(w http.ResponseWriter, r *http.Reques
 		release, ok := s.admit(r.Context())
 		if !ok {
 			s.rejected.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+			w.Header().Set("Retry-After", "1") // seconds
 			writeErr(w, http.StatusTooManyRequests, "server at capacity, retry later")
 			return
 		}
@@ -291,44 +271,42 @@ func resolveSource(req api.SourceRequest) (name, source string, opts commute.Loa
 	return name, source, commute.LoadOptions{Transform: req.Options.Transform}, nil
 }
 
-// loadProgram resolves a fingerprinted program through the cache; only
+// loadProgram resolves a fingerprinted program through the cache and
+// times the lookup: load-warm when it found the program, or waited for
+// a concurrent load of it, and load-cold when it ran the pipeline. Only
 // a cold load asks for the program's text.
-//
-// A cold load renders the program's analysis bundle once, when anyone
-// reads it: the blob tier, which gets it published so fleet peers can
-// adopt the analysis instead of repeating it, or an analyze miss
-// (analyze), which answers from it; the parallel source is rendered
-// when the tier or the request (emit) wants it. Otherwise, and on a hit,
-// the bundle is nil.
 //
 // Loading does not prepare the program for execution: the System's
 // interpreter code is built by the first request that runs the entry
 // (System.Warm), so an entry only ever analyzed holds none.
-func (s *Server) loadProgram(p program, analyze, emit bool) (sys *commute.System, hit bool, b *api.ArtifactBundle, err error) {
+func (s *Server) loadProgram(p program) (sys *commute.System, hit bool, err error) {
 	start := time.Now()
 	sys, hit, err = s.cache.GetOrLoad(p.key, func() (*commute.System, int64, error) {
 		name, source, opts, err := p.text()
 		if err != nil {
 			return nil, 0, err
 		}
-		sys, lerr := commute.LoadOpts(name, source, opts)
-		if lerr != nil {
-			return nil, 0, lerr
-		}
-		// Rendered before the entry is published, so no other request
-		// holds the system yet.
-		if s.blobs != nil || analyze {
-			b = bundleFromSystem(p.key, name, sys, s.blobs != nil || emit)
-		}
-		return sys, systemSize(source), nil
+		sys, err := commute.LoadOpts(name, source, opts)
+		return sys, systemSize(source), err
 	})
-	if rec := s.lat[loadWord(hit)]; rec != nil {
-		rec.record(time.Since(start), err != nil)
+	s.lat[loadWord(hit)].record(time.Since(start), err != nil)
+	return sys, hit, err
+}
+
+// loadToRun loads a program a request executes. A cold load publishes
+// the program's bundle, as an analyze miss does, and the first request
+// that runs the entry builds its code here, before the execution's
+// clock starts, so a reported wall time never includes it.
+func (s *Server) loadToRun(p program) (*commute.System, bool, error) {
+	sys, hit, err := s.loadProgram(p)
+	if err != nil {
+		return nil, false, err
 	}
-	if err == nil && b != nil {
-		s.publishArtifact(b)
+	if !hit && s.cfg.Blobs != nil {
+		s.bundle(p.key, sys, true, false)
 	}
-	return sys, hit, b, err
+	sys.Warm()
+	return sys, hit, nil
 }
 
 func loadWord(hit bool) string {
@@ -396,73 +374,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 
-	// The three serving tiers in cost order: the warm in-memory system,
-	// an adopted fleet artifact, then the full analysis pipeline.
-	key := p.key
-	if sys, ok := s.cache.Peek(key); ok {
-		loadStart := time.Now()
-		resp := analyzeFromSystem(sys, key, "hit", req.Emit, start)
-		s.lat["load-warm"].record(time.Since(loadStart), false)
-		return writeJSON(w, http.StatusOK, resp)
-	}
-	if s.blobs != nil {
-		loadStart := time.Now()
-		if b, ok := s.adoptArtifact(key); ok {
-			s.lat["load-adopt"].record(time.Since(loadStart), false)
-			return writeJSON(w, http.StatusOK, analyzeFromBundle(b, key, "adopt", req.Emit, start))
-		}
-	}
-	sys, hit, b, err := s.loadProgram(p, true, req.Emit)
+	b, word, err := s.analysis(p, req.Emit)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	if b != nil {
-		return writeJSON(w, http.StatusOK, analyzeFromBundle(b, key, "miss", req.Emit, start))
-	}
-	return writeJSON(w, http.StatusOK, analyzeFromSystem(sys, key, cacheWord(hit), req.Emit, start))
-}
-
-// analyzeFromSystem renders the analyze response from a live system.
-func analyzeFromSystem(sys *commute.System, key, cacheWord string, emit bool, start time.Time) api.AnalyzeResponse {
-	resp := api.AnalyzeResponse{
-		Key:             key,
-		Cache:           cacheWord,
-		ParallelMethods: sys.ParallelMethods(),
-		LoopsFound:      sys.Plan.LoopsFound,
-		LoopsSuppressed: sys.Plan.LoopsSuppressed,
-		LoopsRefused:    sys.Plan.LoopsRefused,
-	}
-	for _, mr := range sys.Reports() {
-		resp.Methods = append(resp.Methods, apiMethodReport(mr))
-	}
-	if emit && sys.File != nil {
-		resp.ParallelSource = sys.Plan.EmitParallelSource(sys.File)
-	}
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp
-}
-
-// apiMethodReport renders one analysis report in the wire schema,
-// including the synthesized conditional-commutativity predicate in
-// both rendered and structured form.
-func apiMethodReport(mr *core.MethodReport) api.MethodReport {
-	return api.MethodReport{
-		Method:             mr.Method.FullName(),
-		Parallel:           mr.Parallel,
-		Reason:             mr.Reason,
-		ExtentSize:         mr.ExtentSize,
-		AuxiliaryCallSites: mr.AuxiliaryCallSites,
-		IndependentPairs:   mr.IndependentPairs,
-		SymbolicPairs:      mr.SymbolicPairs,
-
-		Confidence:          mr.Confidence,
-		Condition:           mr.Condition,
-		ConditionTree:       api.CondTree(mr.Pred),
-		Guard:               cond.Render(mr.Guard),
-		GuardTree:           api.CondTree(mr.Guard),
-		ConditionalEligible: mr.ConditionalEligible,
-		SpeculationEligible: mr.SpeculationEligible,
-	}
+	return writeJSON(w, http.StatusOK, analyzeFromBundle(b, word, req.Emit, start))
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
@@ -503,13 +419,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if err := p.accept(w); err != nil {
 		return err
 	}
-	sys, hit, _, err := s.loadProgram(p, false, false)
+	sys, hit, err := s.loadToRun(p)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	// The first execution of an entry builds its code here, before the
-	// clock starts, so an execution's reported wall time never includes it.
-	sys.Warm()
 
 	ctx, cancel := s.deadline(r, req.TimeoutMS)
 	defer cancel()
@@ -590,11 +503,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	if err := prog.accept(w); err != nil {
 		return err
 	}
-	sys, hit, _, err := s.loadProgram(prog, false, false)
+	sys, hit, err := s.loadToRun(prog)
 	if err != nil {
 		return writeErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
-	sys.Warm()
 
 	ctx, cancel := s.deadline(r, 0)
 	defer cancel()

@@ -407,15 +407,21 @@ func TestSimulateDeadline(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	// Every body below fits the cap but the first, which is refused
-	// whole rather than decoded up to the cap.
-	_, ts := newTestServer(t, Config{MaxSourceBytes: 1024})
+	// Every body below fits the cap but the first, one byte over it,
+	// which is refused whole rather than decoded up to the cap.
+	_, ts := newTestServer(t, Config{})
+	over := api.AnalyzeRequest{SourceRequest: api.SourceRequest{Source: "void main() {}"}}
+	body, err := json.Marshal(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over.Source = strings.Repeat(" ", api.MaxBodyBytes+1-len(body)) + over.Source
 	cases := []struct {
 		path string
 		req  any
 		want int
 	}{
-		{"/v1/analyze", api.AnalyzeRequest{SourceRequest: api.SourceRequest{Source: strings.Repeat(" ", 1024) + "void main() {}"}}, http.StatusRequestEntityTooLarge},
+		{"/v1/analyze", over, http.StatusRequestEntityTooLarge},
 		{"/v1/analyze", api.AnalyzeRequest{SourceRequest: api.SourceRequest{App: "nope"}}, http.StatusUnprocessableEntity},
 		{"/v1/analyze", api.AnalyzeRequest{}, http.StatusUnprocessableEntity},
 		{"/v1/analyze", api.AnalyzeRequest{SourceRequest: api.SourceRequest{Source: "void main("}}, http.StatusUnprocessableEntity},

@@ -16,6 +16,14 @@ ROUTER=$BASE:18180
 
 TMP=$(mktemp -d)
 BLOBS=$TMP/artifacts
+# Every exit path stops the daemons and removes TMP, binaries and blob
+# directory alike. Waiting first means no daemon still writes there.
+cleanup() {
+  kill $(jobs -p) 2>/dev/null || true
+  wait 2>/dev/null || true
+  rm -rf "$TMP"
+}
+trap cleanup EXIT
 go build -o "$TMP/commuted" ./cmd/commuted
 go build -o "$TMP/commutefleet" ./cmd/commutefleet
 
@@ -23,9 +31,7 @@ go build -o "$TMP/commutefleet" ./cmd/commutefleet
 "$TMP/commuted" -addr "$R2" -blob-dir "$BLOBS" & PID2=$!
 "$TMP/commuted" -addr "$R3" -blob-dir "$BLOBS" & PID3=$!
 "$TMP/commutefleet" -addr "$ROUTER" \
-  -shards "http://$R1,http://$R2,http://$R3" & PIDR=$!
-cleanup() { kill "$PID1" "$PID2" "$PID3" "$PIDR" 2>/dev/null || true; }
-trap cleanup EXIT
+  -shards "http://$R1,http://$R2,http://$R3" &
 
 wait_healthy() {
   for _ in $(seq 1 100); do

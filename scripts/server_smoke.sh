@@ -6,13 +6,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR=127.0.0.1:18080
-BIN=$(mktemp -d)/commuted
+TMP=$(mktemp -d)
+BIN=$TMP/commuted
+PID=
+# Every exit path stops the daemon, if it still runs, and removes TMP.
+cleanup() {
+  if [ -n "$PID" ]; then kill "$PID" 2>/dev/null || true; wait "$PID" 2>/dev/null || true; fi
+  rm -rf "$TMP"
+}
+trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/commuted
 "$BIN" -addr "$ADDR" &
 PID=$!
-cleanup() { kill "$PID" 2>/dev/null || true; }
-trap cleanup EXIT
 
 # Wait for liveness.
 for _ in $(seq 1 100); do
@@ -65,11 +71,12 @@ echo "fallback field rejected ok"
 
 # SIGTERM must drain and exit 0.
 kill -TERM "$PID"
-if wait "$PID"; then
-  echo "clean drain ok"
-else
-  echo "commuted exited non-zero on SIGTERM" >&2
+RC=0
+wait "$PID" || RC=$?
+PID= # reaped: cleanup must not signal a recycled pid
+if [ "$RC" -ne 0 ]; then
+  echo "commuted exited $RC on SIGTERM" >&2
   exit 1
 fi
-trap - EXIT
+echo "clean drain ok"
 echo "server smoke OK"
